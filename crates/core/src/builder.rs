@@ -25,7 +25,6 @@ use crate::graph::{Hin, NodeRef, RelationId, RelationInfo, TypeId, TypeInfo};
 #[derive(Default)]
 pub struct HinBuilder {
     types: Vec<TypeInfo>,
-    interner: Vec<HashMap<String, u32>>,
     relations: Vec<PendingRelation>,
 }
 
@@ -48,8 +47,8 @@ impl HinBuilder {
         self.types.push(TypeInfo {
             name: name.to_string(),
             node_names: Vec::new(),
+            index: HashMap::new(),
         });
-        self.interner.push(HashMap::new());
         TypeId(self.types.len() - 1)
     }
 
@@ -65,18 +64,20 @@ impl HinBuilder {
     }
 
     /// Add a node with the given display name, without checking for
-    /// duplicates. Prefer [`HinBuilder::intern`] when names identify nodes.
+    /// duplicates. Prefer [`HinBuilder::intern`] when names identify nodes:
+    /// name lookups ([`HinBuilder::intern`], [`Hin::node_by_name`]) find
+    /// the first node added under a name.
     pub fn add_node(&mut self, ty: TypeId, name: &str) -> NodeRef {
-        let names = &mut self.types[ty.0].node_names;
-        names.push(name.to_string());
-        let id = (names.len() - 1) as u32;
-        self.interner[ty.0].insert(name.to_string(), id);
+        let info = &mut self.types[ty.0];
+        info.node_names.push(name.to_string());
+        let id = (info.node_names.len() - 1) as u32;
+        info.index.entry(name.to_string()).or_insert(id);
         NodeRef { ty, id }
     }
 
     /// Get-or-create the node of `ty` named `name`.
     pub fn intern(&mut self, ty: TypeId, name: &str) -> NodeRef {
-        if let Some(&id) = self.interner[ty.0].get(name) {
+        if let Some(&id) = self.types[ty.0].index.get(name) {
             return NodeRef { ty, id };
         }
         self.add_node(ty, name)
@@ -187,6 +188,25 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, c);
         assert_eq!(b.node_count(t), 2);
+    }
+
+    #[test]
+    fn name_lookup_finds_the_first_of_duplicate_names() {
+        let mut b = HinBuilder::new();
+        let t = b.add_type("t");
+        let first = b.add_node(t, "dup");
+        let other = b.add_node(t, "other");
+        let second = b.add_node(t, "dup");
+        assert_ne!(first, second);
+        assert_eq!(b.intern(t, "dup"), first);
+        let hin = b.build();
+        assert_eq!(hin.node_count(t), 3);
+        assert_eq!(hin.node_by_name(t, "dup").unwrap(), first);
+        assert_eq!(hin.node_by_name(t, "other").unwrap(), other);
+        assert!(matches!(
+            hin.node_by_name(t, "missing"),
+            Err(HinError::UnknownNode { .. })
+        ));
     }
 
     #[test]

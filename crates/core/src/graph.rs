@@ -1,5 +1,7 @@
 //! The heterogeneous information network value type.
 
+use std::collections::HashMap;
+
 use hin_linalg::Csr;
 
 use crate::error::HinError;
@@ -27,6 +29,9 @@ pub struct NodeRef {
 pub(crate) struct TypeInfo {
     pub name: String,
     pub node_names: Vec<String>,
+    /// Display name → id, filled as nodes are added; the lowest id wins
+    /// when several nodes share a name.
+    pub index: HashMap<String, u32>,
 }
 
 /// One typed relation with both adjacency directions materialized.
@@ -110,14 +115,13 @@ impl Hin {
         &self.types[node.ty.0].node_names[node.id as usize]
     }
 
-    /// Find a node of `ty` by display name (linear scan; intended for tests
-    /// and examples, not hot paths).
+    /// Find a node of `ty` by display name: one hash lookup. When several
+    /// nodes share a name, the one with the lowest id is returned.
     pub fn node_by_name(&self, ty: TypeId, name: &str) -> Result<NodeRef, HinError> {
         self.types[ty.0]
-            .node_names
-            .iter()
-            .position(|n| n == name)
-            .map(|id| NodeRef { ty, id: id as u32 })
+            .index
+            .get(name)
+            .map(|&id| NodeRef { ty, id })
             .ok_or_else(|| HinError::UnknownNode {
                 ty: self.type_name(ty).to_string(),
                 name: name.to_string(),

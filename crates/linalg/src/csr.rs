@@ -336,6 +336,12 @@ impl Csr {
         }
     }
 
+    /// The main diagonal, one entry per row: `diagonal()[i] == get(i, i)`
+    /// (zero when not stored). One binary search per row.
+    pub fn diagonal(&self) -> Vec<f64> {
+        (0..self.nrows).map(|i| self.get(i, i)).collect()
+    }
+
     /// Number of stored entries in row `r` (out-degree when used as an
     /// adjacency matrix).
     #[inline]

@@ -49,7 +49,7 @@ use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher, RandomState};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 
 use hin_linalg::Csr;
 use hin_similarity::PathStep;
@@ -134,6 +134,12 @@ struct Entry {
     /// on first counting lookup, then never again. `None` for everything
     /// computed or already-verified.
     verify: Option<LazyVerify>,
+    /// `value.diagonal()`, built by the first PathSim read of this resident
+    /// matrix ([`MatrixCache::diagonal_of`]) and dropped with the entry, so
+    /// it can never outlive or mismatch `value`. Not priced into `bytes`:
+    /// at 8 bytes per row it is smaller than `value`'s own `indptr` array,
+    /// which `bytes` does count.
+    diagonal: OnceLock<Arc<[f64]>>,
 }
 
 /// First-touch verification state for a lazily restored entry.
@@ -281,6 +287,7 @@ pub struct MatrixCache {
     warm_view_backed: AtomicU64,
     lazy_verified: AtomicU64,
     lazy_verify_failures: AtomicU64,
+    diagonal_builds: AtomicU64,
 }
 
 impl Default for MatrixCache {
@@ -306,6 +313,7 @@ impl std::fmt::Debug for MatrixCache {
             .field("warm_view_backed", &self.warm_view_backed())
             .field("lazy_verified", &self.lazy_verified())
             .field("lazy_verify_failures", &self.lazy_verify_failures())
+            .field("diagonal_builds", &self.diagonal_builds())
             .finish()
     }
 }
@@ -335,6 +343,7 @@ impl MatrixCache {
             warm_view_backed: AtomicU64::new(0),
             lazy_verified: AtomicU64::new(0),
             lazy_verify_failures: AtomicU64::new(0),
+            diagonal_builds: AtomicU64::new(0),
         }
     }
 
@@ -450,6 +459,15 @@ impl MatrixCache {
         self.lazy_verify_failures.load(Ordering::Relaxed)
     }
 
+    /// Diagonal sidecars built: one per resident square matrix PathSim has
+    /// read, per residency — an evicted or restored matrix pays the build
+    /// (one binary search per row) again on its next PathSim read, so a
+    /// count that tracks queries rather than resident spans means an
+    /// eviction or restore storm.
+    pub fn diagonal_builds(&self) -> u64 {
+        self.diagonal_builds.load(Ordering::Relaxed)
+    }
+
     /// Zero the counters (the stored matrices stay).
     pub fn reset_stats(&self) {
         self.hits.store(0, Ordering::Relaxed);
@@ -463,6 +481,7 @@ impl MatrixCache {
         self.warm_view_backed.store(0, Ordering::Relaxed);
         self.lazy_verified.store(0, Ordering::Relaxed);
         self.lazy_verify_failures.store(0, Ordering::Relaxed);
+        self.diagonal_builds.store(0, Ordering::Relaxed);
     }
 
     /// Every resident entry with its recency tick, hottest first — the
@@ -593,6 +612,7 @@ impl MatrixCache {
             bytes,
             last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed) + 1),
             verify,
+            diagonal: OnceLock::new(),
         };
         if let Some(old) = shard.map.insert(key, entry) {
             shard.bytes -= old.bytes;
@@ -604,6 +624,32 @@ impl MatrixCache {
                 self.evictions.fetch_add(evicted, Ordering::Relaxed);
             }
         }
+    }
+
+    /// The diagonal of `matrix`, provided `matrix` is the very allocation
+    /// resident under `key` right now — matched by [`Arc::ptr_eq`], never by
+    /// key alone, so a caller holding a matrix that was evicted or replaced
+    /// gets `None` (and searches its own matrix) rather than another
+    /// matrix's diagonal. Built once per residency, by whichever caller
+    /// asks first; concurrent first callers block on that one build. Does
+    /// not count as a cache use: the caller's lookup of `matrix` already
+    /// did.
+    ///
+    /// The build runs under the shard's read lock, like first-touch
+    /// snapshot verification: one binary search per row, once.
+    pub(crate) fn diagonal_of(&self, key: &[StepKey], matrix: &Arc<Csr>) -> Option<Arc<[f64]>> {
+        let shard = self
+            .shard_of(key)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        let entry = shard.map.get(key)?;
+        if !Arc::ptr_eq(&entry.value, matrix) {
+            return None;
+        }
+        Some(Arc::clone(entry.diagonal.get_or_init(|| {
+            self.diagonal_builds.fetch_add(1, Ordering::Relaxed);
+            entry.value.diagonal().into()
+        })))
     }
 
     /// Non-counting lookup used by the planner: is this sub-path (or its

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use hin_core::{Hin, NodeRef, TypeId};
 use hin_linalg::{spvm_chain_with, spvm_with, Csr, ScatterScratch, SparseBlock, SparseVec};
-use hin_similarity::{top_k_pathsim, MetaPath, PathStep};
+use hin_similarity::{top_k, top_k_pathsim, top_k_pathsim_with_diagonal, MetaPath, PathStep};
 
 use crate::cache::{key_of, reversed_key, CacheConfig, CacheOutcome, MatrixCache, PathKey};
 use crate::error::QueryError;
@@ -47,10 +47,19 @@ fn default_row_limit(verb: Verb) -> usize {
 /// bound, not a policy: realistic workloads hold far fewer distinct spans.
 const HEAT_CAP: usize = 4096;
 
-/// Total memoized diagonal entries (`M[y][y]` normalizers across all
-/// half-spans) kept before the table is reset wholesale — a memory bound
+/// Total normalizer-memo slots (one per node of the path's end type, per
+/// half-span) kept before the memo is reset wholesale — a memory bound
 /// like [`HEAT_CAP`], not a policy.
 const DIAG_CAP: usize = 1 << 20;
+
+/// The `f64` bit pattern of a normalizer-memo slot nobody has filled yet.
+/// It is a NaN no arithmetic produces; a normalizer that did come out with
+/// these bits would only be recomputed on every read.
+const UNKNOWN_NORMALIZER: u64 = u64::MAX;
+
+/// One half-span's memoized normalizers: `f64` bits indexed by node id,
+/// [`UNKNOWN_NORMALIZER`] where not computed yet, filled in place.
+type NormalizerTable = Arc<[AtomicU64]>;
 
 /// Execution-policy knobs: how the engine trades per-query latency against
 /// cache amortization for anchored queries.
@@ -147,13 +156,18 @@ pub struct Engine {
     /// serves both through the cache's transpose reuse).
     heat: Mutex<HashMap<PathKey, u32>>,
     /// Memoized PathSim normalizer diagonals `M[y][y]`, keyed by
-    /// `(half-span key [+ middle step], odd?)`. The diagonal is a property
-    /// of the half-path alone — not of the anchor — so candidates shared
-    /// between consecutive lazy PathSim queries reuse their half
-    /// propagations instead of re-running them (roughly the whole
-    /// normalizer cost, the dominant term, on a repeated query). Bounded
-    /// by [`DIAG_CAP`] total entries.
-    diag_cache: Mutex<HashMap<(PathKey, bool), HashMap<usize, f64>>>,
+    /// `(half-span key [+ middle step], odd?)`: one dense table per
+    /// half-span, shared by every query over that half-span and filled in
+    /// place. The diagonal is a property of the half-path alone —
+    /// not of the anchor — so candidates shared between lazy PathSim
+    /// queries reuse their half propagations instead of re-running them
+    /// (roughly the whole normalizer cost, the dominant term, on a repeated
+    /// query). Bounded by [`DIAG_CAP`] total slots.
+    ///
+    /// Deliberately separate from the cache's per-matrix diagonal sidecar:
+    /// `‖u‖²` from a half propagation and `M[y][y]` from the product sum in
+    /// different orders, so the two are bit-equal only in exact arithmetic.
+    diag_cache: Mutex<HashMap<(PathKey, bool), NormalizerTable>>,
     /// Normalizers served from `diag_cache` instead of half propagations.
     normalizer_memo_hits: AtomicU64,
     /// Queries answered by sparse-row propagation instead of matrix
@@ -352,7 +366,7 @@ impl Engine {
             &plan.root,
             probe,
         );
-        self.assemble(resolved, matrix.as_csr())
+        self.assemble(resolved, &matrix)
     }
 
     /// Execute a batch of queries against the shared cache, returning one
@@ -546,7 +560,7 @@ impl Engine {
             let probe = ExecProbe::default();
             let plan = plan_steps(&self.hin, steps, &self.cache);
             let matrix = Self::eval(&self.hin, steps, &self.cache, &plan.root, Some(&probe));
-            results[i] = Some(self.assemble(resolved, matrix.as_csr()));
+            results[i] = Some(self.assemble(resolved, &matrix));
             traces[i].mode = TraceMode::Full;
             traces[i].outcome = probe.outcome.get();
             traces[i].exec_ns = elapsed_ns(t0);
@@ -650,6 +664,12 @@ impl Engine {
     /// this dataset's schema.
     pub fn cache_warm_rejected(&self) -> u64 {
         self.cache.warm_rejected()
+    }
+
+    /// Diagonal sidecars built for resident matrices PathSim read; see
+    /// [`MatrixCache::diagonal_builds`].
+    pub fn cache_diagonal_builds(&self) -> u64 {
+        self.cache.diagonal_builds()
     }
 
     /// Number of cached matrices.
@@ -815,32 +835,30 @@ impl Engine {
                 let odd = steps.len() % 2 == 1;
                 let mid = odd.then(|| steps[h].matrix(&self.hin));
                 let mxx = row.get(x);
-                // Diagonals are anchor-independent, so consult the
-                // per-half-span memo: clone its map out under a short
-                // lock, fill what's missing, merge back below.
-                let diag_key = (key_of(&steps[..h + odd as usize]), odd);
-                let mut diag = self
-                    .diag_cache
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .get(&diag_key)
-                    .cloned()
-                    .unwrap_or_default();
+                // Diagonals are anchor-independent: read and fill the
+                // half-span's shared memo table in place.
+                let memo = self.normalizer_memo(
+                    (key_of(&steps[..h + odd as usize]), odd),
+                    self.hin.node_count(resolved.end),
+                );
                 let mut memo_hits = 0u64;
-                let mut scored: Vec<(usize, f64)> = row
+                let scored: Vec<(usize, f64)> = row
                     .iter()
                     .filter(|&(y, _)| y != x)
                     .map(|(y, mxy)| {
-                        let myy = if let Some(&v) = diag.get(&y) {
+                        // Relaxed: a slot publishes nothing but its own
+                        // bits, and racing fills store the same value.
+                        let known = memo[y].load(Ordering::Relaxed);
+                        let myy = if known != UNKNOWN_NORMALIZER {
                             memo_hits += 1;
-                            v
+                            f64::from_bits(known)
                         } else {
                             let u = spvm_chain_with(&half_seed.row(y), &half_rest, scratch);
                             let v = match mid {
                                 Some(l) => spvm_with(&u, l, scratch).dot(&u),
                                 None => u.dot_self(),
                             };
-                            diag.insert(y, v);
+                            memo[y].store(v.to_bits(), Ordering::Relaxed);
                             v
                         };
                         let denom = mxx + myy;
@@ -850,30 +868,18 @@ impl Engine {
                     .collect();
                 self.normalizer_memo_hits
                     .fetch_add(memo_hits, Ordering::Relaxed);
-                let mut memo = self
-                    .diag_cache
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let resident: usize = memo.values().map(HashMap::len).sum();
-                if resident + diag.len() > DIAG_CAP {
-                    // bounded memory: a reset only costs recomputation
-                    memo.clear();
-                }
-                memo.insert(diag_key, diag);
-                drop(memo);
-                scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                scored.truncate(resolved.limit.unwrap_or(DEFAULT_LIMIT));
-                scored
+                top_k(scored, resolved.limit.unwrap_or(DEFAULT_LIMIT))
             }
             Verb::PathCount | Verb::Neighbors => {
                 let exclude_self = resolved.start == resolved.end;
-                let mut counts: Vec<(usize, f64)> = row
+                let counts: Vec<(usize, f64)> = row
                     .iter()
                     .filter(|&(y, _)| !(exclude_self && y == x))
                     .collect();
-                counts.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                counts.truncate(resolved.limit.unwrap_or(default_row_limit(resolved.verb)));
-                counts
+                top_k(
+                    counts,
+                    resolved.limit.unwrap_or(default_row_limit(resolved.verb)),
+                )
             }
             Verb::Rank => unreachable!("rank is not anchored; exec_mode keeps it Full"),
         };
@@ -883,6 +889,30 @@ impl Engine {
             object_type: self.hin.type_name(resolved.end).to_string(),
             items: self.named(resolved.end, items),
         })
+    }
+
+    /// The shared normalizer table of one half-span (`slots` = node count
+    /// of the path's end type), created on first use. The lock covers only
+    /// this lookup; queries read and fill the table through its atomics.
+    fn normalizer_memo(&self, key: (PathKey, bool), slots: usize) -> NormalizerTable {
+        let mut memo = self
+            .diag_cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(table) = memo.get(&key) {
+            return Arc::clone(table);
+        }
+        let resident: usize = memo.values().map(|t| t.len()).sum();
+        if resident + slots > DIAG_CAP {
+            // bounded memory: a reset only costs recomputation (queries in
+            // flight keep filling the tables they already hold)
+            memo.clear();
+        }
+        let table: NormalizerTable = (0..slots)
+            .map(|_| AtomicU64::new(UNKNOWN_NORMALIZER))
+            .collect();
+        memo.insert(key, Arc::clone(&table));
+        table
     }
 
     /// Map `(node id, score)` pairs to `(node name, score)` for `ty`.
@@ -961,7 +991,20 @@ impl Engine {
         }
     }
 
-    fn assemble(&self, resolved: &ResolvedQuery, matrix: &Csr) -> Result<QueryOutput, QueryError> {
+    /// Turn the evaluated commuting matrix into the verb's answer.
+    ///
+    /// PathSim verbs read one row plus the matrix diagonal. A resident
+    /// matrix carries its diagonal as a cache-entry sidecar
+    /// ([`MatrixCache::diagonal_of`]), so a cached read is one pass over
+    /// the anchor's row; a matrix the cache is not holding (a bare relation,
+    /// an oversized product that evicted itself, one evicted since `eval`)
+    /// is searched once per candidate instead — nothing would keep a
+    /// diagonal built for it.
+    fn assemble(
+        &self,
+        resolved: &ResolvedQuery,
+        matrix: &Mat<'_>,
+    ) -> Result<QueryOutput, QueryError> {
         let hin = &self.hin;
         let end_name = hin.type_name(resolved.end).to_string();
 
@@ -969,7 +1012,15 @@ impl Engine {
             Verb::PathSim | Verb::TopK => {
                 let x = resolved.from.expect("resolver enforces `from`").id as usize;
                 let k = resolved.limit.unwrap_or(DEFAULT_LIMIT);
-                self.named(resolved.end, top_k_pathsim(matrix, x, k))
+                let diagonal = match matrix {
+                    Mat::Shared(m) => self.cache.diagonal_of(&key_of(resolved.path.steps()), m),
+                    Mat::Borrowed(_) => None,
+                };
+                let top = match diagonal {
+                    Some(diag) => top_k_pathsim_with_diagonal(matrix.as_csr(), &diag, x, k),
+                    None => top_k_pathsim(matrix.as_csr(), x, k),
+                };
+                self.named(resolved.end, top)
             }
             // Both verbs read the anchor's row of the commuting matrix.
             // `path_count` from `hin_similarity` is not used here: it always
@@ -980,34 +1031,30 @@ impl Engine {
             Verb::PathCount | Verb::Neighbors => {
                 let x = resolved.from.expect("resolver enforces `from`").id as usize;
                 let exclude_self = resolved.start == resolved.end;
-                let (idx, vals) = matrix.row(x);
-                let mut row: Vec<(usize, f64)> = idx
+                let (idx, vals) = matrix.as_csr().row(x);
+                let row: Vec<(usize, f64)> = idx
                     .iter()
                     .map(|&y| y as usize)
                     .zip(vals.iter().copied())
                     .filter(|&(y, _)| !(exclude_self && y == x))
                     .collect();
-                // total_cmp: a NaN score (possible only in matrices built
-                // outside the validated ingestion path) orders
-                // deterministically instead of panicking a serving process.
-                row.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                row.truncate(resolved.limit.unwrap_or(default_row_limit(resolved.verb)));
-                self.named(resolved.end, row)
+                let k = resolved.limit.unwrap_or(default_row_limit(resolved.verb));
+                self.named(resolved.end, top_k(row, k))
             }
             Verb::Rank => {
-                let mut sums: Vec<(usize, f64)> = matrix
+                let sums: Vec<(usize, f64)> = matrix
+                    .as_csr()
                     .row_sums()
                     .into_iter()
                     .enumerate()
                     .filter(|&(_, s)| s > 0.0)
                     .collect();
-                sums.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                sums.truncate(resolved.limit.unwrap_or(DEFAULT_LIMIT));
+                let k = resolved.limit.unwrap_or(DEFAULT_LIMIT);
                 // rank verb scores objects of the *start* type by row sums
                 return Ok(QueryOutput {
                     verb: resolved.verb,
                     object_type: hin.type_name(resolved.start).to_string(),
-                    items: self.named(resolved.start, sums),
+                    items: self.named(resolved.start, top_k(sums, k)),
                 });
             }
         };
@@ -1713,6 +1760,194 @@ mod tests {
         assert!(lazy.normalizer_memo_hits() > 0);
         lazy.reset_cache_stats();
         assert_eq!(lazy.normalizer_memo_hits(), 0);
+    }
+
+    /// The answer of record for a PathSim/TopK query over `m`:
+    /// `pathsim_pair` per candidate, full sort, truncate, then names.
+    fn pathsim_by_definition(hin: &Hin, m: &Csr, anchor: &str, k: usize) -> Vec<(String, f64)> {
+        let author = hin.type_by_name("author").unwrap();
+        let x = hin.node_by_name(author, anchor).unwrap().id as usize;
+        let mut all: Vec<(usize, f64)> = m
+            .row_indices(x)
+            .iter()
+            .map(|&y| y as usize)
+            .filter(|&y| y != x)
+            .map(|y| (y, hin_similarity::pathsim_pair(m, x, y)))
+            .collect();
+        all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        all.truncate(k);
+        all.into_iter()
+            .map(|(id, score)| {
+                let node = NodeRef {
+                    ty: author,
+                    id: id as u32,
+                };
+                (hin.node_name(node).to_string(), score)
+            })
+            .collect()
+    }
+
+    /// `(query, anchor, k)` over the A-P-V-P-A span of [`skewed_bib`].
+    const SIDECAR_QUERIES: [(&str, &str, usize); 3] = [
+        (
+            "pathsim author-paper-venue-paper-author from a0",
+            "a0",
+            DEFAULT_LIMIT,
+        ),
+        ("topk 3 author-paper-venue-paper-author from a5", "a5", 3),
+        (
+            "pathsim author-paper-venue-paper-author from a11 limit 50",
+            "a11",
+            50,
+        ),
+    ];
+
+    /// Every [`SIDECAR_QUERIES`] answer of `engine` equals the definition
+    /// over `m`, names and score bits.
+    fn assert_answers_by_definition(engine: &Engine, m: &Csr, stage: &str) {
+        for (q, anchor, k) in SIDECAR_QUERIES {
+            let got = engine.execute(q).unwrap().items;
+            let want = pathsim_by_definition(engine.hin(), m, anchor, k);
+            assert_eq!(got.len(), want.len(), "{stage}: {q}");
+            for ((gn, gs), (wn, ws)) in got.iter().zip(&want) {
+                assert_eq!(gn, wn, "{stage}: {q}");
+                assert_eq!(gs.to_bits(), ws.to_bits(), "{stage}: {q} score of {gn}");
+            }
+        }
+    }
+
+    #[test]
+    fn pathsim_answers_are_identical_across_the_diagonal_sidecars_life() {
+        let hin = skewed_bib();
+        let apvpa =
+            MetaPath::from_type_names(&hin, &["author", "paper", "venue", "paper", "author"])
+                .unwrap();
+        let key = key_of(apvpa.steps());
+        let m = commuting_matrix(&hin, &apvpa).unwrap();
+
+        // one shard with room for the span, so an oversized insert evicts it
+        let engine = Engine::with_config(
+            Arc::clone(&hin),
+            CacheConfig {
+                shards: 1,
+                byte_budget: Some(64 * 1024),
+            },
+            ExecPolicy::eager(),
+        );
+        // the first read materializes the span and builds its sidecar, the
+        // later ones find it: three queries, one build
+        assert_answers_by_definition(&engine, &m, "first reads");
+        assert_eq!(engine.cache_diagonal_builds(), 1);
+        assert_answers_by_definition(&engine, &m, "sidecar resident");
+        assert_eq!(engine.cache_diagonal_builds(), 1);
+
+        // eviction drops the sidecar with its entry; the recomputed span
+        // builds a fresh one
+        let snap = engine.snapshot(None);
+        let big = Csr::from_triplets(
+            400,
+            400,
+            (0..400u32).flat_map(|r| (0..30u32).map(move |c| (r, c * 13 % 400, 1.0))),
+        );
+        engine.cache().insert(vec![(42, true)], Arc::new(big));
+        assert!(engine.cache().peek_nnz(&key).is_none(), "span evicted");
+        assert_answers_by_definition(&engine, &m, "after eviction + recompute");
+        assert_eq!(engine.cache_diagonal_builds(), 2);
+
+        // a restore replaces the entry, so the diagonal is rebuilt from the
+        // restored matrix — from a heap snapshot…
+        let from_heap = eager_engine(Arc::clone(&hin));
+        assert!(from_heap.restore(&snap).loaded > 0);
+        assert_answers_by_definition(&from_heap, &m, "restored from heap");
+        assert_eq!(from_heap.cache_misses(), 0, "served from the snapshot");
+        assert_eq!(from_heap.cache_diagonal_builds(), 1);
+        // …into a live engine that already holds a sidecar for the key…
+        assert!(engine.restore(&snap).loaded > 0);
+        assert_answers_by_definition(&engine, &m, "restored over a live entry");
+        assert_eq!(engine.cache_diagonal_builds(), 3);
+        // …and from a lazily checksummed mapped file
+        let dir = std::env::temp_dir().join(format!("hin-diag-sidecar-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.hsnp");
+        snap.write_to_file(&path).expect("write");
+        let mapped = CacheSnapshot::read_from_file_mapped(&path, crate::ChecksumMode::Lazy)
+            .expect("mapped restore");
+        let from_file = eager_engine(Arc::clone(&hin));
+        assert!(from_file.restore(&mapped).loaded > 0);
+        assert_answers_by_definition(&from_file, &m, "restored from a lazy mapped file");
+        assert_eq!(from_file.cache_misses(), 0, "served from the mapping");
+        assert_eq!(from_file.cache_diagonal_builds(), 1);
+        drop((from_file, mapped));
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // a *different* matrix under the same key gets its own diagonal: a
+        // stale one (keyed, say, by path rather than by entry) would score
+        // against the old self-counts
+        let other = Csr::from_triplets(
+            m.nrows(),
+            m.ncols(),
+            m.iter()
+                .map(|(r, c, v)| (r, c, if r == c { 3.0 * v + 1.0 } else { v })),
+        );
+        engine.cache().insert(key.clone(), Arc::new(other.clone()));
+        assert_answers_by_definition(&engine, &other, "entry replaced under the same key");
+        assert_eq!(engine.cache_diagonal_builds(), 4);
+
+        // a budget the span never fits: every read is the non-resident
+        // fallback and no diagonal is ever built
+        let starved = Engine::with_config(
+            Arc::clone(&hin),
+            CacheConfig::bounded(2 * 1024),
+            ExecPolicy::eager(),
+        );
+        assert_answers_by_definition(&starved, &m, "never resident");
+        assert_answers_by_definition(&starved, &m, "never resident, again");
+        assert!(starved.cache().peek_nnz(&key).is_none());
+        assert_eq!(starved.cache_diagonal_builds(), 0);
+    }
+
+    #[test]
+    fn nan_scores_order_deterministically_instead_of_panicking() {
+        // NaN cannot enter through `HinBuilder`, but a served matrix can
+        // carry one (restored snapshot, `from_triplets` outside validated
+        // ingestion): regression for `partial_cmp().expect("finite")`
+        // unwinding the worker inside `assemble`.
+        let hin = Arc::new(bib());
+        let apa = MetaPath::from_type_names(&hin, &["author", "paper", "author"]).unwrap();
+        let poisoned = Csr::from_triplets(
+            3,
+            3,
+            [
+                (0u32, 0u32, 2.0),
+                (0, 1, f64::NAN),
+                (0, 2, 1.0),
+                (1, 0, 1.0),
+                (1, 1, 2.0),
+                (2, 0, 1.0),
+                (2, 2, 2.0),
+            ],
+        );
+        let engine = eager_engine(Arc::clone(&hin));
+        engine
+            .cache()
+            .insert(key_of(apa.steps()), Arc::new(poisoned));
+        for q in [
+            "pathsim author-paper-author from a0",
+            "pathcount author-paper-author from a0",
+        ] {
+            let first = engine
+                .execute(q)
+                .expect("a NaN score is an answer, not a panic");
+            // total_cmp puts (positive) NaN above every number
+            assert_eq!(first.items.len(), 2, "{q}");
+            assert_eq!(first.items[0].0, "a1", "{q}");
+            assert!(first.items[0].1.is_nan(), "{q}");
+            assert_eq!(first.items[1].0, "a2", "{q}");
+            let again = engine.execute(q).unwrap();
+            let names = |o: &QueryOutput| o.items.iter().map(|i| i.0.clone()).collect::<Vec<_>>();
+            assert_eq!(names(&first), names(&again), "{q}");
+        }
+        assert_eq!(engine.cache_misses(), 0, "served from the poisoned entry");
     }
 
     #[test]

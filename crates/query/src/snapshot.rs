@@ -1151,15 +1151,23 @@ mod tests {
 
         let mut bytes = Vec::new();
         snap.to_writer(&mut bytes).expect("vec writes cannot fail");
-        let decodes_before = hin_linalg::arena::heap_decodes();
         let back = CacheSnapshot::from_reader(&mut bytes.as_slice()).expect("v2 round trip");
         assert_eq!(back.keys(), snap.keys());
         if hin_linalg::arena::ZERO_COPY {
             assert_eq!(back.view_backed(), back.len(), "every entry is a view");
             assert_eq!(back.arena_count(), 1, "all views alias one buffer");
-            assert_eq!(
-                hin_linalg::arena::heap_decodes(),
-                decodes_before,
+            // The counter is process-wide and sibling tests decode v1
+            // files on other threads, so one window proves nothing either
+            // way: a restore that decodes would move it in every window, a
+            // restore that does not leaves it still whenever no sibling
+            // decoded meanwhile.
+            let undisturbed = (0..200).any(|_| {
+                let before = hin_linalg::arena::heap_decodes();
+                CacheSnapshot::from_reader(&mut bytes.as_slice()).expect("v2 round trip");
+                hin_linalg::arena::heap_decodes() == before
+            });
+            assert!(
+                undisturbed,
                 "a v2 restore performs zero per-matrix heap decodes"
             );
             let (shared, copied) = back.bytes_shared_copied();

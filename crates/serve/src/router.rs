@@ -300,6 +300,11 @@ impl RouterStats {
                 s.cache_warm_view_backed,
             );
             w.counter(
+                "hin_cache_diagonal_builds_total",
+                &ds,
+                s.cache_diagonal_builds,
+            );
+            w.counter(
                 "hin_normalizer_memo_hits_total",
                 &ds,
                 s.normalizer_memo_hits,

@@ -300,6 +300,9 @@ pub struct ServerStats {
     /// arena views (v2 snapshot restores on a zero-copy host) rather than
     /// per-matrix heap decodes.
     pub cache_warm_view_backed: u64,
+    /// Cache: diagonal sidecars built for resident matrices PathSim read —
+    /// one per resident span per residency, not one per query.
+    pub cache_diagonal_builds: u64,
     /// PathSim normalizer diagonals served from the engine's per-half-span
     /// memo instead of recomputed half propagations.
     pub normalizer_memo_hits: u64,
@@ -362,6 +365,7 @@ impl ServerStats {
             cache_warm_loaded: self.cache_warm_loaded + other.cache_warm_loaded,
             cache_warm_rejected: self.cache_warm_rejected + other.cache_warm_rejected,
             cache_warm_view_backed: self.cache_warm_view_backed + other.cache_warm_view_backed,
+            cache_diagonal_builds: self.cache_diagonal_builds + other.cache_diagonal_builds,
             normalizer_memo_hits: self.normalizer_memo_hits + other.normalizer_memo_hits,
             cache_len: self.cache_len + other.cache_len,
             cache_bytes: self.cache_bytes + other.cache_bytes,
@@ -716,6 +720,7 @@ impl Server {
             cache_warm_loaded: cache.warm_loaded(),
             cache_warm_rejected: cache.warm_rejected(),
             cache_warm_view_backed: cache.warm_view_backed(),
+            cache_diagonal_builds: cache.diagonal_builds(),
             normalizer_memo_hits: self.engine.normalizer_memo_hits(),
             cache_len: cache.len(),
             cache_bytes: cache.bytes(),

@@ -138,6 +138,7 @@ fn merge_edge_semantics() {
         lane_depths: vec![(1, 2), (2, 0)],
         queue_wait_ns: snap(&[100, 200]),
         slow_queries: 2,
+        cache_diagonal_builds: 2,
         ..ServerStats::default()
     };
     let b = ServerStats {
@@ -150,10 +151,12 @@ fn merge_edge_semantics() {
         lane_depths: vec![(1, 9)],
         queue_wait_ns: snap(&[300]),
         slow_queries: 1,
+        cache_diagonal_builds: 1,
         ..ServerStats::default()
     };
     let m = a.merge(&b);
     assert_eq!(m.served, 15, "counters add");
+    assert_eq!(m.cache_diagonal_builds, 3);
     assert_eq!(m.max_batch, 7, "max_batch takes the max");
     assert_eq!(m.workers, 6, "workers add");
     assert_eq!(m.queue_depth, 4, "gauges add across disjoint servers");
@@ -259,6 +262,7 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         cache_warm_rejected: 118,
         cache_len: 119,
         cache_bytes: 120,
+        cache_diagonal_builds: 122,
         admission_ns: snap(&[1_000]),
         queue_wait_ns: snap(&[2_000, 2_000]),
         dispatch_ns: snap(&[3_000, 3_000, 3_000]),
@@ -305,6 +309,7 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         ("hin_cache_warm_loaded_total", 117),
         ("hin_cache_warm_rejected_total", 118),
         ("hin_slow_queries_total", 121),
+        ("hin_cache_diagonal_builds_total", 122),
     ] {
         assert!(
             page.contains(&format!("{name}{{dataset=\"db\"}} {value}\n")),

@@ -9,15 +9,21 @@
 
 use hin_linalg::Csr;
 
-/// PathSim between two objects under a symmetric meta-path with commuting
-/// matrix `m`. Returns 0 when both self-counts are 0.
-pub fn pathsim_pair(m: &Csr, x: usize, y: usize) -> f64 {
-    let denom = m.get(x, x) + m.get(y, y);
+/// `2·M[x,y] / (M[x,x] + M[y,y])`, 0 when both self-counts are 0.
+#[inline]
+fn pathsim_score(mxy: f64, mxx: f64, myy: f64) -> f64 {
+    let denom = mxx + myy;
     if denom <= 0.0 {
         0.0
     } else {
-        2.0 * m.get(x, y) / denom
+        2.0 * mxy / denom
     }
+}
+
+/// PathSim between two objects under a symmetric meta-path with commuting
+/// matrix `m`. Returns 0 when both self-counts are 0.
+pub fn pathsim_pair(m: &Csr, x: usize, y: usize) -> f64 {
+    pathsim_score(m.get(x, y), m.get(x, x), m.get(y, y))
 }
 
 /// The full PathSim matrix, sparse over the nonzero pattern of `m`.
@@ -27,7 +33,7 @@ pub fn pathsim_pair(m: &Csr, x: usize, y: usize) -> f64 {
 /// Panics when `m` is not square.
 pub fn pathsim_matrix(m: &Csr) -> Csr {
     assert_eq!(m.nrows(), m.ncols(), "commuting matrix must be square");
-    let diag: Vec<f64> = (0..m.nrows()).map(|i| m.get(i, i)).collect();
+    let diag = m.diagonal();
     Csr::from_triplets(
         m.nrows(),
         m.ncols(),
@@ -39,24 +45,45 @@ pub fn pathsim_matrix(m: &Csr) -> Csr {
 }
 
 /// Top-`k` PathSim neighbors of `x` (excluding `x` itself), descending.
+///
+/// One pass over row `x`: `M[x][x]` is looked up once, `M[x][y]` is the
+/// row entry being visited, and each candidate costs one binary search for
+/// its `M[y][y]`. When the same matrix answers many anchors, build
+/// [`Csr::diagonal`] once and use [`top_k_pathsim_with_diagonal`].
 pub fn top_k_pathsim(m: &Csr, x: usize, k: usize) -> Vec<(usize, f64)> {
-    rank_row(
-        m.row_indices(x)
-            .iter()
-            .map(|&y| (y as usize, pathsim_pair(m, x, y as usize))),
-        x,
-        k,
-    )
+    pathsim_row(m, x, k, |y| m.get(y, y))
+}
+
+/// [`top_k_pathsim`] reading every `M[y][y]` from `diag`, which must be
+/// `m.diagonal()`: no search at all, same answer bit for bit.
+pub fn top_k_pathsim_with_diagonal(m: &Csr, diag: &[f64], x: usize, k: usize) -> Vec<(usize, f64)> {
+    pathsim_row(m, x, k, |y| diag[y])
+}
+
+/// The scoring loop behind both `top_k_pathsim` entry points, generic over
+/// where the self-counts `M[y][y]` come from.
+fn pathsim_row(
+    m: &Csr,
+    x: usize,
+    k: usize,
+    self_count: impl Fn(usize) -> f64,
+) -> Vec<(usize, f64)> {
+    let mxx = self_count(x);
+    let (idx, vals) = m.row(x);
+    let scored = idx
+        .iter()
+        .zip(vals)
+        .filter(|&(&y, _)| y as usize != x)
+        .map(|(&y, &mxy)| (y as usize, pathsim_score(mxy, mxx, self_count(y as usize))))
+        .collect();
+    top_k(scored, k)
 }
 
 /// Top-`k` by raw path count (the PathCount baseline).
 pub fn path_count(m: &Csr, x: usize, k: usize) -> Vec<(usize, f64)> {
     let (idx, vals) = m.row(x);
-    rank_row(
-        idx.iter().map(|&y| y as usize).zip(vals.iter().copied()),
-        x,
-        k,
-    )
+    let counts = idx.iter().map(|&y| y as usize).zip(vals.iter().copied());
+    top_k(counts.filter(|&(y, _)| y != x).collect(), k)
 }
 
 /// Top-`k` by the random-walk measure: the row-normalized commuting matrix
@@ -68,24 +95,27 @@ pub fn random_walk_measure(m: &Csr, x: usize, k: usize) -> Vec<(usize, f64)> {
         return Vec::new();
     }
     let (idx, vals) = m.row(x);
-    rank_row(
-        idx.iter()
-            .map(|&y| y as usize)
-            .zip(vals.iter().map(|v| v / row_sum)),
-        x,
-        k,
-    )
+    let probs = idx
+        .iter()
+        .map(|&y| y as usize)
+        .zip(vals.iter().map(|v| v / row_sum));
+    top_k(probs.filter(|&(y, _)| y != x).collect(), k)
 }
 
-fn rank_row(
-    scores: impl Iterator<Item = (usize, f64)>,
-    exclude: usize,
-    k: usize,
-) -> Vec<(usize, f64)> {
-    let mut out: Vec<(usize, f64)> = scores.filter(|&(y, _)| y != exclude).collect();
-    out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
-    out.truncate(k);
-    out
+/// The best `k` of `scored` `(id, score)` pairs, best first: score
+/// descending by [`f64::total_cmp`] (a NaN orders deterministically instead
+/// of panicking), ties by ascending id. Ids must be unique, which makes the
+/// order strict — so selecting the `k` survivors first and sorting only
+/// those returns exactly what a full sort + truncate would, in O(len)
+/// instead of O(len·log len) when `k` is small.
+pub fn top_k(mut scored: Vec<(usize, f64)>, k: usize) -> Vec<(usize, f64)> {
+    let best_first = |a: &(usize, f64), b: &(usize, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+    if k < scored.len() {
+        scored.select_nth_unstable_by(k, best_first);
+        scored.truncate(k);
+    }
+    scored.sort_unstable_by(best_first);
+    scored
 }
 
 #[cfg(test)]
