@@ -134,6 +134,11 @@ pub struct ChainPlan {
     pub tree: PlanTree,
     /// Estimated multiply-adds of the whole chain under the chosen order.
     pub est_flops: f64,
+    /// Estimated nonzeros of the whole chain's product ([`spmm_nnz_estimate`]
+    /// propagated through the chosen order; exact for a single operand or a
+    /// pre-priced root span). What a caller sizes the result with before
+    /// deciding to compute it.
+    pub est_nnz: f64,
     /// Estimated multiply-adds of naive left-to-right evaluation, for
     /// comparison/diagnostics.
     pub left_to_right_flops: f64,
@@ -253,6 +258,7 @@ pub fn spmm_chain_order_priced(
     ChainPlan {
         tree: build(&kind, 0, n - 1),
         est_flops: cost[0][n - 1],
+        est_nnz: nnz_est[0][n - 1],
         left_to_right_flops: ltr,
     }
 }
@@ -406,6 +412,13 @@ mod tests {
             plan.est_flops,
             plan.left_to_right_flops
         );
+        // the root's size estimate is the last join scattered over the
+        // 1000×5 result: positive, and never more cells than the result has
+        assert!(
+            plan.est_nnz > 0.0 && plan.est_nnz <= 5000.0,
+            "{}",
+            plan.est_nnz
+        );
     }
 
     #[test]
@@ -467,6 +480,9 @@ mod tests {
         // only the A·(span) join is paid
         let unpriced = spmm_chain_order(&chain);
         assert!(plan.est_flops < unpriced.est_flops);
+        // a pre-priced root reports the caller's exact nnz
+        let resident = spmm_chain_order_priced(&chain, |lo, hi| (lo == 0 && hi == 2).then_some(77));
+        assert_eq!((resident.est_flops, resident.est_nnz), (0.0, 77.0));
     }
 
     #[test]
@@ -488,6 +504,11 @@ mod tests {
         let plan = spmm_chain_order(&[MatSummary::from(&a)]);
         assert_eq!(plan.tree, PlanTree::Leaf(0));
         assert_eq!(plan.est_flops, 0.0);
+        assert_eq!(
+            plan.est_nnz,
+            a.nnz() as f64,
+            "a lone operand is its own size"
+        );
         assert_eq!(spmm_chain(&[&a]), a);
     }
 

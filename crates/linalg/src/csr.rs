@@ -292,9 +292,16 @@ impl Csr {
     /// restore.
     #[inline]
     pub fn nbytes(&self) -> usize {
-        (self.nrows + 1) * std::mem::size_of::<usize>()
-            + self.nnz() * std::mem::size_of::<u32>()
-            + self.nnz() * std::mem::size_of::<f64>()
+        Self::nbytes_of(self.nrows, self.nnz())
+    }
+
+    /// [`Csr::nbytes`] of a matrix with `nrows` rows and `nnz` stored
+    /// entries, without building it — how a planner prices a product it has
+    /// only estimated.
+    #[inline]
+    pub fn nbytes_of(nrows: usize, nnz: usize) -> usize {
+        (nrows + 1) * std::mem::size_of::<usize>()
+            + nnz * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>())
     }
 
     /// Column indices of row `r`.

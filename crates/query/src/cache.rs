@@ -44,13 +44,24 @@
 //! planner can price a span as cached and find it gone at execution time —
 //! the engine treats that as an ordinary miss and recomputes (see
 //! `Engine`), so a bounded cache only ever costs time, never correctness.
+//!
+//! A product larger than one shard's slice can never be retained, so it is
+//! **refused at the door**: the insert evicts nobody, the caller keeps its
+//! `Arc`, and the key is remembered with its real size
+//! ([`MatrixCache::inserts_refused`]). [`MatrixCache::admits`] answers the
+//! same question *before* the product is computed, from a size estimate and
+//! that memory — the engine asks it before promoting a span.
+//!
+//! Keys pick their shard through a fixed hash of the `(relation id,
+//! forward)` sequence, so which spans share a slice — and with it every
+//! miss, eviction and refusal count — repeats from process to process.
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher, RandomState};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 
+use hin_linalg::codec::Fnv64;
 use hin_linalg::Csr;
 use hin_similarity::PathStep;
 
@@ -78,6 +89,23 @@ pub(crate) fn reversed_key(key: &[StepKey]) -> PathKey {
     key.iter().rev().map(|&(r, fwd)| (r, !fwd)).collect()
 }
 
+/// The lexicographically smaller of `key` and its reversal: one name for a
+/// span and its mirror, which are served by one product (the other is its
+/// transpose) and so share heat and known size.
+pub(crate) fn canonical_key(key: &[StepKey]) -> PathKey {
+    let rev = reversed_key(key);
+    if rev.as_slice() < key {
+        rev
+    } else {
+        key.to_vec()
+    }
+}
+
+/// Known-oversize keys remembered before the table is reset wholesale — a
+/// memory bound, not a policy: a reset costs each forgotten span one more
+/// refused materialization.
+const OVERSIZE_CAP: usize = 4096;
+
 /// Sizing and sharding knobs for a [`MatrixCache`].
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
@@ -90,11 +118,20 @@ pub struct CacheConfig {
     /// eviction (no cross-shard coordination, so a store never stalls
     /// other shards).
     ///
-    /// Granularity caveat: a single product larger than `byte_budget /
-    /// shards` is never retained, even if it would fit in the total
-    /// budget. Size the budget so the largest expected commuting matrix
-    /// fits in one shard's slice — or lower `shards` (with `shards: 1`
-    /// the budget is exact and global).
+    /// Granularity: a single product larger than `byte_budget / shards`
+    /// (one shard's slice) is never retained, even if it would fit in the
+    /// total budget — its insert is refused without evicting anything
+    /// ([`MatrixCache::inserts_refused`]), and the engine does not promote
+    /// a span whose estimated or previously measured size exceeds the
+    /// slice: such a span is served by lazy row propagation for ever
+    /// (`Engine::promotions_refused`). Refusals that climb while evictions
+    /// stay flat mean the budget cannot hold what the traffic heats;
+    /// evictions that climb mean the working set rotates. Size the budget
+    /// so the largest commuting matrix worth keeping fits in one slice —
+    /// or lower `shards` (with `shards: 1` the budget is exact and global).
+    ///
+    /// Which spans share a slice is a fixed function of their relation
+    /// steps, the same in every process.
     pub byte_budget: Option<usize>,
 }
 
@@ -159,9 +196,9 @@ struct Shard {
 }
 
 impl Shard {
-    /// Evict least-recently-used entries until `bytes <= budget`. The
-    /// just-inserted entry is fair game too: a single product larger than
-    /// the whole shard budget is stored nowhere rather than blowing it.
+    /// Evict least-recently-used entries until `bytes <= budget`. Called
+    /// right after an insert that fits `budget` on its own and carries the
+    /// shard's newest tick, so the loop stops before it reaches that entry.
     ///
     /// Victim selection is an O(entries) scan per eviction, under the
     /// shard's write lock. Commuting-matrix caches hold few, large
@@ -269,7 +306,12 @@ pub struct MatrixCache {
     /// `shards.len() - 1`; the shard count is a power of two.
     shard_mask: usize,
     budget_per_shard: Option<usize>,
-    hasher: RandomState,
+    /// Products found larger than a shard slice, by [`canonical_key`], with
+    /// their real [`Csr::nbytes`]: what [`MatrixCache::admits`] consults so
+    /// an under-estimated span is materialized once, not on every
+    /// re-heating. Bounded by [`OVERSIZE_CAP`]; only ever touched when the
+    /// cache is bounded.
+    oversize: Mutex<HashMap<PathKey, usize>>,
     /// Keys currently being computed by some thread (compute-once,
     /// wait-many). One global mutex, not sharded: it is touched only on
     /// the miss path, held only for a map probe/insert/remove, and never
@@ -280,6 +322,8 @@ pub struct MatrixCache {
     symmetry_hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    inserts_refused: AtomicU64,
+    refused_bytes: AtomicU64,
     coalesced_waits: AtomicU64,
     dup_computes: AtomicU64,
     warm_loaded: AtomicU64,
@@ -306,6 +350,7 @@ impl std::fmt::Debug for MatrixCache {
             .field("hits", &self.hits())
             .field("misses", &self.misses())
             .field("evictions", &self.evictions())
+            .field("inserts_refused", &self.inserts_refused())
             .field("coalesced_waits", &self.coalesced_waits())
             .field("dup_computes", &self.dup_computes())
             .field("warm_loaded", &self.warm_loaded())
@@ -329,13 +374,15 @@ impl MatrixCache {
                 .into_boxed_slice(),
             shard_mask: shards - 1,
             budget_per_shard: config.byte_budget.map(|b| b / shards),
-            hasher: RandomState::new(),
+            oversize: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             symmetry_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            inserts_refused: AtomicU64::new(0),
+            refused_bytes: AtomicU64::new(0),
             coalesced_waits: AtomicU64::new(0),
             dup_computes: AtomicU64::new(0),
             warm_loaded: AtomicU64::new(0),
@@ -403,6 +450,22 @@ impl MatrixCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
+    /// Inserts turned away because the product alone is larger than one
+    /// shard's slice of the budget: nothing was evicted for them, and the
+    /// key is remembered so [`MatrixCache::admits`] refuses it up front
+    /// from then on. Computed products, symmetry transposes and snapshot
+    /// entries all count here.
+    pub fn inserts_refused(&self) -> u64 {
+        self.inserts_refused.load(Ordering::Relaxed)
+    }
+
+    /// Total [`Csr::nbytes`] of the products counted in
+    /// [`MatrixCache::inserts_refused`] — how much larger a budget would
+    /// have had to be, summed over refusals.
+    pub fn refused_bytes(&self) -> u64 {
+        self.refused_bytes.load(Ordering::Relaxed)
+    }
+
     /// Threads served by waiting for another thread's in-flight
     /// computation of the same key ([`MatrixCache::get_or_compute`])
     /// instead of computing it themselves. Each one is a whole SpMM chain
@@ -431,7 +494,8 @@ impl MatrixCache {
     }
 
     /// Snapshot entries rejected at import time because their key or
-    /// matrix dimensions did not match the dataset schema.
+    /// matrix dimensions did not match the dataset schema, or because the
+    /// matrix is larger than one shard's slice of the budget.
     pub fn warm_rejected(&self) -> u64 {
         self.warm_rejected.load(Ordering::Relaxed)
     }
@@ -474,6 +538,8 @@ impl MatrixCache {
         self.symmetry_hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
+        self.inserts_refused.store(0, Ordering::Relaxed);
+        self.refused_bytes.store(0, Ordering::Relaxed);
         self.coalesced_waits.store(0, Ordering::Relaxed);
         self.dup_computes.store(0, Ordering::Relaxed);
         self.warm_loaded.store(0, Ordering::Relaxed);
@@ -518,13 +584,51 @@ impl MatrixCache {
             .fetch_add(view_backed, Ordering::Relaxed);
     }
 
-    fn shard_of(&self, key: &[StepKey]) -> &RwLock<Shard> {
-        let mut h = self.hasher.build_hasher();
+    /// Index of the shard `key` lives in: FNV-1a over the step words,
+    /// folded so the multiplier's well-mixed high half reaches the mask. A
+    /// fixed function on purpose — keys are schema-resolved relation ids,
+    /// not client bytes, and pick one of a few shards, not a bucket.
+    fn shard_index(&self, key: &[StepKey]) -> usize {
+        let mut h = Fnv64::new();
         for &(r, fwd) in key {
-            h.write_usize(r);
-            h.write_u8(fwd as u8);
+            h.update_word(((r as u64) << 1) | u64::from(fwd));
         }
-        &self.shards[(h.finish() as usize) & self.shard_mask]
+        let h = h.finish();
+        ((h >> 32) ^ h) as usize & self.shard_mask
+    }
+
+    fn shard_of(&self, key: &[StepKey]) -> &RwLock<Shard> {
+        &self.shards[self.shard_index(key)]
+    }
+
+    /// Would a product of `est_bytes` under `key` survive its own insert?
+    /// Always `Ok` for an unbounded cache (no lock taken). Otherwise refused
+    /// when `est_bytes` exceeds one shard's slice, or when `key` or its
+    /// reversal was already materialized and found larger than the slice.
+    /// Non-counting, like [`MatrixCache::peek_nnz`].
+    pub(crate) fn admission(&self, key: &[StepKey], est_bytes: usize) -> Result<(), Refusal> {
+        let Some(slice_bytes) = self.budget_per_shard else {
+            return Ok(());
+        };
+        if est_bytes > slice_bytes {
+            return Err(Refusal::Estimate {
+                est_bytes,
+                slice_bytes,
+            });
+        }
+        let canonical = canonical_key(key);
+        let oversize = self.oversize.lock().unwrap_or_else(PoisonError::into_inner);
+        match oversize.get(&canonical) {
+            Some(&bytes) => Err(Refusal::Product { bytes }),
+            None => Ok(()),
+        }
+    }
+
+    /// `true` when a product of about `est_bytes` under `key` would be kept
+    /// if it were computed and stored now — the question to ask *before*
+    /// paying for a materialization whose only purpose is to be cached.
+    pub fn admits(&self, key: &[StepKey], est_bytes: usize) -> bool {
+        self.admission(key, est_bytes).is_ok()
     }
 
     /// Counting lookup of exactly `key` (no symmetry), refreshing recency.
@@ -581,16 +685,17 @@ impl MatrixCache {
 
     /// Store without touching the miss counter; evicts if over budget.
     /// Also the snapshot-import path: a warm entry is priced through this
-    /// exact LRU, so a snapshot can never blow the cache budget.
-    pub(crate) fn insert(&self, key: PathKey, value: Arc<Csr>) {
-        self.insert_entry(key, value, None);
+    /// exact LRU, so a snapshot can never blow the cache budget. Returns
+    /// whether the entry was admitted (see [`MatrixCache::inserts_refused`]).
+    pub(crate) fn insert(&self, key: PathKey, value: Arc<Csr>) -> bool {
+        self.insert_entry(key, value, None)
     }
 
     /// [`MatrixCache::insert`] for an entry whose payload has not been
     /// verified yet: `checksum` is the per-entry checksum from a lazily
     /// restored snapshot directory, checked against the mounted payload on
     /// the entry's first counting lookup.
-    pub(crate) fn insert_unverified(&self, key: PathKey, value: Arc<Csr>, checksum: u64) {
+    pub(crate) fn insert_unverified(&self, key: PathKey, value: Arc<Csr>, checksum: u64) -> bool {
         self.insert_entry(
             key,
             value,
@@ -598,11 +703,28 @@ impl MatrixCache {
                 checksum,
                 done: AtomicBool::new(false),
             }),
-        );
+        )
     }
 
-    fn insert_entry(&self, key: PathKey, value: Arc<Csr>, verify: Option<LazyVerify>) {
+    /// The one door into a shard. An entry larger than the shard's whole
+    /// slice is turned away before it is taken in: it could only evict
+    /// every neighbour and then itself. Whatever is resident under `key`
+    /// stays (products are deterministic in their key, so it is the same
+    /// matrix).
+    fn insert_entry(&self, key: PathKey, value: Arc<Csr>, verify: Option<LazyVerify>) -> bool {
         let bytes = value.nbytes();
+        if self.budget_per_shard.is_some_and(|slice| bytes > slice) {
+            self.inserts_refused.fetch_add(1, Ordering::Relaxed);
+            self.refused_bytes
+                .fetch_add(bytes as u64, Ordering::Relaxed);
+            let canonical = canonical_key(&key);
+            let mut oversize = self.oversize.lock().unwrap_or_else(PoisonError::into_inner);
+            if oversize.len() >= OVERSIZE_CAP {
+                oversize.clear();
+            }
+            oversize.insert(canonical, bytes);
+            return false;
+        }
         let mut shard = self
             .shard_of(&key)
             .write()
@@ -624,6 +746,7 @@ impl MatrixCache {
                 self.evictions.fetch_add(evicted, Ordering::Relaxed);
             }
         }
+        true
     }
 
     /// The diagonal of `matrix`, provided `matrix` is the very allocation
@@ -826,6 +949,24 @@ impl MatrixCache {
     }
 }
 
+/// Why [`MatrixCache::admits`] said no.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Refusal {
+    /// The size estimate alone exceeds one shard's slice of the budget.
+    Estimate {
+        /// The estimate that was offered.
+        est_bytes: usize,
+        /// `byte_budget / shards`.
+        slice_bytes: usize,
+    },
+    /// The span (or its mirror) was materialized before and its product
+    /// did not fit a slice.
+    Product {
+        /// [`Csr::nbytes`] of that product.
+        bytes: usize,
+    },
+}
+
 /// How one [`MatrixCache::get_or_compute_traced`] caller was served —
 /// ordered from cheapest to most expensive, so [`CacheOutcome::worst`] can
 /// summarize a whole plan tree's cache interaction as its slowest kind.
@@ -948,14 +1089,130 @@ mod tests {
     #[test]
     fn oversized_entry_is_not_retained() {
         let m = sample();
+        let bytes = m.nbytes();
         let cache = MatrixCache::new(CacheConfig {
             shards: 1,
-            byte_budget: Some(m.nbytes() / 2),
+            byte_budget: Some(bytes / 2),
         });
         cache.put(vec![(0, true)], m);
         assert_eq!(cache.len(), 0, "entry larger than the budget is dropped");
-        assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.bytes(), 0);
+        assert_eq!(cache.evictions(), 0, "refused at the door, not evicted");
+        assert_eq!(cache.inserts_refused(), 1);
+        assert_eq!(cache.refused_bytes(), bytes as u64);
+        cache.reset_stats();
+        assert_eq!((cache.inserts_refused(), cache.refused_bytes()), (0, 0));
+    }
+
+    /// `n × n` with `per_row` entries in every row.
+    fn banded(n: u32, per_row: u32) -> Arc<Csr> {
+        Arc::new(Csr::from_triplets(
+            n as usize,
+            n as usize,
+            (0..n).flat_map(|r| (0..per_row).map(move |c| (r, (r + c) % n, 1.0))),
+        ))
+    }
+
+    #[test]
+    fn an_oversize_insert_leaves_its_shard_untouched() {
+        let small = sample();
+        let cache = MatrixCache::new(CacheConfig {
+            shards: 1,
+            byte_budget: Some(small.nbytes() * 3),
+        });
+        cache.put(vec![(0, true)], Arc::clone(&small));
+        cache.put(vec![(1, true)], Arc::clone(&small));
+        let (len, bytes) = (cache.len(), cache.bytes());
+
+        let big = banded(40, 8);
+        assert!(big.nbytes() > small.nbytes() * 3);
+        assert!(!cache.insert(vec![(2, true)], Arc::clone(&big)));
+        assert_eq!((cache.len(), cache.bytes()), (len, bytes));
+        assert!(cache.get(&[(0, true)]).is_some());
+        assert!(cache.get(&[(1, true)]).is_some());
+        assert!(cache.get(&[(2, true)]).is_none());
+        assert_eq!(cache.evictions(), 0);
+        assert_eq!(cache.inserts_refused(), 1);
+
+        // computed products go through the same door: the caller is served,
+        // the neighbours stay
+        let served = cache.get_or_compute(&[(3, true), (4, false)], || (*big).clone());
+        assert_eq!(served.nnz(), big.nnz());
+        assert_eq!((cache.len(), cache.evictions()), (len, 0));
+        assert_eq!(cache.inserts_refused(), 2);
+    }
+
+    #[test]
+    fn admission_is_free_when_unbounded_and_remembers_oversize_products() {
+        let key: PathKey = vec![(0, false), (1, true)];
+        assert!(MatrixCache::default().admits(&key, usize::MAX));
+
+        let big = banded(40, 8);
+        let slice = big.nbytes() / 2;
+        let cache = MatrixCache::new(CacheConfig {
+            shards: 2,
+            byte_budget: Some(slice * 2),
+        });
+        assert!(cache.admits(&key, slice), "an estimate that fits is let in");
+        assert_eq!(
+            cache.admission(&key, slice + 1),
+            Err(Refusal::Estimate {
+                est_bytes: slice + 1,
+                slice_bytes: slice
+            })
+        );
+        // the estimate was wrong: the real product is refused, and from then
+        // on the key and its mirror are known not to fit whatever is offered
+        assert!(!cache.insert(key.clone(), Arc::clone(&big)));
+        let known = Err(Refusal::Product {
+            bytes: big.nbytes(),
+        });
+        assert_eq!(cache.admission(&key, 1), known);
+        assert_eq!(cache.admission(&reversed_key(&key), 1), known);
+        assert!(cache.admits(&[(0, false), (2, true)], 1), "other keys are");
+        assert_eq!(cache.hits() + cache.misses(), 0, "admission never counts");
+    }
+
+    /// The ten `span_thrash` span families of the end-to-end benchmark over
+    /// the DBLP relations (0 = paper→author, 1 = paper→venue, 2 = paper→term).
+    fn thrash_keys() -> Vec<PathKey> {
+        let (ap, pa) = ((0, false), (0, true));
+        let (vp, pv) = ((1, false), (1, true));
+        let (tp, pt) = ((2, false), (2, true));
+        vec![
+            vec![ap, pv, vp, pa],
+            vec![ap, pt, tp, pa],
+            vec![ap, pa, ap, pa],
+            vec![pa, ap, pv],
+            vec![pt, tp, pv],
+            vec![ap, pv, vp, pt],
+            vec![vp, pa, ap, pv],
+            vec![ap, pt, tp, pv],
+            vec![ap, pa, ap, pv],
+            vec![pa, ap],
+        ]
+    }
+
+    #[test]
+    fn shard_placement_is_a_fixed_function_of_the_key() {
+        let (a, b) = (MatrixCache::default(), MatrixCache::default());
+        let mut used = std::collections::HashSet::new();
+        for i in 0..200usize {
+            let key: PathKey = (0..1 + i % 5)
+                .map(|j| ((i * 7 + j * 3) % 11, (i + j) % 3 == 0))
+                .collect();
+            assert_eq!(a.shard_index(&key), b.shard_index(&key), "{key:?}");
+            used.insert(a.shard_index(&key));
+        }
+        assert_eq!(used.len(), 8, "generated keys reach every shard");
+        // pinned, so a change of hash is a visible decision
+        assert_eq!(a.shard_index(&[(0, false), (1, true)]), 3);
+
+        let spans: std::collections::HashSet<usize> = thrash_keys()
+            .iter()
+            .flat_map(|k| (2..=k.len()).map(|n| a.shard_index(&k[..n])))
+            .collect();
+        assert!(spans.len() >= 4, "span families spread out: {spans:?}");
     }
 
     #[test]

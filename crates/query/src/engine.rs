@@ -11,10 +11,12 @@ use hin_core::{Hin, NodeRef, TypeId};
 use hin_linalg::{spvm_chain_with, spvm_with, Csr, ScatterScratch, SparseBlock, SparseVec};
 use hin_similarity::{top_k, top_k_pathsim, top_k_pathsim_with_diagonal, MetaPath, PathStep};
 
-use crate::cache::{key_of, reversed_key, CacheConfig, CacheOutcome, MatrixCache, PathKey};
+use crate::cache::{canonical_key, key_of, CacheConfig, CacheOutcome, MatrixCache, PathKey};
 use crate::error::QueryError;
 use crate::parse::{parse, Verb};
-use crate::plan::{block_mode_of, plan_exec_mode, plan_steps, ExecMode, PlanNode, QueryPlan};
+use crate::plan::{
+    block_mode_of, plan_exec_mode, plan_steps, ExecMode, PlanNode, Promotion, QueryPlan,
+};
 use crate::resolve::{resolve, ResolvedQuery};
 use crate::snapshot::{CacheSnapshot, SnapshotImport};
 
@@ -76,6 +78,12 @@ pub struct ExecPolicy {
     /// equivalent to `lazy: false` in effect, but still counted as a
     /// promotion. Per *span*, not per anchor: many users probing one hot
     /// meta-path from different anchors heat it together.
+    ///
+    /// Only spans the cache would keep are counted at all: under a
+    /// [`CacheConfig::byte_budget`], a span whose estimated product — or
+    /// whose product, once it has been computed and measured — is larger
+    /// than one shard's slice is never promoted, whatever this says
+    /// ([`Engine::promotions_refused`]).
     pub promote_after: u32,
 }
 
@@ -134,7 +142,9 @@ pub struct QueryOutput {
 /// in row time and computes nothing it doesn't read. Heat-based promotion
 /// ([`ExecPolicy::promote_after`]) materializes a span once it keeps being
 /// queried lazily, so hot spans still amortize through the cache (and
-/// appear in snapshots).
+/// appear in snapshots) — provided the cache would keep the product
+/// ([`MatrixCache::admits`]); a span too large for a bounded cache stays
+/// lazy however hot it runs.
 ///
 /// Every method takes `&self` and the cache is sharded and lock-guarded,
 /// so one engine behind an `Arc` serves any number of threads — this is
@@ -151,9 +161,9 @@ pub struct Engine {
     cache: Arc<MatrixCache>,
     policy: ExecPolicy,
     /// Per-span lazy-execution counters driving heat-based promotion.
-    /// Keyed by the lexicographically smaller of a span's key and its
-    /// reversal, so a path and its mirror heat one counter (a promotion
-    /// serves both through the cache's transpose reuse).
+    /// Keyed by [`canonical_key`], so a path and its mirror heat one
+    /// counter (a promotion serves both through the cache's transpose
+    /// reuse). Holds only spans cache admission let in.
     heat: Mutex<HashMap<PathKey, u32>>,
     /// Memoized PathSim normalizer diagonals `M[y][y]`, keyed by
     /// `(half-span key [+ middle step], odd?)`: one dense table per
@@ -175,6 +185,8 @@ pub struct Engine {
     anchored_fast_paths: AtomicU64,
     /// Spans promoted from lazy propagation to full materialization.
     promotions: AtomicU64,
+    /// Lazy executions of spans cache admission kept out of the heat table.
+    promotions_refused: AtomicU64,
     /// Lazily computed [`crate::snapshot::dataset_fingerprint`] of `hin`.
     /// The network is immutable after build, so one full-adjacency scan
     /// serves every later snapshot/restore — a periodic checkpoint loop
@@ -212,6 +224,7 @@ impl Engine {
             normalizer_memo_hits: AtomicU64::new(0),
             anchored_fast_paths: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
+            promotions_refused: AtomicU64::new(0),
             fingerprint: std::sync::OnceLock::new(),
         }
     }
@@ -274,15 +287,49 @@ impl Engine {
     }
 
     /// Parse, resolve and plan `query` without executing it — the engine's
-    /// `EXPLAIN`, including the chosen [`ExecMode`]. Does not touch cache
-    /// statistics or span heat.
+    /// `EXPLAIN`, including the chosen [`ExecMode`] and the [`Promotion`]
+    /// verdict. Does not touch cache statistics or span heat.
     pub fn plan(&self, query: &str) -> Result<QueryPlan, QueryError> {
-        let resolved = resolve(&self.hin, &parse(query)?)?;
+        Ok(self.explain(&resolve(&self.hin, &parse(query)?)?))
+    }
+
+    /// The full `EXPLAIN` of one resolved query: tree, mode race, promotion
+    /// verdict. Read-only.
+    fn explain(&self, resolved: &ResolvedQuery) -> QueryPlan {
         let mut plan = plan_steps(&self.hin, resolved.path.steps(), &self.cache);
-        let (mode, lazy_est) = self.exec_mode(&resolved, plan.est_flops);
+        let (mode, lazy_est) = self.exec_mode(resolved, plan.est_flops);
         plan.mode = mode;
         plan.lazy_est_flops = lazy_est;
-        Ok(plan)
+        plan.promotion = self.promotion_forecast(resolved, &plan);
+        plan
+    }
+
+    /// What [`Engine::should_promote`] would find for this plan, recording
+    /// nothing.
+    fn promotion_forecast(&self, resolved: &ResolvedQuery, plan: &QueryPlan) -> Option<Promotion> {
+        let steps = resolved.path.steps();
+        if plan.mode == ExecMode::Full {
+            // an anchored read of a wholly resident span is what a promoted
+            // span looks like; any other Full plan has nothing to promote
+            let whole = PlanNode::Cached {
+                lo: 0,
+                hi: steps.len() - 1,
+            };
+            let resident = self.policy.lazy && resolved.from.is_some() && plan.root == whole;
+            return resident.then_some(Promotion::Resident);
+        }
+        let key = key_of(steps);
+        Some(match self.cache.admission(&key, plan.est_bytes) {
+            Err(refusal) => Promotion::Refused(refusal),
+            Ok(()) => {
+                let heat_key = canonical_key(&key);
+                let heat = self.heat.lock().unwrap_or_else(PoisonError::into_inner);
+                Promotion::Heating {
+                    run: heat.get(&heat_key).copied().unwrap_or(0) + 1,
+                    of: self.policy.promote_after,
+                }
+            }
+        })
     }
 
     /// Execute one query. Thread-safe: any number of threads may call this
@@ -347,7 +394,7 @@ impl Engine {
         probe: Option<&ExecProbe>,
     ) -> Result<QueryOutput, QueryError> {
         if let ExecMode::SparseRow { .. } = mode {
-            if self.note_lazy_and_should_promote(resolved.path.steps()) {
+            if self.should_promote(resolved.path.steps(), plan) {
                 self.promotions.fetch_add(1, Ordering::Relaxed);
                 // fall through: materialize like any full execution (and
                 // trace as Full — that is the work this query actually did)
@@ -382,7 +429,7 @@ impl Engine {
     /// normalizer-diagonal memo). Heat and promotion accounting run per
     /// member in batch order, exactly as a sequential run would: a member
     /// that crosses [`ExecPolicy::promote_after`] materializes the span
-    /// individually and the rest ride the block.
+    /// individually, there and then, and the rest ride the block.
     pub fn execute_many<S: AsRef<str>>(
         &self,
         queries: &[S],
@@ -418,11 +465,8 @@ impl Engine {
             let plan = parse(q.as_ref())
                 .and_then(|p| resolve(&self.hin, &p))
                 .map(|resolved| {
-                    let mut plan = plan_steps(&self.hin, resolved.path.steps(), &self.cache);
-                    let (mode, lazy_est) = self.exec_mode(&resolved, plan.est_flops);
-                    plan.mode = mode;
-                    plan.lazy_est_flops = lazy_est;
-                    if matches!(mode, ExecMode::SparseRow { .. }) {
+                    let plan = self.explain(&resolved);
+                    if matches!(plan.mode, ExecMode::SparseRow { .. }) {
                         groups
                             .entry(key_of(resolved.path.steps()))
                             .or_default()
@@ -454,11 +498,6 @@ impl Engine {
         &self,
         queries: &[S],
     ) -> Vec<(Result<QueryOutput, QueryError>, QueryTrace)> {
-        struct Prep {
-            resolved: ResolvedQuery,
-            plan: QueryPlan,
-            mode: ExecMode,
-        }
         let mut results: Vec<Option<Result<QueryOutput, QueryError>>> =
             (0..queries.len()).map(|_| None).collect();
         let mut traces: Vec<QueryTrace> = vec![QueryTrace::default(); queries.len()];
@@ -500,15 +539,9 @@ impl Engine {
                 .flatten()
                 .filter(|members| members.len() >= 2);
             if let Some(members) = span_group {
-                let group: Vec<(usize, &ResolvedQuery)> = members
+                let group: Vec<(usize, &Prep)> = members
                     .iter()
-                    .map(|&j| {
-                        let resolved = &preps[j]
-                            .as_ref()
-                            .expect("grouped queries were prepared")
-                            .resolved;
-                        (j, resolved)
-                    })
+                    .map(|&j| (j, preps[j].as_ref().expect("grouped queries were prepared")))
                     .collect();
                 self.execute_span_group(&group, &mut results, &mut traces);
             } else {
@@ -533,34 +566,31 @@ impl Engine {
     }
 
     /// Execute one same-span group of lazily-planned anchored queries as a
-    /// batched block propagation. Heat accounting runs per member in batch
-    /// order — members that cross the promotion threshold materialize the
-    /// span through the ordinary deduplicated cache path first (so the
-    /// block, and every later query, can seed from the freshly resident
-    /// span), the rest propagate together as one [`SparseBlock`].
+    /// batched block propagation. Promotion is decided per member in batch
+    /// order, and a member that promotes materializes the span on the spot
+    /// through the ordinary deduplicated cache path — so the next member's
+    /// decision sees what a sequential run's would (a product the cache
+    /// refused, say), and the block, like every later query, can seed from
+    /// a freshly resident span. The rest propagate together as one
+    /// [`SparseBlock`].
     fn execute_span_group(
         &self,
-        group: &[(usize, &ResolvedQuery)],
+        group: &[(usize, &Prep)],
         results: &mut [Option<Result<QueryOutput, QueryError>>],
         traces: &mut [QueryTrace],
     ) {
-        let steps = group[0].1.path.steps();
-        let mut promoted: Vec<(usize, &ResolvedQuery)> = Vec::new();
+        let steps = group[0].1.resolved.path.steps();
         let mut riders: Vec<(usize, &ResolvedQuery)> = Vec::new();
-        for &(i, resolved) in group {
-            if self.note_lazy_and_should_promote(steps) {
-                promoted.push((i, resolved));
-            } else {
-                riders.push((i, resolved));
+        for &(i, prep) in group {
+            if !self.should_promote(steps, &prep.plan) {
+                riders.push((i, &prep.resolved));
+                continue;
             }
-        }
-        for (i, resolved) in promoted {
             self.promotions.fetch_add(1, Ordering::Relaxed);
             let t0 = Instant::now();
             let probe = ExecProbe::default();
-            let plan = plan_steps(&self.hin, steps, &self.cache);
-            let matrix = Self::eval(&self.hin, steps, &self.cache, &plan.root, Some(&probe));
-            results[i] = Some(self.assemble(resolved, &matrix));
+            let matrix = Self::eval(&self.hin, steps, &self.cache, &prep.plan.root, Some(&probe));
+            results[i] = Some(self.assemble(&prep.resolved, &matrix));
             traces[i].mode = TraceMode::Full;
             traces[i].outcome = probe.outcome.get();
             traces[i].exec_ns = elapsed_ns(t0);
@@ -694,6 +724,22 @@ impl Engine {
         self.promotions.load(Ordering::Relaxed)
     }
 
+    /// Lazy executions of spans the cache would not keep
+    /// ([`MatrixCache::admits`] said no, so the span never entered the heat
+    /// table and ran by row propagation; each also counts in
+    /// [`Engine::anchored_fast_paths`]). Climbing while
+    /// [`Engine::cache_evictions`] stays flat: the byte budget cannot hold
+    /// what the traffic heats.
+    pub fn promotions_refused(&self) -> u64 {
+        self.promotions_refused.load(Ordering::Relaxed)
+    }
+
+    /// Inserts the cache turned away as larger than one shard's slice; see
+    /// [`MatrixCache::inserts_refused`].
+    pub fn cache_inserts_refused(&self) -> u64 {
+        self.cache.inserts_refused()
+    }
+
     /// PathSim normalizer diagonals `M[y][y]` served from the per-half-span
     /// memo instead of recomputed half propagations.
     pub fn normalizer_memo_hits(&self) -> u64 {
@@ -706,6 +752,7 @@ impl Engine {
         self.cache.reset_stats();
         self.anchored_fast_paths.store(0, Ordering::Relaxed);
         self.promotions.store(0, Ordering::Relaxed);
+        self.promotions_refused.store(0, Ordering::Relaxed);
         self.normalizer_memo_hits.store(0, Ordering::Relaxed);
     }
 
@@ -732,17 +779,26 @@ impl Engine {
         )
     }
 
-    /// Record one lazy execution of `steps`' span and report whether it
-    /// just crossed the promotion threshold. A span and its reversal share
+    /// The one place promotion is decided, for [`Engine::execute`] and
+    /// [`Engine::execute_many`] alike: should this lazily-planned query
+    /// materialize its span instead? Admission first — a product the cache
+    /// would not keep (by the plan's size estimate, or by its measured size
+    /// once one materialization has corrected the estimate) is only ever
+    /// worth one row, so the span never enters the heat table. Then the
+    /// heat floor: record one lazy execution and report whether it just
+    /// crossed [`ExecPolicy::promote_after`]. A span and its reversal share
     /// one counter; a promoted span's counter resets, so if the matrix is
     /// later evicted the span cools down and re-heats honestly.
-    fn note_lazy_and_should_promote(&self, steps: &[PathStep]) -> bool {
+    fn should_promote(&self, steps: &[PathStep], plan: &QueryPlan) -> bool {
+        let key = key_of(steps);
+        if !self.cache.admits(&key, plan.est_bytes) {
+            self.promotions_refused.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
         if self.policy.promote_after == 0 {
             return true;
         }
-        let key = key_of(steps);
-        let rev = reversed_key(&key);
-        let heat_key = if rev < key { rev } else { key };
+        let heat_key = canonical_key(&key);
         let mut heat = self.heat.lock().unwrap_or_else(PoisonError::into_inner);
         if heat.len() >= HEAT_CAP && !heat.contains_key(&heat_key) {
             // bounded memory: a reset only delays promotions, never
@@ -997,9 +1053,9 @@ impl Engine {
     /// matrix carries its diagonal as a cache-entry sidecar
     /// ([`MatrixCache::diagonal_of`]), so a cached read is one pass over
     /// the anchor's row; a matrix the cache is not holding (a bare relation,
-    /// an oversized product that evicted itself, one evicted since `eval`)
-    /// is searched once per candidate instead — nothing would keep a
-    /// diagonal built for it.
+    /// an oversized product the cache refused, one evicted since `eval`) is
+    /// searched once per candidate instead — nothing would keep a diagonal
+    /// built for it.
     fn assemble(
         &self,
         resolved: &ResolvedQuery,
@@ -1065,6 +1121,14 @@ impl Engine {
             items,
         })
     }
+}
+
+/// One query of an [`Engine::execute_many`] batch, planned against the
+/// batch-start cache state.
+struct Prep {
+    resolved: ResolvedQuery,
+    plan: QueryPlan,
+    mode: ExecMode,
 }
 
 /// Nanoseconds since `t0`, saturating (a query cannot run 584 years).
@@ -1762,6 +1826,27 @@ mod tests {
         assert_eq!(lazy.normalizer_memo_hits(), 0);
     }
 
+    /// Evict `gone` from a one-shard bounded cache the way traffic would:
+    /// store fillers that fit, under keys no query uses, until the LRU has
+    /// turned over past it.
+    fn turn_the_lru_over(engine: &Engine, gone: &[crate::cache::StepKey]) {
+        let filler = Arc::new(Csr::from_triplets(
+            100,
+            100,
+            (0..100u32).flat_map(|r| (0..10u32).map(move |c| (r, (r + c * 13) % 100, 1.0))),
+        ));
+        for i in 0..64 {
+            if engine.cache().peek_nnz(gone).is_none() {
+                assert_eq!(engine.cache().inserts_refused(), 0, "evicted, not refused");
+                return;
+            }
+            assert!(engine
+                .cache()
+                .insert(vec![(42 + i, true)], Arc::clone(&filler)));
+        }
+        panic!("{gone:?} is still resident after 64 fillers");
+    }
+
     /// The answer of record for a PathSim/TopK query over `m`:
     /// `pathsim_pair` per candidate, full sort, truncate, then names.
     fn pathsim_by_definition(hin: &Hin, m: &Csr, anchor: &str, k: usize) -> Vec<(String, f64)> {
@@ -1825,7 +1910,7 @@ mod tests {
         let key = key_of(apvpa.steps());
         let m = commuting_matrix(&hin, &apvpa).unwrap();
 
-        // one shard with room for the span, so an oversized insert evicts it
+        // one shard with room for the span and little else
         let engine = Engine::with_config(
             Arc::clone(&hin),
             CacheConfig {
@@ -1844,13 +1929,7 @@ mod tests {
         // eviction drops the sidecar with its entry; the recomputed span
         // builds a fresh one
         let snap = engine.snapshot(None);
-        let big = Csr::from_triplets(
-            400,
-            400,
-            (0..400u32).flat_map(|r| (0..30u32).map(move |c| (r, c * 13 % 400, 1.0))),
-        );
-        engine.cache().insert(vec![(42, true)], Arc::new(big));
-        assert!(engine.cache().peek_nnz(&key).is_none(), "span evicted");
+        turn_the_lru_over(&engine, &key);
         assert_answers_by_definition(&engine, &m, "after eviction + recompute");
         assert_eq!(engine.cache_diagonal_builds(), 2);
 
@@ -1957,14 +2036,22 @@ mod tests {
         let engine = Engine::from_arc(Arc::clone(&hin)); // promote_after: 3
         let q = "pathsim author-paper-venue-paper-author from a0";
         let want = reference.execute(q).unwrap();
+        let verdict = || engine.plan(q).unwrap().promotion;
 
         for run in 1..=2 {
+            assert_eq!(verdict(), Some(Promotion::Heating { run, of: 3 }));
             assert_eq!(engine.execute(q).unwrap(), want);
-            assert_eq!(engine.anchored_fast_paths(), run);
+            assert_eq!(engine.anchored_fast_paths(), u64::from(run));
             assert_eq!(engine.cache_misses(), 0, "still lazy on run {run}");
         }
         // third query on the span crosses promote_after and materializes
+        assert!(engine
+            .plan(q)
+            .unwrap()
+            .to_string()
+            .contains("promotion: materializes now"));
         assert_eq!(engine.execute(q).unwrap(), want);
+        assert_eq!(verdict(), Some(Promotion::Resident));
         assert_eq!(engine.promotions(), 1);
         assert_eq!(engine.anchored_fast_paths(), 2);
         let misses_after_promotion = engine.cache_misses();
@@ -1977,6 +2064,188 @@ mod tests {
         assert!(engine.cache_hits() > hits);
         assert_eq!(engine.anchored_fast_paths(), 2);
         assert_eq!(engine.promotions(), 1);
+        // an unbounded cache admits everything: nothing was ever refused
+        assert_eq!(engine.promotions_refused(), 0);
+        assert_eq!(engine.cache_inserts_refused(), 0);
+    }
+
+    #[test]
+    fn a_span_estimated_over_the_slice_is_never_promoted() {
+        let hin = skewed_bib();
+        let reference = eager_engine(Arc::clone(&hin));
+        // A-P-V-P-A is 12×12 here: an estimate of well over a kilobyte
+        let engine = Engine::with_cache_config(
+            Arc::clone(&hin),
+            CacheConfig {
+                shards: 2,
+                byte_budget: Some(1024),
+            },
+        );
+        let q = "pathsim author-paper-venue-paper-author from a0";
+        let plan = engine.plan(q).unwrap();
+        assert!(
+            plan.est_bytes > 512,
+            "estimated at {} bytes",
+            plan.est_bytes
+        );
+        assert!(plan.to_string().contains("> 512 B shard slice"), "{plan}");
+        assert!(
+            plan.to_string().contains("promotion: refused — est 1."),
+            "{plan}"
+        );
+        let want = reference.execute(q).unwrap();
+        for _ in 0..30 {
+            assert_eq!(engine.execute(q).unwrap(), want);
+        }
+        assert_eq!(engine.promotions(), 0);
+        assert_eq!(engine.promotions_refused(), 30);
+        assert_eq!(
+            engine.anchored_fast_paths(),
+            30,
+            "refused runs are lazy runs"
+        );
+        assert_eq!(engine.cache_misses(), 0, "nothing was materialized");
+        assert_eq!(
+            engine.cache_inserts_refused(),
+            0,
+            "nor offered to the cache"
+        );
+        assert!(engine.heat.lock().unwrap().is_empty(), "never counted");
+        engine.reset_cache_stats();
+        assert_eq!(engine.promotions_refused(), 0);
+    }
+
+    /// 400 papers, one hub author on half of them (40 more authors share
+    /// the rest), through two parallel paper→author relations. The uniform
+    /// scatter model prices `written_by · ^reviewed_by` (400×400) at ≈ 3.9 k
+    /// entries; the hub alone contributes 200² = 40 k.
+    fn hub_bib() -> Arc<Hin> {
+        let mut b = HinBuilder::new();
+        let paper = b.add_type("paper");
+        let author = b.add_type("author");
+        let written = b.add_relation("written_by", paper, author);
+        let reviewed = b.add_relation("reviewed_by", paper, author);
+        for p in 0..400 {
+            let who = if p < 200 {
+                "hub".to_string()
+            } else {
+                format!("a{}", (p - 200) / 5)
+            };
+            b.link(written, &format!("p{p}"), &who, 1.0).unwrap();
+            b.link(reviewed, &format!("p{p}"), &who, 1.0).unwrap();
+        }
+        Arc::new(b.build())
+    }
+
+    #[test]
+    fn an_underestimated_span_is_materialized_once_then_refused_with_its_mirror() {
+        let hin = hub_bib();
+        let reference = eager_engine(Arc::clone(&hin));
+        // 64 KB in one shard: room for the hub span's *estimate* (≈ 50 KB),
+        // not for its product (≈ 480 KB)
+        let engine = Engine::with_cache_config(
+            Arc::clone(&hin),
+            CacheConfig {
+                shards: 1,
+                byte_budget: Some(64 * 1024),
+            },
+        );
+        // a small resident neighbour the failed promotion must not disturb
+        engine.execute("rank ^written_by-written_by").unwrap();
+        let neighbour = engine.cache_len();
+        assert!(neighbour > 0);
+
+        let span = |p: usize| format!("pathcount written_by-^reviewed_by from p{p}");
+        let plan = engine.plan(&span(0)).unwrap();
+        assert_eq!(plan.promotion, Some(Promotion::Heating { run: 1, of: 3 }));
+        assert!(plan.to_string().contains("promotion: cold 1/3"), "{plan}");
+        assert!(
+            plan.est_bytes < 64 * 1024,
+            "the estimate fits: {}",
+            plan.est_bytes
+        );
+        let misses = engine.cache_misses();
+        for p in 0..10 {
+            assert_eq!(
+                engine.execute(&span(p)).unwrap(),
+                reference.execute(&span(p)).unwrap()
+            );
+        }
+        assert_eq!(engine.promotions(), 1, "the third query found out");
+        assert_eq!(
+            engine.cache_misses(),
+            misses + 1,
+            "one product, computed once"
+        );
+        assert_eq!(engine.cache_inserts_refused(), 1);
+        assert_eq!(engine.promotions_refused(), 7);
+        assert_eq!(engine.anchored_fast_paths(), 9);
+        assert_eq!(engine.cache_evictions(), 0, "nobody paid for the attempt");
+        assert_eq!(engine.cache_len(), neighbour, "neighbours still resident");
+        let plan = engine.plan(&span(0)).unwrap();
+        assert!(
+            plan.to_string()
+                .contains("promotion: refused — product was 483.6 KB"),
+            "{plan}"
+        );
+
+        // the mirror span is the transpose of the same product
+        let mirror = "pathcount reviewed_by-^written_by from p7";
+        assert!(matches!(
+            engine.plan(mirror).unwrap().promotion,
+            Some(Promotion::Refused(crate::cache::Refusal::Product { .. }))
+        ));
+        for _ in 0..5 {
+            assert_eq!(
+                engine.execute(mirror).unwrap(),
+                reference.execute(mirror).unwrap()
+            );
+        }
+        assert_eq!(engine.promotions(), 1);
+        assert_eq!(engine.promotions_refused(), 12);
+        assert_eq!(engine.cache_misses(), misses + 1);
+        assert!(engine.heat.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_batched_span_group_decides_as_the_sequential_run_does() {
+        let hin = hub_bib();
+        let queries: Vec<String> = (0..6)
+            .map(|p| format!("pathcount written_by-^reviewed_by from p{}", p * 50))
+            .collect();
+        let counters = |e: &Engine| {
+            (
+                e.promotions(),
+                e.promotions_refused(),
+                e.anchored_fast_paths(),
+                e.cache_misses(),
+                e.cache_inserts_refused(),
+                e.cache_evictions(),
+            )
+        };
+        // an estimate that fits and a product that does not; then an
+        // estimate that does not fit either
+        for budget in [64 * 1024, 4 * 1024] {
+            let config = CacheConfig {
+                shards: 1,
+                byte_budget: Some(budget),
+            };
+            let sequential = Engine::with_cache_config(Arc::clone(&hin), config);
+            let batched = Engine::with_cache_config(Arc::clone(&hin), config);
+            let want: Vec<_> = queries.iter().map(|q| sequential.execute(q)).collect();
+            let got = batched.execute_many_traced(&queries);
+            for ((got, _), want) in got.iter().zip(&want) {
+                assert_eq!(got.as_ref().unwrap(), want.as_ref().unwrap());
+            }
+            assert_eq!(counters(&batched), counters(&sequential), "budget {budget}");
+            if budget == 64 * 1024 {
+                assert_eq!(counters(&batched), (1, 3, 5, 1, 1, 0));
+                assert_eq!(got[2].1.mode, TraceMode::Full, "the third member promoted");
+                assert_eq!(got[5].1.mode, TraceMode::BlockRow);
+            } else {
+                assert_eq!(counters(&batched), (0, 6, 6, 0, 0, 0));
+            }
+        }
     }
 
     #[test]
@@ -2042,18 +2311,8 @@ mod tests {
             ref other => panic!("anchored query must plan lazy, got {other:?}"),
         }
 
-        // evict the prefix between plan and execute: an oversized insert
-        // sweeps the single-shard LRU clean
-        let big = Csr::from_triplets(
-            400,
-            400,
-            (0..400u32).flat_map(|r| (0..30u32).map(move |c| (r, c * 13 % 400, 1.0))),
-        );
-        engine.cache().insert(vec![(42, true)], Arc::new(big));
-        assert!(
-            engine.cache().peek_nnz(&key_of(apv.steps())).is_none(),
-            "prefix must actually be gone"
-        );
+        // evict the prefix between plan and execute
+        turn_the_lru_over(&engine, &key_of(apv.steps()));
 
         // execution falls back to propagating from the anchor — correct,
         // just colder

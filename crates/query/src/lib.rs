@@ -79,10 +79,10 @@ pub mod plan;
 pub mod resolve;
 pub mod snapshot;
 
-pub use cache::{CacheConfig, CacheOutcome, MatrixCache};
+pub use cache::{CacheConfig, CacheOutcome, MatrixCache, Refusal};
 pub use engine::{Engine, ExecPolicy, QueryOutput, QueryTrace, TraceMode};
 pub use error::QueryError;
 pub use parse::{parse, ParsedQuery, PathExpr, PathSegment, Verb};
-pub use plan::{plan_steps, ExecMode, PlanNode, QueryPlan};
+pub use plan::{plan_steps, ExecMode, PlanNode, Promotion, QueryPlan};
 pub use resolve::{resolve, resolve_path, ResolvedQuery};
 pub use snapshot::{dataset_fingerprint, CacheSnapshot, ChecksumMode, CodecError, SnapshotImport};

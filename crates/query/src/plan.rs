@@ -16,7 +16,7 @@ use hin_linalg::{
 };
 use hin_similarity::PathStep;
 
-use crate::cache::{key_of, MatrixCache, StepKey};
+use crate::cache::{key_of, MatrixCache, Refusal, StepKey};
 
 /// One node of a query's evaluation plan, over step indices `lo..=hi`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -137,6 +137,60 @@ pub enum ExecMode {
     },
 }
 
+/// What the engine would do about materializing an anchored query's span —
+/// `EXPLAIN`'s answer to "why is this still running lazily?". A forecast
+/// like the rest of the plan: computing it touches neither span heat nor
+/// cache statistics.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Promotion {
+    /// The whole span is in the cache; the query reads its row.
+    Resident,
+    /// The cache would not keep the product, so the span is never
+    /// materialized for the cache's sake and is served lazily for ever.
+    Refused(Refusal),
+    /// The cache would keep the product: this query would be lazy
+    /// execution `run` of the `of` that promote the span
+    /// (`ExecPolicy::promote_after`), so `run >= of` means this query
+    /// materializes it.
+    Heating {
+        /// This query's ordinal among the span's lazy executions.
+        run: u32,
+        /// Lazy executions that promote.
+        of: u32,
+    },
+}
+
+impl std::fmt::Display for Promotion {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Promotion::Resident => write!(f, "resident"),
+            Promotion::Refused(Refusal::Estimate {
+                est_bytes,
+                slice_bytes,
+            }) => write!(
+                f,
+                "refused — est {} > {} shard slice",
+                human_bytes(est_bytes),
+                human_bytes(slice_bytes)
+            ),
+            Promotion::Refused(Refusal::Product { bytes }) => {
+                write!(f, "refused — product was {}", human_bytes(bytes))
+            }
+            Promotion::Heating { run, of } if run < of => write!(f, "cold {run}/{of}"),
+            Promotion::Heating { .. } => write!(f, "materializes now"),
+        }
+    }
+}
+
+/// `bytes` in the largest binary unit that keeps it at or above one.
+fn human_bytes(bytes: usize) -> String {
+    match bytes {
+        0..=1023 => format!("{bytes} B"),
+        1024..=1_048_575 => format!("{:.1} KB", bytes as f64 / 1024.0),
+        _ => format!("{:.1} MB", bytes as f64 / 1_048_576.0),
+    }
+}
+
 /// A planned query: evaluation tree plus cost diagnostics.
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
@@ -155,6 +209,14 @@ pub struct QueryPlan {
     /// multi-step, not already resident) — `Some` even when
     /// [`ExecMode::Full`] won, so `EXPLAIN` shows both candidates' costs.
     pub lazy_est_flops: Option<f64>,
+    /// Estimated [`Csr::nbytes`] of the whole path's commuting matrix (exact
+    /// when it is resident): what cache admission is asked about before the
+    /// engine promotes the span.
+    pub est_bytes: usize,
+    /// The promotion verdict, for anchored queries the engine could serve
+    /// lazily (`None` otherwise — there is nothing to promote). Filled by
+    /// `Engine::plan`; [`plan_steps`] alone leaves it `None`.
+    pub promotion: Option<Promotion>,
     /// Human-readable step labels (`src→dst` type names), for rendering.
     labels: Vec<String>,
 }
@@ -183,7 +245,6 @@ impl std::fmt::Display for QueryPlan {
                     // the mode race went the way it did
                     write!(f, "; row-propagate rejected at {lazy:.0}")?;
                 }
-                write!(f, ")")
             }
             ExecMode::SparseRow { seed, est_flops } => {
                 write!(
@@ -195,7 +256,6 @@ impl std::fmt::Display for QueryPlan {
                 if let Some((lo, hi)) = seed {
                     write!(f, "; seeded from cache[{lo}..{hi}]")?;
                 }
-                write!(f, ")")
             }
             ExecMode::BlockRow {
                 seed,
@@ -211,9 +271,12 @@ impl std::fmt::Display for QueryPlan {
                 if let Some((lo, hi)) = seed {
                     write!(f, "; seeded from cache[{lo}..{hi}]")?;
                 }
-                write!(f, ")")
             }
         }
+        if let Some(promotion) = self.promotion {
+            write!(f, "; promotion: {promotion}")?;
+        }
+        write!(f, ")")
     }
 }
 
@@ -291,6 +354,8 @@ pub fn plan_steps(hin: &Hin, steps: &[PathStep], cache: &MatrixCache) -> QueryPl
         est_flops: chain.est_flops,
         left_to_right_flops: chain.left_to_right_flops,
         lazy_est_flops: None,
+        est_bytes: Csr::nbytes_of(mats[0].nrows(), chain.est_nnz.ceil() as usize),
+        promotion: None,
         labels,
     }
 }

@@ -216,8 +216,10 @@ pub struct SnapshotImport {
     /// still subject to ordinary LRU eviction afterwards).
     pub loaded: u64,
     /// Entries rejected because their key or dimensions did not match the
-    /// destination dataset's schema — or all of them, when the snapshot's
-    /// dataset fingerprint did not match.
+    /// destination dataset's schema, or because the matrix is larger than
+    /// one shard's slice of the destination's byte budget (also counted in
+    /// [`MatrixCache::inserts_refused`]) — or all of them, when the
+    /// snapshot's dataset fingerprint did not match.
     pub rejected: u64,
     /// `true` when the snapshot carried a [`dataset_fingerprint`] that
     /// does not match the destination dataset: the data the entries were
@@ -987,7 +989,8 @@ impl MatrixCache {
 
     /// Restore a snapshot into this cache, validating every entry against
     /// `hin`'s schema and pricing admissions through the ordinary LRU (so
-    /// the byte budget holds no matter what the snapshot claims).
+    /// the byte budget holds no matter what the snapshot claims; an entry
+    /// no shard could hold is rejected rather than loaded and dropped).
     ///
     /// When the snapshot carries a [`dataset_fingerprint`] that does not
     /// match `hin`, **every** entry is rejected
@@ -1028,13 +1031,15 @@ impl MatrixCache {
         for (i, (key, matrix)) in snapshot.entries.iter().enumerate().rev() {
             let fits = expected_dims(hin, key)
                 .is_some_and(|(rows, cols)| matrix.nrows() == rows && matrix.ncols() == cols);
-            if fits {
-                // A lazily restored entry carries its directory checksum
-                // so the cache can verify the payload on first touch.
-                match snapshot.verify.as_ref().map(|v| v[i]) {
+            // A lazily restored entry carries its directory checksum so the
+            // cache can verify the payload on first touch. An entry larger
+            // than a shard slice is refused by the insert itself.
+            let admitted = fits
+                && match snapshot.verify.as_ref().map(|v| v[i]) {
                     Some(ck) => self.insert_unverified(key.clone(), Arc::clone(matrix), ck),
                     None => self.insert(key.clone(), Arc::clone(matrix)),
-                }
+                };
+            if admitted {
                 report.loaded += 1;
                 report.view_backed += matrix.is_view() as u64;
             } else {

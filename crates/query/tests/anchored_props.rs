@@ -2,7 +2,8 @@
 //! heterogeneous networks, row propagation must produce **numerically
 //! identical** results to the full-matrix path — `total_cmp`-equal scores
 //! (compared by bit pattern) in the same order — including under cache
-//! eviction between plan and execute and after a warm-start restore.
+//! eviction between plan and execute, under a byte budget that admits some
+//! spans and refuses others, and after a warm-start restore.
 //!
 //! Edge weights are drawn from small integers, so every commuting-matrix
 //! entry is an exactly-representable integer well below 2⁵³ and every
@@ -124,6 +125,11 @@ fn assert_bit_identical(
     Ok(())
 }
 
+/// Shard slices (bytes) the admission property runs under. The worlds'
+/// products range from under 100 bytes (a 2×1 span) to about 1.3 KB (a
+/// dense 10×10), so each slice lets some spans in and keeps others out.
+const SLICES: [usize; 3] = [160, 400, 900];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -180,6 +186,52 @@ proptest! {
             let got = lazy.execute(q).expect("fast-path execution");
             if let Err(msg) = assert_bit_identical(&got, &want, q) {
                 prop_assert!(false, "{} (under eviction thrash)", msg);
+            }
+        }
+    }
+
+    /// The same identity under cache admission: with a slice that fits some
+    /// spans and not others, a span may be promoted and kept, promoted and
+    /// refused (then lazy for good), or never promoted at all — every
+    /// anchored verb must answer as the full matrix does whichever happens,
+    /// interleaved with materializing queries, and again after the whole
+    /// unbounded cache is restored into a bounded one.
+    #[test]
+    fn admission_never_changes_an_answer(world in worlds(), slice in 0usize..SLICES.len()) {
+        let hin = world.build();
+        let bounded = CacheConfig { shards: 2, byte_budget: Some(2 * SLICES[slice]) };
+        let full = Engine::with_config(
+            Arc::clone(&hin),
+            CacheConfig::default(),
+            ExecPolicy::eager(),
+        );
+        let lazy = Engine::with_config(Arc::clone(&hin), bounded, ExecPolicy::promote_after(2));
+        let queries = anchored_queries(&world);
+        for round in 0..2 {
+            for (i, q) in queries.iter().enumerate() {
+                if i % 4 == 0 {
+                    lazy.execute("rank venue-paper-author limit 3").expect("rank");
+                }
+                let want = full.execute(q).expect("full-matrix execution");
+                let got = lazy.execute(q).expect("bounded execution");
+                if let Err(msg) = assert_bit_identical(&got, &want, q) {
+                    prop_assert!(false, "{} (round {}, slice {})", msg, round, SLICES[slice]);
+                }
+            }
+        }
+        prop_assert!(lazy.cache_bytes() <= 2 * SLICES[slice]);
+
+        let snapshot = full.snapshot(None);
+        let warm = Engine::with_cache_config(Arc::clone(&hin), bounded);
+        let report = warm.restore(&snapshot);
+        prop_assert_eq!((report.loaded + report.rejected) as usize, snapshot.len());
+        prop_assert_eq!(report.rejected, warm.cache_inserts_refused(), "too large, not unfit");
+        prop_assert_eq!(warm.cache_evictions() + warm.cache_len() as u64, report.loaded);
+        for q in &queries {
+            let want = full.execute(q).expect("full-matrix execution");
+            let got = warm.execute(q).expect("restored execution");
+            if let Err(msg) = assert_bit_identical(&got, &want, q) {
+                prop_assert!(false, "{} (restored into slice {})", msg, SLICES[slice]);
             }
         }
     }
@@ -258,4 +310,78 @@ proptest! {
             }
         }
     }
+}
+
+/// Two fresh engines fed one request list finish with the same counts: shard
+/// placement is a fixed function of the key, so which spans share a slice —
+/// and every miss, eviction, promotion and refusal that follows — repeats.
+#[test]
+fn bounded_engines_repeat_their_counts_on_one_request_list() {
+    let data = hin_synth::DblpConfig {
+        n_areas: 4,
+        authors_per_area: 60,
+        venues_per_area: 4,
+        terms_per_area: 30,
+        shared_terms: 20,
+        n_papers: 600,
+        seed: 7,
+        ..hin_synth::DblpConfig::default()
+    }
+    .generate();
+    let hin = Arc::new(data.hin);
+    // the end-to-end benchmark's ten `span_thrash` span families
+    let templates: [(&str, &str, usize); 10] = [
+        ("pathsim author-paper-venue-paper-author", "author", 240),
+        ("pathsim author-paper-term-paper-author", "author", 240),
+        ("topk 8 author-paper-author-paper-author", "author", 240),
+        ("pathcount paper-author-paper-venue", "paper", 600),
+        ("pathcount paper-term-paper-venue", "paper", 600),
+        ("pathcount author-paper-venue-paper-term", "author", 240),
+        ("pathcount venue-paper-author-paper-venue", "venue", 16),
+        ("pathcount author-paper-term-paper-venue", "author", 240),
+        ("pathcount author-paper-author-paper-venue", "author", 240),
+        ("topk 8 paper-author-paper", "paper", 600),
+    ];
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = |below: usize| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as usize % below
+    };
+    let requests: Vec<String> = (0..600)
+        .map(|_| {
+            let (query, ty, count) = templates[next(templates.len())];
+            let id = next(count);
+            let anchor = match ty {
+                "paper" => format!("paper_{id}"),
+                _ => format!("{ty}_a{}_{}", id / (count / 4), id % (count / 4)),
+            };
+            format!("{query} from {anchor}")
+        })
+        .collect();
+
+    let run = || {
+        let engine = Engine::with_cache_config(Arc::clone(&hin), CacheConfig::bounded(512 << 10));
+        for q in &requests {
+            engine.execute(q).expect("generated queries fit the schema");
+        }
+        (
+            engine.cache_misses(),
+            engine.cache_evictions(),
+            engine.promotions(),
+            engine.promotions_refused(),
+            engine.cache_inserts_refused(),
+        )
+    };
+    let (first, second) = (run(), run());
+    assert_eq!(
+        first, second,
+        "(misses, evictions, promotions, refused, inserts refused)"
+    );
+    let (misses, evictions, promotions, refused, inserts_refused) = first;
+    assert!(
+        misses > 0 && evictions > 0 && promotions > 0 && refused > 0 && inserts_refused > 0,
+        "the budget keeps some spans, rotates them, and refuses others: {first:?}"
+    );
 }

@@ -33,11 +33,15 @@ fn concurrent_thrash_computes_each_key_at_most_once_per_generation() {
     let generations = 6;
     let distinct_keys = 10usize;
 
-    // budget fits ~2 of the ~10 products a generation touches: eviction
-    // churns constantly, so generations genuinely recompute
+    // budget fits 2 of the 10 products a generation touches: eviction
+    // churns constantly, so generations genuinely recompute. One shard, so
+    // the budget is not split into slices smaller than a product: the herd's
+    // product must stay resident until the barrier releases the next key,
+    // or a thread descheduled past the 2 ms computation finds neither an
+    // entry nor a claim and rightly computes again.
     let entry_bytes = Arc::new(product(0)).nbytes();
     let cache = Arc::new(MatrixCache::new(CacheConfig {
-        shards: 4,
+        shards: 1,
         byte_budget: Some(entry_bytes * 2),
     }));
 

@@ -282,10 +282,17 @@ impl RouterStats {
             w.counter("hin_batches_total", &ds, s.batches);
             w.counter("hin_anchored_fast_paths_total", &ds, s.anchored_fast_paths);
             w.counter("hin_promotions_total", &ds, s.promotions);
+            w.counter("hin_promotions_refused_total", &ds, s.promotions_refused);
             w.counter("hin_cache_hits_total", &ds, s.cache_hits);
             w.counter("hin_cache_symmetry_hits_total", &ds, s.cache_symmetry_hits);
             w.counter("hin_cache_misses_total", &ds, s.cache_misses);
             w.counter("hin_cache_evictions_total", &ds, s.cache_evictions);
+            w.counter(
+                "hin_cache_inserts_refused_total",
+                &ds,
+                s.cache_inserts_refused,
+            );
+            w.counter("hin_cache_refused_bytes_total", &ds, s.cache_refused_bytes);
             w.counter(
                 "hin_cache_coalesced_waits_total",
                 &ds,

@@ -279,12 +279,23 @@ pub struct ServerStats {
     pub cache_misses: u64,
     /// Cache: entries evicted to stay under the byte budget.
     pub cache_evictions: u64,
+    /// Cache: inserts turned away because the product alone is larger than
+    /// one shard's slice of the byte budget (nothing was evicted for them).
+    pub cache_inserts_refused: u64,
+    /// Cache: total bytes of the products counted in
+    /// `cache_inserts_refused`.
+    pub cache_refused_bytes: u64,
     /// Queries answered by anchored sparse-row propagation instead of
     /// matrix materialization (the cost-routed fast path).
     pub anchored_fast_paths: u64,
     /// Spans promoted from lazy propagation to full materialization after
     /// crossing [`ExecPolicy::promote_after`] lazy executions.
     pub promotions: u64,
+    /// Lazy executions of spans the cache would not keep, so they were never
+    /// counted toward promotion. Climbing with `cache_evictions` flat: the
+    /// byte budget cannot hold what the traffic heats; `cache_evictions`
+    /// climbing instead: the working set rotates.
+    pub promotions_refused: u64,
     /// Cache: workers served by waiting on another worker's in-flight
     /// computation of the same product (compute-once, wait-many).
     pub cache_coalesced_waits: u64,
@@ -358,8 +369,11 @@ impl ServerStats {
             cache_symmetry_hits: self.cache_symmetry_hits + other.cache_symmetry_hits,
             cache_misses: self.cache_misses + other.cache_misses,
             cache_evictions: self.cache_evictions + other.cache_evictions,
+            cache_inserts_refused: self.cache_inserts_refused + other.cache_inserts_refused,
+            cache_refused_bytes: self.cache_refused_bytes + other.cache_refused_bytes,
             anchored_fast_paths: self.anchored_fast_paths + other.anchored_fast_paths,
             promotions: self.promotions + other.promotions,
+            promotions_refused: self.promotions_refused + other.promotions_refused,
             cache_coalesced_waits: self.cache_coalesced_waits + other.cache_coalesced_waits,
             cache_dup_computes: self.cache_dup_computes + other.cache_dup_computes,
             cache_warm_loaded: self.cache_warm_loaded + other.cache_warm_loaded,
@@ -713,8 +727,11 @@ impl Server {
             cache_symmetry_hits: cache.symmetry_hits(),
             cache_misses: cache.misses(),
             cache_evictions: cache.evictions(),
+            cache_inserts_refused: cache.inserts_refused(),
+            cache_refused_bytes: cache.refused_bytes(),
             anchored_fast_paths: self.engine.anchored_fast_paths(),
             promotions: self.engine.promotions(),
+            promotions_refused: self.engine.promotions_refused(),
             cache_coalesced_waits: cache.coalesced_waits(),
             cache_dup_computes: cache.dup_computes(),
             cache_warm_loaded: cache.warm_loaded(),

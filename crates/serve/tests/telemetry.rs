@@ -139,6 +139,9 @@ fn merge_edge_semantics() {
         queue_wait_ns: snap(&[100, 200]),
         slow_queries: 2,
         cache_diagonal_builds: 2,
+        promotions_refused: 30,
+        cache_inserts_refused: 4,
+        cache_refused_bytes: 9_000,
         ..ServerStats::default()
     };
     let b = ServerStats {
@@ -152,11 +155,22 @@ fn merge_edge_semantics() {
         queue_wait_ns: snap(&[300]),
         slow_queries: 1,
         cache_diagonal_builds: 1,
+        promotions_refused: 12,
+        cache_inserts_refused: 1,
+        cache_refused_bytes: 500,
         ..ServerStats::default()
     };
     let m = a.merge(&b);
     assert_eq!(m.served, 15, "counters add");
     assert_eq!(m.cache_diagonal_builds, 3);
+    assert_eq!(
+        (
+            m.promotions_refused,
+            m.cache_inserts_refused,
+            m.cache_refused_bytes
+        ),
+        (42, 5, 9_500)
+    );
     assert_eq!(m.max_batch, 7, "max_batch takes the max");
     assert_eq!(m.workers, 6, "workers add");
     assert_eq!(m.queue_depth, 4, "gauges add across disjoint servers");
@@ -263,6 +277,9 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         cache_len: 119,
         cache_bytes: 120,
         cache_diagonal_builds: 122,
+        promotions_refused: 123,
+        cache_inserts_refused: 124,
+        cache_refused_bytes: 125,
         admission_ns: snap(&[1_000]),
         queue_wait_ns: snap(&[2_000, 2_000]),
         dispatch_ns: snap(&[3_000, 3_000, 3_000]),
@@ -310,6 +327,9 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         ("hin_cache_warm_rejected_total", 118),
         ("hin_slow_queries_total", 121),
         ("hin_cache_diagonal_builds_total", 122),
+        ("hin_promotions_refused_total", 123),
+        ("hin_cache_inserts_refused_total", 124),
+        ("hin_cache_refused_bytes_total", 125),
     ] {
         assert!(
             page.contains(&format!("{name}{{dataset=\"db\"}} {value}\n")),
