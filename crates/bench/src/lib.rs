@@ -2,166 +2,15 @@
 //! baseline algorithms the published evaluations compare against.
 //!
 //! Each `exp_*` binary in `src/bin/` regenerates one table or figure of the
-//! reproduced papers (see the repository's `EXPERIMENTS.md` for the
-//! mapping); the Criterion benches under `benches/` regenerate the timing
-//! figures.
+//! reproduced papers (its doc comment names which); the Criterion benches
+//! under `benches/` regenerate the timing figures. Serving performance is
+//! measured by the stand-alone `e2e` program in `src/bin/e2e/`, declared by
+//! the repository's `BENCHMARK.json` — not by anything in this library.
 
 use hin_clustering::{kmeans, spectral_clustering, Distance, KMeansConfig, SpectralConfig};
 use hin_core::BiNet;
 use hin_linalg::Csr;
 use hin_similarity::{simrank, SimRankConfig};
-
-/// The serving workload shared by `bench_serve` and `exp_serve`: many
-/// anchors across many meta-path families (venue- and term-mediated
-/// similarity, counts, ranks), so the product working set is larger than
-/// a bounded cache and both the engine's compute path and its eviction
-/// path stay busy. Keeping the bench and the JSON emitter on one builder
-/// keeps the recorded perf trajectory comparable to the benchmark.
-pub fn serve_workload(anchors: usize) -> Vec<String> {
-    let mut queries = Vec::new();
-    for a in 0..anchors {
-        let anchor = format!("author_a{}_{}", a % 4, a);
-        queries.push(format!(
-            "pathsim author-paper-venue-paper-author from {anchor}"
-        ));
-        queries.push(format!(
-            "pathsim author-paper-term-paper-author from {anchor}"
-        ));
-        queries.push(format!("topk 8 author-paper-author from {anchor}"));
-        queries.push(format!("pathcount author-paper-venue from {anchor}"));
-        queries.push(format!(
-            "pathcount author-paper-term from {anchor} limit 10"
-        ));
-        queries.push(format!(
-            "topk 8 author-paper-venue-paper-author from {anchor}"
-        ));
-    }
-    for p in 0..8 {
-        queries.push(format!(
-            "pathcount paper-author-paper-venue from paper_{p} limit 10"
-        ));
-    }
-    queries.push("rank venue-paper-author limit 10".to_string());
-    queries.push("rank venue-paper-term limit 10".to_string());
-    queries
-}
-
-/// Record one perf-trajectory JSON blob at the repository root (e.g.
-/// `BENCH_serve.json`), so successive PRs accumulate comparable serving
-/// numbers. The path is derived from this crate's manifest dir, not the
-/// cwd, so the emitters land the file in the same place no matter where
-/// they are invoked from. Returns the written path.
-pub fn write_bench_json(file_name: &str, json: &str) -> std::path::PathBuf {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(file_name);
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    path
-}
-
-/// The flat `"key": value` JSON object every serving experiment records —
-/// the one report writer `exp_serve`, `exp_router` and `exp_snapshot`
-/// share instead of each hand-assembling braces and trailing commas.
-///
-/// Values are rendered with `Display`, so integers and bools pass
-/// directly; pre-format floats to fix their precision
-/// (`report.set("ms", format!("{ms:.3}"))`). Keys appear in insertion
-/// order, keeping successive PRs' blobs diffable.
-#[derive(Debug, Default)]
-pub struct JsonReport {
-    fields: Vec<(String, String)>,
-}
-
-impl JsonReport {
-    /// An empty report.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one `"key": value` field (unquoted value — numbers/bools).
-    pub fn set(&mut self, key: &str, value: impl std::fmt::Display) {
-        self.fields.push((key.to_string(), value.to_string()));
-    }
-
-    /// Append one `"key": "value"` **string** field, quoted and escaped.
-    pub fn set_str(&mut self, key: &str, value: &str) {
-        let escaped: String = value
-            .chars()
-            .flat_map(|c| match c {
-                '\\' => vec!['\\', '\\'],
-                '"' => vec!['\\', '"'],
-                '\n' => vec!['\\', 'n'],
-                c => vec![c],
-            })
-            .collect();
-        self.fields
-            .push((key.to_string(), format!("\"{escaped}\"")));
-    }
-
-    /// Stamp the environment the experiment ran under — available
-    /// parallelism, the resolved kernel-pool thread count
-    /// ([`hin_linalg::kernel_threads`], which folds in any
-    /// `HIN_KERNEL_THREADS` override), the `rustc` on `PATH`, the cache
-    /// byte budget in effect (`None` renders as `null` = unbounded), and a
-    /// wall-clock timestamp — so a trajectory of `BENCH_*.json` blobs
-    /// across PRs records *where* each number came from, not just the
-    /// number.
-    pub fn stamp_env(&mut self, cache_budget_bytes: Option<usize>) {
-        self.set(
-            "available_parallelism",
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        );
-        self.set("kernel_threads", hin_linalg::kernel_threads());
-        self.set_str("rustc_version", &rustc_version());
-        match cache_budget_bytes {
-            Some(bytes) => self.set("cache_budget_bytes", bytes),
-            None => self.set("cache_budget_bytes", "null"),
-        }
-        self.set(
-            "unix_time_s",
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0),
-        );
-    }
-
-    /// Render the JSON object.
-    pub fn to_json(&self) -> String {
-        let mut json = String::from("{\n");
-        for (i, (key, value)) in self.fields.iter().enumerate() {
-            let comma = if i + 1 == self.fields.len() { "" } else { "," };
-            json.push_str(&format!("  \"{key}\": {value}{comma}\n"));
-        }
-        json.push_str("}\n");
-        json
-    }
-
-    /// Print the JSON to stdout and record it at the repository root via
-    /// [`write_bench_json`]; returns the written path.
-    pub fn print_and_write(&self, file_name: &str) -> std::path::PathBuf {
-        let json = self.to_json();
-        print!("{json}");
-        let path = write_bench_json(file_name, &json);
-        eprintln!("wrote {}", path.display());
-        path
-    }
-}
-
-/// `rustc --version` of the toolchain on `PATH` (which built the
-/// experiment under every supported invocation), or `"unknown"`.
-fn rustc_version() -> String {
-    std::process::Command::new("rustc")
-        .arg("--version")
-        .output()
-        .ok()
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
 
 /// Print a GitHub-flavoured markdown table.
 pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) {
@@ -293,45 +142,6 @@ pub fn term_kmeans_baseline(center_term: &Csr, k: usize, seed: u64) -> Vec<usize
 mod tests {
     use super::*;
     use hin_synth::BiNetConfig;
-
-    #[test]
-    fn json_report_renders_ordered_flat_objects() {
-        let mut r = JsonReport::new();
-        r.set("smoke", true);
-        r.set("served", 42u64);
-        r.set("qps", format!("{:.1}", 1234.5678));
-        assert_eq!(
-            r.to_json(),
-            "{\n  \"smoke\": true,\n  \"served\": 42,\n  \"qps\": 1234.6\n}\n"
-        );
-        assert_eq!(JsonReport::new().to_json(), "{\n}\n");
-    }
-
-    #[test]
-    fn string_fields_are_quoted_and_escaped() {
-        let mut r = JsonReport::new();
-        r.set_str("v", "rustc 1.80.0 \"quoted\\path\"\nnext");
-        assert_eq!(
-            r.to_json(),
-            "{\n  \"v\": \"rustc 1.80.0 \\\"quoted\\\\path\\\"\\nnext\"\n}\n"
-        );
-    }
-
-    #[test]
-    fn env_stamp_records_parallelism_toolchain_budget_and_time() {
-        let mut r = JsonReport::new();
-        r.stamp_env(Some(1 << 20));
-        let json = r.to_json();
-        assert!(json.contains("\"available_parallelism\": "));
-        assert!(json.contains("\"kernel_threads\": "));
-        assert!(json.contains("\"rustc_version\": \""));
-        assert!(json.contains("\"cache_budget_bytes\": 1048576"));
-        assert!(json.contains("\"unix_time_s\": "));
-
-        let mut unbounded = JsonReport::new();
-        unbounded.stamp_env(None);
-        assert!(unbounded.to_json().contains("\"cache_budget_bytes\": null"));
-    }
 
     #[test]
     fn stats_helpers() {

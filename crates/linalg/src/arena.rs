@@ -41,8 +41,8 @@
 //!
 //! Process-wide counters record how matrices were materialized from
 //! persistence: [`view_restores`] (zero-copy views handed out),
-//! [`heap_decodes`] (owned decodes, i.e. the v1 compat path or a
-//! non-[`ZERO_COPY`] host), [`mapped_restores`] (files mapped via
+//! [`heap_decodes`] (owned decodes — non-[`ZERO_COPY`] hosts only),
+//! [`mapped_restores`] (files mapped via
 //! [`ArenaBuf::map_file`]), and the live gauges [`arena_bytes`]
 //! (heap-backed arena bytes resident) and [`arena_mapped_bytes`] (bytes of
 //! file-backed mappings live — address-space reservation, *not* resident
@@ -89,8 +89,8 @@ pub fn view_restores() -> u64 {
 }
 
 /// Cumulative count of matrices decoded from persistence into owned
-/// heap storage (the v1 codec path, or any arena restore on a
-/// non-[`ZERO_COPY`] host).
+/// heap storage: an arena restore on a non-[`ZERO_COPY`] host. Stays 0 on
+/// a zero-copy host.
 pub fn heap_decodes() -> u64 {
     HEAP_DECODES.load(Ordering::Relaxed)
 }

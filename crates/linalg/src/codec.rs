@@ -1,57 +1,31 @@
-//! Versioned, checksummed binary codec for [`Csr`] matrices.
+//! The checksummed byte-level building blocks the workspace's two binary
+//! formats stand on: the wire frame ([`write_frame`] / [`read_frame`]) the
+//! cross-process serving transport exchanges, and the pieces the cache
+//! snapshot container (`hin-query`'s `snapshot` module) is assembled from —
+//! the typed [`CodecError`], the [`Fnv64`] integrity hash, and hashed /
+//! truncation-aware read and write helpers.
 //!
-//! This is the persistence boundary the serving layer's snapshot/warm-start
-//! machinery stands on: commuting matrices are expensive to materialize and
-//! endlessly reusable, so they must survive a server's death. The format is
-//! deliberately boring — magic, version, dims, the three CSR arrays,
-//! little-endian throughout, an FNV-1a 64 checksum over everything — and the
-//! decoder is deliberately paranoid: corrupt, truncated, or hostile input
-//! returns a typed [`CodecError`], never panics, and never allocates
-//! according to unvalidated header fields (arrays are read in bounded
-//! chunks, so a header claiming 2⁶⁴ entries fails on the first missing
-//! byte, not in the allocator).
-//!
-//! # Wire format (version 1)
-//!
-//! ```text
-//! magic     4 bytes   b"HCSR"
-//! version   u32 LE    1
-//! nrows     u64 LE
-//! ncols     u64 LE
-//! nnz       u64 LE
-//! indptr    (nrows+1) × u64 LE      row start offsets; indptr[0] = 0,
-//!                                   non-decreasing, indptr[nrows] = nnz
-//! indices   nnz × u32 LE            column ids, strictly increasing per row
-//! data      nnz × f64 LE bit pattern (bit-exact round trip, NaN included)
-//! checksum  u64 LE    FNV-1a 64 over every preceding byte
-//! ```
-//!
-//! Decoding re-validates the CSR invariants the rest of the workspace
-//! relies on (sorted rows enable binary-searched [`Csr::get`]), so a
-//! decoded matrix is safe to hand to any kernel.
+//! Decoders built on these are deliberately paranoid: corrupt, truncated,
+//! or hostile input returns a typed [`CodecError`], never panics, and never
+//! allocates according to an unvalidated length (payloads are read in
+//! bounded chunks, so a header announcing 2³¹ bytes fails on the first
+//! missing byte, not in the allocator).
 
 use std::io::{self, Read, Write};
 
-use crate::csr::Csr;
-
-/// The codec's magic bytes.
-pub const MAGIC: [u8; 4] = *b"HCSR";
-
-/// Current wire-format version.
-pub const VERSION: u32 = 1;
-
-/// Bytes decoded per read while streaming an array in — the bound that
-/// keeps a hostile header from driving one giant allocation.
+/// Bytes decoded per read while streaming a frame payload in — the bound
+/// that keeps a hostile length prefix from driving one giant allocation.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Everything that can go wrong encoding or decoding a matrix.
+/// Everything that can go wrong encoding or decoding a frame or a
+/// snapshot container.
 ///
 /// Decoding never panics: every malformed input maps to one of these.
 #[derive(Debug)]
 pub enum CodecError {
     /// The underlying reader/writer failed.
     Io(io::Error),
-    /// The input does not start with [`MAGIC`].
+    /// The input does not start with its format's magic bytes.
     BadMagic {
         /// The four bytes actually found.
         found: [u8; 4],
@@ -91,15 +65,12 @@ impl std::fmt::Display for CodecError {
             CodecError::Io(e) => write!(f, "i/o error: {e}"),
             CodecError::BadMagic { found } => {
                 // the variant is shared by every format built on this
-                // codec (Csr blobs, snapshot containers), so the message
+                // codec (wire frames, snapshot containers), so the message
                 // names only what was found
                 write!(f, "bad magic bytes {found:?}")
             }
             CodecError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported codec version {v} (this build reads {VERSION})"
-                )
+                write!(f, "unsupported format version {v}")
             }
             CodecError::Truncated => write!(f, "input truncated mid-payload"),
             CodecError::ChecksumMismatch { stored, computed } => write!(
@@ -204,183 +175,6 @@ pub fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(),
     })
 }
 
-fn usize_of(field: &'static str, value: u64) -> Result<usize, CodecError> {
-    usize::try_from(value).map_err(|_| CodecError::DimOverflow { field, value })
-}
-
-/// Decode `count` little-endian `u64`s in bounded chunks.
-fn read_u64s<R: Read>(r: &mut R, hash: &mut Fnv64, count: usize) -> Result<Vec<u64>, CodecError> {
-    let mut out = Vec::new();
-    let mut buf = vec![0u8; READ_CHUNK.min(count.saturating_mul(8).max(8))];
-    let mut remaining = count;
-    while remaining > 0 {
-        let take = remaining.min(buf.len() / 8);
-        let bytes = &mut buf[..take * 8];
-        read_hashed(r, hash, bytes)?;
-        out.extend(
-            bytes
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
-        );
-        remaining -= take;
-    }
-    Ok(out)
-}
-
-/// Decode `count` little-endian `u32`s in bounded chunks.
-fn read_u32s<R: Read>(r: &mut R, hash: &mut Fnv64, count: usize) -> Result<Vec<u32>, CodecError> {
-    let mut out = Vec::new();
-    let mut buf = vec![0u8; READ_CHUNK.min(count.saturating_mul(4).max(4))];
-    let mut remaining = count;
-    while remaining > 0 {
-        let take = remaining.min(buf.len() / 4);
-        let bytes = &mut buf[..take * 4];
-        read_hashed(r, hash, bytes)?;
-        out.extend(
-            bytes
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
-        );
-        remaining -= take;
-    }
-    Ok(out)
-}
-
-impl Csr {
-    /// Encoded size in bytes of this matrix under the version-1 format —
-    /// what [`Csr::to_writer`] will emit. Snapshot byte budgets are priced
-    /// with [`Csr::nbytes`] (resident heap cost); this is the wire cost.
-    pub fn encoded_len(&self) -> usize {
-        // magic + version + 3 dims + indptr + indices + data + checksum
-        4 + 4 + 3 * 8 + (self.nrows() + 1) * 8 + self.nnz() * 4 + self.nnz() * 8 + 8
-    }
-
-    /// Serialize in the versioned binary format described in the module
-    /// docs. The encoding is deterministic: equal matrices encode to equal
-    /// bytes, which is what makes snapshot round-trip tests byte-exact.
-    pub fn to_writer<W: Write>(&self, w: &mut W) -> Result<(), CodecError> {
-        let mut hash = Fnv64::new();
-        write_hashed(w, &mut hash, &MAGIC)?;
-        write_hashed(w, &mut hash, &VERSION.to_le_bytes())?;
-        write_hashed(w, &mut hash, &(self.nrows() as u64).to_le_bytes())?;
-        write_hashed(w, &mut hash, &(self.ncols() as u64).to_le_bytes())?;
-        write_hashed(w, &mut hash, &(self.nnz() as u64).to_le_bytes())?;
-        let (indptr, indices, data) = self.parts();
-        let mut buf = Vec::with_capacity(READ_CHUNK);
-        for chunk in indptr.chunks(READ_CHUNK / 8) {
-            buf.clear();
-            for &p in chunk {
-                buf.extend_from_slice(&(p as u64).to_le_bytes());
-            }
-            write_hashed(w, &mut hash, &buf)?;
-        }
-        for chunk in indices.chunks(READ_CHUNK / 4) {
-            buf.clear();
-            for &c in chunk {
-                buf.extend_from_slice(&c.to_le_bytes());
-            }
-            write_hashed(w, &mut hash, &buf)?;
-        }
-        for chunk in data.chunks(READ_CHUNK / 8) {
-            buf.clear();
-            for &v in chunk {
-                buf.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-            write_hashed(w, &mut hash, &buf)?;
-        }
-        w.write_all(&hash.finish().to_le_bytes())?;
-        Ok(())
-    }
-
-    /// Decode a matrix previously written by [`Csr::to_writer`].
-    ///
-    /// Consumes exactly one encoded matrix from `r` (no trailing read), so
-    /// container formats can pack several back to back. Every failure mode
-    /// — wrong magic, unknown version, truncation, checksum mismatch,
-    /// dimension overflow, or a payload violating CSR invariants — is a
-    /// typed [`CodecError`]; this function never panics on bad input.
-    pub fn from_reader<R: Read>(r: &mut R) -> Result<Csr, CodecError> {
-        let mut hash = Fnv64::new();
-        let mut magic = [0u8; 4];
-        read_hashed(r, &mut hash, &mut magic)?;
-        if magic != MAGIC {
-            return Err(CodecError::BadMagic { found: magic });
-        }
-        let mut word = [0u8; 4];
-        read_hashed(r, &mut hash, &mut word)?;
-        let version = u32::from_le_bytes(word);
-        if version != VERSION {
-            return Err(CodecError::UnsupportedVersion(version));
-        }
-        let mut dims = [0u8; 24];
-        read_hashed(r, &mut hash, &mut dims)?;
-        let nrows64 = u64::from_le_bytes(dims[0..8].try_into().expect("8 bytes"));
-        let ncols64 = u64::from_le_bytes(dims[8..16].try_into().expect("8 bytes"));
-        let nnz64 = u64::from_le_bytes(dims[16..24].try_into().expect("8 bytes"));
-        let nrows = usize_of("nrows", nrows64)?;
-        let ncols = usize_of("ncols", ncols64)?;
-        let nnz = usize_of("nnz", nnz64)?;
-        let indptr_len = nrows.checked_add(1).ok_or(CodecError::DimOverflow {
-            field: "nrows",
-            value: nrows64,
-        })?;
-
-        let indptr64 = read_u64s(r, &mut hash, indptr_len)?;
-        let indices = read_u32s(r, &mut hash, nnz)?;
-        let data_bits = read_u64s(r, &mut hash, nnz)?;
-
-        let mut stored = [0u8; 8];
-        read_exact_or_truncated(r, &mut stored)?;
-        let stored = u64::from_le_bytes(stored);
-        let computed = hash.finish();
-        if stored != computed {
-            return Err(CodecError::ChecksumMismatch { stored, computed });
-        }
-
-        // Checksum holds: now enforce the structural invariants the rest
-        // of the workspace assumes (so a decoded matrix is safe anywhere).
-        let mut indptr = Vec::with_capacity(indptr_len);
-        for &p in &indptr64 {
-            indptr.push(usize_of("indptr entry", p)?);
-        }
-        if indptr.first() != Some(&0) {
-            return Err(CodecError::Malformed("indptr[0] must be 0".to_string()));
-        }
-        if indptr.last() != Some(&nnz) {
-            return Err(CodecError::Malformed(format!(
-                "indptr[nrows] = {} but nnz = {nnz}",
-                indptr.last().copied().unwrap_or(0)
-            )));
-        }
-        if indptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(CodecError::Malformed(
-                "indptr must be non-decreasing".to_string(),
-            ));
-        }
-        for row in 0..nrows {
-            let cols = &indices[indptr[row]..indptr[row + 1]];
-            if cols.iter().any(|&c| (c as usize) >= ncols) {
-                return Err(CodecError::Malformed(format!(
-                    "row {row} holds a column index >= ncols ({ncols})"
-                )));
-            }
-            if cols.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(CodecError::Malformed(format!(
-                    "row {row} column indices are not strictly increasing"
-                )));
-            }
-        }
-        let data: Vec<f64> = data_bits.into_iter().map(f64::from_bits).collect();
-        // This is the decode-per-matrix path the arena format (v2) exists
-        // to avoid; the storage tier counts it so warm-restore tests can
-        // assert it never runs.
-        crate::arena::note_heap_decode();
-        Ok(Csr::from_parts_unchecked(
-            nrows, ncols, indptr, indices, data,
-        ))
-    }
-}
-
 /// Magic bytes opening every wire frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"HFRM";
 
@@ -466,175 +260,6 @@ pub fn read_frame<R: Read>(r: &mut R, max_payload: usize) -> Result<(u8, Vec<u8>
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> Csr {
-        Csr::from_triplets(
-            3,
-            4,
-            [
-                (0u32, 0u32, 1.5),
-                (0, 3, -2.0),
-                (2, 1, 0.25),
-                (2, 2, f64::NAN),
-            ],
-        )
-    }
-
-    fn encode(m: &Csr) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        m.to_writer(&mut bytes).expect("vec writes cannot fail");
-        bytes
-    }
-
-    #[test]
-    fn round_trip_is_byte_identical() {
-        let m = sample();
-        let bytes = encode(&m);
-        assert_eq!(bytes.len(), m.encoded_len());
-        let back = Csr::from_reader(&mut bytes.as_slice()).expect("round trip");
-        // NaN breaks PartialEq; compare re-encoded bytes instead, which is
-        // the stronger property anyway (bit-exact persistence).
-        assert_eq!(encode(&back), bytes);
-        assert_eq!((back.nrows(), back.ncols(), back.nnz()), (3, 4, 4));
-        assert!(back.get(2, 2).is_nan(), "NaN survives bit-exactly");
-    }
-
-    #[test]
-    fn empty_matrix_round_trips() {
-        let m = Csr::zeros(5, 7);
-        let back = Csr::from_reader(&mut encode(&m).as_slice()).expect("empty");
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn decoder_leaves_trailing_bytes_unread() {
-        let m = sample();
-        let mut bytes = encode(&m);
-        bytes.extend_from_slice(b"trailing");
-        let mut cursor = bytes.as_slice();
-        let _ = Csr::from_reader(&mut cursor).expect("decodes the prefix");
-        assert_eq!(cursor, b"trailing", "exactly one matrix consumed");
-    }
-
-    #[test]
-    fn bad_magic_is_rejected() {
-        let mut bytes = encode(&sample());
-        bytes[0] = b'X';
-        assert!(matches!(
-            Csr::from_reader(&mut bytes.as_slice()),
-            Err(CodecError::BadMagic { .. })
-        ));
-    }
-
-    #[test]
-    fn wrong_version_is_rejected() {
-        let mut bytes = encode(&sample());
-        bytes[4] = 99;
-        assert!(matches!(
-            Csr::from_reader(&mut bytes.as_slice()),
-            Err(CodecError::UnsupportedVersion(99))
-        ));
-    }
-
-    #[test]
-    fn truncation_at_every_prefix_is_an_error_not_a_panic() {
-        let bytes = encode(&sample());
-        for cut in 0..bytes.len() {
-            let err = Csr::from_reader(&mut &bytes[..cut]).expect_err("prefix must fail");
-            assert!(
-                matches!(err, CodecError::Truncated),
-                "cut at {cut}: expected Truncated, got {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn checksum_detects_a_flipped_payload_bit() {
-        let mut bytes = encode(&sample());
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        assert!(matches!(
-            Csr::from_reader(&mut bytes.as_slice()),
-            Err(CodecError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn checksum_detects_a_corrupted_trailer() {
-        let mut bytes = encode(&sample());
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        assert!(matches!(
-            Csr::from_reader(&mut bytes.as_slice()),
-            Err(CodecError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn dim_overflow_is_rejected_without_allocating() {
-        // header claims nrows = u64::MAX: nrows + 1 overflows
-        let mut bytes = Vec::new();
-        let mut hash = Fnv64::new();
-        write_hashed(&mut bytes, &mut hash, &MAGIC).unwrap();
-        write_hashed(&mut bytes, &mut hash, &VERSION.to_le_bytes()).unwrap();
-        write_hashed(&mut bytes, &mut hash, &u64::MAX.to_le_bytes()).unwrap();
-        write_hashed(&mut bytes, &mut hash, &4u64.to_le_bytes()).unwrap();
-        write_hashed(&mut bytes, &mut hash, &0u64.to_le_bytes()).unwrap();
-        assert!(matches!(
-            Csr::from_reader(&mut bytes.as_slice()),
-            Err(CodecError::DimOverflow { field: "nrows", .. })
-        ));
-    }
-
-    #[test]
-    fn absurd_nnz_fails_on_truncation_not_in_the_allocator() {
-        // header claims 2^40 entries but carries none: the chunked reader
-        // must hit Truncated immediately instead of allocating terabytes
-        let mut bytes = Vec::new();
-        let mut hash = Fnv64::new();
-        write_hashed(&mut bytes, &mut hash, &MAGIC).unwrap();
-        write_hashed(&mut bytes, &mut hash, &VERSION.to_le_bytes()).unwrap();
-        write_hashed(&mut bytes, &mut hash, &0u64.to_le_bytes()).unwrap();
-        write_hashed(&mut bytes, &mut hash, &0u64.to_le_bytes()).unwrap();
-        write_hashed(&mut bytes, &mut hash, &(1u64 << 40).to_le_bytes()).unwrap();
-        write_hashed(&mut bytes, &mut hash, &0u64.to_le_bytes()).unwrap(); // indptr[0]
-        assert!(matches!(
-            Csr::from_reader(&mut bytes.as_slice()),
-            Err(CodecError::Truncated)
-        ));
-    }
-
-    /// Re-encode a malformed payload with a *valid* checksum, so structural
-    /// validation (not the checksum) must catch it.
-    fn reencode_with_checksum(body_mutator: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-        let full = encode(&sample());
-        let mut body = full[..full.len() - 8].to_vec();
-        body_mutator(&mut body);
-        let mut hash = Fnv64::new();
-        hash.update(&body);
-        body.extend_from_slice(&hash.finish().to_le_bytes());
-        body
-    }
-
-    #[test]
-    fn structural_invariants_are_validated_after_the_checksum() {
-        // indptr[0] != 0 (first indptr entry starts at byte 32)
-        let bytes = reencode_with_checksum(|b| b[32] = 1);
-        assert!(matches!(
-            Csr::from_reader(&mut bytes.as_slice()),
-            Err(CodecError::Malformed(_))
-        ));
-
-        // a column index >= ncols: indices start after 32 + 4*8 bytes
-        let bytes = reencode_with_checksum(|b| {
-            let indices_at = 32 + 4 * 8;
-            b[indices_at] = 200; // ncols is 4
-        });
-        assert!(matches!(
-            Csr::from_reader(&mut bytes.as_slice()),
-            Err(CodecError::Malformed(_))
-        ));
-    }
 
     #[test]
     fn frame_round_trips_kind_and_payload() {

@@ -22,9 +22,9 @@
 //! * [`block`] — [`SparseBlock`] and the [`spmm_block_chain`] multi-anchor
 //!   kernel: k same-span anchors propagate as one short fat sparse block,
 //!   amortizing per-link scatter work across the batch,
-//! * [`codec`] — a versioned, checksummed binary wire format for [`Csr`]
-//!   (`Csr::to_writer` / `Csr::from_reader`), the persistence boundary
-//!   cache snapshots and warm starts stand on,
+//! * [`codec`] — the checksummed length-prefixed wire frame, the typed
+//!   [`codec::CodecError`] and the FNV integrity hash the serving transport
+//!   and the cache snapshot container are built from,
 //! * [`arena`] — the zero-copy storage tier: shared 8-byte-aligned
 //!   [`ArenaBuf`] buffers and `Csr::from_arena` views into them, so a
 //!   snapshot restore is one read plus zero per-matrix decodes (with

@@ -10,10 +10,10 @@
 //!
 //! * handed directly to a replacement engine in-process
 //!   ([`crate::Engine::restore`] — the failover hand-off), or
-//! * serialized to disk ([`CacheSnapshot::to_writer`]) in a versioned,
-//!   checksummed container built on the [`hin_linalg::codec`] wire format
-//!   (the checkpoint path, and the seed of any future cross-process
-//!   transport).
+//! * serialized ([`CacheSnapshot::to_writer`] / [`CacheSnapshot::to_bytes`])
+//!   into one versioned, checksummed container — the checkpoint file, and
+//!   the payload of the `Warm` wire message that streams a checkpoint to a
+//!   remote shard.
 //!
 //! # Safety properties
 //!
@@ -26,13 +26,17 @@
 //!   through the ordinary LRU, so a snapshot — even a hostile one — can
 //!   never blow the cache budget or plant a mis-shaped product. Outcomes
 //!   are recorded in the `warm_loaded` / `warm_rejected` counters.
-//! * **Decoding** is as paranoid as the underlying matrix codec: corrupt
-//!   or truncated containers return typed [`CodecError`]s, never panic.
+//! * **Decoding** is paranoid: corrupt, truncated or foreign containers
+//!   return typed [`CodecError`]s, never panic.
 //!
 //! # Container wire format (version 2 — the arena snapshot format)
 //!
-//! One checksummed file, laid out so a restore is **one read plus zero
-//! per-matrix deserialization**: a fixed-size directory of entry headers
+//! The only container this build reads or writes; every entry point hands
+//! its bytes to one parser, so anything else — a version-1 file from an
+//! older build included — is a typed error from one place
+//! ([`CodecError::UnsupportedVersion`], [`CodecError::BadMagic`],
+//! [`CodecError::Truncated`]). One checksummed file, laid out so a restore
+//! is **one read plus zero per-matrix deserialization**: a fixed-size directory of entry headers
 //! in front of a single 8-byte-aligned data heap. The whole file is read
 //! into one aligned [`hin_linalg::ArenaBuf`] and every matrix is handed
 //! out as a [`Csr`] *view* into that shared buffer
@@ -49,7 +53,8 @@
 //!   [4..8)    version     u32 LE   2
 //!   [8..16)   flags       bit 0 = a dataset fingerprint is present
 //!                         bit 1 = directory entries carry a per-entry
-//!                         checksum (always set by this writer)
+//!                         checksum (always set; an image with the bit
+//!                         clear is rejected as malformed)
 //!   [16..24)  fingerprint (0 when absent)
 //!   [24..32)  count       number of entries
 //!   [32..40)  dir_off     byte offset of the directory (8-aligned)
@@ -58,10 +63,10 @@
 //!   [56..64)  reserved    0
 //! keys         at 64: per entry key_len u32 LE, then key_len ×
 //!              (relation id u64 LE, direction u8); zero-padded to dir_off
-//! directory    count × 48-byte entries (56 when flags bit 1 is set):
+//! directory    count × 56-byte entries:
 //!              nrows, ncols, nnz, indptr_off, indices_off, data_off
-//!              (offsets absolute, 8-aligned, into the heap), then — bit 1
-//!              only — the entry's payload checksum: FNV-1a 64 folded per
+//!              (offsets absolute, 8-aligned, into the heap), then the
+//!              entry's payload checksum: FNV-1a 64 folded per
 //!              u64 word over indptr values, data bit patterns, and index
 //!              values (layout-independent, so it can be recomputed from
 //!              any mounted `Csr` and verified on first touch under
@@ -70,25 +75,6 @@
 //!              patterns, indices nnz×u32 zero-padded to 8 bytes
 //! checksum     u64 LE   FNV-1a 64 folded per little-endian u64 *word*
 //!              (see [`Fnv64::update_word`]) over every preceding word
-//! ```
-//!
-//! # Container wire format (version 1 — read back-compat only)
-//!
-//! Still decoded (each matrix heap-decoded through the v1 `Csr` codec),
-//! never written; [`CacheSnapshot::to_writer_v1`] exists for migration
-//! tests and the decode-vs-view benchmark.
-//!
-//! ```text
-//! magic        4 bytes   b"HSNP"
-//! version      u32 LE    1
-//! has_fp       u8        1 = a dataset fingerprint follows, 0 = none
-//! fingerprint  u64 LE    present only when has_fp = 1
-//! count        u64 LE    number of entries
-//! entry ×count:
-//!   key_len u32 LE       number of path steps
-//!   step ×key_len:     relation id u64 LE, direction u8 (1 = forward)
-//!   matrix  one hin_linalg::codec Csr blob (self-checksummed)
-//! checksum     u64 LE    FNV-1a 64 over every preceding byte
 //! ```
 //!
 //! The fingerprint ([`dataset_fingerprint`]) digests the full dataset —
@@ -106,7 +92,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use hin_core::{Hin, RelationId};
-use hin_linalg::codec::{read_exact_or_truncated, read_hashed, write_hashed, Fnv64};
+use hin_linalg::codec::{read_exact_or_truncated, Fnv64};
 use hin_linalg::{ArenaBuf, ArenaEntry, Csr};
 
 pub use hin_linalg::codec::CodecError;
@@ -122,20 +108,18 @@ pub const SNAPSHOT_VERSION: u32 = 2;
 /// Superheader size of the v2 arena container.
 const V2_HEADER: usize = 64;
 
-/// Bytes per v2 directory entry without per-entry checksums: 6 × u64.
-const V2_DIR_ENTRY: usize = 48;
-
-/// Bytes per v2 directory entry with per-entry checksums: 7 × u64.
+/// Bytes per v2 directory entry: 6 × u64 of shape and offsets, then the
+/// entry's payload checksum.
 const V2_DIR_ENTRY_CK: usize = 56;
 
 /// v2 flags bit 0: a dataset fingerprint is present.
 const V2_FLAG_FINGERPRINT: u64 = 1;
 
-/// v2 flags bit 1: directory entries are [`V2_DIR_ENTRY_CK`] bytes and
-/// carry a per-entry payload checksum ([`entry_checksum`]) — what lets a
-/// lazily-checksummed mapped restore verify each matrix on first touch
-/// instead of never. Writers always set it; files from older writers
-/// (bit clear, 48-byte entries) still parse.
+/// v2 flags bit 1: directory entries carry a per-entry payload checksum
+/// ([`entry_checksum`]) — what lets a lazily-checksummed mapped restore
+/// verify each matrix on first touch instead of never. The writer always
+/// sets it and [`parse_v2`] rejects an image without it, so no restore
+/// path can serve payload words that nothing will ever check.
 const V2_FLAG_ENTRY_CHECKSUMS: u64 = 2;
 
 /// Bounded chunk size for streaming v2 images from generic readers, so a
@@ -162,18 +146,20 @@ pub enum ChecksumMode {
     Eager,
     /// Skip the whole-file seal. Structural validation still runs in full
     /// — header layout, key and directory tiling, per-entry bounds,
-    /// alignment and CSR invariants ([`Csr::from_arena`]) — so corruption
-    /// anywhere in the metadata, `indptr` or `indices` arrays is still a
-    /// typed error and a mounted matrix can never be indexed out of
-    /// bounds. Value integrity is deferred, not dropped: when the file
-    /// carries per-entry checksums (every file this writer produces), each
-    /// matrix is verified against its directory checksum on **first cache
+    /// alignment and CSR invariants ([`Csr::from_arena`]) — so a mounted
+    /// matrix can never be indexed out of bounds. Payload integrity is
+    /// deferred, not dropped: each matrix (`indptr`, `data` and `indices`
+    /// alike) is verified against its directory checksum on **first cache
     /// touch** — a corrupt entry is evicted and recomputed instead of
-    /// served ([`MatrixCache::lazy_verify_failures`]). Only files from
-    /// older writers (no per-entry checksums) serve payload words fully
-    /// unverified. Only the metadata and index pages fault in at open;
-    /// data pages stay on disk until a query touches them — the mode that
-    /// makes opening a larger-than-RAM snapshot O(metadata), not O(file).
+    /// served ([`MatrixCache::lazy_verify_failures`]). What lazy mode
+    /// leaves covered by **no** checksum is the metadata: the superheader,
+    /// the key section and the directory itself. Corruption there that
+    /// still passes structural validation — a flipped relation id inside a
+    /// key, say — is caught only by the whole-file seal, i.e. by
+    /// [`ChecksumMode::Eager`]. Only the metadata and index pages fault in
+    /// at open; data pages stay on disk until a query touches them — the
+    /// mode that makes opening a larger-than-RAM snapshot O(metadata), not
+    /// O(file).
     Lazy,
 }
 
@@ -193,9 +179,8 @@ pub struct CacheSnapshot {
     entries: Vec<(PathKey, Arc<Csr>)>,
     /// Per-entry payload checksums (parallel to `entries`), carried only
     /// when the payload has **not** already been verified — i.e. a
-    /// [`ChecksumMode::Lazy`] mapped restore of a file with directory
-    /// checksums. Import threads them into the cache so each matrix is
-    /// verified on first touch.
+    /// [`ChecksumMode::Lazy`] mapped restore. Import threads them into the
+    /// cache so each matrix is verified on first touch.
     verify: Option<Vec<u64>>,
 }
 
@@ -236,23 +221,11 @@ pub struct SnapshotImport {
 }
 
 /// Content fingerprint of a dataset: type names and node counts, relation
-/// names and endpoints, and every relation's forward adjacency digested
-/// through the deterministic codec encoding. Two networks with equal
+/// names and endpoints, and every relation's forward adjacency (dims and
+/// all three CSR arrays, in a frozen byte order). Two networks with equal
 /// fingerprints hold byte-identical relation matrices, so their commuting
 /// matrices — and therefore their cache entries — are interchangeable.
 pub fn dataset_fingerprint(hin: &Hin) -> u64 {
-    /// `Write` sink that folds everything into the running hash.
-    struct HashWriter<'a>(&'a mut Fnv64);
-    impl Write for HashWriter<'_> {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.update(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
     let mut hash = Fnv64::new();
     hash.update(&(hin.type_count() as u64).to_le_bytes());
     for ty in hin.type_ids() {
@@ -267,11 +240,42 @@ pub fn dataset_fingerprint(hin: &Hin) -> u64 {
         hash.update(&[0]);
         hash.update(&(info.src.0 as u64).to_le_bytes());
         hash.update(&(info.dst.0 as u64).to_le_bytes());
-        info.fwd
-            .to_writer(&mut HashWriter(&mut hash))
-            .expect("hash sink writes cannot fail");
+        digest_matrix(&mut hash, &info.fwd);
     }
     hash.finish()
+}
+
+/// Fold one relation matrix into a [`dataset_fingerprint`].
+///
+/// The byte stream is frozen, because fingerprints are stored in checkpoint
+/// files and a restore compares them for equality: a tag, the three dims,
+/// `indptr` as u64s, `indices` as u32s, `data` as f64 bit patterns (all
+/// little-endian), and then the FNV-1a 64 digest of exactly those bytes.
+/// The tag and the trailing digest are what a retired stand-alone matrix
+/// encoding used to put there; they carry no meaning now beyond keeping
+/// every fingerprint already on disk valid.
+fn digest_matrix(hash: &mut Fnv64, m: &Csr) {
+    let mut inner = Fnv64::new();
+    let mut put = |bytes: &[u8]| {
+        inner.update(bytes);
+        hash.update(bytes);
+    };
+    put(b"HCSR");
+    put(&1u32.to_le_bytes());
+    for dim in [m.nrows(), m.ncols(), m.nnz()] {
+        put(&(dim as u64).to_le_bytes());
+    }
+    let (indptr, indices, data) = m.parts();
+    for &p in indptr {
+        put(&(p as u64).to_le_bytes());
+    }
+    for &c in indices {
+        put(&c.to_le_bytes());
+    }
+    for &v in data {
+        put(&v.to_bits().to_le_bytes());
+    }
+    hash.update(&inner.finish().to_le_bytes());
 }
 
 impl CacheSnapshot {
@@ -331,8 +335,8 @@ impl CacheSnapshot {
 
     /// Matrix bytes shared in place with an arena buffer vs. held as
     /// owned heap copies — `(shared, copied)`, both in [`Csr::nbytes`]
-    /// pricing. A v2 view-restore reports everything shared; a v1 decode
-    /// (or a live export) reports everything copied.
+    /// pricing. A view-restore reports everything shared; a live export
+    /// reports everything copied.
     pub fn bytes_shared_copied(&self) -> (usize, usize) {
         self.entries.iter().fold((0, 0), |(s, c), (_, m)| {
             if m.is_view() {
@@ -353,21 +357,8 @@ impl CacheSnapshot {
     }
 
     /// Build the complete v2 file image in memory (layout + payload +
-    /// trailing word-checksum). Always writes per-entry checksums
-    /// ([`V2_FLAG_ENTRY_CHECKSUMS`]).
+    /// per-entry checksums + trailing word-checksum).
     fn encode_v2(&self) -> Vec<u8> {
-        self.encode_v2_opts(true)
-    }
-
-    /// [`CacheSnapshot::encode_v2`] with the per-entry checksum flag
-    /// optional, so tests can produce the 48-byte-directory images older
-    /// writers emitted and prove they still parse.
-    fn encode_v2_opts(&self, entry_checksums: bool) -> Vec<u8> {
-        let entry_size = if entry_checksums {
-            V2_DIR_ENTRY_CK
-        } else {
-            V2_DIR_ENTRY
-        };
         // keys section
         let mut keys = Vec::new();
         for (key, _) in &self.entries {
@@ -378,7 +369,7 @@ impl CacheSnapshot {
             }
         }
         let dir_off = (V2_HEADER + keys.len()).next_multiple_of(8);
-        let heap_off = dir_off + self.entries.len() * entry_size;
+        let heap_off = dir_off + self.entries.len() * V2_DIR_ENTRY_CK;
 
         // heap layout: per entry [indptr | data | indices(padded)]
         let mut dir = Vec::with_capacity(self.entries.len());
@@ -395,13 +386,9 @@ impl CacheSnapshot {
         let mut image = vec![0u8; file_len];
         image[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
         image[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        let mut flags: u64 = if self.fingerprint.is_some() {
-            V2_FLAG_FINGERPRINT
-        } else {
-            0
-        };
-        if entry_checksums {
-            flags |= V2_FLAG_ENTRY_CHECKSUMS;
+        let mut flags = V2_FLAG_ENTRY_CHECKSUMS;
+        if self.fingerprint.is_some() {
+            flags |= V2_FLAG_FINGERPRINT;
         }
         image[8..16].copy_from_slice(&flags.to_le_bytes());
         image[16..24].copy_from_slice(&self.fingerprint.unwrap_or(0).to_le_bytes());
@@ -414,7 +401,7 @@ impl CacheSnapshot {
         for (i, ((_, m), &(indptr_off, indices_off, data_off))) in
             self.entries.iter().zip(&dir).enumerate()
         {
-            let d = dir_off + i * entry_size;
+            let d = dir_off + i * V2_DIR_ENTRY_CK;
             for (j, v) in [
                 m.nrows() as u64,
                 m.ncols() as u64,
@@ -428,9 +415,7 @@ impl CacheSnapshot {
             {
                 image[d + j * 8..d + j * 8 + 8].copy_from_slice(&v.to_le_bytes());
             }
-            if entry_checksums {
-                image[d + 48..d + 56].copy_from_slice(&entry_checksum(m).to_le_bytes());
-            }
+            image[d + 48..d + 56].copy_from_slice(&entry_checksum(m).to_le_bytes());
             let (indptr, indices, data) = m.parts();
             for (j, &p) in indptr.iter().enumerate() {
                 image[indptr_off + j * 8..indptr_off + j * 8 + 8]
@@ -454,79 +439,31 @@ impl CacheSnapshot {
         image
     }
 
-    /// Serialize into the legacy version-1 container (per-entry
-    /// self-checksummed matrix blobs, byte-granular checksum). Kept for
-    /// migration tests and the decode-restore-vs-view-restore benchmark;
-    /// new checkpoints use [`CacheSnapshot::to_writer`].
-    pub fn to_writer_v1<W: Write>(&self, w: &mut W) -> Result<(), CodecError> {
-        let mut hash = Fnv64::new();
-        write_hashed(w, &mut hash, &SNAPSHOT_MAGIC)?;
-        write_hashed(w, &mut hash, &1u32.to_le_bytes())?;
-        match self.fingerprint {
-            Some(fp) => {
-                write_hashed(w, &mut hash, &[1u8])?;
-                write_hashed(w, &mut hash, &fp.to_le_bytes())?;
-            }
-            None => write_hashed(w, &mut hash, &[0u8])?,
-        }
-        write_hashed(w, &mut hash, &(self.entries.len() as u64).to_le_bytes())?;
-        let mut blob = Vec::new();
-        for (key, matrix) in &self.entries {
-            write_hashed(w, &mut hash, &(key.len() as u32).to_le_bytes())?;
-            for &(rel, fwd) in key {
-                write_hashed(w, &mut hash, &(rel as u64).to_le_bytes())?;
-                write_hashed(w, &mut hash, &[fwd as u8])?;
-            }
-            blob.clear();
-            matrix
-                .to_writer(&mut blob)
-                .expect("writes to a Vec cannot fail");
-            write_hashed(w, &mut hash, &blob)?;
-        }
-        w.write_all(&hash.finish().to_le_bytes())?;
-        Ok(())
-    }
-
-    /// Decode a container written by [`CacheSnapshot::to_writer`] (v2
-    /// arena) or any older writer (v1, heap-decoded per entry).
+    /// Decode a container written by [`CacheSnapshot::to_writer`] from a
+    /// generic reader.
     ///
     /// Every corruption mode — wrong magic, unknown version, truncation,
     /// bit flips, hostile lengths — returns a typed [`CodecError`];
     /// schema fit against a concrete dataset is checked later, at import.
+    /// Consumes at most one image (the header says how long it is), then
+    /// hands it to the same parser every other entry point uses, which
+    /// holds the announced length against what actually arrived. Bytes
+    /// arrive in bounded chunks so a hostile `file_len` cannot force
+    /// one giant up-front allocation ahead of real data.
     pub fn from_reader<R: Read>(r: &mut R) -> Result<CacheSnapshot, CodecError> {
-        let mut head = [0u8; 8];
+        // the smallest legal image: superheader plus the seal
+        let mut head = [0u8; V2_HEADER + 8];
         read_exact_or_truncated(r, &mut head)?;
-        let magic: [u8; 4] = head[0..4].try_into().expect("4 bytes");
-        if magic != SNAPSHOT_MAGIC {
-            return Err(CodecError::BadMagic { found: magic });
-        }
-        match u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")) {
-            1 => Self::from_reader_v1(r, &head),
-            2 => Self::from_reader_v2(r, &head),
-            v => Err(CodecError::UnsupportedVersion(v)),
-        }
-    }
-
-    /// Stream a v2 image from a generic reader (`head` = the 8 bytes of
-    /// magic + version already consumed), then hand off to [`parse_v2`].
-    /// Bytes arrive in [`READ_CHUNK`] pieces so a hostile `file_len`
-    /// cannot force one giant up-front allocation ahead of real data.
-    fn from_reader_v2<R: Read>(r: &mut R, head: &[u8; 8]) -> Result<CacheSnapshot, CodecError> {
-        let mut header = [0u8; V2_HEADER];
-        header[..8].copy_from_slice(head);
-        read_exact_or_truncated(r, &mut header[8..])?;
-        let file_len = u64::from_le_bytes(header[48..56].try_into().expect("8 bytes"));
+        // magic and version before `file_len`: in a foreign or v1 stream
+        // those eight bytes are not a length
+        check_head(&head)?;
+        let file_len = u64::from_le_bytes(head[48..56].try_into().expect("8 bytes"));
         let file_len = usize::try_from(file_len).map_err(|_| CodecError::DimOverflow {
             field: "snapshot file length",
             value: file_len,
         })?;
-        if file_len < V2_HEADER + 8 || file_len % 8 != 0 {
-            return Err(CodecError::Malformed(format!(
-                "v2 snapshot file length {file_len} is shorter than an empty container or not 8-aligned"
-            )));
-        }
-        let mut bytes = Vec::with_capacity(file_len.min(V2_HEADER + READ_CHUNK));
-        bytes.extend_from_slice(&header);
+        let mut bytes = Vec::with_capacity(file_len.min(head.len() + READ_CHUNK));
+        bytes.extend_from_slice(&head);
         let mut chunk = [0u8; READ_CHUNK];
         while bytes.len() < file_len {
             let want = READ_CHUNK.min(file_len - bytes.len());
@@ -534,84 +471,6 @@ impl CacheSnapshot {
             bytes.extend_from_slice(&chunk[..want]);
         }
         parse_v2(&Arc::new(ArenaBuf::from_bytes(&bytes)), ChecksumMode::Eager)
-    }
-
-    /// Decode the legacy v1 body (`head` = the 8 bytes of magic + version
-    /// already consumed — they still fold into the container checksum).
-    fn from_reader_v1<R: Read>(r: &mut R, head: &[u8; 8]) -> Result<CacheSnapshot, CodecError> {
-        let mut hash = Fnv64::new();
-        hash.update(head);
-        let mut word = [0u8; 4];
-        let mut flag = [0u8; 1];
-        read_hashed(r, &mut hash, &mut flag)?;
-        let mut word8 = [0u8; 8];
-        let fingerprint = match flag[0] {
-            0 => None,
-            1 => {
-                read_hashed(r, &mut hash, &mut word8)?;
-                Some(u64::from_le_bytes(word8))
-            }
-            d => {
-                return Err(CodecError::Malformed(format!(
-                    "fingerprint flag byte {d} is neither 0 nor 1"
-                )))
-            }
-        };
-        let mut count_bytes = [0u8; 8];
-        read_hashed(r, &mut hash, &mut count_bytes)?;
-        let count = u64::from_le_bytes(count_bytes);
-
-        let mut entries = Vec::new();
-        for _ in 0..count {
-            read_hashed(r, &mut hash, &mut word)?;
-            let key_len = u32::from_le_bytes(word);
-            if key_len == 0 || key_len > MAX_KEY_STEPS {
-                return Err(CodecError::Malformed(format!(
-                    "snapshot key length {key_len} outside 1..={MAX_KEY_STEPS}"
-                )));
-            }
-            let mut key: PathKey = Vec::with_capacity(key_len as usize);
-            let mut step = [0u8; 9];
-            for _ in 0..key_len {
-                read_hashed(r, &mut hash, &mut step)?;
-                let rel = u64::from_le_bytes(step[0..8].try_into().expect("8 bytes"));
-                let rel = usize::try_from(rel).map_err(|_| CodecError::DimOverflow {
-                    field: "relation id",
-                    value: rel,
-                })?;
-                let fwd = match step[8] {
-                    0 => false,
-                    1 => true,
-                    d => {
-                        return Err(CodecError::Malformed(format!(
-                            "step direction byte {d} is neither 0 nor 1"
-                        )))
-                    }
-                };
-                key.push((rel, fwd));
-            }
-            // The matrix blob is self-checksummed; tee its bytes into the
-            // container hash as the inner decoder consumes them.
-            let mut tee = Tee {
-                inner: r,
-                hash: &mut hash,
-            };
-            let matrix = Csr::from_reader(&mut tee)?;
-            entries.push((key, Arc::new(matrix)));
-        }
-
-        let mut stored = [0u8; 8];
-        hin_linalg::codec::read_exact_or_truncated(r, &mut stored)?;
-        let stored = u64::from_le_bytes(stored);
-        let computed = hash.finish();
-        if stored != computed {
-            return Err(CodecError::ChecksumMismatch { stored, computed });
-        }
-        Ok(CacheSnapshot {
-            fingerprint,
-            entries,
-            verify: None,
-        })
     }
 
     /// Serialize into the complete v2 image as a byte vector — the framed
@@ -623,19 +482,11 @@ impl CacheSnapshot {
     }
 
     /// Decode a complete container image from memory — the receiving end
-    /// of [`CacheSnapshot::to_bytes`]. v2 images mount as arena views over
-    /// a private aligned copy of `bytes` (checksum verified eagerly: the
-    /// bytes crossed a wire); anything else falls back to the streaming
-    /// decoder and its typed errors.
+    /// of [`CacheSnapshot::to_bytes`]. The image mounts as arena views over
+    /// a private aligned copy of `bytes`, checksum verified eagerly: the
+    /// bytes crossed a wire.
     pub fn from_bytes(bytes: &[u8]) -> Result<CacheSnapshot, CodecError> {
-        let is_v2 = bytes.len() >= 8
-            && bytes[0..4] == SNAPSHOT_MAGIC
-            && bytes[4..8] == SNAPSHOT_VERSION.to_le_bytes();
-        if is_v2 {
-            parse_v2(&Arc::new(ArenaBuf::from_bytes(bytes)), ChecksumMode::Eager)
-        } else {
-            CacheSnapshot::from_reader(&mut &*bytes)
-        }
+        parse_v2(&Arc::new(ArenaBuf::from_bytes(bytes)), ChecksumMode::Eager)
     }
 
     /// [`CacheSnapshot::to_writer`] to a (buffered) file.
@@ -648,12 +499,10 @@ impl CacheSnapshot {
 
     /// Restore a snapshot file.
     ///
-    /// For v2 arena files this is the zero-copy fast path the format was
-    /// designed for: the file's length is known up front, so the whole
-    /// image lands in **one read** into one aligned [`ArenaBuf`] that the
-    /// restored matrices then view in place — no per-matrix
-    /// deserialization at all. v1 files (and malformed bytes) fall back to
-    /// the streaming [`CacheSnapshot::from_reader`] over the same buffer.
+    /// This is the zero-copy path the format was designed for: the file's
+    /// length is known up front, so the whole image lands in **one read**
+    /// into one aligned [`ArenaBuf`] that the restored matrices then view
+    /// in place — no per-matrix deserialization at all.
     pub fn read_from_file(path: impl AsRef<Path>) -> Result<CacheSnapshot, CodecError> {
         let mut file = File::open(&path)?;
         let file_len = file.metadata()?.len();
@@ -664,15 +513,7 @@ impl CacheSnapshot {
         let mut buf = ArenaBuf::with_len(file_len);
         file.read_exact(buf.as_mut_bytes())
             .map_err(CodecError::Io)?;
-        let bytes = buf.as_bytes();
-        let is_v2 = file_len >= 8
-            && bytes[0..4] == SNAPSHOT_MAGIC
-            && bytes[4..8] == SNAPSHOT_VERSION.to_le_bytes();
-        if is_v2 {
-            parse_v2(&Arc::new(buf), ChecksumMode::Eager)
-        } else {
-            CacheSnapshot::from_reader(&mut buf.as_bytes())
-        }
+        parse_v2(&Arc::new(buf), ChecksumMode::Eager)
     }
 
     /// Restore a snapshot file through a **memory-mapped arena**: the v2
@@ -690,10 +531,10 @@ impl CacheSnapshot {
     /// full; see [`ChecksumMode`] for exactly what lazy gives up).
     ///
     /// **Fallback is silent and bit-identical**: when mapping fails (a
-    /// non-64-bit-unix target, an empty file, any `mmap` error) or the
-    /// file is not a v2 arena image (v1 containers need the streaming
-    /// decoder), this delegates to [`CacheSnapshot::read_from_file`] — the
-    /// same snapshot, the same typed errors, just heap-backed.
+    /// non-64-bit-unix target, an empty file, any `mmap` error) this
+    /// delegates to [`CacheSnapshot::read_from_file`] — the same snapshot,
+    /// the same typed errors, just heap-backed. A file that is not a v2
+    /// image is rejected by the one parser both paths share.
     pub fn read_from_file_mapped(
         path: impl AsRef<Path>,
         checksum: ChecksumMode,
@@ -702,19 +543,23 @@ impl CacheSnapshot {
         let Ok(buf) = ArenaBuf::map_file(&file) else {
             return CacheSnapshot::read_from_file(path);
         };
-        let bytes = buf.as_bytes();
-        let is_v2 = bytes.len() >= 8
-            && bytes[0..4] == SNAPSHOT_MAGIC
-            && bytes[4..8] == SNAPSHOT_VERSION.to_le_bytes();
-        if is_v2 {
-            parse_v2(&Arc::new(buf), checksum)
-        } else {
-            // v1 (or malformed) bytes: drop the mapping and take the read
-            // path, which reports the same errors the mapped path would.
-            drop(buf);
-            CacheSnapshot::read_from_file(path)
-        }
+        parse_v2(&Arc::new(buf), checksum)
     }
+}
+
+/// Magic and version of the first eight bytes of a would-be v2 image —
+/// the one place a foreign file ([`CodecError::BadMagic`]) or another
+/// container version ([`CodecError::UnsupportedVersion`]) is told apart.
+fn check_head(bytes: &[u8]) -> Result<(), CodecError> {
+    let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
+    if magic != SNAPSHOT_MAGIC {
+        return Err(CodecError::BadMagic { found: magic });
+    }
+    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    if version != SNAPSHOT_VERSION {
+        return Err(CodecError::UnsupportedVersion(version));
+    }
+    Ok(())
 }
 
 /// Validate and mount a complete v2 arena image: checksum first (one pass
@@ -725,7 +570,11 @@ impl CacheSnapshot {
 /// payload — every returned matrix aliases `buf`.
 fn parse_v2(buf: &Arc<ArenaBuf>, checksum: ChecksumMode) -> Result<CacheSnapshot, CodecError> {
     let bytes = buf.as_bytes();
-    if bytes.len() < V2_HEADER + 8 || !bytes.len().is_multiple_of(8) {
+    if bytes.len() < V2_HEADER + 8 {
+        return Err(CodecError::Truncated);
+    }
+    check_head(bytes)?;
+    if !bytes.len().is_multiple_of(8) {
         return Err(CodecError::Truncated);
     }
     let u64_at =
@@ -737,14 +586,6 @@ fn parse_v2(buf: &Arc<ArenaBuf>, checksum: ChecksumMode) -> Result<CacheSnapshot
         })
     };
 
-    let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
-    if magic != SNAPSHOT_MAGIC {
-        return Err(CodecError::BadMagic { found: magic });
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != SNAPSHOT_VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
     let file_len = usize_at(48, "snapshot file length")?;
     if file_len != bytes.len() {
         return Err(CodecError::Malformed(format!(
@@ -778,12 +619,11 @@ fn parse_v2(buf: &Arc<ArenaBuf>, checksum: ChecksumMode) -> Result<CacheSnapshot
         )));
     }
     let fingerprint = (flags & V2_FLAG_FINGERPRINT != 0).then(|| u64_at(16));
-    let has_entry_checksums = flags & V2_FLAG_ENTRY_CHECKSUMS != 0;
-    let entry_size = if has_entry_checksums {
-        V2_DIR_ENTRY_CK
-    } else {
-        V2_DIR_ENTRY
-    };
+    if flags & V2_FLAG_ENTRY_CHECKSUMS == 0 {
+        return Err(CodecError::Malformed(
+            "v2 directory carries no per-entry checksums".into(),
+        ));
+    }
     let count = usize_at(24, "snapshot entry count")?;
     let dir_off = usize_at(32, "directory offset")?;
     let heap_off = usize_at(40, "heap offset")?;
@@ -793,7 +633,7 @@ fn parse_v2(buf: &Arc<ArenaBuf>, checksum: ChecksumMode) -> Result<CacheSnapshot
         ));
     }
     let dir_bytes = count
-        .checked_mul(entry_size)
+        .checked_mul(V2_DIR_ENTRY_CK)
         .ok_or(CodecError::DimOverflow {
             field: "directory size",
             value: count as u64,
@@ -852,10 +692,9 @@ fn parse_v2(buf: &Arc<ArenaBuf>, checksum: ChecksumMode) -> Result<CacheSnapshot
     // Carry per-entry checksums out only when nothing has verified the
     // payload yet: an eager restore already proved every word through the
     // whole-file seal, so first-touch re-verification would be pure waste.
-    let carry_checksums = has_entry_checksums && checksum == ChecksumMode::Lazy;
-    let mut verify = carry_checksums.then(|| Vec::with_capacity(count));
+    let mut verify = (checksum == ChecksumMode::Lazy).then(|| Vec::with_capacity(count));
     for (i, key) in keys.into_iter().enumerate() {
-        let d = dir_off + i * entry_size;
+        let d = dir_off + i * V2_DIR_ENTRY_CK;
         let entry = ArenaEntry {
             nrows: usize_at(d, "nrows")?,
             ncols: usize_at(d + 8, "ncols")?,
@@ -914,21 +753,6 @@ pub(crate) fn entry_checksum(m: &Csr) -> u64 {
         hash.update_word(c as u64);
     }
     hash.finish()
-}
-
-/// Reader adapter folding everything the inner decoder consumes into the
-/// container checksum.
-struct Tee<'a, R: Read> {
-    inner: &'a mut R,
-    hash: &'a mut Fnv64,
-}
-
-impl<R: Read> Read for Tee<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.hash.update(&buf[..n]);
-        Ok(n)
-    }
 }
 
 /// The `(rows, cols)` a commuting matrix over `key` must have in `hin`'s
@@ -1080,6 +904,13 @@ mod tests {
         Arc::new(hin.relation(RelationId(0)).fwd.clone())
     }
 
+    /// A scratch directory unique to this process and test.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("hin-snapshot-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn export_orders_hottest_first_and_respects_the_budget() {
         let hin = bib();
@@ -1156,23 +987,16 @@ mod tests {
 
         let mut bytes = Vec::new();
         snap.to_writer(&mut bytes).expect("vec writes cannot fail");
+        let decodes_before = hin_linalg::arena::heap_decodes();
         let back = CacheSnapshot::from_reader(&mut bytes.as_slice()).expect("v2 round trip");
         assert_eq!(back.keys(), snap.keys());
         if hin_linalg::arena::ZERO_COPY {
             assert_eq!(back.view_backed(), back.len(), "every entry is a view");
             assert_eq!(back.arena_count(), 1, "all views alias one buffer");
-            // The counter is process-wide and sibling tests decode v1
-            // files on other threads, so one window proves nothing either
-            // way: a restore that decodes would move it in every window, a
-            // restore that does not leaves it still whenever no sibling
-            // decoded meanwhile.
-            let undisturbed = (0..200).any(|_| {
-                let before = hin_linalg::arena::heap_decodes();
-                CacheSnapshot::from_reader(&mut bytes.as_slice()).expect("v2 round trip");
-                hin_linalg::arena::heap_decodes() == before
-            });
-            assert!(
-                undisturbed,
+            // process-wide, but on a zero-copy host nothing moves it
+            assert_eq!(
+                hin_linalg::arena::heap_decodes(),
+                decodes_before,
                 "a v2 restore performs zero per-matrix heap decodes"
             );
             let (shared, copied) = back.bytes_shared_copied();
@@ -1204,37 +1028,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(&a[0..4], b"HSNP");
         assert_eq!(a.len() % 8, 0, "v2 images are whole words");
-    }
-
-    #[test]
-    fn v1_containers_still_load_via_the_compat_path() {
-        let hin = bib();
-        let fp = dataset_fingerprint(&hin);
-        let cache = MatrixCache::default();
-        cache.put(vec![(0, true)], pa_matrix(&hin));
-        cache.put(vec![(1, true), (1, false)], pa_matrix(&hin));
-        let mut snap = cache.export_snapshot(None);
-        snap.set_fingerprint(fp);
-
-        let mut bytes = Vec::new();
-        snap.to_writer_v1(&mut bytes)
-            .expect("vec writes cannot fail");
-        let back = CacheSnapshot::from_reader(&mut bytes.as_slice()).expect("v1 decodes");
-        assert_eq!(back.keys(), snap.keys());
-        assert_eq!(back.fingerprint(), Some(fp));
-        assert_eq!(back.view_backed(), 0, "v1 entries are heap decodes");
-        for ((_, a), (_, b)) in snap.entries.iter().zip(&back.entries) {
-            assert_eq!(**a, **b);
-        }
-
-        // the v1 body is just as corruption-proof as before
-        for cut in 0..bytes.len() {
-            assert!(CacheSnapshot::from_reader(&mut &bytes[..cut]).is_err());
-        }
-        let mut flipped = bytes.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x10;
-        assert!(CacheSnapshot::from_reader(&mut flipped.as_slice()).is_err());
     }
 
     #[test]
@@ -1281,6 +1074,23 @@ mod tests {
             Err(CodecError::Malformed(_))
         ));
 
+        // the per-entry-checksum bit cleared: a lazy restore would mount
+        // payload words nothing ever verifies, so every path refuses it
+        let mut hostile = bytes.clone();
+        hostile[8] &= !(V2_FLAG_ENTRY_CHECKSUMS as u8);
+        reseal(&mut hostile);
+        let dir = scratch_dir("noentryck");
+        let path = dir.join("cache.hsnp");
+        std::fs::write(&path, &hostile).unwrap();
+        for result in [
+            CacheSnapshot::from_reader(&mut hostile.as_slice()),
+            CacheSnapshot::read_from_file(&path),
+            CacheSnapshot::read_from_file_mapped(&path, ChecksumMode::Lazy),
+        ] {
+            assert!(matches!(result, Err(CodecError::Malformed(_))));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+
         // file_len understated: the image no longer tiles
         let mut hostile = bytes.clone();
         let lie = (bytes.len() - 8) as u64;
@@ -1310,15 +1120,6 @@ mod tests {
             assert_eq!(back.view_backed(), back.len());
             assert_eq!(back.arena_count(), 1);
         }
-
-        // a v1 file on disk still restores through the same entry point
-        let v1_path = dir.join("cache-v1.hsnp");
-        let mut w = BufWriter::new(File::create(&v1_path).unwrap());
-        snap.to_writer_v1(&mut w).expect("v1 write");
-        w.flush().unwrap();
-        let old = CacheSnapshot::read_from_file(&v1_path).expect("v1 read");
-        assert_eq!(old.keys(), snap.keys());
-        assert_eq!(old.view_backed(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1344,21 +1145,16 @@ mod tests {
             let mapped = CacheSnapshot::read_from_file_mapped(&path, mode).expect("map");
             assert_eq!(mapped.keys(), read.keys());
             assert_eq!(mapped.bytes(), read.bytes());
+            assert_eq!(
+                mapped.verify.is_some(),
+                mode == ChecksumMode::Lazy,
+                "only a restore that skipped the seal defers verification"
+            );
             if hin_linalg::arena::ZERO_COPY {
                 assert_eq!(mapped.view_backed(), mapped.len());
                 assert_eq!(mapped.arena_count(), 1);
             }
         }
-
-        // a v1 file silently falls back to the streaming read path
-        let v1_path = dir.join("cache-v1.hsnp");
-        let mut w = BufWriter::new(File::create(&v1_path).unwrap());
-        snap.to_writer_v1(&mut w).expect("v1 write");
-        w.flush().unwrap();
-        let old = CacheSnapshot::read_from_file_mapped(&v1_path, ChecksumMode::Eager)
-            .expect("v1 fallback");
-        assert_eq!(old.keys(), snap.keys());
-        assert_eq!(old.view_backed(), 0);
 
         // corruption on the mapped path errors cleanly, never panics
         let good = std::fs::read(&path).unwrap();
@@ -1483,34 +1279,65 @@ mod tests {
     }
 
     #[test]
-    fn legacy_48_byte_directories_still_parse() {
+    fn input_that_is_not_a_v2_image_is_one_typed_error_from_every_entry_point() {
+        let v1_headed = [b"HSNP".as_slice(), &1u32.to_le_bytes(), &[0xA5; 93]].concat();
+        let foreign = [b"HFRM".as_slice(), &[7; 96]].concat();
+        let stub = [b"HSNP".as_slice(), &SNAPSHOT_VERSION.to_le_bytes()].concat();
+        let dir = scratch_dir("nonv2");
+        let path = dir.join("cache.hsnp");
+        type Expect = fn(&CodecError) -> bool;
+        let table: [(&str, &[u8], Expect); 4] = [
+            ("v1-headed", &v1_headed, |e| {
+                matches!(e, CodecError::UnsupportedVersion(1))
+            }),
+            (
+                "foreign magic",
+                &foreign,
+                |e| matches!(e, CodecError::BadMagic { found } if found == b"HFRM"),
+            ),
+            ("8-byte stub", &stub, |e| matches!(e, CodecError::Truncated)),
+            ("empty", &[], |e| matches!(e, CodecError::Truncated)),
+        ];
+        for (what, bytes, expected) in table {
+            std::fs::write(&path, bytes).unwrap();
+            for (entry, result) in [
+                ("from_reader", CacheSnapshot::from_reader(&mut &*bytes)),
+                ("from_bytes", CacheSnapshot::from_bytes(bytes)),
+                ("read_from_file", CacheSnapshot::read_from_file(&path)),
+                (
+                    "read_from_file_mapped eager",
+                    CacheSnapshot::read_from_file_mapped(&path, ChecksumMode::Eager),
+                ),
+                (
+                    "read_from_file_mapped lazy",
+                    CacheSnapshot::read_from_file_mapped(&path, ChecksumMode::Lazy),
+                ),
+            ] {
+                let err = result.expect_err("not a v2 image");
+                assert!(expected(&err), "{what} via {entry}: {err}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fingerprint_and_image_bytes_are_frozen() {
+        // Both values were recorded from the build that still carried the
+        // stand-alone matrix codec: fingerprints live in checkpoint files
+        // and gate restores, so neither may drift.
         let hin = bib();
+        let fp = dataset_fingerprint(&hin);
+        assert_eq!(fp, 0x5963_087b_b57f_9206);
+
         let cache = MatrixCache::default();
         cache.put(vec![(0, true)], pa_matrix(&hin));
-        cache.put(vec![(0, false)], pa_matrix(&hin));
-        let snap = cache.export_snapshot(None);
-
-        // what an older writer (no per-entry checksums) produced
-        let legacy = snap.encode_v2_opts(false);
-        let current = snap.encode_v2_opts(true);
-        assert_eq!(
-            legacy.len() + snap.len() * 8,
-            current.len(),
-            "the only growth is one checksum word per directory entry"
-        );
-        let back = CacheSnapshot::from_reader(&mut legacy.as_slice()).expect("legacy parses");
-        assert_eq!(back.keys(), snap.keys());
-        assert!(back.verify.is_none());
-        for ((_, a), (_, b)) in snap.entries.iter().zip(&back.entries) {
-            assert_eq!(**a, **b);
-        }
-        // and current images round trip with the flag set
-        let back = CacheSnapshot::from_reader(&mut current.as_slice()).expect("current parses");
-        assert_eq!(back.keys(), snap.keys());
-        assert!(
-            back.verify.is_none(),
-            "eager restores already verified the seal; nothing left to defer"
-        );
+        cache.put(vec![(1, true), (1, false)], pa_matrix(&hin));
+        let mut snap = cache.export_snapshot(None);
+        snap.set_fingerprint(fp);
+        let image = snap.to_bytes();
+        let mut digest = Fnv64::new();
+        digest.update(&image);
+        assert_eq!((image.len(), digest.finish()), (384, 0x7088_ba0e_5da2_9424));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   read path rejects; lazy mode may accept a payload-only flip (the
 //!   seal is deliberately skipped) but must still reject every
 //!   structural corruption, and must never panic either way.
-//! * **Fallback** — a v1 (non-arena) file handed to the mapped entry
-//!   point silently falls back to the streaming decoder and restores
-//!   bit-identically.
+//! * **One format** — a file that is not a v2 arena image (a v1
+//!   container, a foreign file, a stub) is rejected by the mapped entry
+//!   point with exactly the typed error the read entry point gives.
 
 use std::sync::Arc;
 
@@ -225,37 +225,40 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A v1 container handed to the mapped entry point silently falls
-    /// back to the streaming decoder: same keys, same bytes, and a warm
-    /// engine answers bit-identically to one restored via the read path.
+    /// A file that is not a v2 image — a version-1 container from an
+    /// older build, a foreign file, a stub too short to hold a header — is
+    /// rejected by the mapped entry point (either checksum mode) with
+    /// exactly the typed error the read entry point reports, whatever its
+    /// body holds and whether or not the file could be mapped at all.
     #[test]
-    fn v1_files_fall_back_bit_identically(world in worlds()) {
-        let hin = world.build();
-        let dir = scratch_dir("v1-fallback");
-        let path = dir.join("cache-v1.hsnp");
-        {
-            let mut w = std::io::BufWriter::new(std::fs::File::create(&path).expect("create"));
-            donor_snapshot(&hin).to_writer_v1(&mut w).expect("v1 write");
+    fn non_v2_files_are_rejected_identically_by_mapped_and_read(
+        head in 0usize..3,
+        body in prop::collection::vec(0u8..=255, 0..200),
+    ) {
+        let mut bytes = match head {
+            0 => [b"HSNP".as_slice(), &1u32.to_le_bytes()].concat(),
+            1 => b"HFRM\x02\0\0\0".to_vec(),
+            _ => Vec::new(),
+        };
+        bytes.extend_from_slice(&body);
+        if bytes.starts_with(b"HSNP\x02\0\0\0") {
+            bytes[0] = b'X';
         }
-        let via_read = CacheSnapshot::read_from_file(&path).expect("v1 read");
-        let via_map = CacheSnapshot::read_from_file_mapped(&path, ChecksumMode::Lazy)
-            .expect("v1 fallback");
-        prop_assert_eq!(via_map.keys(), via_read.keys());
-        prop_assert_eq!(via_map.bytes(), via_read.bytes());
-        prop_assert_eq!(via_map.view_backed(), 0, "v1 restores decode to heap");
+        let dir = scratch_dir("non-v2");
+        let path = dir.join("cache.hsnp");
+        std::fs::write(&path, &bytes).expect("write");
 
-        let a = Engine::with_config(Arc::clone(&hin), CacheConfig::default(), ExecPolicy::eager());
-        let b = Engine::with_config(Arc::clone(&hin), CacheConfig::default(), ExecPolicy::eager());
-        a.restore(&via_read);
-        b.restore(&via_map);
-        for q in [
-            "pathsim author-paper-author from a0",
-            "pathcount author-paper-venue from a1",
-            "rank venue-paper-author limit 10",
-        ] {
-            let want = a.execute(q).expect("read-restored execution");
-            let got = b.execute(q).expect("fallback-restored execution");
-            assert_bit_identical(&got, &want, q)?;
+        let want = CacheSnapshot::read_from_file(&path)
+            .expect_err("the read path accepted a non-v2 file")
+            .to_string();
+        if head == 0 && bytes.len() >= 72 {
+            prop_assert_eq!(&want, &hin_query::CodecError::UnsupportedVersion(1).to_string());
+        }
+        for mode in [ChecksumMode::Eager, ChecksumMode::Lazy] {
+            let got = CacheSnapshot::read_from_file_mapped(&path, mode)
+                .expect_err("the mapped path accepted a non-v2 file")
+                .to_string();
+            prop_assert_eq!(&got, &want, "{:?}", mode);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

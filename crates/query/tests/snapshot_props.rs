@@ -1,11 +1,11 @@
-//! Property tests for the snapshot container formats and the zero-copy
+//! Property tests for the snapshot container format and the zero-copy
 //! storage tier.
 //!
 //! Two contracts under random worlds and random corruption:
 //!
 //! * **Robustness** — truncated, bit-flipped, or misaligned container
-//!   bytes (v1 *and* v2 arena images) always come back as a typed
-//!   [`CodecError`], never a panic and never a silently-wrong snapshot.
+//!   bytes always come back as a typed [`CodecError`], never a panic and
+//!   never a silently-wrong snapshot.
 //! * **Transparency** — an engine warm-started from a v2 arena file (its
 //!   cache entries are views into one shared buffer) answers every query,
 //!   eager and lazy anchored alike, bit-identically to an engine whose
@@ -107,14 +107,6 @@ fn v2_bytes(snap: &CacheSnapshot) -> Vec<u8> {
     bytes
 }
 
-/// Serialize with the legacy v1 writer.
-fn v1_bytes(snap: &CacheSnapshot) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    snap.to_writer_v1(&mut bytes)
-        .expect("vec writes cannot fail");
-    bytes
-}
-
 /// Decoding `bytes` must return `Err` — and must not panic. The panic
 /// guard is the test harness itself: any panic fails the property.
 fn assert_rejected(bytes: &[u8], context: &str) -> Result<(), String> {
@@ -171,27 +163,26 @@ proptest! {
         }
     }
 
-    /// Truncation at any sampled point, in either format version, is a
-    /// typed error — never a panic, never a partial snapshot.
+    /// Truncation at any sampled point is a typed error — never a panic,
+    /// never a partial snapshot.
     #[test]
     fn truncation_is_always_rejected(world in worlds(),
                                      cuts in prop::collection::vec(0usize..usize::MAX, 16)) {
         let hin = world.build();
         let snap = donor_snapshot(&hin);
-        for (label, bytes) in [("v2", v2_bytes(&snap)), ("v1", v1_bytes(&snap))] {
-            // the boundary cuts every container must survive…
-            for cut in [0, 4, 8, bytes.len() / 2, bytes.len() - 9, bytes.len() - 1] {
-                assert_rejected(&bytes[..cut], &format!("{label} cut at {cut}"))?;
-            }
-            // …plus a random sample
-            for &cut in &cuts {
-                let cut = cut % bytes.len();
-                assert_rejected(&bytes[..cut], &format!("{label} cut at {cut}"))?;
-            }
+        let bytes = v2_bytes(&snap);
+        // the boundary cuts every container must survive…
+        for cut in [0, 4, 8, bytes.len() / 2, bytes.len() - 9, bytes.len() - 1] {
+            assert_rejected(&bytes[..cut], &format!("cut at {cut}"))?;
+        }
+        // …plus a random sample
+        for &cut in &cuts {
+            let cut = cut % bytes.len();
+            assert_rejected(&bytes[..cut], &format!("cut at {cut}"))?;
         }
     }
 
-    /// Any single bit flip, anywhere in either format version, is caught
+    /// Any single bit flip, anywhere in the image, is caught
     /// (structural validation or checksum — the property doesn't care
     /// which, only that nothing corrupt ever decodes).
     #[test]
@@ -199,13 +190,12 @@ proptest! {
                                      flips in prop::collection::vec((0usize..usize::MAX, 0u8..8), 24)) {
         let hin = world.build();
         let snap = donor_snapshot(&hin);
-        for (label, bytes) in [("v2", v2_bytes(&snap)), ("v1", v1_bytes(&snap))] {
-            for &(pos, bit) in &flips {
-                let pos = pos % bytes.len();
-                let mut bad = bytes.clone();
-                bad[pos] ^= 1 << bit;
-                assert_rejected(&bad, &format!("{label} flip at byte {pos} bit {bit}"))?;
-            }
+        let bytes = v2_bytes(&snap);
+        for &(pos, bit) in &flips {
+            let pos = pos % bytes.len();
+            let mut bad = bytes.clone();
+            bad[pos] ^= 1 << bit;
+            assert_rejected(&bad, &format!("flip at byte {pos} bit {bit}"))?;
         }
     }
 
@@ -215,12 +205,11 @@ proptest! {
     fn misaligned_images_are_rejected(world in worlds(), shift in 1usize..8) {
         let hin = world.build();
         let snap = donor_snapshot(&hin);
-        for (label, bytes) in [("v2", v2_bytes(&snap)), ("v1", v1_bytes(&snap))] {
-            let mut shifted = vec![0xAAu8; shift];
-            shifted.extend_from_slice(&bytes);
-            assert_rejected(&shifted, &format!("{label} shifted right by {shift}"))?;
-            assert_rejected(&bytes[shift..], &format!("{label} shifted left by {shift}"))?;
-        }
+        let bytes = v2_bytes(&snap);
+        let mut shifted = vec![0xAAu8; shift];
+        shifted.extend_from_slice(&bytes);
+        assert_rejected(&shifted, &format!("shifted right by {shift}"))?;
+        assert_rejected(&bytes[shift..], &format!("shifted left by {shift}"))?;
     }
 
     /// The storage tier is invisible to query arithmetic: an engine warm-

@@ -892,6 +892,17 @@ mod tests {
         let rtt = remote.ping(Duration::from_secs(5)).expect("pong");
         assert!(rtt < Duration::from_secs(5));
 
+        // an image this build cannot decode (here: a version-1 header) is
+        // a protocol violation: that connection is dropped without an ack,
+        // nothing is restored, and the shard keeps serving
+        let v1_headed = [b"HSNP".as_slice(), &1u32.to_le_bytes(), &image[8..]].concat();
+        assert!(remote.warm(&v1_headed, Duration::from_secs(5)).is_err());
+        assert_eq!(listener.stats().cache_warm_loaded, 0);
+        assert!(remote
+            .submit("pathcount author-paper-venue from a1")
+            .wait()
+            .is_ok());
+
         let (loaded, rejected) = remote.warm(&image, Duration::from_secs(5)).expect("ack");
         assert!(loaded > 0, "the snapshot's products restore over the wire");
         assert_eq!(rejected, 0);

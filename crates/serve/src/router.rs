@@ -94,9 +94,10 @@ impl Default for SupervisorConfig {
 
 /// Everything automatic failover needs to resurrect a dead remote shard
 /// as a local server: the dataset itself, and the checkpoint file (from
-/// [`Router::checkpoint`]) that warms the replacement's cache. A missing
-/// or corrupt checkpoint degrades the failover to a cold start — serving
-/// resumes either way.
+/// [`Router::checkpoint`]) that warms the replacement's cache. A missing,
+/// corrupt or unreadable checkpoint degrades the failover to a cold start
+/// — serving resumes either way, and
+/// [`RouterStats::failover_restore_errors`] says it happened.
 #[derive(Clone)]
 pub struct FailoverConfig {
     /// The dataset the replacement server computes over.
@@ -189,6 +190,11 @@ pub struct RouterStats {
     pub shed_unhealthy: u64,
     /// Automatic failovers performed (remote shard → warm local server).
     pub failovers: u64,
+    /// Failovers whose checkpoint could not be restored — missing,
+    /// truncated, corrupt, or not a container this build reads — so the
+    /// replacement started **cold**. The failover itself still counts in
+    /// `failovers`: availability beats warmth, but not silently.
+    pub failover_restore_errors: u64,
     /// Time-to-recovery of each failover: unhealthy verdict to the warm
     /// replacement taking traffic, in nanoseconds.
     pub failover_ns: HistSnapshot,
@@ -223,6 +229,11 @@ impl RouterStats {
         w.counter("hin_router_misrouted_total", &[], self.misrouted);
         w.counter("hin_shed_unhealthy_total", &[], self.shed_unhealthy);
         w.counter("hin_failovers_total", &[], self.failovers);
+        w.counter(
+            "hin_failover_restore_errors_total",
+            &[],
+            self.failover_restore_errors,
+        );
         w.histogram_seconds("hin_failover_seconds", &[], &self.failover_ns);
         // Process-wide storage-tier series (the arena buffers back every
         // dataset's snapshot views, so they are not per-dataset).
@@ -367,7 +378,19 @@ struct Inner {
     misrouted: AtomicU64,
     shed_unhealthy: AtomicU64,
     failovers: AtomicU64,
+    failover_restore_errors: AtomicU64,
     failover_ns: Histogram,
+}
+
+/// Restore a checkpoint file the way `serve` asks for it: memory-mapped
+/// with lazy checksumming under [`ServeConfig::mmap_snapshots`], read
+/// whole with the seal verified up front otherwise.
+fn restore_checkpoint(serve: &ServeConfig, path: &Path) -> Result<CacheSnapshot, CodecError> {
+    if serve.mmap_snapshots {
+        CacheSnapshot::read_from_file_mapped(path, ChecksumMode::Lazy)
+    } else {
+        CacheSnapshot::read_from_file(path)
+    }
 }
 
 impl Inner {
@@ -393,14 +416,14 @@ impl Inner {
     /// Replace the dead remote shard under `key` with a local server
     /// warm-started from the checkpoint. Returns `false` when the key was
     /// concurrently evicted or replaced (the fresh server is torn down,
-    /// nothing changes). A missing or corrupt checkpoint degrades to a
-    /// cold start — availability beats warmth.
+    /// nothing changes). A checkpoint that cannot be restored degrades to
+    /// a cold start — availability beats warmth — and is counted in
+    /// [`RouterStats::failover_restore_errors`].
     fn failover(&self, key: &str, dead: &Arc<RemoteShard>, fo: &FailoverConfig) -> bool {
-        let snapshot = if self.serve.mmap_snapshots {
-            CacheSnapshot::read_from_file_mapped(&fo.checkpoint, ChecksumMode::Lazy)
-        } else {
-            CacheSnapshot::read_from_file(&fo.checkpoint)
-        };
+        let snapshot = restore_checkpoint(&self.serve, &fo.checkpoint);
+        if snapshot.is_err() {
+            self.failover_restore_errors.fetch_add(1, Ordering::Relaxed);
+        }
         let config = ServeConfig {
             warm_start: snapshot.ok().map(Arc::new),
             ..self.serve.clone()
@@ -461,6 +484,7 @@ impl Router {
                 misrouted: AtomicU64::new(0),
                 shed_unhealthy: AtomicU64::new(0),
                 failovers: AtomicU64::new(0),
+                failover_restore_errors: AtomicU64::new(0),
                 failover_ns: Histogram::new(),
             }),
             supervisors: Mutex::new(HashMap::new()),
@@ -509,24 +533,25 @@ impl Router {
     /// honoring [`ServeConfig::mmap_snapshots`]. With mmapping on, the
     /// checkpoint is memory-mapped with lazy checksumming — restore cost is
     /// O(metadata), matrix payloads stay on disk until queried, and
-    /// checkpoints larger than RAM warm-start fine. Off (or when mapping
-    /// fails), the file is read whole with the checksum verified up front;
-    /// either way the restored cache is bit-identical.
+    /// checkpoints larger than RAM warm-start fine; each matrix is then
+    /// verified against its own checksum on first touch, while the file's
+    /// header, keys and directory are only structurally validated (see
+    /// [`ChecksumMode::Lazy`]). Off (or when mapping fails), the file is
+    /// read whole with the checksum verified up front; either way the
+    /// restored cache is bit-identical.
     ///
     /// Returns `Ok(None)` when the key was already registered (nothing
-    /// started), and the decode error when the file is unreadable or
-    /// corrupt.
+    /// started), and the decode error — with nothing registered — when the
+    /// file is unreadable, corrupt, or not the one container this build
+    /// reads (a version-1 file from an older build is
+    /// [`CodecError::UnsupportedVersion`]).
     pub fn register_warm_from_file(
         &self,
         key: impl Into<String>,
         hin: Arc<Hin>,
         path: impl AsRef<Path>,
     ) -> Result<Option<hin_query::SnapshotImport>, CodecError> {
-        let snapshot = if self.inner.serve.mmap_snapshots {
-            CacheSnapshot::read_from_file_mapped(path, ChecksumMode::Lazy)?
-        } else {
-            CacheSnapshot::read_from_file(path)?
-        };
+        let snapshot = restore_checkpoint(&self.inner.serve, path.as_ref())?;
         Ok(self.register_warm(key, hin, snapshot))
     }
 
@@ -751,9 +776,9 @@ impl Router {
     /// sibling and atomically renamed into place, so a crash mid-write
     /// leaves the previous good checkpoint intact — the exact failure a
     /// checkpoint exists to survive. Returns the `(dataset key, file
-    /// path)` pairs written. Read one back with
-    /// [`hin_query::CacheSnapshot::read_from_file`] and hand it to
-    /// [`Router::register_warm`].
+    /// path)` pairs written, each a v2 arena image
+    /// ([`hin_query::CacheSnapshot::to_writer`]). Recover from one with
+    /// [`Router::register_warm_from_file`].
     pub fn checkpoint(&self, dir: impl AsRef<Path>) -> Result<Vec<(String, PathBuf)>, CodecError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
@@ -913,6 +938,7 @@ impl Router {
             misrouted: self.inner.misrouted.load(Ordering::Relaxed),
             shed_unhealthy: self.inner.shed_unhealthy.load(Ordering::Relaxed),
             failovers: self.inner.failovers.load(Ordering::Relaxed),
+            failover_restore_errors: self.inner.failover_restore_errors.load(Ordering::Relaxed),
             failover_ns: self.inner.failover_ns.snapshot(),
         }
     }
@@ -959,6 +985,7 @@ impl Router {
             misrouted: self.inner.misrouted.load(Ordering::Relaxed),
             shed_unhealthy: self.inner.shed_unhealthy.load(Ordering::Relaxed),
             failovers: self.inner.failovers.load(Ordering::Relaxed),
+            failover_restore_errors: self.inner.failover_restore_errors.load(Ordering::Relaxed),
             failover_ns: self.inner.failover_ns.snapshot(),
         }
     }
@@ -1424,6 +1451,49 @@ mod tests {
         router.shutdown();
     }
 
+    /// Serve "d" from a remote shard whose failover restores `checkpoint`,
+    /// kill the shard, and wait for the supervisor to replace it.
+    fn fail_over(
+        router: &Router,
+        hin: &Arc<Hin>,
+        checkpoint: PathBuf,
+        q: &str,
+        want: &QueryOutput,
+    ) {
+        let failovers_before = router.stats().failovers;
+        let listener = ShardListener::start(
+            Arc::clone(hin),
+            ServeConfig {
+                exec: hin_query::ExecPolicy::eager(),
+                ..ServeConfig::default()
+            },
+        )
+        .expect("bind");
+        router.register_remote(
+            "d",
+            listener.local_addr(),
+            RemoteConfig {
+                retries: 0,
+                connect_timeout: Duration::from_millis(100),
+                request_timeout: Duration::from_millis(500),
+                ..RemoteConfig::default()
+            },
+            fast_supervision(Some(FailoverConfig {
+                hin: Arc::clone(hin),
+                checkpoint,
+            })),
+        );
+        assert_eq!(&router.submit("d", q).wait().unwrap(), want);
+
+        // kill the shard: the supervisor must resurrect the dataset as a
+        // local server, automatically
+        listener.kill();
+        let _ = listener.shutdown();
+        wait_for(Duration::from_secs(10), "automatic failover", || {
+            router.stats().failovers == failovers_before + 1
+        });
+    }
+
     #[test]
     fn dead_remote_fails_over_to_a_warm_local_server() {
         let dir = std::env::temp_dir().join(format!(
@@ -1443,37 +1513,7 @@ mod tests {
         assert_eq!(written.len(), 1);
         router.evict("d");
 
-        let listener = ShardListener::start(
-            Arc::clone(&hin),
-            ServeConfig {
-                exec: hin_query::ExecPolicy::eager(),
-                ..ServeConfig::default()
-            },
-        )
-        .expect("bind");
-        router.register_remote(
-            "d",
-            listener.local_addr(),
-            RemoteConfig {
-                retries: 0,
-                connect_timeout: Duration::from_millis(100),
-                request_timeout: Duration::from_millis(500),
-                ..RemoteConfig::default()
-            },
-            fast_supervision(Some(FailoverConfig {
-                hin: Arc::clone(&hin),
-                checkpoint: written[0].1.clone(),
-            })),
-        );
-        assert_eq!(router.submit("d", q).wait().unwrap(), want);
-
-        // kill the shard: the supervisor must resurrect the dataset as a
-        // warm local server, automatically
-        listener.kill();
-        let _ = listener.shutdown();
-        wait_for(Duration::from_secs(10), "automatic failover", || {
-            router.stats().failovers == 1
-        });
+        fail_over(&router, &hin, written[0].1.clone(), q, &want);
 
         let stats = router.stats();
         assert!(stats.remotes.is_empty(), "the remote shard was replaced");
@@ -1486,12 +1526,72 @@ mod tests {
             !stats.failover_ns.is_empty(),
             "time-to-recovery was recorded"
         );
+        assert_eq!(stats.failover_restore_errors, 0);
         assert!(stats.render_metrics().contains("hin_failovers_total 1"));
         assert_eq!(
             router.submit("d", q).wait().unwrap(),
             want,
             "the resurrected dataset answers byte-identically"
         );
+        router.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unreadable_checkpoint_fails_over_cold_and_is_counted() {
+        let dir = std::env::temp_dir().join(format!(
+            "hin-router-cold-failover-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let hin = tiny(&[("p0", "ann"), ("p0", "bo"), ("p1", "bo")]);
+        let q = "pathsim author-paper-author from ann";
+
+        let router = eager_router();
+        router.register("d", Arc::clone(&hin));
+        let want = router.submit("d", q).wait().unwrap();
+        let good = router.checkpoint(&dir).expect("checkpoint")[0].1.clone();
+        router.evict("d");
+        let image = std::fs::read(&good).expect("read back");
+
+        // what an older build's writer left behind: same magic, version 1
+        let v1_headed = dir.join("v1.hinsnap");
+        std::fs::write(
+            &v1_headed,
+            [b"HSNP".as_slice(), &1u32.to_le_bytes(), &image[8..]].concat(),
+        )
+        .unwrap();
+        let truncated = dir.join("truncated.hinsnap");
+        std::fs::write(&truncated, &image[..image.len() - 16]).unwrap();
+
+        // the explicit recovery path reports the error and registers nothing
+        let err = router.register_warm_from_file("d", Arc::clone(&hin), &v1_headed);
+        assert!(
+            matches!(err, Err(CodecError::UnsupportedVersion(1))),
+            "{err:?}"
+        );
+        assert!(router.datasets().is_empty());
+
+        // the automatic one stays available — and says it started cold
+        for (n, bad) in [v1_headed, truncated].into_iter().enumerate() {
+            let n = n as u64 + 1;
+            fail_over(&router, &hin, bad, q, &want);
+            let stats = router.stats();
+            assert_eq!((stats.failovers, stats.failover_restore_errors), (n, n));
+            assert_eq!(
+                stats.datasets[0].1.cache_warm_loaded, 0,
+                "nothing to warm the replacement from"
+            );
+            assert!(stats
+                .render_metrics()
+                .contains(&format!("hin_failover_restore_errors_total {n}\n")));
+            assert_eq!(
+                router.submit("d", q).wait().unwrap(),
+                want,
+                "the cold replacement answers byte-identically"
+            );
+            router.evict("d");
+        }
         router.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
