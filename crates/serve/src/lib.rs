@@ -5,9 +5,9 @@
 //! enough to serve interactively, to many users, over many networks; this
 //! crate is the front end that turns [`Engine`](hin_query::Engine)s into a
 //! serving fleet. The architecture is deliberately plain `std`: no async
-//! runtime, just threads and channels, because query evaluation is
-//! CPU-bound sparse linear algebra — an OS thread per worker *is* the
-//! right execution model.
+//! runtime, just threads, one lock-protected queue and a one-shot reply
+//! slot per request, because query evaluation is CPU-bound sparse linear
+//! algebra — an OS thread per worker *is* the right execution model.
 //!
 //! ```text
 //!  clients ──▶ Router ── register / evict datasets at runtime
@@ -15,9 +15,7 @@
 //!                ▼
 //!  ┌─ Server (one dataset) ─────────────────────────────────────────┐
 //!  │ fair queue (per-client lanes, depth cap → shed `Overloaded`)   │
-//!  │        │ round-robin micro-batches                             │
-//!  │        ▼                                                       │
-//!  │ dispatcher ──▶ bounded hand-off channel                        │
+//!  │        │ round-robin micro-batches, popped by the workers      │
 //!  │        ┌──────────────┼──────────────┐                         │
 //!  │     worker 0       worker 1  …    worker N-1                   │
 //!  │        └──────── Arc<Engine> ────────┘                         │
@@ -41,14 +39,16 @@
 //!   fattest lane, so overload cost lands on the client causing it —
 //!   bounded memory and an explicit back-off signal instead of silent
 //!   queue growth.
-//! * **Micro-batching** — the dispatcher drains up to
-//!   [`ServeConfig::batch_max`] requests per rotation into a *bounded*
-//!   hand-off channel (blocking when workers lag, which is what pushes
-//!   overload back onto admission control), recording batch shape
-//!   (`batches`, `max_batch`) so operators can see burstiness.
-//! * **Worker pool** — N threads pull from the shared hand-off channel
+//! * **Micro-batching** — a free worker pops its share of the backlog
+//!   (`queued / workers`, rounded up, at most [`ServeConfig::batch_max`])
+//!   straight from the fair queue, one request per lane per rotation.
+//!   Nothing is buffered between admission and execution, so work that
+//!   has not started stays where admission control can see and shed it,
+//!   and batch shape (`batches`, `max_batch`) shows operators burstiness.
+//! * **Worker pool** — N threads pop the one fair queue for themselves
 //!   (work-conserving: a slow query never blocks cheap ones while other
-//!   workers idle) and share one engine through `Arc`. The engine's
+//!   workers idle; one hop from admission to execution) and share one
+//!   engine through `Arc`. The engine's
 //!   sharded [`MatrixCache`](hin_query::MatrixCache) keeps them from
 //!   serializing on a single lock, its byte budget
 //!   ([`ServeConfig::cache`]) keeps a long-lived server's memory bounded,

@@ -16,11 +16,14 @@
 //!   displaced to admit the newcomer. The cap therefore bounds memory
 //!   globally while overload cost still lands on whoever caused it.
 //! * **Per-client round-robin fairness** — each client handle gets its own
-//!   lane, and the dispatcher drains lanes in rotation. One hot client
+//!   lane, and every pop drains lanes in rotation. One hot client
 //!   submitting thousands of queries delays its *own* tail, not every
 //!   other client's: a newcomer's first request is at most one rotation
-//!   away from dispatch regardless of how deep the hot lane is, and under
+//!   away from a worker regardless of how deep the hot lane is, and under
 //!   a full queue the newcomer is still admitted at the flooder's expense.
+//!
+//! Workers pop for themselves ([`FairQueue::pop_share`]), so everything not
+//! yet executing sits here, where the cap and longest-queue-drop see it.
 //!
 //! The queue is generic over the request type so it can be unit-tested
 //! with plain values; the server instantiates it with its `Request`.
@@ -31,7 +34,7 @@ use std::sync::{Condvar, Mutex, PoisonError};
 /// Outcome of [`FairQueue::push`].
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Push<T> {
-    /// Accepted; a dispatcher will pick it up.
+    /// Accepted; a worker will pop it.
     Queued,
     /// Rejected by admission control: the queue is at its depth cap and
     /// the pushing client's own lane is the (joint-)longest.
@@ -56,7 +59,7 @@ struct QueueState<T> {
 }
 
 /// A multi-lane FIFO with round-robin draining, an optional depth cap, and
-/// blocking batch pop. All methods take `&self`; share behind an `Arc`.
+/// blocking share pop. All methods take `&self`; share behind an `Arc`.
 pub(crate) struct FairQueue<T> {
     state: Mutex<QueueState<T>>,
     nonempty: Condvar,
@@ -132,27 +135,26 @@ impl<T> FairQueue<T> {
         }
     }
 
-    /// Dequeue up to `max` requests, visiting non-empty client lanes in
-    /// round-robin rotation (each visit takes one request). Blocks while
-    /// the queue is empty; an empty batch means the queue was closed *and*
-    /// fully drained — the dispatcher's signal to exit.
-    pub(crate) fn pop_batch(&self, max: usize) -> Vec<T> {
-        let mut guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if guard.queued > 0 {
-                break;
-            }
-            if guard.closing {
-                return Vec::new();
-            }
-            guard = self
-                .nonempty
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
+    /// Dequeue the caller's share of the backlog — `ceil(queued / workers)`,
+    /// at least one and at most `max` — visiting non-empty client lanes in
+    /// round-robin rotation (each visit takes one request). A share, not
+    /// everything up to `max`, so a burst spreads over the pool instead of
+    /// landing on the worker that woke first while the others park (with
+    /// one worker the two are the same). Blocks while the queue is empty;
+    /// an empty batch means closed *and* drained — the worker's exit signal.
+    pub(crate) fn pop_share(&self, max: usize, workers: usize) -> Vec<T> {
+        let guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = self
+            .nonempty
+            .wait_while(guard, |s| s.queued == 0 && !s.closing)
+            .unwrap_or_else(PoisonError::into_inner);
+        if guard.queued == 0 {
+            return Vec::new(); // closed and drained
         }
         let state = &mut *guard;
-        let mut batch = Vec::new();
-        while batch.len() < max && state.queued > 0 {
+        let share = state.queued.div_ceil(workers.max(1)).min(max).max(1);
+        let mut batch = Vec::with_capacity(share);
+        for _ in 0..share {
             let client = state
                 .rotation
                 .pop_front()
@@ -173,8 +175,8 @@ impl<T> FairQueue<T> {
         batch
     }
 
-    /// Close the queue: subsequent pushes return [`Push::Closed`], and
-    /// once the remaining requests are drained, `pop_batch` returns empty.
+    /// Close the queue: subsequent pushes return [`Push::Closed`], and once
+    /// the remaining requests are drained, every `pop_share` returns empty.
     pub(crate) fn close(&self) {
         self.state
             .lock()
@@ -223,10 +225,66 @@ mod tests {
         }
         // the hot client's 5 queued requests cannot starve client 2
         assert_eq!(
-            q.pop_batch(10),
+            q.pop_share(10, 1),
             vec!["a0", "b0", "a1", "b1", "a2", "a3", "a4"]
         );
         assert_eq!(q.depth(), 0);
+    }
+
+    #[test]
+    fn share_pop_splits_the_backlog_across_the_pool() {
+        let q = FairQueue::new(None);
+        for i in 0..4 {
+            q.push(1, format!("a{i}"));
+            q.push(2, format!("b{i}"));
+        }
+        q.push(1, "a4".to_string());
+        // 9 queued over 2 workers: ceil(9 / 2) = 5, lanes still interleaved
+        assert_eq!(q.pop_share(32, 2), vec!["a0", "b0", "a1", "b1", "a2"]);
+        // 4 left: the share is 2, and the rotation resumes where it stopped
+        assert_eq!(q.pop_share(32, 2), vec!["b2", "a3"]);
+        // `max` caps the share…
+        assert_eq!(q.pop_share(1, 1), vec!["b3"]);
+        // …and a non-empty queue never yields an empty pop, however many
+        // workers the backlog is split between
+        assert_eq!(q.pop_share(32, 64), vec!["a4"]);
+        assert_eq!(q.depth(), 0);
+    }
+
+    #[test]
+    fn close_releases_every_blocked_popper_once_drained() {
+        use std::sync::{Arc, Barrier};
+
+        let q = Arc::new(FairQueue::new(None));
+        for i in 0..6u32 {
+            q.push(u64::from(i % 2), i);
+        }
+        let parked = Arc::new(Barrier::new(5));
+        let poppers: Vec<_> = (0..4)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                let parked = Arc::clone(&parked);
+                std::thread::spawn(move || {
+                    parked.wait();
+                    let mut got = Vec::new();
+                    loop {
+                        let batch = q.pop_share(2, 4);
+                        if batch.is_empty() {
+                            return got;
+                        }
+                        got.extend(batch);
+                    }
+                })
+            })
+            .collect();
+        parked.wait();
+        q.close();
+        let mut drained: Vec<u32> = poppers
+            .into_iter()
+            .flat_map(|p| p.join().expect("popper exits after close"))
+            .collect();
+        drained.sort_unstable();
+        assert_eq!(drained, (0..6).collect::<Vec<_>>(), "drained exactly once");
     }
 
     #[test]
@@ -236,7 +294,7 @@ mod tests {
             q.push(7, i);
         }
         q.push(8, 1000);
-        let batch = q.pop_batch(2);
+        let batch = q.pop_share(2, 1);
         assert_eq!(batch, vec![0, 1000], "newcomer served in the next slot");
     }
 
@@ -248,7 +306,7 @@ mod tests {
         assert_eq!(q.push(1, "z"), Push::Shed, "own lane is joint-longest");
         assert_eq!(q.depth(), 2, "shed requests take no memory");
         // draining reopens admission
-        assert_eq!(q.pop_batch(1), vec!["x"]);
+        assert_eq!(q.pop_share(1, 1), vec!["x"]);
         assert_eq!(q.push(1, "z"), Push::Queued);
     }
 
@@ -264,7 +322,7 @@ mod tests {
         assert_eq!(q.push(8, 100), Push::Displaced(2));
         assert_eq!(q.depth(), 3, "cap still holds after displacement");
         assert_eq!(
-            q.pop_batch(4),
+            q.pop_share(4, 1),
             vec![0, 100, 1],
             "newcomer dispatches within one rotation; flooder keeps FIFO order"
         );
@@ -276,7 +334,11 @@ mod tests {
         assert_eq!(q.push(1, "a"), Push::Queued);
         assert_eq!(q.push(2, "b"), Push::Displaced("a"));
         assert_eq!(q.depth(), 1);
-        assert_eq!(q.pop_batch(4), vec!["b"], "emptied lane left the rotation");
+        assert_eq!(
+            q.pop_share(4, 1),
+            vec!["b"],
+            "emptied lane left the rotation"
+        );
     }
 
     #[test]
@@ -290,7 +352,7 @@ mod tests {
         assert_eq!(q.lane_depths(), vec![(2, 1), (9, 3)]);
         assert_eq!(q.depth(), 4);
         // draining a lane empty removes it from the report
-        let _ = q.pop_batch(2); // takes one from each lane, round-robin
+        let _ = q.pop_share(2, 1); // takes one from each lane, round-robin
         assert_eq!(q.lane_depths(), vec![(9, 2)]);
     }
 
@@ -301,8 +363,8 @@ mod tests {
         q.push(1, "b");
         q.close();
         assert_eq!(q.push(1, "c"), Push::Closed);
-        assert_eq!(q.pop_batch(10), vec!["a", "b"], "pre-close work drains");
-        assert!(q.pop_batch(10).is_empty(), "then the empty batch = exit");
+        assert_eq!(q.pop_share(10, 1), vec!["a", "b"], "pre-close work drains");
+        assert!(q.pop_share(10, 1).is_empty(), "then the empty batch = exit");
     }
 
     #[test]
@@ -322,7 +384,7 @@ mod tests {
             std::thread::spawn(move || {
                 let (mut got, mut sum) = (0u64, 0u64);
                 loop {
-                    let batch = q.pop_batch(3);
+                    let batch = q.pop_share(3, 1);
                     if batch.is_empty() {
                         return (got, sum);
                     }
@@ -377,7 +439,7 @@ mod tests {
         let q = Arc::new(FairQueue::new(None));
         let popper = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch(4))
+            std::thread::spawn(move || q.pop_share(4, 1))
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.push(3, 42);
@@ -386,7 +448,7 @@ mod tests {
         let q2 = Arc::new(FairQueue::<u32>::new(None));
         let popper = {
             let q2 = Arc::clone(&q2);
-            std::thread::spawn(move || q2.pop_batch(4))
+            std::thread::spawn(move || q2.pop_share(4, 1))
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
         q2.close();

@@ -8,7 +8,11 @@
 //! * [`ShardListener`] wraps a [`Server`] and serves the
 //!   [`wire`](crate::wire) protocol over a TCP loopback socket: one
 //!   thread per connection, one [`Message`] per frame, requests executed
-//!   through the ordinary admission/batching/worker pipeline. A
+//!   through the ordinary admission/batching/worker pipeline. The
+//!   listener tracks exactly its *live* connections: each handler takes
+//!   its own entry out when its connection ends (every ping, warm and
+//!   retry dials a fresh one), so a kill resets the live set and a
+//!   long-lived shard holds no socket for a peer that has gone. A
 //!   [`FaultInjector`] sits between each serialized response and the
 //!   socket so the chaos suite can force drops, stalls, truncations,
 //!   bit flips, and mid-request crashes deterministically.
@@ -41,11 +45,12 @@
 //! to a warm local replacement — lives one level up, in
 //! [`Router`](crate::Router).
 
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -53,7 +58,7 @@ use hin_core::Hin;
 use hin_query::{CacheSnapshot, QueryError, QueryOutput};
 
 use crate::faultinject::{FaultInjector, FaultKind, FaultStats};
-use crate::server::{ServeConfig, Server, ServerStats, Ticket};
+use crate::server::{ReplySender, ServeConfig, Server, ServerStats, Ticket};
 use crate::wire::Message;
 
 /// How long the accept loop sleeps between polls of a quiet socket.
@@ -68,22 +73,26 @@ const MIN_READ_TIMEOUT: Duration = Duration::from_millis(1);
 // ---------------------------------------------------------------------------
 
 /// Listener-side shared state: the server, the fault seam, and every live
-/// connection (as `try_clone` handles, so an abort can slam them shut).
+/// connection (as `try_clone` handles, so an abort can slam them shut),
+/// keyed by a per-connection id so the handler can take its own out.
 struct ListenerShared {
     server: Server,
     inject: FaultInjector,
     stop: AtomicBool,
-    conns: Mutex<Vec<TcpStream>>,
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 impl ListenerShared {
+    fn conns(&self) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Abrupt stop: every connection is reset mid-whatever and the accept
     /// loop exits — what a crashed shard process looks like to its
     /// clients.
     fn abort(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        let conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
-        for c in conns.iter() {
+        for c in self.conns().values() {
             let _ = c.shutdown(Shutdown::Both);
         }
     }
@@ -92,8 +101,7 @@ impl ListenerShared {
     /// mid-request finish writing its response.
     fn quiesce(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        let conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
-        for c in conns.iter() {
+        for c in self.conns().values() {
             let _ = c.shutdown(Shutdown::Read);
         }
     }
@@ -130,7 +138,7 @@ impl ShardListener {
             server: Server::start(hin, config),
             inject,
             stop: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
         });
         let accept = {
             let shared = Arc::clone(&shared);
@@ -161,6 +169,11 @@ impl ShardListener {
         self.shared.server.stats()
     }
 
+    /// Connections currently open against this listener.
+    pub fn live_connections(&self) -> usize {
+        self.shared.conns().len()
+    }
+
     /// Simulate a crash: reset every connection and stop accepting, *now*.
     /// In-flight requests die mid-frame; clients see resets and EOFs, the
     /// same observable behavior as a killed shard process. The listener
@@ -174,19 +187,8 @@ impl ShardListener {
     /// response, join every thread, and return the server's final stats.
     pub fn shutdown(mut self) -> ServerStats {
         self.join_threads();
-        let shared = std::mem::replace(
-            &mut self.shared,
-            // a dummy that is dropped immediately; never serves
-            Arc::new(ListenerShared {
-                server: Server::start(
-                    Arc::new(hin_core::HinBuilder::new().build()),
-                    quiet_config(),
-                ),
-                inject: FaultInjector::default(),
-                stop: AtomicBool::new(true),
-                conns: Mutex::new(Vec::new()),
-            }),
-        );
+        let shared = Arc::clone(&self.shared);
+        drop(self); // the listener's own reference; every thread's is gone
         match Arc::try_unwrap(shared) {
             Ok(s) => s.server.shutdown(),
             Err(shared) => shared.server.stats(),
@@ -207,40 +209,37 @@ impl Drop for ShardListener {
     }
 }
 
-/// A minimal config for the throwaway placeholder server in shutdown.
-fn quiet_config() -> ServeConfig {
-    ServeConfig {
-        workers: 1,
-        telemetry: crate::server::TelemetryConfig {
-            enabled: false,
-            ..Default::default()
-        },
-        ..Default::default()
-    }
-}
-
-/// Poll for connections until stopped; join every handler before exiting
-/// so [`ShardListener::shutdown`] only has to join this one thread.
+/// Poll for connections until stopped; join every live handler before
+/// exiting so [`ShardListener::shutdown`] only has to join this one thread.
+/// A handler takes its connection out of the tracked set when it ends, and
+/// its finished handle is dropped here at the next accept.
 fn accept_loop(listener: &TcpListener, shared: &Arc<ListenerShared>) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+    let mut next_conn = 0u64;
     while !shared.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nonblocking(false);
                 let _ = stream.set_nodelay(true);
+                handlers.retain(|h| !h.is_finished());
+                let conn = next_conn;
+                next_conn += 1;
                 if let Ok(track) = stream.try_clone() {
-                    shared
-                        .conns
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(track);
+                    shared.conns().insert(conn, track);
                 }
-                let shared = Arc::clone(shared);
-                if let Ok(h) = std::thread::Builder::new()
-                    .name("hin-shard-conn".to_string())
-                    .spawn(move || serve_conn(&shared, stream))
-                {
-                    handlers.push(h);
+                let handler = {
+                    let shared = Arc::clone(shared);
+                    std::thread::Builder::new()
+                        .name("hin-shard-conn".to_string())
+                        .spawn(move || {
+                            serve_conn(&shared, stream);
+                            shared.conns().remove(&conn);
+                        })
+                };
+                match handler {
+                    Ok(h) => handlers.push(h),
+                    // no thread, no connection: the stream died with the closure
+                    Err(_) => drop(shared.conns().remove(&conn)),
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -426,7 +425,7 @@ enum Breaker {
 struct Job {
     query: String,
     deadline: Option<Instant>,
-    reply: Sender<Result<QueryOutput, QueryError>>,
+    reply: ReplySender,
 }
 
 struct RemoteShared {
@@ -683,13 +682,13 @@ impl RemoteServerHandle {
         let Some(jobs) = &self.jobs else {
             return Ticket::refused(QueryError::Canceled);
         };
-        let (reply, rx) = channel();
+        let (reply, ticket) = Ticket::pending();
         match jobs.try_send(Job {
             query,
             deadline,
             reply,
         }) {
-            Ok(()) => Ticket::pending(rx),
+            Ok(()) => ticket,
             Err(TrySendError::Full(_)) => {
                 self.shared.shed.fetch_add(1, Ordering::Relaxed);
                 Ticket::refused(QueryError::Overloaded)
@@ -804,8 +803,7 @@ fn connector_loop(shared: &RemoteShared, rx: &Mutex<Receiver<Job>>) {
         if result.is_err() {
             shared.errors.fetch_add(1, Ordering::Relaxed);
         }
-        // the client may have dropped its ticket; that's not an error
-        let _ = job.reply.send(result);
+        job.reply.send(result);
     }
 }
 
@@ -911,6 +909,40 @@ mod tests {
         assert_eq!(remote.stats().pings, 1);
         drop(remote);
         listener.shutdown();
+    }
+
+    #[test]
+    fn listener_tracks_only_live_connections() {
+        let listener = ShardListener::start(bib(), small_config()).expect("bind");
+        let config = RemoteConfig::default();
+        let connectors = config.connectors;
+        let remote = RemoteServerHandle::connect(listener.local_addr(), config);
+        // every ping dials a connection of its own and hangs up
+        for _ in 0..200 {
+            remote.ping(Duration::from_secs(5)).expect("pong");
+        }
+        for _ in 0..4 {
+            assert!(remote.submit("rank venue-paper-author").wait().is_ok());
+        }
+        // a handler leaves the set when it reads its peer's EOF, a moment
+        // after the peer hung up: what remains is the connectors' own
+        let settle = |most: usize| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while listener.live_connections() > most && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            listener.live_connections()
+        };
+        let live = settle(connectors);
+        assert!(
+            (1..=connectors).contains(&live),
+            "{live} connections tracked after 200 finished pings and 4 submits"
+        );
+        // a kill still resets exactly the live set: their handlers all end
+        listener.kill();
+        assert_eq!(settle(0), 0, "every live connection was reset");
+        drop(remote);
+        assert_eq!(listener.shutdown().served, 4, "every handler joined");
     }
 
     #[test]

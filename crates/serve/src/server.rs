@@ -1,9 +1,9 @@
 //! One dataset's serving stack: admission-controlled fair request queue →
-//! micro-batching dispatcher → worker pool over one shared [`Engine`].
+//! worker pool over one shared [`Engine`]. Workers pop the queue themselves
+//! and answer each request through its one-shot reply slot.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -22,7 +22,9 @@ pub struct ServeConfig {
     /// Worker threads sharing the engine. Default: available parallelism,
     /// capped at 8.
     pub workers: usize,
-    /// Largest micro-batch the dispatcher drains before distributing.
+    /// Largest micro-batch one worker pops from the queue at a time. A pop
+    /// takes the worker's share of the backlog (`queued / workers`, rounded
+    /// up), so this bound is reached only under a backlog.
     pub batch_max: usize,
     /// Admission control: the most requests the queue holds. At the cap,
     /// shedding is longest-queue-drop: the request answered with
@@ -155,9 +157,9 @@ pub struct SlowQuery {
     pub mode: &'static str,
     /// Worst cache outcome across the plan tree (see [`EXEC_OUTCOMES`]).
     pub outcome: &'static str,
-    /// Admission to dispatcher pick-up.
+    /// Admission to popped by a worker (the worker's wake-up included).
     pub queue_wait_ns: u64,
-    /// Dispatcher pick-up to worker dequeue (hand-off channel wait).
+    /// Popped by a worker to execution start (the deadline sweep).
     pub dispatch_ns: u64,
     /// Parse + resolve + plan + mode decision.
     pub plan_ns: u64,
@@ -204,15 +206,49 @@ struct Telemetry {
     slow_threshold: Duration,
 }
 
-/// One in-flight query: the text plus the channel its result goes back on.
+/// What a query resolves to.
+type Answer = Result<QueryOutput, QueryError>;
+
+/// The one-shot slot a request's answer travels through: filled once by
+/// the [`ReplySender`], taken once by the [`Ticket`] waiting on it.
+struct ReplySlot {
+    answer: Mutex<Option<Answer>>,
+    filled: Condvar,
+}
+
+/// The answering half of a reply slot. It delivers when dropped: what
+/// [`ReplySender::send`] stored or, dropped unsent, [`QueryError::Canceled`].
+pub(crate) struct ReplySender {
+    slot: Arc<ReplySlot>,
+    answer: Answer,
+}
+
+impl ReplySender {
+    /// Resolve the ticket. The client may have dropped it; that is not an
+    /// error, the answer is simply never read.
+    pub(crate) fn send(mut self, answer: Answer) {
+        self.answer = answer;
+    }
+}
+
+impl Drop for ReplySender {
+    fn drop(&mut self) {
+        let answer = std::mem::replace(&mut self.answer, Err(QueryError::Canceled));
+        *self
+            .slot
+            .answer
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(answer);
+        self.slot.filled.notify_one();
+    }
+}
+
+/// One in-flight query: the text plus the slot its result goes back through.
 struct Request {
     query: String,
-    reply: Sender<Result<QueryOutput, QueryError>>,
+    reply: ReplySender,
     /// When admission queued it — the epoch all stage timings count from.
     queued_at: Instant,
-    /// When the dispatcher drained it from the fair queue; initialized to
-    /// `queued_at` and overwritten at dispatch.
-    dispatched_at: Instant,
     /// `Some` when the client propagated a deadline: a request still
     /// queued past this instant is shed with [`QueryError::TimedOut`]
     /// instead of executed — the client already gave up, so the work
@@ -220,7 +256,8 @@ struct Request {
     deadline: Option<Instant>,
 }
 
-/// Counters shared by dispatcher and workers.
+/// Counters shared by submitters (`shed`) and workers (everything else;
+/// `batches` / `max_batch` are counted by the worker that popped).
 #[derive(Default)]
 struct Counters {
     served: AtomicU64,
@@ -231,7 +268,7 @@ struct Counters {
     max_batch: AtomicU64,
 }
 
-/// State shared between the server, every client handle, and the pipeline
+/// State shared between the server, every client handle, and the worker
 /// threads: the fair queue requests are admitted into, plus accounting.
 struct Shared {
     queue: FairQueue<Request>,
@@ -257,13 +294,13 @@ pub struct ServerStats {
     /// executing (see [`ServerHandle::submit_with_deadline`]). Disjoint
     /// from `served` and `shed`.
     pub shed_expired: u64,
-    /// Micro-batches dispatched.
+    /// Micro-batches popped by workers.
     pub batches: u64,
     /// Largest micro-batch seen.
     pub max_batch: u64,
     /// Worker threads.
     pub workers: usize,
-    /// Requests queued awaiting dispatch at the moment of the stats call
+    /// Requests queued awaiting a worker at the moment of the stats call
     /// (racy by nature).
     pub queue_depth: usize,
     /// Per-lane queue depths at the moment of the stats call, as
@@ -324,9 +361,11 @@ pub struct ServerStats {
     /// Stage latency (ns): `submit` call to admission decision. Empty when
     /// telemetry is disabled, like every histogram below.
     pub admission_ns: HistSnapshot,
-    /// Stage latency (ns): admission to dispatcher pick-up.
+    /// Stage latency (ns): admission to popped by a worker — the wait in
+    /// the queue *and* the popping worker's wake-up.
     pub queue_wait_ns: HistSnapshot,
-    /// Stage latency (ns): dispatcher pick-up to worker dequeue.
+    /// Stage latency (ns): popped by a worker to execution start — the
+    /// deadline sweep, on the popping thread; one sample per served request.
     pub dispatch_ns: HistSnapshot,
     /// Stage latency (ns): parse + resolve + plan + mode decision.
     pub plan_ns: HistSnapshot,
@@ -406,7 +445,7 @@ pub struct Ticket {
 }
 
 enum TicketState {
-    Pending(Receiver<Result<QueryOutput, QueryError>>),
+    Pending(Arc<ReplySlot>),
     /// Refused before reaching the queue (shutdown, overload, or an
     /// unknown dataset at a router); resolves immediately to this error.
     Refused(QueryError),
@@ -419,13 +458,19 @@ impl Ticket {
         }
     }
 
-    /// A ticket resolved by whoever holds the paired sender — how the
-    /// remote transport hands out tickets backed by a connector thread
-    /// instead of a worker pool.
-    pub(crate) fn pending(rx: Receiver<Result<QueryOutput, QueryError>>) -> Ticket {
-        Ticket {
-            state: TicketState::Pending(rx),
-        }
+    /// A pending ticket and the sender that resolves it — held by a worker
+    /// here, by a connector thread in the remote transport.
+    pub(crate) fn pending() -> (ReplySender, Ticket) {
+        let slot = Arc::new(ReplySlot {
+            answer: Mutex::new(None),
+            filled: Condvar::new(),
+        });
+        let sender = ReplySender {
+            slot: Arc::clone(&slot),
+            answer: Err(QueryError::Canceled),
+        };
+        let state = TicketState::Pending(slot);
+        (sender, Ticket { state })
     }
 
     /// Block until the query's result arrives.
@@ -435,7 +480,14 @@ impl Ticket {
     /// control shed it.
     pub fn wait(self) -> Result<QueryOutput, QueryError> {
         match self.state {
-            TicketState::Pending(rx) => rx.recv().unwrap_or(Err(QueryError::Canceled)),
+            TicketState::Pending(slot) => {
+                let answer = slot.answer.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut answer = slot
+                    .filled
+                    .wait_while(answer, |a| a.is_none())
+                    .unwrap_or_else(PoisonError::into_inner);
+                answer.take().expect("woken only on a filled slot")
+            }
             TicketState::Refused(err) => Err(err),
         }
     }
@@ -448,11 +500,14 @@ impl Ticket {
     /// result is discarded on arrival.
     pub fn wait_timeout(self, timeout: Duration) -> Result<QueryOutput, QueryError> {
         match self.state {
-            TicketState::Pending(rx) => match rx.recv_timeout(timeout) {
-                Ok(result) => result,
-                Err(RecvTimeoutError::Timeout) => Err(QueryError::TimedOut),
-                Err(RecvTimeoutError::Disconnected) => Err(QueryError::Canceled),
-            },
+            TicketState::Pending(slot) => {
+                let answer = slot.answer.lock().unwrap_or_else(PoisonError::into_inner);
+                let (mut answer, _) = slot
+                    .filled
+                    .wait_timeout_while(answer, timeout, |a| a.is_none())
+                    .unwrap_or_else(PoisonError::into_inner);
+                answer.take().unwrap_or(Err(QueryError::TimedOut))
+            }
             TicketState::Refused(err) => Err(err),
         }
     }
@@ -462,7 +517,7 @@ impl Ticket {
 ///
 /// Each call to [`Server::handle`] opens a *new* client lane in the fair
 /// queue; *cloning* a handle shares its lane. Give each logical client its
-/// own handle: the dispatcher round-robins across lanes, so a client
+/// own handle: every pop round-robins across lanes, so a client
 /// flooding its lane delays its own tail, never another client's.
 #[derive(Clone)]
 pub struct ServerHandle {
@@ -488,7 +543,7 @@ impl ServerHandle {
     ///
     /// Where [`Ticket::wait_timeout`] only bounds the *wait* — the expired
     /// request stays in flight and still burns a worker — this propagates
-    /// the deadline into the dispatcher: a request whose deadline passes
+    /// the deadline into the pipeline: a request whose deadline passes
     /// while it is still queued is shed with [`QueryError::TimedOut`]
     /// before execution and counted as [`ServerStats::shed_expired`].
     /// Pair it with `wait_timeout(ttl)` for an end-to-end latency bound
@@ -500,12 +555,11 @@ impl ServerHandle {
 
     fn submit_inner(&self, query: String, deadline: Option<Instant>) -> Ticket {
         let t0 = Instant::now();
-        let (reply, rx) = channel();
+        let (reply, ticket) = Ticket::pending();
         let req = Request {
             query,
             reply,
             queued_at: t0,
-            dispatched_at: t0,
             deadline,
         };
         let push = self.shared.queue.push(self.client, req);
@@ -515,9 +569,7 @@ impl ServerHandle {
             tel.stages.admission.record_duration(t0.elapsed());
         }
         match push {
-            Push::Queued => Ticket {
-                state: TicketState::Pending(rx),
-            },
+            Push::Queued => ticket,
             Push::Shed => {
                 self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
                 Ticket::refused(QueryError::Overloaded)
@@ -526,10 +578,8 @@ impl ServerHandle {
                 // admitted at the cap by displacing the tail of the
                 // fattest lane; the flooder's ticket resolves Overloaded
                 self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-                let _ = victim.reply.send(Err(QueryError::Overloaded));
-                Ticket {
-                    state: TicketState::Pending(rx),
-                }
+                victim.reply.send(Err(QueryError::Overloaded));
+                ticket
             }
             Push::Closed => Ticket::refused(QueryError::Canceled),
         }
@@ -550,9 +600,9 @@ impl ServerHandle {
     }
 }
 
-/// A running query server over one dataset: admission-controlled fair
-/// request queue, micro-batching dispatcher, and a worker pool sharing one
-/// [`Engine`] (and therefore one sharded, bounded, work-deduplicating
+/// A running query server over one dataset: an admission-controlled fair
+/// request queue and a worker pool that pops micro-batches from it, sharing
+/// one [`Engine`] (and therefore one sharded, bounded, work-deduplicating
 /// commuting-matrix cache).
 pub struct Server {
     handle: ServerHandle,
@@ -561,17 +611,14 @@ pub struct Server {
     workers: usize,
     /// Outcome of the [`ServeConfig::warm_start`] restore, when one ran.
     warm_import: Option<SnapshotImport>,
-    /// `Some` while running; taken by shutdown/Drop.
-    threads: Option<Threads>,
-}
-
-struct Threads {
-    dispatcher: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
+    /// The worker handles; drained by shutdown/Drop.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Spawn the dispatcher and worker pool over `hin`.
+    /// Spawn the worker pool over `hin`. Nothing is buffered between
+    /// admission and a worker, so un-started work — and the memory it holds
+    /// — is bounded by `queue_depth + workers × batch_max`.
     ///
     /// With [`ServeConfig::warm_start`] set, the snapshot is restored into
     /// the engine *before* any worker thread exists, so the first admitted
@@ -595,35 +642,16 @@ impl Server {
             }),
         });
 
-        // A *bounded* hand-off channel: the dispatcher blocks once the
-        // workers are this far behind, so excess demand stays in the fair
-        // queue where admission control can see (and shed) it. The unit of
-        // hand-off is a whole micro-batch — a worker that receives one can
-        // group its same-span anchored members into a single block
-        // propagation. End-to-end memory is bounded by
-        // queue_depth + this capacity × batch_max + workers × batch_max.
-        let (work_tx, work_rx) = sync_channel::<Vec<Request>>(n_workers);
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let mut worker_handles = Vec::with_capacity(n_workers);
-        for w in 0..n_workers {
-            let work_rx = Arc::clone(&work_rx);
-            let engine = Arc::clone(&engine);
-            let shared = Arc::clone(&shared);
-            worker_handles.push(
+        let threads = (0..n_workers)
+            .map(|w| {
+                let engine = Arc::clone(&engine);
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("hin-serve-worker-{w}"))
-                    .spawn(move || worker_loop(&work_rx, &engine, &shared))
-                    .expect("spawn worker thread"),
-            );
-        }
-
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("hin-serve-dispatch".to_string())
-                .spawn(move || dispatch_loop(&shared, work_tx, batch_max))
-                .expect("spawn dispatcher thread")
-        };
+                    .spawn(move || worker_loop(&engine, &shared, batch_max, n_workers))
+                    .expect("spawn worker thread")
+            })
+            .collect();
 
         Server {
             handle: ServerHandle {
@@ -634,10 +662,7 @@ impl Server {
             shared,
             workers: n_workers,
             warm_import,
-            threads: Some(Threads {
-                dispatcher,
-                workers: worker_handles,
-            }),
+            threads,
         }
     }
 
@@ -689,7 +714,7 @@ impl Server {
         &self.engine
     }
 
-    /// Requests currently queued awaiting dispatch (racy by nature).
+    /// Requests currently queued awaiting a worker (racy by nature).
     pub fn queue_depth(&self) -> usize {
         self.shared.queue.depth()
     }
@@ -777,16 +802,12 @@ impl Server {
     }
 
     fn join_threads(&mut self) {
-        if let Some(threads) = self.threads.take() {
-            // Closing the queue rejects later submits; everything already
-            // admitted is still dispatched and answered. The dispatcher
-            // exits on the drained queue, dropping the work sender, and
-            // each worker drains the hand-off channel before exiting.
-            self.shared.queue.close();
-            let _ = threads.dispatcher.join();
-            for w in threads.workers {
-                let _ = w.join();
-            }
+        // Closing the queue rejects later submits; everything already
+        // admitted is still popped and answered: every worker keeps
+        // draining and exits on closed-and-empty.
+        self.shared.queue.close();
+        for w in self.threads.drain(..) {
+            let _ = w.join();
         }
     }
 }
@@ -797,99 +818,76 @@ impl Drop for Server {
     }
 }
 
-/// Collect admitted requests into micro-batches (drawn round-robin across
-/// client lanes) and feed them to the bounded worker hand-off channel,
-/// until the queue is closed and drained.
-fn dispatch_loop(shared: &Shared, work_tx: SyncSender<Vec<Request>>, batch_max: usize) {
-    loop {
-        let mut batch = shared.queue.pop_batch(batch_max);
-        if batch.is_empty() {
-            break; // closed and fully drained
-        }
-        shared.counters.batches.fetch_add(1, Ordering::Relaxed);
-        shared
-            .counters
-            .max_batch
-            .fetch_max(batch.len() as u64, Ordering::Relaxed);
-        let now = Instant::now();
-        for req in &mut batch {
-            req.dispatched_at = now;
-        }
-        // blocks when workers are behind (that is the backpressure);
-        // fails only if every worker is gone — the dropped reply
-        // senders then surface as Canceled at the tickets
-        let _ = work_tx.send(batch);
-    }
-    // exiting drops work_tx: workers drain the hand-off channel, then exit
+/// What one batch member's execution yields: its answer and its trace.
+type Traced = (Answer, QueryTrace);
+
+/// Run one batch's execution with its panic contained: a batch that panics
+/// its worker (an engine bug, a poisoned lock) has each of its `members`
+/// answered [`QueryError::Internal`] and the worker keeps serving — one
+/// poisoned batch must not silently retire 1/N of the pool for the rest of
+/// the server's life.
+fn contain_panic(members: usize, run: impl FnOnce() -> Vec<Traced>) -> Vec<Traced> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        // `&*`: a `&Box<dyn Any>` would itself coerce to the `dyn Any`
+        let internal = Err(QueryError::Internal(panic_message(&*payload)));
+        vec![(internal, QueryTrace::default()); members]
+    })
 }
 
-/// Execute micro-batches against the shared engine until the queue closes.
+/// Pop micro-batches from the fair queue (this worker's share of the
+/// backlog, at most `batch_max`, drawn round-robin across client lanes)
+/// and execute them against the shared engine, until the queue is closed
+/// and drained.
 ///
 /// A whole micro-batch runs as one [`Engine::execute_many`] call, so
 /// same-span anchored members propagate together through the multi-anchor
 /// block kernel instead of one row chain each.
-///
-/// Panics are contained per batch: a batch that panics its worker (an
-/// engine bug, a poisoned lock) has every member answered with
-/// [`QueryError::Internal`] and the worker keeps serving — one poisoned
-/// batch must not silently retire 1/N of the pool for the rest of the
-/// server's life.
-fn worker_loop(work_rx: &Mutex<Receiver<Vec<Request>>>, engine: &Engine, shared: &Shared) {
+fn worker_loop(engine: &Engine, shared: &Shared, batch_max: usize, workers: usize) {
     let counters = &shared.counters;
     loop {
-        // Hold the lock only for the dequeue itself. One idle worker
-        // blocks in recv holding the lock; the others queue on the mutex
-        // and each wakes to take exactly the next batch.
-        let mut batch = match work_rx.lock().expect("work queue lock").recv() {
-            Ok(batch) => batch,
-            Err(_) => break, // dispatcher gone and queue drained
-        };
-        let taken = Instant::now();
+        let mut batch = shared.queue.pop_share(batch_max, workers);
+        if batch.is_empty() {
+            break; // closed and fully drained
+        }
+        let popped = Instant::now();
+        counters.batches.fetch_add(1, Ordering::Relaxed);
+        counters
+            .max_batch
+            .fetch_max(batch.len() as u64, Ordering::Relaxed);
         // Deadline shedding: a request whose propagated deadline passed
         // while it sat in the queue is answered TimedOut *without*
         // executing — its client already gave up (`wait_timeout` paired
         // with `submit_with_deadline`), so running it would burn a worker
         // to produce a discarded answer and delay live requests behind it.
-        if batch.iter().any(|r| r.deadline.is_some_and(|d| d <= taken)) {
-            let (expired, live): (Vec<Request>, Vec<Request>) = batch
-                .into_iter()
-                .partition(|r| r.deadline.is_some_and(|d| d <= taken));
-            for req in expired {
+        let expired = |r: &Request| r.deadline.is_some_and(|d| d <= popped);
+        if batch.iter().any(expired) {
+            let (dead, live): (Vec<Request>, Vec<Request>) = batch.into_iter().partition(expired);
+            for req in dead {
                 counters.shed_expired.fetch_add(1, Ordering::Relaxed);
-                let _ = req.reply.send(Err(QueryError::TimedOut));
+                req.reply.send(Err(QueryError::TimedOut));
             }
             batch = live;
             if batch.is_empty() {
                 continue;
             }
         }
+        // popped → execution starts: the sweep above, on this thread
+        let dispatch = popped.elapsed();
         // With telemetry on, execute traced; off, the untraced path — no
         // Instant reads, no probe, no histogram touches on any query.
-        let outputs: Vec<(Result<QueryOutput, QueryError>, QueryTrace)> = {
+        let outputs = {
             let queries: Vec<&str> = batch.iter().map(|r| r.query.as_str()).collect();
-            match &shared.telemetry {
-                Some(_) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    engine.execute_many_traced(&queries)
-                })),
-                None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    engine
+            contain_panic(batch.len(), || {
+                #[cfg(test)]
+                tests::fault_hook(&queries);
+                match &shared.telemetry {
+                    Some(_) => engine.execute_many_traced(&queries),
+                    None => engine
                         .execute_many(&queries)
                         .into_iter()
                         .map(|r| (r, QueryTrace::default()))
-                        .collect()
-                })),
-            }
-            .unwrap_or_else(|payload| {
-                let msg = panic_message(&payload);
-                batch
-                    .iter()
-                    .map(|_| {
-                        (
-                            Err(QueryError::Internal(msg.clone())),
-                            QueryTrace::default(),
-                        )
-                    })
-                    .collect()
+                        .collect(),
+                }
             })
         };
         if let Some(tel) = &shared.telemetry {
@@ -907,8 +905,7 @@ fn worker_loop(work_rx: &Mutex<Receiver<Vec<Request>>>, engine: &Engine, shared:
                 counters.errors.fetch_add(1, Ordering::Relaxed);
             }
             let stage = shared.telemetry.as_ref().map(|tel| {
-                let queue_wait = req.dispatched_at.duration_since(req.queued_at);
-                let dispatch = taken.duration_since(req.dispatched_at);
+                let queue_wait = popped.duration_since(req.queued_at);
                 let total = req.queued_at.elapsed();
                 let s = &tel.stages;
                 s.queue_wait.record_duration(queue_wait);
@@ -916,14 +913,13 @@ fn worker_loop(work_rx: &Mutex<Receiver<Vec<Request>>>, engine: &Engine, shared:
                 s.plan.record(trace.plan_ns);
                 s.exec[mode_idx(trace.mode)][outcome_idx(trace.outcome)].record(trace.exec_ns);
                 s.e2e.record_duration(total);
-                (queue_wait, dispatch, total)
+                (queue_wait, total)
             });
-            // the client may have dropped its ticket; that's not an error
-            let _ = req.reply.send(result);
+            req.reply.send(result);
             // Slow-query capture happens *after* the reply: re-deriving the
             // EXPLAIN plan costs a parse+resolve+plan, and an already-slow
             // query's client should not wait on its own autopsy.
-            if let (Some(tel), Some((queue_wait, dispatch, total))) = (&shared.telemetry, stage) {
+            if let (Some(tel), Some((queue_wait, total))) = (&shared.telemetry, stage) {
                 if total >= tel.slow_threshold {
                     let plan = engine
                         .plan(&req.query)
@@ -964,6 +960,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use hin_core::HinBuilder;
+
+    /// A query that panics the worker executing its batch.
+    const POISON: &str = "poison the batch";
+    /// A query whose batch blocks until [`STALL_GATE`] can be taken.
+    const STALL: &str = "stall the worker";
+    static STALL_GATE: Mutex<()> = Mutex::new(());
+
+    /// Runs inside the worker's contained execution, ahead of the engine:
+    /// the only way to make a batch panic, or a worker stay busy, on cue.
+    pub(super) fn fault_hook(queries: &[&str]) {
+        assert!(!queries.contains(&POISON), "poisoned batch");
+        if queries.contains(&STALL) {
+            drop(STALL_GATE.lock().unwrap());
+        }
+    }
 
     /// papers p0{a0,a1}@v0, p1{a1}@v0, p2{a2}@v1 — the metapath fixture.
     fn bib() -> Arc<Hin> {
@@ -1138,18 +1149,125 @@ mod tests {
                 .wait_timeout(Duration::from_secs(30)),
             Err(QueryError::Canceled)
         ));
+    }
 
-        // a ticket whose reply never comes times out instead of hanging:
-        // fabricate one by dropping the reply sender's server mid-wait
-        let (reply, rx) = channel();
-        let ticket = Ticket {
-            state: TicketState::Pending(rx),
-        };
-        let waiter = std::thread::spawn(move || ticket.wait_timeout(Duration::from_millis(50)));
-        let wedged: Sender<Result<QueryOutput, QueryError>> = reply;
-        let result = waiter.join().expect("waiter thread");
-        assert!(matches!(result, Err(QueryError::TimedOut)));
-        drop(wedged);
+    #[test]
+    fn one_shot_reply_resolves_timed_out_canceled_or_answered() {
+        // never answered: the wait is bounded, and says so
+        let (wedged, ticket) = Ticket::pending();
+        assert!(matches!(
+            ticket.wait_timeout(Duration::from_millis(20)),
+            Err(QueryError::TimedOut)
+        ));
+        // a sender outliving its ticket is a silent no-op
+        wedged.send(Err(QueryError::Overloaded));
+
+        // a sender dropped unsent cancels, through either wait
+        let (unsent, ticket) = Ticket::pending();
+        drop(unsent);
+        assert!(matches!(ticket.wait(), Err(QueryError::Canceled)));
+        let (unsent, ticket) = Ticket::pending();
+        drop(unsent);
+        assert!(matches!(
+            ticket.wait_timeout(Duration::from_secs(30)),
+            Err(QueryError::Canceled)
+        ));
+
+        // an answer sent from another thread wakes a blocked waiter
+        let (reply, ticket) = Ticket::pending();
+        let waiter = std::thread::spawn(move || ticket.wait());
+        reply.send(Err(QueryError::Internal("answered".to_string())));
+        assert_eq!(
+            waiter.join().expect("waiter thread"),
+            Err(QueryError::Internal("answered".to_string()))
+        );
+    }
+
+    #[test]
+    fn shutdown_answers_everything_admitted_across_the_whole_pool() {
+        let server = Server::start(
+            bib(),
+            ServeConfig {
+                workers: 4,
+                batch_max: 8,
+                ..ServeConfig::default()
+            },
+        );
+        let tickets: Vec<Ticket> = (0..500)
+            .map(|_| server.submit("pathsim author-paper-author from a0"))
+            .collect();
+        let stats = server.shutdown();
+        assert_eq!(stats.served, 500, "close drains, it does not drop");
+        assert_eq!(stats.queue_depth, 0);
+        assert!(stats.batches >= 1);
+        assert!(stats.max_batch <= 8, "a pop never exceeds batch_max");
+        for t in tickets {
+            assert_eq!(t.wait().expect("answered, not canceled").items[0].0, "a1");
+        }
+    }
+
+    #[test]
+    fn unstarted_work_is_bounded_by_the_queue_depth() {
+        let server = Server::start(
+            bib(),
+            ServeConfig {
+                workers: 1,
+                batch_max: 4,
+                queue_depth: Some(8),
+                ..ServeConfig::default()
+            },
+        );
+        // pin the only worker: it pops the stall query and blocks on the
+        // gate this test holds
+        let gate = STALL_GATE.lock().unwrap();
+        let stalled = server.submit(STALL);
+        while server.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
+        // nothing stands between admission and that worker, so the queue's
+        // cap is the cap on admitted-but-unstarted work
+        let tickets: Vec<Ticket> = (0..40)
+            .map(|_| server.submit("pathsim author-paper-author from a0"))
+            .collect();
+        let refused = |t: &Ticket| matches!(t.state, TicketState::Refused(QueryError::Overloaded));
+        assert_eq!(tickets.iter().filter(|t| !refused(t)).count(), 8);
+        assert_eq!(server.queue_depth(), 8);
+        drop(gate);
+        assert!(matches!(stalled.wait(), Err(QueryError::Parse(_))));
+        let answered = tickets.into_iter().filter_map(|t| t.wait().ok()).count();
+        assert_eq!(answered, 8, "everything admitted is served");
+        let stats = server.shutdown();
+        assert_eq!(stats.shed, 32, "the rest were refused at the door");
+        assert_eq!(stats.served + stats.shed, 41);
+    }
+
+    #[test]
+    fn a_panicking_batch_answers_internal_and_the_worker_serves_on() {
+        // the containment itself: one Internal answer per member, carrying
+        // the panic's message
+        let contained = contain_panic(3, || panic!("kernel bug"));
+        assert_eq!(contained.len(), 3);
+        for (answer, _) in contained {
+            assert_eq!(answer, Err(QueryError::Internal("kernel bug".to_string())));
+        }
+
+        // and in the loop: the pool's only worker survives a poisoned batch
+        let server = Server::start(
+            bib(),
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+        );
+        match server.submit(POISON).wait() {
+            Err(QueryError::Internal(msg)) => assert!(msg.contains("poisoned batch")),
+            other => panic!("a panicking batch produced {other:?}"),
+        }
+        let next = server.submit("pathsim author-paper-author from a0").wait();
+        assert_eq!(next.unwrap().items[0].0, "a1");
+        let stats = server.shutdown();
+        assert_eq!(stats.served, 2);
+        assert_eq!(stats.errors, 1);
     }
 
     #[test]
@@ -1179,8 +1297,8 @@ mod tests {
     fn same_span_batches_ride_the_block_path() {
         let hin = bib();
         let reference = Engine::from_arc(Arc::clone(&hin));
-        // One worker so a burst piles up in the fair queue and the
-        // dispatcher can hand the worker a multi-query micro-batch;
+        // One worker so a burst piles up in the fair queue and the worker
+        // pops a multi-query micro-batch (its share is the whole backlog);
         // promotion disabled so every member stays an anchored rider.
         let server = Server::start(
             Arc::clone(&hin),

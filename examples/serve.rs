@@ -50,7 +50,7 @@ fn main() {
                 for a in 0..30 {
                     let anchor = format!("author_a{}_{}", (a + c) % 3, a);
                     // submit a burst, then wait — the in-flight overlap is
-                    // what the dispatcher micro-batches
+                    // what a worker pops as one micro-batch
                     let tickets = [
                         handle.submit(format!(
                             "pathsim author-paper-venue-paper-author from {anchor}"

@@ -68,8 +68,8 @@
 //! To serve queries from many threads, wrap the dataset in a
 //! [`serve::Server`]: an admission-controlled fair request queue (one
 //! round-robin lane per client handle, optional depth cap that sheds
-//! overload with `QueryError::Overloaded`) feeds a micro-batching
-//! dispatcher that fans out to a worker pool sharing one engine — and one
+//! overload with `QueryError::Overloaded`) is popped, a micro-batch at a
+//! time, by a worker pool sharing one engine — and one
 //! sharded commuting-matrix cache, optionally bounded by a byte budget so
 //! a long-lived server's memory stays fixed, with a per-key in-flight
 //! table so concurrent misses on one product compute it once and wait
