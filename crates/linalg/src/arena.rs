@@ -1,13 +1,13 @@
 //! Shared, aligned arena buffers backing zero-copy [`Csr`] views.
 //!
-//! The snapshot persistence layer (PR 4) decoded every matrix out of its
-//! container into three fresh `Vec`s — O(decode) work per restore, linear
-//! in graph size. The arena storage tier removes that cost: a snapshot
-//! file is laid out as a directory of entry headers plus one 8-byte-
-//! aligned data heap, read into a single [`ArenaBuf`], and every restored
-//! matrix is a [`Csr`] *view* into that one shared allocation
-//! ([`Csr::from_arena`]) — no per-matrix heap decode, no copies, failover
-//! cost collapses from O(decode) to O(read).
+//! A snapshot file is laid out as a directory of entry headers plus one
+//! 8-byte-aligned data heap. The whole image becomes a single [`ArenaBuf`]
+//! — mapped where the platform allows, read otherwise — and every restored
+//! matrix is a [`Csr`] *view* into that one shared buffer
+//! ([`Csr::from_arena`]): no per-matrix heap decode, no copies. The other
+//! direction is as direct: [`Csr::write_arena_payload`] hands a matrix's
+//! three arrays to a writer in exactly the heap's encoding, in place where
+//! memory already *is* that encoding, so an export moves each byte once.
 //!
 //! # Alignment and portability
 //!
@@ -18,8 +18,9 @@
 //! `&[u32]` or `&[f64]` directly. Interpreting the stored `u64` row
 //! offsets as in-memory `usize` additionally requires a little-endian
 //! 64-bit host ([`ZERO_COPY`]); on any other target [`Csr::from_arena`]
-//! transparently falls back to decoding an owned copy — same matrices,
-//! same API, just without the sharing.
+//! transparently falls back to decoding an owned copy, and
+//! [`Csr::write_arena_payload`] to converting in bounded chunks — same
+//! matrices, same bytes, same API, just without the sharing.
 //!
 //! # Heap vs mapped backing
 //!
@@ -29,7 +30,7 @@
 //! 64-bit unix). Both satisfy the same contracts — 8-byte-aligned base
 //! (`mmap` returns page-aligned addresses), identical
 //! [`ArenaBuf::as_bytes`] / [`ArenaBuf::as_words`] access — so everything
-//! downstream of the `Arc<ArenaBuf>` seam ([`Csr::from_arena`], the v2
+//! downstream of the `Arc<ArenaBuf>` seam ([`Csr::from_arena`], the
 //! snapshot parser) is backing-oblivious. A mapped arena is read-only and
 //! **demand-paged**: no byte of the file is copied or even faulted in
 //! until a kernel actually dereferences it, which is what lets a restored
@@ -50,6 +51,7 @@
 //! are global: tests assert deltas, never absolute values, and the serving
 //! layer exposes them as metrics.
 
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -528,6 +530,96 @@ impl Csr {
     }
 }
 
+/// The bytes of `elems` exactly as they sit in memory.
+///
+/// # Safety
+///
+/// `T` must be a primitive number type with no padding bytes (`usize`,
+/// `u32` and `f64` here), so that every byte of the slice is initialized
+/// and may be read as `u8`. The returned bytes are the arena heap's
+/// encoding only on a [`ZERO_COPY`] host — little-endian, and 64-bit where
+/// `T` is `usize` — and the caller must not use them as that encoding
+/// anywhere else.
+unsafe fn memory_bytes<T: Copy>(elems: &[T]) -> &[u8] {
+    // SAFETY: the pointer and the byte length describe the very allocation
+    // `elems` borrows; `u8` has alignment 1; the caller guarantees `T` has
+    // no uninitialized bytes; the borrow's lifetime is carried over.
+    unsafe { std::slice::from_raw_parts(elems.as_ptr().cast::<u8>(), std::mem::size_of_val(elems)) }
+}
+
+/// Elements converted per write by [`write_converted`]: a stack buffer of
+/// at most 32 KiB, whatever the array's length.
+const CONVERT_CHUNK: usize = 4096;
+
+/// Write `elems` as consecutive `N`-byte little-endian values, converting
+/// in bounded chunks — the encoding [`memory_bytes`] finds already in
+/// memory on a [`ZERO_COPY`] host, produced here on any host.
+fn write_converted<T: Copy, const N: usize, W: Write>(
+    w: &mut W,
+    elems: &[T],
+    le_bytes: impl Fn(T) -> [u8; N],
+) -> io::Result<()> {
+    let mut buf = [[0u8; N]; CONVERT_CHUNK];
+    for chunk in elems.chunks(CONVERT_CHUNK) {
+        for (slot, &e) in buf.iter_mut().zip(chunk) {
+            *slot = le_bytes(e);
+        }
+        w.write_all(buf[..chunk.len()].as_flattened())?;
+    }
+    Ok(())
+}
+
+impl Csr {
+    /// Write the three arrays in the arena heap's encoding, back to back:
+    /// `indptr` as `nrows + 1` little-endian `u64`s, `data` as `nnz`
+    /// little-endian `f64` bit patterns, `indices` as `nnz` little-endian
+    /// `u32`s zero-padded to a multiple of 8 bytes — the layout an
+    /// [`ArenaEntry`] describes and [`Csr::from_arena`] mounts.
+    ///
+    /// On a [`ZERO_COPY`] host the arrays are handed to the writer in
+    /// place, owned or view-backed alike: nothing is converted and nothing
+    /// is staged. Elsewhere they are converted through a bounded stack
+    /// buffer. Both produce the same bytes.
+    pub fn write_arena_payload<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        if !ZERO_COPY {
+            return self.write_arena_payload_portable(w);
+        }
+        let (indptr, indices, data) = self.parts();
+        // SAFETY: `usize`, `f64` and `u32` are primitive numbers without
+        // padding, and this branch runs only where `ZERO_COPY` holds, so
+        // their memory representation is the heap's encoding.
+        let arrays = unsafe {
+            [
+                memory_bytes(indptr),
+                memory_bytes(data),
+                memory_bytes(indices),
+            ]
+        };
+        for bytes in arrays {
+            w.write_all(bytes)?;
+        }
+        w.write_all(index_padding(self.nnz()))
+    }
+
+    /// [`Csr::write_arena_payload`] without the in-place shortcut: what a
+    /// host that is not [`ZERO_COPY`] runs, compiled everywhere so its
+    /// bytes can be held against the in-place ones on the hosts tests run
+    /// on.
+    fn write_arena_payload_portable<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let (indptr, indices, data) = self.parts();
+        write_converted(w, indptr, |p| (p as u64).to_le_bytes())?;
+        write_converted(w, data, |v| v.to_bits().to_le_bytes())?;
+        write_converted(w, indices, u32::to_le_bytes)?;
+        w.write_all(index_padding(self.nnz()))
+    }
+}
+
+/// The zero bytes that round `nnz` 4-byte indices up to whole 8-byte
+/// words: four after an odd count, none after an even one.
+fn index_padding(nnz: usize) -> &'static [u8] {
+    &[0u8; 4][..(nnz % 2) * 4]
+}
+
 /// The CSR structural invariants every decoder enforces before a matrix
 /// escapes: shared by the arena constructor above and usable by any other
 /// storage front end.
@@ -733,6 +825,61 @@ mod tests {
         let mut mapped = ArenaBuf::map_file(&file).expect("map");
         std::fs::remove_file(&path).ok();
         let _ = mapped.as_mut_bytes();
+    }
+
+    #[test]
+    fn in_place_payload_bytes_equal_the_portable_twins_and_mount_back() {
+        // a small LCG: shapes and fill vary, odd and even nnz both occur,
+        // and the longest arrays span several conversion chunks
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let (mut odd, mut longest) = (0, 0);
+        for case in 0..40 {
+            // case 0 is the one whose arrays outgrow a conversion chunk
+            let (nrows, ncols, fill) = match case {
+                0 => (64, 300, 2),
+                _ => (1 + next(60) as u32, 1 + next(300) as u32, 6 + next(12)),
+            };
+            let triplets: Vec<(u32, u32, f64)> = (0..nrows)
+                .flat_map(|r| (0..ncols).map(move |c| (r, c)))
+                .filter(|_| next(fill) == 0)
+                .map(|(r, c)| (r, c, (r * 31 + c) as f64 / 7.0 - 3.0))
+                .collect();
+            let m = Csr::from_triplets(nrows as usize, ncols as usize, triplets);
+            odd += m.nnz() % 2;
+            longest = longest.max(m.nnz());
+
+            let (mut in_place, mut portable) = (Vec::new(), Vec::new());
+            m.write_arena_payload(&mut in_place).unwrap();
+            m.write_arena_payload_portable(&mut portable).unwrap();
+            assert_eq!(in_place, portable, "case {case}: {nrows}×{ncols}");
+            assert_eq!(in_place.len() % 8, 0, "whole words");
+
+            // the bytes are the layout `from_arena` mounts — and a view
+            // writes the same bytes as the owned matrix it came from
+            let data_off = (m.nrows() + 1) * 8;
+            let entry = ArenaEntry {
+                nrows: m.nrows(),
+                ncols: m.ncols(),
+                nnz: m.nnz(),
+                indptr_off: 0,
+                data_off,
+                indices_off: data_off + m.nnz() * 8,
+            };
+            let view = Csr::from_arena(&Arc::new(ArenaBuf::from_bytes(&in_place)), entry)
+                .expect("a written payload mounts");
+            assert_eq!(view, m);
+            let mut again = Vec::new();
+            view.write_arena_payload(&mut again).unwrap();
+            assert_eq!(again, in_place, "case {case}: view-backed export");
+        }
+        assert!(odd > 0 && odd < 40, "both paddings exercised: {odd}");
+        assert!(longest > CONVERT_CHUNK, "a chunk boundary was crossed");
     }
 
     #[test]

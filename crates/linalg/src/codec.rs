@@ -133,10 +133,10 @@ impl Fnv64 {
     /// Absorb one little-endian `u64` *word* in a single mix step.
     ///
     /// This is the word-granular FNV variant the arena snapshot format
-    /// (v2) uses: its files are 8-byte aligned end to end, so hashing per
+    /// uses: its files are 8-byte aligned end to end, so hashing per
     /// word instead of per byte makes integrity checking ~8× cheaper —
-    /// which matters because the checksum is the only per-byte work left
-    /// on the zero-copy restore path. Note the digest differs from
+    /// which matters because verifying each entry's checksum is the only
+    /// per-byte work left on the zero-copy restore path. Note the digest differs from
     /// [`Fnv64::update`] over the same bytes; the two are distinct hash
     /// domains and each format specifies which it uses.
     #[inline]

@@ -27,7 +27,7 @@
 //!   and the cache snapshot container are built from,
 //! * [`arena`] — the zero-copy storage tier: shared 8-byte-aligned
 //!   [`ArenaBuf`] buffers and `Csr::from_arena` views into them, so a
-//!   snapshot restore is one read plus zero per-matrix decodes (with
+//!   snapshot restore is one map plus zero per-matrix decodes (with
 //!   process-wide view/decode counters and a live arena-bytes gauge),
 //! * [`eigen::jacobi_eigen`] — cyclic Jacobi eigendecomposition for symmetric
 //!   dense matrices,

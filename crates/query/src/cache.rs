@@ -58,7 +58,7 @@
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 
 use hin_linalg::codec::Fnv64;
@@ -159,6 +159,21 @@ impl CacheConfig {
     }
 }
 
+/// A product on its way between a cache and a snapshot, with what is known
+/// about its payload checksum ([`entry_checksum`]).
+#[derive(Clone)]
+pub(crate) struct Sealed {
+    pub(crate) key: PathKey,
+    pub(crate) matrix: Arc<Csr>,
+    /// `entry_checksum(matrix)`: read from the directory when the matrix
+    /// came out of an image, computed by the first export otherwise — for
+    /// every later one too: the cell is shared with the cache's own entry.
+    pub(crate) checksum: Arc<OnceLock<u64>>,
+    /// `false` while the payload has yet to be held against a `checksum`
+    /// that came out of an image.
+    pub(crate) verified: bool,
+}
+
 /// One stored product plus its bookkeeping.
 struct Entry {
     value: Arc<Csr>,
@@ -166,27 +181,20 @@ struct Entry {
     /// Recency stamp from the cache-wide tick; atomic so counting lookups
     /// can refresh it under the shard's *read* lock.
     last_used: AtomicU64,
-    /// Deferred integrity check for entries restored from a lazily
-    /// checksummed mapped snapshot: verified against the stored checksum
-    /// on first counting lookup, then never again. `None` for everything
-    /// computed or already-verified.
-    verify: Option<LazyVerify>,
+    /// `entry_checksum(value)` — a property of the immutable matrix, so
+    /// remembered beside it like the diagonal: see [`Sealed::checksum`].
+    checksum: Arc<OnceLock<u64>>,
+    /// Does `value`'s payload match `checksum`? Set at insert for a product
+    /// computed here or verified elsewhere; empty while a restored entry is
+    /// *pending*. Whoever touches a pending entry first hashes it, once;
+    /// every other first toucher waits on this cell instead of hashing too.
+    intact: OnceLock<bool>,
     /// `value.diagonal()`, built by the first PathSim read of this resident
     /// matrix ([`MatrixCache::diagonal_of`]) and dropped with the entry, so
     /// it can never outlive or mismatch `value`. Not priced into `bytes`:
     /// at 8 bytes per row it is smaller than `value`'s own `indptr` array,
     /// which `bytes` does count.
     diagonal: OnceLock<Arc<[f64]>>,
-}
-
-/// First-touch verification state for a lazily restored entry.
-struct LazyVerify {
-    /// The per-entry payload checksum from the snapshot directory.
-    checksum: u64,
-    /// Flipped once the payload has been rehashed and matched; atomic so
-    /// the check runs (and is skipped afterwards) under the shard's
-    /// *read* lock.
-    done: AtomicBool,
 }
 
 #[derive(Default)]
@@ -502,25 +510,36 @@ impl MatrixCache {
 
     /// The subset of [`MatrixCache::warm_loaded`] admitted as zero-copy
     /// arena views ([`Csr::is_view`]) rather than owned heap copies — the
-    /// v2 snapshot format's "one read, zero per-matrix decodes" restore
+    /// snapshot format's "one map, zero per-matrix decodes" restore
     /// guarantee, observable as a counter.
     pub fn warm_view_backed(&self) -> u64 {
         self.warm_view_backed.load(Ordering::Relaxed)
     }
 
-    /// Lazily restored entries whose payload checksum verified clean on
-    /// first touch (each is hashed exactly once, then served unchecked).
+    /// Restored entries whose payload matched its directory checksum —
+    /// each hashed exactly once, by the first lookup to reach it or by
+    /// [`MatrixCache::verify_pending`], then served unchecked.
     pub fn lazy_verified(&self) -> u64 {
         self.lazy_verified.load(Ordering::Relaxed)
     }
 
-    /// Lazily restored entries whose payload did **not** match the
-    /// snapshot's per-entry checksum on first touch: the entry was evicted
-    /// and the lookup reported a miss, so the caller recomputed instead of
-    /// serving corrupt values. Nonzero means the snapshot file was damaged
-    /// after writing (storage rot, torn copy, wire corruption).
+    /// Restored entries whose payload did **not** match its directory
+    /// checksum: each was evicted unread (a lookup that found it reported a
+    /// miss and recomputed). Nonzero means the image was damaged after
+    /// writing — storage rot, torn copy, wire corruption.
     pub fn lazy_verify_failures(&self) -> u64 {
         self.lazy_verify_failures.load(Ordering::Relaxed)
+    }
+
+    /// Resident restored entries nobody has verified yet (a gauge). Zero
+    /// once [`MatrixCache::verify_pending`] has returned.
+    pub fn lazy_pending(&self) -> usize {
+        let pending = |s: &RwLock<Shard>| {
+            let shard = s.read().unwrap_or_else(PoisonError::into_inner);
+            let unverified = shard.map.values().filter(|e| e.intact.get().is_none());
+            unverified.count()
+        };
+        self.shards.iter().map(pending).sum()
     }
 
     /// Diagonal sidecars built: one per resident square matrix PathSim has
@@ -550,11 +569,13 @@ impl MatrixCache {
         self.diagonal_builds.store(0, Ordering::Relaxed);
     }
 
-    /// Every resident entry with its recency tick, hottest first — the
-    /// traversal order snapshot export uses. Takes each shard's read lock
-    /// in turn (the same locks the serving path takes), never two at once.
-    pub(crate) fn entries_by_recency(&self) -> Vec<(PathKey, Arc<Csr>, u64)> {
-        let mut entries: Vec<(PathKey, Arc<Csr>, u64)> = self
+    /// Every resident entry, hottest first by recency tick — the order
+    /// snapshot export uses — with its checksum cell and verified state; one
+    /// found corrupt and about to be evicted is left out. Takes each shard's
+    /// read lock in turn (the same locks the serving path takes), never two
+    /// at once.
+    pub(crate) fn entries_by_recency(&self) -> Vec<Sealed> {
+        let mut entries: Vec<(u64, Sealed)> = self
             .shards
             .iter()
             .flat_map(|s| {
@@ -562,18 +583,21 @@ impl MatrixCache {
                     .unwrap_or_else(PoisonError::into_inner)
                     .map
                     .iter()
+                    .filter(|(_, e)| e.intact.get() != Some(&false))
                     .map(|(k, e)| {
-                        (
-                            k.clone(),
-                            Arc::clone(&e.value),
-                            e.last_used.load(Ordering::Relaxed),
-                        )
+                        let sealed = Sealed {
+                            key: k.clone(),
+                            matrix: Arc::clone(&e.value),
+                            checksum: Arc::clone(&e.checksum),
+                            verified: e.intact.get().is_some(),
+                        };
+                        (e.last_used.load(Ordering::Relaxed), sealed)
                     })
                     .collect::<Vec<_>>()
             })
             .collect();
-        entries.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
-        entries
+        entries.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.key.cmp(&b.1.key)));
+        entries.into_iter().map(|(_, sealed)| sealed).collect()
     }
 
     /// Bump the warm-import counters (used by the snapshot module).
@@ -631,88 +655,89 @@ impl MatrixCache {
         self.admission(key, est_bytes).is_ok()
     }
 
-    /// Counting lookup of exactly `key` (no symmetry), refreshing recency.
+    /// Lookup of exactly `key` (no symmetry); with `touch`, a counting one
+    /// that refreshes recency.
     ///
-    /// This is also where deferred snapshot verification lands: an entry
-    /// restored with a pending checksum ([`MatrixCache::insert_unverified`])
-    /// is rehashed on its first touch, still under the shard's read lock.
-    /// A clean match is recorded once and never rechecked; a mismatch
-    /// evicts the entry and reports a miss, so corrupt payload words are
-    /// recomputed rather than served.
-    fn lookup(&self, key: &[StepKey]) -> Option<Arc<Csr>> {
+    /// This is where a restored entry's payload is held against its
+    /// directory checksum: whoever reaches a pending entry first hashes it,
+    /// under the shard's read lock, and everyone who arrives meanwhile waits
+    /// for that one verdict. A match is never rechecked; a mismatch evicts
+    /// the entry and reports a miss, so corrupt payload words are recomputed
+    /// rather than served.
+    fn resident(&self, key: &[StepKey], touch: bool) -> Option<Arc<Csr>> {
         let lock = self.shard_of(key);
-        let shard = lock
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let shard = lock.read().unwrap_or_else(PoisonError::into_inner);
         let entry = shard.map.get(key)?;
-        if let Some(v) = &entry.verify {
-            if !v.done.load(Ordering::Acquire) {
-                if entry_checksum(&entry.value) == v.checksum {
-                    // `swap` so concurrent first touches count the
-                    // verification exactly once.
-                    if !v.done.swap(true, Ordering::AcqRel) {
-                        self.lazy_verified.fetch_add(1, Ordering::Relaxed);
-                    }
-                } else {
-                    drop(shard);
-                    let mut shard = lock
-                        .write()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    // Recheck under the write lock: a racing store may have
-                    // replaced the corrupt entry with a freshly computed one,
-                    // which must survive.
-                    let still_corrupt = shard.map.get(key).is_some_and(|e| {
-                        e.verify.as_ref().is_some_and(|v| {
-                            !v.done.load(Ordering::Acquire)
-                                && entry_checksum(&e.value) != v.checksum
-                        })
-                    });
-                    if still_corrupt {
-                        let gone = shard.map.remove(key).expect("key just observed");
-                        shard.bytes -= gone.bytes;
-                        self.lazy_verify_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return None;
-                }
+        let intact = *entry.intact.get_or_init(|| {
+            // pending with no checksum to hold it against: not shown intact
+            let ok = entry
+                .checksum
+                .get()
+                .is_some_and(|&stored| entry_checksum(&entry.value) == stored);
+            self.lazy_verified.fetch_add(ok as u64, Ordering::Relaxed);
+            ok
+        });
+        if !intact {
+            drop(shard);
+            let mut shard = lock.write().unwrap_or_else(PoisonError::into_inner);
+            // Recheck under the write lock: a racing store may have replaced
+            // the corrupt entry with a freshly computed one, which must
+            // survive — and only one witness of the verdict evicts and counts.
+            if shard
+                .map
+                .get(key)
+                .is_some_and(|e| e.intact.get() == Some(&false))
+            {
+                let gone = shard.map.remove(key).expect("key just observed");
+                shard.bytes -= gone.bytes;
+                self.lazy_verify_failures.fetch_add(1, Ordering::Relaxed);
             }
+            return None;
         }
-        entry.last_used.store(
-            self.tick.fetch_add(1, Ordering::Relaxed) + 1,
-            Ordering::Relaxed,
-        );
+        if touch {
+            entry.last_used.store(
+                self.tick.fetch_add(1, Ordering::Relaxed) + 1,
+                Ordering::Relaxed,
+            );
+        }
         Some(Arc::clone(&entry.value))
     }
 
+    /// Verify every resident restored entry that is still pending, hottest
+    /// first, through the same once a first lookup goes through: a query
+    /// that reaches an entry first verifies it, and neither hashes what the
+    /// other already has. When this returns, nothing that was resident when
+    /// it was called is pending — matches counted, corrupt entries evicted
+    /// and counted. Not a use: recency and the hit counters stay put.
+    /// Whoever asked for a restore calls this, once the cache is answering,
+    /// so that no client pays for a hash.
+    pub fn verify_pending(&self) {
+        for pending in self.entries_by_recency().iter().filter(|e| !e.verified) {
+            self.resident(&pending.key, false);
+        }
+    }
+
     /// Store without touching the miss counter; evicts if over budget.
-    /// Also the snapshot-import path: a warm entry is priced through this
-    /// exact LRU, so a snapshot can never blow the cache budget. Returns
-    /// whether the entry was admitted (see [`MatrixCache::inserts_refused`]).
+    /// Returns whether the entry was admitted (see
+    /// [`MatrixCache::inserts_refused`]).
     pub(crate) fn insert(&self, key: PathKey, value: Arc<Csr>) -> bool {
-        self.insert_entry(key, value, None)
-    }
-
-    /// [`MatrixCache::insert`] for an entry whose payload has not been
-    /// verified yet: `checksum` is the per-entry checksum from a lazily
-    /// restored snapshot directory, checked against the mounted payload on
-    /// the entry's first counting lookup.
-    pub(crate) fn insert_unverified(&self, key: PathKey, value: Arc<Csr>, checksum: u64) -> bool {
-        self.insert_entry(
+        self.insert_sealed(Sealed {
             key,
-            value,
-            Some(LazyVerify {
-                checksum,
-                done: AtomicBool::new(false),
-            }),
-        )
+            matrix: value,
+            checksum: Arc::default(),
+            verified: true,
+        })
     }
 
-    /// The one door into a shard. An entry larger than the shard's whole
-    /// slice is turned away before it is taken in: it could only evict
-    /// every neighbour and then itself. Whatever is resident under `key`
-    /// stays (products are deterministic in their key, so it is the same
-    /// matrix).
-    fn insert_entry(&self, key: PathKey, value: Arc<Csr>, verify: Option<LazyVerify>) -> bool {
-        let bytes = value.nbytes();
+    /// The one door into a shard, restored entries included: a warm entry
+    /// is priced through this exact LRU, so a snapshot can never blow the
+    /// cache budget. An entry larger than the shard's whole slice is turned
+    /// away before it is taken in: it could only evict every neighbour and
+    /// then itself. Whatever is resident under `key` stays (products are
+    /// deterministic in their key, so it is the same matrix).
+    pub(crate) fn insert_sealed(&self, sealed: Sealed) -> bool {
+        let Sealed { key, matrix, .. } = sealed;
+        let bytes = matrix.nbytes();
         if self.budget_per_shard.is_some_and(|slice| bytes > slice) {
             self.inserts_refused.fetch_add(1, Ordering::Relaxed);
             self.refused_bytes
@@ -730,10 +755,14 @@ impl MatrixCache {
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let entry = Entry {
-            value,
+            value: matrix,
             bytes,
             last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed) + 1),
-            verify,
+            checksum: sealed.checksum,
+            intact: match sealed.verified {
+                true => true.into(),
+                false => OnceLock::new(),
+            },
             diagonal: OnceLock::new(),
         };
         if let Some(old) = shard.map.insert(key, entry) {
@@ -758,8 +787,8 @@ impl MatrixCache {
     /// not count as a cache use: the caller's lookup of `matrix` already
     /// did.
     ///
-    /// The build runs under the shard's read lock, like first-touch
-    /// snapshot verification: one binary search per row, once.
+    /// The build runs under the shard's read lock, like the verification
+    /// of a restored entry: one binary search per row, once.
     pub(crate) fn diagonal_of(&self, key: &[StepKey], matrix: &Arc<Csr>) -> Option<Arc<[f64]>> {
         let shard = self
             .shard_of(key)
@@ -800,7 +829,7 @@ impl MatrixCache {
     /// materializing (and caching) its transpose. Never holds two shard
     /// locks at once.
     pub(crate) fn get(&self, key: &[StepKey]) -> Option<Arc<Csr>> {
-        if let Some(m) = self.lookup(key) {
+        if let Some(m) = self.resident(key, true) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(m);
         }
@@ -808,7 +837,7 @@ impl MatrixCache {
         if rev == key {
             return None; // palindromic key: the reversal is itself
         }
-        if let Some(m) = self.lookup(&rev) {
+        if let Some(m) = self.resident(&rev, true) {
             let t = Arc::new(m.transpose());
             self.insert(key.to_vec(), Arc::clone(&t));
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -1255,6 +1284,58 @@ mod tests {
             (n_threads - 1) as u64,
             "everyone else waited on the one in-flight computation"
         );
+    }
+
+    #[test]
+    fn a_pending_entry_is_hashed_once_however_many_threads_touch_it() {
+        use std::sync::Barrier;
+
+        // large enough that the first toucher is still hashing when the
+        // others arrive
+        let matrix = banded(3000, 48);
+        let checksum = entry_checksum(&matrix);
+        for (stored, intact) in [(checksum, true), (checksum ^ 1, false)] {
+            let cache = Arc::new(MatrixCache::default());
+            let key: PathKey = vec![(2, true), (5, false)];
+            assert!(cache.insert_sealed(Sealed {
+                key: key.clone(),
+                matrix: Arc::clone(&matrix),
+                checksum: Arc::new(stored.into()),
+                verified: false,
+            }));
+            assert_eq!(cache.lazy_pending(), 1);
+
+            let n_threads = 8;
+            let barrier = Arc::new(Barrier::new(n_threads));
+            let served: Vec<bool> = (0..n_threads)
+                .map(|_| {
+                    let (cache, barrier, key) =
+                        (Arc::clone(&cache), Arc::clone(&barrier), key.clone());
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        cache.get(&key).is_some()
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().expect("no panics"))
+                .collect();
+
+            // the verdict is reached inside the once, so the count of
+            // matches is the count of hashes
+            assert_eq!(served, vec![intact; n_threads]);
+            assert_eq!(cache.lazy_verified(), intact as u64, "one hash");
+            assert_eq!(cache.lazy_verify_failures(), !intact as u64);
+            assert_eq!(cache.lazy_pending(), 0);
+            assert_eq!(cache.len(), intact as usize, "one eviction at most");
+            assert_eq!(cache.hits(), if intact { n_threads as u64 } else { 0 });
+            // the sweep finds nothing left to do
+            cache.verify_pending();
+            assert_eq!(
+                (cache.lazy_verified(), cache.lazy_verify_failures()),
+                (intact as u64, !intact as u64)
+            );
+        }
     }
 
     #[test]

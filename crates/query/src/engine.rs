@@ -279,11 +279,27 @@ impl Engine {
     /// outcomes are reported and recorded in
     /// [`Engine::cache_warm_loaded`] / [`Engine::cache_warm_rejected`].
     ///
+    /// Entries mounted from an image arrive *pending*: each is verified
+    /// against its directory checksum by the first query that reaches it —
+    /// or, ahead of the queries, by [`Engine::verify_restored`].
+    ///
     /// Safe to call on a live, serving engine: admissions take the same
     /// shard write locks an ordinary store takes.
     pub fn restore(&self, snapshot: &CacheSnapshot) -> SnapshotImport {
         self.cache
             .import_validated(snapshot, &self.hin, Some(self.dataset_fingerprint()))
+    }
+
+    /// Verify every restored entry that is still pending, hottest first, on
+    /// the calling thread ([`MatrixCache::verify_pending`]). Call it after
+    /// [`Engine::restore`] once the engine is reachable by queries: they
+    /// are answered meanwhile (a query that beats the sweep to an entry
+    /// verifies it itself), and when this returns every resident restored
+    /// entry has been checked and every corrupt one evicted and counted —
+    /// so no client pays for a hash. Skip it only to open a cache larger
+    /// than memory, where touching every page is the cost being avoided.
+    pub fn verify_restored(&self) {
+        self.cache.verify_pending();
     }
 
     /// Parse, resolve and plan `query` without executing it — the engine's
@@ -1944,16 +1960,15 @@ mod tests {
         assert!(engine.restore(&snap).loaded > 0);
         assert_answers_by_definition(&engine, &m, "restored over a live entry");
         assert_eq!(engine.cache_diagonal_builds(), 3);
-        // …and from a lazily checksummed mapped file
+        // …and from a mapped file, verified by the queries that touch it
         let dir = std::env::temp_dir().join(format!("hin-diag-sidecar-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.hsnp");
         snap.write_to_file(&path).expect("write");
-        let mapped = CacheSnapshot::read_from_file_mapped(&path, crate::ChecksumMode::Lazy)
-            .expect("mapped restore");
+        let mapped = CacheSnapshot::open(&path).expect("mapped restore");
         let from_file = eager_engine(Arc::clone(&hin));
         assert!(from_file.restore(&mapped).loaded > 0);
-        assert_answers_by_definition(&from_file, &m, "restored from a lazy mapped file");
+        assert_answers_by_definition(&from_file, &m, "restored from a mapped file");
         assert_eq!(from_file.cache_misses(), 0, "served from the mapping");
         assert_eq!(from_file.cache_diagonal_builds(), 1);
         drop((from_file, mapped));

@@ -85,4 +85,4 @@ pub use error::QueryError;
 pub use parse::{parse, ParsedQuery, PathExpr, PathSegment, Verb};
 pub use plan::{plan_steps, ExecMode, PlanNode, Promotion, QueryPlan};
 pub use resolve::{resolve, resolve_path, ResolvedQuery};
-pub use snapshot::{dataset_fingerprint, CacheSnapshot, ChecksumMode, CodecError, SnapshotImport};
+pub use snapshot::{dataset_fingerprint, CacheSnapshot, CodecError, SnapshotImport};

@@ -1,9 +1,9 @@
 //! Snapshot persistence for the commuting-matrix cache.
 //!
 //! Commuting matrices are expensive to materialize and endlessly
-//! reusable — the whole point of the cache — but until now that reuse
-//! died with the process: an evicted or crashed server's replacement
-//! started cold and re-paid every SpMM chain under live traffic. A
+//! reusable — the whole point of the cache — but without persistence that
+//! reuse dies with the process: an evicted or crashed server's replacement
+//! starts cold and re-pays every SpMM chain under live traffic. A
 //! [`CacheSnapshot`] is the deliberate state-out/state-in boundary that
 //! fixes this: an ordered export of `(canonical sub-path key, Csr)`
 //! entries, hottest first, that can be
@@ -11,15 +11,20 @@
 //! * handed directly to a replacement engine in-process
 //!   ([`crate::Engine::restore`] — the failover hand-off), or
 //! * serialized ([`CacheSnapshot::to_writer`] / [`CacheSnapshot::to_bytes`])
-//!   into one versioned, checksummed container — the checkpoint file, and
-//!   the payload of the `Warm` wire message that streams a checkpoint to a
-//!   remote shard.
+//!   into one versioned, checksummed container — the checkpoint file
+//!   ([`CacheSnapshot::open`] mounts it again), and the payload of the
+//!   `Warm` wire message that streams a checkpoint to a remote shard.
 //!
 //! # Safety properties
 //!
 //! * **Export** walks entries hottest-first by recency tick and stops at
 //!   an optional byte budget, taking the same shard read locks the
-//!   serving path takes — no stop-the-world.
+//!   serving path takes — no stop-the-world — and **streams**: each
+//!   matrix's arrays go to the writer straight from where they live
+//!   ([`Csr::write_arena_payload`]), with no staging copy. A payload
+//!   checksum is a property of the immutable matrix, remembered beside it
+//!   in the cache: a product is hashed by its first export and never
+//!   again, and a checkpoint of restored views hashes nothing.
 //! * **Import** validates every key against the destination dataset's
 //!   schema (relation ids in range, steps chaining type-to-type, matrix
 //!   dims matching the endpoint node counts) and prices admitted entries
@@ -28,29 +33,32 @@
 //!   are recorded in the `warm_loaded` / `warm_rejected` counters.
 //! * **Decoding** is paranoid: corrupt, truncated or foreign containers
 //!   return typed [`CodecError`]s, never panic.
+//! * **Nothing unverified is served.** Mounting proves the metadata; each
+//!   matrix's payload stays *pending* until it has been held against its
+//!   directory checksum — by the first lookup that reaches it, or by
+//!   [`MatrixCache::verify_pending`], which whoever asked for the restore
+//!   runs on its own thread. A mismatch evicts the entry and is counted
+//!   ([`MatrixCache::lazy_verify_failures`]); the span is recomputed.
 //!
-//! # Container wire format (version 2 — the arena snapshot format)
+//! # Container wire format (version 3 — the sealed-directory arena format)
 //!
 //! The only container this build reads or writes; every entry point hands
-//! its bytes to one parser, so anything else — a version-1 file from an
-//! older build included — is a typed error from one place
+//! its bytes to one parser, so anything else — a version-1 or version-2
+//! file from an older build included — is a typed error from one place
 //! ([`CodecError::UnsupportedVersion`], [`CodecError::BadMagic`],
-//! [`CodecError::Truncated`]). One checksummed file, laid out so a restore
-//! is **one read plus zero per-matrix deserialization**: a fixed-size directory of entry headers
-//! in front of a single 8-byte-aligned data heap. The whole file is read
-//! into one aligned [`hin_linalg::ArenaBuf`] and every matrix is handed
-//! out as a [`Csr`] *view* into that shared buffer
-//! ([`hin_linalg::Csr::from_arena`]) — and because nothing in the image is
-//! rewritten at load time, the same parse runs unchanged over a
-//! **memory-mapped** region: [`CacheSnapshot::read_from_file_mapped`]
-//! swaps the read for an `mmap`, so restored matrices are demand-paged
-//! views into the kernel page cache and datasets larger than RAM open in
-//! O(metadata) (with [`ChecksumMode::Lazy`]).
+//! [`CodecError::Truncated`]). One file, laid out so a restore is **one
+//! map plus zero per-matrix deserialization**: a fixed-size directory of
+//! entry headers in front of a single 8-byte-aligned data heap. The file
+//! is mapped ([`hin_linalg::ArenaBuf::map_file`]; read into one aligned
+//! buffer where mapping is unavailable) and every matrix is handed out as
+//! a [`Csr`] *view* into it ([`hin_linalg::Csr::from_arena`]), demand-paged
+//! out of the kernel page cache: a dataset larger than RAM opens in
+//! O(metadata + index arrays).
 //!
 //! ```text
 //! superheader  64 bytes, 8-byte fields LE unless noted:
 //!   [0..4)    magic       b"HSNP"
-//!   [4..8)    version     u32 LE   2
+//!   [4..8)    version     u32 LE   3
 //!   [8..16)   flags       bit 0 = a dataset fingerprint is present
 //!                         bit 1 = directory entries carry a per-entry
 //!                         checksum (always set; an image with the bit
@@ -59,23 +67,34 @@
 //!   [24..32)  count       number of entries
 //!   [32..40)  dir_off     byte offset of the directory (8-aligned)
 //!   [40..48)  heap_off    byte offset of the data heap (8-aligned)
-//!   [48..56)  file_len    total bytes including the trailing checksum
-//!   [56..64)  reserved    0
+//!   [48..56)  file_len    total bytes = end of the heap
+//!   [56..64)  seal        FNV-1a 64 folded per little-endian u64 *word*
+//!                         ([`Fnv64::update_word`]) over [0, heap_off),
+//!                         this word left out
 //! keys         at 64: per entry key_len u32 LE, then key_len ×
 //!              (relation id u64 LE, direction u8); zero-padded to dir_off
 //! directory    count × 56-byte entries:
 //!              nrows, ncols, nnz, indptr_off, indices_off, data_off
-//!              (offsets absolute, 8-aligned, into the heap), then the
-//!              entry's payload checksum: FNV-1a 64 folded per
-//!              u64 word over indptr values, data bit patterns, and index
-//!              values (layout-independent, so it can be recomputed from
-//!              any mounted `Csr` and verified on first touch under
-//!              [`ChecksumMode::Lazy`])
+//!              (offsets absolute, 8-aligned; entries tile the heap in
+//!              directory order with no gaps), then the entry's payload
+//!              checksum: FNV-1a 64 folded per u64 word over indptr
+//!              values, data bit patterns, and index values
+//!              (layout-independent, so it can be recomputed from any
+//!              mounted `Csr`)
 //! heap         per entry: indptr (nrows+1)×u64, data nnz×f64 bit
 //!              patterns, indices nnz×u32 zero-padded to 8 bytes
-//! checksum     u64 LE   FNV-1a 64 folded per little-endian u64 *word*
-//!              (see [`Fnv64::update_word`]) over every preceding word
 //! ```
+//!
+//! **What covers what.** Every bit of a file is covered by exactly one
+//! thing. The *seal* covers the superheader, the keys and the directory,
+//! and is verified at mount on every entry point, before any other field
+//! is believed: a flipped relation id, dimension, offset or stored
+//! checksum is a [`CodecError::ChecksumMismatch`], never a matrix served
+//! under another span's key. Each *entry checksum* covers that entry's
+//! three arrays and is verified before the entry is first served. The
+//! ≤ 4 *padding* bytes after an odd-`nnz` index array must be zero. There
+//! is no whole-file checksum: it would make the CPU walk a mapped image
+//! once more than serving it needs.
 //!
 //! The fingerprint ([`dataset_fingerprint`]) digests the full dataset —
 //! type names, node counts, relation endpoints, and every relation's
@@ -97,71 +116,37 @@ use hin_linalg::{ArenaBuf, ArenaEntry, Csr};
 
 pub use hin_linalg::codec::CodecError;
 
-use crate::cache::{MatrixCache, PathKey, StepKey};
+use crate::cache::{MatrixCache, PathKey, Sealed, StepKey};
 
 /// The snapshot container's magic bytes.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HSNP";
 
-/// Current snapshot container version (the arena format).
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Current snapshot container version (the sealed-directory arena format).
+pub const SNAPSHOT_VERSION: u32 = 3;
 
-/// Superheader size of the v2 arena container.
-const V2_HEADER: usize = 64;
+/// Superheader size.
+const HEADER: usize = 64;
 
-/// Bytes per v2 directory entry: 6 × u64 of shape and offsets, then the
+/// Byte offset of the metadata seal inside the superheader.
+const SEAL_AT: usize = 56;
+
+/// Bytes per directory entry: 6 × u64 of shape and offsets, then the
 /// entry's payload checksum.
-const V2_DIR_ENTRY_CK: usize = 56;
+const DIR_ENTRY: usize = 56;
 
-/// v2 flags bit 0: a dataset fingerprint is present.
-const V2_FLAG_FINGERPRINT: u64 = 1;
+/// Flags bit 0: a dataset fingerprint is present.
+const FLAG_FINGERPRINT: u64 = 1;
 
-/// v2 flags bit 1: directory entries carry a per-entry payload checksum
-/// ([`entry_checksum`]) — what lets a lazily-checksummed mapped restore
-/// verify each matrix on first touch instead of never. The writer always
-/// sets it and [`parse_v2`] rejects an image without it, so no restore
-/// path can serve payload words that nothing will ever check.
-const V2_FLAG_ENTRY_CHECKSUMS: u64 = 2;
-
-/// Bounded chunk size for streaming v2 images from generic readers, so a
-/// hostile `file_len` cannot drive one giant allocation.
-const READ_CHUNK: usize = 64 * 1024;
+/// Flags bit 1: directory entries carry a per-entry payload checksum
+/// ([`entry_checksum`]) — what every mounted matrix is verified against
+/// before it is served. The writer always sets it and [`parse`] rejects an
+/// image without it, so no restore can serve payload words that nothing
+/// will ever check.
+const FLAG_ENTRY_CHECKSUMS: u64 = 2;
 
 /// Longest admissible key, in steps. Real meta-paths are a handful of
 /// steps; the cap keeps a hostile `key_len` from driving allocation.
 const MAX_KEY_STEPS: u32 = 4096;
-
-/// How a restore verifies the v2 container's trailing word-checksum seal.
-///
-/// The seal covers every word of the file, so verifying it requires
-/// reading — and, on the mapped path, **faulting in** — every page. For a
-/// read-based restore that is free (the bytes were just read anyway); for
-/// a memory-mapped restore it defeats demand paging, so the mapped entry
-/// point makes the trade explicit.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ChecksumMode {
-    /// Verify the whole-file seal before mounting anything: every
-    /// corruption mode — including a flipped bit inside matrix values —
-    /// is caught up front. Touches every page of the file.
-    #[default]
-    Eager,
-    /// Skip the whole-file seal. Structural validation still runs in full
-    /// — header layout, key and directory tiling, per-entry bounds,
-    /// alignment and CSR invariants ([`Csr::from_arena`]) — so a mounted
-    /// matrix can never be indexed out of bounds. Payload integrity is
-    /// deferred, not dropped: each matrix (`indptr`, `data` and `indices`
-    /// alike) is verified against its directory checksum on **first cache
-    /// touch** — a corrupt entry is evicted and recomputed instead of
-    /// served ([`MatrixCache::lazy_verify_failures`]). What lazy mode
-    /// leaves covered by **no** checksum is the metadata: the superheader,
-    /// the key section and the directory itself. Corruption there that
-    /// still passes structural validation — a flipped relation id inside a
-    /// key, say — is caught only by the whole-file seal, i.e. by
-    /// [`ChecksumMode::Eager`]. Only the metadata and index pages fault in
-    /// at open; data pages stay on disk until a query touches them — the
-    /// mode that makes opening a larger-than-RAM snapshot O(metadata), not
-    /// O(file).
-    Lazy,
-}
 
 /// An ordered export of cache state: `(sub-path key, commuting matrix)`
 /// entries, hottest first by recency tick.
@@ -169,19 +154,19 @@ pub enum ChecksumMode {
 /// Obtain one from [`crate::Engine::snapshot`] (or
 /// [`MatrixCache::export_snapshot`]); feed it to a replacement via
 /// [`crate::Engine::restore`], or persist it with
-/// [`CacheSnapshot::to_writer`] / [`CacheSnapshot::write_to_file`].
+/// [`CacheSnapshot::to_writer`] / [`CacheSnapshot::write_to_file`] and
+/// mount it again with [`CacheSnapshot::open`].
 #[derive(Clone, Default)]
 pub struct CacheSnapshot {
     /// [`dataset_fingerprint`] of the network the entries were computed
     /// from, when known (engine-level snapshots always set it).
     fingerprint: Option<u64>,
-    /// Hottest first.
-    entries: Vec<(PathKey, Arc<Csr>)>,
-    /// Per-entry payload checksums (parallel to `entries`), carried only
-    /// when the payload has **not** already been verified — i.e. a
-    /// [`ChecksumMode::Lazy`] mapped restore. Import threads them into the
-    /// cache so each matrix is verified on first touch.
-    verify: Option<Vec<u64>>,
+    /// Hottest first. Each entry carries what is known about its payload
+    /// checksum and whether the payload has been verified: an entry
+    /// mounted from an image is pending until a cache it was imported into
+    /// has hashed it, an entry exported from a live cache carries the
+    /// state it had there — so an in-process hand-off re-hashes nothing.
+    entries: Vec<Sealed>,
 }
 
 impl std::fmt::Debug for CacheSnapshot {
@@ -214,7 +199,7 @@ pub struct SnapshotImport {
     pub fingerprint_mismatch: bool,
     /// The subset of `loaded` whose matrices are zero-copy views into a
     /// shared snapshot arena ([`Csr::is_view`]) rather than owned heap
-    /// copies. A restore from a v2 arena file on a
+    /// copies. A restore from a mounted image on a
     /// [`hin_linalg::arena::ZERO_COPY`] host reports
     /// `view_backed == loaded`: zero per-matrix heap decodes.
     pub view_backed: u64,
@@ -292,13 +277,13 @@ impl CacheSnapshot {
     /// Resident heap bytes of the carried matrices ([`Csr::nbytes`]) —
     /// the same pricing the cache budget uses.
     pub fn bytes(&self) -> usize {
-        self.entries.iter().map(|(_, m)| m.nbytes()).sum()
+        self.entries.iter().map(|e| e.matrix.nbytes()).sum()
     }
 
     /// The carried keys in export order (hottest first), as
     /// `(relation id, forward)` step sequences.
     pub fn keys(&self) -> Vec<Vec<(usize, bool)>> {
-        self.entries.iter().map(|(k, _)| k.clone()).collect()
+        self.entries.iter().map(|e| e.key.clone()).collect()
     }
 
     /// The [`dataset_fingerprint`] of the source dataset, when the
@@ -314,19 +299,19 @@ impl CacheSnapshot {
     }
 
     /// Entries whose matrices are zero-copy views into a shared arena
-    /// buffer (every entry of a v2 restore on a zero-copy host; always 0
-    /// for snapshots exported from a live cache of computed products).
+    /// buffer (every entry of a mounted image on a zero-copy host; 0 for
+    /// snapshots exported from a live cache of computed products).
     pub fn view_backed(&self) -> usize {
-        self.entries.iter().filter(|(_, m)| m.is_view()).count()
+        self.entries.iter().filter(|e| e.matrix.is_view()).count()
     }
 
-    /// Distinct arena buffers backing the view entries — 1 after a v2
-    /// restore: every matrix aliases one shared allocation.
+    /// Distinct arena buffers backing the view entries — 1 after mounting
+    /// an image: every matrix aliases one shared buffer.
     pub fn arena_count(&self) -> usize {
         let mut ids: Vec<usize> = self
             .entries
             .iter()
-            .filter_map(|(_, m)| m.arena_id())
+            .filter_map(|e| e.matrix.arena_id())
             .collect();
         ids.sort_unstable();
         ids.dedup();
@@ -335,158 +320,149 @@ impl CacheSnapshot {
 
     /// Matrix bytes shared in place with an arena buffer vs. held as
     /// owned heap copies — `(shared, copied)`, both in [`Csr::nbytes`]
-    /// pricing. A view-restore reports everything shared; a live export
+    /// pricing. A mounted image reports everything shared; a live export
     /// reports everything copied.
     pub fn bytes_shared_copied(&self) -> (usize, usize) {
-        self.entries.iter().fold((0, 0), |(s, c), (_, m)| {
-            if m.is_view() {
-                (s + m.nbytes(), c)
+        self.entries.iter().fold((0, 0), |(s, c), e| {
+            if e.matrix.is_view() {
+                (s + e.matrix.nbytes(), c)
             } else {
-                (s, c + m.nbytes())
+                (s, c + e.matrix.nbytes())
             }
         })
     }
 
-    /// Serialize into the current (v2 arena) container format: the bytes
-    /// [`CacheSnapshot::from_reader`] restores with zero per-matrix
-    /// decodes. The encoding is deterministic: equal snapshots encode to
-    /// equal bytes.
-    pub fn to_writer<W: Write>(&self, w: &mut W) -> Result<(), CodecError> {
-        let image = self.encode_v2();
-        w.write_all(&image).map_err(CodecError::Io)
-    }
-
-    /// Build the complete v2 file image in memory (layout + payload +
-    /// per-entry checksums + trailing word-checksum).
-    fn encode_v2(&self) -> Vec<u8> {
-        // keys section
+    /// The sealed metadata block — superheader, keys, directory — of this
+    /// snapshot's image: a few hundred bytes, the only part of an export
+    /// that is assembled rather than streamed. Hashes any entry that does
+    /// not know its own payload checksum yet.
+    fn metadata(&self) -> Vec<u8> {
         let mut keys = Vec::new();
-        for (key, _) in &self.entries {
-            keys.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            for &(rel, fwd) in key {
+        for e in &self.entries {
+            keys.extend_from_slice(&(e.key.len() as u32).to_le_bytes());
+            for &(rel, fwd) in &e.key {
                 keys.extend_from_slice(&(rel as u64).to_le_bytes());
                 keys.push(fwd as u8);
             }
         }
-        let dir_off = (V2_HEADER + keys.len()).next_multiple_of(8);
-        let heap_off = dir_off + self.entries.len() * V2_DIR_ENTRY_CK;
+        let dir_off = (HEADER + keys.len()).next_multiple_of(8);
+        let heap_off = dir_off + self.entries.len() * DIR_ENTRY;
 
+        let mut meta = vec![0u8; heap_off];
+        meta[HEADER..HEADER + keys.len()].copy_from_slice(&keys);
         // heap layout: per entry [indptr | data | indices(padded)]
-        let mut dir = Vec::with_capacity(self.entries.len());
         let mut at = heap_off;
-        for (_, m) in &self.entries {
+        for (e, dir) in self
+            .entries
+            .iter()
+            .zip(meta[dir_off..].chunks_exact_mut(DIR_ENTRY))
+        {
+            let m = &e.matrix;
             let indptr_off = at;
             let data_off = indptr_off + (m.nrows() + 1) * 8;
             let indices_off = data_off + m.nnz() * 8;
             at = (indices_off + m.nnz() * 4).next_multiple_of(8);
-            dir.push((indptr_off, indices_off, data_off));
-        }
-        let file_len = at + 8;
-
-        let mut image = vec![0u8; file_len];
-        image[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
-        image[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        let mut flags = V2_FLAG_ENTRY_CHECKSUMS;
-        if self.fingerprint.is_some() {
-            flags |= V2_FLAG_FINGERPRINT;
-        }
-        image[8..16].copy_from_slice(&flags.to_le_bytes());
-        image[16..24].copy_from_slice(&self.fingerprint.unwrap_or(0).to_le_bytes());
-        image[24..32].copy_from_slice(&(self.entries.len() as u64).to_le_bytes());
-        image[32..40].copy_from_slice(&(dir_off as u64).to_le_bytes());
-        image[40..48].copy_from_slice(&(heap_off as u64).to_le_bytes());
-        image[48..56].copy_from_slice(&(file_len as u64).to_le_bytes());
-        image[V2_HEADER..V2_HEADER + keys.len()].copy_from_slice(&keys);
-
-        for (i, ((_, m), &(indptr_off, indices_off, data_off))) in
-            self.entries.iter().zip(&dir).enumerate()
-        {
-            let d = dir_off + i * V2_DIR_ENTRY_CK;
-            for (j, v) in [
+            let checksum = *e.checksum.get_or_init(|| entry_checksum(m));
+            for (slot, v) in dir.chunks_exact_mut(8).zip([
                 m.nrows() as u64,
                 m.ncols() as u64,
                 m.nnz() as u64,
                 indptr_off as u64,
                 indices_off as u64,
                 data_off as u64,
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                image[d + j * 8..d + j * 8 + 8].copy_from_slice(&v.to_le_bytes());
-            }
-            image[d + 48..d + 56].copy_from_slice(&entry_checksum(m).to_le_bytes());
-            let (indptr, indices, data) = m.parts();
-            for (j, &p) in indptr.iter().enumerate() {
-                image[indptr_off + j * 8..indptr_off + j * 8 + 8]
-                    .copy_from_slice(&(p as u64).to_le_bytes());
-            }
-            for (j, &v) in data.iter().enumerate() {
-                image[data_off + j * 8..data_off + j * 8 + 8]
-                    .copy_from_slice(&v.to_bits().to_le_bytes());
-            }
-            for (j, &c) in indices.iter().enumerate() {
-                image[indices_off + j * 4..indices_off + j * 4 + 4]
-                    .copy_from_slice(&c.to_le_bytes());
+                checksum,
+            ]) {
+                slot.copy_from_slice(&v.to_le_bytes());
             }
         }
 
-        let mut hash = Fnv64::new();
-        for word in image[..file_len - 8].chunks_exact(8) {
-            hash.update_word(u64::from_le_bytes(word.try_into().expect("8-byte word")));
+        let mut flags = FLAG_ENTRY_CHECKSUMS;
+        if self.fingerprint.is_some() {
+            flags |= FLAG_FINGERPRINT;
         }
-        image[file_len - 8..].copy_from_slice(&hash.finish().to_le_bytes());
-        image
+        meta[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
+        meta[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        for (slot, v) in meta[8..SEAL_AT].chunks_exact_mut(8).zip([
+            flags,
+            self.fingerprint.unwrap_or(0),
+            self.entries.len() as u64,
+            dir_off as u64,
+            heap_off as u64,
+            at as u64,
+        ]) {
+            slot.copy_from_slice(&v.to_le_bytes());
+        }
+        let seal = metadata_seal(&meta);
+        meta[SEAL_AT..HEADER].copy_from_slice(&seal.to_le_bytes());
+        meta
+    }
+
+    /// Serialize into the current container format: the bytes
+    /// [`CacheSnapshot::open`] mounts with zero per-matrix decodes. The
+    /// sealed metadata block goes first, then every matrix's arrays straight
+    /// from where they live — nothing the size of the image is assembled in
+    /// memory. Deterministic: equal snapshots encode to equal bytes.
+    pub fn to_writer<W: Write>(&self, w: &mut W) -> Result<(), CodecError> {
+        self.stream(&self.metadata(), w)
+    }
+
+    /// `meta`, then the heap it describes.
+    fn stream<W: Write>(&self, meta: &[u8], w: &mut W) -> Result<(), CodecError> {
+        w.write_all(meta)?;
+        for e in &self.entries {
+            e.matrix.write_arena_payload(w)?;
+        }
+        Ok(())
     }
 
     /// Decode a container written by [`CacheSnapshot::to_writer`] from a
     /// generic reader.
     ///
     /// Every corruption mode — wrong magic, unknown version, truncation,
-    /// bit flips, hostile lengths — returns a typed [`CodecError`];
-    /// schema fit against a concrete dataset is checked later, at import.
+    /// metadata bit flips, hostile lengths — returns a typed
+    /// [`CodecError`]; schema fit against a concrete dataset is checked
+    /// later, at import, and payload words before they are served.
     /// Consumes at most one image (the header says how long it is), then
     /// hands it to the same parser every other entry point uses, which
-    /// holds the announced length against what actually arrived. Bytes
-    /// arrive in bounded chunks so a hostile `file_len` cannot force
+    /// holds the announced length against what actually arrived. The
+    /// buffer grows as bytes arrive, so a hostile `file_len` cannot force
     /// one giant up-front allocation ahead of real data.
     pub fn from_reader<R: Read>(r: &mut R) -> Result<CacheSnapshot, CodecError> {
-        // the smallest legal image: superheader plus the seal
-        let mut head = [0u8; V2_HEADER + 8];
+        // the smallest legal image is a bare superheader
+        let mut head = [0u8; HEADER];
         read_exact_or_truncated(r, &mut head)?;
-        // magic and version before `file_len`: in a foreign or v1 stream
-        // those eight bytes are not a length
+        // magic and version before `file_len`: in a foreign or older
+        // stream those eight bytes are not a length
         check_head(&head)?;
         let file_len = u64::from_le_bytes(head[48..56].try_into().expect("8 bytes"));
-        let file_len = usize::try_from(file_len).map_err(|_| CodecError::DimOverflow {
-            field: "snapshot file length",
-            value: file_len,
-        })?;
-        let mut bytes = Vec::with_capacity(file_len.min(head.len() + READ_CHUNK));
-        bytes.extend_from_slice(&head);
-        let mut chunk = [0u8; READ_CHUNK];
-        while bytes.len() < file_len {
-            let want = READ_CHUNK.min(file_len - bytes.len());
-            read_exact_or_truncated(r, &mut chunk[..want])?;
-            bytes.extend_from_slice(&chunk[..want]);
+        let mut bytes = head.to_vec();
+        r.take(file_len.saturating_sub(HEADER as u64))
+            .read_to_end(&mut bytes)?;
+        if (bytes.len() as u64) < file_len {
+            return Err(CodecError::Truncated);
         }
-        parse_v2(&Arc::new(ArenaBuf::from_bytes(&bytes)), ChecksumMode::Eager)
+        CacheSnapshot::from_bytes(&bytes)
     }
 
-    /// Serialize into the complete v2 image as a byte vector — the framed
+    /// Serialize into the complete image as a byte vector — the framed
     /// payload a [`Warm`](hin_linalg::codec::FRAME_MAGIC) wire message
     /// carries when streaming a checkpoint to a remote shard. Identical
     /// bytes to [`CacheSnapshot::to_writer`].
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.encode_v2()
+        let meta = self.metadata();
+        let file_len = u64::from_le_bytes(meta[48..56].try_into().expect("8 bytes"));
+        let mut image = Vec::with_capacity(file_len as usize);
+        self.stream(&meta, &mut image)
+            .expect("writing into memory cannot fail");
+        image
     }
 
-    /// Decode a complete container image from memory — the receiving end
+    /// Mount a complete container image from memory — the receiving end
     /// of [`CacheSnapshot::to_bytes`]. The image mounts as arena views over
-    /// a private aligned copy of `bytes`, checksum verified eagerly: the
-    /// bytes crossed a wire.
+    /// a private aligned copy of `bytes`; as on every entry point the
+    /// metadata is verified here and each payload before it is served.
     pub fn from_bytes(bytes: &[u8]) -> Result<CacheSnapshot, CodecError> {
-        parse_v2(&Arc::new(ArenaBuf::from_bytes(bytes)), ChecksumMode::Eager)
+        parse(&Arc::new(ArenaBuf::from_bytes(bytes)))
     }
 
     /// [`CacheSnapshot::to_writer`] to a (buffered) file.
@@ -497,58 +473,41 @@ impl CacheSnapshot {
         Ok(())
     }
 
-    /// Restore a snapshot file.
+    /// Mount a snapshot file — the one way a file becomes a snapshot.
     ///
-    /// This is the zero-copy path the format was designed for: the file's
-    /// length is known up front, so the whole image lands in **one read**
-    /// into one aligned [`ArenaBuf`] that the restored matrices then view
-    /// in place — no per-matrix deserialization at all.
-    pub fn read_from_file(path: impl AsRef<Path>) -> Result<CacheSnapshot, CodecError> {
-        let mut file = File::open(&path)?;
-        let file_len = file.metadata()?.len();
-        let file_len = usize::try_from(file_len).map_err(|_| CodecError::DimOverflow {
-            field: "snapshot file length",
-            value: file_len,
-        })?;
-        let mut buf = ArenaBuf::with_len(file_len);
-        file.read_exact(buf.as_mut_bytes())
-            .map_err(CodecError::Io)?;
-        parse_v2(&Arc::new(buf), ChecksumMode::Eager)
-    }
-
-    /// Restore a snapshot file through a **memory-mapped arena**: the v2
-    /// image is `mmap`ed read-only and every restored matrix is a view
-    /// into the kernel page cache, **paged on demand** — restore cost and
-    /// resident memory scale with the pages queries actually touch, not
-    /// with snapshot size, which is what lets a dataset larger than RAM
-    /// open and serve at all.
+    /// The image is `mmap`ed read-only and every restored matrix is a view
+    /// into the kernel page cache, **paged on demand**: open cost is the
+    /// metadata block plus one structural pass over the row-offset and
+    /// index arrays ([`Csr::from_arena`]); value pages stay on disk until
+    /// something reads them, which is what lets a dataset larger than RAM
+    /// open at all. Where mapping is unavailable (a non-64-bit-unix target,
+    /// an empty file, any `mmap` error) the file is read into one aligned
+    /// heap buffer instead: same typed errors, bit-identical matrices.
     ///
-    /// `checksum` picks the verification strategy: [`ChecksumMode::Eager`]
-    /// verifies the whole-file seal first (faulting every page — full
-    /// corruption detection, no demand-paging win beyond skipping the
-    /// copy), [`ChecksumMode::Lazy`] skips the seal so only metadata and
-    /// index pages fault at open (structural validation still runs in
-    /// full; see [`ChecksumMode`] for exactly what lazy gives up).
-    ///
-    /// **Fallback is silent and bit-identical**: when mapping fails (a
-    /// non-64-bit-unix target, an empty file, any `mmap` error) this
-    /// delegates to [`CacheSnapshot::read_from_file`] — the same snapshot,
-    /// the same typed errors, just heap-backed. A file that is not a v2
-    /// image is rejected by the one parser both paths share.
-    pub fn read_from_file_mapped(
-        path: impl AsRef<Path>,
-        checksum: ChecksumMode,
-    ) -> Result<CacheSnapshot, CodecError> {
-        let file = File::open(&path)?;
-        let Ok(buf) = ArenaBuf::map_file(&file) else {
-            return CacheSnapshot::read_from_file(path);
+    /// The mapping outlives the directory entry: a checkpoint file may be
+    /// replaced (by rename) or deleted while views into it serve. It must
+    /// not be truncated or overwritten in place.
+    pub fn open(path: impl AsRef<Path>) -> Result<CacheSnapshot, CodecError> {
+        let mut file = File::open(path)?;
+        let buf = match ArenaBuf::map_file(&file) {
+            Ok(buf) => buf,
+            Err(_) => {
+                let file_len = file.metadata()?.len();
+                let file_len = usize::try_from(file_len).map_err(|_| CodecError::DimOverflow {
+                    field: "snapshot file length",
+                    value: file_len,
+                })?;
+                let mut buf = ArenaBuf::with_len(file_len);
+                file.read_exact(buf.as_mut_bytes())?;
+                buf
+            }
         };
-        parse_v2(&Arc::new(buf), checksum)
+        parse(&Arc::new(buf))
     }
 }
 
-/// Magic and version of the first eight bytes of a would-be v2 image —
-/// the one place a foreign file ([`CodecError::BadMagic`]) or another
+/// Magic and version of the first eight bytes of a would-be image — the
+/// one place a foreign file ([`CodecError::BadMagic`]) or another
 /// container version ([`CodecError::UnsupportedVersion`]) is told apart.
 fn check_head(bytes: &[u8]) -> Result<(), CodecError> {
     let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
@@ -562,15 +521,29 @@ fn check_head(bytes: &[u8]) -> Result<(), CodecError> {
     Ok(())
 }
 
-/// Validate and mount a complete v2 arena image: checksum first (one pass
-/// of word-granular FNV over the whole file — skipped in
-/// [`ChecksumMode::Lazy`]), then header / keys / directory structure, then
-/// one [`Csr::from_arena`] view per entry. On a
+/// The metadata seal of an image whose metadata block — everything in
+/// front of the heap — is `meta`: word-granular FNV over the block with
+/// the seal's own word left out.
+fn metadata_seal(meta: &[u8]) -> u64 {
+    let mut hash = Fnv64::new();
+    for (i, word) in meta.chunks_exact(8).enumerate() {
+        if i != SEAL_AT / 8 {
+            hash.update_word(u64::from_le_bytes(word.try_into().expect("8-byte word")));
+        }
+    }
+    hash.finish()
+}
+
+/// Validate and mount a complete image: head, length, metadata seal, then
+/// header / keys / directory structure, then one [`Csr::from_arena`] view
+/// per entry (which checks every CSR invariant) and its zero padding. On a
 /// [`hin_linalg::arena::ZERO_COPY`] host nothing here copies matrix
-/// payload — every returned matrix aliases `buf`.
-fn parse_v2(buf: &Arc<ArenaBuf>, checksum: ChecksumMode) -> Result<CacheSnapshot, CodecError> {
+/// payload — every returned matrix aliases `buf` — and nothing reads a
+/// value page. Payload integrity is what the mounted entries are still
+/// *pending* on.
+fn parse(buf: &Arc<ArenaBuf>) -> Result<CacheSnapshot, CodecError> {
     let bytes = buf.as_bytes();
-    if bytes.len() < V2_HEADER + 8 {
+    if bytes.len() < HEADER {
         return Err(CodecError::Truncated);
     }
     check_head(bytes)?;
@@ -589,68 +562,51 @@ fn parse_v2(buf: &Arc<ArenaBuf>, checksum: ChecksumMode) -> Result<CacheSnapshot
     let file_len = usize_at(48, "snapshot file length")?;
     if file_len != bytes.len() {
         return Err(CodecError::Malformed(format!(
-            "v2 header claims {file_len} bytes, buffer holds {}",
+            "header claims {file_len} bytes, buffer holds {}",
             bytes.len()
         )));
     }
-
-    // Checksum before trusting any other field: one linear pass, word
-    // granularity (see `Fnv64::update_word`). Lazy mode skips the pass —
-    // it would fault every page of a mapped file — leaving structural
-    // validation (below and in `Csr::from_arena`) as the only guard.
-    if checksum == ChecksumMode::Eager {
-        let words = buf.as_words();
-        let payload_words = (file_len - 8) / 8;
-        let mut hash = Fnv64::new();
-        for &w in &words[..payload_words] {
-            hash.update_word(u64::from_le(w));
-        }
-        let stored = u64::from_le(words[payload_words]);
-        let computed = hash.finish();
-        if stored != computed {
-            return Err(CodecError::ChecksumMismatch { stored, computed });
-        }
+    // The seal before any other field is believed. `heap_off` says how far
+    // it reaches and is itself under it: a wrong value cannot pass.
+    let heap_off = usize_at(40, "heap offset")?;
+    if heap_off % 8 != 0 || heap_off < HEADER || heap_off > file_len {
+        return Err(CodecError::Malformed(format!(
+            "heap offset {heap_off} outside the {file_len}-byte image"
+        )));
+    }
+    let (stored, computed) = (u64_at(SEAL_AT), metadata_seal(&bytes[..heap_off]));
+    if stored != computed {
+        return Err(CodecError::ChecksumMismatch { stored, computed });
     }
 
     let flags = u64_at(8);
-    if flags & !(V2_FLAG_FINGERPRINT | V2_FLAG_ENTRY_CHECKSUMS) != 0 {
+    if flags & !(FLAG_FINGERPRINT | FLAG_ENTRY_CHECKSUMS) != 0 {
         return Err(CodecError::Malformed(format!(
-            "v2 flags {flags:#x} set unknown bits"
+            "flags {flags:#x} set unknown bits"
         )));
     }
-    let fingerprint = (flags & V2_FLAG_FINGERPRINT != 0).then(|| u64_at(16));
-    if flags & V2_FLAG_ENTRY_CHECKSUMS == 0 {
+    let fingerprint = (flags & FLAG_FINGERPRINT != 0).then(|| u64_at(16));
+    if flags & FLAG_ENTRY_CHECKSUMS == 0 {
         return Err(CodecError::Malformed(
-            "v2 directory carries no per-entry checksums".into(),
+            "directory carries no per-entry checksums".into(),
         ));
     }
     let count = usize_at(24, "snapshot entry count")?;
     let dir_off = usize_at(32, "directory offset")?;
-    let heap_off = usize_at(40, "heap offset")?;
-    if u64_at(56) != 0 {
-        return Err(CodecError::Malformed(
-            "v2 reserved header word is not zero".into(),
-        ));
-    }
     let dir_bytes = count
-        .checked_mul(V2_DIR_ENTRY_CK)
+        .checked_mul(DIR_ENTRY)
         .ok_or(CodecError::DimOverflow {
             field: "directory size",
             value: count as u64,
         })?;
-    if dir_off % 8 != 0
-        || heap_off % 8 != 0
-        || dir_off < V2_HEADER
-        || dir_off.checked_add(dir_bytes) != Some(heap_off)
-        || heap_off > file_len - 8
-    {
+    if dir_off % 8 != 0 || dir_off < HEADER || dir_off.checked_add(dir_bytes) != Some(heap_off) {
         return Err(CodecError::Malformed(format!(
-            "v2 layout dir_off={dir_off} heap_off={heap_off} count={count} does not tile file_len={file_len}"
+            "layout dir_off={dir_off} heap_off={heap_off} count={count} does not tile"
         )));
     }
 
     // Keys live between the superheader and the directory.
-    let mut at = V2_HEADER;
+    let mut at = HEADER;
     let mut keys: Vec<PathKey> = Vec::with_capacity(count);
     for _ in 0..count {
         if at + 4 > dir_off {
@@ -689,12 +645,10 @@ fn parse_v2(buf: &Arc<ArenaBuf>, checksum: ChecksumMode) -> Result<CacheSnapshot
     }
 
     let mut entries = Vec::with_capacity(count);
-    // Carry per-entry checksums out only when nothing has verified the
-    // payload yet: an eager restore already proved every word through the
-    // whole-file seal, so first-touch re-verification would be pure waste.
-    let mut verify = (checksum == ChecksumMode::Lazy).then(|| Vec::with_capacity(count));
+    // where the next entry's arrays must start: entries tile the heap
+    let mut cursor = heap_off;
     for (i, key) in keys.into_iter().enumerate() {
-        let d = dir_off + i * V2_DIR_ENTRY_CK;
+        let d = dir_off + i * DIR_ENTRY;
         let entry = ArenaEntry {
             nrows: usize_at(d, "nrows")?,
             ncols: usize_at(d + 8, "ncols")?,
@@ -703,44 +657,63 @@ fn parse_v2(buf: &Arc<ArenaBuf>, checksum: ChecksumMode) -> Result<CacheSnapshot
             indices_off: usize_at(d + 32, "indices offset")?,
             data_off: usize_at(d + 40, "data offset")?,
         };
-        // Arrays must live inside the heap (from_arena re-checks bounds
-        // and alignment against the buffer; this pins them past the
-        // directory and short of the checksum word).
-        let heap_end = file_len - 8;
-        let in_heap = |off: usize, len: Option<usize>| {
-            len.is_some_and(|len| {
-                off >= heap_off && off.checked_add(len).is_some_and(|e| e <= heap_end)
-            })
+        // [indptr | data | indices | zero padding], back to back from the
+        // cursor: no byte of the heap lies outside some entry's arrays or
+        // padding (`from_arena` re-checks bounds and alignment against the
+        // buffer, whose length is `file_len`)
+        let tiles = || {
+            let data_off = cursor.checked_add(entry.nrows.checked_add(1)?.checked_mul(8)?)?;
+            let indices_off = data_off.checked_add(entry.nnz.checked_mul(8)?)?;
+            let end = indices_off.checked_add(entry.nnz.checked_mul(4)?)?;
+            (entry.indptr_off == cursor
+                && entry.data_off == data_off
+                && entry.indices_off == indices_off
+                && end <= file_len)
+                .then_some(end)
         };
-        if !in_heap(
-            entry.indptr_off,
-            entry.nrows.checked_add(1).and_then(|n| n.checked_mul(8)),
-        ) || !in_heap(entry.data_off, entry.nnz.checked_mul(8))
-            || !in_heap(entry.indices_off, entry.nnz.checked_mul(4))
-        {
+        let Some(end) = tiles() else {
             return Err(CodecError::Malformed(format!(
-                "v2 directory entry {i} points outside the heap"
+                "directory entry {i} does not tile the heap"
+            )));
+        };
+        cursor = end.next_multiple_of(8);
+        if bytes[end..cursor].iter().any(|&b| b != 0) {
+            return Err(CodecError::Malformed(format!(
+                "directory entry {i}: index padding is not zero"
             )));
         }
-        let matrix = Csr::from_arena(buf, entry)?;
-        if let Some(verify) = &mut verify {
-            verify.push(u64_at(d + 48));
-        }
-        entries.push((key, Arc::new(matrix)));
+        entries.push(Sealed {
+            key,
+            matrix: Arc::new(Csr::from_arena(buf, entry)?),
+            checksum: Arc::new(u64_at(d + 48).into()),
+            verified: false,
+        });
+    }
+    if cursor != file_len {
+        return Err(CodecError::Malformed(format!(
+            "heap ends at {cursor}, image at {file_len}"
+        )));
     }
     Ok(CacheSnapshot {
         fingerprint,
         entries,
-        verify,
     })
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`entry_checksum`] calls made on this thread.
+    static ENTRY_CHECKSUM_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Layout-independent payload checksum of one matrix: FNV-1a 64 folded
 /// per u64 *word* ([`Fnv64::update_word`]) over the indptr values, then
 /// the data bit patterns, then the index values. Computable from any
-/// mounted [`Csr`] (owned or view), which is what lets a lazily mapped
-/// restore re-derive and compare it on first touch.
+/// mounted [`Csr`] (owned or view), which is what lets a restored entry be
+/// held against its directory checksum wherever it ends up.
 pub(crate) fn entry_checksum(m: &Csr) -> u64 {
+    #[cfg(test)]
+    ENTRY_CHECKSUM_CALLS.with(|calls| calls.set(calls.get() + 1));
     let (indptr, indices, data) = m.parts();
     let mut hash = Fnv64::new();
     for &p in indptr {
@@ -792,22 +765,19 @@ impl MatrixCache {
     /// (rather than skipping ahead to smaller, colder entries), so the
     /// exported prefix is exactly the hottest slice of the cache.
     pub fn export_snapshot(&self, budget_bytes: Option<usize>) -> CacheSnapshot {
-        let mut entries = Vec::new();
-        let mut total = 0usize;
-        for (key, matrix, _tick) in self.entries_by_recency() {
-            let cost = matrix.nbytes();
-            if let Some(budget) = budget_bytes {
-                if total + cost > budget {
-                    break;
-                }
-            }
-            total += cost;
-            entries.push((key, matrix));
+        let mut entries = self.entries_by_recency();
+        if let Some(budget) = budget_bytes {
+            let mut total = 0usize;
+            let within = entries.iter().take_while(|e| {
+                total += e.matrix.nbytes();
+                total <= budget
+            });
+            let kept = within.count();
+            entries.truncate(kept);
         }
         CacheSnapshot {
             fingerprint: None,
             entries,
-            verify: None,
         }
     }
 
@@ -852,20 +822,17 @@ impl MatrixCache {
             self.note_warm(0, report.rejected, 0);
             return report;
         }
-        for (i, (key, matrix)) in snapshot.entries.iter().enumerate().rev() {
-            let fits = expected_dims(hin, key)
-                .is_some_and(|(rows, cols)| matrix.nrows() == rows && matrix.ncols() == cols);
-            // A lazily restored entry carries its directory checksum so the
-            // cache can verify the payload on first touch. An entry larger
-            // than a shard slice is refused by the insert itself.
-            let admitted = fits
-                && match snapshot.verify.as_ref().map(|v| v[i]) {
-                    Some(ck) => self.insert_unverified(key.clone(), Arc::clone(matrix), ck),
-                    None => self.insert(key.clone(), Arc::clone(matrix)),
-                };
-            if admitted {
+        for sealed in snapshot.entries.iter().rev() {
+            let fits = expected_dims(hin, &sealed.key).is_some_and(|(rows, cols)| {
+                sealed.matrix.nrows() == rows && sealed.matrix.ncols() == cols
+            });
+            // The entry keeps what the snapshot knows about its checksum:
+            // one mounted from an image stays pending until this cache has
+            // verified it. An entry larger than a shard slice is refused by
+            // the insert itself.
+            if fits && self.insert_sealed(sealed.clone()) {
                 report.loaded += 1;
-                report.view_backed += matrix.is_view() as u64;
+                report.view_backed += sealed.matrix.is_view() as u64;
             } else {
                 report.rejected += 1;
             }
@@ -909,6 +876,74 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hin-snapshot-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// The published_in forward adjacency (3 papers × 2 venues, nnz 3: an
+    /// odd count, so its index array is followed by four padding bytes).
+    fn pv_matrix(hin: &Hin) -> Arc<Csr> {
+        Arc::new(hin.relation(RelationId(1)).fwd.clone())
+    }
+
+    /// Two distinct relations, not a key and its reversal: a reversal pair
+    /// would let `get` serve an evicted corrupt entry back through the clean
+    /// one's symmetry fallback, masking the verification miss.
+    fn two_span_snapshot(hin: &Hin) -> CacheSnapshot {
+        let cache = MatrixCache::default();
+        cache.put(vec![(0, true)], pa_matrix(hin));
+        cache.put(vec![(1, true)], pv_matrix(hin));
+        cache.export_snapshot(None)
+    }
+
+    /// Recompute the metadata seal of a tampered image, so only the
+    /// structural checks stand between it and a mount.
+    fn reseal(image: &mut [u8]) {
+        let heap_off = u64::from_le_bytes(image[40..48].try_into().unwrap()) as usize;
+        let seal = metadata_seal(&image[..heap_off]);
+        image[SEAL_AT..HEADER].copy_from_slice(&seal.to_le_bytes());
+    }
+
+    /// `(dir_off, heap_off)` of an image.
+    fn layout(image: &[u8]) -> (usize, usize) {
+        let at = |off: usize| u64::from_le_bytes(image[off..off + 8].try_into().unwrap()) as usize;
+        (at(32), at(40))
+    }
+
+    /// Every way bytes become a snapshot, by name. `open` goes through a
+    /// file under `dir`.
+    fn every_entry_point(
+        dir: &std::path::Path,
+        image: &[u8],
+    ) -> [(&'static str, Result<CacheSnapshot, CodecError>); 3] {
+        let path = dir.join("entry-point.hsnp");
+        std::fs::write(&path, image).unwrap();
+        [
+            ("from_reader", CacheSnapshot::from_reader(&mut &*image)),
+            ("from_bytes", CacheSnapshot::from_bytes(image)),
+            ("open", CacheSnapshot::open(&path)),
+        ]
+    }
+
+    /// What became of a damaged image: a decode error, or — when the
+    /// damage sits in payload words, which mounting does not read — exactly
+    /// one entry evicted by verification, with everything still resident
+    /// equal to what `good` carries under the same key. Either way nothing
+    /// corrupt is left to serve.
+    fn assert_never_served(damaged: &[u8], good: &CacheSnapshot, hin: &Hin, what: &str) {
+        let Ok(mounted) = CacheSnapshot::from_bytes(damaged) else {
+            return;
+        };
+        let cache = MatrixCache::default();
+        let report = cache.import_snapshot(&mounted, hin);
+        assert_eq!(report.loaded as usize, good.len(), "{what}");
+        cache.verify_pending();
+        assert_eq!(cache.lazy_pending(), 0, "{what}");
+        assert_eq!(cache.lazy_verify_failures(), 1, "{what}: one entry dropped");
+        assert_eq!(cache.len(), good.len() - 1, "{what}");
+        for e in &good.entries {
+            if let Some(m) = cache.get(&e.key) {
+                assert_eq!(*m, *e.matrix, "{what}: {:?}", e.key);
+            }
+        }
     }
 
     #[test]
@@ -968,11 +1003,18 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(CacheSnapshot::from_reader(&mut &bytes[..cut]).is_err());
         }
-        // a payload bit flip is caught by a checksum (inner or outer)
-        let mut flipped = bytes.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x10;
-        assert!(CacheSnapshot::from_reader(&mut flipped.as_slice()).is_err());
+        // a bit flip anywhere is caught by whatever covers that byte: the
+        // seal or the zero-padding rule at mount, an entry checksum before
+        // the entry is served
+        let (_, heap_off) = layout(&bytes);
+        for pos in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[pos] ^= 0x10;
+            if pos < heap_off {
+                assert!(CacheSnapshot::from_bytes(&flipped).is_err(), "byte {pos}");
+            }
+            assert_never_served(&flipped, &snap, &hin, &format!("flip at byte {pos}"));
+        }
     }
 
     #[test]
@@ -988,7 +1030,7 @@ mod tests {
         let mut bytes = Vec::new();
         snap.to_writer(&mut bytes).expect("vec writes cannot fail");
         let decodes_before = hin_linalg::arena::heap_decodes();
-        let back = CacheSnapshot::from_reader(&mut bytes.as_slice()).expect("v2 round trip");
+        let back = CacheSnapshot::from_reader(&mut bytes.as_slice()).expect("round trip");
         assert_eq!(back.keys(), snap.keys());
         if hin_linalg::arena::ZERO_COPY {
             assert_eq!(back.view_backed(), back.len(), "every entry is a view");
@@ -997,14 +1039,14 @@ mod tests {
             assert_eq!(
                 hin_linalg::arena::heap_decodes(),
                 decodes_before,
-                "a v2 restore performs zero per-matrix heap decodes"
+                "mounting an image performs zero per-matrix heap decodes"
             );
             let (shared, copied) = back.bytes_shared_copied();
             assert_eq!((shared, copied), (snap.bytes(), 0));
         }
         // content identity regardless of backing
-        for ((_, a), (_, b)) in snap.entries.iter().zip(&back.entries) {
-            assert_eq!(**a, **b);
+        for (a, b) in snap.entries.iter().zip(&back.entries) {
+            assert_eq!(*a.matrix, *b.matrix);
         }
         // and the import report says so
         let dst = MatrixCache::default();
@@ -1027,98 +1069,137 @@ mod tests {
         snap.to_writer(&mut b).unwrap();
         assert_eq!(a, b);
         assert_eq!(&a[0..4], b"HSNP");
-        assert_eq!(a.len() % 8, 0, "v2 images are whole words");
+        assert_eq!(a.len() % 8, 0, "images are whole words");
     }
 
     #[test]
     fn hostile_v2_directories_are_rejected() {
+        // the name is the floor's; the container is version 3 now and the
+        // directory is under the seal, so every case below re-seals its
+        // tampering: only the structural checks stand
         let hin = bib();
-        let cache = MatrixCache::default();
-        cache.put(vec![(0, true)], pa_matrix(&hin));
-        let snap = cache.export_snapshot(None);
-        let mut bytes = Vec::new();
-        snap.to_writer(&mut bytes).unwrap();
-
-        let reseal = |bytes: &mut Vec<u8>| {
-            let n = bytes.len();
-            let mut hash = Fnv64::new();
-            for word in bytes[..n - 8].chunks_exact(8) {
-                hash.update_word(u64::from_le_bytes(word.try_into().unwrap()));
-            }
-            bytes[n - 8..].copy_from_slice(&hash.finish().to_le_bytes());
+        let bytes = two_span_snapshot(&hin).to_bytes();
+        let (dir_off, heap_off) = layout(&bytes);
+        let put = |image: &mut [u8], off: usize, v: u64| {
+            image[off..off + 8].copy_from_slice(&v.to_le_bytes());
         };
-        let dir_off = u64::from_le_bytes(bytes[32..40].try_into().unwrap()) as usize;
+        let malformed = |image: &[u8], what: &str| {
+            assert!(
+                matches!(
+                    CacheSnapshot::from_reader(&mut &*image),
+                    Err(CodecError::Malformed(_))
+                ),
+                "{what}"
+            );
+        };
 
-        // indptr_off steered outside the heap (into the superheader),
-        // with the checksum re-sealed so only structural checks stand
+        // indptr_off steered outside the heap (into the superheader)
         let mut hostile = bytes.clone();
-        hostile[dir_off + 24..dir_off + 32].copy_from_slice(&8u64.to_le_bytes());
+        put(&mut hostile, dir_off + 24, 8);
         reseal(&mut hostile);
-        assert!(matches!(
-            CacheSnapshot::from_reader(&mut hostile.as_slice()),
-            Err(CodecError::Malformed(_))
-        ));
+        malformed(&hostile, "indptr_off = 8");
 
         // nnz inflated so the arrays overrun the heap
         let mut hostile = bytes.clone();
-        hostile[dir_off + 16..dir_off + 24].copy_from_slice(&u64::MAX.to_le_bytes());
+        put(&mut hostile, dir_off + 16, u64::MAX);
         reseal(&mut hostile);
         assert!(CacheSnapshot::from_reader(&mut hostile.as_slice()).is_err());
+
+        // a gap: the second entry's arrays start one word late, leaving
+        // eight heap bytes that no checksum covers
+        let mut hostile = bytes.clone();
+        hostile.extend_from_slice(&[0; 8]);
+        for field in [24, 32, 40] {
+            let off = dir_off + DIR_ENTRY + field;
+            let was = u64::from_le_bytes(hostile[off..off + 8].try_into().unwrap());
+            put(&mut hostile, off, was + 8);
+        }
+        let file_len = hostile.len() as u64;
+        put(&mut hostile, 48, file_len);
+        reseal(&mut hostile);
+        malformed(&hostile, "a gap in the heap");
+
+        // a spare word after the last entry
+        let mut hostile = bytes.clone();
+        hostile.extend_from_slice(&[0; 8]);
+        put(&mut hostile, 48, file_len);
+        reseal(&mut hostile);
+        malformed(&hostile, "heap longer than its entries");
+
+        // non-zero padding after an odd-nnz index array: covered by
+        // neither the seal nor an entry checksum, so it must be zero
+        let odd = (0..2)
+            .map(|i| dir_off + i * DIR_ENTRY)
+            .find(|d| bytes[d + 16] % 2 == 1)
+            .expect("published_in has three entries");
+        let indices_off = u64::from_le_bytes(bytes[odd + 32..odd + 40].try_into().unwrap());
+        let nnz = u64::from_le_bytes(bytes[odd + 16..odd + 24].try_into().unwrap());
+        let mut hostile = bytes.clone();
+        hostile[(indices_off + nnz * 4) as usize + 1] = 0x80;
+        malformed(&hostile, "non-zero index padding");
 
         // unknown flag bits (bit 1 is the per-entry-checksum flag, legal)
         let mut hostile = bytes.clone();
         hostile[8] |= 0x04;
         reseal(&mut hostile);
-        assert!(matches!(
-            CacheSnapshot::from_reader(&mut hostile.as_slice()),
-            Err(CodecError::Malformed(_))
-        ));
+        malformed(&hostile, "unknown flag bit");
 
-        // the per-entry-checksum bit cleared: a lazy restore would mount
-        // payload words nothing ever verifies, so every path refuses it
+        // the per-entry-checksum bit cleared: payload words nothing would
+        // ever verify, so every entry point refuses it
         let mut hostile = bytes.clone();
-        hostile[8] &= !(V2_FLAG_ENTRY_CHECKSUMS as u8);
+        hostile[8] &= !(FLAG_ENTRY_CHECKSUMS as u8);
         reseal(&mut hostile);
         let dir = scratch_dir("noentryck");
-        let path = dir.join("cache.hsnp");
-        std::fs::write(&path, &hostile).unwrap();
-        for result in [
-            CacheSnapshot::from_reader(&mut hostile.as_slice()),
-            CacheSnapshot::read_from_file(&path),
-            CacheSnapshot::read_from_file_mapped(&path, ChecksumMode::Lazy),
-        ] {
-            assert!(matches!(result, Err(CodecError::Malformed(_))));
+        for (entry, result) in every_entry_point(&dir, &hostile) {
+            assert!(matches!(result, Err(CodecError::Malformed(_))), "{entry}");
         }
         std::fs::remove_dir_all(&dir).ok();
 
+        // a heap offset past the end of the image, or inside the header
+        for lie in [bytes.len() as u64 + 8, 8] {
+            let mut hostile = bytes.clone();
+            put(&mut hostile, 40, lie);
+            malformed(&hostile, "heap_off out of range");
+        }
+
+        // file_len overstated beyond anything a machine holds: a truncation,
+        // found without allocating for the announced length
+        let mut hostile = bytes.clone();
+        put(&mut hostile, 48, u64::MAX / 2);
+        assert!(matches!(
+            CacheSnapshot::from_reader(&mut hostile.as_slice()),
+            Err(CodecError::Truncated)
+        ));
+
         // file_len understated: the image no longer tiles
         let mut hostile = bytes.clone();
-        let lie = (bytes.len() - 8) as u64;
-        hostile[48..56].copy_from_slice(&lie.to_le_bytes());
+        put(&mut hostile, 48, (bytes.len() - 8) as u64);
+        reseal(&mut hostile);
         assert!(CacheSnapshot::from_reader(&mut hostile.as_slice()).is_err());
+        assert!(heap_off < bytes.len());
     }
 
     #[test]
     fn file_round_trip_takes_the_one_read_arena_path() {
+        // the name is the floor's; the path is one *map* now
         let hin = bib();
         let cache = MatrixCache::default();
         cache.put(vec![(0, true)], pa_matrix(&hin));
         cache.put(vec![(0, false)], pa_matrix(&hin));
         let snap = cache.export_snapshot(None);
 
-        let dir = std::env::temp_dir().join(format!(
-            "hin-snapshot-arena-{}-{}",
-            std::process::id(),
-            std::thread::current().name().unwrap_or("t").len()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("arena");
         let path = dir.join("cache.hsnp");
         snap.write_to_file(&path).expect("write");
-        let back = CacheSnapshot::read_from_file(&path).expect("read");
+        let mapped_before = hin_linalg::arena::mapped_restores();
+        let back = CacheSnapshot::open(&path).expect("open");
         assert_eq!(back.keys(), snap.keys());
         if hin_linalg::arena::ZERO_COPY {
             assert_eq!(back.view_backed(), back.len());
             assert_eq!(back.arena_count(), 1);
+        }
+        if cfg!(all(unix, target_pointer_width = "64")) {
+            assert!(hin_linalg::arena::mapped_restores() > mapped_before);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1126,53 +1207,53 @@ mod tests {
     #[test]
     fn mapped_restore_matches_the_read_path_and_survives_corruption() {
         let hin = bib();
-        let cache = MatrixCache::default();
-        cache.put(vec![(0, true)], pa_matrix(&hin));
-        cache.put(vec![(0, false)], pa_matrix(&hin));
-        let snap = cache.export_snapshot(None);
-
-        let dir = std::env::temp_dir().join(format!(
-            "hin-snapshot-mmap-{}-{}",
-            std::process::id(),
-            std::thread::current().name().unwrap_or("t").len()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
+        let snap = two_span_snapshot(&hin);
+        let dir = scratch_dir("mmap");
         let path = dir.join("cache.hsnp");
         snap.write_to_file(&path).expect("write");
 
-        let read = CacheSnapshot::read_from_file(&path).expect("read");
-        for mode in [ChecksumMode::Eager, ChecksumMode::Lazy] {
-            let mapped = CacheSnapshot::read_from_file_mapped(&path, mode).expect("map");
-            assert_eq!(mapped.keys(), read.keys());
-            assert_eq!(mapped.bytes(), read.bytes());
-            assert_eq!(
-                mapped.verify.is_some(),
-                mode == ChecksumMode::Lazy,
-                "only a restore that skipped the seal defers verification"
-            );
-            if hin_linalg::arena::ZERO_COPY {
-                assert_eq!(mapped.view_backed(), mapped.len());
-                assert_eq!(mapped.arena_count(), 1);
-            }
+        // a mapped file and a heap copy of its bytes mount identically,
+        // and both leave every payload pending
+        let good = std::fs::read(&path).unwrap();
+        let read = CacheSnapshot::from_bytes(&good).expect("from_bytes");
+        let mapped = CacheSnapshot::open(&path).expect("open");
+        assert_eq!(mapped.keys(), read.keys());
+        assert_eq!(mapped.bytes(), read.bytes());
+        for (m, r) in mapped.entries.iter().zip(&read.entries) {
+            assert_eq!(*m.matrix, *r.matrix);
+            assert_eq!(m.checksum.get(), r.checksum.get());
+            assert!(m.checksum.get().is_some() && !m.verified && !r.verified);
+        }
+        if hin_linalg::arena::ZERO_COPY {
+            assert_eq!(mapped.view_backed(), mapped.len());
+            assert_eq!(mapped.arena_count(), 1);
         }
 
-        // corruption on the mapped path errors cleanly, never panics
-        let good = std::fs::read(&path).unwrap();
-        let bad_path = dir.join("cache-bad.hsnp");
+        // a flipped payload bit mounts — mounting reads no value page —
+        // and is evicted by verification instead of served
+        let (dir_off, _) = layout(&good);
+        let data_off = u64::from_le_bytes(good[dir_off + 40..dir_off + 48].try_into().unwrap());
         let mut flipped = good.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
+        flipped[data_off as usize + 2] ^= 0x40;
+        let bad_path = dir.join("cache-bad.hsnp");
         std::fs::write(&bad_path, &flipped).unwrap();
-        assert!(CacheSnapshot::read_from_file_mapped(&bad_path, ChecksumMode::Eager).is_err());
-        let trunc_path = dir.join("cache-trunc.hsnp");
-        std::fs::write(&trunc_path, &good[..good.len() - 9]).unwrap();
-        for mode in [ChecksumMode::Eager, ChecksumMode::Lazy] {
-            assert!(CacheSnapshot::read_from_file_mapped(&trunc_path, mode).is_err());
+        let bad = CacheSnapshot::open(&bad_path).expect("structure is intact");
+        let cache = MatrixCache::default();
+        assert_eq!(cache.import_snapshot(&bad, &hin).loaded, 2);
+        cache.verify_pending();
+        assert_eq!(
+            (cache.lazy_verified(), cache.lazy_verify_failures()),
+            (1, 1)
+        );
+        // truncation and an empty file (which cannot be mapped at all)
+        // error exactly as the same bytes do from memory
+        for cut in [good.len() - 8, good.len() - 9, HEADER - 1, 0] {
+            let trunc_path = dir.join("cache-trunc.hsnp");
+            std::fs::write(&trunc_path, &good[..cut]).unwrap();
+            let want = CacheSnapshot::from_bytes(&good[..cut]).expect_err("truncated");
+            let got = CacheSnapshot::open(&trunc_path).expect_err("truncated");
+            assert_eq!(got.to_string(), want.to_string(), "cut at {cut}");
         }
-        // empty file: map fails, fallback reports the same typed error as read
-        let empty_path = dir.join("cache-empty.hsnp");
-        std::fs::write(&empty_path, []).unwrap();
-        assert!(CacheSnapshot::read_from_file_mapped(&empty_path, ChecksumMode::Eager).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1280,15 +1361,25 @@ mod tests {
 
     #[test]
     fn input_that_is_not_a_v2_image_is_one_typed_error_from_every_entry_point() {
+        // the name is the floor's: "v2" there meant "the container this
+        // build reads", which is version 3 now — and version 2 joins
+        // version 1 among the inputs that are not it
         let v1_headed = [b"HSNP".as_slice(), &1u32.to_le_bytes(), &[0xA5; 93]].concat();
+        let v2_image = {
+            let mut image = two_span_snapshot(&bib()).to_bytes();
+            image[4..8].copy_from_slice(&2u32.to_le_bytes());
+            image
+        };
         let foreign = [b"HFRM".as_slice(), &[7; 96]].concat();
         let stub = [b"HSNP".as_slice(), &SNAPSHOT_VERSION.to_le_bytes()].concat();
-        let dir = scratch_dir("nonv2");
-        let path = dir.join("cache.hsnp");
+        let dir = scratch_dir("nonv3");
         type Expect = fn(&CodecError) -> bool;
-        let table: [(&str, &[u8], Expect); 4] = [
+        let table: [(&str, &[u8], Expect); 5] = [
             ("v1-headed", &v1_headed, |e| {
                 matches!(e, CodecError::UnsupportedVersion(1))
+            }),
+            ("v2-headed", &v2_image, |e| {
+                matches!(e, CodecError::UnsupportedVersion(2))
             }),
             (
                 "foreign magic",
@@ -1299,21 +1390,8 @@ mod tests {
             ("empty", &[], |e| matches!(e, CodecError::Truncated)),
         ];
         for (what, bytes, expected) in table {
-            std::fs::write(&path, bytes).unwrap();
-            for (entry, result) in [
-                ("from_reader", CacheSnapshot::from_reader(&mut &*bytes)),
-                ("from_bytes", CacheSnapshot::from_bytes(bytes)),
-                ("read_from_file", CacheSnapshot::read_from_file(&path)),
-                (
-                    "read_from_file_mapped eager",
-                    CacheSnapshot::read_from_file_mapped(&path, ChecksumMode::Eager),
-                ),
-                (
-                    "read_from_file_mapped lazy",
-                    CacheSnapshot::read_from_file_mapped(&path, ChecksumMode::Lazy),
-                ),
-            ] {
-                let err = result.expect_err("not a v2 image");
+            for (entry, result) in every_entry_point(&dir, bytes) {
+                let err = result.expect_err("not a v3 image");
                 assert!(expected(&err), "{what} via {entry}: {err}");
             }
         }
@@ -1322,9 +1400,9 @@ mod tests {
 
     #[test]
     fn fingerprint_and_image_bytes_are_frozen() {
-        // Both values were recorded from the build that still carried the
-        // stand-alone matrix codec: fingerprints live in checkpoint files
-        // and gate restores, so neither may drift.
+        // The fingerprint was recorded from the build that still carried
+        // the stand-alone matrix codec: fingerprints live in checkpoint
+        // files and gate restores, so it may not drift.
         let hin = bib();
         let fp = dataset_fingerprint(&hin);
         assert_eq!(fp, 0x5963_087b_b57f_9206);
@@ -1337,62 +1415,46 @@ mod tests {
         let image = snap.to_bytes();
         let mut digest = Fnv64::new();
         digest.update(&image);
-        assert_eq!((image.len(), digest.finish()), (384, 0x7088_ba0e_5da2_9424));
+        // The image was re-recorded at container version 3: the version
+        // word changed, the reserved word became the metadata seal, and the
+        // trailing whole-file seal (8 bytes) is gone — 384 bytes became 376.
+        // Keys, directory and heap are where and what they were.
+        assert_eq!((image.len(), digest.finish()), (376, 0x3684_9eac_340c_23f6));
     }
 
     #[test]
     fn lazy_mapped_restore_verifies_each_entry_on_first_touch() {
         let hin = bib();
-        let cache = MatrixCache::default();
-        // distinct relations, not a key and its reversal: a reversal pair
-        // would let `get` serve the evicted corrupt entry back through the
-        // clean one's symmetry fallback, masking the verification miss
-        cache.put(vec![(0, true)], pa_matrix(&hin));
-        cache.put(
-            vec![(1, true)],
-            Arc::new(hin.relation(RelationId(1)).fwd.clone()),
-        );
-        let snap = cache.export_snapshot(None);
-        let image = snap.encode_v2();
+        let image = two_span_snapshot(&hin).to_bytes();
 
         // flip one bit inside entry 0's f64 payload: structurally
-        // invisible, caught only by a checksum
-        let dir_off = u64::from_le_bytes(image[32..40].try_into().unwrap()) as usize;
+        // invisible, caught only by that entry's checksum
+        let (dir_off, _) = layout(&image);
         let data_off =
             u64::from_le_bytes(image[dir_off + 40..dir_off + 48].try_into().unwrap()) as usize;
         let mut corrupt = image.clone();
         corrupt[data_off + 3] ^= 0x20;
 
-        let dir = std::env::temp_dir().join(format!(
-            "hin-snapshot-lazyck-{}-{}",
-            std::process::id(),
-            std::thread::current().name().unwrap_or("t").len()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("lazyck");
         let path = dir.join("corrupt.hsnp");
         std::fs::write(&path, &corrupt).unwrap();
 
-        // eager catches it up front
-        assert!(matches!(
-            CacheSnapshot::read_from_file_mapped(&path, ChecksumMode::Eager),
-            Err(CodecError::ChecksumMismatch { .. })
-        ));
-
-        // lazy mounts it (structure is intact) and defers to first touch
-        let lazy = CacheSnapshot::read_from_file_mapped(&path, ChecksumMode::Lazy).expect("mounts");
-        assert_eq!(
-            lazy.verify.as_ref().map(|v| v.len()),
-            Some(2),
-            "lazy restore carries one pending checksum per entry"
-        );
+        // it mounts (metadata and structure are intact) with every entry
+        // pending on its directory checksum
+        let lazy = CacheSnapshot::open(&path).expect("mounts");
+        assert!(lazy
+            .entries
+            .iter()
+            .all(|e| !e.verified && e.checksum.get().is_some()));
         // the flipped byte lives in *directory entry 0*'s payload; the
         // export orders entries hottest-first, so resolve which cache key
         // that is from the parse rather than assuming
-        let corrupt_key = lazy.entries[0].0.clone();
-        let clean_key = lazy.entries[1].0.clone();
+        let corrupt_key = lazy.entries[0].key.clone();
+        let clean_key = lazy.entries[1].key.clone();
         let dst = MatrixCache::default();
         let report = dst.import_snapshot(&lazy, &hin);
         assert_eq!(report.loaded, 2);
+        assert_eq!(dst.lazy_pending(), 2);
 
         // first touch of the corrupted entry: verification fails, the
         // entry is evicted, and the caller sees a miss (→ recompute)
@@ -1401,21 +1463,30 @@ mod tests {
         assert_eq!(dst.len(), 1, "the corrupt entry is gone");
 
         // the clean entry verifies once, then serves without re-hashing
+        let hashes = ENTRY_CHECKSUM_CALLS.get();
         assert!(dst.get(&clean_key).is_some());
         assert_eq!(dst.lazy_verified(), 1);
         assert!(dst.get(&clean_key).is_some());
         assert_eq!(dst.lazy_verified(), 1, "verification ran exactly once");
+        assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes + 1);
+        assert_eq!(dst.lazy_pending(), 0);
 
-        // an uncorrupted lazy restore verifies everything clean
+        // an uncorrupted restore verifies everything clean — by the sweep,
+        // which leaves the first touches nothing to hash
         let good_path = dir.join("good.hsnp");
         std::fs::write(&good_path, &image).unwrap();
-        let lazy = CacheSnapshot::read_from_file_mapped(&good_path, ChecksumMode::Lazy).unwrap();
+        let lazy = CacheSnapshot::open(&good_path).unwrap();
         let dst = MatrixCache::default();
         dst.import_snapshot(&lazy, &hin);
+        dst.verify_pending();
+        assert_eq!((dst.lazy_verified(), dst.lazy_pending()), (2, 0));
+        let hashes = ENTRY_CHECKSUM_CALLS.get();
         assert!(dst.get(&[(0, true)]).is_some());
         assert!(dst.get(&[(1, true)]).is_some());
+        assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes);
         assert_eq!(dst.lazy_verified(), 2);
         assert_eq!(dst.lazy_verify_failures(), 0);
+        assert_eq!(dst.hits(), 2, "the sweep is not a use");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1423,27 +1494,141 @@ mod tests {
     fn bytes_round_trip_matches_the_writer() {
         let hin = bib();
         let fp = dataset_fingerprint(&hin);
-        let cache = MatrixCache::default();
-        cache.put(vec![(0, true)], pa_matrix(&hin));
-        let mut snap = cache.export_snapshot(None);
+        let mut snap = two_span_snapshot(&hin);
         snap.set_fingerprint(fp);
 
         let bytes = snap.to_bytes();
         let mut streamed = Vec::new();
         snap.to_writer(&mut streamed).unwrap();
         assert_eq!(bytes, streamed, "to_bytes is the writer's exact image");
+        let dir = scratch_dir("bytes");
+        let path = dir.join("cache.hsnp");
+        snap.write_to_file(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "and the file's");
+        std::fs::remove_dir_all(&dir).ok();
 
         let back = CacheSnapshot::from_bytes(&bytes).expect("round trip");
         assert_eq!(back.keys(), snap.keys());
         assert_eq!(back.fingerprint(), Some(fp));
 
-        // wire corruption is caught eagerly — the bytes crossed a network
+        // the bytes crossed a network: damage is caught before it is
+        // served, wherever it landed
         let mut flipped = bytes.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x01;
-        assert!(CacheSnapshot::from_bytes(&flipped).is_err());
+        assert_never_served(&flipped, &snap, &hin, "flip mid-image");
         assert!(CacheSnapshot::from_bytes(&bytes[..bytes.len() - 1]).is_err());
         assert!(CacheSnapshot::from_bytes(&[]).is_err());
+    }
+
+    #[test]
+    fn every_metadata_byte_is_sealed_on_every_entry_point() {
+        let hin = bib();
+        let mut snap = two_span_snapshot(&hin);
+        snap.set_fingerprint(dataset_fingerprint(&hin));
+        let image = snap.to_bytes();
+        let (_, heap_off) = layout(&image);
+        let dir = scratch_dir("sealed");
+        for pos in 0..heap_off {
+            let mut flipped = image.clone();
+            flipped[pos] ^= 1 << (pos % 8);
+            for (entry, result) in every_entry_point(&dir, &flipped) {
+                assert!(result.is_err(), "byte {pos} flipped, mounted via {entry}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_flipped_relation_id_that_still_fits_the_schema_does_not_mount() {
+        // two relations over the same type pair, so their matrices have the
+        // same shape: one flipped bit in a key's relation id files
+        // written_by's matrix under reviewed_by, and every dimension check
+        // at import still passes. Before the seal a mapped restore mounted
+        // exactly this and served one span's matrix under another's key.
+        let mut b = HinBuilder::new();
+        let paper = b.add_type("paper");
+        let author = b.add_type("author");
+        let written = b.add_relation("written_by", paper, author);
+        let reviewed = b.add_relation("reviewed_by", paper, author);
+        for (p, a) in [("p0", "a0"), ("p0", "a1"), ("p1", "a1")] {
+            b.link(written, p, a, 1.0).unwrap();
+        }
+        for (p, a) in [("p0", "a1"), ("p1", "a0")] {
+            b.link(reviewed, p, a, 1.0).unwrap();
+        }
+        let hin = b.build();
+        let cache = MatrixCache::default();
+        cache.put(vec![(0, true)], pa_matrix(&hin));
+        let image = cache.export_snapshot(None).to_bytes();
+
+        // key 0 starts at 64: key_len u32, then (relation id u64, dir u8)
+        let mut rekeyed = image.clone();
+        rekeyed[HEADER + 4] ^= 1;
+        let dir = scratch_dir("rekeyed");
+        for (entry, result) in every_entry_point(&dir, &rekeyed) {
+            assert!(
+                matches!(result, Err(CodecError::ChecksumMismatch { .. })),
+                "relation id flipped, mounted via {entry}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+
+        // what the seal stands in front of: with it recomputed the re-keyed
+        // image is well-formed, and import admits the wrong matrix
+        reseal(&mut rekeyed);
+        let wrong = CacheSnapshot::from_bytes(&rekeyed).expect("well-formed");
+        assert_eq!(wrong.keys(), vec![vec![(1, true)]]);
+        let dst = MatrixCache::default();
+        assert_eq!(dst.import_snapshot(&wrong, &hin).loaded, 1);
+        assert_ne!(*dst.get(&[(1, true)]).unwrap(), hin.relation(reviewed).fwd);
+    }
+
+    #[test]
+    fn a_restored_snapshot_exports_byte_identically_and_hashes_nothing() {
+        let hin = bib();
+        let mut snap = two_span_snapshot(&hin);
+        snap.set_fingerprint(dataset_fingerprint(&hin));
+        let dir = scratch_dir("reexport");
+        let (first, second, third) = (dir.join("1"), dir.join("2"), dir.join("3"));
+
+        // a live cache's first export hashes each product once…
+        let hashes = ENTRY_CHECKSUM_CALLS.get();
+        snap.write_to_file(&first).unwrap();
+        assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes + 2);
+        // …and remembers: the cells are the cache entries' own
+        snap.write_to_file(&second).unwrap();
+        assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes + 2);
+
+        // mounted, an entry knows its checksum from the directory: the
+        // image exports again byte for byte with nothing hashed, straight
+        // off the snapshot or through a cache and back out
+        let hashes = ENTRY_CHECKSUM_CALLS.get();
+        let mounted = CacheSnapshot::open(&first).expect("open");
+        mounted.write_to_file(&second).unwrap();
+        let cache = MatrixCache::default();
+        assert_eq!(cache.import_snapshot(&mounted, &hin).loaded, 2);
+        let mut again = cache.export_snapshot(None);
+        again.set_fingerprint(dataset_fingerprint(&hin));
+        again.write_to_file(&third).unwrap();
+        assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes, "nothing was re-hashed");
+        let image = std::fs::read(&first).unwrap();
+        assert_eq!(std::fs::read(&second).unwrap(), image);
+        assert_eq!(std::fs::read(&third).unwrap(), image);
+
+        // the in-process hand-off carries verified state both ways: what
+        // the sweep has checked stays checked, what it has not stays pending
+        assert!(again.entries.iter().all(|e| !e.verified));
+        cache.verify_pending();
+        let handed = cache.export_snapshot(None);
+        assert!(handed.entries.iter().all(|e| e.verified));
+        let next = MatrixCache::default();
+        let hashes = ENTRY_CHECKSUM_CALLS.get();
+        assert_eq!(next.import_snapshot(&handed, &hin).loaded, 2);
+        assert_eq!(next.lazy_pending(), 0);
+        assert!(next.get(&[(0, true)]).is_some());
+        assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,26 +1,27 @@
-//! Property tests for the memory-mapped snapshot restore path.
+//! Property tests for the one file restore path, [`CacheSnapshot::open`].
 //!
 //! Three contracts under random worlds and random corruption:
 //!
-//! * **Parity** — an engine warm-started through
-//!   [`CacheSnapshot::read_from_file_mapped`] (eager *or* lazy
-//!   checksumming) answers pathsim/pathcount/rank bit-identically to an
-//!   engine warm-started through the read-based
-//!   [`CacheSnapshot::read_from_file`]. Demand paging must be invisible
-//!   to the arithmetic.
-//! * **Robustness** — truncating or bit-flipping the checkpoint file
-//!   never panics the mapped path. Eager mode rejects exactly what the
-//!   read path rejects; lazy mode may accept a payload-only flip (the
-//!   seal is deliberately skipped) but must still reject every
-//!   structural corruption, and must never panic either way.
-//! * **One format** — a file that is not a v2 arena image (a v1
-//!   container, a foreign file, a stub) is rejected by the mapped entry
-//!   point with exactly the typed error the read entry point gives.
+//! * **Parity** — an engine warm-started from a mapped checkpoint file
+//!   answers pathsim/pathcount/rank bit-identically to an engine
+//!   warm-started from a heap copy of the same bytes
+//!   ([`CacheSnapshot::from_bytes`]). Demand paging must be invisible to
+//!   the arithmetic.
+//! * **No flip is ever served** — truncating or bit-flipping the
+//!   checkpoint file never panics and never mounts differently through the
+//!   map than from memory. Damage to the metadata, the structure or the
+//!   padding is a decode error; damage to payload words, which mounting
+//!   does not read, costs exactly the touched entry — evicted by
+//!   verification, counted, recomputed — and every answer still equals the
+//!   reference.
+//! * **One format** — a file that is not a current image (a version-1 or
+//!   version-2 container, a foreign file, a stub) is rejected by `open`
+//!   with exactly the typed error the in-memory entry point gives.
 
 use std::sync::Arc;
 
 use hin_core::{Hin, HinBuilder};
-use hin_query::{CacheConfig, CacheSnapshot, ChecksumMode, Engine, ExecPolicy};
+use hin_query::{CacheConfig, CacheSnapshot, Engine, ExecPolicy};
 use proptest::prelude::*;
 
 /// A random bibliographic world (papers, authors, venues, small integer
@@ -134,13 +135,26 @@ fn assert_bit_identical(
     Ok(())
 }
 
+/// The anchored and global queries every restored engine must answer like
+/// the reference.
+fn probe_queries(world: &World) -> Vec<String> {
+    let mut queries = Vec::new();
+    for a in 0..world.n_authors {
+        queries.push(format!("pathsim author-paper-author from a{a}"));
+        queries.push(format!("pathsim author-paper-venue-paper-author from a{a}"));
+        queries.push(format!("pathcount author-paper-venue from a{a}"));
+    }
+    queries.push("rank venue-paper-author limit 10".to_string());
+    queries
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Engines warm-started from the same checkpoint file through the
-    /// read path and the mapped path (both checksum modes) answer
-    /// pathsim, pathcount and rank bit-identically — under eager
-    /// materialization and lazy anchored propagation alike.
+    /// Engines warm-started from the same checkpoint through the mapped
+    /// file and through a heap copy of its bytes answer pathsim, pathcount
+    /// and rank bit-identically — under eager materialization and lazy
+    /// anchored propagation alike, swept or verified by first touch.
     #[test]
     fn mapped_engine_matches_read_engine(world in worlds()) {
         let hin = world.build();
@@ -148,44 +162,45 @@ proptest! {
         let path = dir.join("cache.hsnp");
         donor_snapshot(&hin).write_to_file(&path).expect("write checkpoint");
 
-        let read_snap = CacheSnapshot::read_from_file(&path).expect("read restore");
-        let mut queries = Vec::new();
-        for a in 0..world.n_authors {
-            queries.push(format!("pathsim author-paper-author from a{a}"));
-            queries.push(format!("pathsim author-paper-venue-paper-author from a{a}"));
-            queries.push(format!("pathcount author-paper-venue from a{a}"));
-        }
-        queries.push("rank venue-paper-author limit 10".to_string());
+        let read_snap = CacheSnapshot::from_bytes(&std::fs::read(&path).expect("read back"))
+            .expect("heap restore");
+        let mapped_snap = CacheSnapshot::open(&path).expect("mapped restore");
+        prop_assert_eq!(mapped_snap.keys(), read_snap.keys());
+        prop_assert_eq!(mapped_snap.bytes(), read_snap.bytes());
+        let queries = probe_queries(&world);
 
-        for mode in [ChecksumMode::Eager, ChecksumMode::Lazy] {
-            let mapped_snap =
-                CacheSnapshot::read_from_file_mapped(&path, mode).expect("mapped restore");
-            prop_assert_eq!(mapped_snap.keys(), read_snap.keys());
-            prop_assert_eq!(mapped_snap.bytes(), read_snap.bytes());
-            for policy in [ExecPolicy::eager(), ExecPolicy::promote_after(u32::MAX)] {
-                let via_read =
-                    Engine::with_config(Arc::clone(&hin), CacheConfig::default(), policy);
-                let via_map =
-                    Engine::with_config(Arc::clone(&hin), CacheConfig::default(), policy);
-                let r = via_read.restore(&read_snap);
-                let m = via_map.restore(&mapped_snap);
-                prop_assert_eq!(m.loaded, r.loaded, "restore admits the same entries");
-                prop_assert_eq!(m.rejected, 0);
-                for q in &queries {
-                    let want = via_read.execute(q).expect("read-backed execution");
-                    let got = via_map.execute(q).expect("mapped-backed execution");
-                    assert_bit_identical(&got, &want, &format!("{q} [{mode:?}]"))?;
-                }
+        for (policy, sweep) in [
+            (ExecPolicy::eager(), false),
+            (ExecPolicy::promote_after(u32::MAX), true),
+        ] {
+            let via_read =
+                Engine::with_config(Arc::clone(&hin), CacheConfig::default(), policy);
+            let via_map =
+                Engine::with_config(Arc::clone(&hin), CacheConfig::default(), policy);
+            let r = via_read.restore(&read_snap);
+            let m = via_map.restore(&mapped_snap);
+            prop_assert_eq!(m.loaded, r.loaded, "restore admits the same entries");
+            prop_assert_eq!(m.rejected, 0);
+            if sweep {
+                via_map.verify_restored();
+                prop_assert_eq!(via_map.cache().lazy_verified(), m.loaded);
+            }
+            for q in &queries {
+                let want = via_read.execute(q).expect("heap-backed execution");
+                let got = via_map.execute(q).expect("mapped-backed execution");
+                assert_bit_identical(&got, &want, &format!("{q} [sweep: {sweep}]"))?;
+            }
+            for engine in [&via_read, &via_map] {
+                prop_assert_eq!(engine.cache().lazy_verify_failures(), 0);
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Corrupting the checkpoint file never panics the mapped path:
-    /// eager mode rejects exactly what the read path rejects, lazy mode
-    /// either rejects (structural damage) or decodes (a payload flip the
-    /// skipped seal cannot see) — the property is the absence of panics
-    /// and of eager/read divergence, enforced by the harness itself.
+    /// Corrupting the checkpoint file never panics, never makes the mapped
+    /// path disagree with the in-memory one about what mounts, and is never
+    /// served: a truncation is a decode error; a flipped bit is a decode
+    /// error or the loss of exactly the entry it touched.
     #[test]
     fn mapped_corruption_never_panics(world in worlds(),
                                       cuts in prop::collection::vec(0usize..usize::MAX, 8),
@@ -193,73 +208,94 @@ proptest! {
         let hin = world.build();
         let dir = scratch_dir("corrupt");
         let path = dir.join("cache.hsnp");
-        donor_snapshot(&hin).write_to_file(&path).expect("write checkpoint");
+        let donor = donor_snapshot(&hin);
+        donor.write_to_file(&path).expect("write checkpoint");
         let good = std::fs::read(&path).expect("read back");
         let bad_path = dir.join("cache-bad.hsnp");
+        let queries = probe_queries(&world);
+        let reference = Engine::from_arc(Arc::clone(&hin));
+        let want: Vec<_> = queries.iter().map(|q| reference.execute(q).expect("reference")).collect();
+        let heap_off = u64::from_le_bytes(good[40..48].try_into().expect("8 bytes")) as usize;
 
         for &cut in &cuts {
             let cut = cut % good.len();
             std::fs::write(&bad_path, &good[..cut]).expect("write truncation");
             prop_assert!(
-                CacheSnapshot::read_from_file_mapped(&bad_path, ChecksumMode::Eager).is_err(),
-                "eager-mapped decoded a truncation at {cut}"
+                CacheSnapshot::open(&bad_path).is_err(),
+                "a truncation at {} mounted", cut
             );
-            let _ = CacheSnapshot::read_from_file_mapped(&bad_path, ChecksumMode::Lazy);
         }
-        for &(pos, bit) in &flips {
-            let pos = pos % good.len();
+        // one flip is always aimed at the metadata, which is a small share
+        // of the file and must never mount
+        let aimed = flips.iter().take(1).map(|&(pos, bit)| (pos % heap_off, bit));
+        for (pos, bit) in aimed.chain(flips.iter().map(|&(pos, bit)| (pos % good.len(), bit))) {
             let mut bad = good.clone();
             bad[pos] ^= 1 << bit;
             std::fs::write(&bad_path, &bad).expect("write flip");
-            let read_rejects = CacheSnapshot::read_from_file(&bad_path).is_err();
-            let eager_rejects =
-                CacheSnapshot::read_from_file_mapped(&bad_path, ChecksumMode::Eager).is_err();
+            let mapped = CacheSnapshot::open(&bad_path);
             prop_assert_eq!(
-                eager_rejects, read_rejects,
-                "eager-mapped and read paths disagree on flip at byte {} bit {}",
-                pos, bit
+                mapped.is_ok(), CacheSnapshot::from_bytes(&bad).is_ok(),
+                "open and from_bytes disagree on flip at byte {} bit {}", pos, bit
             );
-            prop_assert!(read_rejects, "read path decoded a corrupt container");
-            let _ = CacheSnapshot::read_from_file_mapped(&bad_path, ChecksumMode::Lazy);
+            let Ok(mapped) = mapped else { continue };
+            prop_assert!(pos >= heap_off, "a flipped metadata byte ({}) mounted", pos);
+
+            // it mounted: the flip sits in payload words. The sweep finds
+            // it, only it, and the engine answers as if it had never been
+            // in the file
+            let engine = Engine::with_config(
+                Arc::clone(&hin), CacheConfig::default(), ExecPolicy::eager());
+            let report = engine.restore(&mapped);
+            prop_assert_eq!((report.loaded as usize, report.rejected), (donor.len(), 0));
+            engine.verify_restored();
+            let cache = engine.cache();
+            prop_assert_eq!(cache.lazy_pending(), 0);
+            prop_assert_eq!(cache.lazy_verify_failures(), 1, "byte {} bit {}", pos, bit);
+            prop_assert_eq!(cache.lazy_verified() + 1, report.loaded);
+            prop_assert_eq!(cache.len() + 1, donor.len(), "the touched entry is gone");
+            for (q, want) in queries.iter().zip(&want) {
+                let got = engine.execute(q).expect("execution after a dropped entry");
+                assert_bit_identical(&got, want, &format!("{q} [byte {pos} bit {bit}]"))?;
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A file that is not a v2 image — a version-1 container from an
-    /// older build, a foreign file, a stub too short to hold a header — is
-    /// rejected by the mapped entry point (either checksum mode) with
-    /// exactly the typed error the read entry point reports, whatever its
-    /// body holds and whether or not the file could be mapped at all.
+    /// A file that is not a current image — a version-1 or version-2
+    /// container from an older build, a foreign file, a stub too short to
+    /// hold a header — is rejected by `open` with exactly the typed error
+    /// the in-memory entry point reports, whatever its body holds and
+    /// whether or not the file could be mapped at all.
     #[test]
     fn non_v2_files_are_rejected_identically_by_mapped_and_read(
-        head in 0usize..3,
+        head in 0usize..4,
         body in prop::collection::vec(0u8..=255, 0..200),
     ) {
         let mut bytes = match head {
             0 => [b"HSNP".as_slice(), &1u32.to_le_bytes()].concat(),
-            1 => b"HFRM\x02\0\0\0".to_vec(),
+            1 => [b"HSNP".as_slice(), &2u32.to_le_bytes()].concat(),
+            2 => b"HFRM\x03\0\0\0".to_vec(),
             _ => Vec::new(),
         };
         bytes.extend_from_slice(&body);
-        if bytes.starts_with(b"HSNP\x02\0\0\0") {
+        if bytes.starts_with(b"HSNP\x03\0\0\0") {
             bytes[0] = b'X';
         }
-        let dir = scratch_dir("non-v2");
+        let dir = scratch_dir("non-v3");
         let path = dir.join("cache.hsnp");
         std::fs::write(&path, &bytes).expect("write");
 
-        let want = CacheSnapshot::read_from_file(&path)
-            .expect_err("the read path accepted a non-v2 file")
+        let want = CacheSnapshot::from_bytes(&bytes)
+            .expect_err("the in-memory path accepted a foreign image")
             .to_string();
-        if head == 0 && bytes.len() >= 72 {
-            prop_assert_eq!(&want, &hin_query::CodecError::UnsupportedVersion(1).to_string());
+        if head < 2 && bytes.len() >= 64 {
+            let version = head as u32 + 1;
+            prop_assert_eq!(&want, &hin_query::CodecError::UnsupportedVersion(version).to_string());
         }
-        for mode in [ChecksumMode::Eager, ChecksumMode::Lazy] {
-            let got = CacheSnapshot::read_from_file_mapped(&path, mode)
-                .expect_err("the mapped path accepted a non-v2 file")
-                .to_string();
-            prop_assert_eq!(&got, &want, "{:?}", mode);
-        }
+        let got = CacheSnapshot::open(&path)
+            .expect_err("open accepted a foreign file")
+            .to_string();
+        prop_assert_eq!(&got, &want);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -290,7 +290,13 @@ fn serve_conn(shared: &ListenerShared, stream: TcpStream) {
             Message::Ping { nonce } => Message::Pong { nonce },
             Message::Warm { image } => match CacheSnapshot::from_bytes(&image) {
                 Ok(snapshot) => {
-                    let report = shared.server.engine().restore(&snapshot);
+                    let engine = shared.server.engine();
+                    let report = engine.restore(&snapshot);
+                    // the image crossed a network: by the time the sender
+                    // is told how much arrived, every restored entry has
+                    // been checked against its checksum on this thread, not
+                    // on a worker's under some client's query
+                    engine.verify_restored();
                     Message::WarmAck {
                         loaded: report.loaded,
                         rejected: report.rejected,
@@ -731,7 +737,8 @@ impl RemoteServerHandle {
 
     /// Stream a snapshot image ([`CacheSnapshot::to_bytes`]) into the
     /// shard's cache over a dedicated connection — warm-starting a remote
-    /// process with no shared filesystem. Returns `(loaded, rejected)`.
+    /// process with no shared filesystem. Returns `(loaded, rejected)`, once
+    /// the shard has verified every entry it loaded.
     pub fn warm(&self, image: &[u8], timeout: Duration) -> Result<(u64, u64), String> {
         let mut stream = TcpStream::connect_timeout(&self.shared.addr, timeout)
             .map_err(|e| format!("connect: {e}"))?;

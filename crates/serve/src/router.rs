@@ -36,7 +36,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hin_core::Hin;
-use hin_query::{CacheSnapshot, ChecksumMode, CodecError, QueryError, QueryOutput};
+use hin_query::{CacheSnapshot, CodecError, QueryError, QueryOutput};
 use hin_telemetry::{HistSnapshot, Histogram, MetricsWriter};
 
 use crate::remote::{RemoteConfig, RemoteServerHandle, RemoteStats};
@@ -102,9 +102,8 @@ impl Default for SupervisorConfig {
 pub struct FailoverConfig {
     /// The dataset the replacement server computes over.
     pub hin: Arc<Hin>,
-    /// Checkpoint file to warm-start from, honoring
-    /// [`ServeConfig::mmap_snapshots`] like
-    /// [`Router::register_warm_from_file`].
+    /// Checkpoint file to warm-start from, mounted and verified the way
+    /// [`Router::register_warm_from_file`] does it.
     pub checkpoint: PathBuf,
 }
 
@@ -318,6 +317,21 @@ impl RouterStats {
                 s.cache_warm_view_backed,
             );
             w.counter(
+                "hin_cache_restore_verified_total",
+                &ds,
+                s.cache_restore_verified,
+            );
+            w.counter(
+                "hin_cache_restore_corrupt_total",
+                &ds,
+                s.cache_restore_corrupt,
+            );
+            w.gauge(
+                "hin_cache_restore_pending",
+                &ds,
+                s.cache_restore_pending as f64,
+            );
+            w.counter(
                 "hin_cache_diagonal_builds_total",
                 &ds,
                 s.cache_diagonal_builds,
@@ -382,17 +396,6 @@ struct Inner {
     failover_ns: Histogram,
 }
 
-/// Restore a checkpoint file the way `serve` asks for it: memory-mapped
-/// with lazy checksumming under [`ServeConfig::mmap_snapshots`], read
-/// whole with the seal verified up front otherwise.
-fn restore_checkpoint(serve: &ServeConfig, path: &Path) -> Result<CacheSnapshot, CodecError> {
-    if serve.mmap_snapshots {
-        CacheSnapshot::read_from_file_mapped(path, ChecksumMode::Lazy)
-    } else {
-        CacheSnapshot::read_from_file(path)
-    }
-}
-
 impl Inner {
     fn stripe_of(&self, key: &str) -> &Stripe {
         &self.stripes[(self.hasher.hash_one(key) as usize) & self.stripe_mask]
@@ -414,13 +417,16 @@ impl Inner {
     }
 
     /// Replace the dead remote shard under `key` with a local server
-    /// warm-started from the checkpoint. Returns `false` when the key was
-    /// concurrently evicted or replaced (the fresh server is torn down,
-    /// nothing changes). A checkpoint that cannot be restored degrades to
-    /// a cold start — availability beats warmth — and is counted in
-    /// [`RouterStats::failover_restore_errors`].
-    fn failover(&self, key: &str, dead: &Arc<RemoteShard>, fo: &FailoverConfig) -> bool {
-        let snapshot = restore_checkpoint(&self.serve, &fo.checkpoint);
+    /// warm-started from the checkpoint; `since` is when the shard was
+    /// declared unhealthy. Stands down when the key was concurrently
+    /// evicted or replaced (the fresh server is torn down, nothing
+    /// changes). A checkpoint that cannot be mounted degrades to a cold
+    /// start — availability beats warmth — and is counted in
+    /// [`RouterStats::failover_restore_errors`]. The failover is counted
+    /// and timed when the replacement is registered and taking traffic; its
+    /// restored entries are verified after that, on this thread.
+    fn failover(&self, key: &str, dead: &Arc<RemoteShard>, fo: &FailoverConfig, since: Instant) {
+        let snapshot = CacheSnapshot::open(&fo.checkpoint);
         if snapshot.is_err() {
             self.failover_restore_errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -431,23 +437,26 @@ impl Inner {
         // Build the replacement (threads, warm import) before touching the
         // registry: the swap itself is one write-lock blip.
         let server = Arc::new(Server::start(Arc::clone(&fo.hin), config));
-        {
+        let swapped = {
             let mut stripe = self
                 .stripe_of(key)
                 .write()
                 .unwrap_or_else(PoisonError::into_inner);
-            match stripe.get(key) {
-                Some(Shard::Remote(current)) if Arc::ptr_eq(current, dead) => {
-                    stripe.insert(key.to_string(), Shard::Local(server));
-                    return true;
-                }
-                _ => {} // evicted or replaced while we built: stand down
+            let ours =
+                matches!(stripe.get(key), Some(Shard::Remote(now)) if Arc::ptr_eq(now, dead));
+            if ours {
+                stripe.insert(key.to_string(), Shard::Local(Arc::clone(&server)));
             }
-        }
-        if let Ok(server) = Arc::try_unwrap(server) {
+            ours
+        };
+        if swapped {
+            self.failovers.fetch_add(1, Ordering::Relaxed);
+            self.failover_ns.record_duration(since.elapsed());
+            server.engine().verify_restored();
+        } else if let Ok(server) = Arc::try_unwrap(server) {
+            // evicted or replaced while we built: stand down
             let _ = server.shutdown();
         }
-        false
     }
 }
 
@@ -514,6 +523,8 @@ impl Router {
     /// with `loaded == 0` (wrong snapshot for this dataset, or a
     /// [`fingerprint mismatch`](hin_query::SnapshotImport::fingerprint_mismatch))
     /// means the server registered but is effectively cold.
+    /// Entries keep their verified state: after an [`Evicted::snapshot`]
+    /// hand-off nothing is hashed again.
     pub fn register_warm(
         &self,
         key: impl Into<String>,
@@ -529,21 +540,23 @@ impl Router {
     }
 
     /// [`Router::register_warm`] straight from a checkpoint file (one
-    /// written by [`Router::checkpoint`]): the recovery path after a crash,
-    /// honoring [`ServeConfig::mmap_snapshots`]. With mmapping on, the
-    /// checkpoint is memory-mapped with lazy checksumming — restore cost is
-    /// O(metadata), matrix payloads stay on disk until queried, and
-    /// checkpoints larger than RAM warm-start fine; each matrix is then
-    /// verified against its own checksum on first touch, while the file's
-    /// header, keys and directory are only structurally validated (see
-    /// [`ChecksumMode::Lazy`]). Off (or when mapping fails), the file is
-    /// read whole with the checksum verified up front; either way the
-    /// restored cache is bit-identical.
+    /// written by [`Router::checkpoint`]): the recovery path after a crash.
+    ///
+    /// The file is mounted, not loaded ([`CacheSnapshot::open`]): mapped
+    /// where the platform can, metadata proved against its seal, every
+    /// matrix's structure validated — and the dataset is registered and
+    /// answering from there. Then, on the caller's thread, every restored
+    /// entry is verified against its own checksum, hottest first
+    /// ([`hin_query::Engine::verify_restored`]); a query that gets to an
+    /// entry before the sweep verifies it itself, once. When this returns
+    /// nothing is pending: `cache_restore_verified + cache_restore_corrupt`
+    /// equals the report's `loaded`, each corrupt entry evicted unread. The
+    /// file may be replaced or deleted while the dataset serves from it.
     ///
     /// Returns `Ok(None)` when the key was already registered (nothing
     /// started), and the decode error — with nothing registered — when the
-    /// file is unreadable, corrupt, or not the one container this build
-    /// reads (a version-1 file from an older build is
+    /// file is unreadable, its metadata corrupt, or it is not the one
+    /// container this build reads (a file from an older build is
     /// [`CodecError::UnsupportedVersion`]).
     pub fn register_warm_from_file(
         &self,
@@ -551,8 +564,15 @@ impl Router {
         hin: Arc<Hin>,
         path: impl AsRef<Path>,
     ) -> Result<Option<hin_query::SnapshotImport>, CodecError> {
-        let snapshot = restore_checkpoint(&self.inner.serve, path.as_ref())?;
-        Ok(self.register_warm(key, hin, snapshot))
+        let config = ServeConfig {
+            warm_start: Some(Arc::new(CacheSnapshot::open(path)?)),
+            ..self.inner.serve.clone()
+        };
+        let Some(server) = self.register_server(key.into(), hin, config) else {
+            return Ok(None);
+        };
+        server.engine().verify_restored();
+        Ok(Some(server.warm_import().unwrap_or_default()))
     }
 
     /// [`Router::register`] with a per-dataset serving configuration
@@ -764,7 +784,8 @@ impl Router {
     /// missing), one file per dataset — the periodic checkpoint that makes
     /// a crash (not just a graceful evict) recoverable warm. Servers stay
     /// live throughout: each snapshot takes the same shard read locks the
-    /// serving path takes.
+    /// serving path takes, and each image is streamed to its file straight
+    /// from the matrices (a product is hashed by its first checkpoint only).
     ///
     /// Files are named `<sanitized key>-<key digest>.hinsnap`:
     /// sanitization maps anything outside `[A-Za-z0-9._-]` to `_` for
@@ -772,14 +793,17 @@ impl Router {
     /// name a pure function of the key — two keys that sanitize
     /// identically (`"dblp/full"` vs `"dblp full"`) never clobber each
     /// other's recovery file, and a dataset's filename never changes with
-    /// the rest of the registered set. Each file is written to a `.tmp`
-    /// sibling and atomically renamed into place, so a crash mid-write
-    /// leaves the previous good checkpoint intact — the exact failure a
-    /// checkpoint exists to survive. Returns the `(dataset key, file
-    /// path)` pairs written, each a v2 arena image
-    /// ([`hin_query::CacheSnapshot::to_writer`]). Recover from one with
-    /// [`Router::register_warm_from_file`].
+    /// the rest of the registered set. Each file is written to a temp
+    /// sibling named for this process and this call — concurrent
+    /// checkpoints never share one — and atomically renamed into place
+    /// (removed instead, on error): a crash mid-write leaves the previous
+    /// good checkpoint intact, and a server still mapped to it keeps
+    /// serving from it. Returns the `(dataset key, file path)` pairs
+    /// written. Recover from one with [`Router::register_warm_from_file`].
     pub fn checkpoint(&self, dir: impl AsRef<Path>) -> Result<Vec<(String, PathBuf)>, CodecError> {
+        // tells the temp files of this process's checkpoint calls apart
+        static CALLS: AtomicU64 = AtomicU64::new(0);
+        let call = CALLS.fetch_add(1, Ordering::Relaxed);
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         let mut written = Vec::new();
@@ -789,14 +813,16 @@ impl Router {
                 continue;
             };
             let snapshot = server.snapshot(None);
-            let path = dir.join(format!(
-                "{}-{:016x}.hinsnap",
-                sanitize_key(&key),
-                key_digest(&key)
-            ));
-            let tmp = path.with_extension("hinsnap.tmp");
-            snapshot.write_to_file(&tmp)?;
-            std::fs::rename(&tmp, &path)?;
+            let name = format!("{}-{:016x}.hinsnap", sanitize_key(&key), key_digest(&key));
+            let path = dir.join(&name);
+            let tmp = dir.join(format!("{name}.{}.{call}.tmp", std::process::id()));
+            let published = snapshot
+                .write_to_file(&tmp)
+                .and_then(|()| Ok(std::fs::rename(&tmp, &path)?));
+            if let Err(e) = published {
+                let _ = std::fs::remove_file(&tmp);
+                return Err(e);
+            }
             written.push((key, path));
         }
         Ok(written)
@@ -1053,11 +1079,7 @@ fn supervise_shard(
                 if let Some(fo) = &config.failover {
                     // time-to-recovery: unhealthy verdict → warm local
                     // replacement taking traffic
-                    let t0 = Instant::now();
-                    if inner.failover(key, shard, fo) {
-                        inner.failovers.fetch_add(1, Ordering::Relaxed);
-                        inner.failover_ns.record_duration(t0.elapsed());
-                    }
+                    inner.failover(key, shard, fo, Instant::now());
                     return;
                 }
             }
@@ -1225,12 +1247,9 @@ mod tests {
         // atomically replaces the same file
         let again = router.checkpoint(&dir).expect("re-checkpoint");
         assert_eq!(again[0].1, written[0].1);
-        assert!(
-            !written[0].1.with_extension("hinsnap.tmp").exists(),
-            "temp file renamed away"
-        );
+        assert_eq!(tmp_files(&dir), 0, "temp files renamed away");
 
-        let snap = hin_query::CacheSnapshot::read_from_file(&written[0].1).expect("read back");
+        let snap = hin_query::CacheSnapshot::open(&written[0].1).expect("read back");
         assert!(!snap.is_empty());
         assert!(snap.fingerprint().is_some(), "checkpoints carry identity");
         router.evict("dblp/full");
@@ -1277,7 +1296,7 @@ mod tests {
                     for (_, path) in written {
                         // the atomic tmp+rename protocol means every visible
                         // file decodes, even mid-overwrite
-                        hin_query::CacheSnapshot::read_from_file(&path)
+                        hin_query::CacheSnapshot::open(&path)
                             .expect("checkpoint files stay wholly readable");
                     }
                     rounds += 1;
@@ -1327,6 +1346,160 @@ mod tests {
         for (_, path) in &written {
             assert!(path.exists(), "{} written", path.display());
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Files a checkpoint left behind under `dir` without publishing them.
+    fn tmp_files(dir: &Path) -> usize {
+        std::fs::read_dir(dir)
+            .expect("checkpoint dir")
+            .filter(|e| {
+                let name = e.as_ref().expect("dir entry").file_name();
+                name.to_string_lossy().ends_with(".tmp")
+            })
+            .count()
+    }
+
+    #[test]
+    fn concurrent_checkpoints_into_one_directory_each_publish_a_whole_image() {
+        let dir = std::env::temp_dir().join(format!(
+            "hin-router-ck-concurrent-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let hin = tiny(&[("p0", "ann"), ("p0", "bo"), ("p1", "bo"), ("p1", "cy")]);
+        let router = Arc::new(eager_router());
+        router.register("d", Arc::clone(&hin));
+        let q = "pathsim author-paper-author from ann";
+        let want = router.submit("d", q).wait().unwrap();
+
+        // recency — and with it the order of entries in an image, so every
+        // offset — keeps moving under the checkpointers: two images written
+        // through one temp file would interleave into neither
+        let stop = Arc::new(AtomicBool::new(false));
+        let traffic = {
+            let (router, stop) = (Arc::clone(&router), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let queries = [
+                    "pathsim author-paper-author from bo",
+                    "rank paper-author limit 3",
+                    "pathcount author-paper-author from cy",
+                ];
+                for q in queries.iter().cycle() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    router.submit("d", *q).wait().expect("live traffic");
+                }
+            })
+        };
+        let barrier = Arc::new(std::sync::Barrier::new(4));
+        let checkpointers: Vec<_> = (0..4)
+            .map(|_| {
+                let (router, barrier, dir) =
+                    (Arc::clone(&router), Arc::clone(&barrier), dir.clone());
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    for round in 0..10 {
+                        let written = router
+                            .checkpoint(&dir)
+                            .unwrap_or_else(|e| panic!("round {round}: {e}"));
+                        assert_eq!(written.len(), 1);
+                    }
+                })
+            })
+            .collect();
+        for t in checkpointers {
+            t.join().expect("every checkpoint call returned Ok");
+        }
+        stop.store(true, Ordering::Relaxed);
+        traffic.join().unwrap();
+
+        assert_eq!(tmp_files(&dir), 0, "no temp file outlives its call");
+        let file = router.checkpoint(&dir).unwrap().remove(0).1;
+        router.evict("d");
+        let report = router
+            .register_warm_from_file("d", hin, &file)
+            .expect("the published file is one whole image")
+            .expect("key free after evict");
+        assert!(report.loaded > 0);
+        assert_eq!(router.stats().datasets[0].1.cache_restore_corrupt, 0);
+        assert_eq!(router.submit("d", q).wait().unwrap(), want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restoring_from_a_file_leaves_nothing_pending_and_drops_what_is_corrupt() {
+        let dir = std::env::temp_dir().join(format!(
+            "hin-router-sweep-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let hin = tiny(&[("p0", "ann"), ("p0", "bo"), ("p1", "bo"), ("p1", "cy")]);
+        let queries = [
+            "pathsim author-paper-author from ann",
+            "pathsim author-paper-author from cy",
+            "rank paper-author limit 3",
+            "pathcount paper-author-paper from p0",
+        ];
+        let router = eager_router();
+        router.register("d", Arc::clone(&hin));
+        let want = router.execute_many("d", &queries);
+        let good = router.checkpoint(&dir).expect("checkpoint").remove(0).1;
+        router.evict("d");
+
+        // a clean file: when the call returns every entry has been checked
+        let report = router
+            .register_warm_from_file("d", Arc::clone(&hin), &good)
+            .unwrap()
+            .unwrap();
+        let d = router.stats().datasets.remove(0).1;
+        assert!(report.loaded >= 2, "{report:?}");
+        assert_eq!(d.cache_restore_pending, 0);
+        assert_eq!(
+            (d.cache_restore_verified, d.cache_restore_corrupt),
+            (report.loaded, 0)
+        );
+        assert_eq!(router.execute_many("d", &queries), want);
+        assert_eq!(router.stats().datasets[0].1.cache_misses, 0);
+        router.evict("d");
+
+        // one payload byte flipped on disk — the first entry's first value
+        let mut image = std::fs::read(&good).unwrap();
+        let at = |off: usize| u64::from_le_bytes(image[off..off + 8].try_into().unwrap()) as usize;
+        let data_off = at(at(32) + 40);
+        image[data_off] ^= 0x04;
+        let bad = dir.join("flipped.hinsnap");
+        std::fs::write(&bad, &image).unwrap();
+
+        // it mounts, answers every query correctly, and says what it lost
+        let report = router
+            .register_warm_from_file("d", Arc::clone(&hin), &bad)
+            .expect("metadata and structure are intact")
+            .unwrap();
+        let d = router.stats().datasets.remove(0).1;
+        assert_eq!(d.cache_restore_pending, 0);
+        assert_eq!(d.cache_restore_corrupt, 1);
+        assert_eq!(d.cache_restore_verified + 1, report.loaded);
+        assert_eq!(d.cache_len as u64 + 1, report.loaded, "evicted unread");
+        assert_eq!(router.execute_many("d", &queries), want);
+        let page = router.stats().render_metrics();
+        assert!(page.contains("hin_cache_restore_corrupt_total{dataset=\"d\"} 1\n"));
+        assert!(page.contains("hin_cache_restore_pending{dataset=\"d\"} 0\n"));
+
+        // an in-process hand-off carries the verified state along
+        let evicted = router.evict("d").unwrap();
+        let report = router
+            .register_warm("d", hin, evicted.snapshot)
+            .expect("key free");
+        let d = router.stats().datasets.remove(0).1;
+        assert!(report.loaded > 0);
+        assert_eq!(
+            (d.cache_restore_pending, d.cache_restore_verified),
+            (0, 0),
+            "nothing to verify, nothing hashed"
+        );
+        router.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1554,26 +1727,29 @@ mod tests {
         router.evict("d");
         let image = std::fs::read(&good).expect("read back");
 
-        // what an older build's writer left behind: same magic, version 1
-        let v1_headed = dir.join("v1.hinsnap");
-        std::fs::write(
-            &v1_headed,
-            [b"HSNP".as_slice(), &1u32.to_le_bytes(), &image[8..]].concat(),
-        )
-        .unwrap();
+        // what older builds' writers left behind: same magic, version 1 or 2
+        let headed = |version: u32| {
+            let path = dir.join(format!("v{version}.hinsnap"));
+            let image = [b"HSNP".as_slice(), &version.to_le_bytes(), &image[8..]].concat();
+            std::fs::write(&path, image).unwrap();
+            path
+        };
+        let (v1_headed, v2_headed) = (headed(1), headed(2));
         let truncated = dir.join("truncated.hinsnap");
         std::fs::write(&truncated, &image[..image.len() - 16]).unwrap();
 
         // the explicit recovery path reports the error and registers nothing
-        let err = router.register_warm_from_file("d", Arc::clone(&hin), &v1_headed);
-        assert!(
-            matches!(err, Err(CodecError::UnsupportedVersion(1))),
-            "{err:?}"
-        );
+        for (version, path) in [(1, &v1_headed), (2, &v2_headed)] {
+            let err = router.register_warm_from_file("d", Arc::clone(&hin), path);
+            assert!(
+                matches!(err, Err(CodecError::UnsupportedVersion(v)) if v == version),
+                "{err:?}"
+            );
+        }
         assert!(router.datasets().is_empty());
 
         // the automatic one stays available — and says it started cold
-        for (n, bad) in [v1_headed, truncated].into_iter().enumerate() {
+        for (n, bad) in [v1_headed, v2_headed, truncated].into_iter().enumerate() {
             let n = n as u64 + 1;
             fail_over(&router, &hin, bad, q, &want);
             let stats = router.stats();

@@ -52,6 +52,17 @@ pub struct ServeConfig {
     /// Entries are schema-validated and priced through the cache's LRU
     /// (see [`hin_query::Engine::restore`]); `None` (the default) starts
     /// cold.
+    ///
+    /// A snapshot mounted from a checkpoint file
+    /// ([`hin_query::CacheSnapshot::open`]) is a set of demand-paged views
+    /// into the mapped file, so warm-start cost is O(metadata) and resident
+    /// memory is bounded by the queried working set — there is no switch
+    /// for this, it is how files are restored. Its entries are served only
+    /// once verified against their checksums: by the first query to touch
+    /// each, unless [`hin_query::Engine::verify_restored`] got there first
+    /// — [`crate::Router::register_warm_from_file`] and failover run it as
+    /// soon as the server is reachable; [`Server::start`] on its own does
+    /// not, which is what lets a checkpoint larger than RAM open at all.
     pub warm_start: Option<Arc<CacheSnapshot>>,
     /// Row-parallel kernel threads: `Some(n)` pins the process-wide worker
     /// pool the SpMM kernels run on ([`hin_linalg::set_kernel_threads`])
@@ -60,18 +71,6 @@ pub struct ServeConfig {
     /// (the default) leaves the resolution to the `HIN_KERNEL_THREADS`
     /// environment variable or the machine's available parallelism.
     pub kernel_threads: Option<usize>,
-    /// Memory-map checkpoint files on the file-based warm-start path
-    /// ([`crate::Router::register_warm_from_file`]): the snapshot arena
-    /// becomes a demand-paged view into the kernel page cache
-    /// ([`hin_query::CacheSnapshot::read_from_file_mapped`] with
-    /// [`hin_query::ChecksumMode::Lazy`]), so warm-start cost is
-    /// O(metadata) instead of O(file) and resident memory is bounded by the
-    /// queried working set — snapshots larger than RAM restore fine. Off
-    /// (the default), checkpoints are read whole into heap with the full
-    /// checksum verified up front. On map failure or a non-64-bit-unix
-    /// host the mapped path silently falls back to the read path with
-    /// bit-identical results, so enabling this is always safe.
-    pub mmap_snapshots: bool,
     /// Observability: per-stage latency histograms and the slow-query log.
     pub telemetry: TelemetryConfig,
 }
@@ -88,7 +87,6 @@ impl Default for ServeConfig {
             exec: ExecPolicy::default(),
             warm_start: None,
             kernel_threads: None,
-            mmap_snapshots: false,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -345,9 +343,23 @@ pub struct ServerStats {
     /// dataset's schema.
     pub cache_warm_rejected: u64,
     /// Cache: the subset of `cache_warm_loaded` admitted as zero-copy
-    /// arena views (v2 snapshot restores on a zero-copy host) rather than
+    /// arena views (mounted images on a zero-copy host) rather than
     /// per-matrix heap decodes.
     pub cache_warm_view_backed: u64,
+    /// Cache: restored entries whose payload matched its checkpoint
+    /// checksum — each hashed once, by the restore's sweep or by the first
+    /// query to reach it.
+    pub cache_restore_verified: u64,
+    /// Cache: restored entries whose payload did **not** match: evicted
+    /// unread, and recomputed under traffic when next wanted. Non-zero
+    /// means a warm start came up missing spans — the checkpoint was
+    /// damaged after it was written.
+    pub cache_restore_corrupt: u64,
+    /// Cache: resident restored entries nobody has verified yet (a gauge).
+    /// Zero once [`crate::Router::register_warm_from_file`], a failover or
+    /// a `Warm` has returned; stays up only after a bare
+    /// [`ServeConfig::warm_start`], until queries have touched every span.
+    pub cache_restore_pending: usize,
     /// Cache: diagonal sidecars built for resident matrices PathSim read —
     /// one per resident span per residency, not one per query.
     pub cache_diagonal_builds: u64,
@@ -418,6 +430,9 @@ impl ServerStats {
             cache_warm_loaded: self.cache_warm_loaded + other.cache_warm_loaded,
             cache_warm_rejected: self.cache_warm_rejected + other.cache_warm_rejected,
             cache_warm_view_backed: self.cache_warm_view_backed + other.cache_warm_view_backed,
+            cache_restore_verified: self.cache_restore_verified + other.cache_restore_verified,
+            cache_restore_corrupt: self.cache_restore_corrupt + other.cache_restore_corrupt,
+            cache_restore_pending: self.cache_restore_pending + other.cache_restore_pending,
             cache_diagonal_builds: self.cache_diagonal_builds + other.cache_diagonal_builds,
             normalizer_memo_hits: self.normalizer_memo_hits + other.normalizer_memo_hits,
             cache_len: self.cache_len + other.cache_len,
@@ -762,6 +777,9 @@ impl Server {
             cache_warm_loaded: cache.warm_loaded(),
             cache_warm_rejected: cache.warm_rejected(),
             cache_warm_view_backed: cache.warm_view_backed(),
+            cache_restore_verified: cache.lazy_verified(),
+            cache_restore_corrupt: cache.lazy_verify_failures(),
+            cache_restore_pending: cache.lazy_pending(),
             cache_diagonal_builds: cache.diagonal_builds(),
             normalizer_memo_hits: self.engine.normalizer_memo_hits(),
             cache_len: cache.len(),

@@ -17,11 +17,12 @@
 //!   in-process answer. That property is what the chaos suite pins.
 //! * `Ping { nonce }` / `Pong { nonce }` — the health-check probe.
 //! * `Warm { image }` / `WarmAck { loaded, rejected }` — snapshot
-//!   streaming: the payload of `Warm` is a whole v2 arena snapshot
-//!   container ([`hin_query::CacheSnapshot::to_bytes`]), so a freshly
-//!   spawned remote
-//!   shard warm-starts entirely over the wire, no shared filesystem
-//!   needed.
+//!   streaming: the payload of `Warm` is a whole snapshot container
+//!   image ([`hin_query::CacheSnapshot::to_bytes`]; the frame adds its own
+//!   checksum over it in flight), so a freshly spawned remote shard
+//!   warm-starts entirely over the wire, no shared filesystem needed. The
+//!   ack is sent once every restored entry has been verified against the
+//!   image's own per-entry checksums.
 //!
 //! Decoding is paranoid in the same way the snapshot codec is: corrupt,
 //! truncated, or hostile payloads return a typed [`CodecError`], never
@@ -77,7 +78,7 @@ pub enum Message {
         /// Echo of the probe nonce.
         nonce: u64,
     },
-    /// A v2 snapshot container image to restore into the shard's cache.
+    /// A snapshot container image to restore into the shard's cache.
     Warm {
         /// Bytes as produced by `CacheSnapshot::to_bytes`.
         image: Vec<u8>,

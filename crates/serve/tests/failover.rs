@@ -171,13 +171,13 @@ fn checkpoint_file_survives_a_crash_style_failover() {
     drop(router.evict("dblp").expect("registered"));
 
     let decodes_before = hin_linalg::arena::heap_decodes();
-    let snap = hin_query::CacheSnapshot::read_from_file(&written[0].1).expect("read checkpoint");
+    let snap = hin_query::CacheSnapshot::open(&written[0].1).expect("open checkpoint");
     assert!(!snap.is_empty());
     if hin_linalg::arena::ZERO_COPY {
         assert_eq!(
             hin_linalg::arena::heap_decodes(),
             decodes_before,
-            "a v2 checkpoint restore is one read + zero per-matrix decodes"
+            "a checkpoint restore is one map + zero per-matrix decodes"
         );
         assert_eq!(snap.view_backed(), snap.len(), "every entry is a view");
         assert_eq!(snap.arena_count(), 1, "all views share one arena buffer");
@@ -212,11 +212,11 @@ fn checkpoint_file_survives_a_crash_style_failover() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The mmap warm-start path: recover a checkpoint through
-/// `register_warm_from_file` with `mmap_snapshots` on and the replacement
-/// must answer byte-identically to the read-restored reference — with the
-/// restored matrices demand-paged out of the mapped file (mapped bytes up,
-/// zero per-matrix heap decodes) on hosts where the mapping engages.
+/// The file warm-start path: recover a checkpoint through
+/// `register_warm_from_file` and the replacement must answer
+/// byte-identically to the computed reference — with the restored matrices
+/// demand-paged out of the mapped file (mapped bytes up, zero per-matrix
+/// heap decodes) on hosts where the mapping engages.
 #[test]
 fn mapped_checkpoint_recovery_answers_byte_identically() {
     let dir = std::env::temp_dir().join(format!("hin-failover-mmap-{}", std::process::id()));
@@ -227,10 +227,7 @@ fn mapped_checkpoint_recovery_answers_byte_identically() {
 
     let router = Arc::new(Router::new(RouterConfig {
         stripes: 2,
-        serve: ServeConfig {
-            mmap_snapshots: true,
-            ..serve_config()
-        },
+        serve: serve_config(),
     }));
     assert!(router.register("dblp", Arc::clone(&hin)));
     let _ = router.execute_many("dblp", &queries);
@@ -247,10 +244,10 @@ fn mapped_checkpoint_recovery_answers_byte_identically() {
     assert!(report.loaded > 0, "mapped warm start admitted entries");
     assert_eq!(report.rejected, 0);
     if cfg!(all(unix, target_pointer_width = "64")) && hin_linalg::arena::ZERO_COPY {
-        assert_eq!(
-            hin_linalg::arena::mapped_restores(),
-            mapped_before + 1,
-            "the checkpoint restored through one mmap"
+        // process-wide, and every test here restores through a map now
+        assert!(
+            hin_linalg::arena::mapped_restores() > mapped_before,
+            "the checkpoint restored through an mmap"
         );
         assert!(
             hin_linalg::arena::arena_mapped_bytes() > 0,
@@ -281,5 +278,70 @@ fn mapped_checkpoint_recovery_answers_byte_identically() {
         .map_err(|_| "router still shared")
         .unwrap()
         .shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What the end-to-end benchmark's restart cycle does: restore from a
+/// checkpoint file, delete the file while the dataset serves out of its
+/// mapping, checkpoint *again* from those orphaned views, and restore that.
+/// Answers must be the reference's at every step, nothing may be
+/// recomputed, and the last image — streamed out of its predecessor's
+/// mapping, three generations on — must carry what the first one did.
+#[test]
+fn a_checkpoint_unlinked_while_mapped_keeps_serving_and_checkpoints_again() {
+    let dir = std::env::temp_dir().join(format!("hin-failover-unlink-{}", std::process::id()));
+    let hin = world();
+    let queries = workload();
+    let reference = Engine::from_arc(Arc::clone(&hin));
+    let want: Vec<_> = queries.iter().map(|q| reference.execute(q)).collect();
+    let check = |router: &Router, step: &str| {
+        let results = router.execute_many("dblp", &queries);
+        for ((q, got), reference) in queries.iter().zip(&results).zip(&want) {
+            assert_eq!(got, reference, "{step}: diverged on {q}");
+        }
+    };
+
+    let router = Router::new(RouterConfig {
+        stripes: 2,
+        serve: serve_config(),
+    });
+    assert!(router.register("dblp", Arc::clone(&hin)));
+    check(&router, "computed");
+    let file = router.checkpoint(&dir).expect("checkpoint").remove(0).1;
+    let carried = |file: &std::path::Path| {
+        let snap = hin_query::CacheSnapshot::open(file).expect("open image");
+        let mut keys = snap.keys();
+        keys.sort();
+        (keys, snap.bytes(), std::fs::metadata(file).unwrap().len())
+    };
+    let first = carried(&file);
+
+    for cycle in 0..3 {
+        drop(router.evict("dblp").expect("registered"));
+        let report = router
+            .register_warm_from_file("dblp", Arc::clone(&hin), &file)
+            .expect("checkpoint file decodes")
+            .expect("key free after evict");
+        assert!(report.loaded > 0 && report.rejected == 0, "{report:?}");
+        std::fs::remove_file(&file).expect("unlink the mapped checkpoint");
+        check(&router, &format!("cycle {cycle}, file unlinked"));
+
+        let again = router
+            .checkpoint(&dir)
+            .expect("checkpoint from orphaned views");
+        assert_eq!(again[0].1, file, "same dataset, same file name");
+        check(&router, &format!("cycle {cycle}, checkpointed again"));
+        let d = &router.stats().datasets[0].1;
+        assert_eq!(d.cache_misses, 0, "cycle {cycle}: nothing recomputed");
+        assert_eq!(
+            (d.cache_restore_pending, d.cache_restore_corrupt),
+            (0, 0),
+            "cycle {cycle}"
+        );
+    }
+    // entry order follows recency, which three workers do not reproduce;
+    // what is carried does not change
+    assert_eq!(carried(&file), first);
+    router.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

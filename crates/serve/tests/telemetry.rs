@@ -142,6 +142,9 @@ fn merge_edge_semantics() {
         promotions_refused: 30,
         cache_inserts_refused: 4,
         cache_refused_bytes: 9_000,
+        cache_restore_verified: 6,
+        cache_restore_corrupt: 1,
+        cache_restore_pending: 2,
         ..ServerStats::default()
     };
     let b = ServerStats {
@@ -158,6 +161,8 @@ fn merge_edge_semantics() {
         promotions_refused: 12,
         cache_inserts_refused: 1,
         cache_refused_bytes: 500,
+        cache_restore_verified: 3,
+        cache_restore_pending: 1,
         ..ServerStats::default()
     };
     let m = a.merge(&b);
@@ -170,6 +175,14 @@ fn merge_edge_semantics() {
             m.cache_refused_bytes
         ),
         (42, 5, 9_500)
+    );
+    assert_eq!(
+        (
+            m.cache_restore_verified,
+            m.cache_restore_corrupt,
+            m.cache_restore_pending
+        ),
+        (9, 1, 3)
     );
     assert_eq!(m.max_batch, 7, "max_batch takes the max");
     assert_eq!(m.workers, 6, "workers add");
@@ -280,6 +293,9 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         promotions_refused: 123,
         cache_inserts_refused: 124,
         cache_refused_bytes: 125,
+        cache_restore_verified: 126,
+        cache_restore_corrupt: 127,
+        cache_restore_pending: 128,
         admission_ns: snap(&[1_000]),
         queue_wait_ns: snap(&[2_000, 2_000]),
         dispatch_ns: snap(&[3_000, 3_000, 3_000]),
@@ -330,6 +346,8 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         ("hin_promotions_refused_total", 123),
         ("hin_cache_inserts_refused_total", 124),
         ("hin_cache_refused_bytes_total", 125),
+        ("hin_cache_restore_verified_total", 126),
+        ("hin_cache_restore_corrupt_total", 127),
     ] {
         assert!(
             page.contains(&format!("{name}{{dataset=\"db\"}} {value}\n")),
@@ -342,6 +360,7 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         ("hin_queue_depth", 107),
         ("hin_cache_len", 119),
         ("hin_cache_bytes", 120),
+        ("hin_cache_restore_pending", 128),
     ] {
         assert!(
             page.contains(&format!("{name}{{dataset=\"db\"}} {value}\n")),

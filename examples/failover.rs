@@ -7,7 +7,7 @@
 //! 1. `Router::evict` → [`hin::serve::Evicted`] — in-process hand-off,
 //! 2. `Router::register_warm` — restoring into a replacement,
 //! 3. `Router::checkpoint` — the periodic to-disk variant that survives a
-//!    crash, read back with `CacheSnapshot::read_from_file`.
+//!    crash, mounted again with `CacheSnapshot::open`.
 //!
 //! Run with: `cargo run --release --example failover`
 
@@ -92,7 +92,7 @@ fn main() {
     // crash-style recovery: the same warm start, but from the checkpoint
     // file instead of an in-memory snapshot
     drop(router.evict("dblp").expect("still registered"));
-    let snap = CacheSnapshot::read_from_file(&written[0].1).expect("read checkpoint");
+    let snap = CacheSnapshot::open(&written[0].1).expect("open checkpoint");
     let report = router
         .register_warm("dblp", Arc::clone(&hin), snap)
         .expect("key is free after evict");
