@@ -19,7 +19,7 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use crate::csr::Csr;
+use crate::csr::{Csr, ScatterScratch};
 
 /// Shape-plus-sparsity summary of one chain operand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -265,52 +265,41 @@ pub fn spmm_chain_order_priced(
 
 /// Multiply a chain of sparse matrices in the planner-chosen order.
 ///
-/// One [`ScatterScratch`](crate::csr::ScatterScratch) (dense accumulator +
-/// touched-column buffer) is shared across every product in the chain, so
-/// an n-link chain pays for the accumulator allocation once instead of per
-/// link.
+/// One [`ScatterScratch`] (dense accumulator + touched-column buffer) is
+/// shared across every product in the chain, so an n-link chain pays for
+/// the accumulator allocation once instead of per link.
 ///
 /// # Panics
 /// Panics when `mats` is empty or consecutive dimensions mismatch.
 pub fn spmm_chain(mats: &[&Csr]) -> Csr {
-    let plan = spmm_chain_order(
-        &mats
-            .iter()
-            .map(|m| MatSummary::from(*m))
-            .collect::<Vec<_>>(),
-    );
-    let mut scratch = crate::csr::ScatterScratch::new();
-    eval_tree(mats, &plan.tree, &mut scratch).into_owned()
+    spmm_chain_parallel(mats, 1)
 }
 
 /// [`spmm_chain`] with every product executed by the row-parallel kernel
 /// ([`Csr::spgemm_parallel`]) on `threads` workers.
 ///
-/// The multiplication *order* is the same planner-chosen tree as the
-/// serial chain, and the per-row kernel is shared, so the result is
-/// bit-identical to [`spmm_chain`] at any thread count. `threads <= 1`
-/// delegates to the serial chain outright (one shared scratch, no
-/// spawning).
+/// The multiplication *order* is the planner-chosen tree whatever the
+/// thread count, and the per-row kernel is shared, so the result is
+/// bit-identical to [`spmm_chain`]. `threads <= 1` *is* the serial chain:
+/// one shared scratch, no spawning.
 ///
 /// # Panics
 /// Panics when `mats` is empty or consecutive dimensions mismatch.
 pub fn spmm_chain_parallel(mats: &[&Csr], threads: usize) -> Csr {
-    if threads <= 1 {
-        return spmm_chain(mats);
-    }
     let plan = spmm_chain_order(
         &mats
             .iter()
             .map(|m| MatSummary::from(*m))
             .collect::<Vec<_>>(),
     );
-    eval_tree_parallel(mats, &plan.tree, threads).into_owned()
+    eval_tree(mats, &plan.tree, threads, &mut ScatterScratch::new()).into_owned()
 }
 
 fn eval_tree<'a>(
     mats: &[&'a Csr],
     tree: &PlanTree,
-    scratch: &mut crate::csr::ScatterScratch,
+    threads: usize,
+    scratch: &mut ScatterScratch,
 ) -> Cow<'a, Csr> {
     match tree {
         PlanTree::Leaf(i) => Cow::Borrowed(mats[*i]),
@@ -318,23 +307,13 @@ fn eval_tree<'a>(
             unreachable!("spmm_chain plans without pre-priced spans")
         }
         PlanTree::Mul(l, r) => {
-            let left = eval_tree(mats, l, scratch);
-            let right = eval_tree(mats, r, scratch);
-            Cow::Owned(left.spgemm_with(&right, scratch))
-        }
-    }
-}
-
-fn eval_tree_parallel<'a>(mats: &[&'a Csr], tree: &PlanTree, threads: usize) -> Cow<'a, Csr> {
-    match tree {
-        PlanTree::Leaf(i) => Cow::Borrowed(mats[*i]),
-        PlanTree::Span(..) => {
-            unreachable!("spmm_chain plans without pre-priced spans")
-        }
-        PlanTree::Mul(l, r) => {
-            let left = eval_tree_parallel(mats, l, threads);
-            let right = eval_tree_parallel(mats, r, threads);
-            Cow::Owned(left.spgemm_parallel(&right, threads))
+            let left = eval_tree(mats, l, threads, scratch);
+            let right = eval_tree(mats, r, threads, scratch);
+            Cow::Owned(if threads <= 1 {
+                left.spgemm_with(&right, scratch)
+            } else {
+                left.spgemm_parallel(&right, threads)
+            })
         }
     }
 }

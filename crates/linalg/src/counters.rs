@@ -48,13 +48,15 @@ pub struct KernelCounters {
     pub scratch_allocs: AtomicU64,
     /// `ScatterScratch` uses satisfied by an already-wide-enough buffer.
     pub scratch_reuses: AtomicU64,
-    /// Contiguous output-row blocks processed by the row-parallel kernels
-    /// (`Csr::spgemm_parallel` / `spmm_chain_parallel`): one per worker
-    /// block, so a serial-degenerate call still counts 1.
+    /// Contiguous row blocks the parallel kernels cut their work into
+    /// (`Csr::spgemm_parallel` / `spmm_chain_parallel`, and
+    /// `spvm_chain_rows` when it fans a batch out): one per worker block,
+    /// so a product that ran inline — one thread asked for, or under
+    /// `pool::PARALLEL_MIN_FLOPS` — counts 1.
     pub row_blocks: AtomicU64,
-    /// Anchors propagated through the multi-anchor block kernel
-    /// (`spmm_block_chain`): the batched alternative to one `spvm_chain`
-    /// per anchor.
+    /// Anchors that propagated as part of a batch of two or more
+    /// (`spvm_chain_rows` with k ≥ 2 rows adds k): the batched alternative
+    /// to one `spvm_chain` per query. A lone anchor adds nothing.
     pub block_anchors: AtomicU64,
 }
 

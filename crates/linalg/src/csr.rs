@@ -9,22 +9,23 @@ use crate::arena::ArenaView;
 use crate::dense::DMat;
 
 /// Reusable dense-accumulator scratch for the scatter/gather sparse
-/// kernels ([`Csr::spgemm_with`], [`crate::spvec::spvm_with`]).
+/// kernels ([`Csr::spgemm_with`], [`crate::spvec::spvm_with`]), and the
+/// home of the one row kernel both run (`product_row`).
 ///
-/// Both kernels expand one sparse row (or vector) into a dense accumulator,
-/// tracking which columns were touched, then gather the touched columns
+/// The kernel expands one sparse row (or vector) into a dense accumulator,
+/// tracking which columns were touched, then gathers the touched columns
 /// back out in sorted order. The accumulator is as wide as the widest
 /// operand seen, so chained products (`spmm_chain`, `spvm_chain`) reuse one
 /// allocation across every link instead of paying a fresh `vec![0.0; ncols]`
 /// per product.
 ///
 /// Invariant between uses: `acc` is all zeros and `touched` is empty —
-/// every kernel restores this as it gathers, so a scratch can be shared
+/// the kernel restores this as it gathers, so a scratch can be shared
 /// freely across calls (but not across threads).
 #[derive(Debug, Default)]
 pub struct ScatterScratch {
-    pub(crate) acc: Vec<f64>,
-    pub(crate) touched: Vec<u32>,
+    acc: Vec<f64>,
+    touched: Vec<u32>,
 }
 
 impl ScatterScratch {
@@ -47,6 +48,51 @@ impl ScatterScratch {
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             });
         }
+    }
+
+    /// The row kernel: the sparse row `(idx, vals)` times `rhs`, appended
+    /// to `indices` / `data` with strictly increasing columns. Every sparse
+    /// product in this crate — a row of [`Csr::spgemm`], a link of
+    /// [`crate::spvec::spvm_chain`] — is this one function, which is what
+    /// makes a propagated row bit-identical to the same row of the
+    /// materialized product. The caller has [`prepare`](Self::prepare)d the
+    /// scratch for `rhs.ncols()`.
+    #[inline]
+    pub(crate) fn product_row(
+        &mut self,
+        idx: &[u32],
+        vals: &[f64],
+        rhs: &Csr,
+        indices: &mut Vec<u32>,
+        data: &mut Vec<f64>,
+    ) {
+        let ScatterScratch { acc, touched } = self;
+        for (&k, &v) in idx.iter().zip(vals) {
+            for (&c, &w) in rhs
+                .row_indices(k as usize)
+                .iter()
+                .zip(rhs.row_values(k as usize))
+            {
+                if acc[c as usize] == 0.0 {
+                    touched.push(c);
+                }
+                acc[c as usize] += v * w;
+            }
+        }
+        touched.sort_unstable();
+        // `acc == 0.0` can re-mark a column whose partial sums cancelled
+        // back to zero (possible only with negative weights); dedup so a
+        // cancelled-and-revived column cannot emit twice.
+        touched.dedup();
+        // exact for a lone row, a no-op inside a product that reserved
+        indices.reserve(touched.len());
+        data.reserve(touched.len());
+        for &c in touched.iter() {
+            indices.push(c);
+            data.push(acc[c as usize]);
+            acc[c as usize] = 0.0;
+        }
+        touched.clear();
     }
 }
 
@@ -478,26 +524,25 @@ impl Csr {
             c.spgemm_calls.fetch_add(1, Relaxed);
             c.spgemm_flops.fetch_add(flops as u64, Relaxed);
         });
+        self.spgemm_inline(rhs, flops, scratch)
+    }
+
+    /// The whole product on the calling thread: every row through
+    /// [`Csr::spgemm_rows`], assembled without a stitching copy.
+    fn spgemm_inline(&self, rhs: &Csr, flops: f64, scratch: &mut ScatterScratch) -> Csr {
         let (row_ends, indices, data) = self.spgemm_rows(rhs, 0..self.nrows, flops, scratch);
         let mut indptr = Vec::with_capacity(self.nrows + 1);
         indptr.push(0usize);
         indptr.extend(row_ends);
-        Csr {
-            nrows: self.nrows,
-            ncols: rhs.ncols,
-            storage: Storage::Owned {
-                indptr,
-                indices,
-                data,
-            },
-        }
+        Csr::from_parts_unchecked(self.nrows, rhs.ncols, indptr, indices, data)
     }
 
-    /// The scatter/gather row kernel over output rows `rows` — the one
-    /// per-row loop both the serial product ([`Csr::spgemm_with`]) and the
-    /// row-parallel product ([`Csr::spgemm_parallel`]) execute, so the two
-    /// are bit-identical by construction. Returns per-row end offsets
-    /// (relative to the block) plus the block's `indices`/`data` arrays.
+    /// Output rows `rows` of the product, each one call of the row kernel
+    /// (`ScatterScratch::product_row`) — the loop both the serial product
+    /// ([`Csr::spgemm_with`]) and the row-parallel product
+    /// ([`Csr::spgemm_parallel`]) execute, so the two are bit-identical by
+    /// construction. Returns per-row end offsets (relative to the block)
+    /// plus the block's `indices`/`data` arrays.
     ///
     /// `flops_hint` bounds the reservation: the exact multiply-add count of
     /// the rows in question (or any upper bound — it is clamped by the
@@ -518,31 +563,9 @@ impl Csr {
         let mut indices: Vec<u32> = Vec::with_capacity(reserve);
         let mut data: Vec<f64> = Vec::with_capacity(reserve);
         scratch.prepare(rhs.ncols);
-        let ScatterScratch { acc, touched } = scratch;
         for r in rows {
-            for (&k, &va) in self.row_indices(r).iter().zip(self.row_values(r)) {
-                for (&c, &vb) in rhs
-                    .row_indices(k as usize)
-                    .iter()
-                    .zip(rhs.row_values(k as usize))
-                {
-                    if acc[c as usize] == 0.0 {
-                        touched.push(c);
-                    }
-                    acc[c as usize] += va * vb;
-                }
-            }
-            touched.sort_unstable();
-            // `acc == 0.0` can re-mark a column whose partial sums cancelled
-            // back to zero (possible only with negative weights); dedup so a
-            // cancelled-and-revived column cannot emit twice.
-            touched.dedup();
-            for &c in touched.iter() {
-                indices.push(c);
-                data.push(acc[c as usize]);
-                acc[c as usize] = 0.0;
-            }
-            touched.clear();
+            let (idx, vals) = (self.row_indices(r), self.row_values(r));
+            scratch.product_row(idx, vals, rhs, &mut indices, &mut data);
             row_ends.push(indices.len());
         }
         (row_ends, indices, data)
@@ -550,13 +573,15 @@ impl Csr {
 
     /// Row-parallel [`Csr::spgemm`]: output rows are partitioned into
     /// `threads` contiguous blocks balanced by per-row multiply-add counts,
-    /// each block runs the serial row kernel on its own scoped worker with
+    /// each block runs the serial row loop on its own scoped worker with
     /// its own [`ScatterScratch`], and the disjoint row ranges are stitched
     /// back in order. Bit-identical to [`Csr::spgemm`] by construction —
     /// per-row work is untouched and rows never interact.
     ///
-    /// `threads <= 1` degenerates to the serial kernel on the calling
-    /// thread (still counting its single row block).
+    /// At `threads <= 1`, or when the whole product is under
+    /// [`PARALLEL_MIN_FLOPS`](crate::pool::PARALLEL_MIN_FLOPS), it runs
+    /// inline on the calling thread (counting its single row block): a
+    /// product that small is done before two workers have started.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
@@ -566,23 +591,35 @@ impl Csr {
             "Csr::spgemm_parallel: inner dimensions {}x{} * {}x{}",
             self.nrows, self.ncols, rhs.nrows, rhs.ncols
         );
-        // Exact per-row work: each A-nonzero (r, k) scatters row k of B.
-        let row_flops = |r: usize| -> usize {
-            self.row_indices(r)
-                .iter()
-                .map(|&k| rhs.row_nnz(k as usize))
-                .sum()
+        // Exact per-row work (each A-nonzero (r, k) scatters row k of B),
+        // counted once: it weighs the blocks, sums to the profiling figure
+        // and decides whether the product is worth a thread at all.
+        let row_flops: Vec<usize> = (0..self.nrows)
+            .map(|r| {
+                self.row_indices(r)
+                    .iter()
+                    .map(|&k| rhs.row_nnz(k as usize))
+                    .sum()
+            })
+            .collect();
+        let total_flops: usize = row_flops.iter().sum();
+        let threads = if total_flops < crate::pool::PARALLEL_MIN_FLOPS {
+            1
+        } else {
+            threads
         };
-        let blocks = crate::pool::partition_blocks(self.nrows, threads, row_flops);
-        let total_flops: f64 = (0..self.nrows).map(|r| row_flops(r) as f64).sum();
+        let blocks = crate::pool::row_blocks(self.nrows, threads, |r| row_flops[r]);
         crate::counters::with(|c| {
             use std::sync::atomic::Ordering::Relaxed;
             c.spgemm_calls.fetch_add(1, Relaxed);
             c.spgemm_flops.fetch_add(total_flops as u64, Relaxed);
             c.row_blocks.fetch_add(blocks.len() as u64, Relaxed);
         });
-        let per_block_hint = total_flops / blocks.len().max(1) as f64;
-        let parts = crate::pool::run_partitioned(blocks, threads, |block| {
+        if blocks.len() <= 1 {
+            return self.spgemm_inline(rhs, total_flops as f64, &mut ScatterScratch::new());
+        }
+        let per_block_hint = total_flops as f64 / blocks.len() as f64;
+        let parts = crate::pool::run_blocks(blocks, |block| {
             self.spgemm_rows(rhs, block, per_block_hint, &mut ScatterScratch::new())
         });
         // Stitch: concatenate per-block arrays in row order, rebasing each
@@ -786,22 +823,26 @@ mod tests {
         // a deliberately skewed product: heavy rows up front, empty rows in
         // the middle, so the block partitioner actually has work to balance
         let a = Csr::from_triplets(
-            40,
-            30,
-            (0..40u32).flat_map(|r| {
-                (0..30u32)
+            160,
+            120,
+            (0..160u32).flat_map(|r| {
+                (0..120u32)
                     .filter(move |c| (r < 5) || ((r + c) % 7 == 0 && r % 3 != 0))
                     .map(move |c| (r, c, 1.0 + ((r * 31 + c) % 5) as f64 * 0.25))
             }),
         );
         let b = Csr::from_triplets(
-            30,
-            25,
-            (0..30u32).flat_map(|r| {
-                (0..25u32)
+            120,
+            100,
+            (0..120u32).flat_map(|r| {
+                (0..100u32)
                     .filter(move |c| (r * 13 + c * 7) % 4 == 0)
                     .map(move |c| (r, c, 0.5 + ((r + c) % 3) as f64))
             }),
+        );
+        assert!(
+            crate::chain::spmm_flops_estimate(&a, &b) >= crate::pool::PARALLEL_MIN_FLOPS as f64,
+            "the product must be large enough to leave the inline path"
         );
         let serial = a.spgemm(&b);
         for threads in [1, 2, 4, 9] {

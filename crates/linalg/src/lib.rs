@@ -14,14 +14,13 @@
 //!   `spmm_nnz_estimate`) and matrix-chain multiplication-order planning,
 //! * [`spvec`] — [`SparseVec`] and the `spvm`/[`spvm_chain`] row-propagation
 //!   kernels (plus their cost model), the sparse-row execution mode
-//!   anchored meta-path queries run on,
+//!   anchored meta-path queries run on; [`spvm_chain_rows`] is the same
+//!   propagation looped over a micro-batch of anchors,
 //! * [`pool`] — the scoped worker pool behind the row-parallel kernels
-//!   ([`Csr::spgemm_parallel`] / [`spmm_chain_parallel`]): nnz-balanced
-//!   row blocks, per-worker scratch, thread-count resolution
-//!   (`HIN_KERNEL_THREADS` / [`set_kernel_threads`]),
-//! * [`block`] — [`SparseBlock`] and the [`spmm_block_chain`] multi-anchor
-//!   kernel: k same-span anchors propagate as one short fat sparse block,
-//!   amortizing per-link scatter work across the batch,
+//!   ([`Csr::spgemm_parallel`] / [`spmm_chain_parallel`]): flop-balanced
+//!   row blocks, per-worker scratch, a flop floor under which work stays
+//!   inline, and the thread count ([`kernel_threads`]:
+//!   `HIN_KERNEL_THREADS`, else the hardware's),
 //! * [`codec`] — the checksummed length-prefixed wire frame, the typed
 //!   [`codec::CodecError`] and the FNV integrity hash the serving transport
 //!   and the cache snapshot container are built from,
@@ -39,7 +38,6 @@
 //!   reads.
 
 pub mod arena;
-pub mod block;
 pub mod chain;
 pub mod codec;
 pub mod counters;
@@ -53,10 +51,6 @@ pub mod spvec;
 pub mod vector;
 
 pub use arena::{ArenaBuf, ArenaEntry};
-pub use block::{
-    spmm_block_chain, spmm_block_chain_parallel, spmm_block_chain_with, spmm_block_with,
-    SparseBlock,
-};
 pub use chain::{
     spmm_chain, spmm_chain_order, spmm_chain_order_priced, spmm_chain_parallel,
     spmm_flops_estimate, spmm_nnz_estimate, ChainPlan, MatSummary, PlanTree,
@@ -64,11 +58,8 @@ pub use chain::{
 pub use counters::{KernelCounters, KernelCountersSnapshot};
 pub use csr::{Csr, ScatterScratch};
 pub use dense::DMat;
-pub use pool::{
-    clear_work_stealing, kernel_threads, set_kernel_threads, set_work_stealing, work_stealing,
-    ParallelConfig,
-};
+pub use pool::kernel_threads;
 pub use spvec::{
-    spvm, spvm_chain, spvm_chain_flops_estimate, spvm_chain_with, spvm_flops_estimate, spvm_with,
-    SparseVec, SpvmChainEstimate,
+    spvm, spvm_chain, spvm_chain_flops_estimate, spvm_chain_rows, spvm_chain_with,
+    spvm_flops_estimate, spvm_with, SparseVec, SpvmChainEstimate,
 };

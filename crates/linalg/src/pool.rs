@@ -3,143 +3,60 @@
 //!
 //! Every output row of an SpMM is independent, so the parallel kernels
 //! ([`Csr::spgemm_parallel`](crate::csr::Csr::spgemm_parallel),
-//! [`crate::chain::spmm_chain_parallel`]) partition output rows into
-//! contiguous, work-balanced blocks and hand each block to its own worker
-//! with its own [`ScatterScratch`](crate::csr::ScatterScratch). Workers are
+//! [`crate::chain::spmm_chain_parallel`], [`crate::spvec::spvm_chain_rows`])
+//! partition output rows into contiguous, work-balanced blocks and hand
+//! each block to its own worker with its own
+//! [`ScatterScratch`](crate::csr::ScatterScratch). Workers are
 //! `std::thread::scope` threads — no external threadpool dependency, no
 //! long-lived pool state to manage, and borrowed operands flow into the
-//! workers without `Arc` ceremony. Rows inside a block run the *exact*
-//! serial per-row kernel, and blocks are stitched back in row order, so the
-//! parallel product is bit-identical to the serial one by construction.
+//! workers without `Arc` ceremony. Rows inside a block run the one serial
+//! row kernel, and blocks are stitched back in row order, so the parallel
+//! product is bit-identical to the serial one by construction.
 //!
-//! # Thread-count resolution
-//!
-//! The effective worker count is resolved in precedence order:
-//!
-//! 1. an explicit [`set_kernel_threads`] call (how `hin-serve`'s
-//!    `ServeConfig` kernel-threads knob plumbs through),
-//! 2. the `HIN_KERNEL_THREADS` environment variable,
-//! 3. [`std::thread::available_parallelism`].
-//!
-//! [`kernel_threads`] reports the resolved value; benchmark reports stamp
-//! it so every recorded number names the worker count that produced it.
+//! Dispatch is static — one block per worker — and gated by
+//! [`PARALLEL_MIN_FLOPS`]: starting scoped threads costs more than a small
+//! product does, so work under the floor runs inline on the caller's
+//! thread. The worker count is [`kernel_threads`].
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 /// Environment variable overriding the default kernel worker count.
 pub const KERNEL_THREADS_ENV: &str = "HIN_KERNEL_THREADS";
 
-/// Environment variable enabling work-stealing block dispatch (`1`/`true`).
-pub const KERNEL_STEAL_ENV: &str = "HIN_KERNEL_STEAL";
-
-/// When stealing, partition into `threads * STEAL_CHUNK_FACTOR` blocks so
-/// the atomic cursor has enough granularity to rebalance a skewed tail.
-pub const STEAL_CHUNK_FACTOR: usize = 4;
-
-/// Process-wide explicit worker count; `0` = unset (fall through to the
-/// environment / hardware default).
-static KERNEL_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide work-stealing override; `0` = unset (environment default),
-/// `1` = forced on, `2` = forced off.
-static WORK_STEALING: AtomicUsize = AtomicUsize::new(0);
-
-/// Worker-count configuration for the parallel kernels.
-///
-/// A thin value type so callers can resolve, clamp and pass thread counts
-/// explicitly (the proptests force `{1, 2, 4}` through it regardless of the
-/// machine); [`ParallelConfig::default`] resolves the process-wide count
-/// the same way [`kernel_threads`] does.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ParallelConfig {
-    threads: usize,
-}
-
-impl ParallelConfig {
-    /// Exactly `threads` workers (clamped to at least 1).
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-        }
-    }
-
-    /// Resolve from the environment: `HIN_KERNEL_THREADS` when set to a
-    /// positive integer, otherwise [`std::thread::available_parallelism`].
-    pub fn from_env() -> Self {
-        let threads = std::env::var(KERNEL_THREADS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        Self { threads }
-    }
-
-    /// The configured worker count (≥ 1).
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl Default for ParallelConfig {
-    /// The process-wide resolution: explicit [`set_kernel_threads`] >
-    /// `HIN_KERNEL_THREADS` > hardware parallelism.
-    fn default() -> Self {
-        Self {
-            threads: kernel_threads(),
-        }
-    }
-}
-
-/// Pin the process-wide kernel worker count (the `ServeConfig` plumbing).
-/// `0` clears the override, falling back to environment/hardware
-/// resolution.
-pub fn set_kernel_threads(threads: usize) {
-    KERNEL_THREADS.store(threads, Ordering::Relaxed);
-}
+/// Multiply-adds under which a parallel kernel runs inline on the caller's
+/// thread instead of fanning out. Two scoped threads cost ≈ 90–100 µs to
+/// start; measured serial against two workers, the pool lost at every
+/// product under ≈ 30 k multiply-adds (0.10× at 455, 0.62× at 5 k, 0.85×
+/// at 24 k) and won at every one over 45 k (1.3–1.4×).
+pub const PARALLEL_MIN_FLOPS: usize = 32 * 1024;
 
 /// The worker count the parallel kernels use when the caller doesn't pass
-/// one: explicit [`set_kernel_threads`] > `HIN_KERNEL_THREADS` >
+/// one: `HIN_KERNEL_THREADS` when set to a positive integer, otherwise
 /// [`std::thread::available_parallelism`]. Always ≥ 1.
+///
+/// Resolved once per process: `available_parallelism` re-reads the cgroup
+/// files on every call (≈ 14 µs — several anchored queries' worth), and the
+/// engine asks on every cache-miss product and every anchored propagation.
+/// `HIN_KERNEL_THREADS` is therefore read at first use; changing it later
+/// has no effect.
 pub fn kernel_threads() -> usize {
-    match KERNEL_THREADS.load(Ordering::Relaxed) {
-        0 => ParallelConfig::from_env().threads(),
-        n => n,
-    }
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| resolve_threads(std::env::var(KERNEL_THREADS_ENV).ok().as_deref()))
 }
 
-/// Force work-stealing dispatch on or off process-wide (overrides the
-/// `HIN_KERNEL_STEAL` environment variable).
-pub fn set_work_stealing(enabled: bool) {
-    WORK_STEALING.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Clear the explicit override, falling back to the environment default.
-pub fn clear_work_stealing() {
-    WORK_STEALING.store(0, Ordering::Relaxed);
-}
-
-/// Whether the parallel kernels dispatch blocks through the work-stealing
-/// cursor ([`run_blocks_stealing`]) instead of one static block per worker.
-/// Off by default: explicit [`set_work_stealing`] > `HIN_KERNEL_STEAL`
-/// (`1`/`true`) > off.
-pub fn work_stealing() -> bool {
-    match WORK_STEALING.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => std::env::var(KERNEL_STEAL_ENV)
-            .map(|v| {
-                let v = v.trim();
-                v == "1" || v.eq_ignore_ascii_case("true")
-            })
-            .unwrap_or(false),
-    }
+/// `setting` (the value of `HIN_KERNEL_THREADS`, if any) as a worker count,
+/// falling back to the hardware's parallelism when it is absent, zero or
+/// not a number.
+fn resolve_threads(setting: Option<&str>) -> usize {
+    setting
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
 }
 
 /// Partition `0..nrows` into at most `threads` contiguous blocks balanced
@@ -206,90 +123,22 @@ pub fn run_blocks<T: Send>(
         .collect()
 }
 
-/// Partition `0..nrows` for the active dispatch strategy: one block per
-/// worker for static dispatch, `threads * STEAL_CHUNK_FACTOR` finer blocks
-/// when [`work_stealing`] is on (so the cursor can rebalance skewed rows).
-pub fn partition_blocks(
-    nrows: usize,
-    threads: usize,
-    row_weight: impl FnMut(usize) -> usize,
-) -> Vec<Range<usize>> {
-    let target = if work_stealing() {
-        threads.max(1).saturating_mul(STEAL_CHUNK_FACTOR)
-    } else {
-        threads
-    };
-    row_blocks(nrows, target, row_weight)
-}
-
-/// Run `work` over the blocks with at most `threads` workers pulling from a
-/// shared atomic cursor — late workers steal whatever blocks remain, so one
-/// hub-heavy block can't serialize the whole pass behind a single worker.
-/// Results come back in block order; stitched output is byte-for-byte the
-/// same as [`run_blocks`] over the same partition.
-pub fn run_blocks_stealing<T: Send>(
-    blocks: Vec<Range<usize>>,
-    threads: usize,
-    work: impl Fn(Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    let threads = threads.max(1).min(blocks.len());
-    if blocks.len() <= 1 || threads == 1 {
-        return blocks.into_iter().map(work).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = blocks.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let (cursor, slots, blocks, work) = (&cursor, &slots, &blocks, &work);
-            s.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(block) = blocks.get(i) else { break };
-                let result = work(block.clone());
-                *slots[i].lock().unwrap() = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap()
-                .expect("stealing worker filled its slot")
-        })
-        .collect()
-}
-
-/// Dispatch the blocks through the strategy [`work_stealing`] selects:
-/// the atomic-cursor pool when stealing is on, one scoped thread per block
-/// otherwise. Either way results return in block order.
-pub fn run_partitioned<T: Send>(
-    blocks: Vec<Range<usize>>,
-    threads: usize,
-    work: impl Fn(Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    if work_stealing() {
-        run_blocks_stealing(blocks, threads, work)
-    } else {
-        run_blocks(blocks, work)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn config_resolution_and_clamping() {
-        assert_eq!(ParallelConfig::with_threads(0).threads(), 1);
-        assert_eq!(ParallelConfig::with_threads(4).threads(), 4);
-        assert!(ParallelConfig::from_env().threads() >= 1);
+        assert_eq!(resolve_threads(Some("7")), 7);
+        assert_eq!(resolve_threads(Some(" 3 ")), 3);
+        // absent, zero and junk all fall back to the hardware, clamped ≥ 1
+        let hardware = resolve_threads(None);
+        assert!(hardware >= 1);
+        assert_eq!(resolve_threads(Some("0")), hardware);
+        assert_eq!(resolve_threads(Some("many")), hardware);
+        // resolved once: every call reports the same count
         assert!(kernel_threads() >= 1);
-        // explicit override wins, clearing falls back
-        set_kernel_threads(7);
-        assert_eq!(kernel_threads(), 7);
-        assert_eq!(ParallelConfig::default().threads(), 7);
-        set_kernel_threads(0);
-        assert!(kernel_threads() >= 1);
+        assert_eq!(kernel_threads(), kernel_threads());
     }
 
     #[test]
@@ -320,41 +169,6 @@ mod tests {
         let blocks = row_blocks(3, 8, |_| 1);
         assert!(blocks.len() <= 3);
         assert_eq!(blocks.last().unwrap().end, 3);
-    }
-
-    #[test]
-    fn stealing_dispatch_matches_static_dispatch_in_order() {
-        let blocks = row_blocks(97, 4, |r| if r < 3 { 50 } else { 1 });
-        let want = run_blocks(blocks.clone(), |b| (b.start, b.end));
-        for threads in [1, 2, 4, 9] {
-            let got = run_blocks_stealing(blocks.clone(), threads, |b| (b.start, b.end));
-            assert_eq!(got, want, "threads={threads}");
-        }
-        assert!(run_blocks_stealing(Vec::new(), 4, |b| b.start).is_empty());
-        #[allow(clippy::single_range_in_vec_init)]
-        let one = vec![2..5];
-        assert_eq!(run_blocks_stealing(one, 4, |b| b.len()), vec![3]);
-    }
-
-    #[test]
-    fn stealing_toggle_resolves_and_refines_partitions() {
-        // default off (no env var in the test environment)
-        clear_work_stealing();
-        assert!(!work_stealing());
-        set_work_stealing(true);
-        assert!(work_stealing());
-        let fine = partition_blocks(256, 2, |_| 1);
-        assert!(
-            fine.len() > 2 && fine.len() <= 2 * STEAL_CHUNK_FACTOR,
-            "stealing partitions are finer than one-per-worker: {}",
-            fine.len()
-        );
-        let got = run_partitioned(fine.clone(), 2, |b| b.start);
-        assert_eq!(got, fine.iter().map(|b| b.start).collect::<Vec<_>>());
-        set_work_stealing(false);
-        assert!(!work_stealing());
-        assert!(partition_blocks(256, 2, |_| 1).len() <= 2);
-        clear_work_stealing();
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //! [`spvm_flops_estimate`] / [`spvm_chain_flops_estimate`] are its cost
 //! model for this side of the comparison.
 //!
-//! The kernels mirror `Csr::spgemm`'s inner loop exactly (dense-accumulator
-//! scatter, touched-column gather in sorted order), so a propagated row is
+//! The kernels and `Csr::spgemm`'s inner loop are the same function
+//! (`ScatterScratch::product_row`: dense-accumulator scatter,
+//! touched-column gather in sorted order), so a propagated row is
 //! **bit-identical** to the corresponding row of the left-to-right matrix
 //! product — and identical to *any* evaluation order whenever the
 //! arithmetic is exact (e.g. integer-valued weights, the common case for
-//! path counts).
+//! path counts). A micro-batch of same-span anchors is a loop of that
+//! propagation over one scratch ([`spvm_chain_rows`]), fanned across the
+//! kernel pool only when the batch is large enough to pay for a thread.
 
 use crate::chain::MatSummary;
 use crate::csr::{Csr, ScatterScratch};
@@ -58,19 +61,6 @@ impl SparseVec {
                 "SparseVec::new: index {last} out of bounds for dim {dim}"
             );
         }
-        Self {
-            dim,
-            indices,
-            values,
-        }
-    }
-
-    /// Assemble from arrays whose invariants (sorted, in-bounds, parallel)
-    /// the caller has already established — the kernels' output path, which
-    /// produces sorted deduplicated indices by construction.
-    pub(crate) fn from_sorted_unchecked(dim: usize, indices: Vec<u32>, values: Vec<f64>) -> Self {
-        debug_assert_eq!(indices.len(), values.len());
-        debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
         Self {
             dim,
             indices,
@@ -217,11 +207,10 @@ pub fn spvm(v: &SparseVec, m: &Csr) -> SparseVec {
 
 /// [`spvm`] reusing a caller-owned [`ScatterScratch`].
 ///
-/// The kernel is `Csr::spgemm`'s inner loop restricted to one row: scatter
-/// each reached row of `m` into a dense accumulator (tracking touched
-/// columns), then gather the touched columns in sorted order. Identical
-/// iteration and accumulation order means a propagated row is bit-identical
-/// to the same row of the left-to-right materialized product.
+/// One call of the row kernel `Csr::spgemm` runs per output row
+/// (`ScatterScratch::product_row`), with `v` as the row — so a propagated
+/// row is bit-identical to the same row of the left-to-right materialized
+/// product.
 ///
 /// # Panics
 /// Panics when `v.dim() != m.nrows()`.
@@ -235,36 +224,13 @@ pub fn spvm_with(v: &SparseVec, m: &Csr, scratch: &mut ScatterScratch) -> Sparse
     );
     crate::counters::with(|c| {
         use std::sync::atomic::Ordering::Relaxed;
-        let ops: usize = v
-            .indices
-            .iter()
-            .map(|&k| m.row_indices(k as usize).len())
-            .sum();
+        let ops: usize = v.indices.iter().map(|&k| m.row_nnz(k as usize)).sum();
         c.spvm_calls.fetch_add(1, Relaxed);
         c.spvm_flops.fetch_add(ops as u64, Relaxed);
     });
     scratch.prepare(m.ncols());
-    let ScatterScratch { acc, touched } = scratch;
-    for (k, vk) in v.iter() {
-        for (&c, &mv) in m.row_indices(k).iter().zip(m.row_values(k)) {
-            if acc[c as usize] == 0.0 {
-                touched.push(c);
-            }
-            acc[c as usize] += vk * mv;
-        }
-    }
-    touched.sort_unstable();
-    // mirror spgemm_with: a column whose partial sums cancelled back to
-    // zero may be marked twice; it must still emit exactly once
-    touched.dedup();
-    let mut indices = Vec::with_capacity(touched.len());
-    let mut values = Vec::with_capacity(touched.len());
-    for &c in touched.iter() {
-        indices.push(c);
-        values.push(acc[c as usize]);
-        acc[c as usize] = 0.0;
-    }
-    touched.clear();
+    let (mut indices, mut values) = (Vec::new(), Vec::new());
+    scratch.product_row(&v.indices, &v.values, m, &mut indices, &mut values);
     SparseVec {
         dim: m.ncols(),
         indices,
@@ -294,6 +260,64 @@ pub fn spvm_chain_with(v: &SparseVec, mats: &[&Csr], scratch: &mut ScatterScratc
         cur = Some(next);
     }
     cur.unwrap_or_else(|| v.clone())
+}
+
+/// Rows `rows` of `seed·M₁·…·Mₙ`, in the order given (duplicates allowed):
+/// one [`spvm_chain_with`] per row, started from the row's copy out of
+/// `seed` — how a micro-batch of same-span anchors propagates. An empty
+/// chain returns the seed rows themselves.
+///
+/// The loop runs inline on the caller's `scratch`. It is fanned across
+/// `threads` workers of [`crate::pool`] (slices of `rows` balanced by
+/// forecast work, a fresh scratch each, results back in order —
+/// bit-identical by construction) only when the batch is worth a thread:
+/// when the chain cost model ([`spvm_chain_flops_estimate`], per row)
+/// forecasts at least
+/// [`PARALLEL_MIN_FLOPS`](crate::pool::PARALLEL_MIN_FLOPS) for it.
+///
+/// # Panics
+/// Panics when a row is out of bounds for `seed`, or on a dimension
+/// mismatch at any link.
+pub fn spvm_chain_rows(
+    seed: &Csr,
+    rows: &[usize],
+    mats: &[&Csr],
+    threads: usize,
+    scratch: &mut ScatterScratch,
+) -> Vec<SparseVec> {
+    use std::sync::atomic::Ordering::Relaxed;
+    let chain = |rows: &[usize], scratch: &mut ScatterScratch| -> Vec<SparseVec> {
+        rows.iter()
+            .map(|&r| spvm_chain_with(&SparseVec::from_csr_row(seed, r), mats, scratch))
+            .collect()
+    };
+    if rows.len() < 2 {
+        return chain(rows, scratch);
+    }
+    crate::counters::with(|c| {
+        c.block_anchors.fetch_add(rows.len() as u64, Relaxed);
+    });
+    if threads <= 1 {
+        return chain(rows, scratch);
+    }
+    let summaries: Vec<MatSummary> = mats.iter().map(|m| MatSummary::from(*m)).collect();
+    let est_flops: Vec<usize> = rows
+        .iter()
+        .map(|&r| spvm_chain_flops_estimate(seed.row_nnz(r) as f64, &summaries).flops as usize)
+        .collect();
+    if est_flops.iter().sum::<usize>() < crate::pool::PARALLEL_MIN_FLOPS {
+        return chain(rows, scratch);
+    }
+    let slices = crate::pool::row_blocks(rows.len(), threads, |i| est_flops[i]);
+    crate::counters::with(|c| {
+        c.row_blocks.fetch_add(slices.len() as u64, Relaxed);
+    });
+    crate::pool::run_blocks(slices, |slice| {
+        chain(&rows[slice], &mut ScatterScratch::new())
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Expected multiply-adds of one `vᵀ·M` product with `vec_nnz` stored
@@ -457,6 +481,114 @@ mod tests {
     fn empty_chain_clones_the_input() {
         let v = SparseVec::new(3, vec![0, 2], vec![1.5, -2.0]);
         assert_eq!(spvm_chain(&v, &[]), v);
+    }
+
+    /// A deterministic scattered `rows × cols` matrix, `per_row` entries a
+    /// row, small non-integer weights so summation order shows in the bits.
+    fn scattered(rows: usize, cols: usize, per_row: usize, salt: usize) -> Csr {
+        Csr::from_triplets(
+            rows,
+            cols,
+            (0..rows).flat_map(|r| {
+                (0..per_row).map(move |j| {
+                    let c = (r * 31 + j * 17 + salt * 7 + j * j) % cols;
+                    (
+                        r as u32,
+                        c as u32,
+                        0.1 + ((r + 3 * j + salt) % 11) as f64 * 0.3,
+                    )
+                })
+            }),
+        )
+    }
+
+    /// Row `i` of `got` is, index for index and bit for bit, what one
+    /// `spvm_chain` from row `rows[i]` of `seed` produces.
+    fn assert_rows_match_per_anchor(got: &[SparseVec], seed: &Csr, rows: &[usize], mats: &[&Csr]) {
+        assert_eq!(got.len(), rows.len());
+        for (g, &r) in got.iter().zip(rows) {
+            let want = spvm_chain(&SparseVec::from_csr_row(seed, r), mats);
+            assert_eq!(g.dim(), want.dim(), "anchor {r} dim");
+            assert_eq!(g.indices(), want.indices(), "anchor {r} structure");
+            let same_bits = g
+                .values()
+                .iter()
+                .zip(want.values())
+                .all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(same_bits, "anchor {r} values");
+        }
+    }
+
+    #[test]
+    fn chain_matches_per_anchor_propagation_bitwise() {
+        let (a, b, c) = chain3();
+        let anchors = [3usize, 0, 2];
+        let got = spvm_chain_rows(&a, &anchors, &[&b, &c], 1, &mut ScatterScratch::new());
+        assert_rows_match_per_anchor(&got, &a, &anchors, &[&b, &c]);
+        // seeding from `a`'s rows is propagating unit vectors through it
+        for (g, &x) in got.iter().zip(&anchors) {
+            assert_eq!(*g, spvm_chain(&SparseVec::unit(4, x), &[&a, &b, &c]));
+        }
+    }
+
+    #[test]
+    fn parallel_chain_is_bit_identical_to_serial() {
+        // a batch too small to fan out, duplicate anchors included
+        let (a, b, c) = chain3();
+        let anchors = [3usize, 0, 2, 1, 3, 0];
+        for threads in [1, 2, 4, 16] {
+            let got = spvm_chain_rows(&a, &anchors, &[&b, &c], threads, &mut ScatterScratch::new());
+            assert_rows_match_per_anchor(&got, &a, &anchors, &[&b, &c]);
+        }
+        // and one forecast over the floor, so workers really run
+        let seed = scattered(64, 256, 32, 1);
+        let (m1, m2) = (scattered(256, 256, 32, 2), scattered(256, 40, 6, 3));
+        let rows: Vec<usize> = (0..64).rev().chain([5, 5, 63]).collect();
+        let links = [MatSummary::from(&m1), MatSummary::from(&m2)];
+        let forecast: f64 = rows
+            .iter()
+            .map(|&r| spvm_chain_flops_estimate(seed.row_nnz(r) as f64, &links).flops)
+            .sum();
+        assert!(
+            forecast >= crate::pool::PARALLEL_MIN_FLOPS as f64,
+            "{forecast}"
+        );
+        for threads in [1, 2, 4, 16] {
+            let got = spvm_chain_rows(
+                &seed,
+                &rows,
+                &[&m1, &m2],
+                threads,
+                &mut ScatterScratch::new(),
+            );
+            assert_rows_match_per_anchor(&got, &seed, &rows, &[&m1, &m2]);
+        }
+    }
+
+    #[test]
+    fn empty_chain_clones_the_block() {
+        let (a, _, _) = chain3();
+        for threads in [1, 4] {
+            let got = spvm_chain_rows(&a, &[1, 2], &[], threads, &mut ScatterScratch::new());
+            let want = [
+                SparseVec::from_csr_row(&a, 1),
+                SparseVec::from_csr_row(&a, 2),
+            ];
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn zero_row_block_propagates_to_zero_rows() {
+        let (a, b, _) = chain3();
+        assert!(spvm_chain_rows(&a, &[], &[&b], 4, &mut ScatterScratch::new()).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_bounds_anchor_panics() {
+        let (a, b, _) = chain3();
+        let _ = spvm_chain_rows(&a, &[4], &[&b], 1, &mut ScatterScratch::new());
     }
 
     #[test]

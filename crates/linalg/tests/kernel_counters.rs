@@ -8,9 +8,7 @@
 use std::sync::Arc;
 
 use hin_linalg::counters::{self, KernelCounters};
-use hin_linalg::{
-    spmm_block_chain_with, spvm_chain_with, spvm_with, Csr, ScatterScratch, SparseBlock, SparseVec,
-};
+use hin_linalg::{spvm_chain_rows, spvm_chain_with, spvm_with, Csr, ScatterScratch, SparseVec};
 
 #[test]
 fn spvm_and_block_kernels_record_exact_calls_flops_and_anchors() {
@@ -64,10 +62,11 @@ fn spvm_and_block_kernels_record_exact_calls_flops_and_anchors() {
     assert_eq!(flops, 6 + 8);
     assert_eq!(per_anchor.block_anchors, before.block_anchors);
 
-    // …is exactly what one block chain over the same k rows records, plus
-    // its k anchors
-    let block = SparseBlock::from_units(4, &anchors);
-    let out = spmm_block_chain_with(&block, &mats, &mut scratch);
+    // …is exactly what one batched propagation of the same k rows records,
+    // plus its k anchors (`a`'s rows seed it, so link 1 is free: run it
+    // from the identity to count the same two links)
+    let eye = Csr::from_triplets(4, 4, (0..4u32).map(|i| (i, i, 1.0)));
+    let out = spvm_chain_rows(&eye, &anchors, &mats, 1, &mut scratch);
     let blocked = sink.snapshot();
     assert_eq!(
         blocked.spvm_calls - per_anchor.spvm_calls,
@@ -79,6 +78,9 @@ fn spvm_and_block_kernels_record_exact_calls_flops_and_anchors() {
         blocked.block_anchors - per_anchor.block_anchors,
         anchors.len() as u64
     );
-    assert_eq!(out.into_rows(), rows, "and the same rows, bit for bit");
+    assert_eq!(out, rows, "and the same rows, bit for bit");
+    // a lone anchor is not a batch
+    let _ = spvm_chain_rows(&eye, &[3], &mats, 1, &mut scratch);
+    assert_eq!(sink.snapshot().block_anchors, blocked.block_anchors);
     assert_eq!(blocked.spgemm_calls, 0, "no matrix product ran");
 }

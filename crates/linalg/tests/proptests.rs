@@ -212,55 +212,23 @@ proptest! {
                                                        ts2 in rect_triplets(6, 7, 30),
                                                        ts3 in rect_triplets(7, 5, 30),
                                                        anchors in prop::collection::vec(0usize..8, 1..7)) {
-        use hin_linalg::{spmm_block_chain, spmm_block_chain_parallel, ParallelConfig, SparseBlock};
+        use hin_linalg::{spvm_chain, spvm_chain_rows, ScatterScratch, SparseVec};
         let a = Csr::from_triplets(8, 6, ts1);
         let b = Csr::from_triplets(6, 7, ts2);
         let c = Csr::from_triplets(7, 5, ts3);
-        let mats = [&a, &b, &c];
-        let block = SparseBlock::from_units(8, &anchors);
-        let serial = spmm_block_chain(&block, &mats);
+        // one scratch across every batch: a row must not see its neighbours
+        let mut scratch = ScatterScratch::new();
         for threads in [1usize, 2, 4] {
-            let par = spmm_block_chain_parallel(&block, &mats, ParallelConfig::with_threads(threads));
-            prop_assert_eq!(par.k(), serial.k(), "row count at {} threads", threads);
-            for i in 0..serial.k() {
-                let (si, sv) = serial.row(i);
-                let (pi, pv) = par.row(i);
-                prop_assert_eq!(pi, si, "row {} indices at {} threads", i, threads);
-                for (x, y) in sv.iter().zip(pv) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(),
-                                    "row {} value bits at {} threads", i, threads);
+            let rows = spvm_chain_rows(&a, &anchors, &[&b, &c], threads, &mut scratch);
+            prop_assert_eq!(rows.len(), anchors.len(), "row count at {} threads", threads);
+            for (row, &x) in rows.iter().zip(&anchors) {
+                let single = spvm_chain(&SparseVec::unit(8, x), &[&a, &b, &c]);
+                prop_assert_eq!(row.indices(), single.indices(),
+                                "anchor {} indices at {} threads", x, threads);
+                for (g, w) in row.values().iter().zip(single.values()) {
+                    prop_assert_eq!(g.to_bits(), w.to_bits(),
+                                    "anchor {} value bits at {} threads", x, threads);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn work_stealing_dispatch_is_bit_identical_to_static(ts1 in rect_triplets(9, 7, 40),
-                                                         ts2 in rect_triplets(7, 8, 40)) {
-        use hin_linalg::pool::{run_blocks, run_blocks_stealing, row_blocks};
-        let a = Csr::from_triplets(9, 7, ts1);
-        let b = Csr::from_triplets(7, 8, ts2);
-        let serial = a.spgemm(&b);
-        let (si, sj, sv) = serial.parts();
-        // same partition through both dispatchers must stitch identically;
-        // then the full kernel under the process-wide toggle (safe shared
-        // state: every concurrent test asserts bit-identity either way)
-        let row_flops = |r: usize| a.row_indices(r).iter()
-            .map(|&k| b.row_nnz(k as usize)).sum::<usize>();
-        for threads in [1usize, 2, 4] {
-            let blocks = row_blocks(9, threads * hin_linalg::pool::STEAL_CHUNK_FACTOR, row_flops);
-            let static_parts = run_blocks(blocks.clone(), |r| (r.start, r.end));
-            let stolen_parts = run_blocks_stealing(blocks.clone(), threads, |r| (r.start, r.end));
-            prop_assert_eq!(static_parts, stolen_parts, "block order at {} threads", threads);
-            hin_linalg::set_work_stealing(true);
-            let par = a.spgemm_parallel(&b, threads);
-            hin_linalg::clear_work_stealing();
-            let (pi, pj, pv) = par.parts();
-            prop_assert_eq!(pi, si, "indptr differs at {} threads", threads);
-            prop_assert_eq!(pj, sj, "indices differ at {} threads", threads);
-            for (x, y) in sv.iter().zip(pv) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(),
-                                "value bits differ at {} threads", threads);
             }
         }
     }

@@ -8,15 +8,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use hin_core::{Hin, NodeRef, TypeId};
-use hin_linalg::{spvm_chain_with, spvm_with, Csr, ScatterScratch, SparseBlock, SparseVec};
+use hin_linalg::{spvm_chain_rows, spvm_chain_with, spvm_with, Csr, ScatterScratch, SparseVec};
 use hin_similarity::{top_k, top_k_pathsim, top_k_pathsim_with_diagonal, MetaPath, PathStep};
 
 use crate::cache::{canonical_key, key_of, CacheConfig, CacheOutcome, MatrixCache, PathKey};
 use crate::error::QueryError;
 use crate::parse::{parse, Verb};
-use crate::plan::{
-    block_mode_of, plan_exec_mode, plan_steps, ExecMode, PlanNode, Promotion, QueryPlan,
-};
+use crate::plan::{plan_exec_mode, plan_steps, ExecMode, PlanNode, Promotion, QueryPlan};
 use crate::resolve::{resolve, ResolvedQuery};
 use crate::snapshot::{CacheSnapshot, SnapshotImport};
 
@@ -358,78 +356,20 @@ impl Engine {
     /// span's heat has crossed [`ExecPolicy::promote_after`], in which case
     /// this query materializes the span through the ordinary deduplicated
     /// cache path so the *next* ones are plain hits.
+    ///
+    /// This is [`Engine::execute_many_traced`] on a batch of one, with the
+    /// trace dropped: there is one execution flow, and it reads the clock
+    /// twice per query whether or not anyone keeps the answer.
     pub fn execute(&self, query: &str) -> Result<QueryOutput, QueryError> {
-        let resolved = resolve(&self.hin, &parse(query)?)?;
-        // Borrow-only evaluation: single-step paths read the relation
-        // matrix in place instead of copying it.
-        let plan = plan_steps(&self.hin, resolved.path.steps(), &self.cache);
-        let (mode, _) = self.exec_mode(&resolved, plan.est_flops);
-        self.run_planned(&resolved, &plan, mode, None)
+        self.execute_traced(query).0
     }
 
     /// [`Engine::execute`] plus a [`QueryTrace`]: where the time went
     /// (plan vs execute), which execution mode actually ran, and how the
-    /// cache served this query. This is the entry point `hin_serve`'s
-    /// workers drive when telemetry is on; [`Engine::execute`] itself stays
-    /// probe-free so the untraced path pays nothing.
+    /// cache served this query.
     pub fn execute_traced(&self, query: &str) -> (Result<QueryOutput, QueryError>, QueryTrace) {
-        let mut trace = QueryTrace::default();
-        let t0 = Instant::now();
-        let resolved = match parse(query).and_then(|p| resolve(&self.hin, &p)) {
-            Ok(r) => r,
-            Err(e) => {
-                trace.plan_ns = elapsed_ns(t0);
-                return (Err(e), trace);
-            }
-        };
-        let plan = plan_steps(&self.hin, resolved.path.steps(), &self.cache);
-        let (mode, _) = self.exec_mode(&resolved, plan.est_flops);
-        trace.plan_ns = elapsed_ns(t0);
-
-        let probe = ExecProbe::default();
-        let t1 = Instant::now();
-        let result = self.run_planned(&resolved, &plan, mode, Some(&probe));
-        trace.exec_ns = elapsed_ns(t1);
-        trace.mode = if probe.sparse_row.get() {
-            TraceMode::SparseRow
-        } else {
-            TraceMode::Full
-        };
-        trace.outcome = probe.outcome.get();
-        (result, trace)
-    }
-
-    /// The shared back half of [`Engine::execute`] and
-    /// [`Engine::execute_traced`]: promotion accounting, mode dispatch,
-    /// evaluation, assembly. `probe` is `None` on the untraced path.
-    fn run_planned(
-        &self,
-        resolved: &ResolvedQuery,
-        plan: &QueryPlan,
-        mode: ExecMode,
-        probe: Option<&ExecProbe>,
-    ) -> Result<QueryOutput, QueryError> {
-        if let ExecMode::SparseRow { .. } = mode {
-            if self.should_promote(resolved.path.steps(), plan) {
-                self.promotions.fetch_add(1, Ordering::Relaxed);
-                // fall through: materialize like any full execution (and
-                // trace as Full — that is the work this query actually did)
-            } else {
-                self.anchored_fast_paths.fetch_add(1, Ordering::Relaxed);
-                if let Some(p) = probe {
-                    p.sparse_row.set(true);
-                }
-                return self.execute_row(resolved, probe);
-            }
-        }
-        let matrix = Self::eval(
-            &self.hin,
-            resolved.path.steps(),
-            &self.cache,
-            &plan.root,
-            probe,
-        );
-        self.assemble(resolved, &matrix)
+        let mut batch = self.execute_many_traced(&[query]);
+        batch.pop().expect("one answer per query")
     }
 
     /// Execute a batch of queries against the shared cache, returning one
@@ -439,224 +379,158 @@ impl Engine {
     /// requests, micro-batches them, and the cache turns overlapping
     /// meta-paths across the batch into shared sub-products. On top of
     /// that, anchored queries over the *same* span that chose the
-    /// sparse-row fast path are upgraded to [`ExecMode::BlockRow`]: their
-    /// anchors propagate together as one short, fat [`SparseBlock`],
-    /// sharing one scratch pass per link (and, for PathSim verbs, the
-    /// normalizer-diagonal memo). Heat and promotion accounting run per
-    /// member in batch order, exactly as a sequential run would: a member
-    /// that crosses [`ExecPolicy::promote_after`] materializes the span
-    /// individually, there and then, and the rest ride the block.
+    /// sparse-row fast path propagate together: one seed lookup, one loop
+    /// of row propagations over one scratch ([`spvm_chain_rows`], fanned
+    /// across the kernel pool when the batch is large), and, for PathSim
+    /// verbs, one normalizer-diagonal memo. Heat and promotion accounting
+    /// run per member in batch order, exactly as a sequential run would: a
+    /// member that crosses [`ExecPolicy::promote_after`] materializes the
+    /// span individually, there and then, and the rest ride together.
     pub fn execute_many<S: AsRef<str>>(
         &self,
         queries: &[S],
     ) -> Vec<Result<QueryOutput, QueryError>> {
-        self.execute_many_impl(queries)
+        self.execute_many_traced(queries)
             .into_iter()
             .map(|(result, _)| result)
             .collect()
     }
 
-    /// [`Engine::execute_many`] plus a [`QueryTrace`] per query — the entry
-    /// point `hin_serve`'s workers drive for whole micro-batches. Block
-    /// members report [`TraceMode::BlockRow`]; their `exec_ns` is the
-    /// shared propagation time amortized over the batch plus their own
-    /// scoring time.
+    /// [`Engine::execute_many`] plus a [`QueryTrace`] per query — the one
+    /// execution flow every other entry point is a view of, and what
+    /// `hin_serve`'s workers drive for whole micro-batches. Every query is
+    /// planned against the batch-start cache state; then, in batch order,
+    /// a query that chose [`ExecMode::Full`] materializes, and one that
+    /// chose the fast path runs with every later same-span fast-path
+    /// member at its own position.
     pub fn execute_many_traced<S: AsRef<str>>(
         &self,
         queries: &[S],
     ) -> Vec<(Result<QueryOutput, QueryError>, QueryTrace)> {
-        self.execute_many_impl(queries)
-    }
-
-    /// Plan a batch of queries the way [`Engine::execute_many`] will run
-    /// them — the batched `EXPLAIN`. Per-query planning is identical to
-    /// [`Engine::plan`]; afterwards, same-span members that chose the
-    /// sparse-row fast path are upgraded to the shared
-    /// [`ExecMode::BlockRow`]. Does not touch cache statistics or span
-    /// heat.
-    pub fn plan_many<S: AsRef<str>>(&self, queries: &[S]) -> Vec<Result<QueryPlan, QueryError>> {
-        let mut plans: Vec<Result<QueryPlan, QueryError>> = Vec::with_capacity(queries.len());
-        let mut groups: HashMap<PathKey, Vec<usize>> = HashMap::new();
-        for (i, q) in queries.iter().enumerate() {
-            let plan = parse(q.as_ref())
-                .and_then(|p| resolve(&self.hin, &p))
-                .map(|resolved| {
-                    let plan = self.explain(&resolved);
-                    if matches!(plan.mode, ExecMode::SparseRow { .. }) {
-                        groups
-                            .entry(key_of(resolved.path.steps()))
-                            .or_default()
-                            .push(i);
-                    }
-                    plan
-                });
-            plans.push(plan);
-        }
-        for members in groups.values().filter(|m| m.len() >= 2) {
-            let modes: Vec<ExecMode> = members
-                .iter()
-                .map(|&i| plans[i].as_ref().expect("grouped plans are Ok").mode)
-                .collect();
-            let block = block_mode_of(&modes).expect("grouped members all chose SparseRow");
-            for &i in members {
-                plans[i].as_mut().expect("grouped plans are Ok").mode = block;
-            }
-        }
-        plans
-    }
-
-    /// The shared body of [`Engine::execute_many`] and
-    /// [`Engine::execute_many_traced`]: plan every query against the
-    /// batch-start cache state, group same-span sparse-row members, then
-    /// execute — groups as one block propagation (at their first member's
-    /// position), everything else exactly as [`Engine::execute`] would.
-    fn execute_many_impl<S: AsRef<str>>(
-        &self,
-        queries: &[S],
-    ) -> Vec<(Result<QueryOutput, QueryError>, QueryTrace)> {
-        let mut results: Vec<Option<Result<QueryOutput, QueryError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        let mut traces: Vec<QueryTrace> = vec![QueryTrace::default(); queries.len()];
+        let mut answers: Vec<Answer> = Vec::with_capacity(queries.len());
         let mut preps: Vec<Option<Prep>> = Vec::with_capacity(queries.len());
-        let mut groups: HashMap<PathKey, Vec<usize>> = HashMap::new();
-        for (i, q) in queries.iter().enumerate() {
+        for q in queries {
             let t0 = Instant::now();
-            match parse(q.as_ref()).and_then(|p| resolve(&self.hin, &p)) {
+            let (prep, result) = match parse(q.as_ref()).and_then(|p| resolve(&self.hin, &p)) {
                 Ok(resolved) => {
                     let plan = plan_steps(&self.hin, resolved.path.steps(), &self.cache);
                     let (mode, _) = self.exec_mode(&resolved, plan.est_flops);
-                    if matches!(mode, ExecMode::SparseRow { .. }) {
-                        groups
-                            .entry(key_of(resolved.path.steps()))
-                            .or_default()
-                            .push(i);
-                    }
-                    preps.push(Some(Prep {
+                    let lazy = matches!(mode, ExecMode::SparseRow { .. });
+                    let prep = Prep {
                         resolved,
                         plan,
-                        mode,
-                    }));
+                        lazy,
+                    };
+                    (Some(prep), None)
                 }
-                Err(e) => {
-                    results[i] = Some(Err(e));
-                    preps.push(None);
-                }
-            }
-            traces[i].plan_ns = elapsed_ns(t0);
+                Err(e) => (None, Some(Err(e))),
+            };
+            preps.push(prep);
+            let trace = QueryTrace {
+                plan_ns: elapsed_ns(t0),
+                ..QueryTrace::default()
+            };
+            answers.push((result, trace));
         }
-
         for i in 0..queries.len() {
-            if results[i].is_some() {
+            // skip what failed before planning or rode with an earlier member
+            let Some(prep) = preps[i].as_ref().filter(|_| answers[i].0.is_none()) else {
                 continue;
-            }
-            let prep = preps[i].as_ref().expect("non-error queries were prepared");
-            let span_group = matches!(prep.mode, ExecMode::SparseRow { .. })
-                .then(|| groups.get(&key_of(prep.resolved.path.steps())))
-                .flatten()
-                .filter(|members| members.len() >= 2);
-            if let Some(members) = span_group {
-                let group: Vec<(usize, &Prep)> = members
-                    .iter()
-                    .map(|&j| (j, preps[j].as_ref().expect("grouped queries were prepared")))
-                    .collect();
-                self.execute_span_group(&group, &mut results, &mut traces);
+            };
+            if prep.lazy {
+                self.execute_span_group(i, &preps, &mut answers);
             } else {
-                let t0 = Instant::now();
-                let probe = ExecProbe::default();
-                let result = self.run_planned(&prep.resolved, &prep.plan, prep.mode, Some(&probe));
-                traces[i].exec_ns = elapsed_ns(t0);
-                traces[i].mode = if probe.sparse_row.get() {
-                    TraceMode::SparseRow
-                } else {
-                    TraceMode::Full
-                };
-                traces[i].outcome = probe.outcome.get();
-                results[i] = Some(result);
+                self.materialize(prep, &mut answers[i]);
             }
         }
-        results
+        answers
             .into_iter()
-            .zip(traces)
-            .map(|(r, t)| (r.expect("every query executed"), t))
+            .map(|(result, trace)| (result.expect("every query executed"), trace))
             .collect()
     }
 
-    /// Execute one same-span group of lazily-planned anchored queries as a
-    /// batched block propagation. Promotion is decided per member in batch
-    /// order, and a member that promotes materializes the span on the spot
-    /// through the ordinary deduplicated cache path — so the next member's
-    /// decision sees what a sequential run's would (a product the cache
-    /// refused, say), and the block, like every later query, can seed from
-    /// a freshly resident span. The rest propagate together as one
-    /// [`SparseBlock`].
-    fn execute_span_group(
-        &self,
-        group: &[(usize, &Prep)],
-        results: &mut [Option<Result<QueryOutput, QueryError>>],
-        traces: &mut [QueryTrace],
-    ) {
-        let steps = group[0].1.resolved.path.steps();
-        let mut riders: Vec<(usize, &ResolvedQuery)> = Vec::new();
-        for &(i, prep) in group {
-            if !self.should_promote(steps, &prep.plan) {
-                riders.push((i, &prep.resolved));
+    /// Answer one query from its commuting matrix, evaluated through the
+    /// plan tree and the deduplicated cache path. The trace's mode stays
+    /// [`TraceMode::Full`], the default — which is also what a promoted
+    /// member of a span group reports: that is the work it actually did.
+    fn materialize(&self, prep: &Prep, answer: &mut Answer) {
+        let t0 = Instant::now();
+        let probe = ExecProbe::default();
+        let steps = prep.resolved.path.steps();
+        let matrix = Self::eval(&self.hin, steps, &self.cache, &prep.plan.root, Some(&probe));
+        answer.0 = Some(self.assemble(&prep.resolved, &matrix));
+        answer.1.outcome = probe.outcome.get();
+        answer.1.exec_ns = elapsed_ns(t0);
+    }
+
+    /// The anchored fast path: execute query `first` and every later query
+    /// of the batch that planned lazily over the same span — k ≥ 1 anchors,
+    /// one row of the commuting matrix each, computed as `eₓᵀ·M₁·…·Mₙ`
+    /// without materializing any product. Scores, candidate sets, ordering
+    /// and limits are identical to the full-matrix path whenever the
+    /// arithmetic is exact (integer-valued weights — see the anchored
+    /// property tests).
+    ///
+    /// Promotion is decided per member in batch order, and a member that
+    /// promotes materializes the span on the spot through the ordinary
+    /// deduplicated cache path — so the next member's decision sees what a
+    /// sequential run's would (a product the cache refused, say), and the
+    /// riders, like every later query, can seed from a freshly resident
+    /// span. The rest propagate through one [`spvm_chain_rows`] and are
+    /// finished one by one; a rider reports [`TraceMode::BlockRow`] when it
+    /// had company and [`TraceMode::SparseRow`] when it rode alone.
+    fn execute_span_group(&self, first: usize, preps: &[Option<Prep>], answers: &mut [Answer]) {
+        let head = preps[first].as_ref().expect("the group's head was planned");
+        let steps = head.resolved.path.steps();
+        let mut riders: Vec<usize> = Vec::new();
+        let mut anchors: Vec<usize> = Vec::new();
+        for (i, prep) in preps.iter().enumerate().skip(first) {
+            let Some(prep) = prep
+                .as_ref()
+                .filter(|p| p.lazy && p.resolved.path.steps() == steps)
+            else {
                 continue;
+            };
+            if self.should_promote(steps, &prep.plan) {
+                self.promotions.fetch_add(1, Ordering::Relaxed);
+                self.materialize(prep, &mut answers[i]);
+            } else {
+                riders.push(i);
+                anchors.push(prep.resolved.from.expect("anchored verbs carry `from`").id as usize);
             }
-            self.promotions.fetch_add(1, Ordering::Relaxed);
-            let t0 = Instant::now();
-            let probe = ExecProbe::default();
-            let matrix = Self::eval(&self.hin, steps, &self.cache, &prep.plan.root, Some(&probe));
-            results[i] = Some(self.assemble(&prep.resolved, &matrix));
-            traces[i].mode = TraceMode::Full;
-            traces[i].outcome = probe.outcome.get();
-            traces[i].exec_ns = elapsed_ns(t0);
         }
-        match riders.len() {
-            0 => {}
-            1 => {
-                // a lone rider propagates per-anchor, exactly as `execute`
-                let (i, resolved) = riders[0];
-                self.anchored_fast_paths.fetch_add(1, Ordering::Relaxed);
-                let t0 = Instant::now();
-                let probe = ExecProbe::default();
-                results[i] = Some(self.execute_row(resolved, Some(&probe)));
-                traces[i].mode = TraceMode::SparseRow;
-                traces[i].outcome = probe.outcome.get();
-                traces[i].exec_ns = elapsed_ns(t0);
-            }
-            k => {
-                self.anchored_fast_paths
-                    .fetch_add(k as u64, Ordering::Relaxed);
-                let t0 = Instant::now();
-                let (seed, rest) = self.propagation_seed(steps);
-                let outcome = match seed {
-                    Seed::Cached(_) => CacheOutcome::Hit,
-                    Seed::First(_) => CacheOutcome::MissCompute,
-                };
-                let mut scratch = ScatterScratch::new();
-                let anchors: Vec<usize> = riders
-                    .iter()
-                    .map(|&(_, r)| r.from.expect("anchored verbs carry `from`").id as usize)
-                    .collect();
-                let seed_rows: Vec<SparseVec> = anchors.iter().map(|&x| seed.row(x)).collect();
-                let block = SparseBlock::from_rows(&seed_rows);
-                // anchor rows are independent: fan the block across the
-                // kernel worker pool (bit-identical to the serial chain)
-                let rows = hin_linalg::spmm_block_chain_parallel(
-                    &block,
-                    &rest,
-                    hin_linalg::ParallelConfig::default(),
-                )
-                .into_rows();
-                let prop_ns = elapsed_ns(t0) / k as u64;
-                for (((i, resolved), x), row) in riders.iter().zip(anchors).zip(rows) {
-                    let t1 = Instant::now();
-                    results[*i] = Some(self.finish_row(resolved, x, row, &mut scratch));
-                    traces[*i].mode = TraceMode::BlockRow;
-                    traces[*i].outcome = outcome;
-                    traces[*i].exec_ns = prop_ns + elapsed_ns(t1);
-                }
-            }
+        let k = riders.len() as u64;
+        if k == 0 {
+            return;
+        }
+        self.anchored_fast_paths.fetch_add(k, Ordering::Relaxed);
+        let t0 = Instant::now();
+        let mut scratch = ScatterScratch::new();
+        let (seed, rest) = self.propagation_seed(steps);
+        // The fast path caches nothing; its cache interaction is whether
+        // the propagation started from a resident prefix product or had to
+        // chain from the anchor's relation row.
+        let outcome = match seed {
+            Mat::Shared(_) => CacheOutcome::Hit,
+            Mat::Borrowed(_) => CacheOutcome::MissCompute,
+        };
+        let threads = hin_linalg::kernel_threads();
+        let rows = spvm_chain_rows(seed.as_csr(), &anchors, &rest, threads, &mut scratch);
+        let prop_ns = elapsed_ns(t0) / k;
+        for ((i, x), row) in riders.into_iter().zip(anchors).zip(rows) {
+            let t1 = Instant::now();
+            let resolved = &preps[i].as_ref().expect("riders were planned").resolved;
+            answers[i].0 = Some(self.finish_row(resolved, x, row, &mut scratch));
+            answers[i].1 = QueryTrace {
+                mode: if k >= 2 {
+                    TraceMode::BlockRow
+                } else {
+                    TraceMode::SparseRow
+                },
+                outcome,
+                exec_ns: prop_ns + elapsed_ns(t1),
+                ..answers[i].1
+            };
         }
     }
 
@@ -835,8 +709,12 @@ impl Engine {
     /// longest cache-resident prefix product (probed longest-first,
     /// counting like any cache use — this is where a plan-time seed that
     /// was evicted in the meantime silently degrades to propagating from
-    /// the anchor's relation row), plus the remaining link matrices.
-    fn propagation_seed<'a>(&'a self, steps: &'a [PathStep]) -> (Seed<'a>, Vec<&'a Csr>) {
+    /// the anchor's relation row), plus the remaining link matrices. A
+    /// [`Mat::Shared`] seed is a resident prefix, whose row replaces the
+    /// head of the chain outright; a [`Mat::Borrowed`] one is the first
+    /// step's relation adjacency (always free — `eₓᵀ·M₁` *is* row `x` of
+    /// `M₁`).
+    fn propagation_seed<'a>(&'a self, steps: &'a [PathStep]) -> (Mat<'a>, Vec<&'a Csr>) {
         let key = key_of(steps);
         for hi in (1..steps.len()).rev() {
             if let Some(m) = self.cache.get(&key[..=hi]) {
@@ -844,46 +722,19 @@ impl Engine {
                     .iter()
                     .map(|s| s.matrix(&self.hin))
                     .collect();
-                return (Seed::Cached(m), rest);
+                return (Mat::Shared(m), rest);
             }
         }
         (
-            Seed::First(steps[0].matrix(&self.hin)),
+            Mat::Borrowed(steps[0].matrix(&self.hin)),
             steps[1..].iter().map(|s| s.matrix(&self.hin)).collect(),
         )
     }
 
-    /// Execute an anchored verb by sparse-row propagation: one row of the
-    /// commuting matrix, computed as `eₓᵀ·M₁·…·Mₙ` without materializing
-    /// any product. Scores, candidate sets, ordering and limits are
-    /// identical to the full-matrix path whenever the arithmetic is exact
-    /// (integer-valued weights — see the anchored property tests).
-    fn execute_row(
-        &self,
-        resolved: &ResolvedQuery,
-        probe: Option<&ExecProbe>,
-    ) -> Result<QueryOutput, QueryError> {
-        let steps = resolved.path.steps();
-        let x = resolved.from.expect("anchored verbs carry `from`").id as usize;
-        let mut scratch = ScatterScratch::new();
-        let (seed, rest) = self.propagation_seed(steps);
-        if let Some(p) = probe {
-            // The fast path caches nothing; its cache interaction is
-            // whether the propagation started from a resident prefix
-            // product or had to chain from the anchor's relation row.
-            p.note(match seed {
-                Seed::Cached(_) => CacheOutcome::Hit,
-                Seed::First(_) => CacheOutcome::MissCompute,
-            });
-        }
-        let row = spvm_chain_with(&seed.row(x), &rest, &mut scratch);
-        self.finish_row(resolved, x, row, &mut scratch)
-    }
-
     /// Score, rank and name one propagated anchor row — the verb-specific
-    /// back half shared by the sparse-row fast path ([`Engine::execute_row`])
-    /// and the batched block propagation, which computes all its members'
-    /// rows in one [`SparseBlock`] chain and finishes them here one by one.
+    /// back half of the anchored fast path ([`Engine::execute_span_group`]),
+    /// which propagates all its members' rows and finishes them here one by
+    /// one.
     fn finish_row(
         &self,
         resolved: &ResolvedQuery,
@@ -925,7 +776,8 @@ impl Engine {
                             memo_hits += 1;
                             f64::from_bits(known)
                         } else {
-                            let u = spvm_chain_with(&half_seed.row(y), &half_rest, scratch);
+                            let u = SparseVec::from_csr_row(half_seed.as_csr(), y);
+                            let u = spvm_chain_with(&u, &half_rest, scratch);
                             let v = match mid {
                                 Some(l) => spvm_with(&u, l, scratch).dot(&u),
                                 None => u.dot_self(),
@@ -1144,8 +996,14 @@ impl Engine {
 struct Prep {
     resolved: ResolvedQuery,
     plan: QueryPlan,
-    mode: ExecMode,
+    /// Chose [`ExecMode::SparseRow`]: runs through
+    /// [`Engine::execute_span_group`] unless promotion materializes it.
+    lazy: bool,
 }
+
+/// One query's slot in a batch: its result once it has executed (or failed
+/// to parse), and its trace.
+type Answer = (Option<Result<QueryOutput, QueryError>>, QueryTrace);
 
 /// Nanoseconds since `t0`, saturating (a query cannot run 584 years).
 fn elapsed_ns(t0: Instant) -> u64 {
@@ -1161,11 +1019,12 @@ pub enum TraceMode {
     /// Materialized (or read) the commuting matrix through the cache.
     #[default]
     Full,
-    /// Propagated a sparse row from the anchor; nothing materialized.
-    SparseRow,
-    /// Propagated as one member of a same-span multi-anchor
-    /// [`SparseBlock`] batch ([`Engine::execute_many`]); nothing
+    /// Propagated a sparse row from the anchor, alone; nothing
     /// materialized.
+    SparseRow,
+    /// Propagated a sparse row from the anchor in the company of at least
+    /// one other same-span member of its [`Engine::execute_many`] batch
+    /// (shared seed lookup and scratch); nothing materialized.
     BlockRow,
 }
 
@@ -1212,10 +1071,10 @@ pub struct QueryTrace {
 }
 
 /// Interior-mutable per-query observation the engine threads through one
-/// execution. `Cell`-based: a probe lives and dies on one worker's stack.
+/// materialization. `Cell`-based: a probe lives and dies on one worker's
+/// stack.
 #[derive(Default)]
 struct ExecProbe {
-    sparse_row: Cell<bool>,
     outcome: Cell<CacheOutcome>,
 }
 
@@ -1226,25 +1085,8 @@ impl ExecProbe {
     }
 }
 
-/// Where an anchored propagation reads its seed row from.
-enum Seed<'a> {
-    /// A cache-resident prefix product: its row replaces the head of the
-    /// chain outright.
-    Cached(Arc<Csr>),
-    /// Nothing resident: the first step's relation adjacency (always free —
-    /// `eₓᵀ·M₁` *is* row `x` of `M₁`).
-    First(&'a Csr),
-}
-
-impl Seed<'_> {
-    fn row(&self, r: usize) -> SparseVec {
-        match self {
-            Seed::Cached(m) => SparseVec::from_csr_row(m, r),
-            Seed::First(m) => SparseVec::from_csr_row(m, r),
-        }
-    }
-}
-
+/// A matrix the engine reads without owning: a relation's adjacency
+/// borrowed from the network, or a product shared with the cache.
 enum Mat<'a> {
     Borrowed(&'a Csr),
     Shared(Arc<Csr>),
@@ -1532,28 +1374,55 @@ mod tests {
     }
 
     #[test]
-    fn plan_many_reports_the_block_mode() {
+    fn every_entry_point_is_the_singleton_batch() {
+        // one span's life — lazy twice, promoted on the third run, resident
+        // after — driven through each entry point on an engine of its own:
+        // the answers, the mode that ran and every counter must agree
         let hin = skewed_bib();
-        let engine = Engine::from_arc(Arc::clone(&hin));
-        let plans = engine.plan_many(&[
-            "pathcount author-paper-venue-paper-author from a0",
-            "rank venue-paper-author",
-            "pathcount author-paper-venue-paper-author from a3",
-        ]);
-        let first = plans[0].as_ref().unwrap();
-        match first.mode {
-            crate::plan::ExecMode::BlockRow { anchors, .. } => assert_eq!(anchors, 2),
-            ref other => panic!("expected BlockRow, got {other:?}"),
+        let q = "pathsim author-paper-venue-paper-author from a0";
+        let engines: Vec<Engine> = (0..3)
+            .map(|_| Engine::from_arc(Arc::clone(&hin))) // promote_after: 3
+            .collect();
+        let counters = |e: &Engine| {
+            (
+                e.anchored_fast_paths(),
+                e.promotions(),
+                e.promotions_refused(),
+                e.cache_misses(),
+                e.cache_hits(),
+            )
+        };
+        let stages = [
+            (TraceMode::SparseRow, CacheOutcome::MissCompute),
+            (TraceMode::SparseRow, CacheOutcome::MissCompute),
+            (TraceMode::Full, CacheOutcome::MissCompute),
+            (TraceMode::Full, CacheOutcome::Hit),
+        ];
+        for (run, (mode, outcome)) in stages.into_iter().enumerate() {
+            let plain = engines[0].execute(q);
+            let (traced, trace) = engines[1].execute_traced(q);
+            let (batched, batch_trace) = engines[2].execute_many_traced(&[q]).remove(0);
+            assert_eq!(plain, traced, "run {run}");
+            assert_eq!(plain, batched, "run {run}");
+            assert_eq!((trace.mode, trace.outcome), (mode, outcome), "run {run}");
+            assert_eq!(
+                (batch_trace.mode, batch_trace.outcome),
+                (mode, outcome),
+                "run {run}"
+            );
+            assert!(trace.exec_ns > 0 && batch_trace.exec_ns > 0);
+            assert_eq!(counters(&engines[0]), counters(&engines[1]), "run {run}");
+            assert_eq!(counters(&engines[0]), counters(&engines[2]), "run {run}");
         }
-        assert!(first.to_string().contains("block-propagate"));
-        assert!(first.to_string().contains("×2"));
-        assert_eq!(plans[1].as_ref().unwrap().mode, crate::plan::ExecMode::Full);
-        assert!(matches!(
-            plans[2].as_ref().unwrap().mode,
-            crate::plan::ExecMode::BlockRow { .. }
-        ));
-        assert_eq!(engine.cache_misses(), 0, "planning computes nothing");
-        assert_eq!(engine.anchored_fast_paths(), 0, "planning executes nothing");
+        assert_eq!(engines[0].anchored_fast_paths(), 2);
+        assert_eq!(engines[0].promotions(), 1);
+        // and a query that fails to resolve fails the same way everywhere
+        let bad = "pathsim author-paper-author from nobody";
+        assert_eq!(engines[0].execute(bad), engines[1].execute_traced(bad).0);
+        assert_eq!(
+            engines[0].execute(bad),
+            engines[2].execute_many(&[bad]).remove(0)
+        );
     }
 
     #[test]

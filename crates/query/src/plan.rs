@@ -107,7 +107,10 @@ pub enum ExecMode {
     Full,
     /// Propagate `eₓᵀ` through the chain as sparse-vector × CSR products —
     /// the anchored fast path. Cold cost is proportional to the rows
-    /// actually reached instead of the whole product chain.
+    /// actually reached instead of the whole product chain. Same-span
+    /// members of one `Engine::execute_many` batch propagate together
+    /// (one scratch, one seed lookup); that is an execution detail their
+    /// traces report, not a different plan.
     SparseRow {
         /// Longest cache-resident prefix span `(0, hi)` to seed the
         /// propagation from (its row replaces `eₓᵀ·M₁·…` up to `hi`), if
@@ -118,22 +121,6 @@ pub enum ExecMode {
         /// Estimated propagation multiply-adds (including PathSim
         /// normalizer propagations where applicable).
         est_flops: f64,
-    },
-    /// Propagate several same-span anchors together as one short, fat
-    /// sparse block ([`hin_linalg::SparseBlock`]) — the batched form of
-    /// [`ExecMode::SparseRow`] that `Engine::execute_many` upgrades
-    /// grouped anchored queries to. One scratch pass per link is shared by
-    /// every anchor in the batch, as is (for PathSim verbs) the
-    /// normalizer-diagonal memo.
-    BlockRow {
-        /// Cache-resident prefix span seeding every row of the block —
-        /// the same forecast a lone [`ExecMode::SparseRow`] would carry.
-        seed: Option<(usize, usize)>,
-        /// Estimated propagation multiply-adds for the whole batch (the
-        /// sum of the members' per-anchor estimates).
-        est_flops: f64,
-        /// Anchors propagated together in this block.
-        anchors: usize,
     },
 }
 
@@ -257,51 +244,12 @@ impl std::fmt::Display for QueryPlan {
                     write!(f, "; seeded from cache[{lo}..{hi}]")?;
                 }
             }
-            ExecMode::BlockRow {
-                seed,
-                est_flops,
-                anchors,
-            } => {
-                write!(
-                    f,
-                    "block-propagate[{}]×{anchors} (est {est_flops:.0} flops; full {:.0}",
-                    self.describe(),
-                    self.est_flops,
-                )?;
-                if let Some((lo, hi)) = seed {
-                    write!(f, "; seeded from cache[{lo}..{hi}]")?;
-                }
-            }
         }
         if let Some(promotion) = self.promotion {
             write!(f, "; promotion: {promotion}")?;
         }
         write!(f, ")")
     }
-}
-
-/// Upgrade the shared [`ExecMode::SparseRow`] decision of a group of
-/// same-span anchored queries to the batched [`ExecMode::BlockRow`]: the
-/// seed forecast is a property of the span (so common to every member),
-/// the estimate is the sum of the members'. Returns `None` when any member
-/// did not choose the sparse-row fast path — such a group cannot batch.
-pub(crate) fn block_mode_of(modes: &[ExecMode]) -> Option<ExecMode> {
-    let mut shared_seed = None;
-    let mut total = 0.0;
-    for mode in modes {
-        match mode {
-            ExecMode::SparseRow { seed, est_flops } => {
-                shared_seed = *seed;
-                total += est_flops;
-            }
-            _ => return None,
-        }
-    }
-    Some(ExecMode::BlockRow {
-        seed: shared_seed,
-        est_flops: total,
-        anchors: modes.len(),
-    })
 }
 
 /// Plan the evaluation of `steps` against the current cache contents.
@@ -606,47 +554,6 @@ mod tests {
                 panic!("a seeded propagation is one free row read plus one link, got {other:?}")
             }
         }
-    }
-
-    #[test]
-    fn block_mode_upgrades_a_sparse_row_group() {
-        let modes = [
-            ExecMode::SparseRow {
-                seed: Some((0, 1)),
-                est_flops: 10.0,
-            },
-            ExecMode::SparseRow {
-                seed: Some((0, 1)),
-                est_flops: 14.0,
-            },
-            ExecMode::SparseRow {
-                seed: Some((0, 1)),
-                est_flops: 6.0,
-            },
-        ];
-        match block_mode_of(&modes) {
-            Some(ExecMode::BlockRow {
-                seed,
-                est_flops,
-                anchors,
-            }) => {
-                assert_eq!(seed, Some((0, 1)));
-                assert_eq!(anchors, 3);
-                assert!((est_flops - 30.0).abs() < 1e-9);
-            }
-            other => panic!("expected BlockRow, got {other:?}"),
-        }
-        // a member that chose Full poisons the batch
-        assert_eq!(
-            block_mode_of(&[
-                ExecMode::SparseRow {
-                    seed: None,
-                    est_flops: 1.0
-                },
-                ExecMode::Full
-            ]),
-            None
-        );
     }
 
     #[test]

@@ -64,13 +64,6 @@ pub struct ServeConfig {
     /// soon as the server is reachable; [`Server::start`] on its own does
     /// not, which is what lets a checkpoint larger than RAM open at all.
     pub warm_start: Option<Arc<CacheSnapshot>>,
-    /// Row-parallel kernel threads: `Some(n)` pins the process-wide worker
-    /// pool the SpMM kernels run on ([`hin_linalg::set_kernel_threads`])
-    /// when this server starts. **Process-global**, like the kernels'
-    /// counters: the last server to start with `Some` wins, and `None`
-    /// (the default) leaves the resolution to the `HIN_KERNEL_THREADS`
-    /// environment variable or the machine's available parallelism.
-    pub kernel_threads: Option<usize>,
     /// Observability: per-stage latency histograms and the slow-query log.
     pub telemetry: TelemetryConfig,
 }
@@ -86,7 +79,6 @@ impl Default for ServeConfig {
             cache: CacheConfig::default(),
             exec: ExecPolicy::default(),
             warm_start: None,
-            kernel_threads: None,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -95,11 +87,13 @@ impl Default for ServeConfig {
 /// Observability knobs for a [`Server`].
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
-    /// Master switch. On (the default), workers execute through
-    /// [`Engine::execute_traced`] and every stage records into its
-    /// histogram; off, the pipeline runs the untraced execution path and
-    /// touches no histogram at all, and [`ServerStats`] reports empty
-    /// snapshots.
+    /// Master switch. On (the default), every stage records into its
+    /// histogram and slow queries are captured; off, the pipeline touches
+    /// no histogram and keeps no slow log, and [`ServerStats`] reports
+    /// empty snapshots. The engine runs the same flow either way
+    /// ([`Engine::execute_many_traced`], two clock reads a query): what
+    /// the switch saves is the recording, which the benchmark prices as
+    /// `telemetry.cost_us_per_query`.
     pub enabled: bool,
     /// End-to-end latency (admission to answer) at or above which a query
     /// is captured — with its EXPLAIN plan and stage breakdown — into the
@@ -178,8 +172,8 @@ struct StageHists {
     /// [`EXEC_MODES`] × [`EXEC_OUTCOMES`].
     exec: [[Histogram; 3]; 3],
     e2e: Histogram,
-    /// Anchors that rode a multi-anchor block propagation, recorded once
-    /// per executed micro-batch (0 for batches with no block members).
+    /// Anchors that propagated in a same-span group of two or more,
+    /// recorded once per executed micro-batch (0 when nothing grouped).
     batch_anchors: Histogram,
 }
 
@@ -387,9 +381,9 @@ pub struct ServerStats {
     pub exec_ns: [[HistSnapshot; 3]; 3],
     /// End-to-end latency (ns): admission to answer.
     pub e2e_ns: HistSnapshot,
-    /// Anchors propagated through the multi-anchor block path per executed
-    /// micro-batch (dimensionless; one sample per batch, 0 when no member
-    /// grouped). Empty when telemetry is disabled.
+    /// Anchors that propagated in a same-span group of two or more per
+    /// executed micro-batch (dimensionless; one sample per batch, 0 when no
+    /// member grouped). Empty when telemetry is disabled.
     pub batch_anchors: HistSnapshot,
     /// Queries captured by the slow-query log over the server's lifetime
     /// (the ring retains only the newest [`TelemetryConfig::slow_log`]).
@@ -639,9 +633,6 @@ impl Server {
     /// the engine *before* any worker thread exists, so the first admitted
     /// query already sees the warm cache.
     pub fn start(hin: Arc<Hin>, config: ServeConfig) -> Server {
-        if let Some(n) = config.kernel_threads {
-            hin_linalg::set_kernel_threads(n);
-        }
         let engine = Arc::new(Engine::with_config(hin, config.cache, config.exec));
         let warm_import = config.warm_start.as_ref().map(|s| engine.restore(s));
         let n_workers = config.workers.max(1);
@@ -857,9 +848,9 @@ fn contain_panic(members: usize, run: impl FnOnce() -> Vec<Traced>) -> Vec<Trace
 /// and execute them against the shared engine, until the queue is closed
 /// and drained.
 ///
-/// A whole micro-batch runs as one [`Engine::execute_many`] call, so
-/// same-span anchored members propagate together through the multi-anchor
-/// block kernel instead of one row chain each.
+/// A whole micro-batch runs as one [`Engine::execute_many_traced`] call,
+/// so same-span anchored members propagate together — one seed lookup and
+/// one scratch for the group — instead of one set-up each.
 fn worker_loop(engine: &Engine, shared: &Shared, batch_max: usize, workers: usize) {
     let counters = &shared.counters;
     loop {
@@ -891,26 +882,19 @@ fn worker_loop(engine: &Engine, shared: &Shared, batch_max: usize, workers: usiz
         }
         // popped → execution starts: the sweep above, on this thread
         let dispatch = popped.elapsed();
-        // With telemetry on, execute traced; off, the untraced path — no
-        // Instant reads, no probe, no histogram touches on any query.
+        // The engine has one flow and it always traces; with telemetry off
+        // the traces are simply not recorded anywhere below.
         let outputs = {
             let queries: Vec<&str> = batch.iter().map(|r| r.query.as_str()).collect();
             contain_panic(batch.len(), || {
                 #[cfg(test)]
                 tests::fault_hook(&queries);
-                match &shared.telemetry {
-                    Some(_) => engine.execute_many_traced(&queries),
-                    None => engine
-                        .execute_many(&queries)
-                        .into_iter()
-                        .map(|r| (r, QueryTrace::default()))
-                        .collect(),
-                }
+                engine.execute_many_traced(&queries)
             })
         };
         if let Some(tel) = &shared.telemetry {
-            // One sample per executed batch: how many anchors rode a block
-            // propagation (0 when nothing grouped).
+            // One sample per executed batch: how many anchors propagated in
+            // a same-span group of two or more (0 when nothing grouped).
             let block_anchors = outputs
                 .iter()
                 .filter(|(_, t)| t.mode == TraceMode::BlockRow)
