@@ -80,14 +80,24 @@
 //!   re-computation of every hot SpMM chain under live load.
 //! * **Cross-process shards & fault tolerance** — [`ShardListener`] puts a
 //!   server behind a length-prefixed, checksummed TCP wire protocol
-//!   ([`wire`]), and [`Router::register_remote`] fronts it with bounded
-//!   retries + exponential backoff with deterministic jitter, end-to-end
-//!   deadline propagation, a per-shard circuit breaker, periodic health
-//!   pings, and — given a checkpoint — **automatic warm failover** to a
-//!   local replacement when the shard dies. The [`faultinject`] harness
-//!   forces drops, stalls, truncations, bit flips, and mid-request crashes
-//!   from a seed, so the chaos suite proves all of the above
-//!   deterministically.
+//!   ([`wire`]), and [`Router::register_remote`] fronts it with a
+//!   [`RemoteServerHandle`]: [`RemoteConfig::connectors`] pipelined
+//!   connections, many requests in flight on each, answers matched to
+//!   tickets by request id. The shard admits every frame it has read
+//!   before it waits on any answer — each connection on its own fairness
+//!   lane — so a pipelined burst rides one micro-batch. Around that:
+//!   bounded retries with exponential backoff and deterministic jitter,
+//!   end-to-end deadline propagation, a per-shard circuit breaker,
+//!   periodic health pings, and — given a checkpoint — **automatic warm
+//!   failover** to a local replacement when the shard dies. Recovery
+//!   follows four rules: (a) one dead connection is one transport failure,
+//!   charged to its oldest owed request, the rest re-sent free; (b) a
+//!   submitter only peeks at the breaker, the connection's dial claims the
+//!   half-open probe; (c) an idle reader still wakes every
+//!   `request_timeout`; (d) an idle connection closing charges nothing.
+//!   The [`faultinject`] harness forces drops, stalls, truncations, bit
+//!   flips, and mid-request crashes from a seed, so the chaos suite proves
+//!   all of the above deterministically.
 //!
 //! # Quickstart
 //!

@@ -1,56 +1,53 @@
 //! Cross-process serving: a shard process behind a socket, and the
 //! router-side client that makes it look like a local [`Server`].
 //!
-//! Until now every shard lived in the router's process: one panic in a
-//! kernel, one OOM from a hostile dataset, and the whole fleet died
-//! together. This module is the isolation boundary that fixes it.
-//!
-//! * [`ShardListener`] wraps a [`Server`] and serves the
-//!   [`wire`](crate::wire) protocol over a TCP loopback socket: one
-//!   thread per connection, one [`Message`] per frame, requests executed
-//!   through the ordinary admission/batching/worker pipeline. The
-//!   listener tracks exactly its *live* connections: each handler takes
-//!   its own entry out when its connection ends (every ping, warm and
-//!   retry dials a fresh one), so a kill resets the live set and a
-//!   long-lived shard holds no socket for a peer that has gone. A
-//!   [`FaultInjector`] sits between each serialized response and the
-//!   socket so the chaos suite can force drops, stalls, truncations,
-//!   bit flips, and mid-request crashes deterministically.
-//! * [`RemoteServerHandle`] is the client: a bounded job queue drained by
-//!   connector threads, each owning one connection. Every submission
-//!   returns the same [`Ticket`] a local server hands out, so callers
-//!   cannot tell a remote shard from a local one — the error fidelity of
-//!   the wire format ([`Message::Response`]) makes even the failure
-//!   answers byte-identical.
+//! * [`ShardListener`] serves a [`Server`] over the [`wire`](crate::wire)
+//!   protocol on a loopback TCP socket, one thread and one fairness lane
+//!   per connection. A connection admits every frame it has already read
+//!   before it waits on any answer (a pipelined burst lands in one
+//!   micro-batch), then answers in arrival order with one `write`. Only
+//!   *live* connections are tracked, so a kill resets them all. A
+//!   [`FaultInjector`] rules on every outgoing frame so the chaos suite can
+//!   force drops, stalls, truncations, bit flips and crashes from a seed.
+//! * [`RemoteServerHandle`] is the client: [`RemoteConfig::connectors`]
+//!   pipelined links. A submission is written at once on the next link
+//!   and owed under its request id; one reader thread per link matches
+//!   each answer to its [`Ticket`] by that id — the same ticket a local
+//!   server hands out, and byte-identical answers, errors included.
 //!
 //! # Fault tolerance
 //!
-//! The client assumes the network lies. Transport failures (connect
-//! refused, reset, truncated or corrupt frames, response timeout) are
-//! retried up to [`RemoteConfig::retries`] times with exponential backoff
-//! and deterministic jitter, reconnecting each time; query-level errors
-//! are **not** retried (they are answers, not failures — except
-//! [`QueryError::Overloaded`], which is the shard asking for backoff).
-//! A propagated deadline caps the whole retry schedule: budget is
-//! re-measured before every attempt and sent as the request's
-//! [`ttl_micros`](Message::Request), so a retried request never outlives
-//! the client's patience.
+//! Transport failures (refused, reset, truncated or corrupt frames, a
+//! timeout) are retried up to [`RemoteConfig::retries`] times with
+//! exponential backoff and seeded jitter; query errors are answers (except
+//! [`QueryError::Overloaded`], the shard asking for backoff). A deadline
+//! caps the schedule: the budget is re-measured at every send and rides
+//! the wire as [`ttl_micros`](Message::Request). A link's reader owns
+//! recovery — one breaker failure, one attempt charged, backoff, redial,
+//! re-send of everything owed — under four rules:
 //!
-//! Consecutive transport failures trip a **circuit breaker**
-//! ([`RemoteConfig::breaker_threshold`]): while open, submissions fail
-//! fast with [`QueryError::Unavailable`] instead of queueing behind a
-//! dead socket. After [`RemoteConfig::breaker_cooldown`] one probe
-//! attempt is let through (half-open); success closes the breaker,
-//! failure re-arms the cooldown. Supervision — periodic pings, failover
-//! to a warm local replacement — lives one level up, in
+//! * **(a)** One dead connection is one transport failure, charged to the
+//!   *oldest* owed request — the shard answers in order, so its frame is
+//!   the one lost; the rest are re-sent free.
+//! * **(b)** A submitter only peeks at the breaker (failing fast while it
+//!   is open); the link's dial claims the half-open probe.
+//! * **(c)** An idle reader still wakes every
+//!   [`RemoteConfig::request_timeout`], so a request written just after it
+//!   blocked cannot hang on a silent peer.
+//! * **(d)** An idle connection closing is not a failure: it charges nothing.
+//!
+//! [`RemoteConfig::breaker_threshold`] consecutive failures open the
+//! **circuit breaker**: submissions fail fast with
+//! [`QueryError::Unavailable`]; after [`RemoteConfig::breaker_cooldown`]
+//! one probe dial is let through, an answer on it closes the breaker and
+//! a failure re-arms it. Supervision and failover live in
 //! [`Router`](crate::Router).
 
-use std::collections::HashMap;
-use std::io::Write;
+use std::collections::{BTreeMap, HashMap};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -98,7 +95,7 @@ impl ListenerShared {
     }
 
     /// Graceful stop: wake blocked readers with EOF but let a handler
-    /// mid-request finish writing its response.
+    /// finish answering what it has already admitted.
     fn quiesce(&self) {
         self.stop.store(true, Ordering::SeqCst);
         for c in self.conns().values() {
@@ -183,8 +180,8 @@ impl ShardListener {
         self.shared.abort();
     }
 
-    /// Stop accepting, let in-flight handlers finish their current
-    /// response, join every thread, and return the server's final stats.
+    /// Stop accepting, let in-flight handlers answer what they have
+    /// admitted, join every thread, and return the server's final stats.
     pub fn shutdown(mut self) -> ServerStats {
         self.join_threads();
         let shared = Arc::clone(&self.shared);
@@ -242,7 +239,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ListenerShared>) {
                     Err(_) => drop(shared.conns().remove(&conn)),
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(ACCEPT_POLL);
             }
             Err(_) => break,
@@ -253,42 +250,42 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ListenerShared>) {
     }
 }
 
-/// One connection: read a message, act, reply — sequentially, until EOF,
-/// a wire error, or a stop. The fault injector gets the last word on
-/// every outgoing frame.
+/// A frame read off a connection, waiting for its turn to be answered: a
+/// query admitted on the connection's lane (its id, the deadline it was
+/// sent with, its ticket), or an answer known on receipt.
+enum Reply {
+    Query(u64, Option<Instant>, Ticket),
+    Ready(Message),
+}
+
+/// One connection, on its own fairness lane (a flooding peer delays its own
+/// tail, nobody else's): admit every frame already read, then answer the
+/// burst — until EOF, a wire error, a stop, or a fault ends it.
 fn serve_conn(shared: &ListenerShared, stream: TcpStream) {
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let msg = match Message::read_from(&mut &stream) {
-            Ok(msg) => msg,
-            Err(_) => break, // EOF, reset, or garbage: this conn is done
-        };
-        let reply = match msg {
-            Message::Request {
+    let lane = shared.server.handle();
+    let mut reader = BufReader::new(&stream);
+    let mut burst = Vec::new();
+    while !shared.stop.load(Ordering::SeqCst) {
+        let reply = match Message::read_from(&mut reader) {
+            Ok(Message::Request {
                 id,
                 ttl_micros,
                 query,
-            } => {
+            }) => {
                 if shared.inject.note_request() {
                     // the configured crash point: die mid-request
                     shared.abort();
-                    break;
+                    return;
                 }
-                let result = if ttl_micros > 0 {
-                    let ttl = Duration::from_micros(ttl_micros);
-                    shared
-                        .server
-                        .submit_with_deadline(query, ttl)
-                        .wait_timeout(ttl)
-                } else {
-                    shared.server.submit(query).wait()
+                let ttl = (ttl_micros > 0).then(|| Duration::from_micros(ttl_micros));
+                let ticket = match ttl {
+                    Some(ttl) => lane.submit_with_deadline(query, ttl),
+                    None => lane.submit(query),
                 };
-                Message::Response { id, result }
+                Reply::Query(id, ttl.and_then(|t| Instant::now().checked_add(t)), ticket)
             }
-            Message::Ping { nonce } => Message::Pong { nonce },
-            Message::Warm { image } => match CacheSnapshot::from_bytes(&image) {
+            Ok(Message::Ping { nonce }) => Reply::Ready(Message::Pong { nonce }),
+            Ok(Message::Warm { image }) => match CacheSnapshot::from_bytes(&image) {
                 Ok(snapshot) => {
                     let engine = shared.server.engine();
                     let report = engine.restore(&snapshot);
@@ -297,53 +294,76 @@ fn serve_conn(shared: &ListenerShared, stream: TcpStream) {
                     // been checked against its checksum on this thread, not
                     // on a worker's under some client's query
                     engine.verify_restored();
-                    Message::WarmAck {
+                    Reply::Ready(Message::WarmAck {
                         loaded: report.loaded,
                         rejected: report.rejected,
-                    }
+                    })
                 }
                 Err(_) => break, // corrupt image: protocol violation
             },
-            // a shard never receives responses/pongs/acks
-            Message::Response { .. } | Message::Pong { .. } | Message::WarmAck { .. } => break,
+            // EOF, reset, garbage, or a message only a shard sends
+            _ => break,
         };
-        let mut frame = Vec::new();
-        if reply.write_to(&mut frame).is_err() {
+        burst.push(reply);
+        if reader.buffer().is_empty() && !answer(shared, &stream, &mut burst) {
             break;
         }
-        match shared.inject.on_frame(frame.len()) {
-            FaultKind::Deliver => {
-                if (&stream).write_all(&frame).is_err() {
-                    break;
-                }
-            }
+    }
+    // frames admitted before the loop ended are still answered
+    answer(shared, &stream, &mut burst);
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Answer a burst in arrival order with one `write`. The fault injector
+/// rules on every frame: a delay flushes the frames before it, then stalls;
+/// drop, truncate and kill flush the frames before it and end the
+/// connection (`false`), as does a failed write.
+fn answer(shared: &ListenerShared, mut stream: &TcpStream, burst: &mut Vec<Reply>) -> bool {
+    let mut out = Vec::new();
+    for reply in burst.drain(..) {
+        let msg = match reply {
+            Reply::Query(id, deadline, ticket) => Message::Response {
+                id,
+                result: match deadline {
+                    Some(d) => ticket.wait_timeout(d.saturating_duration_since(Instant::now())),
+                    None => ticket.wait(),
+                },
+            },
+            Reply::Ready(msg) => msg,
+        };
+        let start = out.len();
+        if msg.write_to(&mut out).is_err() {
+            return false;
+        }
+        let len = out.len() - start;
+        match shared.inject.on_frame(len) {
+            FaultKind::Deliver => {}
             FaultKind::Delay => {
-                std::thread::sleep(shared.inject.delay());
-                if (&stream).write_all(&frame).is_err() {
-                    break;
+                if stream.write_all(&out[..start]).is_err() {
+                    return false;
                 }
-            }
-            FaultKind::Drop => break,
-            FaultKind::Truncate(n) => {
-                let _ = (&stream).write_all(&frame[..n.min(frame.len())]);
-                break;
+                out.drain(..start);
+                std::thread::sleep(shared.inject.delay());
             }
             FaultKind::Corrupt(bit) => {
                 // flip a payload bit *after* the checksum: the client must
                 // detect it, never trust it
-                let at = bit as usize % (frame.len() * 8);
-                frame[at / 8] ^= 1 << (at % 8);
-                if (&stream).write_all(&frame).is_err() {
-                    break;
-                }
+                let at = bit as usize % (len * 8);
+                out[start + at / 8] ^= 1 << (at % 8);
             }
-            FaultKind::Kill => {
-                shared.abort();
-                break;
+            f => {
+                // drop, truncate, kill: flush what came before, then end
+                let cut = if let FaultKind::Truncate(n) = f { n } else { 0 };
+                out.truncate(start + cut.min(len));
+                let _ = stream.write_all(&out);
+                if f == FaultKind::Kill {
+                    shared.abort();
+                }
+                return false;
             }
         }
     }
-    let _ = stream.shutdown(Shutdown::Both);
+    stream.write_all(&out).is_ok()
 }
 
 // ---------------------------------------------------------------------------
@@ -370,12 +390,13 @@ pub struct RemoteConfig {
     pub breaker_threshold: u32,
     /// How long an open breaker waits before letting one probe through.
     pub breaker_cooldown: Duration,
-    /// Connector threads (each owns one connection; also the number of
-    /// requests in flight at once).
+    /// Pipelined connections to the shard, each with one reader thread;
+    /// any number of requests ride one connection at once.
     pub connectors: usize,
-    /// Bounded submission queue depth; at the cap, submissions resolve
-    /// [`QueryError::Overloaded`] immediately — the same admission-control
-    /// contract a local server has.
+    /// Most requests owed an answer at once, across every connection —
+    /// written and awaiting their answer, or waiting to be re-sent. At the
+    /// cap, submissions resolve [`QueryError::Overloaded`] immediately —
+    /// the same admission-control contract a local server has.
     pub queue_depth: usize,
 }
 
@@ -427,11 +448,42 @@ enum Breaker {
     Open { since: Instant, probing: bool },
 }
 
-/// One queued request.
-struct Job {
+/// A request a link owes an answer: what re-sending it takes, the retries
+/// charged to it, and when its answer is late — set at each write from its
+/// budget, or `request_timeout` without one.
+struct Inflight {
     query: String,
     deadline: Option<Instant>,
     reply: ReplySender,
+    attempt: u32,
+    due: Option<Instant>,
+}
+
+/// A link's lock-protected half: the write side of its connection (`None`
+/// between connections), what it owes by request id (id order is write
+/// order: the first entry is the oldest), and the transport failures since
+/// the last answer, which size the backoff.
+#[derive(Default)]
+struct LinkState {
+    conn: Option<TcpStream>,
+    owed: BTreeMap<u64, Inflight>,
+    streak: u32,
+    closing: bool,
+}
+
+/// One pipelined connection: submitters write under the lock, one reader
+/// thread reads answers, redials and re-sends.
+#[derive(Default)]
+struct Link {
+    state: Mutex<LinkState>,
+    /// Wakes a reader waiting for something to be owed.
+    work: Condvar,
+}
+
+impl Link {
+    fn lock(&self) -> MutexGuard<'_, LinkState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 struct RemoteShared {
@@ -439,7 +491,15 @@ struct RemoteShared {
     config: RemoteConfig,
     breaker: Mutex<Breaker>,
     rng: Mutex<u64>,
+    count: Counters,
+}
+
+/// Request ids, the owed gauge (bounded by `queue_depth`, across every
+/// link), and the counters behind [`RemoteStats`].
+#[derive(Default)]
+struct Counters {
     next_id: AtomicU64,
+    owed: AtomicUsize,
     served: AtomicU64,
     errors: AtomicU64,
     retries: AtomicU64,
@@ -461,27 +521,27 @@ impl RemoteShared {
         (*x >> 33) % 1000
     }
 
-    /// May this attempt proceed? `Err` = breaker open, fail fast.
-    fn breaker_admit(&self) -> Result<(), QueryError> {
+    /// May traffic proceed? `Err` = breaker open, fail fast. Only a dial
+    /// (`claim`) takes the half-open probe: a submitter merely peeks
+    /// (rule (b)).
+    fn breaker_gate(&self, claim: bool) -> Result<(), QueryError> {
         let mut b = self.breaker.lock().unwrap_or_else(PoisonError::into_inner);
         match &mut *b {
             Breaker::Closed { .. } => Ok(()),
-            Breaker::Open { since, probing } => {
-                if !*probing && since.elapsed() >= self.config.breaker_cooldown {
-                    *probing = true; // half-open: exactly one probe
-                    Ok(())
-                } else {
-                    self.breaker_rejected.fetch_add(1, Ordering::Relaxed);
-                    Err(QueryError::Unavailable(format!(
-                        "circuit breaker open for shard {}",
-                        self.addr
-                    )))
-                }
+            Breaker::Open { since, probing }
+                if !*probing && since.elapsed() >= self.config.breaker_cooldown =>
+            {
+                *probing = claim; // half-open: exactly one probe
+                Ok(())
             }
+            Breaker::Open { .. } => Err(QueryError::Unavailable(format!(
+                "circuit breaker open for shard {}",
+                self.addr
+            ))),
         }
     }
 
-    /// A transport round trip succeeded: close the breaker.
+    /// An answer arrived: close the breaker.
     fn breaker_success(&self) {
         let mut b = self.breaker.lock().unwrap_or_else(PoisonError::into_inner);
         *b = Breaker::Closed { failures: 0 };
@@ -494,7 +554,7 @@ impl RemoteShared {
             Breaker::Closed { failures } => {
                 *failures += 1;
                 if *failures >= self.config.breaker_threshold {
-                    self.circuit_opens.fetch_add(1, Ordering::Relaxed);
+                    self.count.circuit_opens.fetch_add(1, Ordering::Relaxed);
                     *b = Breaker::Open {
                         since: Instant::now(),
                         probing: false,
@@ -526,91 +586,226 @@ impl RemoteShared {
         }
     }
 
-    /// Run one job to completion: attempts, retries, breaker bookkeeping.
-    fn run_job(&self, conn: &mut Option<TcpStream>, job: &Job) -> Result<QueryOutput, QueryError> {
-        let mut attempt = 0u32;
-        loop {
-            // budget first (breaker second): an expired request must not
-            // consume the breaker's half-open probe
-            let budget = match job.deadline {
-                Some(d) => {
-                    let left = d.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(QueryError::TimedOut);
-                    }
-                    Some(left)
-                }
-                None => None,
+    /// Resolve an owed request: count it, free its owed slot, answer it.
+    fn settle(&self, req: Inflight, result: Result<QueryOutput, QueryError>) {
+        self.count.owed.fetch_sub(1, Ordering::Relaxed);
+        self.count.served.fetch_add(1, Ordering::Relaxed);
+        let failed = u64::from(result.is_err());
+        self.count.errors.fetch_add(failed, Ordering::Relaxed);
+        req.reply.send(result);
+    }
+
+    /// Write every request owed from id `from` on, each with its budget
+    /// re-measured now, in one `write` — a submission's one frame and a
+    /// redial's re-send alike. A failed write kills the connection; the
+    /// reader's recovery re-sends.
+    fn send(&self, st: &mut LinkState, from: u64) -> std::io::Result<()> {
+        let now = Instant::now();
+        let mut frames = Vec::new();
+        for (&id, req) in st.owed.range_mut(from..) {
+            let budget = req.deadline.map(|d| d.saturating_duration_since(now));
+            req.due = now.checked_add(budget.unwrap_or(self.config.request_timeout));
+            // a live budget never rounds down to 0, which means "none"
+            let ttl_micros = budget.map_or(0, |d| {
+                u64::try_from(d.as_micros()).unwrap_or(u64::MAX).max(1)
+            });
+            let query = req.query.clone();
+            let msg = Message::Request {
+                id,
+                ttl_micros,
+                query,
             };
-            self.breaker_admit()?;
-            match self.try_once(conn, &job.query, budget) {
-                Ok(result) => {
-                    self.breaker_success();
-                    match result {
-                        // Overloaded is the shard asking for backoff: retry
-                        // within the same schedule as a transport failure.
-                        Err(QueryError::Overloaded) if attempt < self.config.retries => {}
-                        other => return other,
-                    }
-                }
-                Err(_reason) => {
-                    *conn = None; // the stream is in an unknown state
-                    self.breaker_failure();
-                    if attempt >= self.config.retries {
-                        self.exhausted.fetch_add(1, Ordering::Relaxed);
-                        return Err(QueryError::Unavailable(format!(
-                            "shard {} unreachable after {} attempts: {_reason}",
-                            self.addr,
-                            attempt + 1
-                        )));
-                    }
-                }
-            }
-            self.retries.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(self.backoff(attempt, job.deadline));
-            attempt += 1;
+            msg.write_to(&mut frames).map_err(std::io::Error::other)?;
+        }
+        let written = st
+            .conn
+            .as_ref()
+            .map_or(Ok(()), |mut c| c.write_all(&frames));
+        if let Some(conn) = st.conn.take_if(|_| written.is_err()) {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+        written
+    }
+
+    /// Owe `req` on `link` under a fresh id: written at once when the link
+    /// is connected, else left for the reader to dial and send.
+    fn owe(&self, link: &Link, req: Inflight) {
+        let mut st = link.lock();
+        // allocated under the lock: id order is write order on the link
+        let id = self.count.next_id.fetch_add(1, Ordering::Relaxed);
+        st.owed.insert(id, req);
+        if st.conn.is_none() {
+            link.work.notify_one();
+        } else {
+            let _ = self.send(&mut st, id);
         }
     }
 
-    /// One request/response round trip over the connector's connection
-    /// (establishing it if needed). `Err(reason)` = transport failure; the
-    /// inner `Result` is the shard's answer.
-    fn try_once(
-        &self,
-        conn: &mut Option<TcpStream>,
-        query: &str,
-        budget: Option<Duration>,
-    ) -> Result<Result<QueryOutput, QueryError>, String> {
-        let stream = match conn {
-            Some(s) => s,
-            None => {
-                let s = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
-                    .map_err(|e| format!("connect: {e}"))?;
-                let _ = s.set_nodelay(true);
-                conn.insert(s)
+    /// Dial `link`'s connection and re-send everything it owes. Budget
+    /// first, breaker second: expired requests resolve
+    /// [`QueryError::TimedOut`] and claim no probe. `Err(None)`: nothing
+    /// left to send, or the breaker refused the dial and everything owed
+    /// failed fast; `Err(Some(reason))`: a transport failure.
+    fn open(&self, link: &Link) -> Result<BufReader<TcpStream>, Option<String>> {
+        {
+            let mut st = link.lock();
+            let now = Instant::now();
+            let expired = |_: &u64, r: &mut Inflight| r.deadline.is_some_and(|d| d <= now);
+            for (_, req) in st.owed.extract_if(.., expired) {
+                self.settle(req, Err(QueryError::TimedOut));
             }
+            if st.owed.is_empty() {
+                return Err(None);
+            }
+            if let Err(e) = self.breaker_gate(true) {
+                for req in std::mem::take(&mut st.owed).into_values() {
+                    self.count.breaker_rejected.fetch_add(1, Ordering::Relaxed);
+                    self.settle(req, Err(e.clone()));
+                }
+                return Err(None);
+            }
+        }
+        let conn = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
+            .map_err(|e| format!("connect: {e}"))?;
+        let _ = conn.set_nodelay(true);
+        // a submitter blocked writing to a peer that stopped reading gives
+        // up, and the reader's recovery takes over
+        let _ = conn.set_write_timeout(Some(self.config.request_timeout.max(MIN_READ_TIMEOUT)));
+        let reader = conn.try_clone().map_err(|e| format!("clone: {e}"))?;
+        let mut st = link.lock();
+        st.conn = Some(conn);
+        self.send(&mut st, 0).map_err(|e| format!("send: {e}"))?;
+        Ok(BufReader::new(reader))
+    }
+
+    /// Read answers off one connection and resolve their tickets by id,
+    /// until the connection fails (`Err(reason)`), or it closes — or the
+    /// handle does — with nothing owed (`Ok`, rule (d)).
+    fn read_answers(&self, link: &Link, mut reader: BufReader<TcpStream>) -> Result<(), String> {
+        loop {
+            if reader.buffer().is_empty() {
+                // about to block: until the oldest owed answer is due, or
+                // for request_timeout while idle (rule (c))
+                let wait = {
+                    let mut st = link.lock();
+                    if st.closing && st.owed.is_empty() {
+                        st.conn = None;
+                        return Ok(());
+                    }
+                    let due = st.owed.values().next().and_then(|r| r.due);
+                    due.map_or(self.config.request_timeout, |d| {
+                        d.saturating_duration_since(Instant::now())
+                    })
+                };
+                let arm = reader
+                    .get_ref()
+                    .set_read_timeout(Some(wait.max(MIN_READ_TIMEOUT)));
+                arm.map_err(|e| format!("arm timeout: {e}"))?;
+            }
+            match reader.fill_buf() {
+                Ok([]) => {
+                    let mut st = link.lock();
+                    if !st.owed.is_empty() {
+                        return Err("receive: connection closed".to_string());
+                    }
+                    st.conn = None;
+                    return Ok(());
+                }
+                Ok(_) => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    // idle, or woken before the oldest is due: wait on
+                    let oldest_due = link.lock().owed.values().next().and_then(|r| r.due);
+                    if oldest_due.is_some_and(|d| d <= Instant::now()) {
+                        return Err(format!("receive: {e}"));
+                    }
+                    continue;
+                }
+                Err(e) => return Err(format!("receive: {e}")),
+            }
+            let (id, result) = match Message::read_from(&mut reader) {
+                Ok(Message::Response { id, result }) => (id, result),
+                Ok(other) => return Err(format!("protocol violation: unexpected {other:?}")),
+                Err(e) => return Err(format!("receive: {e}")),
+            };
+            let mut st = link.lock();
+            st.streak = 0;
+            let owed = st.owed.remove(&id);
+            drop(st);
+            let mut req = owed.ok_or_else(|| format!("protocol violation: stray answer {id}"))?;
+            self.breaker_success();
+            match result {
+                // Overloaded is the shard asking for backoff: retry within
+                // the same schedule as a transport failure
+                Err(QueryError::Overloaded) if req.attempt < self.config.retries => {
+                    self.count.retries.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(self.backoff(req.attempt, req.deadline));
+                    req.attempt += 1;
+                    if req.deadline.is_some_and(|d| d <= Instant::now()) {
+                        self.settle(req, Err(QueryError::TimedOut));
+                    } else {
+                        self.owe(link, req);
+                    }
+                }
+                other => self.settle(req, other),
+            }
+        }
+    }
+
+    /// One dead connection is one transport failure (rule (a)): count it
+    /// against the breaker, charge one attempt to the oldest owed request
+    /// (the one whose frame the in-order shard lost) — or give it up once
+    /// its schedule is spent — and back off before the redial, unless
+    /// nothing is left to re-send.
+    fn transport_failure(&self, link: &Link, reason: &str) {
+        self.breaker_failure();
+        let (streak, deadline) = {
+            let mut st = link.lock();
+            if let Some(conn) = st.conn.take() {
+                let _ = conn.shutdown(Shutdown::Both);
+            }
+            let Some(mut oldest) = st.owed.first_entry() else {
+                return;
+            };
+            if oldest.get().attempt >= self.config.retries {
+                self.count.exhausted.fetch_add(1, Ordering::Relaxed);
+                let req = oldest.remove();
+                let (addr, tries) = (self.addr, req.attempt + 1);
+                let why = format!("shard {addr} unreachable after {tries} attempts: {reason}");
+                self.settle(req, Err(QueryError::Unavailable(why)));
+            } else {
+                oldest.get_mut().attempt += 1;
+                self.count.retries.fetch_add(1, Ordering::Relaxed);
+            }
+            let Some(deadline) = st.owed.values().next().map(|r| r.deadline) else {
+                return;
+            };
+            st.streak += 1;
+            (st.streak - 1, deadline)
         };
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let ttl_micros = budget.map_or(0, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
-        let msg = Message::Request {
-            id,
-            ttl_micros,
-            query: query.to_string(),
+        std::thread::sleep(self.backoff(streak, deadline));
+    }
+}
+
+/// One link's reader: dial when something is owed, read answers until the
+/// connection ends, and turn each dead connection into exactly one
+/// transport failure — until the handle closes with nothing owed.
+fn link_loop(shared: &RemoteShared, link: &Link) {
+    let idle = |s: &mut LinkState| s.owed.is_empty() && !s.closing;
+    loop {
+        let woken = link.work.wait_while(link.lock(), idle);
+        if woken
+            .unwrap_or_else(PoisonError::into_inner)
+            .owed
+            .is_empty()
+        {
+            return; // closing, nothing owed
+        }
+        let failure = match shared.open(link) {
+            Ok(reader) => shared.read_answers(link, reader).err(),
+            Err(reason) => reason,
         };
-        let mut frame = Vec::new();
-        msg.write_to(&mut frame)
-            .map_err(|e| format!("encode: {e}"))?;
-        stream.write_all(&frame).map_err(|e| format!("send: {e}"))?;
-        let wait = budget
-            .unwrap_or(self.config.request_timeout)
-            .max(MIN_READ_TIMEOUT);
-        stream
-            .set_read_timeout(Some(wait))
-            .map_err(|e| format!("arm timeout: {e}"))?;
-        match Message::read_from(&mut &*stream) {
-            Ok(Message::Response { id: rid, result }) if rid == id => Ok(result),
-            Ok(other) => Err(format!("protocol violation: unexpected {other:?}")),
-            Err(e) => Err(format!("receive: {e}")),
+        if let Some(reason) = failure {
+            shared.transport_failure(link, &reason);
         }
     }
 }
@@ -621,9 +816,9 @@ impl RemoteShared {
 /// [`Server`]. See the module docs for the fault model.
 pub struct RemoteServerHandle {
     shared: Arc<RemoteShared>,
-    /// `Some` while running; taken by shutdown.
-    jobs: Option<SyncSender<Job>>,
-    connectors: Vec<JoinHandle<()>>,
+    links: Vec<Arc<Link>>,
+    next_link: AtomicUsize,
+    readers: Vec<JoinHandle<()>>,
 }
 
 impl RemoteServerHandle {
@@ -634,34 +829,26 @@ impl RemoteServerHandle {
             addr,
             rng: Mutex::new(config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
             breaker: Mutex::new(Breaker::Closed { failures: 0 }),
-            next_id: AtomicU64::new(1),
-            served: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            exhausted: AtomicU64::new(0),
-            circuit_opens: AtomicU64::new(0),
-            breaker_rejected: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            pings: AtomicU64::new(0),
-            ping_failures: AtomicU64::new(0),
+            count: Counters::default(),
             config,
         });
-        let (tx, rx) = mpsc::sync_channel::<Job>(shared.config.queue_depth.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let connectors = (0..shared.config.connectors.max(1))
+        let links: Vec<Arc<Link>> = (0..shared.config.connectors.max(1))
+            .map(|_| Arc::default())
+            .collect();
+        let readers = (0..links.len())
             .map(|i| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
+                let (shared, link) = (Arc::clone(&shared), Arc::clone(&links[i]));
                 std::thread::Builder::new()
                     .name(format!("hin-remote-conn-{i}"))
-                    .spawn(move || connector_loop(&shared, &rx))
-                    .expect("spawn connector thread")
+                    .spawn(move || link_loop(&shared, &link))
+                    .expect("spawn link reader thread")
             })
             .collect();
         RemoteServerHandle {
             shared,
-            jobs: Some(tx),
-            connectors,
+            links,
+            next_link: AtomicUsize::new(0),
+            readers,
         }
     }
 
@@ -685,22 +872,38 @@ impl RemoteServerHandle {
     }
 
     fn submit_job(&self, query: String, deadline: Option<Instant>) -> Ticket {
-        let Some(jobs) = &self.jobs else {
-            return Ticket::refused(QueryError::Canceled);
+        let s = &*self.shared;
+        // budget first (breaker second): an expired request must not
+        // reach the wire at all
+        let admitted = match deadline {
+            Some(d) if d <= Instant::now() => Err(QueryError::TimedOut),
+            _ => s.breaker_gate(false).inspect_err(|_| {
+                s.count.breaker_rejected.fetch_add(1, Ordering::Relaxed);
+            }),
         };
-        let (reply, ticket) = Ticket::pending();
-        match jobs.try_send(Job {
-            query,
-            deadline,
-            reply,
-        }) {
-            Ok(()) => ticket,
-            Err(TrySendError::Full(_)) => {
-                self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                Ticket::refused(QueryError::Overloaded)
-            }
-            Err(TrySendError::Disconnected(_)) => Ticket::refused(QueryError::Canceled),
+        if let Err(err) = admitted {
+            s.count.served.fetch_add(1, Ordering::Relaxed);
+            s.count.errors.fetch_add(1, Ordering::Relaxed);
+            return Ticket::refused(err);
         }
+        if s.count.owed.fetch_add(1, Ordering::Relaxed) >= s.config.queue_depth.max(1) {
+            s.count.owed.fetch_sub(1, Ordering::Relaxed);
+            s.count.shed.fetch_add(1, Ordering::Relaxed);
+            return Ticket::refused(QueryError::Overloaded);
+        }
+        let (reply, ticket) = Ticket::pending();
+        let link = &self.links[self.next_link.fetch_add(1, Ordering::Relaxed) % self.links.len()];
+        s.owe(
+            link,
+            Inflight {
+                query,
+                deadline,
+                reply,
+                attempt: 0,
+                due: None,
+            },
+        );
+        ticket
     }
 
     /// One health-check round trip on a dedicated connection: connect,
@@ -716,7 +919,7 @@ impl RemoteServerHandle {
             stream
                 .set_read_timeout(Some(timeout.max(MIN_READ_TIMEOUT)))
                 .map_err(|e| format!("arm timeout: {e}"))?;
-            let nonce = self.shared.next_id.fetch_add(1, Ordering::Relaxed) ^ 0x9E37;
+            let nonce = self.shared.count.next_id.fetch_add(1, Ordering::Relaxed) ^ 0x9E37;
             let mut frame = Vec::new();
             Message::Ping { nonce }
                 .write_to(&mut frame)
@@ -729,8 +932,12 @@ impl RemoteServerHandle {
             }
         })();
         match &result {
-            Ok(_) => self.shared.pings.fetch_add(1, Ordering::Relaxed),
-            Err(_) => self.shared.ping_failures.fetch_add(1, Ordering::Relaxed),
+            Ok(_) => self.shared.count.pings.fetch_add(1, Ordering::Relaxed),
+            Err(_) => self
+                .shared
+                .count
+                .ping_failures
+                .fetch_add(1, Ordering::Relaxed),
         };
         result
     }
@@ -761,7 +968,7 @@ impl RemoteServerHandle {
 
     /// Lifetime counters.
     pub fn stats(&self) -> RemoteStats {
-        let s = &self.shared;
+        let s = &self.shared.count;
         RemoteStats {
             served: s.served.load(Ordering::Relaxed),
             errors: s.errors.load(Ordering::Relaxed),
@@ -775,18 +982,26 @@ impl RemoteServerHandle {
         }
     }
 
-    /// Drain queued jobs, join the connectors, and return the final
-    /// counters. Queued-but-unsent requests are still attempted (the
-    /// queue closes to new work, not to drained work).
+    /// Resolve everything owed, join the readers, and return the final
+    /// counters. Owed requests are still answered — retried if their
+    /// connection fails — before their link closes.
     pub fn shutdown(mut self) -> RemoteStats {
         self.join_threads();
         self.stats()
     }
 
     fn join_threads(&mut self) {
-        self.jobs = None; // closes the channel; connectors drain and exit
-        for c in self.connectors.drain(..) {
-            let _ = c.join();
+        for link in &self.links {
+            let mut st = link.lock();
+            st.closing = true;
+            if let (true, Some(conn)) = (st.owed.is_empty(), &st.conn) {
+                // wake a reader blocked on an idle connection
+                let _ = conn.shutdown(Shutdown::Both);
+            }
+            link.work.notify_all();
+        }
+        for r in self.readers.drain(..) {
+            let _ = r.join();
         }
     }
 }
@@ -794,23 +1009,6 @@ impl RemoteServerHandle {
 impl Drop for RemoteServerHandle {
     fn drop(&mut self) {
         self.join_threads();
-    }
-}
-
-/// Drain jobs until the queue closes; each connector owns one connection.
-fn connector_loop(shared: &RemoteShared, rx: &Mutex<Receiver<Job>>) {
-    let mut conn: Option<TcpStream> = None;
-    loop {
-        let job = match rx.lock().unwrap_or_else(PoisonError::into_inner).recv() {
-            Ok(job) => job,
-            Err(_) => break,
-        };
-        let result = shared.run_job(&mut conn, &job);
-        shared.served.fetch_add(1, Ordering::Relaxed);
-        if result.is_err() {
-            shared.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        job.reply.send(result);
     }
 }
 
@@ -1115,6 +1313,291 @@ mod tests {
         assert!(shed > 0, "a 50-deep burst over a queue of 1 must shed");
         let stats = remote.shutdown();
         assert_eq!(stats.shed, shed);
+        listener.shutdown();
+    }
+
+    /// Spin until `pred` holds; `false` after ten seconds.
+    fn eventually(mut pred: impl FnMut() -> bool) -> bool {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !pred() {
+            if Instant::now() > give_up {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    /// What a hand-rolled shard does with one accepted connection.
+    type Script = Box<dyn FnOnce(TcpStream) + Send>;
+
+    /// A fake shard on a loopback port: the n-th connection it accepts is
+    /// handed to the n-th script; after the last, it stops listening.
+    fn fake_shard(scripts: Vec<Script>) -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let shard = std::thread::spawn(move || {
+            for script in scripts {
+                script(listener.accept().expect("accept").0);
+            }
+        });
+        (addr, shard)
+    }
+
+    /// Read one request frame: `(id, query)`.
+    fn request(r: &mut impl std::io::Read) -> (u64, String) {
+        match Message::read_from(r).expect("a request frame") {
+            Message::Request { id, query, .. } => (id, query),
+            other => panic!("expected a request, got {other:?}"),
+        }
+    }
+
+    /// What the fake shards answer `query` with.
+    fn echoed(query: &str) -> Result<QueryOutput, QueryError> {
+        Err(QueryError::Internal(format!("echo {query}")))
+    }
+
+    fn echo(mut stream: &TcpStream, id: u64, query: &str) {
+        let mut frame = Vec::new();
+        let result = echoed(query);
+        Message::Response { id, result }
+            .write_to(&mut frame)
+            .unwrap();
+        stream.write_all(&frame).unwrap();
+    }
+
+    #[test]
+    fn out_of_order_answers_reach_their_own_tickets() {
+        let (addr, shard) = fake_shard(vec![Box::new(|stream| {
+            let mut r = BufReader::new(&stream);
+            let owed: Vec<_> = (0..3).map(|_| request(&mut r)).collect();
+            for (id, query) in owed.iter().rev() {
+                echo(&stream, *id, query);
+            }
+            // hold the connection open until the client hangs up
+            let _ = Message::read_from(&mut r);
+        })]);
+        let remote = RemoteServerHandle::connect(
+            addr,
+            RemoteConfig {
+                connectors: 1,
+                ..RemoteConfig::default()
+            },
+        );
+        let queries = ["first", "second", "third"];
+        let tickets: Vec<Ticket> = queries.iter().map(|q| remote.submit(*q)).collect();
+        for (q, t) in queries.iter().zip(tickets) {
+            assert_eq!(t.wait(), echoed(q), "answer matched by id, not by order");
+        }
+        let stats = remote.shutdown();
+        assert_eq!((stats.served, stats.retries), (3, 0));
+        shard.join().expect("fake shard");
+    }
+
+    #[test]
+    fn a_connection_dying_mid_burst_charges_only_its_oldest_request() {
+        let (addr, shard) = fake_shard(vec![
+            Box::new(|stream| {
+                // answer two of six, then hang up owing four
+                let mut r = BufReader::new(&stream);
+                let owed: Vec<_> = (0..6).map(|_| request(&mut r)).collect();
+                for (id, query) in &owed[..2] {
+                    echo(&stream, *id, query);
+                }
+            }),
+            Box::new(|stream| {
+                let mut r = BufReader::new(&stream);
+                while let Ok(Message::Request { id, query, .. }) = Message::read_from(&mut r) {
+                    echo(&stream, id, &query);
+                }
+            }),
+        ]);
+        let remote = RemoteServerHandle::connect(
+            addr,
+            RemoteConfig {
+                connectors: 1,
+                retries: 0,
+                backoff_base: Duration::from_millis(1),
+                ..RemoteConfig::default()
+            },
+        );
+        let queries: Vec<String> = (0..6).map(|i| format!("q{i}")).collect();
+        let tickets: Vec<Ticket> = queries.iter().map(|q| remote.submit(q.as_str())).collect();
+        for (i, (q, t)) in queries.iter().zip(tickets).enumerate() {
+            match t.wait() {
+                // the oldest unanswered request is the one whose frame died
+                Err(QueryError::Unavailable(_)) => assert_eq!(i, 2, "{q} was charged"),
+                got => assert_eq!(got, echoed(q), "{q} was re-sent free"),
+            }
+        }
+        let stats = remote.shutdown();
+        assert_eq!((stats.retries, stats.exhausted), (0, 1));
+        assert_eq!((stats.served, stats.errors), (6, 6));
+        shard.join().expect("fake shard");
+    }
+
+    #[test]
+    fn a_pipelined_burst_lands_in_one_shard_batch() {
+        use crate::server::tests::{HOLD, HOLD_GATE, STALL, STALL_GATE};
+        let hin = bib();
+        let reference = Engine::from_arc(Arc::clone(&hin));
+        let listener = ShardListener::start(
+            Arc::clone(&hin),
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("bind");
+        let remote = RemoteServerHandle::connect(
+            listener.local_addr(),
+            RemoteConfig {
+                connectors: 1,
+                ..RemoteConfig::default()
+            },
+        );
+        let pin = RemoteServerHandle::connect(listener.local_addr(), RemoteConfig::default());
+        let stall_gate = STALL_GATE.lock().unwrap();
+        let hold_gate = HOLD_GATE.lock().unwrap();
+        // the only worker pins on the link's first request; the shard's
+        // handler for the link now waits on that answer, reading nothing
+        let stalled = remote.submit(STALL);
+        assert!(eventually(|| listener.stats().batches == 1));
+        // a second pin waits on another connection's lane
+        let held = pin.submit(HOLD);
+        assert!(eventually(|| listener.stats().queue_depth == 1));
+        let queries: Vec<String> = (0..16)
+            .map(|i| match i % 3 {
+                0 => format!("pathsim author-paper-author from a{}", i / 3 % 3),
+                1 => format!("pathcount author-paper-venue from a{}", i / 3 % 3),
+                _ => "neighbors written_by from p0".to_string(),
+            })
+            .collect();
+        let tickets: Vec<Ticket> = queries.iter().map(|q| remote.submit(q.as_str())).collect();
+        // released, the worker answers the stall and pops the hold (the
+        // handler's burst may ride along); the handler reads the whole
+        // pipelined burst at once and admits all of it behind the hold
+        drop(stall_gate);
+        assert!(eventually(|| {
+            let s = listener.stats();
+            s.max_batch >= 2 || s.queue_depth == queries.len()
+        }));
+        drop(hold_gate);
+        assert!(matches!(stalled.wait(), Err(QueryError::Parse(_))));
+        assert!(matches!(held.wait(), Err(QueryError::Parse(_))));
+        for (q, t) in queries.iter().zip(tickets) {
+            assert_eq!(t.wait(), reference.execute(q), "remote answer differs: {q}");
+        }
+        let stats = listener.stats();
+        assert!(stats.max_batch >= 2, "max_batch {}", stats.max_batch);
+        drop((remote, pin));
+        listener.shutdown();
+    }
+
+    #[test]
+    fn each_shard_connection_is_its_own_fairness_lane() {
+        use crate::server::tests::{HOLD, HOLD_GATE, STALL, STALL_GATE};
+        let hin = bib();
+        let reference = Engine::from_arc(Arc::clone(&hin));
+        let listener = ShardListener::start(
+            Arc::clone(&hin),
+            ServeConfig {
+                workers: 1,
+                batch_max: 1,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("bind");
+        let dial = || {
+            let s = TcpStream::connect(listener.local_addr()).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            s
+        };
+        let send = |mut s: &TcpStream, requests: &[(u64, &str)]| {
+            let mut frames = Vec::new();
+            for &(id, query) in requests {
+                let query = query.to_string();
+                Message::Request {
+                    id,
+                    ttl_micros: 0,
+                    query,
+                }
+                .write_to(&mut frames)
+                .unwrap();
+            }
+            s.write_all(&frames).unwrap();
+        };
+        let receive = |s: &TcpStream| match Message::read_from(&mut &*s).expect("an answer") {
+            Message::Response { id, result } => (id, result),
+            other => panic!("expected a response, got {other:?}"),
+        };
+        let flood = "pathsim author-paper-author from a0";
+        let quiet = "pathcount author-paper-venue from a1";
+
+        let stall_gate = STALL_GATE.lock().unwrap();
+        let hold_gate = HOLD_GATE.lock().unwrap();
+        // connection A floods 20 requests in one write: the first pins the
+        // only worker, the last pins it again when its turn comes
+        let a = dial();
+        let mut burst = vec![(0, STALL)];
+        burst.extend((1..19).map(|id| (id, flood)));
+        burst.push((19, HOLD));
+        send(&a, &burst);
+        assert!(eventually(|| listener.stats().queue_depth == 19));
+        // then connection B sends one
+        let b = dial();
+        send(&b, &[(100, quiet)]);
+        assert!(eventually(|| listener.stats().queue_depth == 20));
+        drop(stall_gate);
+        // B's request is popped in its own lane's turn, not behind A's
+        // whole backlog: it is answered while A's last is still pinned
+        assert_eq!(receive(&b), (100, reference.execute(quiet)));
+        a.set_nonblocking(true).unwrap();
+        assert_eq!(
+            a.peek(&mut [0u8; 1]).map_err(|e| e.kind()),
+            Err(ErrorKind::WouldBlock),
+            "A's burst is answered only once its last request has run"
+        );
+        a.set_nonblocking(false).unwrap();
+        drop(hold_gate);
+        for (id, query) in burst {
+            let (got, result) = receive(&a);
+            assert_eq!(got, id, "answers come back in arrival order");
+            assert_eq!(result, reference.execute(query));
+        }
+        drop((a, b));
+        listener.shutdown();
+    }
+
+    #[test]
+    fn shutdown_resolves_every_owed_request() {
+        let hin = bib();
+        let reference = Engine::from_arc(Arc::clone(&hin));
+        let listener = ShardListener::start(Arc::clone(&hin), small_config()).expect("bind");
+        let remote = RemoteServerHandle::connect(listener.local_addr(), RemoteConfig::default());
+        let queries = [
+            "pathsim author-paper-author from a0",
+            "pathcount author-paper-venue from a1",
+            "rank venue-paper-author limit 2",
+            "neighbors written_by from p0",
+        ];
+        let tickets: Vec<(&str, Ticket)> = (0..64)
+            .map(|i| {
+                (
+                    queries[i % queries.len()],
+                    remote.submit(queries[i % queries.len()]),
+                )
+            })
+            .collect();
+        let stats = remote.shutdown();
+        assert_eq!(stats.served, 64);
+        for (q, t) in tickets {
+            assert_eq!(
+                t.wait(),
+                reference.execute(q),
+                "owed work drains, it is not canceled"
+            );
+        }
         listener.shutdown();
     }
 }

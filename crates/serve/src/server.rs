@@ -468,7 +468,7 @@ impl Ticket {
     }
 
     /// A pending ticket and the sender that resolves it — held by a worker
-    /// here, by a connector thread in the remote transport.
+    /// here, by the link that owes the answer in the remote transport.
     pub(crate) fn pending() -> (ReplySender, Ticket) {
         let slot = Arc::new(ReplySlot {
             answer: Mutex::new(None),
@@ -959,15 +959,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hin_core::HinBuilder;
 
     /// A query that panics the worker executing its batch.
     const POISON: &str = "poison the batch";
     /// A query whose batch blocks until [`STALL_GATE`] can be taken.
-    const STALL: &str = "stall the worker";
-    static STALL_GATE: Mutex<()> = Mutex::new(());
+    pub(crate) const STALL: &str = "stall the worker";
+    pub(crate) static STALL_GATE: Mutex<()> = Mutex::new(());
+    /// A second, independent pin: a batch holding it blocks until
+    /// [`HOLD_GATE`] can be taken.
+    pub(crate) const HOLD: &str = "hold the worker";
+    pub(crate) static HOLD_GATE: Mutex<()> = Mutex::new(());
 
     /// Runs inside the worker's contained execution, ahead of the engine:
     /// the only way to make a batch panic, or a worker stay busy, on cue.
@@ -975,6 +979,9 @@ mod tests {
         assert!(!queries.contains(&POISON), "poisoned batch");
         if queries.contains(&STALL) {
             drop(STALL_GATE.lock().unwrap());
+        }
+        if queries.contains(&HOLD) {
+            drop(HOLD_GATE.lock().unwrap());
         }
     }
 
