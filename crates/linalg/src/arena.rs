@@ -28,11 +28,11 @@
 //! (`Box<[u64]>`, filled by a read) or a **memory-mapped file region**
 //! ([`ArenaBuf::map_file`], direct `mmap` against the platform libc on
 //! 64-bit unix). Both satisfy the same contracts — 8-byte-aligned base
-//! (`mmap` returns page-aligned addresses), identical
-//! [`ArenaBuf::as_bytes`] / [`ArenaBuf::as_words`] access — so everything
-//! downstream of the `Arc<ArenaBuf>` seam ([`Csr::from_arena`], the
-//! snapshot parser) is backing-oblivious. A mapped arena is read-only and
-//! **demand-paged**: no byte of the file is copied or even faulted in
+//! (`mmap` returns page-aligned addresses), identical [`ArenaBuf::as_bytes`]
+//! access — so everything downstream of the `Arc<ArenaBuf>` seam
+//! ([`Csr::from_arena`], the snapshot parser) is backing-oblivious. A
+//! mapped arena is read-only and **demand-paged**: no byte of the file is
+//! copied or even faulted in
 //! until a kernel actually dereferences it, which is what lets a restored
 //! snapshot exceed physical RAM — the kernel pages matrix data in and out
 //! as queries touch it. The region is unmapped when the last view into it
@@ -55,7 +55,7 @@ use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::codec::CodecError;
+use crate::codec::{CodecError, Fnv64x4};
 use crate::csr::Csr;
 
 /// `true` when this target can reinterpret the arena heap in place:
@@ -148,18 +148,26 @@ struct MappedRegion {
     map_len: usize,
 }
 
-// Sound: the region is immutable for its whole lifetime (PROT_READ, never
-// handed out mutably), so shared access from any thread only ever reads.
+// SAFETY: `ptr` addresses a PROT_READ mapping that lives exactly as long as
+// this value and is never written through or handed out mutably, and
+// `map_len` is a plain length. Moving the value to another thread moves
+// only the right to unmap, which the mapping does not tie to a thread.
 #[cfg(all(unix, target_pointer_width = "64"))]
 unsafe impl Send for MappedRegion {}
+// SAFETY: as for `Send`: no method mutates `ptr`, `map_len` or the pages
+// behind them, so `&MappedRegion` on many threads only ever reads.
 #[cfg(all(unix, target_pointer_width = "64"))]
 unsafe impl Sync for MappedRegion {}
 
 #[cfg(all(unix, target_pointer_width = "64"))]
 impl Drop for MappedRegion {
     fn drop(&mut self) {
+        // SAFETY: `ptr` and `map_len` are what a successful `mmap` returned
+        // and was given, and this is the one `munmap` of that mapping: the
+        // region is owned by its `ArenaBuf`, which drops once, after every
+        // view holding its `Arc` is gone, so no slice into it outlives this.
         // A failing munmap leaks address space but cannot corrupt memory;
-        // there is no good recovery, so ignore the result.
+        // there is no good recovery, so the result is ignored.
         unsafe {
             sys::munmap(self.ptr as *mut std::ffi::c_void, self.map_len);
         }
@@ -247,6 +255,10 @@ impl ArenaBuf {
         if len == 0 {
             return Err(std::io::Error::other("cannot map an empty file"));
         }
+        // SAFETY: a null address hint lets the kernel choose where; `len` is
+        // the file's non-zero length; the descriptor is open for reading for
+        // the duration of the call. A private read-only mapping aliases no
+        // Rust object, and failure is checked below before `ptr` is used.
         let ptr = unsafe {
             sys::mmap(
                 std::ptr::null_mut(),
@@ -310,9 +322,11 @@ impl ArenaBuf {
 
     /// The buffer's bytes (8-byte-aligned base on either backing).
     pub fn as_bytes(&self) -> &[u8] {
-        // Sound: heap words loosen u64 → u8 alignment with every byte
-        // initialized; a mapped region is PROT_READ file contents for the
-        // lifetime of `self`.
+        // SAFETY: a heap backing holds `len.div_ceil(8)` initialized words,
+        // so its first `len` bytes are initialized and in bounds, and `u8`
+        // needs no alignment; a mapped backing is `len` bytes of PROT_READ
+        // file contents. Either lives as long as `self`, and nothing writes
+        // to it while this shared borrow does.
         unsafe { std::slice::from_raw_parts(self.base(), self.len) }
     }
 
@@ -323,21 +337,15 @@ impl ArenaBuf {
     /// heap buffer instead.
     pub fn as_mut_bytes(&mut self) -> &mut [u8] {
         match &mut self.backing {
+            // SAFETY: `len` bytes lie within the `len.div_ceil(8)` words the
+            // box owns, every byte is initialized, and the `&mut self`
+            // borrow makes this the only reference into them.
             Backing::Heap(words) => unsafe {
                 std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, self.len)
             },
             #[cfg(all(unix, target_pointer_width = "64"))]
             Backing::Mapped(_) => panic!("ArenaBuf::as_mut_bytes: mapped arenas are read-only"),
         }
-    }
-
-    /// The buffer as little-endian `u64` words — the unit the arena
-    /// checksum is computed over. Trailing bytes past the last full word
-    /// (never present in a well-formed arena file) are ignored.
-    pub fn as_words(&self) -> &[u64] {
-        // Sound: both backings guarantee an 8-byte-aligned base, and only
-        // whole words within `len` are exposed.
-        unsafe { std::slice::from_raw_parts(self.base() as *const u64, self.len / 8) }
     }
 }
 
@@ -369,11 +377,17 @@ pub struct ArenaEntry {
     pub data_off: usize,
 }
 
-/// A validated window into a shared [`ArenaBuf`] serving as a [`Csr`]'s
-/// backing storage. Constructed only by [`Csr::from_arena`], which checks
-/// bounds, alignment, and every CSR structural invariant first — so the
-/// raw-pointer accessors below are sound and the slices they return are
-/// valid CSR arrays.
+/// A window into a shared [`ArenaBuf`] serving as a [`Csr`]'s backing
+/// storage.
+///
+/// Built only by [`Csr::from_arena`], and only on a [`ZERO_COPY`] host,
+/// after `check_array` has proved each of the three arrays in bounds of
+/// `buf` and 8-byte aligned: that is what the raw-pointer accessors below
+/// rest on, and why both fields stay private to this module. A view
+/// escapes `from_arena` only once its structure has also been validated
+/// and hashed, so the slices it hands out are valid CSR arrays; its values
+/// are proved later, against the snapshot's values checksum, before they
+/// are served.
 #[derive(Clone)]
 pub(crate) struct ArenaView {
     buf: Arc<ArenaBuf>,
@@ -386,14 +400,19 @@ impl ArenaView {
         self.buf.as_bytes().as_ptr()
     }
 
-    /// Row offsets, reinterpreted in place. Requires [`ZERO_COPY`] (the
-    /// constructor never builds a view otherwise).
+    /// Row offsets, reinterpreted in place.
     #[inline]
     pub(crate) fn indptr(&self) -> &[usize] {
         #[allow(clippy::assertions_on_constants)]
         {
             debug_assert!(ZERO_COPY);
         }
+        // SAFETY: `from_arena` checked `(nrows + 1) × 8` bytes at
+        // `indptr_off` to lie inside `buf` at an 8-byte-aligned offset from
+        // an 8-byte-aligned base, and builds views only where `usize` is a
+        // little-endian u64, so any initialized bytes there are valid
+        // `usize`s. The `Arc` keeps `buf` alive and unwritten for as long as
+        // `&self` lives.
         unsafe {
             std::slice::from_raw_parts(
                 self.base().add(self.entry.indptr_off) as *const usize,
@@ -402,8 +421,11 @@ impl ArenaView {
         }
     }
 
+    /// Column indices, reinterpreted in place.
     #[inline]
     pub(crate) fn indices(&self) -> &[u32] {
+        // SAFETY: as for `indptr`: `nnz × 4` bytes at the checked, 8-byte
+        // aligned `indices_off`, inside `buf`; every bit pattern is a `u32`.
         unsafe {
             std::slice::from_raw_parts(
                 self.base().add(self.entry.indices_off) as *const u32,
@@ -412,8 +434,11 @@ impl ArenaView {
         }
     }
 
+    /// Values, reinterpreted in place.
     #[inline]
     pub(crate) fn data(&self) -> &[f64] {
+        // SAFETY: as for `indptr`: `nnz × 8` bytes at the checked, 8-byte
+        // aligned `data_off`, inside `buf`; every bit pattern is an `f64`.
         unsafe {
             std::slice::from_raw_parts(
                 self.base().add(self.entry.data_off) as *const f64,
@@ -459,7 +484,10 @@ fn check_array(
 }
 
 impl Csr {
-    /// Materialize one matrix out of a shared arena buffer.
+    /// Materialize one matrix out of a shared arena buffer, returning it
+    /// with its *structure digest*: [`Fnv64x4`] over the `indptr` words,
+    /// then the index words as the heap stores them
+    /// ([`Fnv64x4::feed_u32`]).
     ///
     /// On a [`ZERO_COPY`] host this is allocation-free: the returned
     /// matrix is a *view* whose three arrays alias `buf` in place, and
@@ -472,8 +500,11 @@ impl Csr {
     /// strictly increasing per row and `< ncols` — so a hostile or
     /// corrupt directory entry returns a typed [`CodecError`], never a
     /// panic and never a matrix other code could index out of bounds
-    /// with.
-    pub fn from_arena(buf: &Arc<ArenaBuf>, entry: ArenaEntry) -> Result<Csr, CodecError> {
+    /// with. The digest is computed in that same pass, so the index array
+    /// is read once: a caller holding a stored structure checksum proves
+    /// the structure by comparing it, without reading it again. The
+    /// `data` array is neither read nor hashed here.
+    pub fn from_arena(buf: &Arc<ArenaBuf>, entry: ArenaEntry) -> Result<(Csr, u64), CodecError> {
         let len = buf.len();
         let indptr_len = entry.nrows.checked_add(1).ok_or(CodecError::DimOverflow {
             field: "nrows",
@@ -490,9 +521,9 @@ impl Csr {
         if ZERO_COPY {
             // Validate through the view's own slices — the same bytes the
             // kernels will read.
-            validate_csr(view.indptr(), view.indices(), entry.nnz, entry.ncols)?;
+            let digest = validate_csr(view.indptr(), view.indices(), entry.nnz, entry.ncols)?;
             VIEW_RESTORES.fetch_add(1, Ordering::Relaxed);
-            Ok(Csr::from_arena_view(entry.nrows, entry.ncols, view))
+            Ok((Csr::from_arena_view(entry.nrows, entry.ncols, view), digest))
         } else {
             // Portable fallback: decode owned copies from the LE bytes.
             let bytes = buf.as_bytes();
@@ -517,15 +548,10 @@ impl Csr {
                 .take(entry.nnz)
                 .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
                 .collect();
-            validate_csr(&indptr, &indices, entry.nnz, entry.ncols)?;
+            let digest = validate_csr(&indptr, &indices, entry.nnz, entry.ncols)?;
             note_heap_decode();
-            Ok(Csr::from_parts_unchecked(
-                entry.nrows,
-                entry.ncols,
-                indptr,
-                indices,
-                data,
-            ))
+            let m = Csr::from_parts_unchecked(entry.nrows, entry.ncols, indptr, indices, data);
+            Ok((m, digest))
         }
     }
 }
@@ -620,15 +646,28 @@ fn index_padding(nnz: usize) -> &'static [u8] {
     &[0u8; 4][..(nnz % 2) * 4]
 }
 
-/// The CSR structural invariants every decoder enforces before a matrix
-/// escapes: shared by the arena constructor above and usable by any other
-/// storage front end.
+/// Indices [`validate_csr`] hashes and checks per block: 32 KiB, small
+/// enough that a block is still in the first-level cache when the rows
+/// ending inside it are checked.
+const VALIDATE_BLOCK: usize = 8 * 1024;
+
+/// The CSR structural invariants [`Csr::from_arena`] enforces before a
+/// matrix escapes, checked in the pass that computes the structure digest
+/// it returns.
+///
+/// The index array is read once. It is walked in blocks of
+/// [`VALIDATE_BLOCK`] indices; each block is hashed, then every row that
+/// ends inside it is checked while the block is still in cache. A row
+/// passes when its indices strictly increase — one branch-free fold — and
+/// its last index is below `ncols`, which then bounds every other one. A
+/// failing row is examined again to name its fault, so the first failing
+/// row and the message are what a plain row-by-row check reports.
 pub(crate) fn validate_csr(
     indptr: &[usize],
     indices: &[u32],
     nnz: usize,
     ncols: usize,
-) -> Result<(), CodecError> {
+) -> Result<u64, CodecError> {
     if indptr.first() != Some(&0) {
         return Err(CodecError::Malformed("indptr[0] must be 0".to_string()));
     }
@@ -643,22 +682,46 @@ pub(crate) fn validate_csr(
             "indptr must be non-decreasing".to_string(),
         ));
     }
+    let mut digest = Fnv64x4::new();
+    digest.feed(indptr, |p| p as u64);
     // first == 0, last == nnz and monotonicity bound every offset into
-    // [0, nnz], so the row slicing below cannot go out of bounds.
-    for row in 0..indptr.len() - 1 {
-        let cols = &indices[indptr[row]..indptr[row + 1]];
-        if cols.iter().any(|&c| (c as usize) >= ncols) {
-            return Err(CodecError::Malformed(format!(
-                "row {row} holds a column index >= ncols ({ncols})"
-            )));
-        }
-        if cols.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(CodecError::Malformed(format!(
-                "row {row} column indices are not strictly increasing"
-            )));
+    // [0, nnz]; a row is sliced only once a block has reached its end, so
+    // the slicing below cannot go out of bounds. Rows never reached are
+    // empty ones after the last index (or every row, when nnz == 0).
+    let (rows, mut row, mut end) = (indptr.len() - 1, 0, 0);
+    for block in indices.chunks(VALIDATE_BLOCK) {
+        digest.feed_u32(block);
+        end += block.len();
+        while row < rows && indptr[row + 1] <= end {
+            let cols = &indices[indptr[row]..indptr[row + 1]];
+            if !row_is_valid(cols, ncols) {
+                return Err(row_fault(row, cols, ncols));
+            }
+            row += 1;
         }
     }
-    Ok(())
+    Ok(digest.finish())
+}
+
+/// Strictly increasing, and the last index — hence every index — below
+/// `ncols`. The fold has no early exit, so it compiles to straight-line
+/// compares.
+#[inline]
+fn row_is_valid(cols: &[u32], ncols: usize) -> bool {
+    let pairs = cols.iter().zip(cols.iter().skip(1));
+    let increasing = pairs.fold(true, |ok, (a, b)| ok & (a < b));
+    increasing && cols.last().is_none_or(|&c| (c as usize) < ncols)
+}
+
+/// What is wrong with a row [`row_is_valid`] refused: an index out of
+/// range is named ahead of an order violation.
+#[cold]
+fn row_fault(row: usize, cols: &[u32], ncols: usize) -> CodecError {
+    CodecError::Malformed(if cols.iter().any(|&c| (c as usize) >= ncols) {
+        format!("row {row} holds a column index >= ncols ({ncols})")
+    } else {
+        format!("row {row} column indices are not strictly increasing")
+    })
 }
 
 #[cfg(test)]
@@ -705,19 +768,131 @@ mod tests {
         Csr::from_triplets(3, 3, [(0, 0, 1.0), (0, 2, 2.0), (2, 0, 3.0), (2, 1, 4.0)])
     }
 
+    /// The row-by-row check the fused [`validate_csr`] replaced, kept as its
+    /// oracle: the `indptr` rules, then per row the bound on every index,
+    /// then the order — one full pass for each.
+    fn two_pass_check(
+        indptr: &[usize],
+        indices: &[u32],
+        nnz: usize,
+        ncols: usize,
+    ) -> Result<(), String> {
+        if indptr.first() != Some(&0) {
+            return Err("indptr[0] must be 0".to_string());
+        }
+        if indptr.last() != Some(&nnz) {
+            let last = indptr.last().copied().unwrap_or(0);
+            return Err(format!("indptr[nrows] = {last} but nnz = {nnz}"));
+        }
+        if indptr.windows(2).any(|w| w[0] > w[1]) {
+            return Err("indptr must be non-decreasing".to_string());
+        }
+        for row in 0..indptr.len() - 1 {
+            let cols = &indices[indptr[row]..indptr[row + 1]];
+            if cols.iter().any(|&c| (c as usize) >= ncols) {
+                return Err(format!("row {row} holds a column index >= ncols ({ncols})"));
+            }
+            if cols.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!(
+                    "row {row} column indices are not strictly increasing"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The structure digest from whole arrays: the row offsets, then every
+    /// index, each fed in one call.
+    fn two_pass_digest(m: &Csr) -> u64 {
+        let (indptr, indices, _) = m.parts();
+        let mut digest = Fnv64x4::new();
+        digest.feed(indptr, |p| p as u64);
+        digest.feed_u32(indices);
+        digest.finish()
+    }
+
+    #[test]
+    fn fused_validation_agrees_with_the_two_pass_check() {
+        let mut state = 0x517c_c1b7_2722_0a95u64;
+        let mut next = move |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound.max(1)
+        };
+        let (mut passed, mut failed, mut long_passed) = (0, 0, 0);
+        for case in 0..600 {
+            // one case in twenty has rows longer than a validation block
+            let long = case % 20 == 0;
+            let (nrows, ncols) = match long {
+                true => (1 + next(5), 40_000),
+                false => (next(24), 1 + next(40)),
+            };
+            let mut indptr = vec![0usize];
+            let mut indices: Vec<u32> = Vec::new();
+            for _ in 0..nrows {
+                let len = if long {
+                    next(2 * VALIDATE_BLOCK)
+                } else {
+                    next(13)
+                };
+                let mut col = next(3) as u32;
+                for _ in 0..len {
+                    indices.push(col);
+                    col += 1 + next(3) as u32;
+                }
+                indptr.push(indices.len());
+            }
+            let nnz = indices.len();
+            match next(10) {
+                0 if nnz > 0 => indices[next(nnz)] = next(ncols + 2) as u32,
+                1 if nnz > 1 => indices.swap(next(nnz - 1), next(nnz)),
+                2 if nnz > 0 => indices[next(nnz)] = u32::MAX,
+                3 if nnz > 1 => {
+                    let i = 1 + next(nnz - 1);
+                    indices[i] = indices[i - 1];
+                }
+                4 => {
+                    let at = next(indptr.len());
+                    indptr[at] = next(nnz + 2);
+                }
+                _ => {}
+            }
+            let want = two_pass_check(&indptr, &indices, nnz, ncols);
+            match (want, validate_csr(&indptr, &indices, nnz, ncols)) {
+                (Ok(()), Ok(digest)) => {
+                    let m =
+                        Csr::from_parts_unchecked(nrows, ncols, indptr, indices, vec![0.0; nnz]);
+                    assert_eq!(digest, two_pass_digest(&m), "case {case}");
+                    passed += 1;
+                    long_passed += long as usize;
+                }
+                (Err(want), Err(CodecError::Malformed(got))) => {
+                    assert_eq!(got, want, "case {case}");
+                    failed += 1;
+                }
+                (want, got) => panic!("case {case}: oracle {want:?}, fused {got:?}"),
+            }
+        }
+        assert!(
+            passed > 100 && failed > 100 && long_passed > 5,
+            "{passed} {failed} {long_passed}"
+        );
+    }
+
     #[test]
     fn view_equals_owned_and_shares_the_arena() {
         let m = sample();
         let (buf, entry) = arena_of(&m);
         let before = view_restores();
-        let v = Csr::from_arena(&buf, entry).expect("valid arena entry");
+        let (v, _) = Csr::from_arena(&buf, entry).expect("valid arena entry");
         assert_eq!(v, m, "views compare equal to owned matrices by content");
         assert_eq!(v.nbytes(), m.nbytes(), "pricing is backing-independent");
         if ZERO_COPY {
             assert!(v.is_view());
             assert!(view_restores() > before);
             assert_eq!(v.arena_id(), Some(Arc::as_ptr(&buf) as usize));
-            let w = Csr::from_arena(&buf, entry).expect("second view");
+            let (w, _) = Csr::from_arena(&buf, entry).expect("second view");
             assert_eq!(w.arena_id(), v.arena_id(), "one shared arena");
         }
     }
@@ -727,7 +902,7 @@ mod tests {
         let m = sample();
         let (buf, entry) = arena_of(&m);
         let held = arena_bytes();
-        let v = Csr::from_arena(&buf, entry).expect("valid");
+        let (v, _) = Csr::from_arena(&buf, entry).expect("valid");
         drop(buf);
         // the view keeps the arena alive
         assert_eq!(v.get(2, 1), 4.0);
@@ -742,7 +917,7 @@ mod tests {
     fn kernels_run_unchanged_on_views() {
         let m = sample();
         let (buf, entry) = arena_of(&m);
-        let v = Csr::from_arena(&buf, entry).expect("valid");
+        let (v, _) = Csr::from_arena(&buf, entry).expect("valid");
         assert_eq!(v.spgemm(&v.transpose()), m.spgemm(&m.transpose()));
         assert_eq!(v.matvec(&[1.0, 2.0, 3.0]), m.matvec(&[1.0, 2.0, 3.0]));
         assert_eq!(v.row_sums(), m.row_sums());
@@ -752,12 +927,12 @@ mod tests {
     fn mutation_promotes_a_view_to_owned() {
         let m = sample();
         let (buf, entry) = arena_of(&m);
-        let mut v = Csr::from_arena(&buf, entry).expect("valid");
+        let (mut v, _) = Csr::from_arena(&buf, entry).expect("valid");
         v.scale(2.0);
         assert!(!v.is_view(), "copy-on-write promotion");
         assert_eq!(v.get(2, 1), 8.0);
         // the arena itself is untouched
-        let again = Csr::from_arena(&buf, entry).expect("valid");
+        let (again, _) = Csr::from_arena(&buf, entry).expect("valid");
         assert_eq!(again.get(2, 1), 4.0);
     }
 
@@ -781,7 +956,6 @@ mod tests {
         assert!(mapped.is_mapped());
         assert!(!heap.is_mapped());
         assert_eq!(mapped.as_bytes(), heap.as_bytes(), "same bytes either way");
-        assert_eq!(mapped.as_words(), heap.as_words());
         assert_eq!(
             arena_bytes(),
             heap_before,
@@ -790,7 +964,7 @@ mod tests {
         assert!(arena_mapped_bytes() >= mapped_before + mapped.len() as u64);
         assert!(mapped_restores() > restores_before);
 
-        let v = Csr::from_arena(&mapped, entry).expect("valid mapped entry");
+        let (v, _) = Csr::from_arena(&mapped, entry).expect("valid mapped entry");
         assert_eq!(v, m, "mapped views equal owned matrices by content");
         if ZERO_COPY {
             assert!(v.is_view());
@@ -871,9 +1045,10 @@ mod tests {
                 data_off,
                 indices_off: data_off + m.nnz() * 8,
             };
-            let view = Csr::from_arena(&Arc::new(ArenaBuf::from_bytes(&in_place)), entry)
+            let (view, digest) = Csr::from_arena(&Arc::new(ArenaBuf::from_bytes(&in_place)), entry)
                 .expect("a written payload mounts");
             assert_eq!(view, m);
+            assert_eq!(digest, two_pass_digest(&m), "case {case}: structure digest");
             let mut again = Vec::new();
             view.write_arena_payload(&mut again).unwrap();
             assert_eq!(again, in_place, "case {case}: view-backed export");

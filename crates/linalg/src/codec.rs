@@ -2,8 +2,9 @@
 //! formats stand on: the wire frame ([`write_frame`] / [`read_frame`]) the
 //! cross-process serving transport exchanges, and the pieces the cache
 //! snapshot container (`hin-query`'s `snapshot` module) is assembled from —
-//! the typed [`CodecError`], the [`Fnv64`] integrity hash, and hashed /
-//! truncation-aware read and write helpers.
+//! the typed [`CodecError`], the [`Fnv64`] integrity hash and its four-lane
+//! word variant [`Fnv64x4`], and hashed / truncation-aware read and write
+//! helpers.
 //!
 //! Decoders built on these are deliberately paranoid: corrupt, truncated,
 //! or hostile input returns a typed [`CodecError`], never panics, and never
@@ -133,12 +134,11 @@ impl Fnv64 {
     /// Absorb one little-endian `u64` *word* in a single mix step.
     ///
     /// This is the word-granular FNV variant the arena snapshot format
-    /// uses: its files are 8-byte aligned end to end, so hashing per
-    /// word instead of per byte makes integrity checking ~8× cheaper —
-    /// which matters because verifying each entry's checksum is the only
-    /// per-byte work left on the zero-copy restore path. Note the digest differs from
-    /// [`Fnv64::update`] over the same bytes; the two are distinct hash
-    /// domains and each format specifies which it uses.
+    /// seals its metadata with, and each lane of [`Fnv64x4`]: the format
+    /// is 8-byte aligned end to end, so hashing per word instead of per
+    /// byte makes integrity checking ~8× cheaper. Note the digest differs
+    /// from [`Fnv64::update`] over the same bytes; the two are distinct
+    /// hash domains and each format specifies which it uses.
     #[inline]
     pub fn update_word(&mut self, word: u64) {
         self.0 = (self.0 ^ word).wrapping_mul(Self::PRIME);
@@ -147,6 +147,105 @@ impl Fnv64 {
     /// The digest over everything absorbed so far.
     pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+/// Four interleaved word-FNV lanes — the snapshot format's payload hash.
+///
+/// Word *i* of the stream goes to lane *i* mod 4, each lane a
+/// [`Fnv64::update_word`] chain from its own seed. One FNV chain is a
+/// serial multiply, bound by its latency; four independent chains keep the
+/// multiplier busy, so hashing runs at the speed memory delivers words.
+/// [`Fnv64x4::finish`] folds the four lanes and the word count through
+/// [`Fnv64`].
+///
+/// The digest is a function of the word stream alone: it is the same
+/// however the stream is cut into `feed` calls.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv64x4 {
+    lanes: [Fnv64; 4],
+    /// Words absorbed so far; the next one goes to lane `words % 4`.
+    words: u64,
+}
+
+impl Default for Fnv64x4 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Fnv64x4 {
+    /// A fresh hasher, no words absorbed: lane *i* starts as [`Fnv64`]
+    /// over the one word *i*.
+    pub fn new() -> Self {
+        let seed = |i| {
+            let mut lane = Fnv64::new();
+            lane.update_word(i);
+            lane
+        };
+        Fnv64x4 {
+            lanes: [seed(0), seed(1), seed(2), seed(3)],
+            words: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn push(&mut self, word: u64) {
+        self.lanes[(self.words % 4) as usize].update_word(word);
+        self.words += 1;
+    }
+
+    /// Absorb `words`, each built from `N` consecutive elements.
+    #[inline(always)]
+    fn absorb<T: Copy, const N: usize>(&mut self, words: &[[T; N]], word: impl Fn(&[T; N]) -> u64) {
+        // one word at a time until the next word is lane 0's
+        let head = words.len().min(((4 - self.words % 4) % 4) as usize);
+        let (head, body) = words.split_at(head);
+        for w in head {
+            self.push(word(w));
+        }
+        let (blocks, tail) = body.as_chunks::<4>();
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        for [w0, w1, w2, w3] in blocks {
+            a.update_word(word(w0));
+            b.update_word(word(w1));
+            c.update_word(word(w2));
+            d.update_word(word(w3));
+        }
+        self.lanes = [a, b, c, d];
+        self.words += 4 * blocks.len() as u64;
+        for w in tail {
+            self.push(word(w));
+        }
+    }
+
+    /// Absorb one word per element of `elems`, as `word` maps it — e.g.
+    /// `f64::to_bits` for values, `|p| p as u64` for row offsets.
+    #[inline]
+    pub fn feed<T: Copy>(&mut self, elems: &[T], word: impl Fn(T) -> u64) {
+        self.absorb(elems.as_chunks::<1>().0, |&[e]| word(e));
+    }
+
+    /// Absorb `indices` as the little-endian `u64` words an arena heap
+    /// stores them in: consecutive pairs, the first in the low half, and an
+    /// odd last index zero-padded to a word of its own.
+    #[inline]
+    pub fn feed_u32(&mut self, indices: &[u32]) {
+        let (pairs, odd) = indices.as_chunks::<2>();
+        self.absorb(pairs, |&[lo, hi]| u64::from(lo) | u64::from(hi) << 32);
+        if let [last] = odd {
+            self.push(u64::from(*last));
+        }
+    }
+
+    /// The digest over every word absorbed so far.
+    pub fn finish(&self) -> u64 {
+        let mut hash = Fnv64::new();
+        for lane in self.lanes {
+            hash.update_word(lane.finish());
+        }
+        hash.update_word(self.words);
+        hash.finish()
     }
 }
 
@@ -299,6 +398,78 @@ mod tests {
                 read_frame(&mut bytes.as_slice(), MAX_FRAME_PAYLOAD).is_err(),
                 "flip at byte {byte} must not decode cleanly"
             );
+        }
+    }
+
+    /// [`Fnv64x4`] by definition: one word at a time, lane by lane.
+    fn word_by_word(words: &[u64]) -> u64 {
+        let mut hash = Fnv64x4::new();
+        for &w in words {
+            hash.push(w);
+        }
+        hash.finish()
+    }
+
+    #[test]
+    fn fnv64x4_digest_is_the_same_however_the_stream_is_cut() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound.max(1)
+        };
+        for len in 0..67 {
+            let indices: Vec<u32> = (0..len).map(|_| next(1 << 31) as u32 * 2 + 1).collect();
+            // the heap's words: pairs, low half first, an odd tail zero-padded
+            let heap: Vec<u64> = indices
+                .chunks(2)
+                .map(|p| u64::from(p[0]) | u64::from(p.get(1).copied().unwrap_or(0)) << 32)
+                .collect();
+            let prefix: Vec<u64> = (0..next(7)).map(|_| next(1 << 31) as u64).collect();
+            let stream = [prefix.as_slice(), &heap].concat();
+            let want = word_by_word(&stream);
+            for _ in 0..8 {
+                // the words themselves, cut anywhere
+                let mut hash = Fnv64x4::new();
+                let mut rest = stream.as_slice();
+                while !rest.is_empty() {
+                    let (cut, tail) = rest.split_at(1 + next(rest.len()));
+                    hash.feed(cut, u64::from);
+                    rest = tail;
+                }
+                assert_eq!(hash.finish(), want, "{len} indices, words cut");
+
+                // the prefix as words, then the indices in pair-aligned
+                // blocks and a last block that may end odd
+                let mut hash = Fnv64x4::new();
+                hash.feed(&prefix, u64::from);
+                let mut rest = indices.as_slice();
+                while rest.len() >= 2 && next(3) > 0 {
+                    let (block, tail) = rest.split_at(2 * (1 + next(rest.len() / 2)));
+                    hash.feed_u32(block);
+                    rest = tail;
+                }
+                hash.feed_u32(rest);
+                assert_eq!(hash.finish(), want, "{len} indices, index blocks");
+            }
+        }
+    }
+
+    #[test]
+    fn fnv64x4_tells_lanes_order_and_length_apart() {
+        let digests = [
+            word_by_word(&[]),
+            word_by_word(&[0]),
+            word_by_word(&[0, 0]),
+            word_by_word(&[1, 0, 0, 0]),
+            word_by_word(&[0, 1, 0, 0]),
+            word_by_word(&[0, 0, 0, 0, 1]),
+        ];
+        for (i, a) in digests.iter().enumerate() {
+            for b in &digests[i + 1..] {
+                assert_ne!(a, b);
+            }
         }
     }
 

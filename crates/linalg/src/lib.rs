@@ -22,8 +22,9 @@
 //!   inline, and the thread count ([`kernel_threads`]:
 //!   `HIN_KERNEL_THREADS`, else the hardware's),
 //! * [`codec`] — the checksummed length-prefixed wire frame, the typed
-//!   [`codec::CodecError`] and the FNV integrity hash the serving transport
-//!   and the cache snapshot container are built from,
+//!   [`codec::CodecError`] and the FNV integrity hashes (byte, word and
+//!   four-lane word) the serving transport and the cache snapshot
+//!   container are built from,
 //! * [`arena`] — the zero-copy storage tier: shared 8-byte-aligned
 //!   [`ArenaBuf`] buffers and `Csr::from_arena` views into them, so a
 //!   snapshot restore is one map plus zero per-matrix decodes (with

@@ -145,7 +145,7 @@ proptest! {
             data_off,
         };
         let buf = Arc::new(ArenaBuf::from_bytes(&bytes));
-        let view = Csr::from_arena(&buf, entry).expect("valid layout mounts");
+        let (view, _) = Csr::from_arena(&buf, entry).expect("valid layout mounts");
         prop_assert_eq!(&view, &m, "views compare equal to owned by content");
         // kernels must not see the backing: same product either way
         prop_assert_eq!(view.spgemm(&view.transpose()), m.spgemm(&m.transpose()));
@@ -158,7 +158,7 @@ proptest! {
             ArenaEntry { data_off: bytes.len(), ..entry },     // out of bounds
             ArenaEntry { indices_off: 0, ..entry },            // aliases indptr: cols unsorted unless empty
         ] {
-            if let Ok(v) = Csr::from_arena(&buf, bad) {
+            if let Ok((v, _)) = Csr::from_arena(&buf, bad) {
                 // an accepted alias must still satisfy every CSR invariant
                 prop_assert!(v.nnz() == 0 || v.parts().0.len() == v.nrows() + 1);
             }

@@ -65,7 +65,9 @@ use hin_linalg::codec::Fnv64;
 use hin_linalg::Csr;
 use hin_similarity::PathStep;
 
+#[cfg(test)]
 use crate::snapshot::entry_checksum;
+use crate::snapshot::{values_checksum, values_half, EntryChecksum};
 
 /// One relation step as a hashable key component: `(relation id, forward)`.
 pub(crate) type StepKey = (usize, bool);
@@ -160,16 +162,20 @@ impl CacheConfig {
 }
 
 /// A product on its way between a cache and a snapshot, with what is known
-/// about its payload checksum ([`entry_checksum`]).
+/// about its checksums
+/// ([`entry_checksum`](crate::snapshot::entry_checksum)).
 #[derive(Clone)]
 pub(crate) struct Sealed {
     pub(crate) key: PathKey,
     pub(crate) matrix: Arc<Csr>,
-    /// `entry_checksum(matrix)`: read from the directory when the matrix
-    /// came out of an image, computed by the first export otherwise — for
-    /// every later one too: the cell is shared with the cache's own entry.
-    pub(crate) checksum: Arc<OnceLock<u64>>,
-    /// `false` while the payload has yet to be held against a `checksum`
+    /// `entry_checksum(matrix)`, both halves: the structure checksum and
+    /// the values checksum. Read from the directory when the matrix came
+    /// out of an image — the structure half already proved by the mount,
+    /// the values half still to be — and computed by the first export
+    /// otherwise, for every later one too: the cell is shared with the
+    /// cache's own entry.
+    pub(crate) checksum: Arc<OnceLock<EntryChecksum>>,
+    /// `false` while the values have yet to be held against a `checksum`
     /// that came out of an image.
     pub(crate) verified: bool,
 }
@@ -183,11 +189,12 @@ struct Entry {
     last_used: AtomicU64,
     /// `entry_checksum(value)` — a property of the immutable matrix, so
     /// remembered beside it like the diagonal: see [`Sealed::checksum`].
-    checksum: Arc<OnceLock<u64>>,
-    /// Does `value`'s payload match `checksum`? Set at insert for a product
+    checksum: Arc<OnceLock<EntryChecksum>>,
+    /// Do `value`'s values match `checksum`? Set at insert for a product
     /// computed here or verified elsewhere; empty while a restored entry is
-    /// *pending*. Whoever touches a pending entry first hashes it, once;
-    /// every other first toucher waits on this cell instead of hashing too.
+    /// *pending*. Whoever touches a pending entry first hashes its values,
+    /// once; every other first toucher waits on this cell instead of
+    /// hashing too.
     intact: OnceLock<bool>,
     /// `value.diagonal()`, built by the first PathSim read of this resident
     /// matrix ([`MatrixCache::diagonal_of`]) and dropped with the entry, so
@@ -516,16 +523,16 @@ impl MatrixCache {
         self.warm_view_backed.load(Ordering::Relaxed)
     }
 
-    /// Restored entries whose payload matched its directory checksum —
-    /// each hashed exactly once, by the first lookup to reach it or by
-    /// [`MatrixCache::verify_pending`], then served unchecked.
+    /// Restored entries whose values matched their directory's values
+    /// checksum — each hashed exactly once, by the first lookup to reach it
+    /// or by [`MatrixCache::verify_pending`], then served unchecked.
     pub fn lazy_verified(&self) -> u64 {
         self.lazy_verified.load(Ordering::Relaxed)
     }
 
-    /// Restored entries whose payload did **not** match its directory
-    /// checksum: each was evicted unread (a lookup that found it reported a
-    /// miss and recomputed). Nonzero means the image was damaged after
+    /// Restored entries whose values did **not** match their directory's
+    /// values checksum: each was evicted unread (a lookup that found it
+    /// reported a miss and recomputed). Nonzero means the image was damaged after
     /// writing — storage rot, torn copy, wire corruption.
     pub fn lazy_verify_failures(&self) -> u64 {
         self.lazy_verify_failures.load(Ordering::Relaxed)
@@ -658,12 +665,13 @@ impl MatrixCache {
     /// Lookup of exactly `key` (no symmetry); with `touch`, a counting one
     /// that refreshes recency.
     ///
-    /// This is where a restored entry's payload is held against its
-    /// directory checksum: whoever reaches a pending entry first hashes it,
-    /// under the shard's read lock, and everyone who arrives meanwhile waits
-    /// for that one verdict. A match is never rechecked; a mismatch evicts
-    /// the entry and reports a miss, so corrupt payload words are recomputed
-    /// rather than served.
+    /// This is where a restored entry's values are held against its
+    /// directory's values checksum — its structure was proved at mount, so
+    /// only the `data` array is hashed: whoever reaches a pending entry
+    /// first hashes it, under the shard's read lock, and everyone who
+    /// arrives meanwhile waits for that one verdict. A match is never
+    /// rechecked; a mismatch evicts the entry and reports a miss, so
+    /// corrupt values are recomputed rather than served.
     fn resident(&self, key: &[StepKey], touch: bool) -> Option<Arc<Csr>> {
         let lock = self.shard_of(key);
         let shard = lock.read().unwrap_or_else(PoisonError::into_inner);
@@ -673,7 +681,7 @@ impl MatrixCache {
             let ok = entry
                 .checksum
                 .get()
-                .is_some_and(|&stored| entry_checksum(&entry.value) == stored);
+                .is_some_and(|&stored| values_checksum(&entry.value) == values_half(stored));
             self.lazy_verified.fetch_add(ok as u64, Ordering::Relaxed);
             ok
         });
@@ -706,11 +714,13 @@ impl MatrixCache {
     /// Verify every resident restored entry that is still pending, hottest
     /// first, through the same once a first lookup goes through: a query
     /// that reaches an entry first verifies it, and neither hashes what the
-    /// other already has. When this returns, nothing that was resident when
-    /// it was called is pending — matches counted, corrupt entries evicted
-    /// and counted. Not a use: recency and the hit counters stay put.
-    /// Whoever asked for a restore calls this, once the cache is answering,
-    /// so that no client pays for a hash.
+    /// other already has. Each pending entry costs one hash of its `data`
+    /// array against its values checksum; the row offsets and indices were
+    /// proved by the mount and are not read again. When this returns,
+    /// nothing that was resident when it was called is pending — matches
+    /// counted, corrupt entries evicted and counted. Not a use: recency and
+    /// the hit counters stay put. Whoever asked for a restore calls this,
+    /// once the cache is answering, so that no client pays for a hash.
     pub fn verify_pending(&self) {
         for pending in self.entries_by_recency().iter().filter(|e| !e.verified) {
             self.resident(&pending.key, false);

@@ -277,9 +277,10 @@ impl Engine {
     /// outcomes are reported and recorded in
     /// [`Engine::cache_warm_loaded`] / [`Engine::cache_warm_rejected`].
     ///
-    /// Entries mounted from an image arrive *pending*: each is verified
-    /// against its directory checksum by the first query that reaches it —
-    /// or, ahead of the queries, by [`Engine::verify_restored`].
+    /// Entries mounted from an image arrive with their structure proved and
+    /// their values *pending*: each is verified against its directory's
+    /// values checksum by the first query that reaches it — or, ahead of the
+    /// queries, by [`Engine::verify_restored`].
     ///
     /// Safe to call on a live, serving engine: admissions take the same
     /// shard write locks an ordinary store takes.
@@ -294,8 +295,10 @@ impl Engine {
     /// are answered meanwhile (a query that beats the sweep to an entry
     /// verifies it itself), and when this returns every resident restored
     /// entry has been checked and every corrupt one evicted and counted —
-    /// so no client pays for a hash. Skip it only to open a cache larger
-    /// than memory, where touching every page is the cost being avoided.
+    /// so no client pays for a hash. The sweep hashes each entry's values
+    /// only, once: the mount already proved the structure. Skip it only to
+    /// open a cache larger than memory, where touching every value page is
+    /// the cost being avoided.
     pub fn verify_restored(&self) {
         self.cache.verify_pending();
     }

@@ -33,18 +33,19 @@
 //!   are recorded in the `warm_loaded` / `warm_rejected` counters.
 //! * **Decoding** is paranoid: corrupt, truncated or foreign containers
 //!   return typed [`CodecError`]s, never panic.
-//! * **Nothing unverified is served.** Mounting proves the metadata; each
-//!   matrix's payload stays *pending* until it has been held against its
-//!   directory checksum — by the first lookup that reaches it, or by
-//!   [`MatrixCache::verify_pending`], which whoever asked for the restore
-//!   runs on its own thread. A mismatch evicts the entry and is counted
+//! * **Nothing unproven is served.** Mounting proves the metadata and
+//!   every matrix's structure; each matrix's values stay *pending* until
+//!   they have been held against their directory checksum — by the first
+//!   lookup that reaches them, or by [`MatrixCache::verify_pending`], which
+//!   whoever asked for the restore runs on its own thread. A mismatch
+//!   evicts the entry and is counted
 //!   ([`MatrixCache::lazy_verify_failures`]); the span is recomputed.
 //!
-//! # Container wire format (version 3 — the sealed-directory arena format)
+//! # Container wire format (version 4 — the sealed-directory arena format)
 //!
 //! The only container this build reads or writes; every entry point hands
-//! its bytes to one parser, so anything else — a version-1 or version-2
-//! file from an older build included — is a typed error from one place
+//! its bytes to one parser, so anything else — a version-1, -2 or -3 file
+//! from an older build included — is a typed error from one place
 //! ([`CodecError::UnsupportedVersion`], [`CodecError::BadMagic`],
 //! [`CodecError::Truncated`]). One file, laid out so a restore is **one
 //! map plus zero per-matrix deserialization**: a fixed-size directory of
@@ -58,10 +59,10 @@
 //! ```text
 //! superheader  64 bytes, 8-byte fields LE unless noted:
 //!   [0..4)    magic       b"HSNP"
-//!   [4..8)    version     u32 LE   3
+//!   [4..8)    version     u32 LE   4
 //!   [8..16)   flags       bit 0 = a dataset fingerprint is present
-//!                         bit 1 = directory entries carry a per-entry
-//!                         checksum (always set; an image with the bit
+//!                         bit 1 = directory entries carry per-entry
+//!                         checksums (always set; an image with the bit
 //!                         clear is rejected as malformed)
 //!   [16..24)  fingerprint (0 when absent)
 //!   [24..32)  count       number of entries
@@ -73,32 +74,42 @@
 //!                         this word left out
 //! keys         at 64: per entry key_len u32 LE, then key_len ×
 //!              (relation id u64 LE, direction u8); zero-padded to dir_off
-//! directory    count × 56-byte entries:
-//!              nrows, ncols, nnz, indptr_off, indices_off, data_off
-//!              (offsets absolute, 8-aligned; entries tile the heap in
-//!              directory order with no gaps), then the entry's payload
-//!              checksum: FNV-1a 64 folded per u64 word over indptr
-//!              values, data bit patterns, and index values
-//!              (layout-independent, so it can be recomputed from any
-//!              mounted `Csr`)
+//! directory    count × 64-byte entries, 8 × u64 LE:
+//!   [0..48)   nrows, ncols, nnz, indptr_off, indices_off, data_off
+//!             (offsets absolute, 8-aligned; entries tile the heap in
+//!             directory order with no gaps)
+//!   [48..56)  structure checksum: [`Fnv64x4`] over the indptr words,
+//!             then the index words as the heap stores them
+//!   [56..64)  values checksum: [`Fnv64x4`] over the data bit patterns
+//!             (both layout-independent, so they can be recomputed from
+//!             any mounted `Csr`)
 //! heap         per entry: indptr (nrows+1)×u64, data nnz×f64 bit
 //!              patterns, indices nnz×u32 zero-padded to 8 bytes
 //! ```
 //!
 //! **What covers what.** Every bit of a file is covered by exactly one
-//! thing. The *seal* covers the superheader, the keys and the directory,
-//! and is verified at mount on every entry point, before any other field
-//! is believed: a flipped relation id, dimension, offset or stored
-//! checksum is a [`CodecError::ChecksumMismatch`], never a matrix served
-//! under another span's key. Each *entry checksum* covers that entry's
-//! three arrays and is verified before the entry is first served. The
-//! ≤ 4 *padding* bytes after an odd-`nnz` index array must be zero. There
-//! is no whole-file checksum: it would make the CPU walk a mapped image
-//! once more than serving it needs.
+//! thing, and each is proved where it is first needed:
+//!
+//! * The *seal* covers the superheader, the keys and the directory. It is
+//!   verified at mount on every entry point, before any other field is
+//!   believed: a flipped relation id, dimension, offset or stored
+//!   checksum is a [`CodecError::ChecksumMismatch`], never a matrix served
+//!   under another span's key.
+//! * The *structure checksum* covers an entry's `indptr` and index arrays.
+//!   It is verified at mount, by the same pass that validates the CSR
+//!   invariants ([`Csr::from_arena`]): a mismatch is a
+//!   [`CodecError::ChecksumMismatch`] from every entry point, so no view
+//!   escapes a mount structurally unproven.
+//! * The *values checksum* covers an entry's `data` array — most of the
+//!   image. It is verified before the entry is first served.
+//! * The ≤ 4 *padding* bytes after an odd-`nnz` index array must be zero.
+//!
+//! There is no whole-file checksum: it would make the CPU walk a mapped
+//! image once more than serving it needs.
 //!
 //! The fingerprint ([`dataset_fingerprint`]) digests the full dataset —
 //! type names, node counts, relation endpoints, and every relation's
-//! adjacency bytes — so a snapshot taken from dataset *A* refuses to
+//! adjacency arrays — so a snapshot taken from dataset *A* refuses to
 //! restore into a rebuilt or different dataset *B* even when *B*'s schema
 //! *shape* happens to match: per-entry dim checks cannot see changed edge
 //! weights, the fingerprint can. Engine-level snapshots carry one;
@@ -111,7 +122,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use hin_core::{Hin, RelationId};
-use hin_linalg::codec::{read_exact_or_truncated, Fnv64};
+use hin_linalg::codec::{read_exact_or_truncated, Fnv64, Fnv64x4};
 use hin_linalg::{ArenaBuf, ArenaEntry, Csr};
 
 pub use hin_linalg::codec::CodecError;
@@ -121,8 +132,9 @@ use crate::cache::{MatrixCache, PathKey, Sealed, StepKey};
 /// The snapshot container's magic bytes.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HSNP";
 
-/// Current snapshot container version (the sealed-directory arena format).
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Current snapshot container version (the sealed-directory arena format
+/// with split structure / values checksums).
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Superheader size.
 const HEADER: usize = 64;
@@ -131,17 +143,16 @@ const HEADER: usize = 64;
 const SEAL_AT: usize = 56;
 
 /// Bytes per directory entry: 6 × u64 of shape and offsets, then the
-/// entry's payload checksum.
-const DIR_ENTRY: usize = 56;
+/// entry's structure and values checksums.
+const DIR_ENTRY: usize = 64;
 
 /// Flags bit 0: a dataset fingerprint is present.
 const FLAG_FINGERPRINT: u64 = 1;
 
-/// Flags bit 1: directory entries carry a per-entry payload checksum
-/// ([`entry_checksum`]) — what every mounted matrix is verified against
-/// before it is served. The writer always sets it and [`parse`] rejects an
-/// image without it, so no restore can serve payload words that nothing
-/// will ever check.
+/// Flags bit 1: directory entries carry per-entry checksums
+/// ([`entry_checksum`]) — what every mounted matrix is proved against. The
+/// writer always sets it and [`parse`] rejects an image without it, so no
+/// restore can serve payload words that nothing will ever check.
 const FLAG_ENTRY_CHECKSUMS: u64 = 2;
 
 /// Longest admissible key, in steps. Real meta-paths are a handful of
@@ -206,10 +217,11 @@ pub struct SnapshotImport {
 }
 
 /// Content fingerprint of a dataset: type names and node counts, relation
-/// names and endpoints, and every relation's forward adjacency (dims and
-/// all three CSR arrays, in a frozen byte order). Two networks with equal
-/// fingerprints hold byte-identical relation matrices, so their commuting
-/// matrices — and therefore their cache entries — are interchangeable.
+/// names and endpoints, and every relation's forward adjacency — its three
+/// dims and one [`Fnv64x4`] digest over its three CSR arrays, in the order
+/// and encoding of a snapshot heap. Two networks with equal fingerprints
+/// hold identical relation matrices, so their commuting matrices — and
+/// therefore their cache entries — are interchangeable.
 pub fn dataset_fingerprint(hin: &Hin) -> u64 {
     let mut hash = Fnv64::new();
     hash.update(&(hin.type_count() as u64).to_le_bytes());
@@ -225,42 +237,18 @@ pub fn dataset_fingerprint(hin: &Hin) -> u64 {
         hash.update(&[0]);
         hash.update(&(info.src.0 as u64).to_le_bytes());
         hash.update(&(info.dst.0 as u64).to_le_bytes());
-        digest_matrix(&mut hash, &info.fwd);
+        let m = &info.fwd;
+        for dim in [m.nrows(), m.ncols(), m.nnz()] {
+            hash.update(&(dim as u64).to_le_bytes());
+        }
+        let (indptr, indices, data) = m.parts();
+        let mut arrays = Fnv64x4::new();
+        arrays.feed(indptr, |p| p as u64);
+        arrays.feed(data, f64::to_bits);
+        arrays.feed_u32(indices);
+        hash.update(&arrays.finish().to_le_bytes());
     }
     hash.finish()
-}
-
-/// Fold one relation matrix into a [`dataset_fingerprint`].
-///
-/// The byte stream is frozen, because fingerprints are stored in checkpoint
-/// files and a restore compares them for equality: a tag, the three dims,
-/// `indptr` as u64s, `indices` as u32s, `data` as f64 bit patterns (all
-/// little-endian), and then the FNV-1a 64 digest of exactly those bytes.
-/// The tag and the trailing digest are what a retired stand-alone matrix
-/// encoding used to put there; they carry no meaning now beyond keeping
-/// every fingerprint already on disk valid.
-fn digest_matrix(hash: &mut Fnv64, m: &Csr) {
-    let mut inner = Fnv64::new();
-    let mut put = |bytes: &[u8]| {
-        inner.update(bytes);
-        hash.update(bytes);
-    };
-    put(b"HCSR");
-    put(&1u32.to_le_bytes());
-    for dim in [m.nrows(), m.ncols(), m.nnz()] {
-        put(&(dim as u64).to_le_bytes());
-    }
-    let (indptr, indices, data) = m.parts();
-    for &p in indptr {
-        put(&(p as u64).to_le_bytes());
-    }
-    for &c in indices {
-        put(&c.to_le_bytes());
-    }
-    for &v in data {
-        put(&v.to_bits().to_le_bytes());
-    }
-    hash.update(&inner.finish().to_le_bytes());
 }
 
 impl CacheSnapshot {
@@ -335,7 +323,7 @@ impl CacheSnapshot {
     /// The sealed metadata block — superheader, keys, directory — of this
     /// snapshot's image: a few hundred bytes, the only part of an export
     /// that is assembled rather than streamed. Hashes any entry that does
-    /// not know its own payload checksum yet.
+    /// not know its own checksums yet.
     fn metadata(&self) -> Vec<u8> {
         let mut keys = Vec::new();
         for e in &self.entries {
@@ -370,7 +358,8 @@ impl CacheSnapshot {
                 indptr_off as u64,
                 indices_off as u64,
                 data_off as u64,
-                checksum,
+                structure_half(checksum),
+                values_half(checksum),
             ]) {
                 slot.copy_from_slice(&v.to_le_bytes());
             }
@@ -419,9 +408,9 @@ impl CacheSnapshot {
     /// generic reader.
     ///
     /// Every corruption mode — wrong magic, unknown version, truncation,
-    /// metadata bit flips, hostile lengths — returns a typed
+    /// metadata or structure bit flips, hostile lengths — returns a typed
     /// [`CodecError`]; schema fit against a concrete dataset is checked
-    /// later, at import, and payload words before they are served.
+    /// later, at import, and values before they are served.
     /// Consumes at most one image (the header says how long it is), then
     /// hands it to the same parser every other entry point uses, which
     /// holds the announced length against what actually arrived. The
@@ -460,7 +449,8 @@ impl CacheSnapshot {
     /// Mount a complete container image from memory — the receiving end
     /// of [`CacheSnapshot::to_bytes`]. The image mounts as arena views over
     /// a private aligned copy of `bytes`; as on every entry point the
-    /// metadata is verified here and each payload before it is served.
+    /// metadata and every structure are verified here, and each entry's
+    /// values before it is served.
     pub fn from_bytes(bytes: &[u8]) -> Result<CacheSnapshot, CodecError> {
         parse(&Arc::new(ArenaBuf::from_bytes(bytes)))
     }
@@ -477,12 +467,13 @@ impl CacheSnapshot {
     ///
     /// The image is `mmap`ed read-only and every restored matrix is a view
     /// into the kernel page cache, **paged on demand**: open cost is the
-    /// metadata block plus one structural pass over the row-offset and
-    /// index arrays ([`Csr::from_arena`]); value pages stay on disk until
-    /// something reads them, which is what lets a dataset larger than RAM
-    /// open at all. Where mapping is unavailable (a non-64-bit-unix target,
-    /// an empty file, any `mmap` error) the file is read into one aligned
-    /// heap buffer instead: same typed errors, bit-identical matrices.
+    /// metadata block plus one pass over the row-offset and index arrays
+    /// that validates and hashes them together ([`Csr::from_arena`]); value
+    /// pages stay on disk until something reads them, which is what lets a
+    /// dataset larger than RAM open at all. Where mapping is unavailable (a
+    /// non-64-bit-unix target, an empty file, any `mmap` error) the file is
+    /// read into one aligned heap buffer instead: same typed errors,
+    /// bit-identical matrices.
     ///
     /// The mapping outlives the directory entry: a checkpoint file may be
     /// replaced (by rename) or deleted while views into it serve. It must
@@ -535,12 +526,13 @@ fn metadata_seal(meta: &[u8]) -> u64 {
 }
 
 /// Validate and mount a complete image: head, length, metadata seal, then
-/// header / keys / directory structure, then one [`Csr::from_arena`] view
-/// per entry (which checks every CSR invariant) and its zero padding. On a
-/// [`hin_linalg::arena::ZERO_COPY`] host nothing here copies matrix
-/// payload — every returned matrix aliases `buf` — and nothing reads a
-/// value page. Payload integrity is what the mounted entries are still
-/// *pending* on.
+/// header / keys / directory structure, then per entry its zero padding
+/// and one [`Csr::from_arena`] view, whose structure digest — computed in
+/// the pass that checks every CSR invariant — must equal the directory's
+/// structure checksum. On a [`hin_linalg::arena::ZERO_COPY`] host nothing
+/// here copies matrix payload — every returned matrix aliases `buf` — and
+/// nothing reads a value page. The values checksum is what the mounted
+/// entries are still *pending* on.
 fn parse(buf: &Arc<ArenaBuf>) -> Result<CacheSnapshot, CodecError> {
     let bytes = buf.as_bytes();
     if bytes.len() < HEADER {
@@ -682,10 +674,18 @@ fn parse(buf: &Arc<ArenaBuf>) -> Result<CacheSnapshot, CodecError> {
                 "directory entry {i}: index padding is not zero"
             )));
         }
+        let (matrix, structure) = Csr::from_arena(buf, entry)?;
+        let stored = u64_at(d + 48);
+        if structure != stored {
+            return Err(CodecError::ChecksumMismatch {
+                stored,
+                computed: structure,
+            });
+        }
         entries.push(Sealed {
             key,
-            matrix: Arc::new(Csr::from_arena(buf, entry)?),
-            checksum: Arc::new(u64_at(d + 48).into()),
+            matrix: Arc::new(matrix),
+            checksum: Arc::new(both_halves(structure, u64_at(d + 56)).into()),
             verified: false,
         });
     }
@@ -702,30 +702,58 @@ fn parse(buf: &Arc<ArenaBuf>) -> Result<CacheSnapshot, CodecError> {
 
 #[cfg(test)]
 thread_local! {
-    /// [`entry_checksum`] calls made on this thread.
+    /// Value-array hashes ([`values_checksum`]) made on this thread: one
+    /// per [`entry_checksum`], one per verification of a pending entry.
     static ENTRY_CHECKSUM_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Structure hashes outside a mount made on this thread: one per
+    /// [`entry_checksum`].
+    static STRUCTURE_HASHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Layout-independent payload checksum of one matrix: FNV-1a 64 folded
-/// per u64 *word* ([`Fnv64::update_word`]) over the indptr values, then
-/// the data bit patterns, then the index values. Computable from any
-/// mounted [`Csr`] (owned or view), which is what lets a restored entry be
-/// held against its directory checksum wherever it ends up.
-pub(crate) fn entry_checksum(m: &Csr) -> u64 {
+/// A directory entry's two checksums as one value: the structure checksum
+/// in the high 64 bits, the values checksum in the low 64. What
+/// [`entry_checksum`] computes and [`Sealed::checksum`] remembers.
+pub(crate) type EntryChecksum = u128;
+
+fn both_halves(structure: u64, values: u64) -> EntryChecksum {
+    u128::from(structure) << 64 | u128::from(values)
+}
+
+fn structure_half(checksum: EntryChecksum) -> u64 {
+    (checksum >> 64) as u64
+}
+
+/// The values checksum inside `checksum` — what verification compares.
+pub(crate) fn values_half(checksum: EntryChecksum) -> u64 {
+    checksum as u64
+}
+
+/// Both checksums of one matrix, as a directory entry stores them: the
+/// structure checksum ([`Fnv64x4`] over the indptr words, then the index
+/// words — what [`Csr::from_arena`] computes while it validates) and
+/// [`values_checksum`]. Layout-independent, so computable from any
+/// [`Csr`]; a computed product pays it once, at its first export.
+pub(crate) fn entry_checksum(m: &Csr) -> EntryChecksum {
+    #[cfg(test)]
+    STRUCTURE_HASHES.with(|calls| calls.set(calls.get() + 1));
+    let (indptr, indices, _) = m.parts();
+    let mut structure = Fnv64x4::new();
+    structure.feed(indptr, |p| p as u64);
+    structure.feed_u32(indices);
+    both_halves(structure.finish(), values_checksum(m))
+}
+
+/// [`Fnv64x4`] over a matrix's data bit patterns: the one hash a restored
+/// entry still owes before it is served, its structure having been proved
+/// at mount. Computable from any mounted [`Csr`] (owned or view), which is
+/// what lets a restored entry be held against its directory checksum
+/// wherever it ends up.
+pub(crate) fn values_checksum(m: &Csr) -> u64 {
     #[cfg(test)]
     ENTRY_CHECKSUM_CALLS.with(|calls| calls.set(calls.get() + 1));
-    let (indptr, indices, data) = m.parts();
-    let mut hash = Fnv64::new();
-    for &p in indptr {
-        hash.update_word(p as u64);
-    }
-    for &v in data {
-        hash.update_word(v.to_bits());
-    }
-    for &c in indices {
-        hash.update_word(c as u64);
-    }
-    hash.finish()
+    let mut values = Fnv64x4::new();
+    values.feed(m.parts().2, f64::to_bits);
+    values.finish()
 }
 
 /// The `(rows, cols)` a commuting matrix over `key` must have in `hin`'s
@@ -1074,7 +1102,7 @@ mod tests {
 
     #[test]
     fn hostile_v2_directories_are_rejected() {
-        // the name is the floor's; the container is version 3 now and the
+        // the name is the floor's; the container is version 4 now and the
         // directory is under the seal, so every case below re-seals its
         // tampering: only the structural checks stand
         let hin = bib();
@@ -1362,24 +1390,28 @@ mod tests {
     #[test]
     fn input_that_is_not_a_v2_image_is_one_typed_error_from_every_entry_point() {
         // the name is the floor's: "v2" there meant "the container this
-        // build reads", which is version 3 now — and version 2 joins
+        // build reads", which is version 4 now — and versions 2 and 3 join
         // version 1 among the inputs that are not it
         let v1_headed = [b"HSNP".as_slice(), &1u32.to_le_bytes(), &[0xA5; 93]].concat();
-        let v2_image = {
+        let headed = |version: u32| {
             let mut image = two_span_snapshot(&bib()).to_bytes();
-            image[4..8].copy_from_slice(&2u32.to_le_bytes());
+            image[4..8].copy_from_slice(&version.to_le_bytes());
             image
         };
+        let (v2_image, v3_image) = (headed(2), headed(3));
         let foreign = [b"HFRM".as_slice(), &[7; 96]].concat();
         let stub = [b"HSNP".as_slice(), &SNAPSHOT_VERSION.to_le_bytes()].concat();
         let dir = scratch_dir("nonv3");
         type Expect = fn(&CodecError) -> bool;
-        let table: [(&str, &[u8], Expect); 5] = [
+        let table: [(&str, &[u8], Expect); 6] = [
             ("v1-headed", &v1_headed, |e| {
                 matches!(e, CodecError::UnsupportedVersion(1))
             }),
             ("v2-headed", &v2_image, |e| {
                 matches!(e, CodecError::UnsupportedVersion(2))
+            }),
+            ("v3-headed", &v3_image, |e| {
+                matches!(e, CodecError::UnsupportedVersion(3))
             }),
             (
                 "foreign magic",
@@ -1391,7 +1423,7 @@ mod tests {
         ];
         for (what, bytes, expected) in table {
             for (entry, result) in every_entry_point(&dir, bytes) {
-                let err = result.expect_err("not a v3 image");
+                let err = result.expect_err("not a v4 image");
                 assert!(expected(&err), "{what} via {entry}: {err}");
             }
         }
@@ -1400,12 +1432,13 @@ mod tests {
 
     #[test]
     fn fingerprint_and_image_bytes_are_frozen() {
-        // The fingerprint was recorded from the build that still carried
-        // the stand-alone matrix codec: fingerprints live in checkpoint
-        // files and gate restores, so it may not drift.
+        // Fingerprints live in checkpoint files and gate restores, so they
+        // may not drift within a container version. Re-recorded at version
+        // 4, which folds each relation as its dims plus one four-lane
+        // digest of its arrays (version 3's was 0x5963_087b_b57f_9206).
         let hin = bib();
         let fp = dataset_fingerprint(&hin);
-        assert_eq!(fp, 0x5963_087b_b57f_9206);
+        assert_eq!(fp, 0x8497_55ef_4be2_2130);
 
         let cache = MatrixCache::default();
         cache.put(vec![(0, true)], pa_matrix(&hin));
@@ -1415,11 +1448,12 @@ mod tests {
         let image = snap.to_bytes();
         let mut digest = Fnv64::new();
         digest.update(&image);
-        // The image was re-recorded at container version 3: the version
-        // word changed, the reserved word became the metadata seal, and the
-        // trailing whole-file seal (8 bytes) is gone — 384 bytes became 376.
-        // Keys, directory and heap are where and what they were.
-        assert_eq!((image.len(), digest.finish()), (376, 0x3684_9eac_340c_23f6));
+        // The image was re-recorded at container version 4: the version
+        // word, the fingerprint and the seal changed, and each directory
+        // entry grew from one payload checksum to a structure and a values
+        // checksum — 376 bytes (version 3: 0x3684_9eac_340c_23f6) became
+        // 392. Keys and heap are where and what they were.
+        assert_eq!((image.len(), digest.finish()), (392, 0x307e_b6f1_9768_053c));
     }
 
     #[test]
@@ -1537,6 +1571,124 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Entry `i`'s heap regions of a v4 image, from its directory entry:
+    /// `(indptr_off, data_off, indices_off, nnz)`.
+    fn heap_regions(image: &[u8], i: usize) -> (usize, usize, usize, usize) {
+        let (dir_off, _) = layout(image);
+        let at = |off: usize| {
+            let d = dir_off + i * DIR_ENTRY + off;
+            u64::from_le_bytes(image[d..d + 8].try_into().unwrap()) as usize
+        };
+        (at(24), at(40), at(32), at(16))
+    }
+
+    #[test]
+    fn every_structure_byte_is_proved_at_mount_on_every_entry_point() {
+        let hin = bib();
+        let mut snap = two_span_snapshot(&hin);
+        snap.set_fingerprint(dataset_fingerprint(&hin));
+        let image = snap.to_bytes();
+        let dir = scratch_dir("structure");
+        let mut flipped_bytes = 0;
+        for i in 0..snap.len() {
+            // the row offsets, then the indices and their zero padding: all
+            // of the entry's heap except its values
+            let (indptr_off, data_off, indices_off, nnz) = heap_regions(&image, i);
+            let padded_end = (indices_off + nnz * 4).next_multiple_of(8);
+            for pos in (indptr_off..data_off).chain(indices_off..padded_end) {
+                let mut flipped = image.clone();
+                flipped[pos] ^= 1 << (pos % 8);
+                for (entry, result) in every_entry_point(&dir, &flipped) {
+                    assert!(
+                        matches!(
+                            result,
+                            Err(CodecError::ChecksumMismatch { .. } | CodecError::Malformed(_))
+                        ),
+                        "entry {i} byte {pos} flipped, via {entry}: {:?}",
+                        result.map(|s| s.len())
+                    );
+                }
+                flipped_bytes += 1;
+            }
+        }
+        assert!(flipped_bytes >= 2 * 4 * 8, "{flipped_bytes}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn value_flips_mount_and_cost_exactly_the_touched_entry() {
+        let hin = Arc::new(bib());
+        let queries = [
+            "pathsim author-paper-author from a0",
+            "pathsim author-paper-venue-paper-author from a1",
+            "pathcount author-paper-venue from a2",
+            "rank venue-paper-author limit 5",
+        ];
+        let reference = crate::Engine::from_arc(Arc::clone(&hin));
+        let want: Vec<_> = queries
+            .iter()
+            .map(|q| reference.execute(q).unwrap())
+            .collect();
+        let donor = crate::Engine::with_config(
+            Arc::clone(&hin),
+            CacheConfig::default(),
+            crate::ExecPolicy::eager(),
+        );
+        for q in queries {
+            donor.execute(q).unwrap();
+        }
+        let snap = donor.snapshot(None);
+        let image = snap.to_bytes();
+        let dir = scratch_dir("values");
+        let mut flips = 0;
+        for i in 0..snap.len() {
+            let (_, data_off, _, nnz) = heap_regions(&image, i);
+            for pos in (data_off..data_off + nnz * 8).step_by(8) {
+                let mut flipped = image.clone();
+                flipped[pos] ^= 0x01;
+                for (entry, result) in every_entry_point(&dir, &flipped) {
+                    assert!(result.is_ok(), "entry {i} byte {pos}, via {entry}");
+                }
+                let mounted = CacheSnapshot::from_bytes(&flipped).unwrap();
+                let engine = crate::Engine::from_arc(Arc::clone(&hin));
+                assert_eq!(engine.restore(&mounted).loaded as usize, snap.len());
+                engine.verify_restored();
+                let cache = engine.cache();
+                assert_eq!(cache.lazy_verify_failures(), 1, "entry {i} byte {pos}");
+                assert_eq!(cache.lazy_pending(), 0);
+                let left = cache.export_snapshot(None).keys();
+                assert_eq!(left.len() + 1, snap.len());
+                assert!(!left.contains(&mounted.entries[i].key), "entry {i} evicted");
+                for (q, want) in queries.iter().zip(&want) {
+                    assert_eq!(engine.execute(q).unwrap(), *want, "{q} [byte {pos}]");
+                }
+                flips += 1;
+            }
+        }
+        assert!(flips >= snap.len(), "{flips}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_sweep_hashes_each_pending_entry_s_values_once_and_nothing_else() {
+        let hin = bib();
+        let image = two_span_snapshot(&hin).to_bytes();
+        let (values, structure) = (ENTRY_CHECKSUM_CALLS.get(), STRUCTURE_HASHES.get());
+        let mounted = CacheSnapshot::from_bytes(&image).unwrap();
+        let cache = MatrixCache::default();
+        assert_eq!(cache.import_snapshot(&mounted, &hin).loaded, 2);
+        cache.verify_pending();
+        assert_eq!(cache.lazy_verified(), 2);
+        // one `data` hash per pending entry; the row offsets and indices,
+        // proved by the mount, are not hashed again
+        assert_eq!(ENTRY_CHECKSUM_CALLS.get(), values + 2);
+        assert_eq!(STRUCTURE_HASHES.get(), structure);
+        // and an export of what was mounted hashes nothing at all
+        assert_eq!(cache.export_snapshot(None).to_bytes().len(), image.len());
+        assert_eq!(ENTRY_CHECKSUM_CALLS.get(), values + 2);
+        assert_eq!(STRUCTURE_HASHES.get(), structure);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   does not read, costs exactly the touched entry — evicted by
 //!   verification, counted, recomputed — and every answer still equals the
 //!   reference.
-//! * **One format** — a file that is not a current image (a version-1 or
-//!   version-2 container, a foreign file, a stub) is rejected by `open`
+//! * **One format** — a file that is not a current image (a version-1, -2
+//!   or -3 container, a foreign file, a stub) is rejected by `open`
 //!   with exactly the typed error the in-memory entry point gives.
 
 use std::sync::Arc;
@@ -261,24 +261,25 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A file that is not a current image — a version-1 or version-2
+    /// A file that is not a current image — a version-1, -2 or -3
     /// container from an older build, a foreign file, a stub too short to
     /// hold a header — is rejected by `open` with exactly the typed error
     /// the in-memory entry point reports, whatever its body holds and
     /// whether or not the file could be mapped at all.
     #[test]
     fn non_v2_files_are_rejected_identically_by_mapped_and_read(
-        head in 0usize..4,
+        head in 0usize..5,
         body in prop::collection::vec(0u8..=255, 0..200),
     ) {
         let mut bytes = match head {
             0 => [b"HSNP".as_slice(), &1u32.to_le_bytes()].concat(),
             1 => [b"HSNP".as_slice(), &2u32.to_le_bytes()].concat(),
-            2 => b"HFRM\x03\0\0\0".to_vec(),
+            2 => [b"HSNP".as_slice(), &3u32.to_le_bytes()].concat(),
+            3 => b"HFRM\x03\0\0\0".to_vec(),
             _ => Vec::new(),
         };
         bytes.extend_from_slice(&body);
-        if bytes.starts_with(b"HSNP\x03\0\0\0") {
+        if bytes.starts_with(b"HSNP\x04\0\0\0") {
             bytes[0] = b'X';
         }
         let dir = scratch_dir("non-v3");
@@ -288,7 +289,7 @@ proptest! {
         let want = CacheSnapshot::from_bytes(&bytes)
             .expect_err("the in-memory path accepted a foreign image")
             .to_string();
-        if head < 2 && bytes.len() >= 64 {
+        if head < 3 && bytes.len() >= 64 {
             let version = head as u32 + 1;
             prop_assert_eq!(&want, &hin_query::CodecError::UnsupportedVersion(version).to_string());
         }

@@ -544,9 +544,10 @@ impl Router {
     ///
     /// The file is mounted, not loaded ([`CacheSnapshot::open`]): mapped
     /// where the platform can, metadata proved against its seal, every
-    /// matrix's structure validated — and the dataset is registered and
-    /// answering from there. Then, on the caller's thread, every restored
-    /// entry is verified against its own checksum, hottest first
+    /// matrix's structure validated and proved against its structure
+    /// checksum — and the dataset is registered and answering from there.
+    /// Then, on the caller's thread, every restored entry's values are
+    /// verified against its values checksum, hottest first
     /// ([`hin_query::Engine::verify_restored`]); a query that gets to an
     /// entry before the sweep verifies it itself, once. When this returns
     /// nothing is pending: `cache_restore_verified + cache_restore_corrupt`

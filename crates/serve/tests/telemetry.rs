@@ -72,7 +72,7 @@ fn slow_query_log_captures_plan_and_stage_breakdown() {
     let slow = handle.slow_queries();
     let entry = slow
         .iter()
-        .find(|s| s.query == heavy)
+        .find(|s| s.query == heavy && s.outcome == "miss_compute")
         .expect("the cold heavy query must be captured");
     assert!(
         entry.plan.contains("flops"),
@@ -88,14 +88,22 @@ fn slow_query_log_captures_plan_and_stage_breakdown() {
         "stage breakdown nests inside the total"
     );
 
-    // Release mode only: warm-path latency is stable enough to assert the
-    // threshold *filters* — the warm repeat (~tens of µs) is not captured.
+    // Release mode only: warm-path execution is stable enough to assert the
+    // threshold *filters* what it should. The warm repeat's total can still
+    // cross it — a late worker wake-up lands in its queue wait — so
+    // anything else captured must be that repeat, a cache hit whose own
+    // execution stayed under the threshold.
     #[cfg(not(debug_assertions))]
-    assert_eq!(
-        slow.len(),
-        1,
-        "the warm repeat must stay under the threshold: {slow:?}"
-    );
+    for other in slow.iter().filter(|s| !std::ptr::eq(*s, entry)) {
+        assert_eq!(
+            other.outcome, "hit",
+            "only the cold query computes: {other:?}"
+        );
+        assert!(
+            other.exec_ns < 200_000,
+            "the warm repeat executes under the threshold: {other:?}"
+        );
+    }
 
     assert_eq!(stats.slow_queries, slow.len() as u64);
 }
