@@ -764,6 +764,15 @@ mod tests {
         )
     }
 
+    /// The arena gauges are process-wide: every test here that allocates or
+    /// maps an arena holds this lock, so the exact deltas one test asserts
+    /// never see a sibling's buffers come and go.
+    fn gauges() -> std::sync::MutexGuard<'static, ()> {
+        static GAUGES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // a `should_panic` test poisons it; the guarded data is `()`
+        GAUGES.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn sample() -> Csr {
         Csr::from_triplets(3, 3, [(0, 0, 1.0), (0, 2, 2.0), (2, 0, 3.0), (2, 1, 4.0)])
     }
@@ -882,6 +891,7 @@ mod tests {
 
     #[test]
     fn view_equals_owned_and_shares_the_arena() {
+        let _gauges = gauges();
         let m = sample();
         let (buf, entry) = arena_of(&m);
         let before = view_restores();
@@ -899,6 +909,7 @@ mod tests {
 
     #[test]
     fn arena_gauge_tracks_buffer_lifetime() {
+        let _gauges = gauges();
         let m = sample();
         let (buf, entry) = arena_of(&m);
         let held = arena_bytes();
@@ -915,6 +926,7 @@ mod tests {
 
     #[test]
     fn kernels_run_unchanged_on_views() {
+        let _gauges = gauges();
         let m = sample();
         let (buf, entry) = arena_of(&m);
         let (v, _) = Csr::from_arena(&buf, entry).expect("valid");
@@ -925,6 +937,7 @@ mod tests {
 
     #[test]
     fn mutation_promotes_a_view_to_owned() {
+        let _gauges = gauges();
         let m = sample();
         let (buf, entry) = arena_of(&m);
         let (mut v, _) = Csr::from_arena(&buf, entry).expect("valid");
@@ -939,6 +952,7 @@ mod tests {
     #[cfg(all(unix, target_pointer_width = "64"))]
     #[test]
     fn mapped_arena_views_match_heap_views_and_split_the_gauges() {
+        let _gauges = gauges();
         let m = sample();
         let (heap, entry) = arena_of(&m);
         let path = std::env::temp_dir().join(format!(
@@ -993,6 +1007,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "read-only")]
     fn mutating_a_mapped_arena_panics() {
+        let _gauges = gauges();
         let path = std::env::temp_dir().join(format!("hin-arena-ro-{}.bin", std::process::id()));
         std::fs::write(&path, [0u8; 16]).unwrap();
         let file = std::fs::File::open(&path).unwrap();
@@ -1003,6 +1018,7 @@ mod tests {
 
     #[test]
     fn in_place_payload_bytes_equal_the_portable_twins_and_mount_back() {
+        let _gauges = gauges();
         // a small LCG: shapes and fill vary, odd and even nnz both occur,
         // and the longest arrays span several conversion chunks
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -1059,6 +1075,7 @@ mod tests {
 
     #[test]
     fn misaligned_and_out_of_bounds_offsets_are_rejected() {
+        let _gauges = gauges();
         let m = sample();
         let (buf, entry) = arena_of(&m);
         for bad in [
@@ -1084,6 +1101,7 @@ mod tests {
 
     #[test]
     fn structural_invariants_are_enforced_on_view_construction() {
+        let _gauges = gauges();
         let m = sample();
         // indptr not ending at nnz
         let (buf, entry) = arena_of(&m);

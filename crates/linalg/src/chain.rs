@@ -265,9 +265,9 @@ pub fn spmm_chain_order_priced(
 
 /// Multiply a chain of sparse matrices in the planner-chosen order.
 ///
-/// One [`ScatterScratch`] (dense accumulator + touched-column buffer) is
-/// shared across every product in the chain, so an n-link chain pays for
-/// the accumulator allocation once instead of per link.
+/// One [`ScatterScratch`] (dense accumulator and column bitmap) is shared
+/// across every product in the chain, so an n-link chain pays for those
+/// buffers once instead of per link.
 ///
 /// # Panics
 /// Panics when `mats` is empty or consecutive dimensions mismatch.
@@ -281,7 +281,9 @@ pub fn spmm_chain(mats: &[&Csr]) -> Csr {
 /// The multiplication *order* is the planner-chosen tree whatever the
 /// thread count, and the per-row kernel is shared, so the result is
 /// bit-identical to [`spmm_chain`]. `threads <= 1` *is* the serial chain:
-/// one shared scratch, no spawning.
+/// one shared scratch, no spawning. At more threads, every link under the
+/// flop floor runs inline on that same scratch; only a fanned-out link's
+/// workers bring their own.
 ///
 /// # Panics
 /// Panics when `mats` is empty or consecutive dimensions mismatch.
@@ -312,7 +314,7 @@ fn eval_tree<'a>(
             Cow::Owned(if threads <= 1 {
                 left.spgemm_with(&right, scratch)
             } else {
-                left.spgemm_parallel(&right, threads)
+                left.spgemm_parallel_with(&right, threads, scratch)
             })
         }
     }

@@ -44,7 +44,7 @@ pub struct KernelCounters {
     pub spvm_calls: AtomicU64,
     /// Multiply-adds performed by those propagations.
     pub spvm_flops: AtomicU64,
-    /// `ScatterScratch` accumulator growths (fresh allocation work).
+    /// `ScatterScratch` buffer growths (fresh allocation work).
     pub scratch_allocs: AtomicU64,
     /// `ScatterScratch` uses satisfied by an already-wide-enough buffer.
     pub scratch_reuses: AtomicU64,

@@ -13,19 +13,22 @@ use crate::dense::DMat;
 /// home of the one row kernel both run (`product_row`).
 ///
 /// The kernel expands one sparse row (or vector) into a dense accumulator,
-/// tracking which columns were touched, then gathers the touched columns
-/// back out in sorted order. The accumulator is as wide as the widest
-/// operand seen, so chained products (`spmm_chain`, `spvm_chain`) reuse one
-/// allocation across every link instead of paying a fresh `vec![0.0; ncols]`
-/// per product.
+/// marking each column's first touch in a column bitmap, then gathers the
+/// marked columns back out in increasing order by walking the bitmap. The
+/// buffers are as wide as the widest operand seen, so chained products
+/// (`spmm_chain`, `spvm_chain`) reuse one allocation across every link
+/// instead of paying a fresh `vec![0.0; ncols]` per product.
 ///
-/// Invariant between uses: `acc` is all zeros and `touched` is empty —
-/// the kernel restores this as it gathers, so a scratch can be shared
-/// freely across calls (but not across threads).
+/// Invariant between uses: `acc` and `mark` are all zeros — the kernel
+/// restores this as it gathers, so a scratch can be shared freely across
+/// calls (but not across threads).
 #[derive(Debug, Default)]
 pub struct ScatterScratch {
+    /// Dense accumulator, one slot per column.
     acc: Vec<f64>,
-    touched: Vec<u32>,
+    /// Column bitmap: bit `c & 63` of word `c >> 6` is set once column `c`
+    /// has been touched in the current row.
+    mark: Vec<u64>,
 }
 
 impl ScatterScratch {
@@ -34,10 +37,11 @@ impl ScatterScratch {
         Self::default()
     }
 
-    /// Grow the accumulator to at least `ncols` zeroed slots.
+    /// Grow the buffers to at least `ncols` columns, zeroed.
     pub(crate) fn prepare(&mut self, ncols: usize) {
         if self.acc.len() < ncols {
             self.acc.resize(ncols, 0.0);
+            self.mark.resize(ncols.div_ceil(64), 0);
             crate::counters::with(|c| {
                 c.scratch_allocs
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -57,6 +61,9 @@ impl ScatterScratch {
     /// makes a propagated row bit-identical to the same row of the
     /// materialized product. The caller has [`prepare`](Self::prepare)d the
     /// scratch for `rhs.ncols()`.
+    ///
+    /// A touched column is emitted once whatever its value, so partial sums
+    /// that cancel to `0.0` give an explicit zero entry.
     #[inline]
     pub(crate) fn product_row(
         &mut self,
@@ -66,33 +73,34 @@ impl ScatterScratch {
         indices: &mut Vec<u32>,
         data: &mut Vec<f64>,
     ) {
-        let ScatterScratch { acc, touched } = self;
+        let ScatterScratch { acc, mark } = self;
+        let mut t = 0usize;
         for (&k, &v) in idx.iter().zip(vals) {
             for (&c, &w) in rhs
                 .row_indices(k as usize)
                 .iter()
                 .zip(rhs.row_values(k as usize))
             {
-                if acc[c as usize] == 0.0 {
-                    touched.push(c);
-                }
+                // branch-free first touch: count the column only when its
+                // bit was clear
+                let (word, bit) = (c as usize >> 6, 1u64 << (c & 63));
+                t += (mark[word] & bit == 0) as usize;
+                mark[word] |= bit;
                 acc[c as usize] += v * w;
             }
         }
-        touched.sort_unstable();
-        // `acc == 0.0` can re-mark a column whose partial sums cancelled
-        // back to zero (possible only with negative weights); dedup so a
-        // cancelled-and-revived column cannot emit twice.
-        touched.dedup();
         // exact for a lone row, a no-op inside a product that reserved
-        indices.reserve(touched.len());
-        data.reserve(touched.len());
-        for &c in touched.iter() {
-            indices.push(c);
-            data.push(acc[c as usize]);
-            acc[c as usize] = 0.0;
+        indices.reserve(t);
+        data.reserve(t);
+        for (w, m) in mark[..rhs.ncols().div_ceil(64)].iter_mut().enumerate() {
+            let mut bits = std::mem::take(m);
+            while bits != 0 {
+                let c = w * 64 + bits.trailing_zeros() as usize;
+                indices.push(c as u32);
+                data.push(std::mem::take(&mut acc[c]));
+                bits &= bits - 1;
+            }
         }
-        touched.clear();
     }
 }
 
@@ -586,6 +594,19 @@ impl Csr {
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn spgemm_parallel(&self, rhs: &Csr, threads: usize) -> Csr {
+        self.spgemm_parallel_with(rhs, threads, &mut ScatterScratch::new())
+    }
+
+    /// [`Csr::spgemm_parallel`] whose inline path runs on a caller-owned
+    /// [`ScatterScratch`], so a chain ([`crate::spmm_chain_parallel`]) keeps
+    /// one scratch across links that stay under the floor. Fanned-out
+    /// workers still bring their own.
+    pub(crate) fn spgemm_parallel_with(
+        &self,
+        rhs: &Csr,
+        threads: usize,
+        scratch: &mut ScatterScratch,
+    ) -> Csr {
         assert_eq!(
             self.ncols, rhs.nrows,
             "Csr::spgemm_parallel: inner dimensions {}x{} * {}x{}",
@@ -616,7 +637,7 @@ impl Csr {
             c.row_blocks.fetch_add(blocks.len() as u64, Relaxed);
         });
         if blocks.len() <= 1 {
-            return self.spgemm_inline(rhs, total_flops as f64, &mut ScatterScratch::new());
+            return self.spgemm_inline(rhs, total_flops as f64, scratch);
         }
         let per_block_hint = total_flops as f64 / blocks.len() as f64;
         let parts = crate::pool::run_blocks(blocks, |block| {
@@ -894,6 +915,140 @@ mod tests {
         assert_eq!(p.row_indices(0), &[0], "cancelled column emits once");
         assert_eq!(p.row_values(0), &[1.0]);
         assert_eq!(p.nnz(), 1);
+    }
+
+    /// The sort-and-dedup row kernel the bitmap gather replaced, kept as its
+    /// oracle: a column is listed whenever its accumulator reads `0.0` as it
+    /// is touched, then the list is sorted and deduplicated.
+    fn sorting_product_row(idx: &[u32], vals: &[f64], rhs: &Csr) -> (Vec<u32>, Vec<f64>) {
+        let mut acc = vec![0.0; rhs.ncols()];
+        let mut touched = Vec::new();
+        for (&k, &v) in idx.iter().zip(vals) {
+            for (&c, &w) in rhs
+                .row_indices(k as usize)
+                .iter()
+                .zip(rhs.row_values(k as usize))
+            {
+                if acc[c as usize] == 0.0 {
+                    touched.push(c);
+                }
+                acc[c as usize] += v * w;
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let data = touched.iter().map(|&c| acc[c as usize]).collect();
+        (touched, data)
+    }
+
+    /// One row through `scratch`, checked index for index and bit for bit
+    /// against the oracle, and the scratch checked clean afterwards.
+    /// Returns the row.
+    fn assert_row_matches_oracle(
+        scratch: &mut ScatterScratch,
+        idx: &[u32],
+        vals: &[f64],
+        rhs: &Csr,
+        case: &str,
+    ) -> (Vec<u32>, Vec<f64>) {
+        scratch.prepare(rhs.ncols());
+        let (mut indices, mut data) = (Vec::new(), Vec::new());
+        scratch.product_row(idx, vals, rhs, &mut indices, &mut data);
+        let (want_indices, want_data) = sorting_product_row(idx, vals, rhs);
+        assert_eq!(indices, want_indices, "{case}: indices");
+        let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&data), bits(&want_data), "{case}: value bits");
+        assert!(
+            scratch.acc.iter().all(|a| a.to_bits() == 0),
+            "{case}: stale accumulator slot"
+        );
+        assert!(
+            scratch.mark.iter().all(|&m| m == 0),
+            "{case}: stale mark bit"
+        );
+        (indices, data)
+    }
+
+    #[test]
+    fn bitmap_gather_agrees_with_the_sorting_gather() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound.max(1)
+        };
+        // one scratch for every case, widths going wide → narrow → wide,
+        // so a stale bit or slot left by any row shows in a later one
+        let mut scratch = ScatterScratch::new();
+        let widths = [
+            1400usize, 5, 40_000, 63, 64, 1, 65, 20_000, 130, 1400, 7, 40_000,
+        ];
+        let weights = [-2.0, -1.0, -0.5, 0.25, 0.5, 1.0, 2.0];
+        let (mut sparse, mut every_column) = (0, 0);
+        for case in 0..600 {
+            let ncols = widths[case % widths.len()];
+            let inner = 1 + next(40);
+            // one case in four leads with a row touching every column, so
+            // every later touch of the row lands after all are marked
+            let full = case % 4 == 0 && ncols <= 1400;
+            let per_row = 1 + next(60);
+            let rhs = Csr::from_triplets(
+                inner,
+                ncols,
+                (0..inner).flat_map(|k| {
+                    let len = if full && k == 0 {
+                        ncols
+                    } else {
+                        next(ncols.min(per_row) + 1)
+                    };
+                    (0..len)
+                        .map(|j| {
+                            let c = if full && k == 0 { j } else { next(ncols) };
+                            (k as u32, c as u32, weights[next(weights.len())])
+                        })
+                        .collect::<Vec<_>>()
+                }),
+            );
+            let density = 1 + next(8);
+            let idx: Vec<u32> = (0..inner as u32)
+                .filter(|&k| (full && k == 0) || next(8) < density)
+                .collect();
+            let vals: Vec<f64> = idx.iter().map(|_| weights[next(weights.len())]).collect();
+            let case = format!("case {case} ({ncols} columns)");
+            let t = assert_row_matches_oracle(&mut scratch, &idx, &vals, &rhs, &case)
+                .0
+                .len();
+            // a row with fewer columns than an eighth of its bitmap words
+            // makes the walk skip long runs of empty words
+            sparse += (t > 0 && t * 8 < ncols.div_ceil(64)) as usize;
+            every_column += (t == ncols) as usize;
+        }
+        assert!(sparse >= 30, "{sparse} sparse rows");
+        assert!(
+            every_column >= 150,
+            "{every_column} rows touched every column"
+        );
+
+        // partial sums that cancel: column 0 goes 1 → 0 → 1 (cancelled,
+        // then revived), column 1 ends at an explicit 0.0; each emits once,
+        // in a narrow bitmap and in a wide, nearly empty one
+        for ncols in [2usize, 70, 40_000] {
+            let rhs = Csr::from_triplets(
+                3,
+                ncols,
+                [
+                    (0u32, 0u32, 1.0),
+                    (0, 1, 1.0),
+                    (1, 0, -1.0),
+                    (1, 1, -1.0),
+                    (2, 0, 1.0),
+                ],
+            );
+            let case = format!("cancellation, {ncols} columns");
+            let row = assert_row_matches_oracle(&mut scratch, &[0, 1, 2], &[1.0; 3], &rhs, &case);
+            assert_eq!(row, (vec![0, 1], vec![1.0, 0.0]), "{case}");
+        }
     }
 
     #[test]

@@ -25,10 +25,13 @@ use std::sync::OnceLock;
 pub const KERNEL_THREADS_ENV: &str = "HIN_KERNEL_THREADS";
 
 /// Multiply-adds under which a parallel kernel runs inline on the caller's
-/// thread instead of fanning out. Two scoped threads cost ≈ 90–100 µs to
-/// start; measured serial against two workers, the pool lost at every
-/// product under ≈ 30 k multiply-adds (0.10× at 455, 0.62× at 5 k, 0.85×
-/// at 24 k) and won at every one over 45 k (1.3–1.4×).
+/// thread instead of fanning out. Measured serial against two workers with
+/// no floor (bitmap row kernel, median of 301, 2 vCPU), the pool lost at
+/// every product under ≈ 9 k multiply-adds (0.06× at 434, 0.59× at 6.9 k),
+/// tied near 9–15 k, and won 1.3–1.6× at every one from 22 k up. Starting
+/// two scoped threads cost ≈ 40 µs in that run but ≈ 90–100 µs in an
+/// earlier one, where the pool still lost at 24 k (0.85×); the floor stays
+/// above both crossovers.
 pub const PARALLEL_MIN_FLOPS: usize = 32 * 1024;
 
 /// The worker count the parallel kernels use when the caller doesn't pass

@@ -11,8 +11,9 @@
 //! model for this side of the comparison.
 //!
 //! The kernels and `Csr::spgemm`'s inner loop are the same function
-//! (`ScatterScratch::product_row`: dense-accumulator scatter,
-//! touched-column gather in sorted order), so a propagated row is
+//! (`ScatterScratch::product_row`: dense-accumulator scatter with first
+//! touches marked in a column bitmap, gathered in increasing column
+//! order), so a propagated row is
 //! **bit-identical** to the corresponding row of the left-to-right matrix
 //! product — and identical to *any* evaluation order whenever the
 //! arithmetic is exact (e.g. integer-valued weights, the common case for

@@ -1,4 +1,4 @@
-//! The flop floor of the row-parallel product, by its counters.
+//! The flop floor of the row-parallel product and chain, by their counters.
 //!
 //! Like `kernel_counters.rs`, a test binary of its own holding a single
 //! test, so the process-global counter sink sees this traffic only and the
@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use hin_linalg::counters::{self, KernelCounters};
 use hin_linalg::pool::PARALLEL_MIN_FLOPS;
-use hin_linalg::{spmm_flops_estimate, Csr};
+use hin_linalg::{spmm_chain, spmm_chain_parallel, spmm_flops_estimate, Csr};
 
 /// A deterministic scattered `n × n` matrix with `per_row` entries a row.
 fn scattered(n: usize, per_row: usize, salt: usize) -> Csr {
@@ -64,4 +64,20 @@ fn the_flop_floor_decides_between_inline_and_fanned_out() {
     assert!((2..=4).contains(&blocks), "{blocks} blocks");
     let _ = a.spgemm_parallel(&b, 1);
     assert_eq!(sink.snapshot().row_blocks - after.row_blocks, 1);
+
+    // a chain under the floor at four threads runs every link inline on the
+    // one scratch the chain owns: allocated once, reused by the next link
+    let mats = [
+        scattered(60, 4, 5),
+        scattered(60, 4, 6),
+        scattered(60, 4, 7),
+    ];
+    let refs: Vec<&Csr> = mats.iter().collect();
+    let before = sink.snapshot();
+    let chained = spmm_chain_parallel(&refs, 4);
+    let after = sink.snapshot();
+    assert_bitwise(&chained, &spmm_chain(&refs));
+    assert_eq!(after.row_blocks - before.row_blocks, 2, "two links, inline");
+    assert_eq!(after.scratch_allocs - before.scratch_allocs, 1);
+    assert_eq!(after.scratch_reuses - before.scratch_reuses, 1);
 }
