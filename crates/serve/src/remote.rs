@@ -912,33 +912,19 @@ impl RemoteServerHandle {
     /// decide health.
     pub fn ping(&self, timeout: Duration) -> Result<Duration, String> {
         let t0 = Instant::now();
-        let result = (|| {
-            let mut stream = TcpStream::connect_timeout(&self.shared.addr, timeout)
-                .map_err(|e| format!("connect: {e}"))?;
-            let _ = stream.set_nodelay(true);
-            stream
-                .set_read_timeout(Some(timeout.max(MIN_READ_TIMEOUT)))
-                .map_err(|e| format!("arm timeout: {e}"))?;
-            let nonce = self.shared.count.next_id.fetch_add(1, Ordering::Relaxed) ^ 0x9E37;
-            let mut frame = Vec::new();
-            Message::Ping { nonce }
-                .write_to(&mut frame)
-                .map_err(|e| format!("encode: {e}"))?;
-            stream.write_all(&frame).map_err(|e| format!("send: {e}"))?;
-            match Message::read_from(&mut &stream) {
-                Ok(Message::Pong { nonce: n }) if n == nonce => Ok(t0.elapsed()),
-                Ok(other) => Err(format!("protocol violation: {other:?}")),
-                Err(e) => Err(format!("receive: {e}")),
-            }
-        })();
-        match &result {
-            Ok(_) => self.shared.count.pings.fetch_add(1, Ordering::Relaxed),
-            Err(_) => self
-                .shared
-                .count
-                .ping_failures
-                .fetch_add(1, Ordering::Relaxed),
+        let nonce = self.shared.count.next_id.fetch_add(1, Ordering::Relaxed) ^ 0x9E37;
+        let result = match self.call(&Message::Ping { nonce }, timeout) {
+            Ok(Message::Pong { nonce: n }) if n == nonce => Ok(t0.elapsed()),
+            Ok(other) => Err(format!("protocol violation: {other:?}")),
+            Err(e) => Err(e),
         };
+        let count = &self.shared.count;
+        let tally = if result.is_ok() {
+            &count.pings
+        } else {
+            &count.ping_failures
+        };
+        tally.fetch_add(1, Ordering::Relaxed);
         result
     }
 
@@ -947,23 +933,28 @@ impl RemoteServerHandle {
     /// process with no shared filesystem. Returns `(loaded, rejected)`, once
     /// the shard has verified every entry it loaded.
     pub fn warm(&self, image: &[u8], timeout: Duration) -> Result<(u64, u64), String> {
+        let image = image.to_vec();
+        match self.call(&Message::Warm { image }, timeout)? {
+            Message::WarmAck { loaded, rejected } => Ok((loaded, rejected)),
+            other => Err(format!("protocol violation: {other:?}")),
+        }
+    }
+
+    /// One round trip on a dedicated connection, outside the pipelined
+    /// links and the breaker: connect, send `request`, read one answer.
+    fn call(&self, request: &Message, timeout: Duration) -> Result<Message, String> {
         let mut stream = TcpStream::connect_timeout(&self.shared.addr, timeout)
             .map_err(|e| format!("connect: {e}"))?;
+        let _ = stream.set_nodelay(true);
         stream
             .set_read_timeout(Some(timeout.max(MIN_READ_TIMEOUT)))
             .map_err(|e| format!("arm timeout: {e}"))?;
         let mut frame = Vec::new();
-        Message::Warm {
-            image: image.to_vec(),
-        }
-        .write_to(&mut frame)
-        .map_err(|e| format!("encode: {e}"))?;
+        request
+            .write_to(&mut frame)
+            .map_err(|e| format!("encode: {e}"))?;
         stream.write_all(&frame).map_err(|e| format!("send: {e}"))?;
-        match Message::read_from(&mut &stream) {
-            Ok(Message::WarmAck { loaded, rejected }) => Ok((loaded, rejected)),
-            Ok(other) => Err(format!("protocol violation: {other:?}")),
-            Err(e) => Err(format!("receive: {e}")),
-        }
+        Message::read_from(&mut &stream).map_err(|e| format!("receive: {e}"))
     }
 
     /// Lifetime counters.

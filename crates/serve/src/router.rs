@@ -12,10 +12,11 @@
 //!
 //! ```text
 //!   clients ──▶ Router::submit("dblp", query)
-//!                  │  hash("dblp") → lock stripe → Arc<Server>
-//!         ┌────────┴─────────┬──────────────────┐
-//!     Server "dblp"     Server "flickr"    Server "claims"
-//!     (workers+cache)   (workers+cache)    (workers+cache)
+//!                  │  hash("dblp") → lock stripe → Shard
+//!         ┌────────┴─────────┬──────────────────────┐
+//!     Local "dblp"      Local "flickr"        Remote "claims"
+//!     Server            Server                RemoteShard: wire client,
+//!     (workers+cache)   (workers+cache)       health bit, supervisor thread
 //! ```
 //!
 //! Isolation is the point of per-dataset servers: a thrashing cache or a
@@ -24,8 +25,11 @@
 //! dataset down (draining its in-flight queries) without touching the
 //! rest. [`Router::stats`] rolls every shard's [`ServerStats`] up into
 //! one fleet view.
+//!
+//! A remote entry carries its own supervisor (thread handle and stop
+//! flag): whoever takes the entry out of the registry stops it, and a
+//! failover replaces the entry — supervisor and all — with a local server.
 
-use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 use std::net::SocketAddr;
@@ -55,13 +59,33 @@ enum Shard {
     Remote(Arc<RemoteShard>),
 }
 
-/// Router-side state of one remote shard: the wire client plus the health
-/// bit its supervisor maintains. Unhealthy shards shed immediately with
-/// [`QueryError::Unavailable`] instead of burning a retry schedule per
-/// query — graceful degradation while the supervisor decides on failover.
+/// Router-side state of one remote shard: the wire client, the health bit
+/// its supervisor maintains, and the supervisor itself. Unhealthy shards
+/// shed immediately with [`QueryError::Unavailable`] instead of burning a
+/// retry schedule per query — graceful degradation while the supervisor
+/// decides on failover.
 struct RemoteShard {
     handle: RemoteServerHandle,
     healthy: AtomicBool,
+    stop: AtomicBool,
+    supervisor: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl RemoteShard {
+    /// Stop the supervisor and reap it; idempotent. Never called with a
+    /// stripe lock held, nor from the supervisor itself.
+    fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let thread = self
+            .supervisor
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(thread) = thread {
+            thread.thread().unpark();
+            let _ = thread.join();
+        }
+    }
 }
 
 /// Health-check and failover policy for one remote shard
@@ -105,13 +129,6 @@ pub struct FailoverConfig {
     /// Checkpoint file to warm-start from, mounted and verified the way
     /// [`Router::register_warm_from_file`] does it.
     pub checkpoint: PathBuf,
-}
-
-/// A supervisor thread and its stop flag, keyed by dataset in
-/// [`Router::supervisors`].
-struct Supervisor {
-    stop: Arc<AtomicBool>,
-    thread: JoinHandle<()>,
 }
 
 /// Sizing knobs for a [`Router`].
@@ -416,6 +433,66 @@ impl Inner {
         }
     }
 
+    /// Visit every registered shard, one stripe read lock at a time.
+    fn for_each(&self, mut visit: impl FnMut(&str, &Shard)) {
+        for stripe in self.stripes.iter() {
+            for (key, shard) in stripe.read().unwrap_or_else(PoisonError::into_inner).iter() {
+                visit(key, shard);
+            }
+        }
+    }
+
+    /// The registry's one insert: put `shard` under `key` when `admit`
+    /// accepts what the key holds now. A refused or displaced shard is
+    /// dropped after the stripe lock is released — a [`Server`]'s drop
+    /// joins its workers.
+    fn install(&self, key: &str, shard: Shard, admit: impl FnOnce(Option<&Shard>) -> bool) -> bool {
+        let mut stripe = self
+            .stripe_of(key)
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        if !admit(stripe.get(key)) {
+            return false; // parameters drop after locals: `shard` after the guard
+        }
+        let _displaced = stripe.insert(key.to_string(), shard);
+        drop(stripe); // `_displaced` drops after it
+        true
+    }
+
+    /// The registry's one remove: unregister `key` when `want` accepts
+    /// what it holds.
+    fn take(&self, key: &str, want: impl FnOnce(&Shard) -> bool) -> Option<Shard> {
+        let mut stripe = self
+            .stripe_of(key)
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        if !want(stripe.get(key)?) {
+            return None;
+        }
+        stripe.remove(key)
+    }
+
+    /// The one [`RouterStats`] construction: per-shard snapshots sorted by
+    /// key, plus the routing counters.
+    fn roll_up(
+        &self,
+        mut datasets: Vec<(String, ServerStats)>,
+        mut remotes: Vec<(String, RemoteDatasetStats)>,
+    ) -> RouterStats {
+        datasets.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        remotes.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        RouterStats {
+            datasets,
+            remotes,
+            routed: self.routed.load(Ordering::Relaxed),
+            misrouted: self.misrouted.load(Ordering::Relaxed),
+            shed_unhealthy: self.shed_unhealthy.load(Ordering::Relaxed),
+            failovers: self.failovers.load(Ordering::Relaxed),
+            failover_restore_errors: self.failover_restore_errors.load(Ordering::Relaxed),
+            failover_ns: self.failover_ns.snapshot(),
+        }
+    }
+
     /// Replace the dead remote shard under `key` with a local server
     /// warm-started from the checkpoint; `since` is when the shard was
     /// declared unhealthy. Stands down when the key was concurrently
@@ -437,26 +514,26 @@ impl Inner {
         // Build the replacement (threads, warm import) before touching the
         // registry: the swap itself is one write-lock blip.
         let server = Arc::new(Server::start(Arc::clone(&fo.hin), config));
-        let swapped = {
-            let mut stripe = self
-                .stripe_of(key)
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            let ours =
-                matches!(stripe.get(key), Some(Shard::Remote(now)) if Arc::ptr_eq(now, dead));
-            if ours {
-                stripe.insert(key.to_string(), Shard::Local(Arc::clone(&server)));
-            }
-            ours
-        };
-        if swapped {
+        let ours =
+            |now: Option<&Shard>| matches!(now, Some(Shard::Remote(now)) if Arc::ptr_eq(now, dead));
+        if self.install(key, Shard::Local(Arc::clone(&server)), ours) {
             self.failovers.fetch_add(1, Ordering::Relaxed);
             self.failover_ns.record_duration(since.elapsed());
             server.engine().verify_restored();
-        } else if let Ok(server) = Arc::try_unwrap(server) {
-            // evicted or replaced while we built: stand down
-            let _ = server.shutdown();
-        }
+        } // else evicted or replaced while we built: `server` drops here
+    }
+}
+
+/// Own what `arc` points to once its transient clones (a submit or stats
+/// call in flight) are gone, so the caller — never one of those clients —
+/// runs the blocking teardown.
+fn sole<T>(mut arc: Arc<T>) -> T {
+    loop {
+        arc = match Arc::try_unwrap(arc) {
+            Ok(owned) => return owned,
+            Err(shared) => shared,
+        };
+        std::thread::yield_now();
     }
 }
 
@@ -466,8 +543,6 @@ impl Inner {
 /// an `Arc`.
 pub struct Router {
     inner: Arc<Inner>,
-    /// One supervisor thread per remote shard, keyed by dataset.
-    supervisors: Mutex<HashMap<String, Supervisor>>,
 }
 
 impl Default for Router {
@@ -496,12 +571,7 @@ impl Router {
                 failover_restore_errors: AtomicU64::new(0),
                 failover_ns: Histogram::new(),
             }),
-            supervisors: Mutex::new(HashMap::new()),
         }
-    }
-
-    fn stripe_of(&self, key: &str) -> &Stripe {
-        self.inner.stripe_of(key)
     }
 
     /// Start a [`Server`] for `hin` under `key` with the router's default
@@ -598,34 +668,14 @@ impl Router {
         // construction + thread spawning) with no lock held — holding the
         // stripe write lock through Server::start would stall routing for
         // every dataset sharing the stripe.
-        if self
-            .stripe_of(&key)
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains_key(&key)
-        {
+        if self.contains(&key) {
             return None;
         }
         let server = Arc::new(Server::start(hin, config));
-        {
-            let mut stripe = self
-                .stripe_of(&key)
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            match stripe.entry(key) {
-                MapEntry::Occupied(_) => {} // lost a registration race
-                MapEntry::Vacant(slot) => {
-                    slot.insert(Shard::Local(Arc::clone(&server)));
-                    return Some(server);
-                }
-            }
-        }
-        // tear our unused (and sole-owned, so try_unwrap cannot fail)
-        // server back down outside the lock
-        if let Ok(server) = Arc::try_unwrap(server) {
-            let _ = server.shutdown();
-        }
-        None
+        let local = Shard::Local(Arc::clone(&server));
+        let installed = self.inner.install(&key, local, |now| now.is_none());
+        // a server that lost a registration race drops (and joins) here
+        installed.then_some(server)
     }
 
     /// Register a **remote** shard: queries for `key` are forwarded over
@@ -649,43 +699,33 @@ impl Router {
         supervise: SupervisorConfig,
     ) -> bool {
         let key = key.into();
+        // refuse a taken key before the client spawns its reader threads
+        if self.contains(&key) {
+            return false;
+        }
         let shard = Arc::new(RemoteShard {
             handle: RemoteServerHandle::connect(addr, config),
             healthy: AtomicBool::new(true),
+            stop: AtomicBool::new(false),
+            supervisor: Mutex::new(None),
         });
-        {
-            let mut stripe = self
-                .stripe_of(&key)
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            match stripe.entry(key.clone()) {
-                MapEntry::Occupied(_) => return false, // undialed handle: cheap drop
-                MapEntry::Vacant(slot) => {
-                    slot.insert(Shard::Remote(Arc::clone(&shard)));
-                }
-            }
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let inner = Arc::clone(&self.inner);
-            let stop = Arc::clone(&stop);
-            let key = key.clone();
-            std::thread::Builder::new()
-                .name(format!("hin-supervise-{key}"))
-                .spawn(move || supervise_shard(&inner, &key, &shard, &supervise, &stop))
-                .expect("spawn supervisor thread")
-        };
-        let old = self
-            .supervisors
+        // Held until the supervisor is stored: a racing deregistration
+        // waits here in `RemoteShard::stop`, then reaps it. A shard that
+        // lost a registration race drops after this guard.
+        let mut supervisor = shard
+            .supervisor
             .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, Supervisor { stop, thread });
-        if let Some(old) = old {
-            // a supervisor left over from a deregistered incarnation of
-            // this key; it is already stopped — reap it
-            old.stop.store(true, Ordering::SeqCst);
-            let _ = old.thread.join();
+            .unwrap_or_else(PoisonError::into_inner);
+        let remote = Shard::Remote(Arc::clone(&shard));
+        if !self.inner.install(&key, remote, |now| now.is_none()) {
+            return false;
         }
+        let (inner, supervised) = (Arc::clone(&self.inner), Arc::clone(&shard));
+        let thread = std::thread::Builder::new()
+            .name(format!("hin-supervise-{key}"))
+            .spawn(move || supervise_shard(&inner, &key, &supervised, &supervise))
+            .expect("spawn supervisor thread");
+        *supervisor = Some(thread);
         true
     }
 
@@ -694,45 +734,13 @@ impl Router {
     /// final counters. `None` if the key is unregistered or local
     /// ([`Router::evict`] handles local shards).
     pub fn deregister_remote(&self, key: &str) -> Option<RemoteStats> {
-        let mut shard = {
-            let mut stripe = self
-                .stripe_of(key)
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            match stripe.get(key) {
-                Some(Shard::Remote(_)) => {}
-                _ => return None,
-            }
-            match stripe.remove(key) {
-                Some(Shard::Remote(shard)) => shard,
-                _ => unreachable!("checked under the same write lock"),
-            }
+        let Some(Shard::Remote(shard)) = self.inner.take(key, |s| matches!(s, Shard::Remote(_)))
+        else {
+            return None;
         };
         // the supervisor holds a clone; reap it before spinning ours out
-        self.stop_supervisor(key);
-        // transient submit-path clones spin out quickly, same as evict
-        loop {
-            match Arc::try_unwrap(shard) {
-                Ok(s) => return Some(s.handle.shutdown()),
-                Err(still_shared) => {
-                    shard = still_shared;
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    /// Stop and reap `key`'s supervisor thread, if any.
-    fn stop_supervisor(&self, key: &str) {
-        let sup = self
-            .supervisors
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(key);
-        if let Some(sup) = sup {
-            sup.stop.store(true, Ordering::SeqCst);
-            let _ = sup.thread.join();
-        }
+        shard.stop();
+        Some(sole(shard).handle.shutdown())
     }
 
     /// Tear down `key`'s server: unregister it, drain its in-flight
@@ -753,32 +761,12 @@ impl Router {
     /// remote registration untouched and returns `None`. Use
     /// [`Router::deregister_remote`] for those.
     pub fn evict(&self, key: &str) -> Option<Evicted> {
-        let mut server = {
-            let mut stripe = self
-                .stripe_of(key)
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            match stripe.get(key) {
-                Some(Shard::Local(_)) => {}
-                _ => return None,
-            }
-            match stripe.remove(key) {
-                Some(Shard::Local(server)) => server,
-                _ => unreachable!("checked under the same write lock"),
-            }
+        let Some(Shard::Local(server)) = self.inner.take(key, |s| matches!(s, Shard::Local(_)))
+        else {
+            return None;
         };
-        loop {
-            match Arc::try_unwrap(server) {
-                Ok(server) => {
-                    let (stats, snapshot) = server.retire(None);
-                    return Some(Evicted { stats, snapshot });
-                }
-                Err(still_shared) => {
-                    server = still_shared;
-                    std::thread::yield_now();
-                }
-            }
-        }
+        let (stats, snapshot) = sole(server).retire(None);
+        Some(Evicted { stats, snapshot })
     }
 
     /// Snapshot every registered dataset's cache to `dir` (created if
@@ -810,7 +798,7 @@ impl Router {
         let mut written = Vec::new();
         for key in self.datasets() {
             // a concurrent evict may have removed the key; skip, don't fail
-            let Some(server) = self.server(&key) else {
+            let Some(server) = self.inner.server(&key) else {
                 continue;
             };
             let snapshot = server.snapshot(None);
@@ -831,7 +819,8 @@ impl Router {
 
     /// Is a dataset registered under `key`?
     pub fn contains(&self, key: &str) -> bool {
-        self.stripe_of(key)
+        self.inner
+            .stripe_of(key)
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .contains_key(key)
@@ -853,25 +842,10 @@ impl Router {
 
     /// Registered dataset keys (local and remote), sorted.
     pub fn datasets(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .inner
-            .stripes
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .keys()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let mut keys = Vec::new();
+        self.inner.for_each(|key, _| keys.push(key.to_string()));
         keys.sort_unstable();
         keys
-    }
-
-    /// `key`'s local server, `None` when unregistered **or remote**.
-    fn server(&self, key: &str) -> Option<Arc<Server>> {
-        self.inner.server(key)
     }
 
     /// A submission handle (a fresh fairness lane) on `key`'s server, or
@@ -879,14 +853,14 @@ impl Router {
     /// across a later [`Router::evict`] — submits then resolve to
     /// [`QueryError::Canceled`] rather than dangling.
     pub fn handle(&self, key: &str) -> Option<ServerHandle> {
-        self.server(key).map(|s| s.handle())
+        self.inner.server(key).map(|s| s.handle())
     }
 
     /// The newest slow queries captured on `key`'s server (oldest first),
     /// or `None` if the dataset is not registered. Empty when the server's
     /// telemetry is disabled — see [`crate::TelemetryConfig`].
     pub fn slow_queries(&self, key: &str) -> Option<Vec<SlowQuery>> {
-        self.server(key).map(|s| s.slow_queries())
+        self.inner.server(key).map(|s| s.slow_queries())
     }
 
     /// Route one query to `dataset`. Unknown datasets resolve immediately
@@ -940,34 +914,18 @@ impl Router {
 
     /// Snapshot every dataset's statistics plus the routing counters.
     pub fn stats(&self) -> RouterStats {
-        let mut datasets: Vec<(String, ServerStats)> = Vec::new();
-        let mut remotes: Vec<(String, RemoteDatasetStats)> = Vec::new();
-        for stripe in self.inner.stripes.iter() {
-            for (k, shard) in stripe.read().unwrap_or_else(PoisonError::into_inner).iter() {
-                match shard {
-                    Shard::Local(server) => datasets.push((k.clone(), server.stats())),
-                    Shard::Remote(shard) => remotes.push((
-                        k.clone(),
-                        RemoteDatasetStats {
-                            healthy: shard.healthy.load(Ordering::Relaxed),
-                            stats: shard.handle.stats(),
-                        },
-                    )),
-                }
-            }
-        }
-        datasets.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        remotes.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        RouterStats {
-            datasets,
-            remotes,
-            routed: self.inner.routed.load(Ordering::Relaxed),
-            misrouted: self.inner.misrouted.load(Ordering::Relaxed),
-            shed_unhealthy: self.inner.shed_unhealthy.load(Ordering::Relaxed),
-            failovers: self.inner.failovers.load(Ordering::Relaxed),
-            failover_restore_errors: self.inner.failover_restore_errors.load(Ordering::Relaxed),
-            failover_ns: self.inner.failover_ns.snapshot(),
-        }
+        let (mut datasets, mut remotes) = (Vec::new(), Vec::new());
+        self.inner.for_each(|key, shard| match shard {
+            Shard::Local(server) => datasets.push((key.to_string(), server.stats())),
+            Shard::Remote(remote) => remotes.push((
+                key.to_string(),
+                RemoteDatasetStats {
+                    healthy: remote.healthy.load(Ordering::Relaxed),
+                    stats: remote.handle.stats(),
+                },
+            )),
+        });
+        self.inner.roll_up(datasets, remotes)
     }
 
     /// Evict every local dataset (draining each server), deregister every
@@ -975,19 +933,7 @@ impl Router {
     /// statistics.
     pub fn shutdown(self) -> RouterStats {
         // stop supervision first so no failover races the teardown
-        let sups: Vec<Supervisor> = {
-            let mut map = self
-                .supervisors
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            map.drain().map(|(_, s)| s).collect()
-        };
-        for sup in &sups {
-            sup.stop.store(true, Ordering::SeqCst);
-        }
-        for sup in sups {
-            let _ = sup.thread.join();
-        }
+        self.stop_supervision();
         let mut datasets = Vec::new();
         let mut remotes = Vec::new();
         for key in self.datasets() {
@@ -1003,17 +949,20 @@ impl Router {
                 ));
             }
         }
-        datasets.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        remotes.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        RouterStats {
-            datasets,
-            remotes,
-            routed: self.inner.routed.load(Ordering::Relaxed),
-            misrouted: self.inner.misrouted.load(Ordering::Relaxed),
-            shed_unhealthy: self.inner.shed_unhealthy.load(Ordering::Relaxed),
-            failovers: self.inner.failovers.load(Ordering::Relaxed),
-            failover_restore_errors: self.inner.failover_restore_errors.load(Ordering::Relaxed),
-            failover_ns: self.inner.failover_ns.snapshot(),
+        self.inner.roll_up(datasets, remotes)
+    }
+
+    /// Stop every remote shard's supervisor. The shards stay registered.
+    fn stop_supervision(&self) {
+        let mut remotes = Vec::new();
+        self.inner.for_each(|_, shard| {
+            if let Shard::Remote(remote) = shard {
+                remote.stop.store(true, Ordering::SeqCst); // all wind down at once
+                remotes.push(Arc::clone(remote));
+            }
+        });
+        for remote in remotes {
+            remote.stop();
         }
     }
 }
@@ -1024,19 +973,7 @@ impl Drop for Router {
     /// pinging dead addresses forever). Shards are left to their own
     /// `Drop`s.
     fn drop(&mut self) {
-        let sups: Vec<Supervisor> = {
-            let mut map = self
-                .supervisors
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            map.drain().map(|(_, s)| s).collect()
-        };
-        for sup in &sups {
-            sup.stop.store(true, Ordering::SeqCst);
-        }
-        for sup in sups {
-            let _ = sup.thread.join();
-        }
+        self.stop_supervision();
     }
 }
 
@@ -1044,27 +981,20 @@ impl Drop for Router {
 /// unhealthy after consecutive failures, promote back on recovery — and,
 /// when failover is configured, swap in a warm local replacement and
 /// retire (a local server needs no pings).
-fn supervise_shard(
-    inner: &Arc<Inner>,
-    key: &str,
-    shard: &Arc<RemoteShard>,
-    config: &SupervisorConfig,
-    stop: &AtomicBool,
-) {
+fn supervise_shard(inner: &Inner, key: &str, shard: &Arc<RemoteShard>, config: &SupervisorConfig) {
     let mut consecutive = 0u32;
     loop {
-        // sleep in short steps so deregistration never waits a full interval
-        let mut slept = Duration::ZERO;
-        while slept < config.interval {
-            if stop.load(Ordering::SeqCst) {
+        // parked until the next ping is due; `RemoteShard::stop` unparks
+        let due = Instant::now().checked_add(config.interval);
+        loop {
+            if shard.stop.load(Ordering::SeqCst) {
                 return;
             }
-            let step = Duration::from_millis(5).min(config.interval - slept);
-            std::thread::sleep(step);
-            slept += step;
-        }
-        if stop.load(Ordering::SeqCst) {
-            return;
+            match due.map(|due| due.saturating_duration_since(Instant::now())) {
+                Some(left) if left.is_zero() => break,
+                Some(left) => std::thread::park_timeout(left),
+                None => std::thread::park(),
+            }
         }
         match shard.handle.ping(config.ping_timeout) {
             Ok(_) => {
@@ -1799,5 +1729,112 @@ mod tests {
         assert_eq!(by_key["b"].served, 1);
         assert_eq!(stats.aggregate().served, 4);
         assert_eq!(stats.routed, 4);
+    }
+
+    #[test]
+    fn metrics_page_keeps_every_family_in_one_group() {
+        let hin = tiny(&[("p0", "x"), ("p0", "y")]);
+        let listener =
+            ShardListener::start(Arc::clone(&hin), ServeConfig::default()).expect("bind");
+        let router = Router::default();
+        router.register("a", Arc::clone(&hin));
+        router.register("b", Arc::clone(&hin));
+        router.register_remote(
+            "far",
+            listener.local_addr(),
+            RemoteConfig::default(),
+            fast_supervision(None),
+        );
+        for key in ["a", "b", "far"] {
+            router
+                .submit(key, "pathsim author-paper-author from x")
+                .wait()
+                .unwrap();
+        }
+        let page = router.stats().render_metrics();
+        let mut opened = std::collections::HashSet::new();
+        let mut family = "";
+        for line in page.lines() {
+            if let Some(header) = line.strip_prefix("# TYPE ") {
+                family = header.split(' ').next().unwrap();
+                assert!(opened.insert(family), "{family} opens twice:\n{page}");
+                continue;
+            }
+            let name = line.split(['{', ' ']).next().unwrap();
+            assert!(
+                matches!(
+                    name.strip_prefix(family),
+                    Some("" | "_bucket" | "_sum" | "_count")
+                ),
+                "`{line}` is not in its family's group (under {family}):\n{page}"
+            );
+        }
+        for ds in ["a", "b", "far"] {
+            assert!(page.contains(&format!("hin_shard_health{{dataset=\"{ds}\"}} 1\n")));
+        }
+        router.shutdown();
+        listener.shutdown();
+    }
+
+    #[test]
+    fn racing_registrations_of_one_key_admit_exactly_one() {
+        let hin = tiny(&[("p0", "ann"), ("p0", "bo")]);
+        let listener =
+            ShardListener::start(Arc::clone(&hin), ServeConfig::default()).expect("bind");
+        let router = Arc::new(Router::default());
+        let barrier = Arc::new(std::sync::Barrier::new(8));
+        let racers: Vec<_> = (0..8)
+            .map(|i| {
+                let (router, barrier) = (Arc::clone(&router), Arc::clone(&barrier));
+                let (hin, addr) = (Arc::clone(&hin), listener.local_addr());
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    if i % 2 == 0 {
+                        router.register("d", hin)
+                    } else {
+                        let supervise = fast_supervision(None);
+                        router.register_remote("d", addr, RemoteConfig::default(), supervise)
+                    }
+                })
+            })
+            .collect();
+        let won = racers
+            .into_iter()
+            .map(|t| t.join().expect("racer"))
+            .filter(|&won| won)
+            .count();
+        assert_eq!(won, 1, "exactly one registration wins");
+        assert_eq!(router.len(), 1);
+        let stats = Arc::try_unwrap(router)
+            .ok()
+            .expect("racers joined")
+            .shutdown();
+        assert_eq!(stats.datasets.len() + stats.remotes.len(), 1);
+        listener.shutdown();
+    }
+
+    #[test]
+    fn a_parked_supervisor_stops_without_waiting_out_its_interval() {
+        let hin = tiny(&[("p0", "ann"), ("p0", "bo")]);
+        let listener =
+            ShardListener::start(Arc::clone(&hin), ServeConfig::default()).expect("bind");
+        let router = Router::default();
+        let slow = SupervisorConfig {
+            interval: Duration::from_secs(10),
+            ..SupervisorConfig::default()
+        };
+        for key in ["gone", "kept"] {
+            let addr = listener.local_addr();
+            assert!(router.register_remote(key, addr, RemoteConfig::default(), slow.clone()));
+        }
+        let t0 = Instant::now();
+        assert!(router.deregister_remote("gone").is_some());
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "deregister took {took:?}");
+        let t0 = Instant::now();
+        assert_eq!(router.shutdown().remotes.len(), 1);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+        listener.shutdown();
     }
 }

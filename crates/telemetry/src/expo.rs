@@ -2,16 +2,19 @@
 //!
 //! [`MetricsWriter`] renders counters, gauges and histograms in the
 //! Prometheus text format (`name{label="value"} 42`, histogram
-//! `_bucket`/`_sum`/`_count` triples with cumulative `le` buckets). One
-//! `# TYPE` header is emitted per metric name no matter how many labeled
-//! series share it, so a router rendering one series per dataset produces
-//! a scrape-valid page.
+//! `_bucket`/`_sum`/`_count` triples with cumulative `le` buckets). The
+//! format requires every line of one metric to form one group, so the
+//! page is grouped by name: each name's single `# TYPE` header is
+//! followed by all of its samples, names in the order first written.
+//! Samples may be written in any order — a router writing every series of
+//! one dataset, then the next — and the page stays scrape-valid.
 //!
 //! Histogram values recorded as nanoseconds are exposed in **seconds**
 //! (the Prometheus base unit for time); counters and gauges pass through
 //! unscaled.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
+use std::fmt::Write;
 
 use crate::hist::HistSnapshot;
 
@@ -64,8 +67,10 @@ fn number(v: f64) -> String {
 /// Incremental builder of a metrics page.
 #[derive(Debug, Default)]
 pub struct MetricsWriter {
-    out: String,
-    typed: HashSet<String>,
+    /// Each metric's `# TYPE` header and samples, in first-written order.
+    families: Vec<String>,
+    /// Metric name → its family's index in `families`.
+    index: HashMap<String, usize>,
 }
 
 impl MetricsWriter {
@@ -74,58 +79,34 @@ impl MetricsWriter {
         Self::default()
     }
 
-    fn type_header(&mut self, name: &str, kind: &str) {
-        if self.typed.insert(name.to_string()) {
-            self.out.push_str(&format!("# TYPE {name} {kind}\n"));
-        }
+    /// `name`'s family text, opened with its `# TYPE` header the first
+    /// time the name is written.
+    fn family(&mut self, name: &str, kind: &str) -> &mut String {
+        let families = &mut self.families;
+        let i = *self.index.entry(name.to_string()).or_insert_with(|| {
+            families.push(format!("# TYPE {name} {kind}\n"));
+            families.len() - 1
+        });
+        &mut self.families[i]
     }
 
     /// One counter sample: `name{labels} value`.
     pub fn counter(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.type_header(name, "counter");
-        self.out
-            .push_str(&format!("{name}{} {value}\n", label_block(labels, None)));
+        let labels = label_block(labels, None);
+        let _ = writeln!(self.family(name, "counter"), "{name}{labels} {value}");
     }
 
     /// One gauge sample: `name{labels} value`.
     pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.type_header(name, "gauge");
-        self.out.push_str(&format!(
-            "{name}{} {}\n",
-            label_block(labels, None),
-            number(value)
-        ));
+        let (labels, value) = (label_block(labels, None), number(value));
+        let _ = writeln!(self.family(name, "gauge"), "{name}{labels} {value}");
     }
 
     /// One histogram series, nanosecond-recorded, exposed in seconds:
     /// cumulative `name_bucket{…,le="…"}` lines for every occupied bucket
     /// plus `le="+Inf"`, then `name_sum` and `name_count`.
     pub fn histogram_seconds(&mut self, name: &str, labels: &[(&str, &str)], h: &HistSnapshot) {
-        self.type_header(name, "histogram");
-        let mut cumulative = 0u64;
-        for (bound_ns, count) in h.buckets() {
-            cumulative += count;
-            let le = number(bound_ns as f64 / NS_PER_SEC);
-            self.out.push_str(&format!(
-                "{name}_bucket{} {cumulative}\n",
-                label_block(labels, Some(("le", le)))
-            ));
-        }
-        self.out.push_str(&format!(
-            "{name}_bucket{} {}\n",
-            label_block(labels, Some(("le", "+Inf".to_string()))),
-            h.count()
-        ));
-        self.out.push_str(&format!(
-            "{name}_sum{} {}\n",
-            label_block(labels, None),
-            number(h.sum() as f64 / NS_PER_SEC)
-        ));
-        self.out.push_str(&format!(
-            "{name}_count{} {}\n",
-            label_block(labels, None),
-            h.count()
-        ));
+        self.histogram(name, labels, h, NS_PER_SEC);
     }
 
     /// One histogram series whose recorded values are plain counts (batch
@@ -133,35 +114,29 @@ impl MetricsWriter {
     /// `name_bucket` lines for every occupied bucket plus `le="+Inf"`,
     /// then `name_sum` and `name_count`.
     pub fn histogram_count(&mut self, name: &str, labels: &[(&str, &str)], h: &HistSnapshot) {
-        self.type_header(name, "histogram");
+        self.histogram(name, labels, h, 1.0);
+    }
+
+    /// One histogram series with bounds and sum divided by `unit`.
+    fn histogram(&mut self, name: &str, labels: &[(&str, &str)], h: &HistSnapshot, unit: f64) {
+        let out = self.family(name, "histogram");
         let mut cumulative = 0u64;
         for (bound, count) in h.buckets() {
             cumulative += count;
-            self.out.push_str(&format!(
-                "{name}_bucket{} {cumulative}\n",
-                label_block(labels, Some(("le", number(bound as f64))))
-            ));
+            let le = label_block(labels, Some(("le", number(bound as f64 / unit))));
+            let _ = writeln!(out, "{name}_bucket{le} {cumulative}");
         }
-        self.out.push_str(&format!(
-            "{name}_bucket{} {}\n",
-            label_block(labels, Some(("le", "+Inf".to_string()))),
-            h.count()
-        ));
-        self.out.push_str(&format!(
-            "{name}_sum{} {}\n",
-            label_block(labels, None),
-            number(h.sum() as f64)
-        ));
-        self.out.push_str(&format!(
-            "{name}_count{} {}\n",
-            label_block(labels, None),
-            h.count()
-        ));
+        let inf = label_block(labels, Some(("le", "+Inf".to_string())));
+        let plain = label_block(labels, None);
+        let _ = writeln!(out, "{name}_bucket{inf} {}", h.count());
+        let _ = writeln!(out, "{name}_sum{plain} {}", number(h.sum() as f64 / unit));
+        let _ = writeln!(out, "{name}_count{plain} {}", h.count());
     }
 
-    /// The rendered page.
+    /// The rendered page: each metric's family whole, in first-written
+    /// order.
     pub fn finish(self) -> String {
-        self.out
+        self.families.concat()
     }
 }
 
@@ -230,6 +205,38 @@ mod tests {
                     && l.contains("le=\"2\"")
                     && l.ends_with(" 2")),
             "bucket bounds stay in native units: {page}"
+        );
+    }
+
+    #[test]
+    fn interleaved_writes_render_each_family_as_one_group() {
+        let h = Histogram::new();
+        h.record(2);
+        let mut w = MetricsWriter::new();
+        for ds in ["a", "b"] {
+            w.counter("served", &[("dataset", ds)], 1);
+            w.histogram_count("batch", &[("dataset", ds)], &h.snapshot());
+            w.gauge("health", &[("dataset", ds)], 1.0);
+        }
+        w.counter("served", &[("dataset", "c")], 2);
+        assert_eq!(
+            w.finish(),
+            "# TYPE served counter\n\
+             served{dataset=\"a\"} 1\n\
+             served{dataset=\"b\"} 1\n\
+             served{dataset=\"c\"} 2\n\
+             # TYPE batch histogram\n\
+             batch_bucket{dataset=\"a\",le=\"2\"} 1\n\
+             batch_bucket{dataset=\"a\",le=\"+Inf\"} 1\n\
+             batch_sum{dataset=\"a\"} 2\n\
+             batch_count{dataset=\"a\"} 1\n\
+             batch_bucket{dataset=\"b\",le=\"2\"} 1\n\
+             batch_bucket{dataset=\"b\",le=\"+Inf\"} 1\n\
+             batch_sum{dataset=\"b\"} 2\n\
+             batch_count{dataset=\"b\"} 1\n\
+             # TYPE health gauge\n\
+             health{dataset=\"a\"} 1\n\
+             health{dataset=\"b\"} 1\n"
         );
     }
 
