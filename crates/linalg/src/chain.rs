@@ -267,7 +267,8 @@ pub fn spmm_chain_order_priced(
 ///
 /// One [`ScatterScratch`] (dense accumulator and column bitmap) is shared
 /// across every product in the chain, so an n-link chain pays for those
-/// buffers once instead of per link.
+/// buffers once instead of per link. This is [`spmm_chain_parallel`] at
+/// one thread: every link runs inline and counts one row block.
 ///
 /// # Panics
 /// Panics when `mats` is empty or consecutive dimensions mismatch.
@@ -280,9 +281,9 @@ pub fn spmm_chain(mats: &[&Csr]) -> Csr {
 ///
 /// The multiplication *order* is the planner-chosen tree whatever the
 /// thread count, and the per-row kernel is shared, so the result is
-/// bit-identical to [`spmm_chain`]. `threads <= 1` *is* the serial chain:
-/// one shared scratch, no spawning. At more threads, every link under the
-/// flop floor runs inline on that same scratch; only a fanned-out link's
+/// bit-identical to [`spmm_chain`]. Every link is one call of the
+/// row-parallel product on the chain's scratch, which runs inline on it at
+/// `threads <= 1` or under the flop floor; only a fanned-out link's
 /// workers bring their own.
 ///
 /// # Panics
@@ -311,11 +312,7 @@ fn eval_tree<'a>(
         PlanTree::Mul(l, r) => {
             let left = eval_tree(mats, l, threads, scratch);
             let right = eval_tree(mats, r, threads, scratch);
-            Cow::Owned(if threads <= 1 {
-                left.spgemm_with(&right, scratch)
-            } else {
-                left.spgemm_parallel_with(&right, threads, scratch)
-            })
+            Cow::Owned(left.spgemm_parallel_with(&right, threads, scratch))
         }
     }
 }

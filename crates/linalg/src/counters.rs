@@ -49,10 +49,12 @@ pub struct KernelCounters {
     /// `ScatterScratch` uses satisfied by an already-wide-enough buffer.
     pub scratch_reuses: AtomicU64,
     /// Contiguous row blocks the parallel kernels cut their work into
-    /// (`Csr::spgemm_parallel` / `spmm_chain_parallel`, and
-    /// `spvm_chain_rows` when it fans a batch out): one per worker block,
-    /// so a product that ran inline — one thread asked for, or under
-    /// `pool::PARALLEL_MIN_FLOPS` — counts 1.
+    /// (`Csr::spgemm_parallel`, every link of `spmm_chain` /
+    /// `spmm_chain_parallel`, and `spvm_chain_rows` when it fans a batch
+    /// out): one per worker block, so a product that ran inline — one
+    /// thread asked for, or under `pool::PARALLEL_MIN_FLOPS` — counts 1. A
+    /// serial chain link is such a product and counts its one block; only
+    /// a bare `Csr::spgemm` / `spgemm_with` counts none.
     pub row_blocks: AtomicU64,
     /// Anchors that propagated as part of a batch of two or more
     /// (`spvm_chain_rows` with k ≥ 2 rows adds k): the batched alternative

@@ -80,4 +80,18 @@ fn the_flop_floor_decides_between_inline_and_fanned_out() {
     assert_eq!(after.row_blocks - before.row_blocks, 2, "two links, inline");
     assert_eq!(after.scratch_allocs - before.scratch_allocs, 1);
     assert_eq!(after.scratch_reuses - before.scratch_reuses, 1);
+
+    // the serial chain is the same call at one thread: each link counts its
+    // one block and its exact flops, like any inline product
+    let serial = sink.snapshot();
+    assert_eq!(
+        serial.row_blocks - after.row_blocks,
+        2,
+        "spmm_chain's links"
+    );
+    assert_eq!(serial.spgemm_calls - after.spgemm_calls, 2);
+    assert_eq!(
+        serial.spgemm_flops - after.spgemm_flops,
+        after.spgemm_flops - before.spgemm_flops
+    );
 }

@@ -9,9 +9,11 @@ use std::time::Instant;
 
 use hin_core::{Hin, NodeRef, TypeId};
 use hin_linalg::{spvm_chain_rows, spvm_chain_with, spvm_with, Csr, ScatterScratch, SparseVec};
-use hin_similarity::{top_k, top_k_pathsim, top_k_pathsim_with_diagonal, MetaPath, PathStep};
+use hin_similarity::{top_k_pathsim, top_k_pathsim_with_diagonal, MetaPath, PathStep, TopK};
 
-use crate::cache::{canonical_key, key_of, CacheConfig, CacheOutcome, MatrixCache, PathKey};
+use crate::cache::{
+    canonical_key, key_of, CacheConfig, CacheOutcome, MatrixCache, PathKey, StepKey,
+};
 use crate::error::QueryError;
 use crate::parse::{parse, Verb};
 use crate::plan::{plan_exec_mode, plan_steps, ExecMode, PlanNode, Promotion, QueryPlan};
@@ -401,9 +403,16 @@ impl Engine {
 
     /// [`Engine::execute_many`] plus a [`QueryTrace`] per query — the one
     /// execution flow every other entry point is a view of, and what
-    /// `hin_serve`'s workers drive for whole micro-batches. Every query is
-    /// planned against the batch-start cache state; then, in batch order,
-    /// a query that chose [`ExecMode::Full`] materializes, and one that
+    /// `hin_serve`'s workers drive for whole micro-batches.
+    ///
+    /// Each query is parsed and resolved, then its whole span is probed
+    /// once, with the same counting lookup evaluation uses, before any
+    /// planning. A resident span is a cache hit and the query reads it: no
+    /// chain planning, no mode race, no evaluation. Every other query is
+    /// planned against the batch-start cache state, exactly as `EXPLAIN`
+    /// ([`Engine::plan`]) plans it; so is a single-step path, which reads
+    /// its relation in place and is never probed. Then, in batch order, a
+    /// query that chose [`ExecMode::Full`] materializes, and one that
     /// chose the fast path runs with every later same-span fast-path
     /// member at its own position.
     pub fn execute_many_traced<S: AsRef<str>>(
@@ -415,17 +424,7 @@ impl Engine {
         for q in queries {
             let t0 = Instant::now();
             let (prep, result) = match parse(q.as_ref()).and_then(|p| resolve(&self.hin, &p)) {
-                Ok(resolved) => {
-                    let plan = plan_steps(&self.hin, resolved.path.steps(), &self.cache);
-                    let (mode, _) = self.exec_mode(&resolved, plan.est_flops);
-                    let lazy = matches!(mode, ExecMode::SparseRow { .. });
-                    let prep = Prep {
-                        resolved,
-                        plan,
-                        lazy,
-                    };
-                    (Some(prep), None)
-                }
+                Ok(resolved) => (Some(self.prepare(resolved)), None),
                 Err(e) => (None, Some(Err(e))),
             };
             preps.push(prep);
@@ -440,10 +439,9 @@ impl Engine {
             let Some(prep) = preps[i].as_ref().filter(|_| answers[i].0.is_none()) else {
                 continue;
             };
-            if prep.lazy {
-                self.execute_span_group(i, &preps, &mut answers);
-            } else {
-                self.materialize(prep, &mut answers[i]);
+            match prep.route {
+                Route::Lazy(_) => self.execute_span_group(i, &preps, &mut answers),
+                Route::Resident(_) | Route::Full(_) => self.materialize(prep, &mut answers[i]),
             }
         }
         answers
@@ -452,16 +450,54 @@ impl Engine {
             .collect()
     }
 
-    /// Answer one query from its commuting matrix, evaluated through the
-    /// plan tree and the deduplicated cache path. The trace's mode stays
-    /// [`TraceMode::Full`], the default — which is also what a promoted
-    /// member of a span group reports: that is the work it actually did.
+    /// Probe a resolved query's whole span, and plan it only if that
+    /// missed. The probe is [`MatrixCache::get`], the lookup
+    /// [`Engine::eval`] resolves a span through, so a resident span counts
+    /// the one hit (or symmetry hit) its evaluation would have, and a miss
+    /// counts nothing.
+    fn prepare(&self, resolved: ResolvedQuery) -> Prep {
+        let steps = resolved.path.steps();
+        let key = key_of(steps);
+        if steps.len() >= 2 {
+            if let Some(matrix) = self.cache.get(&key) {
+                return Prep {
+                    resolved,
+                    key,
+                    route: Route::Resident(matrix),
+                };
+            }
+        }
+        let plan = plan_steps(&self.hin, steps, &self.cache);
+        let route = match self.exec_mode(&resolved, plan.est_flops).0 {
+            ExecMode::SparseRow { .. } => Route::Lazy(plan),
+            ExecMode::Full => Route::Full(plan),
+        };
+        Prep {
+            resolved,
+            key,
+            route,
+        }
+    }
+
+    /// Answer one query from its commuting matrix: the one its probe found
+    /// resident, or one evaluated through the plan tree and the
+    /// deduplicated cache path. The trace's mode stays [`TraceMode::Full`],
+    /// the default — which is also what a promoted member of a span group
+    /// reports: that is the work it actually did.
     fn materialize(&self, prep: &Prep, answer: &mut Answer) {
         let t0 = Instant::now();
         let probe = ExecProbe::default();
-        let steps = prep.resolved.path.steps();
-        let matrix = Self::eval(&self.hin, steps, &self.cache, &prep.plan.root, Some(&probe));
-        answer.0 = Some(self.assemble(&prep.resolved, &matrix));
+        let matrix = match &prep.route {
+            Route::Resident(m) => Mat::Shared(Arc::clone(m)),
+            Route::Full(plan) | Route::Lazy(plan) => Self::eval(
+                &self.hin,
+                prep.resolved.path.steps(),
+                &self.cache,
+                &plan.root,
+                Some(&probe),
+            ),
+        };
+        answer.0 = Some(self.assemble(&prep.resolved, &prep.key, &matrix));
         answer.1.outcome = probe.outcome.get();
         answer.1.exec_ns = elapsed_ns(t0);
     }
@@ -488,13 +524,13 @@ impl Engine {
         let mut riders: Vec<usize> = Vec::new();
         let mut anchors: Vec<usize> = Vec::new();
         for (i, prep) in preps.iter().enumerate().skip(first) {
-            let Some(prep) = prep
-                .as_ref()
-                .filter(|p| p.lazy && p.resolved.path.steps() == steps)
-            else {
+            let Some((prep, plan)) = prep.as_ref().and_then(|p| match &p.route {
+                Route::Lazy(plan) if p.key == head.key => Some((p, plan)),
+                _ => None,
+            }) else {
                 continue;
             };
-            if self.should_promote(steps, &prep.plan) {
+            if self.should_promote(&prep.key, plan) {
                 self.promotions.fetch_add(1, Ordering::Relaxed);
                 self.materialize(prep, &mut answers[i]);
             } else {
@@ -682,16 +718,15 @@ impl Engine {
     /// crossed [`ExecPolicy::promote_after`]. A span and its reversal share
     /// one counter; a promoted span's counter resets, so if the matrix is
     /// later evicted the span cools down and re-heats honestly.
-    fn should_promote(&self, steps: &[PathStep], plan: &QueryPlan) -> bool {
-        let key = key_of(steps);
-        if !self.cache.admits(&key, plan.est_bytes) {
+    fn should_promote(&self, key: &[StepKey], plan: &QueryPlan) -> bool {
+        if !self.cache.admits(key, plan.est_bytes) {
             self.promotions_refused.fetch_add(1, Ordering::Relaxed);
             return false;
         }
         if self.policy.promote_after == 0 {
             return true;
         }
-        let heat_key = canonical_key(&key);
+        let heat_key = canonical_key(key);
         let mut heat = self.heat.lock().unwrap_or_else(PoisonError::into_inner);
         if heat.len() >= HEAT_CAP && !heat.contains_key(&heat_key) {
             // bounded memory: a reset only delays promotions, never
@@ -768,45 +803,39 @@ impl Engine {
                     self.hin.node_count(resolved.end),
                 );
                 let mut memo_hits = 0u64;
-                let scored: Vec<(usize, f64)> = row
-                    .iter()
-                    .filter(|&(y, _)| y != x)
-                    .map(|(y, mxy)| {
-                        // Relaxed: a slot publishes nothing but its own
-                        // bits, and racing fills store the same value.
-                        let known = memo[y].load(Ordering::Relaxed);
-                        let myy = if known != UNKNOWN_NORMALIZER {
-                            memo_hits += 1;
-                            f64::from_bits(known)
-                        } else {
-                            let u = SparseVec::from_csr_row(half_seed.as_csr(), y);
-                            let u = spvm_chain_with(&u, &half_rest, scratch);
-                            let v = match mid {
-                                Some(l) => spvm_with(&u, l, scratch).dot(&u),
-                                None => u.dot_self(),
-                            };
-                            memo[y].store(v.to_bits(), Ordering::Relaxed);
-                            v
+                let mut top = TopK::new(resolved.limit.unwrap_or(DEFAULT_LIMIT), row.nnz());
+                for (y, mxy) in row.iter().filter(|&(y, _)| y != x) {
+                    // Relaxed: a slot publishes nothing but its own bits,
+                    // and racing fills store the same value.
+                    let known = memo[y].load(Ordering::Relaxed);
+                    let myy = if known != UNKNOWN_NORMALIZER {
+                        memo_hits += 1;
+                        f64::from_bits(known)
+                    } else {
+                        let u = SparseVec::from_csr_row(half_seed.as_csr(), y);
+                        let u = spvm_chain_with(&u, &half_rest, scratch);
+                        let v = match mid {
+                            Some(l) => spvm_with(&u, l, scratch).dot(&u),
+                            None => u.dot_self(),
                         };
-                        let denom = mxx + myy;
-                        let score = if denom <= 0.0 { 0.0 } else { 2.0 * mxy / denom };
-                        (y, score)
-                    })
-                    .collect();
+                        memo[y].store(v.to_bits(), Ordering::Relaxed);
+                        v
+                    };
+                    let denom = mxx + myy;
+                    top.push(y, if denom <= 0.0 { 0.0 } else { 2.0 * mxy / denom });
+                }
                 self.normalizer_memo_hits
                     .fetch_add(memo_hits, Ordering::Relaxed);
-                top_k(scored, resolved.limit.unwrap_or(DEFAULT_LIMIT))
+                top.into_sorted()
             }
             Verb::PathCount | Verb::Neighbors => {
                 let exclude_self = resolved.start == resolved.end;
-                let counts: Vec<(usize, f64)> = row
-                    .iter()
-                    .filter(|&(y, _)| !(exclude_self && y == x))
-                    .collect();
-                top_k(
-                    counts,
-                    resolved.limit.unwrap_or(default_row_limit(resolved.verb)),
-                )
+                let k = resolved.limit.unwrap_or(default_row_limit(resolved.verb));
+                let mut top = TopK::new(k, row.nnz());
+                for (y, count) in row.iter().filter(|&(y, _)| !(exclude_self && y == x)) {
+                    top.push(y, count);
+                }
+                top.into_sorted()
             }
             Verb::Rank => unreachable!("rank is not anchored; exec_mode keeps it Full"),
         };
@@ -927,9 +956,12 @@ impl Engine {
     /// an oversized product the cache refused, one evicted since `eval`) is
     /// searched once per candidate instead — nothing would keep a diagonal
     /// built for it.
+    ///
+    /// `key` is [`key_of`] the query's steps.
     fn assemble(
         &self,
         resolved: &ResolvedQuery,
+        key: &[StepKey],
         matrix: &Mat<'_>,
     ) -> Result<QueryOutput, QueryError> {
         let hin = &self.hin;
@@ -940,7 +972,7 @@ impl Engine {
                 let x = resolved.from.expect("resolver enforces `from`").id as usize;
                 let k = resolved.limit.unwrap_or(DEFAULT_LIMIT);
                 let diagonal = match matrix {
-                    Mat::Shared(m) => self.cache.diagonal_of(&key_of(resolved.path.steps()), m),
+                    Mat::Shared(m) => self.cache.diagonal_of(key, m),
                     Mat::Borrowed(_) => None,
                 };
                 let top = match diagonal {
@@ -959,29 +991,29 @@ impl Engine {
                 let x = resolved.from.expect("resolver enforces `from`").id as usize;
                 let exclude_self = resolved.start == resolved.end;
                 let (idx, vals) = matrix.as_csr().row(x);
-                let row: Vec<(usize, f64)> = idx
-                    .iter()
-                    .map(|&y| y as usize)
-                    .zip(vals.iter().copied())
-                    .filter(|&(y, _)| !(exclude_self && y == x))
-                    .collect();
                 let k = resolved.limit.unwrap_or(default_row_limit(resolved.verb));
-                self.named(resolved.end, top_k(row, k))
+                let mut top = TopK::new(k, idx.len());
+                for (&y, &v) in idx.iter().zip(vals) {
+                    if !(exclude_self && y as usize == x) {
+                        top.push(y as usize, v);
+                    }
+                }
+                self.named(resolved.end, top.into_sorted())
             }
             Verb::Rank => {
-                let sums: Vec<(usize, f64)> = matrix
-                    .as_csr()
-                    .row_sums()
-                    .into_iter()
-                    .enumerate()
-                    .filter(|&(_, s)| s > 0.0)
-                    .collect();
-                let k = resolved.limit.unwrap_or(DEFAULT_LIMIT);
+                let m = matrix.as_csr();
+                let mut top = TopK::new(resolved.limit.unwrap_or(DEFAULT_LIMIT), m.nrows());
+                for r in 0..m.nrows() {
+                    let sum = m.row_sum(r);
+                    if sum > 0.0 {
+                        top.push(r, sum);
+                    }
+                }
                 // rank verb scores objects of the *start* type by row sums
                 return Ok(QueryOutput {
                     verb: resolved.verb,
                     object_type: hin.type_name(resolved.start).to_string(),
-                    items: self.named(resolved.start, top_k(sums, k)),
+                    items: self.named(resolved.start, top.into_sorted()),
                 });
             }
         };
@@ -994,14 +1026,25 @@ impl Engine {
     }
 }
 
-/// One query of an [`Engine::execute_many`] batch, planned against the
-/// batch-start cache state.
+/// One query of an [`Engine::execute_many`] batch, probed and, unless its
+/// whole span was resident, planned against the batch-start cache state.
 struct Prep {
     resolved: ResolvedQuery,
-    plan: QueryPlan,
+    /// [`key_of`] the query's steps.
+    key: PathKey,
+    route: Route,
+}
+
+/// How a prepared query will run.
+enum Route {
+    /// The probe found the whole span resident (and counted the hit): the
+    /// query reads this matrix. Nothing was planned.
+    Resident(Arc<Csr>),
+    /// Chose [`ExecMode::Full`]: materializes through the plan tree.
+    Full(QueryPlan),
     /// Chose [`ExecMode::SparseRow`]: runs through
     /// [`Engine::execute_span_group`] unless promotion materializes it.
-    lazy: bool,
+    Lazy(QueryPlan),
 }
 
 /// One query's slot in a batch: its result once it has executed (or failed
@@ -1067,7 +1110,9 @@ pub struct QueryTrace {
     /// `Hit` when the propagation was seeded from a resident prefix,
     /// `MissCompute` when it chained from the anchor's relation row.
     pub outcome: CacheOutcome,
-    /// Time spent in parse + resolve + plan + mode decision.
+    /// Time spent before execution: parse + resolve + whole-span probe on
+    /// a cache hit, which plans nothing; plus plan + mode decision when the
+    /// probe missed (or was skipped, on a single-step path).
     pub plan_ns: u64,
     /// Time spent executing (evaluation + assembly).
     pub exec_ns: u64,
@@ -1617,6 +1662,80 @@ mod tests {
             b.link(pv, &pn, &format!("v{}", p % 3), 1.0).unwrap();
         }
         Arc::new(b.build())
+    }
+
+    #[test]
+    fn a_resident_read_is_one_probe_and_no_planning() {
+        use crate::plan::PLAN_STEPS_CALLS;
+        let hin = skewed_bib();
+        let engine = Engine::from_arc(Arc::clone(&hin)); // promote_after: 3
+        let q = "pathsim author-paper-venue-paper-author from a0";
+        for _ in 0..3 {
+            engine.execute(q).unwrap(); // lazy, lazy, promoted
+        }
+        let want = engine.execute(q).unwrap();
+        // EXPLAIN keeps the full planner, and its text
+        let plans = PLAN_STEPS_CALLS.get();
+        assert_eq!(
+            engine.plan(q).unwrap().to_string(),
+            "cache[author→paper·paper→venue·venue→paper·paper→author] \
+             (est 0 flops; left-to-right 8751; promotion: resident)"
+        );
+        assert_eq!(PLAN_STEPS_CALLS.get(), plans + 1);
+
+        // N resident reads, one at a time and as one batch: N hits, no
+        // misses, nothing planned, the same answer
+        const N: usize = 5;
+        let (hits, misses, symmetry) = (
+            engine.cache_hits(),
+            engine.cache_misses(),
+            engine.cache_symmetry_hits(),
+        );
+        let plans = PLAN_STEPS_CALLS.get();
+        for _ in 0..N {
+            let (got, trace) = engine.execute_traced(q);
+            assert_eq!(got.unwrap(), want);
+            assert_eq!(
+                (trace.mode, trace.outcome),
+                (TraceMode::Full, CacheOutcome::Hit)
+            );
+        }
+        for got in engine.execute_many(&[q; N]) {
+            assert_eq!(got.unwrap(), want);
+        }
+        assert_eq!(engine.cache_hits(), hits + 2 * N as u64);
+        assert_eq!(engine.cache_misses(), misses);
+        assert_eq!(engine.cache_symmetry_hits(), symmetry);
+        assert_eq!(
+            PLAN_STEPS_CALLS.get(),
+            plans,
+            "a resident read plans nothing"
+        );
+        assert_eq!(engine.promotions(), 1);
+
+        // a span resident only as its reversal: the probe is the one
+        // symmetry hit evaluation would have counted, then plain hits
+        let engine = eager_engine(Arc::clone(&hin));
+        engine
+            .execute("pathcount author-paper-venue from a0")
+            .unwrap();
+        let reversed = "pathcount venue-paper-author from v0";
+        assert_eq!(
+            engine.plan(reversed).unwrap().to_string(),
+            "cache[venue→paper·paper→author] (est 0 flops; left-to-right 600)"
+        );
+        let plans = PLAN_STEPS_CALLS.get();
+        engine.execute(reversed).unwrap();
+        engine.execute(reversed).unwrap();
+        assert_eq!(
+            (
+                engine.cache_hits(),
+                engine.cache_symmetry_hits(),
+                engine.cache_misses()
+            ),
+            (2, 1, 1)
+        );
+        assert_eq!(PLAN_STEPS_CALLS.get(), plans);
     }
 
     #[test]

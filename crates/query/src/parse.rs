@@ -94,19 +94,22 @@ pub struct ParsedQuery {
 
 /// Parse one query string.
 pub fn parse(input: &str) -> Result<ParsedQuery, QueryError> {
-    let tokens = tokenize(input)?;
+    parse_tokens(&tokenize(input)?)
+}
+
+/// The grammar over a non-empty token list.
+fn parse_tokens(tokens: &[Token<'_>]) -> Result<ParsedQuery, QueryError> {
     let mut pos = 0usize;
-    let next = |pos: &mut usize, what: &str| -> Result<Token, QueryError> {
-        let t = tokens
+    let next = |pos: &mut usize, what: &str| -> Result<Token<'_>, QueryError> {
+        let t = *tokens
             .get(*pos)
-            .cloned()
             .ok_or_else(|| QueryError::Parse(format!("expected {what}, found end of query")))?;
         *pos += 1;
         Ok(t)
     };
 
     let verb_tok = next(&mut pos, "a verb (pathsim|pathcount|rank|topk|neighbors)")?;
-    let verb = match verb_tok.text.as_str() {
+    let verb = match verb_tok.text {
         "pathsim" => Verb::PathSim,
         "pathcount" => Verb::PathCount,
         "rank" => Verb::Rank,
@@ -126,7 +129,7 @@ pub fn parse(input: &str) -> Result<ParsedQuery, QueryError> {
     }
 
     let path_tok = next(&mut pos, "a meta-path expression")?;
-    let path = parse_path(&path_tok.text)?;
+    let path = parse_path(path_tok.text)?;
 
     let mut from = None;
     if matches!(
@@ -141,7 +144,7 @@ pub fn parse(input: &str) -> Result<ParsedQuery, QueryError> {
                 kw.text
             )));
         }
-        from = Some(next(&mut pos, "a node name after `from`")?.text);
+        from = Some(next(&mut pos, "a node name after `from`")?.text.to_string());
     }
 
     if pos < tokens.len() && tokens[pos].text == "limit" && !tokens[pos].quoted {
@@ -172,7 +175,7 @@ pub fn parse(input: &str) -> Result<ParsedQuery, QueryError> {
 
 /// Parse a `-`-separated path expression.
 pub fn parse_path(text: &str) -> Result<PathExpr, QueryError> {
-    let mut segments = Vec::new();
+    let mut segments = Vec::with_capacity(text.matches('-').count() + 1);
     for raw in text.split('-') {
         if raw.is_empty() {
             return Err(QueryError::Parse(format!(
@@ -199,47 +202,46 @@ pub fn parse_path(text: &str) -> Result<PathExpr, QueryError> {
     Ok(PathExpr { segments })
 }
 
-#[derive(Clone, Debug)]
-struct Token {
-    text: String,
+/// One word of a query, borrowed from the query text: a quoted token is
+/// the text between its quotes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Token<'a> {
+    text: &'a str,
     quoted: bool,
 }
 
-fn tokenize(input: &str) -> Result<Vec<Token>, QueryError> {
+/// Split `input` into tokens: runs of non-whitespace broken at `"`, and
+/// `"…"` spans taken whole. Whitespace is Unicode's ([`char::is_whitespace`],
+/// which is also what [`str::trim_start`] skips).
+fn tokenize(input: &str) -> Result<Vec<Token<'_>>, QueryError> {
     let mut tokens = Vec::new();
-    let mut chars = input.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        if c.is_whitespace() {
-            chars.next();
-        } else if c == '"' {
-            chars.next();
-            let mut text = String::new();
-            loop {
-                match chars.next() {
-                    Some('"') => break,
-                    Some(ch) => text.push(ch),
-                    None => {
-                        return Err(QueryError::Parse(format!(
-                            "unterminated quoted name in `{input}`"
-                        )))
-                    }
+    let mut rest = input.trim_start();
+    while !rest.is_empty() {
+        let token = match rest.strip_prefix('"') {
+            Some(quoted) => {
+                let end = quoted.find('"').ok_or_else(|| {
+                    QueryError::Parse(format!("unterminated quoted name in `{input}`"))
+                })?;
+                rest = &quoted[end + 1..];
+                Token {
+                    text: &quoted[..end],
+                    quoted: true,
                 }
             }
-            tokens.push(Token { text, quoted: true });
-        } else {
-            let mut text = String::new();
-            while let Some(&ch) = chars.peek() {
-                if ch.is_whitespace() || ch == '"' {
-                    break;
+            None => {
+                let end = rest
+                    .find(|c: char| c.is_whitespace() || c == '"')
+                    .unwrap_or(rest.len());
+                let (text, tail) = rest.split_at(end);
+                rest = tail;
+                Token {
+                    text,
+                    quoted: false,
                 }
-                text.push(ch);
-                chars.next();
             }
-            tokens.push(Token {
-                text,
-                quoted: false,
-            });
-        }
+        };
+        tokens.push(token);
+        rest = rest.trim_start();
     }
     if tokens.is_empty() {
         return Err(QueryError::Parse("empty query".to_string()));
@@ -347,5 +349,166 @@ mod tests {
     fn quoted_from_names_keep_spaces() {
         let q = parse("neighbors written_by from \"Jeffrey D. Ullman\"").unwrap();
         assert_eq!(q.from.as_deref(), Some("Jeffrey D. Ullman"));
+    }
+
+    /// The char-by-char tokenizer the borrowing one replaced, kept as its
+    /// oracle: owned `(text, quoted)` tokens.
+    fn oracle_tokenize(input: &str) -> Result<Vec<(String, bool)>, QueryError> {
+        let mut tokens = Vec::new();
+        let mut chars = input.chars().peekable();
+        while let Some(&c) = chars.peek() {
+            if c.is_whitespace() {
+                chars.next();
+            } else if c == '"' {
+                chars.next();
+                let mut text = String::new();
+                loop {
+                    match chars.next() {
+                        Some('"') => break,
+                        Some(ch) => text.push(ch),
+                        None => {
+                            return Err(QueryError::Parse(format!(
+                                "unterminated quoted name in `{input}`"
+                            )))
+                        }
+                    }
+                }
+                tokens.push((text, true));
+            } else {
+                let mut text = String::new();
+                while let Some(&ch) = chars.peek() {
+                    if ch.is_whitespace() || ch == '"' {
+                        break;
+                    }
+                    text.push(ch);
+                    chars.next();
+                }
+                tokens.push((text, false));
+            }
+        }
+        if tokens.is_empty() {
+            return Err(QueryError::Parse("empty query".to_string()));
+        }
+        Ok(tokens)
+    }
+
+    /// `parse` through the oracle tokenizer.
+    fn oracle_parse(input: &str) -> Result<ParsedQuery, QueryError> {
+        let owned = oracle_tokenize(input)?;
+        let tokens: Vec<Token<'_>> = owned
+            .iter()
+            .map(|(text, quoted)| Token {
+                text,
+                quoted: *quoted,
+            })
+            .collect();
+        parse_tokens(&tokens)
+    }
+
+    /// Both tokenizers agree on `input`: the same tokens, the same parse,
+    /// and byte-identical error text.
+    fn assert_agrees(input: &str) {
+        let owned = |tokens: Vec<Token<'_>>| -> Vec<(String, bool)> {
+            tokens
+                .into_iter()
+                .map(|t| (t.text.to_string(), t.quoted))
+                .collect()
+        };
+        assert_eq!(
+            tokenize(input).map(owned),
+            oracle_tokenize(input),
+            "{input:?}"
+        );
+        let (got, want) = (parse(input), oracle_parse(input));
+        assert_eq!(got, want, "{input:?}");
+        if let (Err(got), Err(want)) = (got, want) {
+            assert_eq!(got.to_string(), want.to_string(), "{input:?}");
+        }
+    }
+
+    /// Query-like pieces: verbs, paths (good and malformed), keywords,
+    /// counts, quoted names (spaces, unicode, empty, unterminated, glued to
+    /// a word), and non-ASCII words.
+    const PIECES: [&str; 30] = [
+        "pathsim",
+        "pathcount",
+        "topk",
+        "rank",
+        "neighbors",
+        "frobnicate",
+        "author-paper-author",
+        "^written_by-published_in",
+        "a--b",
+        "^",
+        "from",
+        "limit",
+        "3",
+        "0",
+        "many",
+        "author_a0_0",
+        "\"ann b\"",
+        "\"Jeffrey D. Ullman\"",
+        "\"\"",
+        "\"a\u{3000}b\"",
+        "\"unterminated",
+        "x\"y z\"w",
+        "\"",
+        "ñame",
+        "作者-论文",
+        "a\u{200b}b",
+        "from\"q\"",
+        "-",
+        "venue-paper-author",
+        "7",
+    ];
+
+    /// Separators: ASCII and Unicode whitespace (ideographic space,
+    /// no-break space, line separator), nothing at all (gluing the pieces
+    /// either side), and a zero-width space, which is not whitespace.
+    const SEPARATORS: [&str; 9] = [
+        " ", "  ", "\t", "\n", "\u{3000}", "\u{a0}", "\u{2028}", "", "\u{200b}",
+    ];
+
+    #[test]
+    fn borrowing_tokenizer_matches_the_oracle_on_pinned_inputs() {
+        for input in [
+            "",
+            "   ",
+            "\u{3000}\t",
+            "pathsim author-paper-author from author_a0_0",
+            "pathcount author-paper-venue from \"ann b\" limit 3",
+            "neighbors written_by from \"Jeffrey D. Ullman\"",
+            "pathsim a-b from \"unterminated",
+            "\"unterminated pathsim",
+            "pathsim a-b from x extra tokens",
+            "topk\u{3000}3\u{a0}a-b-a\tfrom\nx",
+            "rank a-b limit 2 \"trailing\"",
+            "pathsim a-b-a from \"\"",
+            "pathsim a-b-a from x\"glued\"",
+            "pathsim a-b-a from\"glued\"",
+            "neighbors 作者-论文 from ñame",
+            "neighbors a\u{200b}b from x",
+        ] {
+            assert_agrees(input);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+        #[test]
+        fn borrowing_tokenizer_matches_the_oracle(
+            lead in 0usize..SEPARATORS.len(),
+            words in proptest::prop::collection::vec(
+                (0usize..PIECES.len(), 0usize..SEPARATORS.len()),
+                0..9,
+            ),
+        ) {
+            let mut input = SEPARATORS[lead].to_string();
+            for (piece, sep) in words {
+                input.push_str(PIECES[piece]);
+                input.push_str(SEPARATORS[sep]);
+            }
+            assert_agrees(&input);
+        }
     }
 }

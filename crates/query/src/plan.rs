@@ -252,6 +252,12 @@ impl std::fmt::Display for QueryPlan {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`plan_steps`] calls made on this thread.
+    pub(crate) static PLAN_STEPS_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Plan the evaluation of `steps` against the current cache contents.
 ///
 /// Delegates the dynamic program to
@@ -265,6 +271,8 @@ impl std::fmt::Display for QueryPlan {
 /// stale plan costs time, never correctness.
 pub fn plan_steps(hin: &Hin, steps: &[PathStep], cache: &MatrixCache) -> QueryPlan {
     assert!(!steps.is_empty(), "plan_steps: empty step chain");
+    #[cfg(test)]
+    PLAN_STEPS_CALLS.with(|calls| calls.set(calls.get() + 1));
     let mats: Vec<&Csr> = steps.iter().map(|s| s.matrix(hin)).collect();
     let full_key = key_of(steps);
 

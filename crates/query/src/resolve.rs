@@ -1,6 +1,6 @@
 //! Path expressions → concrete relation steps, against a network's schema.
 
-use hin_core::{Hin, NodeRef, TypeId};
+use hin_core::{Hin, NodeRef, RelationId, TypeId};
 use hin_similarity::{MetaPath, PathStep};
 
 use crate::error::QueryError;
@@ -80,45 +80,29 @@ pub fn resolve_path(hin: &Hin, expr: &PathExpr) -> Result<MetaPath, QueryError> 
             continue;
         };
 
-        // Candidate steps for cur → ty. A *directed* self-relation (e.g. a
-        // `cites` paper→paper edge with an asymmetric matrix) contributes
-        // both traversal directions — out-citations and in-citations are
-        // different answers, so picking one silently would be a guess.
-        // Symmetric self-relations (co-authorship) traverse identically
-        // either way and stay unambiguous.
-        let mut candidates: Vec<(PathStep, String)> = Vec::new();
-        for (rel, forward) in hin.relations_between(cur, ty) {
-            let info = hin.relation(rel);
-            if info.src == info.dst && !info.symmetric {
-                candidates.push((PathStep::Forward(rel), info.name.clone()));
-                candidates.push((PathStep::Backward(rel), format!("^{}", info.name)));
-            } else if forward {
-                candidates.push((PathStep::Forward(rel), info.name.clone()));
-            } else {
-                // render backward traversals in the `^rel` form the query
-                // language needs, so error hints are directly usable
-                candidates.push((PathStep::Backward(rel), format!("^{}", info.name)));
-            }
-        }
-        match candidates.len() {
-            0 if cur == ty => {
+        let between = hin.relations_between(cur, ty);
+        let mut candidates = candidate_steps(hin, &between);
+        match (candidates.next(), candidates.next()) {
+            (None, _) if cur == ty => {
                 // no-op waypoint: path already at this type
             }
-            0 => {
+            (None, _) => {
                 return Err(QueryError::Hin(hin_core::HinError::NoRelation {
                     src: hin.type_name(cur).to_string(),
                     dst: hin.type_name(ty).to_string(),
                 }))
             }
-            1 => {
-                steps.push(candidates[0].0);
+            (Some(step), None) => {
+                steps.push(step);
                 current = Some(ty);
             }
-            _ => {
+            (Some(_), Some(_)) => {
                 return Err(QueryError::AmbiguousRelation {
                     src: hin.type_name(cur).to_string(),
                     dst: hin.type_name(ty).to_string(),
-                    candidates: candidates.into_iter().map(|(_, name)| name).collect(),
+                    candidates: candidate_steps(hin, &between)
+                        .map(|step| step_name(hin, step))
+                        .collect(),
                 })
             }
         }
@@ -128,6 +112,38 @@ pub fn resolve_path(hin: &Hin, expr: &PathExpr) -> Result<MetaPath, QueryError> 
         return Err(QueryError::EmptyPath);
     }
     Ok(MetaPath::new(steps))
+}
+
+/// The steps a type-name segment could mean, given the relations
+/// [`Hin::relations_between`] found for the pair. A *directed*
+/// self-relation (e.g. a `cites` paper→paper edge with an asymmetric
+/// matrix) contributes both traversal directions — out-citations and
+/// in-citations are different answers, so picking one silently would be a
+/// guess. Symmetric self-relations (co-authorship) traverse identically
+/// either way and stay unambiguous.
+fn candidate_steps<'a>(
+    hin: &'a Hin,
+    between: &'a [(RelationId, bool)],
+) -> impl Iterator<Item = PathStep> + 'a {
+    between.iter().flat_map(move |&(rel, forward)| {
+        let info = hin.relation(rel);
+        let both = info.src == info.dst && !info.symmetric;
+        [
+            (both || forward).then_some(PathStep::Forward(rel)),
+            (both || !forward).then_some(PathStep::Backward(rel)),
+        ]
+        .into_iter()
+        .flatten()
+    })
+}
+
+/// A step as the query language writes it — backward traversals in the
+/// `^rel` form, so an ambiguity hint is directly usable.
+fn step_name(hin: &Hin, step: PathStep) -> String {
+    match step {
+        PathStep::Forward(rel) => hin.relation(rel).name.clone(),
+        PathStep::Backward(rel) => format!("^{}", hin.relation(rel).name),
+    }
 }
 
 /// Resolve a full parsed query: path, verb constraints, anchor node.
@@ -159,7 +175,7 @@ pub fn resolve(hin: &Hin, parsed: &ParsedQuery) -> Result<ResolvedQuery, QueryEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse;
+    use crate::parse::{parse, parse_path};
     use hin_core::HinBuilder;
 
     /// paper–author (two parallel relations), paper–venue, page–page self.
@@ -215,6 +231,47 @@ mod tests {
         let r = resolve(&hin, &q).unwrap();
         assert_eq!(r.path.len(), 2);
         assert!(r.path.is_palindrome());
+    }
+
+    #[test]
+    fn ambiguity_names_every_candidate_in_query_form() {
+        // two parallel paper→author relations plus a directed self-relation:
+        // a backward pair, then a forward/backward pair, in relation order
+        let mut b = HinBuilder::new();
+        let paper = b.add_type("paper");
+        let author = b.add_type("author");
+        b.add_relation("written_by", paper, author);
+        b.add_relation("reviewed_by", paper, author);
+        let cites = b.add_relation("cites", paper, paper);
+        b.link(cites, "p0", "p1", 1.0).unwrap(); // directed: no reverse edge
+        let venue = b.add_type("venue");
+        let published_in = b.add_relation("published_in", paper, venue);
+        let hin = b.build();
+
+        let err = resolve(&hin, &parse("rank author-paper").unwrap()).unwrap_err();
+        assert_eq!(
+            err,
+            QueryError::AmbiguousRelation {
+                src: "author".to_string(),
+                dst: "paper".to_string(),
+                candidates: vec!["^written_by".to_string(), "^reviewed_by".to_string()],
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "ambiguous step `author`-`paper`: multiple relations connect these types \
+             (^written_by, ^reviewed_by); name one explicitly, e.g. `-^written_by-…`"
+        );
+
+        let err = resolve(&hin, &parse("rank ^written_by-paper-paper").unwrap()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "ambiguous step `paper`-`paper`: multiple relations connect these types \
+             (cites, ^cites); name one explicitly, e.g. `-cites-…`"
+        );
+        // a lone candidate is the step
+        let r = resolve_path(&hin, &parse_path("venue-paper").unwrap()).unwrap();
+        assert_eq!(r.steps(), &[PathStep::Backward(published_in)]);
     }
 
     #[test]

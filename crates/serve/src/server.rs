@@ -153,7 +153,8 @@ pub struct SlowQuery {
     pub queue_wait_ns: u64,
     /// Popped by a worker to execution start (the deadline sweep).
     pub dispatch_ns: u64,
-    /// Parse + resolve + plan + mode decision.
+    /// Parse + resolve + whole-span probe, plus plan + mode decision when
+    /// the probe missed ([`QueryTrace::plan_ns`]).
     pub plan_ns: u64,
     /// Plan execution.
     pub exec_ns: u64,
@@ -373,7 +374,8 @@ pub struct ServerStats {
     /// Stage latency (ns): popped by a worker to execution start — the
     /// deadline sweep, on the popping thread; one sample per served request.
     pub dispatch_ns: HistSnapshot,
-    /// Stage latency (ns): parse + resolve + plan + mode decision.
+    /// Stage latency (ns): parse + resolve + whole-span probe, plus plan +
+    /// mode decision when the probe missed ([`QueryTrace::plan_ns`]).
     pub plan_ns: HistSnapshot,
     /// Execute-stage latency (ns) split `[mode][cache outcome]`, label
     /// order [`EXEC_MODES`] × [`EXEC_OUTCOMES`] — e.g.

@@ -7,6 +7,9 @@
 //! normalizes away the hub advantage that raw path counts and random-walk
 //! measures give to high-visibility objects.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use hin_linalg::Csr;
 
 /// `2·M[x,y] / (M[x,x] + M[y,y])`, 0 when both self-counts are 0.
@@ -70,20 +73,19 @@ fn pathsim_row(
 ) -> Vec<(usize, f64)> {
     let mxx = self_count(x);
     let (idx, vals) = m.row(x);
-    let scored = idx
-        .iter()
-        .zip(vals)
-        .filter(|&(&y, _)| y as usize != x)
-        .map(|(&y, &mxy)| (y as usize, pathsim_score(mxy, mxx, self_count(y as usize))))
-        .collect();
-    top_k(scored, k)
+    let mut top = TopK::new(k, idx.len());
+    for (&y, &mxy) in idx.iter().zip(vals) {
+        let y = y as usize;
+        if y != x {
+            top.push(y, pathsim_score(mxy, mxx, self_count(y)));
+        }
+    }
+    top.into_sorted()
 }
 
 /// Top-`k` by raw path count (the PathCount baseline).
 pub fn path_count(m: &Csr, x: usize, k: usize) -> Vec<(usize, f64)> {
-    let (idx, vals) = m.row(x);
-    let counts = idx.iter().map(|&y| y as usize).zip(vals.iter().copied());
-    top_k(counts.filter(|&(y, _)| y != x).collect(), k)
+    row_top_k(m, x, k, |v| v)
 }
 
 /// Top-`k` by the random-walk measure: the row-normalized commuting matrix
@@ -94,29 +96,136 @@ pub fn random_walk_measure(m: &Csr, x: usize, k: usize) -> Vec<(usize, f64)> {
     if row_sum <= 0.0 {
         return Vec::new();
     }
+    row_top_k(m, x, k, |v| v / row_sum)
+}
+
+/// The best `k` entries of row `x` other than `x` itself, each scored
+/// `score(value)`.
+fn row_top_k(m: &Csr, x: usize, k: usize, score: impl Fn(f64) -> f64) -> Vec<(usize, f64)> {
     let (idx, vals) = m.row(x);
-    let probs = idx
-        .iter()
-        .map(|&y| y as usize)
-        .zip(vals.iter().map(|v| v / row_sum));
-    top_k(probs.filter(|&(y, _)| y != x).collect(), k)
+    let mut top = TopK::new(k, idx.len());
+    for (&y, &v) in idx.iter().zip(vals) {
+        if y as usize != x {
+            top.push(y as usize, score(v));
+        }
+    }
+    top.into_sorted()
 }
 
 /// The best `k` of `scored` `(id, score)` pairs, best first: score
 /// descending by [`f64::total_cmp`] (a NaN orders deterministically instead
 /// of panicking), ties by ascending id. Ids must be unique, which makes the
-/// order strict — so selecting the `k` survivors first and sorting only
-/// those returns exactly what a full sort + truncate would, in O(len)
-/// instead of O(len·log len) when `k` is small.
-pub fn top_k(mut scored: Vec<(usize, f64)>, k: usize) -> Vec<(usize, f64)> {
-    let best_first = |a: &(usize, f64), b: &(usize, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
-    if k < scored.len() {
-        scored.select_nth_unstable_by(k, best_first);
-        scored.truncate(k);
+/// order strict — so any selection of the `k` survivors, sorted, is exactly
+/// what a full sort + truncate returns. [`TopK`] over `scored`.
+pub fn top_k(scored: Vec<(usize, f64)>, k: usize) -> Vec<(usize, f64)> {
+    let mut top = TopK::new(k, scored.len());
+    for (id, score) in scored {
+        top.push(id, score);
     }
-    scored.sort_unstable_by(best_first);
-    scored
+    top.into_sorted()
 }
+
+/// The order [`top_k`] ranks by: score descending by [`f64::total_cmp`],
+/// then id ascending. `Less` means `a` ranks ahead of `b`.
+fn best_first(a: &(usize, f64), b: &(usize, f64)) -> Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// A streaming top-`k` selector: `(id, score)` candidates are pushed while
+/// a row is scanned, and only the best `k` of them are ever held, so
+/// ranking a row allocates for `k` candidates, not for the row. The order
+/// is [`top_k`]'s, and so is the answer, bit for bit.
+///
+/// `len` announced at construction is how many candidates the caller
+/// expects to push, at most. When `k >= len` nothing can be cut, so the
+/// selector collects every candidate and sorts once at the end; otherwise
+/// it keeps a `k`-bounded heap whose root is the worst candidate kept, and
+/// a candidate that does not beat the root costs one comparison. Pushing
+/// more than `len` candidates is allowed: the answer still holds `k`.
+#[derive(Debug)]
+pub struct TopK {
+    k: usize,
+    kept: Kept,
+}
+
+#[derive(Debug)]
+enum Kept {
+    /// `k` at least the announced length: every candidate, unsorted.
+    All(Vec<(usize, f64)>),
+    /// At most `k` candidates, a max-heap under [`best_first`]: the root
+    /// is the worst of them.
+    Best(BinaryHeap<Ranked>),
+}
+
+impl TopK {
+    /// A selector for the best `k` of at most `len` candidates.
+    pub fn new(k: usize, len: usize) -> Self {
+        let kept = if k >= len {
+            Kept::All(Vec::with_capacity(len))
+        } else {
+            Kept::Best(BinaryHeap::with_capacity(k))
+        };
+        Self { k, kept }
+    }
+
+    /// Offer one candidate. Ids must be unique across pushes.
+    #[inline]
+    pub fn push(&mut self, id: usize, score: f64) {
+        match &mut self.kept {
+            Kept::All(all) => all.push((id, score)),
+            Kept::Best(heap) => {
+                let candidate = Ranked(id, score);
+                if heap.len() < self.k {
+                    heap.push(candidate);
+                } else if let Some(mut worst) = heap.peek_mut() {
+                    if candidate < *worst {
+                        *worst = candidate;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The best `k` candidates pushed, best first.
+    pub fn into_sorted(self) -> Vec<(usize, f64)> {
+        match self.kept {
+            Kept::All(mut all) => {
+                all.sort_unstable_by(best_first);
+                all.truncate(self.k);
+                all
+            }
+            Kept::Best(heap) => heap
+                .into_sorted_vec()
+                .into_iter()
+                .map(|Ranked(id, score)| (id, score))
+                .collect(),
+        }
+    }
+}
+
+/// A candidate ordered by [`best_first`], so "greater" is "ranks later".
+#[derive(Clone, Copy, Debug)]
+struct Ranked(usize, f64);
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        best_first(&(self.0, self.1), &(other.0, other.1))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
 
 #[cfg(test)]
 mod tests {

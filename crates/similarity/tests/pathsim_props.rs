@@ -8,10 +8,11 @@
 //! score ties are common (the id tie-break is exercised) and non-integer
 //! sums are covered; diagonal entries exist only where drawn, so zero
 //! self-counts and `0/0` candidates occur; `n` outruns the edge draw, so
-//! empty rows occur.
+//! empty rows occur. The streaming [`TopK`] selector behind every ranking
+//! site is held to the same sort-then-truncate definition.
 
 use hin_linalg::Csr;
-use hin_similarity::{pathsim_pair, top_k, top_k_pathsim, top_k_pathsim_with_diagonal};
+use hin_similarity::{pathsim_pair, top_k, top_k_pathsim, top_k_pathsim_with_diagonal, TopK};
 use proptest::prelude::*;
 
 const WEIGHTS: [f64; 6] = [1.0, 2.0, 3.0, 0.1, 0.3, 1.7];
@@ -92,5 +93,42 @@ proptest! {
         want.truncate(k);
         prop_assert_eq!(bits(&top_k(scored.clone(), k)), bits(&want));
         prop_assert_eq!(bits(&top_k(scored, usize::MAX)).len(), scores.len());
+    }
+
+    #[test]
+    fn streaming_selector_is_sort_then_truncate(
+        draws in prop::collection::vec((0usize..8, 0usize..1000), 0..60),
+        announced_extra in 0usize..3,
+    ) {
+        // a row as the kernels produce one: ids unique and ascending (with
+        // gaps), scores from the palette above — ties, ±0, NaNs of both
+        // signs and ∞
+        let palette = [0.0, -0.0, 1.0, 1.0, 0.5, f64::NAN, -f64::NAN, f64::INFINITY];
+        let mut id = 0;
+        let row: Vec<(usize, f64)> = draws
+            .iter()
+            .map(|&(s, gap)| {
+                id += 1 + gap % 3;
+                (id, palette[s])
+            })
+            .collect();
+        let mut sorted = row.clone();
+        sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let len = row.len();
+        for k in [0, 1, len.saturating_sub(1), len, len + 1, usize::MAX] {
+            let want = bits(&sorted[..k.min(len)]);
+            // announced exactly, over-announced (a filtered row), and
+            // under-announced: the answer is the same every way
+            for announced in [len, len + announced_extra, len / 2] {
+                let mut top = TopK::new(k, announced);
+                for &(id, score) in &row {
+                    top.push(id, score);
+                }
+                prop_assert_eq!(
+                    bits(&top.into_sorted()), want.clone(),
+                    "k {} announced {} of {}", k, announced, len
+                );
+            }
+        }
     }
 }
