@@ -1,10 +1,11 @@
 //! The checksummed byte-level building blocks the workspace's two binary
-//! formats stand on: the wire frame ([`write_frame`] / [`read_frame`]) the
-//! cross-process serving transport exchanges, and the pieces the cache
-//! snapshot container (`hin-query`'s `snapshot` module) is assembled from —
-//! the typed [`CodecError`], the [`Fnv64`] integrity hash and its four-lane
-//! word variant [`Fnv64x4`], and hashed / truncation-aware read and write
-//! helpers.
+//! formats stand on: the wire frame ([`write_frame`] / [`read_frame`], or
+//! [`encode_frame`] in place and [`frame_head`] / [`frame_payload`] over a
+//! buffer already read) the cross-process serving transport exchanges, and
+//! the pieces the cache snapshot container (`hin-query`'s `snapshot`
+//! module) is assembled from — the typed [`CodecError`], the [`Fnv64`]
+//! integrity hash and its four-lane word variant [`Fnv64x4`], and a
+//! truncation-aware read.
 //!
 //! Decoders built on these are deliberately paranoid: corrupt, truncated,
 //! or hostile input returns a typed [`CodecError`], never panics, and never
@@ -14,8 +15,9 @@
 
 use std::io::{self, Read, Write};
 
-/// Bytes decoded per read while streaming a frame payload in — the bound
-/// that keeps a hostile length prefix from driving one giant allocation.
+/// The most a frame body is sized ahead of the bytes read into it — the
+/// bound that keeps a hostile length prefix from driving one giant
+/// allocation.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// Everything that can go wrong encoding or decoding a frame or a
@@ -249,21 +251,8 @@ impl Fnv64x4 {
     }
 }
 
-/// Write `bytes`, folding them into the running checksum.
-pub fn write_hashed<W: Write>(w: &mut W, hash: &mut Fnv64, bytes: &[u8]) -> Result<(), CodecError> {
-    hash.update(bytes);
-    w.write_all(bytes).map_err(CodecError::Io)
-}
-
-/// Fill `buf` exactly, folding it into the running checksum. A stream that
-/// ends early is a [`CodecError::Truncated`], not an opaque i/o error.
-pub fn read_hashed<R: Read>(r: &mut R, hash: &mut Fnv64, buf: &mut [u8]) -> Result<(), CodecError> {
-    read_exact_or_truncated(r, buf)?;
-    hash.update(buf);
-    Ok(())
-}
-
-/// `read_exact` with end-of-stream mapped to [`CodecError::Truncated`].
+/// `read_exact` with end-of-stream mapped to [`CodecError::Truncated`]: a
+/// stream that ends early is a truncation, not an opaque i/o error.
 pub fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), CodecError> {
     r.read_exact(buf).map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {
@@ -277,83 +266,192 @@ pub fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(),
 /// Magic bytes opening every wire frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"HFRM";
 
+/// The frame layout version this build writes and reads.
+pub const FRAME_VERSION: u8 = 2;
+
+/// Bytes of a frame before its payload: magic, version, kind, length and
+/// the header check word.
+pub const FRAME_HEAD: usize = 18;
+
+/// Bytes of a frame after its payload: the body checksum.
+pub const FRAME_TAIL: usize = 8;
+
 /// Default upper bound on a frame payload (1 GiB). Callers pass their own
 /// cap to [`read_frame`]; this is the figure to reach for when one frame
 /// may carry a whole snapshot image.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 30;
 
-/// Write one length-prefixed, checksummed frame.
+/// The header check word: word-granular FNV over the head's first ten
+/// bytes, read as two little-endian words (the second zero-padded).
+fn head_check(head: &[u8; FRAME_HEAD]) -> u64 {
+    let mut hash = Fnv64::new();
+    hash.update_word(u64::from_le_bytes(head[..8].try_into().expect("8 bytes")));
+    hash.update_word(u64::from(u16::from_le_bytes(
+        head[8..10].try_into().expect("2 bytes"),
+    )));
+    hash.finish()
+}
+
+/// The body checksum: [`Fnv64x4`] over the head's check word, then the
+/// payload's little-endian words, the last one zero-padded.
+fn body_sum(head: &[u8; FRAME_HEAD], payload: &[u8]) -> u64 {
+    let (_, check) = head.split_last_chunk::<8>().expect("8 bytes");
+    let mut hash = Fnv64x4::new();
+    hash.feed(&[*check], u64::from_le_bytes);
+    let (words, tail) = payload.as_chunks::<8>();
+    hash.feed(words, u64::from_le_bytes);
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        hash.feed(&[last], u64::from_le_bytes);
+    }
+    hash.finish()
+}
+
+/// The head of a `kind` frame with a `len`-byte payload.
+fn frame_head_for(kind: u8, len: usize) -> Result<[u8; FRAME_HEAD], CodecError> {
+    let len = u32::try_from(len).map_err(|_| CodecError::DimOverflow {
+        field: "frame payload",
+        value: len as u64,
+    })?;
+    let mut head = [0u8; FRAME_HEAD];
+    head[..4].copy_from_slice(&FRAME_MAGIC);
+    head[4] = FRAME_VERSION;
+    head[5] = kind;
+    head[6..10].copy_from_slice(&len.to_le_bytes());
+    let check = head_check(&head);
+    head[10..].copy_from_slice(&check.to_le_bytes());
+    Ok(head)
+}
+
+/// Write one length-prefixed, checksummed frame from a borrowed payload.
 ///
-/// # Frame layout
+/// # Frame layout (version 2)
 ///
 /// ```text
 /// magic     4 bytes   b"HFRM"
+/// version   u8        2
 /// kind      u8        caller-defined frame type tag
 /// len       u32 LE    payload length in bytes
+/// check     u64 LE    header check: word-FNV over the ten bytes above,
+///                     as two LE words, the second zero-padded
 /// payload   len bytes
-/// checksum  u64 LE    FNV-1a 64 over every preceding byte
+/// checksum  u64 LE    Fnv64x4 over the check word, then the payload's
+///                     LE words, the last one zero-padded
 /// ```
 ///
-/// This is the unit the cross-process serving transport exchanges: the
-/// length prefix lets a reader frame the stream without a delimiter scan,
-/// and the trailing checksum turns a flipped bit anywhere in transit into
-/// a typed [`CodecError::ChecksumMismatch`] instead of a garbled result.
+/// This is the unit the cross-process serving transport exchanges. The
+/// header check is verified before a reader trusts the length, so a
+/// flipped length bit is a typed [`CodecError::ChecksumMismatch`] at once,
+/// not a read that waits for bytes that never come; the trailing checksum
+/// does the same for a flipped bit anywhere in the payload. A frame of
+/// another version is [`CodecError::UnsupportedVersion`].
 pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<(), CodecError> {
-    let len = u32::try_from(payload.len()).map_err(|_| CodecError::DimOverflow {
-        field: "frame payload",
-        value: payload.len() as u64,
-    })?;
-    let mut hash = Fnv64::new();
-    write_hashed(w, &mut hash, &FRAME_MAGIC)?;
-    write_hashed(w, &mut hash, &[kind])?;
-    write_hashed(w, &mut hash, &len.to_le_bytes())?;
-    write_hashed(w, &mut hash, payload)?;
-    w.write_all(&hash.finish().to_le_bytes())?;
+    let head = frame_head_for(kind, payload.len())?;
+    w.write_all(&head)?;
+    w.write_all(payload)?;
+    w.write_all(&body_sum(&head, payload).to_le_bytes())?;
     w.flush()?;
     Ok(())
 }
 
-/// Read one frame written by [`write_frame`], returning `(kind, payload)`.
-///
-/// `max_payload` bounds the announced length *before* anything is
-/// allocated, so a hostile or corrupt length prefix cannot drive a giant
-/// allocation; the payload itself is still read in bounded chunks. Every
-/// failure — bad magic, oversized length, truncation, checksum mismatch —
-/// is a typed [`CodecError`], never a panic.
-pub fn read_frame<R: Read>(r: &mut R, max_payload: usize) -> Result<(u8, Vec<u8>), CodecError> {
-    let mut hash = Fnv64::new();
-    let mut magic = [0u8; 4];
-    read_hashed(r, &mut hash, &mut magic)?;
+/// Append one frame to `buf` in place: `put` writes the payload straight
+/// after a reserved head and returns the frame's kind; the head and the
+/// checksum are then filled in around it. Byte-identical to
+/// [`write_frame`] over the same payload. On error `buf` is left as it was.
+pub fn encode_frame(
+    buf: &mut Vec<u8>,
+    put: impl FnOnce(&mut Vec<u8>) -> u8,
+) -> Result<(), CodecError> {
+    let start = buf.len();
+    let at = start + FRAME_HEAD;
+    buf.resize(at, 0);
+    let kind = put(buf);
+    let head = match frame_head_for(kind, buf.len() - at) {
+        Ok(head) => head,
+        Err(e) => {
+            buf.truncate(start);
+            return Err(e);
+        }
+    };
+    buf[start..at].copy_from_slice(&head);
+    let sum = body_sum(&head, &buf[at..]);
+    buf.extend_from_slice(&sum.to_le_bytes());
+    Ok(())
+}
+
+/// Verify a frame head — magic, then version, then the check word — and
+/// return `(kind, payload length)`. Nothing in the head is trusted before
+/// its check word matches, and `max_payload` bounds the length before the
+/// caller sizes anything by it.
+pub fn frame_head(head: &[u8; FRAME_HEAD], max_payload: usize) -> Result<(u8, usize), CodecError> {
+    let magic: [u8; 4] = head[..4].try_into().expect("4 bytes");
     if magic != FRAME_MAGIC {
         return Err(CodecError::BadMagic { found: magic });
     }
-    let mut kind = [0u8; 1];
-    read_hashed(r, &mut hash, &mut kind)?;
-    let mut len_bytes = [0u8; 4];
-    read_hashed(r, &mut hash, &mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
+    if head[4] != FRAME_VERSION {
+        return Err(CodecError::UnsupportedVersion(u32::from(head[4])));
+    }
+    let stored = u64::from_le_bytes(head[10..].try_into().expect("8 bytes"));
+    let computed = head_check(head);
+    if stored != computed {
+        return Err(CodecError::ChecksumMismatch { stored, computed });
+    }
+    let len = u32::from_le_bytes(head[6..10].try_into().expect("4 bytes")) as usize;
     if len > max_payload {
         return Err(CodecError::Malformed(format!(
             "frame payload length {len} exceeds the {max_payload}-byte cap"
         )));
     }
-    let mut payload = vec![0u8; len.min(READ_CHUNK)];
-    let mut out = Vec::new();
-    let mut remaining = len;
-    while remaining > 0 {
-        let take = remaining.min(payload.len());
-        read_hashed(r, &mut hash, &mut payload[..take])?;
-        out.extend_from_slice(&payload[..take]);
-        remaining -= take;
+    Ok((head[5], len))
+}
+
+/// Read the body — `len` payload bytes and the checksum — that follows a
+/// head [`frame_head`] accepted. One exact allocation when it fits in a
+/// read chunk; past that the buffer grows a chunk at a time as bytes
+/// arrive, so a hostile length fails on the first missing byte, not in the
+/// allocator.
+pub fn read_frame_body<R: Read>(r: &mut R, len: usize) -> Result<Vec<u8>, CodecError> {
+    let total = len.saturating_add(FRAME_TAIL);
+    let mut body = vec![0u8; total.min(READ_CHUNK)];
+    read_exact_or_truncated(r, &mut body)?;
+    while body.len() < total {
+        let at = body.len();
+        body.resize(total.min(at + READ_CHUNK), 0);
+        read_exact_or_truncated(r, &mut body[at..])?;
     }
-    let mut stored = [0u8; 8];
-    read_exact_or_truncated(r, &mut stored)?;
-    let stored = u64::from_le_bytes(stored);
-    let computed = hash.finish();
+    Ok(body)
+}
+
+/// Check a frame body — payload, then checksum — against its verified
+/// head, and return the payload.
+pub fn frame_payload<'a>(head: &[u8; FRAME_HEAD], body: &'a [u8]) -> Result<&'a [u8], CodecError> {
+    let (payload, stored) = body
+        .split_last_chunk::<FRAME_TAIL>()
+        .ok_or(CodecError::Truncated)?;
+    let stored = u64::from_le_bytes(*stored);
+    let computed = body_sum(head, payload);
     if stored != computed {
         return Err(CodecError::ChecksumMismatch { stored, computed });
     }
-    Ok((kind[0], out))
+    Ok(payload)
+}
+
+/// Read one frame written by [`write_frame`], returning `(kind, payload)`.
+///
+/// `max_payload` bounds the announced length *before* anything is
+/// allocated, and the head's check word is verified before the length is
+/// used at all. Every failure — bad magic, another version, a corrupt
+/// head, an oversized length, truncation, checksum mismatch — is a typed
+/// [`CodecError`], never a panic.
+pub fn read_frame<R: Read>(r: &mut R, max_payload: usize) -> Result<(u8, Vec<u8>), CodecError> {
+    let mut head = [0u8; FRAME_HEAD];
+    read_exact_or_truncated(r, &mut head)?;
+    let (kind, len) = frame_head(&head, max_payload)?;
+    let mut body = read_frame_body(r, len)?;
+    frame_payload(&head, &body)?;
+    body.truncate(len);
+    Ok((kind, body))
 }
 
 #[cfg(test)]
@@ -477,14 +575,54 @@ mod tests {
     fn frame_length_cap_rejects_before_allocating() {
         // header announces 2^31 bytes; a 16-byte cap must reject on the
         // prefix alone (the input carries no payload at all)
-        let mut bytes = Vec::new();
-        let mut hash = Fnv64::new();
-        write_hashed(&mut bytes, &mut hash, &FRAME_MAGIC).unwrap();
-        write_hashed(&mut bytes, &mut hash, &[1u8]).unwrap();
-        write_hashed(&mut bytes, &mut hash, &(1u32 << 31).to_le_bytes()).unwrap();
+        let mut bytes = FRAME_MAGIC.to_vec();
+        bytes.extend_from_slice(&[FRAME_VERSION, 1]);
+        bytes.extend_from_slice(&(1u32 << 31).to_le_bytes());
+        let mut check = Fnv64::new();
+        check.update_word(u64::from_le_bytes(bytes[..8].try_into().unwrap()));
+        check.update_word(u64::from(u16::from_le_bytes(
+            bytes[8..].try_into().unwrap(),
+        )));
+        bytes.extend_from_slice(&check.finish().to_le_bytes());
         assert!(matches!(
             read_frame(&mut bytes.as_slice(), 16),
             Err(CodecError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn in_place_and_borrowed_frames_are_the_same_bytes() {
+        for len in 0..40 {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let mut streamed = Vec::new();
+            write_frame(&mut streamed, 9, &payload).unwrap();
+            // appended after a frame already in the buffer
+            let mut in_place = b"prior".to_vec();
+            encode_frame(&mut in_place, |buf| {
+                buf.extend_from_slice(&payload);
+                9
+            })
+            .unwrap();
+            assert_eq!(&in_place[..5], b"prior");
+            assert_eq!(in_place[5..], streamed, "{len}-byte payload");
+            assert_eq!(streamed.len(), FRAME_HEAD + len + FRAME_TAIL);
+        }
+    }
+
+    #[test]
+    fn a_corrupt_head_is_refused_before_its_length_is_used() {
+        let mut clean = Vec::new();
+        write_frame(&mut clean, 3, &[7u8; 100]).unwrap();
+        for bit in 0..FRAME_HEAD * 8 {
+            let mut head: [u8; FRAME_HEAD] = clean[..FRAME_HEAD].try_into().unwrap();
+            head[bit / 8] ^= 1 << (bit % 8);
+            let err = frame_head(&head, MAX_FRAME_PAYLOAD).expect_err("a flipped head bit");
+            let want = match bit / 8 {
+                0..4 => matches!(err, CodecError::BadMagic { .. }),
+                4 => matches!(err, CodecError::UnsupportedVersion(_)),
+                _ => matches!(err, CodecError::ChecksumMismatch { .. }),
+            };
+            assert!(want, "bit {bit}: {err}");
+        }
     }
 }

@@ -19,7 +19,8 @@
 //! Probabilities are expressed per mille (0..=1000) and drawn from a
 //! seeded linear congruential generator behind a mutex — cheap, portable,
 //! and reproducible across runs and platforms. `FaultConfig::default()`
-//! injects nothing; a zeroed injector costs one mutex lock per frame.
+//! injects nothing; a zeroed injector takes no lock, only one relaxed load
+//! and one relaxed add per frame.
 //!
 //! [`ShardListener`]: crate::ShardListener
 //! [`FaultKind::Corrupt`]: FaultKind::Corrupt
@@ -49,8 +50,8 @@ pub struct FaultConfig {
     /// Chance (‰) of writing only a prefix of the frame, then closing —
     /// the peer sees a typed truncation error.
     pub truncate_per_mille: u16,
-    /// Chance (‰) of flipping one payload bit *after* checksumming — the
-    /// peer sees a checksum mismatch, never silent corruption.
+    /// Chance (‰) of flipping one bit of a sealed frame, head included —
+    /// the peer sees a typed error, never silent corruption.
     pub corrupt_per_mille: u16,
     /// Kill the listener (abort every connection, stop accepting) after
     /// this many requests have been admitted — the crash the failover
@@ -84,8 +85,8 @@ pub enum FaultKind {
     Drop,
     /// Send only the first `n` bytes, then close.
     Truncate(usize),
-    /// Flip bit `b` (mod frame length × 8) after the checksum was
-    /// computed, then send in full.
+    /// Flip bit `b` (mod frame length × 8) of the sealed frame — head,
+    /// payload or checksum — then send in full.
     Corrupt(u32),
     /// The kill budget is exhausted: abort the whole listener.
     Kill,

@@ -52,11 +52,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hin_core::Hin;
+use hin_linalg::codec::CodecError;
 use hin_query::{CacheSnapshot, QueryError, QueryOutput};
 
 use crate::faultinject::{FaultInjector, FaultKind, FaultStats};
 use crate::server::{ReplySender, ServeConfig, Server, ServerStats, Ticket};
-use crate::wire::Message;
+use crate::wire::{encode_request, write_warm, Message};
 
 /// How long the accept loop sleeps between polls of a quiet socket.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
@@ -264,9 +265,9 @@ enum Reply {
 fn serve_conn(shared: &ListenerShared, stream: TcpStream) {
     let lane = shared.server.handle();
     let mut reader = BufReader::new(&stream);
-    let mut burst = Vec::new();
+    let (mut burst, mut out) = (Vec::new(), Vec::new());
     while !shared.stop.load(Ordering::SeqCst) {
-        let reply = match Message::read_from(&mut reader) {
+        let reply = match Message::read_buffered(&mut reader) {
             Ok(Message::Request {
                 id,
                 ttl_micros,
@@ -305,21 +306,27 @@ fn serve_conn(shared: &ListenerShared, stream: TcpStream) {
             _ => break,
         };
         burst.push(reply);
-        if reader.buffer().is_empty() && !answer(shared, &stream, &mut burst) {
+        if reader.buffer().is_empty() && !answer(shared, &stream, &mut burst, &mut out) {
             break;
         }
     }
     // frames admitted before the loop ended are still answered
-    answer(shared, &stream, &mut burst);
+    answer(shared, &stream, &mut burst, &mut out);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Answer a burst in arrival order with one `write`. The fault injector
-/// rules on every frame: a delay flushes the frames before it, then stalls;
-/// drop, truncate and kill flush the frames before it and end the
-/// connection (`false`), as does a failed write.
-fn answer(shared: &ListenerShared, mut stream: &TcpStream, burst: &mut Vec<Reply>) -> bool {
-    let mut out = Vec::new();
+/// Answer a burst in arrival order with one `write`, every frame encoded
+/// straight into `out` (the connection's buffer, kept between bursts). The
+/// fault injector rules on every frame: a delay flushes the frames before
+/// it, then stalls; drop, truncate and kill flush the frames before it and
+/// end the connection (`false`), as does a failed write.
+fn answer(
+    shared: &ListenerShared,
+    mut stream: &TcpStream,
+    burst: &mut Vec<Reply>,
+    out: &mut Vec<u8>,
+) -> bool {
+    out.clear();
     for reply in burst.drain(..) {
         let msg = match reply {
             Reply::Query(id, deadline, ticket) => Message::Response {
@@ -332,7 +339,7 @@ fn answer(shared: &ListenerShared, mut stream: &TcpStream, burst: &mut Vec<Reply
             Reply::Ready(msg) => msg,
         };
         let start = out.len();
-        if msg.write_to(&mut out).is_err() {
+        if msg.encode(out).is_err() {
             return false;
         }
         let len = out.len() - start;
@@ -346,8 +353,8 @@ fn answer(shared: &ListenerShared, mut stream: &TcpStream, burst: &mut Vec<Reply
                 std::thread::sleep(shared.inject.delay());
             }
             FaultKind::Corrupt(bit) => {
-                // flip a payload bit *after* the checksum: the client must
-                // detect it, never trust it
+                // flip one bit anywhere in the sealed frame, head included:
+                // the client must detect it, never trust it
                 let at = bit as usize % (len * 8);
                 out[start + at / 8] ^= 1 << (at % 8);
             }
@@ -355,7 +362,7 @@ fn answer(shared: &ListenerShared, mut stream: &TcpStream, burst: &mut Vec<Reply
                 // drop, truncate, kill: flush what came before, then end
                 let cut = if let FaultKind::Truncate(n) = f { n } else { 0 };
                 out.truncate(start + cut.min(len));
-                let _ = stream.write_all(&out);
+                let _ = stream.write_all(out);
                 if f == FaultKind::Kill {
                     shared.abort();
                 }
@@ -363,7 +370,7 @@ fn answer(shared: &ListenerShared, mut stream: &TcpStream, burst: &mut Vec<Reply
             }
         }
     }
-    stream.write_all(&out).is_ok()
+    stream.write_all(out).is_ok()
 }
 
 // ---------------------------------------------------------------------------
@@ -461,14 +468,16 @@ struct Inflight {
 
 /// A link's lock-protected half: the write side of its connection (`None`
 /// between connections), what it owes by request id (id order is write
-/// order: the first entry is the oldest), and the transport failures since
-/// the last answer, which size the backoff.
+/// order: the first entry is the oldest), the transport failures since
+/// the last answer, which size the backoff, and the buffer each send
+/// encodes its frames into.
 #[derive(Default)]
 struct LinkState {
     conn: Option<TcpStream>,
     owed: BTreeMap<u64, Inflight>,
     streak: u32,
     closing: bool,
+    out: Vec<u8>,
 }
 
 /// One pipelined connection: submitters write under the lock, one reader
@@ -601,27 +610,21 @@ impl RemoteShared {
     /// reader's recovery re-sends.
     fn send(&self, st: &mut LinkState, from: u64) -> std::io::Result<()> {
         let now = Instant::now();
-        let mut frames = Vec::new();
-        for (&id, req) in st.owed.range_mut(from..) {
+        let LinkState {
+            conn, owed, out, ..
+        } = st;
+        out.clear();
+        for (&id, req) in owed.range_mut(from..) {
             let budget = req.deadline.map(|d| d.saturating_duration_since(now));
             req.due = now.checked_add(budget.unwrap_or(self.config.request_timeout));
             // a live budget never rounds down to 0, which means "none"
             let ttl_micros = budget.map_or(0, |d| {
                 u64::try_from(d.as_micros()).unwrap_or(u64::MAX).max(1)
             });
-            let query = req.query.clone();
-            let msg = Message::Request {
-                id,
-                ttl_micros,
-                query,
-            };
-            msg.write_to(&mut frames).map_err(std::io::Error::other)?;
+            encode_request(out, id, ttl_micros, &req.query).map_err(std::io::Error::other)?;
         }
-        let written = st
-            .conn
-            .as_ref()
-            .map_or(Ok(()), |mut c| c.write_all(&frames));
-        if let Some(conn) = st.conn.take_if(|_| written.is_err()) {
+        let written = conn.as_ref().map_or(Ok(()), |mut c| c.write_all(out));
+        if let Some(conn) = conn.take_if(|_| written.is_err()) {
             let _ = conn.shutdown(Shutdown::Both);
         }
         written
@@ -722,7 +725,7 @@ impl RemoteShared {
                 }
                 Err(e) => return Err(format!("receive: {e}")),
             }
-            let (id, result) = match Message::read_from(&mut reader) {
+            let (id, result) = match Message::read_buffered(&mut reader) {
                 Ok(Message::Response { id, result }) => (id, result),
                 Ok(other) => return Err(format!("protocol violation: unexpected {other:?}")),
                 Err(e) => return Err(format!("receive: {e}")),
@@ -913,7 +916,8 @@ impl RemoteServerHandle {
     pub fn ping(&self, timeout: Duration) -> Result<Duration, String> {
         let t0 = Instant::now();
         let nonce = self.shared.count.next_id.fetch_add(1, Ordering::Relaxed) ^ 0x9E37;
-        let result = match self.call(&Message::Ping { nonce }, timeout) {
+        let ping = |s: &mut TcpStream| Message::Ping { nonce }.write_to(s);
+        let result = match self.call(ping, timeout) {
             Ok(Message::Pong { nonce: n }) if n == nonce => Ok(t0.elapsed()),
             Ok(other) => Err(format!("protocol violation: {other:?}")),
             Err(e) => Err(e),
@@ -931,29 +935,29 @@ impl RemoteServerHandle {
     /// Stream a snapshot image ([`CacheSnapshot::to_bytes`]) into the
     /// shard's cache over a dedicated connection — warm-starting a remote
     /// process with no shared filesystem. Returns `(loaded, rejected)`, once
-    /// the shard has verified every entry it loaded.
+    /// the shard has verified every entry it loaded. The frame is written
+    /// from the borrowed image: no copy of it is made.
     pub fn warm(&self, image: &[u8], timeout: Duration) -> Result<(u64, u64), String> {
-        let image = image.to_vec();
-        match self.call(&Message::Warm { image }, timeout)? {
+        match self.call(|s| write_warm(s, image), timeout)? {
             Message::WarmAck { loaded, rejected } => Ok((loaded, rejected)),
             other => Err(format!("protocol violation: {other:?}")),
         }
     }
 
     /// One round trip on a dedicated connection, outside the pipelined
-    /// links and the breaker: connect, send `request`, read one answer.
-    fn call(&self, request: &Message, timeout: Duration) -> Result<Message, String> {
+    /// links and the breaker: connect, `send` one frame, read one answer.
+    fn call(
+        &self,
+        send: impl FnOnce(&mut TcpStream) -> Result<(), CodecError>,
+        timeout: Duration,
+    ) -> Result<Message, String> {
         let mut stream = TcpStream::connect_timeout(&self.shared.addr, timeout)
             .map_err(|e| format!("connect: {e}"))?;
         let _ = stream.set_nodelay(true);
         stream
             .set_read_timeout(Some(timeout.max(MIN_READ_TIMEOUT)))
             .map_err(|e| format!("arm timeout: {e}"))?;
-        let mut frame = Vec::new();
-        request
-            .write_to(&mut frame)
-            .map_err(|e| format!("encode: {e}"))?;
-        stream.write_all(&frame).map_err(|e| format!("send: {e}"))?;
+        send(&mut stream).map_err(|e| format!("send: {e}"))?;
         Message::read_from(&mut &stream).map_err(|e| format!("receive: {e}"))
     }
 

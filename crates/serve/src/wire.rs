@@ -1,10 +1,14 @@
 //! The cross-process serving wire protocol.
 //!
 //! One [`Message`] per frame, framed and integrity-checked by
-//! `hin_linalg::codec`'s length-prefixed [`write_frame`] /
-//! [`read_frame`] primitives (magic, type tag, `u32` length, payload,
-//! trailing FNV-1a 64 checksum). Everything a router and a remote shard
-//! exchange is one of six messages:
+//! `hin_linalg::codec`'s version-2 frame ([`write_frame`] documents the
+//! layout): magic, version, type tag, `u32` length and a header check word
+//! that is verified before the length is trusted, then the payload and a
+//! four-lane word-FNV checksum over it. A frame is encoded in place, at
+//! the end of the caller's buffer, and decoded in one pass: from the
+//! reader's buffer when it already holds the whole frame, else from one
+//! exact read. Everything a router and a remote shard exchange is one of
+//! six messages:
 //!
 //! * `Request { id, ttl, query }` — a query plus its **remaining deadline
 //!   budget** in microseconds. The budget is relative, not an absolute
@@ -26,12 +30,16 @@
 //!
 //! Decoding is paranoid in the same way the snapshot codec is: corrupt,
 //! truncated, or hostile payloads return a typed [`CodecError`], never
-//! panic, and never allocate according to unvalidated length fields.
+//! panic, and never allocate according to unvalidated length fields — a
+//! frame of another version included.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 
 use hin_core::HinError;
-use hin_linalg::codec::{read_frame, write_frame, CodecError, MAX_FRAME_PAYLOAD};
+use hin_linalg::codec::{
+    encode_frame, frame_head, frame_payload, read_exact_or_truncated, read_frame_body, write_frame,
+    CodecError, FRAME_HEAD, FRAME_TAIL, MAX_FRAME_PAYLOAD,
+};
 use hin_query::{QueryError, QueryOutput, Verb};
 
 /// Cap on request/response/ping payloads. Query text and ranked result
@@ -93,119 +101,212 @@ pub enum Message {
 }
 
 impl Message {
-    /// Serialize into one frame on `w`.
+    /// Serialize into one frame on `w`, with one `write`: the frame is
+    /// sized first, then encoded into one exact allocation.
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), CodecError> {
-        let mut payload = Vec::new();
-        let kind = match self {
+        let mut len = Len(0);
+        self.put_payload(&mut len);
+        let mut frame = Vec::with_capacity(FRAME_HEAD + len.0 + FRAME_TAIL);
+        self.encode(&mut frame)?;
+        w.write_all(&frame)?;
+        w.flush()?;
+        Ok(())
+    }
+
+    /// Append this message's frame to `buf`, encoded in place.
+    pub(crate) fn encode(&self, buf: &mut Vec<u8>) -> Result<(), CodecError> {
+        encode_frame(buf, |buf| self.put_payload(buf))
+    }
+
+    /// Put this message's payload into `buf`; returns its frame type.
+    fn put_payload(&self, buf: &mut impl Sink) -> u8 {
+        match self {
             Message::Request {
                 id,
                 ttl_micros,
                 query,
-            } => {
-                put_u64(&mut payload, *id);
-                put_u64(&mut payload, *ttl_micros);
-                put_str(&mut payload, query);
-                KIND_REQUEST
-            }
+            } => put_request(buf, *id, *ttl_micros, query),
             Message::Response { id, result } => {
-                put_u64(&mut payload, *id);
+                put_u64(buf, *id);
                 match result {
                     Ok(out) => {
-                        payload.push(0);
-                        put_output(&mut payload, out);
+                        put_u8(buf, 0);
+                        put_output(buf, out);
                     }
                     Err(err) => {
-                        payload.push(1);
-                        put_error(&mut payload, err);
+                        put_u8(buf, 1);
+                        put_error(buf, err);
                     }
                 }
                 KIND_RESPONSE
             }
             Message::Ping { nonce } => {
-                put_u64(&mut payload, *nonce);
+                put_u64(buf, *nonce);
                 KIND_PING
             }
             Message::Pong { nonce } => {
-                put_u64(&mut payload, *nonce);
+                put_u64(buf, *nonce);
                 KIND_PONG
             }
             Message::Warm { image } => {
-                payload.extend_from_slice(image);
+                buf.put(image);
                 KIND_WARM
             }
             Message::WarmAck { loaded, rejected } => {
-                put_u64(&mut payload, *loaded);
-                put_u64(&mut payload, *rejected);
+                put_u64(buf, *loaded);
+                put_u64(buf, *rejected);
                 KIND_WARM_ACK
             }
-        };
-        write_frame(w, kind, &payload)
+        }
     }
 
-    /// Read exactly one frame from `r` and decode it.
+    /// Read exactly one frame from `r` and decode it: the head, then the
+    /// body in one exact read (chunked past the codec's read chunk).
     pub fn read_from<R: Read>(r: &mut R) -> Result<Message, CodecError> {
-        let (kind, payload) = read_frame(r, MAX_WARM)?;
-        if kind != KIND_WARM && payload.len() > MAX_MESSAGE {
-            return Err(CodecError::Malformed(format!(
-                "{}-byte payload on a non-snapshot frame (kind {kind})",
-                payload.len()
-            )));
+        let mut head = [0u8; FRAME_HEAD];
+        read_exact_or_truncated(r, &mut head)?;
+        let (kind, len) = checked_head(&head)?;
+        let mut body = read_frame_body(r, len)?;
+        let payload = frame_payload(&head, &body)?;
+        if kind != KIND_WARM {
+            return decode(kind, payload);
         }
-        let mut cur = Cursor {
-            buf: &payload,
-            at: 0,
-        };
-        let msg = match kind {
-            KIND_REQUEST => Message::Request {
-                id: cur.u64()?,
-                ttl_micros: cur.u64()?,
-                query: cur.str()?,
-            },
-            KIND_RESPONSE => {
-                let id = cur.u64()?;
-                let result = match cur.u8()? {
-                    0 => Ok(cur.output()?),
-                    1 => Err(cur.error()?),
-                    t => return Err(malformed(format!("unknown result tag {t}"))),
-                };
-                Message::Response { id, result }
-            }
-            KIND_PING => Message::Ping { nonce: cur.u64()? },
-            KIND_PONG => Message::Pong { nonce: cur.u64()? },
-            KIND_WARM => {
-                return Ok(Message::Warm { image: payload });
-            }
-            KIND_WARM_ACK => Message::WarmAck {
-                loaded: cur.u64()?,
-                rejected: cur.u64()?,
-            },
-            k => return Err(malformed(format!("unknown frame kind {k}"))),
-        };
-        if cur.at != payload.len() {
-            return Err(malformed(format!(
-                "{} trailing bytes after a kind-{kind} payload",
-                payload.len() - cur.at
-            )));
-        }
-        Ok(msg)
+        // the image is the body itself, less its checksum: no copy
+        body.truncate(len);
+        Ok(Message::Warm { image: body })
     }
+
+    /// [`Message::read_from`] over a buffered reader: a frame the buffer
+    /// already holds whole is decoded where it lies and consumed.
+    pub(crate) fn read_buffered<R: BufRead>(r: &mut R) -> Result<Message, CodecError> {
+        let buf = r.fill_buf()?;
+        if let Some(head) = buf.first_chunk::<FRAME_HEAD>() {
+            let (kind, len) = checked_head(head)?;
+            let end = FRAME_HEAD + len + FRAME_TAIL;
+            if let Some(body) = buf.get(FRAME_HEAD..end) {
+                let msg = decode(kind, frame_payload(head, body)?);
+                r.consume(end);
+                return msg;
+            }
+        }
+        Self::read_from(r)
+    }
+}
+
+/// Append a [`Message::Request`] frame for a borrowed query to `buf`.
+pub(crate) fn encode_request(
+    buf: &mut Vec<u8>,
+    id: u64,
+    ttl_micros: u64,
+    query: &str,
+) -> Result<(), CodecError> {
+    encode_frame(buf, |buf| put_request(buf, id, ttl_micros, query))
+}
+
+/// Write a [`Message::Warm`] frame straight from a borrowed image: the
+/// head, the image, the checksum, and no copy of the image.
+pub(crate) fn write_warm<W: Write>(w: &mut W, image: &[u8]) -> Result<(), CodecError> {
+    write_frame(w, KIND_WARM, image)
+}
+
+/// A verified head whose length is within its kind's cap.
+fn checked_head(head: &[u8; FRAME_HEAD]) -> Result<(u8, usize), CodecError> {
+    let (kind, len) = frame_head(head, MAX_WARM)?;
+    if kind != KIND_WARM && len > MAX_MESSAGE {
+        return Err(malformed(format!(
+            "{len}-byte payload on a non-snapshot frame (kind {kind})"
+        )));
+    }
+    Ok((kind, len))
+}
+
+/// Decode one verified payload of frame type `kind`.
+fn decode(kind: u8, payload: &[u8]) -> Result<Message, CodecError> {
+    let mut cur = Cursor {
+        buf: payload,
+        at: 0,
+    };
+    let msg = match kind {
+        KIND_REQUEST => Message::Request {
+            id: cur.u64()?,
+            ttl_micros: cur.u64()?,
+            query: cur.str()?,
+        },
+        KIND_RESPONSE => {
+            let id = cur.u64()?;
+            let result = match cur.u8()? {
+                0 => Ok(cur.output()?),
+                1 => Err(cur.error()?),
+                t => return Err(malformed(format!("unknown result tag {t}"))),
+            };
+            Message::Response { id, result }
+        }
+        KIND_PING => Message::Ping { nonce: cur.u64()? },
+        KIND_PONG => Message::Pong { nonce: cur.u64()? },
+        KIND_WARM => Message::Warm {
+            image: cur.take(payload.len())?.to_vec(),
+        },
+        KIND_WARM_ACK => Message::WarmAck {
+            loaded: cur.u64()?,
+            rejected: cur.u64()?,
+        },
+        k => return Err(malformed(format!("unknown frame kind {k}"))),
+    };
+    if cur.remaining() != 0 {
+        return Err(malformed(format!(
+            "{} trailing bytes after a kind-{kind} payload",
+            cur.remaining()
+        )));
+    }
+    Ok(msg)
 }
 
 fn malformed(msg: String) -> CodecError {
     CodecError::Malformed(msg)
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Where a payload is put: a frame buffer, or a [`Len`] sizing one.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
 }
 
-fn put_output(buf: &mut Vec<u8>, out: &QueryOutput) {
-    buf.push(verb_tag(out.verb));
+/// The bytes a payload would take.
+struct Len(usize);
+
+impl Sink for Len {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+fn put_request(buf: &mut impl Sink, id: u64, ttl_micros: u64, query: &str) -> u8 {
+    put_u64(buf, id);
+    put_u64(buf, ttl_micros);
+    put_str(buf, query);
+    KIND_REQUEST
+}
+
+fn put_u8(buf: &mut impl Sink, v: u8) {
+    buf.put(&[v]);
+}
+
+fn put_u64(buf: &mut impl Sink, v: u64) {
+    buf.put(&v.to_le_bytes());
+}
+
+fn put_str(buf: &mut impl Sink, s: &str) {
+    buf.put(&(s.len() as u32).to_le_bytes());
+    buf.put(s.as_bytes());
+}
+
+fn put_output(buf: &mut impl Sink, out: &QueryOutput) {
+    put_u8(buf, verb_tag(out.verb));
     put_str(buf, &out.object_type);
     put_u64(buf, out.items.len() as u64);
     for (name, score) in &out.items {
@@ -214,14 +315,14 @@ fn put_output(buf: &mut Vec<u8>, out: &QueryOutput) {
     }
 }
 
-fn put_error(buf: &mut Vec<u8>, err: &QueryError) {
+fn put_error(buf: &mut impl Sink, err: &QueryError) {
     match err {
         QueryError::Parse(s) => {
-            buf.push(0);
+            put_u8(buf, 0);
             put_str(buf, s);
         }
         QueryError::UnknownName(s) => {
-            buf.push(1);
+            put_u8(buf, 1);
             put_str(buf, s);
         }
         QueryError::AmbiguousRelation {
@@ -229,7 +330,7 @@ fn put_error(buf: &mut Vec<u8>, err: &QueryError) {
             dst,
             candidates,
         } => {
-            buf.push(2);
+            put_u8(buf, 2);
             put_str(buf, src);
             put_str(buf, dst);
             put_u64(buf, candidates.len() as u64);
@@ -243,61 +344,61 @@ fn put_error(buf: &mut Vec<u8>, err: &QueryError) {
             expects,
             backward,
         } => {
-            buf.push(3);
+            put_u8(buf, 3);
             put_str(buf, relation);
             put_str(buf, at);
             put_str(buf, expects);
-            buf.push(u8::from(*backward));
+            put_u8(buf, u8::from(*backward));
         }
         QueryError::NotSymmetric { path } => {
-            buf.push(4);
+            put_u8(buf, 4);
             put_str(buf, path);
         }
-        QueryError::EmptyPath => buf.push(5),
-        QueryError::Canceled => buf.push(6),
-        QueryError::Overloaded => buf.push(7),
-        QueryError::TimedOut => buf.push(8),
+        QueryError::EmptyPath => put_u8(buf, 5),
+        QueryError::Canceled => put_u8(buf, 6),
+        QueryError::Overloaded => put_u8(buf, 7),
+        QueryError::TimedOut => put_u8(buf, 8),
         QueryError::UnknownDataset(s) => {
-            buf.push(9);
+            put_u8(buf, 9);
             put_str(buf, s);
         }
         QueryError::Internal(s) => {
-            buf.push(10);
+            put_u8(buf, 10);
             put_str(buf, s);
         }
         QueryError::Unavailable(s) => {
-            buf.push(11);
+            put_u8(buf, 11);
             put_str(buf, s);
         }
         QueryError::Hin(e) => {
-            buf.push(12);
+            put_u8(buf, 12);
             put_hin_error(buf, e);
         }
     }
 }
 
-fn put_hin_error(buf: &mut Vec<u8>, err: &HinError) {
+fn put_hin_error(buf: &mut impl Sink, err: &HinError) {
     match err {
         HinError::UnknownType(s) => {
-            buf.push(0);
+            put_u8(buf, 0);
             put_str(buf, s);
         }
         HinError::NoRelation { src, dst } => {
-            buf.push(1);
+            put_u8(buf, 1);
             put_str(buf, src);
             put_str(buf, dst);
         }
         HinError::UnknownNode { ty, name } => {
-            buf.push(2);
+            put_u8(buf, 2);
             put_str(buf, ty);
             put_str(buf, name);
         }
         HinError::SchemaShape(s) => {
-            buf.push(3);
+            put_u8(buf, 3);
             put_str(buf, s);
         }
         HinError::Parse { line, message } => {
-            buf.push(4);
+            put_u8(buf, 4);
             put_u64(buf, *line as u64);
             put_str(buf, message);
         }
@@ -307,7 +408,7 @@ fn put_hin_error(buf: &mut Vec<u8>, err: &HinError) {
             dst,
             weight,
         } => {
-            buf.push(5);
+            put_u8(buf, 5);
             put_str(buf, relation);
             put_str(buf, src);
             put_str(buf, dst);
@@ -344,6 +445,19 @@ struct Cursor<'a> {
 }
 
 impl Cursor<'_> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.at
+    }
+
+    /// Room for `count` elements of at least `min_bytes` each, but never
+    /// more than the rest of the payload could hold: a hostile count fails
+    /// on `Truncated`, having allocated no more than the input's size.
+    fn capacity(&self, count: u64, min_bytes: usize) -> usize {
+        usize::try_from(count)
+            .unwrap_or(usize::MAX)
+            .min(self.remaining() / min_bytes)
+    }
+
     fn take(&mut self, n: usize) -> Result<&[u8], CodecError> {
         let end = self
             .at
@@ -376,9 +490,8 @@ impl Cursor<'_> {
         let verb = verb_of(self.u8()?)?;
         let object_type = self.str()?;
         let count = self.u64()?;
-        // one name is ≥ 4 bytes of length prefix + 8 bytes of score, so a
-        // hostile count fails on Truncated before any large allocation
-        let mut items = Vec::new();
+        // one item is ≥ 4 bytes of length prefix + 8 bytes of score
+        let mut items = Vec::with_capacity(self.capacity(count, 12));
         for _ in 0..count {
             let name = self.str()?;
             let score = f64::from_bits(self.u64()?);
@@ -399,7 +512,8 @@ impl Cursor<'_> {
                 let src = self.str()?;
                 let dst = self.str()?;
                 let count = self.u64()?;
-                let mut candidates = Vec::new();
+                // one candidate is ≥ its 4-byte length prefix
+                let mut candidates = Vec::with_capacity(self.capacity(count, 4));
                 for _ in 0..count {
                     candidates.push(self.str()?);
                 }
@@ -629,5 +743,158 @@ mod tests {
             Message::read_from(&mut bytes.as_slice()),
             Err(CodecError::Truncated)
         ));
+    }
+
+    /// A reader over one frame and whatever follows it on the stream that
+    /// fails any read starting past the frame's last byte.
+    struct Fenced<'a> {
+        bytes: &'a [u8],
+        at: usize,
+        fence: usize,
+    }
+
+    impl std::io::Read for Fenced<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if buf.is_empty() {
+                return Ok(0);
+            }
+            if self.at >= self.fence {
+                return Err(std::io::Error::other("read past the frame"));
+            }
+            let n = buf.len().min(self.fence - self.at);
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn every_flipped_bit_is_typed_without_reading_past_the_frame() {
+        let request = Message::Request {
+            id: 9,
+            ttl_micros: 100,
+            query: "pathsim author-paper-author from sun".to_string(),
+        };
+        let response = Message::Response {
+            id: 9,
+            result: Ok(QueryOutput {
+                verb: Verb::PathSim,
+                object_type: "author".to_string(),
+                items: vec![("han".to_string(), 0.5), ("yu".to_string(), 0.25)],
+            }),
+        };
+        for msg in [request, response] {
+            let mut clean = Vec::new();
+            msg.write_to(&mut clean).unwrap();
+            let fence = clean.len();
+            // the stream goes on: another whole frame follows
+            clean.extend_from_within(..fence);
+            for bit in 0..fence * 8 {
+                let mut bytes = clean.clone();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                let fenced = || Fenced {
+                    bytes: &bytes,
+                    at: 0,
+                    fence,
+                };
+                for got in [
+                    Message::read_from(&mut fenced()),
+                    Message::read_buffered(&mut std::io::BufReader::new(fenced())),
+                ] {
+                    let err = got.expect_err("a flipped bit must not decode");
+                    assert!(
+                        !matches!(err, CodecError::Io(_)),
+                        "bit {bit} ({} in the head): {err}",
+                        bit / 8 < FRAME_HEAD
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_warm_frame_from_a_borrowed_image_is_the_owned_encoding() {
+        for len in [0, 1, 7, 8, 9, 4096 + 3] {
+            let image: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut borrowed = Vec::new();
+            write_warm(&mut borrowed, &image).unwrap();
+            let mut owned = Vec::new();
+            Message::Warm {
+                image: image.clone(),
+            }
+            .write_to(&mut owned)
+            .unwrap();
+            assert_eq!(borrowed, owned, "{len}-byte image");
+            let back = Message::read_from(&mut borrowed.as_slice()).unwrap();
+            assert_eq!(back, Message::Warm { image });
+        }
+    }
+
+    #[test]
+    fn buffered_and_unbuffered_reads_agree_on_a_stream() {
+        let messages = [
+            Message::Ping { nonce: 1 },
+            Message::Request {
+                id: 2,
+                ttl_micros: 0,
+                query: "x".repeat(5000),
+            },
+            Message::Warm {
+                image: vec![3; 20_000],
+            },
+            Message::WarmAck {
+                loaded: 4,
+                rejected: 0,
+            },
+        ];
+        let mut stream = Vec::new();
+        for msg in &messages {
+            msg.encode(&mut stream).unwrap();
+        }
+        // a small buffer: some frames lie whole in it, some straddle it
+        let mut reader = std::io::BufReader::with_capacity(6000, stream.as_slice());
+        for msg in &messages {
+            assert_eq!(&Message::read_buffered(&mut reader).unwrap(), msg);
+        }
+        assert!(matches!(
+            Message::read_buffered(&mut reader),
+            Err(CodecError::Truncated)
+        ));
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn a_version_1_frame_is_refused_never_decoded() {
+        // frames in the version-1 layout (magic, kind, u32 length, payload,
+        // byte-wise FNV-1a 64 over all of it), which that layout's decoder
+        // read as `Request { id: 7, ttl_micros: 0, query: "rank
+        // venue-paper-author" }` and as `Response { id: 7, result:
+        // Ok(topk author [("han", 0.75)]) }`
+        let request = unhex(
+            "4846524d012b000000070000000000000000000000000000001700000072616e6b\
+             2076656e75652d70617065722d617574686f72e0e8716d25bfa5cb",
+        );
+        assert!(matches!(
+            Message::read_from(&mut request.as_slice()),
+            Err(CodecError::UnsupportedVersion(1))
+        ));
+        // a version-1 response's kind byte sits where the version goes and
+        // reads as 2: its head check refuses it
+        let response = unhex(
+            "4846524d022b0000000700000000000000000306000000617574686f720100000000\
+             0000000300000068616e000000000000e83fc8f16aba1ce56d1d",
+        );
+        for got in [
+            Message::read_from(&mut response.as_slice()),
+            Message::read_buffered(&mut response.as_slice()),
+        ] {
+            assert!(matches!(got, Err(CodecError::ChecksumMismatch { .. })));
+        }
     }
 }
