@@ -4,45 +4,22 @@
 //! the random-walk measure, SimRank and Personalized PageRank on peer
 //! retrieval — the "find peers, not hubs" result of the PathSim paper —
 //! quantified as *peer precision*: the fraction of an author's top-k that
-//! shares both their planted area and their productivity tier.
+//! shares both their planted area and their productivity tier
+//! ([`PeerStudy`]; `tests/paper_claims.rs` asserts the headline).
 //!
 //! Run with: `cargo run --release -p hin-bench --bin exp_pathsim`
 
-use hin_bench::markdown_table;
+use hin_bench::{markdown_table, PeerStudy};
 use hin_ranking::PageRankConfig;
 use hin_similarity::{
-    commuting_matrix, path_count, ppr_similarity_from, random_walk_measure, simrank, top_k_pathsim,
-    MetaPath, SimRankConfig,
+    path_count, ppr_similarity_from, random_walk_measure, simrank, top_k_pathsim, SimRankConfig,
 };
-use hin_synth::DblpConfig;
 
 fn main() {
-    let data = DblpConfig {
-        n_areas: 4,
-        authors_per_area: 60,
-        n_papers: 2_000,
-        noise: 0.05,
-        zipf_exponent: 1.1, // strong skew: hubs exist
-        seed: 11,
-        ..Default::default()
-    }
-    .generate();
+    let study = PeerStudy::new(11);
+    let (data, m, papers) = (&study.data, &study.m, &study.papers);
     let hin = &data.hin;
-    let n_authors = hin.node_count(data.author);
-
-    // productivity (paper count) per author and tier function
-    let ap = hin.adjacency(data.author, data.paper).expect("rel");
-    let papers: Vec<usize> = (0..n_authors).map(|a| ap.row_nnz(a)).collect();
-    let is_peer = |a: usize, b: usize| {
-        data.author_area[a] == data.author_area[b]
-            && papers[b] as f64 <= 3.0 * papers[a].max(1) as f64
-            && papers[a] as f64 <= 3.0 * papers[b].max(1) as f64
-    };
-
-    // APVPA commuting matrix for the meta-path measures
-    let apvpa = MetaPath::from_type_names(hin, &["author", "paper", "venue", "paper", "author"])
-        .expect("path");
-    let m = commuting_matrix(hin, &apvpa).expect("commutes");
+    let n_authors = papers.len();
 
     // homogeneous co-author graph for SimRank / PPR
     let co = data.coauthor_network();
@@ -53,47 +30,32 @@ fn main() {
             ..Default::default()
         },
     );
-
-    // query set: mid-tier authors (not hubs, not one-hit) from each area
-    let queries: Vec<usize> = (0..n_authors)
-        .filter(|&a| papers[a] >= 5 && papers[a] <= 20)
-        .take(40)
-        .collect();
+    // the best `K` of a dense score row, the query excluded
+    let dense_top = |q: usize, score: &dyn Fn(usize) -> f64| {
+        let mut row: Vec<(usize, f64)> = (0..n_authors)
+            .filter(|&b| b != q)
+            .map(|b| (b, score(b)))
+            .collect();
+        row.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        row.truncate(K);
+        row
+    };
     const K: usize = 10;
 
-    let mut precision = vec![0.0f64; 5];
-    for &q in &queries {
-        let eval = |list: &[(usize, f64)]| -> f64 {
-            if list.is_empty() {
-                return 0.0;
-            }
-            list.iter().filter(|&&(b, _)| is_peer(q, b)).count() as f64 / list.len() as f64
-        };
-        precision[0] += eval(&top_k_pathsim(&m, q, K));
-        precision[1] += eval(&path_count(&m, q, K));
-        precision[2] += eval(&random_walk_measure(&m, q, K));
-        // SimRank top-k from the dense score matrix
-        let mut sr_row: Vec<(usize, f64)> = (0..n_authors)
-            .filter(|&b| b != q)
-            .map(|b| (b, sr.scores.get(q, b)))
-            .collect();
-        sr_row.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-        sr_row.truncate(K);
-        precision[3] += eval(&sr_row);
-        // PPR top-k
-        let ppr = ppr_similarity_from(&co, q, &PageRankConfig::default());
-        let mut ppr_row: Vec<(usize, f64)> = (0..n_authors)
-            .filter(|&b| b != q)
-            .map(|b| (b, ppr[b]))
-            .collect();
-        ppr_row.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-        ppr_row.truncate(K);
-        precision[4] += eval(&ppr_row);
-    }
+    let precision = [
+        study.mean_precision(|q| top_k_pathsim(m, q, K)),
+        study.mean_precision(|q| path_count(m, q, K)),
+        study.mean_precision(|q| random_walk_measure(m, q, K)),
+        study.mean_precision(|q| dense_top(q, &|b| sr.scores.get(q, b))),
+        study.mean_precision(|q| {
+            let ppr = ppr_similarity_from(&co, q, &PageRankConfig::default());
+            dense_top(q, &|b| ppr[b])
+        }),
+    ];
 
     println!(
         "## E11 — peer precision@{K} over {} mid-tier author queries (APVPA path)\n",
-        queries.len()
+        study.queries.len()
     );
     let names = [
         "PathSim",
@@ -105,12 +67,12 @@ fn main() {
     let rows: Vec<Vec<String>> = names
         .iter()
         .zip(&precision)
-        .map(|(n, p)| vec![n.to_string(), format!("{:.3}", p / queries.len() as f64)])
+        .map(|(n, p)| vec![n.to_string(), format!("{p:.3}")])
         .collect();
     markdown_table(&["measure", "peer precision"], &rows);
 
     // qualitative sample: one query's lists side by side
-    let q = queries[0];
+    let q = study.queries[0];
     let name = |a: usize| {
         hin.node_name(hin_core::NodeRef {
             ty: data.author,
@@ -124,8 +86,8 @@ fn main() {
         papers[q],
         data.author_area[q]
     );
-    let ps = top_k_pathsim(&m, q, 5);
-    let pc = path_count(&m, q, 5);
+    let ps = top_k_pathsim(m, q, 5);
+    let pc = path_count(m, q, 5);
     let rows: Vec<Vec<String>> = (0..5)
         .map(|i| {
             let fmt = |l: &[(usize, f64)]| {

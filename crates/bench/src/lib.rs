@@ -10,7 +10,87 @@
 use hin_clustering::{kmeans, spectral_clustering, Distance, KMeansConfig, SpectralConfig};
 use hin_core::BiNet;
 use hin_linalg::Csr;
-use hin_similarity::{simrank, SimRankConfig};
+use hin_similarity::{commuting_matrix, simrank, MetaPath, SimRankConfig};
+use hin_synth::{DblpConfig, DblpData};
+
+/// The PathSim peer-retrieval study: `exp_pathsim` prints it, and
+/// `tests/paper_claims.rs` asserts its headline. A DBLP-shaped network with
+/// strong productivity skew (hubs exist), its A-P-V-P-A commuting matrix,
+/// and mid-tier query authors, scored by *peer precision*: the share of a
+/// top-k list that shares the query's planted area and productivity tier.
+pub struct PeerStudy {
+    /// The generated network and its ground truth.
+    pub data: DblpData,
+    /// Papers per author.
+    pub papers: Vec<usize>,
+    /// The A-P-V-P-A commuting matrix.
+    pub m: Csr,
+    /// The query authors: the first 40 with 5 to 20 papers.
+    pub queries: Vec<usize>,
+}
+
+impl PeerStudy {
+    /// The study's network at `seed`: four areas of 60 authors, 2 000
+    /// papers, Zipf exponent 1.1.
+    pub fn new(seed: u64) -> Self {
+        let data = DblpConfig {
+            n_areas: 4,
+            authors_per_area: 60,
+            n_papers: 2_000,
+            noise: 0.05,
+            zipf_exponent: 1.1,
+            seed,
+            ..Default::default()
+        }
+        .generate();
+        let hin = &data.hin;
+        let ap = hin.adjacency(data.author, data.paper).expect("rel");
+        let papers: Vec<usize> = (0..hin.node_count(data.author))
+            .map(|a| ap.row_nnz(a))
+            .collect();
+        let apvpa =
+            MetaPath::from_type_names(hin, &["author", "paper", "venue", "paper", "author"])
+                .expect("path");
+        let m = commuting_matrix(hin, &apvpa).expect("commutes");
+        let queries = (0..papers.len())
+            .filter(|&a| (5..=20).contains(&papers[a]))
+            .take(40)
+            .collect();
+        Self {
+            data,
+            papers,
+            m,
+            queries,
+        }
+    }
+
+    /// Whether `b` is a peer of `a`: the same planted area, and neither
+    /// wrote more than three times the other's papers.
+    pub fn is_peer(&self, a: usize, b: usize) -> bool {
+        let (pa, pb) = (self.papers[a], self.papers[b]);
+        self.data.author_area[a] == self.data.author_area[b]
+            && pb <= 3 * pa.max(1)
+            && pa <= 3 * pb.max(1)
+    }
+
+    /// The share of `list` that are peers of `q`; 0 for an empty list.
+    pub fn precision(&self, q: usize, list: &[(usize, f64)]) -> f64 {
+        if list.is_empty() {
+            return 0.0;
+        }
+        list.iter().filter(|&&(b, _)| self.is_peer(q, b)).count() as f64 / list.len() as f64
+    }
+
+    /// Mean [`PeerStudy::precision`] of `rank(q)` over the queries.
+    pub fn mean_precision(&self, rank: impl Fn(usize) -> Vec<(usize, f64)>) -> f64 {
+        let total: f64 = self
+            .queries
+            .iter()
+            .map(|&q| self.precision(q, &rank(q)))
+            .sum();
+        total / self.queries.len() as f64
+    }
+}
 
 /// Print a GitHub-flavoured markdown table.
 pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) {

@@ -9,7 +9,9 @@ use std::time::Instant;
 
 use hin_core::{Hin, NodeRef, TypeId};
 use hin_linalg::{spvm_chain_rows, spvm_chain_with, spvm_with, Csr, ScatterScratch, SparseVec};
-use hin_similarity::{top_k_pathsim, top_k_pathsim_with_diagonal, MetaPath, PathStep, TopK};
+use hin_similarity::{
+    top_k_pathsim, top_k_pathsim_with_diagonal, MetaPath, PathSimTopK, PathStep, TopK,
+};
 
 use crate::cache::{
     canonical_key, key_of, CacheConfig, CacheOutcome, MatrixCache, PathKey, StepKey,
@@ -795,7 +797,6 @@ impl Engine {
                 let (half_seed, half_rest) = self.propagation_seed(&steps[..h]);
                 let odd = steps.len() % 2 == 1;
                 let mid = odd.then(|| steps[h].matrix(&self.hin));
-                let mxx = row.get(x);
                 // Diagonals are anchor-independent: read and fill the
                 // half-span's shared memo table in place.
                 let memo = self.normalizer_memo(
@@ -803,7 +804,12 @@ impl Engine {
                     self.hin.node_count(resolved.end),
                 );
                 let mut memo_hits = 0u64;
-                let mut top = TopK::new(resolved.limit.unwrap_or(DEFAULT_LIMIT), row.nnz());
+                // scored and refused exactly as a resident row is
+                let mut top = PathSimTopK::new(
+                    resolved.limit.unwrap_or(DEFAULT_LIMIT),
+                    row.nnz(),
+                    row.get(x),
+                );
                 for (y, mxy) in row.iter().filter(|&(y, _)| y != x) {
                     // Relaxed: a slot publishes nothing but its own bits,
                     // and racing fills store the same value.
@@ -821,8 +827,7 @@ impl Engine {
                         memo[y].store(v.to_bits(), Ordering::Relaxed);
                         v
                     };
-                    let denom = mxx + myy;
-                    top.push(y, if denom <= 0.0 { 0.0 } else { 2.0 * mxy / denom });
+                    top.push(y, mxy, myy);
                 }
                 self.normalizer_memo_hits
                     .fetch_add(memo_hits, Ordering::Relaxed);

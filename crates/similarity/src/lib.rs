@@ -17,7 +17,7 @@ pub mod simrank;
 pub use metapath::{commuting_matrix, MetaPath, PathStep};
 pub use pathsim::{
     path_count, pathsim_matrix, pathsim_pair, random_walk_measure, top_k, top_k_pathsim,
-    top_k_pathsim_with_diagonal, TopK,
+    top_k_pathsim_with_diagonal, PathSimTopK, TopK,
 };
 pub use ppr::{ppr_similarity_from, ppr_similarity_matrix};
 pub use simrank::{simrank, simrank_naive, SimRankConfig, SimRankResult};
