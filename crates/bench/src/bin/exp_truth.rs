@@ -7,21 +7,7 @@
 //!
 //! Run with: `cargo run --release -p hin-bench --bin exp_truth`
 
-use hin_bench::{fmt_ms, markdown_table, mean_std};
-use hin_cleaning::{majority_vote, truthfinder, Claim, TruthFinderConfig};
-use hin_synth::ClaimsConfig;
-
-fn accuracy(pred: impl Fn(u32) -> Option<f64>, truth: &[f64]) -> f64 {
-    let mut correct = 0usize;
-    let mut total = 0usize;
-    for (o, &t) in truth.iter().enumerate() {
-        if let Some(v) = pred(o as u32) {
-            total += 1;
-            correct += ((v - t).abs() < 1e-9) as usize;
-        }
-    }
-    correct as f64 / total.max(1) as f64
-}
+use hin_bench::{fmt_ms, markdown_table, mean_std, TruthTrial, TRUTH_REGIMES};
 
 fn main() {
     const RUNS: u64 = 5;
@@ -29,56 +15,15 @@ fn main() {
     let mut rows = Vec::new();
     // bad sources outnumber good ones and share one false alternative:
     // voting must fail, trust must not
-    for &(frac_good, rel_bad) in &[(0.6, 0.3), (0.5, 0.3), (0.4, 0.25), (0.35, 0.2)] {
-        let mut vote_scores = Vec::new();
-        let mut tf_scores = Vec::new();
-        let mut trust_gap = Vec::new();
-        for run in 0..RUNS {
-            let data = ClaimsConfig {
-                n_objects: 250,
-                n_sources: 40,
-                frac_good,
-                reliability_good: 0.9,
-                reliability_bad: rel_bad,
-                coverage: 0.5,
-                n_false_alternatives: 1, // coordinate the lies
-                near_miss_sigma: 0.4,
-                seed: 900 + run,
-            }
-            .generate();
-            let claims: Vec<Claim> = data
-                .claims
-                .iter()
-                .map(|c| Claim {
-                    source: c.source,
-                    object: c.object,
-                    value: c.value,
-                })
-                .collect();
-            let vote = majority_vote(data.n_objects, &claims);
-            vote_scores.push(accuracy(|o| vote[o as usize], &data.true_value));
-            let tf = truthfinder(
-                data.n_sources,
-                data.n_objects,
-                &claims,
-                &TruthFinderConfig::default(),
-            );
-            tf_scores.push(accuracy(|o| tf.predicted_value(o), &data.true_value));
-            let avg = |good: bool| {
-                let xs: Vec<f64> = tf
-                    .source_trust
-                    .iter()
-                    .zip(&data.source_is_good)
-                    .filter(|&(_, &g)| g == good)
-                    .map(|(&t, _)| t)
-                    .collect();
-                xs.iter().sum::<f64>() / xs.len().max(1) as f64
-            };
-            trust_gap.push(avg(true) - avg(false));
-        }
-        let (vm, vs) = mean_std(&vote_scores);
-        let (tm, ts) = mean_std(&tf_scores);
-        let (gm, _) = mean_std(&trust_gap);
+    for (frac_good, rel_bad) in TRUTH_REGIMES {
+        let trials: Vec<TruthTrial> = (0..RUNS)
+            .map(|run| TruthTrial::run(frac_good, rel_bad, 900 + run))
+            .collect();
+        let column =
+            |f: fn(&TruthTrial) -> f64| mean_std(&trials.iter().map(f).collect::<Vec<_>>());
+        let (vm, vs) = column(|t| t.voting);
+        let (tm, ts) = column(|t| t.truthfinder);
+        let (gm, _) = column(|t| t.trust_gap);
         rows.push(vec![
             format!("{:.0}%", frac_good * 100.0),
             format!("{rel_bad:.2}"),

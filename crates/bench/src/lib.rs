@@ -7,11 +7,12 @@
 //! measured by the stand-alone `e2e` program in `src/bin/e2e/`, declared by
 //! the repository's `BENCHMARK.json` — not by anything in this library.
 
+use hin_cleaning::{majority_vote, truthfinder, Claim, TruthFinderConfig};
 use hin_clustering::{kmeans, spectral_clustering, Distance, KMeansConfig, SpectralConfig};
 use hin_core::BiNet;
 use hin_linalg::Csr;
 use hin_similarity::{commuting_matrix, simrank, MetaPath, SimRankConfig};
-use hin_synth::{DblpConfig, DblpData};
+use hin_synth::{ClaimsConfig, DblpConfig, DblpData};
 
 /// The PathSim peer-retrieval study: `exp_pathsim` prints it, and
 /// `tests/paper_claims.rs` asserts its headline. A DBLP-shaped network with
@@ -89,6 +90,86 @@ impl PeerStudy {
             .map(|&q| self.precision(q, &rank(q)))
             .sum();
         total / self.queries.len() as f64
+    }
+}
+
+/// The regimes of the veracity study, as `(share of good sources, the bad
+/// sources' reliability)`: bad sources grow from a minority to nearly two
+/// thirds of all sources, and lie more often.
+pub const TRUTH_REGIMES: [(f64, f64); 4] = [(0.6, 0.3), (0.5, 0.3), (0.4, 0.25), (0.35, 0.2)];
+
+/// One run of the veracity study (TruthFinder, TKDE'08): `exp_truth`
+/// prints it, and `tests/paper_claims.rs` asserts its headline. 40 sources
+/// claim values for 250 objects, half the pairs covered; the bad sources
+/// coordinate on one false alternative per object, the regime where
+/// counting fails and trust must not.
+pub struct TruthTrial {
+    /// Majority voting's accuracy over the objects it predicts.
+    pub voting: f64,
+    /// TruthFinder's accuracy over the objects it predicts.
+    pub truthfinder: f64,
+    /// TruthFinder's mean learned trust of good sources minus that of bad
+    /// ones.
+    pub trust_gap: f64,
+}
+
+impl TruthTrial {
+    /// The run at `seed` with a share `frac_good` of good sources (90 %
+    /// reliable) and bad sources `reliability_bad` reliable.
+    pub fn run(frac_good: f64, reliability_bad: f64, seed: u64) -> Self {
+        let data = ClaimsConfig {
+            n_objects: 250,
+            n_sources: 40,
+            frac_good,
+            reliability_good: 0.9,
+            reliability_bad,
+            coverage: 0.5,
+            n_false_alternatives: 1, // coordinate the lies
+            near_miss_sigma: 0.4,
+            seed,
+        }
+        .generate();
+        let claims: Vec<Claim> = data
+            .claims
+            .iter()
+            .map(|c| Claim {
+                source: c.source,
+                object: c.object,
+                value: c.value,
+            })
+            .collect();
+        let accuracy = |pred: &dyn Fn(u32) -> Option<f64>| {
+            let (mut correct, mut total) = (0usize, 0usize);
+            for (o, &t) in data.true_value.iter().enumerate() {
+                if let Some(v) = pred(o as u32) {
+                    total += 1;
+                    correct += ((v - t).abs() < 1e-9) as usize;
+                }
+            }
+            correct as f64 / total.max(1) as f64
+        };
+        let vote = majority_vote(data.n_objects, &claims);
+        let tf = truthfinder(
+            data.n_sources,
+            data.n_objects,
+            &claims,
+            &TruthFinderConfig::default(),
+        );
+        let mean_trust = |good: bool| {
+            let xs: Vec<f64> = tf
+                .source_trust
+                .iter()
+                .zip(&data.source_is_good)
+                .filter(|&(_, &g)| g == good)
+                .map(|(&t, _)| t)
+                .collect();
+            xs.iter().sum::<f64>() / xs.len().max(1) as f64
+        };
+        Self {
+            voting: accuracy(&|o| vote[o as usize]),
+            truthfinder: accuracy(&|o| tf.predicted_value(o)),
+            trust_gap: mean_trust(true) - mean_trust(false),
+        }
     }
 }
 

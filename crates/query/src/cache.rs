@@ -103,6 +103,17 @@ pub(crate) fn canonical_key(key: &[StepKey]) -> PathKey {
     }
 }
 
+/// A ranking in the form a sidecar stores it.
+fn compact(list: Vec<(usize, f64)>) -> Ranked {
+    list.into_iter().map(|(id, s)| (id as u32, s)).collect()
+}
+
+/// The first `limit` pairs of a stored ranking, in the engine's form.
+fn prefix(list: &[(u32, f64)], limit: usize) -> Vec<(usize, f64)> {
+    let n = limit.min(list.len());
+    list[..n].iter().map(|&(id, s)| (id as usize, s)).collect()
+}
+
 /// Known-oversize keys remembered before the table is reset wholesale — a
 /// memory bound, not a policy: a reset costs each forgotten span one more
 /// refused materialization.
@@ -196,12 +207,47 @@ struct Entry {
     /// once; every other first toucher waits on this cell instead of
     /// hashing too.
     intact: OnceLock<bool>,
-    /// `value.diagonal()`, built by the first PathSim read of this resident
-    /// matrix ([`MatrixCache::diagonal_of`]) and dropped with the entry, so
-    /// it can never outlive or mismatch `value`. Not priced into `bytes`:
-    /// at 8 bytes per row it is smaller than `value`'s own `indptr` array,
-    /// which `bytes` does count.
-    diagonal: OnceLock<Arc<[f64]>>,
+    /// What the reads of `value` derived from it, born empty with the entry
+    /// and dropped with it, so it can never outlive or mismatch `value`.
+    sidecar: Arc<Sidecar>,
+}
+
+/// A ranked list: `(id, score)` pairs, best first.
+type Ranked = Box<[(u32, f64)]>;
+
+/// The rows of one scoring that reads have ranked so far, by anchor row.
+type RankedRows = RwLock<HashMap<u32, Ranked>>;
+
+/// What a resident entry's reads derive from its immutable matrix: the
+/// diagonal PathSim divides by, and the ranked lists the ranking verbs
+/// answer from ([`MatrixCache::ranked`]). Handed out with the matrix by
+/// [`MatrixCache::probe`], or looked up by [`MatrixCache::sidecar_of`];
+/// never written to a snapshot or sent over the wire.
+///
+/// Not priced into the entry's bytes. The diagonal is 8 bytes per row,
+/// smaller than the matrix's own `indptr` array, which is priced. A ranked
+/// list is stored only for a row some read asked for, so the lists hold at
+/// most one per distinct anchor asked, per scoring, plus one of row sums;
+/// each list is at most as long as its first read asked to rank (the
+/// engine ranks ten) at 16 bytes a pair.
+#[derive(Default)]
+pub(crate) struct Sidecar {
+    diagonal: OnceLock<Box<[f64]>>,
+    pathsim: RankedRows,
+    counts: RankedRows,
+    row_sums: OnceLock<Ranked>,
+}
+
+/// Which ranked list of a resident matrix a read asks for.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Scoring {
+    /// Row `x`'s candidates by PathSim.
+    PathSim(usize),
+    /// Row `x`'s candidates by raw path count. Whether `x` itself is a
+    /// candidate is fixed by the span's end types, so by the entry.
+    Count(usize),
+    /// The rows by row sum: one list per entry.
+    RowSums,
 }
 
 #[derive(Default)]
@@ -347,6 +393,7 @@ pub struct MatrixCache {
     lazy_verified: AtomicU64,
     lazy_verify_failures: AtomicU64,
     diagonal_builds: AtomicU64,
+    ranked_builds: AtomicU64,
 }
 
 impl Default for MatrixCache {
@@ -406,6 +453,7 @@ impl MatrixCache {
             lazy_verified: AtomicU64::new(0),
             lazy_verify_failures: AtomicU64::new(0),
             diagonal_builds: AtomicU64::new(0),
+            ranked_builds: AtomicU64::new(0),
         }
     }
 
@@ -558,6 +606,13 @@ impl MatrixCache {
         self.diagonal_builds.load(Ordering::Relaxed)
     }
 
+    /// Ranked lists stored in sidecars ([`MatrixCache::ranked`]): one per
+    /// residency, scoring and row read, like [`MatrixCache::diagonal_builds`].
+    #[cfg(test)]
+    pub(crate) fn ranked_builds(&self) -> u64 {
+        self.ranked_builds.load(Ordering::Relaxed)
+    }
+
     /// Zero the counters (the stored matrices stay).
     pub fn reset_stats(&self) {
         self.hits.store(0, Ordering::Relaxed);
@@ -574,6 +629,7 @@ impl MatrixCache {
         self.lazy_verified.store(0, Ordering::Relaxed);
         self.lazy_verify_failures.store(0, Ordering::Relaxed);
         self.diagonal_builds.store(0, Ordering::Relaxed);
+        self.ranked_builds.store(0, Ordering::Relaxed);
     }
 
     /// Every resident entry, hottest first by recency tick — the order
@@ -672,7 +728,7 @@ impl MatrixCache {
     /// arrives meanwhile waits for that one verdict. A match is never
     /// rechecked; a mismatch evicts the entry and reports a miss, so
     /// corrupt values are recomputed rather than served.
-    fn resident(&self, key: &[StepKey], touch: bool) -> Option<Arc<Csr>> {
+    fn resident(&self, key: &[StepKey], touch: bool) -> Option<(Arc<Csr>, Arc<Sidecar>)> {
         let lock = self.shard_of(key);
         let shard = lock.read().unwrap_or_else(PoisonError::into_inner);
         let entry = shard.map.get(key)?;
@@ -708,7 +764,7 @@ impl MatrixCache {
                 Ordering::Relaxed,
             );
         }
-        Some(Arc::clone(&entry.value))
+        Some((Arc::clone(&entry.value), Arc::clone(&entry.sidecar)))
     }
 
     /// Verify every resident restored entry that is still pending, hottest
@@ -773,7 +829,7 @@ impl MatrixCache {
                 true => true.into(),
                 false => OnceLock::new(),
             },
-            diagonal: OnceLock::new(),
+            sidecar: Arc::default(),
         };
         if let Some(old) = shard.map.insert(key, entry) {
             shard.bytes -= old.bytes;
@@ -788,30 +844,73 @@ impl MatrixCache {
         true
     }
 
-    /// The diagonal of `matrix`, provided `matrix` is the very allocation
+    /// The sidecar of `matrix`, provided `matrix` is the very allocation
     /// resident under `key` right now — matched by [`Arc::ptr_eq`], never by
     /// key alone, so a caller holding a matrix that was evicted or replaced
-    /// gets `None` (and searches its own matrix) rather than another
-    /// matrix's diagonal. Built once per residency, by whichever caller
-    /// asks first; concurrent first callers block on that one build. Does
-    /// not count as a cache use: the caller's lookup of `matrix` already
-    /// did.
-    ///
-    /// The build runs under the shard's read lock, like the verification
-    /// of a restored entry: one binary search per row, once.
-    pub(crate) fn diagonal_of(&self, key: &[StepKey], matrix: &Arc<Csr>) -> Option<Arc<[f64]>> {
+    /// gets `None` (and reads its own matrix) rather than another matrix's
+    /// diagonal or ranked rows. Does not count as a cache use: the caller's
+    /// lookup of `matrix` already did. A caller whose lookup was
+    /// [`MatrixCache::probe`] already holds the sidecar and need not ask.
+    pub(crate) fn sidecar_of(&self, key: &[StepKey], matrix: &Arc<Csr>) -> Option<Arc<Sidecar>> {
         let shard = self
             .shard_of(key)
             .read()
             .unwrap_or_else(PoisonError::into_inner);
         let entry = shard.map.get(key)?;
-        if !Arc::ptr_eq(&entry.value, matrix) {
-            return None;
-        }
-        Some(Arc::clone(entry.diagonal.get_or_init(|| {
+        Arc::ptr_eq(&entry.value, matrix).then(|| Arc::clone(&entry.sidecar))
+    }
+
+    /// `matrix.diagonal()`, where `sidecar` is `matrix`'s: built once per
+    /// residency, by whichever caller asks first, and concurrent first
+    /// callers block on that one build (one binary search per row).
+    pub(crate) fn diagonal<'s>(&self, sidecar: &'s Sidecar, matrix: &Csr) -> &'s [f64] {
+        sidecar.diagonal.get_or_init(|| {
             self.diagonal_builds.fetch_add(1, Ordering::Relaxed);
-            entry.value.diagonal().into()
-        })))
+            matrix.diagonal().into()
+        })
+    }
+
+    /// The first `limit` pairs of the list `scoring` names, where `sidecar`
+    /// is the sidecar of the matrix `rank` reads. The first read of a list
+    /// calls `rank` and stores what it returns; every later one copies a
+    /// prefix under the read lock. So `limit` must be at most the length
+    /// `rank` ranks to, and a prefix of a longer ranking must be the
+    /// shorter ranking — true of [`hin_similarity::TopK`]'s total order.
+    /// First reads that race each rank, and the first to store wins; the
+    /// lists are equal, so which one does not show.
+    pub(crate) fn ranked(
+        &self,
+        sidecar: &Sidecar,
+        scoring: Scoring,
+        limit: usize,
+        rank: impl FnOnce() -> Vec<(usize, f64)>,
+    ) -> Vec<(usize, f64)> {
+        let (rows, row) = match scoring {
+            Scoring::RowSums => {
+                let list = sidecar.row_sums.get_or_init(|| {
+                    self.ranked_builds.fetch_add(1, Ordering::Relaxed);
+                    compact(rank())
+                });
+                return prefix(list, limit);
+            }
+            Scoring::PathSim(row) => (&sidecar.pathsim, row as u32),
+            Scoring::Count(row) => (&sidecar.counts, row as u32),
+        };
+        if let Some(list) = rows
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&row)
+        {
+            return prefix(list, limit);
+        }
+        let list = compact(rank());
+        let answer = prefix(&list, limit);
+        let mut rows = rows.write().unwrap_or_else(PoisonError::into_inner);
+        if let MapEntry::Vacant(slot) = rows.entry(row) {
+            self.ranked_builds.fetch_add(1, Ordering::Relaxed);
+            slot.insert(list);
+        }
+        answer
     }
 
     /// Non-counting lookup used by the planner: is this sub-path (or its
@@ -839,20 +938,28 @@ impl MatrixCache {
     /// materializing (and caching) its transpose. Never holds two shard
     /// locks at once.
     pub(crate) fn get(&self, key: &[StepKey]) -> Option<Arc<Csr>> {
-        if let Some(m) = self.resident(key, true) {
+        self.probe(key).map(|(m, _)| m)
+    }
+
+    /// [`MatrixCache::get`] that also hands back the entry's sidecar, taken
+    /// under the same shard lock as the matrix, when `key` itself was
+    /// resident. A symmetry hit stores a new entry and hands back `None`:
+    /// ask [`MatrixCache::sidecar_of`] for its sidecar.
+    pub(crate) fn probe(&self, key: &[StepKey]) -> Option<(Arc<Csr>, Option<Arc<Sidecar>>)> {
+        if let Some((m, sidecar)) = self.resident(key, true) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(m);
+            return Some((m, Some(sidecar)));
         }
         let rev = reversed_key(key);
         if rev == key {
             return None; // palindromic key: the reversal is itself
         }
-        if let Some(m) = self.resident(&rev, true) {
+        if let Some((m, _)) = self.resident(&rev, true) {
             let t = Arc::new(m.transpose());
             self.insert(key.to_vec(), Arc::clone(&t));
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.symmetry_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(t);
+            return Some((t, None));
         }
         None
     }
@@ -1346,6 +1453,59 @@ mod tests {
                 (intact as u64, !intact as u64)
             );
         }
+    }
+
+    #[test]
+    fn a_sidecar_belongs_to_one_resident_allocation() {
+        let cache = MatrixCache::default();
+        let key: PathKey = vec![(0, true), (0, false)];
+        let first = banded(6, 3);
+        cache.put(key.clone(), Arc::clone(&first));
+        let (m, probed) = cache.probe(&key).expect("resident");
+        let sidecar = probed.expect("an exact hit hands its sidecar over");
+        assert!(Arc::ptr_eq(&m, &first));
+        let looked_up = cache.sidecar_of(&key, &first).expect("same allocation");
+        assert!(Arc::ptr_eq(&sidecar, &looked_up), "one sidecar per entry");
+        // an equal matrix that is not the resident allocation has none
+        let twin = Arc::new((*first).clone());
+        assert!(cache.sidecar_of(&key, &twin).is_none());
+
+        let ranks = std::cell::Cell::new(0);
+        let rank = || {
+            ranks.set(ranks.get() + 1);
+            vec![(4, 3.0), (2, 2.0), (5, 1.0)]
+        };
+        let row = Scoring::Count(1);
+        assert_eq!(
+            cache.ranked(&sidecar, row, 2, rank),
+            vec![(4, 3.0), (2, 2.0)]
+        );
+        assert_eq!(
+            cache.ranked(&sidecar, row, 9, rank),
+            vec![(4, 3.0), (2, 2.0), (5, 1.0)]
+        );
+        assert_eq!(cache.ranked(&sidecar, row, 0, rank), vec![]);
+        assert_eq!((ranks.get(), cache.ranked_builds()), (1, 1));
+        // the scorings and rows are kept apart
+        cache.ranked(&sidecar, Scoring::PathSim(1), 1, rank);
+        cache.ranked(&sidecar, Scoring::Count(2), 1, rank);
+        cache.ranked(&sidecar, Scoring::RowSums, 1, rank);
+        cache.ranked(&sidecar, Scoring::RowSums, 3, rank);
+        assert_eq!((ranks.get(), cache.ranked_builds()), (4, 4));
+
+        // a replacement under the same key starts a sidecar of its own,
+        // and the old allocation no longer finds one
+        cache.put(key.clone(), twin.clone());
+        assert!(cache.sidecar_of(&key, &first).is_none());
+        let fresh = cache.sidecar_of(&key, &twin).expect("the new entry's");
+        assert!(!Arc::ptr_eq(&fresh, &sidecar));
+        cache.ranked(&fresh, row, 2, rank);
+        assert_eq!(cache.ranked_builds(), 5);
+        // a symmetry hit stores the transpose, whose sidecar is looked up
+        cache.put(vec![(1, true), (2, false)], sample());
+        let (t, handed) = cache.probe(&[(2, true), (1, false)]).expect("transpose");
+        assert!(handed.is_none());
+        assert!(cache.sidecar_of(&[(2, true), (1, false)], &t).is_some());
     }
 
     #[test]

@@ -14,7 +14,8 @@ use hin_similarity::{
 };
 
 use crate::cache::{
-    canonical_key, key_of, CacheConfig, CacheOutcome, MatrixCache, PathKey, StepKey,
+    canonical_key, key_of, CacheConfig, CacheOutcome, MatrixCache, PathKey, Scoring, Sidecar,
+    StepKey,
 };
 use crate::error::QueryError;
 use crate::parse::{parse, Verb};
@@ -27,6 +28,11 @@ use crate::snapshot::{CacheSnapshot, SnapshotImport};
 /// Applies to `pathsim`, `topk` (whose `k` is mandatory anyway), `rank`
 /// and `pathcount`: these are *ranking* verbs, so an unlimited answer on a
 /// hub anchor would be an unreadable wall of scores.
+///
+/// It is also how deep a resident span's sidecar ranks a row: a read of a
+/// resident span asking for at most this many results is a prefix of the
+/// list the span's first such read ranked and stored (see
+/// [`Engine::assemble`]).
 const DEFAULT_LIMIT: usize = 10;
 
 /// `neighbors` without an explicit `limit` returns the **entire** reachable
@@ -366,7 +372,9 @@ impl Engine {
     ///
     /// This is [`Engine::execute_many_traced`] on a batch of one, with the
     /// trace dropped: there is one execution flow, and it reads the clock
-    /// twice per query whether or not anyone keeps the answer.
+    /// whether or not anyone keeps the answer — four times for a query that
+    /// reads its matrix (twice around parse, resolve and probe or plan, and
+    /// twice around the read), six for a lazy row.
     pub fn execute(&self, query: &str) -> Result<QueryOutput, QueryError> {
         self.execute_traced(query).0
     }
@@ -443,7 +451,7 @@ impl Engine {
             };
             match prep.route {
                 Route::Lazy(_) => self.execute_span_group(i, &preps, &mut answers),
-                Route::Resident(_) | Route::Full(_) => self.materialize(prep, &mut answers[i]),
+                Route::Resident(..) | Route::Full(_) => self.materialize(prep, &mut answers[i]),
             }
         }
         answers
@@ -453,19 +461,19 @@ impl Engine {
     }
 
     /// Probe a resolved query's whole span, and plan it only if that
-    /// missed. The probe is [`MatrixCache::get`], the lookup
-    /// [`Engine::eval`] resolves a span through, so a resident span counts
-    /// the one hit (or symmetry hit) its evaluation would have, and a miss
-    /// counts nothing.
+    /// missed. The probe is [`MatrixCache::probe`], the lookup
+    /// [`Engine::eval`] resolves a span through plus the entry's sidecar,
+    /// so a resident span counts the one hit (or symmetry hit) its
+    /// evaluation would have, and a miss counts nothing.
     fn prepare(&self, resolved: ResolvedQuery) -> Prep {
         let steps = resolved.path.steps();
         let key = key_of(steps);
         if steps.len() >= 2 {
-            if let Some(matrix) = self.cache.get(&key) {
+            if let Some((matrix, sidecar)) = self.cache.probe(&key) {
                 return Prep {
                     resolved,
                     key,
-                    route: Route::Resident(matrix),
+                    route: Route::Resident(matrix, sidecar),
                 };
             }
         }
@@ -489,17 +497,16 @@ impl Engine {
     fn materialize(&self, prep: &Prep, answer: &mut Answer) {
         let t0 = Instant::now();
         let probe = ExecProbe::default();
-        let matrix = match &prep.route {
-            Route::Resident(m) => Mat::Shared(Arc::clone(m)),
-            Route::Full(plan) | Route::Lazy(plan) => Self::eval(
-                &self.hin,
-                prep.resolved.path.steps(),
-                &self.cache,
-                &plan.root,
-                Some(&probe),
-            ),
+        let (matrix, sidecar) = match &prep.route {
+            Route::Resident(m, sidecar) => (Mat::Shared(Arc::clone(m)), sidecar.clone()),
+            Route::Full(plan) | Route::Lazy(plan) => {
+                let steps = prep.resolved.path.steps();
+                let root = &plan.root;
+                let m = Self::eval(&self.hin, steps, &self.cache, root, Some(&probe));
+                (m, None)
+            }
         };
-        answer.0 = Some(self.assemble(&prep.resolved, &prep.key, &matrix));
+        answer.0 = Some(self.assemble(&prep.resolved, &prep.key, &matrix, sidecar));
         answer.1.outcome = probe.outcome.get();
         answer.1.exec_ns = elapsed_ns(t0);
     }
@@ -954,13 +961,25 @@ impl Engine {
 
     /// Turn the evaluated commuting matrix into the verb's answer.
     ///
-    /// PathSim verbs read one row plus the matrix diagonal. A resident
-    /// matrix carries its diagonal as a cache-entry sidecar
-    /// ([`MatrixCache::diagonal_of`]), so a cached read is one pass over
-    /// the anchor's row; a matrix the cache is not holding (a bare relation,
-    /// an oversized product the cache refused, one evicted since `eval`) is
-    /// searched once per candidate instead — nothing would keep a diagonal
-    /// built for it.
+    /// A matrix the cache holds carries a [`Sidecar`]: the one its probe
+    /// handed over (`sidecar`), or the one [`MatrixCache::sidecar_of`]
+    /// finds for it now. Through it:
+    ///
+    /// * PathSim verbs read the diagonal, built once per residency, so
+    ///   ranking a row is one pass over it;
+    /// * a read asking for at most [`DEFAULT_LIMIT`] results — `pathsim`,
+    ///   `topk`, `pathcount`, `rank`, and `neighbors` with a limit — copies
+    ///   the first `k` of a stored best [`DEFAULT_LIMIT`], which the first
+    ///   such read of the row (of the entry, for `rank`) ranked. [`TopK`]
+    ///   orders by score under `total_cmp`, then by id, a total order, so
+    ///   the best `k` are the first `k` of the best ten, bit for bit, ties
+    ///   and NaNs included.
+    ///
+    /// A read asking for more ranks the matrix and stores nothing. A matrix
+    /// the cache is not holding (a bare relation, an oversized product the
+    /// cache refused, one evicted since `eval`) has no sidecar: its
+    /// diagonal is searched once per candidate and every read ranks —
+    /// nothing would keep what was derived from it.
     ///
     /// `key` is [`key_of`] the query's steps.
     fn assemble(
@@ -968,23 +987,30 @@ impl Engine {
         resolved: &ResolvedQuery,
         key: &[StepKey],
         matrix: &Mat<'_>,
+        sidecar: Option<Arc<Sidecar>>,
     ) -> Result<QueryOutput, QueryError> {
-        let hin = &self.hin;
-        let end_name = hin.type_name(resolved.end).to_string();
+        let m = matrix.as_csr();
+        let k = resolved.limit.unwrap_or(default_row_limit(resolved.verb));
+        let pathsim = matches!(resolved.verb, Verb::PathSim | Verb::TopK);
+        let sidecar = match (sidecar, matrix) {
+            (Some(sidecar), _) => Some(sidecar),
+            (None, Mat::Shared(shared)) if pathsim || k <= DEFAULT_LIMIT => {
+                self.cache.sidecar_of(key, shared)
+            }
+            _ => None,
+        };
+        let sidecar = sidecar.as_deref();
+        let anchor = || resolved.from.expect("resolver enforces `from`").id as usize;
 
-        let items = match resolved.verb {
+        let (ty, items) = match resolved.verb {
             Verb::PathSim | Verb::TopK => {
-                let x = resolved.from.expect("resolver enforces `from`").id as usize;
-                let k = resolved.limit.unwrap_or(DEFAULT_LIMIT);
-                let diagonal = match matrix {
-                    Mat::Shared(m) => self.cache.diagonal_of(key, m),
-                    Mat::Borrowed(_) => None,
+                let x = anchor();
+                let rank_to = |k| match sidecar {
+                    Some(s) => top_k_pathsim_with_diagonal(m, self.cache.diagonal(s, m), x, k),
+                    None => top_k_pathsim(m, x, k),
                 };
-                let top = match diagonal {
-                    Some(diag) => top_k_pathsim_with_diagonal(matrix.as_csr(), &diag, x, k),
-                    None => top_k_pathsim(matrix.as_csr(), x, k),
-                };
-                self.named(resolved.end, top)
+                let top = self.ranked(sidecar, Scoring::PathSim(x), k, rank_to);
+                (resolved.end, top)
             }
             // Both verbs read the anchor's row of the commuting matrix.
             // `path_count` from `hin_similarity` is not used here: it always
@@ -993,41 +1019,66 @@ impl Engine {
             // cross-type path it would silently drop an unrelated object
             // that happens to share the anchor's numeric id.
             Verb::PathCount | Verb::Neighbors => {
-                let x = resolved.from.expect("resolver enforces `from`").id as usize;
+                let x = anchor();
                 let exclude_self = resolved.start == resolved.end;
-                let (idx, vals) = matrix.as_csr().row(x);
-                let k = resolved.limit.unwrap_or(default_row_limit(resolved.verb));
-                let mut top = TopK::new(k, idx.len());
-                for (&y, &v) in idx.iter().zip(vals) {
-                    if !(exclude_self && y as usize == x) {
-                        top.push(y as usize, v);
+                let rank_to = |k| {
+                    let (idx, vals) = m.row(x);
+                    let mut top = TopK::new(k, idx.len());
+                    for (&y, &v) in idx.iter().zip(vals) {
+                        if !(exclude_self && y as usize == x) {
+                            top.push(y as usize, v);
+                        }
                     }
-                }
-                self.named(resolved.end, top.into_sorted())
+                    top.into_sorted()
+                };
+                (
+                    resolved.end,
+                    self.ranked(sidecar, Scoring::Count(x), k, rank_to),
+                )
             }
             Verb::Rank => {
-                let m = matrix.as_csr();
-                let mut top = TopK::new(resolved.limit.unwrap_or(DEFAULT_LIMIT), m.nrows());
-                for r in 0..m.nrows() {
-                    let sum = m.row_sum(r);
-                    if sum > 0.0 {
-                        top.push(r, sum);
+                let rank_to = |k| {
+                    let mut top = TopK::new(k, m.nrows());
+                    for r in 0..m.nrows() {
+                        let sum = m.row_sum(r);
+                        if sum > 0.0 {
+                            top.push(r, sum);
+                        }
                     }
-                }
+                    top.into_sorted()
+                };
                 // rank verb scores objects of the *start* type by row sums
-                return Ok(QueryOutput {
-                    verb: resolved.verb,
-                    object_type: hin.type_name(resolved.start).to_string(),
-                    items: self.named(resolved.start, top.into_sorted()),
-                });
+                (
+                    resolved.start,
+                    self.ranked(sidecar, Scoring::RowSums, k, rank_to),
+                )
             }
         };
 
         Ok(QueryOutput {
             verb: resolved.verb,
-            object_type: end_name,
-            items,
+            object_type: self.hin.type_name(ty).to_string(),
+            items: self.named(ty, items),
         })
+    }
+
+    /// The best `k` by `scoring`, where `rank_to(n)` ranks the best `n`: a
+    /// prefix of the sidecar's list when there is a sidecar and `k` is at
+    /// most [`DEFAULT_LIMIT`], the depth every stored list is ranked to;
+    /// `rank_to(k)` otherwise.
+    fn ranked(
+        &self,
+        sidecar: Option<&Sidecar>,
+        scoring: Scoring,
+        k: usize,
+        rank_to: impl Fn(usize) -> Vec<(usize, f64)>,
+    ) -> Vec<(usize, f64)> {
+        match sidecar {
+            Some(s) if k <= DEFAULT_LIMIT => {
+                self.cache.ranked(s, scoring, k, || rank_to(DEFAULT_LIMIT))
+            }
+            _ => rank_to(k),
+        }
     }
 }
 
@@ -1043,8 +1094,9 @@ struct Prep {
 /// How a prepared query will run.
 enum Route {
     /// The probe found the whole span resident (and counted the hit): the
-    /// query reads this matrix. Nothing was planned.
-    Resident(Arc<Csr>),
+    /// query reads this matrix, with the entry's sidecar when the probe
+    /// found the span itself rather than its reversal. Nothing was planned.
+    Resident(Arc<Csr>, Option<Arc<Sidecar>>),
     /// Chose [`ExecMode::Full`]: materializes through the plan tree.
     Full(QueryPlan),
     /// Chose [`ExecMode::SparseRow`]: runs through
@@ -1994,6 +2046,79 @@ mod tests {
         assert_answers_by_definition(&starved, &m, "never resident, again");
         assert!(starved.cache().peek_nnz(&key).is_none());
         assert_eq!(starved.cache_diagonal_builds(), 0);
+    }
+
+    #[test]
+    fn ranked_rows_are_stored_once_per_residency_and_read_as_prefixes() {
+        let hin = skewed_bib();
+        let apvpa =
+            MetaPath::from_type_names(&hin, &["author", "paper", "venue", "paper", "author"])
+                .unwrap();
+        let key = key_of(apvpa.steps());
+        let reference = Engine::from_arc(Arc::clone(&hin));
+        let engine = Engine::with_config(
+            Arc::clone(&hin),
+            CacheConfig {
+                shards: 1,
+                byte_budget: Some(64 * 1024),
+            },
+            ExecPolicy::eager(),
+        );
+        let builds = || engine.cache().ranked_builds();
+        let read = |q: &str| {
+            let got = engine.execute(q).unwrap();
+            assert_eq!(got, reference.execute(q).unwrap(), "{q}");
+            got
+        };
+        let span = "author-paper-venue-paper-author";
+        // the first ranked read of a row stores its best ten, whatever it
+        // asked for; later reads of that row copy a prefix of them
+        assert_eq!(
+            read(&format!("pathsim {span} from a0 limit 3")).items.len(),
+            3
+        );
+        assert_eq!(builds(), 1);
+        assert_eq!(read(&format!("pathsim {span} from a0")).items.len(), 10);
+        assert_eq!(read(&format!("topk 1 {span} from a0")).items.len(), 1);
+        assert_eq!(builds(), 1);
+        // one list per scoring and row, one of row sums per entry
+        read(&format!("pathcount {span} from a0"));
+        read(&format!("neighbors {span} from a0 limit 10"));
+        read(&format!("pathsim {span} from a5"));
+        read(&format!("rank {span} limit 2"));
+        read(&format!("rank {span}"));
+        assert_eq!(builds(), 4);
+        // past ten, or `neighbors` with no limit, ranks and stores nothing
+        assert_eq!(
+            read(&format!("pathsim {span} from a1 limit 11"))
+                .items
+                .len(),
+            11
+        );
+        assert_eq!(read(&format!("neighbors {span} from a1")).items.len(), 11);
+        read(&format!("rank {span} limit 100"));
+        assert_eq!(builds(), 4);
+
+        // an evicted entry's sidecar goes with it: the recomputed span
+        // starts empty
+        let snap = engine.snapshot(None);
+        turn_the_lru_over(&engine, &key);
+        read(&format!("pathsim {span} from a0 limit 3"));
+        read(&format!("pathsim {span} from a0"));
+        assert_eq!(builds(), 5);
+        // and so does a replaced one: a restore over the live entry
+        assert!(engine.restore(&snap).loaded > 0);
+        read(&format!("pathsim {span} from a0"));
+        read(&format!("rank {span}"));
+        assert_eq!(builds(), 7);
+        let diagonals = engine.cache_diagonal_builds();
+        read(&format!("pathsim {span} from a0 limit 2"));
+        assert_eq!(builds(), 7);
+        assert_eq!(
+            engine.cache_diagonal_builds(),
+            diagonals,
+            "a stored row reads no diagonal"
+        );
     }
 
     #[test]

@@ -91,7 +91,8 @@ pub struct TelemetryConfig {
     /// histogram and slow queries are captured; off, the pipeline touches
     /// no histogram and keeps no slow log, and [`ServerStats`] reports
     /// empty snapshots. The engine runs the same flow either way
-    /// ([`Engine::execute_many_traced`], two clock reads a query): what
+    /// ([`Engine::execute_many_traced`], four clock reads for a query that
+    /// reads its matrix, six for a lazy row): what
     /// the switch saves is the recording, which the benchmark prices as
     /// `telemetry.cost_us_per_query`.
     pub enabled: bool,
