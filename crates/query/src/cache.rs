@@ -48,7 +48,7 @@
 //! A product larger than one shard's slice can never be retained, so it is
 //! **refused at the door**: the insert evicts nobody, the caller keeps its
 //! `Arc`, and the key is remembered with its real size
-//! ([`MatrixCache::inserts_refused`]). [`MatrixCache::admits`] answers the
+//! ([`CacheStats::inserts_refused`]). [`MatrixCache::admits`] answers the
 //! same question *before* the product is computed, from a size estimate and
 //! that memory — the engine asks it before promoting a span.
 //!
@@ -134,14 +134,15 @@ pub struct CacheConfig {
     /// Granularity: a single product larger than `byte_budget / shards`
     /// (one shard's slice) is never retained, even if it would fit in the
     /// total budget — its insert is refused without evicting anything
-    /// ([`MatrixCache::inserts_refused`]), and the engine does not promote
+    /// ([`CacheStats::inserts_refused`]), and the engine does not promote
     /// a span whose estimated or previously measured size exceeds the
     /// slice: such a span is served by lazy row propagation for ever
-    /// (`Engine::promotions_refused`). Refusals that climb while evictions
-    /// stay flat mean the budget cannot hold what the traffic heats;
-    /// evictions that climb mean the working set rotates. Size the budget
-    /// so the largest commuting matrix worth keeping fits in one slice —
-    /// or lower `shards` (with `shards: 1` the budget is exact and global).
+    /// (`EngineStats::promotions_refused`). Refusals that climb while
+    /// evictions stay flat mean the budget cannot hold what the traffic
+    /// heats; evictions that climb mean the working set rotates. Size the
+    /// budget so the largest commuting matrix worth keeping fits in one
+    /// slice — or lower `shards` (with `shards: 1` the budget is exact and
+    /// global).
     ///
     /// Which spans share a slice is a fixed function of their relation
     /// steps, the same in every process.
@@ -379,6 +380,13 @@ pub struct MatrixCache {
     /// while computing or while holding a shard lock.
     inflight: Mutex<HashMap<PathKey, Arc<Slot>>>,
     tick: AtomicU64,
+    counters: Counters,
+}
+
+/// The event counters behind [`CacheStats`]: relaxed atomics, bumped on the
+/// serving path and read together by [`MatrixCache::stats`].
+#[derive(Default)]
+struct Counters {
     hits: AtomicU64,
     symmetry_hits: AtomicU64,
     misses: AtomicU64,
@@ -396,6 +404,81 @@ pub struct MatrixCache {
     ranked_builds: AtomicU64,
 }
 
+/// What a [`MatrixCache`] has done and holds, read as one value by
+/// [`MatrixCache::stats`]. The counters count from the cache's creation;
+/// the gauges (`len`, `bytes`, `lazy_pending`) describe one moment.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct CacheStats {
+    /// Number of stored matrices, across all shards.
+    pub len: usize,
+    /// Resident bytes across all shards ([`Csr::nbytes`] of every entry).
+    pub bytes: usize,
+    /// Products served from cache (exact + symmetry).
+    pub hits: u64,
+    /// The subset of `hits` served by transposing a cached reversed
+    /// sub-path.
+    pub symmetry_hits: u64,
+    /// Products that had to be computed.
+    pub misses: u64,
+    /// Entries evicted to stay under the byte budget.
+    pub evictions: u64,
+    /// Inserts turned away because the product alone is larger than one
+    /// shard's slice of the budget: nothing was evicted for them, and the
+    /// key is remembered so [`MatrixCache::admits`] refuses it up front
+    /// from then on. Computed products, symmetry transposes and snapshot
+    /// entries all count here.
+    pub inserts_refused: u64,
+    /// Total [`Csr::nbytes`] of the products counted in `inserts_refused`
+    /// — how much larger a budget would have had to be, summed over
+    /// refusals.
+    pub refused_bytes: u64,
+    /// Threads served by waiting for another thread's in-flight
+    /// computation of the same key ([`MatrixCache::get_or_compute`])
+    /// instead of computing it themselves. Each one is a whole SpMM chain
+    /// that was *not* run.
+    pub coalesced_waits: u64,
+    /// Computed products that landed for a key a *different* thread had
+    /// claimed in the in-flight table at that moment — i.e. duplicate
+    /// concurrent computations the table failed to coalesce. Structurally
+    /// zero while every computation goes through
+    /// [`MatrixCache::get_or_compute`] (a claim covers the whole
+    /// computation); exposed so stress tests and experiments can assert it
+    /// stays that way. Symmetry transposes are reuse, not duplicated
+    /// chains, and are never counted.
+    pub dup_computes: u64,
+    /// Entries admitted from a snapshot import
+    /// ([`MatrixCache::import_snapshot`]). An admitted entry is priced
+    /// through the ordinary LRU, so it may still be evicted later.
+    pub warm_loaded: u64,
+    /// Snapshot entries rejected at import time because their key or
+    /// matrix dimensions did not match the dataset schema, or because the
+    /// matrix is larger than one shard's slice of the budget.
+    pub warm_rejected: u64,
+    /// The subset of `warm_loaded` admitted as zero-copy arena views
+    /// ([`Csr::is_view`]) rather than owned heap copies — the snapshot
+    /// format's "one map, zero per-matrix decodes" restore guarantee,
+    /// observable as a counter.
+    pub warm_view_backed: u64,
+    /// Restored entries whose values matched their directory's values
+    /// checksum — each hashed exactly once, by the first lookup to reach it
+    /// or by [`MatrixCache::verify_pending`], then served unchecked.
+    pub lazy_verified: u64,
+    /// Restored entries whose values did **not** match their directory's
+    /// values checksum: each was evicted unread (a lookup that found it
+    /// reported a miss and recomputed). Nonzero means the image was damaged
+    /// after writing — storage rot, torn copy, wire corruption.
+    pub lazy_verify_failures: u64,
+    /// Resident restored entries nobody has verified yet (a gauge). Zero
+    /// once [`MatrixCache::verify_pending`] has returned.
+    pub lazy_pending: usize,
+    /// Diagonal sidecars built: one per resident square matrix PathSim has
+    /// read, per residency — an evicted or restored matrix pays the build
+    /// (one binary search per row) again on its next PathSim read, so a
+    /// count that tracks queries rather than resident spans means an
+    /// eviction or restore storm.
+    pub diagonal_builds: u64,
+}
+
 impl Default for MatrixCache {
     fn default() -> Self {
         Self::new(CacheConfig::default())
@@ -406,21 +489,8 @@ impl std::fmt::Debug for MatrixCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MatrixCache")
             .field("shards", &self.shards.len())
-            .field("len", &self.len())
-            .field("bytes", &self.bytes())
             .field("byte_budget", &self.byte_budget())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .field("evictions", &self.evictions())
-            .field("inserts_refused", &self.inserts_refused())
-            .field("coalesced_waits", &self.coalesced_waits())
-            .field("dup_computes", &self.dup_computes())
-            .field("warm_loaded", &self.warm_loaded())
-            .field("warm_rejected", &self.warm_rejected())
-            .field("warm_view_backed", &self.warm_view_backed())
-            .field("lazy_verified", &self.lazy_verified())
-            .field("lazy_verify_failures", &self.lazy_verify_failures())
-            .field("diagonal_builds", &self.diagonal_builds())
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -439,52 +509,8 @@ impl MatrixCache {
             oversize: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
             tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            symmetry_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            inserts_refused: AtomicU64::new(0),
-            refused_bytes: AtomicU64::new(0),
-            coalesced_waits: AtomicU64::new(0),
-            dup_computes: AtomicU64::new(0),
-            warm_loaded: AtomicU64::new(0),
-            warm_rejected: AtomicU64::new(0),
-            warm_view_backed: AtomicU64::new(0),
-            lazy_verified: AtomicU64::new(0),
-            lazy_verify_failures: AtomicU64::new(0),
-            diagonal_builds: AtomicU64::new(0),
-            ranked_builds: AtomicU64::new(0),
+            counters: Counters::default(),
         }
-    }
-
-    /// Number of stored matrices, across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .map
-                    .len()
-            })
-            .sum()
-    }
-
-    /// `true` when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Resident bytes across all shards ([`Csr::nbytes`] of every entry).
-    pub fn bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .bytes
-            })
-            .sum()
     }
 
     /// The configured total byte budget (`None` = unbounded).
@@ -492,144 +518,47 @@ impl MatrixCache {
         self.budget_per_shard.map(|b| b * self.shards.len())
     }
 
-    /// Products served from cache (exact + symmetry).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// The subset of [`MatrixCache::hits`] served by transposing a cached
-    /// reversed sub-path.
-    pub fn symmetry_hits(&self) -> u64 {
-        self.symmetry_hits.load(Ordering::Relaxed)
-    }
-
-    /// Products that had to be computed.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted to stay under the byte budget.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Inserts turned away because the product alone is larger than one
-    /// shard's slice of the budget: nothing was evicted for them, and the
-    /// key is remembered so [`MatrixCache::admits`] refuses it up front
-    /// from then on. Computed products, symmetry transposes and snapshot
-    /// entries all count here.
-    pub fn inserts_refused(&self) -> u64 {
-        self.inserts_refused.load(Ordering::Relaxed)
-    }
-
-    /// Total [`Csr::nbytes`] of the products counted in
-    /// [`MatrixCache::inserts_refused`] — how much larger a budget would
-    /// have had to be, summed over refusals.
-    pub fn refused_bytes(&self) -> u64 {
-        self.refused_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Threads served by waiting for another thread's in-flight
-    /// computation of the same key ([`MatrixCache::get_or_compute`])
-    /// instead of computing it themselves. Each one is a whole SpMM chain
-    /// that was *not* run.
-    pub fn coalesced_waits(&self) -> u64 {
-        self.coalesced_waits.load(Ordering::Relaxed)
-    }
-
-    /// Computed products that landed for a key a *different* thread had
-    /// claimed in the in-flight table at that moment — i.e. duplicate
-    /// concurrent computations the table failed to coalesce. Structurally
-    /// zero while every computation goes through
-    /// [`MatrixCache::get_or_compute`] (a claim covers the whole
-    /// computation); exposed so stress tests and experiments can assert it
-    /// stays that way. Symmetry transposes are reuse, not duplicated
-    /// chains, and are never counted.
-    pub fn dup_computes(&self) -> u64 {
-        self.dup_computes.load(Ordering::Relaxed)
-    }
-
-    /// Entries admitted from a snapshot import
-    /// ([`MatrixCache::import_snapshot`]). An admitted entry is priced
-    /// through the ordinary LRU, so it may still be evicted later.
-    pub fn warm_loaded(&self) -> u64 {
-        self.warm_loaded.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot entries rejected at import time because their key or
-    /// matrix dimensions did not match the dataset schema, or because the
-    /// matrix is larger than one shard's slice of the budget.
-    pub fn warm_rejected(&self) -> u64 {
-        self.warm_rejected.load(Ordering::Relaxed)
-    }
-
-    /// The subset of [`MatrixCache::warm_loaded`] admitted as zero-copy
-    /// arena views ([`Csr::is_view`]) rather than owned heap copies — the
-    /// snapshot format's "one map, zero per-matrix decodes" restore
-    /// guarantee, observable as a counter.
-    pub fn warm_view_backed(&self) -> u64 {
-        self.warm_view_backed.load(Ordering::Relaxed)
-    }
-
-    /// Restored entries whose values matched their directory's values
-    /// checksum — each hashed exactly once, by the first lookup to reach it
-    /// or by [`MatrixCache::verify_pending`], then served unchecked.
-    pub fn lazy_verified(&self) -> u64 {
-        self.lazy_verified.load(Ordering::Relaxed)
-    }
-
-    /// Restored entries whose values did **not** match their directory's
-    /// values checksum: each was evicted unread (a lookup that found it
-    /// reported a miss and recomputed). Nonzero means the image was damaged after
-    /// writing — storage rot, torn copy, wire corruption.
-    pub fn lazy_verify_failures(&self) -> u64 {
-        self.lazy_verify_failures.load(Ordering::Relaxed)
-    }
-
-    /// Resident restored entries nobody has verified yet (a gauge). Zero
-    /// once [`MatrixCache::verify_pending`] has returned.
-    pub fn lazy_pending(&self) -> usize {
-        let pending = |s: &RwLock<Shard>| {
-            let shard = s.read().unwrap_or_else(PoisonError::into_inner);
-            let unverified = shard.map.values().filter(|e| e.intact.get().is_none());
-            unverified.count()
+    /// Every counter, plus the three gauges read in one sweep: each shard's
+    /// read lock is taken once, so `len`, `bytes` and `lazy_pending`
+    /// describe the same moment of that shard.
+    pub fn stats(&self) -> CacheStats {
+        let c = &self.counters;
+        let read = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let mut stats = CacheStats {
+            hits: read(&c.hits),
+            symmetry_hits: read(&c.symmetry_hits),
+            misses: read(&c.misses),
+            evictions: read(&c.evictions),
+            inserts_refused: read(&c.inserts_refused),
+            refused_bytes: read(&c.refused_bytes),
+            coalesced_waits: read(&c.coalesced_waits),
+            dup_computes: read(&c.dup_computes),
+            warm_loaded: read(&c.warm_loaded),
+            warm_rejected: read(&c.warm_rejected),
+            warm_view_backed: read(&c.warm_view_backed),
+            lazy_verified: read(&c.lazy_verified),
+            lazy_verify_failures: read(&c.lazy_verify_failures),
+            diagonal_builds: read(&c.diagonal_builds),
+            ..CacheStats::default()
         };
-        self.shards.iter().map(pending).sum()
-    }
-
-    /// Diagonal sidecars built: one per resident square matrix PathSim has
-    /// read, per residency — an evicted or restored matrix pays the build
-    /// (one binary search per row) again on its next PathSim read, so a
-    /// count that tracks queries rather than resident spans means an
-    /// eviction or restore storm.
-    pub fn diagonal_builds(&self) -> u64 {
-        self.diagonal_builds.load(Ordering::Relaxed)
+        for shard in self.shards.iter() {
+            let shard = shard.read().unwrap_or_else(PoisonError::into_inner);
+            stats.len += shard.map.len();
+            stats.bytes += shard.bytes;
+            stats.lazy_pending += shard
+                .map
+                .values()
+                .filter(|e| e.intact.get().is_none())
+                .count();
+        }
+        stats
     }
 
     /// Ranked lists stored in sidecars ([`MatrixCache::ranked`]): one per
-    /// residency, scoring and row read, like [`MatrixCache::diagonal_builds`].
+    /// residency, scoring and row read, like [`CacheStats::diagonal_builds`].
     #[cfg(test)]
     pub(crate) fn ranked_builds(&self) -> u64 {
-        self.ranked_builds.load(Ordering::Relaxed)
-    }
-
-    /// Zero the counters (the stored matrices stay).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.symmetry_hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.inserts_refused.store(0, Ordering::Relaxed);
-        self.refused_bytes.store(0, Ordering::Relaxed);
-        self.coalesced_waits.store(0, Ordering::Relaxed);
-        self.dup_computes.store(0, Ordering::Relaxed);
-        self.warm_loaded.store(0, Ordering::Relaxed);
-        self.warm_rejected.store(0, Ordering::Relaxed);
-        self.warm_view_backed.store(0, Ordering::Relaxed);
-        self.lazy_verified.store(0, Ordering::Relaxed);
-        self.lazy_verify_failures.store(0, Ordering::Relaxed);
-        self.diagonal_builds.store(0, Ordering::Relaxed);
-        self.ranked_builds.store(0, Ordering::Relaxed);
+        self.counters.ranked_builds.load(Ordering::Relaxed)
     }
 
     /// Every resident entry, hottest first by recency tick — the order
@@ -665,9 +594,14 @@ impl MatrixCache {
 
     /// Bump the warm-import counters (used by the snapshot module).
     pub(crate) fn note_warm(&self, loaded: u64, rejected: u64, view_backed: u64) {
-        self.warm_loaded.fetch_add(loaded, Ordering::Relaxed);
-        self.warm_rejected.fetch_add(rejected, Ordering::Relaxed);
-        self.warm_view_backed
+        self.counters
+            .warm_loaded
+            .fetch_add(loaded, Ordering::Relaxed);
+        self.counters
+            .warm_rejected
+            .fetch_add(rejected, Ordering::Relaxed);
+        self.counters
+            .warm_view_backed
             .fetch_add(view_backed, Ordering::Relaxed);
     }
 
@@ -738,7 +672,9 @@ impl MatrixCache {
                 .checksum
                 .get()
                 .is_some_and(|&stored| values_checksum(&entry.value) == values_half(stored));
-            self.lazy_verified.fetch_add(ok as u64, Ordering::Relaxed);
+            self.counters
+                .lazy_verified
+                .fetch_add(ok as u64, Ordering::Relaxed);
             ok
         });
         if !intact {
@@ -754,7 +690,9 @@ impl MatrixCache {
             {
                 let gone = shard.map.remove(key).expect("key just observed");
                 shard.bytes -= gone.bytes;
-                self.lazy_verify_failures.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .lazy_verify_failures
+                    .fetch_add(1, Ordering::Relaxed);
             }
             return None;
         }
@@ -785,7 +723,7 @@ impl MatrixCache {
 
     /// Store without touching the miss counter; evicts if over budget.
     /// Returns whether the entry was admitted (see
-    /// [`MatrixCache::inserts_refused`]).
+    /// [`CacheStats::inserts_refused`]).
     pub(crate) fn insert(&self, key: PathKey, value: Arc<Csr>) -> bool {
         self.insert_sealed(Sealed {
             key,
@@ -805,8 +743,11 @@ impl MatrixCache {
         let Sealed { key, matrix, .. } = sealed;
         let bytes = matrix.nbytes();
         if self.budget_per_shard.is_some_and(|slice| bytes > slice) {
-            self.inserts_refused.fetch_add(1, Ordering::Relaxed);
-            self.refused_bytes
+            self.counters
+                .inserts_refused
+                .fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .refused_bytes
                 .fetch_add(bytes as u64, Ordering::Relaxed);
             let canonical = canonical_key(&key);
             let mut oversize = self.oversize.lock().unwrap_or_else(PoisonError::into_inner);
@@ -838,7 +779,9 @@ impl MatrixCache {
         if let Some(budget) = self.budget_per_shard {
             let evicted = shard.evict_to(budget);
             if evicted > 0 {
-                self.evictions.fetch_add(evicted, Ordering::Relaxed);
+                self.counters
+                    .evictions
+                    .fetch_add(evicted, Ordering::Relaxed);
             }
         }
         true
@@ -865,7 +808,9 @@ impl MatrixCache {
     /// callers block on that one build (one binary search per row).
     pub(crate) fn diagonal<'s>(&self, sidecar: &'s Sidecar, matrix: &Csr) -> &'s [f64] {
         sidecar.diagonal.get_or_init(|| {
-            self.diagonal_builds.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .diagonal_builds
+                .fetch_add(1, Ordering::Relaxed);
             matrix.diagonal().into()
         })
     }
@@ -888,7 +833,7 @@ impl MatrixCache {
         let (rows, row) = match scoring {
             Scoring::RowSums => {
                 let list = sidecar.row_sums.get_or_init(|| {
-                    self.ranked_builds.fetch_add(1, Ordering::Relaxed);
+                    self.counters.ranked_builds.fetch_add(1, Ordering::Relaxed);
                     compact(rank())
                 });
                 return prefix(list, limit);
@@ -907,7 +852,7 @@ impl MatrixCache {
         let answer = prefix(&list, limit);
         let mut rows = rows.write().unwrap_or_else(PoisonError::into_inner);
         if let MapEntry::Vacant(slot) = rows.entry(row) {
-            self.ranked_builds.fetch_add(1, Ordering::Relaxed);
+            self.counters.ranked_builds.fetch_add(1, Ordering::Relaxed);
             slot.insert(list);
         }
         answer
@@ -947,7 +892,7 @@ impl MatrixCache {
     /// ask [`MatrixCache::sidecar_of`] for its sidecar.
     pub(crate) fn probe(&self, key: &[StepKey]) -> Option<(Arc<Csr>, Option<Arc<Sidecar>>)> {
         if let Some((m, sidecar)) = self.resident(key, true) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Some((m, Some(sidecar)));
         }
         let rev = reversed_key(key);
@@ -957,8 +902,8 @@ impl MatrixCache {
         if let Some((m, _)) = self.resident(&rev, true) {
             let t = Arc::new(m.transpose());
             self.insert(key.to_vec(), Arc::clone(&t));
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.symmetry_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.symmetry_hits.fetch_add(1, Ordering::Relaxed);
             return Some((t, None));
         }
         None
@@ -990,11 +935,11 @@ impl MatrixCache {
             if let Some(current) = inflight.get(&key) {
                 let is_own_claim = claim.is_some_and(|c| Arc::ptr_eq(current, c));
                 if !is_own_claim {
-                    self.dup_computes.fetch_add(1, Ordering::Relaxed);
+                    self.counters.dup_computes.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
         self.insert(key, value);
     }
 
@@ -1004,7 +949,7 @@ impl MatrixCache {
     /// The miss path claims `key` in the in-flight table; every other
     /// thread that misses the same key while the computation runs blocks
     /// on its condvar and is handed the finished `Arc` (counted in
-    /// [`MatrixCache::coalesced_waits`], and as a hit — it was served
+    /// [`CacheStats::coalesced_waits`], and as a hit — it was served
     /// without computing). This is what prevents a thundering herd of
     /// workers from running N identical SpMM chains after an eviction.
     ///
@@ -1055,14 +1000,16 @@ impl MatrixCache {
                 Err(slot) => {
                     // Someone else is computing this key: wait for their
                     // result instead of duplicating the work.
-                    self.coalesced_waits.fetch_add(1, Ordering::Relaxed);
+                    self.counters
+                        .coalesced_waits
+                        .fetch_add(1, Ordering::Relaxed);
                     waited = true;
                     let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
                     while matches!(*state, SlotState::Pending) {
                         state = slot.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
                     }
                     if let SlotState::Done(Some(m)) = &*state {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        self.counters.hits.fetch_add(1, Ordering::Relaxed);
                         return (Arc::clone(m), CacheOutcome::CoalescedWait);
                     }
                     // Abandoned (computer unwound): retry; we may claim.
@@ -1136,13 +1083,26 @@ impl CacheOutcome {
     }
 
     /// Stable lowercase label for metrics and logs.
-    pub fn as_str(self) -> &'static str {
+    pub const fn as_str(self) -> &'static str {
         match self {
             CacheOutcome::Hit => "hit",
             CacheOutcome::CoalescedWait => "coalesced_wait",
             CacheOutcome::MissCompute => "miss_compute",
         }
     }
+
+    /// Dense index for per-outcome metric arrays (`hit`, `coalesced_wait`,
+    /// `miss_compute` — in [`CacheOutcome::ALL`] order).
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Every outcome, in [`CacheOutcome::index`] order.
+    pub const ALL: [CacheOutcome; 3] = [
+        CacheOutcome::Hit,
+        CacheOutcome::CoalescedWait,
+        CacheOutcome::MissCompute,
+    ];
 }
 
 #[cfg(test)]
@@ -1159,13 +1119,14 @@ mod tests {
         let key: PathKey = vec![(0, true), (1, false)];
         assert!(cache.get(&key).is_none());
         cache.put(key.clone(), sample());
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 1));
 
         // exact hit
         let m = cache.get(&key).expect("cached");
         assert_eq!(m.get(0, 1), 2.0);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.symmetry_hits(), 0);
+        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.stats().symmetry_hits, 0);
 
         // reversed key served through a transpose
         let rev = reversed_key(&key);
@@ -1173,15 +1134,15 @@ mod tests {
         let t = cache.get(&rev).expect("transpose reuse");
         assert_eq!(t.nrows(), 3);
         assert_eq!(t.get(1, 0), 2.0);
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.symmetry_hits(), 1);
+        assert_eq!(cache.stats().hits, 2);
+        assert_eq!(cache.stats().symmetry_hits, 1);
 
         // the transpose is now cached under its own key: hit, not symmetry
         let _ = cache.get(&rev).expect("now exact");
-        assert_eq!(cache.hits(), 3);
-        assert_eq!(cache.symmetry_hits(), 1);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.stats().hits, 3);
+        assert_eq!(cache.stats().symmetry_hits, 1);
+        assert_eq!(cache.stats().len, 2);
+        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]
@@ -1193,8 +1154,8 @@ mod tests {
         assert_eq!(cache.peek_nnz(&key), Some(2));
         assert!(cache.peek_nnz(&reversed_key(&key)).is_some());
         assert!(cache.peek_nnz(&[(9, true)]).is_none());
-        assert_eq!(cache.hits(), 0, "peek never counts a hit");
-        assert_eq!(cache.misses(), 1, "only the initial put counted");
+        assert_eq!(cache.stats().hits, 0, "peek never counts a hit");
+        assert_eq!(cache.stats().misses, 1, "only the initial put counted");
     }
 
     #[test]
@@ -1204,7 +1165,7 @@ mod tests {
         // and looking one up must not hit the symmetry path
         let cache = MatrixCache::default();
         assert!(cache.get(&key).is_none());
-        assert_eq!(cache.symmetry_hits(), 0);
+        assert_eq!(cache.stats().symmetry_hits, 0);
     }
 
     #[test]
@@ -1218,15 +1179,15 @@ mod tests {
         });
         cache.put(vec![(0, true)], Arc::clone(&m));
         cache.put(vec![(1, true)], Arc::clone(&m));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 0);
+        assert_eq!(cache.stats().len, 2);
+        assert_eq!(cache.stats().evictions, 0);
 
         // touch key 0 so key 1 is the LRU victim
         assert!(cache.get(&[(0, true)]).is_some());
         cache.put(vec![(2, true)], Arc::clone(&m));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-        assert!(cache.bytes() <= per_entry * 2);
+        assert_eq!(cache.stats().len, 2);
+        assert_eq!(cache.stats().evictions, 1);
+        assert!(cache.stats().bytes <= per_entry * 2);
         assert!(cache.get(&[(0, true)]).is_some(), "recently used survives");
         assert!(cache.get(&[(1, true)]).is_none(), "LRU entry evicted");
         assert!(cache.get(&[(2, true)]).is_some());
@@ -1240,14 +1201,17 @@ mod tests {
             shards: 1,
             byte_budget: Some(bytes / 2),
         });
+        cache.put(vec![(0, true)], Arc::clone(&m));
+        let before = cache.stats();
+        assert_eq!(before.len, 0, "entry larger than the budget is dropped");
+        assert_eq!(before.bytes, 0);
+        assert_eq!(before.evictions, 0, "refused at the door, not evicted");
+        assert_eq!(before.inserts_refused, 1);
+        assert_eq!(before.refused_bytes, bytes as u64);
         cache.put(vec![(0, true)], m);
-        assert_eq!(cache.len(), 0, "entry larger than the budget is dropped");
-        assert_eq!(cache.bytes(), 0);
-        assert_eq!(cache.evictions(), 0, "refused at the door, not evicted");
-        assert_eq!(cache.inserts_refused(), 1);
-        assert_eq!(cache.refused_bytes(), bytes as u64);
-        cache.reset_stats();
-        assert_eq!((cache.inserts_refused(), cache.refused_bytes()), (0, 0));
+        let after = cache.stats();
+        assert_eq!(after.inserts_refused - before.inserts_refused, 1);
+        assert_eq!(after.refused_bytes - before.refused_bytes, bytes as u64);
     }
 
     /// `n × n` with `per_row` entries in every row.
@@ -1268,24 +1232,26 @@ mod tests {
         });
         cache.put(vec![(0, true)], Arc::clone(&small));
         cache.put(vec![(1, true)], Arc::clone(&small));
-        let (len, bytes) = (cache.len(), cache.bytes());
+        let before = cache.stats();
 
         let big = banded(40, 8);
         assert!(big.nbytes() > small.nbytes() * 3);
         assert!(!cache.insert(vec![(2, true)], Arc::clone(&big)));
-        assert_eq!((cache.len(), cache.bytes()), (len, bytes));
+        let after = cache.stats();
+        assert_eq!((after.len, after.bytes), (before.len, before.bytes));
         assert!(cache.get(&[(0, true)]).is_some());
         assert!(cache.get(&[(1, true)]).is_some());
         assert!(cache.get(&[(2, true)]).is_none());
-        assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.inserts_refused(), 1);
+        assert_eq!(cache.stats().evictions, 0);
+        assert_eq!(cache.stats().inserts_refused, 1);
 
         // computed products go through the same door: the caller is served,
         // the neighbours stay
         let served = cache.get_or_compute(&[(3, true), (4, false)], || (*big).clone());
         assert_eq!(served.nnz(), big.nnz());
-        assert_eq!((cache.len(), cache.evictions()), (len, 0));
-        assert_eq!(cache.inserts_refused(), 2);
+        let after = cache.stats();
+        assert_eq!((after.len, after.evictions), (before.len, 0));
+        assert_eq!(after.inserts_refused, 2);
     }
 
     #[test]
@@ -1316,7 +1282,8 @@ mod tests {
         assert_eq!(cache.admission(&key, 1), known);
         assert_eq!(cache.admission(&reversed_key(&key), 1), known);
         assert!(cache.admits(&[(0, false), (2, true)], 1), "other keys are");
-        assert_eq!(cache.hits() + cache.misses(), 0, "admission never counts");
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, 0, "admission never counts");
     }
 
     /// The ten `span_thrash` span families of the end-to-end benchmark over
@@ -1394,10 +1361,10 @@ mod tests {
             h.join().expect("no panics");
         }
         assert_eq!(computes.load(Ordering::SeqCst), 1, "exactly one compute");
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.dup_computes(), 0);
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.stats().dup_computes, 0);
         assert_eq!(
-            cache.coalesced_waits(),
+            cache.stats().coalesced_waits,
             (n_threads - 1) as u64,
             "everyone else waited on the one in-flight computation"
         );
@@ -1420,7 +1387,7 @@ mod tests {
                 checksum: Arc::new(stored.into()),
                 verified: false,
             }));
-            assert_eq!(cache.lazy_pending(), 1);
+            assert_eq!(cache.stats().lazy_pending, 1);
 
             let n_threads = 8;
             let barrier = Arc::new(Barrier::new(n_threads));
@@ -1441,15 +1408,21 @@ mod tests {
             // the verdict is reached inside the once, so the count of
             // matches is the count of hashes
             assert_eq!(served, vec![intact; n_threads]);
-            assert_eq!(cache.lazy_verified(), intact as u64, "one hash");
-            assert_eq!(cache.lazy_verify_failures(), !intact as u64);
-            assert_eq!(cache.lazy_pending(), 0);
-            assert_eq!(cache.len(), intact as usize, "one eviction at most");
-            assert_eq!(cache.hits(), if intact { n_threads as u64 } else { 0 });
+            assert_eq!(cache.stats().lazy_verified, intact as u64, "one hash");
+            assert_eq!(cache.stats().lazy_verify_failures, !intact as u64);
+            assert_eq!(cache.stats().lazy_pending, 0);
+            assert_eq!(cache.stats().len, intact as usize, "one eviction at most");
+            assert_eq!(
+                cache.stats().hits,
+                if intact { n_threads as u64 } else { 0 }
+            );
             // the sweep finds nothing left to do
             cache.verify_pending();
             assert_eq!(
-                (cache.lazy_verified(), cache.lazy_verify_failures()),
+                (
+                    cache.stats().lazy_verified,
+                    cache.stats().lazy_verify_failures
+                ),
                 (intact as u64, !intact as u64)
             );
         }
@@ -1526,7 +1499,7 @@ mod tests {
         // claims the key afresh and computes normally
         let m = cache.get_or_compute(&key, sample_csr);
         assert_eq!(m.nnz(), 2);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.stats().misses, 1);
     }
 
     fn sample_csr() -> Csr {
@@ -1562,7 +1535,8 @@ mod tests {
         for h in handles {
             h.join().expect("no panics under concurrency");
         }
-        assert!(cache.len() <= 32, "16 keys × 2 directions at most");
-        assert!(cache.hits() + cache.misses() >= 200);
+        let stats = cache.stats();
+        assert!(stats.len <= 32, "16 keys × 2 directions at most");
+        assert!(stats.hits + stats.misses >= 200);
     }
 }

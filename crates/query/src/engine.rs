@@ -14,8 +14,8 @@ use hin_similarity::{
 };
 
 use crate::cache::{
-    canonical_key, key_of, CacheConfig, CacheOutcome, MatrixCache, PathKey, Scoring, Sidecar,
-    StepKey,
+    canonical_key, key_of, CacheConfig, CacheOutcome, CacheStats, MatrixCache, PathKey, Scoring,
+    Sidecar, StepKey,
 };
 use crate::error::QueryError;
 use crate::parse::{parse, Verb};
@@ -91,7 +91,7 @@ pub struct ExecPolicy {
     /// [`CacheConfig::byte_budget`], a span whose estimated product — or
     /// whose product, once it has been computed and measured — is larger
     /// than one shard's slice is never promoted, whatever this says
-    /// ([`Engine::promotions_refused`]).
+    /// ([`EngineStats::promotions_refused`]).
     pub promote_after: u32,
 }
 
@@ -121,6 +121,28 @@ impl ExecPolicy {
             promote_after: n,
         }
     }
+}
+
+/// What an [`Engine`] has done, read as one value by [`Engine::stats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct EngineStats {
+    /// The commuting-matrix cache's counters and gauges.
+    pub cache: CacheStats,
+    /// Queries answered by the anchored sparse-row fast path (no matrix
+    /// materialized, nothing cached).
+    pub anchored_fast_paths: u64,
+    /// Spans promoted from lazy propagation to full materialization after
+    /// crossing [`ExecPolicy::promote_after`] lazy executions.
+    pub promotions: u64,
+    /// Lazy executions of spans the cache would not keep
+    /// ([`MatrixCache::admits`] said no, so the span never entered the heat
+    /// table and ran by row propagation; each also counts in
+    /// `anchored_fast_paths`). Climbing while [`CacheStats::evictions`]
+    /// stays flat: the byte budget cannot hold what the traffic heats.
+    pub promotions_refused: u64,
+    /// PathSim normalizer diagonals `M[y][y]` served from the per-half-span
+    /// memo instead of recomputed half propagations.
+    pub normalizer_memo_hits: u64,
 }
 
 /// The result of one query: scored, named objects of one type.
@@ -255,11 +277,6 @@ impl Engine {
         &self.hin
     }
 
-    /// The shared network handle.
-    pub fn hin_arc(&self) -> &Arc<Hin> {
-        &self.hin
-    }
-
     /// The commuting-matrix cache (shared, thread-safe).
     pub fn cache(&self) -> &MatrixCache {
         &self.cache
@@ -285,7 +302,7 @@ impl Engine {
     /// validated against this engine's dataset schema and priced through
     /// the ordinary LRU (a snapshot can never blow the cache budget);
     /// outcomes are reported and recorded in
-    /// [`Engine::cache_warm_loaded`] / [`Engine::cache_warm_rejected`].
+    /// [`CacheStats::warm_loaded`] / [`CacheStats::warm_rejected`].
     ///
     /// Entries mounted from an image arrive with their structure proved and
     /// their values *pending*: each is verified against its directory's
@@ -590,108 +607,17 @@ impl Engine {
         Ok(self.commuting_of(path))
     }
 
-    /// Products served from cache so far (exact + symmetry).
-    pub fn cache_hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// The subset of hits served by transposing a cached reversed path.
-    pub fn cache_symmetry_hits(&self) -> u64 {
-        self.cache.symmetry_hits()
-    }
-
-    /// Products computed (and cached) so far.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache.misses()
-    }
-
-    /// Entries evicted so far to keep the cache under its byte budget.
-    pub fn cache_evictions(&self) -> u64 {
-        self.cache.evictions()
-    }
-
-    /// Threads served by waiting on another thread's in-flight computation
-    /// of the same product (compute-once, wait-many) instead of running a
-    /// duplicate SpMM chain.
-    pub fn cache_coalesced_waits(&self) -> u64 {
-        self.cache.coalesced_waits()
-    }
-
-    /// Duplicate concurrent computations of one key that slipped past the
-    /// in-flight table. Should be zero; see [`MatrixCache::dup_computes`].
-    pub fn cache_dup_computes(&self) -> u64 {
-        self.cache.dup_computes()
-    }
-
-    /// Snapshot entries admitted by [`Engine::restore`].
-    pub fn cache_warm_loaded(&self) -> u64 {
-        self.cache.warm_loaded()
-    }
-
-    /// Snapshot entries rejected by [`Engine::restore`] as not fitting
-    /// this dataset's schema.
-    pub fn cache_warm_rejected(&self) -> u64 {
-        self.cache.warm_rejected()
-    }
-
-    /// Diagonal sidecars built for resident matrices PathSim read; see
-    /// [`MatrixCache::diagonal_builds`].
-    pub fn cache_diagonal_builds(&self) -> u64 {
-        self.cache.diagonal_builds()
-    }
-
-    /// Number of cached matrices.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Resident cache bytes.
-    pub fn cache_bytes(&self) -> usize {
-        self.cache.bytes()
-    }
-
-    /// Queries answered by the anchored sparse-row fast path (no matrix
-    /// materialized, nothing cached).
-    pub fn anchored_fast_paths(&self) -> u64 {
-        self.anchored_fast_paths.load(Ordering::Relaxed)
-    }
-
-    /// Spans promoted from lazy propagation to full materialization after
-    /// crossing [`ExecPolicy::promote_after`] lazy executions.
-    pub fn promotions(&self) -> u64 {
-        self.promotions.load(Ordering::Relaxed)
-    }
-
-    /// Lazy executions of spans the cache would not keep
-    /// ([`MatrixCache::admits`] said no, so the span never entered the heat
-    /// table and ran by row propagation; each also counts in
-    /// [`Engine::anchored_fast_paths`]). Climbing while
-    /// [`Engine::cache_evictions`] stays flat: the byte budget cannot hold
-    /// what the traffic heats.
-    pub fn promotions_refused(&self) -> u64 {
-        self.promotions_refused.load(Ordering::Relaxed)
-    }
-
-    /// Inserts the cache turned away as larger than one shard's slice; see
-    /// [`MatrixCache::inserts_refused`].
-    pub fn cache_inserts_refused(&self) -> u64 {
-        self.cache.inserts_refused()
-    }
-
-    /// PathSim normalizer diagonals `M[y][y]` served from the per-half-span
-    /// memo instead of recomputed half propagations.
-    pub fn normalizer_memo_hits(&self) -> u64 {
-        self.normalizer_memo_hits.load(Ordering::Relaxed)
-    }
-
-    /// Zero the hit/miss/fast-path counters, keeping cached matrices (and
-    /// span heat).
-    pub fn reset_cache_stats(&self) {
-        self.cache.reset_stats();
-        self.anchored_fast_paths.store(0, Ordering::Relaxed);
-        self.promotions.store(0, Ordering::Relaxed);
-        self.promotions_refused.store(0, Ordering::Relaxed);
-        self.normalizer_memo_hits.store(0, Ordering::Relaxed);
+    /// The cache's counters and gauges plus the execution-path counters,
+    /// read as one value.
+    pub fn stats(&self) -> EngineStats {
+        let read = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        EngineStats {
+            cache: self.cache.stats(),
+            anchored_fast_paths: read(&self.anchored_fast_paths),
+            promotions: read(&self.promotions),
+            promotions_refused: read(&self.promotions_refused),
+            normalizer_memo_hits: read(&self.normalizer_memo_hits),
+        }
     }
 
     /// The execution mode this query would run under right now (cache
@@ -1133,7 +1059,7 @@ pub enum TraceMode {
 
 impl TraceMode {
     /// Stable lowercase label for metrics and logs.
-    pub fn as_str(self) -> &'static str {
+    pub const fn as_str(self) -> &'static str {
         match self {
             TraceMode::Full => "full",
             TraceMode::SparseRow => "sparse_row",
@@ -1267,24 +1193,24 @@ mod tests {
         let engine = eager_engine(Arc::new(bib()));
         let q = "pathsim author-paper-venue-paper-author from a0";
         let first = engine.execute(q).unwrap();
-        let computed = engine.cache_misses();
+        let computed = engine.stats().cache.misses;
         assert!(computed > 0);
         // even the cold run reuses across the palindrome: the second half
         // of A-P-V-P-A is the transpose of the first half
         assert!(
-            engine.cache_symmetry_hits() >= 1,
+            engine.stats().cache.symmetry_hits >= 1,
             "symmetric halves must share work within one query"
         );
-        let cold_hits = engine.cache_hits();
+        let cold_hits = engine.stats().cache.hits;
 
         let second = engine.execute(q).unwrap();
         assert_eq!(first, second);
         assert_eq!(
-            engine.cache_misses(),
+            engine.stats().cache.misses,
             computed,
             "no recomputation on the warm path"
         );
-        assert!(engine.cache_hits() > cold_hits);
+        assert!(engine.stats().cache.hits > cold_hits);
     }
 
     #[test]
@@ -1294,13 +1220,13 @@ mod tests {
         engine
             .execute("pathcount author-paper-venue from a0")
             .unwrap();
-        let warm_misses = engine.cache_misses();
+        let warm_misses = engine.stats().cache.misses;
         // …then its reversal must be served by transposing, not recomputing.
         engine
             .execute("pathcount venue-paper-author from v0")
             .unwrap();
-        assert_eq!(engine.cache_misses(), warm_misses);
-        assert!(engine.cache_symmetry_hits() >= 1);
+        assert_eq!(engine.stats().cache.misses, warm_misses);
+        assert!(engine.stats().cache.symmetry_hits >= 1);
     }
 
     #[test]
@@ -1408,9 +1334,9 @@ mod tests {
         assert_eq!(batched[1].1.mode, TraceMode::BlockRow);
         assert_eq!(batched[3].1.mode, TraceMode::BlockRow);
         assert_eq!(batched[4].1.mode, TraceMode::SparseRow);
-        assert_eq!(lazy.anchored_fast_paths(), 4);
-        assert_eq!(lazy.cache_misses(), 0, "nothing materialized");
-        assert_eq!(lazy.promotions(), 0);
+        assert_eq!(lazy.stats().anchored_fast_paths, 4);
+        assert_eq!(lazy.stats().cache.misses, 0, "nothing materialized");
+        assert_eq!(lazy.stats().promotions, 0);
         // nothing executed for the failed member
         assert_eq!(batched[2].1.exec_ns, 0);
     }
@@ -1467,15 +1393,18 @@ mod tests {
         }
         // heat counts per member in batch order: two ride the block, the
         // third crosses promote_after and materializes the span
-        assert_eq!(engine.anchored_fast_paths(), 2);
-        assert_eq!(engine.promotions(), 1);
-        assert!(engine.cache_misses() > 0, "promotion ran the SpMM chain");
+        assert_eq!(engine.stats().anchored_fast_paths, 2);
+        assert_eq!(engine.stats().promotions, 1);
+        assert!(
+            engine.stats().cache.misses > 0,
+            "promotion ran the SpMM chain"
+        );
         assert_eq!(batched[2].1.mode, TraceMode::Full);
         // the promoted span is resident now: a later query is a pure hit
-        let hits = engine.cache_hits();
+        let hits = engine.stats().cache.hits;
         engine.execute(queries[0]).unwrap();
-        assert!(engine.cache_hits() > hits);
-        assert_eq!(engine.promotions(), 1);
+        assert!(engine.stats().cache.hits > hits);
+        assert_eq!(engine.stats().promotions, 1);
     }
 
     #[test]
@@ -1490,11 +1419,11 @@ mod tests {
             .collect();
         let counters = |e: &Engine| {
             (
-                e.anchored_fast_paths(),
-                e.promotions(),
-                e.promotions_refused(),
-                e.cache_misses(),
-                e.cache_hits(),
+                e.stats().anchored_fast_paths,
+                e.stats().promotions,
+                e.stats().promotions_refused,
+                e.stats().cache.misses,
+                e.stats().cache.hits,
             )
         };
         let stages = [
@@ -1519,8 +1448,8 @@ mod tests {
             assert_eq!(counters(&engines[0]), counters(&engines[1]), "run {run}");
             assert_eq!(counters(&engines[0]), counters(&engines[2]), "run {run}");
         }
-        assert_eq!(engines[0].anchored_fast_paths(), 2);
-        assert_eq!(engines[0].promotions(), 1);
+        assert_eq!(engines[0].stats().anchored_fast_paths, 2);
+        assert_eq!(engines[0].stats().promotions, 1);
         // and a query that fails to resolve fails the same way everywhere
         let bad = "pathsim author-paper-author from nobody";
         assert_eq!(engines[0].execute(bad), engines[1].execute_traced(bad).0);
@@ -1559,11 +1488,11 @@ mod tests {
                 );
             }
         }
-        assert!(engine.cache_evictions() > 0, "tiny budget must evict");
+        assert!(engine.stats().cache.evictions > 0, "tiny budget must evict");
         assert!(
-            engine.cache_bytes() <= budget,
+            engine.stats().cache.bytes <= budget,
             "resident {} bytes exceeds budget {budget}",
-            engine.cache_bytes()
+            engine.stats().cache.bytes
         );
     }
 
@@ -1620,7 +1549,7 @@ mod tests {
         assert_eq!(*cached, direct);
         let again = engine.commuting_matrix(&apa).unwrap();
         assert!(Arc::ptr_eq(&cached, &again), "second call is the same Arc");
-        assert!(engine.cache_hits() >= 1);
+        assert!(engine.stats().cache.hits >= 1);
     }
 
     #[test]
@@ -1636,12 +1565,12 @@ mod tests {
         let report = cold.restore(&snap);
         assert_eq!(report.loaded as usize, snap.len());
         assert_eq!(report.rejected, 0);
-        assert_eq!(cold.cache_warm_loaded() as usize, snap.len());
+        assert_eq!(cold.stats().cache.warm_loaded as usize, snap.len());
 
         let got = cold.execute(q).unwrap();
         assert_eq!(got, want, "warm engine answers byte-identically");
         assert_eq!(
-            cold.cache_misses(),
+            cold.stats().cache.misses,
             0,
             "a full snapshot leaves nothing to recompute"
         );
@@ -1679,14 +1608,14 @@ mod tests {
         assert!(report.fingerprint_mismatch, "rebuilt data must not pass");
         assert_eq!(report.loaded, 0, "no stale matrix may load");
         assert_eq!(report.rejected as usize, snap.len());
-        assert_eq!(other.cache_warm_rejected(), report.rejected);
+        assert_eq!(other.stats().cache.warm_rejected, report.rejected);
         // the engine stays correct — cold, but correct
         let out = other
             .execute("pathsim author-paper-author from a1")
             .unwrap();
         assert_eq!(out.items[0].0, "a0");
         assert!(
-            other.cache_misses() > 0,
+            other.stats().cache.misses > 0,
             "served by computing, not stale cache"
         );
     }
@@ -1699,7 +1628,7 @@ mod tests {
             .unwrap();
         assert_eq!(plan.root.span(), (0, 3));
         assert!(plan.describe().contains("author→paper"));
-        assert_eq!(engine.cache_misses(), 0, "planning computes nothing");
+        assert_eq!(engine.stats().cache.misses, 0, "planning computes nothing");
     }
 
     /// A network heavy enough that row propagation decisively beats
@@ -1744,9 +1673,9 @@ mod tests {
         // misses, nothing planned, the same answer
         const N: usize = 5;
         let (hits, misses, symmetry) = (
-            engine.cache_hits(),
-            engine.cache_misses(),
-            engine.cache_symmetry_hits(),
+            engine.stats().cache.hits,
+            engine.stats().cache.misses,
+            engine.stats().cache.symmetry_hits,
         );
         let plans = PLAN_STEPS_CALLS.get();
         for _ in 0..N {
@@ -1760,15 +1689,15 @@ mod tests {
         for got in engine.execute_many(&[q; N]) {
             assert_eq!(got.unwrap(), want);
         }
-        assert_eq!(engine.cache_hits(), hits + 2 * N as u64);
-        assert_eq!(engine.cache_misses(), misses);
-        assert_eq!(engine.cache_symmetry_hits(), symmetry);
+        assert_eq!(engine.stats().cache.hits, hits + 2 * N as u64);
+        assert_eq!(engine.stats().cache.misses, misses);
+        assert_eq!(engine.stats().cache.symmetry_hits, symmetry);
         assert_eq!(
             PLAN_STEPS_CALLS.get(),
             plans,
             "a resident read plans nothing"
         );
-        assert_eq!(engine.promotions(), 1);
+        assert_eq!(engine.stats().promotions, 1);
 
         // a span resident only as its reversal: the probe is the one
         // symmetry hit evaluation would have counted, then plain hits
@@ -1786,9 +1715,9 @@ mod tests {
         engine.execute(reversed).unwrap();
         assert_eq!(
             (
-                engine.cache_hits(),
-                engine.cache_symmetry_hits(),
-                engine.cache_misses()
+                engine.stats().cache.hits,
+                engine.stats().cache.symmetry_hits,
+                engine.stats().cache.misses
             ),
             (2, 1, 1)
         );
@@ -1821,13 +1750,17 @@ mod tests {
             );
         }
         assert_eq!(
-            lazy.anchored_fast_paths(),
+            lazy.stats().anchored_fast_paths,
             queries.len() as u64,
             "every anchored query on this data should win the cost race"
         );
-        assert_eq!(lazy.cache_misses(), 0, "the fast path materializes nothing");
-        assert_eq!(lazy.cache_len(), 0);
-        assert_eq!(lazy.promotions(), 0);
+        assert_eq!(
+            lazy.stats().cache.misses,
+            0,
+            "the fast path materializes nothing"
+        );
+        assert_eq!(lazy.stats().cache.len, 0);
+        assert_eq!(lazy.stats().promotions, 0);
     }
 
     #[test]
@@ -1846,10 +1779,14 @@ mod tests {
             "pathsim author-paper-venue-paper-author from a5",
         );
         assert_eq!(lazy.execute(q0).unwrap(), eager.execute(q0).unwrap());
-        assert_eq!(lazy.normalizer_memo_hits(), 0, "first query seeds the memo");
+        assert_eq!(
+            lazy.stats().normalizer_memo_hits,
+            0,
+            "first query seeds the memo"
+        );
         assert_eq!(lazy.execute(q1).unwrap(), eager.execute(q1).unwrap());
         assert!(
-            lazy.normalizer_memo_hits() > 0,
+            lazy.stats().normalizer_memo_hits > 0,
             "second query over the span reuses memoized M[y][y] diagonals"
         );
         // an odd palindrome (self-relation middle step) memoizes under a
@@ -1885,9 +1822,10 @@ mod tests {
         let q = "pathsim user-page-page-user from u0";
         assert_eq!(lazy.execute(q).unwrap(), eager.execute(q).unwrap());
         assert_eq!(lazy.execute(q).unwrap(), eager.execute(q).unwrap());
-        assert!(lazy.normalizer_memo_hits() > 0);
-        lazy.reset_cache_stats();
-        assert_eq!(lazy.normalizer_memo_hits(), 0);
+        let before = lazy.stats();
+        assert!(before.normalizer_memo_hits > 0);
+        assert_eq!(lazy.execute(q).unwrap(), eager.execute(q).unwrap());
+        assert!(lazy.stats().normalizer_memo_hits > before.normalizer_memo_hits);
     }
 
     /// Evict `gone` from a one-shard bounded cache the way traffic would:
@@ -1901,7 +1839,11 @@ mod tests {
         ));
         for i in 0..64 {
             if engine.cache().peek_nnz(gone).is_none() {
-                assert_eq!(engine.cache().inserts_refused(), 0, "evicted, not refused");
+                assert_eq!(
+                    engine.cache().stats().inserts_refused,
+                    0,
+                    "evicted, not refused"
+                );
                 return;
             }
             assert!(engine
@@ -1986,28 +1928,32 @@ mod tests {
         // the first read materializes the span and builds its sidecar, the
         // later ones find it: three queries, one build
         assert_answers_by_definition(&engine, &m, "first reads");
-        assert_eq!(engine.cache_diagonal_builds(), 1);
+        assert_eq!(engine.stats().cache.diagonal_builds, 1);
         assert_answers_by_definition(&engine, &m, "sidecar resident");
-        assert_eq!(engine.cache_diagonal_builds(), 1);
+        assert_eq!(engine.stats().cache.diagonal_builds, 1);
 
         // eviction drops the sidecar with its entry; the recomputed span
         // builds a fresh one
         let snap = engine.snapshot(None);
         turn_the_lru_over(&engine, &key);
         assert_answers_by_definition(&engine, &m, "after eviction + recompute");
-        assert_eq!(engine.cache_diagonal_builds(), 2);
+        assert_eq!(engine.stats().cache.diagonal_builds, 2);
 
         // a restore replaces the entry, so the diagonal is rebuilt from the
         // restored matrix — from a heap snapshot…
         let from_heap = eager_engine(Arc::clone(&hin));
         assert!(from_heap.restore(&snap).loaded > 0);
         assert_answers_by_definition(&from_heap, &m, "restored from heap");
-        assert_eq!(from_heap.cache_misses(), 0, "served from the snapshot");
-        assert_eq!(from_heap.cache_diagonal_builds(), 1);
+        assert_eq!(
+            from_heap.stats().cache.misses,
+            0,
+            "served from the snapshot"
+        );
+        assert_eq!(from_heap.stats().cache.diagonal_builds, 1);
         // …into a live engine that already holds a sidecar for the key…
         assert!(engine.restore(&snap).loaded > 0);
         assert_answers_by_definition(&engine, &m, "restored over a live entry");
-        assert_eq!(engine.cache_diagonal_builds(), 3);
+        assert_eq!(engine.stats().cache.diagonal_builds, 3);
         // …and from a mapped file, verified by the queries that touch it
         let dir = std::env::temp_dir().join(format!("hin-diag-sidecar-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -2017,8 +1963,8 @@ mod tests {
         let from_file = eager_engine(Arc::clone(&hin));
         assert!(from_file.restore(&mapped).loaded > 0);
         assert_answers_by_definition(&from_file, &m, "restored from a mapped file");
-        assert_eq!(from_file.cache_misses(), 0, "served from the mapping");
-        assert_eq!(from_file.cache_diagonal_builds(), 1);
+        assert_eq!(from_file.stats().cache.misses, 0, "served from the mapping");
+        assert_eq!(from_file.stats().cache.diagonal_builds, 1);
         drop((from_file, mapped));
         std::fs::remove_dir_all(&dir).unwrap();
 
@@ -2033,7 +1979,7 @@ mod tests {
         );
         engine.cache().insert(key.clone(), Arc::new(other.clone()));
         assert_answers_by_definition(&engine, &other, "entry replaced under the same key");
-        assert_eq!(engine.cache_diagonal_builds(), 4);
+        assert_eq!(engine.stats().cache.diagonal_builds, 4);
 
         // a budget the span never fits: every read is the non-resident
         // fallback and no diagonal is ever built
@@ -2045,7 +1991,7 @@ mod tests {
         assert_answers_by_definition(&starved, &m, "never resident");
         assert_answers_by_definition(&starved, &m, "never resident, again");
         assert!(starved.cache().peek_nnz(&key).is_none());
-        assert_eq!(starved.cache_diagonal_builds(), 0);
+        assert_eq!(starved.stats().cache.diagonal_builds, 0);
     }
 
     #[test]
@@ -2111,11 +2057,11 @@ mod tests {
         read(&format!("pathsim {span} from a0"));
         read(&format!("rank {span}"));
         assert_eq!(builds(), 7);
-        let diagonals = engine.cache_diagonal_builds();
+        let diagonals = engine.stats().cache.diagonal_builds;
         read(&format!("pathsim {span} from a0 limit 2"));
         assert_eq!(builds(), 7);
         assert_eq!(
-            engine.cache_diagonal_builds(),
+            engine.stats().cache.diagonal_builds,
             diagonals,
             "a stored row reads no diagonal"
         );
@@ -2162,7 +2108,11 @@ mod tests {
             let names = |o: &QueryOutput| o.items.iter().map(|i| i.0.clone()).collect::<Vec<_>>();
             assert_eq!(names(&first), names(&again), "{q}");
         }
-        assert_eq!(engine.cache_misses(), 0, "served from the poisoned entry");
+        assert_eq!(
+            engine.stats().cache.misses,
+            0,
+            "served from the poisoned entry"
+        );
     }
 
     #[test]
@@ -2177,8 +2127,8 @@ mod tests {
         for run in 1..=2 {
             assert_eq!(verdict(), Some(Promotion::Heating { run, of: 3 }));
             assert_eq!(engine.execute(q).unwrap(), want);
-            assert_eq!(engine.anchored_fast_paths(), u64::from(run));
-            assert_eq!(engine.cache_misses(), 0, "still lazy on run {run}");
+            assert_eq!(engine.stats().anchored_fast_paths, u64::from(run));
+            assert_eq!(engine.stats().cache.misses, 0, "still lazy on run {run}");
         }
         // third query on the span crosses promote_after and materializes
         assert!(engine
@@ -2188,21 +2138,21 @@ mod tests {
             .contains("promotion: materializes now"));
         assert_eq!(engine.execute(q).unwrap(), want);
         assert_eq!(verdict(), Some(Promotion::Resident));
-        assert_eq!(engine.promotions(), 1);
-        assert_eq!(engine.anchored_fast_paths(), 2);
-        let misses_after_promotion = engine.cache_misses();
+        assert_eq!(engine.stats().promotions, 1);
+        assert_eq!(engine.stats().anchored_fast_paths, 2);
+        let misses_after_promotion = engine.stats().cache.misses;
         assert!(misses_after_promotion > 0, "promotion ran the SpMM chain");
 
         // from here on: plain cache hits, no recomputation, no more lazy runs
-        let hits = engine.cache_hits();
+        let hits = engine.stats().cache.hits;
         assert_eq!(engine.execute(q).unwrap(), want);
-        assert_eq!(engine.cache_misses(), misses_after_promotion);
-        assert!(engine.cache_hits() > hits);
-        assert_eq!(engine.anchored_fast_paths(), 2);
-        assert_eq!(engine.promotions(), 1);
+        assert_eq!(engine.stats().cache.misses, misses_after_promotion);
+        assert!(engine.stats().cache.hits > hits);
+        assert_eq!(engine.stats().anchored_fast_paths, 2);
+        assert_eq!(engine.stats().promotions, 1);
         // an unbounded cache admits everything: nothing was ever refused
-        assert_eq!(engine.promotions_refused(), 0);
-        assert_eq!(engine.cache_inserts_refused(), 0);
+        assert_eq!(engine.stats().promotions_refused, 0);
+        assert_eq!(engine.stats().cache.inserts_refused, 0);
     }
 
     #[test]
@@ -2233,22 +2183,17 @@ mod tests {
         for _ in 0..30 {
             assert_eq!(engine.execute(q).unwrap(), want);
         }
-        assert_eq!(engine.promotions(), 0);
-        assert_eq!(engine.promotions_refused(), 30);
-        assert_eq!(
-            engine.anchored_fast_paths(),
-            30,
-            "refused runs are lazy runs"
-        );
-        assert_eq!(engine.cache_misses(), 0, "nothing was materialized");
-        assert_eq!(
-            engine.cache_inserts_refused(),
-            0,
-            "nor offered to the cache"
-        );
+        let before = engine.stats();
+        assert_eq!(before.promotions, 0);
+        assert_eq!(before.promotions_refused, 30);
+        assert_eq!(before.anchored_fast_paths, 30, "refused runs are lazy runs");
+        assert_eq!(before.cache.misses, 0, "nothing was materialized");
+        assert_eq!(before.cache.inserts_refused, 0, "nor offered to the cache");
         assert!(engine.heat.lock().unwrap().is_empty(), "never counted");
-        engine.reset_cache_stats();
-        assert_eq!(engine.promotions_refused(), 0);
+        assert_eq!(engine.execute(q).unwrap(), want);
+        let after = engine.stats();
+        assert_eq!(after.promotions_refused - before.promotions_refused, 1);
+        assert_eq!(after.promotions, 0);
     }
 
     /// 400 papers, one hub author on half of them (40 more authors share
@@ -2288,7 +2233,7 @@ mod tests {
         );
         // a small resident neighbour the failed promotion must not disturb
         engine.execute("rank ^written_by-written_by").unwrap();
-        let neighbour = engine.cache_len();
+        let neighbour = engine.stats().cache.len;
         assert!(neighbour > 0);
 
         let span = |p: usize| format!("pathcount written_by-^reviewed_by from p{p}");
@@ -2300,24 +2245,32 @@ mod tests {
             "the estimate fits: {}",
             plan.est_bytes
         );
-        let misses = engine.cache_misses();
+        let misses = engine.stats().cache.misses;
         for p in 0..10 {
             assert_eq!(
                 engine.execute(&span(p)).unwrap(),
                 reference.execute(&span(p)).unwrap()
             );
         }
-        assert_eq!(engine.promotions(), 1, "the third query found out");
+        assert_eq!(engine.stats().promotions, 1, "the third query found out");
         assert_eq!(
-            engine.cache_misses(),
+            engine.stats().cache.misses,
             misses + 1,
             "one product, computed once"
         );
-        assert_eq!(engine.cache_inserts_refused(), 1);
-        assert_eq!(engine.promotions_refused(), 7);
-        assert_eq!(engine.anchored_fast_paths(), 9);
-        assert_eq!(engine.cache_evictions(), 0, "nobody paid for the attempt");
-        assert_eq!(engine.cache_len(), neighbour, "neighbours still resident");
+        assert_eq!(engine.stats().cache.inserts_refused, 1);
+        assert_eq!(engine.stats().promotions_refused, 7);
+        assert_eq!(engine.stats().anchored_fast_paths, 9);
+        assert_eq!(
+            engine.stats().cache.evictions,
+            0,
+            "nobody paid for the attempt"
+        );
+        assert_eq!(
+            engine.stats().cache.len,
+            neighbour,
+            "neighbours still resident"
+        );
         let plan = engine.plan(&span(0)).unwrap();
         assert!(
             plan.to_string()
@@ -2337,9 +2290,9 @@ mod tests {
                 reference.execute(mirror).unwrap()
             );
         }
-        assert_eq!(engine.promotions(), 1);
-        assert_eq!(engine.promotions_refused(), 12);
-        assert_eq!(engine.cache_misses(), misses + 1);
+        assert_eq!(engine.stats().promotions, 1);
+        assert_eq!(engine.stats().promotions_refused, 12);
+        assert_eq!(engine.stats().cache.misses, misses + 1);
         assert!(engine.heat.lock().unwrap().is_empty());
     }
 
@@ -2351,12 +2304,12 @@ mod tests {
             .collect();
         let counters = |e: &Engine| {
             (
-                e.promotions(),
-                e.promotions_refused(),
-                e.anchored_fast_paths(),
-                e.cache_misses(),
-                e.cache_inserts_refused(),
-                e.cache_evictions(),
+                e.stats().promotions,
+                e.stats().promotions_refused,
+                e.stats().anchored_fast_paths,
+                e.stats().cache.misses,
+                e.stats().cache.inserts_refused,
+                e.stats().cache.evictions,
             )
         };
         // an estimate that fits and a product that does not; then an
@@ -2397,11 +2350,15 @@ mod tests {
         engine
             .execute("pathcount author-paper-venue from a0")
             .unwrap();
-        assert_eq!(engine.promotions(), 0);
+        assert_eq!(engine.stats().promotions, 0);
         engine
             .execute("pathcount venue-paper-author from v0")
             .unwrap();
-        assert_eq!(engine.promotions(), 1, "mirror query promotes the span");
+        assert_eq!(
+            engine.stats().promotions,
+            1,
+            "mirror query promotes the span"
+        );
     }
 
     #[test]
@@ -2415,9 +2372,9 @@ mod tests {
         engine
             .execute("pathcount author-paper-venue from a0")
             .unwrap();
-        assert_eq!(engine.anchored_fast_paths(), 0);
-        assert_eq!(engine.promotions(), 1);
-        assert!(engine.cache_misses() > 0);
+        assert_eq!(engine.stats().anchored_fast_paths, 0);
+        assert_eq!(engine.stats().promotions, 1);
+        assert!(engine.stats().cache.misses > 0);
     }
 
     #[test]
@@ -2453,7 +2410,7 @@ mod tests {
         // execution falls back to propagating from the anchor — correct,
         // just colder
         assert_eq!(engine.execute(q).unwrap(), reference.execute(q).unwrap());
-        assert_eq!(engine.anchored_fast_paths(), 1);
+        assert_eq!(engine.stats().anchored_fast_paths, 1);
     }
 
     #[test]
@@ -2503,7 +2460,7 @@ mod tests {
             assert_eq!(lazy.execute(q).unwrap(), eager.execute(q).unwrap(), "{q}");
         }
         assert!(
-            lazy.anchored_fast_paths() > 0,
+            lazy.stats().anchored_fast_paths > 0,
             "the odd-palindrome queries must actually exercise the fast path"
         );
     }
@@ -2600,8 +2557,12 @@ mod tests {
             "cold anchored query plans the fast path: {plan}"
         );
         assert!(plan.to_string().contains("row-propagate"));
-        assert_eq!(engine.cache_misses(), 0, "planning computes nothing");
-        assert_eq!(engine.anchored_fast_paths(), 0, "planning executes nothing");
+        assert_eq!(engine.stats().cache.misses, 0, "planning computes nothing");
+        assert_eq!(
+            engine.stats().anchored_fast_paths,
+            0,
+            "planning executes nothing"
+        );
 
         // non-anchored verbs and eager engines always plan Full
         let rank = engine.plan("rank venue-paper-author").unwrap();

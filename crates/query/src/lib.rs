@@ -68,7 +68,8 @@
 //! // cache, whichever the cost model picks; repeated spans get promoted
 //! // to the cache once hot
 //! engine.execute("pathsim author-paper-author from han").unwrap();
-//! assert!(engine.anchored_fast_paths() + engine.cache_hits() + engine.cache_misses() >= 1);
+//! let stats = engine.stats();
+//! assert!(stats.anchored_fast_paths + stats.cache.hits + stats.cache.misses >= 1);
 //! ```
 
 pub mod cache;
@@ -79,8 +80,8 @@ pub mod plan;
 pub mod resolve;
 pub mod snapshot;
 
-pub use cache::{CacheConfig, CacheOutcome, MatrixCache, Refusal};
-pub use engine::{Engine, ExecPolicy, QueryOutput, QueryTrace, TraceMode};
+pub use cache::{CacheConfig, CacheOutcome, CacheStats, MatrixCache, Refusal};
+pub use engine::{Engine, EngineStats, ExecPolicy, QueryOutput, QueryTrace, TraceMode};
 pub use error::QueryError;
 pub use parse::{parse, ParsedQuery, PathExpr, PathSegment, Verb};
 pub use plan::{plan_steps, ExecMode, PlanNode, Promotion, QueryPlan};

@@ -39,7 +39,8 @@
 //!   lookup that reaches them, or by [`MatrixCache::verify_pending`], which
 //!   whoever asked for the restore runs on its own thread. A mismatch
 //!   evicts the entry and is counted
-//!   ([`MatrixCache::lazy_verify_failures`]); the span is recomputed.
+//!   ([`lazy_verify_failures`](crate::CacheStats::lazy_verify_failures));
+//!   the span is recomputed.
 //!
 //! # Container wire format (version 4 — the sealed-directory arena format)
 //!
@@ -199,8 +200,8 @@ pub struct SnapshotImport {
     /// Entries rejected because their key or dimensions did not match the
     /// destination dataset's schema, or because the matrix is larger than
     /// one shard's slice of the destination's byte budget (also counted in
-    /// [`MatrixCache::inserts_refused`]) — or all of them, when the
-    /// snapshot's dataset fingerprint did not match.
+    /// [`inserts_refused`](crate::CacheStats::inserts_refused)) — or all of
+    /// them, when the snapshot's dataset fingerprint did not match.
     pub rejected: u64,
     /// `true` when the snapshot carried a [`dataset_fingerprint`] that
     /// does not match the destination dataset: the data the entries were
@@ -824,8 +825,10 @@ impl MatrixCache {
     /// Entries are inserted coldest-first so the snapshot's hottest
     /// entries carry the newest recency ticks — a bounded cache keeps the
     /// hot prefix and sheds the cold tail, matching export order.
-    /// Outcomes land in the [`MatrixCache::warm_loaded`] /
-    /// [`MatrixCache::warm_rejected`] counters and the returned report.
+    /// Outcomes land in the
+    /// [`warm_loaded`](crate::CacheStats::warm_loaded) /
+    /// [`warm_rejected`](crate::CacheStats::warm_rejected) counters and the
+    /// returned report.
     pub fn import_snapshot(&self, snapshot: &CacheSnapshot, hin: &Hin) -> SnapshotImport {
         self.import_validated(snapshot, hin, None)
     }
@@ -964,9 +967,13 @@ mod tests {
         let report = cache.import_snapshot(&mounted, hin);
         assert_eq!(report.loaded as usize, good.len(), "{what}");
         cache.verify_pending();
-        assert_eq!(cache.lazy_pending(), 0, "{what}");
-        assert_eq!(cache.lazy_verify_failures(), 1, "{what}: one entry dropped");
-        assert_eq!(cache.len(), good.len() - 1, "{what}");
+        assert_eq!(cache.stats().lazy_pending, 0, "{what}");
+        assert_eq!(
+            cache.stats().lazy_verify_failures,
+            1,
+            "{what}: one entry dropped"
+        );
+        assert_eq!(cache.stats().len, good.len() - 1, "{what}");
         for e in &good.entries {
             if let Some(m) = cache.get(&e.key) {
                 assert_eq!(*m, *e.matrix, "{what}: {:?}", e.key);
@@ -1082,7 +1089,7 @@ mod tests {
         assert_eq!(report.loaded, 3);
         if hin_linalg::arena::ZERO_COPY {
             assert_eq!(report.view_backed, 3);
-            assert_eq!(dst.warm_view_backed(), 3);
+            assert_eq!(dst.stats().warm_view_backed, 3);
         }
     }
 
@@ -1270,7 +1277,10 @@ mod tests {
         assert_eq!(cache.import_snapshot(&bad, &hin).loaded, 2);
         cache.verify_pending();
         assert_eq!(
-            (cache.lazy_verified(), cache.lazy_verify_failures()),
+            (
+                cache.stats().lazy_verified,
+                cache.stats().lazy_verify_failures
+            ),
             (1, 1)
         );
         // truncation and an empty file (which cannot be mapped at all)
@@ -1307,11 +1317,11 @@ mod tests {
                 view_backed: 0
             }
         );
-        assert_eq!(cache.warm_loaded(), 1);
-        assert_eq!(cache.warm_rejected(), 3);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().warm_loaded, 1);
+        assert_eq!(cache.stats().warm_rejected, 3);
+        assert_eq!(cache.stats().len, 1);
         assert!(cache.get(&[(0, true)]).is_some());
-        assert_eq!(cache.misses(), 0, "warm loads are not misses");
+        assert_eq!(cache.stats().misses, 0, "warm loads are not misses");
     }
 
     #[test]
@@ -1339,8 +1349,12 @@ mod tests {
         });
         let report = cache.import_snapshot(&snap, &hin);
         assert_eq!(report.loaded, 3, "all entries fit the schema");
-        assert_eq!(cache.len(), 1, "LRU enforces the budget during import");
-        assert!(cache.bytes() <= per_entry);
+        assert_eq!(
+            cache.stats().len,
+            1,
+            "LRU enforces the budget during import"
+        );
+        assert!(cache.stats().bytes <= per_entry);
         assert!(
             cache.get(&[(0, true), (0, false)]).is_some(),
             "the snapshot's hottest entry survives the budget squeeze"
@@ -1383,8 +1397,8 @@ mod tests {
         let bad = dst.import_snapshot(&stale, &hin);
         assert!(bad.fingerprint_mismatch);
         assert_eq!((bad.loaded, bad.rejected), (0, 1));
-        assert_eq!(dst.len(), 0);
-        assert_eq!(dst.warm_rejected(), 1);
+        assert_eq!(dst.stats().len, 0);
+        assert_eq!(dst.stats().warm_rejected, 1);
     }
 
     #[test]
@@ -1488,22 +1502,26 @@ mod tests {
         let dst = MatrixCache::default();
         let report = dst.import_snapshot(&lazy, &hin);
         assert_eq!(report.loaded, 2);
-        assert_eq!(dst.lazy_pending(), 2);
+        assert_eq!(dst.stats().lazy_pending, 2);
 
         // first touch of the corrupted entry: verification fails, the
         // entry is evicted, and the caller sees a miss (→ recompute)
         assert!(dst.get(&corrupt_key).is_none());
-        assert_eq!(dst.lazy_verify_failures(), 1);
-        assert_eq!(dst.len(), 1, "the corrupt entry is gone");
+        assert_eq!(dst.stats().lazy_verify_failures, 1);
+        assert_eq!(dst.stats().len, 1, "the corrupt entry is gone");
 
         // the clean entry verifies once, then serves without re-hashing
         let hashes = ENTRY_CHECKSUM_CALLS.get();
         assert!(dst.get(&clean_key).is_some());
-        assert_eq!(dst.lazy_verified(), 1);
+        assert_eq!(dst.stats().lazy_verified, 1);
         assert!(dst.get(&clean_key).is_some());
-        assert_eq!(dst.lazy_verified(), 1, "verification ran exactly once");
+        assert_eq!(
+            dst.stats().lazy_verified,
+            1,
+            "verification ran exactly once"
+        );
         assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes + 1);
-        assert_eq!(dst.lazy_pending(), 0);
+        assert_eq!(dst.stats().lazy_pending, 0);
 
         // an uncorrupted restore verifies everything clean — by the sweep,
         // which leaves the first touches nothing to hash
@@ -1513,14 +1531,15 @@ mod tests {
         let dst = MatrixCache::default();
         dst.import_snapshot(&lazy, &hin);
         dst.verify_pending();
-        assert_eq!((dst.lazy_verified(), dst.lazy_pending()), (2, 0));
+        let stats = dst.stats();
+        assert_eq!((stats.lazy_verified, stats.lazy_pending), (2, 0));
         let hashes = ENTRY_CHECKSUM_CALLS.get();
         assert!(dst.get(&[(0, true)]).is_some());
         assert!(dst.get(&[(1, true)]).is_some());
         assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes);
-        assert_eq!(dst.lazy_verified(), 2);
-        assert_eq!(dst.lazy_verify_failures(), 0);
-        assert_eq!(dst.hits(), 2, "the sweep is not a use");
+        assert_eq!(dst.stats().lazy_verified, 2);
+        assert_eq!(dst.stats().lazy_verify_failures, 0);
+        assert_eq!(dst.stats().hits, 2, "the sweep is not a use");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1656,8 +1675,12 @@ mod tests {
                 assert_eq!(engine.restore(&mounted).loaded as usize, snap.len());
                 engine.verify_restored();
                 let cache = engine.cache();
-                assert_eq!(cache.lazy_verify_failures(), 1, "entry {i} byte {pos}");
-                assert_eq!(cache.lazy_pending(), 0);
+                assert_eq!(
+                    cache.stats().lazy_verify_failures,
+                    1,
+                    "entry {i} byte {pos}"
+                );
+                assert_eq!(cache.stats().lazy_pending, 0);
                 let left = cache.export_snapshot(None).keys();
                 assert_eq!(left.len() + 1, snap.len());
                 assert!(!left.contains(&mounted.entries[i].key), "entry {i} evicted");
@@ -1680,7 +1703,7 @@ mod tests {
         let cache = MatrixCache::default();
         assert_eq!(cache.import_snapshot(&mounted, &hin).loaded, 2);
         cache.verify_pending();
-        assert_eq!(cache.lazy_verified(), 2);
+        assert_eq!(cache.stats().lazy_verified, 2);
         // one `data` hash per pending entry; the row offsets and indices,
         // proved by the mount, are not hashed again
         assert_eq!(ENTRY_CHECKSUM_CALLS.get(), values + 2);
@@ -1777,7 +1800,7 @@ mod tests {
         let next = MatrixCache::default();
         let hashes = ENTRY_CHECKSUM_CALLS.get();
         assert_eq!(next.import_snapshot(&handed, &hin).loaded, 2);
-        assert_eq!(next.lazy_pending(), 0);
+        assert_eq!(next.stats().lazy_pending, 0);
         assert!(next.get(&[(0, true)]).is_some());
         assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes);
         std::fs::remove_dir_all(&dir).ok();

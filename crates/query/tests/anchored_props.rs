@@ -219,14 +219,15 @@ proptest! {
                 }
             }
         }
-        prop_assert!(lazy.cache_bytes() <= 2 * SLICES[slice]);
+        prop_assert!(lazy.stats().cache.bytes <= 2 * SLICES[slice]);
 
         let snapshot = full.snapshot(None);
         let warm = Engine::with_cache_config(Arc::clone(&hin), bounded);
         let report = warm.restore(&snapshot);
         prop_assert_eq!((report.loaded + report.rejected) as usize, snapshot.len());
-        prop_assert_eq!(report.rejected, warm.cache_inserts_refused(), "too large, not unfit");
-        prop_assert_eq!(warm.cache_evictions() + warm.cache_len() as u64, report.loaded);
+        let cache = warm.stats().cache;
+        prop_assert_eq!(report.rejected, cache.inserts_refused, "too large, not unfit");
+        prop_assert_eq!(cache.evictions + cache.len as u64, report.loaded);
         for q in &queries {
             let want = full.execute(q).expect("full-matrix execution");
             let got = warm.execute(q).expect("restored execution");
@@ -367,11 +368,11 @@ fn bounded_engines_repeat_their_counts_on_one_request_list() {
             engine.execute(q).expect("generated queries fit the schema");
         }
         (
-            engine.cache_misses(),
-            engine.cache_evictions(),
-            engine.promotions(),
-            engine.promotions_refused(),
-            engine.cache_inserts_refused(),
+            engine.stats().cache.misses,
+            engine.stats().cache.evictions,
+            engine.stats().promotions,
+            engine.stats().promotions_refused,
+            engine.stats().cache.inserts_refused,
         )
     };
     let (first, second) = (run(), run());

@@ -85,21 +85,21 @@ fn concurrent_thrash_computes_each_key_at_most_once_per_generation() {
          distinct keys: the in-flight table failed to deduplicate"
     );
     assert_eq!(
-        cache.dup_computes(),
+        cache.stats().dup_computes,
         0,
         "no computation may finish to find its key already materialized"
     );
     assert!(
-        cache.coalesced_waits() > 0,
+        cache.stats().coalesced_waits > 0,
         "with {n_threads} threads barrier-released onto each key, some must \
          have coalesced onto an in-flight computation"
     );
     assert!(
-        cache.evictions() > 0,
+        cache.stats().evictions > 0,
         "a 2-entry budget must evict across {distinct_keys} keys per generation"
     );
     assert!(
-        cache.bytes() <= entry_bytes * 2,
+        cache.stats().bytes <= entry_bytes * 2,
         "resident bytes must respect the budget under dedup"
     );
 }
@@ -138,7 +138,7 @@ fn engine_level_dedup_keeps_misses_at_single_thread_count() {
     );
     let q = "pathsim author-paper-venue-paper-author from a0";
     let want = reference.execute(q).unwrap();
-    let single_thread_misses = reference.cache_misses();
+    let single_thread_misses = reference.stats().cache.misses;
 
     let engine = Arc::new(Engine::with_config(
         Arc::clone(&hin),
@@ -161,10 +161,10 @@ fn engine_level_dedup_keeps_misses_at_single_thread_count() {
         assert_eq!(h.join().expect("query thread"), want);
     }
     assert!(
-        engine.cache_misses() <= single_thread_misses,
+        engine.stats().cache.misses <= single_thread_misses,
         "{} concurrent misses vs {} single-threaded: duplicate SpMM chains ran",
-        engine.cache_misses(),
+        engine.stats().cache.misses,
         single_thread_misses
     );
-    assert_eq!(engine.cache_dup_computes(), 0);
+    assert_eq!(engine.stats().cache.dup_computes, 0);
 }

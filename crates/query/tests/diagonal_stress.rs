@@ -47,7 +47,7 @@ fn concurrent_pathsim_reads_build_the_diagonal_once() {
         .iter()
         .map(|q| reference.execute(q).unwrap())
         .collect();
-    assert_eq!(reference.cache_diagonal_builds(), 1);
+    assert_eq!(reference.stats().cache.diagonal_builds, 1);
 
     // make the span resident through a verb that reads no diagonal, so the
     // first PathSim reads — and the one build — happen under contention
@@ -55,7 +55,7 @@ fn concurrent_pathsim_reads_build_the_diagonal_once() {
     engine
         .execute("pathcount author-paper-venue-paper-author from a0")
         .unwrap();
-    assert_eq!(engine.cache_diagonal_builds(), 0);
+    assert_eq!(engine.stats().cache.diagonal_builds, 0);
 
     let n_threads = 8;
     let barrier = Arc::new(Barrier::new(n_threads));
@@ -81,7 +81,7 @@ fn concurrent_pathsim_reads_build_the_diagonal_once() {
         }
     }
     assert_eq!(
-        engine.cache_diagonal_builds(),
+        engine.stats().cache.diagonal_builds,
         1,
         "one resident span, one diagonal — however many threads read it"
     );

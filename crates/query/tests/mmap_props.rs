@@ -183,7 +183,7 @@ proptest! {
             prop_assert_eq!(m.rejected, 0);
             if sweep {
                 via_map.verify_restored();
-                prop_assert_eq!(via_map.cache().lazy_verified(), m.loaded);
+                prop_assert_eq!(via_map.cache().stats().lazy_verified, m.loaded);
             }
             for q in &queries {
                 let want = via_read.execute(q).expect("heap-backed execution");
@@ -191,7 +191,7 @@ proptest! {
                 assert_bit_identical(&got, &want, &format!("{q} [sweep: {sweep}]"))?;
             }
             for engine in [&via_read, &via_map] {
-                prop_assert_eq!(engine.cache().lazy_verify_failures(), 0);
+                prop_assert_eq!(engine.cache().stats().lazy_verify_failures, 0);
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -249,10 +249,10 @@ proptest! {
             prop_assert_eq!((report.loaded as usize, report.rejected), (donor.len(), 0));
             engine.verify_restored();
             let cache = engine.cache();
-            prop_assert_eq!(cache.lazy_pending(), 0);
-            prop_assert_eq!(cache.lazy_verify_failures(), 1, "byte {} bit {}", pos, bit);
-            prop_assert_eq!(cache.lazy_verified() + 1, report.loaded);
-            prop_assert_eq!(cache.len() + 1, donor.len(), "the touched entry is gone");
+            prop_assert_eq!(cache.stats().lazy_pending, 0);
+            prop_assert_eq!(cache.stats().lazy_verify_failures, 1, "byte {} bit {}", pos, bit);
+            prop_assert_eq!(cache.stats().lazy_verified + 1, report.loaded);
+            prop_assert_eq!(cache.stats().len + 1, donor.len(), "the touched entry is gone");
             for (q, want) in queries.iter().zip(&want) {
                 let got = engine.execute(q).expect("execution after a dropped entry");
                 assert_bit_identical(&got, want, &format!("{q} [byte {pos} bit {bit}]"))?;

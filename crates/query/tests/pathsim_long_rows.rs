@@ -104,8 +104,8 @@ fn long_rows_answer_by_definition_resident_and_lazy() {
         }
     }
     assert!(
-        lazy.anchored_fast_paths() > 0,
+        lazy.stats().anchored_fast_paths > 0,
         "the lazy engine answered some rows by propagation"
     );
-    assert_eq!(resident.anchored_fast_paths(), 0);
+    assert_eq!(resident.stats().anchored_fast_paths, 0);
 }

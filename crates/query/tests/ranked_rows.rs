@@ -298,7 +298,10 @@ fn ranked_reads_answer_as_a_fresh_engine_and_the_record_do() {
             },
         );
         check(&world, &tiny, &seq, "tiny budget");
-        assert!(tiny.cache_evictions() > 0, "the budget turned the LRU over");
+        assert!(
+            tiny.stats().cache.evictions > 0,
+            "the budget turned the LRU over"
+        );
 
         // restored: the matrices come back, their sidecars do not
         let snap = unbounded.snapshot(None);
@@ -316,7 +319,7 @@ fn ranked_reads_answer_as_a_fresh_engine_and_the_record_do() {
             let cold = eager(hin, CacheConfig::default());
             assert!(cold.restore(image).loaded > 0);
             check(&world, &cold, &seq, &format!("{how} into a cold engine"));
-            assert_eq!(cold.cache_misses(), 0, "{how}: served from the image");
+            assert_eq!(cold.stats().cache.misses, 0, "{how}: served from the image");
             // over a live engine whose sidecars are warm: every restored
             // entry replaces one, and starts again
             assert!(unbounded.restore(image).loaded > 0);
@@ -356,7 +359,7 @@ fn racing_first_reads_of_the_same_rows_agree() {
             };
             engine.execute(&world.text(&q)).unwrap();
         }
-        let misses = engine.cache_misses();
+        let misses = engine.stats().cache.misses;
         let barrier = Arc::new(Barrier::new(threads));
         std::thread::scope(|s| {
             for t in 0..threads {
@@ -375,6 +378,10 @@ fn racing_first_reads_of_the_same_rows_agree() {
                 });
             }
         });
-        assert_eq!(engine.cache_misses(), misses, "every span stayed resident");
+        assert_eq!(
+            engine.stats().cache.misses,
+            misses,
+            "every span stayed resident"
+        );
     }
 }

@@ -219,9 +219,9 @@ proptest! {
             prop_assert_eq!((report.loaded as usize, report.rejected), (snap.len(), 0));
             engine.verify_restored();
             let cache = engine.cache();
-            prop_assert_eq!(cache.lazy_pending(), 0);
-            prop_assert_eq!(cache.lazy_verify_failures(), 1, "byte {} bit {}", pos, bit);
-            prop_assert_eq!(cache.len() + 1, snap.len(), "the touched entry is gone");
+            prop_assert_eq!(cache.stats().lazy_pending, 0);
+            prop_assert_eq!(cache.stats().lazy_verify_failures, 1, "byte {} bit {}", pos, bit);
+            prop_assert_eq!(cache.stats().len + 1, snap.len(), "the touched entry is gone");
             for q in &queries {
                 let want = reference.execute(q).expect("reference execution");
                 let got = engine.execute(q).expect("execution after a dropped entry");

@@ -117,25 +117,19 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// Label order of the execution-mode axis of [`ServerStats::exec_ns`];
-/// matches [`TraceMode::as_str`] / [`TraceMode::index`].
-pub const EXEC_MODES: [&str; 3] = ["full", "sparse_row", "block_row"];
+/// Labels of the execution-mode axis of [`ServerStats::exec_ns`]: each
+/// [`TraceMode::as_str`], at its [`TraceMode::index`].
+pub const EXEC_MODES: [&str; 3] = {
+    let [full, sparse_row, block_row] = TraceMode::ALL;
+    [full.as_str(), sparse_row.as_str(), block_row.as_str()]
+};
 
-/// Label order of the cache-outcome axis of [`ServerStats::exec_ns`];
-/// matches [`CacheOutcome::as_str`].
-pub const EXEC_OUTCOMES: [&str; 3] = ["hit", "coalesced_wait", "miss_compute"];
-
-fn mode_idx(m: TraceMode) -> usize {
-    m.index()
-}
-
-fn outcome_idx(o: CacheOutcome) -> usize {
-    match o {
-        CacheOutcome::Hit => 0,
-        CacheOutcome::CoalescedWait => 1,
-        CacheOutcome::MissCompute => 2,
-    }
-}
+/// Labels of the cache-outcome axis of [`ServerStats::exec_ns`]: each
+/// [`CacheOutcome::as_str`], at its [`CacheOutcome::index`].
+pub const EXEC_OUTCOMES: [&str; 3] = {
+    let [hit, coalesced_wait, miss_compute] = CacheOutcome::ALL;
+    [hit.as_str(), coalesced_wait.as_str(), miss_compute.as_str()]
+};
 
 /// One query captured by the slow-query log: what ran, the plan it ran
 /// under, and where its latency went.
@@ -746,7 +740,8 @@ impl Server {
     /// Current lifetime statistics.
     pub fn stats(&self) -> ServerStats {
         let counters = &self.shared.counters;
-        let cache = self.engine.cache();
+        let engine = self.engine.stats();
+        let cache = engine.cache;
         let mut stats = ServerStats {
             served: counters.served.load(Ordering::Relaxed),
             errors: counters.errors.load(Ordering::Relaxed),
@@ -757,27 +752,27 @@ impl Server {
             workers: self.workers,
             queue_depth: self.shared.queue.depth(),
             lane_depths: self.shared.queue.lane_depths(),
-            cache_hits: cache.hits(),
-            cache_symmetry_hits: cache.symmetry_hits(),
-            cache_misses: cache.misses(),
-            cache_evictions: cache.evictions(),
-            cache_inserts_refused: cache.inserts_refused(),
-            cache_refused_bytes: cache.refused_bytes(),
-            anchored_fast_paths: self.engine.anchored_fast_paths(),
-            promotions: self.engine.promotions(),
-            promotions_refused: self.engine.promotions_refused(),
-            cache_coalesced_waits: cache.coalesced_waits(),
-            cache_dup_computes: cache.dup_computes(),
-            cache_warm_loaded: cache.warm_loaded(),
-            cache_warm_rejected: cache.warm_rejected(),
-            cache_warm_view_backed: cache.warm_view_backed(),
-            cache_restore_verified: cache.lazy_verified(),
-            cache_restore_corrupt: cache.lazy_verify_failures(),
-            cache_restore_pending: cache.lazy_pending(),
-            cache_diagonal_builds: cache.diagonal_builds(),
-            normalizer_memo_hits: self.engine.normalizer_memo_hits(),
-            cache_len: cache.len(),
-            cache_bytes: cache.bytes(),
+            cache_hits: cache.hits,
+            cache_symmetry_hits: cache.symmetry_hits,
+            cache_misses: cache.misses,
+            cache_evictions: cache.evictions,
+            cache_inserts_refused: cache.inserts_refused,
+            cache_refused_bytes: cache.refused_bytes,
+            anchored_fast_paths: engine.anchored_fast_paths,
+            promotions: engine.promotions,
+            promotions_refused: engine.promotions_refused,
+            cache_coalesced_waits: cache.coalesced_waits,
+            cache_dup_computes: cache.dup_computes,
+            cache_warm_loaded: cache.warm_loaded,
+            cache_warm_rejected: cache.warm_rejected,
+            cache_warm_view_backed: cache.warm_view_backed,
+            cache_restore_verified: cache.lazy_verified,
+            cache_restore_corrupt: cache.lazy_verify_failures,
+            cache_restore_pending: cache.lazy_pending,
+            cache_diagonal_builds: cache.diagonal_builds,
+            normalizer_memo_hits: engine.normalizer_memo_hits,
+            cache_len: cache.len,
+            cache_bytes: cache.bytes,
             ..ServerStats::default()
         };
         if let Some(tel) = &self.shared.telemetry {
@@ -916,7 +911,7 @@ fn worker_loop(engine: &Engine, shared: &Shared, batch_max: usize, workers: usiz
                 s.queue_wait.record_duration(queue_wait);
                 s.dispatch.record_duration(dispatch);
                 s.plan.record(trace.plan_ns);
-                s.exec[mode_idx(trace.mode)][outcome_idx(trace.outcome)].record(trace.exec_ns);
+                s.exec[trace.mode.index()][trace.outcome.index()].record(trace.exec_ns);
                 s.e2e.record_duration(total);
                 (queue_wait, total)
             });
@@ -1350,6 +1345,187 @@ pub(crate) mod tests {
             "block_row exec histogram must record the grouped members"
         );
         assert_eq!(stats.errors, 0);
+    }
+
+    /// Every cache and engine field of `server.stats()` against its source
+    /// in `server.engine().stats()`, read back to back on an idle server;
+    /// returns the source with each field's name.
+    fn assert_copied(server: &Server) -> Vec<(&'static str, u64)> {
+        let s = server.stats();
+        let e = server.engine().stats();
+        let c = e.cache;
+        let pairs = [
+            ("cache_hits", s.cache_hits, c.hits),
+            (
+                "cache_symmetry_hits",
+                s.cache_symmetry_hits,
+                c.symmetry_hits,
+            ),
+            ("cache_misses", s.cache_misses, c.misses),
+            ("cache_evictions", s.cache_evictions, c.evictions),
+            (
+                "cache_inserts_refused",
+                s.cache_inserts_refused,
+                c.inserts_refused,
+            ),
+            (
+                "cache_refused_bytes",
+                s.cache_refused_bytes,
+                c.refused_bytes,
+            ),
+            (
+                "anchored_fast_paths",
+                s.anchored_fast_paths,
+                e.anchored_fast_paths,
+            ),
+            ("promotions", s.promotions, e.promotions),
+            (
+                "promotions_refused",
+                s.promotions_refused,
+                e.promotions_refused,
+            ),
+            (
+                "cache_coalesced_waits",
+                s.cache_coalesced_waits,
+                c.coalesced_waits,
+            ),
+            ("cache_dup_computes", s.cache_dup_computes, c.dup_computes),
+            ("cache_warm_loaded", s.cache_warm_loaded, c.warm_loaded),
+            (
+                "cache_warm_rejected",
+                s.cache_warm_rejected,
+                c.warm_rejected,
+            ),
+            (
+                "cache_warm_view_backed",
+                s.cache_warm_view_backed,
+                c.warm_view_backed,
+            ),
+            (
+                "cache_restore_verified",
+                s.cache_restore_verified,
+                c.lazy_verified,
+            ),
+            (
+                "cache_restore_corrupt",
+                s.cache_restore_corrupt,
+                c.lazy_verify_failures,
+            ),
+            (
+                "cache_restore_pending",
+                s.cache_restore_pending as u64,
+                c.lazy_pending as u64,
+            ),
+            (
+                "cache_diagonal_builds",
+                s.cache_diagonal_builds,
+                c.diagonal_builds,
+            ),
+            (
+                "normalizer_memo_hits",
+                s.normalizer_memo_hits,
+                e.normalizer_memo_hits,
+            ),
+            ("cache_len", s.cache_len as u64, c.len as u64),
+            ("cache_bytes", s.cache_bytes as u64, c.bytes as u64),
+        ];
+        pairs
+            .into_iter()
+            .map(|(name, copied, source)| {
+                assert_eq!(copied, source, "{name}");
+                (name, source)
+            })
+            .collect()
+    }
+
+    /// `Server::stats` copies its 21 cache and engine fields out of one
+    /// `Engine::stats()` value by hand. Drive what one worker can reach —
+    /// hits, a symmetry hit, misses, an eviction and an oversize refusal
+    /// under a one-slice budget, a warm restore, lazy runs and a promotion
+    /// — and hold each copy against its source: once with the restored
+    /// entry still pending, once at the end.
+    #[test]
+    fn stats_copy_every_cache_and_engine_field() {
+        let hin = bib();
+        let eager = || {
+            Engine::with_config(
+                Arc::clone(&hin),
+                CacheConfig::default(),
+                ExecPolicy::eager(),
+            )
+        };
+        let bytes_of = |q: &str| {
+            let engine = eager();
+            engine.execute(q).unwrap();
+            engine.stats().cache.bytes
+        };
+        // a slice that holds author×venue alone: author×author is larger
+        let budget = bytes_of("rank author-paper-venue");
+        assert!(bytes_of("rank author-paper-author") > budget);
+        // a warm image of venue×venue (fits) and author×author (rejected),
+        // mounted from bytes: view-backed, and pending until first touched
+        let donor = eager();
+        donor.execute("rank venue-paper-venue").unwrap();
+        donor.execute("rank author-paper-author").unwrap();
+        let image = CacheSnapshot::from_bytes(&donor.snapshot(None).to_bytes()).unwrap();
+        let server = Server::start(
+            hin,
+            ServeConfig {
+                workers: 1,
+                cache: CacheConfig {
+                    shards: 1,
+                    byte_budget: Some(budget),
+                },
+                exec: ExecPolicy::promote_after(2),
+                warm_start: Some(Arc::new(image)),
+                telemetry: TelemetryConfig {
+                    enabled: false,
+                    ..TelemetryConfig::default()
+                },
+                ..ServeConfig::default()
+            },
+        );
+        let at_start = assert_copied(&server);
+        assert!(
+            at_start.contains(&("cache_restore_pending", 1)),
+            "{at_start:?}"
+        );
+
+        let run = |q: &str| {
+            server
+                .submit(q)
+                .wait()
+                .unwrap_or_else(|e| panic!("{q}: {e}"));
+        };
+        run("rank venue-paper-venue"); // verifies the restored entry; a hit
+        run("pathsim venue-paper-venue from v0"); // reads it whole: a diagonal
+        run("rank author-paper-venue"); // a miss, evicting venue×venue
+        run("rank venue-paper-author"); // a symmetry hit on author×venue
+        run("rank author-paper-author"); // a miss, refused at the door
+        for _ in 0..3 {
+            // lazy, never promoted: the span is known not to fit
+            run("pathsim author-paper-author from a0");
+        }
+        for _ in 0..2 {
+            // lazy, then promoted on the second run
+            run("pathcount venue-paper-venue from v1");
+        }
+
+        let at_end = assert_copied(&server);
+        // one worker never races another for a span, the image was not
+        // damaged, its one entry is verified by now, and no computation
+        // bypasses the in-flight table
+        let unreached = [
+            "cache_coalesced_waits",
+            "cache_restore_corrupt",
+            "cache_restore_pending",
+            "cache_dup_computes",
+        ];
+        for (name, value) in at_end {
+            if !unreached.contains(&name) {
+                assert!(value > 0, "{name} was not exercised");
+            }
+        }
     }
 
     #[test]

@@ -212,6 +212,125 @@ fn merge_edge_semantics() {
     assert_eq!(n.queue_wait_ns, m.queue_wait_ns);
 }
 
+/// The samples of histogram `h` (0..15) on the side numbered `side`:
+/// distinct per histogram and per side, in count and in value.
+fn samples(side: u64, h: u64) -> Vec<u64> {
+    vec![side * 1_000 + h * 10; (side + h) as usize]
+}
+
+/// `ServerStats` with a distinct value in every field, and every value
+/// distinct from the other side's, so a `merge` that read one field into
+/// another cannot pass.
+fn every_field(side: u64) -> ServerStats {
+    let v = |i: u64| side * 1_000 + i;
+    let h = |i: u64| snap(&samples(side, i));
+    ServerStats {
+        served: v(1),
+        errors: v(2),
+        shed: v(3),
+        shed_expired: v(4),
+        batches: v(5),
+        max_batch: v(6),
+        workers: v(7) as usize,
+        queue_depth: v(8) as usize,
+        lane_depths: vec![(side, v(9) as usize), (side + 10, v(10) as usize)],
+        cache_hits: v(11),
+        cache_symmetry_hits: v(12),
+        cache_misses: v(13),
+        cache_evictions: v(14),
+        cache_inserts_refused: v(15),
+        cache_refused_bytes: v(16),
+        anchored_fast_paths: v(17),
+        promotions: v(18),
+        promotions_refused: v(19),
+        cache_coalesced_waits: v(20),
+        cache_dup_computes: v(21),
+        cache_warm_loaded: v(22),
+        cache_warm_rejected: v(23),
+        cache_warm_view_backed: v(24),
+        cache_restore_verified: v(25),
+        cache_restore_corrupt: v(26),
+        cache_restore_pending: v(27) as usize,
+        cache_diagonal_builds: v(28),
+        normalizer_memo_hits: v(29),
+        cache_len: v(30) as usize,
+        cache_bytes: v(31) as usize,
+        admission_ns: h(0),
+        queue_wait_ns: h(1),
+        dispatch_ns: h(2),
+        plan_ns: h(3),
+        exec_ns: std::array::from_fn(|m| std::array::from_fn(|o| h(4 + 3 * m as u64 + o as u64))),
+        e2e_ns: h(13),
+        batch_anchors: h(14),
+        slow_queries: v(32),
+    }
+}
+
+#[test]
+fn merge_combines_every_field_by_its_own_rule() {
+    let (a, b) = (every_field(1), every_field(2));
+    let m = a.merge(&b);
+    macro_rules! adds {
+        ($($field:ident),* $(,)?) => {
+            $(assert_eq!(m.$field, a.$field + b.$field, stringify!($field));)*
+        };
+    }
+    adds!(
+        served,
+        errors,
+        shed,
+        shed_expired,
+        batches,
+        workers,
+        queue_depth,
+        cache_hits,
+        cache_symmetry_hits,
+        cache_misses,
+        cache_evictions,
+        cache_inserts_refused,
+        cache_refused_bytes,
+        anchored_fast_paths,
+        promotions,
+        promotions_refused,
+        cache_coalesced_waits,
+        cache_dup_computes,
+        cache_warm_loaded,
+        cache_warm_rejected,
+        cache_warm_view_backed,
+        cache_restore_verified,
+        cache_restore_corrupt,
+        cache_restore_pending,
+        cache_diagonal_builds,
+        normalizer_memo_hits,
+        cache_len,
+        cache_bytes,
+        slow_queries,
+    );
+    assert_eq!(m.max_batch, b.max_batch, "max_batch takes the max");
+    assert_eq!(b.merge(&a).max_batch, b.max_batch, "whichever side has it");
+    assert_eq!(
+        m.lane_depths,
+        [a.lane_depths.clone(), b.lane_depths.clone()].concat(),
+        "lane_depths concatenate"
+    );
+    // bucket-wise: the merge reads as one histogram that recorded both sides
+    let both = |h: u64| snap(&[samples(1, h), samples(2, h)].concat());
+    let histograms = [
+        ("admission_ns", &m.admission_ns, 0),
+        ("queue_wait_ns", &m.queue_wait_ns, 1),
+        ("dispatch_ns", &m.dispatch_ns, 2),
+        ("plan_ns", &m.plan_ns, 3),
+        ("e2e_ns", &m.e2e_ns, 13),
+        ("batch_anchors", &m.batch_anchors, 14),
+    ];
+    for (name, got, h) in histograms {
+        assert_eq!(*got, both(h), "{name}");
+    }
+    for (i, got) in m.exec_ns.iter().flatten().enumerate() {
+        assert_eq!(*got, both(4 + i as u64), "exec_ns[{}][{}]", i / 3, i % 3);
+    }
+}
+
 #[test]
 fn router_stats_expose_stage_quantiles_per_mode_and_outcome() {
     let router = Router::new(RouterConfig {
@@ -304,6 +423,10 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         cache_restore_verified: 126,
         cache_restore_corrupt: 127,
         cache_restore_pending: 128,
+        shed_expired: 129,
+        cache_warm_view_backed: 130,
+        normalizer_memo_hits: 131,
+        batch_anchors: snap(&[2; 7]),
         admission_ns: snap(&[1_000]),
         queue_wait_ns: snap(&[2_000, 2_000]),
         dispatch_ns: snap(&[3_000, 3_000, 3_000]),
@@ -356,6 +479,9 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         ("hin_cache_refused_bytes_total", 125),
         ("hin_cache_restore_verified_total", 126),
         ("hin_cache_restore_corrupt_total", 127),
+        ("hin_shed_expired_total", 129),
+        ("hin_cache_warm_view_backed_total", 130),
+        ("hin_normalizer_memo_hits_total", 131),
     ] {
         assert!(
             page.contains(&format!("{name}{{dataset=\"db\"}} {value}\n")),
@@ -389,6 +515,13 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         );
         assert!(page.contains(&format!("# TYPE {name} histogram")));
     }
+    // a dimensionless histogram: bounds and sum are counts, not seconds
+    assert!(
+        page.contains("hin_batch_anchors_count{dataset=\"db\"} 7\n"),
+        "histogram hin_batch_anchors must round-trip: {page}"
+    );
+    assert!(page.contains("hin_batch_anchors_sum{dataset=\"db\"} 14\n"));
+    assert!(page.contains("# TYPE hin_batch_anchors histogram"));
     for (m, mode) in EXEC_MODES.iter().enumerate() {
         for (o, outcome) in EXEC_OUTCOMES.iter().enumerate() {
             let count = 10 * m + o + 1;

@@ -52,11 +52,9 @@ fn main() {
     engine
         .execute("topk 5 author-paper-venue-paper-author from author_a1_8")
         .expect("warm query");
+    let cache = engine.stats().cache;
     println!(
         "cache: {} entries, {} hits ({} via transpose), {} products computed",
-        engine.cache_len(),
-        engine.cache_hits(),
-        engine.cache_symmetry_hits(),
-        engine.cache_misses()
+        cache.len, cache.hits, cache.symmetry_hits, cache.misses
     );
 }

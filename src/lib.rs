@@ -60,7 +60,8 @@
 //! assert!(peers.items.len() <= 5);
 //! // anchored queries cost-route to sparse-row propagation; unanchored
 //! // ones materialize commuting matrices into the cache
-//! assert!(engine.cache_misses() + engine.anchored_fast_paths() > 0);
+//! let stats = engine.stats();
+//! assert!(stats.cache.misses + stats.anchored_fast_paths > 0);
 //! ```
 //!
 //! ## Serving quickstart

@@ -101,21 +101,21 @@ fn repeated_and_overlapping_queries_are_served_from_cache() {
 
     let q = "pathsim author-paper-venue-paper-author from author_a0_0";
     let first = engine.execute(q).unwrap();
-    let cold_misses = engine.cache_misses();
+    let cold_misses = engine.stats().cache.misses;
     assert!(cold_misses > 0);
-    let cold_hits = engine.cache_hits();
+    let cold_hits = engine.stats().cache.hits;
 
     // exact repeat: zero new products
     let second = engine.execute(q).unwrap();
     assert_eq!(first, second);
-    assert_eq!(engine.cache_misses(), cold_misses);
-    assert!(engine.cache_hits() > cold_hits);
+    assert_eq!(engine.stats().cache.misses, cold_misses);
+    assert!(engine.stats().cache.hits > cold_hits);
 
     // same path, different anchor: the commuting matrix is shared
     engine
         .execute("pathsim author-paper-venue-paper-author from author_a1_3")
         .unwrap();
-    assert_eq!(engine.cache_misses(), cold_misses);
+    assert_eq!(engine.stats().cache.misses, cold_misses);
 
     // reversed half-path: whatever the plan shape, every needed product is
     // already in the cache (exactly or as a transpose)
@@ -123,7 +123,7 @@ fn repeated_and_overlapping_queries_are_served_from_cache() {
         .execute("pathcount venue-paper-author from venue_a0_0")
         .unwrap();
     assert_eq!(
-        engine.cache_misses(),
+        engine.stats().cache.misses,
         cold_misses,
         "reversed sub-path must not recompute anything"
     );
@@ -136,15 +136,15 @@ fn reversed_half_paths_reuse_cached_transposes() {
     engine
         .execute("pathcount author-paper-venue from author_a0_0")
         .unwrap();
-    let cold = engine.cache_misses();
+    let cold = engine.stats().cache.misses;
     assert_eq!(cold, 1, "one product for the two-step path");
 
     engine
         .execute("pathcount venue-paper-author from venue_a0_0")
         .unwrap();
-    assert_eq!(engine.cache_misses(), cold);
+    assert_eq!(engine.stats().cache.misses, cold);
     assert!(
-        engine.cache_symmetry_hits() >= 1,
+        engine.stats().cache.symmetry_hits >= 1,
         "V-P-A is the transpose of the cached A-P-V"
     );
 }
@@ -185,7 +185,7 @@ fn execute_many_batches_against_one_cache() {
     }
     // the second A-P-V query shares the first's commuting matrix, and the
     // V-P-A rank reuses it transposed
-    assert!(engine.cache_hits() >= 1);
+    assert!(engine.stats().cache.hits >= 1);
 }
 
 #[test]
@@ -207,18 +207,22 @@ fn anchored_fast_path_and_promotion_end_to_end() {
     for run in 1..=2 {
         assert_eq!(engine.execute(q).unwrap(), want, "lazy run {run}");
     }
-    assert_eq!(engine.anchored_fast_paths(), 2);
-    assert_eq!(engine.cache_misses(), 0);
+    assert_eq!(engine.stats().anchored_fast_paths, 2);
+    assert_eq!(engine.stats().cache.misses, 0);
 
     // the third query on the span crosses promote_after: the span is
     // materialized through the cache and later queries are plain hits
     assert_eq!(engine.execute(q).unwrap(), want);
-    assert_eq!(engine.promotions(), 1);
-    let misses = engine.cache_misses();
+    assert_eq!(engine.stats().promotions, 1);
+    let misses = engine.stats().cache.misses;
     assert!(misses > 0);
     assert_eq!(engine.execute(q).unwrap(), want);
-    assert_eq!(engine.cache_misses(), misses, "post-promotion repeat hits");
-    assert_eq!(engine.anchored_fast_paths(), 2);
+    assert_eq!(
+        engine.stats().cache.misses,
+        misses,
+        "post-promotion repeat hits"
+    );
+    assert_eq!(engine.stats().anchored_fast_paths, 2);
 }
 
 #[test]
