@@ -6,62 +6,20 @@
 //!
 //! Run with: `cargo run --release -p hin-bench --bin exp_classify`
 
-use hin_bench::{fmt_ms, markdown_table, mean_std};
-use hin_classify::{gnetmine, holdout_accuracy, wvrn, GNetMineConfig, Seeds};
-use hin_synth::DblpConfig;
+use hin_bench::{fmt_ms, markdown_table, mean_std, ClassifyTrial};
 
 fn main() {
     const RUNS: u64 = 5;
     println!("## E10 — paper classification accuracy vs label rate (5 runs)\n");
     let mut rows = Vec::new();
     for &every in &[100usize, 50, 20, 10, 5] {
-        let mut het = Vec::new();
-        let mut homo = Vec::new();
-        for run in 0..RUNS {
-            let data = DblpConfig {
-                n_areas: 3,
-                n_papers: 1_200,
-                authors_per_area: 60,
-                noise: 0.06,
-                area_mixture_alpha: 0.06,
-                seed: 700 + run,
-                ..Default::default()
-            }
-            .generate();
-            let mut seeds: Vec<Seeds> = (0..data.hin.type_count())
-                .map(|t| vec![None; data.hin.node_count(hin_core::TypeId(t))])
-                .collect();
-            for (p, &area) in data.paper_area.iter().enumerate() {
-                // offset by run so different seeds are labeled each run
-                if (p + run as usize).is_multiple_of(every) {
-                    seeds[data.paper.0][p] = Some(area);
-                }
-            }
-            let g = gnetmine(
-                &data.hin,
-                &seeds,
-                &GNetMineConfig {
-                    n_classes: 3,
-                    ..Default::default()
-                },
-            );
-            het.push(holdout_accuracy(
-                &g.labels[data.paper.0],
-                &data.paper_area,
-                &seeds[data.paper.0],
-            ));
-
-            let pa = data.hin.adjacency(data.paper, data.author).expect("rel");
-            let paper_graph = hin_core::projection::project(&pa.transpose());
-            let wv = wvrn(&paper_graph, &seeds[data.paper.0], 3, 50);
-            homo.push(holdout_accuracy(
-                &wv,
-                &data.paper_area,
-                &seeds[data.paper.0],
-            ));
-        }
-        let (hm, hs) = mean_std(&het);
-        let (wm, ws) = mean_std(&homo);
+        let trials: Vec<ClassifyTrial> = (0..RUNS)
+            .map(|run| ClassifyTrial::run(every, run))
+            .collect();
+        let column =
+            |f: fn(&ClassifyTrial) -> f64| mean_std(&trials.iter().map(f).collect::<Vec<_>>());
+        let (hm, hs) = column(|t| t.gnetmine);
+        let (wm, ws) = column(|t| t.wvrn);
         rows.push(vec![
             format!("{:.1}%", 100.0 / every as f64),
             fmt_ms(hm, hs),

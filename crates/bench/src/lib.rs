@@ -7,6 +7,7 @@
 //! measured by the stand-alone `e2e` program in `src/bin/e2e/`, declared by
 //! the repository's `BENCHMARK.json` — not by anything in this library.
 
+use hin_classify::{gnetmine, holdout_accuracy, wvrn, GNetMineConfig, Seeds};
 use hin_cleaning::{majority_vote, truthfinder, Claim, TruthFinderConfig};
 use hin_clustering::{kmeans, spectral_clustering, Distance, KMeansConfig, SpectralConfig};
 use hin_core::BiNet;
@@ -169,6 +170,60 @@ impl TruthTrial {
             voting: accuracy(&|o| vote[o as usize]),
             truthfinder: accuracy(&|o| tf.predicted_value(o)),
             trust_gap: mean_trust(true) - mean_trust(false),
+        }
+    }
+}
+
+/// One run of the classification study (GNetMine, Ji et al., ECML/PKDD
+/// 2010; tutorial §5): `exp_classify` prints it, and
+/// `tests/paper_claims.rs` asserts its headline. A three-area DBLP-shaped
+/// network of 1 200 papers; one paper in `every` is labelled with its
+/// planted area, and both methods are scored on the papers left unlabelled.
+pub struct ClassifyTrial {
+    /// Heterogeneous label propagation over every relation (GNetMine).
+    pub gnetmine: f64,
+    /// The weighted-vote relational neighbor baseline on the papers'
+    /// co-author projection (wvRN).
+    pub wvrn: f64,
+}
+
+impl ClassifyTrial {
+    /// Run `run`: the network at seed `700 + run`, and the papers labelled
+    /// offset by `run`, so each run labels different papers.
+    pub fn run(every: usize, run: u64) -> Self {
+        let data = DblpConfig {
+            n_areas: 3,
+            n_papers: 1_200,
+            authors_per_area: 60,
+            noise: 0.06,
+            area_mixture_alpha: 0.06,
+            seed: 700 + run,
+            ..Default::default()
+        }
+        .generate();
+        let mut seeds: Vec<Seeds> = (0..data.hin.type_count())
+            .map(|t| vec![None; data.hin.node_count(hin_core::TypeId(t))])
+            .collect();
+        for (p, &area) in data.paper_area.iter().enumerate() {
+            if (p + run as usize).is_multiple_of(every) {
+                seeds[data.paper.0][p] = Some(area);
+            }
+        }
+        let paper_seeds = &seeds[data.paper.0];
+        let g = gnetmine(
+            &data.hin,
+            &seeds,
+            &GNetMineConfig {
+                n_classes: 3,
+                ..Default::default()
+            },
+        );
+        let pa = data.hin.adjacency(data.paper, data.author).expect("rel");
+        let paper_graph = hin_core::projection::project(&pa.transpose());
+        let wv = wvrn(&paper_graph, paper_seeds, 3, 50);
+        Self {
+            gnetmine: holdout_accuracy(&g.labels[data.paper.0], &data.paper_area, paper_seeds),
+            wvrn: holdout_accuracy(&wv, &data.paper_area, paper_seeds),
         }
     }
 }

@@ -50,15 +50,15 @@ pub struct KernelCounters {
     pub scratch_reuses: AtomicU64,
     /// Contiguous row blocks the parallel kernels cut their work into
     /// (`Csr::spgemm_parallel`, every link of `spmm_chain` /
-    /// `spmm_chain_parallel`, and `spvm_chain_rows` when it fans a batch
-    /// out): one per worker block, so a product that ran inline — one
+    /// `spmm_chain_parallel`): one per worker block, so a product that ran inline — one
     /// thread asked for, or under `pool::PARALLEL_MIN_FLOPS` — counts 1. A
     /// serial chain link is such a product and counts its one block; only
     /// a bare `Csr::spgemm` / `spgemm_with` counts none.
     pub row_blocks: AtomicU64,
-    /// Anchors that propagated as part of a batch of two or more
-    /// (`spvm_chain_rows` with k ≥ 2 rows adds k): the batched alternative
-    /// to one `spvm_chain` per query. A lone anchor adds nothing.
+    /// Anchors that propagated as part of a multi-anchor batch. Nothing
+    /// increments it any more: every anchored query propagates alone, with
+    /// one `spvm_chain`. It stays 0, and stays only because readers of the
+    /// snapshot still name it.
     pub block_anchors: AtomicU64,
 }
 

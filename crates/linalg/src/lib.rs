@@ -14,8 +14,7 @@
 //!   `spmm_nnz_estimate`) and matrix-chain multiplication-order planning,
 //! * [`spvec`] — [`SparseVec`] and the `spvm`/[`spvm_chain`] row-propagation
 //!   kernels (plus their cost model), the sparse-row execution mode
-//!   anchored meta-path queries run on; [`spvm_chain_rows`] is the same
-//!   propagation looped over a micro-batch of anchors,
+//!   anchored meta-path queries run on,
 //! * [`pool`] — the scoped worker pool behind the row-parallel kernels
 //!   ([`Csr::spgemm_parallel`] / [`spmm_chain_parallel`]): flop-balanced
 //!   row blocks, per-worker scratch, a flop floor under which work stays
@@ -61,6 +60,6 @@ pub use csr::{Csr, ScatterScratch};
 pub use dense::DMat;
 pub use pool::kernel_threads;
 pub use spvec::{
-    spvm, spvm_chain, spvm_chain_flops_estimate, spvm_chain_rows, spvm_chain_with,
-    spvm_flops_estimate, spvm_with, SparseVec, SpvmChainEstimate,
+    spvm, spvm_chain, spvm_chain_flops_estimate, spvm_chain_with, spvm_flops_estimate, spvm_with,
+    SparseVec, SpvmChainEstimate,
 };

@@ -3,8 +3,7 @@
 //!
 //! Every output row of an SpMM is independent, so the parallel kernels
 //! ([`Csr::spgemm_parallel`](crate::csr::Csr::spgemm_parallel),
-//! [`crate::chain::spmm_chain_parallel`], [`crate::spvec::spvm_chain_rows`])
-//! partition output rows into contiguous, work-balanced blocks and hand
+//! [`crate::chain::spmm_chain_parallel`]) partition output rows into contiguous, work-balanced blocks and hand
 //! each block to its own worker with its own
 //! [`ScatterScratch`](crate::csr::ScatterScratch). Workers are
 //! `std::thread::scope` threads — no external threadpool dependency, no

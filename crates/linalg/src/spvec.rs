@@ -17,9 +17,7 @@
 //! **bit-identical** to the corresponding row of the left-to-right matrix
 //! product — and identical to *any* evaluation order whenever the
 //! arithmetic is exact (e.g. integer-valued weights, the common case for
-//! path counts). A micro-batch of same-span anchors is a loop of that
-//! propagation over one scratch ([`spvm_chain_rows`]), fanned across the
-//! kernel pool only when the batch is large enough to pay for a thread.
+//! path counts).
 
 use crate::chain::MatSummary;
 use crate::csr::{Csr, ScatterScratch};
@@ -263,64 +261,6 @@ pub fn spvm_chain_with(v: &SparseVec, mats: &[&Csr], scratch: &mut ScatterScratc
     cur.unwrap_or_else(|| v.clone())
 }
 
-/// Rows `rows` of `seed·M₁·…·Mₙ`, in the order given (duplicates allowed):
-/// one [`spvm_chain_with`] per row, started from the row's copy out of
-/// `seed` — how a micro-batch of same-span anchors propagates. An empty
-/// chain returns the seed rows themselves.
-///
-/// The loop runs inline on the caller's `scratch`. It is fanned across
-/// `threads` workers of [`crate::pool`] (slices of `rows` balanced by
-/// forecast work, a fresh scratch each, results back in order —
-/// bit-identical by construction) only when the batch is worth a thread:
-/// when the chain cost model ([`spvm_chain_flops_estimate`], per row)
-/// forecasts at least
-/// [`PARALLEL_MIN_FLOPS`](crate::pool::PARALLEL_MIN_FLOPS) for it.
-///
-/// # Panics
-/// Panics when a row is out of bounds for `seed`, or on a dimension
-/// mismatch at any link.
-pub fn spvm_chain_rows(
-    seed: &Csr,
-    rows: &[usize],
-    mats: &[&Csr],
-    threads: usize,
-    scratch: &mut ScatterScratch,
-) -> Vec<SparseVec> {
-    use std::sync::atomic::Ordering::Relaxed;
-    let chain = |rows: &[usize], scratch: &mut ScatterScratch| -> Vec<SparseVec> {
-        rows.iter()
-            .map(|&r| spvm_chain_with(&SparseVec::from_csr_row(seed, r), mats, scratch))
-            .collect()
-    };
-    if rows.len() < 2 {
-        return chain(rows, scratch);
-    }
-    crate::counters::with(|c| {
-        c.block_anchors.fetch_add(rows.len() as u64, Relaxed);
-    });
-    if threads <= 1 {
-        return chain(rows, scratch);
-    }
-    let summaries: Vec<MatSummary> = mats.iter().map(|m| MatSummary::from(*m)).collect();
-    let est_flops: Vec<usize> = rows
-        .iter()
-        .map(|&r| spvm_chain_flops_estimate(seed.row_nnz(r) as f64, &summaries).flops as usize)
-        .collect();
-    if est_flops.iter().sum::<usize>() < crate::pool::PARALLEL_MIN_FLOPS {
-        return chain(rows, scratch);
-    }
-    let slices = crate::pool::row_blocks(rows.len(), threads, |i| est_flops[i]);
-    crate::counters::with(|c| {
-        c.row_blocks.fetch_add(slices.len() as u64, Relaxed);
-    });
-    crate::pool::run_blocks(slices, |slice| {
-        chain(&rows[slice], &mut ScatterScratch::new())
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 /// Expected multiply-adds of one `vᵀ·M` product with `vec_nnz` stored
 /// entries: each entry scatters one row of `m`, and rows average
 /// `nnz / rows` entries. The vector can't reach more rows than exist, so
@@ -503,18 +443,18 @@ mod tests {
         )
     }
 
-    /// Row `i` of `got` is, index for index and bit for bit, what one
-    /// `spvm_chain` from row `rows[i]` of `seed` produces.
-    fn assert_rows_match_per_anchor(got: &[SparseVec], seed: &Csr, rows: &[usize], mats: &[&Csr]) {
-        assert_eq!(got.len(), rows.len());
-        for (g, &r) in got.iter().zip(rows) {
-            let want = spvm_chain(&SparseVec::from_csr_row(seed, r), mats);
-            assert_eq!(g.dim(), want.dim(), "anchor {r} dim");
-            assert_eq!(g.indices(), want.indices(), "anchor {r} structure");
-            let same_bits = g
+    /// Every row of `product` is, index for index and bit for bit, what one
+    /// `spvm_chain` from that row of `seed` produces.
+    fn assert_rows_match_per_anchor(product: &Csr, seed: &Csr, mats: &[&Csr]) {
+        for r in 0..seed.nrows() {
+            let got = spvm_chain(&SparseVec::from_csr_row(seed, r), mats);
+            let (idx, vals) = product.row(r);
+            assert_eq!(got.dim(), product.ncols(), "anchor {r} dim");
+            assert_eq!(got.indices(), idx, "anchor {r} structure");
+            let same_bits = got
                 .values()
                 .iter()
-                .zip(want.values())
+                .zip(vals)
                 .all(|(g, w)| g.to_bits() == w.to_bits());
             assert!(same_bits, "anchor {r} values");
         }
@@ -522,74 +462,36 @@ mod tests {
 
     #[test]
     fn chain_matches_per_anchor_propagation_bitwise() {
-        let (a, b, c) = chain3();
-        let anchors = [3usize, 0, 2];
-        let got = spvm_chain_rows(&a, &anchors, &[&b, &c], 1, &mut ScatterScratch::new());
-        assert_rows_match_per_anchor(&got, &a, &anchors, &[&b, &c]);
-        // seeding from `a`'s rows is propagating unit vectors through it
-        for (g, &x) in got.iter().zip(&anchors) {
-            assert_eq!(*g, spvm_chain(&SparseVec::unit(4, x), &[&a, &b, &c]));
-        }
+        // non-integer weights: only the same summation order agrees
+        let seed = scattered(64, 256, 32, 1);
+        let (m1, m2) = (scattered(256, 256, 32, 2), scattered(256, 40, 6, 3));
+        let product = seed.spgemm(&m1).spgemm(&m2);
+        assert_rows_match_per_anchor(&product, &seed, &[&m1, &m2]);
     }
 
     #[test]
     fn parallel_chain_is_bit_identical_to_serial() {
-        // a batch too small to fan out, duplicate anchors included
-        let (a, b, c) = chain3();
-        let anchors = [3usize, 0, 2, 1, 3, 0];
-        for threads in [1, 2, 4, 16] {
-            let got = spvm_chain_rows(&a, &anchors, &[&b, &c], threads, &mut ScatterScratch::new());
-            assert_rows_match_per_anchor(&got, &a, &anchors, &[&b, &c]);
-        }
-        // and one forecast over the floor, so workers really run
+        // a product over the flop floor, so workers really run
         let seed = scattered(64, 256, 32, 1);
         let (m1, m2) = (scattered(256, 256, 32, 2), scattered(256, 40, 6, 3));
-        let rows: Vec<usize> = (0..64).rev().chain([5, 5, 63]).collect();
-        let links = [MatSummary::from(&m1), MatSummary::from(&m2)];
-        let forecast: f64 = rows
-            .iter()
-            .map(|&r| spvm_chain_flops_estimate(seed.row_nnz(r) as f64, &links).flops)
+        let flops: usize = (0..seed.nrows())
+            .flat_map(|r| seed.row_indices(r))
+            .map(|&k| m1.row_nnz(k as usize))
             .sum();
-        assert!(
-            forecast >= crate::pool::PARALLEL_MIN_FLOPS as f64,
-            "{forecast}"
-        );
+        assert!(flops >= crate::pool::PARALLEL_MIN_FLOPS, "{flops}");
         for threads in [1, 2, 4, 16] {
-            let got = spvm_chain_rows(
-                &seed,
-                &rows,
-                &[&m1, &m2],
-                threads,
-                &mut ScatterScratch::new(),
-            );
-            assert_rows_match_per_anchor(&got, &seed, &rows, &[&m1, &m2]);
+            let product = seed
+                .spgemm_parallel(&m1, threads)
+                .spgemm_parallel(&m2, threads);
+            assert_rows_match_per_anchor(&product, &seed, &[&m1, &m2]);
         }
-    }
-
-    #[test]
-    fn empty_chain_clones_the_block() {
-        let (a, _, _) = chain3();
-        for threads in [1, 4] {
-            let got = spvm_chain_rows(&a, &[1, 2], &[], threads, &mut ScatterScratch::new());
-            let want = [
-                SparseVec::from_csr_row(&a, 1),
-                SparseVec::from_csr_row(&a, 2),
-            ];
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn zero_row_block_propagates_to_zero_rows() {
-        let (a, b, _) = chain3();
-        assert!(spvm_chain_rows(&a, &[], &[&b], 4, &mut ScatterScratch::new()).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_anchor_panics() {
         let (a, b, _) = chain3();
-        let _ = spvm_chain_rows(&a, &[4], &[&b], 1, &mut ScatterScratch::new());
+        let _ = spvm_chain(&SparseVec::from_csr_row(&a, 4), &[&b]);
     }
 
     #[test]

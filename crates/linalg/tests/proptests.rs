@@ -207,25 +207,32 @@ proptest! {
         }
     }
 
+    /// What the query engine relies on when it answers one anchor by
+    /// propagation and the next from a materialized span: each anchor's
+    /// propagated row is, bit for bit, its row of the left-to-right
+    /// product, whatever number of threads cut that product into row
+    /// blocks.
     #[test]
     fn parallel_block_chain_is_bit_identical_to_serial(ts1 in rect_triplets(8, 6, 30),
                                                        ts2 in rect_triplets(6, 7, 30),
                                                        ts3 in rect_triplets(7, 5, 30),
                                                        anchors in prop::collection::vec(0usize..8, 1..7)) {
-        use hin_linalg::{spvm_chain, spvm_chain_rows, ScatterScratch, SparseVec};
+        use hin_linalg::{spvm_chain_with, ScatterScratch, SparseVec};
         let a = Csr::from_triplets(8, 6, ts1);
         let b = Csr::from_triplets(6, 7, ts2);
         let c = Csr::from_triplets(7, 5, ts3);
-        // one scratch across every batch: a row must not see its neighbours
+        // one scratch across every anchor: a row must not see its neighbours
         let mut scratch = ScatterScratch::new();
+        let rows: Vec<SparseVec> = anchors
+            .iter()
+            .map(|&x| spvm_chain_with(&SparseVec::from_csr_row(&a, x), &[&b, &c], &mut scratch))
+            .collect();
         for threads in [1usize, 2, 4] {
-            let rows = spvm_chain_rows(&a, &anchors, &[&b, &c], threads, &mut scratch);
-            prop_assert_eq!(rows.len(), anchors.len(), "row count at {} threads", threads);
+            let product = a.spgemm_parallel(&b, threads).spgemm_parallel(&c, threads);
             for (row, &x) in rows.iter().zip(&anchors) {
-                let single = spvm_chain(&SparseVec::unit(8, x), &[&a, &b, &c]);
-                prop_assert_eq!(row.indices(), single.indices(),
-                                "anchor {} indices at {} threads", x, threads);
-                for (g, w) in row.values().iter().zip(single.values()) {
+                let (idx, vals) = product.row(x);
+                prop_assert_eq!(row.indices(), idx, "anchor {} indices at {} threads", x, threads);
+                for (g, w) in row.values().iter().zip(vals) {
                     prop_assert_eq!(g.to_bits(), w.to_bits(),
                                     "anchor {} value bits at {} threads", x, threads);
                 }

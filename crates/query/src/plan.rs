@@ -107,10 +107,7 @@ pub enum ExecMode {
     Full,
     /// Propagate `eₓᵀ` through the chain as sparse-vector × CSR products —
     /// the anchored fast path. Cold cost is proportional to the rows
-    /// actually reached instead of the whole product chain. Same-span
-    /// members of one `Engine::execute_many` batch propagate together
-    /// (one scratch, one seed lookup); that is an execution detail their
-    /// traces report, not a different plan.
+    /// actually reached instead of the whole product chain.
     SparseRow {
         /// Longest cache-resident prefix span `(0, hi)` to seed the
         /// propagation from (its row replaces `eₓᵀ·M₁·…` up to `hi`), if

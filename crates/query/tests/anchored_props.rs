@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use hin_core::{Hin, HinBuilder};
-use hin_query::{CacheConfig, Engine, ExecPolicy};
+use hin_query::{CacheConfig, Engine, ExecMode, ExecPolicy, TraceMode};
 use proptest::prelude::*;
 
 /// A random bibliographic world: `(paper→author edges, paper→venue edges,
@@ -237,44 +237,48 @@ proptest! {
         }
     }
 
-    /// Batched execution ≡ per-anchor sequential execution ≡ eager full
-    /// materialization, to the bit. `execute_many` groups the same-span
-    /// anchored members (every author shares each metapath's span) into
-    /// multi-anchor block propagations; the block kernel must be invisible
-    /// in the output.
+    /// Batched execution ≡ the same queries run one by one ≡ eager full
+    /// materialization, to the bit. A batch is a loop over `execute`, so a
+    /// batch mixing every anchored shape over shared spans with a
+    /// full-matrix `rank` and a failing anchor runs each member exactly as
+    /// it would alone: the answers agree, the batched engine ends with the
+    /// one-by-one engine's counters, and every member the planner sent
+    /// down the fast path reports `sparse_row`, whatever else is in its
+    /// batch.
     #[test]
     fn block_batched_execution_matches_sequential_and_full(world in worlds()) {
         let hin = world.build();
-        let full = Engine::with_config(
-            Arc::clone(&hin),
-            CacheConfig::default(),
-            ExecPolicy::eager(),
-        );
-        let sequential = Engine::with_config(
-            Arc::clone(&hin),
-            CacheConfig::default(),
-            ExecPolicy::promote_after(u32::MAX),
-        );
-        let batched = Engine::with_config(
-            Arc::clone(&hin),
-            CacheConfig::default(),
-            ExecPolicy::promote_after(u32::MAX),
-        );
-        let queries = anchored_queries(&world);
-        let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
-        let results = batched.execute_many(&refs);
+        let engine = |policy| Engine::with_config(Arc::clone(&hin), CacheConfig::default(), policy);
+        let full = engine(ExecPolicy::eager());
+        let sequential = engine(ExecPolicy::promote_after(u32::MAX));
+        let batched = engine(ExecPolicy::promote_after(u32::MAX));
+        let mut queries = anchored_queries(&world);
+        queries.insert(queries.len() / 2, "rank venue-paper-author limit 3".to_string());
+        queries.insert(1, "pathsim author-paper-author from nobody".to_string());
+        let results = batched.execute_many(&queries);
         prop_assert_eq!(results.len(), queries.len());
-        for (q, result) in queries.iter().zip(results) {
-            let got = result.expect("batched execution");
+        for (q, got) in queries.iter().zip(results) {
+            let planned = sequential.plan(q).map(|p| p.mode);
+            let (want, trace) = sequential.execute_traced(q);
+            if matches!(planned, Ok(ExecMode::SparseRow { .. })) {
+                prop_assert_eq!(trace.mode, TraceMode::SparseRow, "{}", q);
+            }
+            let (got, want) = match (got, want) {
+                (Ok(got), Ok(want)) => (got, want),
+                (got, want) => {
+                    prop_assert_eq!(got, want, "{}", q);
+                    continue;
+                }
+            };
+            if let Err(msg) = assert_bit_identical(&got, &want, q) {
+                prop_assert!(false, "{} (batched vs one by one)", msg);
+            }
             let want = full.execute(q).expect("full-matrix execution");
             if let Err(msg) = assert_bit_identical(&got, &want, q) {
                 prop_assert!(false, "{} (batched vs eager full)", msg);
             }
-            let want = sequential.execute(q).expect("per-anchor execution");
-            if let Err(msg) = assert_bit_identical(&got, &want, q) {
-                prop_assert!(false, "{} (batched vs per-anchor)", msg);
-            }
         }
+        prop_assert_eq!(batched.stats(), sequential.stats());
     }
 
     /// The same identity after a warm-start restore: a donor's snapshot

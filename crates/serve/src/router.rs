@@ -284,7 +284,6 @@ impl RouterStats {
         if let Some(k) = hin_linalg::counters::installed() {
             let s = k.snapshot();
             w.counter("hin_kernel_row_blocks_total", &[], s.row_blocks);
-            w.counter("hin_kernel_block_anchors_total", &[], s.block_anchors);
         }
         for (key, r) in &self.remotes {
             let ds = [("dataset", key.as_str())];
@@ -390,7 +389,6 @@ impl RouterStats {
                 }
             }
             w.histogram_seconds("hin_e2e_seconds", &ds, &s.e2e_ns);
-            w.histogram_count("hin_batch_anchors", &ds, &s.batch_anchors);
         }
         w.finish()
     }

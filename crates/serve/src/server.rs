@@ -91,9 +91,8 @@ pub struct TelemetryConfig {
     /// histogram and slow queries are captured; off, the pipeline touches
     /// no histogram and keeps no slow log, and [`ServerStats`] reports
     /// empty snapshots. The engine runs the same flow either way
-    /// ([`Engine::execute_many_traced`], four clock reads for a query that
-    /// reads its matrix, six for a lazy row): what
-    /// the switch saves is the recording, which the benchmark prices as
+    /// ([`Engine::execute_traced`], four clock reads a query): what the
+    /// switch saves is the recording, which the benchmark prices as
     /// `telemetry.cost_us_per_query`.
     pub enabled: bool,
     /// End-to-end latency (admission to answer) at or above which a query
@@ -119,9 +118,9 @@ impl Default for TelemetryConfig {
 
 /// Labels of the execution-mode axis of [`ServerStats::exec_ns`]: each
 /// [`TraceMode::as_str`], at its [`TraceMode::index`].
-pub const EXEC_MODES: [&str; 3] = {
-    let [full, sparse_row, block_row] = TraceMode::ALL;
-    [full.as_str(), sparse_row.as_str(), block_row.as_str()]
+pub const EXEC_MODES: [&str; 2] = {
+    let [full, sparse_row] = TraceMode::ALL;
+    [full.as_str(), sparse_row.as_str()]
 };
 
 /// Labels of the cache-outcome axis of [`ServerStats::exec_ns`]: each
@@ -166,11 +165,8 @@ struct StageHists {
     plan: Histogram,
     /// Execute-stage latency, `[mode][cache outcome]` per
     /// [`EXEC_MODES`] × [`EXEC_OUTCOMES`].
-    exec: [[Histogram; 3]; 3],
+    exec: [[Histogram; 3]; 2],
     e2e: Histogram,
-    /// Anchors that propagated in a same-span group of two or more,
-    /// recorded once per executed micro-batch (0 when nothing grouped).
-    batch_anchors: Histogram,
 }
 
 impl StageHists {
@@ -182,7 +178,6 @@ impl StageHists {
             plan: Histogram::new(),
             exec: std::array::from_fn(|_| std::array::from_fn(|_| Histogram::new())),
             e2e: Histogram::new(),
-            batch_anchors: Histogram::new(),
         }
     }
 }
@@ -375,13 +370,9 @@ pub struct ServerStats {
     /// Execute-stage latency (ns) split `[mode][cache outcome]`, label
     /// order [`EXEC_MODES`] × [`EXEC_OUTCOMES`] — e.g.
     /// `exec_ns[1][0]` is sparse-row execution served from cache.
-    pub exec_ns: [[HistSnapshot; 3]; 3],
+    pub exec_ns: [[HistSnapshot; 3]; 2],
     /// End-to-end latency (ns): admission to answer.
     pub e2e_ns: HistSnapshot,
-    /// Anchors that propagated in a same-span group of two or more per
-    /// executed micro-batch (dimensionless; one sample per batch, 0 when no
-    /// member grouped). Empty when telemetry is disabled.
-    pub batch_anchors: HistSnapshot,
     /// Queries captured by the slow-query log over the server's lifetime
     /// (the ring retains only the newest [`TelemetryConfig::slow_log`]).
     pub slow_queries: u64,
@@ -436,7 +427,6 @@ impl ServerStats {
                 std::array::from_fn(|o| self.exec_ns[m][o].merge(&other.exec_ns[m][o]))
             }),
             e2e_ns: self.e2e_ns.merge(&other.e2e_ns),
-            batch_anchors: self.batch_anchors.merge(&other.batch_anchors),
             slow_queries: self.slow_queries + other.slow_queries,
         }
     }
@@ -784,7 +774,6 @@ impl Server {
             stats.exec_ns =
                 std::array::from_fn(|m| std::array::from_fn(|o| s.exec[m][o].snapshot()));
             stats.e2e_ns = s.e2e.snapshot();
-            stats.batch_anchors = s.batch_anchors.snapshot();
             stats.slow_queries = tel.slow.total();
         }
         stats
@@ -846,9 +835,9 @@ fn contain_panic(members: usize, run: impl FnOnce() -> Vec<Traced>) -> Vec<Trace
 /// and execute them against the shared engine, until the queue is closed
 /// and drained.
 ///
-/// A whole micro-batch runs as one [`Engine::execute_many_traced`] call,
-/// so same-span anchored members propagate together — one seed lookup and
-/// one scratch for the group — instead of one set-up each.
+/// A micro-batch runs as a loop of [`Engine::execute_traced`], one member
+/// at a time, inside one [`contain_panic`]: a panic answers the whole batch
+/// [`QueryError::Internal`].
 fn worker_loop(engine: &Engine, shared: &Shared, batch_max: usize, workers: usize) {
     let counters = &shared.counters;
     loop {
@@ -882,23 +871,14 @@ fn worker_loop(engine: &Engine, shared: &Shared, batch_max: usize, workers: usiz
         let dispatch = popped.elapsed();
         // The engine has one flow and it always traces; with telemetry off
         // the traces are simply not recorded anywhere below.
-        let outputs = {
-            let queries: Vec<&str> = batch.iter().map(|r| r.query.as_str()).collect();
-            contain_panic(batch.len(), || {
-                #[cfg(test)]
-                tests::fault_hook(&queries);
-                engine.execute_many_traced(&queries)
-            })
-        };
-        if let Some(tel) = &shared.telemetry {
-            // One sample per executed batch: how many anchors propagated in
-            // a same-span group of two or more (0 when nothing grouped).
-            let block_anchors = outputs
+        let outputs = contain_panic(batch.len(), || {
+            #[cfg(test)]
+            tests::fault_hook(&batch);
+            batch
                 .iter()
-                .filter(|(_, t)| t.mode == TraceMode::BlockRow)
-                .count() as u64;
-            tel.stages.batch_anchors.record(block_anchors);
-        }
+                .map(|r| engine.execute_traced(&r.query))
+                .collect()
+        });
         for (req, (result, trace)) in batch.into_iter().zip(outputs) {
             counters.served.fetch_add(1, Ordering::Relaxed);
             if result.is_err() {
@@ -973,12 +953,13 @@ pub(crate) mod tests {
 
     /// Runs inside the worker's contained execution, ahead of the engine:
     /// the only way to make a batch panic, or a worker stay busy, on cue.
-    pub(super) fn fault_hook(queries: &[&str]) {
-        assert!(!queries.contains(&POISON), "poisoned batch");
-        if queries.contains(&STALL) {
+    pub(super) fn fault_hook(batch: &[Request]) {
+        let holds = |q: &str| batch.iter().any(|r| r.query == q);
+        assert!(!holds(POISON), "poisoned batch");
+        if holds(STALL) {
             drop(STALL_GATE.lock().unwrap());
         }
-        if queries.contains(&HOLD) {
+        if holds(HOLD) {
             drop(HOLD_GATE.lock().unwrap());
         }
     }
@@ -1297,53 +1278,6 @@ pub(crate) mod tests {
             "expired request counted as shed_expired"
         );
         assert_eq!(stats.served, 1, "expired request never reached the engine");
-        assert_eq!(stats.errors, 0);
-    }
-
-    #[test]
-    fn same_span_batches_ride_the_block_path() {
-        let hin = bib();
-        let reference = Engine::from_arc(Arc::clone(&hin));
-        // One worker so a burst piles up in the fair queue and the worker
-        // pops a multi-query micro-batch (its share is the whole backlog);
-        // promotion disabled so every member stays an anchored rider.
-        let server = Server::start(
-            Arc::clone(&hin),
-            ServeConfig {
-                workers: 1,
-                batch_max: 8,
-                exec: ExecPolicy::promote_after(u32::MAX),
-                ..ServeConfig::default()
-            },
-        );
-        let queries = [
-            "pathsim author-paper-venue-paper-author from a0",
-            "pathsim author-paper-venue-paper-author from a1",
-            "pathsim author-paper-venue-paper-author from a2",
-        ];
-        // Whether the burst lands in one micro-batch is a scheduling race;
-        // retry until one does (each attempt also checks correctness).
-        let mut grouped = false;
-        for _ in 0..200 {
-            let got = server.execute_many(&queries);
-            for (q, result) in queries.iter().zip(got) {
-                assert_eq!(result, reference.execute(q), "served result differs: {q}");
-            }
-            let anchors = server.stats().batch_anchors;
-            // sum = total anchors that rode a block; any grouped batch
-            // contributes ≥ 2
-            if anchors.sum() >= 2 {
-                grouped = true;
-                break;
-            }
-        }
-        assert!(grouped, "no burst ever co-batched into a block propagation");
-        let stats = server.shutdown();
-        let block_execs: u64 = stats.exec_ns[2].iter().map(|h| h.count()).sum();
-        assert!(
-            block_execs >= 2,
-            "block_row exec histogram must record the grouped members"
-        );
         assert_eq!(stats.errors, 0);
     }
 

@@ -261,7 +261,6 @@ fn every_field(side: u64) -> ServerStats {
         plan_ns: h(3),
         exec_ns: std::array::from_fn(|m| std::array::from_fn(|o| h(4 + 3 * m as u64 + o as u64))),
         e2e_ns: h(13),
-        batch_anchors: h(14),
         slow_queries: v(32),
     }
 }
@@ -321,7 +320,6 @@ fn merge_combines_every_field_by_its_own_rule() {
         ("dispatch_ns", &m.dispatch_ns, 2),
         ("plan_ns", &m.plan_ns, 3),
         ("e2e_ns", &m.e2e_ns, 13),
-        ("batch_anchors", &m.batch_anchors, 14),
     ];
     for (name, got, h) in histograms {
         assert_eq!(*got, both(h), "{name}");
@@ -426,7 +424,6 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         shed_expired: 129,
         cache_warm_view_backed: 130,
         normalizer_memo_hits: 131,
-        batch_anchors: snap(&[2; 7]),
         admission_ns: snap(&[1_000]),
         queue_wait_ns: snap(&[2_000, 2_000]),
         dispatch_ns: snap(&[3_000, 3_000, 3_000]),
@@ -515,13 +512,9 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         );
         assert!(page.contains(&format!("# TYPE {name} histogram")));
     }
-    // a dimensionless histogram: bounds and sum are counts, not seconds
-    assert!(
-        page.contains("hin_batch_anchors_count{dataset=\"db\"} 7\n"),
-        "histogram hin_batch_anchors must round-trip: {page}"
-    );
-    assert!(page.contains("hin_batch_anchors_sum{dataset=\"db\"} 14\n"));
-    assert!(page.contains("# TYPE hin_batch_anchors histogram"));
+    // every query propagates alone: no batch-anchor series, no third mode
+    assert!(!page.contains("hin_batch_anchors"), "{page}");
+    assert!(!page.contains("block_row"), "{page}");
     for (m, mode) in EXEC_MODES.iter().enumerate() {
         for (o, outcome) in EXEC_OUTCOMES.iter().enumerate() {
             let count = 10 * m + o + 1;
