@@ -1211,6 +1211,37 @@ mod tests {
     }
 
     #[test]
+    fn batched_block_results_match_sequential_execution_bitwise() {
+        let hin = skewed_bib();
+        let sequential = Engine::with_config(
+            Arc::clone(&hin),
+            CacheConfig::default(),
+            ExecPolicy::promote_after(u32::MAX),
+        );
+        let batched = Engine::with_config(
+            Arc::clone(&hin),
+            CacheConfig::default(),
+            ExecPolicy::promote_after(u32::MAX),
+        );
+        let queries = [
+            "pathsim author-paper-venue-paper-author from a0",
+            "pathsim author-paper-venue-paper-author from a5",
+            "pathsim author-paper-venue-paper-author from a9",
+        ];
+        let want: Vec<_> = queries.iter().map(|q| sequential.execute(q)).collect();
+        let got = batched.execute_many(&queries);
+        assert_eq!(got.len(), want.len());
+        for (got, want) in got.iter().zip(&want) {
+            let (got, want) = (got.as_ref().unwrap(), want.as_ref().unwrap());
+            assert_eq!(got.items.len(), want.items.len());
+            for ((gn, gs), (wn, ws)) in got.items.iter().zip(&want.items) {
+                assert_eq!(gn, wn);
+                assert_eq!(gs.to_bits(), ws.to_bits(), "score bits diverged for {gn}");
+            }
+        }
+    }
+
+    #[test]
     fn batched_promotion_accounting_is_preserved() {
         let hin = skewed_bib();
         let reference = eager_engine(Arc::clone(&hin));
