@@ -5,16 +5,14 @@
 //! and *density* (links per target), as in the original sweep; NMI averaged
 //! over 5 seeds for RankClus (authority and simple ranking) against the
 //! paper's baselines: spectral clustering on SimRank similarity, and cosine
-//! k-means on raw link vectors.
+//! k-means on raw link vectors. The runs are `hin_bench::RankClusTrial`,
+//! whose D3 headline (authority beats simple ranking) is asserted in
+//! `tests/paper_claims.rs`. The printed "expected shape" is the paper's;
+//! at these sizes both baselines beat RankClus-authority on D3 and D4.
 //!
 //! Run with: `cargo run --release -p hin-bench --bin exp_rankclus_accuracy`
 
-use hin_bench::{
-    fmt_ms, kmeans_links_baseline, markdown_table, mean_std, simrank_spectral_baseline,
-};
-use hin_clustering::nmi;
-use hin_rankclus::{rankclus, RankClusConfig, RankingMethod};
-use hin_synth::BiNetConfig;
+use hin_bench::{fmt_ms, markdown_table, mean_std, RankClusTrial};
 
 fn main() {
     // (name, cross, links_per_x) — Dataset1..5 of the paper's sweep:
@@ -28,50 +26,17 @@ fn main() {
         ("D5 cross=.35 den=300", 0.35, 300.0),
     ];
     const RUNS: u64 = 5;
-    const K: usize = 3;
 
     println!("## E4 — NMI on five synthetic bi-typed configurations (5 runs)\n");
     let mut rows = Vec::new();
     for (name, cross, links) in configs {
         let mut scores: Vec<Vec<f64>> = vec![Vec::new(); 4];
         for run in 0..RUNS {
-            let s = BiNetConfig {
-                k: K,
-                nx_per_cluster: 10,
-                ny_per_cluster: 100,
-                links_per_x: links,
-                cross,
-                zipf_exponent: 0.8,
-                seed: 100 + run,
-            }
-            .generate();
-
-            let auth = rankclus(
-                &s.net,
-                &RankClusConfig {
-                    k: K,
-                    seed: run,
-                    ..Default::default()
-                },
-            );
-            scores[0].push(nmi(&auth.assignments, &s.x_labels));
-
-            let simple = rankclus(
-                &s.net,
-                &RankClusConfig {
-                    k: K,
-                    ranking: RankingMethod::Simple,
-                    seed: run,
-                    ..Default::default()
-                },
-            );
-            scores[1].push(nmi(&simple.assignments, &s.x_labels));
-
-            let sr = simrank_spectral_baseline(&s.net, K, run);
-            scores[2].push(nmi(&sr, &s.x_labels));
-
-            let km = kmeans_links_baseline(&s.net, K, run);
-            scores[3].push(nmi(&km, &s.x_labels));
+            let t = RankClusTrial::new(cross, links, run);
+            scores[0].push(t.authority());
+            scores[1].push(t.simple());
+            scores[2].push(t.simrank_spectral());
+            scores[3].push(t.kmeans_links());
         }
         let mut row = vec![name.to_string()];
         for s in &scores {

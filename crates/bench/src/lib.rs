@@ -9,11 +9,12 @@
 
 use hin_classify::{gnetmine, holdout_accuracy, wvrn, GNetMineConfig, Seeds};
 use hin_cleaning::{majority_vote, truthfinder, Claim, TruthFinderConfig};
-use hin_clustering::{kmeans, spectral_clustering, Distance, KMeansConfig, SpectralConfig};
+use hin_clustering::{kmeans, nmi, spectral_clustering, Distance, KMeansConfig, SpectralConfig};
 use hin_core::BiNet;
 use hin_linalg::Csr;
+use hin_rankclus::{rankclus, RankClusConfig, RankingMethod};
 use hin_similarity::{commuting_matrix, simrank, MetaPath, SimRankConfig};
-use hin_synth::{ClaimsConfig, DblpConfig, DblpData};
+use hin_synth::{BiNetConfig, ClaimsConfig, DblpConfig, DblpData, SyntheticBiNet};
 
 /// The PathSim peer-retrieval study: `exp_pathsim` prints it, and
 /// `tests/paper_claims.rs` asserts its headline. A DBLP-shaped network with
@@ -225,6 +226,79 @@ impl ClassifyTrial {
             gnetmine: holdout_accuracy(&g.labels[data.paper.0], &data.paper_area, paper_seeds),
             wvrn: holdout_accuracy(&wv, &data.paper_area, paper_seeds),
         }
+    }
+}
+
+/// One run of the RankClus accuracy study (Sun et al., EDBT 2009; tutorial
+/// §4): `exp_rankclus_accuracy` prints it, and `tests/paper_claims.rs`
+/// asserts its headline. A bi-typed network of [`RankClusTrial::K`]
+/// planted clusters of 10 targets and 100 attributes each, with Zipf
+/// (0.8) attribute popularity; `cross` is the share of links that leave
+/// their cluster and `links_per_x` the links per target. Each method is
+/// scored by the NMI of its target clusters against the planted ones.
+pub struct RankClusTrial {
+    /// The generated network and its planted target clusters.
+    pub data: SyntheticBiNet,
+    /// The algorithms' seed.
+    pub run: u64,
+}
+
+impl RankClusTrial {
+    /// Clusters planted, and asked of every method.
+    pub const K: usize = 3;
+
+    /// Run `run`: the network at seed `100 + run`, the algorithms at `run`.
+    pub fn new(cross: f64, links_per_x: f64, run: u64) -> Self {
+        let data = BiNetConfig {
+            k: Self::K,
+            nx_per_cluster: 10,
+            ny_per_cluster: 100,
+            links_per_x,
+            cross,
+            zipf_exponent: 0.8,
+            seed: 100 + run,
+        }
+        .generate();
+        Self { data, run }
+    }
+
+    fn score(&self, assignments: &[usize]) -> f64 {
+        nmi(assignments, &self.data.x_labels)
+    }
+
+    fn rankclus(&self, ranking: RankingMethod) -> f64 {
+        let config = RankClusConfig {
+            k: Self::K,
+            ranking,
+            seed: self.run,
+            ..Default::default()
+        };
+        self.score(&rankclus(&self.data.net, &config).assignments)
+    }
+
+    /// RankClus with authority ranking (the paper's method, and the
+    /// default configuration).
+    pub fn authority(&self) -> f64 {
+        self.rankclus(RankClusConfig::default().ranking)
+    }
+
+    /// RankClus with simple (degree) ranking.
+    pub fn simple(&self) -> f64 {
+        self.rankclus(RankingMethod::Simple)
+    }
+
+    /// Spectral clustering on SimRank similarity.
+    pub fn simrank_spectral(&self) -> f64 {
+        self.score(&simrank_spectral_baseline(
+            &self.data.net,
+            Self::K,
+            self.run,
+        ))
+    }
+
+    /// Cosine k-means on the raw link vectors.
+    pub fn kmeans_links(&self) -> f64 {
+        self.score(&kmeans_links_baseline(&self.data.net, Self::K, self.run))
     }
 }
 

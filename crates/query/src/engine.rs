@@ -157,6 +157,44 @@ pub struct QueryOutput {
     pub items: Vec<(String, f64)>,
 }
 
+/// The result of one query as node ids: what execution produces, before
+/// anything is named. [`IdOutput::named`] turns it into the
+/// [`QueryOutput`] [`Engine::execute`] returns, on whichever thread reads
+/// the answer — a server's worker hands this over and its client names it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct IdOutput {
+    /// The verb that produced this output.
+    pub verb: Verb,
+    /// Type of the returned objects.
+    pub ty: TypeId,
+    /// `(node id, score)` pairs, best first; each id indexes `ty`'s nodes.
+    pub items: Vec<(usize, f64)>,
+}
+
+impl IdOutput {
+    /// Name every id from `hin`, the network the answer was computed over:
+    /// one owned `String` per item, scores and order untouched.
+    ///
+    /// Panics on an id out of range for `ty` in `hin`, which an answer
+    /// the engine computed over `hin` never holds: every id is a column or
+    /// row index of a matrix whose dimension is `ty`'s node count.
+    pub fn named(self, hin: &Hin) -> QueryOutput {
+        let ty = self.ty;
+        QueryOutput {
+            verb: self.verb,
+            object_type: hin.type_name(ty).to_string(),
+            items: self
+                .items
+                .into_iter()
+                .map(|(id, score)| {
+                    let node = NodeRef { ty, id: id as u32 };
+                    (hin.node_name(node).to_string(), score)
+                })
+                .collect(),
+        }
+    }
+}
+
 /// A meta-path query engine over one loaded network.
 ///
 /// The engine owns (a share of) the network and a memoizing
@@ -387,18 +425,27 @@ impl Engine {
     /// this query materializes the span through the ordinary deduplicated
     /// cache path so the *next* ones are plain hits.
     ///
-    /// There is one execution flow, [`Engine::execute_traced`], with the
-    /// trace dropped here. It reads the clock four times whether or not
-    /// anyone keeps the answer: twice around parse, resolve and probe or
-    /// plan, and twice around the execution.
+    /// There is one execution flow, [`Engine::execute_ids_traced`], with
+    /// the answer named and the trace dropped here. It reads the clock four
+    /// times whether or not anyone keeps the answer: twice around parse,
+    /// resolve and probe or plan, and twice around the execution.
     pub fn execute(&self, query: &str) -> Result<QueryOutput, QueryError> {
         self.execute_traced(query).0
     }
 
     /// [`Engine::execute`] plus a [`QueryTrace`]: where the time went
     /// (plan vs execute), which execution mode actually ran, and how the
-    /// cache served this query. What `hin_serve`'s workers drive, once per
-    /// member of a micro-batch.
+    /// cache served this query. It is [`Engine::execute_ids_traced`] with
+    /// the answer named after the trace is taken, so the trace's
+    /// `exec_ns` does not include naming.
+    pub fn execute_traced(&self, query: &str) -> (Result<QueryOutput, QueryError>, QueryTrace) {
+        let (result, trace) = self.execute_ids_traced(query);
+        (result.map(|ids| ids.named(&self.hin)), trace)
+    }
+
+    /// The one execution flow: [`Engine::execute_traced`] with the answer
+    /// left as node ids ([`IdOutput`]), to be named by whoever reads it.
+    /// What `hin_serve`'s workers drive, once per member of a micro-batch.
     ///
     /// The query is parsed and resolved, then its whole span is probed
     /// once, with the same counting lookup evaluation uses, before any
@@ -409,7 +456,7 @@ impl Engine {
     /// its relation in place and is never probed. A query that chose
     /// [`ExecMode::Full`] materializes; one that chose the fast path
     /// propagates its anchor's row, unless promotion materializes it.
-    pub fn execute_traced(&self, query: &str) -> (Result<QueryOutput, QueryError>, QueryTrace) {
+    pub fn execute_ids_traced(&self, query: &str) -> (Result<IdOutput, QueryError>, QueryTrace) {
         let t0 = Instant::now();
         let prep = parse(query)
             .and_then(|p| resolve(&self.hin, &p))
@@ -483,7 +530,7 @@ impl Engine {
     /// deduplicated cache path. The trace's mode stays [`TraceMode::Full`],
     /// the default — which is also what a promoted query reports: that is
     /// the work it actually did.
-    fn materialize(&self, prep: &Prep, trace: &mut QueryTrace) -> Result<QueryOutput, QueryError> {
+    fn materialize(&self, prep: &Prep, trace: &mut QueryTrace) -> Result<IdOutput, QueryError> {
         let probe = ExecProbe::default();
         let (matrix, sidecar) = match &prep.route {
             Route::Resident(m, sidecar) => (Mat::Shared(Arc::clone(m)), sidecar.clone()),
@@ -504,7 +551,7 @@ impl Engine {
     /// ranked. Scores, candidate sets, ordering and limits are identical to
     /// the full-matrix path whenever the arithmetic is exact
     /// (integer-valued weights — see the anchored property tests).
-    fn propagate(&self, prep: &Prep, trace: &mut QueryTrace) -> Result<QueryOutput, QueryError> {
+    fn propagate(&self, prep: &Prep, trace: &mut QueryTrace) -> Result<IdOutput, QueryError> {
         self.anchored_fast_paths.fetch_add(1, Ordering::Relaxed);
         let x = prep.resolved.from.expect("anchored verbs carry `from`").id as usize;
         let mut scratch = ScatterScratch::new();
@@ -629,7 +676,7 @@ impl Engine {
         )
     }
 
-    /// Score, rank and name one propagated anchor row — the verb-specific
+    /// Score and rank one propagated anchor row — the verb-specific
     /// back half of the anchored fast path ([`Engine::propagate`]).
     fn finish_row(
         &self,
@@ -637,7 +684,7 @@ impl Engine {
         x: usize,
         row: SparseVec,
         scratch: &mut ScatterScratch,
-    ) -> Result<QueryOutput, QueryError> {
+    ) -> Result<IdOutput, QueryError> {
         let steps = resolved.path.steps();
         let items = match resolved.verb {
             Verb::PathSim | Verb::TopK => {
@@ -701,10 +748,10 @@ impl Engine {
             Verb::Rank => unreachable!("rank is not anchored; exec_mode keeps it Full"),
         };
 
-        Ok(QueryOutput {
+        Ok(IdOutput {
             verb: resolved.verb,
-            object_type: self.hin.type_name(resolved.end).to_string(),
-            items: self.named(resolved.end, items),
+            ty: resolved.end,
+            items,
         })
     }
 
@@ -730,21 +777,6 @@ impl Engine {
             .collect();
         memo.insert(key, Arc::clone(&table));
         table
-    }
-
-    /// Map `(node id, score)` pairs to `(node name, score)` for `ty`.
-    fn named(&self, ty: TypeId, items: Vec<(usize, f64)>) -> Vec<(String, f64)> {
-        items
-            .into_iter()
-            .map(|(id, score)| {
-                (
-                    self.hin
-                        .node_name(NodeRef { ty, id: id as u32 })
-                        .to_string(),
-                    score,
-                )
-            })
-            .collect()
     }
 
     fn commuting_of(&self, path: &MetaPath) -> Arc<Csr> {
@@ -837,7 +869,7 @@ impl Engine {
         key: &[StepKey],
         matrix: &Mat<'_>,
         sidecar: Option<Arc<Sidecar>>,
-    ) -> Result<QueryOutput, QueryError> {
+    ) -> Result<IdOutput, QueryError> {
         let m = matrix.as_csr();
         let k = resolved.limit.unwrap_or(default_row_limit(resolved.verb));
         let pathsim = matches!(resolved.verb, Verb::PathSim | Verb::TopK);
@@ -904,10 +936,10 @@ impl Engine {
             }
         };
 
-        Ok(QueryOutput {
+        Ok(IdOutput {
             verb: resolved.verb,
-            object_type: self.hin.type_name(ty).to_string(),
-            items: self.named(ty, items),
+            ty,
+            items,
         })
     }
 
@@ -989,7 +1021,7 @@ impl TraceMode {
     pub const ALL: [TraceMode; 2] = [TraceMode::Full, TraceMode::SparseRow];
 }
 
-/// Per-query execution trace from [`Engine::execute_traced`]: stage
+/// Per-query execution trace from [`Engine::execute_ids_traced`]: stage
 /// timings plus the mode/cache classification the serving stack's
 /// histograms are labeled by.
 ///
@@ -1288,7 +1320,7 @@ mod tests {
         // the answers, the mode that ran and every counter must agree
         let hin = skewed_bib();
         let q = "pathsim author-paper-venue-paper-author from a0";
-        let engines: Vec<Engine> = (0..3)
+        let engines: Vec<Engine> = (0..4)
             .map(|_| Engine::from_arc(Arc::clone(&hin))) // promote_after: 3
             .collect();
         let counters = |e: &Engine| {
@@ -1310,12 +1342,16 @@ mod tests {
             let plain = engines[0].execute(q);
             let (traced, trace) = engines[1].execute_traced(q);
             let batched = engines[2].execute_many(&[q]).remove(0);
+            let (ids, ids_trace) = engines[3].execute_ids_traced(q);
             assert_eq!(plain, traced, "run {run}");
             assert_eq!(plain, batched, "run {run}");
+            assert_eq!(plain, ids.map(|ids| ids.named(&hin)), "run {run}");
             assert_eq!((trace.mode, trace.outcome), (mode, outcome), "run {run}");
+            assert_eq!((ids_trace.mode, ids_trace.outcome), (mode, outcome));
             assert!(trace.exec_ns > 0);
-            assert_eq!(counters(&engines[0]), counters(&engines[1]), "run {run}");
-            assert_eq!(counters(&engines[0]), counters(&engines[2]), "run {run}");
+            for other in &engines[1..] {
+                assert_eq!(counters(&engines[0]), counters(other), "run {run}");
+            }
         }
         assert_eq!(engines[0].stats().anchored_fast_paths, 2);
         assert_eq!(engines[0].stats().promotions, 1);
@@ -1325,6 +1361,13 @@ mod tests {
         assert_eq!(
             engines[0].execute(bad),
             engines[2].execute_many(&[bad]).remove(0)
+        );
+        assert_eq!(
+            engines[0].execute(bad),
+            engines[3]
+                .execute_ids_traced(bad)
+                .0
+                .map(|ids| ids.named(&hin))
         );
     }
 

@@ -81,7 +81,7 @@ pub mod resolve;
 pub mod snapshot;
 
 pub use cache::{CacheConfig, CacheOutcome, CacheStats, MatrixCache, Refusal};
-pub use engine::{Engine, EngineStats, ExecPolicy, QueryOutput, QueryTrace, TraceMode};
+pub use engine::{Engine, EngineStats, ExecPolicy, IdOutput, QueryOutput, QueryTrace, TraceMode};
 pub use error::QueryError;
 pub use parse::{parse, ParsedQuery, PathExpr, PathSegment, Verb};
 pub use plan::{plan_steps, ExecMode, PlanNode, Promotion, QueryPlan};

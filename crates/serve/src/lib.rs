@@ -58,11 +58,17 @@
 //!   wait-many) instead of burning a core on an identical SpMM chain.
 //!   Per-request failures — query errors and even panics — are answered
 //!   on that request's ticket and never take a worker down.
+//! * **Names made where they are read** — a worker answers node ids
+//!   ([`IdOutput`](hin_query::IdOutput)); [`Ticket::wait`] names them on
+//!   the waiting thread, so a name is allocated and freed by one thread. A
+//!   [`ShardListener`] connection writes the names from its network
+//!   straight into the response frame and allocates none.
 //! * **Bounded waits** — [`Ticket::wait_timeout`] puts a deadline on any
 //!   result instead of blocking forever on a wedged request.
 //! * **Telemetry** — with [`TelemetryConfig`] enabled (the default), every
 //!   query records per-stage latency (admission, queue wait, dispatch,
-//!   plan, execute split by execution mode × cache outcome, end-to-end)
+//!   plan, execute split by execution mode × cache outcome, end-to-end;
+//!   the worker records them as it answers, so none includes naming)
 //!   into lock-free histograms surfaced as quantile-queryable snapshots on
 //!   [`ServerStats`]; queries past a latency threshold are captured — with
 //!   their EXPLAIN plan and stage breakdown — into a bounded slow-query

@@ -56,8 +56,8 @@ use hin_linalg::codec::CodecError;
 use hin_query::{CacheSnapshot, QueryError, QueryOutput};
 
 use crate::faultinject::{FaultInjector, FaultKind, FaultStats};
-use crate::server::{ReplySender, ServeConfig, Server, ServerStats, Ticket};
-use crate::wire::{encode_request, write_warm, Message};
+use crate::server::{Output, ReplySender, ServeConfig, Server, ServerStats, Ticket};
+use crate::wire::{encode_id_response, encode_request, write_warm, Message};
 
 /// How long the accept loop sleeps between polls of a quiet socket.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
@@ -316,30 +316,42 @@ fn serve_conn(shared: &ListenerShared, stream: TcpStream) {
 }
 
 /// Answer a burst in arrival order with one `write`, every frame encoded
-/// straight into `out` (the connection's buffer, kept between bursts). The
-/// fault injector rules on every frame: a delay flushes the frames before
-/// it, then stalls; drop, truncate and kill flush the frames before it and
-/// end the connection (`false`), as does a failed write.
+/// straight into `out` (the connection's buffer, kept between bursts). A
+/// worker's answer of node ids is encoded with names read from the
+/// network as they are written, so no name is allocated on this side of
+/// the wire. The fault injector rules on every frame: a delay flushes the
+/// frames before it, then stalls; drop, truncate and kill flush the frames
+/// before it and end the connection (`false`), as does a failed write.
 fn answer(
     shared: &ListenerShared,
     mut stream: &TcpStream,
     burst: &mut Vec<Reply>,
     out: &mut Vec<u8>,
 ) -> bool {
+    let hin = shared.server.engine().hin();
     out.clear();
     for reply in burst.drain(..) {
-        let msg = match reply {
-            Reply::Query(id, deadline, ticket) => Message::Response {
-                id,
-                result: match deadline {
-                    Some(d) => ticket.wait_timeout(d.saturating_duration_since(Instant::now())),
-                    None => ticket.wait(),
-                },
-            },
-            Reply::Ready(msg) => msg,
-        };
         let start = out.len();
-        if msg.encode(out).is_err() {
+        let encoded = match reply {
+            Reply::Query(id, deadline, ticket) => {
+                let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+                match ticket.wait_resolved(timeout) {
+                    Ok(Output::Ids(ids)) => encode_id_response(out, id, &ids, hin),
+                    Ok(Output::Named(named)) => Message::Response {
+                        id,
+                        result: Ok(named),
+                    }
+                    .encode(out),
+                    Err(err) => Message::Response {
+                        id,
+                        result: Err(err),
+                    }
+                    .encode(out),
+                }
+            }
+            Reply::Ready(msg) => msg.encode(out),
+        };
+        if encoded.is_err() {
             return false;
         }
         let len = out.len() - start;
@@ -601,7 +613,7 @@ impl RemoteShared {
         self.count.served.fetch_add(1, Ordering::Relaxed);
         let failed = u64::from(result.is_err());
         self.count.errors.fetch_add(failed, Ordering::Relaxed);
-        req.reply.send(result);
+        req.reply.send(result.map(Output::Named));
     }
 
     /// Write every request owed from id `from` on, each with its budget
@@ -894,7 +906,7 @@ impl RemoteServerHandle {
             s.count.shed.fetch_add(1, Ordering::Relaxed);
             return Ticket::refused(QueryError::Overloaded);
         }
-        let (reply, ticket) = Ticket::pending();
+        let (reply, ticket) = Ticket::pending(None);
         let link = &self.links[self.next_link.fetch_add(1, Ordering::Relaxed) % self.links.len()];
         s.owe(
             link,
@@ -1051,6 +1063,9 @@ mod tests {
             "pathcount author-paper-venue from a1",
             "rank venue-paper-author limit 2",
             "neighbors written_by from p0",
+            "neighbors author-paper from a1", // no limit: every name
+            "pathcount venue-paper-author from v0", // start and end types differ
+            "rank author-paper-venue",
             "pathsim author-paper-author from nobody", // an error answer
             "not even a query",                        // a parse error
         ];

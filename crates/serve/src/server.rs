@@ -1,6 +1,7 @@
 //! One dataset's serving stack: admission-controlled fair request queue →
 //! worker pool over one shared [`Engine`]. Workers pop the queue themselves
-//! and answer each request through its one-shot reply slot.
+//! and answer each request through its one-shot reply slot, with node ids:
+//! the [`Ticket`] names them on the thread that waits for the answer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -9,8 +10,8 @@ use std::time::{Duration, Instant};
 
 use hin_core::Hin;
 use hin_query::{
-    CacheConfig, CacheOutcome, CacheSnapshot, Engine, ExecPolicy, QueryError, QueryOutput,
-    QueryTrace, SnapshotImport, TraceMode,
+    CacheConfig, CacheOutcome, CacheSnapshot, Engine, ExecPolicy, IdOutput, QueryError,
+    QueryOutput, QueryTrace, SnapshotImport, TraceMode,
 };
 use hin_telemetry::{HistSnapshot, Histogram, RingLog};
 
@@ -91,7 +92,7 @@ pub struct TelemetryConfig {
     /// histogram and slow queries are captured; off, the pipeline touches
     /// no histogram and keeps no slow log, and [`ServerStats`] reports
     /// empty snapshots. The engine runs the same flow either way
-    /// ([`Engine::execute_traced`], four clock reads a query): what the
+    /// ([`Engine::execute_ids_traced`], four clock reads a query): what the
     /// switch saves is the recording, which the benchmark prices as
     /// `telemetry.cost_us_per_query`.
     pub enabled: bool,
@@ -189,8 +190,16 @@ struct Telemetry {
     slow_threshold: Duration,
 }
 
+/// A query's answer as it travels through its reply slot: named already
+/// (a remote shard's decoded frame), or the node ids a worker computed,
+/// named by whichever thread takes them.
+pub(crate) enum Output {
+    Named(QueryOutput),
+    Ids(IdOutput),
+}
+
 /// What a query resolves to.
-type Answer = Result<QueryOutput, QueryError>;
+pub(crate) type Answer = Result<Output, QueryError>;
 
 /// The one-shot slot a request's answer travels through: filled once by
 /// the [`ReplySender`], taken once by the [`Ticket`] waiting on it.
@@ -255,6 +264,10 @@ struct Counters {
 /// threads: the fair queue requests are admitted into, plus accounting.
 struct Shared {
     queue: FairQueue<Request>,
+    /// The engine's network, which names a worker's answer on the thread
+    /// that waits for it: every ticket [`ServerHandle::submit`] makes
+    /// carries a share.
+    hin: Arc<Hin>,
     counters: Counters,
     /// Client-lane id allocator; see [`Server::handle`].
     next_client: AtomicU64,
@@ -436,12 +449,19 @@ impl ServerStats {
 ///
 /// Dropping a ticket is fine — the worker's send just fails silently and
 /// the query's work still warms the shared cache.
+///
+/// A server's worker answers with node ids; the ticket names them on the
+/// thread that waits, so each name is allocated where it is read and
+/// freed.
 pub struct Ticket {
     state: TicketState,
 }
 
 enum TicketState {
-    Pending(Arc<ReplySlot>),
+    /// Answered through the slot. The network names an answer of node ids:
+    /// a server's tickets carry it, a remote client's (whose answers arrive
+    /// named) do not.
+    Pending(Arc<ReplySlot>, Option<Arc<Hin>>),
     /// Refused before reaching the queue (shutdown, overload, or an
     /// unknown dataset at a router); resolves immediately to this error.
     Refused(QueryError),
@@ -456,7 +476,9 @@ impl Ticket {
 
     /// A pending ticket and the sender that resolves it — held by a worker
     /// here, by the link that owes the answer in the remote transport.
-    pub(crate) fn pending() -> (ReplySender, Ticket) {
+    /// `hin` names an answer of node ids; a sender that only ever sends
+    /// named answers needs none.
+    pub(crate) fn pending(hin: Option<Arc<Hin>>) -> (ReplySender, Ticket) {
         let slot = Arc::new(ReplySlot {
             answer: Mutex::new(None),
             filled: Condvar::new(),
@@ -465,8 +487,59 @@ impl Ticket {
             slot: Arc::clone(&slot),
             answer: Err(QueryError::Canceled),
         };
-        let state = TicketState::Pending(slot);
+        let state = TicketState::Pending(slot, hin);
         (sender, Ticket { state })
+    }
+
+    /// Take the answer out of the slot, blocking until it arrives — for at
+    /// most `timeout` when one is given, then [`QueryError::TimedOut`].
+    /// The slot's lock is released before this returns: nothing the caller
+    /// does with the answer runs under it. Also returns the ticket's
+    /// network, for naming.
+    fn take(self, timeout: Option<Duration>) -> (Answer, Option<Arc<Hin>>) {
+        let (slot, hin) = match self.state {
+            TicketState::Pending(slot, hin) => (slot, hin),
+            TicketState::Refused(err) => return (Err(err), None),
+        };
+        let answer = slot.answer.lock().unwrap_or_else(PoisonError::into_inner);
+        let taken = match timeout {
+            None => slot
+                .filled
+                .wait_while(answer, |a| a.is_none())
+                .unwrap_or_else(PoisonError::into_inner)
+                .take(),
+            Some(timeout) => slot
+                .filled
+                .wait_timeout_while(answer, timeout, |a| a.is_none())
+                .unwrap_or_else(PoisonError::into_inner)
+                .0
+                .take(),
+        };
+        (taken.unwrap_or(Err(QueryError::TimedOut)), hin)
+    }
+
+    /// Block for the answer as it was sent, unnamed — for a caller that
+    /// writes names straight from the network, as a shard's connection
+    /// does. `timeout` as in [`Ticket::wait_timeout`], `None` for
+    /// [`Ticket::wait`].
+    pub(crate) fn wait_resolved(self, timeout: Option<Duration>) -> Answer {
+        self.take(timeout).0
+    }
+
+    /// The answer taken with `timeout`, named on this thread.
+    fn wait_named(self, timeout: Option<Duration>) -> Result<QueryOutput, QueryError> {
+        let (answer, hin) = self.take(timeout);
+        Ok(match answer? {
+            Output::Named(out) => out,
+            // Naming cannot panic: every id is a row or column index of a
+            // matrix over this network whose dimension is the answer
+            // type's node count.
+            Output::Ids(ids) => {
+                ids.named(hin.as_deref().expect(
+                    "only a server's workers answer ids, and its tickets carry the network",
+                ))
+            }
+        })
     }
 
     /// Block until the query's result arrives.
@@ -475,17 +548,7 @@ impl Ticket {
     /// this query was answered, [`QueryError::Overloaded`] when admission
     /// control shed it.
     pub fn wait(self) -> Result<QueryOutput, QueryError> {
-        match self.state {
-            TicketState::Pending(slot) => {
-                let answer = slot.answer.lock().unwrap_or_else(PoisonError::into_inner);
-                let mut answer = slot
-                    .filled
-                    .wait_while(answer, |a| a.is_none())
-                    .unwrap_or_else(PoisonError::into_inner);
-                answer.take().expect("woken only on a filled slot")
-            }
-            TicketState::Refused(err) => Err(err),
-        }
+        self.wait_named(None)
     }
 
     /// Block for at most `timeout`, then give up with
@@ -495,17 +558,7 @@ impl Ticket {
     /// still executes, its work still warms the shared cache, and its
     /// result is discarded on arrival.
     pub fn wait_timeout(self, timeout: Duration) -> Result<QueryOutput, QueryError> {
-        match self.state {
-            TicketState::Pending(slot) => {
-                let answer = slot.answer.lock().unwrap_or_else(PoisonError::into_inner);
-                let (mut answer, _) = slot
-                    .filled
-                    .wait_timeout_while(answer, timeout, |a| a.is_none())
-                    .unwrap_or_else(PoisonError::into_inner);
-                answer.take().unwrap_or(Err(QueryError::TimedOut))
-            }
-            TicketState::Refused(err) => Err(err),
-        }
+        self.wait_named(Some(timeout))
     }
 }
 
@@ -551,7 +604,7 @@ impl ServerHandle {
 
     fn submit_inner(&self, query: String, deadline: Option<Instant>) -> Ticket {
         let t0 = Instant::now();
-        let (reply, ticket) = Ticket::pending();
+        let (reply, ticket) = Ticket::pending(Some(Arc::clone(&self.shared.hin)));
         let req = Request {
             query,
             reply,
@@ -620,12 +673,17 @@ impl Server {
     /// the engine *before* any worker thread exists, so the first admitted
     /// query already sees the warm cache.
     pub fn start(hin: Arc<Hin>, config: ServeConfig) -> Server {
-        let engine = Arc::new(Engine::with_config(hin, config.cache, config.exec));
+        let engine = Arc::new(Engine::with_config(
+            Arc::clone(&hin),
+            config.cache,
+            config.exec,
+        ));
         let warm_import = config.warm_start.as_ref().map(|s| engine.restore(s));
         let n_workers = config.workers.max(1);
         let batch_max = config.batch_max.max(1);
         let shared = Arc::new(Shared {
             queue: FairQueue::new(config.queue_depth),
+            hin,
             counters: Counters::default(),
             next_client: AtomicU64::new(1),
             telemetry: config.telemetry.enabled.then(|| Telemetry {
@@ -815,7 +873,7 @@ impl Drop for Server {
 }
 
 /// What one batch member's execution yields: its answer and its trace.
-type Traced = (Answer, QueryTrace);
+type Traced = (Result<IdOutput, QueryError>, QueryTrace);
 
 /// Run one batch's execution with its panic contained: a batch that panics
 /// its worker (an engine bug, a poisoned lock) has each of its `members`
@@ -835,9 +893,11 @@ fn contain_panic(members: usize, run: impl FnOnce() -> Vec<Traced>) -> Vec<Trace
 /// and execute them against the shared engine, until the queue is closed
 /// and drained.
 ///
-/// A micro-batch runs as a loop of [`Engine::execute_traced`], one member
-/// at a time, inside one [`contain_panic`]: a panic answers the whole batch
-/// [`QueryError::Internal`].
+/// A micro-batch runs as a loop of [`Engine::execute_ids_traced`], one
+/// member at a time, inside one [`contain_panic`]: a panic answers the whole
+/// batch [`QueryError::Internal`]. A worker names nothing: each answer goes
+/// back as node ids, and the ticket names them on the thread that waits
+/// (a shard's connection writes the names into its frame instead).
 fn worker_loop(engine: &Engine, shared: &Shared, batch_max: usize, workers: usize) {
     let counters = &shared.counters;
     loop {
@@ -876,7 +936,7 @@ fn worker_loop(engine: &Engine, shared: &Shared, batch_max: usize, workers: usiz
             tests::fault_hook(&batch);
             batch
                 .iter()
-                .map(|r| engine.execute_traced(&r.query))
+                .map(|r| engine.execute_ids_traced(&r.query))
                 .collect()
         });
         for (req, (result, trace)) in batch.into_iter().zip(outputs) {
@@ -895,7 +955,7 @@ fn worker_loop(engine: &Engine, shared: &Shared, batch_max: usize, workers: usiz
                 s.e2e.record_duration(total);
                 (queue_wait, total)
             });
-            req.reply.send(result);
+            req.reply.send(result.map(Output::Ids));
             // Slow-query capture happens *after* the reply: re-deriving the
             // EXPLAIN plan costs a parse+resolve+plan, and an already-slow
             // query's client should not wait on its own autopsy.
@@ -998,14 +1058,19 @@ pub(crate) mod tests {
             "pathcount author-paper-venue from a1",
             "rank venue-paper-author limit 2",
             "neighbors written_by from p0",
+            "neighbors author-paper from a1", // no limit: every name
+            "pathcount venue-paper-author from v0", // start and end types differ
+            "rank author-paper-venue",
+            "pathsim author-paper-author from nobody", // an error answer
+            "not even a query",                        // a parse error
         ];
         let got = server.execute_many(&queries);
         for (q, result) in queries.iter().zip(got) {
             assert_eq!(result, reference.execute(q), "served result differs: {q}");
         }
         let stats = server.shutdown();
-        assert_eq!(stats.served, 4);
-        assert_eq!(stats.errors, 0);
+        assert_eq!(stats.served, queries.len() as u64);
+        assert_eq!(stats.errors, 2);
         assert_eq!(stats.shed, 0);
     }
 
@@ -1142,7 +1207,7 @@ pub(crate) mod tests {
     #[test]
     fn one_shot_reply_resolves_timed_out_canceled_or_answered() {
         // never answered: the wait is bounded, and says so
-        let (wedged, ticket) = Ticket::pending();
+        let (wedged, ticket) = Ticket::pending(None);
         assert!(matches!(
             ticket.wait_timeout(Duration::from_millis(20)),
             Err(QueryError::TimedOut)
@@ -1151,10 +1216,10 @@ pub(crate) mod tests {
         wedged.send(Err(QueryError::Overloaded));
 
         // a sender dropped unsent cancels, through either wait
-        let (unsent, ticket) = Ticket::pending();
+        let (unsent, ticket) = Ticket::pending(None);
         drop(unsent);
         assert!(matches!(ticket.wait(), Err(QueryError::Canceled)));
-        let (unsent, ticket) = Ticket::pending();
+        let (unsent, ticket) = Ticket::pending(None);
         drop(unsent);
         assert!(matches!(
             ticket.wait_timeout(Duration::from_secs(30)),
@@ -1162,7 +1227,7 @@ pub(crate) mod tests {
         ));
 
         // an answer sent from another thread wakes a blocked waiter
-        let (reply, ticket) = Ticket::pending();
+        let (reply, ticket) = Ticket::pending(None);
         let waiter = std::thread::spawn(move || ticket.wait());
         reply.send(Err(QueryError::Internal("answered".to_string())));
         assert_eq!(

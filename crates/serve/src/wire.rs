@@ -35,12 +35,12 @@
 
 use std::io::{BufRead, Read, Write};
 
-use hin_core::HinError;
+use hin_core::{Hin, HinError, NodeRef};
 use hin_linalg::codec::{
     encode_frame, frame_head, frame_payload, read_exact_or_truncated, read_frame_body, write_frame,
     CodecError, FRAME_HEAD, FRAME_TAIL, MAX_FRAME_PAYLOAD,
 };
-use hin_query::{QueryError, QueryOutput, Verb};
+use hin_query::{IdOutput, QueryError, QueryOutput, Verb};
 
 /// Cap on request/response/ping payloads. Query text and ranked result
 /// lists are small; anything past this is corruption, not traffic.
@@ -131,7 +131,11 @@ impl Message {
                 match result {
                     Ok(out) => {
                         put_u8(buf, 0);
-                        put_output(buf, out);
+                        let items = out
+                            .items
+                            .iter()
+                            .map(|(name, score)| (name.as_str(), *score));
+                        put_items(buf, out.verb, &out.object_type, items);
                     }
                     Err(err) => {
                         put_u8(buf, 1);
@@ -201,6 +205,33 @@ pub(crate) fn encode_request(
     query: &str,
 ) -> Result<(), CodecError> {
     encode_frame(buf, |buf| put_request(buf, id, ttl_micros, query))
+}
+
+/// Append a successful [`Message::Response`] frame for an answer of node
+/// ids to `buf`, each name read from `hin` as it is written: the frame of
+/// `Response { id, result: Ok(out.named(hin)) }`, byte for byte, with no
+/// name allocated. `hin` is the network the answer was computed over, so
+/// every id is in range for its type.
+pub(crate) fn encode_id_response(
+    buf: &mut Vec<u8>,
+    id: u64,
+    out: &IdOutput,
+    hin: &Hin,
+) -> Result<(), CodecError> {
+    let ty = out.ty;
+    let items = out.items.iter().map(|&(node, score)| {
+        let node = NodeRef {
+            ty,
+            id: node as u32,
+        };
+        (hin.node_name(node), score)
+    });
+    encode_frame(buf, |buf| {
+        put_u64(buf, id);
+        put_u8(buf, 0);
+        put_items(buf, out.verb, hin.type_name(ty), items);
+        KIND_RESPONSE
+    })
 }
 
 /// Write a [`Message::Warm`] frame straight from a borrowed image: the
@@ -305,11 +336,18 @@ fn put_str(buf: &mut impl Sink, s: &str) {
     buf.put(s.as_bytes());
 }
 
-fn put_output(buf: &mut impl Sink, out: &QueryOutput) {
-    put_u8(buf, verb_tag(out.verb));
-    put_str(buf, &out.object_type);
-    put_u64(buf, out.items.len() as u64);
-    for (name, score) in &out.items {
+/// A successful answer's body, whichever form it was held in: the verb,
+/// the object type's name, then each `(name, score)`.
+fn put_items<'a>(
+    buf: &mut impl Sink,
+    verb: Verb,
+    object_type: &str,
+    items: impl ExactSizeIterator<Item = (&'a str, f64)>,
+) {
+    put_u8(buf, verb_tag(verb));
+    put_str(buf, object_type);
+    put_u64(buf, items.len() as u64);
+    for (name, score) in items {
         put_str(buf, name);
         put_u64(buf, score.to_bits());
     }
@@ -895,6 +933,80 @@ mod tests {
             Message::read_buffered(&mut response.as_slice()),
         ] {
             assert!(matches!(got, Err(CodecError::ChecksumMismatch { .. })));
+        }
+    }
+
+    /// The scores a ranked answer may carry beyond ordinary ones: each one
+    /// must reach the wire as its own bits.
+    const ODD_SCORES: [f64; 6] = [
+        f64::NAN,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+    ];
+
+    const VERBS: [Verb; 5] = [
+        Verb::PathSim,
+        Verb::PathCount,
+        Verb::Rank,
+        Verb::TopK,
+        Verb::Neighbors,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// A worker's answer of node ids, encoded with names read from the
+        /// network, is the frame of the same answer named first — byte for
+        /// byte, for every verb, empty lists, odd scores and long names.
+        #[test]
+        fn an_answer_of_ids_encodes_as_its_named_form(
+            names in proptest::prop::collection::vec(("[a-z_\\é\" ]{0,12}", 0u32..4), 1..20),
+            long_type in 0u32..2,
+            verb in 0usize..VERBS.len(),
+            items in proptest::prop::collection::vec(
+                (0usize..1 << 20, 0usize..ODD_SCORES.len() * 2, -1e9f64..1e9),
+                0..40,
+            ),
+            id in 0u64..u64::MAX,
+        ) {
+            let mut b = hin_core::HinBuilder::new();
+            let other = b.add_type("paper");
+            let ty_name = if long_type == 1 { "author".repeat(500) } else { "author".to_string() };
+            let ty = b.add_type(&ty_name);
+            b.add_node(other, "p0");
+            for (name, stretch) in &names {
+                // one name in four is a few kilobytes long
+                let name = if *stretch == 0 { name.repeat(400) } else { name.clone() };
+                b.add_node(ty, &name);
+            }
+            let hin = b.build();
+            let out = IdOutput {
+                verb: VERBS[verb],
+                ty,
+                items: items
+                    .into_iter()
+                    .map(|(node, pick, plain)| {
+                        let score = ODD_SCORES.get(pick).copied().unwrap_or(plain);
+                        (node % names.len(), score)
+                    })
+                    .collect(),
+            };
+            let mut from_ids = vec![0xA5];
+            encode_id_response(&mut from_ids, id, &out, &hin).expect("encode ids");
+            let named = Message::Response {
+                id,
+                result: Ok(out.named(&hin)),
+            };
+            let mut from_names = vec![0xA5];
+            named.encode(&mut from_names).expect("encode names");
+            proptest::prop_assert!(from_ids == from_names, "the two encodings differ");
+            // and the frame reads back as the named answer
+            let back = Message::read_from(&mut &from_ids[1..]).expect("decode");
+            let mut again = Vec::new();
+            back.write_to(&mut again).expect("re-encode");
+            proptest::prop_assert!(again == from_names[1..], "decoded answer re-encodes differently");
         }
     }
 }

@@ -106,30 +106,27 @@ impl MetricsWriter {
     /// cumulative `name_bucket{…,le="…"}` lines for every occupied bucket
     /// plus `le="+Inf"`, then `name_sum` and `name_count`.
     pub fn histogram_seconds(&mut self, name: &str, labels: &[(&str, &str)], h: &HistSnapshot) {
-        self.histogram(name, labels, h, NS_PER_SEC);
+        self.histogram(name, labels, h);
     }
 
-    /// One histogram series whose recorded values are plain counts (batch
-    /// sizes, anchors per batch — no unit, no scaling): cumulative
-    /// `name_bucket` lines for every occupied bucket plus `le="+Inf"`,
-    /// then `name_sum` and `name_count`.
-    pub fn histogram_count(&mut self, name: &str, labels: &[(&str, &str)], h: &HistSnapshot) {
-        self.histogram(name, labels, h, 1.0);
-    }
-
-    /// One histogram series with bounds and sum divided by `unit`.
-    fn histogram(&mut self, name: &str, labels: &[(&str, &str)], h: &HistSnapshot, unit: f64) {
+    /// One histogram series with bounds and sum converted from nanoseconds
+    /// to seconds.
+    fn histogram(&mut self, name: &str, labels: &[(&str, &str)], h: &HistSnapshot) {
         let out = self.family(name, "histogram");
         let mut cumulative = 0u64;
         for (bound, count) in h.buckets() {
             cumulative += count;
-            let le = label_block(labels, Some(("le", number(bound as f64 / unit))));
+            let le = label_block(labels, Some(("le", number(bound as f64 / NS_PER_SEC))));
             let _ = writeln!(out, "{name}_bucket{le} {cumulative}");
         }
         let inf = label_block(labels, Some(("le", "+Inf".to_string())));
         let plain = label_block(labels, None);
         let _ = writeln!(out, "{name}_bucket{inf} {}", h.count());
-        let _ = writeln!(out, "{name}_sum{plain} {}", number(h.sum() as f64 / unit));
+        let _ = writeln!(
+            out,
+            "{name}_sum{plain} {}",
+            number(h.sum() as f64 / NS_PER_SEC)
+        );
         let _ = writeln!(out, "{name}_count{plain} {}", h.count());
     }
 
@@ -186,36 +183,13 @@ mod tests {
     }
 
     #[test]
-    fn count_histogram_renders_unscaled() {
-        let h = Histogram::new();
-        h.record(2);
-        h.record(2);
-        h.record(5);
-        let mut w = MetricsWriter::new();
-        w.histogram_count("hin_batch_anchors", &[("dataset", "d")], &h.snapshot());
-        let page = w.finish();
-        assert!(page.contains("# TYPE hin_batch_anchors histogram"));
-        assert!(page.contains("hin_batch_anchors_count{dataset=\"d\"} 3\n"));
-        // sum = 9 anchors, unscaled (histogram_seconds would divide by 1e9)
-        assert!(page.contains("hin_batch_anchors_sum{dataset=\"d\"} 9\n"));
-        assert!(page.contains("le=\"+Inf\"} 3\n"), "total count: {page}");
-        assert!(
-            page.lines()
-                .any(|l| l.starts_with("hin_batch_anchors_bucket")
-                    && l.contains("le=\"2\"")
-                    && l.ends_with(" 2")),
-            "bucket bounds stay in native units: {page}"
-        );
-    }
-
-    #[test]
     fn interleaved_writes_render_each_family_as_one_group() {
         let h = Histogram::new();
         h.record(2);
         let mut w = MetricsWriter::new();
         for ds in ["a", "b"] {
             w.counter("served", &[("dataset", ds)], 1);
-            w.histogram_count("batch", &[("dataset", ds)], &h.snapshot());
+            w.histogram_seconds("batch", &[("dataset", ds)], &h.snapshot());
             w.gauge("health", &[("dataset", ds)], 1.0);
         }
         w.counter("served", &[("dataset", "c")], 2);
@@ -226,13 +200,13 @@ mod tests {
              served{dataset=\"b\"} 1\n\
              served{dataset=\"c\"} 2\n\
              # TYPE batch histogram\n\
-             batch_bucket{dataset=\"a\",le=\"2\"} 1\n\
+             batch_bucket{dataset=\"a\",le=\"0.000000002\"} 1\n\
              batch_bucket{dataset=\"a\",le=\"+Inf\"} 1\n\
-             batch_sum{dataset=\"a\"} 2\n\
+             batch_sum{dataset=\"a\"} 0.000000002\n\
              batch_count{dataset=\"a\"} 1\n\
-             batch_bucket{dataset=\"b\",le=\"2\"} 1\n\
+             batch_bucket{dataset=\"b\",le=\"0.000000002\"} 1\n\
              batch_bucket{dataset=\"b\",le=\"+Inf\"} 1\n\
-             batch_sum{dataset=\"b\"} 2\n\
+             batch_sum{dataset=\"b\"} 0.000000002\n\
              batch_count{dataset=\"b\"} 1\n\
              # TYPE health gauge\n\
              health{dataset=\"a\"} 1\n\
