@@ -9,40 +9,15 @@
 
 use std::time::Instant;
 
-use hin_bench::markdown_table;
-use hin_olap::{Dimension, NetworkCube};
-use hin_synth::DblpConfig;
+use hin_bench::{markdown_table, OlapTrial};
 
 fn main() {
-    let data = DblpConfig {
-        n_areas: 4,
-        n_papers: 5_000,
-        authors_per_area: 150,
-        years: 8,
-        seed: 8,
-        ..Default::default()
-    }
-    .generate();
-    let star = data.star();
-    let author_arm = star.arm_by_name("author").expect("author arm");
-    let venue_arm = star.arm_by_name("venue").expect("venue arm");
+    let trial = OlapTrial::new(8);
+    let star = &trial.star;
+    let (author_arm, venue_arm) = (trial.author_arm, trial.venue_arm);
 
     let t0 = Instant::now();
-    let cube = NetworkCube::build(
-        star.clone(),
-        vec![
-            Dimension::new(
-                "area",
-                (0..4).map(|a| format!("area{a}")).collect(),
-                data.paper_area.iter().map(|&a| a as u32).collect(),
-            ),
-            Dimension::new(
-                "year",
-                (0..8).map(|y| format!("y{y}")).collect(),
-                data.paper_year.clone(),
-            ),
-        ],
-    );
+    let cube = trial.cube();
     let build = t0.elapsed();
     let t1 = Instant::now();
     let by_area = cube.roll_up(1);
@@ -61,7 +36,7 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    for area in 0..4u32 {
+    for area in 0..OlapTrial::AREAS {
         let cell = by_area.cell(&[area]).expect("area cell");
         let top_authors: Vec<String> = cell
             .top_attributes(author_arm, 3)

@@ -10,8 +10,10 @@
 use hin_classify::{gnetmine, holdout_accuracy, wvrn, GNetMineConfig, Seeds};
 use hin_cleaning::{majority_vote, truthfinder, Claim, TruthFinderConfig};
 use hin_clustering::{kmeans, nmi, spectral_clustering, Distance, KMeansConfig, SpectralConfig};
+use hin_core::star::StarNet;
 use hin_core::BiNet;
 use hin_linalg::Csr;
+use hin_olap::{Dimension, NetworkCube};
 use hin_rankclus::{rankclus, RankClusConfig, RankingMethod};
 use hin_similarity::{commuting_matrix, simrank, MetaPath, SimRankConfig};
 use hin_synth::{BiNetConfig, ClaimsConfig, DblpConfig, DblpData, SyntheticBiNet};
@@ -299,6 +301,70 @@ impl RankClusTrial {
     /// Cosine k-means on the raw link vectors.
     pub fn kmeans_links(&self) -> f64 {
         self.score(&kmeans_links_baseline(&self.data.net, Self::K, self.run))
+    }
+}
+
+/// The area×year network cube study (OLAP on information networks,
+/// iNextCube VLDB'09; tutorial §7(c)): `exp_olap` prints it, and
+/// `tests/paper_claims.rs` asserts its expected shape. A DBLP-shaped
+/// network of [`OlapTrial::AREAS`] areas, 5 000 papers, 150 authors per
+/// area and [`OlapTrial::YEARS`] years, as a star around its papers.
+pub struct OlapTrial {
+    /// The generated network and its ground truth.
+    pub data: DblpData,
+    /// Its star-schema view, papers at the center.
+    pub star: StarNet,
+    /// The star's author arm.
+    pub author_arm: usize,
+    /// The star's venue arm.
+    pub venue_arm: usize,
+}
+
+impl OlapTrial {
+    /// Planted research areas: the cube's first dimension.
+    pub const AREAS: u32 = 4;
+    /// Publication years: the cube's second dimension.
+    pub const YEARS: u32 = 8;
+
+    /// The network at `seed` (`exp_olap` prints seed 8).
+    pub fn new(seed: u64) -> Self {
+        let data = DblpConfig {
+            n_areas: Self::AREAS as usize,
+            n_papers: 5_000,
+            authors_per_area: 150,
+            years: Self::YEARS as usize,
+            seed,
+            ..Default::default()
+        }
+        .generate();
+        let star = data.star();
+        let author_arm = star.arm_by_name("author").expect("author arm");
+        let venue_arm = star.arm_by_name("venue").expect("venue arm");
+        Self {
+            data,
+            star,
+            author_arm,
+            venue_arm,
+        }
+    }
+
+    /// The cube at its finest granularity: coordinates `[area, year]`.
+    pub fn cube(&self) -> NetworkCube {
+        NetworkCube::build(
+            self.star.clone(),
+            vec![
+                Dimension::new(
+                    "area",
+                    (0..Self::AREAS).map(|a| format!("area{a}")).collect(),
+                    self.data.paper_area.iter().map(|&a| a as u32).collect(),
+                ),
+                Dimension::new(
+                    "year",
+                    (0..Self::YEARS).map(|y| format!("y{y}")).collect(),
+                    self.data.paper_year.clone(),
+                ),
+            ],
+        )
     }
 }
 

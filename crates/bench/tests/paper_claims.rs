@@ -3,7 +3,7 @@
 //! small seeded network, over several seeds, and states the smallest margin
 //! it held by. A seed where a claim fails is a finding, not a tuning knob.
 
-use hin_bench::{ClassifyTrial, PeerStudy, RankClusTrial, TruthTrial, TRUTH_REGIMES};
+use hin_bench::{ClassifyTrial, OlapTrial, PeerStudy, RankClusTrial, TruthTrial, TRUTH_REGIMES};
 use hin_similarity::{path_count, random_walk_measure, top_k_pathsim};
 
 /// PathSim (Sun et al., VLDB 2011; tutorial §7(b)) finds peers, not hubs:
@@ -116,4 +116,61 @@ fn rankclus_authority_ranking_beats_simple_ranking_when_clusters_overlap() {
         smallest = smallest.min(authority - simple);
     }
     println!("smallest margin {smallest:.3}");
+}
+
+/// OLAP on information networks (iNextCube, VLDB 2009; tutorial §7(c))
+/// aggregates a network along its dimensions without losing it: on
+/// `exp_olap`'s area×year cube, at seeds 8–12, the cells partition the
+/// papers, rolling the years up keeps every member, and each area cell's
+/// size and link mass into every arm are the sums over that area's year
+/// cells (link weights are 1.0, so the sums compare exactly). Each area
+/// cell's three authors of largest link mass are authors planted in that
+/// area.
+#[test]
+fn olap_cells_partition_the_corpus_and_roll_up_conserves_members_and_mass() {
+    for seed in 8..=12 {
+        let trial = OlapTrial::new(seed);
+        let papers = trial.star.n_center;
+        let cube = trial.cube();
+        let mut members: Vec<u32> = cube
+            .cells()
+            .flat_map(|(_, cell)| cell.members.to_vec())
+            .collect();
+        members.sort_unstable();
+        assert_eq!(
+            members,
+            (0..papers as u32).collect::<Vec<_>>(),
+            "seed {seed}: every paper in exactly one cell"
+        );
+        assert_eq!(cube.total_members(), papers, "seed {seed}");
+        let by_area = cube.roll_up(1);
+        assert_eq!(by_area.total_members(), papers, "seed {seed}: roll-up");
+        for area in 0..OlapTrial::AREAS {
+            let cell = by_area.cell(&[area]).expect("area cell");
+            let years: Vec<_> = (0..OlapTrial::YEARS)
+                .filter_map(|y| cube.cell(&[area, y]))
+                .collect();
+            assert_eq!(
+                cell.size(),
+                years.iter().map(|c| c.size()).sum::<usize>(),
+                "seed {seed}, area {area}: size"
+            );
+            for arm in 0..trial.star.arms.len() {
+                assert_eq!(
+                    cell.link_mass(arm),
+                    years.iter().map(|c| c.link_mass(arm)).sum::<f64>(),
+                    "seed {seed}, area {area}: link mass into arm {arm}"
+                );
+            }
+            let top = cell.top_attributes(trial.author_arm, 3);
+            println!("seed {seed}, area {area}: top authors {top:?}");
+            assert_eq!(top.len(), 3, "seed {seed}, area {area}");
+            for (author, mass) in top {
+                assert_eq!(
+                    trial.data.author_area[author as usize], area as usize,
+                    "seed {seed}, area {area}: top author {author} ({mass}) planted elsewhere"
+                );
+            }
+        }
+    }
 }

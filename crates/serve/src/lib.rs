@@ -15,9 +15,10 @@
 //!                ▼
 //!  ┌─ Server (one dataset) ─────────────────────────────────────────┐
 //!  │ fair queue (per-client lanes, depth cap → shed `Overloaded`)   │
-//!  │        │ round-robin micro-batches, popped by the workers      │
+//!  │        │ round-robin micro-batches, popped by the workers,     │
+//!  │        │ or one request taken back by the client waiting on it │
 //!  │        ┌──────────────┼──────────────┐                         │
-//!  │     worker 0       worker 1  …    worker N-1                   │
+//!  │     worker 0       worker 1  …    worker N-1   (waiter)        │
 //!  │        └──────── Arc<Engine> ────────┘                         │
 //!  │   (sharded/bounded MatrixCache + in-flight dedup table)        │
 //!  └────────────────────────────────────────────────────────────────┘
@@ -58,6 +59,19 @@
 //!   wait-many) instead of burning a core on an identical SpMM chain.
 //!   Per-request failures — query errors and even panics — are answered
 //!   on that request's ticket and never take a worker down.
+//! * **Who runs a request** — a worker that pops it, or the client that
+//!   waits for it: [`Ticket::wait`] and [`Ticket::wait_timeout`] take a
+//!   request no worker has popped yet back out of its lane, under the
+//!   queue's lock (so it runs exactly once), and run it on the waiting
+//!   thread through the one function workers run their batches through —
+//!   a batch of one, counted in [`ServerStats::waiter_runs`]. A solo
+//!   request then costs no cross-thread wake-up instead of two (a parked
+//!   worker woken by the push, the parked waiter woken by the reply). A
+//!   request a worker already holds is waited for; a shard connection's
+//!   wait never runs anything, so a pipelined burst still rides the
+//!   workers' batches. Handles and tickets reach the engine weakly: it
+//!   goes with its [`Server`], and [`Server::shutdown`] waits out the
+//!   waiter runs under way.
 //! * **Names made where they are read** — a worker answers node ids
 //!   ([`IdOutput`](hin_query::IdOutput)); [`Ticket::wait`] names them on
 //!   the waiting thread, so a name is allocated and freed by one thread. A

@@ -22,8 +22,11 @@
 //!   away from a worker regardless of how deep the hot lane is, and under
 //!   a full queue the newcomer is still admitted at the flooder's expense.
 //!
-//! Workers pop for themselves ([`FairQueue::pop_share`]), so everything not
-//! yet executing sits here, where the cap and longest-queue-drop see it.
+//! Workers pop for themselves ([`FairQueue::pop_share`]), and a client
+//! waiting on a request no worker has popped yet takes it back out
+//! ([`FairQueue::take`]) to run it on its own thread; either way, everything
+//! not yet executing sits here, where the cap and longest-queue-drop see it,
+//! and leaves it exactly once.
 //!
 //! The queue is generic over the request type so it can be unit-tested
 //! with plain values; the server instantiates it with its `Request`.
@@ -173,6 +176,26 @@ impl<T> FairQueue<T> {
             }
         }
         batch
+    }
+
+    /// Remove the first request in `client`'s lane that `pick` selects —
+    /// how a waiting client takes back its own request before any worker
+    /// pops it. `None` when the lane holds no such request (a worker popped
+    /// it, or it was displaced). A lane left empty leaves the rotation, as
+    /// it does after [`FairQueue::pop_share`]. Taking is allowed after
+    /// [`FairQueue::close`]: it is one more way of draining.
+    pub(crate) fn take(&self, client: u64, pick: impl FnMut(&T) -> bool) -> Option<T> {
+        let mut guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let state = &mut *guard;
+        let lane = state.lanes.get_mut(&client)?;
+        let at = lane.iter().position(pick)?;
+        let item = lane.remove(at);
+        state.queued -= 1;
+        if lane.is_empty() {
+            state.lanes.remove(&client);
+            state.rotation.retain(|&c| c != client);
+        }
+        item
     }
 
     /// Close the queue: subsequent pushes return [`Push::Closed`], and once
@@ -354,6 +377,34 @@ mod tests {
         // draining a lane empty removes it from the report
         let _ = q.pop_share(2, 1); // takes one from each lane, round-robin
         assert_eq!(q.lane_depths(), vec![(9, 2)]);
+    }
+
+    #[test]
+    fn take_removes_one_picked_request_and_keeps_the_rotation() {
+        let q = FairQueue::new(None);
+        for i in 0..3 {
+            q.push(1, format!("a{i}"));
+        }
+        q.push(2, "b0".to_string());
+        q.push(3, "c0".to_string());
+        // from the middle of a lane: the rest of the lane keeps its order
+        assert_eq!(q.take(1, |r| r == "a1"), Some("a1".to_string()));
+        assert_eq!(q.take(1, |r| r == "a1"), None, "taken once");
+        assert_eq!(q.take(9, |_| true), None, "no such lane");
+        assert_eq!(q.take(2, |r| r == "a0"), None, "only the named lane");
+        // emptying a lane takes it out of the rotation and the report
+        assert_eq!(q.take(2, |_| true), Some("b0".to_string()));
+        assert_eq!(q.depth(), 3);
+        assert_eq!(q.lane_depths(), vec![(1, 2), (3, 1)]);
+        assert_eq!(q.pop_share(10, 1), vec!["a0", "c0", "a2"]);
+        assert_eq!(q.depth(), 0);
+        // a take after close still drains, and what it took is not popped
+        q.push(4, "d0".to_string());
+        q.push(4, "d1".to_string());
+        q.close();
+        assert_eq!(q.take(4, |r| r == "d0"), Some("d0".to_string()));
+        assert_eq!(q.pop_share(10, 1), vec!["d1"]);
+        assert!(q.pop_share(10, 1).is_empty());
     }
 
     #[test]

@@ -2,9 +2,36 @@
 //! worker pool over one shared [`Engine`]. Workers pop the queue themselves
 //! and answer each request through its one-shot reply slot, with node ids:
 //! the [`Ticket`] names them on the thread that waits for the answer.
+//!
+//! # Who runs a request
+//!
+//! A worker that pops it, or the client thread that waits for it.
+//! [`Ticket::wait`] and [`Ticket::wait_timeout`] first take their request
+//! back out of its lane if no worker has popped it yet, and run it on the
+//! waiting thread through [`serve`], the one function a worker runs on a
+//! popped batch. The take is made under the queue's lock, so each request
+//! runs exactly once: a worker's pop or its waiter's take removes it. Only
+//! a request a worker already holds is waited for. A solo request run by
+//! its waiter costs no cross-thread wake-up; run by a worker it costs two
+//! (the push waking a parked worker, the reply waking the parked waiter).
+//!
+//! * A request its waiter runs is still shed [`QueryError::TimedOut`] by
+//!   the same deadline sweep, and counts as a batch of one.
+//! * [`Ticket::wait_timeout`]'s bound covers waiting for another thread,
+//!   not a run the waiting thread performs itself.
+//! * Slow-query capture still comes after the reply. On a waiter's thread
+//!   it delays that waiter by one re-plan of an already-slow query (one
+//!   past [`TelemetryConfig::slow_query`], 100 ms by default).
+//! * A shard connection's wait does not help: it admits a pipelined burst
+//!   before it waits on any of it, and the burst is the workers' batch. A
+//!   remote client's tickets have no queue to take from.
+//!
+//! Handles and tickets reach the engine weakly, so it is freed when the
+//! [`Server`] goes however long they live; shutdown waits out the waiter
+//! runs under way, so its final stats count every admitted request.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -144,9 +171,10 @@ pub struct SlowQuery {
     pub mode: &'static str,
     /// Worst cache outcome across the plan tree (see [`EXEC_OUTCOMES`]).
     pub outcome: &'static str,
-    /// Admission to popped by a worker (the worker's wake-up included).
+    /// Admission to taken off the queue, by a popping worker (its wake-up
+    /// included) or by the query's own waiter.
     pub queue_wait_ns: u64,
-    /// Popped by a worker to execution start (the deadline sweep).
+    /// Taken off the queue to execution start (the deadline sweep).
     pub dispatch_ns: u64,
     /// Parse + resolve + whole-span probe, plus plan + mode decision when
     /// the probe missed ([`QueryTrace::plan_ns`]).
@@ -248,8 +276,9 @@ struct Request {
     deadline: Option<Instant>,
 }
 
-/// Counters shared by submitters (`shed`) and workers (everything else;
-/// `batches` / `max_batch` are counted by the worker that popped).
+/// Counters shared by submitters (`shed`) and whoever runs a request
+/// (everything else; `batches` / `max_batch` are counted by the thread
+/// that popped or took the batch, `waiter_runs` by a waiter that took).
 #[derive(Default)]
 struct Counters {
     served: AtomicU64,
@@ -258,16 +287,70 @@ struct Counters {
     shed_expired: AtomicU64,
     batches: AtomicU64,
     max_batch: AtomicU64,
+    waiter_runs: AtomicU64,
 }
 
-/// State shared between the server, every client handle, and the worker
-/// threads: the fair queue requests are admitted into, plus accounting.
+/// The waiter runs under way, so that shutdown can wait them out. A run is
+/// entered *before* its take: a request taken before the queue closed is
+/// counted here by the time the last worker has seen the queue drained.
+#[derive(Default)]
+struct WaiterRuns {
+    /// Runs under way, and whether a shutdown is waiting for them to end:
+    /// until one is, a run's end wakes nobody and makes no system call.
+    state: Mutex<(usize, bool)>,
+    ended: Condvar,
+}
+
+impl WaiterRuns {
+    fn lock(&self) -> MutexGuard<'_, (usize, bool)> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Count one run until the returned guard drops.
+    fn enter(&self) -> WaiterRun<'_> {
+        self.lock().0 += 1;
+        WaiterRun(self)
+    }
+
+    /// Block until no run is under way; meant for after the queue closed
+    /// and drained, when no new run can take anything.
+    fn wait_out(&self) {
+        let mut state = self.lock();
+        state.1 = true;
+        drop(
+            self.ended
+                .wait_while(state, |s| s.0 > 0)
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+    }
+}
+
+/// One counted waiter run; ends when dropped.
+struct WaiterRun<'a>(&'a WaiterRuns);
+
+impl Drop for WaiterRun<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.0 -= 1;
+        if state.0 == 0 && state.1 {
+            self.0.ended.notify_all();
+        }
+    }
+}
+
+/// State shared between the server, every client handle, every ticket its
+/// handles made, and the worker threads: the fair queue requests are
+/// admitted into, plus accounting.
 struct Shared {
     queue: FairQueue<Request>,
-    /// The engine's network, which names a worker's answer on the thread
-    /// that waits for it: every ticket [`ServerHandle::submit`] makes
-    /// carries a share.
+    /// The engine's network, which names an answer of node ids on the
+    /// thread that waits for it.
     hin: Arc<Hin>,
+    /// The engine, for a waiter that runs its own request. Weak: the
+    /// server and its workers own the engine, and it goes with the server
+    /// however long handles and tickets outlive it.
+    engine: Weak<Engine>,
+    runs: WaiterRuns,
     counters: Counters,
     /// Client-lane id allocator; see [`Server::handle`].
     next_client: AtomicU64,
@@ -290,10 +373,16 @@ pub struct ServerStats {
     /// executing (see [`ServerHandle::submit_with_deadline`]). Disjoint
     /// from `served` and `shed`.
     pub shed_expired: u64,
-    /// Micro-batches popped by workers.
+    /// Micro-batches popped by workers, plus the requests their waiters
+    /// ran (each a batch of one).
     pub batches: u64,
     /// Largest micro-batch seen.
     pub max_batch: u64,
+    /// Requests their own waiter took off the queue before any worker
+    /// popped them, and ran on the waiting thread (see
+    /// [`Ticket::wait`]). A subset of `batches`; with `served`, it reads as
+    /// the share of the traffic no worker ran.
+    pub waiter_runs: u64,
     /// Worker threads.
     pub workers: usize,
     /// Requests queued awaiting a worker at the moment of the stats call
@@ -371,11 +460,13 @@ pub struct ServerStats {
     /// Stage latency (ns): `submit` call to admission decision. Empty when
     /// telemetry is disabled, like every histogram below.
     pub admission_ns: HistSnapshot,
-    /// Stage latency (ns): admission to popped by a worker — the wait in
-    /// the queue *and* the popping worker's wake-up.
+    /// Stage latency (ns): admission to taken off the queue — the wait in
+    /// the queue *and* the popping worker's wake-up, or, for a request its
+    /// waiter ran, the time until the waiter took it.
     pub queue_wait_ns: HistSnapshot,
-    /// Stage latency (ns): popped by a worker to execution start — the
-    /// deadline sweep, on the popping thread; one sample per served request.
+    /// Stage latency (ns): taken off the queue to execution start — the
+    /// deadline sweep, on the thread that runs it; one sample per served
+    /// request.
     pub dispatch_ns: HistSnapshot,
     /// Stage latency (ns): parse + resolve + whole-span probe, plus plan +
     /// mode decision when the probe missed ([`QueryTrace::plan_ns`]).
@@ -408,6 +499,7 @@ impl ServerStats {
             shed_expired: self.shed_expired + other.shed_expired,
             batches: self.batches + other.batches,
             max_batch: self.max_batch.max(other.max_batch),
+            waiter_runs: self.waiter_runs + other.waiter_runs,
             workers: self.workers + other.workers,
             queue_depth: self.queue_depth + other.queue_depth,
             lane_depths,
@@ -450,18 +542,22 @@ impl ServerStats {
 /// Dropping a ticket is fine — the worker's send just fails silently and
 /// the query's work still warms the shared cache.
 ///
-/// A server's worker answers with node ids; the ticket names them on the
-/// thread that waits, so each name is allocated where it is read and
-/// freed.
+/// A server answers with node ids; the ticket names them on the thread
+/// that waits, so each name is allocated where it is read and freed.
+///
+/// A server's ticket also carries the handle that submitted it: waiting on
+/// it runs the request on the waiting thread when no worker has popped it
+/// yet (see [`Ticket::wait`]).
 pub struct Ticket {
     state: TicketState,
 }
 
 enum TicketState {
-    /// Answered through the slot. The network names an answer of node ids:
-    /// a server's tickets carry it, a remote client's (whose answers arrive
-    /// named) do not.
-    Pending(Arc<ReplySlot>, Option<Arc<Hin>>),
+    /// Answered through the slot. A server's tickets carry the handle that
+    /// submitted them, whose lane the request sits in and whose network
+    /// names an answer of node ids; a remote client's (whose answers
+    /// arrive named, and which have no queue) do not.
+    Pending(Arc<ReplySlot>, Option<ServerHandle>),
     /// Refused before reaching the queue (shutdown, overload, or an
     /// unknown dataset at a router); resolves immediately to this error.
     Refused(QueryError),
@@ -474,11 +570,11 @@ impl Ticket {
         }
     }
 
-    /// A pending ticket and the sender that resolves it — held by a worker
-    /// here, by the link that owes the answer in the remote transport.
-    /// `hin` names an answer of node ids; a sender that only ever sends
-    /// named answers needs none.
-    pub(crate) fn pending(hin: Option<Arc<Hin>>) -> (ReplySender, Ticket) {
+    /// A pending ticket and the sender that resolves it — held by the
+    /// request here, by the link that owes the answer in the remote
+    /// transport. `home` is the handle whose lane the request is pushed
+    /// into; a sender that only ever sends named answers has none.
+    pub(crate) fn pending(home: Option<ServerHandle>) -> (ReplySender, Ticket) {
         let slot = Arc::new(ReplySlot {
             answer: Mutex::new(None),
             filled: Condvar::new(),
@@ -487,20 +583,25 @@ impl Ticket {
             slot: Arc::clone(&slot),
             answer: Err(QueryError::Canceled),
         };
-        let state = TicketState::Pending(slot, hin);
+        let state = TicketState::Pending(slot, home);
         (sender, Ticket { state })
     }
 
     /// Take the answer out of the slot, blocking until it arrives — for at
     /// most `timeout` when one is given, then [`QueryError::TimedOut`].
-    /// The slot's lock is released before this returns: nothing the caller
-    /// does with the answer runs under it. Also returns the ticket's
-    /// network, for naming.
-    fn take(self, timeout: Option<Duration>) -> (Answer, Option<Arc<Hin>>) {
-        let (slot, hin) = match self.state {
-            TicketState::Pending(slot, hin) => (slot, hin),
+    /// With `run_own`, a request still in its lane is first taken out and
+    /// run on this thread ([`ServerHandle::run_own`]), which fills the
+    /// slot before the wait. The slot's lock is released before this
+    /// returns: nothing the caller does with the answer runs under it. Also
+    /// returns the ticket's handle, for naming.
+    fn take(self, timeout: Option<Duration>, run_own: bool) -> (Answer, Option<ServerHandle>) {
+        let (slot, home) = match self.state {
+            TicketState::Pending(slot, home) => (slot, home),
             TicketState::Refused(err) => return (Err(err), None),
         };
+        if let (true, Some(home)) = (run_own, &home) {
+            home.run_own(&slot);
+        }
         let answer = slot.answer.lock().unwrap_or_else(PoisonError::into_inner);
         let taken = match timeout {
             None => slot
@@ -515,34 +616,46 @@ impl Ticket {
                 .0
                 .take(),
         };
-        (taken.unwrap_or(Err(QueryError::TimedOut)), hin)
+        (taken.unwrap_or(Err(QueryError::TimedOut)), home)
     }
 
     /// Block for the answer as it was sent, unnamed — for a caller that
     /// writes names straight from the network, as a shard's connection
     /// does. `timeout` as in [`Ticket::wait_timeout`], `None` for
-    /// [`Ticket::wait`].
+    /// [`Ticket::wait`]. Unlike those, it never runs the request on this
+    /// thread: a connection admits a pipelined burst before it waits on
+    /// any of it, so that the burst rides the workers' batches, each
+    /// connection on its own fairness lane.
     pub(crate) fn wait_resolved(self, timeout: Option<Duration>) -> Answer {
-        self.take(timeout).0
+        self.take(timeout, false).0
     }
 
-    /// The answer taken with `timeout`, named on this thread.
+    /// The answer taken with `timeout`, run here if no worker has it, and
+    /// named on this thread.
     fn wait_named(self, timeout: Option<Duration>) -> Result<QueryOutput, QueryError> {
-        let (answer, hin) = self.take(timeout);
+        let (answer, home) = self.take(timeout, true);
         Ok(match answer? {
             Output::Named(out) => out,
             // Naming cannot panic: every id is a row or column index of a
             // matrix over this network whose dimension is the answer
             // type's node count.
-            Output::Ids(ids) => {
-                ids.named(hin.as_deref().expect(
-                    "only a server's workers answer ids, and its tickets carry the network",
-                ))
-            }
+            Output::Ids(ids) => ids.named(
+                &home
+                    .expect("only a server answers ids, and its tickets carry its handle")
+                    .shared
+                    .hin,
+            ),
         })
     }
 
     /// Block until the query's result arrives.
+    ///
+    /// If no worker has popped the request yet, the waiting thread takes it
+    /// out of the queue and runs it itself, through the same path a worker
+    /// runs a popped batch on (deadline sweep, panic containment, counters,
+    /// stage timings, slow-query capture); it counts in
+    /// [`ServerStats::waiter_runs`]. A request a worker already holds is
+    /// waited for. Either way it runs exactly once.
     ///
     /// Returns [`QueryError::Canceled`] when the server shut down before
     /// this query was answered, [`QueryError::Overloaded`] when admission
@@ -557,6 +670,13 @@ impl Ticket {
     /// deeply queued request. Giving up abandons only this wait: the query
     /// still executes, its work still warms the shared cache, and its
     /// result is discarded on arrival.
+    ///
+    /// Like [`Ticket::wait`], this runs a request no worker has popped yet
+    /// on the waiting thread. The bound covers waiting for *another*
+    /// thread, not that run: a run the waiting thread performs itself is
+    /// not cut short (a propagated deadline still sheds it unexecuted, see
+    /// [`ServerHandle::submit_with_deadline`]), and it includes the
+    /// slow-query capture that follows a slow answer.
     pub fn wait_timeout(self, timeout: Duration) -> Result<QueryOutput, QueryError> {
         self.wait_named(Some(timeout))
     }
@@ -604,7 +724,7 @@ impl ServerHandle {
 
     fn submit_inner(&self, query: String, deadline: Option<Instant>) -> Ticket {
         let t0 = Instant::now();
-        let (reply, ticket) = Ticket::pending(Some(Arc::clone(&self.shared.hin)));
+        let (reply, ticket) = Ticket::pending(Some(self.clone()));
         let req = Request {
             query,
             reply,
@@ -632,6 +752,30 @@ impl ServerHandle {
             }
             Push::Closed => Ticket::refused(QueryError::Canceled),
         }
+    }
+
+    /// Take the request answering through `slot` out of this lane, if no
+    /// worker has popped it, and run it on this thread through [`serve`]:
+    /// a batch of one, queued until now. The run is counted in
+    /// [`WaiterRuns`] from before the take to after the engine is let go.
+    fn run_own(&self, slot: &Arc<ReplySlot>) {
+        let shared = &*self.shared;
+        let _run = shared.runs.enter();
+        let Some(req) = shared
+            .queue
+            .take(self.client, |r| Arc::ptr_eq(&r.reply.slot, slot))
+        else {
+            return; // a worker holds it, or it was displaced: wait for it
+        };
+        let popped = Instant::now();
+        // Cannot fail: the server owns the engine until its shutdown has
+        // waited out this run. Were it gone, dropping the request would
+        // answer it Canceled.
+        let Some(engine) = shared.engine.upgrade() else {
+            return;
+        };
+        shared.counters.waiter_runs.fetch_add(1, Ordering::Relaxed);
+        serve(&engine, shared, vec![req], popped);
     }
 
     /// The newest captured slow queries, oldest first. Empty when
@@ -684,6 +828,8 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: FairQueue::new(config.queue_depth),
             hin,
+            engine: Arc::downgrade(&engine),
+            runs: WaiterRuns::default(),
             counters: Counters::default(),
             next_client: AtomicU64::new(1),
             telemetry: config.telemetry.enabled.then(|| Telemetry {
@@ -797,6 +943,7 @@ impl Server {
             shed_expired: counters.shed_expired.load(Ordering::Relaxed),
             batches: counters.batches.load(Ordering::Relaxed),
             max_batch: counters.max_batch.load(Ordering::Relaxed),
+            waiter_runs: counters.waiter_runs.load(Ordering::Relaxed),
             workers: self.workers,
             queue_depth: self.shared.queue.depth(),
             lane_depths: self.shared.queue.lane_depths(),
@@ -838,7 +985,9 @@ impl Server {
     }
 
     /// Stop accepting queries, drain everything in flight, join all
-    /// threads, and return the final statistics.
+    /// threads, wait out the requests waiters are running on their own
+    /// threads, and return the final statistics: they count every
+    /// admitted request.
     pub fn shutdown(mut self) -> ServerStats {
         self.join_threads();
         self.stats()
@@ -857,12 +1006,16 @@ impl Server {
 
     fn join_threads(&mut self) {
         // Closing the queue rejects later submits; everything already
-        // admitted is still popped and answered: every worker keeps
-        // draining and exits on closed-and-empty.
+        // admitted is still popped (or taken by its waiter) and answered:
+        // every worker keeps draining and exits on closed-and-empty. A
+        // waiter's run entered before its take, so once the queue is
+        // drained every run that took something is counted, and waiting
+        // them out leaves nothing admitted unanswered.
         self.shared.queue.close();
         for w in self.threads.drain(..) {
             let _ = w.join();
         }
+        self.shared.runs.wait_out();
     }
 }
 
@@ -890,93 +1043,104 @@ fn contain_panic(members: usize, run: impl FnOnce() -> Vec<Traced>) -> Vec<Trace
 
 /// Pop micro-batches from the fair queue (this worker's share of the
 /// backlog, at most `batch_max`, drawn round-robin across client lanes)
-/// and execute them against the shared engine, until the queue is closed
-/// and drained.
-///
-/// A micro-batch runs as a loop of [`Engine::execute_ids_traced`], one
-/// member at a time, inside one [`contain_panic`]: a panic answers the whole
-/// batch [`QueryError::Internal`]. A worker names nothing: each answer goes
-/// back as node ids, and the ticket names them on the thread that waits
-/// (a shard's connection writes the names into its frame instead).
+/// and [`serve`] each, until the queue is closed and drained. A request
+/// whose waiter took it back first is simply not in any pop.
 fn worker_loop(engine: &Engine, shared: &Shared, batch_max: usize, workers: usize) {
-    let counters = &shared.counters;
     loop {
-        let mut batch = shared.queue.pop_share(batch_max, workers);
+        let batch = shared.queue.pop_share(batch_max, workers);
         if batch.is_empty() {
             break; // closed and fully drained
         }
-        let popped = Instant::now();
-        counters.batches.fetch_add(1, Ordering::Relaxed);
-        counters
-            .max_batch
-            .fetch_max(batch.len() as u64, Ordering::Relaxed);
-        // Deadline shedding: a request whose propagated deadline passed
-        // while it sat in the queue is answered TimedOut *without*
-        // executing — its client already gave up (`wait_timeout` paired
-        // with `submit_with_deadline`), so running it would burn a worker
-        // to produce a discarded answer and delay live requests behind it.
-        let expired = |r: &Request| r.deadline.is_some_and(|d| d <= popped);
-        if batch.iter().any(expired) {
-            let (dead, live): (Vec<Request>, Vec<Request>) = batch.into_iter().partition(expired);
-            for req in dead {
-                counters.shed_expired.fetch_add(1, Ordering::Relaxed);
-                req.reply.send(Err(QueryError::TimedOut));
-            }
-            batch = live;
-            if batch.is_empty() {
-                continue;
-            }
+        serve(engine, shared, batch, Instant::now());
+    }
+}
+
+/// Run a batch taken off the queue at `popped`: a worker's popped
+/// micro-batch, or the one request a waiter took back (see
+/// [`Ticket::wait`]). The one execution path of a server.
+///
+/// Expired requests are shed first. The rest run as a loop of
+/// [`Engine::execute_ids_traced`], one member at a time, inside one
+/// [`contain_panic`]: a panic answers the whole batch
+/// [`QueryError::Internal`]. Nothing is named here: each answer goes back
+/// as node ids, and the ticket names them on the thread that waits (a
+/// shard's connection writes the names into its frame instead). Counters
+/// and stage histograms are recorded before each reply, the slow-query
+/// capture after it.
+fn serve(engine: &Engine, shared: &Shared, mut batch: Vec<Request>, popped: Instant) {
+    let counters = &shared.counters;
+    counters.batches.fetch_add(1, Ordering::Relaxed);
+    counters
+        .max_batch
+        .fetch_max(batch.len() as u64, Ordering::Relaxed);
+    // Deadline shedding: a request whose propagated deadline passed while
+    // it sat in the queue is answered TimedOut *without* executing — its
+    // client already gave up (`wait_timeout` paired with
+    // `submit_with_deadline`), so running it would burn a thread to
+    // produce a discarded answer and delay live requests behind it.
+    let expired = |r: &Request| r.deadline.is_some_and(|d| d <= popped);
+    if batch.iter().any(expired) {
+        let (dead, live): (Vec<Request>, Vec<Request>) = batch.into_iter().partition(expired);
+        for req in dead {
+            counters.shed_expired.fetch_add(1, Ordering::Relaxed);
+            req.reply.send(Err(QueryError::TimedOut));
         }
-        // popped → execution starts: the sweep above, on this thread
-        let dispatch = popped.elapsed();
-        // The engine has one flow and it always traces; with telemetry off
-        // the traces are simply not recorded anywhere below.
-        let outputs = contain_panic(batch.len(), || {
-            #[cfg(test)]
-            tests::fault_hook(&batch);
-            batch
-                .iter()
-                .map(|r| engine.execute_ids_traced(&r.query))
-                .collect()
+        batch = live;
+        if batch.is_empty() {
+            return;
+        }
+    }
+    // taken → execution starts: the sweep above, on this thread
+    let dispatch = popped.elapsed();
+    // The engine has one flow and it always traces; with telemetry off
+    // the traces are simply not recorded anywhere below.
+    let outputs = contain_panic(batch.len(), || {
+        #[cfg(test)]
+        tests::fault_hook(&batch);
+        batch
+            .iter()
+            .map(|r| engine.execute_ids_traced(&r.query))
+            .collect()
+    });
+    for (req, (result, trace)) in batch.into_iter().zip(outputs) {
+        counters.served.fetch_add(1, Ordering::Relaxed);
+        if result.is_err() {
+            counters.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        let stage = shared.telemetry.as_ref().map(|tel| {
+            let queue_wait = popped.duration_since(req.queued_at);
+            let total = req.queued_at.elapsed();
+            let s = &tel.stages;
+            s.queue_wait.record_duration(queue_wait);
+            s.dispatch.record_duration(dispatch);
+            s.plan.record(trace.plan_ns);
+            s.exec[trace.mode.index()][trace.outcome.index()].record(trace.exec_ns);
+            s.e2e.record_duration(total);
+            (queue_wait, total)
         });
-        for (req, (result, trace)) in batch.into_iter().zip(outputs) {
-            counters.served.fetch_add(1, Ordering::Relaxed);
-            if result.is_err() {
-                counters.errors.fetch_add(1, Ordering::Relaxed);
-            }
-            let stage = shared.telemetry.as_ref().map(|tel| {
-                let queue_wait = popped.duration_since(req.queued_at);
-                let total = req.queued_at.elapsed();
-                let s = &tel.stages;
-                s.queue_wait.record_duration(queue_wait);
-                s.dispatch.record_duration(dispatch);
-                s.plan.record(trace.plan_ns);
-                s.exec[trace.mode.index()][trace.outcome.index()].record(trace.exec_ns);
-                s.e2e.record_duration(total);
-                (queue_wait, total)
-            });
-            req.reply.send(result.map(Output::Ids));
-            // Slow-query capture happens *after* the reply: re-deriving the
-            // EXPLAIN plan costs a parse+resolve+plan, and an already-slow
-            // query's client should not wait on its own autopsy.
-            if let (Some(tel), Some((queue_wait, total))) = (&shared.telemetry, stage) {
-                if total >= tel.slow_threshold {
-                    let plan = engine
-                        .plan(&req.query)
-                        .map(|p| p.to_string())
-                        .unwrap_or_default();
-                    tel.slow.push(SlowQuery {
-                        query: req.query,
-                        plan,
-                        mode: trace.mode.as_str(),
-                        outcome: trace.outcome.as_str(),
-                        queue_wait_ns: duration_ns(queue_wait),
-                        dispatch_ns: duration_ns(dispatch),
-                        plan_ns: trace.plan_ns,
-                        exec_ns: trace.exec_ns,
-                        total_ns: duration_ns(total),
-                    });
-                }
+        req.reply.send(result.map(Output::Ids));
+        // Slow-query capture happens *after* the reply: re-deriving the
+        // EXPLAIN plan costs a parse+resolve+plan, and an already-slow
+        // query's client should not wait on its own autopsy — unless the
+        // client's own thread is the one running it, which then returns
+        // one re-plan later.
+        if let (Some(tel), Some((queue_wait, total))) = (&shared.telemetry, stage) {
+            if total >= tel.slow_threshold {
+                let plan = engine
+                    .plan(&req.query)
+                    .map(|p| p.to_string())
+                    .unwrap_or_default();
+                tel.slow.push(SlowQuery {
+                    query: req.query,
+                    plan,
+                    mode: trace.mode.as_str(),
+                    outcome: trace.outcome.as_str(),
+                    queue_wait_ns: duration_ns(queue_wait),
+                    dispatch_ns: duration_ns(dispatch),
+                    plan_ns: trace.plan_ns,
+                    exec_ns: trace.exec_ns,
+                    total_ns: duration_ns(total),
+                });
             }
         }
     }
@@ -1525,6 +1689,178 @@ pub(crate) mod tests {
                 assert!(value > 0, "{name} was not exercised");
             }
         }
+    }
+
+    /// Pin a one-worker server's only worker on [`STALL`]: returns the
+    /// stalled ticket once the worker has popped it. The caller holds the
+    /// gate.
+    fn pin_the_worker(server: &Server) -> Ticket {
+        let stalled = server.submit(STALL);
+        while server.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
+        stalled
+    }
+
+    fn one_worker() -> Server {
+        Server::start(
+            bib(),
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+        )
+    }
+
+    #[test]
+    fn a_waiter_runs_its_own_request_while_the_workers_are_busy() {
+        let server = one_worker();
+        let gate = STALL_GATE.lock().unwrap();
+        let stalled = pin_the_worker(&server);
+        // the only worker is pinned, so only the waiting thread can run
+        // these: through wait, and through a wait_timeout far shorter
+        // than nothing at all could satisfy from another thread
+        let second = server.submit("pathsim author-paper-author from a0");
+        assert_eq!(second.wait().unwrap().items[0].0, "a1");
+        let third = server.submit("pathcount author-paper-venue from a1");
+        let got = third.wait_timeout(Duration::from_millis(1)).unwrap();
+        let want = Engine::from_arc(bib())
+            .execute("pathcount author-paper-venue from a1")
+            .unwrap();
+        assert_eq!(got, want);
+        let live = server.stats();
+        assert_eq!(live.waiter_runs, 2);
+        assert_eq!(live.served, 2, "the pinned request is not answered yet");
+        drop(gate);
+        assert!(matches!(stalled.wait(), Err(QueryError::Parse(_))));
+        let stats = server.shutdown();
+        assert_eq!(stats.served, 3);
+        assert_eq!(stats.waiter_runs, 2);
+        assert_eq!(stats.batches, 3, "a waiter's run is a batch of one");
+        assert_eq!(stats.queue_wait_ns.count(), 3);
+        assert_eq!(stats.e2e_ns.count(), 3);
+    }
+
+    #[test]
+    fn a_request_runs_exactly_once_whoever_takes_it() {
+        // a request a worker popped is waited for, not run again
+        let server = one_worker();
+        let gate = STALL_GATE.lock().unwrap();
+        let stalled = pin_the_worker(&server);
+        let waiter = std::thread::spawn(move || stalled.wait());
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(
+            !waiter.is_finished(),
+            "the worker holds it, so its waiter waits"
+        );
+        drop(gate);
+        assert!(matches!(waiter.join().unwrap(), Err(QueryError::Parse(_))));
+        let stats = server.shutdown();
+        assert_eq!((stats.served, stats.waiter_runs, stats.batches), (1, 0, 1));
+
+        // workers and waiters racing for the same requests: each is
+        // served once, and answered right
+        let server = Server::start(
+            bib(),
+            ServeConfig {
+                workers: 2,
+                batch_max: 4,
+                ..ServeConfig::default()
+            },
+        );
+        let queries = [
+            "pathsim author-paper-author from a0",
+            "pathcount author-paper-venue from a1",
+            "rank venue-paper-author limit 2",
+            "pathsim author-paper-author from nobody",
+        ];
+        let reference = Engine::from_arc(bib());
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                let h = server.handle();
+                std::thread::spawn(move || {
+                    let tickets: Vec<Ticket> = (0..48).map(|i| h.submit(queries[i % 4])).collect();
+                    tickets.into_iter().map(Ticket::wait).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for c in clients {
+            for (i, got) in c.join().unwrap().into_iter().enumerate() {
+                assert_eq!(got, reference.execute(queries[i % 4]));
+            }
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.served, 192, "every request served exactly once");
+        assert_eq!(stats.errors, 48);
+        assert!(stats.waiter_runs <= stats.batches);
+    }
+
+    #[test]
+    fn a_waiters_run_still_sheds_an_expired_deadline() {
+        let server = one_worker();
+        let gate = STALL_GATE.lock().unwrap();
+        let stalled = pin_the_worker(&server);
+        let dead =
+            server.submit_with_deadline("pathsim author-paper-author from a0", Duration::ZERO);
+        assert!(matches!(dead.wait(), Err(QueryError::TimedOut)));
+        let live = server.stats();
+        assert_eq!(live.waiter_runs, 1, "its waiter took it");
+        assert_eq!(live.shed_expired, 1);
+        assert_eq!(live.served, 0, "and it never reached the engine");
+        assert_eq!(live.cache_hits + live.cache_misses, 0);
+        assert_eq!(live.anchored_fast_paths, 0);
+        drop(gate);
+        assert!(stalled.wait().is_err());
+        let stats = server.shutdown();
+        assert_eq!((stats.served, stats.shed_expired), (1, 1));
+    }
+
+    #[test]
+    fn shutdown_counts_a_waiters_run_still_under_way() {
+        let server = one_worker();
+        // STALL before HOLD, in the order every test takes the two gates
+        let stall_gate = STALL_GATE.lock().unwrap();
+        let hold_gate = HOLD_GATE.lock().unwrap();
+        let stalled = pin_the_worker(&server);
+        // the worker is pinned, so HOLD's waiter takes it and blocks on
+        // the hold gate inside its own run
+        let held = server.submit(HOLD);
+        let waiter = std::thread::spawn(move || held.wait());
+        while server.stats().waiter_runs == 0 {
+            std::thread::yield_now();
+        }
+        let shutdown = std::thread::spawn(move || server.shutdown());
+        // the worker drains and exits; shutdown must still wait for the run
+        drop(stall_gate);
+        assert!(stalled.wait().is_err());
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!shutdown.is_finished(), "a waiter's run is still under way");
+        drop(hold_gate);
+        assert!(matches!(waiter.join().unwrap(), Err(QueryError::Parse(_))));
+        let stats = shutdown.join().unwrap();
+        assert_eq!(stats.served, 2, "the run that outlived the close counts");
+        assert_eq!(stats.waiter_runs, 1);
+        assert_eq!(stats.errors, 2);
+    }
+
+    #[test]
+    fn handles_and_tickets_do_not_keep_the_engine_alive() {
+        let server = Server::start(bib(), ServeConfig::default());
+        let engine = Arc::downgrade(&server.engine);
+        let handle = server.handle();
+        let unwaited = handle.submit("pathsim author-paper-author from a0");
+        drop(server);
+        assert!(
+            engine.upgrade().is_none(),
+            "the engine went with the server"
+        );
+        // the workers drained the queue before they went, and nothing is
+        // left for the handle to run
+        assert_eq!(unwaited.wait().unwrap().items[0].0, "a1");
+        assert!(matches!(
+            handle.submit("rank venue-paper-author").wait(),
+            Err(QueryError::Canceled)
+        ));
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! the same query with `limit 1` must cost the worker the same allocations,
 //! give or take a small constant: a worker that named its answer would pay
 //! about N more.
+//!
+//! A waiting thread runs its own request when no worker has popped it yet,
+//! and a round the test thread ran itself would read no allocation off the
+//! thread at all. So each round waits until the worker has popped its
+//! request before waiting on the answer, and every round must read
+//! non-zero: the reading is a worker's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -54,15 +60,20 @@ const PAPERS: usize = 64;
 /// the reading, so a stray allocation elsewhere cannot inflate it.
 const ROUNDS: usize = 20;
 
-/// The fewest allocations off this thread that one submitted and waited
-/// `query` cost.
+/// The fewest allocations off this thread that one submitted `query`
+/// cost, each waited for only once the worker has popped it.
 fn worker_allocations(server: &Server, query: &str) -> u64 {
     (0..ROUNDS)
         .map(|_| {
             let before = OFF_THREAD.load(Ordering::SeqCst);
-            let answer = server.submit(query).wait();
+            let ticket = server.submit(query);
+            while server.queue_depth() > 0 {
+                std::thread::yield_now();
+            }
+            let answer = ticket.wait();
             let after = OFF_THREAD.load(Ordering::SeqCst);
             assert!(answer.is_ok(), "{query}: {answer:?}");
+            assert!(after > before, "{query}: a round the worker did not run");
             after - before
         })
         .min()

@@ -262,6 +262,7 @@ fn every_field(side: u64) -> ServerStats {
         exec_ns: std::array::from_fn(|m| std::array::from_fn(|o| h(4 + 3 * m as u64 + o as u64))),
         e2e_ns: h(13),
         slow_queries: v(32),
+        waiter_runs: v(33),
     }
 }
 
@@ -304,6 +305,7 @@ fn merge_combines_every_field_by_its_own_rule() {
         cache_len,
         cache_bytes,
         slow_queries,
+        waiter_runs,
     );
     assert_eq!(m.max_batch, b.max_batch, "max_batch takes the max");
     assert_eq!(b.merge(&a).max_batch, b.max_batch, "whichever side has it");
@@ -424,6 +426,7 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         shed_expired: 129,
         cache_warm_view_backed: 130,
         normalizer_memo_hits: 131,
+        waiter_runs: 132,
         admission_ns: snap(&[1_000]),
         queue_wait_ns: snap(&[2_000, 2_000]),
         dispatch_ns: snap(&[3_000, 3_000, 3_000]),
@@ -479,6 +482,7 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         ("hin_shed_expired_total", 129),
         ("hin_cache_warm_view_backed_total", 130),
         ("hin_normalizer_memo_hits_total", 131),
+        ("hin_waiter_runs_total", 132),
     ] {
         assert!(
             page.contains(&format!("{name}{{dataset=\"db\"}} {value}\n")),
