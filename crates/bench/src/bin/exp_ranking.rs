@@ -2,27 +2,16 @@
 //!
 //! Regenerates: top-k ranking comparison (PageRank vs HITS authority vs
 //! degree) on the co-author projection, plus convergence-vs-damping
-//! behaviour.
+//! behaviour. `tests/paper_claims.rs` asserts the shape of both tables
+//! through the same `RankingTrial`.
 //!
 //! Run with: `cargo run --release -p hin-bench --bin exp_ranking`
 
-use hin_bench::markdown_table;
-use hin_ranking::{degree_rank, hits, pagerank, top_k, PageRankConfig};
-use hin_synth::DblpConfig;
+use hin_bench::{markdown_table, RankingTrial};
 
 fn main() {
-    let data = DblpConfig {
-        n_papers: 3_000,
-        authors_per_area: 150,
-        seed: 2,
-        ..Default::default()
-    }
-    .generate();
-    let co = data.coauthor_network();
-
-    let pr = pagerank(&co, &PageRankConfig::default());
-    let h = hits(&co, 1e-10, 200);
-    let dg = degree_rank(&co);
+    let trial = RankingTrial::new(2);
+    let data = &trial.data;
 
     println!("## E2a — top-10 authors, three rankers on the co-author network\n");
     let name = |a: usize| {
@@ -33,9 +22,7 @@ fn main() {
             })
             .to_string()
     };
-    let pr_top = top_k(&pr.scores, 10);
-    let hits_top = top_k(&h.authority, 10);
-    let deg_top = top_k(&dg, 10);
+    let [pr_top, hits_top, deg_top] = trial.top_tens();
     let rows: Vec<Vec<String>> = (0..10)
         .map(|i| {
             vec![
@@ -48,8 +35,7 @@ fn main() {
         .collect();
     markdown_table(&["rank", "PageRank", "HITS authority", "degree"], &rows);
 
-    // overlap measures
-    let overlap = |a: &[usize], b: &[usize]| a.iter().filter(|x| b.contains(x)).count();
+    let overlap = RankingTrial::overlap;
     println!(
         "\ntop-10 overlap: PR∩HITS = {}, PR∩degree = {}, HITS∩degree = {}",
         overlap(&pr_top, &hits_top),
@@ -58,20 +44,17 @@ fn main() {
     );
 
     println!("\n## E2b — PageRank convergence vs damping factor\n");
-    let mut rows = Vec::new();
-    for &d in &[0.5, 0.7, 0.85, 0.95, 0.99] {
-        let cfg = PageRankConfig {
-            damping: d,
-            tol: 1e-10,
-            max_iters: 500,
-        };
-        let r = pagerank(&co, &cfg);
-        rows.push(vec![
-            format!("{d:.2}"),
-            r.iterations.to_string(),
-            format!("{:.1e}", r.delta),
-        ]);
-    }
+    let rows: Vec<Vec<String>> = RankingTrial::DAMPINGS
+        .iter()
+        .zip(trial.convergence())
+        .map(|(d, r)| {
+            vec![
+                format!("{d:.2}"),
+                r.iterations.to_string(),
+                format!("{:.1e}", r.delta),
+            ]
+        })
+        .collect();
     markdown_table(&["damping", "iterations to 1e-10", "final delta"], &rows);
     println!("\nexpected shape: iterations grow as damping → 1.");
 }

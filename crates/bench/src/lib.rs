@@ -15,6 +15,7 @@ use hin_core::BiNet;
 use hin_linalg::Csr;
 use hin_olap::{Dimension, NetworkCube};
 use hin_rankclus::{rankclus, RankClusConfig, RankingMethod};
+use hin_ranking::{degree_rank, hits, pagerank, top_k, PageRankConfig, RankVector};
 use hin_similarity::{commuting_matrix, simrank, MetaPath, SimRankConfig};
 use hin_synth::{BiNetConfig, ClaimsConfig, DblpConfig, DblpData, SyntheticBiNet};
 
@@ -365,6 +366,69 @@ impl OlapTrial {
                 ),
             ],
         )
+    }
+}
+
+/// Ranking on a homogeneous network (tutorial §2(b)ii; PageRank, HITS):
+/// `exp_ranking` prints it, and `tests/paper_claims.rs` asserts its expected
+/// shape. A DBLP-shaped network of 3 000 papers and 150 authors per area,
+/// projected onto its co-author network, ranked by PageRank, HITS
+/// authority and weighted degree.
+pub struct RankingTrial {
+    /// The generated network and its ground truth.
+    pub data: DblpData,
+    /// Its co-author projection: the network the rankers run on.
+    pub coauthors: Csr,
+}
+
+impl RankingTrial {
+    /// The damping factors PageRank's convergence is read at.
+    pub const DAMPINGS: [f64; 5] = [0.5, 0.7, 0.85, 0.95, 0.99];
+
+    /// The network at `seed` (`exp_ranking` prints seed 2).
+    pub fn new(seed: u64) -> Self {
+        let data = DblpConfig {
+            n_papers: 3_000,
+            authors_per_area: 150,
+            seed,
+            ..Default::default()
+        }
+        .generate();
+        let coauthors = data.coauthor_network();
+        Self { data, coauthors }
+    }
+
+    /// The top ten authors of PageRank (default configuration), HITS
+    /// authority (to 1e-10, at most 200 iterations) and degree, in that
+    /// order.
+    pub fn top_tens(&self) -> [Vec<usize>; 3] {
+        let co = &self.coauthors;
+        [
+            top_k(&pagerank(co, &PageRankConfig::default()).scores, 10),
+            top_k(&hits(co, 1e-10, 200).authority, 10),
+            top_k(&degree_rank(co), 10),
+        ]
+    }
+
+    /// How many of two top-ten lists' authors they share.
+    pub fn overlap(a: &[usize], b: &[usize]) -> usize {
+        a.iter().filter(|x| b.contains(x)).count()
+    }
+
+    /// PageRank to 1e-10 (at most 500 iterations) at each of
+    /// [`RankingTrial::DAMPINGS`], in that order.
+    pub fn convergence(&self) -> Vec<RankVector> {
+        Self::DAMPINGS
+            .iter()
+            .map(|&damping| {
+                let config = PageRankConfig {
+                    damping,
+                    tol: 1e-10,
+                    max_iters: 500,
+                };
+                pagerank(&self.coauthors, &config)
+            })
+            .collect()
     }
 }
 

@@ -137,7 +137,10 @@ pub struct CacheConfig {
     /// ([`CacheStats::inserts_refused`]), and the engine does not promote
     /// a span whose estimated or previously measured size exceeds the
     /// slice: such a span is served by lazy row propagation for ever
-    /// (`EngineStats::promotions_refused`). Refusals that climb while
+    /// (`EngineStats::promotions_refused`) — through two halves the cache
+    /// does keep, when it has a split with such halves
+    /// (`EngineStats::factor_promotions`), and link by link through its
+    /// relations otherwise. Refusals that climb while
     /// evictions stay flat mean the budget cannot hold what the traffic
     /// heats; evictions that climb mean the working set rotates. Size the
     /// budget so the largest commuting matrix worth keeping fits in one
@@ -645,6 +648,14 @@ impl MatrixCache {
         }
     }
 
+    /// The slice `a` and `b` share when a bounded cache keeps both in one
+    /// shard, so that products under the two keys compete for its bytes;
+    /// `None` when unbounded or in different shards.
+    pub(crate) fn shared_slice(&self, a: &[StepKey], b: &[StepKey]) -> Option<usize> {
+        self.budget_per_shard
+            .filter(|_| self.shard_index(a) == self.shard_index(b))
+    }
+
     /// `true` when a product of about `est_bytes` under `key` would be kept
     /// if it were computed and stored now — the question to ask *before*
     /// paying for a materialization whose only purpose is to be cached.
@@ -862,21 +873,29 @@ impl MatrixCache {
     /// reversal) available, and at what nnz? Does not refresh recency — a
     /// plan is a forecast, not a use.
     pub(crate) fn peek_nnz(&self, key: &[StepKey]) -> Option<usize> {
-        let direct = {
-            let shard = self
-                .shard_of(key)
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            shard.map.get(key).map(|e| e.value.nnz())
-        };
-        direct.or_else(|| {
-            let rev = reversed_key(key);
-            let shard = self
-                .shard_of(&rev)
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            shard.map.get(&rev).map(|e| e.value.nnz())
-        })
+        self.peek_exact(key)
+            .or_else(|| self.peek_exact(&reversed_key(key)))
+    }
+
+    /// [`MatrixCache::peek_nnz`] of `key` as a product read as a link of an
+    /// anchored row: the row's seed (`first`) may be served as a resident
+    /// reversal's transpose, a later link only under its own key (see
+    /// `plan::row_links`).
+    pub(crate) fn peek_link(&self, key: &[StepKey], first: bool) -> Option<usize> {
+        match first {
+            true => self.peek_nnz(key),
+            false => self.peek_exact(key),
+        }
+    }
+
+    /// [`MatrixCache::peek_nnz`] of exactly `key`, its reversal not
+    /// consulted.
+    fn peek_exact(&self, key: &[StepKey]) -> Option<usize> {
+        let shard = self
+            .shard_of(key)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        shard.map.get(key).map(|e| e.value.nnz())
     }
 
     /// Counting lookup used by the executor. Serves the reversed entry by
@@ -884,6 +903,15 @@ impl MatrixCache {
     /// locks at once.
     pub(crate) fn get(&self, key: &[StepKey]) -> Option<Arc<Csr>> {
         self.probe(key).map(|(m, _)| m)
+    }
+
+    /// Counting lookup of exactly `key`: a resident reversal is neither
+    /// served nor transposed, so the lookup stores nothing and evicts
+    /// nobody.
+    pub(crate) fn get_exact(&self, key: &[StepKey]) -> Option<Arc<Csr>> {
+        let (m, _) = self.resident(key, true)?;
+        self.counters.hits.fetch_add(1, Ordering::Relaxed);
+        Some(m)
     }
 
     /// [`MatrixCache::get`] that also hands back the entry's sidecar, taken

@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use hin_core::{Hin, NodeRef, TypeId};
-use hin_linalg::{spvm_chain_with, spvm_with, Csr, ScatterScratch, SparseVec};
+use hin_linalg::{spvm_with, Csr, ScatterScratch, SparseVec};
 use hin_similarity::{
     top_k_pathsim, top_k_pathsim_with_diagonal, MetaPath, PathSimTopK, PathStep, TopK,
 };
@@ -19,7 +19,10 @@ use crate::cache::{
 };
 use crate::error::QueryError;
 use crate::parse::{parse, Verb};
-use crate::plan::{plan_exec_mode, plan_steps, ExecMode, PlanNode, Promotion, QueryPlan};
+use crate::plan::{
+    plan_exec_mode, plan_steps, row_links, ExecMode, Factor, PlanNode, Promotion, QueryPlan,
+    RowRoute,
+};
 use crate::resolve::{resolve, ResolvedQuery};
 use crate::snapshot::{CacheSnapshot, SnapshotImport};
 
@@ -91,7 +94,10 @@ pub struct ExecPolicy {
     /// [`CacheConfig::byte_budget`], a span whose estimated product — or
     /// whose product, once it has been computed and measured — is larger
     /// than one shard's slice is never promoted, whatever this says
-    /// ([`EngineStats::promotions_refused`]).
+    /// ([`EngineStats::promotions_refused`]). Such a span's row is served
+    /// through two halves the cache does keep, when it has a split with
+    /// such halves, and each product half heats and materializes by this
+    /// same count ([`EngineStats::factor_promotions`]).
     pub promote_after: u32,
 }
 
@@ -143,6 +149,11 @@ pub struct EngineStats {
     /// PathSim normalizer diagonals `M[y][y]` served from the per-half-span
     /// memo instead of recomputed half propagations.
     pub normalizer_memo_hits: u64,
+    /// Product halves of refused spans materialized after crossing
+    /// [`ExecPolicy::promote_after`] lazy runs, so that the span's rows are
+    /// read through them. Not counted in `promotions`: the span itself
+    /// stays refused.
+    pub factor_promotions: u64,
 }
 
 /// The result of one query: scored, named objects of one type.
@@ -211,8 +222,12 @@ impl IdOutput {
 /// ([`ExecPolicy::promote_after`]) materializes a span once it keeps being
 /// queried lazily, so hot spans still amortize through the cache (and
 /// appear in snapshots) — provided the cache would keep the product
-/// ([`MatrixCache::admits`]); a span too large for a bounded cache stays
-/// lazy however hot it runs.
+/// ([`MatrixCache::admits`]). A span too large for a bounded cache stays
+/// lazy however hot it runs, but its row need not chain through raw
+/// relations for ever: the engine splits the span into two halves the
+/// cache does keep, heats and materializes those instead, and serves the
+/// anchor's row as (row `x` of the left half) · (the right half) — how
+/// PathSim computes a row of `H·Hᵀ` from its half-path matrix `H`.
 ///
 /// Every method takes `&self` and the cache is sharded and lock-guarded,
 /// so one engine behind an `Arc` serves any number of threads — this is
@@ -255,6 +270,14 @@ pub struct Engine {
     promotions: AtomicU64,
     /// Lazy executions of spans cache admission kept out of the heat table.
     promotions_refused: AtomicU64,
+    /// The split each refused span's row is served through, keyed by the
+    /// span's [`key_of`]: the first step of its right half, or `None` when
+    /// no split has halves the cache admits. Chosen once per span by
+    /// [`Engine::choose_split`]; forgotten when a half proves larger than
+    /// its estimate. Bounded by [`HEAT_CAP`] entries, like `heat`.
+    splits: Mutex<HashMap<PathKey, Option<usize>>>,
+    /// Product halves materialized for refused spans.
+    factor_promotions: AtomicU64,
     /// Lazily computed [`crate::snapshot::dataset_fingerprint`] of `hin`.
     /// The network is immutable after build, so one full-adjacency scan
     /// serves every later snapshot/restore — a periodic checkpoint loop
@@ -293,6 +316,8 @@ impl Engine {
             anchored_fast_paths: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
             promotions_refused: AtomicU64::new(0),
+            splits: Mutex::new(HashMap::new()),
+            factor_promotions: AtomicU64::new(0),
             fingerprint: std::sync::OnceLock::new(),
         }
     }
@@ -376,14 +401,45 @@ impl Engine {
     }
 
     /// The full `EXPLAIN` of one resolved query: tree, mode race, promotion
-    /// verdict. Read-only.
+    /// verdict, and a refused span's row route. Read-only.
     fn explain(&self, resolved: &ResolvedQuery) -> QueryPlan {
-        let mut plan = plan_steps(&self.hin, resolved.path.steps(), &self.cache);
+        let steps = resolved.path.steps();
+        let mut plan = plan_steps(&self.hin, steps, &self.cache);
         let (mode, lazy_est) = self.exec_mode(resolved, plan.est_flops);
         plan.mode = mode;
         plan.lazy_est_flops = lazy_est;
         plan.promotion = self.promotion_forecast(resolved, &plan);
+        if let Some(Promotion::Refused(_)) = plan.promotion {
+            plan.row_route = self.route_forecast(steps);
+        }
         plan
+    }
+
+    /// What [`Engine::heat_halves`] would find for a refused span, recording
+    /// nothing: the remembered split, or the one it would choose now, with
+    /// each half as it stands.
+    fn route_forecast(&self, steps: &[PathStep]) -> Option<RowRoute> {
+        let key = key_of(steps);
+        let remembered = self.lock_splits().get(&key).copied();
+        let at = remembered.unwrap_or_else(|| self.choose_split(steps, &key))?;
+        let factor = |half: &[StepKey], first: bool| {
+            if half.len() == 1 {
+                Factor::Relation
+            } else if self.cache.peek_link(half, first).is_some() {
+                Factor::Resident
+            } else {
+                let heat = self.heat.lock().unwrap_or_else(PoisonError::into_inner);
+                Factor::Heating {
+                    run: heat.get(&canonical_key(half)).copied().unwrap_or(0) + 1,
+                    of: self.policy.promote_after,
+                }
+            }
+        };
+        let (left, right) = key.split_at(at);
+        Some(RowRoute {
+            at,
+            halves: [factor(left, true), factor(right, false)],
+        })
     }
 
     /// What [`Engine::should_promote`] would find for this plan, recording
@@ -471,7 +527,9 @@ impl Engine {
         };
         let t1 = Instant::now();
         let result = match &prep.route {
-            Route::Lazy(plan) if !self.should_promote(&prep.key, plan) => {
+            Route::Lazy(plan)
+                if !self.should_promote(prep.resolved.path.steps(), &prep.key, plan) =>
+            {
                 self.propagate(&prep, &mut trace)
             }
             Route::Lazy(_) => {
@@ -555,20 +613,16 @@ impl Engine {
         self.anchored_fast_paths.fetch_add(1, Ordering::Relaxed);
         let x = prep.resolved.from.expect("anchored verbs carry `from`").id as usize;
         let mut scratch = ScatterScratch::new();
-        let (seed, rest) = self.propagation_seed(prep.resolved.path.steps());
+        let links = self.propagation_seed(prep.resolved.path.steps());
         // The fast path caches nothing; its cache interaction is whether
         // the propagation started from a resident prefix product or had to
         // chain from the anchor's relation row.
         trace.mode = TraceMode::SparseRow;
-        trace.outcome = match seed {
+        trace.outcome = match links[0] {
             Mat::Shared(_) => CacheOutcome::Hit,
             Mat::Borrowed(_) => CacheOutcome::MissCompute,
         };
-        let row = spvm_chain_with(
-            &SparseVec::from_csr_row(seed.as_csr(), x),
-            &rest,
-            &mut scratch,
-        );
+        let row = row_through(&links, x, &mut scratch);
         self.finish_row(&prep.resolved, x, row, &mut scratch)
     }
 
@@ -577,7 +631,7 @@ impl Engine {
     /// matrix itself rather than a verb's view of it.
     pub fn commuting_matrix(&self, path: &MetaPath) -> Result<Arc<Csr>, QueryError> {
         path.validate(&self.hin)?;
-        Ok(self.commuting_of(path))
+        Ok(self.commuting_of(path.steps()))
     }
 
     /// The cache's counters and gauges plus the execution-path counters,
@@ -590,6 +644,7 @@ impl Engine {
             promotions: read(&self.promotions),
             promotions_refused: read(&self.promotions_refused),
             normalizer_memo_hits: read(&self.normalizer_memo_hits),
+            factor_promotions: read(&self.factor_promotions),
         }
     }
 
@@ -620,20 +675,28 @@ impl Engine {
     /// materialize its span instead? Admission first — a product the cache
     /// would not keep (by the plan's size estimate, or by its measured size
     /// once one materialization has corrected the estimate) is only ever
-    /// worth one row, so the span never enters the heat table. Then the
-    /// heat floor: record one lazy execution and report whether it just
-    /// crossed [`ExecPolicy::promote_after`]. A span and its reversal share
-    /// one counter; a promoted span's counter resets, so if the matrix is
-    /// later evicted the span cools down and re-heats honestly.
-    fn should_promote(&self, key: &[StepKey], plan: &QueryPlan) -> bool {
+    /// worth one row, so the span never enters the heat table; its halves
+    /// heat instead ([`Engine::heat_halves`]). Then the heat floor: record
+    /// one lazy execution and report whether it just crossed
+    /// [`ExecPolicy::promote_after`].
+    fn should_promote(&self, steps: &[PathStep], key: &[StepKey], plan: &QueryPlan) -> bool {
         if !self.cache.admits(key, plan.est_bytes) {
             self.promotions_refused.fetch_add(1, Ordering::Relaxed);
+            self.heat_halves(steps, key);
             return false;
         }
+        self.heat_once(canonical_key(key))
+    }
+
+    /// Record one lazy run of the span or half `heat_key` names (its
+    /// [`canonical_key`]) and report whether it just crossed
+    /// [`ExecPolicy::promote_after`]. A span and its reversal share one
+    /// counter; a counter that crosses resets, so if the matrix is later
+    /// evicted the span cools down and re-heats honestly.
+    fn heat_once(&self, heat_key: PathKey) -> bool {
         if self.policy.promote_after == 0 {
             return true;
         }
-        let heat_key = canonical_key(key);
         let mut heat = self.heat.lock().unwrap_or_else(PoisonError::into_inner);
         if heat.len() >= HEAT_CAP && !heat.contains_key(&heat_key) {
             // bounded memory: a reset only delays promotions, never
@@ -650,30 +713,143 @@ impl Engine {
         }
     }
 
-    /// Resolve where an anchored propagation over `steps` starts: the
-    /// longest cache-resident prefix product (probed longest-first,
-    /// counting like any cache use — this is where a plan-time seed that
-    /// was evicted in the meantime silently degrades to propagating from
-    /// the anchor's relation row), plus the remaining link matrices. A
-    /// [`Mat::Shared`] seed is a resident prefix, whose row replaces the
-    /// head of the chain outright; a [`Mat::Borrowed`] one is the first
-    /// step's relation adjacency (always free — `eₓᵀ·M₁` *is* row `x` of
-    /// `M₁`).
-    fn propagation_seed<'a>(&'a self, steps: &'a [PathStep]) -> (Mat<'a>, Vec<&'a Csr>) {
+    /// One lazy run of a span the cache refused, on its halves: recall or
+    /// choose the split ([`Engine::choose_split`]), then heat each product
+    /// half that is not resident, as a span heats, and materialize one
+    /// whose heat crosses [`ExecPolicy::promote_after`] through the ordinary
+    /// deduplicated cache path. The left half counts as resident when its
+    /// reversal is, since it seeds the row and a seed may be transposed;
+    /// the right half only under its own key, as
+    /// [`Engine::propagation_seed`] reads it, and a right half whose
+    /// reversal is resident materializes as that transpose. A span whose
+    /// halves mirror each other heats their one counter once per run. The
+    /// row itself is laid out afterwards by [`Engine::propagation_seed`],
+    /// from whatever is resident then.
+    ///
+    /// A half can prove larger than its estimate: its materialization is
+    /// refused by the cache and remembered there as oversize. The span then
+    /// forgets its split — the next run chooses again without that half, or
+    /// chains — so the half is never computed again.
+    fn heat_halves(&self, steps: &[PathStep], key: &[StepKey]) {
+        let Some(at) = self.split_of(steps, key) else {
+            return;
+        };
+        let mut heated = None;
+        for (lo, hi) in [(0, at), (at, steps.len())] {
+            let half = &key[lo..hi];
+            if half.len() < 2 || self.cache.peek_link(half, lo == 0).is_some() {
+                continue;
+            }
+            if !self.cache.admits(half, 0) {
+                self.lock_splits().remove(key);
+                return;
+            }
+            let heat_key = canonical_key(half);
+            if heated.as_ref() == Some(&heat_key) {
+                continue;
+            }
+            if self.heat_once(heat_key.clone()) {
+                self.factor_promotions.fetch_add(1, Ordering::Relaxed);
+                self.commuting_of(&steps[lo..hi]);
+            }
+            heated = Some(heat_key);
+        }
+    }
+
+    /// The split a refused span of three or more steps is served through:
+    /// the one remembered for it, or the one [`Engine::choose_split`] picks
+    /// now, remembered. `None` for a shorter span, which has no product
+    /// half.
+    fn split_of(&self, steps: &[PathStep], key: &[StepKey]) -> Option<usize> {
+        if steps.len() < 3 {
+            return None;
+        }
+        if let Some(&at) = self.lock_splits().get(key) {
+            return at;
+        }
+        let at = self.choose_split(steps, key);
+        let mut splits = self.lock_splits();
+        if splits.len() >= HEAT_CAP {
+            // bounded memory: a reset only costs choosing again
+            splits.clear();
+        }
+        splits.insert(key.to_vec(), at);
+        at
+    }
+
+    fn lock_splits(&self) -> std::sync::MutexGuard<'_, HashMap<PathKey, Option<usize>>> {
+        self.splits.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Where to split a refused span, by the planner's estimates and
+    /// recording nothing: the first step of the right half, or `None` when
+    /// no split qualifies. A split qualifies when cache admission lets in
+    /// each half of two or more steps (a one-step half is its relation and
+    /// always does) and, when both halves are products in one shard, the
+    /// two fit its slice together — two that do not would evict each other
+    /// on every row. Of those, the cheapest row wins: the expected nonzeros
+    /// of the anchor's row in the left half times the mean row nonzeros of
+    /// the right half, the multiply-adds of the one product the row takes.
+    fn choose_split(&self, steps: &[PathStep], key: &[StepKey]) -> Option<usize> {
+        if steps.len() < 3 {
+            return None; // no product half
+        }
+        // (mean row nonzeros, estimated product bytes) of one half
+        let half = |lo: usize, hi: usize| -> Option<(f64, Option<usize>)> {
+            let rows = steps[lo].matrix(&self.hin).nrows().max(1) as f64;
+            if hi - lo == 1 {
+                return Some((steps[lo].matrix(&self.hin).nnz() as f64 / rows, None));
+            }
+            let plan = plan_steps(&self.hin, &steps[lo..hi], &self.cache);
+            let admitted = self.cache.admits(&key[lo..hi], plan.est_bytes);
+            admitted.then_some((plan.est_nnz / rows, Some(plan.est_bytes)))
+        };
+        let n = steps.len();
+        (1..n)
+            .filter_map(|at| {
+                let (left, left_bytes) = half(0, at)?;
+                let (right, right_bytes) = half(at, n)?;
+                if let (Some(l), Some(r)) = (left_bytes, right_bytes) {
+                    // one product serving both halves takes its bytes once
+                    let (lk, rk) = (&key[..at], &key[at..]);
+                    let crowded = self.cache.shared_slice(lk, rk);
+                    if lk != rk && crowded.is_some_and(|slice| l + r > slice) {
+                        return None;
+                    }
+                }
+                Some((left * right, at))
+            })
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+            .map(|(_, at)| at)
+    }
+
+    /// The links an anchored row over `steps` is propagated through, as
+    /// [`row_links`] lays them out — the layout the mode race priced. Each
+    /// product is looked up counting, like any cache use; one evicted since
+    /// the layout silently degrades to its relations. The first link seeds
+    /// the row: a [`Mat::Shared`] product, whose row replaces the head of
+    /// the chain outright (served transposed when only its reversal is
+    /// resident), or a [`Mat::Borrowed`] relation (always free — `eₓᵀ·M₁`
+    /// *is* row `x` of `M₁`).
+    fn propagation_seed<'a>(&'a self, steps: &'a [PathStep]) -> Vec<Mat<'a>> {
         let key = key_of(steps);
-        for hi in (1..steps.len()).rev() {
-            if let Some(m) = self.cache.get(&key[..=hi]) {
-                let rest = steps[hi + 1..]
-                    .iter()
-                    .map(|s| s.matrix(&self.hin))
-                    .collect();
-                return (Mat::Shared(m), rest);
+        let mut links = Vec::with_capacity(steps.len());
+        for (lo, hi, product) in row_links(&self.cache, &key) {
+            let span = &key[lo..=hi];
+            let m = product.and_then(|_| match lo {
+                0 => self.cache.get(span),
+                _ => self.cache.get_exact(span),
+            });
+            match m {
+                Some(m) => links.push(Mat::Shared(m)),
+                None => links.extend(
+                    steps[lo..=hi]
+                        .iter()
+                        .map(|s| Mat::Borrowed(s.matrix(&self.hin))),
+                ),
             }
         }
-        (
-            Mat::Borrowed(steps[0].matrix(&self.hin)),
-            steps[1..].iter().map(|s| s.matrix(&self.hin)).collect(),
-        )
+        links
     }
 
     /// Score and rank one propagated anchor row — the verb-specific
@@ -695,9 +871,10 @@ impl Engine {
                 // step L, which `is_palindrome` leaves unconstrained) is
                 // M = H·L·Hᵀ with diagonal (u·L)·uᵀ. Either way the
                 // normalizers cost |candidates| half propagations —
-                // priced into the mode decision — instead of a full matrix.
+                // priced into the mode decision — instead of a full matrix,
+                // and none at all when H itself is resident: u is its row.
                 let h = steps.len() / 2;
-                let (half_seed, half_rest) = self.propagation_seed(&steps[..h]);
+                let half_links = self.propagation_seed(&steps[..h]);
                 let odd = steps.len() % 2 == 1;
                 let mid = odd.then(|| steps[h].matrix(&self.hin));
                 // Diagonals are anchor-independent: read and fill the
@@ -721,8 +898,7 @@ impl Engine {
                         memo_hits += 1;
                         f64::from_bits(known)
                     } else {
-                        let u = SparseVec::from_csr_row(half_seed.as_csr(), y);
-                        let u = spvm_chain_with(&u, &half_rest, scratch);
+                        let u = row_through(&half_links, y, scratch);
                         let v = match mid {
                             Some(l) => spvm_with(&u, l, scratch).dot(&u),
                             None => u.dot_self(),
@@ -779,14 +955,14 @@ impl Engine {
         table
     }
 
-    fn commuting_of(&self, path: &MetaPath) -> Arc<Csr> {
-        let plan = plan_steps(&self.hin, path.steps(), &self.cache);
-        match Self::eval(&self.hin, path.steps(), &self.cache, &plan.root, None) {
+    fn commuting_of(&self, steps: &[PathStep]) -> Arc<Csr> {
+        let plan = plan_steps(&self.hin, steps, &self.cache);
+        match Self::eval(&self.hin, steps, &self.cache, &plan.root, None) {
             Mat::Shared(m) => m,
             Mat::Borrowed(m) => {
                 // Single-step path: the plan is a bare relation matrix.
                 // Cache the one-time copy so repeated calls share the Arc.
-                let key = key_of(path.steps());
+                let key = key_of(steps);
                 self.cache.get_or_compute(&key, || m.clone())
             }
         }
@@ -982,6 +1158,15 @@ enum Route {
     /// Chose [`ExecMode::SparseRow`]: runs through [`Engine::propagate`]
     /// unless promotion materializes it.
     Lazy(QueryPlan),
+}
+
+/// Row `x` of the product of `links`: the seed's row `x`, propagated
+/// through the rest one sparse vector × matrix product at a time.
+fn row_through(links: &[Mat<'_>], x: usize, scratch: &mut ScatterScratch) -> SparseVec {
+    let seed = SparseVec::from_csr_row(links[0].as_csr(), x);
+    links[1..]
+        .iter()
+        .fold(seed, |row, m| spvm_with(&row, m.as_csr(), scratch))
 }
 
 /// Nanoseconds since `t0`, saturating (a query cannot run 584 years).

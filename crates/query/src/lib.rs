@@ -84,6 +84,6 @@ pub use cache::{CacheConfig, CacheOutcome, CacheStats, MatrixCache, Refusal};
 pub use engine::{Engine, EngineStats, ExecPolicy, IdOutput, QueryOutput, QueryTrace, TraceMode};
 pub use error::QueryError;
 pub use parse::{parse, ParsedQuery, PathExpr, PathSegment, Verb};
-pub use plan::{plan_steps, ExecMode, PlanNode, Promotion, QueryPlan};
+pub use plan::{plan_steps, ExecMode, Factor, PlanNode, Promotion, QueryPlan, RowRoute};
 pub use resolve::{resolve, resolve_path, ResolvedQuery};
 pub use snapshot::{dataset_fingerprint, CacheSnapshot, CodecError, SnapshotImport};

@@ -111,7 +111,9 @@ pub enum ExecMode {
     SparseRow {
         /// Longest cache-resident prefix span `(0, hi)` to seed the
         /// propagation from (its row replaces `eₓᵀ·M₁·…` up to `hi`), if
-        /// any was resident at plan time. A forecast, like cached plan
+        /// any was resident at plan time. Products resident further along
+        /// the chain are links of the propagation too (`row_links`), and
+        /// priced as such in `est_flops`. A forecast, like cached plan
         /// leaves: the executor re-probes and falls back to propagating
         /// from the anchor when the span has been evicted since.
         seed: Option<(usize, usize)>,
@@ -166,6 +168,49 @@ impl std::fmt::Display for Promotion {
     }
 }
 
+/// How a span the cache refused serves its anchor's row: split at step
+/// `at` into two halves, the row is (row `x` of the left half) · (the right
+/// half), with each half read as its relation or as a product the cache
+/// holds. `EXPLAIN` shows what each half is right now.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RowRoute {
+    /// The first step of the right half.
+    pub at: usize,
+    /// The left half (steps `..at`) and the right half (steps `at..`).
+    pub halves: [Factor; 2],
+}
+
+/// One half of a [`RowRoute`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Factor {
+    /// A one-step half: its relation, used as stored.
+    Relation,
+    /// A product half the cache holds as the row reads it: the left half
+    /// directly or as its reversal, the right half directly
+    /// (see `row_links`).
+    Resident,
+    /// A product half not resident yet: this query would be lazy run `run`
+    /// of the `of` that materialize it (`ExecPolicy::promote_after`); until
+    /// then the row chains through its relations.
+    Heating {
+        /// This query's ordinal among the half's lazy runs.
+        run: u32,
+        /// Lazy runs that materialize it.
+        of: u32,
+    },
+}
+
+impl Factor {
+    fn render(self, labels: &[String]) -> String {
+        let chain = labels.join("·");
+        match self {
+            Factor::Relation => chain,
+            Factor::Resident => format!("cache[{chain}]"),
+            Factor::Heating { run, of } => format!("heating {run}/{of}[{chain}]"),
+        }
+    }
+}
+
 /// `bytes` in the largest binary unit that keeps it at or above one.
 fn human_bytes(bytes: usize) -> String {
     match bytes {
@@ -193,6 +238,9 @@ pub struct QueryPlan {
     /// multi-step, not already resident) — `Some` even when
     /// [`ExecMode::Full`] won, so `EXPLAIN` shows both candidates' costs.
     pub lazy_est_flops: Option<f64>,
+    /// Estimated nonzeros of the whole path's commuting matrix (exact when
+    /// it is resident).
+    pub est_nnz: f64,
     /// Estimated [`Csr::nbytes`] of the whole path's commuting matrix (exact
     /// when it is resident): what cache admission is asked about before the
     /// engine promotes the span.
@@ -201,6 +249,10 @@ pub struct QueryPlan {
     /// lazily (`None` otherwise — there is nothing to promote). Filled by
     /// `Engine::plan`; [`plan_steps`] alone leaves it `None`.
     pub promotion: Option<Promotion>,
+    /// For a span whose promotion the cache refused: the halves its row is
+    /// served through (`None` when no split has halves the cache admits,
+    /// so the row chains through the relations). Filled by `Engine::plan`.
+    pub row_route: Option<RowRoute>,
     /// Human-readable step labels (`src→dst` type names), for rendering.
     labels: Vec<String>,
 }
@@ -244,6 +296,10 @@ impl std::fmt::Display for QueryPlan {
         }
         if let Some(promotion) = self.promotion {
             write!(f, "; promotion: {promotion}")?;
+        }
+        if let Some(RowRoute { at, halves: [l, r] }) = self.row_route {
+            let (left, right) = self.labels.split_at(at);
+            write!(f, "; row: {} · {}", l.render(left), r.render(right))?;
         }
         write!(f, ")")
     }
@@ -307,53 +363,79 @@ pub fn plan_steps(hin: &Hin, steps: &[PathStep], cache: &MatrixCache) -> QueryPl
         est_flops: chain.est_flops,
         left_to_right_flops: chain.left_to_right_flops,
         lazy_est_flops: None,
+        est_nnz: chain.est_nnz,
         est_bytes: Csr::nbytes_of(mats[0].nrows(), chain.est_nnz.ceil() as usize),
         promotion: None,
+        row_route: None,
         labels,
     }
 }
 
-/// Longest cache-resident prefix span `(0, hi)` of `key`, searching longest
-/// first, with `hi` at most `max_hi`. Non-counting ([`MatrixCache::peek_nnz`]
-/// also sees reversals): a plan is a forecast, not a use.
-fn longest_cached_prefix(
+/// The links an anchored row over `key` propagates through, as inclusive
+/// step spans `(lo, hi)` with the resident product's nnz: from the left, at
+/// each step the longest product starting there that the cache holds,
+/// else that step alone (`nnz` `None`: its relation). The first link seeds
+/// the row and may be held as its reversal, which serves it transposed. A
+/// later link must be resident under its own key: serving a reversal
+/// mid-chain stores its transpose, and where the two share a slice that
+/// store evicts the original, which the next row transposes back.
+///
+/// Non-counting ([`MatrixCache::peek_nnz`]): both the mode race and the
+/// engine's propagation lay a row out here, and the engine then looks up
+/// the products it was given, so a product evicted in between degrades to
+/// its relations.
+pub(crate) fn row_links(
     cache: &MatrixCache,
     key: &[StepKey],
-    max_hi: usize,
-) -> Option<(usize, usize)> {
-    (1..=max_hi)
-        .rev()
-        .find_map(|hi| cache.peek_nnz(&key[..=hi]).map(|nnz| (hi, nnz)))
+) -> Vec<(usize, usize, Option<usize>)> {
+    let mut links = Vec::with_capacity(key.len());
+    let mut lo = 0;
+    while lo < key.len() {
+        let product = (lo + 1..key.len())
+            .rev()
+            .find_map(|hi| Some((hi, cache.peek_link(&key[lo..=hi], lo == 0)?)));
+        match product {
+            Some((hi, nnz)) => {
+                links.push((lo, hi, Some(nnz)));
+                lo = hi + 1;
+            }
+            None => {
+                links.push((lo, lo, None));
+                lo += 1;
+            }
+        }
+    }
+    links
 }
 
-/// Estimated flops of propagating one anchor row through `steps`, seeding
-/// from the longest cached prefix when one is resident. Returns the seed
-/// span, the cost, and the expected nnz of the propagated row.
+/// Estimated flops of propagating one anchor row through `steps`, along
+/// the links [`row_links`] lays out. Returns the seed span (a resident
+/// product starting the row, if any), the cost, and the expected nnz of
+/// the propagated row.
 fn row_propagation_estimate(
     summaries: &[MatSummary],
     cache: &MatrixCache,
     key: &[StepKey],
 ) -> (Option<(usize, usize)>, SpvmChainEstimate) {
-    // Prefix spans of length ≥ 2 only: the first step's matrix is already
-    // resident as the relation adjacency, so propagation starts from its
-    // row for free in any case. The full span is the caller's concern
-    // (a resident full span means ExecMode::Full, a pure cache hit).
-    let seed = longest_cached_prefix(cache, key, summaries.len().saturating_sub(2));
-    let (start, start_nnz) = match seed {
-        Some((hi, nnz)) => {
-            // expected nnz of one row of the cached prefix product
-            let rows = summaries[0].rows.max(1);
-            (hi + 1, (nnz as f64 / rows as f64).max(1.0))
-        }
-        None => {
-            let rows = summaries[0].rows.max(1);
-            (1, (summaries[0].nnz as f64 / rows as f64).max(1.0))
-        }
+    let layout = row_links(cache, key);
+    let links: Vec<MatSummary> = layout
+        .iter()
+        .map(|&(lo, hi, nnz)| MatSummary {
+            nnz: nnz.unwrap_or(summaries[lo].nnz),
+            cols: summaries[hi].cols,
+            ..summaries[lo]
+        })
+        .collect();
+    // the seed's row is read, not computed: expected nnz of one of its rows
+    let start_nnz = (links[0].nnz as f64 / links[0].rows.max(1) as f64).max(1.0);
+    // (an empty remainder — e.g. a single-step or resident half path —
+    // estimates to zero flops with `out_nnz = start_nnz`, the free row read)
+    let est = spvm_chain_flops_estimate(start_nnz, &links[1..]);
+    let seed = match layout[0] {
+        (_, hi, Some(_)) => Some((0, hi)),
+        _ => None,
     };
-    // (an empty remainder — e.g. a single-step half path — estimates to
-    // zero flops with `out_nnz = start_nnz`, exactly the free row read)
-    let est = spvm_chain_flops_estimate(start_nnz, &summaries[start..]);
-    (seed.map(|(hi, _)| (0, hi)), est)
+    (seed, est)
 }
 
 /// Decide how an anchored query should execute: materialize the commuting

@@ -310,6 +310,7 @@ impl RouterStats {
             w.counter("hin_anchored_fast_paths_total", &ds, s.anchored_fast_paths);
             w.counter("hin_promotions_total", &ds, s.promotions);
             w.counter("hin_promotions_refused_total", &ds, s.promotions_refused);
+            w.counter("hin_factor_promotions_total", &ds, s.factor_promotions);
             w.counter("hin_cache_hits_total", &ds, s.cache_hits);
             w.counter("hin_cache_symmetry_hits_total", &ds, s.cache_symmetry_hits);
             w.counter("hin_cache_misses_total", &ds, s.cache_misses);

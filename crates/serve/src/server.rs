@@ -418,6 +418,10 @@ pub struct ServerStats {
     /// byte budget cannot hold what the traffic heats; `cache_evictions`
     /// climbing instead: the working set rotates.
     pub promotions_refused: u64,
+    /// Product halves of refused spans materialized after heating, so the
+    /// spans' rows are read through them instead of chained through their
+    /// relations (not counted in `promotions`).
+    pub factor_promotions: u64,
     /// Cache: workers served by waiting on another worker's in-flight
     /// computation of the same product (compute-once, wait-many).
     pub cache_coalesced_waits: u64,
@@ -512,6 +516,7 @@ impl ServerStats {
             anchored_fast_paths: self.anchored_fast_paths + other.anchored_fast_paths,
             promotions: self.promotions + other.promotions,
             promotions_refused: self.promotions_refused + other.promotions_refused,
+            factor_promotions: self.factor_promotions + other.factor_promotions,
             cache_coalesced_waits: self.cache_coalesced_waits + other.cache_coalesced_waits,
             cache_dup_computes: self.cache_dup_computes + other.cache_dup_computes,
             cache_warm_loaded: self.cache_warm_loaded + other.cache_warm_loaded,
@@ -956,6 +961,7 @@ impl Server {
             anchored_fast_paths: engine.anchored_fast_paths,
             promotions: engine.promotions,
             promotions_refused: engine.promotions_refused,
+            factor_promotions: engine.factor_promotions,
             cache_coalesced_waits: cache.coalesced_waits,
             cache_dup_computes: cache.dup_computes,
             cache_warm_loaded: cache.warm_loaded,
@@ -1548,6 +1554,11 @@ pub(crate) mod tests {
                 e.promotions_refused,
             ),
             (
+                "factor_promotions",
+                s.factor_promotions,
+                e.factor_promotions,
+            ),
+            (
                 "cache_coalesced_waits",
                 s.cache_coalesced_waits,
                 c.coalesced_waits,
@@ -1601,11 +1612,12 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// `Server::stats` copies its 21 cache and engine fields out of one
+    /// `Server::stats` copies its 22 cache and engine fields out of one
     /// `Engine::stats()` value by hand. Drive what one worker can reach —
     /// hits, a symmetry hit, misses, an eviction and an oversize refusal
-    /// under a one-slice budget, a warm restore, lazy runs and a promotion
-    /// — and hold each copy against its source: once with the restored
+    /// under a one-slice budget, a warm restore, lazy runs, a promotion and
+    /// a refused span's half materialized — and hold each copy against its
+    /// source: once with the restored
     /// entry still pending, once at the end.
     #[test]
     fn stats_copy_every_cache_and_engine_field() {
@@ -1672,6 +1684,11 @@ pub(crate) mod tests {
         for _ in 0..2 {
             // lazy, then promoted on the second run
             run("pathcount venue-paper-venue from v1");
+        }
+        for _ in 0..2 {
+            // a span that does not fit, served through author×venue and
+            // the venue→paper relation: the half heats, then materializes
+            run("pathcount author-paper-venue-paper from a0");
         }
 
         let at_end = assert_copied(&server);

@@ -263,6 +263,7 @@ fn every_field(side: u64) -> ServerStats {
         e2e_ns: h(13),
         slow_queries: v(32),
         waiter_runs: v(33),
+        factor_promotions: v(34),
     }
 }
 
@@ -306,6 +307,7 @@ fn merge_combines_every_field_by_its_own_rule() {
         cache_bytes,
         slow_queries,
         waiter_runs,
+        factor_promotions,
     );
     assert_eq!(m.max_batch, b.max_batch, "max_batch takes the max");
     assert_eq!(b.merge(&a).max_batch, b.max_batch, "whichever side has it");
@@ -427,6 +429,7 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         cache_warm_view_backed: 130,
         normalizer_memo_hits: 131,
         waiter_runs: 132,
+        factor_promotions: 133,
         admission_ns: snap(&[1_000]),
         queue_wait_ns: snap(&[2_000, 2_000]),
         dispatch_ns: snap(&[3_000, 3_000, 3_000]),
@@ -483,6 +486,7 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         ("hin_cache_warm_view_backed_total", 130),
         ("hin_normalizer_memo_hits_total", 131),
         ("hin_waiter_runs_total", 132),
+        ("hin_factor_promotions_total", 133),
     ] {
         assert!(
             page.contains(&format!("{name}{{dataset=\"db\"}} {value}\n")),
