@@ -59,6 +59,6 @@ fn main() {
         "\nexpected shape (per EDBT'09): RankClus-authority wins or ties \
          everywhere; degradation as separation falls (D1→D3) and at low \
          density (D4); SimRank+spectral competitive on easy configs but \
-         costly (see bench_rankclus_scale); simple ranking trails authority."
+         costly (see exp_scalability); simple ranking trails authority."
     );
 }

@@ -4,9 +4,7 @@
 //! as the network grows. The published figure's shape: RankClus scales
 //! roughly linearly in the number of links, the SimRank-based baseline
 //! blows up (it is quadratic in objects), with a crossover at trivially
-//! small networks. Criterion-grade timing for the same comparison lives in
-//! `benches/bench_rankclus_scale.rs`; this binary prints the sweep as a
-//! table.
+//! small networks. This binary prints the sweep as a table.
 //!
 //! Run with: `cargo run --release -p hin-bench --bin exp_scalability`
 

@@ -2,10 +2,10 @@
 //! baseline algorithms the published evaluations compare against.
 //!
 //! Each `exp_*` binary in `src/bin/` regenerates one table or figure of the
-//! reproduced papers (its doc comment names which); the Criterion benches
-//! under `benches/` regenerate the timing figures. Serving performance is
-//! measured by the stand-alone `e2e` program in `src/bin/e2e/`, declared by
-//! the repository's `BENCHMARK.json` — not by anything in this library.
+//! reproduced papers (its doc comment names which), timing figures
+//! included. Serving performance is measured by the stand-alone `e2e`
+//! program in `src/bin/e2e/`, declared by the repository's
+//! `BENCHMARK.json` — not by anything in this library.
 
 use hin_classify::{gnetmine, holdout_accuracy, wvrn, GNetMineConfig, Seeds};
 use hin_cleaning::{majority_vote, truthfinder, Claim, TruthFinderConfig};

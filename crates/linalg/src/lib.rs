@@ -13,8 +13,8 @@
 //! * [`chain`] — sparse product cost model (`spmm_flops_estimate`,
 //!   `spmm_nnz_estimate`) and matrix-chain multiplication-order planning,
 //! * [`spvec`] — [`SparseVec`] and the `spvm`/[`spvm_chain`] row-propagation
-//!   kernels (plus their cost model), the sparse-row execution mode
-//!   anchored meta-path queries run on,
+//!   kernels, the sparse-row execution mode anchored meta-path queries run
+//!   on,
 //! * [`pool`] — the scoped worker pool behind the row-parallel kernels
 //!   ([`Csr::spgemm_parallel`] / [`spmm_chain_parallel`]): flop-balanced
 //!   row blocks, per-worker scratch, a flop floor under which work stays
@@ -59,7 +59,4 @@ pub use counters::{KernelCounters, KernelCountersSnapshot};
 pub use csr::{Csr, ScatterScratch};
 pub use dense::DMat;
 pub use pool::kernel_threads;
-pub use spvec::{
-    spvm, spvm_chain, spvm_chain_flops_estimate, spvm_chain_with, spvm_flops_estimate, spvm_with,
-    SparseVec, SpvmChainEstimate,
-};
+pub use spvec::{spvm, spvm_chain, spvm_chain_with, spvm_with, SparseVec};

@@ -5,10 +5,8 @@
 //! sparse-vector × matrix products ([`spvm_chain`]) costs the work of the
 //! rows actually reached — typically orders of magnitude less than
 //! materializing the full product chain — at the price of sharing nothing
-//! with later queries. The query engine's cost-based execution-mode
-//! planner (`hin-query`) chooses between the two per query;
-//! [`spvm_flops_estimate`] / [`spvm_chain_flops_estimate`] are its cost
-//! model for this side of the comparison.
+//! with later queries. The query engine (`hin-query`) propagates a cold
+//! anchored row this way until heat-based promotion materializes its span.
 //!
 //! The kernels and `Csr::spgemm`'s inner loop are the same function
 //! (`ScatterScratch::product_row`: dense-accumulator scatter with first
@@ -19,7 +17,6 @@
 //! arithmetic is exact (e.g. integer-valued weights, the common case for
 //! path counts).
 
-use crate::chain::MatSummary;
 use crate::csr::{Csr, ScatterScratch};
 
 /// A sparse `f64` vector: sorted indices with parallel values.
@@ -261,47 +258,6 @@ pub fn spvm_chain_with(v: &SparseVec, mats: &[&Csr], scratch: &mut ScatterScratc
     cur.unwrap_or_else(|| v.clone())
 }
 
-/// Expected multiply-adds of one `vᵀ·M` product with `vec_nnz` stored
-/// entries: each entry scatters one row of `m`, and rows average
-/// `nnz / rows` entries. The vector can't reach more rows than exist, so
-/// `vec_nnz` is clamped to `m.rows`.
-pub fn spvm_flops_estimate(vec_nnz: f64, m: &MatSummary) -> f64 {
-    if m.rows == 0 {
-        return 0.0;
-    }
-    vec_nnz.min(m.rows as f64) * (m.nnz as f64 / m.rows as f64)
-}
-
-/// Cost forecast of a whole [`spvm_chain`]: total expected flops plus the
-/// expected nnz of the propagated vector after the last link.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SpvmChainEstimate {
-    /// Expected multiply-adds across all links.
-    pub flops: f64,
-    /// Expected stored entries of the final vector (also the expected
-    /// candidate count of an anchored query ending here).
-    pub out_nnz: f64,
-}
-
-/// Estimate the cost of propagating a vector with `start_nnz` expected
-/// entries through the chain, link by link: each link costs
-/// [`spvm_flops_estimate`] and densifies the vector per
-/// [`crate::spmm_nnz_estimate`] (a one-row product). This is the
-/// sparse-row side of the execution-mode cost comparison in `hin-query`.
-pub fn spvm_chain_flops_estimate(start_nnz: f64, mats: &[MatSummary]) -> SpvmChainEstimate {
-    let mut flops = 0.0;
-    let mut nnz = start_nnz;
-    for m in mats {
-        let link = spvm_flops_estimate(nnz, m);
-        flops += link;
-        nnz = crate::chain::spmm_nnz_estimate(1, m.cols, link);
-    }
-    SpvmChainEstimate {
-        flops,
-        out_nnz: nnz,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,49 +477,5 @@ mod tests {
         let got = spvm(&v, &m);
         assert_eq!(got.indices(), &[0]);
         assert_eq!(got.values(), &[1.0]);
-    }
-
-    #[test]
-    fn flops_estimates_track_density() {
-        let m = MatSummary {
-            rows: 10,
-            cols: 20,
-            nnz: 40,
-        };
-        // 2 entries × 4 avg row nnz
-        assert_eq!(spvm_flops_estimate(2.0, &m), 8.0);
-        // a vector can't reach more rows than exist
-        assert_eq!(spvm_flops_estimate(1e9, &m), 40.0);
-        assert_eq!(
-            spvm_flops_estimate(
-                3.0,
-                &MatSummary {
-                    rows: 0,
-                    cols: 0,
-                    nnz: 0
-                }
-            ),
-            0.0
-        );
-
-        let chain = [
-            MatSummary {
-                rows: 100,
-                cols: 50,
-                nnz: 400,
-            },
-            MatSummary {
-                rows: 50,
-                cols: 1000,
-                nnz: 5000,
-            },
-        ];
-        let est = spvm_chain_flops_estimate(1.0, &chain);
-        assert!(est.flops > 0.0);
-        assert!(est.out_nnz > 0.0 && est.out_nnz <= 1000.0);
-        // propagation from one anchor must be forecast far cheaper than
-        // materializing the full 100×1000 product
-        let full = crate::chain::spmm_chain_order(&chain).est_flops;
-        assert!(est.flops < full, "lazy {} vs full {full}", est.flops);
     }
 }

@@ -1,5 +1,5 @@
 //! The query engine: parse → resolve → plan → execute, with a shared
-//! commuting-matrix cache and a cost-planned anchored fast path.
+//! commuting-matrix cache and an anchored fast path.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -20,8 +20,7 @@ use crate::cache::{
 use crate::error::QueryError;
 use crate::parse::{parse, Verb};
 use crate::plan::{
-    plan_exec_mode, plan_steps, row_links, ExecMode, Factor, PlanNode, Promotion, QueryPlan,
-    RowRoute,
+    plan_steps, row_links, ExecMode, Factor, PlanNode, Promotion, QueryPlan, RowRoute,
 };
 use crate::resolve::{resolve, ResolvedQuery};
 use crate::snapshot::{CacheSnapshot, SnapshotImport};
@@ -216,10 +215,10 @@ impl IdOutput {
 /// repeated and overlapping queries get cheaper over time.
 ///
 /// Anchored verbs additionally get a second execution mode
-/// ([`ExecMode::SparseRow`]): when propagating one sparse row from the
-/// anchor is forecast cheaper than materializing the chain, the query runs
-/// in row time and computes nothing it doesn't read. Heat-based promotion
-/// ([`ExecPolicy::promote_after`]) materializes a span once it keeps being
+/// ([`ExecMode::SparseRow`]): a cold anchored query propagates one sparse
+/// row from the anchor, runs in row time and computes nothing it doesn't
+/// read. Heat-based promotion ([`ExecPolicy::promote_after`]) is the one
+/// way such a query materializes its span, once the span keeps being
 /// queried lazily, so hot spans still amortize through the cache (and
 /// appear in snapshots) — provided the cache would keep the product
 /// ([`MatrixCache::admits`]). A span too large for a bounded cache stays
@@ -394,20 +393,26 @@ impl Engine {
     }
 
     /// Parse, resolve and plan `query` without executing it — the engine's
-    /// `EXPLAIN`, including the chosen [`ExecMode`] and the [`Promotion`]
+    /// `EXPLAIN`, including the [`ExecMode`] and the [`Promotion`]
     /// verdict. Does not touch cache statistics or span heat.
     pub fn plan(&self, query: &str) -> Result<QueryPlan, QueryError> {
         Ok(self.explain(&resolve(&self.hin, &parse(query)?)?))
     }
 
-    /// The full `EXPLAIN` of one resolved query: tree, mode race, promotion
-    /// verdict, and a refused span's row route. Read-only.
+    /// The full `EXPLAIN` of one resolved query: tree, mode (with the seed
+    /// a propagated row would start from), promotion verdict, and a refused
+    /// span's row route. Read-only.
     fn explain(&self, resolved: &ResolvedQuery) -> QueryPlan {
         let steps = resolved.path.steps();
+        let key = key_of(steps);
         let mut plan = plan_steps(&self.hin, steps, &self.cache);
-        let (mode, lazy_est) = self.exec_mode(resolved, plan.est_flops);
-        plan.mode = mode;
-        plan.lazy_est_flops = lazy_est;
+        if self.propagates(resolved, &key) {
+            let seed = match row_links(&self.cache, &key)[0] {
+                (_, hi, Some(_)) => Some((0, hi)),
+                _ => None,
+            };
+            plan.mode = ExecMode::SparseRow { seed };
+        }
         plan.promotion = self.promotion_forecast(resolved, &plan);
         if let Some(Promotion::Refused(_)) = plan.promotion {
             plan.row_route = self.route_forecast(steps);
@@ -473,10 +478,9 @@ impl Engine {
     /// Execute one query. Thread-safe: any number of threads may call this
     /// on one shared engine.
     ///
-    /// Anchored verbs (`pathsim`, `topk`, `pathcount`, `neighbors`) are
-    /// cost-routed: when sparse-row propagation from the anchor is forecast
-    /// cheaper than (cache-aware) matrix materialization, the query runs on
-    /// the fast path and computes nothing it doesn't read — unless the
+    /// Anchored verbs (`pathsim`, `topk`, `pathcount`, `neighbors`) over a
+    /// multi-step span the cache does not hold run on the fast path under
+    /// the lazy policy and compute nothing they don't read — unless the
     /// span's heat has crossed [`ExecPolicy::promote_after`], in which case
     /// this query materializes the span through the ordinary deduplicated
     /// cache path so the *next* ones are plain hits.
@@ -506,12 +510,12 @@ impl Engine {
     /// The query is parsed and resolved, then its whole span is probed
     /// once, with the same counting lookup evaluation uses, before any
     /// planning. A resident span is a cache hit and the query reads it: no
-    /// chain planning, no mode race, no evaluation. Any other query is
-    /// planned against the live cache, exactly as `EXPLAIN`
-    /// ([`Engine::plan`]) plans it; so is a single-step path, which reads
-    /// its relation in place and is never probed. A query that chose
-    /// [`ExecMode::Full`] materializes; one that chose the fast path
-    /// propagates its anchor's row, unless promotion materializes it.
+    /// chain planning, no evaluation. Any other query is planned against
+    /// the live cache, exactly as `EXPLAIN` ([`Engine::plan`]) plans it; so
+    /// is a single-step path, which reads its relation in place and is
+    /// never probed. A lazily served anchored query propagates its anchor's
+    /// row, unless promotion materializes it; every other query
+    /// materializes.
     pub fn execute_ids_traced(&self, query: &str) -> (Result<IdOutput, QueryError>, QueryTrace) {
         let t0 = Instant::now();
         let prep = parse(query)
@@ -572,9 +576,9 @@ impl Engine {
             }
         }
         let plan = plan_steps(&self.hin, steps, &self.cache);
-        let route = match self.exec_mode(&resolved, plan.est_flops).0 {
-            ExecMode::SparseRow { .. } => Route::Lazy(plan),
-            ExecMode::Full => Route::Full(plan),
+        let route = match self.propagates(&resolved, &key) {
+            true => Route::Lazy(plan),
+            false => Route::Full(plan),
         };
         Prep {
             resolved,
@@ -648,27 +652,18 @@ impl Engine {
         }
     }
 
-    /// The execution mode this query would run under right now (cache
-    /// contents move, so this is a forecast like the rest of the plan),
-    /// plus the sparse-row candidate's estimated flops whenever the mode
-    /// race actually ran (see [`plan_exec_mode`]).
-    fn exec_mode(&self, resolved: &ResolvedQuery, full_est_flops: f64) -> (ExecMode, Option<f64>) {
-        if !self.policy.lazy || resolved.from.is_none() || matches!(resolved.verb, Verb::Rank) {
-            return (ExecMode::Full, None);
-        }
-        // PathSim-shaped verbs pay per-candidate half-path propagations
-        // for their normalizers; that cost is part of the comparison.
-        let normalizer_half = match resolved.verb {
-            Verb::PathSim | Verb::TopK => Some(resolved.path.len() / 2),
-            _ => None,
-        };
-        plan_exec_mode(
-            &self.hin,
-            resolved.path.steps(),
-            &self.cache,
-            full_est_flops,
-            normalizer_half,
-        )
+    /// Whether a query propagates its anchor's row rather than
+    /// materializing: an anchored verb other than `rank`, under the lazy
+    /// policy, over two or more steps whose whole span is not resident.
+    /// Such a query materializes only when promotion says so
+    /// ([`Engine::should_promote`]). Non-counting, so `EXPLAIN` asks it too;
+    /// the cache moves, so it is a forecast like the rest of the plan.
+    fn propagates(&self, resolved: &ResolvedQuery, key: &[StepKey]) -> bool {
+        self.policy.lazy
+            && resolved.from.is_some()
+            && !matches!(resolved.verb, Verb::Rank)
+            && key.len() >= 2
+            && self.cache.peek_nnz(key).is_none()
     }
 
     /// The one place promotion is decided: should this lazily-planned query
@@ -824,7 +819,7 @@ impl Engine {
     }
 
     /// The links an anchored row over `steps` is propagated through, as
-    /// [`row_links`] lays them out — the layout the mode race priced. Each
+    /// [`row_links`] lays them out — the layout `EXPLAIN` seeds from. Each
     /// product is looked up counting, like any cache use; one evicted since
     /// the layout silently degrades to its relations. The first link seeds
     /// the row: a [`Mat::Shared`] product, whose row replaces the head of
@@ -870,9 +865,9 @@ impl Engine {
                 // with diagonal ‖u‖², an odd one (self-relation middle
                 // step L, which `is_palindrome` leaves unconstrained) is
                 // M = H·L·Hᵀ with diagonal (u·L)·uᵀ. Either way the
-                // normalizers cost |candidates| half propagations —
-                // priced into the mode decision — instead of a full matrix,
-                // and none at all when H itself is resident: u is its row.
+                // normalizers cost |candidates| half propagations instead
+                // of a full matrix, and none at all when H itself is
+                // resident: u is its row.
                 let h = steps.len() / 2;
                 let half_links = self.propagation_seed(&steps[..h]);
                 let odd = steps.len() % 2 == 1;
@@ -921,7 +916,7 @@ impl Engine {
                 }
                 top.into_sorted()
             }
-            Verb::Rank => unreachable!("rank is not anchored; exec_mode keeps it Full"),
+            Verb::Rank => unreachable!("rank is not anchored; `propagates` keeps it Full"),
         };
 
         Ok(IdOutput {
@@ -1153,10 +1148,10 @@ enum Route {
     /// query reads this matrix, with the entry's sidecar when the probe
     /// found the span itself rather than its reversal. Nothing was planned.
     Resident(Arc<Csr>, Option<Arc<Sidecar>>),
-    /// Chose [`ExecMode::Full`]: materializes through the plan tree.
+    /// [`ExecMode::Full`]: materializes through the plan tree.
     Full(QueryPlan),
-    /// Chose [`ExecMode::SparseRow`]: runs through [`Engine::propagate`]
-    /// unless promotion materializes it.
+    /// [`ExecMode::SparseRow`]: runs through [`Engine::propagate`] unless
+    /// promotion materializes it.
     Lazy(QueryPlan),
 }
 
@@ -1223,8 +1218,8 @@ pub struct QueryTrace {
     /// `MissCompute` when it chained from the anchor's relation row.
     pub outcome: CacheOutcome,
     /// Time spent before execution: parse + resolve + whole-span probe on
-    /// a cache hit, which plans nothing; plus plan + mode decision when the
-    /// probe missed (or was skipped, on a single-step path).
+    /// a cache hit, which plans nothing; plus chain planning when the probe
+    /// missed (or was skipped, on a single-step path).
     pub plan_ns: u64,
     /// Time spent executing (evaluation + assembly).
     pub exec_ns: u64,
@@ -1849,7 +1844,7 @@ mod tests {
         assert_eq!(
             lazy.stats().anchored_fast_paths,
             queries.len() as u64,
-            "every anchored query on this data should win the cost race"
+            "every cold anchored query propagates"
         );
         assert_eq!(
             lazy.stats().cache.misses,
@@ -2490,9 +2485,8 @@ mod tests {
             ExecPolicy::promote_after(u32::MAX),
         );
         // Materialize the A-P-V prefix so the planner offers it as a seed.
-        // The queried path extends it by one step only (A-P-V-P, not the
-        // full palindrome: a cached A-P-V also makes the palindrome's
-        // second half free by transposition, and Full would rightly win).
+        // The queried path extends it by one step only, so the prefix is
+        // the seed and the one remaining step its only link.
         let apv = MetaPath::from_type_names(engine.hin(), &["author", "paper", "venue"]).unwrap();
         engine.commuting_matrix(&apv).unwrap();
         let q = "pathcount author-paper-venue-paper from a0 limit 12";
@@ -2519,7 +2513,7 @@ mod tests {
         // self-relation `is_palindrome` leaves unconstrained): M = V·L·Vᵀ,
         // whose diagonal is (u·L)·uᵀ, NOT the half-row self-dot ‖u‖² —
         // regression for the fast path silently dropping L from every
-        // normalizer. Skewed enough that the lazy mode wins the cost race.
+        // normalizer.
         let mut b = HinBuilder::new();
         let user = b.add_type("user");
         let page = b.add_type("page");
@@ -2647,16 +2641,15 @@ mod tests {
 
     #[test]
     fn plan_reports_the_execution_mode() {
+        use crate::plan::ExecMode;
         let hin = skewed_bib();
         let engine = Engine::from_arc(Arc::clone(&hin));
-        let plan = engine
-            .plan("pathcount author-paper-venue-paper-author from a0")
-            .unwrap();
-        assert!(
-            matches!(plan.mode, crate::plan::ExecMode::SparseRow { .. }),
-            "cold anchored query plans the fast path: {plan}"
-        );
-        assert!(plan.to_string().contains("row-propagate"));
+        let q = "pathcount author-paper-venue-paper-author from a0";
+
+        // a cold multi-step anchored query propagates, seeded from nothing
+        let plan = engine.plan(q).unwrap();
+        assert_eq!(plan.mode, ExecMode::SparseRow { seed: None }, "{plan}");
+        assert!(plan.to_string().contains("row-propagate"), "{plan}");
         assert_eq!(engine.stats().cache.misses, 0, "planning computes nothing");
         assert_eq!(
             engine.stats().anchored_fast_paths,
@@ -2664,13 +2657,25 @@ mod tests {
             "planning executes nothing"
         );
 
-        // non-anchored verbs and eager engines always plan Full
+        // a single step reads its relation in place
+        let step = engine.plan("pathcount author-paper from a0").unwrap();
+        assert_eq!(step.mode, ExecMode::Full);
+        // a non-anchored verb always materializes
         let rank = engine.plan("rank venue-paper-author").unwrap();
-        assert_eq!(rank.mode, crate::plan::ExecMode::Full);
+        assert_eq!(rank.mode, ExecMode::Full);
+        // an eager engine always materializes
         let eager = eager_engine(Arc::clone(&hin));
-        let full = eager
-            .plan("pathcount author-paper-venue-paper-author from a0")
-            .unwrap();
-        assert_eq!(full.mode, crate::plan::ExecMode::Full);
+        assert_eq!(eager.plan(q).unwrap().mode, ExecMode::Full);
+
+        // a resident span is read, not propagated
+        let path = MetaPath::from_type_names(
+            engine.hin(),
+            &["author", "paper", "venue", "paper", "author"],
+        )
+        .unwrap();
+        engine.commuting_matrix(&path).unwrap();
+        let resident = engine.plan(q).unwrap();
+        assert_eq!(resident.mode, ExecMode::Full, "{resident}");
+        assert_eq!(resident.promotion, Some(Promotion::Resident));
     }
 }

@@ -18,10 +18,10 @@
 //! * [`plan`] — matrix-chain cost-based planning using the sparse flop and
 //!   nnz estimates from [`hin_linalg::chain`], extended so contiguous
 //!   sub-paths already in the cache become free plan leaves — plus the
-//!   [`ExecMode`] decision: anchored queries (single `from` node) are
-//!   cost-routed between full materialization and **sparse-row
-//!   propagation** (`eₓᵀ·M₁·…·Mₙ` as chained [`hin_linalg::spvm_chain`]
-//!   products), seeded from the longest cache-resident prefix;
+//!   [`ExecMode`]: a cold multi-step anchored query (single `from` node)
+//!   runs by **sparse-row propagation** (`eₓᵀ·M₁·…·Mₙ` as chained
+//!   [`hin_linalg::spvm_chain`] products), seeded from the longest
+//!   cache-resident prefix, until promotion materializes its span;
 //! * [`engine`] — [`Engine`]: executes plans, memoizes every intermediate
 //!   commuting matrix keyed by canonical sub-path (with transpose reuse:
 //!   the matrix of a reversed path is served by transposing the cached

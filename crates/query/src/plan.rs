@@ -10,10 +10,7 @@
 //! converge onto shared sub-products instead of recomputing them.
 
 use hin_core::Hin;
-use hin_linalg::{
-    spmm_chain_order_priced, spvm_chain_flops_estimate, spvm_flops_estimate, Csr, MatSummary,
-    PlanTree, SpvmChainEstimate,
-};
+use hin_linalg::{spmm_chain_order_priced, Csr, MatSummary, PlanTree};
 use hin_similarity::PathStep;
 
 use crate::cache::{key_of, MatrixCache, Refusal, StepKey};
@@ -93,17 +90,18 @@ impl PlanNode {
 /// orthogonal to the multiplication-order tree.
 ///
 /// Every anchored verb (`pathsim`, `topk`, `pathcount`, `neighbors`)
-/// ultimately reads one row of the commuting matrix, so the engine can
-/// either materialize the matrix (sharing it with every later query via the
-/// cache) or propagate a sparse row from the anchor and share nothing.
-/// The planner cost-compares the two per query; the engine layers
-/// heat-based promotion on top so spans that keep being queried lazily get
-/// materialized after all.
+/// ultimately reads one row of the commuting matrix. Under the lazy policy
+/// a multi-step anchored query whose whole span is not resident propagates
+/// that row from the anchor and shares nothing; heat-based promotion, the
+/// one rule for materializing a span, turns a span that keeps being
+/// queried lazily into a cache-resident matrix whose rows later queries
+/// read.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ExecMode {
     /// Materialize the commuting matrix through the plan tree (cache-aware)
-    /// and read the anchor's row from it. Non-anchored verbs (`rank`) and
-    /// cache-resident spans always execute this way.
+    /// and read the anchor's row from it. Non-anchored verbs (`rank`),
+    /// single-step paths, cache-resident spans and eager engines always
+    /// execute this way.
     Full,
     /// Propagate `eₓᵀ` through the chain as sparse-vector × CSR products —
     /// the anchored fast path. Cold cost is proportional to the rows
@@ -111,15 +109,12 @@ pub enum ExecMode {
     SparseRow {
         /// Longest cache-resident prefix span `(0, hi)` to seed the
         /// propagation from (its row replaces `eₓᵀ·M₁·…` up to `hi`), if
-        /// any was resident at plan time. Products resident further along
-        /// the chain are links of the propagation too (`row_links`), and
-        /// priced as such in `est_flops`. A forecast, like cached plan
-        /// leaves: the executor re-probes and falls back to propagating
-        /// from the anchor when the span has been evicted since.
+        /// any was resident at plan time; products resident further along
+        /// the chain are links of the propagation too (`row_links`). A
+        /// forecast, like cached plan leaves: the executor re-probes and
+        /// falls back to propagating from the anchor when the span has been
+        /// evicted since.
         seed: Option<(usize, usize)>,
-        /// Estimated propagation multiply-adds (including PathSim
-        /// normalizer propagations where applicable).
-        est_flops: f64,
     },
 }
 
@@ -225,19 +220,15 @@ fn human_bytes(bytes: usize) -> String {
 pub struct QueryPlan {
     /// The evaluation tree.
     pub root: PlanNode,
-    /// How the engine will execute this query ([`ExecMode::Full`] unless
-    /// the anchored sparse-row fast path wins the cost comparison).
+    /// How the engine will execute this query: [`ExecMode::SparseRow`]
+    /// for a lazily served anchored query, [`ExecMode::Full`] otherwise.
+    /// Filled by `Engine::plan`; [`plan_steps`] alone leaves it `Full`.
     pub mode: ExecMode,
     /// Estimated multiply-adds under the chosen order (cached spans cost 0).
     pub est_flops: f64,
     /// Estimated multiply-adds of naive left-to-right evaluation with no
     /// cache, for comparison.
     pub left_to_right_flops: f64,
-    /// Estimated multiply-adds of the sparse-row propagation candidate,
-    /// whenever the query was eligible for the mode decision (anchored,
-    /// multi-step, not already resident) — `Some` even when
-    /// [`ExecMode::Full`] won, so `EXPLAIN` shows both candidates' costs.
-    pub lazy_est_flops: Option<f64>,
     /// Estimated nonzeros of the whole path's commuting matrix (exact when
     /// it is resident).
     pub est_nnz: f64,
@@ -268,24 +259,17 @@ impl QueryPlan {
 impl std::fmt::Display for QueryPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.mode {
-            ExecMode::Full => {
+            ExecMode::Full => write!(
+                f,
+                "{} (est {:.0} flops; left-to-right {:.0}",
+                self.describe(),
+                self.est_flops,
+                self.left_to_right_flops
+            )?,
+            ExecMode::SparseRow { seed } => {
                 write!(
                     f,
-                    "{} (est {:.0} flops; left-to-right {:.0}",
-                    self.describe(),
-                    self.est_flops,
-                    self.left_to_right_flops
-                )?;
-                if let Some(lazy) = self.lazy_est_flops {
-                    // the losing candidate's forecast, so EXPLAIN shows why
-                    // the mode race went the way it did
-                    write!(f, "; row-propagate rejected at {lazy:.0}")?;
-                }
-            }
-            ExecMode::SparseRow { seed, est_flops } => {
-                write!(
-                    f,
-                    "row-propagate[{}] (est {est_flops:.0} flops; full {:.0}",
+                    "row-propagate[{}] (full est {:.0} flops",
                     self.describe(),
                     self.est_flops,
                 )?;
@@ -362,7 +346,6 @@ pub fn plan_steps(hin: &Hin, steps: &[PathStep], cache: &MatrixCache) -> QueryPl
         mode: ExecMode::Full,
         est_flops: chain.est_flops,
         left_to_right_flops: chain.left_to_right_flops,
-        lazy_est_flops: None,
         est_nnz: chain.est_nnz,
         est_bytes: Csr::nbytes_of(mats[0].nrows(), chain.est_nnz.ceil() as usize),
         promotion: None,
@@ -380,7 +363,7 @@ pub fn plan_steps(hin: &Hin, steps: &[PathStep], cache: &MatrixCache) -> QueryPl
 /// mid-chain stores its transpose, and where the two share a slice that
 /// store evicts the original, which the next row transposes back.
 ///
-/// Non-counting ([`MatrixCache::peek_nnz`]): both the mode race and the
+/// Non-counting ([`MatrixCache::peek_nnz`]): both `EXPLAIN`'s seed and the
 /// engine's propagation lay a row out here, and the engine then looks up
 /// the products it was given, so a product evicted in between degrades to
 /// its relations.
@@ -406,97 +389,6 @@ pub(crate) fn row_links(
         }
     }
     links
-}
-
-/// Estimated flops of propagating one anchor row through `steps`, along
-/// the links [`row_links`] lays out. Returns the seed span (a resident
-/// product starting the row, if any), the cost, and the expected nnz of
-/// the propagated row.
-fn row_propagation_estimate(
-    summaries: &[MatSummary],
-    cache: &MatrixCache,
-    key: &[StepKey],
-) -> (Option<(usize, usize)>, SpvmChainEstimate) {
-    let layout = row_links(cache, key);
-    let links: Vec<MatSummary> = layout
-        .iter()
-        .map(|&(lo, hi, nnz)| MatSummary {
-            nnz: nnz.unwrap_or(summaries[lo].nnz),
-            cols: summaries[hi].cols,
-            ..summaries[lo]
-        })
-        .collect();
-    // the seed's row is read, not computed: expected nnz of one of its rows
-    let start_nnz = (links[0].nnz as f64 / links[0].rows.max(1) as f64).max(1.0);
-    // (an empty remainder — e.g. a single-step or resident half path —
-    // estimates to zero flops with `out_nnz = start_nnz`, the free row read)
-    let est = spvm_chain_flops_estimate(start_nnz, &links[1..]);
-    let seed = match layout[0] {
-        (_, hi, Some(_)) => Some((0, hi)),
-        _ => None,
-    };
-    (seed, est)
-}
-
-/// Decide how an anchored query should execute: materialize the commuting
-/// matrix (`full_est_flops`, the cache-aware cost [`plan_steps`] computed)
-/// or propagate a sparse row from the anchor.
-///
-/// `normalizer_half` is `Some(h)` for PathSim-shaped verbs on a palindromic
-/// path of half-length `h`: their scores need the diagonal entries
-/// `M[y][y]` for every candidate `y`, which the fast path computes as
-/// self-dots of per-candidate half-path propagations — that per-candidate
-/// work is part of the lazy cost and is what makes dense-row anchors
-/// naturally fall back to full materialization.
-///
-/// The decision is greedy per query; amortization across future queries on
-/// the same span is the engine's heat-based promotion, not the planner's
-/// guess.
-///
-/// Returns the chosen mode plus the sparse-row candidate's estimated flops
-/// whenever the comparison actually ran (`None` when the query was never
-/// eligible: single-step, or the full span is resident) — the losing
-/// estimate feeds `EXPLAIN`.
-pub(crate) fn plan_exec_mode(
-    hin: &Hin,
-    steps: &[PathStep],
-    cache: &MatrixCache,
-    full_est_flops: f64,
-    normalizer_half: Option<usize>,
-) -> (ExecMode, Option<f64>) {
-    if steps.len() < 2 {
-        // a single-step query reads a row of the relation adjacency in
-        // place; both modes are free, Full avoids even the row copy
-        return (ExecMode::Full, None);
-    }
-    let full_key = key_of(steps);
-    if cache.peek_nnz(&full_key).is_some() {
-        // resident: reading the row is a pure hit
-        return (ExecMode::Full, None);
-    }
-    let summaries: Vec<MatSummary> = steps
-        .iter()
-        .map(|s| MatSummary::from(s.matrix(hin)))
-        .collect();
-    let (seed, row_est) = row_propagation_estimate(&summaries, cache, &full_key);
-    let mut est_flops = row_est.flops;
-    if let Some(h) = normalizer_half {
-        // one half-path propagation + (self-)dot per candidate; an odd
-        // palindrome additionally pushes each half row through the middle
-        // matrix before the dot (see the engine's normalizer computation)
-        let (_, half_est) = row_propagation_estimate(&summaries[..h], cache, &full_key[..h]);
-        let mut per_candidate = half_est.flops + half_est.out_nnz;
-        if steps.len() % 2 == 1 {
-            per_candidate += spvm_flops_estimate(half_est.out_nnz, &summaries[h]);
-        }
-        est_flops += row_est.out_nnz * per_candidate;
-    }
-    let mode = if est_flops < full_est_flops {
-        ExecMode::SparseRow { seed, est_flops }
-    } else {
-        ExecMode::Full
-    };
-    (mode, Some(est_flops))
 }
 
 #[cfg(test)]
@@ -571,76 +463,6 @@ mod tests {
         );
         assert!(plan.describe().contains("cache["));
         assert_eq!(plan.root.product_count(), 1);
-    }
-
-    #[test]
-    fn cold_anchored_queries_choose_row_propagation() {
-        let (hin, steps) = skewed();
-        let cache = MatrixCache::default();
-        let plan = plan_steps(&hin, &steps, &cache);
-        let (mode, lazy) = plan_exec_mode(&hin, &steps, &cache, plan.est_flops, None);
-        match mode {
-            ExecMode::SparseRow { seed, est_flops } => {
-                assert_eq!(seed, None, "nothing cached to seed from");
-                assert!(
-                    est_flops < plan.est_flops,
-                    "lazy {est_flops} must beat full {}",
-                    plan.est_flops
-                );
-                assert_eq!(lazy, Some(est_flops), "candidate estimate is reported");
-            }
-            other => panic!("cold anchored query must propagate, got {other:?}"),
-        }
-        // the PathSim-normalizer variant also wins on this skewed chain
-        // (per-candidate half propagations are cheap next to the chain)
-        assert!(matches!(
-            plan_exec_mode(&hin, &steps, &cache, plan.est_flops, Some(1)).0,
-            ExecMode::SparseRow { .. }
-        ));
-    }
-
-    #[test]
-    fn resident_spans_short_circuit_to_full() {
-        let (hin, steps) = skewed();
-        let cache = MatrixCache::default();
-        // materialize the whole span: reading a row of it is a pure hit
-        let m = steps[0]
-            .matrix(&hin)
-            .spgemm(steps[1].matrix(&hin))
-            .spgemm(steps[2].matrix(&hin));
-        cache.put(key_of(&steps), Arc::new(m));
-        let plan = plan_steps(&hin, &steps, &cache);
-        assert_eq!(plan.est_flops, 0.0);
-        assert_eq!(
-            plan_exec_mode(&hin, &steps, &cache, plan.est_flops, None),
-            (ExecMode::Full, None),
-            "a resident span skips the mode race entirely"
-        );
-        // single steps read a relation row in place — always Full
-        assert_eq!(
-            plan_exec_mode(&hin, &steps[..1], &cache, 0.0, None),
-            (ExecMode::Full, None)
-        );
-    }
-
-    #[test]
-    fn cached_prefixes_seed_the_propagation() {
-        let (hin, steps) = skewed();
-        let cache = MatrixCache::default();
-        // Preload the head pair P-A·A-P as if a previous query computed it.
-        let head = key_of(&steps[0..=1]);
-        let m = steps[0].matrix(&hin).spgemm(steps[1].matrix(&hin));
-        cache.put(head, Arc::new(m));
-
-        let plan = plan_steps(&hin, &steps, &cache);
-        match plan_exec_mode(&hin, &steps, &cache, plan.est_flops, None).0 {
-            ExecMode::SparseRow { seed, .. } => {
-                assert_eq!(seed, Some((0, 1)), "longest resident prefix seeds");
-            }
-            other => {
-                panic!("a seeded propagation is one free row read plus one link, got {other:?}")
-            }
-        }
     }
 
     #[test]

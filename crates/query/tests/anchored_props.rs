@@ -142,8 +142,8 @@ proptest! {
             CacheConfig::default(),
             ExecPolicy::eager(),
         );
-        // promotion pushed out of reach: every anchored query that wins
-        // the cost race stays on the fast path
+        // promotion pushed out of reach: every cold multi-step anchored
+        // query stays on the fast path
         let lazy = Engine::with_config(
             Arc::clone(&hin),
             CacheConfig::default(),

@@ -167,8 +167,8 @@ proptest! {
     /// A one-shard cache whose slice holds the two halves of every span
     /// queried but none of the spans: every anchored verb answers as the
     /// unbounded eager engine does — cold, with the halves materialized,
-    /// and with them evicted — and the halves, never the spans, are what
-    /// gets materialized.
+    /// and with them evicted — and no span's product is computed more
+    /// than once: a span the cache refuses is never materialized again.
     #[test]
     fn a_refused_span_answers_through_its_halves_bit_for_bit(world in worlds()) {
         let hin = world.build();
@@ -218,7 +218,7 @@ proptest! {
         check("halves evicted");
         check("halves again");
         let stats = engine.stats();
-        prop_assert_eq!(stats.promotions, 0);
+        prop_assert!(stats.cache.inserts_refused <= spans.len() as u64, "{:?}", stats);
         prop_assert!(stats.promotions_refused > 0);
         prop_assert_eq!(stats.cache.dup_computes, 0);
     }

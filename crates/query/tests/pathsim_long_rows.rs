@@ -79,7 +79,7 @@ fn long_rows_answer_by_definition_resident_and_lazy() {
         CacheConfig::default(),
         ExecPolicy::eager(),
     );
-    // promotion pushed out of reach: every query that wins the cost race
+    // promotion pushed out of reach: every cold multi-step anchored query
     // stays on the lazy path
     let lazy = Engine::with_config(
         Arc::clone(&hin),

@@ -176,8 +176,8 @@ pub struct SlowQuery {
     pub queue_wait_ns: u64,
     /// Taken off the queue to execution start (the deadline sweep).
     pub dispatch_ns: u64,
-    /// Parse + resolve + whole-span probe, plus plan + mode decision when
-    /// the probe missed ([`QueryTrace::plan_ns`]).
+    /// Parse + resolve + whole-span probe, plus chain planning when the
+    /// probe missed ([`QueryTrace::plan_ns`]).
     pub plan_ns: u64,
     /// Plan execution.
     pub exec_ns: u64,
@@ -408,7 +408,7 @@ pub struct ServerStats {
     /// `cache_inserts_refused`.
     pub cache_refused_bytes: u64,
     /// Queries answered by anchored sparse-row propagation instead of
-    /// matrix materialization (the cost-routed fast path).
+    /// matrix materialization (the anchored fast path).
     pub anchored_fast_paths: u64,
     /// Spans promoted from lazy propagation to full materialization after
     /// crossing [`ExecPolicy::promote_after`] lazy executions.
@@ -472,8 +472,8 @@ pub struct ServerStats {
     /// deadline sweep, on the thread that runs it; one sample per served
     /// request.
     pub dispatch_ns: HistSnapshot,
-    /// Stage latency (ns): parse + resolve + whole-span probe, plus plan +
-    /// mode decision when the probe missed ([`QueryTrace::plan_ns`]).
+    /// Stage latency (ns): parse + resolve + whole-span probe, plus chain
+    /// planning when the probe missed ([`QueryTrace::plan_ns`]).
     pub plan_ns: HistSnapshot,
     /// Execute-stage latency (ns) split `[mode][cache outcome]`, label
     /// order [`EXEC_MODES`] × [`EXEC_OUTCOMES`] — e.g.
