@@ -53,8 +53,11 @@
 //! that memory — the engine asks it before promoting a span.
 //!
 //! Keys pick their shard through a fixed hash of the `(relation id,
-//! forward)` sequence, so which spans share a slice — and with it every
-//! miss, eviction and refusal count — repeats from process to process.
+//! forward)` sequence of their canonical form, so which spans share a
+//! slice — and with it every miss, eviction and refusal count — repeats
+//! from process to process. A span and its mirror hash alike and then take
+//! neighbouring shards, so a product and its transpose never evict each
+//! other.
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
@@ -124,7 +127,8 @@ const OVERSIZE_CAP: usize = 4096;
 pub struct CacheConfig {
     /// Number of independently locked shards; rounded up to a power of
     /// two, minimum 1. More shards = less lock contention, slightly more
-    /// fixed overhead.
+    /// fixed overhead. With two or more, a span and its mirror (a product
+    /// and its transpose) are always kept in different shards.
     pub shards: usize,
     /// Total byte budget across all shards (`None` = unbounded). Each
     /// shard independently enforces `byte_budget / shards` with LRU
@@ -148,7 +152,9 @@ pub struct CacheConfig {
     /// global).
     ///
     /// Which spans share a slice is a fixed function of their relation
-    /// steps, the same in every process.
+    /// steps, the same in every process; a span never shares one with its
+    /// mirror, so both orientations of a product that fits a slice can be
+    /// resident at once.
     pub byte_budget: Option<usize>,
 }
 
@@ -608,17 +614,27 @@ impl MatrixCache {
             .fetch_add(view_backed, Ordering::Relaxed);
     }
 
-    /// Index of the shard `key` lives in: FNV-1a over the step words,
-    /// folded so the multiplier's well-mixed high half reaches the mask. A
-    /// fixed function on purpose — keys are schema-resolved relation ids,
-    /// not client bytes, and pick one of a few shards, not a bucket.
+    /// Index of the shard `key` lives in: FNV-1a over the step words of its
+    /// [`canonical_key`], folded so the multiplier's well-mixed high half
+    /// reaches the mask, with the low bit flipped when `key` is the mirror
+    /// of its canonical form. So a span and its mirror — a product and its
+    /// transpose, which a symmetric row reads together — always land in
+    /// neighbouring shards of two or more and never crowd one slice; a
+    /// palindrome is its own mirror and keeps its shard. A fixed function
+    /// on purpose — keys are schema-resolved relation ids, not client
+    /// bytes, and pick one of a few shards, not a bucket. Allocates nothing:
+    /// the reversal is compared and hashed as an iterator.
     fn shard_index(&self, key: &[StepKey]) -> usize {
+        let rev = key.iter().rev().map(|&(r, fwd)| (r, !fwd));
+        let mirror = rev.clone().lt(key.iter().copied());
         let mut h = Fnv64::new();
-        for &(r, fwd) in key {
-            h.update_word(((r as u64) << 1) | u64::from(fwd));
+        let mut fold = |(r, fwd): StepKey| h.update_word(((r as u64) << 1) | u64::from(fwd));
+        match mirror {
+            true => rev.for_each(&mut fold),
+            false => key.iter().copied().for_each(&mut fold),
         }
         let h = h.finish();
-        ((h >> 32) ^ h) as usize & self.shard_mask
+        (((h >> 32) ^ h) as usize ^ usize::from(mirror)) & self.shard_mask
     }
 
     fn shard_of(&self, key: &[StepKey]) -> &RwLock<Shard> {
@@ -650,7 +666,9 @@ impl MatrixCache {
 
     /// The slice `a` and `b` share when a bounded cache keeps both in one
     /// shard, so that products under the two keys compete for its bytes;
-    /// `None` when unbounded or in different shards.
+    /// `None` when unbounded or in different shards — always so for a key
+    /// and its mirror when there are two shards or more
+    /// ([`MatrixCache::shard_index`]).
     pub(crate) fn shared_slice(&self, a: &[StepKey], b: &[StepKey]) -> Option<usize> {
         self.budget_per_shard
             .filter(|_| self.shard_index(a) == self.shard_index(b))
@@ -1354,6 +1372,59 @@ mod tests {
             .flat_map(|k| (2..=k.len()).map(|n| a.shard_index(&k[..n])))
             .collect();
         assert!(spans.len() >= 4, "span families spread out: {spans:?}");
+    }
+
+    #[test]
+    fn a_span_and_its_mirror_never_share_a_shard() {
+        // the fold every canonical key is placed by, as it always was
+        let fold = |key: &[StepKey], mask: usize| {
+            let mut h = Fnv64::new();
+            for &(r, fwd) in key {
+                h.update_word(((r as u64) << 1) | u64::from(fwd));
+            }
+            let h = h.finish();
+            ((h >> 32) ^ h) as usize & mask
+        };
+        let steps: Vec<StepKey> = (0..3).flat_map(|r| [(r, false), (r, true)]).collect();
+        let mut keys: Vec<PathKey> = vec![vec![]];
+        let mut all = Vec::new();
+        for _ in 0..4 {
+            keys = keys
+                .iter()
+                .flat_map(|k| steps.iter().map(move |&s| [k.as_slice(), &[s]].concat()))
+                .collect();
+            all.extend(keys.iter().cloned());
+        }
+        for shards in [1, 2, 8, 16] {
+            let cache = MatrixCache::new(CacheConfig {
+                shards,
+                byte_budget: None,
+            });
+            let mask = shards - 1;
+            let (mut palindromes, mut mirrored) = (0, 0);
+            for key in &all {
+                let (rev, canonical) = (reversed_key(key), canonical_key(key));
+                let at = cache.shard_index(key);
+                if *key == canonical {
+                    // a palindrome is canonical too
+                    assert_eq!(at, fold(key, mask), "{key:?} keeps its shard");
+                } else {
+                    let flipped = (fold(&canonical, mask) ^ 1) & mask;
+                    assert_eq!(at, flipped, "{key:?} takes its mirror's neighbour");
+                }
+                if rev == *key {
+                    palindromes += 1;
+                } else if shards > 1 {
+                    assert_ne!(at, cache.shard_index(&rev), "{key:?} crowds its mirror");
+                    mirrored += 1;
+                }
+            }
+            assert!(palindromes > 0, "palindromes were tried");
+            assert!(shards == 1 || mirrored > 0, "mirror pairs were tried");
+        }
+        let cache = MatrixCache::default();
+        let (apv, vpa) = (vec![(0, false), (1, true)], vec![(1, false), (0, true)]);
+        assert_eq!((cache.shard_index(&apv), cache.shard_index(&vpa)), (3, 2));
     }
 
     #[test]

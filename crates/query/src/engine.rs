@@ -717,14 +717,19 @@ impl Engine {
     /// the right half only under its own key, as
     /// [`Engine::propagation_seed`] reads it, and a right half whose
     /// reversal is resident materializes as that transpose. A span whose
-    /// halves mirror each other heats their one counter once per run. The
-    /// row itself is laid out afterwards by [`Engine::propagation_seed`],
-    /// from whatever is resident then.
+    /// halves mirror each other (`H` and `Hᵀ` of a symmetric span) heats
+    /// their one counter once per run and ends with both resident, each in
+    /// its own shard, so its row is one product through `Hᵀ`. The row
+    /// itself is laid out afterwards by [`Engine::propagation_seed`], from
+    /// whatever is resident then.
     ///
-    /// A half can prove larger than its estimate: its materialization is
-    /// refused by the cache and remembered there as oversize. The span then
-    /// forgets its split — the next run chooses again without that half, or
-    /// chains — so the half is never computed again.
+    /// A half can prove larger than its estimate — or be admitted on its
+    /// mirror's smaller one and prove larger than the slice in its own
+    /// orientation: its materialization is refused by the cache and
+    /// remembered there as oversize, under the canonical key both
+    /// orientations share. The span then forgets its split — the next run
+    /// chooses again without that half, or chains — so the half is never
+    /// computed again.
     fn heat_halves(&self, steps: &[PathStep], key: &[StepKey]) {
         let Some(at) = self.split_of(steps, key) else {
             return;
@@ -782,9 +787,15 @@ impl Engine {
     /// each half of two or more steps (a one-step half is its relation and
     /// always does) and, when both halves are products in one shard, the
     /// two fit its slice together — two that do not would evict each other
-    /// on every row. Of those, the cheapest row wins: the expected nonzeros
-    /// of the anchor's row in the left half times the mean row nonzeros of
-    /// the right half, the multiply-adds of the one product the row takes.
+    /// on every row. A half is priced by the cheaper of its two
+    /// orientations: a product and its transpose have one nonzero count and
+    /// differ in bytes only by the length of `indptr`, so a half whose
+    /// mirror fits is let in. With two shards or more the pair rule never
+    /// fires for halves that mirror each other: the cache keeps them in
+    /// different shards. Of the
+    /// qualifying splits, the cheapest row wins: the expected nonzeros of
+    /// the anchor's row in the left half times the mean row nonzeros of the
+    /// right half, the multiply-adds of the one product the row takes.
     fn choose_split(&self, steps: &[PathStep], key: &[StepKey]) -> Option<usize> {
         if steps.len() < 3 {
             return None; // no product half
@@ -796,7 +807,11 @@ impl Engine {
                 return Some((steps[lo].matrix(&self.hin).nnz() as f64 / rows, None));
             }
             let plan = plan_steps(&self.hin, &steps[lo..hi], &self.cache);
-            let admitted = self.cache.admits(&key[lo..hi], plan.est_bytes);
+            let cols = steps[hi - 1].matrix(&self.hin).ncols();
+            let mirror_bytes = Csr::nbytes_of(cols, plan.est_nnz.ceil() as usize);
+            let admitted = self
+                .cache
+                .admits(&key[lo..hi], plan.est_bytes.min(mirror_bytes));
             admitted.then_some((plan.est_nnz / rows, Some(plan.est_bytes)))
         };
         let n = steps.len();
@@ -2279,8 +2294,17 @@ mod tests {
         assert_eq!(before.promotions, 0);
         assert_eq!(before.promotions_refused, 30);
         assert_eq!(before.anchored_fast_paths, 30, "refused runs are lazy runs");
-        assert_eq!(before.cache.misses, 0, "nothing was materialized");
-        assert_eq!(before.cache.inserts_refused, 0, "nor offered to the cache");
+        // the span is never materialized; its halves A-P-V and V-P-A mirror
+        // each other and sit in different shards, so each gets a slice:
+        // A-P-V is computed once, V-P-A arrives as its transpose, and the
+        // row is one product through the resident halves
+        assert_eq!(before.cache.misses, 1, "one half was computed");
+        assert_eq!(before.cache.symmetry_hits, 1, "its mirror transposed");
+        assert_eq!(before.factor_promotions, 2);
+        assert_eq!(before.cache.inserts_refused, 0, "nothing was refused");
+        let plan = engine.plan(q).unwrap().to_string();
+        let row = "row: cache[author→paper·paper→venue] · cache[venue→paper·paper→author]";
+        assert!(plan.contains(row), "{plan}");
         assert!(engine.heat.lock().unwrap().is_empty(), "never counted");
         assert_eq!(engine.execute(q).unwrap(), want);
         let after = engine.stats();

@@ -360,8 +360,9 @@ pub fn plan_steps(hin: &Hin, steps: &[PathStep], cache: &MatrixCache) -> QueryPl
 /// else that step alone (`nnz` `None`: its relation). The first link seeds
 /// the row and may be held as its reversal, which serves it transposed. A
 /// later link must be resident under its own key: serving a reversal
-/// mid-chain stores its transpose, and where the two share a slice that
-/// store evicts the original, which the next row transposes back.
+/// mid-chain stores its transpose, and in a one-shard cache, the only one
+/// where a product and its mirror share a slice, that store can evict the
+/// original, which the next row transposes back.
 ///
 /// Non-counting ([`MatrixCache::peek_nnz`]): both `EXPLAIN`'s seed and the
 /// engine's propagation lay a row out here, and the engine then looks up

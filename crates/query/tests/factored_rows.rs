@@ -495,3 +495,121 @@ fn racing_threads_compute_each_half_once() {
         assert_eq!(stats.promotions, 0, "{threads} threads");
     }
 }
+
+/// 240 authors, three papers each as first author, four venues. Spread:
+/// each paper has a second author far off in the numbering, and an
+/// author's three first-author papers go to three venues, so every author
+/// reaches every venue (the planner's uniform scatter model prices
+/// author×venue a little under its size). Grouped: an author and every
+/// co-author publish in venue `author % 4` only, so author×venue holds one
+/// entry a row while the model prices it at about three.
+fn venue_world(grouped: bool) -> Arc<Hin> {
+    let (authors, venues) = (240, 4);
+    let mut b = HinBuilder::new();
+    let paper = b.add_type("paper");
+    let author = b.add_type("author");
+    let venue = b.add_type("venue");
+    let pa = b.add_relation("written_by", paper, author);
+    let pv = b.add_relation("published_in", paper, venue);
+    for p in 0..3 * authors {
+        let first = p % authors;
+        let (second, v) = match grouped {
+            true => (
+                (first + venues * (1 + p / authors)) % authors,
+                first % venues,
+            ),
+            false => ((p * 7 + 3) % authors, (first + p / authors) % venues),
+        };
+        let pn = format!("p{p}");
+        b.link(pa, &pn, &format!("a{first}"), 1.0).unwrap();
+        b.link(pa, &pn, &format!("a{second}"), 1.0).unwrap();
+        b.link(pv, &pn, &format!("v{v}"), 1.0).unwrap();
+    }
+    Arc::new(b.build())
+}
+
+/// PathSim over `H·Hᵀ` with `H` = author×venue, on eight shards whose
+/// slices hold `H` or `Hᵀ` but never the span: the cache keeps a product
+/// and its transpose in different shards, so both halves become resident
+/// and every row is one product through `Hᵀ`, equal to the unbounded eager
+/// engine's bit for bit. Spread, each half fits by estimate and by size,
+/// and the two do not fit one slice; grouped, `H`'s row-major estimate is
+/// over the slice and only `Hᵀ`'s (the same nonzeros, 5 row pointers
+/// against 241) under it, and the half is let in on that cheaper
+/// orientation — its real product fits.
+#[test]
+fn a_symmetric_row_reads_both_halves_from_their_own_slices() {
+    let span = "author-paper-venue-paper-author";
+    for grouped in [false, true] {
+        let hin = venue_world(grouped);
+        let eager = Engine::with_config(
+            Arc::clone(&hin),
+            CacheConfig::default(),
+            ExecPolicy::eager(),
+        );
+        // the real halves, as an unbounded cache keeps them
+        eager
+            .execute("pathcount author-paper-venue from a0")
+            .unwrap();
+        let h = eager.stats().cache.bytes;
+        eager
+            .execute("pathcount venue-paper-author from v0")
+            .unwrap();
+        let ht = eager.stats().cache.bytes - h;
+        let cold = Engine::from_arc(Arc::clone(&hin));
+        let (est_h, est_ht) = (
+            est_bytes(&cold, "author-paper-venue", "a0"),
+            est_bytes(&cold, "venue-paper-author", "v0"),
+        );
+        let slice = match grouped {
+            false => h.max(ht).max(est_h).max(est_ht) + 8,
+            true => est_ht,
+        };
+        let case = format!(
+            "grouped {grouped}: slice {slice}, H {h} (est {est_h}), Hᵀ {ht} (est {est_ht})"
+        );
+        assert!(h <= slice && ht <= slice, "{case}");
+        assert!(est_bytes(&cold, span, "a0") > slice, "{case}");
+        match grouped {
+            false => assert!(h + ht > slice, "{case}: not both in one slice"),
+            true => assert!(est_h > slice && est_ht <= slice, "{case}"),
+        }
+        let engine = Engine::with_cache_config(
+            Arc::clone(&hin),
+            CacheConfig {
+                shards: 8,
+                byte_budget: Some(8 * slice),
+            },
+        );
+        let queries: Vec<String> = (0..240)
+            .flat_map(|a| {
+                [
+                    format!("pathsim {span} from a{a}"),
+                    format!("topk 3 {span} from a{a}"),
+                ]
+            })
+            .collect();
+        for q in &queries {
+            let want = eager.execute(q).unwrap();
+            assert_bit_identical(&engine.execute(q).unwrap(), &want, &format!("{case}: {q}"));
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.cache.evictions, 0, "{case}");
+        assert_eq!(stats.cache.inserts_refused, 0, "{case}");
+        assert_eq!((stats.cache.len, stats.cache.bytes), (2, h + ht), "{case}");
+        assert_eq!(stats.factor_promotions, 2, "{case}");
+        assert_eq!(stats.promotions, 0, "{case}");
+        let plan = engine.plan(&queries[0]).unwrap();
+        let route = Some(RowRoute {
+            at: 2,
+            halves: [Factor::Resident; 2],
+        });
+        assert_eq!(plan.row_route, route, "{case}: {plan}");
+        assert!(
+            plan.to_string().ends_with(
+                "; row: cache[author→paper·paper→venue] · cache[venue→paper·paper→author])"
+            ),
+            "{case}: {plan}"
+        );
+    }
+}

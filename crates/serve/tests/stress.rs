@@ -131,15 +131,18 @@ fn eviction_under_concurrency_stays_correct_and_bounded() {
     let reference = Engine::from_arc(Arc::clone(&hin));
     let want: Vec<_> = queries.iter().map(|q| reference.execute(q)).collect();
 
-    // Unbounded, this workload caches ~hundreds of KB; 32 KiB forces churn.
-    let budget = 32 * 1024;
+    // Unbounded, this workload keeps two products, a span and its mirror
+    // (7 172 B and 8 036 B). With two shards or more they never share a
+    // slice, so no budget that admits both can churn; one shard of 12 KiB
+    // holds either but not both, and they take turns.
+    let budget = 12 * 1024;
     let server = Server::start(
         Arc::clone(&hin),
         ServeConfig {
             workers: 4,
             batch_max: 16,
             cache: CacheConfig {
-                shards: 4,
+                shards: 1,
                 byte_budget: Some(budget),
             },
             ..ServeConfig::default()
