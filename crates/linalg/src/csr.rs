@@ -21,7 +21,10 @@ use crate::dense::DMat;
 ///
 /// Invariant between uses: `acc` and `mark` are all zeros — the kernel
 /// restores this as it gathers, so a scratch can be shared freely across
-/// calls (but not across threads).
+/// calls, but not across threads: it is `&mut` to every kernel. A caller
+/// that keeps one per thread for many calls (the query engine does, for
+/// its lazy rows) must drop it, not keep it, when a kernel unwinds
+/// mid-row: only a gather that ran to its end leaves it all zeros.
 #[derive(Debug, Default)]
 pub struct ScatterScratch {
     /// Dense accumulator, one slot per column.

@@ -58,9 +58,21 @@
 //! from process to process. A span and its mirror hash alike and then take
 //! neighbouring shards, so a product and its transpose never evict each
 //! other.
+//!
+//! Within a shard, and in every other table keyed by a sub-path (the
+//! oversize memory, the in-flight table, the engine's heat, split and
+//! normalizer tables), keys hash through `KeyHasher`: the same word-FNV
+//! fold, one multiply per word. It is not SipHash because SipHash defends a
+//! table against keys chosen by an adversary to collide, and these keys are
+//! relation ids the schema resolved, never client bytes, so its rounds
+//! would buy nothing on a lookup the planner repeats per sub-span of every
+//! query. A key's mirror and
+//! canonical form are spelled on the stack (`mirror`, `canonical`), so
+//! asking about either orientation copies nothing to the heap.
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 
@@ -89,20 +101,88 @@ pub(crate) fn key_of(steps: &[PathStep]) -> PathKey {
         .collect()
 }
 
-/// The key of the reversed sub-path (reverse order, flip directions).
-pub(crate) fn reversed_key(key: &[StepKey]) -> PathKey {
-    key.iter().rev().map(|&(r, fwd)| (r, !fwd)).collect()
+/// The word-FNV hasher of every map keyed by a [`PathKey`]: one
+/// [`Fnv64::update_word`] per relation id, direction flag and length a
+/// key's `Hash` writes, folded at the end as [`MatrixCache::shard_index`]
+/// folds its hash. A key is a handful of schema relation ids and direction
+/// flags, not client bytes, so SipHash's flooding resistance buys nothing
+/// here and costs several rounds per word.
+#[derive(Default)]
+pub(crate) struct KeyHasher(Fnv64);
+
+impl std::hash::Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0.update_word(u64::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0.update_word(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let h = self.0.finish();
+        (h >> 32) ^ h
+    }
 }
 
-/// The lexicographically smaller of `key` and its reversal: one name for a
-/// span and its mirror, which are served by one product (the other is its
-/// transpose) and so share heat and known size.
-pub(crate) fn canonical_key(key: &[StepKey]) -> PathKey {
-    let rev = reversed_key(key);
-    if rev.as_slice() < key {
-        rev
-    } else {
-        key.to_vec()
+/// A map keyed by [`PathKey`], hashed by [`KeyHasher`]: the one spelling of
+/// such a map, which every table keyed by a sub-path uses. Look a key up by
+/// `&[StepKey]`: nothing is copied to ask.
+pub(crate) type KeyMap<V> = HashMap<Vec<StepKey>, V, BuildHasherDefault<KeyHasher>>;
+
+/// The longest key whose [`mirror`] or [`canonical`] form is spelled on
+/// the stack; a longer key's is a `Vec`. Meta-paths worth asking about are
+/// far shorter.
+const STACK_STEPS: usize = 16;
+
+/// A key spelled on the stack when it has at most [`STACK_STEPS`] steps,
+/// in a `Vec` otherwise; reads as `[StepKey]`.
+#[allow(clippy::large_enum_variant)] // the large variant is the point: no heap
+pub(crate) enum KeyBuf {
+    Stack([StepKey; STACK_STEPS], usize),
+    Heap(PathKey),
+}
+
+impl KeyBuf {
+    /// Spell the `len` steps `steps` yields.
+    fn from_steps(len: usize, steps: impl Iterator<Item = StepKey>) -> Self {
+        if len > STACK_STEPS {
+            return KeyBuf::Heap(steps.collect());
+        }
+        let mut buf = [(0, false); STACK_STEPS];
+        for (slot, step) in buf.iter_mut().zip(steps) {
+            *slot = step;
+        }
+        KeyBuf::Stack(buf, len)
+    }
+}
+
+impl std::ops::Deref for KeyBuf {
+    type Target = [StepKey];
+
+    fn deref(&self) -> &[StepKey] {
+        match self {
+            KeyBuf::Stack(buf, len) => &buf[..*len],
+            KeyBuf::Heap(key) => key,
+        }
+    }
+}
+
+/// The key of the reversed sub-path (reverse order, flip directions).
+pub(crate) fn mirror(key: &[StepKey]) -> KeyBuf {
+    KeyBuf::from_steps(key.len(), key.iter().rev().map(|&(r, fwd)| (r, !fwd)))
+}
+
+/// The lexicographically smaller of `key` and its [`mirror`]: one name for
+/// a span and its mirror, which are served by one product (the other is
+/// its transpose) and so share heat and known size.
+pub(crate) fn canonical(key: &[StepKey]) -> KeyBuf {
+    let rev = mirror(key);
+    match *rev < *key {
+        true => rev,
+        false => KeyBuf::from_steps(key.len(), key.iter().copied()),
     }
 }
 
@@ -115,6 +195,12 @@ fn compact(list: Vec<(usize, f64)>) -> Ranked {
 fn prefix(list: &[(u32, f64)], limit: usize) -> Vec<(usize, f64)> {
     let n = limit.min(list.len());
     list[..n].iter().map(|&(id, s)| (id as usize, s)).collect()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Non-counting lookups made on this thread, by the exact key looked up.
+    pub(crate) static PEEKS: std::cell::RefCell<KeyMap<u32>> = std::cell::RefCell::default();
 }
 
 /// Known-oversize keys remembered before the table is reset wholesale — a
@@ -262,7 +348,7 @@ pub(crate) enum Scoring {
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<PathKey, Entry>,
+    map: KeyMap<Entry>,
     bytes: usize,
 }
 
@@ -377,17 +463,17 @@ pub struct MatrixCache {
     /// `shards.len() - 1`; the shard count is a power of two.
     shard_mask: usize,
     budget_per_shard: Option<usize>,
-    /// Products found larger than a shard slice, by [`canonical_key`], with
+    /// Products found larger than a shard slice, by [`canonical`] key, with
     /// their real [`Csr::nbytes`]: what [`MatrixCache::admits`] consults so
     /// an under-estimated span is materialized once, not on every
     /// re-heating. Bounded by [`OVERSIZE_CAP`]; only ever touched when the
     /// cache is bounded.
-    oversize: Mutex<HashMap<PathKey, usize>>,
+    oversize: Mutex<KeyMap<usize>>,
     /// Keys currently being computed by some thread (compute-once,
     /// wait-many). One global mutex, not sharded: it is touched only on
     /// the miss path, held only for a map probe/insert/remove, and never
     /// while computing or while holding a shard lock.
-    inflight: Mutex<HashMap<PathKey, Arc<Slot>>>,
+    inflight: Mutex<KeyMap<Arc<Slot>>>,
     tick: AtomicU64,
     counters: Counters,
 }
@@ -515,8 +601,8 @@ impl MatrixCache {
                 .into_boxed_slice(),
             shard_mask: shards - 1,
             budget_per_shard: config.byte_budget.map(|b| b / shards),
-            oversize: Mutex::new(HashMap::new()),
-            inflight: Mutex::new(HashMap::new()),
+            oversize: Mutex::default(),
+            inflight: Mutex::default(),
             tick: AtomicU64::new(0),
             counters: Counters::default(),
         }
@@ -615,7 +701,7 @@ impl MatrixCache {
     }
 
     /// Index of the shard `key` lives in: FNV-1a over the step words of its
-    /// [`canonical_key`], folded so the multiplier's well-mixed high half
+    /// [`canonical`] key, folded so the multiplier's well-mixed high half
     /// reaches the mask, with the low bit flipped when `key` is the mirror
     /// of its canonical form. So a span and its mirror — a product and its
     /// transpose, which a symmetric row reads together — always land in
@@ -656,9 +742,9 @@ impl MatrixCache {
                 slice_bytes,
             });
         }
-        let canonical = canonical_key(key);
+        let canonical = canonical(key);
         let oversize = self.oversize.lock().unwrap_or_else(PoisonError::into_inner);
-        match oversize.get(&canonical) {
+        match oversize.get(&*canonical) {
             Some(&bytes) => Err(Refusal::Product { bytes }),
             None => Ok(()),
         }
@@ -778,7 +864,7 @@ impl MatrixCache {
             self.counters
                 .refused_bytes
                 .fetch_add(bytes as u64, Ordering::Relaxed);
-            let canonical = canonical_key(&key);
+            let canonical = canonical(&key).to_vec();
             let mut oversize = self.oversize.lock().unwrap_or_else(PoisonError::into_inner);
             if oversize.len() >= OVERSIZE_CAP {
                 oversize.clear();
@@ -889,26 +975,23 @@ impl MatrixCache {
 
     /// Non-counting lookup used by the planner: is this sub-path (or its
     /// reversal) available, and at what nnz? Does not refresh recency — a
-    /// plan is a forecast, not a use.
+    /// plan is a forecast, not a use. The planner's pricing pass
+    /// (`plan::Residency`) asks [`MatrixCache::peek_exact`] itself, so that
+    /// it looks at each orientation of a sub-path once.
+    #[cfg(test)]
     pub(crate) fn peek_nnz(&self, key: &[StepKey]) -> Option<usize> {
-        self.peek_exact(key)
-            .or_else(|| self.peek_exact(&reversed_key(key)))
-    }
-
-    /// [`MatrixCache::peek_nnz`] of `key` as a product read as a link of an
-    /// anchored row: the row's seed (`first`) may be served as a resident
-    /// reversal's transpose, a later link only under its own key (see
-    /// `plan::row_links`).
-    pub(crate) fn peek_link(&self, key: &[StepKey], first: bool) -> Option<usize> {
-        match first {
-            true => self.peek_nnz(key),
-            false => self.peek_exact(key),
-        }
+        let rev = mirror(key);
+        self.peek_exact(key).or_else(|| match *rev == *key {
+            true => None,
+            false => self.peek_exact(&rev),
+        })
     }
 
     /// [`MatrixCache::peek_nnz`] of exactly `key`, its reversal not
     /// consulted.
-    fn peek_exact(&self, key: &[StepKey]) -> Option<usize> {
+    pub(crate) fn peek_exact(&self, key: &[StepKey]) -> Option<usize> {
+        #[cfg(test)]
+        PEEKS.with(|peeks| *peeks.borrow_mut().entry(key.to_vec()).or_insert(0) += 1);
         let shard = self
             .shard_of(key)
             .read()
@@ -941,8 +1024,8 @@ impl MatrixCache {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Some((m, Some(sidecar)));
         }
-        let rev = reversed_key(key);
-        if rev == key {
+        let rev = mirror(key);
+        if *rev == *key {
             return None; // palindromic key: the reversal is itself
         }
         if let Some((m, _)) = self.resident(&rev, true) {
@@ -1175,7 +1258,7 @@ mod tests {
         assert_eq!(cache.stats().symmetry_hits, 0);
 
         // reversed key served through a transpose
-        let rev = reversed_key(&key);
+        let rev = mirror(&key).to_vec();
         assert_eq!(rev, vec![(1, true), (0, false)]);
         let t = cache.get(&rev).expect("transpose reuse");
         assert_eq!(t.nrows(), 3);
@@ -1198,7 +1281,7 @@ mod tests {
         cache.put(key.clone(), sample());
         assert!(cache.peek_nnz(&key).is_some());
         assert_eq!(cache.peek_nnz(&key), Some(2));
-        assert!(cache.peek_nnz(&reversed_key(&key)).is_some());
+        assert!(cache.peek_nnz(&mirror(&key)).is_some());
         assert!(cache.peek_nnz(&[(9, true)]).is_none());
         assert_eq!(cache.stats().hits, 0, "peek never counts a hit");
         assert_eq!(cache.stats().misses, 1, "only the initial put counted");
@@ -1207,7 +1290,7 @@ mod tests {
     #[test]
     fn palindromic_keys_are_their_own_reversal() {
         let key: PathKey = vec![(0, true), (0, false)];
-        assert_eq!(reversed_key(&key), key);
+        assert_eq!(*mirror(&key), *key);
         // and looking one up must not hit the symmetry path
         let cache = MatrixCache::default();
         assert!(cache.get(&key).is_none());
@@ -1326,10 +1409,66 @@ mod tests {
             bytes: big.nbytes(),
         });
         assert_eq!(cache.admission(&key, 1), known);
-        assert_eq!(cache.admission(&reversed_key(&key), 1), known);
+        assert_eq!(cache.admission(&mirror(&key), 1), known);
         assert!(cache.admits(&[(0, false), (2, true)], 1), "other keys are");
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, 0, "admission never counts");
+    }
+
+    #[test]
+    fn a_key_longer_than_the_stack_buffer_is_looked_up_as_a_short_one() {
+        let straight = |len: usize| -> PathKey { (0..len).map(|r| (r, true)).collect() };
+        let palindrome = |len: usize| -> PathKey {
+            let half = straight(len / 2);
+            [half.as_slice(), &mirror(&half)].concat()
+        };
+        let keys = [
+            (straight(4), false),
+            (palindrome(4), true),
+            (straight(STACK_STEPS + 1), false),
+            (palindrome(STACK_STEPS + 2), true),
+        ];
+        for (key, symmetric) in keys {
+            let rev = mirror(&key).to_vec();
+            assert_eq!(rev == key, symmetric);
+            assert_eq!(*mirror(&rev), *key);
+            assert_eq!(*canonical(&key), *key.clone().min(rev.clone()));
+
+            // missing: one look per orientation, nothing served
+            let cache = MatrixCache::default();
+            PEEKS.with(|p| p.borrow_mut().clear());
+            assert_eq!(cache.peek_nnz(&key), None);
+            let looks: u32 = PEEKS.with(|p| p.borrow().values().sum());
+            assert_eq!(looks, if symmetric { 1 } else { 2 }, "{} steps", key.len());
+            assert!(cache.probe(&key).is_none());
+
+            // resident: peeked and probed through its mirror
+            cache.put(key.clone(), sample());
+            assert_eq!(cache.peek_nnz(&rev), Some(2));
+            let (m, _) = cache.probe(&rev).expect("resident or its mirror is");
+            let stats = cache.stats();
+            assert_eq!((stats.hits, stats.symmetry_hits), (1, !symmetric as u64));
+            let (rows, value) = if symmetric {
+                (2, m.get(0, 1))
+            } else {
+                (3, m.get(1, 0))
+            };
+            assert_eq!((m.nrows(), value), (rows, 2.0), "{} steps", key.len());
+
+            // oversize: refused through its mirror
+            let big = banded(40, 8);
+            let bounded = MatrixCache::new(CacheConfig {
+                shards: 2,
+                byte_budget: Some(big.nbytes()),
+            });
+            assert!(bounded.admits(&rev, 1));
+            assert!(!bounded.insert(key.clone(), Arc::clone(&big)));
+            let known = Err(Refusal::Product {
+                bytes: big.nbytes(),
+            });
+            assert_eq!(bounded.admission(&rev, 1), known, "{} steps", key.len());
+            assert_eq!(bounded.admission(&key, 1), known);
+        }
     }
 
     /// The ten `span_thrash` span families of the end-to-end benchmark over
@@ -1403,7 +1542,7 @@ mod tests {
             let mask = shards - 1;
             let (mut palindromes, mut mirrored) = (0, 0);
             for key in &all {
-                let (rev, canonical) = (reversed_key(key), canonical_key(key));
+                let (rev, canonical) = (mirror(key).to_vec(), canonical(key).to_vec());
                 let at = cache.shard_index(key);
                 if *key == canonical {
                     // a palindrome is canonical too

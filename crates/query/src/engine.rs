@@ -2,7 +2,6 @@
 //! commuting-matrix cache and an anchored fast path.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -14,13 +13,14 @@ use hin_similarity::{
 };
 
 use crate::cache::{
-    canonical_key, key_of, CacheConfig, CacheOutcome, CacheStats, MatrixCache, PathKey, Scoring,
-    Sidecar, StepKey,
+    canonical, key_of, CacheConfig, CacheOutcome, CacheStats, KeyMap, MatrixCache, PathKey,
+    Scoring, Sidecar, StepKey,
 };
 use crate::error::QueryError;
 use crate::parse::{parse, Verb};
 use crate::plan::{
-    plan_steps, row_links, ExecMode, Factor, PlanNode, Promotion, QueryPlan, RowRoute,
+    plan_priced, plan_steps, row_links, ExecMode, Factor, PlanNode, Promotion, QueryPlan,
+    Residency, RowRoute,
 };
 use crate::resolve::{resolve, ResolvedQuery};
 use crate::snapshot::{CacheSnapshot, SnapshotImport};
@@ -237,20 +237,27 @@ impl IdOutput {
 /// planner priced as cached can then be evicted before execution, in which
 /// case the engine recomputes it as an ordinary miss — eviction costs
 /// time, never correctness.
+///
+/// Memory beyond the cache and the tables below: every thread that has
+/// propagated a lazy row keeps one scatter scratch for the next, sized to
+/// the widest product it has run a row through — `8·ncols + ncols/8`
+/// bytes, about 48 KB over the 6 000 papers of the benchmark's small
+/// network and 160 KB over its large one. It lives as long as the thread.
 #[derive(Debug)]
 pub struct Engine {
     hin: Arc<Hin>,
     cache: Arc<MatrixCache>,
     policy: ExecPolicy,
     /// Per-span lazy-execution counters driving heat-based promotion.
-    /// Keyed by [`canonical_key`], so a path and its mirror heat one
+    /// Keyed by [`canonical`] key, so a path and its mirror heat one
     /// counter (a promotion serves both through the cache's transpose
     /// reuse). Holds only spans cache admission let in.
-    heat: Mutex<HashMap<PathKey, u32>>,
+    heat: Mutex<KeyMap<u32>>,
     /// Memoized PathSim normalizer diagonals `M[y][y]`, keyed by
-    /// `(half-span key [+ middle step], odd?)`: one dense table per
-    /// half-span, shared by every query over that half-span and filled in
-    /// place. The diagonal is a property of the half-path alone —
+    /// half-span key (plus the middle step of an odd path) and then by
+    /// whether the path is odd: one dense table per half-span, shared by
+    /// every query over that half-span and filled in place. The diagonal
+    /// is a property of the half-path alone —
     /// not of the anchor — so candidates shared between lazy PathSim
     /// queries reuse their half propagations instead of re-running them
     /// (roughly the whole normalizer cost, the dominant term, on a repeated
@@ -259,7 +266,7 @@ pub struct Engine {
     /// Deliberately separate from the cache's per-matrix diagonal sidecar:
     /// `‖u‖²` from a half propagation and `M[y][y]` from the product sum in
     /// different orders, so the two are bit-equal only in exact arithmetic.
-    diag_cache: Mutex<HashMap<(PathKey, bool), NormalizerTable>>,
+    diag_cache: Mutex<KeyMap<[Option<NormalizerTable>; 2]>>,
     /// Normalizers served from `diag_cache` instead of half propagations.
     normalizer_memo_hits: AtomicU64,
     /// Queries answered by sparse-row propagation instead of matrix
@@ -274,7 +281,7 @@ pub struct Engine {
     /// no split has halves the cache admits. Chosen once per span by
     /// [`Engine::choose_split`]; forgotten when a half proves larger than
     /// its estimate. Bounded by [`HEAT_CAP`] entries, like `heat`.
-    splits: Mutex<HashMap<PathKey, Option<usize>>>,
+    splits: Mutex<KeyMap<Option<usize>>>,
     /// Product halves materialized for refused spans.
     factor_promotions: AtomicU64,
     /// Lazily computed [`crate::snapshot::dataset_fingerprint`] of `hin`.
@@ -309,13 +316,13 @@ impl Engine {
             hin,
             cache: Arc::new(MatrixCache::new(config)),
             policy,
-            heat: Mutex::new(HashMap::new()),
-            diag_cache: Mutex::new(HashMap::new()),
+            heat: Mutex::default(),
+            diag_cache: Mutex::default(),
             normalizer_memo_hits: AtomicU64::new(0),
             anchored_fast_paths: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
             promotions_refused: AtomicU64::new(0),
-            splits: Mutex::new(HashMap::new()),
+            splits: Mutex::default(),
             factor_promotions: AtomicU64::new(0),
             fingerprint: std::sync::OnceLock::new(),
         }
@@ -401,74 +408,82 @@ impl Engine {
 
     /// The full `EXPLAIN` of one resolved query: tree, mode (with the seed
     /// a propagated row would start from), promotion verdict, and a refused
-    /// span's row route. Read-only.
+    /// span's row route, all read from the one pricing pass the plan took.
+    /// Read-only.
     fn explain(&self, resolved: &ResolvedQuery) -> QueryPlan {
         let steps = resolved.path.steps();
         let key = key_of(steps);
-        let mut plan = plan_steps(&self.hin, steps, &self.cache);
-        if self.propagates(resolved, &key) {
-            let seed = match row_links(&self.cache, &key)[0] {
+        let mut plan = plan_priced(&self.hin, steps, Residency::price(&self.cache, &key, true));
+        plan.label(&self.hin, steps);
+        if self.propagates(resolved, &plan) {
+            let seed = match row_links(&plan.residency, steps.len())[0] {
                 (_, hi, Some(_)) => Some((0, hi)),
                 _ => None,
             };
             plan.mode = ExecMode::SparseRow { seed };
         }
-        plan.promotion = self.promotion_forecast(resolved, &plan);
+        plan.promotion = self.promotion_forecast(resolved, &key, &plan);
         if let Some(Promotion::Refused(_)) = plan.promotion {
-            plan.row_route = self.route_forecast(steps);
+            plan.row_route = self.route_forecast(steps, &key, &plan.residency);
         }
         plan
     }
 
     /// What [`Engine::heat_halves`] would find for a refused span, recording
     /// nothing: the remembered split, or the one it would choose now, with
-    /// each half as it stands.
-    fn route_forecast(&self, steps: &[PathStep]) -> Option<RowRoute> {
-        let key = key_of(steps);
-        let remembered = self.lock_splits().get(&key).copied();
-        let at = remembered.unwrap_or_else(|| self.choose_split(steps, &key))?;
-        let factor = |half: &[StepKey], first: bool| {
-            if half.len() == 1 {
+    /// each half as the pricing pass found it.
+    fn route_forecast(
+        &self,
+        steps: &[PathStep],
+        key: &[StepKey],
+        residency: &Residency,
+    ) -> Option<RowRoute> {
+        let remembered = self.lock_splits().get(key).copied();
+        let at = remembered.unwrap_or_else(|| self.choose_split(steps, key))?;
+        // the half over steps `lo..hi`
+        let factor = |lo: usize, hi: usize| {
+            if hi - lo == 1 {
                 Factor::Relation
-            } else if self.cache.peek_link(half, first).is_some() {
+            } else if residency.link(lo, hi - 1).is_some() {
                 Factor::Resident
             } else {
                 let heat = self.heat.lock().unwrap_or_else(PoisonError::into_inner);
                 Factor::Heating {
-                    run: heat.get(&canonical_key(half)).copied().unwrap_or(0) + 1,
+                    run: heat.get(&*canonical(&key[lo..hi])).copied().unwrap_or(0) + 1,
                     of: self.policy.promote_after,
                 }
             }
         };
-        let (left, right) = key.split_at(at);
         Some(RowRoute {
             at,
-            halves: [factor(left, true), factor(right, false)],
+            halves: [factor(0, at), factor(at, key.len())],
         })
     }
 
     /// What [`Engine::should_promote`] would find for this plan, recording
     /// nothing.
-    fn promotion_forecast(&self, resolved: &ResolvedQuery, plan: &QueryPlan) -> Option<Promotion> {
-        let steps = resolved.path.steps();
+    fn promotion_forecast(
+        &self,
+        resolved: &ResolvedQuery,
+        key: &[StepKey],
+        plan: &QueryPlan,
+    ) -> Option<Promotion> {
         if plan.mode == ExecMode::Full {
             // an anchored read of a wholly resident span is what a promoted
             // span looks like; any other Full plan has nothing to promote
             let whole = PlanNode::Cached {
                 lo: 0,
-                hi: steps.len() - 1,
+                hi: key.len() - 1,
             };
             let resident = self.policy.lazy && resolved.from.is_some() && plan.root == whole;
             return resident.then_some(Promotion::Resident);
         }
-        let key = key_of(steps);
-        Some(match self.cache.admission(&key, plan.est_bytes) {
+        Some(match self.cache.admission(key, plan.est_bytes) {
             Err(refusal) => Promotion::Refused(refusal),
             Ok(()) => {
-                let heat_key = canonical_key(&key);
                 let heat = self.heat.lock().unwrap_or_else(PoisonError::into_inner);
                 Promotion::Heating {
-                    run: heat.get(&heat_key).copied().unwrap_or(0) + 1,
+                    run: heat.get(&*canonical(key)).copied().unwrap_or(0) + 1,
                     of: self.policy.promote_after,
                 }
             }
@@ -525,17 +540,17 @@ impl Engine {
             plan_ns: elapsed_ns(t0),
             ..QueryTrace::default()
         };
-        let prep = match prep {
+        let mut prep = match prep {
             Ok(prep) => prep,
             Err(e) => return (Err(e), trace),
         };
         let t1 = Instant::now();
+        let promote = match &mut prep.route {
+            Route::Lazy(plan) => self.should_promote(prep.resolved.path.steps(), &prep.key, plan),
+            _ => false,
+        };
         let result = match &prep.route {
-            Route::Lazy(plan)
-                if !self.should_promote(prep.resolved.path.steps(), &prep.key, plan) =>
-            {
-                self.propagate(&prep, &mut trace)
-            }
+            Route::Lazy(plan) if !promote => self.propagate(&prep, &plan.residency, &mut trace),
             Route::Lazy(_) => {
                 self.promotions.fetch_add(1, Ordering::Relaxed);
                 self.materialize(&prep, &mut trace)
@@ -562,7 +577,9 @@ impl Engine {
     /// missed. The probe is [`MatrixCache::probe`], the lookup
     /// [`Engine::eval`] resolves a span through plus the entry's sidecar,
     /// so a resident span counts the one hit (or symmetry hit) its
-    /// evaluation would have, and a miss counts nothing.
+    /// evaluation would have, and a miss counts nothing. The plan's pricing
+    /// pass then looks at every shorter sub-span, once, and not again at
+    /// the span the probe just missed.
     fn prepare(&self, resolved: ResolvedQuery) -> Prep {
         let steps = resolved.path.steps();
         let key = key_of(steps);
@@ -575,8 +592,8 @@ impl Engine {
                 };
             }
         }
-        let plan = plan_steps(&self.hin, steps, &self.cache);
-        let route = match self.propagates(&resolved, &key) {
+        let plan = plan_priced(&self.hin, steps, Residency::price(&self.cache, &key, false));
+        let route = match self.propagates(&resolved, &plan) {
             true => Route::Lazy(plan),
             false => Route::Full(plan),
         };
@@ -613,11 +630,20 @@ impl Engine {
     /// ranked. Scores, candidate sets, ordering and limits are identical to
     /// the full-matrix path whenever the arithmetic is exact
     /// (integer-valued weights — see the anchored property tests).
-    fn propagate(&self, prep: &Prep, trace: &mut QueryTrace) -> Result<IdOutput, QueryError> {
+    /// `residency` is the plan's pricing pass, which lays the row out.
+    ///
+    /// The row and its normalizers run on the thread's one scatter scratch
+    /// ([`with_row_scratch`]), so a row pays for its products, not for
+    /// allocating and zeroing a fresh accumulator.
+    fn propagate(
+        &self,
+        prep: &Prep,
+        residency: &Residency,
+        trace: &mut QueryTrace,
+    ) -> Result<IdOutput, QueryError> {
         self.anchored_fast_paths.fetch_add(1, Ordering::Relaxed);
         let x = prep.resolved.from.expect("anchored verbs carry `from`").id as usize;
-        let mut scratch = ScatterScratch::new();
-        let links = self.propagation_seed(prep.resolved.path.steps());
+        let links = self.propagation_seed(prep.resolved.path.steps(), &prep.key, residency);
         // The fast path caches nothing; its cache interaction is whether
         // the propagation started from a resident prefix product or had to
         // chain from the anchor's relation row.
@@ -626,8 +652,10 @@ impl Engine {
             Mat::Shared(_) => CacheOutcome::Hit,
             Mat::Borrowed(_) => CacheOutcome::MissCompute,
         };
-        let row = row_through(&links, x, &mut scratch);
-        self.finish_row(&prep.resolved, x, row, &mut scratch)
+        with_row_scratch(|scratch| {
+            let row = row_through(&links, x, scratch);
+            self.finish_row(prep, residency, x, row, scratch)
+        })
     }
 
     /// The commuting matrix of an already-resolved meta-path, computed
@@ -656,14 +684,17 @@ impl Engine {
     /// materializing: an anchored verb other than `rank`, under the lazy
     /// policy, over two or more steps whose whole span is not resident.
     /// Such a query materializes only when promotion says so
-    /// ([`Engine::should_promote`]). Non-counting, so `EXPLAIN` asks it too;
-    /// the cache moves, so it is a forecast like the rest of the plan.
-    fn propagates(&self, resolved: &ResolvedQuery, key: &[StepKey]) -> bool {
+    /// ([`Engine::should_promote`]). Reads the plan's pricing pass, which
+    /// for an executed query left out the whole span its probe had just
+    /// missed, so it looks at nothing itself and `EXPLAIN` asks it too; the
+    /// cache moves, so it is a forecast like the rest of the plan.
+    fn propagates(&self, resolved: &ResolvedQuery, plan: &QueryPlan) -> bool {
+        let n = resolved.path.steps().len();
         self.policy.lazy
             && resolved.from.is_some()
             && !matches!(resolved.verb, Verb::Rank)
-            && key.len() >= 2
-            && self.cache.peek_nnz(key).is_none()
+            && n >= 2
+            && plan.residency.get(0, n - 1).is_none()
     }
 
     /// The one place promotion is decided: should this lazily-planned query
@@ -673,39 +704,51 @@ impl Engine {
     /// worth one row, so the span never enters the heat table; its halves
     /// heat instead ([`Engine::heat_halves`]). Then the heat floor: record
     /// one lazy execution and report whether it just crossed
-    /// [`ExecPolicy::promote_after`].
-    fn should_promote(&self, steps: &[PathStep], key: &[StepKey], plan: &QueryPlan) -> bool {
+    /// [`ExecPolicy::promote_after`]. When a half of a refused span
+    /// materializes, the plan's pricing pass is taken again so that this
+    /// query's row reads it.
+    fn should_promote(&self, steps: &[PathStep], key: &[StepKey], plan: &mut QueryPlan) -> bool {
         if !self.cache.admits(key, plan.est_bytes) {
             self.promotions_refused.fetch_add(1, Ordering::Relaxed);
-            self.heat_halves(steps, key);
+            if self.heat_halves(steps, key, &plan.residency) {
+                plan.residency = Residency::price(&self.cache, key, false);
+            }
             return false;
         }
-        self.heat_once(canonical_key(key))
+        self.heat_once(&canonical(key))
     }
 
     /// Record one lazy run of the span or half `heat_key` names (its
-    /// [`canonical_key`]) and report whether it just crossed
+    /// [`canonical`] key) and report whether it just crossed
     /// [`ExecPolicy::promote_after`]. A span and its reversal share one
     /// counter; a counter that crosses resets, so if the matrix is later
-    /// evicted the span cools down and re-heats honestly.
-    fn heat_once(&self, heat_key: PathKey) -> bool {
+    /// evicted the span cools down and re-heats honestly. The key is copied
+    /// only when its counter starts.
+    fn heat_once(&self, heat_key: &[StepKey]) -> bool {
         if self.policy.promote_after == 0 {
             return true;
         }
         let mut heat = self.heat.lock().unwrap_or_else(PoisonError::into_inner);
-        if heat.len() >= HEAT_CAP && !heat.contains_key(&heat_key) {
-            // bounded memory: a reset only delays promotions, never
-            // breaks correctness
-            heat.clear();
+        let count = match heat.get_mut(heat_key) {
+            Some(count) => {
+                *count += 1;
+                *count
+            }
+            None => {
+                if heat.len() >= HEAT_CAP {
+                    // bounded memory: a reset only delays promotions, never
+                    // breaks correctness
+                    heat.clear();
+                }
+                heat.insert(heat_key.to_vec(), 1);
+                1
+            }
+        };
+        let crossed = count >= self.policy.promote_after;
+        if crossed {
+            heat.remove(heat_key);
         }
-        let count = heat.entry(heat_key.clone()).or_insert(0);
-        *count += 1;
-        if *count >= self.policy.promote_after {
-            heat.remove(&heat_key);
-            true
-        } else {
-            false
-        }
+        crossed
     }
 
     /// One lazy run of a span the cache refused, on its halves: recall or
@@ -716,12 +759,14 @@ impl Engine {
     /// reversal is, since it seeds the row and a seed may be transposed;
     /// the right half only under its own key, as
     /// [`Engine::propagation_seed`] reads it, and a right half whose
-    /// reversal is resident materializes as that transpose. A span whose
-    /// halves mirror each other (`H` and `Hᵀ` of a symmetric span) heats
-    /// their one counter once per run and ends with both resident, each in
-    /// its own shard, so its row is one product through `Hᵀ`. The row
-    /// itself is laid out afterwards by [`Engine::propagation_seed`], from
-    /// whatever is resident then.
+    /// reversal is resident materializes as that transpose. Whether a half
+    /// is resident is what the plan's pricing pass (`residency`) found. A
+    /// span whose halves mirror each other (`H` and `Hᵀ` of a symmetric
+    /// span) heats their one counter once per run and ends with both
+    /// resident, each in its own shard, so its row is one product through
+    /// `Hᵀ`. The row itself is laid out afterwards by
+    /// [`Engine::propagation_seed`]; `true` when a half materialized here,
+    /// so that the layout is priced again first.
     ///
     /// A half can prove larger than its estimate — or be admitted on its
     /// mirror's smaller one and prove larger than the slice in its own
@@ -730,30 +775,33 @@ impl Engine {
     /// orientations share. The span then forgets its split — the next run
     /// chooses again without that half, or chains — so the half is never
     /// computed again.
-    fn heat_halves(&self, steps: &[PathStep], key: &[StepKey]) {
+    fn heat_halves(&self, steps: &[PathStep], key: &[StepKey], residency: &Residency) -> bool {
         let Some(at) = self.split_of(steps, key) else {
-            return;
+            return false;
         };
         let mut heated = None;
+        let mut materialized = false;
         for (lo, hi) in [(0, at), (at, steps.len())] {
             let half = &key[lo..hi];
-            if half.len() < 2 || self.cache.peek_link(half, lo == 0).is_some() {
+            if half.len() < 2 || residency.link(lo, hi - 1).is_some() {
                 continue;
             }
             if !self.cache.admits(half, 0) {
                 self.lock_splits().remove(key);
-                return;
+                return materialized;
             }
-            let heat_key = canonical_key(half);
-            if heated.as_ref() == Some(&heat_key) {
+            let heat_key = canonical(half);
+            if heated.as_deref() == Some(&*heat_key) {
                 continue;
             }
-            if self.heat_once(heat_key.clone()) {
+            if self.heat_once(&heat_key) {
                 self.factor_promotions.fetch_add(1, Ordering::Relaxed);
                 self.commuting_of(&steps[lo..hi]);
+                materialized = true;
             }
             heated = Some(heat_key);
         }
+        materialized
     }
 
     /// The split a refused span of three or more steps is served through:
@@ -777,7 +825,7 @@ impl Engine {
         at
     }
 
-    fn lock_splits(&self) -> std::sync::MutexGuard<'_, HashMap<PathKey, Option<usize>>> {
+    fn lock_splits(&self) -> std::sync::MutexGuard<'_, KeyMap<Option<usize>>> {
         self.splits.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -833,18 +881,24 @@ impl Engine {
             .map(|(_, at)| at)
     }
 
-    /// The links an anchored row over `steps` is propagated through, as
-    /// [`row_links`] lays them out — the layout `EXPLAIN` seeds from. Each
-    /// product is looked up counting, like any cache use; one evicted since
-    /// the layout silently degrades to its relations. The first link seeds
-    /// the row: a [`Mat::Shared`] product, whose row replaces the head of
-    /// the chain outright (served transposed when only its reversal is
-    /// resident), or a [`Mat::Borrowed`] relation (always free — `eₓᵀ·M₁`
-    /// *is* row `x` of `M₁`).
-    fn propagation_seed<'a>(&'a self, steps: &'a [PathStep]) -> Vec<Mat<'a>> {
-        let key = key_of(steps);
+    /// The links an anchored row over `steps` (a prefix of the priced path,
+    /// `key` their keys) is propagated through, as [`row_links`] lays them
+    /// out from the pricing pass `residency` — the layout `EXPLAIN` seeds
+    /// from. Only the products laid out are looked up, counting, like any
+    /// cache use; one evicted since the pricing pass silently degrades to
+    /// its relations. The first link seeds the row: a [`Mat::Shared`]
+    /// product, whose row replaces the head of the chain outright (served
+    /// transposed when only its reversal is resident), or a
+    /// [`Mat::Borrowed`] relation (always free — `eₓᵀ·M₁` *is* row `x` of
+    /// `M₁`).
+    fn propagation_seed<'a>(
+        &'a self,
+        steps: &'a [PathStep],
+        key: &[StepKey],
+        residency: &Residency,
+    ) -> Vec<Mat<'a>> {
         let mut links = Vec::with_capacity(steps.len());
-        for (lo, hi, product) in row_links(&self.cache, &key) {
+        for (lo, hi, product) in row_links(residency, steps.len()) {
             let span = &key[lo..=hi];
             let m = product.and_then(|_| match lo {
                 0 => self.cache.get(span),
@@ -866,11 +920,13 @@ impl Engine {
     /// back half of the anchored fast path ([`Engine::propagate`]).
     fn finish_row(
         &self,
-        resolved: &ResolvedQuery,
+        prep: &Prep,
+        residency: &Residency,
         x: usize,
         row: SparseVec,
         scratch: &mut ScatterScratch,
     ) -> Result<IdOutput, QueryError> {
+        let resolved = &prep.resolved;
         let steps = resolved.path.steps();
         let items = match resolved.verb {
             Verb::PathSim | Verb::TopK => {
@@ -884,13 +940,14 @@ impl Engine {
                 // of a full matrix, and none at all when H itself is
                 // resident: u is its row.
                 let h = steps.len() / 2;
-                let half_links = self.propagation_seed(&steps[..h]);
+                let half_links = self.propagation_seed(&steps[..h], &prep.key[..h], residency);
                 let odd = steps.len() % 2 == 1;
                 let mid = odd.then(|| steps[h].matrix(&self.hin));
                 // Diagonals are anchor-independent: read and fill the
                 // half-span's shared memo table in place.
                 let memo = self.normalizer_memo(
-                    (key_of(&steps[..h + odd as usize]), odd),
+                    &prep.key[..h + odd as usize],
+                    odd,
                     self.hin.node_count(resolved.end),
                 );
                 let mut memo_hits = 0u64;
@@ -941,18 +998,22 @@ impl Engine {
         })
     }
 
-    /// The shared normalizer table of one half-span (`slots` = node count
-    /// of the path's end type), created on first use. The lock covers only
-    /// this lookup; queries read and fill the table through its atomics.
-    fn normalizer_memo(&self, key: (PathKey, bool), slots: usize) -> NormalizerTable {
+    /// The shared normalizer table of one half-span `half` of an `odd` or
+    /// even path (`slots` = node count of the path's end type), created on
+    /// first use. The lock covers only this lookup; queries read and fill
+    /// the table through its atomics.
+    fn normalizer_memo(&self, half: &[StepKey], odd: bool, slots: usize) -> NormalizerTable {
         let mut memo = self
             .diag_cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        if let Some(table) = memo.get(&key) {
+        if let Some(table) = memo
+            .get(half)
+            .and_then(|tables| tables[odd as usize].as_ref())
+        {
             return Arc::clone(table);
         }
-        let resident: usize = memo.values().map(|t| t.len()).sum();
+        let resident: usize = memo.values().flatten().flatten().map(|t| t.len()).sum();
         if resident + slots > DIAG_CAP {
             // bounded memory: a reset only costs recomputation (queries in
             // flight keep filling the tables they already hold)
@@ -961,7 +1022,7 @@ impl Engine {
         let table: NormalizerTable = (0..slots)
             .map(|_| AtomicU64::new(UNKNOWN_NORMALIZER))
             .collect();
-        memo.insert(key, Arc::clone(&table));
+        memo.entry(half.to_vec()).or_default()[odd as usize] = Some(Arc::clone(&table));
         table
     }
 
@@ -1168,6 +1229,25 @@ enum Route {
     /// [`ExecMode::SparseRow`]: runs through [`Engine::propagate`] unless
     /// promotion materializes it.
     Lazy(QueryPlan),
+}
+
+thread_local! {
+    /// The thread's row scratch, while no row on the thread holds it.
+    static ROW_SCRATCH: Cell<Option<ScatterScratch>> = const { Cell::new(None) };
+}
+
+/// Run `f` with the thread's one [`ScatterScratch`]: taken out for the
+/// call, so a row and its normalizers reuse one accumulator that is as
+/// wide as the widest product the thread has propagated through, and put
+/// back after. A thread's first row starts an empty one. If `f` unwinds,
+/// the scratch it holds is dropped with it rather than put back: a kernel
+/// that stopped mid-row may have left it dirty, and the kernels rely on
+/// finding it all zeros.
+fn with_row_scratch<R>(f: impl FnOnce(&mut ScatterScratch) -> R) -> R {
+    let mut scratch = ROW_SCRATCH.take().unwrap_or_default();
+    let out = f(&mut scratch);
+    ROW_SCRATCH.set(Some(scratch));
+    out
 }
 
 /// Row `x` of the product of `links`: the seed's row `x`, propagated
@@ -2661,6 +2741,162 @@ mod tests {
         assert!(err.is_err());
         assert_eq!(trace.exec_ns, 0, "nothing executed");
         assert!(trace.plan_ns > 0);
+    }
+
+    /// Author×venue is thin and author×author through a venue nearly
+    /// dense: every paper has two authors and one of four venues.
+    fn venue_bib() -> Arc<Hin> {
+        let (authors, venues) = (120, 4);
+        let mut b = HinBuilder::new();
+        let paper = b.add_type("paper");
+        let author = b.add_type("author");
+        let venue = b.add_type("venue");
+        let pa = b.add_relation("written_by", paper, author);
+        let pv = b.add_relation("published_in", paper, venue);
+        for p in 0..3 * authors {
+            let first = p % authors;
+            let pn = format!("p{p}");
+            b.link(pa, &pn, &format!("a{first}"), 1.0).unwrap();
+            b.link(pa, &pn, &format!("a{}", (p * 7 + 3) % authors), 1.0)
+                .unwrap();
+            let v = (first + p / authors) % venues;
+            b.link(pv, &pn, &format!("v{v}"), 1.0).unwrap();
+        }
+        Arc::new(b.build())
+    }
+
+    #[test]
+    fn a_refused_row_looks_at_each_orientation_once() {
+        use crate::cache::PEEKS;
+        let hin = venue_bib();
+        let span = "author-paper-venue-paper-author";
+        let eager = eager_engine(Arc::clone(&hin));
+        // the real halves H (author×venue) and Hᵀ, and their estimates
+        eager
+            .execute("pathcount author-paper-venue from a0")
+            .unwrap();
+        let h = eager.stats().cache.bytes;
+        eager
+            .execute("pathcount venue-paper-author from v0")
+            .unwrap();
+        let ht = eager.stats().cache.bytes - h;
+        let cold = Engine::from_arc(Arc::clone(&hin));
+        let est = |path: &str, anchor: &str| {
+            let q = format!("pathcount {path} from {anchor}");
+            cold.plan(&q).unwrap().est_bytes
+        };
+        let slice = [
+            h,
+            ht,
+            est("author-paper-venue", "a0"),
+            est("venue-paper-author", "v0"),
+        ]
+        .into_iter()
+        .max()
+        .unwrap()
+            + 8;
+        assert!(est(span, "a0") > slice, "the span is refused");
+        let engine = Engine::with_cache_config(
+            Arc::clone(&hin),
+            CacheConfig {
+                shards: 8,
+                byte_budget: Some(8 * slice),
+            },
+        );
+        let q = |a: usize| format!("pathsim {span} from a{a}");
+        // H and Hᵀ heat one counter: H materializes on the third refused
+        // run, Hᵀ on the sixth
+        for a in 0..6 {
+            engine.execute(&q(a)).unwrap();
+        }
+        assert_eq!(engine.stats().factor_promotions, 2);
+        assert_eq!(engine.stats().cache.len, 2, "both halves resident");
+
+        for a in 6..12 {
+            let want = eager.execute(&q(a)).unwrap();
+            PEEKS.with(|p| p.borrow_mut().clear());
+            let hits = engine.stats().cache.hits;
+            assert_eq!(engine.execute(&q(a)).unwrap(), want);
+            let peeks = PEEKS.with(|p| p.take());
+            // A·V, V·A, A·V·P and its mirror P·V·A (the mirror of V·P·A's
+            // own key too), and the palindrome P·V·P: one look each
+            assert_eq!(peeks.len(), 5, "{peeks:?}");
+            assert!(peeks.values().all(|&n| n == 1), "{peeks:?}");
+            // counting: the two halves for the row, H again for the
+            // normalizers
+            assert_eq!(engine.stats().cache.hits - hits, 3);
+        }
+        let stats = engine.stats();
+        assert_eq!((stats.promotions, stats.factor_promotions), (0, 2));
+        assert_eq!(stats.cache.misses, 1, "Hᵀ is H's transpose");
+    }
+
+    /// Rows on one thread share its scratch, and a row that unwinds takes
+    /// its scratch with it. The kernel counters are process-wide and the
+    /// other tests of this binary run kernels beside this one, so the
+    /// counts are taken in a process of this test's own: the test runs
+    /// itself again, alone.
+    #[test]
+    fn a_row_that_unwinds_leaves_no_scratch_behind() {
+        use hin_linalg::counters::{self, KernelCounters};
+        const ALONE: &str = "HIN_QUERY_ROW_SCRATCH_ALONE";
+        const NAME: &str = "engine::tests::a_row_that_unwinds_leaves_no_scratch_behind";
+        if std::env::var_os(ALONE).is_none() {
+            let exe = std::env::current_exe().expect("path of the test binary");
+            let out = std::process::Command::new(exe)
+                .args([NAME, "--exact", "--test-threads=1"])
+                .env(ALONE, "1")
+                .output()
+                .expect("the test binary runs");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{stdout}{stderr}");
+            assert!(stdout.contains("1 passed"), "{stdout}");
+            return;
+        }
+
+        let sink = Arc::new(KernelCounters::default());
+        assert!(counters::install(Arc::clone(&sink)));
+        let held = || {
+            ROW_SCRATCH.with(|cell| {
+                let scratch = cell.take();
+                let held = scratch.is_some();
+                cell.set(scratch);
+                held
+            })
+        };
+        // a two-step row: one product wide as the author count, no
+        // normalizer products, so a fresh scratch grows exactly once
+        let q = "pathsim author-paper-author from a1";
+        let want = Engine::new(bib()).execute(q).unwrap();
+        let engine = Engine::with_config(
+            Arc::new(bib()),
+            CacheConfig::default(),
+            ExecPolicy::promote_after(u32::MAX),
+        );
+        let row = || {
+            let before = sink.snapshot();
+            let (got, trace) = engine.execute_traced(q);
+            assert_eq!(trace.mode, TraceMode::SparseRow);
+            assert_eq!(got.unwrap(), want);
+            let after = sink.snapshot();
+            (
+                after.scratch_allocs - before.scratch_allocs,
+                after.scratch_reuses - before.scratch_reuses,
+            )
+        };
+        for _ in 0..3 {
+            assert_eq!(row(), (0, 1), "consecutive rows reuse the thread's scratch");
+        }
+        assert!(held());
+
+        let unwound = std::panic::catch_unwind(|| {
+            with_row_scratch(|_| panic!("a row fails while it holds the scratch"))
+        });
+        assert!(unwound.is_err());
+        assert!(!held(), "the failed row took its scratch with it");
+        assert_eq!(row(), (1, 0), "the next row starts a fresh one");
+        assert_eq!(row(), (0, 1));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use hin_core::Hin;
 use hin_linalg::{spmm_chain_order_priced, Csr, MatSummary, PlanTree};
 use hin_similarity::PathStep;
 
-use crate::cache::{key_of, MatrixCache, Refusal, StepKey};
+use crate::cache::{key_of, mirror, MatrixCache, Refusal, StepKey};
 
 /// One node of a query's evaluation plan, over step indices `lo..=hi`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -111,9 +111,9 @@ pub enum ExecMode {
         /// propagation from (its row replaces `eₓᵀ·M₁·…` up to `hi`), if
         /// any was resident at plan time; products resident further along
         /// the chain are links of the propagation too (`row_links`). A
-        /// forecast, like cached plan leaves: the executor re-probes and
-        /// falls back to propagating from the anchor when the span has been
-        /// evicted since.
+        /// forecast, like cached plan leaves: the executor looks the
+        /// product up and falls back to propagating from the anchor when
+        /// the span has been evicted since.
         seed: Option<(usize, usize)>,
     },
 }
@@ -244,7 +244,12 @@ pub struct QueryPlan {
     /// served through (`None` when no split has halves the cache admits,
     /// so the row chains through the relations). Filled by `Engine::plan`.
     pub row_route: Option<RowRoute>,
+    /// What the pricing pass found resident, per sub-span: the one look
+    /// at the cache that `EXPLAIN` and execution lay a row out from.
+    pub(crate) residency: Residency,
     /// Human-readable step labels (`src→dst` type names), for rendering.
+    /// Made only for a plan that is shown (`Engine::plan`); empty on a plan
+    /// from [`plan_steps`] alone, which renders its steps by index.
     labels: Vec<String>,
 }
 
@@ -252,7 +257,27 @@ impl QueryPlan {
     /// Render the tree with type-level step labels, e.g.
     /// `((author→paper·paper→venue)·cache[venue→paper·paper→author])`.
     pub fn describe(&self) -> String {
-        self.root.render(&self.labels)
+        self.root.render(&self.labels())
+    }
+
+    /// Name the steps of the plan for display: `src→dst` type names of
+    /// `steps`, the path this plan was made for.
+    pub(crate) fn label(&mut self, hin: &Hin, steps: &[PathStep]) {
+        self.labels = steps
+            .iter()
+            .map(|s| {
+                let (src, dst) = s.endpoints(hin);
+                format!("{}→{}", hin.type_name(src), hin.type_name(dst))
+            })
+            .collect();
+    }
+
+    /// The step labels, or the step indices on a plan nobody labelled.
+    fn labels(&self) -> std::borrow::Cow<'_, [String]> {
+        match self.labels.is_empty() {
+            false => self.labels.as_slice().into(),
+            true => (0..=self.root.span().1).map(|i| i.to_string()).collect(),
+        }
     }
 }
 
@@ -282,7 +307,8 @@ impl std::fmt::Display for QueryPlan {
             write!(f, "; promotion: {promotion}")?;
         }
         if let Some(RowRoute { at, halves: [l, r] }) = self.row_route {
-            let (left, right) = self.labels.split_at(at);
+            let labels = self.labels();
+            let (left, right) = labels.split_at(at);
             write!(f, "; row: {} · {}", l.render(left), r.render(right))?;
         }
         write!(f, ")")
@@ -307,22 +333,21 @@ thread_local! {
 /// vanished `Cached` leaf as an ordinary miss and recomputes it, so a
 /// stale plan costs time, never correctness.
 pub fn plan_steps(hin: &Hin, steps: &[PathStep], cache: &MatrixCache) -> QueryPlan {
+    let key = key_of(steps);
+    plan_priced(hin, steps, Residency::price(cache, &key, true))
+}
+
+/// [`plan_steps`] over a pricing pass already taken: `residency` prices
+/// the sub-paths of `steps`.
+pub(crate) fn plan_priced(hin: &Hin, steps: &[PathStep], residency: Residency) -> QueryPlan {
     assert!(!steps.is_empty(), "plan_steps: empty step chain");
     #[cfg(test)]
     PLAN_STEPS_CALLS.with(|calls| calls.set(calls.get() + 1));
-    let mats: Vec<&Csr> = steps.iter().map(|s| s.matrix(hin)).collect();
-    let full_key = key_of(steps);
-
-    let labels: Vec<String> = steps
+    let summaries: Vec<MatSummary> = steps
         .iter()
-        .map(|s| {
-            let (src, dst) = s.endpoints(hin);
-            format!("{}→{}", hin.type_name(src), hin.type_name(dst))
-        })
+        .map(|s| MatSummary::from(s.matrix(hin)))
         .collect();
-
-    let summaries: Vec<MatSummary> = mats.iter().map(|m| MatSummary::from(*m)).collect();
-    let chain = spmm_chain_order_priced(&summaries, |lo, hi| cache.peek_nnz(&full_key[lo..=hi]));
+    let chain = spmm_chain_order_priced(&summaries, |lo, hi| Some(residency.get(lo, hi)?.nnz));
 
     fn convert(tree: &PlanTree) -> PlanNode {
         match tree {
@@ -347,37 +372,150 @@ pub fn plan_steps(hin: &Hin, steps: &[PathStep], cache: &MatrixCache) -> QueryPl
         est_flops: chain.est_flops,
         left_to_right_flops: chain.left_to_right_flops,
         est_nnz: chain.est_nnz,
-        est_bytes: Csr::nbytes_of(mats[0].nrows(), chain.est_nnz.ceil() as usize),
+        est_bytes: Csr::nbytes_of(summaries[0].rows, chain.est_nnz.ceil() as usize),
         promotion: None,
         row_route: None,
-        labels,
+        residency,
+        labels: Vec::new(),
     }
 }
 
-/// The links an anchored row over `key` propagates through, as inclusive
-/// step spans `(lo, hi)` with the resident product's nnz: from the left, at
-/// each step the longest product starting there that the cache holds,
-/// else that step alone (`nnz` `None`: its relation). The first link seeds
-/// the row and may be held as its reversal, which serves it transposed. A
-/// later link must be resident under its own key: serving a reversal
-/// mid-chain stores its transpose, and in a one-shard cache, the only one
-/// where a product and its mirror share a slice, that store can evict the
-/// original, which the next row transposes back.
+/// The pricing pass: for every sub-span `(lo, hi)` of two or more steps of
+/// a path, what a non-counting look at the cache
+/// ([`MatrixCache::peek_exact`]) found — its nonzeros, and whether it is
+/// resident under its own key or only as its mirror. Taken once per plan;
+/// the planner prices from it, and the row layout ([`row_links`]), the
+/// heating of a refused span's halves and `EXPLAIN`'s seed and route all
+/// read it instead of looking again. A forecast like the rest of the plan:
+/// a product evicted since is found missing when it is looked up, counting,
+/// for use.
+#[derive(Clone, Debug)]
+pub(crate) struct Residency {
+    /// Steps of the path.
+    steps: usize,
+    /// `held[lo * steps + hi]` for `lo < hi`.
+    held: Vec<Option<Held>>,
+}
+
+/// A sub-span the pricing pass found resident.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Held {
+    /// The resident product's nonzeros.
+    pub(crate) nnz: usize,
+    /// Resident only as its mirror, whose transpose serves it.
+    pub(crate) mirror: bool,
+}
+
+/// One orientation of the sub-span `lo..=hi` of a key: the steps as they
+/// are, or (`mirror`) reversed with each direction flipped.
+#[derive(Clone, Copy)]
+struct Orientation {
+    lo: usize,
+    hi: usize,
+    mirror: bool,
+}
+
+impl Orientation {
+    fn steps(self, key: &[StepKey]) -> impl Iterator<Item = StepKey> + '_ {
+        let span = &key[self.lo..=self.hi];
+        (0..span.len()).map(move |i| match self.mirror {
+            false => span[i],
+            true => {
+                let (r, fwd) = span[span.len() - 1 - i];
+                (r, !fwd)
+            }
+        })
+    }
+
+    /// Do `self` and `other` spell the same key?
+    fn same(self, other: Orientation, key: &[StepKey]) -> bool {
+        self.hi - self.lo == other.hi - other.lo && self.steps(key).eq(other.steps(key))
+    }
+}
+
+impl Residency {
+    /// Look at every sub-span of `key`; at the whole path too when `whole`
+    /// (a caller whose counting probe just missed it already knows). Each
+    /// distinct key is looked up once: a sub-span's mirror is often
+    /// another sub-span (on a palindromic path, always), and a palindrome
+    /// is its own mirror.
+    pub(crate) fn price(cache: &MatrixCache, key: &[StepKey], whole: bool) -> Self {
+        let steps = key.len();
+        let mut looked: Vec<(Orientation, Option<usize>)> = Vec::with_capacity(steps * steps);
+        let mut look = |o: Orientation| {
+            if let Some(&(_, nnz)) = looked.iter().find(|(seen, _)| seen.same(o, key)) {
+                return nnz;
+            }
+            let span = &key[o.lo..=o.hi];
+            let nnz = match o.mirror {
+                false => cache.peek_exact(span),
+                true => cache.peek_exact(&mirror(span)),
+            };
+            looked.push((o, nnz));
+            nnz
+        };
+        let mut held = vec![None; steps * steps];
+        for lo in 0..steps {
+            for hi in lo + 1..steps {
+                if !whole && (lo, hi) == (0, steps - 1) {
+                    continue;
+                }
+                let own = Orientation {
+                    lo,
+                    hi,
+                    mirror: false,
+                };
+                let rev = Orientation {
+                    mirror: true,
+                    ..own
+                };
+                held[lo * steps + hi] = match look(own) {
+                    Some(nnz) => Some(Held { nnz, mirror: false }),
+                    None if rev.same(own, key) => None,
+                    None => look(rev).map(|nnz| Held { nnz, mirror: true }),
+                };
+            }
+        }
+        Self { steps, held }
+    }
+
+    /// What the pass found for steps `lo..=hi`, `lo < hi`.
+    pub(crate) fn get(&self, lo: usize, hi: usize) -> Option<Held> {
+        self.held[lo * self.steps + hi]
+    }
+
+    /// The nonzeros of steps `lo..=hi` as a link of an anchored row: the
+    /// row's seed (`lo == 0`) may be served as a resident mirror's
+    /// transpose, a later link only under its own key (see [`row_links`]).
+    pub(crate) fn link(&self, lo: usize, hi: usize) -> Option<usize> {
+        self.get(lo, hi)
+            .filter(|held| lo == 0 || !held.mirror)
+            .map(|held| held.nnz)
+    }
+}
+
+/// The links an anchored row over the first `len` steps of a priced path
+/// propagates through, as inclusive step spans `(lo, hi)` with the resident
+/// product's nnz: from the left, at each step the longest product starting
+/// there that the pricing pass found, else that step alone (`nnz` `None`:
+/// its relation). The first link seeds the row and may be held as its
+/// reversal, which serves it transposed. A later link must be resident
+/// under its own key: serving a reversal mid-chain stores its transpose,
+/// and in a one-shard cache, the only one where a product and its mirror
+/// share a slice, that store can evict the original, which the next row
+/// transposes back.
 ///
-/// Non-counting ([`MatrixCache::peek_nnz`]): both `EXPLAIN`'s seed and the
-/// engine's propagation lay a row out here, and the engine then looks up
-/// the products it was given, so a product evicted in between degrades to
-/// its relations.
-pub(crate) fn row_links(
-    cache: &MatrixCache,
-    key: &[StepKey],
-) -> Vec<(usize, usize, Option<usize>)> {
-    let mut links = Vec::with_capacity(key.len());
+/// Read from the plan's [`Residency`], not the cache: `EXPLAIN`'s seed and
+/// the engine's propagation lay a row out from one view by construction,
+/// and the engine then looks up, counting, only the products it was given,
+/// so a product evicted in between degrades to its relations.
+pub(crate) fn row_links(residency: &Residency, len: usize) -> Vec<(usize, usize, Option<usize>)> {
+    let mut links = Vec::with_capacity(len);
     let mut lo = 0;
-    while lo < key.len() {
-        let product = (lo + 1..key.len())
+    while lo < len {
+        let product = (lo + 1..len)
             .rev()
-            .find_map(|hi| Some((hi, cache.peek_link(&key[lo..=hi], lo == 0)?)));
+            .find_map(|hi| Some((hi, residency.link(lo, hi)?)));
         match product {
             Some((hi, nnz)) => {
                 links.push((lo, hi, Some(nnz)));
