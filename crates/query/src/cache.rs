@@ -66,9 +66,7 @@
 //! table against keys chosen by an adversary to collide, and these keys are
 //! relation ids the schema resolved, never client bytes, so its rounds
 //! would buy nothing on a lookup the planner repeats per sub-span of every
-//! query. A key's mirror and
-//! canonical form are spelled on the stack (`mirror`, `canonical`), so
-//! asking about either orientation copies nothing to the heap.
+//! query.
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
@@ -130,59 +128,22 @@ impl std::hash::Hasher for KeyHasher {
 /// A map keyed by [`PathKey`], hashed by [`KeyHasher`]: the one spelling of
 /// such a map, which every table keyed by a sub-path uses. Look a key up by
 /// `&[StepKey]`: nothing is copied to ask.
-pub(crate) type KeyMap<V> = HashMap<Vec<StepKey>, V, BuildHasherDefault<KeyHasher>>;
-
-/// The longest key whose [`mirror`] or [`canonical`] form is spelled on
-/// the stack; a longer key's is a `Vec`. Meta-paths worth asking about are
-/// far shorter.
-const STACK_STEPS: usize = 16;
-
-/// A key spelled on the stack when it has at most [`STACK_STEPS`] steps,
-/// in a `Vec` otherwise; reads as `[StepKey]`.
-#[allow(clippy::large_enum_variant)] // the large variant is the point: no heap
-pub(crate) enum KeyBuf {
-    Stack([StepKey; STACK_STEPS], usize),
-    Heap(PathKey),
-}
-
-impl KeyBuf {
-    /// Spell the `len` steps `steps` yields.
-    fn from_steps(len: usize, steps: impl Iterator<Item = StepKey>) -> Self {
-        if len > STACK_STEPS {
-            return KeyBuf::Heap(steps.collect());
-        }
-        let mut buf = [(0, false); STACK_STEPS];
-        for (slot, step) in buf.iter_mut().zip(steps) {
-            *slot = step;
-        }
-        KeyBuf::Stack(buf, len)
-    }
-}
-
-impl std::ops::Deref for KeyBuf {
-    type Target = [StepKey];
-
-    fn deref(&self) -> &[StepKey] {
-        match self {
-            KeyBuf::Stack(buf, len) => &buf[..*len],
-            KeyBuf::Heap(key) => key,
-        }
-    }
-}
+pub(crate) type KeyMap<V> = HashMap<PathKey, V, BuildHasherDefault<KeyHasher>>;
 
 /// The key of the reversed sub-path (reverse order, flip directions).
-pub(crate) fn mirror(key: &[StepKey]) -> KeyBuf {
-    KeyBuf::from_steps(key.len(), key.iter().rev().map(|&(r, fwd)| (r, !fwd)))
+pub(crate) fn reversed_key(key: &[StepKey]) -> PathKey {
+    key.iter().rev().map(|&(r, fwd)| (r, !fwd)).collect()
 }
 
-/// The lexicographically smaller of `key` and its [`mirror`]: one name for
-/// a span and its mirror, which are served by one product (the other is
-/// its transpose) and so share heat and known size.
-pub(crate) fn canonical(key: &[StepKey]) -> KeyBuf {
-    let rev = mirror(key);
-    match *rev < *key {
-        true => rev,
-        false => KeyBuf::from_steps(key.len(), key.iter().copied()),
+/// The lexicographically smaller of `key` and its reversal: one name for a
+/// span and its mirror, which are served by one product (the other is its
+/// transpose) and so share heat and known size.
+pub(crate) fn canonical_key(key: &[StepKey]) -> PathKey {
+    let rev = reversed_key(key);
+    if rev.as_slice() < key {
+        rev
+    } else {
+        key.to_vec()
     }
 }
 
@@ -463,7 +424,7 @@ pub struct MatrixCache {
     /// `shards.len() - 1`; the shard count is a power of two.
     shard_mask: usize,
     budget_per_shard: Option<usize>,
-    /// Products found larger than a shard slice, by [`canonical`] key, with
+    /// Products found larger than a shard slice, by [`canonical_key`], with
     /// their real [`Csr::nbytes`]: what [`MatrixCache::admits`] consults so
     /// an under-estimated span is materialized once, not on every
     /// re-heating. Bounded by [`OVERSIZE_CAP`]; only ever touched when the
@@ -701,7 +662,7 @@ impl MatrixCache {
     }
 
     /// Index of the shard `key` lives in: FNV-1a over the step words of its
-    /// [`canonical`] key, folded so the multiplier's well-mixed high half
+    /// [`canonical_key`], folded so the multiplier's well-mixed high half
     /// reaches the mask, with the low bit flipped when `key` is the mirror
     /// of its canonical form. So a span and its mirror — a product and its
     /// transpose, which a symmetric row reads together — always land in
@@ -731,7 +692,7 @@ impl MatrixCache {
     /// Always `Ok` for an unbounded cache (no lock taken). Otherwise refused
     /// when `est_bytes` exceeds one shard's slice, or when `key` or its
     /// reversal was already materialized and found larger than the slice.
-    /// Non-counting, like [`MatrixCache::peek_nnz`].
+    /// Non-counting, like [`MatrixCache::peek_exact`].
     pub(crate) fn admission(&self, key: &[StepKey], est_bytes: usize) -> Result<(), Refusal> {
         let Some(slice_bytes) = self.budget_per_shard else {
             return Ok(());
@@ -742,9 +703,9 @@ impl MatrixCache {
                 slice_bytes,
             });
         }
-        let canonical = canonical(key);
+        let canonical = canonical_key(key);
         let oversize = self.oversize.lock().unwrap_or_else(PoisonError::into_inner);
-        match oversize.get(&*canonical) {
+        match oversize.get(&canonical) {
             Some(&bytes) => Err(Refusal::Product { bytes }),
             None => Ok(()),
         }
@@ -864,7 +825,7 @@ impl MatrixCache {
             self.counters
                 .refused_bytes
                 .fetch_add(bytes as u64, Ordering::Relaxed);
-            let canonical = canonical(&key).to_vec();
+            let canonical = canonical_key(&key);
             let mut oversize = self.oversize.lock().unwrap_or_else(PoisonError::into_inner);
             if oversize.len() >= OVERSIZE_CAP {
                 oversize.clear();
@@ -973,22 +934,11 @@ impl MatrixCache {
         answer
     }
 
-    /// Non-counting lookup used by the planner: is this sub-path (or its
-    /// reversal) available, and at what nnz? Does not refresh recency — a
-    /// plan is a forecast, not a use. The planner's pricing pass
-    /// (`plan::Residency`) asks [`MatrixCache::peek_exact`] itself, so that
-    /// it looks at each orientation of a sub-path once.
-    #[cfg(test)]
-    pub(crate) fn peek_nnz(&self, key: &[StepKey]) -> Option<usize> {
-        let rev = mirror(key);
-        self.peek_exact(key).or_else(|| match *rev == *key {
-            true => None,
-            false => self.peek_exact(&rev),
-        })
-    }
-
-    /// [`MatrixCache::peek_nnz`] of exactly `key`, its reversal not
-    /// consulted.
+    /// Non-counting lookup used by the planner: is exactly `key` resident,
+    /// and at what nnz? Its reversal is not consulted: the planner's
+    /// pricing pass (`plan::Residency`) asks for each orientation of a
+    /// sub-path itself, once. Does not refresh recency — a plan is a
+    /// forecast, not a use.
     pub(crate) fn peek_exact(&self, key: &[StepKey]) -> Option<usize> {
         #[cfg(test)]
         PEEKS.with(|peeks| *peeks.borrow_mut().entry(key.to_vec()).or_insert(0) += 1);
@@ -1024,8 +974,8 @@ impl MatrixCache {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Some((m, Some(sidecar)));
         }
-        let rev = mirror(key);
-        if *rev == *key {
+        let rev = reversed_key(key);
+        if rev == key {
             return None; // palindromic key: the reversal is itself
         }
         if let Some((m, _)) = self.resident(&rev, true) {
@@ -1237,6 +1187,7 @@ impl CacheOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::Residency;
 
     fn sample() -> Arc<Csr> {
         Arc::new(Csr::from_triplets(2, 3, [(0u32, 1u32, 2.0), (1, 2, 5.0)]))
@@ -1258,7 +1209,7 @@ mod tests {
         assert_eq!(cache.stats().symmetry_hits, 0);
 
         // reversed key served through a transpose
-        let rev = mirror(&key).to_vec();
+        let rev = reversed_key(&key);
         assert_eq!(rev, vec![(1, true), (0, false)]);
         let t = cache.get(&rev).expect("transpose reuse");
         assert_eq!(t.nrows(), 3);
@@ -1279,10 +1230,9 @@ mod tests {
         let cache = MatrixCache::default();
         let key: PathKey = vec![(3, true)];
         cache.put(key.clone(), sample());
-        assert!(cache.peek_nnz(&key).is_some());
-        assert_eq!(cache.peek_nnz(&key), Some(2));
-        assert!(cache.peek_nnz(&mirror(&key)).is_some());
-        assert!(cache.peek_nnz(&[(9, true)]).is_none());
+        assert_eq!(cache.peek_exact(&key), Some(2));
+        assert_eq!(cache.peek_exact(&reversed_key(&key)), None, "exact only");
+        assert!(cache.peek_exact(&[(9, true)]).is_none());
         assert_eq!(cache.stats().hits, 0, "peek never counts a hit");
         assert_eq!(cache.stats().misses, 1, "only the initial put counted");
     }
@@ -1290,7 +1240,7 @@ mod tests {
     #[test]
     fn palindromic_keys_are_their_own_reversal() {
         let key: PathKey = vec![(0, true), (0, false)];
-        assert_eq!(*mirror(&key), *key);
+        assert_eq!(reversed_key(&key), key);
         // and looking one up must not hit the symmetry path
         let cache = MatrixCache::default();
         assert!(cache.get(&key).is_none());
@@ -1409,42 +1359,47 @@ mod tests {
             bytes: big.nbytes(),
         });
         assert_eq!(cache.admission(&key, 1), known);
-        assert_eq!(cache.admission(&mirror(&key), 1), known);
+        assert_eq!(cache.admission(&reversed_key(&key), 1), known);
         assert!(cache.admits(&[(0, false), (2, true)], 1), "other keys are");
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, 0, "admission never counts");
     }
 
     #[test]
-    fn a_key_longer_than_the_stack_buffer_is_looked_up_as_a_short_one() {
+    fn keys_of_any_length_are_looked_up_through_their_mirror() {
         let straight = |len: usize| -> PathKey { (0..len).map(|r| (r, true)).collect() };
         let palindrome = |len: usize| -> PathKey {
             let half = straight(len / 2);
-            [half.as_slice(), &mirror(&half)].concat()
+            [half.as_slice(), &reversed_key(&half)].concat()
         };
         let keys = [
             (straight(4), false),
             (palindrome(4), true),
-            (straight(STACK_STEPS + 1), false),
-            (palindrome(STACK_STEPS + 2), true),
+            (straight(17), false),
+            (palindrome(18), true),
         ];
         for (key, symmetric) in keys {
-            let rev = mirror(&key).to_vec();
+            let rev = reversed_key(&key);
             assert_eq!(rev == key, symmetric);
-            assert_eq!(*mirror(&rev), *key);
-            assert_eq!(*canonical(&key), *key.clone().min(rev.clone()));
+            assert_eq!(reversed_key(&rev), key);
+            assert_eq!(canonical_key(&key), key.clone().min(rev.clone()));
+            let whole = key.len() - 1;
 
-            // missing: one look per orientation, nothing served
+            // missing: the pricing pass looks each orientation up once
             let cache = MatrixCache::default();
             PEEKS.with(|p| p.borrow_mut().clear());
-            assert_eq!(cache.peek_nnz(&key), None);
-            let looks: u32 = PEEKS.with(|p| p.borrow().values().sum());
-            assert_eq!(looks, if symmetric { 1 } else { 2 }, "{} steps", key.len());
+            assert!(Residency::price(&cache, &key, true).get(0, whole).is_none());
+            let peeks = PEEKS.with(|p| p.take());
+            assert_eq!(peeks.get(&key), Some(&1), "{} steps", key.len());
+            assert_eq!(peeks.get(&rev), Some(&1));
+            assert!(peeks.values().all(|&n| n == 1), "{} steps", key.len());
             assert!(cache.probe(&key).is_none());
 
-            // resident: peeked and probed through its mirror
+            // resident: priced and probed through its mirror
             cache.put(key.clone(), sample());
-            assert_eq!(cache.peek_nnz(&rev), Some(2));
+            let held = Residency::price(&cache, &rev, true).get(0, whole);
+            let held = held.expect("resident or its mirror is");
+            assert_eq!((held.nnz, held.mirror), (2, !symmetric));
             let (m, _) = cache.probe(&rev).expect("resident or its mirror is");
             let stats = cache.stats();
             assert_eq!((stats.hits, stats.symmetry_hits), (1, !symmetric as u64));
@@ -1542,7 +1497,7 @@ mod tests {
             let mask = shards - 1;
             let (mut palindromes, mut mirrored) = (0, 0);
             for key in &all {
-                let (rev, canonical) = (mirror(key).to_vec(), canonical(key).to_vec());
+                let (rev, canonical) = (reversed_key(key), canonical_key(key));
                 let at = cache.shard_index(key);
                 if *key == canonical {
                     // a palindrome is canonical too

@@ -13,7 +13,7 @@ use hin_similarity::{
 };
 
 use crate::cache::{
-    canonical, key_of, CacheConfig, CacheOutcome, CacheStats, KeyMap, MatrixCache, PathKey,
+    canonical_key, key_of, CacheConfig, CacheOutcome, CacheStats, KeyMap, MatrixCache, PathKey,
     Scoring, Sidecar, StepKey,
 };
 use crate::error::QueryError;
@@ -249,7 +249,7 @@ pub struct Engine {
     cache: Arc<MatrixCache>,
     policy: ExecPolicy,
     /// Per-span lazy-execution counters driving heat-based promotion.
-    /// Keyed by [`canonical`] key, so a path and its mirror heat one
+    /// Keyed by [`canonical_key`], so a path and its mirror heat one
     /// counter (a promotion serves both through the cache's transpose
     /// reuse). Holds only spans cache admission let in.
     heat: Mutex<KeyMap<u32>>,
@@ -413,8 +413,7 @@ impl Engine {
     fn explain(&self, resolved: &ResolvedQuery) -> QueryPlan {
         let steps = resolved.path.steps();
         let key = key_of(steps);
-        let mut plan = plan_priced(&self.hin, steps, Residency::price(&self.cache, &key, true));
-        plan.label(&self.hin, steps);
+        let mut plan = plan_steps(&self.hin, steps, &self.cache);
         if self.propagates(resolved, &plan) {
             let seed = match row_links(&plan.residency, steps.len())[0] {
                 (_, hi, Some(_)) => Some((0, hi)),
@@ -449,7 +448,7 @@ impl Engine {
             } else {
                 let heat = self.heat.lock().unwrap_or_else(PoisonError::into_inner);
                 Factor::Heating {
-                    run: heat.get(&*canonical(&key[lo..hi])).copied().unwrap_or(0) + 1,
+                    run: heat.get(&canonical_key(&key[lo..hi])).copied().unwrap_or(0) + 1,
                     of: self.policy.promote_after,
                 }
             }
@@ -483,7 +482,7 @@ impl Engine {
             Ok(()) => {
                 let heat = self.heat.lock().unwrap_or_else(PoisonError::into_inner);
                 Promotion::Heating {
-                    run: heat.get(&*canonical(key)).copied().unwrap_or(0) + 1,
+                    run: heat.get(&canonical_key(key)).copied().unwrap_or(0) + 1,
                     of: self.policy.promote_after,
                 }
             }
@@ -715,11 +714,11 @@ impl Engine {
             }
             return false;
         }
-        self.heat_once(&canonical(key))
+        self.heat_once(&canonical_key(key))
     }
 
     /// Record one lazy run of the span or half `heat_key` names (its
-    /// [`canonical`] key) and report whether it just crossed
+    /// [`canonical_key`]) and report whether it just crossed
     /// [`ExecPolicy::promote_after`]. A span and its reversal share one
     /// counter; a counter that crosses resets, so if the matrix is later
     /// evicted the span cools down and re-heats honestly. The key is copied
@@ -790,7 +789,7 @@ impl Engine {
                 self.lock_splits().remove(key);
                 return materialized;
             }
-            let heat_key = canonical(half);
+            let heat_key = canonical_key(half);
             if heated.as_deref() == Some(&*heat_key) {
                 continue;
             }
@@ -854,7 +853,8 @@ impl Engine {
             if hi - lo == 1 {
                 return Some((steps[lo].matrix(&self.hin).nnz() as f64 / rows, None));
             }
-            let plan = plan_steps(&self.hin, &steps[lo..hi], &self.cache);
+            let priced = Residency::price(&self.cache, &key[lo..hi], true);
+            let plan = plan_priced(&self.hin, &steps[lo..hi], priced);
             let cols = steps[hi - 1].matrix(&self.hin).ncols();
             let mirror_bytes = Csr::nbytes_of(cols, plan.est_nnz.ceil() as usize);
             let admitted = self
@@ -1027,7 +1027,8 @@ impl Engine {
     }
 
     fn commuting_of(&self, steps: &[PathStep]) -> Arc<Csr> {
-        let plan = plan_steps(&self.hin, steps, &self.cache);
+        let priced = Residency::price(&self.cache, &key_of(steps), true);
+        let plan = plan_priced(&self.hin, steps, priced);
         match Self::eval(&self.hin, steps, &self.cache, &plan.root, None) {
             Mat::Shared(m) => m,
             Mat::Borrowed(m) => {
@@ -2025,7 +2026,7 @@ mod tests {
             (0..100u32).flat_map(|r| (0..10u32).map(move |c| (r, (r + c * 13) % 100, 1.0))),
         ));
         for i in 0..64 {
-            if engine.cache().peek_nnz(gone).is_none() {
+            if engine.cache().peek_exact(gone).is_none() {
                 assert_eq!(
                     engine.cache().stats().inserts_refused,
                     0,
@@ -2177,7 +2178,7 @@ mod tests {
         );
         assert_answers_by_definition(&starved, &m, "never resident");
         assert_answers_by_definition(&starved, &m, "never resident, again");
-        assert!(starved.cache().peek_nnz(&key).is_none());
+        assert!(starved.cache().peek_exact(&key).is_none());
         assert_eq!(starved.stats().cache.diagonal_builds, 0);
     }
 

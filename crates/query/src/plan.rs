@@ -13,7 +13,7 @@ use hin_core::Hin;
 use hin_linalg::{spmm_chain_order_priced, Csr, MatSummary, PlanTree};
 use hin_similarity::PathStep;
 
-use crate::cache::{key_of, mirror, MatrixCache, Refusal, StepKey};
+use crate::cache::{key_of, reversed_key, MatrixCache, Refusal, StepKey};
 
 /// One node of a query's evaluation plan, over step indices `lo..=hi`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -248,8 +248,7 @@ pub struct QueryPlan {
     /// at the cache that `EXPLAIN` and execution lay a row out from.
     pub(crate) residency: Residency,
     /// Human-readable step labels (`src→dst` type names), for rendering.
-    /// Made only for a plan that is shown (`Engine::plan`); empty on a plan
-    /// from [`plan_steps`] alone, which renders its steps by index.
+    /// Empty on the engine's own execution plans, which nobody displays.
     labels: Vec<String>,
 }
 
@@ -257,27 +256,7 @@ impl QueryPlan {
     /// Render the tree with type-level step labels, e.g.
     /// `((author→paper·paper→venue)·cache[venue→paper·paper→author])`.
     pub fn describe(&self) -> String {
-        self.root.render(&self.labels())
-    }
-
-    /// Name the steps of the plan for display: `src→dst` type names of
-    /// `steps`, the path this plan was made for.
-    pub(crate) fn label(&mut self, hin: &Hin, steps: &[PathStep]) {
-        self.labels = steps
-            .iter()
-            .map(|s| {
-                let (src, dst) = s.endpoints(hin);
-                format!("{}→{}", hin.type_name(src), hin.type_name(dst))
-            })
-            .collect();
-    }
-
-    /// The step labels, or the step indices on a plan nobody labelled.
-    fn labels(&self) -> std::borrow::Cow<'_, [String]> {
-        match self.labels.is_empty() {
-            false => self.labels.as_slice().into(),
-            true => (0..=self.root.span().1).map(|i| i.to_string()).collect(),
-        }
+        self.root.render(&self.labels)
     }
 }
 
@@ -307,8 +286,7 @@ impl std::fmt::Display for QueryPlan {
             write!(f, "; promotion: {promotion}")?;
         }
         if let Some(RowRoute { at, halves: [l, r] }) = self.row_route {
-            let labels = self.labels();
-            let (left, right) = labels.split_at(at);
+            let (left, right) = self.labels.split_at(at);
             write!(f, "; row: {} · {}", l.render(left), r.render(right))?;
         }
         write!(f, ")")
@@ -333,12 +311,20 @@ thread_local! {
 /// vanished `Cached` leaf as an ordinary miss and recomputes it, so a
 /// stale plan costs time, never correctness.
 pub fn plan_steps(hin: &Hin, steps: &[PathStep], cache: &MatrixCache) -> QueryPlan {
-    let key = key_of(steps);
-    plan_priced(hin, steps, Residency::price(cache, &key, true))
+    let mut plan = plan_priced(hin, steps, Residency::price(cache, &key_of(steps), true));
+    plan.labels = steps
+        .iter()
+        .map(|s| {
+            let (src, dst) = s.endpoints(hin);
+            format!("{}→{}", hin.type_name(src), hin.type_name(dst))
+        })
+        .collect();
+    plan
 }
 
-/// [`plan_steps`] over a pricing pass already taken: `residency` prices
-/// the sub-paths of `steps`.
+/// [`plan_steps`] over a pricing pass already taken (`residency` prices
+/// the sub-paths of `steps`), without the step labels: the engine's
+/// execution plan, made on every query and never displayed.
 pub(crate) fn plan_priced(hin: &Hin, steps: &[PathStep], residency: Residency) -> QueryPlan {
     assert!(!steps.is_empty(), "plan_steps: empty step chain");
     #[cfg(test)]
@@ -449,7 +435,7 @@ impl Residency {
             let span = &key[o.lo..=o.hi];
             let nnz = match o.mirror {
                 false => cache.peek_exact(span),
-                true => cache.peek_exact(&mirror(span)),
+                true => cache.peek_exact(&reversed_key(span)),
             };
             looked.push((o, nnz));
             nnz
