@@ -64,14 +64,19 @@
 //!   request no worker has popped yet back out of its lane, under the
 //!   queue's lock (so it runs exactly once), and run it on the waiting
 //!   thread through the one function workers run their batches through —
-//!   a batch of one, counted in [`ServerStats::waiter_runs`]. A solo
-//!   request then costs no cross-thread wake-up instead of two (a parked
-//!   worker woken by the push, the parked waiter woken by the reply). A
-//!   request a worker already holds is waited for; a shard connection's
-//!   wait never runs anything, so a pipelined burst still rides the
-//!   workers' batches. Handles and tickets reach the engine weakly: it
-//!   goes with its [`Server`], and [`Server::shutdown`] waits out the
-//!   waiter runs under way.
+//!   a batch of one, counted in [`ServerStats::waiter_runs`]. A submit
+//!   wakes a worker only when no waiter will run the request (a backlog
+//!   was already queued, or the lane is a shard connection's), so a solo
+//!   request costs no cross-thread wake-up instead of two (a parked worker
+//!   woken by the push, the parked waiter woken by the reply); wakes are
+//!   counted in [`ServerStats::worker_wakes`]. A lone request runs at its
+//!   waiter's wait, its ticket's drop, a later submit that finds it queued,
+//!   or shutdown's drain, whichever comes first. A request a worker
+//!   already holds is waited for; a shard connection's wait never runs
+//!   anything, so a pipelined burst still rides the workers' batches.
+//!   Handles and tickets reach the engine weakly: it goes with its
+//!   [`Server`], and [`Server::shutdown`] waits out the waiter runs under
+//!   way.
 //! * **Names made where they are read** — a worker answers node ids
 //!   ([`IdOutput`](hin_query::IdOutput)); [`Ticket::wait`] names them on
 //!   the waiting thread, so a name is allocated and freed by one thread. A

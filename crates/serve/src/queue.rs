@@ -28,6 +28,16 @@
 //! not yet executing sits here, where the cap and longest-queue-drop see it,
 //! and leaves it exactly once.
 //!
+//! **Who is woken.** A push wakes one parked worker only when no waiting
+//! client will take the request back: when the queue already held a
+//! request (a backlog its pusher will not run), or when the pushing lane
+//! leaves every request to the workers (a shard connection's). A lone
+//! request on any other lane stays queued for its waiter, and the push
+//! makes no system call. [`FairQueue::nudge`] wakes a worker for a request
+//! whose waiter will not come after all, and [`FairQueue::close`] wakes
+//! them all. An awake worker pops until the queue is empty before it
+//! parks, so one wake drains everything queued up to it.
+//!
 //! The queue is generic over the request type so it can be unit-tested
 //! with plain values; the server instantiates it with its `Request`.
 
@@ -37,14 +47,18 @@ use std::sync::{Condvar, Mutex, PoisonError};
 /// Outcome of [`FairQueue::push`].
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Push<T> {
-    /// Accepted; a worker will pop it.
-    Queued,
+    /// Accepted. `woke`: the push woke a parked worker (see the module
+    /// docs); when it did not, the request waits for its own waiter, for a
+    /// later push that finds it queued, for a [`FairQueue::nudge`], or for
+    /// the drain after [`FairQueue::close`].
+    Queued { woke: bool },
     /// Rejected by admission control: the queue is at its depth cap and
     /// the pushing client's own lane is the (joint-)longest.
     Shed,
     /// Accepted at the depth cap by displacing the tail of the longest
     /// lane — the victim is returned so the caller can answer it with an
-    /// overload error rather than silently dropping it.
+    /// overload error rather than silently dropping it. A full queue is a
+    /// backlog, so this push always woke a worker.
     Displaced(T),
     /// Rejected because the queue was closed (server shutting down).
     Closed,
@@ -59,6 +73,8 @@ struct QueueState<T> {
     queued: usize,
     /// No further pushes are admitted; pops drain what remains.
     closing: bool,
+    /// Pushes and nudges that woke a parked worker.
+    wakes: u64,
 }
 
 /// A multi-lane FIFO with round-robin draining, an optional depth cap, and
@@ -77,6 +93,7 @@ impl<T> FairQueue<T> {
                 rotation: VecDeque::new(),
                 queued: 0,
                 closing: false,
+                wakes: 0,
             }),
             nonempty: Condvar::new(),
             depth_cap,
@@ -84,14 +101,19 @@ impl<T> FairQueue<T> {
     }
 
     /// Enqueue onto `client`'s lane, subject to admission control
-    /// (longest-queue-drop at the depth cap; see the module docs).
-    pub(crate) fn push(&self, client: u64, item: T) -> Push<T> {
-        let displaced = {
+    /// (longest-queue-drop at the depth cap; see the module docs). A
+    /// `left_to_workers` lane never takes its requests back, so its every
+    /// push wakes a worker; any other push wakes one only when the queue
+    /// already held a request.
+    pub(crate) fn push(&self, client: u64, item: T, left_to_workers: bool) -> Push<T> {
+        let (displaced, woke) = {
             let mut guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             let state = &mut *guard;
             if state.closing {
                 return Push::Closed;
             }
+            // counted before a displacement takes one out
+            let woke = left_to_workers || state.queued > 0;
             let mut displaced = None;
             if let Some(cap) = self.depth_cap {
                 if state.queued >= cap {
@@ -129,12 +151,29 @@ impl<T> FairQueue<T> {
             }
             lane.push_back(item);
             state.queued += 1;
-            displaced
+            state.wakes += u64::from(woke);
+            (displaced, woke)
         };
-        self.nonempty.notify_one();
+        if woke {
+            self.nonempty.notify_one();
+        }
         match displaced {
             Some(victim) => Push::Displaced(victim),
-            None => Push::Queued,
+            None => Push::Queued { woke },
+        }
+    }
+
+    /// Wake one parked worker if anything is queued — for a request whose
+    /// push woke nobody and whose waiter will not come after all.
+    pub(crate) fn nudge(&self) {
+        let woke = {
+            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            let woke = state.queued > 0;
+            state.wakes += u64::from(woke);
+            woke
+        };
+        if woke {
+            self.nonempty.notify_one();
         }
     }
 
@@ -208,6 +247,14 @@ impl<T> FairQueue<T> {
         self.nonempty.notify_all();
     }
 
+    /// Pushes and nudges that woke a parked worker, over the queue's life.
+    pub(crate) fn wakes(&self) -> u64 {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .wakes
+    }
+
     /// Requests currently queued (for observability; racy by nature).
     pub(crate) fn depth(&self) -> usize {
         self.state
@@ -241,10 +288,16 @@ mod tests {
     fn round_robin_interleaves_clients() {
         let q = FairQueue::new(None);
         for i in 0..5 {
-            assert_eq!(q.push(1, format!("a{i}")), Push::Queued);
+            assert_eq!(
+                q.push(1, format!("a{i}"), false),
+                Push::Queued { woke: i > 0 }
+            );
         }
         for i in 0..2 {
-            assert_eq!(q.push(2, format!("b{i}")), Push::Queued);
+            assert_eq!(
+                q.push(2, format!("b{i}"), false),
+                Push::Queued { woke: true }
+            );
         }
         // the hot client's 5 queued requests cannot starve client 2
         assert_eq!(
@@ -258,10 +311,10 @@ mod tests {
     fn share_pop_splits_the_backlog_across_the_pool() {
         let q = FairQueue::new(None);
         for i in 0..4 {
-            q.push(1, format!("a{i}"));
-            q.push(2, format!("b{i}"));
+            q.push(1, format!("a{i}"), false);
+            q.push(2, format!("b{i}"), false);
         }
-        q.push(1, "a4".to_string());
+        q.push(1, "a4".to_string(), false);
         // 9 queued over 2 workers: ceil(9 / 2) = 5, lanes still interleaved
         assert_eq!(q.pop_share(32, 2), vec!["a0", "b0", "a1", "b1", "a2"]);
         // 4 left: the share is 2, and the rotation resumes where it stopped
@@ -280,7 +333,7 @@ mod tests {
 
         let q = Arc::new(FairQueue::new(None));
         for i in 0..6u32 {
-            q.push(u64::from(i % 2), i);
+            q.push(u64::from(i % 2), i, false);
         }
         let parked = Arc::new(Barrier::new(5));
         let poppers: Vec<_> = (0..4)
@@ -314,9 +367,9 @@ mod tests {
     fn late_client_is_one_rotation_from_dispatch() {
         let q = FairQueue::new(None);
         for i in 0..100 {
-            q.push(7, i);
+            q.push(7, i, false);
         }
-        q.push(8, 1000);
+        q.push(8, 1000, false);
         let batch = q.pop_share(2, 1);
         assert_eq!(batch, vec![0, 1000], "newcomer served in the next slot");
     }
@@ -324,25 +377,29 @@ mod tests {
     #[test]
     fn depth_cap_sheds_not_queues() {
         let q = FairQueue::new(Some(2));
-        assert_eq!(q.push(1, "x"), Push::Queued);
-        assert_eq!(q.push(2, "y"), Push::Queued);
-        assert_eq!(q.push(1, "z"), Push::Shed, "own lane is joint-longest");
+        assert_eq!(q.push(1, "x", false), Push::Queued { woke: false });
+        assert_eq!(q.push(2, "y", false), Push::Queued { woke: true });
+        assert_eq!(
+            q.push(1, "z", false),
+            Push::Shed,
+            "own lane is joint-longest"
+        );
         assert_eq!(q.depth(), 2, "shed requests take no memory");
         // draining reopens admission
         assert_eq!(q.pop_share(1, 1), vec!["x"]);
-        assert_eq!(q.push(1, "z"), Push::Queued);
+        assert_eq!(q.push(1, "z", false), Push::Queued { woke: true });
     }
 
     #[test]
     fn full_queue_displaces_the_flooder_not_the_newcomer() {
         let q = FairQueue::new(Some(3));
         for i in 0..3 {
-            assert_eq!(q.push(7, i), Push::Queued);
+            assert_eq!(q.push(7, i, false), Push::Queued { woke: i > 0 });
         }
         // the flooder's own next push is shed…
-        assert_eq!(q.push(7, 3), Push::Shed);
+        assert_eq!(q.push(7, 3, false), Push::Shed);
         // …but a newcomer is admitted by displacing the flooder's tail
-        assert_eq!(q.push(8, 100), Push::Displaced(2));
+        assert_eq!(q.push(8, 100, false), Push::Displaced(2));
         assert_eq!(q.depth(), 3, "cap still holds after displacement");
         assert_eq!(
             q.pop_share(4, 1),
@@ -354,8 +411,8 @@ mod tests {
     #[test]
     fn displacing_a_single_entry_lane_keeps_rotation_consistent() {
         let q = FairQueue::new(Some(1));
-        assert_eq!(q.push(1, "a"), Push::Queued);
-        assert_eq!(q.push(2, "b"), Push::Displaced("a"));
+        assert_eq!(q.push(1, "a", false), Push::Queued { woke: false });
+        assert_eq!(q.push(2, "b", false), Push::Displaced("a"));
         assert_eq!(q.depth(), 1);
         assert_eq!(
             q.pop_share(4, 1),
@@ -369,9 +426,9 @@ mod tests {
         let q = FairQueue::new(None);
         assert!(q.lane_depths().is_empty());
         for i in 0..3 {
-            q.push(9, i);
+            q.push(9, i, false);
         }
-        q.push(2, 100);
+        q.push(2, 100, false);
         assert_eq!(q.lane_depths(), vec![(2, 1), (9, 3)]);
         assert_eq!(q.depth(), 4);
         // draining a lane empty removes it from the report
@@ -383,10 +440,10 @@ mod tests {
     fn take_removes_one_picked_request_and_keeps_the_rotation() {
         let q = FairQueue::new(None);
         for i in 0..3 {
-            q.push(1, format!("a{i}"));
+            q.push(1, format!("a{i}"), false);
         }
-        q.push(2, "b0".to_string());
-        q.push(3, "c0".to_string());
+        q.push(2, "b0".to_string(), false);
+        q.push(3, "c0".to_string(), false);
         // from the middle of a lane: the rest of the lane keeps its order
         assert_eq!(q.take(1, |r| r == "a1"), Some("a1".to_string()));
         assert_eq!(q.take(1, |r| r == "a1"), None, "taken once");
@@ -399,8 +456,8 @@ mod tests {
         assert_eq!(q.pop_share(10, 1), vec!["a0", "c0", "a2"]);
         assert_eq!(q.depth(), 0);
         // a take after close still drains, and what it took is not popped
-        q.push(4, "d0".to_string());
-        q.push(4, "d1".to_string());
+        q.push(4, "d0".to_string(), false);
+        q.push(4, "d1".to_string(), false);
         q.close();
         assert_eq!(q.take(4, |r| r == "d0"), Some("d0".to_string()));
         assert_eq!(q.pop_share(10, 1), vec!["d1"]);
@@ -410,10 +467,10 @@ mod tests {
     #[test]
     fn close_drains_then_signals_exit() {
         let q = FairQueue::new(None);
-        q.push(1, "a");
-        q.push(1, "b");
+        q.push(1, "a", false);
+        q.push(1, "b", false);
         q.close();
-        assert_eq!(q.push(1, "c"), Push::Closed);
+        assert_eq!(q.push(1, "c", false), Push::Closed);
         assert_eq!(q.pop_share(10, 1), vec!["a", "b"], "pre-close work drains");
         assert!(q.pop_share(10, 1).is_empty(), "then the empty batch = exit");
     }
@@ -453,8 +510,8 @@ mod tests {
                     for i in 0..500u64 {
                         let fresh_lane = t * 1000 + i;
                         let item = t * 1_000_000 + i;
-                        match q.push(fresh_lane, item) {
-                            Push::Queued => {
+                        match q.push(fresh_lane, item, false) {
+                            Push::Queued { .. } => {
                                 accepted.fetch_add(1, Ordering::Relaxed);
                                 pushed_sum += item;
                             }
@@ -480,21 +537,30 @@ mod tests {
         );
         assert_eq!(drained_sum, accepted_sum, "…with its exact payload");
         assert_eq!(q.depth(), 0);
-        assert_eq!(q.push(1, 1), Push::Closed, "the queue stays closed");
+        assert_eq!(q.push(1, 1, false), Push::Closed, "the queue stays closed");
     }
 
     #[test]
     fn blocked_pop_wakes_on_push_and_on_close() {
         use std::sync::Arc;
 
+        // a lone push is left to its waiter; the push behind it finds a
+        // backlog and wakes the popper, which drains both
         let q = Arc::new(FairQueue::new(None));
         let popper = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_share(4, 1))
+            std::thread::spawn(move || {
+                let mut got = Vec::new();
+                while got.len() < 2 {
+                    got.extend(q.pop_share(4, 1));
+                }
+                got
+            })
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
-        q.push(3, 42);
-        assert_eq!(popper.join().unwrap(), vec![42]);
+        assert_eq!(q.push(3, 42, false), Push::Queued { woke: false });
+        assert_eq!(q.push(3, 43, false), Push::Queued { woke: true });
+        assert_eq!(popper.join().unwrap(), vec![42, 43]);
 
         let q2 = Arc::new(FairQueue::<u32>::new(None));
         let popper = {
@@ -504,5 +570,44 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         q2.close();
         assert!(popper.join().unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_push_wakes_a_worker_only_when_no_waiter_will_take_it() {
+        use std::sync::Arc;
+        use std::time::Duration;
+
+        let q = Arc::new(FairQueue::new(None));
+        let parked_popper = || {
+            let q = Arc::clone(&q);
+            let popper = std::thread::spawn(move || q.pop_share(4, 1));
+            std::thread::sleep(Duration::from_millis(20));
+            popper
+        };
+        // a lone request is left to its waiter, who takes it back
+        assert_eq!(q.push(1, 10, false), Push::Queued { woke: false });
+        assert_eq!(q.take(1, |_| true), Some(10));
+        assert_eq!(q.wakes(), 0);
+        // a lane that leaves its requests to the workers wakes one even
+        // on an empty queue
+        let popper = parked_popper();
+        assert_eq!(q.push(2, 20, true), Push::Queued { woke: true });
+        assert_eq!(popper.join().unwrap(), vec![20]);
+        // a lone request whose waiter will not come is nudged to a worker
+        let popper = parked_popper();
+        assert_eq!(q.push(1, 30, false), Push::Queued { woke: false });
+        q.nudge();
+        assert_eq!(popper.join().unwrap(), vec![30]);
+        // a nudge at an empty queue wakes nobody and is not counted
+        let wakes = q.wakes();
+        q.nudge();
+        assert_eq!(q.wakes(), wakes);
+        // a full queue is a backlog: a displacing push wakes, a shed one
+        // does not
+        let capped = FairQueue::new(Some(1));
+        assert_eq!(capped.push(1, "a", false), Push::Queued { woke: false });
+        assert_eq!(capped.push(2, "b", false), Push::Displaced("a"));
+        assert_eq!(capped.push(2, "c", false), Push::Shed);
+        assert_eq!(capped.wakes(), 1);
     }
 }

@@ -263,7 +263,7 @@ enum Reply {
 /// tail, nobody else's): admit every frame already read, then answer the
 /// burst — until EOF, a wire error, a stop, or a fault ends it.
 fn serve_conn(shared: &ListenerShared, stream: TcpStream) {
-    let lane = shared.server.handle();
+    let lane = shared.server.handle().leave_to_workers();
     let mut reader = BufReader::new(&stream);
     let (mut burst, mut out) = (Vec::new(), Vec::new());
     while !shared.stop.load(Ordering::SeqCst) {
@@ -1576,6 +1576,70 @@ mod tests {
             assert_eq!(result, reference.execute(query));
         }
         drop((a, b));
+        listener.shutdown();
+    }
+
+    #[test]
+    fn a_pipelined_burst_onto_an_empty_queue_is_left_to_the_workers() {
+        let hin = bib();
+        let reference = Engine::from_arc(Arc::clone(&hin));
+        let listener = ShardListener::start(
+            Arc::clone(&hin),
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("bind");
+        // let the worker park: one still starting up is awake, and would
+        // pop the burst without being woken
+        std::thread::sleep(Duration::from_millis(50));
+        let stream = TcpStream::connect(listener.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let queries = [
+            "pathsim author-paper-author from a0",
+            "pathcount author-paper-venue from a1",
+            "neighbors written_by from p0",
+        ];
+        let frames = |ids: std::ops::Range<u64>| {
+            let mut frames = Vec::new();
+            for id in ids {
+                let query = queries[id as usize].to_string();
+                Message::Request {
+                    id,
+                    ttl_micros: 0,
+                    query,
+                }
+                .write_to(&mut frames)
+                .unwrap();
+            }
+            frames
+        };
+        let answers = |ids: std::ops::Range<u64>| {
+            for id in ids {
+                match Message::read_from(&mut &stream).expect("an answer within ten seconds") {
+                    Message::Response { id: got, result } => {
+                        assert_eq!(got, id);
+                        assert_eq!(result, reference.execute(queries[id as usize]));
+                    }
+                    other => panic!("expected a response, got {other:?}"),
+                }
+            }
+        };
+        // a burst of one lands on an empty queue, and the connection waits
+        // on it without running it: only its push can wake the worker
+        (&stream).write_all(&frames(0..1)).unwrap();
+        answers(0..1);
+        // so does the first of a longer burst, which is answered only once
+        // the whole burst is admitted
+        (&stream).write_all(&frames(1..3)).unwrap();
+        answers(1..3);
+        let stats = listener.stats();
+        assert_eq!((stats.served, stats.waiter_runs), (3, 0));
+        assert_eq!(stats.worker_wakes, 3, "a connection's every push wakes");
+        drop(stream);
         listener.shutdown();
     }
 

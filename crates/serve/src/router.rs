@@ -307,6 +307,7 @@ impl RouterStats {
             w.counter("hin_shed_expired_total", &ds, s.shed_expired);
             w.counter("hin_batches_total", &ds, s.batches);
             w.counter("hin_waiter_runs_total", &ds, s.waiter_runs);
+            w.counter("hin_worker_wakes_total", &ds, s.worker_wakes);
             w.counter("hin_anchored_fast_paths_total", &ds, s.anchored_fast_paths);
             w.counter("hin_promotions_total", &ds, s.promotions);
             w.counter("hin_promotions_refused_total", &ds, s.promotions_refused);

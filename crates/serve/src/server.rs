@@ -11,9 +11,15 @@
 //! waiting thread through [`serve`], the one function a worker runs on a
 //! popped batch. The take is made under the queue's lock, so each request
 //! runs exactly once: a worker's pop or its waiter's take removes it. Only
-//! a request a worker already holds is waited for. A solo request run by
-//! its waiter costs no cross-thread wake-up; run by a worker it costs two
-//! (the push waking a parked worker, the reply waking the parked waiter).
+//! a request a worker already holds is waited for.
+//!
+//! A submit wakes a parked worker only when no waiter will run the
+//! request: when the queue already held a request, or when the lane is a
+//! shard connection's, whose waits never run anything. A solo request is
+//! left to its waiter and costs no cross-thread wake-up; run by a worker it
+//! costs two (the push waking a parked worker, the reply waking the parked
+//! waiter). A ticket dropped unwaited wakes a worker for its request if the
+//! submit did not. [`ServerHandle::submit`] states when a request runs.
 //!
 //! * A request its waiter runs is still shed [`QueryError::TimedOut`] by
 //!   the same deadline sweep, and counts as a batch of one.
@@ -23,8 +29,9 @@
 //!   it delays that waiter by one re-plan of an already-slow query (one
 //!   past [`TelemetryConfig::slow_query`], 100 ms by default).
 //! * A shard connection's wait does not help: it admits a pipelined burst
-//!   before it waits on any of it, and the burst is the workers' batch. A
-//!   remote client's tickets have no queue to take from.
+//!   before it waits on any of it, and the burst is the workers' batch, so
+//!   its every push wakes a worker. A remote client's tickets have no
+//!   queue to take from.
 //!
 //! Handles and tickets reach the engine weakly, so it is freed when the
 //! [`Server`] goes however long they live; shutdown waits out the waiter
@@ -383,6 +390,13 @@ pub struct ServerStats {
     /// [`Ticket::wait`]). A subset of `batches`; with `served`, it reads as
     /// the share of the traffic no worker ran.
     pub waiter_runs: u64,
+    /// Submits and dropped tickets that signalled the workers (see
+    /// [`ServerHandle::submit`]): a parked worker wakes; with none parked,
+    /// a busy worker pops the request at its next pop. Per served request
+    /// it reads near 0 when waiters run their own requests one at a time,
+    /// and 1 when every request is left to the workers, as a shard
+    /// connection's are.
+    pub worker_wakes: u64,
     /// Worker threads.
     pub workers: usize,
     /// Requests queued awaiting a worker at the moment of the stats call
@@ -504,6 +518,7 @@ impl ServerStats {
             batches: self.batches + other.batches,
             max_batch: self.max_batch.max(other.max_batch),
             waiter_runs: self.waiter_runs + other.waiter_runs,
+            worker_wakes: self.worker_wakes + other.worker_wakes,
             workers: self.workers + other.workers,
             queue_depth: self.queue_depth + other.queue_depth,
             lane_depths,
@@ -544,17 +559,27 @@ impl ServerStats {
 
 /// The pending result of a submitted query.
 ///
-/// Dropping a ticket is fine — the worker's send just fails silently and
-/// the query's work still warms the shared cache.
+/// A server's ticket carries the handle that submitted it: waiting on it
+/// runs the request on the waiting thread when no worker has popped it yet
+/// (see [`Ticket::wait`]). A server answers with node ids; the ticket names
+/// them on the thread that waits, so each name is allocated where it is
+/// read and freed.
 ///
-/// A server answers with node ids; the ticket names them on the thread
-/// that waits, so each name is allocated where it is read and freed.
+/// Dropping a ticket unwaited is fine: the query still runs, its answer is
+/// discarded, and its work still warms the shared cache. If its submit
+/// woke no worker, the drop wakes one for it.
 ///
-/// A server's ticket also carries the handle that submitted it: waiting on
-/// it runs the request on the waiting thread when no worker has popped it
-/// yet (see [`Ticket::wait`]).
+/// A submitted request runs exactly once, at the earliest of: its ticket's
+/// [`Ticket::wait`] or [`Ticket::wait_timeout`]; its ticket being dropped;
+/// any later submit that finds a request queued; the drain of
+/// [`Server::shutdown`]. So a lone request whose ticket is held, neither
+/// waited on nor dropped, with no other traffic, stays queued until one of
+/// those comes (see [`ServerHandle::submit`]).
 pub struct Ticket {
     state: TicketState,
+    /// Set when the submit woke no worker, leaving the request to this
+    /// ticket's wait: dropped unwaited instead, the ticket wakes one.
+    wake_on_drop: bool,
 }
 
 enum TicketState {
@@ -572,6 +597,7 @@ impl Ticket {
     pub(crate) fn refused(err: QueryError) -> Ticket {
         Ticket {
             state: TicketState::Refused(err),
+            wake_on_drop: false,
         }
     }
 
@@ -589,7 +615,11 @@ impl Ticket {
             answer: Err(QueryError::Canceled),
         };
         let state = TicketState::Pending(slot, home);
-        (sender, Ticket { state })
+        let ticket = Ticket {
+            state,
+            wake_on_drop: false,
+        };
+        (sender, ticket)
     }
 
     /// Take the answer out of the slot, blocking until it arrives — for at
@@ -599,8 +629,11 @@ impl Ticket {
     /// slot before the wait. The slot's lock is released before this
     /// returns: nothing the caller does with the answer runs under it. Also
     /// returns the ticket's handle, for naming.
-    fn take(self, timeout: Option<Duration>, run_own: bool) -> (Answer, Option<ServerHandle>) {
-        let (slot, home) = match self.state {
+    fn take(mut self, timeout: Option<Duration>, run_own: bool) -> (Answer, Option<ServerHandle>) {
+        // what this ticket's drop then finds is refused: a ticket consumed
+        // by a wait wakes nobody
+        let state = std::mem::replace(&mut self.state, TicketState::Refused(QueryError::Canceled));
+        let (slot, home) = match state {
             TicketState::Pending(slot, home) => (slot, home),
             TicketState::Refused(err) => return (Err(err), None),
         };
@@ -630,7 +663,8 @@ impl Ticket {
     /// [`Ticket::wait`]. Unlike those, it never runs the request on this
     /// thread: a connection admits a pipelined burst before it waits on
     /// any of it, so that the burst rides the workers' batches, each
-    /// connection on its own fairness lane.
+    /// connection on its own fairness lane — one left to the workers
+    /// ([`ServerHandle::leave_to_workers`]), whose every push wakes one.
     pub(crate) fn wait_resolved(self, timeout: Option<Duration>) -> Answer {
         self.take(timeout, false).0
     }
@@ -687,6 +721,14 @@ impl Ticket {
     }
 }
 
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        if let (true, TicketState::Pending(_, Some(home))) = (self.wake_on_drop, &self.state) {
+            home.shared.queue.nudge();
+        }
+    }
+}
+
 /// A cloneable submission handle — one fairness lane.
 ///
 /// Each call to [`Server::handle`] opens a *new* client lane in the fair
@@ -697,6 +739,9 @@ impl Ticket {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     client: u64,
+    /// This lane's waiters never run its requests (a shard connection's):
+    /// its every submit wakes a worker.
+    left_to_workers: bool,
 }
 
 impl ServerHandle {
@@ -709,6 +754,21 @@ impl ServerHandle {
     /// and *its* ticket resolves `Overloaded` instead. After
     /// [`Server::shutdown`] the ticket resolves to
     /// [`QueryError::Canceled`].
+    ///
+    /// A submit wakes a parked worker only when no waiting thread will run
+    /// the request: when the queue already holds a request. A request
+    /// submitted onto an empty queue is left to its ticket's wait, which
+    /// runs it on the waiting thread with no cross-thread wake-up. So the
+    /// request runs exactly once, at the earliest of:
+    ///
+    /// * its ticket's [`Ticket::wait`] or [`Ticket::wait_timeout`];
+    /// * its ticket being dropped unwaited, which wakes a worker for it;
+    /// * any later submit that finds a request queued, because the worker
+    ///   it wakes pops until the queue is empty before it parks again;
+    /// * the drain of [`Server::shutdown`].
+    ///
+    /// A lone request whose ticket is held, never waited on and never
+    /// dropped, with no other traffic, stays queued until one of those.
     pub fn submit(&self, query: impl Into<String>) -> Ticket {
         self.submit_inner(query.into(), None)
     }
@@ -729,21 +789,29 @@ impl ServerHandle {
 
     fn submit_inner(&self, query: String, deadline: Option<Instant>) -> Ticket {
         let t0 = Instant::now();
-        let (reply, ticket) = Ticket::pending(Some(self.clone()));
+        let (reply, mut ticket) = Ticket::pending(Some(self.clone()));
         let req = Request {
             query,
             reply,
             queued_at: t0,
             deadline,
         };
-        let push = self.shared.queue.push(self.client, req);
-        if let (Some(tel), Push::Queued | Push::Displaced(_)) = (&self.shared.telemetry, &push) {
+        let push = self
+            .shared
+            .queue
+            .push(self.client, req, self.left_to_workers);
+        if let (Some(tel), Push::Queued { .. } | Push::Displaced(_)) =
+            (&self.shared.telemetry, &push)
+        {
             // admitted (possibly by displacing someone else) — time spent
             // reaching that decision is the admission stage
             tel.stages.admission.record_duration(t0.elapsed());
         }
         match push {
-            Push::Queued => ticket,
+            Push::Queued { woke } => {
+                ticket.wake_on_drop = !woke;
+                ticket
+            }
             Push::Shed => {
                 self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
                 Ticket::refused(QueryError::Overloaded)
@@ -781,6 +849,14 @@ impl ServerHandle {
         };
         shared.counters.waiter_runs.fetch_add(1, Ordering::Relaxed);
         serve(&engine, shared, vec![req], popped);
+    }
+
+    /// This handle's lane, marked as one whose waiters never run its
+    /// requests, so that its every submit wakes a worker: a shard
+    /// connection waits only through [`Ticket::wait_resolved`].
+    pub(crate) fn leave_to_workers(mut self) -> ServerHandle {
+        self.left_to_workers = true;
+        self
     }
 
     /// The newest captured slow queries, oldest first. Empty when
@@ -859,6 +935,7 @@ impl Server {
             handle: ServerHandle {
                 shared: Arc::clone(&shared),
                 client: 0,
+                left_to_workers: false,
             },
             engine,
             shared,
@@ -886,6 +963,7 @@ impl Server {
         ServerHandle {
             shared: Arc::clone(&self.shared),
             client: self.shared.next_client.fetch_add(1, Ordering::Relaxed),
+            left_to_workers: false,
         }
     }
 
@@ -949,6 +1027,7 @@ impl Server {
             batches: counters.batches.load(Ordering::Relaxed),
             max_batch: counters.max_batch.load(Ordering::Relaxed),
             waiter_runs: counters.waiter_runs.load(Ordering::Relaxed),
+            worker_wakes: self.shared.queue.wakes(),
             workers: self.workers,
             queue_depth: self.shared.queue.depth(),
             lane_depths: self.shared.queue.lane_depths(),
@@ -1312,14 +1391,72 @@ pub(crate) mod tests {
         );
     }
 
+    /// Start a server over [`bib`] and give its workers time to park. A
+    /// worker still starting up is awake, and an awake worker pops whatever
+    /// it finds queued, so a test of who is woken for what starts here.
+    fn parked(config: ServeConfig) -> Server {
+        let server = Server::start(bib(), config);
+        std::thread::sleep(Duration::from_millis(50));
+        server
+    }
+
+    /// Poll `server`'s live stats until `done` holds, failing after ten
+    /// seconds rather than hanging on a wake that never came.
+    fn eventually(server: &Server, done: impl Fn(&ServerStats) -> bool) -> ServerStats {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        loop {
+            let stats = server.stats();
+            if done(&stats) {
+                return stats;
+            }
+            assert!(Instant::now() < give_up, "never came: {stats:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn dropping_a_ticket_does_not_wedge_the_server() {
-        let server = Server::start(bib(), ServeConfig::default());
+        let server = parked(ServeConfig::default());
+        // a lone request's submit wakes nobody; its ticket dropped
+        // unwaited wakes a worker, which serves it while the server is live
         drop(server.submit("pathsim author-paper-author from a0"));
+        let live = eventually(&server, |s| s.served == 1);
+        assert_eq!((live.waiter_runs, live.worker_wakes), (0, 1));
+        assert_eq!(live.queue_depth, 0);
         let follow_up = server.submit("rank venue-paper-author").wait();
         assert!(follow_up.is_ok());
         let stats = server.shutdown();
         assert_eq!(stats.served, 2, "dropped ticket's query still executed");
+    }
+
+    #[test]
+    fn a_lone_held_request_waits_for_its_waiter() {
+        let server = parked(ServeConfig::default());
+        let held = server.submit("pathsim author-paper-author from a0");
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(server.queue_depth(), 1, "no worker was woken for it");
+        assert_eq!(held.wait().unwrap().items[0].0, "a1");
+        let stats = server.shutdown();
+        assert_eq!((stats.served, stats.waiter_runs), (1, 1));
+        assert_eq!(stats.worker_wakes, 0);
+    }
+
+    #[test]
+    fn two_unwaited_submits_drain_with_no_waiter() {
+        let server = parked(ServeConfig::default());
+        // the second submit finds the first queued: it wakes a worker,
+        // which pops until the queue is empty
+        let held = [
+            server.submit("pathsim author-paper-author from a0"),
+            server.submit("rank venue-paper-author"),
+        ];
+        let live = eventually(&server, |s| s.served == 2);
+        assert_eq!((live.waiter_runs, live.worker_wakes), (0, 1));
+        assert_eq!(live.queue_depth, 0);
+        for t in held {
+            assert!(t.wait().is_ok());
+        }
+        assert_eq!(server.shutdown().waiter_runs, 0);
     }
 
     #[test]
@@ -1431,19 +1568,18 @@ pub(crate) mod tests {
 
     #[test]
     fn unstarted_work_is_bounded_by_the_queue_depth() {
-        let server = Server::start(
-            bib(),
-            ServeConfig {
-                workers: 1,
-                batch_max: 4,
-                queue_depth: Some(8),
-                ..ServeConfig::default()
-            },
-        );
-        // pin the only worker: it pops the stall query and blocks on the
-        // gate this test holds
+        let server = parked(ServeConfig {
+            workers: 1,
+            batch_max: 4,
+            queue_depth: Some(8),
+            ..ServeConfig::default()
+        });
+        // pin the only worker: the request submitted behind the stall
+        // query finds it queued and wakes the worker, which pops both and
+        // blocks on the gate this test holds
         let gate = STALL_GATE.lock().unwrap();
         let stalled = server.submit(STALL);
+        drop(server.submit("rank venue-paper-author"));
         while server.queue_depth() > 0 {
             std::thread::yield_now();
         }
@@ -1461,7 +1597,7 @@ pub(crate) mod tests {
         assert_eq!(answered, 8, "everything admitted is served");
         let stats = server.shutdown();
         assert_eq!(stats.shed, 32, "the rest were refused at the door");
-        assert_eq!(stats.served + stats.shed, 41);
+        assert_eq!(stats.served + stats.shed, 42);
     }
 
     #[test]
@@ -1517,8 +1653,9 @@ pub(crate) mod tests {
     }
 
     /// Every cache and engine field of `server.stats()` against its source
-    /// in `server.engine().stats()`, read back to back on an idle server;
-    /// returns the source with each field's name.
+    /// in `server.engine().stats()`, and the worker wakes against the
+    /// queue's count, read back to back on an idle server; returns the
+    /// source with each field's name.
     fn assert_copied(server: &Server) -> Vec<(&'static str, u64)> {
         let s = server.stats();
         let e = server.engine().stats();
@@ -1602,6 +1739,7 @@ pub(crate) mod tests {
             ),
             ("cache_len", s.cache_len as u64, c.len as u64),
             ("cache_bytes", s.cache_bytes as u64, c.bytes as u64),
+            ("worker_wakes", s.worker_wakes, server.shared.queue.wakes()),
         ];
         pairs
             .into_iter()
@@ -1613,12 +1751,13 @@ pub(crate) mod tests {
     }
 
     /// `Server::stats` copies its 22 cache and engine fields out of one
-    /// `Engine::stats()` value by hand. Drive what one worker can reach —
-    /// hits, a symmetry hit, misses, an eviction and an oversize refusal
-    /// under a one-slice budget, a warm restore, lazy runs, a promotion and
-    /// a refused span's half materialized — and hold each copy against its
-    /// source: once with the restored
-    /// entry still pending, once at the end.
+    /// `Engine::stats()` value by hand, and its worker wakes out of the
+    /// queue. Drive what one worker can reach — hits, a symmetry hit,
+    /// misses, an eviction and an oversize refusal under a one-slice
+    /// budget, a warm restore, lazy runs, a promotion, a refused span's
+    /// half materialized and a submit that finds a backlog — and hold each
+    /// copy against its source: once with the restored entry still
+    /// pending, once at the end.
     #[test]
     fn stats_copy_every_cache_and_engine_field() {
         let hin = bib();
@@ -1690,6 +1829,13 @@ pub(crate) mod tests {
             // the venue→paper relation: the half heats, then materializes
             run("pathcount author-paper-venue-paper from a0");
         }
+        assert_eq!(server.stats().worker_wakes, 0, "each ran on its waiter");
+        // the second submit finds the first queued and wakes the worker;
+        // parse errors, so the cache reads stay as they were
+        let pair = [server.submit("not a query"), server.submit("not a query")];
+        for t in pair {
+            assert!(matches!(t.wait(), Err(QueryError::Parse(_))));
+        }
 
         let at_end = assert_copied(&server);
         // one worker never races another for a span, the image was not
@@ -1708,15 +1854,18 @@ pub(crate) mod tests {
         }
     }
 
-    /// Pin a one-worker server's only worker on [`STALL`]: returns the
-    /// stalled ticket once the worker has popped it. The caller holds the
-    /// gate.
-    fn pin_the_worker(server: &Server) -> Ticket {
+    /// Pin a [`one_worker`] server's only worker on [`STALL`]. Alone, the
+    /// stall would wait for its own waiter, so `behind` is submitted after
+    /// it: that submit finds a backlog and wakes the worker, which pops the
+    /// stall alone (`batch_max` 1) and leaves `behind` queued. Returns both
+    /// tickets once the worker holds the stall. The caller holds the gate.
+    fn pin_the_worker(server: &Server, behind: impl FnOnce() -> Ticket) -> (Ticket, Ticket) {
         let stalled = server.submit(STALL);
-        while server.queue_depth() > 0 {
+        let behind = behind();
+        while server.queue_depth() > 1 {
             std::thread::yield_now();
         }
-        stalled
+        (stalled, behind)
     }
 
     fn one_worker() -> Server {
@@ -1724,6 +1873,7 @@ pub(crate) mod tests {
             bib(),
             ServeConfig {
                 workers: 1,
+                batch_max: 1,
                 ..ServeConfig::default()
             },
         )
@@ -1733,11 +1883,12 @@ pub(crate) mod tests {
     fn a_waiter_runs_its_own_request_while_the_workers_are_busy() {
         let server = one_worker();
         let gate = STALL_GATE.lock().unwrap();
-        let stalled = pin_the_worker(&server);
+        let (stalled, second) = pin_the_worker(&server, || {
+            server.submit("pathsim author-paper-author from a0")
+        });
         // the only worker is pinned, so only the waiting thread can run
         // these: through wait, and through a wait_timeout far shorter
         // than nothing at all could satisfy from another thread
-        let second = server.submit("pathsim author-paper-author from a0");
         assert_eq!(second.wait().unwrap().items[0].0, "a1");
         let third = server.submit("pathcount author-paper-venue from a1");
         let got = third.wait_timeout(Duration::from_millis(1)).unwrap();
@@ -1760,10 +1911,13 @@ pub(crate) mod tests {
 
     #[test]
     fn a_request_runs_exactly_once_whoever_takes_it() {
-        // a request a worker popped is waited for, not run again
+        // a request a worker popped is waited for, not run again; the one
+        // behind it is dropped, so the worker runs it once released
         let server = one_worker();
         let gate = STALL_GATE.lock().unwrap();
-        let stalled = pin_the_worker(&server);
+        let (stalled, behind) =
+            pin_the_worker(&server, || server.submit("rank venue-paper-author"));
+        drop(behind);
         let waiter = std::thread::spawn(move || stalled.wait());
         std::thread::sleep(Duration::from_millis(50));
         assert!(
@@ -1773,7 +1927,7 @@ pub(crate) mod tests {
         drop(gate);
         assert!(matches!(waiter.join().unwrap(), Err(QueryError::Parse(_))));
         let stats = server.shutdown();
-        assert_eq!((stats.served, stats.waiter_runs, stats.batches), (1, 0, 1));
+        assert_eq!((stats.served, stats.waiter_runs, stats.batches), (2, 0, 2));
 
         // workers and waiters racing for the same requests: each is
         // served once, and answered right
@@ -1816,9 +1970,9 @@ pub(crate) mod tests {
     fn a_waiters_run_still_sheds_an_expired_deadline() {
         let server = one_worker();
         let gate = STALL_GATE.lock().unwrap();
-        let stalled = pin_the_worker(&server);
-        let dead =
-            server.submit_with_deadline("pathsim author-paper-author from a0", Duration::ZERO);
+        let (stalled, dead) = pin_the_worker(&server, || {
+            server.submit_with_deadline("pathsim author-paper-author from a0", Duration::ZERO)
+        });
         assert!(matches!(dead.wait(), Err(QueryError::TimedOut)));
         let live = server.stats();
         assert_eq!(live.waiter_runs, 1, "its waiter took it");
@@ -1838,10 +1992,9 @@ pub(crate) mod tests {
         // STALL before HOLD, in the order every test takes the two gates
         let stall_gate = STALL_GATE.lock().unwrap();
         let hold_gate = HOLD_GATE.lock().unwrap();
-        let stalled = pin_the_worker(&server);
+        let (stalled, held) = pin_the_worker(&server, || server.submit(HOLD));
         // the worker is pinned, so HOLD's waiter takes it and blocks on
         // the hold gate inside its own run
-        let held = server.submit(HOLD);
         let waiter = std::thread::spawn(move || held.wait());
         while server.stats().waiter_runs == 0 {
             std::thread::yield_now();

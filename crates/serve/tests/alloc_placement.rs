@@ -3,15 +3,16 @@
 //!
 //! A counting global allocator tallies every allocation made off the test's
 //! own thread. With one worker and nothing else running, that is the
-//! worker's share of one waited query. A `neighbors` answer of N names and
-//! the same query with `limit 1` must cost the worker the same allocations,
-//! give or take a small constant: a worker that named its answer would pay
-//! about N more.
+//! worker's share of the queries it ran. A `neighbors` answer of N names
+//! and the same query with `limit 1` must cost the worker the same
+//! allocations, give or take a small constant: a worker that named its
+//! answers would pay about N more for each.
 //!
 //! A waiting thread runs its own request when no worker has popped it yet,
-//! and a round the test thread ran itself would read no allocation off the
-//! thread at all. So each round waits until the worker has popped its
-//! request before waiting on the answer, and every round must read
+//! and a lone submit wakes no worker at all: the request is left to its
+//! waiter. So each round submits its query twice — the second submit finds
+//! the first queued and wakes the worker, which pops both — and waits on
+//! the answers only once the worker has popped them. Every round must read
 //! non-zero: the reading is a worker's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -60,19 +61,21 @@ const PAPERS: usize = 64;
 /// the reading, so a stray allocation elsewhere cannot inflate it.
 const ROUNDS: usize = 20;
 
-/// The fewest allocations off this thread that one submitted `query`
-/// cost, each waited for only once the worker has popped it.
+/// The fewest allocations off this thread that two submitted `query`s
+/// cost, both waited for only once the worker has popped them.
 fn worker_allocations(server: &Server, query: &str) -> u64 {
     (0..ROUNDS)
         .map(|_| {
             let before = OFF_THREAD.load(Ordering::SeqCst);
-            let ticket = server.submit(query);
+            let tickets = [server.submit(query), server.submit(query)];
             while server.queue_depth() > 0 {
                 std::thread::yield_now();
             }
-            let answer = ticket.wait();
+            for ticket in tickets {
+                let answer = ticket.wait();
+                assert!(answer.is_ok(), "{query}: {answer:?}");
+            }
             let after = OFF_THREAD.load(Ordering::SeqCst);
-            assert!(answer.is_ok(), "{query}: {answer:?}");
             assert!(after > before, "{query}: a round the worker did not run");
             after - before
         })
@@ -111,10 +114,10 @@ fn a_worker_allocates_no_name() {
         worker_allocations(&server, all),
         worker_allocations(&server, one),
     );
-    println!("worker allocations: {n_all} for {PAPERS} names, {n_one} for one");
+    println!("worker allocations: {n_all} for 2 × {PAPERS} names, {n_one} for 2 × one");
     assert!(
         n_all <= n_one + 2,
-        "{PAPERS} names cost the worker {n_all} allocations, one name {n_one}"
+        "2 × {PAPERS} names cost the worker {n_all} allocations, 2 × one name {n_one}"
     );
     server.shutdown();
 }

@@ -264,6 +264,7 @@ fn every_field(side: u64) -> ServerStats {
         slow_queries: v(32),
         waiter_runs: v(33),
         factor_promotions: v(34),
+        worker_wakes: v(35),
     }
 }
 
@@ -308,6 +309,7 @@ fn merge_combines_every_field_by_its_own_rule() {
         slow_queries,
         waiter_runs,
         factor_promotions,
+        worker_wakes,
     );
     assert_eq!(m.max_batch, b.max_batch, "max_batch takes the max");
     assert_eq!(b.merge(&a).max_batch, b.max_batch, "whichever side has it");
@@ -430,6 +432,7 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         normalizer_memo_hits: 131,
         waiter_runs: 132,
         factor_promotions: 133,
+        worker_wakes: 134,
         admission_ns: snap(&[1_000]),
         queue_wait_ns: snap(&[2_000, 2_000]),
         dispatch_ns: snap(&[3_000, 3_000, 3_000]),
@@ -487,6 +490,7 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         ("hin_normalizer_memo_hits_total", 131),
         ("hin_waiter_runs_total", 132),
         ("hin_factor_promotions_total", 133),
+        ("hin_worker_wakes_total", 134),
     ] {
         assert!(
             page.contains(&format!("{name}{{dataset=\"db\"}} {value}\n")),
