@@ -14,7 +14,13 @@
 //!   scatter model, used for intermediates whose structure is unknown,
 //! * [`spmm_chain_order`] — dynamic-programming order selection over a
 //!   chain described by `(rows, cols, nnz)` summaries,
+//! * [`spmm_chain_order_priced`] — the same program with spans the caller
+//!   already holds (a commuting-matrix cache) priced as free atoms,
 //! * [`spmm_chain`] — plan and execute a chain of concrete [`Csr`]s.
+//!
+//! The [`PlanTree`] the program builds is also the query engine's plan:
+//! `hin_query::QueryPlan::root` holds it as built, and the engine evaluates
+//! and renders it directly.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -181,49 +187,49 @@ pub fn spmm_chain_order_priced(
     }
     let n = mats.len();
 
-    #[derive(Clone, Copy)]
-    enum SpanKind {
-        Leaf,
-        Priced,
-        Split(usize),
+    // One cell per span `i..=j`, at `i * n + j`: its cheapest cost, its
+    // estimated nnz, and the split that wins it (`None` for a single
+    // operand or a pre-priced span).
+    #[derive(Clone, Copy, Default)]
+    struct Cell {
+        cost: f64,
+        nnz: f64,
+        split: Option<usize>,
     }
-
-    // cost[i][j], nnz_est[i][j], kind[i][j] over spans i..=j
-    let mut cost = vec![vec![0.0f64; n]; n];
-    let mut nnz_est = vec![vec![0.0f64; n]; n];
-    let mut kind = vec![vec![SpanKind::Leaf; n]; n];
+    let mut table = vec![Cell::default(); n * n];
     for (i, m) in mats.iter().enumerate() {
-        nnz_est[i][i] = m.nnz as f64;
+        table[i * n + i].nnz = m.nnz as f64;
     }
     for len in 2..=n {
         for i in 0..=n - len {
             let j = i + len - 1;
             if let Some(nnz) = price(i, j) {
-                cost[i][j] = 0.0;
-                nnz_est[i][j] = nnz as f64;
-                kind[i][j] = SpanKind::Priced;
+                table[i * n + j].nnz = nnz as f64;
                 continue;
             }
             let mut best = f64::INFINITY;
             let mut best_k = i;
-            let mut best_nnz = 0.0;
+            let mut best_join = 0.0;
             for k in i..j {
+                let (left, right) = (table[i * n + k], table[(k + 1) * n + j]);
                 let inner = mats[k].cols as f64;
                 let join = if inner > 0.0 {
-                    nnz_est[i][k] * nnz_est[k + 1][j] / inner
+                    left.nnz * right.nnz / inner
                 } else {
                     0.0
                 };
-                let total = cost[i][k] + cost[k + 1][j] + join;
+                let total = left.cost + right.cost + join;
                 if total < best {
                     best = total;
                     best_k = k;
-                    best_nnz = spmm_nnz_estimate(mats[i].rows, mats[j].cols, join);
+                    best_join = join;
                 }
             }
-            cost[i][j] = best;
-            nnz_est[i][j] = best_nnz;
-            kind[i][j] = SpanKind::Split(best_k);
+            table[i * n + j] = Cell {
+                cost: best,
+                nnz: spmm_nnz_estimate(mats[i].rows, mats[j].cols, best_join),
+                split: Some(best_k),
+            };
         }
     }
 
@@ -242,23 +248,23 @@ pub fn spmm_chain_order_priced(
         acc_nnz = spmm_nnz_estimate(mats[0].rows, m.cols, join);
     }
 
-    fn build(kind: &[Vec<SpanKind>], i: usize, j: usize) -> PlanTree {
-        if i == j {
-            return PlanTree::Leaf(i);
-        }
-        match kind[i][j] {
-            SpanKind::Priced => PlanTree::Span(i, j),
-            SpanKind::Split(k) => {
-                PlanTree::Mul(Box::new(build(kind, i, k)), Box::new(build(kind, k + 1, j)))
-            }
-            SpanKind::Leaf => unreachable!("multi-operand span marked leaf"),
+    fn build(table: &[Cell], n: usize, i: usize, j: usize) -> PlanTree {
+        match table[i * n + j].split {
+            _ if i == j => PlanTree::Leaf(i),
+            None => PlanTree::Span(i, j),
+            Some(k) => PlanTree::Mul(
+                Box::new(build(table, n, i, k)),
+                Box::new(build(table, n, k + 1, j)),
+            ),
         }
     }
 
+    // the whole chain's cell, span `0..=n - 1`
+    let whole = table[n - 1];
     ChainPlan {
-        tree: build(&kind, 0, n - 1),
-        est_flops: cost[0][n - 1],
-        est_nnz: nnz_est[0][n - 1],
+        tree: build(&table, n, 0, n - 1),
+        est_flops: whole.cost,
+        est_nnz: whole.nnz,
         left_to_right_flops: ltr,
     }
 }

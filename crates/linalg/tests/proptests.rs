@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use hin_linalg::eigen::jacobi_eigen;
 use hin_linalg::solve::solve_linear;
 use hin_linalg::vector::dot;
-use hin_linalg::{Csr, DMat};
+use hin_linalg::{spmm_chain_order_priced, spmm_nnz_estimate, Csr, DMat, MatSummary, PlanTree};
 
 fn triplets(n: usize, max: usize) -> impl Strategy<Value = Vec<(u32, u32, f64)>> {
     prop::collection::vec((0..n as u32, 0..n as u32, -10.0f64..10.0), 0..max)
@@ -15,8 +15,73 @@ fn rect_triplets(nr: usize, nc: usize, max: usize) -> impl Strategy<Value = Vec<
     prop::collection::vec((0..nr as u32, 0..nc as u32, -10.0f64..10.0), 0..max)
 }
 
+/// The chain planner's recurrence as plain recursion over spans, with no
+/// table: span `i..=j`'s cheapest tree, its cost and its estimated nnz,
+/// with the nnz estimate taken at every improving split.
+fn chain_order_by_recursion(
+    mats: &[MatSummary],
+    priced: &[(usize, usize, usize)],
+    i: usize,
+    j: usize,
+) -> (PlanTree, f64, f64) {
+    if i == j {
+        return (PlanTree::Leaf(i), 0.0, mats[i].nnz as f64);
+    }
+    if let Some(&(_, _, nnz)) = priced.iter().find(|&&(lo, hi, _)| (lo, hi) == (i, j)) {
+        return (PlanTree::Span(i, j), 0.0, nnz as f64);
+    }
+    let (mut best, mut best_tree, mut best_nnz) = (f64::INFINITY, None, 0.0);
+    for k in i..j {
+        let (left, left_cost, left_nnz) = chain_order_by_recursion(mats, priced, i, k);
+        let (right, right_cost, right_nnz) = chain_order_by_recursion(mats, priced, k + 1, j);
+        let inner = mats[k].cols as f64;
+        let join = if inner > 0.0 {
+            left_nnz * right_nnz / inner
+        } else {
+            0.0
+        };
+        let total = left_cost + right_cost + join;
+        if total < best {
+            best = total;
+            best_tree = Some(PlanTree::Mul(Box::new(left), Box::new(right)));
+            best_nnz = spmm_nnz_estimate(mats[i].rows, mats[j].cols, join);
+        }
+    }
+    (best_tree.expect("a finite split"), best, best_nnz)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The planner's one-table dynamic program is the recurrence: the same
+    /// tree, and the same cost and size estimates bit for bit, on chains of
+    /// one to seven operands with pre-priced spans.
+    #[test]
+    fn chain_order_matches_the_recurrence(dims in prop::collection::vec(0usize..40, 2..9),
+                                          fill in prop::collection::vec(0.0f64..1.0, 8),
+                                          spans in prop::collection::vec((0usize..7, 0usize..7, 0usize..2000), 0..5)) {
+        let n = dims.len() - 1;
+        let mats: Vec<MatSummary> = (0..n)
+            .map(|i| {
+                let (rows, cols) = (dims[i], dims[i + 1]);
+                let nnz = (fill[i] * (rows * cols) as f64) as usize;
+                MatSummary { rows, cols, nnz }
+            })
+            .collect();
+        let priced: Vec<(usize, usize, usize)> =
+            spans.into_iter().filter(|&(lo, hi, _)| lo < hi && hi < n).collect();
+        let price = |lo, hi| {
+            priced
+                .iter()
+                .find(|&&(l, h, _)| (l, h) == (lo, hi))
+                .map(|&(_, _, nnz)| nnz)
+        };
+        let plan = spmm_chain_order_priced(&mats, price);
+        let (tree, flops, nnz) = chain_order_by_recursion(&mats, &priced, 0, n - 1);
+        prop_assert_eq!(&plan.tree, &tree, "chain {:?} priced {:?}", mats, priced);
+        prop_assert_eq!(plan.est_flops.to_bits(), flops.to_bits(), "est_flops of {}", tree);
+        prop_assert_eq!(plan.est_nnz.to_bits(), nnz.to_bits(), "est_nnz of {}", tree);
+    }
 
     #[test]
     fn csr_get_matches_triplet_sum(ts in triplets(6, 20)) {

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use hin_core::{Hin, NodeRef, TypeId};
-use hin_linalg::{spvm_with, Csr, ScatterScratch, SparseVec};
+use hin_linalg::{spvm_with, Csr, PlanTree, ScatterScratch, SparseVec};
 use hin_similarity::{
     top_k_pathsim, top_k_pathsim_with_diagonal, MetaPath, PathSimTopK, PathStep, TopK,
 };
@@ -19,8 +19,7 @@ use crate::cache::{
 use crate::error::QueryError;
 use crate::parse::{parse, Verb};
 use crate::plan::{
-    plan_priced, plan_steps, row_links, ExecMode, Factor, PlanNode, Promotion, QueryPlan,
-    Residency, RowRoute,
+    plan_priced, plan_steps, row_links, ExecMode, Factor, Promotion, QueryPlan, Residency, RowRoute,
 };
 use crate::resolve::{resolve, ResolvedQuery};
 use crate::snapshot::{CacheSnapshot, SnapshotImport};
@@ -416,7 +415,7 @@ impl Engine {
         let mut plan = plan_steps(&self.hin, steps, &self.cache);
         if self.propagates(resolved, &plan) {
             let seed = match row_links(&plan.residency, steps.len())[0] {
-                (_, hi, Some(_)) => Some((0, hi)),
+                (_, hi, Some(_)) => Some(hi),
                 _ => None,
             };
             plan.mode = ExecMode::SparseRow { seed };
@@ -470,10 +469,7 @@ impl Engine {
         if plan.mode == ExecMode::Full {
             // an anchored read of a wholly resident span is what a promoted
             // span looks like; any other Full plan has nothing to promote
-            let whole = PlanNode::Cached {
-                lo: 0,
-                hi: key.len() - 1,
-            };
+            let whole = PlanTree::Span(0, key.len() - 1);
             let resident = self.policy.lazy && resolved.from.is_some() && plan.root == whole;
             return resident.then_some(Promotion::Resident);
         }
@@ -1044,19 +1040,19 @@ impl Engine {
         hin: &'a Hin,
         steps: &[PathStep],
         cache: &MatrixCache,
-        node: &PlanNode,
+        node: &PlanTree,
         probe: Option<&ExecProbe>,
     ) -> Mat<'a> {
         match node {
-            PlanNode::Leaf { step } => Mat::Borrowed(steps[*step].matrix(hin)),
+            PlanTree::Leaf(step) => Mat::Borrowed(steps[*step].matrix(hin)),
             // Both span kinds resolve through `get_or_compute`: serve from
-            // cache when resident (a `Cached` leaf usually is — but a
+            // cache when resident (a `Span` leaf usually is — but a
             // bounded cache may have evicted it between plan and execution,
             // and a `Mul` span may have just been cached by a sibling or by
             // symmetry), and otherwise compute it exactly once no matter
             // how many workers miss the same span concurrently — the
             // others block until the first one's product lands.
-            PlanNode::Cached { lo, hi } => {
+            PlanTree::Span(lo, hi) => {
                 let key = key_of(&steps[*lo..=*hi]);
                 let (m, outcome) = cache.get_or_compute_traced(&key, || {
                     let mats: Vec<&Csr> = steps[*lo..=*hi].iter().map(|s| s.matrix(hin)).collect();
@@ -1067,13 +1063,9 @@ impl Engine {
                 }
                 Mat::Shared(m)
             }
-            PlanNode::Mul {
-                left,
-                right,
-                lo,
-                hi,
-            } => {
-                let key = key_of(&steps[*lo..=*hi]);
+            PlanTree::Mul(left, right) => {
+                let (lo, hi) = node.span();
+                let key = key_of(&steps[lo..=hi]);
                 let (m, outcome) = cache.get_or_compute_traced(&key, || {
                     let l = Self::eval(hin, steps, cache, left, probe);
                     let r = Self::eval(hin, steps, cache, right, probe);
@@ -2598,7 +2590,7 @@ mod tests {
         let plan = engine.plan(q).unwrap();
         match plan.mode {
             crate::plan::ExecMode::SparseRow { seed, .. } => {
-                assert_eq!(seed, Some((0, 1)), "resident prefix offered as seed")
+                assert_eq!(seed, Some(1), "resident prefix offered as seed")
             }
             ref other => panic!("anchored query must plan lazy, got {other:?}"),
         }

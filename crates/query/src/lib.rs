@@ -17,11 +17,13 @@
 //!   guess);
 //! * [`plan`] — matrix-chain cost-based planning using the sparse flop and
 //!   nnz estimates from [`hin_linalg::chain`], extended so contiguous
-//!   sub-paths already in the cache become free plan leaves — plus the
+//!   sub-paths already in the cache become free plan leaves; the
+//!   [`PlanTree`] the chain program builds is the plan's tree. Plus the
 //!   [`ExecMode`]: a cold multi-step anchored query (single `from` node)
-//!   runs by **sparse-row propagation** (`eₓᵀ·M₁·…·Mₙ` as chained
-//!   [`hin_linalg::spvm_chain`] products), seeded from the longest
-//!   cache-resident prefix, until promotion materializes its span;
+//!   runs by **sparse-row propagation** (`eₓᵀ·M₁·…·Mₙ`, the anchor's row
+//!   folded through one [`hin_linalg::spvm_with`] product per link on the
+//!   thread's scatter scratch), seeded from the longest cache-resident
+//!   prefix, until promotion materializes its span;
 //! * [`engine`] — [`Engine`]: executes plans, memoizes every intermediate
 //!   commuting matrix keyed by canonical sub-path (with transpose reuse:
 //!   the matrix of a reversed path is served by transposing the cached
@@ -63,10 +65,10 @@
 //! let peers = engine.execute("pathsim author-paper-author from sun").unwrap();
 //! assert_eq!(peers.items[0].0, "han");
 //!
-//! // anchored queries run either lazily (sparse-row propagation from the
-//! // anchor — nothing materialized) or through the commuting-matrix
-//! // cache, whichever the cost model picks; repeated spans get promoted
-//! // to the cache once hot
+//! // a cold anchored query runs lazily (sparse-row propagation from the
+//! // anchor — nothing materialized); a span that keeps being queried is
+//! // promoted to the commuting-matrix cache, and later queries read their
+//! // row from it
 //! engine.execute("pathsim author-paper-author from han").unwrap();
 //! let stats = engine.stats();
 //! assert!(stats.anchored_fast_paths + stats.cache.hits + stats.cache.misses >= 1);
@@ -83,7 +85,8 @@ pub mod snapshot;
 pub use cache::{CacheConfig, CacheOutcome, CacheStats, MatrixCache, Refusal};
 pub use engine::{Engine, EngineStats, ExecPolicy, IdOutput, QueryOutput, QueryTrace, TraceMode};
 pub use error::QueryError;
+pub use hin_linalg::PlanTree;
 pub use parse::{parse, ParsedQuery, PathExpr, PathSegment, Verb};
-pub use plan::{plan_steps, ExecMode, Factor, PlanNode, Promotion, QueryPlan, RowRoute};
+pub use plan::{plan_steps, ExecMode, Factor, Promotion, QueryPlan, RowRoute};
 pub use resolve::{resolve, resolve_path, ResolvedQuery};
 pub use snapshot::{dataset_fingerprint, CacheSnapshot, CodecError, SnapshotImport};

@@ -8,83 +8,16 @@
 //! reversal) costs nothing and contributes its exact nnz. Cached spans
 //! therefore attract the optimizer — repeated and overlapping queries
 //! converge onto shared sub-products instead of recomputing them.
+//!
+//! The tree the dynamic program builds is the plan: [`QueryPlan::root`] is
+//! that [`PlanTree`] over step indices, a [`PlanTree::Span`] being a
+//! sub-path the cache holds.
 
 use hin_core::Hin;
 use hin_linalg::{spmm_chain_order_priced, Csr, MatSummary, PlanTree};
 use hin_similarity::PathStep;
 
 use crate::cache::{key_of, reversed_key, MatrixCache, Refusal, StepKey};
-
-/// One node of a query's evaluation plan, over step indices `lo..=hi`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PlanNode {
-    /// A single relation adjacency matrix, used as stored (free).
-    Leaf {
-        /// Step index.
-        step: usize,
-    },
-    /// A sub-path product served from the commuting-matrix cache.
-    Cached {
-        /// First step of the span.
-        lo: usize,
-        /// Last step of the span (inclusive).
-        hi: usize,
-    },
-    /// A sparse product of two sub-plans.
-    Mul {
-        /// Left operand.
-        left: Box<PlanNode>,
-        /// Right operand.
-        right: Box<PlanNode>,
-        /// First step covered.
-        lo: usize,
-        /// Last step covered (inclusive).
-        hi: usize,
-    },
-}
-
-impl PlanNode {
-    /// Covered span `(lo, hi)`, inclusive.
-    pub fn span(&self) -> (usize, usize) {
-        match self {
-            PlanNode::Leaf { step } => (*step, *step),
-            PlanNode::Cached { lo, hi } => (*lo, *hi),
-            PlanNode::Mul { lo, hi, .. } => (*lo, *hi),
-        }
-    }
-
-    /// `true` when every product multiplies an accumulated left operand by
-    /// an atomic right operand — the naive left-to-right shape.
-    pub fn is_left_deep(&self) -> bool {
-        match self {
-            PlanNode::Leaf { .. } | PlanNode::Cached { .. } => true,
-            PlanNode::Mul { left, right, .. } => {
-                matches!(**right, PlanNode::Leaf { .. } | PlanNode::Cached { .. })
-                    && left.is_left_deep()
-            }
-        }
-    }
-
-    /// Number of sparse products this plan will execute.
-    pub fn product_count(&self) -> usize {
-        match self {
-            PlanNode::Leaf { .. } | PlanNode::Cached { .. } => 0,
-            PlanNode::Mul { left, right, .. } => 1 + left.product_count() + right.product_count(),
-        }
-    }
-
-    fn render(&self, labels: &[String]) -> String {
-        match self {
-            PlanNode::Leaf { step } => labels[*step].clone(),
-            PlanNode::Cached { lo, hi } => {
-                format!("cache[{}]", labels[*lo..=*hi].join("·"))
-            }
-            PlanNode::Mul { left, right, .. } => {
-                format!("({}·{})", left.render(labels), right.render(labels))
-            }
-        }
-    }
-}
 
 /// How an anchored query will be executed — the second axis of planning,
 /// orthogonal to the multiplication-order tree.
@@ -107,14 +40,14 @@ pub enum ExecMode {
     /// the anchored fast path. Cold cost is proportional to the rows
     /// actually reached instead of the whole product chain.
     SparseRow {
-        /// Longest cache-resident prefix span `(0, hi)` to seed the
-        /// propagation from (its row replaces `eₓᵀ·M₁·…` up to `hi`), if
-        /// any was resident at plan time; products resident further along
-        /// the chain are links of the propagation too (`row_links`). A
-        /// forecast, like cached plan leaves: the executor looks the
-        /// product up and falls back to propagating from the anchor when
-        /// the span has been evicted since.
-        seed: Option<(usize, usize)>,
+        /// Last step `hi` of the longest cache-resident prefix `0..=hi` to
+        /// seed the propagation from (its row replaces `eₓᵀ·M₁·…` up to
+        /// `hi`), if any was resident at plan time; products resident
+        /// further along the chain are links of the propagation too
+        /// (`row_links`). A forecast, like cached plan leaves: the executor
+        /// looks the product up and falls back to propagating from the
+        /// anchor when the span has been evicted since.
+        seed: Option<usize>,
     },
 }
 
@@ -206,20 +139,33 @@ impl Factor {
     }
 }
 
-/// `bytes` in the largest binary unit that keeps it at or above one.
+/// `bytes` in the largest binary unit that keeps it at or above one once
+/// rounded: from 1 048 525 B a KB figure would round to `1024.0`.
 fn human_bytes(bytes: usize) -> String {
     match bytes {
         0..=1023 => format!("{bytes} B"),
-        1024..=1_048_575 => format!("{:.1} KB", bytes as f64 / 1024.0),
+        1024..=1_048_524 => format!("{:.1} KB", bytes as f64 / 1024.0),
         _ => format!("{:.1} MB", bytes as f64 / 1_048_576.0),
+    }
+}
+
+/// `tree` with step labels: a relation as its label, a span the cache holds
+/// as `cache[…]`, a product as `(left·right)`.
+fn render(tree: &PlanTree, labels: &[String]) -> String {
+    match tree {
+        PlanTree::Leaf(step) => labels[*step].clone(),
+        PlanTree::Span(lo, hi) => format!("cache[{}]", labels[*lo..=*hi].join("·")),
+        PlanTree::Mul(left, right) => {
+            format!("({}·{})", render(left, labels), render(right, labels))
+        }
     }
 }
 
 /// A planned query: evaluation tree plus cost diagnostics.
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
-    /// The evaluation tree.
-    pub root: PlanNode,
+    /// The evaluation tree over step indices, as the planner built it.
+    pub root: PlanTree,
     /// How the engine will execute this query: [`ExecMode::SparseRow`]
     /// for a lazily served anchored query, [`ExecMode::Full`] otherwise.
     /// Filled by `Engine::plan`; [`plan_steps`] alone leaves it `Full`.
@@ -256,7 +202,7 @@ impl QueryPlan {
     /// Render the tree with type-level step labels, e.g.
     /// `((author→paper·paper→venue)·cache[venue→paper·paper→author])`.
     pub fn describe(&self) -> String {
-        self.root.render(&self.labels)
+        render(&self.root, &self.labels)
     }
 }
 
@@ -277,8 +223,8 @@ impl std::fmt::Display for QueryPlan {
                     self.describe(),
                     self.est_flops,
                 )?;
-                if let Some((lo, hi)) = seed {
-                    write!(f, "; seeded from cache[{lo}..{hi}]")?;
+                if let Some(hi) = seed {
+                    write!(f, "; seeded from cache[0..{hi}]")?;
                 }
             }
         }
@@ -308,8 +254,8 @@ thread_local! {
 ///
 /// The plan is a *forecast*: with a bounded (or concurrently shared) cache
 /// a span priced here can be evicted before execution. The engine treats a
-/// vanished `Cached` leaf as an ordinary miss and recomputes it, so a
-/// stale plan costs time, never correctness.
+/// vanished [`PlanTree::Span`] leaf as an ordinary miss and recomputes it,
+/// so a stale plan costs time, never correctness.
 pub fn plan_steps(hin: &Hin, steps: &[PathStep], cache: &MatrixCache) -> QueryPlan {
     let mut plan = plan_priced(hin, steps, Residency::price(cache, &key_of(steps), true));
     plan.labels = steps
@@ -335,25 +281,8 @@ pub(crate) fn plan_priced(hin: &Hin, steps: &[PathStep], residency: Residency) -
         .collect();
     let chain = spmm_chain_order_priced(&summaries, |lo, hi| Some(residency.get(lo, hi)?.nnz));
 
-    fn convert(tree: &PlanTree) -> PlanNode {
-        match tree {
-            PlanTree::Leaf(i) => PlanNode::Leaf { step: *i },
-            PlanTree::Span(lo, hi) => PlanNode::Cached { lo: *lo, hi: *hi },
-            PlanTree::Mul(l, r) => {
-                let (lo, _) = l.span();
-                let (_, hi) = r.span();
-                PlanNode::Mul {
-                    left: Box::new(convert(l)),
-                    right: Box::new(convert(r)),
-                    lo,
-                    hi,
-                }
-            }
-        }
-    }
-
     QueryPlan {
-        root: convert(&chain.tree),
+        root: chain.tree,
         mode: ExecMode::Full,
         est_flops: chain.est_flops,
         left_to_right_flops: chain.left_to_right_flops,
@@ -561,8 +490,16 @@ mod tests {
             plan.describe()
         );
         assert!(plan.est_flops < plan.left_to_right_flops);
-        assert_eq!(plan.root.span(), (0, 2));
-        assert_eq!(plan.root.product_count(), 2);
+        let middle_out = PlanTree::Mul(
+            Box::new(PlanTree::Leaf(0)),
+            Box::new(PlanTree::Mul(
+                Box::new(PlanTree::Leaf(1)),
+                Box::new(PlanTree::Leaf(2)),
+            )),
+        );
+        assert_eq!(plan.root, middle_out);
+        assert_eq!(plan.root.to_string(), "(0·(1·2))");
+        assert_eq!(plan.describe(), "(paper→author·(author→paper·paper→venue))");
     }
 
     #[test]
@@ -577,17 +514,15 @@ mod tests {
         let plan = plan_steps(&hin, &steps, &cache);
         assert_eq!(
             plan.root,
-            PlanNode::Mul {
-                left: Box::new(PlanNode::Leaf { step: 0 }),
-                right: Box::new(PlanNode::Cached { lo: 1, hi: 2 }),
-                lo: 0,
-                hi: 2,
-            },
+            PlanTree::Mul(Box::new(PlanTree::Leaf(0)), Box::new(PlanTree::Span(1, 2))),
             "plan should lean on the cached tail: {}",
             plan.describe()
         );
-        assert!(plan.describe().contains("cache["));
-        assert_eq!(plan.root.product_count(), 1);
+        assert_eq!(plan.root.to_string(), "(0·[1..2])");
+        assert_eq!(
+            plan.describe(),
+            "(paper→author·cache[author→paper·paper→venue])"
+        );
     }
 
     #[test]
@@ -595,8 +530,19 @@ mod tests {
         let (hin, steps) = skewed();
         let cache = MatrixCache::default();
         let plan = plan_steps(&hin, &steps[..1], &cache);
-        assert_eq!(plan.root, PlanNode::Leaf { step: 0 });
+        assert_eq!(plan.root, PlanTree::Leaf(0));
+        assert_eq!(plan.root.to_string(), "0");
         assert_eq!(plan.est_flops, 0.0);
         assert!(plan.root.is_left_deep());
+    }
+
+    #[test]
+    fn byte_sizes_change_unit_before_they_round_to_1024() {
+        assert_eq!(human_bytes(1023), "1023 B");
+        assert_eq!(human_bytes(1024), "1.0 KB");
+        assert_eq!(human_bytes(1_048_524), "1023.9 KB");
+        assert_eq!(human_bytes(1_048_525), "1.0 MB");
+        assert_eq!(human_bytes(1_048_575), "1.0 MB");
+        assert_eq!(human_bytes(1_048_576), "1.0 MB");
     }
 }
