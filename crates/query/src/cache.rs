@@ -47,10 +47,12 @@
 //!
 //! A product larger than one shard's slice can never be retained, so it is
 //! **refused at the door**: the insert evicts nobody, the caller keeps its
-//! `Arc`, and the key is remembered with its real size
+//! `Arc`, and the span's real size is written in the span ledger
 //! ([`CacheStats::inserts_refused`]). [`MatrixCache::admits`] answers the
 //! same question *before* the product is computed, from a size estimate and
-//! that memory — the engine asks it before promoting a span.
+//! that ledger — the engine asks it before promoting a span. The ledger is
+//! everything the engine learns about a span, one entry for a span and its
+//! mirror: its heat, that measured size, and a refused span's split.
 //!
 //! Keys pick their shard through a fixed hash of the `(relation id,
 //! forward)` sequence of their canonical form, so which spans share a
@@ -59,15 +61,16 @@
 //! neighbouring shards, so a product and its transpose never evict each
 //! other.
 //!
-//! Within a shard, and in every other table keyed by a sub-path (the
-//! oversize memory, the in-flight table, the engine's heat, split and
-//! normalizer tables), keys hash through `KeyHasher`: the same word-FNV
+//! Within a shard, and in every other table keyed by a sub-path (the span
+//! ledger, the in-flight table, the engine's normalizer memo), keys hash
+//! through `KeyHasher`: the same word-FNV
 //! fold, one multiply per word. It is not SipHash because SipHash defends a
 //! table against keys chosen by an adversary to collide, and these keys are
 //! relation ids the schema resolved, never client bytes, so its rounds
 //! would buy nothing on a lookup the planner repeats per sub-span of every
 //! query.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -139,12 +142,7 @@ pub(crate) fn reversed_key(key: &[StepKey]) -> PathKey {
 /// span and its mirror, which are served by one product (the other is its
 /// transpose) and so share heat and known size.
 pub(crate) fn canonical_key(key: &[StepKey]) -> PathKey {
-    let rev = reversed_key(key);
-    if rev.as_slice() < key {
-        rev
-    } else {
-        key.to_vec()
-    }
+    filed(key).0.into_owned()
 }
 
 /// A ranking in the form a sidecar stores it.
@@ -164,10 +162,94 @@ thread_local! {
     pub(crate) static PEEKS: std::cell::RefCell<KeyMap<u32>> = std::cell::RefCell::default();
 }
 
-/// Known-oversize keys remembered before the table is reset wholesale — a
-/// memory bound, not a policy: a reset costs each forgotten span one more
-/// refused materialization.
-const OVERSIZE_CAP: usize = 4096;
+/// Spans the ledger holds before it is reset wholesale — a memory bound,
+/// not a policy: a reset only costs relearning what it forgot.
+const LEDGER_CAP: usize = 4096;
+
+/// Where a refused span's row is split: the first step of its right half,
+/// or `None` when no split has halves the cache admits.
+pub(crate) type Split = Option<usize>;
+
+/// What the engine has learned about one span and its mirror.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct SpanState {
+    /// Lazy runs since the span last crossed `promote_after`.
+    pub(crate) heat: u32,
+    /// [`Csr::nbytes`] of the span's product, when the door refused it.
+    pub(crate) oversize: Option<usize>,
+    /// A refused span's split per side ([`Ledger::get`]), `None` until
+    /// chosen: the choice prices the anchor's row in the left half, which
+    /// is another half for the mirror.
+    pub(crate) split: [Option<Split>; 2],
+}
+
+/// The span ledger: one [`SpanState`] per span, filed under its
+/// [`canonical_key`]. An entry that holds nothing is dropped; at
+/// [`LEDGER_CAP`] entries a new span resets the ledger.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger(KeyMap<SpanState>);
+
+/// Is `key` the mirror of its canonical form? Allocates nothing.
+fn is_mirror(key: &[StepKey]) -> bool {
+    let rev = key.iter().rev().map(|&(r, fwd)| (r, !fwd));
+    rev.lt(key.iter().copied())
+}
+
+/// `key`'s [`canonical_key`], copied only for a mirror, and its side of
+/// the span: `0` canonical (a palindrome too), `1` mirror.
+fn filed(key: &[StepKey]) -> (Cow<'_, [StepKey]>, usize) {
+    match is_mirror(key) {
+        true => (Cow::Owned(reversed_key(key)), 1),
+        false => (Cow::Borrowed(key), 0),
+    }
+}
+
+impl Ledger {
+    /// What is known of `key`'s span, and which side of it `key` is.
+    pub(crate) fn get(&self, key: &[StepKey]) -> (SpanState, usize) {
+        let (filed, side) = filed(key);
+        (self.0.get(&*filed).copied().unwrap_or_default(), side)
+    }
+
+    /// Count one lazy run of `key`'s span; `true` when its heat just
+    /// crossed `promote_after`, which resets it, so an evicted product
+    /// re-heats honestly. A span known oversize never crosses.
+    pub(crate) fn heat_once(&mut self, key: &[StepKey], promote_after: u32) -> bool {
+        self.update(key, |state, _| {
+            if state.oversize.is_some() {
+                return false;
+            }
+            state.heat += 1;
+            let crossed = state.heat >= promote_after;
+            if crossed {
+                state.heat = 0;
+            }
+            crossed
+        })
+    }
+
+    /// Remember the split `key`'s side of its span is served through.
+    pub(crate) fn remember_split(&mut self, key: &[StepKey], split: Split) {
+        self.update(key, |state, side| state.split[side] = Some(split));
+    }
+
+    /// Change `key`'s entry in place; the key is copied only to start one.
+    fn update<R>(&mut self, key: &[StepKey], f: impl FnOnce(&mut SpanState, usize) -> R) -> R {
+        let (filed, side) = filed(key);
+        if !self.0.contains_key(&*filed) {
+            if self.0.len() >= LEDGER_CAP {
+                self.0.clear();
+            }
+            self.0.insert(filed.to_vec(), SpanState::default());
+        }
+        let state = self.0.get_mut(&*filed).expect("filed above");
+        let out = f(state, side);
+        if *state == SpanState::default() {
+            self.0.remove(&*filed);
+        }
+        out
+    }
+}
 
 /// Sizing and sharding knobs for a [`MatrixCache`].
 #[derive(Clone, Copy, Debug)]
@@ -424,12 +506,11 @@ pub struct MatrixCache {
     /// `shards.len() - 1`; the shard count is a power of two.
     shard_mask: usize,
     budget_per_shard: Option<usize>,
-    /// Products found larger than a shard slice, by [`canonical_key`], with
-    /// their real [`Csr::nbytes`]: what [`MatrixCache::admits`] consults so
-    /// an under-estimated span is materialized once, not on every
-    /// re-heating. Bounded by [`OVERSIZE_CAP`]; only ever touched when the
-    /// cache is bounded.
-    oversize: Mutex<KeyMap<usize>>,
+    /// The span ledger. Its sizes are what [`MatrixCache::admits`] consults
+    /// so an under-estimated span is materialized once, not on every
+    /// re-heating. Never taken while a shard lock is held; its holder may
+    /// take a shard's read lock, to price a split, and no other lock.
+    ledger: Mutex<Ledger>,
     /// Keys currently being computed by some thread (compute-once,
     /// wait-many). One global mutex, not sharded: it is touched only on
     /// the miss path, held only for a map probe/insert/remove, and never
@@ -480,9 +561,9 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Inserts turned away because the product alone is larger than one
     /// shard's slice of the budget: nothing was evicted for them, and the
-    /// key is remembered so [`MatrixCache::admits`] refuses it up front
-    /// from then on. Computed products, symmetry transposes and snapshot
-    /// entries all count here.
+    /// span's size is written in the span ledger, so that
+    /// [`MatrixCache::admits`] refuses it up front from then on. Computed
+    /// products, symmetry transposes and snapshot entries all count here.
     pub inserts_refused: u64,
     /// Total [`Csr::nbytes`] of the products counted in `inserts_refused`
     /// — how much larger a budget would have had to be, summed over
@@ -562,7 +643,7 @@ impl MatrixCache {
                 .into_boxed_slice(),
             shard_mask: shards - 1,
             budget_per_shard: config.byte_budget.map(|b| b / shards),
-            oversize: Mutex::default(),
+            ledger: Mutex::default(),
             inflight: Mutex::default(),
             tick: AtomicU64::new(0),
             counters: Counters::default(),
@@ -673,7 +754,7 @@ impl MatrixCache {
     /// the reversal is compared and hashed as an iterator.
     fn shard_index(&self, key: &[StepKey]) -> usize {
         let rev = key.iter().rev().map(|&(r, fwd)| (r, !fwd));
-        let mirror = rev.clone().lt(key.iter().copied());
+        let mirror = is_mirror(key);
         let mut h = Fnv64::new();
         let mut fold = |(r, fwd): StepKey| h.update_word(((r as u64) << 1) | u64::from(fwd));
         match mirror {
@@ -689,11 +770,17 @@ impl MatrixCache {
     }
 
     /// Would a product of `est_bytes` under `key` survive its own insert?
-    /// Always `Ok` for an unbounded cache (no lock taken). Otherwise refused
-    /// when `est_bytes` exceeds one shard's slice, or when `key` or its
-    /// reversal was already materialized and found larger than the slice.
+    /// Always `Ok` for an unbounded cache. Otherwise refused when
+    /// `est_bytes` exceeds one shard's slice, or when `key` or its reversal
+    /// was already materialized and found larger than the slice.
     /// Non-counting, like [`MatrixCache::peek_exact`].
     pub(crate) fn admission(&self, key: &[StepKey], est_bytes: usize) -> Result<(), Refusal> {
+        self.admit(est_bytes, self.ledger().get(key).0.oversize)
+    }
+
+    /// [`MatrixCache::admission`] of a span whose ledger entry the caller
+    /// has read: `oversize` is its measured size, if it was refused.
+    pub(crate) fn admit(&self, est_bytes: usize, oversize: Option<usize>) -> Result<(), Refusal> {
         let Some(slice_bytes) = self.budget_per_shard else {
             return Ok(());
         };
@@ -703,12 +790,15 @@ impl MatrixCache {
                 slice_bytes,
             });
         }
-        let canonical = canonical_key(key);
-        let oversize = self.oversize.lock().unwrap_or_else(PoisonError::into_inner);
-        match oversize.get(&canonical) {
-            Some(&bytes) => Err(Refusal::Product { bytes }),
+        match oversize {
+            Some(bytes) => Err(Refusal::Product { bytes }),
             None => Ok(()),
         }
+    }
+
+    /// The span ledger, locked (see the field's lock order).
+    pub(crate) fn ledger(&self) -> std::sync::MutexGuard<'_, Ledger> {
+        self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The slice `a` and `b` share when a bounded cache keeps both in one
@@ -813,7 +903,8 @@ impl MatrixCache {
     /// is priced through this exact LRU, so a snapshot can never blow the
     /// cache budget. An entry larger than the shard's whole slice is turned
     /// away before it is taken in: it could only evict every neighbour and
-    /// then itself. Whatever is resident under `key` stays (products are
+    /// then itself; its size goes into the span ledger. Whatever is
+    /// resident under `key` stays (products are
     /// deterministic in their key, so it is the same matrix).
     pub(crate) fn insert_sealed(&self, sealed: Sealed) -> bool {
         let Sealed { key, matrix, .. } = sealed;
@@ -825,12 +916,8 @@ impl MatrixCache {
             self.counters
                 .refused_bytes
                 .fetch_add(bytes as u64, Ordering::Relaxed);
-            let canonical = canonical_key(&key);
-            let mut oversize = self.oversize.lock().unwrap_or_else(PoisonError::into_inner);
-            if oversize.len() >= OVERSIZE_CAP {
-                oversize.clear();
-            }
-            oversize.insert(canonical, bytes);
+            self.ledger()
+                .update(&key, |span, _| span.oversize = Some(bytes));
             return false;
         }
         let mut shard = self
@@ -1363,6 +1450,60 @@ mod tests {
         assert!(cache.admits(&[(0, false), (2, true)], 1), "other keys are");
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, 0, "admission never counts");
+    }
+
+    #[test]
+    fn a_span_and_its_mirror_share_one_ledger_entry_but_not_a_split() {
+        let key: PathKey = vec![(0, false), (1, true), (2, true)];
+        let rev = reversed_key(&key);
+        let big = banded(40, 8);
+        let cache = MatrixCache::new(CacheConfig {
+            shards: 1,
+            byte_budget: Some(big.nbytes() - 1),
+        });
+        assert!(!cache.ledger().heat_once(&key, 3));
+        assert!(!cache.ledger().heat_once(&rev, 3), "one heat");
+        assert!(!cache.insert(rev.clone(), Arc::clone(&big)));
+        cache.ledger().remember_split(&key, Some(1));
+        cache.ledger().remember_split(&rev, Some(2));
+        let ledger = cache.ledger();
+        let ((span, side), (mirror, mirror_side)) = (ledger.get(&key), ledger.get(&rev));
+        assert_eq!(ledger.0.len(), 1, "one entry");
+        assert_eq!(span, mirror, "one state");
+        assert_eq!((span.heat, span.oversize), (2, Some(big.nbytes())));
+        assert_ne!(side, mirror_side);
+        assert_eq!(span.split[side], Some(Some(1)), "each side its own split");
+        assert_eq!(mirror.split[mirror_side], Some(Some(2)));
+        drop(ledger);
+        // a palindrome is its own mirror, on the canonical side
+        let palindrome = [key.as_slice(), &rev].concat();
+        assert_eq!(cache.ledger().get(&palindrome).1, 0);
+        // a crossing cools the span; one known oversize never crosses
+        let other = [(5, true), (6, true)];
+        assert!(!cache.ledger().heat_once(&other, 2));
+        assert!(cache.ledger().heat_once(&other, 2));
+        assert_eq!(cache.ledger().get(&other).0, SpanState::default());
+        assert!(!cache.ledger().heat_once(&key, 3), "known oversize");
+        assert_eq!(cache.ledger().get(&key).0.heat, 2);
+    }
+
+    #[test]
+    fn the_ledger_holds_at_most_its_cap() {
+        let cache = MatrixCache::default();
+        for r in 0..=LEDGER_CAP {
+            cache.ledger().heat_once(&[(r, true), (r, false)], 2);
+            assert!(cache.ledger().0.len() <= LEDGER_CAP);
+        }
+        assert_eq!(
+            cache.ledger().0.len(),
+            1,
+            "reset wholesale, then the newest"
+        );
+        // an entry left empty is dropped: crossing clears the last heat
+        assert!(cache
+            .ledger()
+            .heat_once(&[(LEDGER_CAP, true), (LEDGER_CAP, false)], 2));
+        assert!(cache.ledger().0.is_empty());
     }
 
     #[test]

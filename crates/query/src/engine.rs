@@ -13,8 +13,8 @@ use hin_similarity::{
 };
 
 use crate::cache::{
-    canonical_key, key_of, CacheConfig, CacheOutcome, CacheStats, KeyMap, MatrixCache, PathKey,
-    Scoring, Sidecar, StepKey,
+    canonical_key, key_of, CacheConfig, CacheOutcome, CacheStats, KeyMap, Ledger, MatrixCache,
+    PathKey, Scoring, Sidecar, Split, StepKey,
 };
 use crate::error::QueryError;
 use crate::parse::{parse, Verb};
@@ -54,13 +54,9 @@ fn default_row_limit(verb: Verb) -> usize {
     }
 }
 
-/// Heat entries tracked before the table is reset wholesale — a memory
-/// bound, not a policy: realistic workloads hold far fewer distinct spans.
-const HEAT_CAP: usize = 4096;
-
 /// Total normalizer-memo slots (one per node of the path's end type, per
-/// half-span) kept before the memo is reset wholesale — a memory bound
-/// like [`HEAT_CAP`], not a policy.
+/// half-span) kept before the memo is reset wholesale — a memory bound,
+/// not a policy.
 const DIAG_CAP: usize = 1 << 20;
 
 /// The `f64` bit pattern of a normalizer-memo slot nobody has filled yet.
@@ -83,10 +79,13 @@ pub struct ExecPolicy {
     /// Lazy executions of one span before it is **promoted** to full
     /// materialization (the `promote_after`-th anchored query on a span
     /// computes the matrix through the ordinary deduplicated cache path;
-    /// later queries are cache hits). `0` promotes immediately —
-    /// equivalent to `lazy: false` in effect, but still counted as a
-    /// promotion. Per *span*, not per anchor: many users probing one hot
-    /// meta-path from different anchors heat it together.
+    /// later queries are cache hits). `0` promotes on the first anchored
+    /// query, counted as a promotion. It is not `lazy: false`: under a
+    /// [`CacheConfig::byte_budget`] a span the cache refuses still
+    /// propagates its row (see below), while `lazy: false` materializes
+    /// every span on every query, refused or not. Per *span*, not per
+    /// anchor: many users probing one hot meta-path from different anchors
+    /// heat it together.
     ///
     /// Only spans the cache would keep are counted at all: under a
     /// [`CacheConfig::byte_budget`], a span whose estimated product — or
@@ -139,8 +138,8 @@ pub struct EngineStats {
     /// crossing [`ExecPolicy::promote_after`] lazy executions.
     pub promotions: u64,
     /// Lazy executions of spans the cache would not keep
-    /// ([`MatrixCache::admits`] said no, so the span never entered the heat
-    /// table and ran by row propagation; each also counts in
+    /// ([`MatrixCache::admits`] said no, so the span never heated and ran
+    /// by row propagation; each also counts in
     /// `anchored_fast_paths`). Climbing while [`CacheStats::evictions`]
     /// stays flat: the byte budget cannot hold what the traffic heats.
     pub promotions_refused: u64,
@@ -227,6 +226,11 @@ impl IdOutput {
 /// anchor's row as (row `x` of the left half) · (the right half) — how
 /// PathSim computes a row of `H·Hᵀ` from its half-path matrix `H`.
 ///
+/// What the engine learns about a span (its heat, a refused product's
+/// size, a refused span's split) is one entry of the cache's span ledger,
+/// and one decision over it fills `EXPLAIN`: what [`Engine::plan`] shows
+/// is what the query's next run does, unless another thread runs between.
+///
 /// Every method takes `&self` and the cache is sharded and lock-guarded,
 /// so one engine behind an `Arc` serves any number of threads — this is
 /// what `hin_serve`'s worker pool drives. [`Engine::execute_many`] is the
@@ -245,13 +249,10 @@ impl IdOutput {
 #[derive(Debug)]
 pub struct Engine {
     hin: Arc<Hin>,
+    /// The commuting-matrix cache, and in it the span ledger
+    /// ([`MatrixCache::ledger`]) that [`Engine::decide`] reads.
     cache: Arc<MatrixCache>,
     policy: ExecPolicy,
-    /// Per-span lazy-execution counters driving heat-based promotion.
-    /// Keyed by [`canonical_key`], so a path and its mirror heat one
-    /// counter (a promotion serves both through the cache's transpose
-    /// reuse). Holds only spans cache admission let in.
-    heat: Mutex<KeyMap<u32>>,
     /// Memoized PathSim normalizer diagonals `M[y][y]`, keyed by
     /// half-span key (plus the middle step of an odd path) and then by
     /// whether the path is odd: one dense table per half-span, shared by
@@ -265,6 +266,8 @@ pub struct Engine {
     /// Deliberately separate from the cache's per-matrix diagonal sidecar:
     /// `‖u‖²` from a half propagation and `M[y][y]` from the product sum in
     /// different orders, so the two are bit-equal only in exact arithmetic.
+    /// And outside the span ledger: it is per half-span, bounded in node
+    /// slots, and holds values a row reads, not an input to a decision.
     diag_cache: Mutex<KeyMap<[Option<NormalizerTable>; 2]>>,
     /// Normalizers served from `diag_cache` instead of half propagations.
     normalizer_memo_hits: AtomicU64,
@@ -273,14 +276,8 @@ pub struct Engine {
     anchored_fast_paths: AtomicU64,
     /// Spans promoted from lazy propagation to full materialization.
     promotions: AtomicU64,
-    /// Lazy executions of spans cache admission kept out of the heat table.
+    /// Lazy executions of spans cache admission refused.
     promotions_refused: AtomicU64,
-    /// The split each refused span's row is served through, keyed by the
-    /// span's [`key_of`]: the first step of its right half, or `None` when
-    /// no split has halves the cache admits. Chosen once per span by
-    /// [`Engine::choose_split`]; forgotten when a half proves larger than
-    /// its estimate. Bounded by [`HEAT_CAP`] entries, like `heat`.
-    splits: Mutex<KeyMap<Option<usize>>>,
     /// Product halves materialized for refused spans.
     factor_promotions: AtomicU64,
     /// Lazily computed [`crate::snapshot::dataset_fingerprint`] of `hin`.
@@ -315,13 +312,11 @@ impl Engine {
             hin,
             cache: Arc::new(MatrixCache::new(config)),
             policy,
-            heat: Mutex::default(),
             diag_cache: Mutex::default(),
             normalizer_memo_hits: AtomicU64::new(0),
             anchored_fast_paths: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
             promotions_refused: AtomicU64::new(0),
-            splits: Mutex::default(),
             factor_promotions: AtomicU64::new(0),
             fingerprint: std::sync::OnceLock::new(),
         }
@@ -399,90 +394,88 @@ impl Engine {
     }
 
     /// Parse, resolve and plan `query` without executing it — the engine's
-    /// `EXPLAIN`, including the [`ExecMode`] and the [`Promotion`]
-    /// verdict. Does not touch cache statistics or span heat.
+    /// `EXPLAIN`: the tree, the [`ExecMode`] (with the seed a propagated
+    /// row would start from), the [`Promotion`] verdict and a refused
+    /// span's [`RowRoute`], decided as execution decides them. Does not
+    /// touch cache statistics or span heat.
     pub fn plan(&self, query: &str) -> Result<QueryPlan, QueryError> {
-        Ok(self.explain(&resolve(&self.hin, &parse(query)?)?))
+        let resolved = resolve(&self.hin, &parse(query)?)?;
+        let mut plan = plan_steps(&self.hin, resolved.path.steps(), &self.cache);
+        self.decide(&resolved, &key_of(resolved.path.steps()), &mut plan);
+        Ok(plan)
     }
 
-    /// The full `EXPLAIN` of one resolved query: tree, mode (with the seed
-    /// a propagated row would start from), promotion verdict, and a refused
-    /// span's row route, all read from the one pricing pass the plan took.
-    /// Read-only.
-    fn explain(&self, resolved: &ResolvedQuery) -> QueryPlan {
-        let steps = resolved.path.steps();
-        let key = key_of(steps);
-        let mut plan = plan_steps(&self.hin, steps, &self.cache);
-        if self.propagates(resolved, &plan) {
-            let seed = match row_links(&plan.residency, steps.len())[0] {
-                (_, hi, Some(_)) => Some(hi),
-                _ => None,
-            };
-            plan.mode = ExecMode::SparseRow { seed };
-        }
-        plan.promotion = self.promotion_forecast(resolved, &key, &plan);
-        if let Some(Promotion::Refused(_)) = plan.promotion {
-            plan.row_route = self.route_forecast(steps, &key, &plan.residency);
-        }
-        plan
-    }
-
-    /// What [`Engine::heat_halves`] would find for a refused span, recording
-    /// nothing: the remembered split, or the one it would choose now, with
-    /// each half as the pricing pass found it.
-    fn route_forecast(
-        &self,
-        steps: &[PathStep],
-        key: &[StepKey],
-        residency: &Residency,
-    ) -> Option<RowRoute> {
-        let remembered = self.lock_splits().get(key).copied();
-        let at = remembered.unwrap_or_else(|| self.choose_split(steps, key))?;
-        // the half over steps `lo..hi`
-        let factor = |lo: usize, hi: usize| {
-            if hi - lo == 1 {
-                Factor::Relation
-            } else if residency.link(lo, hi - 1).is_some() {
-                Factor::Resident
-            } else {
-                let heat = self.heat.lock().unwrap_or_else(PoisonError::into_inner);
-                Factor::Heating {
-                    run: heat.get(&canonical_key(&key[lo..hi])).copied().unwrap_or(0) + 1,
-                    of: self.policy.promote_after,
-                }
-            }
-        };
-        Some(RowRoute {
-            at,
-            halves: [factor(0, at), factor(at, key.len())],
-        })
-    }
-
-    /// What [`Engine::should_promote`] would find for this plan, recording
-    /// nothing.
-    fn promotion_forecast(
+    /// The one decision about a planned query's span (`key` is [`key_of`]
+    /// its steps), read from the plan's pricing pass and the span ledger
+    /// under one lock, recording nothing: it fills `plan`'s mode, promotion
+    /// verdict and row route, which `EXPLAIN` prints and [`Engine::apply`]
+    /// carries out.
+    ///
+    /// An anchored verb other than `rank`, under the lazy policy, over two
+    /// or more steps whose whole span is not resident propagates its row;
+    /// an anchored read of a resident span is what promotion leads to. A
+    /// propagating span heats toward [`ExecPolicy::promote_after`] unless
+    /// the cache refuses it, by the plan's estimate or by a measured size.
+    /// A refused span is only ever worth one row: it never heats, and its
+    /// row goes through the halves of a split, each product half that is
+    /// not resident (as [`Residency::link`] reads it) heating instead. The
+    /// split is the one remembered for this side of the span unless a half
+    /// of it that is not resident has proved oversize; then, or when none
+    /// is remembered, it is chosen now and returned, to be remembered.
+    fn decide(
         &self,
         resolved: &ResolvedQuery,
         key: &[StepKey],
-        plan: &QueryPlan,
-    ) -> Option<Promotion> {
-        if plan.mode == ExecMode::Full {
-            // an anchored read of a wholly resident span is what a promoted
-            // span looks like; any other Full plan has nothing to promote
-            let whole = PlanTree::Span(0, key.len() - 1);
-            let resident = self.policy.lazy && resolved.from.is_some() && plan.root == whole;
-            return resident.then_some(Promotion::Resident);
+        plan: &mut QueryPlan,
+    ) -> Option<Split> {
+        let n = key.len();
+        let anchored = self.policy.lazy && resolved.from.is_some();
+        let lazy = anchored
+            && !matches!(resolved.verb, Verb::Rank)
+            && n >= 2
+            && plan.residency.get(0, n - 1).is_none();
+        if !lazy {
+            let resident = anchored && plan.root == PlanTree::Span(0, n - 1);
+            plan.promotion = resident.then_some(Promotion::Resident);
+            return None;
         }
-        Some(match self.cache.admission(key, plan.est_bytes) {
-            Err(refusal) => Promotion::Refused(refusal),
-            Ok(()) => {
-                let heat = self.heat.lock().unwrap_or_else(PoisonError::into_inner);
-                Promotion::Heating {
-                    run: heat.get(&canonical_key(key)).copied().unwrap_or(0) + 1,
-                    of: self.policy.promote_after,
+        let seed = match row_links(&plan.residency, n)[0] {
+            (_, hi, Some(_)) => Some(hi),
+            _ => None,
+        };
+        plan.mode = ExecMode::SparseRow { seed };
+        let of = self.policy.promote_after;
+        let ledger = self.cache.ledger();
+        let (span, side) = ledger.get(key);
+        let Err(refusal) = self.cache.admit(plan.est_bytes, span.oversize) else {
+            let run = span.heat + 1;
+            plan.promotion = Some(Promotion::Heating { run, of });
+            return None;
+        };
+        plan.promotion = Some(Promotion::Refused(refusal));
+        // each half of a split at `at`, with the measured size of a product
+        // half that is not resident, if it proved oversize
+        let halves = |at: usize| {
+            [(0, at), (at, n)].map(|(lo, hi)| {
+                if hi - lo == 1 {
+                    (Factor::Relation, None)
+                } else if plan.residency.link(lo, hi - 1).is_some() {
+                    (Factor::Resident, None)
+                } else {
+                    let (half, _) = ledger.get(&key[lo..hi]);
+                    let run = half.heat + 1;
+                    (Factor::Heating { run, of }, half.oversize)
                 }
-            }
-        })
+            })
+        };
+        let fits = |split: &Split| split.is_none_or(|at| halves(at).iter().all(|h| h.1.is_none()));
+        let known = span.split[side].filter(fits);
+        let split = known.unwrap_or_else(|| self.choose_split(&ledger, resolved.path.steps(), key));
+        plan.row_route = split.map(|at| RowRoute {
+            at,
+            halves: halves(at).map(|(factor, _)| factor),
+        });
+        known.is_none().then_some(split)
     }
 
     /// Execute one query. Thread-safe: any number of threads may call this
@@ -540,17 +533,18 @@ impl Engine {
             Err(e) => return (Err(e), trace),
         };
         let t1 = Instant::now();
-        let promote = match &mut prep.route {
-            Route::Lazy(plan) => self.should_promote(prep.resolved.path.steps(), &prep.key, plan),
+        let lazy = match &mut prep.route {
+            Route::Planned(plan, chosen) if plan.mode != ExecMode::Full => {
+                let promote = self.apply(prep.resolved.path.steps(), &prep.key, plan, *chosen);
+                self.promotions
+                    .fetch_add(u64::from(promote), Ordering::Relaxed);
+                !promote
+            }
             _ => false,
         };
         let result = match &prep.route {
-            Route::Lazy(plan) if !promote => self.propagate(&prep, &plan.residency, &mut trace),
-            Route::Lazy(_) => {
-                self.promotions.fetch_add(1, Ordering::Relaxed);
-                self.materialize(&prep, &mut trace)
-            }
-            Route::Resident(..) | Route::Full(_) => self.materialize(&prep, &mut trace),
+            Route::Planned(plan, _) if lazy => self.propagate(&prep, &plan.residency, &mut trace),
+            _ => self.materialize(&prep, &mut trace),
         };
         trace.exec_ns = elapsed_ns(t1);
         (result, trace)
@@ -574,7 +568,8 @@ impl Engine {
     /// so a resident span counts the one hit (or symmetry hit) its
     /// evaluation would have, and a miss counts nothing. The plan's pricing
     /// pass then looks at every shorter sub-span, once, and not again at
-    /// the span the probe just missed.
+    /// the span the probe just missed; [`Engine::decide`] decides the plan
+    /// as `EXPLAIN` does.
     fn prepare(&self, resolved: ResolvedQuery) -> Prep {
         let steps = resolved.path.steps();
         let key = key_of(steps);
@@ -587,15 +582,12 @@ impl Engine {
                 };
             }
         }
-        let plan = plan_priced(&self.hin, steps, Residency::price(&self.cache, &key, false));
-        let route = match self.propagates(&resolved, &plan) {
-            true => Route::Lazy(plan),
-            false => Route::Full(plan),
-        };
+        let mut plan = plan_priced(&self.hin, steps, Residency::price(&self.cache, &key, false));
+        let chosen = self.decide(&resolved, &key, &mut plan);
         Prep {
             resolved,
             key,
-            route,
+            route: Route::Planned(plan, chosen),
         }
     }
 
@@ -608,7 +600,7 @@ impl Engine {
         let probe = ExecProbe::default();
         let (matrix, sidecar) = match &prep.route {
             Route::Resident(m, sidecar) => (Mat::Shared(Arc::clone(m)), sidecar.clone()),
-            Route::Full(plan) | Route::Lazy(plan) => {
+            Route::Planned(plan, _) => {
                 let steps = prep.resolved.path.steps();
                 let root = &plan.root;
                 let m = Self::eval(&self.hin, steps, &self.cache, root, Some(&probe));
@@ -675,160 +667,64 @@ impl Engine {
         }
     }
 
-    /// Whether a query propagates its anchor's row rather than
-    /// materializing: an anchored verb other than `rank`, under the lazy
-    /// policy, over two or more steps whose whole span is not resident.
-    /// Such a query materializes only when promotion says so
-    /// ([`Engine::should_promote`]). Reads the plan's pricing pass, which
-    /// for an executed query left out the whole span its probe had just
-    /// missed, so it looks at nothing itself and `EXPLAIN` asks it too; the
-    /// cache moves, so it is a forecast like the rest of the plan.
-    fn propagates(&self, resolved: &ResolvedQuery, plan: &QueryPlan) -> bool {
-        let n = resolved.path.steps().len();
-        self.policy.lazy
-            && resolved.from.is_some()
-            && !matches!(resolved.verb, Verb::Rank)
-            && n >= 2
-            && plan.residency.get(0, n - 1).is_none()
-    }
-
-    /// The one place promotion is decided: should this lazily-planned query
-    /// materialize its span instead? Admission first — a product the cache
-    /// would not keep (by the plan's size estimate, or by its measured size
-    /// once one materialization has corrected the estimate) is only ever
-    /// worth one row, so the span never enters the heat table; its halves
-    /// heat instead ([`Engine::heat_halves`]). Then the heat floor: record
-    /// one lazy execution and report whether it just crossed
-    /// [`ExecPolicy::promote_after`]. When a half of a refused span
-    /// materializes, the plan's pricing pass is taken again so that this
-    /// query's row reads it.
-    fn should_promote(&self, steps: &[PathStep], key: &[StepKey], plan: &mut QueryPlan) -> bool {
-        if !self.cache.admits(key, plan.est_bytes) {
-            self.promotions_refused.fetch_add(1, Ordering::Relaxed);
-            if self.heat_halves(steps, key, &plan.residency) {
-                plan.residency = Residency::price(&self.cache, key, false);
+    /// Carry out what [`Engine::decide`] filled into a propagating query's
+    /// `plan`; `true` when the query promotes its span instead. Each count
+    /// the plan shows is bumped and checked under the ledger's one lock,
+    /// taken only when something heats or a split `chosen` now is
+    /// remembered, so two threads shown the same last run cannot both
+    /// cross. A heating half (`H` and its mirror `Hᵀ` count once) that
+    /// crosses materializes through the deduplicated cache path, and the
+    /// pricing pass is retaken so this row reads it; one that proves
+    /// oversize is refused at the door and measured, so the next decision
+    /// splits again without it.
+    fn apply(
+        &self,
+        steps: &[PathStep],
+        key: &[StepKey],
+        plan: &mut QueryPlan,
+        chosen: Option<Split>,
+    ) -> bool {
+        let of = self.policy.promote_after;
+        let Some(Promotion::Refused(_)) = plan.promotion else {
+            return self.cache.ledger().heat_once(key, of);
+        };
+        self.promotions_refused.fetch_add(1, Ordering::Relaxed);
+        let mut heating = [None; 2];
+        if let Some(RowRoute { at, halves }) = plan.row_route {
+            for (i, half) in [(0, at), (at, key.len())].into_iter().enumerate() {
+                heating[i] = matches!(halves[i], Factor::Heating { .. }).then_some(half);
             }
+            let both = heating.iter().all(Option::is_some);
+            if both && canonical_key(&key[..at]) == canonical_key(&key[at..]) {
+                heating[1] = None;
+            }
+        }
+        if chosen.is_none() && heating == [None; 2] {
             return false;
         }
-        self.heat_once(&canonical_key(key))
-    }
-
-    /// Record one lazy run of the span or half `heat_key` names (its
-    /// [`canonical_key`]) and report whether it just crossed
-    /// [`ExecPolicy::promote_after`]. A span and its reversal share one
-    /// counter; a counter that crosses resets, so if the matrix is later
-    /// evicted the span cools down and re-heats honestly. The key is copied
-    /// only when its counter starts.
-    fn heat_once(&self, heat_key: &[StepKey]) -> bool {
-        if self.policy.promote_after == 0 {
-            return true;
-        }
-        let mut heat = self.heat.lock().unwrap_or_else(PoisonError::into_inner);
-        let count = match heat.get_mut(heat_key) {
-            Some(count) => {
-                *count += 1;
-                *count
+        let crossed = {
+            let mut ledger = self.cache.ledger();
+            if let Some(split) = chosen {
+                ledger.remember_split(key, split);
             }
-            None => {
-                if heat.len() >= HEAT_CAP {
-                    // bounded memory: a reset only delays promotions, never
-                    // breaks correctness
-                    heat.clear();
-                }
-                heat.insert(heat_key.to_vec(), 1);
-                1
-            }
+            heating.map(|half| half.filter(|&(lo, hi)| ledger.heat_once(&key[lo..hi], of)))
         };
-        let crossed = count >= self.policy.promote_after;
-        if crossed {
-            heat.remove(heat_key);
+        for &(lo, hi) in crossed.iter().flatten() {
+            self.factor_promotions.fetch_add(1, Ordering::Relaxed);
+            self.commuting_of(&steps[lo..hi]);
         }
-        crossed
+        if crossed.iter().any(Option::is_some) {
+            plan.residency = Residency::price(&self.cache, key, false);
+        }
+        false
     }
 
-    /// One lazy run of a span the cache refused, on its halves: recall or
-    /// choose the split ([`Engine::choose_split`]), then heat each product
-    /// half that is not resident, as a span heats, and materialize one
-    /// whose heat crosses [`ExecPolicy::promote_after`] through the ordinary
-    /// deduplicated cache path. The left half counts as resident when its
-    /// reversal is, since it seeds the row and a seed may be transposed;
-    /// the right half only under its own key, as
-    /// [`Engine::propagation_seed`] reads it, and a right half whose
-    /// reversal is resident materializes as that transpose. Whether a half
-    /// is resident is what the plan's pricing pass (`residency`) found. A
-    /// span whose halves mirror each other (`H` and `Hᵀ` of a symmetric
-    /// span) heats their one counter once per run and ends with both
-    /// resident, each in its own shard, so its row is one product through
-    /// `Hᵀ`. The row itself is laid out afterwards by
-    /// [`Engine::propagation_seed`]; `true` when a half materialized here,
-    /// so that the layout is priced again first.
-    ///
-    /// A half can prove larger than its estimate — or be admitted on its
-    /// mirror's smaller one and prove larger than the slice in its own
-    /// orientation: its materialization is refused by the cache and
-    /// remembered there as oversize, under the canonical key both
-    /// orientations share. The span then forgets its split — the next run
-    /// chooses again without that half, or chains — so the half is never
-    /// computed again.
-    fn heat_halves(&self, steps: &[PathStep], key: &[StepKey], residency: &Residency) -> bool {
-        let Some(at) = self.split_of(steps, key) else {
-            return false;
-        };
-        let mut heated = None;
-        let mut materialized = false;
-        for (lo, hi) in [(0, at), (at, steps.len())] {
-            let half = &key[lo..hi];
-            if half.len() < 2 || residency.link(lo, hi - 1).is_some() {
-                continue;
-            }
-            if !self.cache.admits(half, 0) {
-                self.lock_splits().remove(key);
-                return materialized;
-            }
-            let heat_key = canonical_key(half);
-            if heated.as_deref() == Some(&*heat_key) {
-                continue;
-            }
-            if self.heat_once(&heat_key) {
-                self.factor_promotions.fetch_add(1, Ordering::Relaxed);
-                self.commuting_of(&steps[lo..hi]);
-                materialized = true;
-            }
-            heated = Some(heat_key);
-        }
-        materialized
-    }
-
-    /// The split a refused span of three or more steps is served through:
-    /// the one remembered for it, or the one [`Engine::choose_split`] picks
-    /// now, remembered. `None` for a shorter span, which has no product
-    /// half.
-    fn split_of(&self, steps: &[PathStep], key: &[StepKey]) -> Option<usize> {
-        if steps.len() < 3 {
-            return None;
-        }
-        if let Some(&at) = self.lock_splits().get(key) {
-            return at;
-        }
-        let at = self.choose_split(steps, key);
-        let mut splits = self.lock_splits();
-        if splits.len() >= HEAT_CAP {
-            // bounded memory: a reset only costs choosing again
-            splits.clear();
-        }
-        splits.insert(key.to_vec(), at);
-        at
-    }
-
-    fn lock_splits(&self) -> std::sync::MutexGuard<'_, KeyMap<Option<usize>>> {
-        self.splits.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Where to split a refused span, by the planner's estimates and
-    /// recording nothing: the first step of the right half, or `None` when
-    /// no split qualifies. A split qualifies when cache admission lets in
-    /// each half of two or more steps (a one-step half is its relation and
-    /// always does) and, when both halves are products in one shard, the
+    /// Where to split a refused span, by the planner's estimates and what
+    /// `ledger` has measured, recording nothing: the first step of the
+    /// right half, or `None` when no split qualifies — the policy
+    /// [`Engine::decide`] asks. A split qualifies when cache admission lets
+    /// in each half of two or more steps (a one-step half is its relation
+    /// and always does) and, when both halves are products in one shard, the
     /// two fit its slice together — two that do not would evict each other
     /// on every row. A half is priced by the cheaper of its two
     /// orientations: a product and its transpose have one nonzero count and
@@ -839,7 +735,7 @@ impl Engine {
     /// qualifying splits, the cheapest row wins: the expected nonzeros of
     /// the anchor's row in the left half times the mean row nonzeros of the
     /// right half, the multiply-adds of the one product the row takes.
-    fn choose_split(&self, steps: &[PathStep], key: &[StepKey]) -> Option<usize> {
+    fn choose_split(&self, ledger: &Ledger, steps: &[PathStep], key: &[StepKey]) -> Split {
         if steps.len() < 3 {
             return None; // no product half
         }
@@ -853,10 +749,11 @@ impl Engine {
             let plan = plan_priced(&self.hin, &steps[lo..hi], priced);
             let cols = steps[hi - 1].matrix(&self.hin).ncols();
             let mirror_bytes = Csr::nbytes_of(cols, plan.est_nnz.ceil() as usize);
-            let admitted = self
-                .cache
-                .admits(&key[lo..hi], plan.est_bytes.min(mirror_bytes));
-            admitted.then_some((plan.est_nnz / rows, Some(plan.est_bytes)))
+            let oversize = ledger.get(&key[lo..hi]).0.oversize;
+            let admitted = self.cache.admit(plan.est_bytes.min(mirror_bytes), oversize);
+            admitted
+                .is_ok()
+                .then_some((plan.est_nnz / rows, Some(plan.est_bytes)))
         };
         let n = steps.len();
         (1..n)
@@ -984,7 +881,7 @@ impl Engine {
                 }
                 top.into_sorted()
             }
-            Verb::Rank => unreachable!("rank is not anchored; `propagates` keeps it Full"),
+            Verb::Rank => unreachable!("rank is not anchored; `decide` keeps it Full"),
         };
 
         Ok(IdOutput {
@@ -1217,11 +1114,11 @@ enum Route {
     /// query reads this matrix, with the entry's sidecar when the probe
     /// found the span itself rather than its reversal. Nothing was planned.
     Resident(Arc<Csr>, Option<Arc<Sidecar>>),
-    /// [`ExecMode::Full`]: materializes through the plan tree.
-    Full(QueryPlan),
-    /// [`ExecMode::SparseRow`]: runs through [`Engine::propagate`] unless
-    /// promotion materializes it.
-    Lazy(QueryPlan),
+    /// Planned and decided by [`Engine::decide`], with the split it chose
+    /// now: an [`ExecMode::SparseRow`] plan runs through
+    /// [`Engine::propagate`] unless [`Engine::apply`] promotes it, and any
+    /// other query materializes through the plan tree.
+    Planned(QueryPlan, Option<Split>),
 }
 
 thread_local! {
@@ -1366,6 +1263,17 @@ mod tests {
         b.link(pv, "p1", "v0", 1.0).unwrap();
         b.link(pv, "p2", "v1", 1.0).unwrap();
         b.build()
+    }
+
+    /// The heat the span ledger holds for `query`'s span.
+    fn heat_of(engine: &Engine, query: &str) -> u32 {
+        let resolved = resolve(engine.hin(), &parse(query).unwrap()).unwrap();
+        engine
+            .cache
+            .ledger()
+            .get(&key_of(resolved.path.steps()))
+            .0
+            .heat
     }
 
     /// An engine that always materializes — for tests whose subject is the
@@ -2378,7 +2286,9 @@ mod tests {
         let plan = engine.plan(q).unwrap().to_string();
         let row = "row: cache[author→paper·paper→venue] · cache[venue→paper·paper→author]";
         assert!(plan.contains(row), "{plan}");
-        assert!(engine.heat.lock().unwrap().is_empty(), "never counted");
+        assert_eq!(heat_of(&engine, q), 0, "never counted");
+        let half = "pathcount author-paper-venue from a0";
+        assert_eq!(heat_of(&engine, half), 0, "both halves crossed");
         assert_eq!(engine.execute(q).unwrap(), want);
         let after = engine.stats();
         assert_eq!(after.promotions_refused - before.promotions_refused, 1);
@@ -2482,7 +2392,7 @@ mod tests {
         assert_eq!(engine.stats().promotions, 1);
         assert_eq!(engine.stats().promotions_refused, 12);
         assert_eq!(engine.stats().cache.misses, misses + 1);
-        assert!(engine.heat.lock().unwrap().is_empty());
+        assert_eq!(heat_of(&engine, &span(0)), 0);
     }
 
     #[test]

@@ -52,9 +52,9 @@ pub enum ExecMode {
 }
 
 /// What the engine would do about materializing an anchored query's span —
-/// `EXPLAIN`'s answer to "why is this still running lazily?". A forecast
-/// like the rest of the plan: computing it touches neither span heat nor
-/// cache statistics.
+/// `EXPLAIN`'s answer to "why is this still running lazily?". Computing it
+/// touches neither span heat nor cache statistics; executing the query
+/// applies this same verdict, recounting the heat as it records it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Promotion {
     /// The whole span is in the cache; the query reads its row.
@@ -168,7 +168,8 @@ pub struct QueryPlan {
     pub root: PlanTree,
     /// How the engine will execute this query: [`ExecMode::SparseRow`]
     /// for a lazily served anchored query, [`ExecMode::Full`] otherwise.
-    /// Filled by `Engine::plan`; [`plan_steps`] alone leaves it `Full`.
+    /// Filled by `Engine::plan` as execution decides it, like `promotion`
+    /// and `row_route`; [`plan_steps`] alone leaves it `Full`.
     pub mode: ExecMode,
     /// Estimated multiply-adds under the chosen order (cached spans cost 0).
     pub est_flops: f64,
@@ -183,12 +184,12 @@ pub struct QueryPlan {
     /// engine promotes the span.
     pub est_bytes: usize,
     /// The promotion verdict, for anchored queries the engine could serve
-    /// lazily (`None` otherwise — there is nothing to promote). Filled by
-    /// `Engine::plan`; [`plan_steps`] alone leaves it `None`.
+    /// lazily (`None` otherwise — there is nothing to promote).
+    /// [`plan_steps`] alone leaves it `None`.
     pub promotion: Option<Promotion>,
     /// For a span whose promotion the cache refused: the halves its row is
     /// served through (`None` when no split has halves the cache admits,
-    /// so the row chains through the relations). Filled by `Engine::plan`.
+    /// so the row chains through the relations).
     pub row_route: Option<RowRoute>,
     /// What the pricing pass found resident, per sub-span: the one look
     /// at the cache that `EXPLAIN` and execution lay a row out from.

@@ -15,7 +15,10 @@ use std::sync::{Arc, Barrier};
 
 use hin_core::{Hin, HinBuilder};
 use hin_linalg::Csr;
-use hin_query::{CacheConfig, Engine, ExecPolicy, Factor, QueryOutput, RowRoute};
+use hin_query::{
+    CacheConfig, Engine, ExecMode, ExecPolicy, Factor, Promotion, QueryOutput, QueryPlan, Refusal,
+    RowRoute, TraceMode,
+};
 use proptest::prelude::*;
 
 /// A random bibliographic world with terms. Every paper has two authors,
@@ -161,8 +164,178 @@ fn fill_the_slice(engine: &Engine, slice: usize) {
     engine.cache().get_or_compute(&[(99, true)], || filler);
 }
 
+/// The slice of a one-shard cache that holds the two halves of every span
+/// in [`SPANS`] side by side, priced by `engine`'s estimates; and the spans
+/// whose own estimate exceeds it.
+fn pair_slice(engine: &Engine) -> (usize, Vec<&'static str>) {
+    let half = |path: &str| {
+        let anchor = match &path[..1] {
+            "a" => "a0",
+            "v" => "v0",
+            _ => "t0",
+        };
+        est_bytes(engine, path, anchor)
+    };
+    let pair = |span: &str| {
+        let steps: Vec<&str> = span.split('-').collect();
+        half(&steps[..3].join("-")) + half(&steps[2..].join("-"))
+    };
+    let slice = SPANS.iter().map(|s| pair(s)).max().unwrap();
+    (
+        slice,
+        SPANS.into_iter().filter(|s| half(s) > slice).collect(),
+    )
+}
+
+/// The halves of `plan`'s row route that `EXPLAIN` shows at their last
+/// heating run (`run >= of`), a half and its mirror counted once: each
+/// half is named by the node types its labels pass through, and a half's
+/// mirror passes through them in reverse.
+fn crossing_halves(plan: &QueryPlan) -> usize {
+    let Some(RowRoute { halves, .. }) = plan.row_route else {
+        return 0;
+    };
+    let text = plan.to_string();
+    let route = text.split("; row: ").nth(1).unwrap().trim_end_matches(')');
+    let mut crossing: Vec<Vec<&str>> = Vec::new();
+    for (factor, shown) in halves.iter().zip(route.split(" · ")) {
+        let Factor::Heating { run, of } = *factor else {
+            continue;
+        };
+        if run < of {
+            continue;
+        }
+        let labels = shown.split('[').nth(1).unwrap().trim_end_matches(']');
+        let mut nodes: Vec<&str> = labels
+            .split('·')
+            .map(|l| l.split('→').next().unwrap())
+            .collect();
+        nodes.push(labels.rsplit('→').next().unwrap());
+        let mirror: Vec<&str> = nodes.iter().rev().copied().collect();
+        let canonical = nodes.min(mirror);
+        if !crossing.contains(&canonical) {
+            crossing.push(canonical);
+        }
+    }
+    crossing.len()
+}
+
+/// Run each of `queries` in turn on `engine`, single-threaded, checking
+/// that what `EXPLAIN` forecasts for it is what its execution then does:
+/// the mode it runs in, which promotion counter moves, how many halves
+/// materialize, and what the next `EXPLAIN` of it counts; and that its
+/// answer is `eager`'s, bit for bit.
+fn explain_is_what_runs(engine: &Engine, eager: &Engine, queries: &[String]) {
+    for q in queries {
+        let plan = engine.plan(q).unwrap();
+        let before = engine.stats();
+        let (got, trace) = engine.execute_traced(q);
+        let after = engine.stats();
+        let next = engine.plan(q).unwrap();
+        let context = format!("{q}\n  planned: {plan}\n  then:    {next}");
+        assert_bit_identical(&got.unwrap(), &eager.execute(q).unwrap(), &context);
+
+        let promotes = matches!(plan.promotion, Some(Promotion::Heating { run, of }) if run >= of);
+        let refused = matches!(plan.promotion, Some(Promotion::Refused(_)));
+        let lazy = matches!(plan.mode, ExecMode::SparseRow { .. });
+        let mode = match lazy && !promotes {
+            true => TraceMode::SparseRow,
+            false => TraceMode::Full,
+        };
+        assert_eq!(trace.mode, mode, "{context}");
+        assert_eq!(
+            after.promotions - before.promotions,
+            u64::from(promotes),
+            "{context}"
+        );
+        assert_eq!(
+            after.promotions_refused - before.promotions_refused,
+            u64::from(refused),
+            "{context}"
+        );
+        let crossing = crossing_halves(&plan);
+        assert_eq!(
+            after.factor_promotions - before.factor_promotions,
+            crossing as u64,
+            "{context}"
+        );
+
+        // the next EXPLAIN counts one run more, or starts again after a
+        // crossing: the product is resident, refused, or evicted already
+        match (plan.promotion, next.promotion) {
+            (Some(Promotion::Heating { run, of }), next) if run < of => {
+                assert_eq!(
+                    next,
+                    Some(Promotion::Heating { run: run + 1, of }),
+                    "{context}"
+                )
+            }
+            (Some(Promotion::Heating { .. }), next) => assert!(
+                matches!(
+                    next,
+                    Some(Promotion::Resident)
+                        | Some(Promotion::Refused(Refusal::Product { .. }))
+                        | Some(Promotion::Heating { run: 1, .. })
+                ),
+                "{context}"
+            ),
+            _ => {}
+        }
+        // a refused span keeps its route until a half materializes
+        if !refused || !matches!(next.promotion, Some(Promotion::Refused(_))) {
+            continue;
+        }
+        let (Some(route), Some(then)) = (plan.row_route, next.row_route) else {
+            let same = plan.row_route.map(|r| r.at) == next.row_route.map(|r| r.at);
+            assert!(same || crossing > 0, "{context}");
+            continue;
+        };
+        if route.at != then.at {
+            assert!(crossing > 0, "{context}");
+            continue;
+        }
+        for (was, now) in route.halves.iter().zip(then.halves) {
+            match *was {
+                Factor::Heating { run, of } if run < of => {
+                    assert_eq!(now, Factor::Heating { run: run + 1, of }, "{context}")
+                }
+                Factor::Heating { .. } => assert!(
+                    matches!(now, Factor::Resident | Factor::Heating { run: 1, .. }),
+                    "{context}"
+                ),
+                _ => {}
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `EXPLAIN` is what runs, under a one-shard cache that holds the halves
+    /// of the spans queried but not the spans: see
+    /// [`explain_is_what_runs`]. Every query runs twice, so that halves
+    /// heat, cross and are then read.
+    #[test]
+    fn explain_is_what_runs_on_every_world(world in worlds()) {
+        let hin = world.build();
+        let eager = Engine::with_config(
+            Arc::clone(&hin),
+            CacheConfig::default(),
+            ExecPolicy::eager(),
+        );
+        let (slice, _) = pair_slice(&Engine::from_arc(Arc::clone(&hin)));
+        let engine = Engine::with_cache_config(
+            Arc::clone(&hin),
+            CacheConfig { shards: 1, byte_budget: Some(slice) },
+        );
+        let all: Vec<String> = SPANS.iter().flat_map(|s| queries(&world, s)).collect();
+        explain_is_what_runs(&engine, &eager, &all);
+        explain_is_what_runs(&engine, &eager, &all);
+        let stats = engine.stats();
+        prop_assert!(stats.promotions_refused > 0, "{:?}", stats);
+        prop_assert!(stats.factor_promotions >= 1, "{:?}", stats);
+    }
 
     /// A one-shard cache whose slice holds the two halves of every span
     /// queried but none of the spans: every anchored verb answers as the
@@ -177,25 +350,8 @@ proptest! {
             CacheConfig::default(),
             ExecPolicy::eager(),
         );
-        let cold = Engine::from_arc(Arc::clone(&hin));
-        let half = |path: &str| {
-            let anchor = match &path[..1] {
-                "a" => "a0",
-                "v" => "v0",
-                _ => "t0",
-            };
-            est_bytes(&cold, path, anchor)
-        };
-        let pair = |span: &str| {
-            let steps: Vec<&str> = span.split('-').collect();
-            half(&steps[..3].join("-")) + half(&steps[2..].join("-"))
-        };
         // the slice the pairs need; a span that would fit it is left out
-        let slice = SPANS.iter().map(|s| pair(s)).max().unwrap();
-        let spans: Vec<&str> = SPANS
-            .into_iter()
-            .filter(|s| half(s) > slice)
-            .collect();
+        let (slice, spans) = pair_slice(&Engine::from_arc(Arc::clone(&hin)));
         prop_assert!(!spans.is_empty(), "no span exceeds the {} B slice", slice);
         let engine = Engine::with_cache_config(
             Arc::clone(&hin),
@@ -296,7 +452,23 @@ fn a_half_that_proves_oversize_is_materialized_once() {
     assert_eq!(found_out.cache.misses, 1);
     assert_eq!(found_out.cache.inserts_refused, 1);
     assert_eq!(found_out.cache.evictions, 0);
-    for p in 3..53 {
+    // EXPLAIN says what the fourth run does: the split whose half proved
+    // oversize is chosen again at once, no other split qualifies, and
+    // nothing heats
+    let plan = engine.plan(&span(3)).unwrap();
+    assert_eq!(plan.row_route, None, "{plan}");
+    assert!(plan.to_string().ends_with(" shard slice)"), "{plan}");
+    assert_eq!(
+        engine.execute(&span(3)).unwrap(),
+        reference.execute(&span(3)).unwrap()
+    );
+    assert_eq!(
+        engine.stats().factor_promotions,
+        1,
+        "the fourth run heats nothing"
+    );
+    assert_eq!(engine.plan(&span(4)).unwrap().to_string(), plan.to_string());
+    for p in 4..53 {
         assert_eq!(
             engine.execute(&span(p)).unwrap(),
             reference.execute(&span(p)).unwrap()
@@ -311,6 +483,39 @@ fn a_half_that_proves_oversize_is_materialized_once() {
     // the span chains now, and EXPLAIN says so
     let plan = engine.plan(&span(0)).unwrap();
     assert_eq!(plan.row_route, None, "{plan}");
+}
+
+/// `EXPLAIN` is what runs on the hub world under the same 64 KB slice (see
+/// [`explain_is_what_runs`]): the three-step span heats the paper×paper
+/// half, which the two-step span and its mirror heat as a whole, until one
+/// of them crosses and the product proves oversize.
+#[test]
+fn explain_is_what_runs_on_a_hub() {
+    let hin = hub_bib();
+    let eager = Engine::with_config(
+        Arc::clone(&hin),
+        CacheConfig::default(),
+        ExecPolicy::eager(),
+    );
+    let engine = Engine::with_cache_config(
+        Arc::clone(&hin),
+        CacheConfig {
+            shards: 1,
+            byte_budget: Some(64 * 1024),
+        },
+    );
+    let queries: Vec<String> = (0..12)
+        .flat_map(|p| {
+            [
+                format!("pathcount written_by-^reviewed_by-cites from p{p}"),
+                format!("pathcount reviewed_by-^written_by from p{}", p + 100),
+                format!("pathcount written_by-^reviewed_by from p{}", p + 200),
+            ]
+        })
+        .collect();
+    explain_is_what_runs(&engine, &eager, &queries[..3]);
+    explain_is_what_runs(&engine, &eager, &queries);
+    explain_is_what_runs(&engine, &eager, &queries);
 }
 
 /// 300 papers over 12 authors, 3 venues and 20 terms: author×venue and
