@@ -68,61 +68,46 @@ const UNKNOWN_NORMALIZER: u64 = u64::MAX;
 /// [`UNKNOWN_NORMALIZER`] where not computed yet, filled in place.
 type NormalizerTable = Arc<[AtomicU64]>;
 
-/// Execution-policy knobs: how the engine trades per-query latency against
-/// cache amortization for anchored queries.
+/// The execution policy: how the engine trades per-query latency against
+/// cache amortization for anchored queries. There is one execution flow;
+/// this only says when it materializes a span.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecPolicy {
-    /// Enable the anchored sparse-row fast path
-    /// ([`ExecMode::SparseRow`]). Off = every query materializes
-    /// commuting matrices through the cache, the pre-fast-path behavior.
-    pub lazy: bool,
     /// Lazy executions of one span before it is **promoted** to full
     /// materialization (the `promote_after`-th anchored query on a span
     /// computes the matrix through the ordinary deduplicated cache path;
-    /// later queries are cache hits). `0` promotes on the first anchored
-    /// query, counted as a promotion. It is not `lazy: false`: under a
-    /// [`CacheConfig::byte_budget`] a span the cache refuses still
-    /// propagates its row (see below), while `lazy: false` materializes
-    /// every span on every query, refused or not. Per *span*, not per
-    /// anchor: many users probing one hot meta-path from different anchors
-    /// heat it together.
+    /// later queries are cache hits). Per *span*, not per anchor: many
+    /// users probing one hot meta-path from different anchors heat it
+    /// together.
+    ///
+    /// `0` is "materialize now": every anchored run of a span not resident
+    /// crosses, concurrent runs included, and materializes it, counted as a
+    /// promotion — on an unbounded cache, every anchored query reads its
+    /// row from the commuting matrix. `u32::MAX` keeps every cold span
+    /// lazy.
     ///
     /// Only spans the cache would keep are counted at all: under a
     /// [`CacheConfig::byte_budget`], a span whose estimated product — or
     /// whose product, once it has been computed and measured — is larger
-    /// than one shard's slice is never promoted, whatever this says
-    /// ([`EngineStats::promotions_refused`]). Such a span's row is served
-    /// through two halves the cache does keep, when it has a split with
-    /// such halves, and each product half heats and materializes by this
-    /// same count ([`EngineStats::factor_promotions`]).
+    /// than one shard's slice is never promoted, whatever this says, `0`
+    /// included ([`EngineStats::promotions_refused`]). Such a span's row is
+    /// served through two halves the cache does keep, when it has a split
+    /// with such halves, and each product half heats and materializes by
+    /// this same count ([`EngineStats::factor_promotions`]).
     pub promote_after: u32,
 }
 
 impl Default for ExecPolicy {
     fn default() -> Self {
-        Self {
-            lazy: true,
-            promote_after: 3,
-        }
+        Self { promote_after: 3 }
     }
 }
 
 impl ExecPolicy {
-    /// Always materialize — the pre-fast-path behavior. What tests and
-    /// experiments that specifically exercise cache warming use.
-    pub fn eager() -> Self {
-        Self {
-            lazy: false,
-            promote_after: 0,
-        }
-    }
-
-    /// Fast path on, promoting a span after `n` lazy executions.
+    /// Promote a span after `n` lazy executions; `0` materializes on the
+    /// first.
     pub fn promote_after(n: u32) -> Self {
-        Self {
-            lazy: true,
-            promote_after: n,
-        }
+        Self { promote_after: n }
     }
 }
 
@@ -322,11 +307,6 @@ impl Engine {
         }
     }
 
-    /// The engine's execution policy.
-    pub fn policy(&self) -> ExecPolicy {
-        self.policy
-    }
-
     /// This dataset's [`crate::snapshot::dataset_fingerprint`], computed
     /// on first use and cached for the engine's lifetime.
     pub fn dataset_fingerprint(&self) -> u64 {
@@ -411,11 +391,11 @@ impl Engine {
     /// verdict and row route, which `EXPLAIN` prints and [`Engine::apply`]
     /// carries out.
     ///
-    /// An anchored verb other than `rank`, under the lazy policy, over two
-    /// or more steps whose whole span is not resident propagates its row;
-    /// an anchored read of a resident span is what promotion leads to. A
-    /// propagating span heats toward [`ExecPolicy::promote_after`] unless
-    /// the cache refuses it, by the plan's estimate or by a measured size.
+    /// An anchored verb other than `rank` over two or more steps whose
+    /// whole span is not resident propagates its row; an anchored read of
+    /// a resident span is what promotion leads to. A propagating span
+    /// heats toward [`ExecPolicy::promote_after`] unless the cache refuses
+    /// it, by the plan's estimate or by a measured size.
     /// A refused span is only ever worth one row: it never heats, and its
     /// row goes through the halves of a split, each product half that is
     /// not resident (as [`Residency::link`] reads it) heating instead. The
@@ -429,7 +409,7 @@ impl Engine {
         plan: &mut QueryPlan,
     ) -> Option<Split> {
         let n = key.len();
-        let anchored = self.policy.lazy && resolved.from.is_some();
+        let anchored = resolved.from.is_some();
         let lazy = anchored
             && !matches!(resolved.verb, Verb::Rank)
             && n >= 2
@@ -482,11 +462,11 @@ impl Engine {
     /// on one shared engine.
     ///
     /// Anchored verbs (`pathsim`, `topk`, `pathcount`, `neighbors`) over a
-    /// multi-step span the cache does not hold run on the fast path under
-    /// the lazy policy and compute nothing they don't read — unless the
-    /// span's heat has crossed [`ExecPolicy::promote_after`], in which case
-    /// this query materializes the span through the ordinary deduplicated
-    /// cache path so the *next* ones are plain hits.
+    /// multi-step span the cache does not hold run on the fast path and
+    /// compute nothing they don't read — unless the span's heat has
+    /// crossed [`ExecPolicy::promote_after`], in which case this query
+    /// materializes the span through the ordinary deduplicated cache path
+    /// so the *next* ones are plain hits.
     ///
     /// There is one execution flow, [`Engine::execute_ids_traced`], with
     /// the answer named and the trace dropped here. It reads the clock four
@@ -1156,8 +1136,11 @@ fn elapsed_ns(t0: Instant) -> u64 {
 
 /// Which execution mode a query *actually ran* — unlike
 /// [`ExecMode`], which is the plan-time forecast, this reflects promotion:
-/// a lazy-eligible query that crossed [`ExecPolicy::promote_after`]
-/// materialized and reports [`TraceMode::Full`].
+/// a query planned [`ExecMode::SparseRow`] that crossed
+/// [`ExecPolicy::promote_after`] materialized and reports
+/// [`TraceMode::Full`]. Under `promote_after(0)` that is every anchored run
+/// of a span the cache admits; a span it refuses still reports
+/// [`TraceMode::SparseRow`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TraceMode {
     /// Materialized (or read) the commuting matrix through the cache.
@@ -1276,11 +1259,12 @@ mod tests {
             .heat
     }
 
-    /// An engine that always materializes — for tests whose subject is the
-    /// cache path itself (warming, eviction, snapshots), which the anchored
-    /// fast path would otherwise bypass.
-    fn eager_engine(hin: Arc<Hin>) -> Engine {
-        Engine::with_config(hin, CacheConfig::default(), ExecPolicy::eager())
+    /// An engine that materializes an anchored query's span on its first
+    /// run (`promote_after(0)` on an unbounded cache) — for tests whose
+    /// subject is the cache path itself (warming, eviction, snapshots),
+    /// which the anchored fast path would otherwise bypass.
+    fn materializing_engine(hin: Arc<Hin>) -> Engine {
+        Engine::with_config(hin, CacheConfig::default(), ExecPolicy::promote_after(0))
     }
 
     #[test]
@@ -1310,7 +1294,7 @@ mod tests {
 
     #[test]
     fn repeated_queries_hit_the_cache() {
-        let engine = eager_engine(Arc::new(bib()));
+        let engine = materializing_engine(Arc::new(bib()));
         let q = "pathsim author-paper-venue-paper-author from a0";
         let first = engine.execute(q).unwrap();
         let computed = engine.stats().cache.misses;
@@ -1335,7 +1319,7 @@ mod tests {
 
     #[test]
     fn overlapping_queries_share_subproducts_via_transpose() {
-        let engine = eager_engine(Arc::new(bib()));
+        let engine = materializing_engine(Arc::new(bib()));
         // Warm the A→P→V half-path…
         engine
             .execute("pathcount author-paper-venue from a0")
@@ -1452,7 +1436,7 @@ mod tests {
     #[test]
     fn batched_promotion_accounting_is_preserved() {
         let hin = skewed_bib();
-        let reference = eager_engine(Arc::clone(&hin));
+        let reference = materializing_engine(Arc::clone(&hin));
         let engine = Engine::with_config(
             Arc::clone(&hin),
             CacheConfig::default(),
@@ -1643,7 +1627,7 @@ mod tests {
     #[test]
     fn snapshot_restores_a_warm_cache_into_a_cold_engine() {
         let hin = Arc::new(bib());
-        let donor = eager_engine(Arc::clone(&hin));
+        let donor = materializing_engine(Arc::clone(&hin));
         let q = "pathsim author-paper-venue-paper-author from a0";
         let want = donor.execute(q).unwrap();
         let snap = donor.snapshot(None);
@@ -1666,7 +1650,7 @@ mod tests {
 
     #[test]
     fn restore_into_different_data_rejects_wholesale() {
-        let donor = eager_engine(Arc::new(bib()));
+        let donor = materializing_engine(Arc::new(bib()));
         donor
             .execute("pathsim author-paper-venue-paper-author from a0")
             .unwrap();
@@ -1691,7 +1675,7 @@ mod tests {
         b.link(pv, "p0", "v0", 1.0).unwrap();
         b.link(pv, "p1", "v0", 1.0).unwrap();
         b.link(pv, "p2", "v1", 1.0).unwrap();
-        let other = eager_engine(Arc::new(b.build()));
+        let other = materializing_engine(Arc::new(b.build()));
         let report = other.restore(&snap);
         assert!(report.fingerprint_mismatch, "rebuilt data must not pass");
         assert_eq!(report.loaded, 0, "no stale matrix may load");
@@ -1789,14 +1773,14 @@ mod tests {
 
         // a span resident only as its reversal: the probe is the one
         // symmetry hit evaluation would have counted, then plain hits
-        let engine = eager_engine(Arc::clone(&hin));
+        let engine = materializing_engine(Arc::clone(&hin));
         engine
             .execute("pathcount author-paper-venue from a0")
             .unwrap();
         let reversed = "pathcount venue-paper-author from v0";
         assert_eq!(
             engine.plan(reversed).unwrap().to_string(),
-            "cache[venue→paper·paper→author] (est 0 flops; left-to-right 600)"
+            "cache[venue→paper·paper→author] (est 0 flops; left-to-right 600; promotion: resident)"
         );
         let plans = PLAN_STEPS_CALLS.get();
         engine.execute(reversed).unwrap();
@@ -1815,7 +1799,7 @@ mod tests {
     #[test]
     fn anchored_fast_path_matches_materialized_results() {
         let hin = skewed_bib();
-        let eager = eager_engine(Arc::clone(&hin));
+        let reference = materializing_engine(Arc::clone(&hin));
         // promotion pushed out of reach: every query stays on the fast path
         let lazy = Engine::with_config(
             Arc::clone(&hin),
@@ -1833,7 +1817,7 @@ mod tests {
         for q in queries {
             assert_eq!(
                 lazy.execute(q).unwrap(),
-                eager.execute(q).unwrap(),
+                reference.execute(q).unwrap(),
                 "fast path result diverged: {q}"
             );
         }
@@ -1854,7 +1838,7 @@ mod tests {
     #[test]
     fn repeated_lazy_pathsim_reuses_memoized_normalizers() {
         let hin = skewed_bib();
-        let eager = eager_engine(Arc::clone(&hin));
+        let reference = materializing_engine(Arc::clone(&hin));
         let lazy = Engine::with_config(
             Arc::clone(&hin),
             CacheConfig::default(),
@@ -1866,13 +1850,13 @@ mod tests {
             "pathsim author-paper-venue-paper-author from a0",
             "pathsim author-paper-venue-paper-author from a5",
         );
-        assert_eq!(lazy.execute(q0).unwrap(), eager.execute(q0).unwrap());
+        assert_eq!(lazy.execute(q0).unwrap(), reference.execute(q0).unwrap());
         assert_eq!(
             lazy.stats().normalizer_memo_hits,
             0,
             "first query seeds the memo"
         );
-        assert_eq!(lazy.execute(q1).unwrap(), eager.execute(q1).unwrap());
+        assert_eq!(lazy.execute(q1).unwrap(), reference.execute(q1).unwrap());
         assert!(
             lazy.stats().normalizer_memo_hits > 0,
             "second query over the span reuses memoized M[y][y] diagonals"
@@ -1901,18 +1885,18 @@ mod tests {
             b.link(links, &other, &format!("g{g}"), 1.0).unwrap();
         }
         let hin = Arc::new(b.build());
-        let eager = eager_engine(Arc::clone(&hin));
+        let reference = materializing_engine(Arc::clone(&hin));
         let lazy = Engine::with_config(
             Arc::clone(&hin),
             CacheConfig::default(),
             ExecPolicy::promote_after(u32::MAX),
         );
         let q = "pathsim user-page-page-user from u0";
-        assert_eq!(lazy.execute(q).unwrap(), eager.execute(q).unwrap());
-        assert_eq!(lazy.execute(q).unwrap(), eager.execute(q).unwrap());
+        assert_eq!(lazy.execute(q).unwrap(), reference.execute(q).unwrap());
+        assert_eq!(lazy.execute(q).unwrap(), reference.execute(q).unwrap());
         let before = lazy.stats();
         assert!(before.normalizer_memo_hits > 0);
-        assert_eq!(lazy.execute(q).unwrap(), eager.execute(q).unwrap());
+        assert_eq!(lazy.execute(q).unwrap(), reference.execute(q).unwrap());
         assert!(lazy.stats().normalizer_memo_hits > before.normalizer_memo_hits);
     }
 
@@ -2011,7 +1995,7 @@ mod tests {
                 shards: 1,
                 byte_budget: Some(64 * 1024),
             },
-            ExecPolicy::eager(),
+            ExecPolicy::promote_after(0),
         );
         // the first read materializes the span and builds its sidecar, the
         // later ones find it: three queries, one build
@@ -2029,7 +2013,7 @@ mod tests {
 
         // a restore replaces the entry, so the diagonal is rebuilt from the
         // restored matrix — from a heap snapshot…
-        let from_heap = eager_engine(Arc::clone(&hin));
+        let from_heap = materializing_engine(Arc::clone(&hin));
         assert!(from_heap.restore(&snap).loaded > 0);
         assert_answers_by_definition(&from_heap, &m, "restored from heap");
         assert_eq!(
@@ -2048,7 +2032,7 @@ mod tests {
         let path = dir.join("cache.hsnp");
         snap.write_to_file(&path).expect("write");
         let mapped = CacheSnapshot::open(&path).expect("mapped restore");
-        let from_file = eager_engine(Arc::clone(&hin));
+        let from_file = materializing_engine(Arc::clone(&hin));
         assert!(from_file.restore(&mapped).loaded > 0);
         assert_answers_by_definition(&from_file, &m, "restored from a mapped file");
         assert_eq!(from_file.stats().cache.misses, 0, "served from the mapping");
@@ -2068,18 +2052,6 @@ mod tests {
         engine.cache().insert(key.clone(), Arc::new(other.clone()));
         assert_answers_by_definition(&engine, &other, "entry replaced under the same key");
         assert_eq!(engine.stats().cache.diagonal_builds, 4);
-
-        // a budget the span never fits: every read is the non-resident
-        // fallback and no diagonal is ever built
-        let starved = Engine::with_config(
-            Arc::clone(&hin),
-            CacheConfig::bounded(2 * 1024),
-            ExecPolicy::eager(),
-        );
-        assert_answers_by_definition(&starved, &m, "never resident");
-        assert_answers_by_definition(&starved, &m, "never resident, again");
-        assert!(starved.cache().peek_exact(&key).is_none());
-        assert_eq!(starved.stats().cache.diagonal_builds, 0);
     }
 
     #[test]
@@ -2096,7 +2068,7 @@ mod tests {
                 shards: 1,
                 byte_budget: Some(64 * 1024),
             },
-            ExecPolicy::eager(),
+            ExecPolicy::promote_after(0),
         );
         let builds = || engine.cache().ranked_builds();
         let read = |q: &str| {
@@ -2176,7 +2148,7 @@ mod tests {
                 (2, 2, 2.0),
             ],
         );
-        let engine = eager_engine(Arc::clone(&hin));
+        let engine = materializing_engine(Arc::clone(&hin));
         engine
             .cache()
             .insert(key_of(apa.steps()), Arc::new(poisoned));
@@ -2206,7 +2178,7 @@ mod tests {
     #[test]
     fn hot_spans_promote_to_materialization() {
         let hin = skewed_bib();
-        let reference = eager_engine(Arc::clone(&hin));
+        let reference = materializing_engine(Arc::clone(&hin));
         let engine = Engine::from_arc(Arc::clone(&hin)); // promote_after: 3
         let q = "pathsim author-paper-venue-paper-author from a0";
         let want = reference.execute(q).unwrap();
@@ -2246,7 +2218,7 @@ mod tests {
     #[test]
     fn a_span_estimated_over_the_slice_is_never_promoted() {
         let hin = skewed_bib();
-        let reference = eager_engine(Arc::clone(&hin));
+        let reference = materializing_engine(Arc::clone(&hin));
         // A-P-V-P-A is 12×12 here: an estimate of well over a kilobyte
         let engine = Engine::with_cache_config(
             Arc::clone(&hin),
@@ -2320,7 +2292,7 @@ mod tests {
     #[test]
     fn an_underestimated_span_is_materialized_once_then_refused_with_its_mirror() {
         let hin = hub_bib();
-        let reference = eager_engine(Arc::clone(&hin));
+        let reference = materializing_engine(Arc::clone(&hin));
         // 64 KB in one shard: room for the hub span's *estimate* (≈ 50 KB),
         // not for its product (≈ 480 KB)
         let engine = Engine::with_cache_config(
@@ -2477,12 +2449,104 @@ mod tests {
         assert_eq!(engine.stats().anchored_fast_paths, 0);
         assert_eq!(engine.stats().promotions, 1);
         assert!(engine.stats().cache.misses > 0);
+
+        // "materialize now" holds under a race: threads released together
+        // onto one cold span each cross at once, and every run reads its
+        // row from the one product the cache computed
+        const N: usize = 8;
+        let q = |i: usize| format!("pathsim author-paper-venue-paper-author from a{i}");
+        let reference = materializing_engine(Arc::clone(&hin));
+        let engine = materializing_engine(Arc::clone(&hin));
+        let start = std::sync::Barrier::new(N);
+        std::thread::scope(|s| {
+            for i in 0..N {
+                let (engine, reference, start) = (&engine, &reference, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let (got, trace) = engine.execute_traced(&q(i));
+                    assert_eq!(trace.mode, TraceMode::Full, "{}", q(i));
+                    assert_eq!(got.unwrap(), reference.execute(&q(i)).unwrap());
+                });
+            }
+        });
+        let stats = engine.stats();
+        assert_eq!(stats.anchored_fast_paths, 0);
+        assert_eq!(
+            stats.cache.dup_computes, 0,
+            "one product, however many crossed"
+        );
+        assert!((1..=N as u64).contains(&stats.promotions), "{stats:?}");
+    }
+
+    #[test]
+    fn a_promotion_the_insert_refuses_ranks_its_row_without_a_sidecar() {
+        // the one production path to `top_k_pathsim` on a product the cache
+        // does not keep: the estimate of P-A-P (≈ 50 KB) fits the 64 KB
+        // slice, so the first run promotes, and the product (≈ 480 KB, the
+        // hub's 200 papers pairwise) is refused at the door
+        let hin = hub_bib();
+        let engine = Engine::with_config(
+            Arc::clone(&hin),
+            CacheConfig {
+                shards: 1,
+                byte_budget: Some(64 * 1024),
+            },
+            ExecPolicy::promote_after(0),
+        );
+        let written = hin.relation_by_name("written_by").unwrap();
+        let pap = MetaPath::new(vec![
+            PathStep::Forward(written),
+            PathStep::Backward(written),
+        ]);
+        let m = commuting_matrix(&hin, &pap).unwrap();
+        let paper = hin.type_by_name("paper").unwrap();
+        let q = |p: usize| format!("pathsim written_by-^written_by from p{p}");
+        let by_definition = |p: usize| -> Vec<(String, f64)> {
+            let mut all: Vec<(usize, f64)> = m
+                .row_indices(p)
+                .iter()
+                .map(|&y| y as usize)
+                .filter(|&y| y != p)
+                .map(|y| (y, hin_similarity::pathsim_pair(&m, p, y)))
+                .collect();
+            all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            all.truncate(DEFAULT_LIMIT);
+            let name = |id: usize| {
+                hin.node_name(NodeRef {
+                    ty: paper,
+                    id: id as u32,
+                })
+            };
+            all.into_iter()
+                .map(|(id, s)| (name(id).to_string(), s))
+                .collect()
+        };
+        assert!(engine.plan(&q(0)).unwrap().est_bytes < 64 * 1024);
+        let (got, trace) = engine.execute_traced(&q(0));
+        assert_eq!(trace.mode, TraceMode::Full, "the promotion materialized");
+        assert_eq!(got.unwrap().items, by_definition(0));
+        let stats = engine.stats();
+        assert_eq!((stats.promotions, stats.cache.inserts_refused), (1, 1));
+        assert_eq!(stats.cache.diagonal_builds, 0, "no sidecar, no diagonal");
+        assert_eq!(
+            engine.cache().ranked_builds(),
+            0,
+            "no sidecar, no stored row"
+        );
+        // measured oversize now: later runs are refused and propagate
+        for p in [0, 1, 250] {
+            let (got, trace) = engine.execute_traced(&q(p));
+            assert_eq!(trace.mode, TraceMode::SparseRow);
+            assert_eq!(got.unwrap().items, by_definition(p), "p{p}");
+        }
+        assert_eq!(engine.stats().promotions, 1);
+        assert_eq!(engine.stats().cache.inserts_refused, 1);
     }
 
     #[test]
     fn evicted_seed_degrades_to_propagating_from_the_anchor() {
         let hin = skewed_bib();
-        let reference = eager_engine(Arc::clone(&hin));
+        let reference = materializing_engine(Arc::clone(&hin));
         let engine = Engine::with_config(
             Arc::clone(&hin),
             CacheConfig {
@@ -2544,7 +2608,7 @@ mod tests {
             b.link(links, &other, &format!("g{g}"), 1.0).unwrap();
         }
         let hin = Arc::new(b.build());
-        let eager = eager_engine(Arc::clone(&hin));
+        let reference = materializing_engine(Arc::clone(&hin));
         let lazy = Engine::with_config(
             Arc::clone(&hin),
             CacheConfig::default(),
@@ -2558,7 +2622,11 @@ mod tests {
             // u·L·uᵀ diagonal formula must hold for an asymmetric L
             "pathsim viewed-links-^viewed from u0",
         ] {
-            assert_eq!(lazy.execute(q).unwrap(), eager.execute(q).unwrap(), "{q}");
+            assert_eq!(
+                lazy.execute(q).unwrap(),
+                reference.execute(q).unwrap(),
+                "{q}"
+            );
         }
         assert!(
             lazy.stats().anchored_fast_paths > 0,
@@ -2583,7 +2651,7 @@ mod tests {
 
         for (label, engine) in [
             ("lazy", Engine::from_arc(Arc::clone(&hin))),
-            ("eager", eager_engine(Arc::clone(&hin))),
+            ("materializing", materializing_engine(Arc::clone(&hin))),
         ] {
             // pathcount is a ranking verb: top-DEFAULT_LIMIT by default
             let counts = engine
@@ -2631,16 +2699,16 @@ mod tests {
         assert_eq!(seeded.mode, TraceMode::SparseRow);
         assert_eq!(seeded.outcome, CacheOutcome::Hit, "seeded from cache");
 
-        // eager: full materialization, then a pure hit on the warm run
-        let eager = eager_engine(Arc::clone(&hin));
-        let (_, cold) = eager.execute_traced(q);
+        // promote_after(0): full materialization, then a pure hit on the warm run
+        let reference = materializing_engine(Arc::clone(&hin));
+        let (_, cold) = reference.execute_traced(q);
         assert_eq!(cold.mode, TraceMode::Full);
         assert_eq!(cold.outcome, CacheOutcome::MissCompute);
-        let (_, warm) = eager.execute_traced(q);
+        let (_, warm) = reference.execute_traced(q);
         assert_eq!(warm.outcome, CacheOutcome::Hit);
 
         // a query that fails resolution still reports its planning time
-        let (err, trace) = eager.execute_traced("pathcount author-paper-venue from nobody");
+        let (err, trace) = reference.execute_traced("pathcount author-paper-venue from nobody");
         assert!(err.is_err());
         assert_eq!(trace.exec_ns, 0, "nothing executed");
         assert!(trace.plan_ns > 0);
@@ -2673,16 +2741,16 @@ mod tests {
         use crate::cache::PEEKS;
         let hin = venue_bib();
         let span = "author-paper-venue-paper-author";
-        let eager = eager_engine(Arc::clone(&hin));
+        let reference = materializing_engine(Arc::clone(&hin));
         // the real halves H (author×venue) and Hᵀ, and their estimates
-        eager
+        reference
             .execute("pathcount author-paper-venue from a0")
             .unwrap();
-        let h = eager.stats().cache.bytes;
-        eager
+        let h = reference.stats().cache.bytes;
+        reference
             .execute("pathcount venue-paper-author from v0")
             .unwrap();
-        let ht = eager.stats().cache.bytes - h;
+        let ht = reference.stats().cache.bytes - h;
         let cold = Engine::from_arc(Arc::clone(&hin));
         let est = |path: &str, anchor: &str| {
             let q = format!("pathcount {path} from {anchor}");
@@ -2716,7 +2784,7 @@ mod tests {
         assert_eq!(engine.stats().cache.len, 2, "both halves resident");
 
         for a in 6..12 {
-            let want = eager.execute(&q(a)).unwrap();
+            let want = reference.execute(&q(a)).unwrap();
             PEEKS.with(|p| p.borrow_mut().clear());
             let hits = engine.stats().cache.hits;
             assert_eq!(engine.execute(&q(a)).unwrap(), want);
@@ -2826,9 +2894,13 @@ mod tests {
         // a non-anchored verb always materializes
         let rank = engine.plan("rank venue-paper-author").unwrap();
         assert_eq!(rank.mode, ExecMode::Full);
-        // an eager engine always materializes
-        let eager = eager_engine(Arc::clone(&hin));
-        assert_eq!(eager.plan(q).unwrap().mode, ExecMode::Full);
+        // under promote_after(0) a cold span's first run materializes it
+        let now = materializing_engine(Arc::clone(&hin)).plan(q).unwrap();
+        assert_eq!(now.promotion, Some(Promotion::Heating { run: 1, of: 0 }));
+        assert!(
+            now.to_string().contains("promotion: materializes now"),
+            "{now}"
+        );
 
         // a resident span is read, not propagated
         let path = MetaPath::from_type_names(

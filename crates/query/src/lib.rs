@@ -31,7 +31,12 @@
 //!   **heat-based promotion** over the fast path: per-span counters
 //!   ([`ExecPolicy::promote_after`]) materialize a span through the
 //!   deduplicated cache path once it keeps being queried, so cold anchored
-//!   queries stay cheap and hot spans still amortize;
+//!   queries stay cheap and hot spans still amortize. That count is the
+//!   whole execution policy: `promote_after(0)` materializes a span on its
+//!   first anchored run, and there is no second way of answering a query;
+//!   an answer is defined by the commuting matrix alone, and the tests hold
+//!   the engine to an independent hash-map evaluator
+//!   (`hin_synth::naive`);
 //! * [`cache`] — the [`MatrixCache`] behind the engine: sharded across
 //!   independently locked segments so threads sharing one engine don't
 //!   contend, and optionally bounded by a byte budget

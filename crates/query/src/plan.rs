@@ -33,8 +33,7 @@ use crate::cache::{key_of, reversed_key, MatrixCache, Refusal, StepKey};
 pub enum ExecMode {
     /// Materialize the commuting matrix through the plan tree (cache-aware)
     /// and read the anchor's row from it. Non-anchored verbs (`rank`),
-    /// single-step paths, cache-resident spans and eager engines always
-    /// execute this way.
+    /// single-step paths and cache-resident spans always execute this way.
     Full,
     /// Propagate `eₓᵀ` through the chain as sparse-vector × CSR products —
     /// the anchored fast path. Cold cost is proportional to the rows

@@ -123,7 +123,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use hin_core::{Hin, RelationId};
-use hin_linalg::codec::{read_exact_or_truncated, Fnv64, Fnv64x4};
+use hin_linalg::codec::{Fnv64, Fnv64x4};
 use hin_linalg::{ArenaBuf, ArenaEntry, Csr};
 
 pub use hin_linalg::codec::CodecError;
@@ -307,20 +307,6 @@ impl CacheSnapshot {
         ids.len()
     }
 
-    /// Matrix bytes shared in place with an arena buffer vs. held as
-    /// owned heap copies — `(shared, copied)`, both in [`Csr::nbytes`]
-    /// pricing. A mounted image reports everything shared; a live export
-    /// reports everything copied.
-    pub fn bytes_shared_copied(&self) -> (usize, usize) {
-        self.entries.iter().fold((0, 0), |(s, c), e| {
-            if e.matrix.is_view() {
-                (s + e.matrix.nbytes(), c)
-            } else {
-                (s, c + e.matrix.nbytes())
-            }
-        })
-    }
-
     /// The sealed metadata block — superheader, keys, directory — of this
     /// snapshot's image: a few hundred bytes, the only part of an export
     /// that is assembled rather than streamed. Hashes any entry that does
@@ -403,35 +389,6 @@ impl CacheSnapshot {
             e.matrix.write_arena_payload(w)?;
         }
         Ok(())
-    }
-
-    /// Decode a container written by [`CacheSnapshot::to_writer`] from a
-    /// generic reader.
-    ///
-    /// Every corruption mode — wrong magic, unknown version, truncation,
-    /// metadata or structure bit flips, hostile lengths — returns a typed
-    /// [`CodecError`]; schema fit against a concrete dataset is checked
-    /// later, at import, and values before they are served.
-    /// Consumes at most one image (the header says how long it is), then
-    /// hands it to the same parser every other entry point uses, which
-    /// holds the announced length against what actually arrived. The
-    /// buffer grows as bytes arrive, so a hostile `file_len` cannot force
-    /// one giant up-front allocation ahead of real data.
-    pub fn from_reader<R: Read>(r: &mut R) -> Result<CacheSnapshot, CodecError> {
-        // the smallest legal image is a bare superheader
-        let mut head = [0u8; HEADER];
-        read_exact_or_truncated(r, &mut head)?;
-        // magic and version before `file_len`: in a foreign or older
-        // stream those eight bytes are not a length
-        check_head(&head)?;
-        let file_len = u64::from_le_bytes(head[48..56].try_into().expect("8 bytes"));
-        let mut bytes = head.to_vec();
-        r.take(file_len.saturating_sub(HEADER as u64))
-            .read_to_end(&mut bytes)?;
-        if (bytes.len() as u64) < file_len {
-            return Err(CodecError::Truncated);
-        }
-        CacheSnapshot::from_bytes(&bytes)
     }
 
     /// Serialize into the complete image as a byte vector — the framed
@@ -944,11 +901,10 @@ mod tests {
     fn every_entry_point(
         dir: &std::path::Path,
         image: &[u8],
-    ) -> [(&'static str, Result<CacheSnapshot, CodecError>); 3] {
+    ) -> [(&'static str, Result<CacheSnapshot, CodecError>); 2] {
         let path = dir.join("entry-point.hsnp");
         std::fs::write(&path, image).unwrap();
         [
-            ("from_reader", CacheSnapshot::from_reader(&mut &*image)),
             ("from_bytes", CacheSnapshot::from_bytes(image)),
             ("open", CacheSnapshot::open(&path)),
         ]
@@ -1022,7 +978,7 @@ mod tests {
 
         let mut bytes = Vec::new();
         snap.to_writer(&mut bytes).expect("vec writes cannot fail");
-        let back = CacheSnapshot::from_reader(&mut bytes.as_slice()).expect("round trip");
+        let back = CacheSnapshot::from_bytes(&bytes).expect("round trip");
         assert_eq!(back.len(), snap.len());
         assert_eq!(back.keys(), snap.keys());
         assert_eq!(back.bytes(), snap.bytes());
@@ -1031,12 +987,12 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'Z';
         assert!(matches!(
-            CacheSnapshot::from_reader(&mut bad.as_slice()),
+            CacheSnapshot::from_bytes(&bad),
             Err(CodecError::BadMagic { .. })
         ));
         // truncation anywhere is an error, never a panic
         for cut in 0..bytes.len() {
-            assert!(CacheSnapshot::from_reader(&mut &bytes[..cut]).is_err());
+            assert!(CacheSnapshot::from_bytes(&bytes[..cut]).is_err());
         }
         // a bit flip anywhere is caught by whatever covers that byte: the
         // seal or the zero-padding rule at mount, an entry checksum before
@@ -1065,7 +1021,7 @@ mod tests {
         let mut bytes = Vec::new();
         snap.to_writer(&mut bytes).expect("vec writes cannot fail");
         let decodes_before = hin_linalg::arena::heap_decodes();
-        let back = CacheSnapshot::from_reader(&mut bytes.as_slice()).expect("round trip");
+        let back = CacheSnapshot::from_bytes(&bytes).expect("round trip");
         assert_eq!(back.keys(), snap.keys());
         if hin_linalg::arena::ZERO_COPY {
             assert_eq!(back.view_backed(), back.len(), "every entry is a view");
@@ -1076,8 +1032,6 @@ mod tests {
                 decodes_before,
                 "mounting an image performs zero per-matrix heap decodes"
             );
-            let (shared, copied) = back.bytes_shared_copied();
-            assert_eq!((shared, copied), (snap.bytes(), 0));
         }
         // content identity regardless of backing
         for (a, b) in snap.entries.iter().zip(&back.entries) {
@@ -1121,7 +1075,7 @@ mod tests {
         let malformed = |image: &[u8], what: &str| {
             assert!(
                 matches!(
-                    CacheSnapshot::from_reader(&mut &*image),
+                    CacheSnapshot::from_bytes(image),
                     Err(CodecError::Malformed(_))
                 ),
                 "{what}"
@@ -1138,7 +1092,7 @@ mod tests {
         let mut hostile = bytes.clone();
         put(&mut hostile, dir_off + 16, u64::MAX);
         reseal(&mut hostile);
-        assert!(CacheSnapshot::from_reader(&mut hostile.as_slice()).is_err());
+        assert!(CacheSnapshot::from_bytes(&hostile).is_err());
 
         // a gap: the second entry's arrays start one word late, leaving
         // eight heap bytes that no checksum covers
@@ -1197,20 +1151,17 @@ mod tests {
             malformed(&hostile, "heap_off out of range");
         }
 
-        // file_len overstated beyond anything a machine holds: a truncation,
-        // found without allocating for the announced length
+        // file_len overstated beyond anything a machine holds: held against
+        // the bytes that arrived, never allocated for
         let mut hostile = bytes.clone();
         put(&mut hostile, 48, u64::MAX / 2);
-        assert!(matches!(
-            CacheSnapshot::from_reader(&mut hostile.as_slice()),
-            Err(CodecError::Truncated)
-        ));
+        malformed(&hostile, "file_len overstated");
 
         // file_len understated: the image no longer tiles
         let mut hostile = bytes.clone();
         put(&mut hostile, 48, (bytes.len() - 8) as u64);
         reseal(&mut hostile);
-        assert!(CacheSnapshot::from_reader(&mut hostile.as_slice()).is_err());
+        assert!(CacheSnapshot::from_bytes(&hostile).is_err());
         assert!(heap_off < bytes.len());
     }
 
@@ -1380,7 +1331,7 @@ mod tests {
         // the fingerprint survives the container round trip
         let mut bytes = Vec::new();
         snap.to_writer(&mut bytes).expect("vec writes cannot fail");
-        let back = CacheSnapshot::from_reader(&mut bytes.as_slice()).expect("round trip");
+        let back = CacheSnapshot::from_bytes(&bytes).expect("round trip");
         assert_eq!(back.fingerprint(), Some(fp));
 
         // matching fingerprint: entries load as usual
@@ -1653,7 +1604,7 @@ mod tests {
         let donor = crate::Engine::with_config(
             Arc::clone(&hin),
             CacheConfig::default(),
-            crate::ExecPolicy::eager(),
+            crate::ExecPolicy::promote_after(0),
         );
         for q in queries {
             donor.execute(q).unwrap();
@@ -1811,7 +1762,7 @@ mod tests {
         let snap = CacheSnapshot::default();
         let mut bytes = Vec::new();
         snap.to_writer(&mut bytes).expect("vec writes cannot fail");
-        let back = CacheSnapshot::from_reader(&mut bytes.as_slice()).expect("empty container");
+        let back = CacheSnapshot::from_bytes(&bytes).expect("empty container");
         assert!(back.is_empty());
         let cache = MatrixCache::default();
         let report = cache.import_snapshot(&back, &bib());

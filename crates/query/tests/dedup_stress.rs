@@ -128,13 +128,14 @@ fn engine_level_dedup_keeps_misses_at_single_thread_count() {
     }
     let hin = Arc::new(b.build());
 
-    // Eager policy on both engines: this test's subject is the
+    // `promote_after(0)` on both engines: every run crosses at once, so
+    // every thread promotes and materializes. This test's subject is the
     // materialization path's in-flight dedup, which the anchored fast
     // path would otherwise sidestep (it computes no shared products).
     let reference = Engine::with_config(
         Arc::clone(&hin),
         CacheConfig::default(),
-        ExecPolicy::eager(),
+        ExecPolicy::promote_after(0),
     );
     let q = "pathsim author-paper-venue-paper-author from a0";
     let want = reference.execute(q).unwrap();
@@ -143,7 +144,7 @@ fn engine_level_dedup_keeps_misses_at_single_thread_count() {
     let engine = Arc::new(Engine::with_config(
         Arc::clone(&hin),
         CacheConfig::default(),
-        ExecPolicy::eager(),
+        ExecPolicy::promote_after(0),
     ));
     let n_threads = 8;
     let barrier = Arc::new(Barrier::new(n_threads));

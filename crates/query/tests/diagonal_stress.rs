@@ -35,14 +35,15 @@ fn concurrent_pathsim_reads_build_the_diagonal_once() {
         .map(|a| format!("pathsim author-paper-venue-paper-author from a{a}"))
         .collect();
 
-    let eager = || {
+    // every anchored run materializes its span: reads are resident reads
+    let materializing = || {
         Engine::with_config(
             Arc::clone(&hin),
             CacheConfig::default(),
-            ExecPolicy::eager(),
+            ExecPolicy::promote_after(0),
         )
     };
-    let reference = eager();
+    let reference = materializing();
     let want: Vec<_> = queries
         .iter()
         .map(|q| reference.execute(q).unwrap())
@@ -51,7 +52,7 @@ fn concurrent_pathsim_reads_build_the_diagonal_once() {
 
     // make the span resident through a verb that reads no diagonal, so the
     // first PathSim reads — and the one build — happen under contention
-    let engine = Arc::new(eager());
+    let engine = Arc::new(materializing());
     engine
         .execute("pathcount author-paper-venue-paper-author from a0")
         .unwrap();

@@ -4,8 +4,9 @@
 //!
 //! Weights are small integers, so every commuting-matrix entry is an exact
 //! integer and the changed association — `x·(AB)·(CD)` where the chain
-//! runs `(((xA)B)C)D` — leaves every score bit-identical to an unbounded
-//! eager engine's (the contract `anchored_props.rs` states).
+//! runs `(((xA)B)C)D` — leaves every score bit-identical to the full
+//! product's row, read off an unbounded engine that materializes every
+//! span it is asked (the contract `anchored_props.rs` states).
 //!
 //! CI runs this file ten times in debug: threads race the first refused
 //! queries, and which of them heats a half past `promote_after` and which
@@ -220,12 +221,22 @@ fn crossing_halves(plan: &QueryPlan) -> usize {
     crossing.len()
 }
 
+/// An unbounded engine under `promote_after(0)`: every anchored run
+/// materializes its span, so every answer is read off the full product.
+fn materializing(hin: &Arc<Hin>) -> Engine {
+    Engine::with_config(
+        Arc::clone(hin),
+        CacheConfig::default(),
+        ExecPolicy::promote_after(0),
+    )
+}
+
 /// Run each of `queries` in turn on `engine`, single-threaded, checking
 /// that what `EXPLAIN` forecasts for it is what its execution then does:
 /// the mode it runs in, which promotion counter moves, how many halves
 /// materialize, and what the next `EXPLAIN` of it counts; and that its
-/// answer is `eager`'s, bit for bit.
-fn explain_is_what_runs(engine: &Engine, eager: &Engine, queries: &[String]) {
+/// answer is `reference`'s, bit for bit.
+fn explain_is_what_runs(engine: &Engine, reference: &Engine, queries: &[String]) {
     for q in queries {
         let plan = engine.plan(q).unwrap();
         let before = engine.stats();
@@ -233,7 +244,7 @@ fn explain_is_what_runs(engine: &Engine, eager: &Engine, queries: &[String]) {
         let after = engine.stats();
         let next = engine.plan(q).unwrap();
         let context = format!("{q}\n  planned: {plan}\n  then:    {next}");
-        assert_bit_identical(&got.unwrap(), &eager.execute(q).unwrap(), &context);
+        assert_bit_identical(&got.unwrap(), &reference.execute(q).unwrap(), &context);
 
         let promotes = matches!(plan.promotion, Some(Promotion::Heating { run, of }) if run >= of);
         let refused = matches!(plan.promotion, Some(Promotion::Refused(_)));
@@ -319,37 +330,29 @@ proptest! {
     #[test]
     fn explain_is_what_runs_on_every_world(world in worlds()) {
         let hin = world.build();
-        let eager = Engine::with_config(
-            Arc::clone(&hin),
-            CacheConfig::default(),
-            ExecPolicy::eager(),
-        );
+        let reference = materializing(&hin);
         let (slice, _) = pair_slice(&Engine::from_arc(Arc::clone(&hin)));
         let engine = Engine::with_cache_config(
             Arc::clone(&hin),
             CacheConfig { shards: 1, byte_budget: Some(slice) },
         );
         let all: Vec<String> = SPANS.iter().flat_map(|s| queries(&world, s)).collect();
-        explain_is_what_runs(&engine, &eager, &all);
-        explain_is_what_runs(&engine, &eager, &all);
+        explain_is_what_runs(&engine, &reference, &all);
+        explain_is_what_runs(&engine, &reference, &all);
         let stats = engine.stats();
         prop_assert!(stats.promotions_refused > 0, "{:?}", stats);
         prop_assert!(stats.factor_promotions >= 1, "{:?}", stats);
     }
 
     /// A one-shard cache whose slice holds the two halves of every span
-    /// queried but none of the spans: every anchored verb answers as the
-    /// unbounded eager engine does — cold, with the halves materialized,
-    /// and with them evicted — and no span's product is computed more
-    /// than once: a span the cache refuses is never materialized again.
+    /// queried but none of the spans: every anchored verb answers as an
+    /// unbounded materializing engine does — cold, with the halves
+    /// materialized, and with them evicted — and no span's product is
+    /// computed more than once: a span the cache refuses is never materialized again.
     #[test]
     fn a_refused_span_answers_through_its_halves_bit_for_bit(world in worlds()) {
         let hin = world.build();
-        let eager = Engine::with_config(
-            Arc::clone(&hin),
-            CacheConfig::default(),
-            ExecPolicy::eager(),
-        );
+        let reference = materializing(&hin);
         // the slice the pairs need; a span that would fit it is left out
         let (slice, spans) = pair_slice(&Engine::from_arc(Arc::clone(&hin)));
         prop_assert!(!spans.is_empty(), "no span exceeds the {} B slice", slice);
@@ -360,7 +363,7 @@ proptest! {
         let all: Vec<String> = spans.iter().flat_map(|s| queries(&world, s)).collect();
         let check = |stage: &str| {
             for q in &all {
-                let want = eager.execute(q).unwrap();
+                let want = reference.execute(q).unwrap();
                 let got = engine.execute(q).unwrap();
                 assert_bit_identical(&got, &want, &format!("{stage}: {q}"));
             }
@@ -409,11 +412,7 @@ fn hub_bib() -> Arc<Hin> {
 #[test]
 fn a_half_that_proves_oversize_is_materialized_once() {
     let hin = hub_bib();
-    let reference = Engine::with_config(
-        Arc::clone(&hin),
-        CacheConfig::default(),
-        ExecPolicy::eager(),
-    );
+    let reference = materializing(&hin);
     // 64 KB in one shard: room for the paper×paper half's estimate, not for
     // its product (≈ 480 KB); the whole span and the other split's product
     // half (author×paper) are estimated over the slice
@@ -492,11 +491,7 @@ fn a_half_that_proves_oversize_is_materialized_once() {
 #[test]
 fn explain_is_what_runs_on_a_hub() {
     let hin = hub_bib();
-    let eager = Engine::with_config(
-        Arc::clone(&hin),
-        CacheConfig::default(),
-        ExecPolicy::eager(),
-    );
+    let reference = materializing(&hin);
     let engine = Engine::with_cache_config(
         Arc::clone(&hin),
         CacheConfig {
@@ -513,9 +508,9 @@ fn explain_is_what_runs_on_a_hub() {
             ]
         })
         .collect();
-    explain_is_what_runs(&engine, &eager, &queries[..3]);
-    explain_is_what_runs(&engine, &eager, &queries);
-    explain_is_what_runs(&engine, &eager, &queries);
+    explain_is_what_runs(&engine, &reference, &queries[..3]);
+    explain_is_what_runs(&engine, &reference, &queries);
+    explain_is_what_runs(&engine, &reference, &queries);
 }
 
 /// 300 papers over 12 authors, 3 venues and 20 terms: author×venue and
@@ -544,11 +539,7 @@ fn skewed_bib() -> Arc<Hin> {
 #[test]
 fn two_halves_that_crowd_one_slice_are_not_taken() {
     let hin = skewed_bib();
-    let reference = Engine::with_config(
-        Arc::clone(&hin),
-        CacheConfig::default(),
-        ExecPolicy::eager(),
-    );
+    let reference = materializing(&hin);
     let span = "author-paper-venue-paper-author";
     let probe = Engine::from_arc(Arc::clone(&hin));
     let (left, right) = (
@@ -641,11 +632,7 @@ fn explain_names_the_route_and_heats_nothing() {
 #[test]
 fn racing_threads_compute_each_half_once() {
     let hin = skewed_bib();
-    let reference = Engine::with_config(
-        Arc::clone(&hin),
-        CacheConfig::default(),
-        ExecPolicy::eager(),
-    );
+    let reference = materializing(&hin);
     let queries: Vec<String> = (0..12)
         .map(|a| format!("pathcount author-paper-venue-paper-term from a{a}"))
         .collect();
@@ -736,31 +723,27 @@ fn venue_world(grouped: bool) -> Arc<Hin> {
 /// PathSim over `H·Hᵀ` with `H` = author×venue, on eight shards whose
 /// slices hold `H` or `Hᵀ` but never the span: the cache keeps a product
 /// and its transpose in different shards, so both halves become resident
-/// and every row is one product through `Hᵀ`, equal to the unbounded eager
-/// engine's bit for bit. Spread, each half fits by estimate and by size,
-/// and the two do not fit one slice; grouped, `H`'s row-major estimate is
-/// over the slice and only `Hᵀ`'s (the same nonzeros, 5 row pointers
-/// against 241) under it, and the half is let in on that cheaper
+/// and every row is one product through `Hᵀ`, equal to an unbounded
+/// materializing engine's bit for bit. Spread, each half fits by estimate
+/// and by size, and the two do not fit one slice; grouped, `H`'s row-major
+/// estimate is over the slice and only `Hᵀ`'s (the same nonzeros, 5 row
+/// pointers against 241) under it, and the half is let in on that cheaper
 /// orientation — its real product fits.
 #[test]
 fn a_symmetric_row_reads_both_halves_from_their_own_slices() {
     let span = "author-paper-venue-paper-author";
     for grouped in [false, true] {
         let hin = venue_world(grouped);
-        let eager = Engine::with_config(
-            Arc::clone(&hin),
-            CacheConfig::default(),
-            ExecPolicy::eager(),
-        );
+        let reference = materializing(&hin);
         // the real halves, as an unbounded cache keeps them
-        eager
+        reference
             .execute("pathcount author-paper-venue from a0")
             .unwrap();
-        let h = eager.stats().cache.bytes;
-        eager
+        let h = reference.stats().cache.bytes;
+        reference
             .execute("pathcount venue-paper-author from v0")
             .unwrap();
-        let ht = eager.stats().cache.bytes - h;
+        let ht = reference.stats().cache.bytes - h;
         let cold = Engine::from_arc(Arc::clone(&hin));
         let (est_h, est_ht) = (
             est_bytes(&cold, "author-paper-venue", "a0"),
@@ -795,7 +778,7 @@ fn a_symmetric_row_reads_both_halves_from_their_own_slices() {
             })
             .collect();
         for q in &queries {
-            let want = eager.execute(q).unwrap();
+            let want = reference.execute(q).unwrap();
             assert_bit_identical(&engine.execute(q).unwrap(), &want, &format!("{case}: {q}"));
         }
         let stats = engine.stats();

@@ -89,7 +89,11 @@ fn worlds() -> impl Strategy<Value = World> {
 
 /// Donor engine's fingerprinted snapshot after a warming workload.
 fn donor_snapshot(hin: &Arc<Hin>) -> CacheSnapshot {
-    let donor = Engine::with_config(Arc::clone(hin), CacheConfig::default(), ExecPolicy::eager());
+    let donor = Engine::with_config(
+        Arc::clone(hin),
+        CacheConfig::default(),
+        ExecPolicy::promote_after(0),
+    );
     for q in [
         "pathsim author-paper-author from a0",
         "pathsim author-paper-venue-paper-author from a1",
@@ -153,8 +157,8 @@ proptest! {
 
     /// Engines warm-started from the same checkpoint through the mapped
     /// file and through a heap copy of its bytes answer pathsim, pathcount
-    /// and rank bit-identically — under eager materialization and lazy
-    /// anchored propagation alike, swept or verified by first touch.
+    /// and rank bit-identically — materializing every span under
+    /// `promote_after(0)` and on lazy anchored propagation alike, swept or verified by first touch.
     #[test]
     fn mapped_engine_matches_read_engine(world in worlds()) {
         let hin = world.build();
@@ -170,7 +174,7 @@ proptest! {
         let queries = probe_queries(&world);
 
         for (policy, sweep) in [
-            (ExecPolicy::eager(), false),
+            (ExecPolicy::promote_after(0), false),
             (ExecPolicy::promote_after(u32::MAX), true),
         ] {
             let via_read =
@@ -244,7 +248,7 @@ proptest! {
             // it, only it, and the engine answers as if it had never been
             // in the file
             let engine = Engine::with_config(
-                Arc::clone(&hin), CacheConfig::default(), ExecPolicy::eager());
+                Arc::clone(&hin), CacheConfig::default(), ExecPolicy::promote_after(0));
             let report = engine.restore(&mapped);
             prop_assert_eq!((report.loaded as usize, report.rejected), (donor.len(), 0));
             engine.verify_restored();

@@ -74,10 +74,11 @@ fn long_rows_answer_by_definition_resident_and_lazy() {
         "rows in the hundreds, got at most {longest}"
     );
 
+    // the first run materializes the span: every row is a resident read
     let resident = Engine::with_config(
         Arc::clone(&hin),
         CacheConfig::default(),
-        ExecPolicy::eager(),
+        ExecPolicy::promote_after(0),
     );
     // promotion pushed out of reach: every cold multi-step anchored query
     // stays on the lazy path

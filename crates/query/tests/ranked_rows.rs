@@ -246,8 +246,10 @@ impl World {
     }
 }
 
-fn eager(hin: &Arc<Hin>, config: CacheConfig) -> Engine {
-    Engine::with_config(Arc::clone(hin), config, ExecPolicy::eager())
+/// An engine whose anchored queries materialize their span on the first
+/// run, so that reads are reads of resident spans and their sidecars.
+fn materializing(hin: &Arc<Hin>, config: CacheConfig) -> Engine {
+    Engine::with_config(Arc::clone(hin), config, ExecPolicy::promote_after(0))
 }
 
 fn shown(out: &QueryOutput) -> (String, Vec<(String, u64)>) {
@@ -276,13 +278,15 @@ fn ranked_reads_answer_as_a_fresh_engine_and_the_record_do() {
         // the record is what a fresh engine answers, query by query
         for q in seq.iter().step_by(5) {
             let text = world.text(q);
-            let fresh = eager(hin, CacheConfig::default()).execute(&text).unwrap();
+            let fresh = materializing(hin, CacheConfig::default())
+                .execute(&text)
+                .unwrap();
             assert_eq!(shown(&fresh), world.record(q), "fresh: {text}");
         }
 
         // unbounded: every span resident, every row's sidecar warm after
         // its first ranked read; and the default policy, lazy first
-        let unbounded = eager(hin, CacheConfig::default());
+        let unbounded = materializing(hin, CacheConfig::default());
         check(&world, &unbounded, &seq, "unbounded");
         let lazy_first = Engine::from_arc(Arc::clone(hin));
         check(&world, &lazy_first, &seq, "lazy, then promoted");
@@ -290,7 +294,7 @@ fn ranked_reads_answer_as_a_fresh_engine_and_the_record_do() {
         // one shard too small for the working set: spans evict between
         // reads and come back with empty sidecars
         let largest = world.matrices.values().map(Csr::nbytes).max().unwrap();
-        let tiny = eager(
+        let tiny = materializing(
             hin,
             CacheConfig {
                 shards: 1,
@@ -316,7 +320,7 @@ fn ranked_reads_answer_as_a_fresh_engine_and_the_record_do() {
         let mapped = CacheSnapshot::open(&file).expect("open");
         let heap = CacheSnapshot::from_bytes(&snap.to_bytes()).expect("from_bytes");
         for (how, image) in [("mapped", &mapped), ("from_bytes", &heap)] {
-            let cold = eager(hin, CacheConfig::default());
+            let cold = materializing(hin, CacheConfig::default());
             assert!(cold.restore(image).loaded > 0);
             check(&world, &cold, &seq, &format!("{how} into a cold engine"));
             assert_eq!(cold.stats().cache.misses, 0, "{how}: served from the image");
@@ -343,7 +347,7 @@ fn racing_first_reads_of_the_same_rows_agree() {
     for threads in 2..=4 {
         // every span resident, no ranked row stored yet: `neighbors`
         // without a limit and a limit past ten rank and store nothing
-        let engine = Arc::new(eager(hin, CacheConfig::default()));
+        let engine = Arc::new(materializing(hin, CacheConfig::default()));
         for path in SYMMETRIC.iter().chain(&ASYMMETRIC) {
             let q = Query {
                 verb: Verb::Neighbors,

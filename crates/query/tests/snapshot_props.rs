@@ -10,7 +10,7 @@
 //!   Never a silently-wrong snapshot, never a wrong answer.
 //! * **Transparency** — an engine warm-started from an arena image (its
 //!   cache entries are views into one shared buffer) answers every query,
-//!   eager and lazy anchored alike, bit-identically to an engine whose
+//!   materialized and lazy anchored alike, bit-identically to an engine whose
 //!   matrices are ordinary owned storage. The storage tier must be
 //!   invisible to the arithmetic.
 
@@ -95,7 +95,11 @@ fn warming_queries() -> [&'static str; 3] {
 
 /// Donor engine's fingerprinted snapshot after a warming workload.
 fn donor_snapshot(hin: &Arc<Hin>) -> CacheSnapshot {
-    let donor = Engine::with_config(Arc::clone(hin), CacheConfig::default(), ExecPolicy::eager());
+    let donor = Engine::with_config(
+        Arc::clone(hin),
+        CacheConfig::default(),
+        ExecPolicy::promote_after(0),
+    );
     for q in warming_queries() {
         donor.execute(q).expect("donor warming query");
     }
@@ -113,7 +117,7 @@ fn v2_bytes(snap: &CacheSnapshot) -> Vec<u8> {
 /// guard is the test harness itself: any panic fails the property.
 fn assert_rejected(bytes: &[u8], context: &str) -> Result<(), String> {
     prop_assert!(
-        CacheSnapshot::from_reader(&mut &bytes[..]).is_err(),
+        CacheSnapshot::from_bytes(bytes).is_err(),
         "corrupt container decoded successfully: {context}"
     );
     Ok(())
@@ -153,7 +157,7 @@ proptest! {
         let hin = world.build();
         let snap = donor_snapshot(&hin);
         prop_assert!(!snap.is_empty(), "warming must populate the cache");
-        let back = CacheSnapshot::from_reader(&mut v2_bytes(&snap).as_slice())
+        let back = CacheSnapshot::from_bytes(&v2_bytes(&snap))
             .expect("round trip");
         prop_assert_eq!(back.len(), snap.len());
         prop_assert_eq!(back.keys(), snap.keys());
@@ -208,13 +212,13 @@ proptest! {
             let pos = pos % bytes.len();
             let mut bad = bytes.clone();
             bad[pos] ^= 1 << bit;
-            let Ok(mounted) = CacheSnapshot::from_reader(&mut bad.as_slice()) else {
+            let Ok(mounted) = CacheSnapshot::from_bytes(&bad) else {
                 continue;
             };
             prop_assert!(pos >= heap_off, "a flipped metadata byte ({}) mounted", pos);
             mounted_some += 1;
             let engine = Engine::with_config(
-                Arc::clone(&hin), CacheConfig::default(), ExecPolicy::eager());
+                Arc::clone(&hin), CacheConfig::default(), ExecPolicy::promote_after(0));
             let report = engine.restore(&mounted);
             prop_assert_eq!((report.loaded as usize, report.rejected), (snap.len(), 0));
             engine.verify_restored();
@@ -248,18 +252,18 @@ proptest! {
 
     /// The storage tier is invisible to query arithmetic: an engine warm-
     /// started from an arena image (view-backed cache entries) answers
-    /// bit-identically to an all-owned engine — eager full-matrix
-    /// execution and lazy anchored propagation alike.
+    /// bit-identically to an all-owned engine — reads of restored spans
+    /// under `promote_after(0)` and lazy anchored propagation alike.
     #[test]
     fn arena_backed_engine_matches_owned_engine(world in worlds()) {
         let hin = world.build();
         let owned = Engine::with_config(
             Arc::clone(&hin),
             CacheConfig::default(),
-            ExecPolicy::eager(),
+            ExecPolicy::promote_after(0),
         );
         let arena_snap =
-            CacheSnapshot::from_reader(&mut v2_bytes(&donor_snapshot(&hin)).as_slice())
+            CacheSnapshot::from_bytes(&v2_bytes(&donor_snapshot(&hin)))
                 .expect("round trip");
 
         let mut queries = Vec::new();
@@ -271,7 +275,7 @@ proptest! {
         queries.push("rank venue-paper-author limit 10".to_string());
 
         for (policy, mode) in [
-            (ExecPolicy::eager(), "eager"),
+            (ExecPolicy::promote_after(0), "materializing"),
             (ExecPolicy::promote_after(u32::MAX), "lazy"),
         ] {
             let warm = Engine::with_config(Arc::clone(&hin), CacheConfig::default(), policy);

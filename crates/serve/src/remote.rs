@@ -1087,12 +1087,13 @@ mod tests {
     #[test]
     fn ping_and_warm_round_trip() {
         let hin = bib();
-        // warm source: an eager engine (the anchored fast path would
-        // materialize nothing for a single query, leaving nothing to ship)
+        // warm source: an engine that materializes on the first anchored
+        // run (the fast path would materialize nothing for a single query,
+        // leaving nothing to ship)
         let donor = Engine::with_config(
             Arc::clone(&hin),
             hin_query::CacheConfig::default(),
-            hin_query::ExecPolicy::eager(),
+            hin_query::ExecPolicy::promote_after(0),
         );
         donor
             .execute("pathsim author-paper-author from a0")

@@ -1035,13 +1035,14 @@ mod tests {
         Arc::new(b.build())
     }
 
-    /// A router whose servers always materialize: the snapshot/warm-start
-    /// tests below need a *single* query to land products in the cache,
-    /// which the anchored fast path (by design) does not.
-    fn eager_router() -> Router {
+    /// A router whose servers materialize a span on its first anchored run
+    /// (`promote_after(0)`): the snapshot/warm-start tests below need a
+    /// *single* query to land products in the cache, which the anchored
+    /// fast path (by design) does not.
+    fn materializing_router() -> Router {
         Router::new(RouterConfig {
             serve: ServeConfig {
-                exec: hin_query::ExecPolicy::eager(),
+                exec: hin_query::ExecPolicy::promote_after(0),
                 ..ServeConfig::default()
             },
             ..RouterConfig::default()
@@ -1086,7 +1087,7 @@ mod tests {
 
     #[test]
     fn evict_drains_and_unregisters() {
-        let router = eager_router();
+        let router = materializing_router();
         router.register("d", tiny(&[("p0", "ann"), ("p0", "bo")]));
         let ok = router
             .submit("d", "pathsim author-paper-author from ann")
@@ -1131,7 +1132,7 @@ mod tests {
     #[test]
     fn evicted_snapshot_warms_the_replacement() {
         let hin = tiny(&[("p0", "ann"), ("p0", "bo"), ("p1", "bo")]);
-        let router = eager_router();
+        let router = materializing_router();
         router.register("d", Arc::clone(&hin));
         let q = "pathsim author-paper-author from ann";
         let want = router.submit("d", q).wait().unwrap();
@@ -1162,7 +1163,7 @@ mod tests {
             std::thread::current().id()
         ));
         let hin = tiny(&[("p0", "ann"), ("p0", "bo")]);
-        let router = eager_router();
+        let router = materializing_router();
         router.register("dblp/full", Arc::clone(&hin));
         let q = "pathsim author-paper-author from ann";
         let want = router.submit("dblp/full", q).wait().unwrap();
@@ -1202,7 +1203,7 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
-        let router = Arc::new(eager_router());
+        let router = Arc::new(materializing_router());
         let hins: Vec<Arc<Hin>> = (0..3)
             .map(|_| tiny(&[("p0", "ann"), ("p0", "bo"), ("p1", "bo")]))
             .collect();
@@ -1300,7 +1301,7 @@ mod tests {
             std::thread::current().id()
         ));
         let hin = tiny(&[("p0", "ann"), ("p0", "bo"), ("p1", "bo"), ("p1", "cy")]);
-        let router = Arc::new(eager_router());
+        let router = Arc::new(materializing_router());
         router.register("d", Arc::clone(&hin));
         let q = "pathsim author-paper-author from ann";
         let want = router.submit("d", q).wait().unwrap();
@@ -1374,7 +1375,7 @@ mod tests {
             "rank paper-author limit 3",
             "pathcount paper-author-paper from p0",
         ];
-        let router = eager_router();
+        let router = materializing_router();
         router.register("d", Arc::clone(&hin));
         let want = router.execute_many("d", &queries);
         let good = router.checkpoint(&dir).expect("checkpoint").remove(0).1;
@@ -1569,7 +1570,7 @@ mod tests {
         let listener = ShardListener::start(
             Arc::clone(hin),
             ServeConfig {
-                exec: hin_query::ExecPolicy::eager(),
+                exec: hin_query::ExecPolicy::promote_after(0),
                 ..ServeConfig::default()
             },
         )
@@ -1611,7 +1612,7 @@ mod tests {
 
         // season a local shard, checkpoint it, hand the dataset off to a
         // remote process
-        let router = eager_router();
+        let router = materializing_router();
         router.register("d", Arc::clone(&hin));
         let want = router.submit("d", q).wait().unwrap();
         let written = router.checkpoint(&dir).expect("checkpoint");
@@ -1652,7 +1653,7 @@ mod tests {
         let hin = tiny(&[("p0", "ann"), ("p0", "bo"), ("p1", "bo")]);
         let q = "pathsim author-paper-author from ann";
 
-        let router = eager_router();
+        let router = materializing_router();
         router.register("d", Arc::clone(&hin));
         let want = router.submit("d", q).wait().unwrap();
         let good = router.checkpoint(&dir).expect("checkpoint")[0].1.clone();

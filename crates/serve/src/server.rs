@@ -73,13 +73,13 @@ pub struct ServeConfig {
     pub queue_depth: Option<usize>,
     /// Commuting-matrix cache sizing (shards, byte budget).
     pub cache: CacheConfig,
-    /// Execution policy: whether anchored queries may take the sparse-row
-    /// fast path, and how many lazy executions of one span trigger
+    /// Execution policy: how many lazy executions of one span trigger
     /// heat-based promotion to full materialization
-    /// ([`ExecPolicy::promote_after`]). The default keeps the fast path on
-    /// — cold anchored traffic after a register/failover answers in row
-    /// time instead of first paying whole SpMM chains — while hot spans
-    /// still land in the cache (and therefore in snapshots).
+    /// ([`ExecPolicy::promote_after`]). Cold anchored traffic after a
+    /// register/failover answers in row time instead of first paying whole
+    /// SpMM chains, while hot spans still land in the cache (and therefore
+    /// in snapshots); `promote_after(0)` materializes a span on its first
+    /// anchored run.
     pub exec: ExecPolicy,
     /// Warm start: a cache snapshot restored into the engine *before* the
     /// server takes traffic, so a replacement re-takes a failed-over
@@ -1761,15 +1761,9 @@ pub(crate) mod tests {
     #[test]
     fn stats_copy_every_cache_and_engine_field() {
         let hin = bib();
-        let eager = || {
-            Engine::with_config(
-                Arc::clone(&hin),
-                CacheConfig::default(),
-                ExecPolicy::eager(),
-            )
-        };
+        // `rank` materializes its span under any policy
         let bytes_of = |q: &str| {
-            let engine = eager();
+            let engine = Engine::from_arc(Arc::clone(&hin));
             engine.execute(q).unwrap();
             engine.stats().cache.bytes
         };
@@ -1778,7 +1772,7 @@ pub(crate) mod tests {
         assert!(bytes_of("rank author-paper-author") > budget);
         // a warm image of venue×venue (fits) and author×author (rejected),
         // mounted from bytes: view-backed, and pending until first touched
-        let donor = eager();
+        let donor = Engine::from_arc(Arc::clone(&hin));
         donor.execute("rank venue-paper-venue").unwrap();
         donor.execute("rank author-paper-author").unwrap();
         let image = CacheSnapshot::from_bytes(&donor.snapshot(None).to_bytes()).unwrap();

@@ -64,10 +64,12 @@ fn workload() -> Vec<String> {
     queries
 }
 
-fn eager_serve() -> ServeConfig {
+/// Servers that materialize a span on its first anchored run, so the
+/// seasoned shard's checkpoint holds every span the workload asks.
+fn materializing_serve() -> ServeConfig {
     ServeConfig {
         workers: 2,
-        exec: ExecPolicy::eager(),
+        exec: ExecPolicy::promote_after(0),
         ..ServeConfig::default()
     }
 }
@@ -81,11 +83,11 @@ fn chaos_wire_faults_never_corrupt_answers_and_never_hang_tickets() {
     let reference = Engine::with_config(
         Arc::clone(&hin),
         CacheConfig::default(),
-        ExecPolicy::eager(),
+        ExecPolicy::promote_after(0),
     );
     let listener = ShardListener::start_with_faults(
         Arc::clone(&hin),
-        eager_serve(),
+        materializing_serve(),
         FaultInjector::new(FaultConfig {
             seed: 0xC4A05,
             drop_per_mille: 80,
@@ -172,7 +174,7 @@ fn chaos_killed_shard_recovers_via_automatic_warm_failover() {
     let reference = Engine::with_config(
         Arc::clone(&hin),
         CacheConfig::default(),
-        ExecPolicy::eager(),
+        ExecPolicy::promote_after(0),
     );
     let queries = workload();
     let expected: Vec<Result<QueryOutput, QueryError>> =
@@ -180,7 +182,7 @@ fn chaos_killed_shard_recovers_via_automatic_warm_failover() {
 
     // season a local shard and checkpoint it — the recovery image
     let router = Router::new(RouterConfig {
-        serve: eager_serve(),
+        serve: materializing_serve(),
         ..RouterConfig::default()
     });
     router.register("dblp", Arc::clone(&hin));
@@ -194,7 +196,7 @@ fn chaos_killed_shard_recovers_via_automatic_warm_failover() {
     // hand the dataset to a "process" with a 25-request death sentence
     let listener = ShardListener::start_with_faults(
         Arc::clone(&hin),
-        eager_serve(),
+        materializing_serve(),
         FaultInjector::new(FaultConfig {
             kill_after: Some(25),
             ..FaultConfig::default()

@@ -43,14 +43,14 @@ fn snap(values: &[u64]) -> HistSnapshot {
 
 #[test]
 fn slow_query_log_captures_plan_and_stage_breakdown() {
-    // An eager engine pays the whole SpMM chain on the first anchored
-    // query — artificially slow relative to a 200 µs threshold (the cold
+    // Under promote_after(0) the first anchored query pays the whole SpMM
+    // chain — artificially slow relative to a 200 µs threshold (the cold
     // chain takes ≥ half a millisecond even in release on this dataset).
     let server = Server::start(
         world(800),
         ServeConfig {
             workers: 2,
-            exec: ExecPolicy::eager(),
+            exec: ExecPolicy::promote_after(0),
             telemetry: TelemetryConfig {
                 enabled: true,
                 slow_query: Duration::from_micros(200),
@@ -79,7 +79,7 @@ fn slow_query_log_captures_plan_and_stage_breakdown() {
         "capture carries the EXPLAIN plan with cost estimates, got: {:?}",
         entry.plan
     );
-    assert_eq!(entry.mode, "full", "eager engine materializes");
+    assert_eq!(entry.mode, "full", "the first run materializes");
     assert_eq!(entry.outcome, "miss_compute", "cold chain computes");
     assert!(entry.exec_ns > 0, "execute stage timed");
     assert!(entry.plan_ns > 0, "plan stage timed");

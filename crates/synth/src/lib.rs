@@ -17,7 +17,10 @@
 //!   reliability (TruthFinder),
 //! * [`ambiguous`] — merged-identity reference sets (DISTINCT),
 //! * [`growth`] — forest-fire growth traces (densification experiments),
-//! * [`random`] — the shared samplers (Zipf, Dirichlet, categorical).
+//! * [`random`] — the shared samplers (Zipf, Dirichlet, categorical),
+//!
+//! and [`naive`], the reference answer to a meta-path query over any of
+//! them: a hash-map evaluator that shares no code with the query engine.
 
 pub mod ambiguous;
 pub mod binet;
@@ -25,6 +28,7 @@ pub mod claims;
 pub mod dblp;
 pub mod flickr;
 pub mod growth;
+pub mod naive;
 pub mod planted;
 pub mod random;
 

@@ -8,11 +8,16 @@ use hin::query::{CacheConfig, Engine, ExecPolicy};
 use hin::similarity::{commuting_matrix, path_count, top_k_pathsim, MetaPath};
 use hin::synth::{DblpConfig, DblpData};
 
-/// An engine that always materializes — for the tests below whose subject
-/// is the commuting-matrix cache, which the anchored sparse-row fast path
-/// (the default policy) deliberately bypasses until promotion.
-fn eager_engine(hin: hin::core::Hin) -> Engine {
-    Engine::with_config(Arc::new(hin), CacheConfig::default(), ExecPolicy::eager())
+/// An engine that materializes a span on its first anchored run
+/// (`promote_after(0)` on an unbounded cache) — for the tests below whose
+/// subject is the commuting-matrix cache, which the anchored sparse-row
+/// fast path otherwise bypasses until promotion.
+fn materializing_engine(hin: hin::core::Hin) -> Engine {
+    Engine::with_config(
+        Arc::new(hin),
+        CacheConfig::default(),
+        ExecPolicy::promote_after(0),
+    )
 }
 
 fn world() -> DblpData {
@@ -97,7 +102,7 @@ fn topk_and_pathcount_agree_with_direct_computation() {
 #[test]
 fn repeated_and_overlapping_queries_are_served_from_cache() {
     let data = world();
-    let engine = eager_engine(data.hin);
+    let engine = materializing_engine(data.hin);
 
     let q = "pathsim author-paper-venue-paper-author from author_a0_0";
     let first = engine.execute(q).unwrap();
@@ -132,7 +137,7 @@ fn repeated_and_overlapping_queries_are_served_from_cache() {
 #[test]
 fn reversed_half_paths_reuse_cached_transposes() {
     let data = world();
-    let engine = eager_engine(data.hin);
+    let engine = materializing_engine(data.hin);
     engine
         .execute("pathcount author-paper-venue from author_a0_0")
         .unwrap();
@@ -170,7 +175,7 @@ fn planner_picks_a_non_left_to_right_order() {
 #[test]
 fn execute_many_batches_against_one_cache() {
     let data = world();
-    let engine = eager_engine(data.hin);
+    let engine = materializing_engine(data.hin);
     let queries = [
         "pathcount author-paper-venue from author_a0_0",
         "pathcount author-paper-venue from author_a0_1",
@@ -195,7 +200,7 @@ fn anchored_fast_path_and_promotion_end_to_end() {
     let reference = Engine::with_config(
         Arc::clone(&hin),
         CacheConfig::default(),
-        ExecPolicy::eager(),
+        ExecPolicy::promote_after(0),
     );
     // default policy: lazy fast path on, promote_after = 3
     let engine = Engine::from_arc(Arc::clone(&hin));
