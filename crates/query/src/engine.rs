@@ -1,9 +1,12 @@
 //! The query engine: parse → resolve → plan → execute, with a shared
 //! commuting-matrix cache and an anchored fast path.
 
+use std::borrow::Borrow;
 use std::cell::Cell;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use hin_core::{Hin, NodeRef, TypeId};
@@ -17,11 +20,11 @@ use crate::cache::{
     PathKey, Scoring, Sidecar, Split, StepKey,
 };
 use crate::error::QueryError;
-use crate::parse::{parse, Verb};
+use crate::parse::{cut, parse, Cut, Verb};
 use crate::plan::{
     plan_priced, plan_steps, row_links, ExecMode, Factor, Promotion, QueryPlan, Residency, RowRoute,
 };
-use crate::resolve::{resolve, ResolvedQuery};
+use crate::resolve::resolve_shape;
 use crate::snapshot::{CacheSnapshot, SnapshotImport};
 
 /// Default result-size cap for verbs that don't specify one.
@@ -58,6 +61,11 @@ fn default_row_limit(verb: Verb) -> usize {
 /// half-span) kept before the memo is reset wholesale — a memory bound,
 /// not a policy.
 const DIAG_CAP: usize = 1 << 20;
+
+/// Query shapes the shape table holds before it is reset wholesale — a
+/// memory bound, not a policy: a reset only costs recompiling the shapes
+/// still in use.
+const SHAPE_CAP: usize = 256;
 
 /// The `f64` bit pattern of a normalizer-memo slot nobody has filled yet.
 /// It is a NaN no arithmetic produces; a normalizer that did come out with
@@ -254,6 +262,14 @@ pub struct Engine {
     /// And outside the span ledger: it is per half-span, bounded in node
     /// slots, and holds values a row reads, not an input to a decision.
     diag_cache: Mutex<KeyMap<[Option<NormalizerTable>; 2]>>,
+    /// Compiled query shapes ([`Engine::compile`]), filed under the query
+    /// text with its anchor token cut out: the verb, path, end types,
+    /// limit and span key that every text differing from it only in the
+    /// anchor shares, so a repeated shape is parsed and resolved once.
+    /// Only shapes that compiled are kept, and the network is immutable, so
+    /// an entry never goes stale. Bounded by [`SHAPE_CAP`] shapes, reset
+    /// wholesale — a few hundred bytes each.
+    shapes: RwLock<HashMap<ShapeKey, Arc<Shape>>>,
     /// Normalizers served from `diag_cache` instead of half propagations.
     normalizer_memo_hits: AtomicU64,
     /// Queries answered by sparse-row propagation instead of matrix
@@ -298,6 +314,7 @@ impl Engine {
             cache: Arc::new(MatrixCache::new(config)),
             policy,
             diag_cache: Mutex::default(),
+            shapes: RwLock::default(),
             normalizer_memo_hits: AtomicU64::new(0),
             anchored_fast_paths: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
@@ -379,17 +396,63 @@ impl Engine {
     /// span's [`RowRoute`], decided as execution decides them. Does not
     /// touch cache statistics or span heat.
     pub fn plan(&self, query: &str) -> Result<QueryPlan, QueryError> {
-        let resolved = resolve(&self.hin, &parse(query)?)?;
-        let mut plan = plan_steps(&self.hin, resolved.path.steps(), &self.cache);
-        self.decide(&resolved, &key_of(resolved.path.steps()), &mut plan);
+        let (shape, from) = self.compile(query)?;
+        let mut plan = plan_steps(&self.hin, shape.path.steps(), &self.cache);
+        self.decide(&shape, from.is_some(), &mut plan);
         Ok(plan)
     }
 
-    /// The one decision about a planned query's span (`key` is [`key_of`]
-    /// its steps), read from the plan's pricing pass and the span ledger
-    /// under one lock, recording nothing: it fills `plan`'s mode, promotion
-    /// verdict and row route, which `EXPLAIN` prints and [`Engine::apply`]
-    /// carries out.
+    /// Parse and resolve `query`, as [`resolve`](crate::resolve::resolve)
+    /// of [`parse`] does, through the shape table: the one door that
+    /// [`Engine::execute_ids_traced`] and [`Engine::plan`] compile through.
+    ///
+    /// The table is looked up by the text with its anchor token cut out
+    /// ([`cut`]). A hit resolves only the anchor, with the same
+    /// [`Hin::node_by_name`] call `resolve` makes last, so the answer or
+    /// error is the one a full compile gives: a text with the same cut has
+    /// the same tokens but the anchor. A miss compiles the text whole and
+    /// files its shape if that much compiled — the anchor may still fail.
+    fn compile(&self, query: &str) -> Result<(Arc<Shape>, Option<NodeRef>), QueryError> {
+        let cut = cut(query);
+        let known = self
+            .shapes
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&cut as &dyn ShapeText)
+            .cloned();
+        let shape = match known {
+            Some(shape) => shape,
+            None => {
+                let parsed = parse(query)?;
+                debug_assert_eq!(parsed.from.as_deref(), cut.anchor.map(|(name, _)| name));
+                let (path, start, end) = resolve_shape(&self.hin, &parsed)?;
+                let shape = Arc::new(Shape {
+                    verb: parsed.verb,
+                    key: key_of(path.steps()),
+                    path,
+                    start,
+                    end,
+                    limit: parsed.limit,
+                });
+                let mut shapes = self.shapes.write().unwrap_or_else(PoisonError::into_inner);
+                if shapes.len() >= SHAPE_CAP {
+                    shapes.clear();
+                }
+                shapes.insert(ShapeKey::of(&cut), Arc::clone(&shape));
+                shape
+            }
+        };
+        let from = match cut.anchor {
+            Some((name, _)) => Some(self.hin.node_by_name(shape.start, name)?),
+            None => None,
+        };
+        Ok((shape, from))
+    }
+
+    /// The one decision about a planned query's span, read from the plan's
+    /// pricing pass and the span ledger under one lock, recording nothing:
+    /// it fills `plan`'s mode, promotion verdict and row route, which
+    /// `EXPLAIN` prints and [`Engine::apply`] carries out.
     ///
     /// An anchored verb other than `rank` over two or more steps whose
     /// whole span is not resident propagates its row; an anchored read of
@@ -402,16 +465,11 @@ impl Engine {
     /// split is the one remembered for this side of the span unless a half
     /// of it that is not resident has proved oversize; then, or when none
     /// is remembered, it is chosen now and returned, to be remembered.
-    fn decide(
-        &self,
-        resolved: &ResolvedQuery,
-        key: &[StepKey],
-        plan: &mut QueryPlan,
-    ) -> Option<Split> {
+    fn decide(&self, shape: &Shape, anchored: bool, plan: &mut QueryPlan) -> Option<Split> {
+        let key = &shape.key[..];
         let n = key.len();
-        let anchored = resolved.from.is_some();
         let lazy = anchored
-            && !matches!(resolved.verb, Verb::Rank)
+            && !matches!(shape.verb, Verb::Rank)
             && n >= 2
             && plan.residency.get(0, n - 1).is_none();
         if !lazy {
@@ -450,7 +508,7 @@ impl Engine {
         };
         let fits = |split: &Split| split.is_none_or(|at| halves(at).iter().all(|h| h.1.is_none()));
         let known = span.split[side].filter(fits);
-        let split = known.unwrap_or_else(|| self.choose_split(&ledger, resolved.path.steps(), key));
+        let split = known.unwrap_or_else(|| self.choose_split(&ledger, shape.path.steps(), key));
         plan.row_route = split.map(|at| RowRoute {
             at,
             halves: halves(at).map(|(factor, _)| factor),
@@ -469,9 +527,10 @@ impl Engine {
     /// so the *next* ones are plain hits.
     ///
     /// There is one execution flow, [`Engine::execute_ids_traced`], with
-    /// the answer named and the trace dropped here. It reads the clock four
-    /// times whether or not anyone keeps the answer: twice around parse,
-    /// resolve and probe or plan, and twice around the execution.
+    /// the answer named and the trace dropped here. It reads the clock
+    /// three times whether or not anyone keeps the answer: before parse,
+    /// resolve and probe or plan, between those and the execution, and
+    /// after the execution.
     pub fn execute(&self, query: &str) -> Result<QueryOutput, QueryError> {
         self.execute_traced(query).0
     }
@@ -501,21 +560,21 @@ impl Engine {
     /// materializes.
     pub fn execute_ids_traced(&self, query: &str) -> (Result<IdOutput, QueryError>, QueryTrace) {
         let t0 = Instant::now();
-        let prep = parse(query)
-            .and_then(|p| resolve(&self.hin, &p))
-            .map(|resolved| self.prepare(resolved));
+        let prep = self
+            .compile(query)
+            .map(|(shape, from)| self.prepare(shape, from));
+        let t1 = Instant::now();
         let mut trace = QueryTrace {
-            plan_ns: elapsed_ns(t0),
+            plan_ns: nanos(t1 - t0),
             ..QueryTrace::default()
         };
         let mut prep = match prep {
             Ok(prep) => prep,
             Err(e) => return (Err(e), trace),
         };
-        let t1 = Instant::now();
         let lazy = match &mut prep.route {
             Route::Planned(plan, chosen) if plan.mode != ExecMode::Full => {
-                let promote = self.apply(prep.resolved.path.steps(), &prep.key, plan, *chosen);
+                let promote = self.apply(prep.shape.path.steps(), &prep.shape.key, plan, *chosen);
                 self.promotions
                     .fetch_add(u64::from(promote), Ordering::Relaxed);
                 !promote
@@ -526,7 +585,7 @@ impl Engine {
             Route::Planned(plan, _) if lazy => self.propagate(&prep, &plan.residency, &mut trace),
             _ => self.materialize(&prep, &mut trace),
         };
-        trace.exec_ns = elapsed_ns(t1);
+        trace.exec_ns = nanos(t1.elapsed());
         (result, trace)
     }
 
@@ -550,23 +609,23 @@ impl Engine {
     /// pass then looks at every shorter sub-span, once, and not again at
     /// the span the probe just missed; [`Engine::decide`] decides the plan
     /// as `EXPLAIN` does.
-    fn prepare(&self, resolved: ResolvedQuery) -> Prep {
-        let steps = resolved.path.steps();
-        let key = key_of(steps);
+    fn prepare(&self, shape: Arc<Shape>, from: Option<NodeRef>) -> Prep {
+        let steps = shape.path.steps();
         if steps.len() >= 2 {
-            if let Some((matrix, sidecar)) = self.cache.probe(&key) {
+            if let Some((matrix, sidecar)) = self.cache.probe(&shape.key) {
                 return Prep {
-                    resolved,
-                    key,
+                    shape,
+                    from,
                     route: Route::Resident(matrix, sidecar),
                 };
             }
         }
-        let mut plan = plan_priced(&self.hin, steps, Residency::price(&self.cache, &key, false));
-        let chosen = self.decide(&resolved, &key, &mut plan);
+        let priced = Residency::price(&self.cache, &shape.key, false);
+        let mut plan = plan_priced(&self.hin, steps, priced);
+        let chosen = self.decide(&shape, from.is_some(), &mut plan);
         Prep {
-            resolved,
-            key,
+            shape,
+            from,
             route: Route::Planned(plan, chosen),
         }
     }
@@ -581,13 +640,13 @@ impl Engine {
         let (matrix, sidecar) = match &prep.route {
             Route::Resident(m, sidecar) => (Mat::Shared(Arc::clone(m)), sidecar.clone()),
             Route::Planned(plan, _) => {
-                let steps = prep.resolved.path.steps();
+                let steps = prep.shape.path.steps();
                 let root = &plan.root;
                 let m = Self::eval(&self.hin, steps, &self.cache, root, Some(&probe));
                 (m, None)
             }
         };
-        let answer = self.assemble(&prep.resolved, &prep.key, &matrix, sidecar);
+        let answer = self.assemble(&prep.shape, prep.from, &matrix, sidecar);
         trace.outcome = probe.outcome.get();
         answer
     }
@@ -609,8 +668,8 @@ impl Engine {
         trace: &mut QueryTrace,
     ) -> Result<IdOutput, QueryError> {
         self.anchored_fast_paths.fetch_add(1, Ordering::Relaxed);
-        let x = prep.resolved.from.expect("anchored verbs carry `from`").id as usize;
-        let links = self.propagation_seed(prep.resolved.path.steps(), &prep.key, residency);
+        let x = prep.from.expect("anchored verbs carry `from`").id as usize;
+        let links = self.propagation_seed(prep.shape.path.steps(), &prep.shape.key, residency);
         // The fast path caches nothing; its cache interaction is whether
         // the propagation started from a resident prefix product or had to
         // chain from the anchor's relation row.
@@ -799,9 +858,9 @@ impl Engine {
         row: SparseVec,
         scratch: &mut ScatterScratch,
     ) -> Result<IdOutput, QueryError> {
-        let resolved = &prep.resolved;
-        let steps = resolved.path.steps();
-        let items = match resolved.verb {
+        let shape = &*prep.shape;
+        let steps = shape.path.steps();
+        let items = match shape.verb {
             Verb::PathSim | Verb::TopK => {
                 // PathSim(x,y) = 2·M[x,y] / (M[x,x] + M[y,y]). The row
                 // gives M[x,·]; each candidate's M[y,y] comes from its
@@ -813,23 +872,20 @@ impl Engine {
                 // of a full matrix, and none at all when H itself is
                 // resident: u is its row.
                 let h = steps.len() / 2;
-                let half_links = self.propagation_seed(&steps[..h], &prep.key[..h], residency);
+                let half_links = self.propagation_seed(&steps[..h], &shape.key[..h], residency);
                 let odd = steps.len() % 2 == 1;
                 let mid = odd.then(|| steps[h].matrix(&self.hin));
                 // Diagonals are anchor-independent: read and fill the
                 // half-span's shared memo table in place.
                 let memo = self.normalizer_memo(
-                    &prep.key[..h + odd as usize],
+                    &shape.key[..h + odd as usize],
                     odd,
-                    self.hin.node_count(resolved.end),
+                    self.hin.node_count(shape.end),
                 );
                 let mut memo_hits = 0u64;
                 // scored and refused exactly as a resident row is
-                let mut top = PathSimTopK::new(
-                    resolved.limit.unwrap_or(DEFAULT_LIMIT),
-                    row.nnz(),
-                    row.get(x),
-                );
+                let mut top =
+                    PathSimTopK::new(shape.limit.unwrap_or(DEFAULT_LIMIT), row.nnz(), row.get(x));
                 for (y, mxy) in row.iter().filter(|&(y, _)| y != x) {
                     // Relaxed: a slot publishes nothing but its own bits,
                     // and racing fills store the same value.
@@ -853,8 +909,8 @@ impl Engine {
                 top.into_sorted()
             }
             Verb::PathCount | Verb::Neighbors => {
-                let exclude_self = resolved.start == resolved.end;
-                let k = resolved.limit.unwrap_or(default_row_limit(resolved.verb));
+                let exclude_self = shape.start == shape.end;
+                let k = shape.limit.unwrap_or(default_row_limit(shape.verb));
                 let mut top = TopK::new(k, row.nnz());
                 for (y, count) in row.iter().filter(|&(y, _)| !(exclude_self && y == x)) {
                     top.push(y, count);
@@ -865,8 +921,8 @@ impl Engine {
         };
 
         Ok(IdOutput {
-            verb: resolved.verb,
-            ty: resolved.end,
+            verb: shape.verb,
+            ty: shape.end,
             items,
         })
     }
@@ -978,29 +1034,27 @@ impl Engine {
     /// cache refused, one evicted since `eval`) has no sidecar: its
     /// diagonal is searched once per candidate and every read ranks —
     /// nothing would keep what was derived from it.
-    ///
-    /// `key` is [`key_of`] the query's steps.
     fn assemble(
         &self,
-        resolved: &ResolvedQuery,
-        key: &[StepKey],
+        shape: &Shape,
+        from: Option<NodeRef>,
         matrix: &Mat<'_>,
         sidecar: Option<Arc<Sidecar>>,
     ) -> Result<IdOutput, QueryError> {
         let m = matrix.as_csr();
-        let k = resolved.limit.unwrap_or(default_row_limit(resolved.verb));
-        let pathsim = matches!(resolved.verb, Verb::PathSim | Verb::TopK);
+        let k = shape.limit.unwrap_or(default_row_limit(shape.verb));
+        let pathsim = matches!(shape.verb, Verb::PathSim | Verb::TopK);
         let sidecar = match (sidecar, matrix) {
             (Some(sidecar), _) => Some(sidecar),
             (None, Mat::Shared(shared)) if pathsim || k <= DEFAULT_LIMIT => {
-                self.cache.sidecar_of(key, shared)
+                self.cache.sidecar_of(&shape.key, shared)
             }
             _ => None,
         };
         let sidecar = sidecar.as_deref();
-        let anchor = || resolved.from.expect("resolver enforces `from`").id as usize;
+        let anchor = || from.expect("resolver enforces `from`").id as usize;
 
-        let (ty, items) = match resolved.verb {
+        let (ty, items) = match shape.verb {
             Verb::PathSim | Verb::TopK => {
                 let x = anchor();
                 let rank_to = |k| match sidecar {
@@ -1008,7 +1062,7 @@ impl Engine {
                     None => top_k_pathsim(m, x, k),
                 };
                 let top = self.ranked(sidecar, Scoring::PathSim(x), k, rank_to);
-                (resolved.end, top)
+                (shape.end, top)
             }
             // Both verbs read the anchor's row of the commuting matrix.
             // `path_count` from `hin_similarity` is not used here: it always
@@ -1018,7 +1072,7 @@ impl Engine {
             // that happens to share the anchor's numeric id.
             Verb::PathCount | Verb::Neighbors => {
                 let x = anchor();
-                let exclude_self = resolved.start == resolved.end;
+                let exclude_self = shape.start == shape.end;
                 let rank_to = |k| {
                     let (idx, vals) = m.row(x);
                     let mut top = TopK::new(k, idx.len());
@@ -1030,7 +1084,7 @@ impl Engine {
                     top.into_sorted()
                 };
                 (
-                    resolved.end,
+                    shape.end,
                     self.ranked(sidecar, Scoring::Count(x), k, rank_to),
                 )
             }
@@ -1047,14 +1101,14 @@ impl Engine {
                 };
                 // rank verb scores objects of the *start* type by row sums
                 (
-                    resolved.start,
+                    shape.start,
                     self.ranked(sidecar, Scoring::RowSums, k, rank_to),
                 )
             }
         };
 
         Ok(IdOutput {
-            verb: resolved.verb,
+            verb: shape.verb,
             ty,
             items,
         })
@@ -1080,13 +1134,104 @@ impl Engine {
     }
 }
 
-/// One query, probed and, unless its whole span was resident, planned.
+/// One query, compiled, probed and, unless its whole span was resident,
+/// planned.
 struct Prep {
-    resolved: ResolvedQuery,
-    /// [`key_of`] the query's steps.
-    key: PathKey,
+    shape: Arc<Shape>,
+    /// The anchor, for verbs that take `from`.
+    from: Option<NodeRef>,
     route: Route,
 }
+
+/// What a query compiles to but its anchor: what [`resolve`] derives from
+/// the text that every text differing from it only in the anchor shares.
+/// [`Engine::compile`] files it in the shape table.
+///
+/// [`resolve`]: crate::resolve::resolve
+#[derive(Debug)]
+struct Shape {
+    verb: Verb,
+    path: MetaPath,
+    /// Start (anchor-side) type of the path.
+    start: TypeId,
+    /// End (result-side) type of the path.
+    end: TypeId,
+    limit: Option<usize>,
+    /// [`key_of`] the path's steps.
+    key: PathKey,
+}
+
+/// A query text with its anchor token cut out, as the shape table is
+/// looked up by it: the text before the anchor, and the text after it when
+/// there is one ([`Cut`]). Implemented by the owned key and by the cut
+/// itself, so that a lookup borrows the query text and allocates nothing.
+trait ShapeText {
+    fn parts(&self) -> (&str, Option<&str>);
+}
+
+impl ShapeText for Cut<'_> {
+    fn parts(&self) -> (&str, Option<&str>) {
+        (self.head, self.anchor.map(|(_, tail)| tail))
+    }
+}
+
+/// A shape table key: a [`Cut`] of a query text that compiled, owned.
+#[derive(Debug)]
+struct ShapeKey {
+    head: Box<str>,
+    tail: Option<Box<str>>,
+}
+
+impl ShapeKey {
+    fn of(cut: &Cut<'_>) -> Self {
+        let (head, tail) = cut.parts();
+        ShapeKey {
+            head: head.into(),
+            tail: tail.map(Into::into),
+        }
+    }
+}
+
+impl ShapeText for ShapeKey {
+    fn parts(&self) -> (&str, Option<&str>) {
+        (&self.head, self.tail.as_deref())
+    }
+}
+
+impl<'a> Borrow<dyn ShapeText + 'a> for ShapeKey {
+    fn borrow(&self) -> &(dyn ShapeText + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn ShapeText + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn ShapeText + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn ShapeText + '_ {}
+
+// The owned key hashes and compares as the form it is borrowed as.
+impl Hash for ShapeKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for ShapeKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for ShapeKey {}
 
 /// How a prepared query will run.
 enum Route {
@@ -1129,9 +1274,9 @@ fn row_through(links: &[Mat<'_>], x: usize, scratch: &mut ScatterScratch) -> Spa
         .fold(seed, |row, m| spvm_with(&row, m.as_csr(), scratch))
 }
 
-/// Nanoseconds since `t0`, saturating (a query cannot run 584 years).
-fn elapsed_ns(t0: Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+/// Nanoseconds in `d`, saturating (a query cannot run 584 years).
+fn nanos(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Which execution mode a query *actually ran* — unlike
@@ -1250,13 +1395,8 @@ mod tests {
 
     /// The heat the span ledger holds for `query`'s span.
     fn heat_of(engine: &Engine, query: &str) -> u32 {
-        let resolved = resolve(engine.hin(), &parse(query).unwrap()).unwrap();
-        engine
-            .cache
-            .ledger()
-            .get(&key_of(resolved.path.steps()))
-            .0
-            .heat
+        let (shape, _) = engine.compile(query).unwrap();
+        engine.cache.ledger().get(&shape.key).0.heat
     }
 
     /// An engine that materializes an anchored query's span on its first
@@ -1701,6 +1841,76 @@ mod tests {
         assert_eq!(plan.root.span(), (0, 3));
         assert!(plan.describe().contains("author→paper"));
         assert_eq!(engine.stats().cache.misses, 0, "planning computes nothing");
+    }
+
+    /// The shape table's keys, as `(head, tail)` pairs.
+    fn shape_keys(engine: &Engine) -> Vec<(String, Option<String>)> {
+        let shapes = engine.shapes.read().unwrap();
+        let mut keys: Vec<_> = shapes
+            .keys()
+            .map(|k| (k.head.to_string(), k.tail.as_deref().map(str::to_string)))
+            .collect();
+        keys.sort();
+        keys
+    }
+
+    #[test]
+    fn a_shape_is_compiled_once_for_every_anchor() {
+        let engine = Engine::new(bib());
+        let reference = Engine::new(bib());
+        let queries = [
+            "pathsim author-paper-author from a0",
+            "pathsim author-paper-author from a1",
+            "pathsim author-paper-author from \"a2\"",
+            "pathsim author-paper-author from nobody", // the anchor fails
+            "rank venue-paper-author limit 2",
+            "rank venue-paper-author limit 2",
+        ];
+        // the reference runs the same queries, each compiled whole
+        let whole = |q: &str| {
+            reference.shapes.write().unwrap().clear();
+            q.to_string()
+        };
+        let explain = |e: &Engine, q: &str| e.plan(q).map(|p| p.to_string());
+        for q in queries {
+            let got = (explain(&engine, q), engine.execute(q));
+            let want = (explain(&reference, &whole(q)), reference.execute(&whole(q)));
+            assert_eq!(got, want, "{q}");
+            if let ((Err(got), _), (Err(want), _)) = (&got, &want) {
+                assert_eq!(got.to_string(), want.to_string(), "{q}");
+            }
+        }
+        assert_eq!(
+            shape_keys(&engine),
+            [
+                (
+                    "pathsim author-paper-author from ".to_string(),
+                    Some(String::new())
+                ),
+                ("rank venue-paper-author limit 2".to_string(), None),
+            ]
+        );
+        // what did not compile is not filed
+        for q in [
+            "pathsim author-paper-venue from a0", // not symmetric
+            "pathsim author-paper-author from a0 limit 0",
+            "pathsim author-paper-author from \"a0",
+        ] {
+            assert!(engine.execute(q).is_err(), "{q}");
+        }
+        assert_eq!(shape_keys(&engine).len(), 2);
+    }
+
+    #[test]
+    fn the_shape_table_is_bounded() {
+        let engine = Engine::new(bib());
+        for limit in 1..=SHAPE_CAP + 1 {
+            let q = format!("pathcount author-paper-venue from a1 limit {limit}");
+            assert_eq!(engine.execute(&q).unwrap().items.len(), 1, "{q}");
+            assert!(engine.shapes.read().unwrap().len() <= SHAPE_CAP);
+        }
+        // reset wholesale on the shape past the cap, which it then holds
+        assert_eq!(engine.shapes.read().unwrap().len(), 1);
     }
 
     /// A network heavy enough that row propagation decisively beats

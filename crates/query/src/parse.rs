@@ -18,6 +18,8 @@
 //! stored direction. Resolution against a concrete network happens later,
 //! in [`mod@crate::resolve`].
 
+use std::ops::Range;
+
 use crate::error::QueryError;
 
 /// The operation a query requests.
@@ -214,39 +216,121 @@ struct Token<'a> {
 /// `"…"` spans taken whole. Whitespace is Unicode's ([`char::is_whitespace`],
 /// which is also what [`str::trim_start`] skips).
 fn tokenize(input: &str) -> Result<Vec<Token<'_>>, QueryError> {
-    let mut tokens = Vec::new();
-    let mut rest = input.trim_start();
-    while !rest.is_empty() {
+    let tokens = Tokens::new(input)
+        .map(|t| t.map(|(_, token)| token))
+        .collect::<Result<Vec<_>, _>>()?;
+    if tokens.is_empty() {
+        return Err(QueryError::Parse("empty query".to_string()));
+    }
+    Ok(tokens)
+}
+
+/// The one tokenizer: `input`'s tokens in order, each with the byte range
+/// of `input` it was read from (a quoted token's quotes included). It
+/// yields nothing after an unterminated quote, which is its one error.
+struct Tokens<'a> {
+    input: &'a str,
+    rest: &'a str,
+}
+
+impl<'a> Tokens<'a> {
+    fn new(input: &'a str) -> Self {
+        Tokens { input, rest: input }
+    }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = Result<(Range<usize>, Token<'a>), QueryError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let rest = self.rest.trim_start();
+        let start = self.input.len() - rest.len();
         let token = match rest.strip_prefix('"') {
             Some(quoted) => {
-                let end = quoted.find('"').ok_or_else(|| {
-                    QueryError::Parse(format!("unterminated quoted name in `{input}`"))
-                })?;
-                rest = &quoted[end + 1..];
+                let Some(end) = quoted.find('"') else {
+                    self.rest = "";
+                    return Some(Err(QueryError::Parse(format!(
+                        "unterminated quoted name in `{}`",
+                        self.input
+                    ))));
+                };
+                self.rest = &quoted[end + 1..];
                 Token {
                     text: &quoted[..end],
                     quoted: true,
                 }
+            }
+            None if rest.is_empty() => {
+                self.rest = rest;
+                return None;
             }
             None => {
                 let end = rest
                     .find(|c: char| c.is_whitespace() || c == '"')
                     .unwrap_or(rest.len());
                 let (text, tail) = rest.split_at(end);
-                rest = tail;
+                self.rest = tail;
                 Token {
                     text,
                     quoted: false,
                 }
             }
         };
-        tokens.push(token);
-        rest = rest.trim_start();
+        Some(Ok((start..self.input.len() - self.rest.len(), token)))
     }
-    if tokens.is_empty() {
-        return Err(QueryError::Parse("empty query".to_string()));
+}
+
+/// A query text with its anchor token cut out: what the engine files a
+/// compiled query's shape under, so that texts differing only in their
+/// anchor share one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Cut<'a> {
+    /// The text before the anchor token; the whole text when it has none.
+    pub head: &'a str,
+    /// The anchor's name (a quoted token's text between its quotes) and
+    /// the text after its token, when the text has an anchor.
+    pub anchor: Option<(&'a str, &'a str)>,
+}
+
+/// Cut `input`'s anchor token out: the token [`parse`] reads as the node
+/// name after `from`, found by walking the same tokens `parse` walks, up
+/// to it and no further. That is the token after an unquoted `from` that
+/// follows the verb and its path (and, for `topk`, its k), whatever those
+/// tokens say — a query that does not parse has an anchor too, if it has
+/// that token. A text without one (`rank`, or a tokenizing error or the
+/// end of the text before it) is not cut.
+///
+/// The cut takes a quoted anchor's quotes with it, so every text with the
+/// same `head` and tail has the same tokens but the anchor's: the tokens
+/// before it are read from the same text up to the same boundary, and
+/// those after it from the same text starting afresh. So they parse alike
+/// but for the anchor, or fail alike.
+pub(crate) fn cut(input: &str) -> Cut<'_> {
+    let whole = Cut {
+        head: input,
+        anchor: None,
+    };
+    let mut tokens = Tokens::new(input).map_while(Result::ok);
+    let before_from = match tokens.next() {
+        Some((_, verb)) => match verb.text {
+            "pathsim" | "pathcount" | "neighbors" => 1,
+            "topk" => 2,
+            _ => return whole,
+        },
+        None => return whole,
+    };
+    let mut tokens = tokens.skip(before_from);
+    match tokens.next() {
+        Some((_, from)) if from.text == "from" && !from.quoted => {}
+        _ => return whole,
     }
-    Ok(tokens)
+    match tokens.next() {
+        Some((span, name)) => Cut {
+            head: &input[..span.start],
+            anchor: Some((name.text, &input[span.end..])),
+        },
+        None => whole,
+    }
 }
 
 fn parse_int(tok: &Token) -> Result<usize, QueryError> {
@@ -469,6 +553,51 @@ mod tests {
         " ", "  ", "\t", "\n", "\u{3000}", "\u{a0}", "\u{2028}", "", "\u{200b}",
     ];
 
+    /// Clauses a query is built from, in order: verb, path, `from`,
+    /// anchor, tail — each with some that break it.
+    const CLAUSES: [&[&str]; 5] = [
+        &[
+            "pathsim",
+            "pathcount",
+            "topk 3",
+            "topk",
+            "neighbors",
+            "rank",
+            "\"pathsim\"",
+        ],
+        &["a-b-a", "^r-s", "a--b", "作者-论文", ""],
+        &["from", "from", "from", "\"from\"", "limit", ""],
+        &[
+            "x",
+            "\"ann b\"",
+            "\"limit\"",
+            "limit",
+            "\"\"",
+            "\"open",
+            "ñame",
+            "",
+        ],
+        &[
+            "",
+            "limit 2",
+            "\"limit\" 2",
+            "limit 0",
+            "limit",
+            "extra",
+            "\"q\"",
+            "\"open",
+        ],
+    ];
+
+    /// What an anchor is swapped for.
+    const ANCHORS: [&str; 4] = ["y", "\"other one\"", "\"limit 9\"", "\"\""];
+
+    /// What follows each clause: mostly a plain space, so that most texts
+    /// get as far as their anchor, and then the [`SEPARATORS`].
+    const GLUES: [&str; 13] = [
+        " ", " ", " ", " ", " ", "  ", "\t", "\n", "\u{3000}", "\u{a0}", "\u{2028}", "", "\u{200b}",
+    ];
+
     #[test]
     fn borrowing_tokenizer_matches_the_oracle_on_pinned_inputs() {
         for input in [
@@ -490,6 +619,93 @@ mod tests {
             "neighbors a\u{200b}b from x",
         ] {
             assert_agrees(input);
+        }
+    }
+
+    #[test]
+    fn cut_takes_out_the_anchor_token_parse_reads() {
+        let anchored = |head, name, tail| Cut {
+            head,
+            anchor: Some((name, tail)),
+        };
+        let whole = |head| Cut { head, anchor: None };
+        for (input, want) in [
+            (
+                "pathsim a-b-a from x",
+                anchored("pathsim a-b-a from ", "x", ""),
+            ),
+            (
+                "topk 3 a-b-a from x limit 4",
+                anchored("topk 3 a-b-a from ", "x", " limit 4"),
+            ),
+            (
+                "pathcount a-b from \"ann b\" limit 3",
+                anchored("pathcount a-b from ", "ann b", " limit 3"),
+            ),
+            (
+                "neighbors a-b from\"x\"limit 2",
+                anchored("neighbors a-b from", "x", "limit 2"),
+            ),
+            (
+                "neighbors a-b from \"limit\"",
+                anchored("neighbors a-b from ", "limit", ""),
+            ),
+            ("rank a-b-a limit 2", whole("rank a-b-a limit 2")),
+            (
+                "pathsim a-b-a \"from\" x",
+                whole("pathsim a-b-a \"from\" x"),
+            ),
+            ("pathsim a-b-a from", whole("pathsim a-b-a from")),
+            ("pathsim \"a-b from x", whole("pathsim \"a-b from x")),
+            ("topk a-b-a from x", whole("topk a-b-a from x")),
+            ("", whole("")),
+        ] {
+            assert_eq!(cut(input), want, "{input:?}");
+        }
+    }
+
+    proptest::proptest! {
+        // one text in fifty parses: cheap cases, and many of them
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+        /// `cut` finds the anchor `parse` reads, and any text cut to the
+        /// same head and tail parses the same but for the anchor, or fails
+        /// the same. Texts are query clauses glued by any separator, so
+        /// that tokens run into each other and into quotes.
+        #[test]
+        fn a_text_with_the_same_cut_parses_the_same_but_for_the_anchor(
+            clauses in (0usize..CLAUSES[0].len(), 0usize..CLAUSES[1].len(),
+                        0usize..CLAUSES[2].len(), 0usize..CLAUSES[3].len(),
+                        0usize..CLAUSES[4].len()),
+            glues in proptest::prop::collection::vec(0usize..GLUES.len(), 5),
+            other in 0usize..ANCHORS.len(),
+        ) {
+            let (verb, path, from, anchor, tail) = clauses;
+            let picks = [verb, path, from, anchor, tail];
+            let input: String = picks
+                .iter()
+                .zip(CLAUSES)
+                .zip(&glues)
+                .map(|((&pick, clause), &glue)| format!("{}{}", clause[pick], GLUES[glue]))
+                .collect();
+            let parsed = parse(&input);
+            let found = cut(&input);
+            if let Ok(q) = &parsed {
+                assert_eq!(q.from.as_deref(), found.anchor.map(|(name, _)| name), "{input:?}");
+            }
+            let Some((_, rest)) = found.anchor else { return Ok(()) };
+            let swapped = format!("{}{}{rest}", found.head, ANCHORS[other]);
+            let swapped_cut = cut(&swapped);
+            if (swapped_cut.head, swapped_cut.anchor.map(|a| a.1)) != (found.head, Some(rest)) {
+                return Ok(()); // an unquoted anchor glued to its neighbours
+            }
+            // the same query but for the anchor, or the same error but for
+            // the text an unterminated quote quotes back
+            let shape = |text: &str| {
+                parse(text)
+                    .map(|q| ParsedQuery { from: None, ..q })
+                    .map_err(|e| e.to_string().replace(text, "…"))
+            };
+            assert_eq!(shape(&swapped), shape(&input), "{input:?} → {swapped:?}");
         }
     }
 

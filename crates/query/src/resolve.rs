@@ -148,15 +148,7 @@ fn step_name(hin: &Hin, step: PathStep) -> String {
 
 /// Resolve a full parsed query: path, verb constraints, anchor node.
 pub fn resolve(hin: &Hin, parsed: &ParsedQuery) -> Result<ResolvedQuery, QueryError> {
-    let path = resolve_path(hin, &parsed.path)?;
-    let (start, end) = path.validate(hin)?;
-
-    if matches!(parsed.verb, Verb::PathSim | Verb::TopK) && !path.is_palindrome() {
-        return Err(QueryError::NotSymmetric {
-            path: parsed.path.to_string(),
-        });
-    }
-
+    let (path, start, end) = resolve_shape(hin, parsed)?;
     let from = match &parsed.from {
         Some(name) => Some(hin.node_by_name(start, name)?),
         None => None,
@@ -170,6 +162,24 @@ pub fn resolve(hin: &Hin, parsed: &ParsedQuery) -> Result<ResolvedQuery, QueryEr
         from,
         limit: parsed.limit,
     })
+}
+
+/// Everything [`resolve`] checks before the anchor, which it resolves
+/// last: the path, its start and end types, and the verb's constraint on
+/// it. What the engine compiles once per query shape.
+pub(crate) fn resolve_shape(
+    hin: &Hin,
+    parsed: &ParsedQuery,
+) -> Result<(MetaPath, TypeId, TypeId), QueryError> {
+    let path = resolve_path(hin, &parsed.path)?;
+    let (start, end) = path.validate(hin)?;
+
+    if matches!(parsed.verb, Verb::PathSim | Verb::TopK) && !path.is_palindrome() {
+        return Err(QueryError::NotSymmetric {
+            path: parsed.path.to_string(),
+        });
+    }
+    Ok((path, start, end))
 }
 
 #[cfg(test)]

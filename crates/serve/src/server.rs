@@ -15,11 +15,15 @@
 //!
 //! A submit wakes a parked worker only when no waiter will run the
 //! request: when the queue already held a request, or when the lane is a
-//! shard connection's, whose waits never run anything. A solo request is
-//! left to its waiter and costs no cross-thread wake-up; run by a worker it
-//! costs two (the push waking a parked worker, the reply waking the parked
-//! waiter). A ticket dropped unwaited wakes a worker for its request if the
-//! submit did not. [`ServerHandle::submit`] states when a request runs.
+//! shard connection's, whose waits never run anything. A reply wakes its
+//! waiter only when the waiter is parked on the reply slot, which the slot
+//! records under its own lock: a waiter that ran its own request, or whose
+//! answer was in before it looked, never parks. So a solo request is left
+//! to its waiter and costs no cross-thread wake-up; run by a worker it
+//! costs at most two (the push waking a parked worker, the reply waking a
+//! parked waiter). A ticket dropped unwaited wakes a worker for its request
+//! if the submit did not. [`ServerHandle::submit`] states when a request
+//! runs.
 //!
 //! * A request its waiter runs is still shed [`QueryError::TimedOut`] by
 //!   the same deadline sweep, and counts as a batch of one.
@@ -37,7 +41,7 @@
 //! [`Server`] goes however long they live; shutdown waits out the waiter
 //! runs under way, so its final stats count every admitted request.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -126,7 +130,7 @@ pub struct TelemetryConfig {
     /// histogram and slow queries are captured; off, the pipeline touches
     /// no histogram and keeps no slow log, and [`ServerStats`] reports
     /// empty snapshots. The engine runs the same flow either way
-    /// ([`Engine::execute_ids_traced`], four clock reads a query): what the
+    /// ([`Engine::execute_ids_traced`], three clock reads a query): what the
     /// switch saves is the recording, which the benchmark prices as
     /// `telemetry.cost_us_per_query`.
     pub enabled: bool,
@@ -192,7 +196,47 @@ pub struct SlowQuery {
     pub total_ns: u64,
 }
 
-/// The per-stage latency recorders, shared by submitters and workers.
+/// Stripes of a server's [`Counters`] and [`StageHists`]. A thread counts
+/// and records into one stripe, so threads on different stripes share no
+/// cache line when they do.
+const STRIPES: usize = 8;
+
+/// Stripes handed out so far, round-robin, one to each counting thread.
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The stripe this thread counts and records into, in every server:
+    /// given on its first use. Threads past [`STRIPES`] share stripes,
+    /// which costs contention, never a count.
+    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
+}
+
+/// [`STRIPES`] values of `T`, one per stripe: a thread writes its own
+/// ([`Striped::mine`]) and a reader folds them all. `T` is aligned to its
+/// own cache lines, so no two stripes share one.
+struct Striped<T>(Box<[T]>);
+
+impl<T> Striped<T> {
+    fn new(mut make: impl FnMut() -> T) -> Self {
+        Striped((0..STRIPES).map(|_| make()).collect())
+    }
+
+    /// The calling thread's stripe.
+    fn mine(&self) -> &T {
+        &self.0[STRIPE.with(|s| *s)]
+    }
+
+    /// Every stripe.
+    fn all(&self) -> &[T] {
+        &self.0
+    }
+}
+
+/// One stripe of per-stage latency recorders: the stripe of every thread
+/// that records into it, submitters and whoever runs requests. Aligned so
+/// that no two stripes' inline counters share a cache line; its buckets
+/// are about 44 KB.
+#[repr(align(128))]
 struct StageHists {
     /// Time spent inside `submit` reaching an admission decision.
     admission: Histogram,
@@ -220,9 +264,24 @@ impl StageHists {
 
 /// Telemetry state hung off [`Shared`] when enabled.
 struct Telemetry {
-    stages: StageHists,
+    /// [`STRIPES`] stage recorders, about 350 KB: each thread records into
+    /// its own, and [`Server::stats`] merges them, which reads exactly as
+    /// one recorder that took every sample.
+    stages: Striped<StageHists>,
     slow: RingLog<SlowQuery>,
     slow_threshold: Duration,
+}
+
+impl Telemetry {
+    /// One stage's histogram, merged across the stripes.
+    fn merged(&self, stage: impl Fn(&StageHists) -> &Histogram) -> HistSnapshot {
+        self.stages
+            .all()
+            .iter()
+            .fold(HistSnapshot::default(), |all, s| {
+                all.merge(&stage(s).snapshot())
+            })
+    }
 }
 
 /// A query's answer as it travels through its reply slot: named already
@@ -238,9 +297,27 @@ pub(crate) type Answer = Result<Output, QueryError>;
 
 /// The one-shot slot a request's answer travels through: filled once by
 /// the [`ReplySender`], taken once by the [`Ticket`] waiting on it.
+///
+/// The sender wakes the waiter only when one is parked on `filled`: a
+/// ticket whose answer is in the slot by the time it looks — its own run's,
+/// or one that came first — takes it and never parks, and the reply makes
+/// no system call. Both sides read and write the flag under the slot's
+/// lock, so a waiter that is about to park has either found the answer or
+/// is seen parked by the sender, who then wakes it.
 struct ReplySlot {
-    answer: Mutex<Option<Answer>>,
+    state: Mutex<SlotState>,
     filled: Condvar,
+    /// Wake-ups the sender made, for tests of who gets woken.
+    #[cfg(test)]
+    notifies: AtomicUsize,
+}
+
+/// What a [`ReplySlot`]'s lock guards.
+#[derive(Default)]
+struct SlotState {
+    answer: Option<Answer>,
+    /// A waiter is parked on the slot's condvar, for want of the answer.
+    parked: bool,
 }
 
 /// The answering half of a reply slot. It delivers when dropped: what
@@ -261,12 +338,19 @@ impl ReplySender {
 impl Drop for ReplySender {
     fn drop(&mut self) {
         let answer = std::mem::replace(&mut self.answer, Err(QueryError::Canceled));
-        *self
+        let mut state = self
             .slot
-            .answer
+            .state
             .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(answer);
-        self.slot.filled.notify_one();
+            .unwrap_or_else(PoisonError::into_inner);
+        state.answer = Some(answer);
+        let parked = state.parked;
+        drop(state);
+        if parked {
+            self.slot.filled.notify_one();
+            #[cfg(test)]
+            self.slot.notifies.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -283,10 +367,13 @@ struct Request {
     deadline: Option<Instant>,
 }
 
-/// Counters shared by submitters (`shed`) and whoever runs a request
-/// (everything else; `batches` / `max_batch` are counted by the thread
-/// that popped or took the batch, `waiter_runs` by a waiter that took).
+/// One stripe of the counters kept by submitters (`shed`) and whoever
+/// runs a request (everything else; `batches` / `max_batch` are counted by
+/// the thread that popped or took the batch, `waiter_runs` by a waiter
+/// that took). [`Server::stats`] adds the stripes up (`max_batch` takes
+/// their largest).
 #[derive(Default)]
+#[repr(align(128))]
 struct Counters {
     served: AtomicU64,
     errors: AtomicU64,
@@ -358,7 +445,7 @@ struct Shared {
     /// however long handles and tickets outlive it.
     engine: Weak<Engine>,
     runs: WaiterRuns,
-    counters: Counters,
+    counters: Striped<Counters>,
     /// Client-lane id allocator; see [`Server::handle`].
     next_client: AtomicU64,
     /// `Some` when [`TelemetryConfig::enabled`].
@@ -569,6 +656,10 @@ impl ServerStats {
 /// discarded, and its work still warms the shared cache. If its submit
 /// woke no worker, the drop wakes one for it.
 ///
+/// A wait that finds its answer already sent takes it without parking, and
+/// its sender made no wake-up call; a wait that parks is marked parked in
+/// the reply slot first, so the sender wakes it exactly once.
+///
 /// A submitted request runs exactly once, at the earliest of: its ticket's
 /// [`Ticket::wait`] or [`Ticket::wait_timeout`]; its ticket being dropped;
 /// any later submit that finds a request queued; the drain of
@@ -607,8 +698,10 @@ impl Ticket {
     /// into; a sender that only ever sends named answers has none.
     pub(crate) fn pending(home: Option<ServerHandle>) -> (ReplySender, Ticket) {
         let slot = Arc::new(ReplySlot {
-            answer: Mutex::new(None),
+            state: Mutex::default(),
             filled: Condvar::new(),
+            #[cfg(test)]
+            notifies: AtomicUsize::new(0),
         });
         let sender = ReplySender {
             slot: Arc::clone(&slot),
@@ -626,9 +719,11 @@ impl Ticket {
     /// most `timeout` when one is given, then [`QueryError::TimedOut`].
     /// With `run_own`, a request still in its lane is first taken out and
     /// run on this thread ([`ServerHandle::run_own`]), which fills the
-    /// slot before the wait. The slot's lock is released before this
-    /// returns: nothing the caller does with the answer runs under it. Also
-    /// returns the ticket's handle, for naming.
+    /// slot before the wait. A wait that finds no answer marks the slot
+    /// parked before it parks, so the sender wakes it, and clears the mark
+    /// once it is awake. The slot's lock is released before this returns:
+    /// nothing the caller does with the answer runs under it. Also returns
+    /// the ticket's handle, for naming.
     fn take(mut self, timeout: Option<Duration>, run_own: bool) -> (Answer, Option<ServerHandle>) {
         // what this ticket's drop then finds is refused: a ticket consumed
         // by a wait wakes nobody
@@ -640,21 +735,26 @@ impl Ticket {
         if let (true, Some(home)) = (run_own, &home) {
             home.run_own(&slot);
         }
-        let answer = slot.answer.lock().unwrap_or_else(PoisonError::into_inner);
-        let taken = match timeout {
-            None => slot
-                .filled
-                .wait_while(answer, |a| a.is_none())
-                .unwrap_or_else(PoisonError::into_inner)
-                .take(),
-            Some(timeout) => slot
-                .filled
-                .wait_timeout_while(answer, timeout, |a| a.is_none())
-                .unwrap_or_else(PoisonError::into_inner)
-                .0
-                .take(),
-        };
-        (taken.unwrap_or(Err(QueryError::TimedOut)), home)
+        let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if state.answer.is_none() {
+            state.parked = true;
+            let unanswered = |s: &mut SlotState| s.answer.is_none();
+            state = match timeout {
+                None => slot
+                    .filled
+                    .wait_while(state, unanswered)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(timeout) => {
+                    slot.filled
+                        .wait_timeout_while(state, timeout, unanswered)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+            state.parked = false;
+        }
+        let answer = state.answer.take();
+        (answer.unwrap_or(Err(QueryError::TimedOut)), home)
     }
 
     /// Block for the answer as it was sent, unnamed — for a caller that
@@ -805,7 +905,7 @@ impl ServerHandle {
         {
             // admitted (possibly by displacing someone else) — time spent
             // reaching that decision is the admission stage
-            tel.stages.admission.record_duration(t0.elapsed());
+            tel.stages.mine().admission.record_duration(t0.elapsed());
         }
         match push {
             Push::Queued { woke } => {
@@ -813,13 +913,21 @@ impl ServerHandle {
                 ticket
             }
             Push::Shed => {
-                self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+                self.shared
+                    .counters
+                    .mine()
+                    .shed
+                    .fetch_add(1, Ordering::Relaxed);
                 Ticket::refused(QueryError::Overloaded)
             }
             Push::Displaced(victim) => {
                 // admitted at the cap by displacing the tail of the
                 // fattest lane; the flooder's ticket resolves Overloaded
-                self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+                self.shared
+                    .counters
+                    .mine()
+                    .shed
+                    .fetch_add(1, Ordering::Relaxed);
                 victim.reply.send(Err(QueryError::Overloaded));
                 ticket
             }
@@ -847,7 +955,11 @@ impl ServerHandle {
         let Some(engine) = shared.engine.upgrade() else {
             return;
         };
-        shared.counters.waiter_runs.fetch_add(1, Ordering::Relaxed);
+        shared
+            .counters
+            .mine()
+            .waiter_runs
+            .fetch_add(1, Ordering::Relaxed);
         serve(&engine, shared, vec![req], popped);
     }
 
@@ -911,10 +1023,10 @@ impl Server {
             hin,
             engine: Arc::downgrade(&engine),
             runs: WaiterRuns::default(),
-            counters: Counters::default(),
+            counters: Striped::new(Counters::default),
             next_client: AtomicU64::new(1),
             telemetry: config.telemetry.enabled.then(|| Telemetry {
-                stages: StageHists::new(),
+                stages: Striped::new(StageHists::new),
                 slow: RingLog::new(config.telemetry.slow_log),
                 slow_threshold: config.telemetry.slow_query,
             }),
@@ -1016,17 +1128,24 @@ impl Server {
 
     /// Current lifetime statistics.
     pub fn stats(&self) -> ServerStats {
-        let counters = &self.shared.counters;
+        let stripes = self.shared.counters.all();
+        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let sum =
+            |counter: fn(&Counters) -> &AtomicU64| stripes.iter().map(|c| read(counter(c))).sum();
         let engine = self.engine.stats();
         let cache = engine.cache;
         let mut stats = ServerStats {
-            served: counters.served.load(Ordering::Relaxed),
-            errors: counters.errors.load(Ordering::Relaxed),
-            shed: counters.shed.load(Ordering::Relaxed),
-            shed_expired: counters.shed_expired.load(Ordering::Relaxed),
-            batches: counters.batches.load(Ordering::Relaxed),
-            max_batch: counters.max_batch.load(Ordering::Relaxed),
-            waiter_runs: counters.waiter_runs.load(Ordering::Relaxed),
+            served: sum(|c| &c.served),
+            errors: sum(|c| &c.errors),
+            shed: sum(|c| &c.shed),
+            shed_expired: sum(|c| &c.shed_expired),
+            batches: sum(|c| &c.batches),
+            max_batch: stripes
+                .iter()
+                .map(|c| read(&c.max_batch))
+                .max()
+                .unwrap_or(0),
+            waiter_runs: sum(|c| &c.waiter_runs),
             worker_wakes: self.shared.queue.wakes(),
             workers: self.workers,
             queue_depth: self.shared.queue.depth(),
@@ -1056,14 +1175,13 @@ impl Server {
             ..ServerStats::default()
         };
         if let Some(tel) = &self.shared.telemetry {
-            let s = &tel.stages;
-            stats.admission_ns = s.admission.snapshot();
-            stats.queue_wait_ns = s.queue_wait.snapshot();
-            stats.dispatch_ns = s.dispatch.snapshot();
-            stats.plan_ns = s.plan.snapshot();
+            stats.admission_ns = tel.merged(|s| &s.admission);
+            stats.queue_wait_ns = tel.merged(|s| &s.queue_wait);
+            stats.dispatch_ns = tel.merged(|s| &s.dispatch);
+            stats.plan_ns = tel.merged(|s| &s.plan);
             stats.exec_ns =
-                std::array::from_fn(|m| std::array::from_fn(|o| s.exec[m][o].snapshot()));
-            stats.e2e_ns = s.e2e.snapshot();
+                std::array::from_fn(|m| std::array::from_fn(|o| tel.merged(|s| &s.exec[m][o])));
+            stats.e2e_ns = tel.merged(|s| &s.e2e);
             stats.slow_queries = tel.slow.total();
         }
         stats
@@ -1153,7 +1271,7 @@ fn worker_loop(engine: &Engine, shared: &Shared, batch_max: usize, workers: usiz
 /// and stage histograms are recorded before each reply, the slow-query
 /// capture after it.
 fn serve(engine: &Engine, shared: &Shared, mut batch: Vec<Request>, popped: Instant) {
-    let counters = &shared.counters;
+    let counters = shared.counters.mine();
     counters.batches.fetch_add(1, Ordering::Relaxed);
     counters
         .max_batch
@@ -1195,7 +1313,7 @@ fn serve(engine: &Engine, shared: &Shared, mut batch: Vec<Request>, popped: Inst
         let stage = shared.telemetry.as_ref().map(|tel| {
             let queue_wait = popped.duration_since(req.queued_at);
             let total = req.queued_at.elapsed();
-            let s = &tel.stages;
+            let s = tel.stages.mine();
             s.queue_wait.record_duration(queue_wait);
             s.dispatch.record_duration(dispatch);
             s.plan.record(trace.plan_ns);
@@ -1901,6 +2019,67 @@ pub(crate) mod tests {
         assert_eq!(stats.batches, 3, "a waiter's run is a batch of one");
         assert_eq!(stats.queue_wait_ns.count(), 3);
         assert_eq!(stats.e2e_ns.count(), 3);
+    }
+
+    /// The reply slot a pending ticket waits on.
+    fn slot_of(ticket: &Ticket) -> Arc<ReplySlot> {
+        match &ticket.state {
+            TicketState::Pending(slot, _) => Arc::clone(slot),
+            TicketState::Refused(err) => panic!("refused: {err}"),
+        }
+    }
+
+    #[test]
+    fn a_request_its_waiter_runs_wakes_nobody() {
+        let server = parked(ServeConfig::default());
+        for query in ["pathsim author-paper-author from a0", "not even a query"] {
+            let ticket = server.submit(query);
+            let slot = slot_of(&ticket);
+            let got = ticket.wait();
+            assert_eq!(got, Engine::from_arc(bib()).execute(query));
+            assert_eq!(slot.notifies.load(Ordering::Relaxed), 0, "{query}");
+        }
+        let stats = server.shutdown();
+        assert_eq!((stats.served, stats.waiter_runs), (2, 2));
+    }
+
+    #[test]
+    fn a_parked_waiter_is_woken_once_and_promptly() {
+        let server = one_worker();
+        let gate = STALL_GATE.lock().unwrap();
+        let (stalled, behind) =
+            pin_the_worker(&server, || server.submit("rank venue-paper-author"));
+        let slot = slot_of(&stalled);
+        // the worker holds the stall, so its waiter can only park
+        let waiter = std::thread::spawn(move || stalled.wait());
+        while !slot.state.lock().unwrap().parked {
+            std::thread::yield_now();
+        }
+        drop(gate);
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !waiter.is_finished() {
+            assert!(
+                Instant::now() < give_up,
+                "the parked waiter was never woken"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(matches!(waiter.join().unwrap(), Err(QueryError::Parse(_))));
+        assert_eq!(slot.notifies.load(Ordering::Relaxed), 1);
+        assert!(!slot.state.lock().unwrap().parked, "awake, it unparked");
+        assert!(behind.wait().is_ok());
+        // and one that gave up waiting is not woken when its answer lands
+        let gate = STALL_GATE.lock().unwrap();
+        let (stalled, behind) =
+            pin_the_worker(&server, || server.submit("rank venue-paper-author"));
+        let slot = slot_of(&stalled);
+        let gave_up = stalled.wait_timeout(Duration::from_millis(1));
+        assert!(matches!(gave_up, Err(QueryError::TimedOut)));
+        drop(gate);
+        assert!(behind.wait().is_ok());
+        let stats = server.shutdown();
+        assert_eq!(stats.served, 4);
+        assert_eq!(slot.notifies.load(Ordering::Relaxed), 0);
     }
 
     #[test]

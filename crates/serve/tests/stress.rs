@@ -110,11 +110,46 @@ fn threaded_results_match_single_threaded_reference() {
         "exactly the two invalid queries error, every round"
     );
     assert!(stats.cache_hits > 0, "overlap must be served from cache");
+}
+
+/// Micro-batching coalesces what is in flight where the server guarantees
+/// it: the one worker is parked, and one handle submits twice before any
+/// wait. The first submit is left to its waiter, the second finds it
+/// queued and wakes the worker, whose pop takes its share of the backlog —
+/// both — before either ticket is waited on.
+#[test]
+fn requests_in_flight_before_any_wait_coalesce_into_one_batch() {
+    let hin = world();
+    let queries = workload();
+    let reference = Engine::from_arc(Arc::clone(&hin));
+    let server = Server::start(
+        Arc::clone(&hin),
+        ServeConfig {
+            workers: 1,
+            batch_max: 16,
+            ..ServeConfig::default()
+        },
+    );
+    // a worker still starting up is awake and would pop the first alone
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let handle = server.handle();
+    let pair = [&queries[0], &queries[queries.len() - 2]];
+    let tickets = pair.map(|q| handle.submit(q.as_str()));
+    // no wait until the worker has popped both: a waiter would take its own
+    while server.queue_depth() > 0 {
+        std::thread::yield_now();
+    }
+    for (q, ticket) in pair.into_iter().zip(tickets) {
+        assert_eq!(ticket.wait(), reference.execute(q), "{q}");
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.served, stats.waiter_runs), (2, 0));
     assert!(
-        stats.batches < stats.served,
+        stats.max_batch >= 2 && stats.batches < stats.served,
         "micro-batching must coalesce in-flight requests \
-         ({} batches for {} queries)",
+         ({} batches of at most {} for {} queries)",
         stats.batches,
+        stats.max_batch,
         stats.served
     );
 }
