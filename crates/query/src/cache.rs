@@ -22,14 +22,15 @@
 //!
 //! Concurrent misses on one key are **deduplicated** by a per-key
 //! in-flight table ([`MatrixCache::get_or_compute`]): the first thread to
-//! miss claims the key and computes, every other thread blocks on a
-//! `Condvar` and is handed the finished `Arc` — compute once, wait many.
-//! Under cache thrash (bounded budget, overlapping queries) this turns N
-//! concurrent SpMM chains over the same span into one chain plus N−1
-//! cheap waits, which is what keeps tail latency flat when eviction and
-//! demand fight over the same keys. A computing thread that unwinds
-//! abandons its claim (waiters wake and retry, one of them re-claims), so
-//! a panic can never wedge the table. Shard locks recover from poisoning
+//! miss files a [`OnceLock`] cell for the key and computes inside it, every
+//! other thread that misses meanwhile parks on that cell and is handed the
+//! finished `Arc` — compute once, wait many. Under cache thrash (bounded
+//! budget, overlapping queries) this turns N concurrent SpMM chains over
+//! the same span into one chain plus N−1 cheap waits, which is what keeps
+//! tail latency flat when eviction and demand fight over the same keys. A
+//! computing thread that unwinds leaves its cell empty, and std wakes a
+//! parked waiter to compute in its place, so a panic can never wedge the
+//! table. Shard locks recover from poisoning
 //! (`PoisonError::into_inner`) rather than propagating it: cache contents
 //! are deterministic and re-derivable, so a panic elsewhere must not turn
 //! one shard's keyspace into a permanent error zone for a long-lived
@@ -48,11 +49,12 @@
 //! A product larger than one shard's slice can never be retained, so it is
 //! **refused at the door**: the insert evicts nobody, the caller keeps its
 //! `Arc`, and the span's real size is written in the span ledger
-//! ([`CacheStats::inserts_refused`]). [`MatrixCache::admits`] answers the
-//! same question *before* the product is computed, from a size estimate and
-//! that ledger — the engine asks it before promoting a span. The ledger is
-//! everything the engine learns about a span, one entry for a span and its
-//! mirror: its heat, that measured size, and a refused span's split.
+//! ([`CacheStats::inserts_refused`]). Before a span is promoted the engine
+//! asks the same question of the span's ledger entry, from a size estimate
+//! and that measured size, and a refusal is the [`Refusal`] its `EXPLAIN`
+//! shows. The ledger is everything the engine learns about a span, one
+//! entry for a span and its mirror: its heat, that measured size, and a
+//! refused span's split.
 //!
 //! Keys pick their shard through a fixed hash of the `(relation id,
 //! forward)` sequence of their canonical form, so which spans share a
@@ -75,7 +77,7 @@ use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 use hin_linalg::codec::Fnv64;
 use hin_linalg::Csr;
@@ -297,11 +299,6 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// An unbounded cache with the default shard count.
-    pub fn unbounded() -> Self {
-        Self::default()
-    }
-
     /// A cache bounded to `bytes` across the default shard count.
     pub fn bounded(bytes: usize) -> Self {
         Self {
@@ -422,79 +419,9 @@ impl Shard {
     }
 }
 
-/// One in-flight computation: the first thread to claim a key computes;
-/// everyone else blocks on the condvar until the slot is filled (or
-/// abandoned by a panicking computer, in which case waiters retry).
-struct Slot {
-    state: Mutex<SlotState>,
-    cv: Condvar,
-}
-
-enum SlotState {
-    Pending,
-    /// `Some` = the computed product; `None` = the computing thread went
-    /// away without a result (unwound) — waiters must retry.
-    Done(Option<Arc<Csr>>),
-}
-
-impl Default for Slot {
-    fn default() -> Self {
-        Self {
-            state: Mutex::new(SlotState::Pending),
-            cv: Condvar::new(),
-        }
-    }
-}
-
-/// Scope guard for a claimed in-flight slot: guarantees the slot is
-/// resolved and unregistered exactly once, even if the compute closure
-/// panics (drop during unwind ⇒ abandoned, waiters retry).
-struct InflightGuard<'a> {
-    cache: &'a MatrixCache,
-    key: &'a [StepKey],
-    slot: Arc<Slot>,
-    resolved: bool,
-}
-
-impl InflightGuard<'_> {
-    fn fulfill(mut self, value: Arc<Csr>) {
-        self.resolve(Some(value));
-    }
-
-    fn resolve(&mut self, value: Option<Arc<Csr>>) {
-        if self.resolved {
-            return;
-        }
-        self.resolved = true;
-        {
-            let mut state = self
-                .slot
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            *state = SlotState::Done(value);
-        }
-        self.slot.cv.notify_all();
-        let mut inflight = self
-            .cache
-            .inflight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        // Remove only our own registration: after an abandon, a retrying
-        // waiter may already have claimed the key with a fresh slot.
-        if let Some(current) = inflight.get(self.key) {
-            if Arc::ptr_eq(current, &self.slot) {
-                inflight.remove(self.key);
-            }
-        }
-    }
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.resolve(None);
-    }
-}
+/// A key's in-flight computation: filled once, by the one caller whose
+/// closure [`OnceLock::get_or_init`] runs; every other caller parks on it.
+type Inflight = Arc<OnceLock<Arc<Csr>>>;
 
 /// Memoizing store of commuting matrices: sharded for concurrency, bounded
 /// by bytes with LRU eviction, with hit/miss/eviction accounting and a
@@ -506,7 +433,7 @@ pub struct MatrixCache {
     /// `shards.len() - 1`; the shard count is a power of two.
     shard_mask: usize,
     budget_per_shard: Option<usize>,
-    /// The span ledger. Its sizes are what [`MatrixCache::admits`] consults
+    /// The span ledger. Its sizes are what [`MatrixCache::admit`] is handed
     /// so an under-estimated span is materialized once, not on every
     /// re-heating. Never taken while a shard lock is held; its holder may
     /// take a shard's read lock, to price a split, and no other lock.
@@ -514,8 +441,8 @@ pub struct MatrixCache {
     /// Keys currently being computed by some thread (compute-once,
     /// wait-many). One global mutex, not sharded: it is touched only on
     /// the miss path, held only for a map probe/insert/remove, and never
-    /// while computing or while holding a shard lock.
-    inflight: Mutex<KeyMap<Arc<Slot>>>,
+    /// while computing, waiting or holding a shard lock.
+    inflight: Mutex<KeyMap<Inflight>>,
     tick: AtomicU64,
     counters: Counters,
 }
@@ -561,31 +488,31 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Inserts turned away because the product alone is larger than one
     /// shard's slice of the budget: nothing was evicted for them, and the
-    /// span's size is written in the span ledger, so that
-    /// [`MatrixCache::admits`] refuses it up front from then on. Computed
-    /// products, symmetry transposes and snapshot entries all count here.
+    /// span's size is written in the span ledger, so that the engine
+    /// refuses to promote the span up front from then on
+    /// ([`Refusal::Product`]). Computed products, symmetry transposes and
+    /// snapshot entries all count here.
     pub inserts_refused: u64,
     /// Total [`Csr::nbytes`] of the products counted in `inserts_refused`
     /// — how much larger a budget would have had to be, summed over
     /// refusals.
     pub refused_bytes: u64,
-    /// Threads served by waiting for another thread's in-flight
-    /// computation of the same key ([`MatrixCache::get_or_compute`])
-    /// instead of computing it themselves. Each one is a whole SpMM chain
-    /// that was *not* run.
+    /// Callers of [`MatrixCache::get_or_compute`] served by another
+    /// thread's in-flight computation of the same key — their own compute
+    /// closure never ran — each also counted in `hits`. Each one is a whole
+    /// SpMM chain that was *not* run.
     pub coalesced_waits: u64,
-    /// Computed products that landed for a key a *different* thread had
-    /// claimed in the in-flight table at that moment — i.e. duplicate
-    /// concurrent computations the table failed to coalesce. Structurally
-    /// zero while every computation goes through
-    /// [`MatrixCache::get_or_compute`] (a claim covers the whole
-    /// computation); exposed so stress tests and experiments can assert it
-    /// stays that way. Symmetry transposes are reuse, not duplicated
-    /// chains, and are never counted.
+    /// Computed products that landed while the key's in-flight cell was
+    /// another computation's — i.e. duplicate concurrent computations the
+    /// table failed to coalesce. Structurally zero while every computation
+    /// goes through [`MatrixCache::get_or_compute`] (a cell covers the
+    /// whole computation); exposed so stress tests and experiments can
+    /// assert it stays that way. Symmetry transposes are reuse, not
+    /// duplicated chains, and are never counted.
     pub dup_computes: u64,
     /// Entries admitted from a snapshot import
-    /// ([`MatrixCache::import_snapshot`]). An admitted entry is priced
-    /// through the ordinary LRU, so it may still be evicted later.
+    /// ([`Engine::restore`](crate::Engine::restore)). An admitted entry is
+    /// priced through the ordinary LRU, so it may still be evicted later.
     pub warm_loaded: u64,
     /// Snapshot entries rejected at import time because their key or
     /// matrix dimensions did not match the dataset schema, or because the
@@ -769,17 +696,13 @@ impl MatrixCache {
         &self.shards[self.shard_index(key)]
     }
 
-    /// Would a product of `est_bytes` under `key` survive its own insert?
-    /// Always `Ok` for an unbounded cache. Otherwise refused when
-    /// `est_bytes` exceeds one shard's slice, or when `key` or its reversal
-    /// was already materialized and found larger than the slice.
-    /// Non-counting, like [`MatrixCache::peek_exact`].
-    pub(crate) fn admission(&self, key: &[StepKey], est_bytes: usize) -> Result<(), Refusal> {
-        self.admit(est_bytes, self.ledger().get(key).0.oversize)
-    }
-
-    /// [`MatrixCache::admission`] of a span whose ledger entry the caller
-    /// has read: `oversize` is its measured size, if it was refused.
+    /// Would a product of `est_bytes` survive its own insert, for a span
+    /// whose ledger entry the caller holds: `oversize` is its measured
+    /// size, if the span or its mirror was refused before? Always `Ok` for
+    /// an unbounded cache. Otherwise refused when `est_bytes` exceeds one
+    /// shard's slice, or when the span was already materialized and found
+    /// larger than the slice. Non-counting, like
+    /// [`MatrixCache::peek_exact`].
     pub(crate) fn admit(&self, est_bytes: usize, oversize: Option<usize>) -> Result<(), Refusal> {
         let Some(slice_bytes) = self.budget_per_shard else {
             return Ok(());
@@ -797,8 +720,13 @@ impl MatrixCache {
     }
 
     /// The span ledger, locked (see the field's lock order).
-    pub(crate) fn ledger(&self) -> std::sync::MutexGuard<'_, Ledger> {
+    pub(crate) fn ledger(&self) -> MutexGuard<'_, Ledger> {
         self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The in-flight table, locked (see the field).
+    fn inflight(&self) -> MutexGuard<'_, KeyMap<Inflight>> {
+        self.inflight.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The slice `a` and `b` share when a bounded cache keeps both in one
@@ -809,13 +737,6 @@ impl MatrixCache {
     pub(crate) fn shared_slice(&self, a: &[StepKey], b: &[StepKey]) -> Option<usize> {
         self.budget_per_shard
             .filter(|_| self.shard_index(a) == self.shard_index(b))
-    }
-
-    /// `true` when a product of about `est_bytes` under `key` would be kept
-    /// if it were computed and stored now — the question to ask *before*
-    /// paying for a materialization whose only purpose is to be cached.
-    pub fn admits(&self, key: &[StepKey], est_bytes: usize) -> bool {
-        self.admission(key, est_bytes).is_ok()
     }
 
     /// Lookup of exactly `key` (no symmetry); with `touch`, a counting one
@@ -1076,33 +997,29 @@ impl MatrixCache {
     }
 
     /// Record a computed product (counted as a miss). Production code
-    /// computes through [`MatrixCache::get_or_compute`] instead, which
-    /// holds an in-flight claim; this claim-less entry point remains for
-    /// tests preloading cache state (and is itself subject to duplicate
-    /// detection, like any computation that bypasses the claim protocol).
+    /// computes through [`MatrixCache::get_or_compute`] instead, inside an
+    /// in-flight cell; this cell-less entry point remains for tests
+    /// preloading cache state (and is itself subject to duplicate
+    /// detection, like any computation that bypasses the table).
     #[cfg(test)]
     pub(crate) fn put(&self, key: PathKey, value: Arc<Csr>) {
         self.put_computed(key, value, None);
     }
 
     /// Record a computed product, optionally identifying the in-flight
-    /// claim the computer holds.
+    /// cell it was computed in.
     ///
     /// This is where duplicate concurrent computations are detected: a
-    /// claim covers the whole computation, so a product landing for a key
-    /// that someone *else* currently has claimed means two computations of
-    /// that key ran at once — exactly what the in-flight table exists to
+    /// cell covers the whole computation, so a product landing for a key
+    /// whose table entry is *another* cell means two computations of that
+    /// key ran at once — exactly what the in-flight table exists to
     /// prevent. Cheap symmetry transposes ([`MatrixCache::get`]) go
     /// through `insert` and are deliberately not counted: they are reuse,
     /// not duplicated chains.
-    fn put_computed(&self, key: PathKey, value: Arc<Csr>, claim: Option<&Arc<Slot>>) {
-        {
-            let inflight = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(current) = inflight.get(&key) {
-                let is_own_claim = claim.is_some_and(|c| Arc::ptr_eq(current, c));
-                if !is_own_claim {
-                    self.counters.dup_computes.fetch_add(1, Ordering::Relaxed);
-                }
+    fn put_computed(&self, key: PathKey, value: Arc<Csr>, cell: Option<&Inflight>) {
+        if let Some(current) = self.inflight().get(&key) {
+            if !cell.is_some_and(|c| Arc::ptr_eq(current, c)) {
+                self.counters.dup_computes.fetch_add(1, Ordering::Relaxed);
             }
         }
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
@@ -1110,105 +1027,65 @@ impl MatrixCache {
     }
 
     /// Serve `key` from cache, or compute it **exactly once** across all
-    /// concurrent callers.
+    /// concurrent callers, and say how this caller was served — the
+    /// per-query signal the serving stack's telemetry aggregates (the
+    /// global counters cannot attribute an outcome to one caller under
+    /// concurrency).
     ///
-    /// The miss path claims `key` in the in-flight table; every other
-    /// thread that misses the same key while the computation runs blocks
-    /// on its condvar and is handed the finished `Arc` (counted in
-    /// [`CacheStats::coalesced_waits`], and as a hit — it was served
-    /// without computing). This is what prevents a thundering herd of
-    /// workers from running N identical SpMM chains after an eviction.
+    /// A miss takes the key's cell in the in-flight table, filing a new one
+    /// if there is none, and initializes it: the one caller whose closure
+    /// runs looks again (a racing computation may have landed meanwhile)
+    /// and otherwise computes; every other caller parks on the cell and is
+    /// handed the finished `Arc` (counted in [`CacheStats::coalesced_waits`],
+    /// and as a hit — it was served without computing). This is what
+    /// prevents a thundering herd of workers from running N identical SpMM
+    /// chains after an eviction.
     ///
     /// `compute` runs with **no cache or table locks held**, so it may
     /// recurse into the cache for sub-products; a computation only ever
     /// waits on strictly shorter keys (its plan children), so wait chains
-    /// are acyclic and cannot deadlock. If `compute` unwinds, the claim is
-    /// abandoned and one of the waiters re-claims the key.
-    pub fn get_or_compute(&self, key: &[StepKey], compute: impl FnOnce() -> Csr) -> Arc<Csr> {
-        self.get_or_compute_traced(key, compute).0
-    }
-
-    /// [`MatrixCache::get_or_compute`] that also reports *how* this caller
-    /// was served — the per-query signal the serving stack's telemetry
-    /// aggregates (the global hit/miss counters can't attribute an outcome
-    /// to one caller under concurrency).
-    pub fn get_or_compute_traced(
+    /// are acyclic and cannot deadlock. If `compute` unwinds, the cell stays
+    /// empty and a parked caller runs its own closure instead.
+    pub fn get_or_compute(
         &self,
         key: &[StepKey],
         compute: impl FnOnce() -> Csr,
     ) -> (Arc<Csr>, CacheOutcome) {
-        let mut compute = Some(compute);
-        // A caller that ever waited on someone else's computation reports
-        // CoalescedWait even if it is finally served by a plain lookup on
-        // retry — the wait is what its latency is made of.
-        let mut waited = false;
-        loop {
+        if let Some(m) = self.get(key) {
+            return (m, CacheOutcome::Hit);
+        }
+        let cell = Arc::clone(self.inflight().entry(key.to_vec()).or_default());
+        let mut outcome = CacheOutcome::CoalescedWait;
+        let m = Arc::clone(cell.get_or_init(|| {
             if let Some(m) = self.get(key) {
-                let outcome = if waited {
-                    CacheOutcome::CoalescedWait
-                } else {
-                    CacheOutcome::Hit
-                };
-                return (m, outcome);
+                outcome = CacheOutcome::Hit;
+                return m;
             }
-            let claimed = {
-                let mut inflight = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
-                match inflight.entry(key.to_vec()) {
-                    MapEntry::Occupied(e) => Err(Arc::clone(e.get())),
-                    MapEntry::Vacant(v) => {
-                        let slot = Arc::new(Slot::default());
-                        v.insert(Arc::clone(&slot));
-                        Ok(slot)
-                    }
-                }
-            };
-            match claimed {
-                Err(slot) => {
-                    // Someone else is computing this key: wait for their
-                    // result instead of duplicating the work.
-                    self.counters
-                        .coalesced_waits
-                        .fetch_add(1, Ordering::Relaxed);
-                    waited = true;
-                    let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
-                    while matches!(*state, SlotState::Pending) {
-                        state = slot.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-                    }
-                    if let SlotState::Done(Some(m)) = &*state {
-                        self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                        return (Arc::clone(m), CacheOutcome::CoalescedWait);
-                    }
-                    // Abandoned (computer unwound): retry; we may claim.
-                }
-                Ok(slot) => {
-                    let guard = InflightGuard {
-                        cache: self,
-                        key,
-                        slot,
-                        resolved: false,
-                    };
-                    // Double-check under the claim: a racing computation
-                    // may have finished between our miss and our claim.
-                    if let Some(m) = self.get(key) {
-                        guard.fulfill(Arc::clone(&m));
-                        let outcome = if waited {
-                            CacheOutcome::CoalescedWait
-                        } else {
-                            CacheOutcome::Hit
-                        };
-                        return (m, outcome);
-                    }
-                    let value = Arc::new((compute.take().expect("compute runs at most once"))());
-                    self.put_computed(key.to_vec(), Arc::clone(&value), Some(&guard.slot));
-                    guard.fulfill(Arc::clone(&value));
-                    return (value, CacheOutcome::MissCompute);
-                }
+            outcome = CacheOutcome::MissCompute;
+            let value = Arc::new(compute());
+            self.put_computed(key.to_vec(), Arc::clone(&value), Some(&cell));
+            value
+        }));
+        {
+            // remove only this cell: after an unwind, a later caller may
+            // already have filed a fresh one
+            let mut inflight = self.inflight();
+            if inflight.get(key).is_some_and(|c| Arc::ptr_eq(c, &cell)) {
+                inflight.remove(key);
             }
         }
+        if outcome == CacheOutcome::CoalescedWait {
+            self.counters
+                .coalesced_waits
+                .fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        (m, outcome)
     }
 }
 
-/// Why [`MatrixCache::admits`] said no.
+/// Why a bounded cache would not keep a span's product: the verdict a
+/// refused promotion carries ([`Promotion::Refused`](crate::Promotion::Refused)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Refusal {
     /// The size estimate alone exceeds one shard's slice of the budget.
@@ -1226,7 +1103,7 @@ pub enum Refusal {
     },
 }
 
-/// How one [`MatrixCache::get_or_compute_traced`] caller was served —
+/// How one [`MatrixCache::get_or_compute`] caller was served —
 /// ordered from cheapest to most expensive, so [`CacheOutcome::worst`] can
 /// summarize a whole plan tree's cache interaction as its slowest kind.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
@@ -1278,6 +1155,12 @@ mod tests {
 
     fn sample() -> Arc<Csr> {
         Arc::new(Csr::from_triplets(2, 3, [(0u32, 1u32, 2.0), (1, 2, 5.0)]))
+    }
+
+    /// The cache's verdict on a product of `est_bytes` under `key`, asked
+    /// as the engine asks it: of the span's ledger entry.
+    fn verdict(cache: &MatrixCache, key: &[StepKey], est_bytes: usize) -> Result<(), Refusal> {
+        cache.admit(est_bytes, cache.ledger().get(key).0.oversize)
     }
 
     #[test]
@@ -1413,7 +1296,7 @@ mod tests {
 
         // computed products go through the same door: the caller is served,
         // the neighbours stay
-        let served = cache.get_or_compute(&[(3, true), (4, false)], || (*big).clone());
+        let (served, _) = cache.get_or_compute(&[(3, true), (4, false)], || (*big).clone());
         assert_eq!(served.nnz(), big.nnz());
         let after = cache.stats();
         assert_eq!((after.len, after.evictions), (before.len, 0));
@@ -1423,7 +1306,7 @@ mod tests {
     #[test]
     fn admission_is_free_when_unbounded_and_remembers_oversize_products() {
         let key: PathKey = vec![(0, false), (1, true)];
-        assert!(MatrixCache::default().admits(&key, usize::MAX));
+        assert_eq!(verdict(&MatrixCache::default(), &key, usize::MAX), Ok(()));
 
         let big = banded(40, 8);
         let slice = big.nbytes() / 2;
@@ -1431,9 +1314,13 @@ mod tests {
             shards: 2,
             byte_budget: Some(slice * 2),
         });
-        assert!(cache.admits(&key, slice), "an estimate that fits is let in");
         assert_eq!(
-            cache.admission(&key, slice + 1),
+            verdict(&cache, &key, slice),
+            Ok(()),
+            "an estimate that fits is let in"
+        );
+        assert_eq!(
+            verdict(&cache, &key, slice + 1),
             Err(Refusal::Estimate {
                 est_bytes: slice + 1,
                 slice_bytes: slice
@@ -1445,9 +1332,13 @@ mod tests {
         let known = Err(Refusal::Product {
             bytes: big.nbytes(),
         });
-        assert_eq!(cache.admission(&key, 1), known);
-        assert_eq!(cache.admission(&reversed_key(&key), 1), known);
-        assert!(cache.admits(&[(0, false), (2, true)], 1), "other keys are");
+        assert_eq!(verdict(&cache, &key, 1), known);
+        assert_eq!(verdict(&cache, &reversed_key(&key), 1), known);
+        assert_eq!(
+            verdict(&cache, &[(0, false), (2, true)], 1),
+            Ok(()),
+            "other keys are"
+        );
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, 0, "admission never counts");
     }
@@ -1557,13 +1448,13 @@ mod tests {
                 shards: 2,
                 byte_budget: Some(big.nbytes()),
             });
-            assert!(bounded.admits(&rev, 1));
+            assert_eq!(verdict(&bounded, &rev, 1), Ok(()));
             assert!(!bounded.insert(key.clone(), Arc::clone(&big)));
             let known = Err(Refusal::Product {
                 bytes: big.nbytes(),
             });
-            assert_eq!(bounded.admission(&rev, 1), known, "{} steps", key.len());
-            assert_eq!(bounded.admission(&key, 1), known);
+            assert_eq!(verdict(&bounded, &rev, 1), known, "{} steps", key.len());
+            assert_eq!(verdict(&bounded, &key, 1), known);
         }
     }
 
@@ -1680,7 +1571,7 @@ mod tests {
                 let key = key.clone();
                 std::thread::spawn(move || {
                     barrier.wait();
-                    let m = cache.get_or_compute(&key, || {
+                    let (m, _) = cache.get_or_compute(&key, || {
                         computes.fetch_add(1, Ordering::SeqCst);
                         // long enough that the other threads arrive while
                         // the computation is still in flight
@@ -1831,9 +1722,60 @@ mod tests {
         panicker.join().expect("outer thread survives");
         // the claim must have been abandoned, not leaked: a later caller
         // claims the key afresh and computes normally
-        let m = cache.get_or_compute(&key, sample_csr);
+        let (m, _) = cache.get_or_compute(&key, sample_csr);
         assert_eq!(m.nnz(), 2);
         assert_eq!(cache.stats().misses, 1);
+    }
+
+    #[test]
+    fn a_waiter_parked_on_an_unwinding_computation_computes_in_its_place() {
+        use std::sync::mpsc;
+
+        let cache = Arc::new(MatrixCache::default());
+        let key: PathKey = vec![(4, true), (2, false)];
+        let (started, computing) = mpsc::channel();
+        let (release, unwind) = mpsc::channel::<()>();
+        let panicker = {
+            let (cache, key) = (Arc::clone(&cache), key.clone());
+            std::thread::spawn(move || {
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    cache.get_or_compute(&key, || {
+                        started.send(()).unwrap();
+                        let _ = unwind.recv();
+                        panic!("compute failed")
+                    })
+                }));
+            })
+        };
+        computing.recv().unwrap();
+        let computes = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let waiter = {
+            let (cache, key, computes) = (Arc::clone(&cache), key.clone(), Arc::clone(&computes));
+            std::thread::spawn(move || {
+                cache.get_or_compute(&key, || {
+                    computes.fetch_add(1, Ordering::SeqCst);
+                    sample_csr()
+                })
+            })
+        };
+        // the waiter holds the panicker's cell, and a moment later is parked
+        // on it (were it not yet, it would find the cell empty and compute
+        // just the same)
+        while Arc::strong_count(&cache.inflight()[&key]) < 3 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        release.send(()).unwrap();
+        panicker.join().expect("outer thread survives");
+        let (m, outcome) = waiter.join().expect("the waiter is woken");
+        assert_eq!((m.nnz(), outcome), (2, CacheOutcome::MissCompute));
+        assert_eq!(computes.load(Ordering::SeqCst), 1, "it computed once");
+        assert!(cache.inflight().get(&key).is_none(), "no cell is left");
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.misses, stats.coalesced_waits, stats.dup_computes),
+            (1, 0, 0)
+        );
     }
 
     fn sample_csr() -> Csr {

@@ -130,9 +130,10 @@ pub struct EngineStats {
     /// Spans promoted from lazy propagation to full materialization after
     /// crossing [`ExecPolicy::promote_after`] lazy executions.
     pub promotions: u64,
-    /// Lazy executions of spans the cache would not keep
-    /// ([`MatrixCache::admits`] said no, so the span never heated and ran
-    /// by row propagation; each also counts in
+    /// Lazy executions of spans the cache would not keep (the span's
+    /// estimate or its measured size exceeds one shard's slice — the
+    /// [`Refusal`](crate::Refusal) `EXPLAIN` shows — so the span never
+    /// heated and ran by row propagation; each also counts in
     /// `anchored_fast_paths`). Climbing while [`CacheStats::evictions`]
     /// stays flat: the byte budget cannot hold what the traffic heats.
     pub promotions_refused: u64,
@@ -211,13 +212,14 @@ impl IdOutput {
 /// read. Heat-based promotion ([`ExecPolicy::promote_after`]) is the one
 /// way such a query materializes its span, once the span keeps being
 /// queried lazily, so hot spans still amortize through the cache (and
-/// appear in snapshots) — provided the cache would keep the product
-/// ([`MatrixCache::admits`]). A span too large for a bounded cache stays
-/// lazy however hot it runs, but its row need not chain through raw
-/// relations for ever: the engine splits the span into two halves the
-/// cache does keep, heats and materializes those instead, and serves the
-/// anchor's row as (row `x` of the left half) · (the right half) — how
-/// PathSim computes a row of `H·Hᵀ` from its half-path matrix `H`.
+/// appear in snapshots) — provided the cache would keep the product (the
+/// plan's [`Promotion`] is not [`Promotion::Refused`]). A span too large
+/// for a bounded cache stays lazy however hot it runs, but its row need
+/// not chain through raw relations for ever: the engine splits the span
+/// into two halves the cache does keep, heats and materializes those
+/// instead, and serves the anchor's row as (row `x` of the left half) ·
+/// (the right half) — how PathSim computes a row of `H·Hᵀ` from its
+/// half-path matrix `H`.
 ///
 /// What the engine learns about a span (its heat, a refused product's
 /// size, a refused span's split) is one entry of the cache's span ledger,
@@ -353,9 +355,8 @@ impl Engine {
     /// Safe to call on a live, serving engine: the export takes the same
     /// shard read locks the query path takes, one shard at a time.
     pub fn snapshot(&self, budget_bytes: Option<usize>) -> CacheSnapshot {
-        let mut snapshot = self.cache.export_snapshot(budget_bytes);
-        snapshot.set_fingerprint(self.dataset_fingerprint());
-        snapshot
+        self.cache
+            .export_snapshot(budget_bytes, self.dataset_fingerprint())
     }
 
     /// Restore a snapshot into this engine's cache. Every entry is
@@ -373,7 +374,7 @@ impl Engine {
     /// shard write locks an ordinary store takes.
     pub fn restore(&self, snapshot: &CacheSnapshot) -> SnapshotImport {
         self.cache
-            .import_validated(snapshot, &self.hin, Some(self.dataset_fingerprint()))
+            .import_validated(snapshot, &self.hin, self.dataset_fingerprint())
     }
 
     /// Verify every restored entry that is still pending, hottest first, on
@@ -964,7 +965,7 @@ impl Engine {
                 // Single-step path: the plan is a bare relation matrix.
                 // Cache the one-time copy so repeated calls share the Arc.
                 let key = key_of(steps);
-                self.cache.get_or_compute(&key, || m.clone())
+                self.cache.get_or_compute(&key, || m.clone()).0
             }
         }
     }
@@ -978,32 +979,28 @@ impl Engine {
     ) -> Mat<'a> {
         match node {
             PlanTree::Leaf(step) => Mat::Borrowed(steps[*step].matrix(hin)),
-            // Both span kinds resolve through `get_or_compute`: serve from
-            // cache when resident (a `Span` leaf usually is — but a
-            // bounded cache may have evicted it between plan and execution,
-            // and a `Mul` span may have just been cached by a sibling or by
-            // symmetry), and otherwise compute it exactly once no matter
-            // how many workers miss the same span concurrently — the
-            // others block until the first one's product lands.
-            PlanTree::Span(lo, hi) => {
-                let key = key_of(&steps[*lo..=*hi]);
-                let (m, outcome) = cache.get_or_compute_traced(&key, || {
-                    let mats: Vec<&Csr> = steps[*lo..=*hi].iter().map(|s| s.matrix(hin)).collect();
-                    hin_linalg::spmm_chain_parallel(&mats, hin_linalg::kernel_threads())
-                });
-                if let Some(p) = probe {
-                    p.note(outcome);
-                }
-                Mat::Shared(m)
-            }
-            PlanTree::Mul(left, right) => {
+            // Every span resolves through `get_or_compute`: served from
+            // cache when resident (a `Span` leaf usually is — but a bounded
+            // cache may have evicted it between plan and execution, and a
+            // `Mul` span may have just been cached by a sibling or by
+            // symmetry), and otherwise computed exactly once no matter how
+            // many workers miss the same span concurrently — the others
+            // wait for the first one's product.
+            PlanTree::Span(..) | PlanTree::Mul(..) => {
                 let (lo, hi) = node.span();
                 let key = key_of(&steps[lo..=hi]);
-                let (m, outcome) = cache.get_or_compute_traced(&key, || {
-                    let l = Self::eval(hin, steps, cache, left, probe);
-                    let r = Self::eval(hin, steps, cache, right, probe);
-                    l.as_csr()
-                        .spgemm_parallel(r.as_csr(), hin_linalg::kernel_threads())
+                let (m, outcome) = cache.get_or_compute(&key, || match node {
+                    PlanTree::Mul(left, right) => {
+                        let l = Self::eval(hin, steps, cache, left, probe);
+                        let r = Self::eval(hin, steps, cache, right, probe);
+                        l.as_csr()
+                            .spgemm_parallel(r.as_csr(), hin_linalg::kernel_threads())
+                    }
+                    _ => {
+                        let mats: Vec<&Csr> =
+                            steps[lo..=hi].iter().map(|s| s.matrix(hin)).collect();
+                        hin_linalg::spmm_chain_parallel(&mats, hin_linalg::kernel_threads())
+                    }
                 });
                 if let Some(p) = probe {
                     p.note(outcome);
@@ -1795,8 +1792,9 @@ mod tests {
             .execute("pathsim author-paper-venue-paper-author from a0")
             .unwrap();
         let snap = donor.snapshot(None);
-        assert!(
-            snap.fingerprint().is_some(),
+        assert_eq!(
+            snap.fingerprint(),
+            donor.dataset_fingerprint(),
             "engine snapshots carry identity"
         );
 

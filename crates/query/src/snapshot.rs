@@ -63,9 +63,9 @@
 //!   [4..8)    version     u32 LE   4
 //!   [8..16)   flags       bit 0 = a dataset fingerprint is present
 //!                         bit 1 = directory entries carry per-entry
-//!                         checksums (always set; an image with the bit
-//!                         clear is rejected as malformed)
-//!   [16..24)  fingerprint (0 when absent)
+//!                         checksums (both always set; an image with
+//!                         either bit clear is rejected as malformed)
+//!   [16..24)  fingerprint
 //!   [24..32)  count       number of entries
 //!   [32..40)  dir_off     byte offset of the directory (8-aligned)
 //!   [40..48)  heap_off    byte offset of the data heap (8-aligned)
@@ -113,9 +113,10 @@
 //! adjacency arrays — so a snapshot taken from dataset *A* refuses to
 //! restore into a rebuilt or different dataset *B* even when *B*'s schema
 //! *shape* happens to match: per-entry dim checks cannot see changed edge
-//! weights, the fingerprint can. Engine-level snapshots carry one;
-//! cache-level exports (no dataset in scope) may not, and then import
-//! falls back to per-entry validation alone.
+//! weights, the fingerprint can. Every snapshot carries one: a cache is
+//! exported and restored only through an engine ([`crate::Engine::snapshot`],
+//! [`crate::Engine::restore`]), which holds the dataset, and an image
+//! without one is rejected as malformed.
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
@@ -147,7 +148,9 @@ const SEAL_AT: usize = 56;
 /// entry's structure and values checksums.
 const DIR_ENTRY: usize = 64;
 
-/// Flags bit 0: a dataset fingerprint is present.
+/// Flags bit 0: a dataset fingerprint is present — what a restore is
+/// gated on. The writer always sets it and [`parse`] rejects an image
+/// without it, so no restore can skip the gate.
 const FLAG_FINGERPRINT: u64 = 1;
 
 /// Flags bit 1: directory entries carry per-entry checksums
@@ -163,16 +166,15 @@ const MAX_KEY_STEPS: u32 = 4096;
 /// An ordered export of cache state: `(sub-path key, commuting matrix)`
 /// entries, hottest first by recency tick.
 ///
-/// Obtain one from [`crate::Engine::snapshot`] (or
-/// [`MatrixCache::export_snapshot`]); feed it to a replacement via
-/// [`crate::Engine::restore`], or persist it with
+/// Obtain one from [`crate::Engine::snapshot`]; feed it to a replacement
+/// via [`crate::Engine::restore`], or persist it with
 /// [`CacheSnapshot::to_writer`] / [`CacheSnapshot::write_to_file`] and
 /// mount it again with [`CacheSnapshot::open`].
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct CacheSnapshot {
     /// [`dataset_fingerprint`] of the network the entries were computed
-    /// from, when known (engine-level snapshots always set it).
-    fingerprint: Option<u64>,
+    /// from.
+    fingerprint: u64,
     /// Hottest first. Each entry carries what is known about its payload
     /// checksum and whether the payload has been verified: an entry
     /// mounted from an image is pending until a cache it was imported into
@@ -275,16 +277,9 @@ impl CacheSnapshot {
         self.entries.iter().map(|e| e.key.clone()).collect()
     }
 
-    /// The [`dataset_fingerprint`] of the source dataset, when the
-    /// snapshot carries one (engine-level snapshots always do).
-    pub fn fingerprint(&self) -> Option<u64> {
+    /// The [`dataset_fingerprint`] of the source dataset.
+    pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// Stamp the source dataset's fingerprint (done by
-    /// [`crate::Engine::snapshot`]).
-    pub(crate) fn set_fingerprint(&mut self, fingerprint: u64) {
-        self.fingerprint = Some(fingerprint);
     }
 
     /// Entries whose matrices are zero-copy views into a shared arena
@@ -352,15 +347,11 @@ impl CacheSnapshot {
             }
         }
 
-        let mut flags = FLAG_ENTRY_CHECKSUMS;
-        if self.fingerprint.is_some() {
-            flags |= FLAG_FINGERPRINT;
-        }
         meta[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
         meta[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         for (slot, v) in meta[8..SEAL_AT].chunks_exact_mut(8).zip([
-            flags,
-            self.fingerprint.unwrap_or(0),
+            FLAG_FINGERPRINT | FLAG_ENTRY_CHECKSUMS,
+            self.fingerprint,
             self.entries.len() as u64,
             dir_off as u64,
             heap_off as u64,
@@ -535,7 +526,11 @@ fn parse(buf: &Arc<ArenaBuf>) -> Result<CacheSnapshot, CodecError> {
             "flags {flags:#x} set unknown bits"
         )));
     }
-    let fingerprint = (flags & FLAG_FINGERPRINT != 0).then(|| u64_at(16));
+    if flags & FLAG_FINGERPRINT == 0 {
+        return Err(CodecError::Malformed(
+            "image carries no dataset fingerprint".into(),
+        ));
+    }
     if flags & FLAG_ENTRY_CHECKSUMS == 0 {
         return Err(CodecError::Malformed(
             "directory carries no per-entry checksums".into(),
@@ -653,7 +648,7 @@ fn parse(buf: &Arc<ArenaBuf>) -> Result<CacheSnapshot, CodecError> {
         )));
     }
     Ok(CacheSnapshot {
-        fingerprint,
+        fingerprint: u64_at(16),
         entries,
     })
 }
@@ -743,14 +738,20 @@ fn expected_dims(hin: &Hin, key: &[StepKey]) -> Option<(usize, usize)> {
 
 impl MatrixCache {
     /// Export resident entries hottest-first by recency tick, stopping at
-    /// `budget_bytes` of matrix payload (`None` = everything). Takes the
-    /// same shard read locks the serving path takes, one at a time — a
-    /// live server can be snapshotted without stalling its workers.
+    /// `budget_bytes` of matrix payload (`None` = everything), stamped with
+    /// `fingerprint`, the [`dataset_fingerprint`] of the network they were
+    /// computed from. Takes the same shard read locks the serving path
+    /// takes, one at a time — a live server can be snapshotted without
+    /// stalling its workers.
     ///
     /// The walk stops at the first entry that would exceed the budget
     /// (rather than skipping ahead to smaller, colder entries), so the
     /// exported prefix is exactly the hottest slice of the cache.
-    pub fn export_snapshot(&self, budget_bytes: Option<usize>) -> CacheSnapshot {
+    pub(crate) fn export_snapshot(
+        &self,
+        budget_bytes: Option<usize>,
+        fingerprint: u64,
+    ) -> CacheSnapshot {
         let mut entries = self.entries_by_recency();
         if let Some(budget) = budget_bytes {
             let mut total = 0usize;
@@ -762,7 +763,7 @@ impl MatrixCache {
             entries.truncate(kept);
         }
         CacheSnapshot {
-            fingerprint: None,
+            fingerprint,
             entries,
         }
     }
@@ -772,12 +773,11 @@ impl MatrixCache {
     /// the byte budget holds no matter what the snapshot claims; an entry
     /// no shard could hold is rejected rather than loaded and dropped).
     ///
-    /// When the snapshot carries a [`dataset_fingerprint`] that does not
-    /// match `hin`, **every** entry is rejected
+    /// When the snapshot's [`dataset_fingerprint`] is not `fingerprint`,
+    /// `hin`'s, **every** entry is rejected
     /// ([`SnapshotImport::fingerprint_mismatch`]): the entries were
     /// computed from different data, and per-entry dim checks cannot tell
-    /// a stale matrix from a fresh one. A snapshot without a fingerprint
-    /// (cache-level export) falls back to per-entry validation alone.
+    /// a stale matrix from a fresh one.
     ///
     /// Entries are inserted coldest-first so the snapshot's hottest
     /// entries carry the newest recency ticks — a bounded cache keeps the
@@ -786,25 +786,14 @@ impl MatrixCache {
     /// [`warm_loaded`](crate::CacheStats::warm_loaded) /
     /// [`warm_rejected`](crate::CacheStats::warm_rejected) counters and the
     /// returned report.
-    pub fn import_snapshot(&self, snapshot: &CacheSnapshot, hin: &Hin) -> SnapshotImport {
-        self.import_validated(snapshot, hin, None)
-    }
-
-    /// [`MatrixCache::import_snapshot`] with the destination's fingerprint
-    /// already known (`None` = compute it here). `Engine` caches the
-    /// fingerprint for its lifetime and passes it in, so repeated restores
-    /// don't re-hash the whole dataset.
     pub(crate) fn import_validated(
         &self,
         snapshot: &CacheSnapshot,
         hin: &Hin,
-        known_fingerprint: Option<u64>,
+        fingerprint: u64,
     ) -> SnapshotImport {
         let mut report = SnapshotImport::default();
-        if snapshot
-            .fingerprint
-            .is_some_and(|fp| fp != known_fingerprint.unwrap_or_else(|| dataset_fingerprint(hin)))
-        {
+        if snapshot.fingerprint != fingerprint {
             report.rejected = snapshot.len() as u64;
             report.fingerprint_mismatch = true;
             self.note_warm(0, report.rejected, 0);
@@ -872,6 +861,16 @@ mod tests {
         Arc::new(hin.relation(RelationId(1)).fwd.clone())
     }
 
+    /// `cache`'s whole export, stamped as computed from `hin`.
+    fn export(cache: &MatrixCache, hin: &Hin) -> CacheSnapshot {
+        cache.export_snapshot(None, dataset_fingerprint(hin))
+    }
+
+    /// Restore `snap` into `cache` as a cache of `hin`.
+    fn import(cache: &MatrixCache, snap: &CacheSnapshot, hin: &Hin) -> SnapshotImport {
+        cache.import_validated(snap, hin, dataset_fingerprint(hin))
+    }
+
     /// Two distinct relations, not a key and its reversal: a reversal pair
     /// would let `get` serve an evicted corrupt entry back through the clean
     /// one's symmetry fallback, masking the verification miss.
@@ -879,7 +878,7 @@ mod tests {
         let cache = MatrixCache::default();
         cache.put(vec![(0, true)], pa_matrix(hin));
         cache.put(vec![(1, true)], pv_matrix(hin));
-        cache.export_snapshot(None)
+        export(&cache, hin)
     }
 
     /// Recompute the metadata seal of a tampered image, so only the
@@ -920,7 +919,7 @@ mod tests {
             return;
         };
         let cache = MatrixCache::default();
-        let report = cache.import_snapshot(&mounted, hin);
+        let report = import(&cache, &mounted, hin);
         assert_eq!(report.loaded as usize, good.len(), "{what}");
         cache.verify_pending();
         assert_eq!(cache.stats().lazy_pending, 0, "{what}");
@@ -952,7 +951,7 @@ mod tests {
         // touch (0,true) so it is hottest
         assert!(cache.get(&[(0, true)]).is_some());
 
-        let all = cache.export_snapshot(None);
+        let all = export(&cache, &hin);
         assert_eq!(all.len(), 3);
         assert_eq!(all.bytes(), 3 * per_entry);
         assert_eq!(
@@ -961,11 +960,13 @@ mod tests {
             "hottest entry exported first"
         );
 
-        let budgeted = cache.export_snapshot(Some(per_entry));
+        let budgeted = cache.export_snapshot(Some(per_entry), dataset_fingerprint(&hin));
         assert_eq!(budgeted.len(), 1, "budget admits exactly one entry");
         assert_eq!(budgeted.keys()[0], vec![(0, true)]);
 
-        assert!(cache.export_snapshot(Some(0)).is_empty());
+        assert!(cache
+            .export_snapshot(Some(0), dataset_fingerprint(&hin))
+            .is_empty());
     }
 
     #[test]
@@ -974,7 +975,7 @@ mod tests {
         let cache = MatrixCache::default();
         cache.put(vec![(0, true)], pa_matrix(&hin));
         cache.put(vec![(1, true), (1, false)], pa_matrix(&hin));
-        let snap = cache.export_snapshot(None);
+        let snap = export(&cache, &hin);
 
         let mut bytes = Vec::new();
         snap.to_writer(&mut bytes).expect("vec writes cannot fail");
@@ -1015,7 +1016,7 @@ mod tests {
         cache.put(vec![(0, true)], pa_matrix(&hin));
         cache.put(vec![(0, false)], pa_matrix(&hin));
         cache.put(vec![(1, true), (1, false)], pa_matrix(&hin));
-        let snap = cache.export_snapshot(None);
+        let snap = export(&cache, &hin);
         assert_eq!(snap.view_backed(), 0, "live exports carry owned matrices");
 
         let mut bytes = Vec::new();
@@ -1039,7 +1040,7 @@ mod tests {
         }
         // and the import report says so
         let dst = MatrixCache::default();
-        let report = dst.import_snapshot(&back, &hin);
+        let report = import(&dst, &back, &hin);
         assert_eq!(report.loaded, 3);
         if hin_linalg::arena::ZERO_COPY {
             assert_eq!(report.view_backed, 3);
@@ -1052,7 +1053,7 @@ mod tests {
         let hin = bib();
         let cache = MatrixCache::default();
         cache.put(vec![(0, true)], pa_matrix(&hin));
-        let snap = cache.export_snapshot(None);
+        let snap = export(&cache, &hin);
         let (mut a, mut b) = (Vec::new(), Vec::new());
         snap.to_writer(&mut a).unwrap();
         snap.to_writer(&mut b).unwrap();
@@ -1172,7 +1173,7 @@ mod tests {
         let cache = MatrixCache::default();
         cache.put(vec![(0, true)], pa_matrix(&hin));
         cache.put(vec![(0, false)], pa_matrix(&hin));
-        let snap = cache.export_snapshot(None);
+        let snap = export(&cache, &hin);
 
         let dir = scratch_dir("arena");
         let path = dir.join("cache.hsnp");
@@ -1225,7 +1226,7 @@ mod tests {
         std::fs::write(&bad_path, &flipped).unwrap();
         let bad = CacheSnapshot::open(&bad_path).expect("structure is intact");
         let cache = MatrixCache::default();
-        assert_eq!(cache.import_snapshot(&bad, &hin).loaded, 2);
+        assert_eq!(import(&cache, &bad, &hin).loaded, 2);
         cache.verify_pending();
         assert_eq!(
             (
@@ -1254,11 +1255,11 @@ mod tests {
         donor.put(vec![(7, true)], pa_matrix(&hin)); // relation id out of range
         donor.put(vec![(0, true), (1, true)], pa_matrix(&hin)); // doesn't chain
         donor.put(vec![(1, true)], pa_matrix(&hin)); // paper→venue is 3×2, blob is 3×3
-        let snap = donor.export_snapshot(None);
+        let snap = export(&donor, &hin);
         assert_eq!(snap.len(), 4);
 
         let cache = MatrixCache::default();
-        let report = cache.import_snapshot(&snap, &hin);
+        let report = import(&cache, &snap, &hin);
         assert_eq!(
             report,
             SnapshotImport {
@@ -1291,14 +1292,14 @@ mod tests {
         // heat ranking: the round trip hottest, then (0,false), then (0,true)
         assert!(donor.get(&[(0, false)]).is_some());
         assert!(donor.get(&[(0, true), (0, false)]).is_some());
-        let snap = donor.export_snapshot(None);
+        let snap = export(&donor, &hin);
 
         // a destination that only fits one entry keeps the hottest one
         let cache = MatrixCache::new(CacheConfig {
             shards: 1,
             byte_budget: Some(per_entry),
         });
-        let report = cache.import_snapshot(&snap, &hin);
+        let report = import(&cache, &snap, &hin);
         assert_eq!(report.loaded, 3, "all entries fit the schema");
         assert_eq!(
             cache.stats().len,
@@ -1320,32 +1321,25 @@ mod tests {
 
         let cache = MatrixCache::default();
         cache.put(vec![(0, true)], pa_matrix(&hin));
-        let mut snap = cache.export_snapshot(None);
-        assert_eq!(
-            snap.fingerprint(),
-            None,
-            "cache-level export has no identity"
-        );
-        snap.set_fingerprint(fp);
+        let snap = cache.export_snapshot(None, fp);
 
         // the fingerprint survives the container round trip
         let mut bytes = Vec::new();
         snap.to_writer(&mut bytes).expect("vec writes cannot fail");
         let back = CacheSnapshot::from_bytes(&bytes).expect("round trip");
-        assert_eq!(back.fingerprint(), Some(fp));
+        assert_eq!(back.fingerprint(), fp);
 
         // matching fingerprint: entries load as usual
         let dst = MatrixCache::default();
-        let ok = dst.import_snapshot(&back, &hin);
+        let ok = import(&dst, &back, &hin);
         assert_eq!(ok.loaded, 1);
         assert!(!ok.fingerprint_mismatch);
 
         // mismatched fingerprint: wholesale rejection, nothing admitted —
         // even though every entry would pass per-entry dim validation
-        let mut stale = back.clone();
-        stale.set_fingerprint(fp ^ 1);
+        let stale = cache.export_snapshot(None, fp ^ 1);
         let dst = MatrixCache::default();
-        let bad = dst.import_snapshot(&stale, &hin);
+        let bad = import(&dst, &stale, &hin);
         assert!(bad.fingerprint_mismatch);
         assert_eq!((bad.loaded, bad.rejected), (0, 1));
         assert_eq!(dst.stats().len, 0);
@@ -1364,11 +1358,14 @@ mod tests {
             image
         };
         let (v2_image, v3_image) = (headed(2), headed(3));
+        let mut anonymous = headed(SNAPSHOT_VERSION);
+        anonymous[8] &= !(FLAG_FINGERPRINT as u8);
+        reseal(&mut anonymous);
         let foreign = [b"HFRM".as_slice(), &[7; 96]].concat();
         let stub = [b"HSNP".as_slice(), &SNAPSHOT_VERSION.to_le_bytes()].concat();
         let dir = scratch_dir("nonv3");
         type Expect = fn(&CodecError) -> bool;
-        let table: [(&str, &[u8], Expect); 6] = [
+        let table: [(&str, &[u8], Expect); 7] = [
             ("v1-headed", &v1_headed, |e| {
                 matches!(e, CodecError::UnsupportedVersion(1))
             }),
@@ -1383,6 +1380,9 @@ mod tests {
                 &foreign,
                 |e| matches!(e, CodecError::BadMagic { found } if found == b"HFRM"),
             ),
+            ("no fingerprint", &anonymous, |e| {
+                matches!(e, CodecError::Malformed(_))
+            }),
             ("8-byte stub", &stub, |e| matches!(e, CodecError::Truncated)),
             ("empty", &[], |e| matches!(e, CodecError::Truncated)),
         ];
@@ -1408,8 +1408,7 @@ mod tests {
         let cache = MatrixCache::default();
         cache.put(vec![(0, true)], pa_matrix(&hin));
         cache.put(vec![(1, true), (1, false)], pa_matrix(&hin));
-        let mut snap = cache.export_snapshot(None);
-        snap.set_fingerprint(fp);
+        let snap = cache.export_snapshot(None, fp);
         let image = snap.to_bytes();
         let mut digest = Fnv64::new();
         digest.update(&image);
@@ -1451,7 +1450,7 @@ mod tests {
         let corrupt_key = lazy.entries[0].key.clone();
         let clean_key = lazy.entries[1].key.clone();
         let dst = MatrixCache::default();
-        let report = dst.import_snapshot(&lazy, &hin);
+        let report = import(&dst, &lazy, &hin);
         assert_eq!(report.loaded, 2);
         assert_eq!(dst.stats().lazy_pending, 2);
 
@@ -1480,7 +1479,7 @@ mod tests {
         std::fs::write(&good_path, &image).unwrap();
         let lazy = CacheSnapshot::open(&good_path).unwrap();
         let dst = MatrixCache::default();
-        dst.import_snapshot(&lazy, &hin);
+        import(&dst, &lazy, &hin);
         dst.verify_pending();
         let stats = dst.stats();
         assert_eq!((stats.lazy_verified, stats.lazy_pending), (2, 0));
@@ -1498,8 +1497,7 @@ mod tests {
     fn bytes_round_trip_matches_the_writer() {
         let hin = bib();
         let fp = dataset_fingerprint(&hin);
-        let mut snap = two_span_snapshot(&hin);
-        snap.set_fingerprint(fp);
+        let snap = two_span_snapshot(&hin);
 
         let bytes = snap.to_bytes();
         let mut streamed = Vec::new();
@@ -1513,7 +1511,7 @@ mod tests {
 
         let back = CacheSnapshot::from_bytes(&bytes).expect("round trip");
         assert_eq!(back.keys(), snap.keys());
-        assert_eq!(back.fingerprint(), Some(fp));
+        assert_eq!(back.fingerprint(), fp);
 
         // the bytes crossed a network: damage is caught before it is
         // served, wherever it landed
@@ -1528,8 +1526,7 @@ mod tests {
     #[test]
     fn every_metadata_byte_is_sealed_on_every_entry_point() {
         let hin = bib();
-        let mut snap = two_span_snapshot(&hin);
-        snap.set_fingerprint(dataset_fingerprint(&hin));
+        let snap = two_span_snapshot(&hin);
         let image = snap.to_bytes();
         let (_, heap_off) = layout(&image);
         let dir = scratch_dir("sealed");
@@ -1557,8 +1554,7 @@ mod tests {
     #[test]
     fn every_structure_byte_is_proved_at_mount_on_every_entry_point() {
         let hin = bib();
-        let mut snap = two_span_snapshot(&hin);
-        snap.set_fingerprint(dataset_fingerprint(&hin));
+        let snap = two_span_snapshot(&hin);
         let image = snap.to_bytes();
         let dir = scratch_dir("structure");
         let mut flipped_bytes = 0;
@@ -1632,7 +1628,7 @@ mod tests {
                     "entry {i} byte {pos}"
                 );
                 assert_eq!(cache.stats().lazy_pending, 0);
-                let left = cache.export_snapshot(None).keys();
+                let left = export(cache, &hin).keys();
                 assert_eq!(left.len() + 1, snap.len());
                 assert!(!left.contains(&mounted.entries[i].key), "entry {i} evicted");
                 for (q, want) in queries.iter().zip(&want) {
@@ -1652,7 +1648,7 @@ mod tests {
         let (values, structure) = (ENTRY_CHECKSUM_CALLS.get(), STRUCTURE_HASHES.get());
         let mounted = CacheSnapshot::from_bytes(&image).unwrap();
         let cache = MatrixCache::default();
-        assert_eq!(cache.import_snapshot(&mounted, &hin).loaded, 2);
+        assert_eq!(import(&cache, &mounted, &hin).loaded, 2);
         cache.verify_pending();
         assert_eq!(cache.stats().lazy_verified, 2);
         // one `data` hash per pending entry; the row offsets and indices,
@@ -1660,7 +1656,7 @@ mod tests {
         assert_eq!(ENTRY_CHECKSUM_CALLS.get(), values + 2);
         assert_eq!(STRUCTURE_HASHES.get(), structure);
         // and an export of what was mounted hashes nothing at all
-        assert_eq!(cache.export_snapshot(None).to_bytes().len(), image.len());
+        assert_eq!(export(&cache, &hin).to_bytes().len(), image.len());
         assert_eq!(ENTRY_CHECKSUM_CALLS.get(), values + 2);
         assert_eq!(STRUCTURE_HASHES.get(), structure);
     }
@@ -1686,7 +1682,7 @@ mod tests {
         let hin = b.build();
         let cache = MatrixCache::default();
         cache.put(vec![(0, true)], pa_matrix(&hin));
-        let image = cache.export_snapshot(None).to_bytes();
+        let image = export(&cache, &hin).to_bytes();
 
         // key 0 starts at 64: key_len u32, then (relation id u64, dir u8)
         let mut rekeyed = image.clone();
@@ -1706,15 +1702,14 @@ mod tests {
         let wrong = CacheSnapshot::from_bytes(&rekeyed).expect("well-formed");
         assert_eq!(wrong.keys(), vec![vec![(1, true)]]);
         let dst = MatrixCache::default();
-        assert_eq!(dst.import_snapshot(&wrong, &hin).loaded, 1);
+        assert_eq!(import(&dst, &wrong, &hin).loaded, 1);
         assert_ne!(*dst.get(&[(1, true)]).unwrap(), hin.relation(reviewed).fwd);
     }
 
     #[test]
     fn a_restored_snapshot_exports_byte_identically_and_hashes_nothing() {
         let hin = bib();
-        let mut snap = two_span_snapshot(&hin);
-        snap.set_fingerprint(dataset_fingerprint(&hin));
+        let snap = two_span_snapshot(&hin);
         let dir = scratch_dir("reexport");
         let (first, second, third) = (dir.join("1"), dir.join("2"), dir.join("3"));
 
@@ -1733,9 +1728,8 @@ mod tests {
         let mounted = CacheSnapshot::open(&first).expect("open");
         mounted.write_to_file(&second).unwrap();
         let cache = MatrixCache::default();
-        assert_eq!(cache.import_snapshot(&mounted, &hin).loaded, 2);
-        let mut again = cache.export_snapshot(None);
-        again.set_fingerprint(dataset_fingerprint(&hin));
+        assert_eq!(import(&cache, &mounted, &hin).loaded, 2);
+        let again = export(&cache, &hin);
         again.write_to_file(&third).unwrap();
         assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes, "nothing was re-hashed");
         let image = std::fs::read(&first).unwrap();
@@ -1746,11 +1740,11 @@ mod tests {
         // the sweep has checked stays checked, what it has not stays pending
         assert!(again.entries.iter().all(|e| !e.verified));
         cache.verify_pending();
-        let handed = cache.export_snapshot(None);
+        let handed = export(&cache, &hin);
         assert!(handed.entries.iter().all(|e| e.verified));
         let next = MatrixCache::default();
         let hashes = ENTRY_CHECKSUM_CALLS.get();
-        assert_eq!(next.import_snapshot(&handed, &hin).loaded, 2);
+        assert_eq!(import(&next, &handed, &hin).loaded, 2);
         assert_eq!(next.stats().lazy_pending, 0);
         assert!(next.get(&[(0, true)]).is_some());
         assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes);
@@ -1759,13 +1753,14 @@ mod tests {
 
     #[test]
     fn empty_snapshot_round_trips_and_imports_cleanly() {
-        let snap = CacheSnapshot::default();
+        let hin = bib();
+        let snap = export(&MatrixCache::default(), &hin);
         let mut bytes = Vec::new();
         snap.to_writer(&mut bytes).expect("vec writes cannot fail");
         let back = CacheSnapshot::from_bytes(&bytes).expect("empty container");
         assert!(back.is_empty());
         let cache = MatrixCache::default();
-        let report = cache.import_snapshot(&back, &bib());
+        let report = import(&cache, &back, &hin);
         assert_eq!(report, SnapshotImport::default());
     }
 }

@@ -61,7 +61,7 @@ fn concurrent_thrash_computes_each_key_at_most_once_per_generation() {
                         // accounting
                         let key = [(generation * distinct_keys + k, true)];
                         barrier.wait();
-                        let m = cache.get_or_compute(&key, || {
+                        let (m, _) = cache.get_or_compute(&key, || {
                             computations.fetch_add(1, Ordering::SeqCst);
                             // hold the herd long enough that late arrivals
                             // must coalesce rather than find a warm cache

@@ -53,10 +53,12 @@
 //!   sharded [`MatrixCache`](hin_query::MatrixCache) keeps them from
 //!   serializing on a single lock, its byte budget
 //!   ([`ServeConfig::cache`]) keeps a long-lived server's memory bounded,
-//!   and its per-key **in-flight table** deduplicates concurrent misses:
+//!   and its per-key **in-flight table** deduplicates concurrent misses
+//!   ([`MatrixCache::get_or_compute`](hin_query::MatrixCache::get_or_compute)):
 //!   when two workers need the same evicted commuting matrix, one
-//!   computes and the other waits for the result (compute-once,
-//!   wait-many) instead of burning a core on an identical SpMM chain.
+//!   computes in the key's `OnceLock` cell and the other waits on that
+//!   cell for the result (compute-once, wait-many) instead of burning a
+//!   core on an identical SpMM chain.
 //!   Per-request failures — query errors and even panics — are answered
 //!   on that request's ticket and never take a worker down.
 //! * **Who runs a request** — a worker that pops it, or the client that

@@ -59,7 +59,8 @@ use crate::faultinject::{FaultInjector, FaultKind, FaultStats};
 use crate::server::{Output, ReplySender, ServeConfig, Server, ServerStats, Ticket};
 use crate::wire::{encode_id_response, encode_request, write_warm, Message};
 
-/// How long the accept loop sleeps between polls of a quiet socket.
+/// How long the accept loop sleeps between polls of a quiet socket, and
+/// after an `accept` error.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
 /// Smallest read timeout ever armed (a zero timeout is an error to std,
@@ -207,8 +208,10 @@ impl Drop for ShardListener {
     }
 }
 
-/// Poll for connections until stopped; join every live handler before
-/// exiting so [`ShardListener::shutdown`] only has to join this one thread.
+/// Poll for connections until stopped — through any `accept` error, each
+/// of which it waits out like an empty backlog; join every live handler
+/// before exiting so [`ShardListener::shutdown`] only has to join this one
+/// thread.
 /// A handler takes its connection out of the tracked set when it ends, and
 /// its finished handle is dropped here at the next accept.
 fn accept_loop(listener: &TcpListener, shared: &Arc<ListenerShared>) {
@@ -240,10 +243,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ListenerShared>) {
                     Err(_) => drop(shared.conns().remove(&conn)),
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => break,
+            // nothing pending, or a passing failure — out of descriptors
+            // (EMFILE, ENFILE), a peer that gave up before its accept: wait
+            // and ask again, for a listener that stops accepting while its
+            // connections serve on looks alive and is not
+            Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
     }
     for h in handlers {
@@ -1337,6 +1341,67 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         true
+    }
+
+    /// Set in the child process that
+    /// `a_shard_keeps_accepting_after_running_out_of_descriptors` re-runs
+    /// itself in, under a low descriptor limit.
+    const FD_STARVED: &str = "HIN_TEST_FD_STARVED";
+
+    #[test]
+    fn a_shard_keeps_accepting_after_running_out_of_descriptors() {
+        if std::env::var_os(FD_STARVED).is_none() {
+            // the limit is lowered for a child process only: this test
+            // binary, re-run with this one test selected
+            let out = std::process::Command::new("/bin/sh")
+                .args(["-c", r#"ulimit -n 64 && exec "$0" "$@""#])
+                .arg(std::env::current_exe().expect("test binary"))
+                .args([
+                    "--exact",
+                    "remote::tests::a_shard_keeps_accepting_after_running_out_of_descriptors",
+                    "--test-threads=1",
+                ])
+                .env(FD_STARVED, "1")
+                .output()
+                .expect("spawn the child");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success() && stdout.contains("1 passed"),
+                "{stdout}{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            return;
+        }
+        let listener = ShardListener::start(bib(), small_config()).expect("bind");
+        let addr = listener.local_addr();
+        let pong = |mut stream: TcpStream, nonce: u64| {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut frame = Vec::new();
+            Message::Ping { nonce }.write_to(&mut frame).unwrap();
+            stream.write_all(&frame).unwrap();
+            match Message::read_from(&mut stream) {
+                Ok(Message::Pong { nonce: n }) => assert_eq!(n, nonce),
+                other => panic!("ping {nonce} answered {other:?}"),
+            }
+        };
+        pong(TcpStream::connect(addr).unwrap(), 1);
+
+        // every free descriptor taken, then one handed back for a client
+        // socket: the connection is queued, and the shard's accept fails
+        // for want of a descriptor to put it in
+        let mut held = Vec::new();
+        while let Ok(file) = std::fs::File::open("/dev/null") {
+            held.push(file);
+        }
+        held.pop().expect("the limit was reached");
+        let queued = TcpStream::connect(addr).expect("the backlog takes it");
+        std::thread::sleep(ACCEPT_POLL * 20);
+        drop(held);
+        pong(queued, 2);
+        pong(TcpStream::connect(addr).unwrap(), 3);
+        listener.shutdown();
     }
 
     /// What a hand-rolled shard does with one accepted connection.

@@ -40,6 +40,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hin_core::Hin;
+use hin_linalg::codec::Fnv64;
 use hin_query::{CacheSnapshot, CodecError, QueryError, QueryOutput};
 use hin_telemetry::{HistSnapshot, Histogram, MetricsWriter};
 
@@ -177,17 +178,14 @@ fn sanitize_key(key: &str) -> String {
         .collect()
 }
 
-/// Stable FNV-1a 64 digest of a dataset key — the disambiguator appended
-/// to checkpoint file names when two keys sanitize identically. Key-only
-/// (no random seed), so the name for a given key set is the same across
-/// processes and restarts.
-fn key_digest(key: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in key.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The checkpoint file name of dataset `key`: `<sanitized key>-<digest>`,
+/// where the digest is FNV-1a 64 of the raw key — the disambiguator when two
+/// keys sanitize identically. Key-only (no random seed), so the name for a
+/// given key is the same across processes and restarts.
+fn checkpoint_name(key: &str) -> String {
+    let mut digest = Fnv64::new();
+    digest.update(key.as_bytes());
+    format!("{}-{:016x}.hinsnap", sanitize_key(key), digest.finish())
 }
 
 /// Aggregated router statistics: per-dataset [`ServerStats`] plus routing
@@ -803,7 +801,7 @@ impl Router {
                 continue;
             };
             let snapshot = server.snapshot(None);
-            let name = format!("{}-{:016x}.hinsnap", sanitize_key(&key), key_digest(&key));
+            let name = checkpoint_name(&key);
             let path = dir.join(&name);
             let tmp = dir.join(format!("{name}.{}.{call}.tmp", std::process::id()));
             let published = snapshot
@@ -1156,6 +1154,12 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_name_is_pinned_to_its_key() {
+        // FNV-1a 64 of the bytes of "dblp"
+        assert_eq!(checkpoint_name("dblp"), "dblp-7a91496729ebee97.hinsnap");
+    }
+
+    #[test]
     fn checkpoint_files_restore_a_dataset_warm() {
         let dir = std::env::temp_dir().join(format!(
             "hin-router-checkpoint-{}-{:?}",
@@ -1184,7 +1188,11 @@ mod tests {
 
         let snap = hin_query::CacheSnapshot::open(&written[0].1).expect("read back");
         assert!(!snap.is_empty());
-        assert!(snap.fingerprint().is_some(), "checkpoints carry identity");
+        assert_eq!(
+            snap.fingerprint(),
+            hin_query::dataset_fingerprint(&hin),
+            "checkpoints carry identity"
+        );
         router.evict("dblp/full");
         let report = router
             .register_warm("dblp/full", hin, snap)
