@@ -56,6 +56,20 @@
 //! entry for a span and its mirror: its heat, that measured size, and a
 //! refused span's split.
 //!
+//! # Row memo
+//!
+//! A symmetric span `H·Hᵀ` whose square would cost far more than its
+//! halves is never promoted whole, whatever the budget
+//! ([`Refusal::Factored`]): its rows are read through the halves. What a
+//! resident square's sidecar would keep of it — the ranked rows its reads
+//! asked for, the best ten per anchor and scoring — the cache keeps in the
+//! **row memo** instead, one sidecar per such span, so a repeated read
+//! copies a stored row under two read locks. The memo is bounded by a row
+//! count and reset wholesale, like the ledger, and its rows go into a
+//! snapshot ([`CacheSnapshot`](crate::CacheSnapshot)), so a restart keeps
+//! them. [`CacheStats::memo_rows`] and [`CacheStats::memo_bytes`] say what
+//! it holds.
+//!
 //! Keys pick their shard through a fixed hash of the `(relation id,
 //! forward)` sequence of their canonical form, so which spans share a
 //! slice — and with it every miss, eviction and refusal count — repeats
@@ -64,7 +78,8 @@
 //! other.
 //!
 //! Within a shard, and in every other table keyed by a sub-path (the span
-//! ledger, the in-flight table, the engine's normalizer memo), keys hash
+//! ledger, the row memo, the in-flight table, the engine's normalizer
+//! memo), keys hash
 //! through `KeyHasher`: the same word-FNV
 //! fold, one multiply per word. It is not SipHash because SipHash defends a
 //! table against keys chosen by an adversary to collide, and these keys are
@@ -77,7 +92,7 @@ use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 use hin_linalg::codec::Fnv64;
 use hin_linalg::Csr;
@@ -168,6 +183,11 @@ thread_local! {
 /// not a policy: a reset only costs relearning what it forgot.
 const LEDGER_CAP: usize = 4096;
 
+/// Ranked rows the row memo holds before it is reset wholesale — a memory
+/// bound, not a policy: a reset only costs re-ranking the rows still read.
+/// At most ten pairs of 16 bytes a row, so about 12 MB.
+const MEMO_ROWS_CAP: usize = 1 << 16;
+
 /// Where a refused span's row is split: the first step of its right half,
 /// or `None` when no split has halves the cache admits.
 pub(crate) type Split = Option<usize>;
@@ -190,6 +210,12 @@ pub(crate) struct SpanState {
 /// [`LEDGER_CAP`] entries a new span resets the ledger.
 #[derive(Debug, Default)]
 pub(crate) struct Ledger(KeyMap<SpanState>);
+
+/// Is `key` its own reversal? Allocates nothing.
+pub(crate) fn is_palindrome(key: &[StepKey]) -> bool {
+    let rev = key.iter().rev().map(|&(r, fwd)| (r, !fwd));
+    rev.eq(key.iter().copied())
+}
 
 /// Is `key` the mirror of its canonical form? Allocates nothing.
 fn is_mirror(key: &[StepKey]) -> bool {
@@ -282,6 +308,13 @@ pub struct CacheConfig {
     /// slice — or lower `shards` (with `shards: 1` the budget is exact and
     /// global).
     ///
+    /// A symmetric span whose square is estimated at more than eight times
+    /// its two halves is not worth keeping at any budget, unbounded
+    /// included ([`Refusal::Factored`]): its rows are read through the
+    /// halves, which are resident and priced here, and its ranked rows are
+    /// kept in the row memo ([`CacheStats::memo_bytes`]), which this budget
+    /// does not price.
+    ///
     /// Which spans share a slice is a fixed function of their relation
     /// steps, the same in every process; a span never shares one with its
     /// mirror, so both orientations of a product that fits a slice can be
@@ -360,6 +393,11 @@ type RankedRows = RwLock<HashMap<u32, Ranked>>;
 /// [`MatrixCache::probe`], or looked up by [`MatrixCache::sidecar_of`];
 /// never written to a snapshot or sent over the wire.
 ///
+/// A factored span, whose square is never resident, keeps one too, in the
+/// row memo ([`MatrixCache::memo_of`]): only its PathSim and count rows are
+/// used, ranked from rows propagated through the span's halves. Those rows
+/// are what a snapshot carries of it.
+///
 /// Not priced into the entry's bytes. The diagonal is 8 bytes per row,
 /// smaller than the matrix's own `indptr` array, which is priced. A ranked
 /// list is stored only for a row some read asked for, so the lists hold at
@@ -374,6 +412,41 @@ pub(crate) struct Sidecar {
     row_sums: OnceLock<Ranked>,
 }
 
+impl Sidecar {
+    /// The ranked rows of one per-row scoring.
+    fn rows(&self, kind: RowKind) -> &RankedRows {
+        match kind {
+            RowKind::PathSim => &self.pathsim,
+            RowKind::Count => &self.counts,
+        }
+    }
+
+    /// [`Sidecar::rows`], read-locked.
+    fn read_rows(&self, kind: RowKind) -> RwLockReadGuard<'_, HashMap<u32, Ranked>> {
+        let rows = self.rows(kind).read();
+        rows.unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A matrix as `(row, column, value)` triplets.
+type Triplets = Vec<(u32, u32, f64)>;
+
+/// Heap bytes of one stored ranked row: its map slot and its pairs.
+fn row_bytes(list: &[(u32, f64)]) -> usize {
+    std::mem::size_of::<(u32, Ranked)>() + std::mem::size_of_val(list)
+}
+
+/// The two per-row scorings a sidecar ranks ([`Scoring::PathSim`] and
+/// [`Scoring::Count`]): the two kinds of ranked rows a factored span's row
+/// memo carries into a snapshot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum RowKind {
+    /// PathSim rows.
+    PathSim,
+    /// Path-count rows.
+    Count,
+}
+
 /// Which ranked list of a resident matrix a read asks for.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Scoring {
@@ -384,6 +457,17 @@ pub(crate) enum Scoring {
     Count(usize),
     /// The rows by row sum: one list per entry.
     RowSums,
+}
+
+impl Scoring {
+    /// The kind and row of a per-row scoring; `None` for row sums.
+    fn row(self) -> Option<(RowKind, u32)> {
+        match self {
+            Scoring::PathSim(row) => Some((RowKind::PathSim, row as u32)),
+            Scoring::Count(row) => Some((RowKind::Count, row as u32)),
+            Scoring::RowSums => None,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -438,6 +522,11 @@ pub struct MatrixCache {
     /// re-heating. Never taken while a shard lock is held; its holder may
     /// take a shard's read lock, to price a split, and no other lock.
     ledger: Mutex<Ledger>,
+    /// The row memo: per factored span, the sidecar its ranked rows are
+    /// kept in ([`MatrixCache::memo_of`]), since no resident square holds
+    /// one. Bounded by [`MEMO_ROWS_CAP`] rows. Never taken with another
+    /// lock of the cache held.
+    memo: RwLock<KeyMap<Arc<Sidecar>>>,
     /// Keys currently being computed by some thread (compute-once,
     /// wait-many). One global mutex, not sharded: it is touched only on
     /// the miss path, held only for a map probe/insert/remove, and never
@@ -535,6 +624,14 @@ pub struct CacheStats {
     /// Resident restored entries nobody has verified yet (a gauge). Zero
     /// once [`MatrixCache::verify_pending`] has returned.
     pub lazy_pending: usize,
+    /// Ranked rows in the row memo of factored spans (a gauge): one per
+    /// anchor read and scoring, at most ten pairs each. Where a symmetric
+    /// span's hot reads live instead of its square.
+    pub memo_rows: usize,
+    /// Heap bytes of those rows (a gauge): 16 bytes a pair plus 24 a row,
+    /// not counting the maps' own slack. Not in `bytes`, which is the
+    /// matrices'.
+    pub memo_bytes: usize,
     /// Diagonal sidecars built: one per resident square matrix PathSim has
     /// read, per residency — an evicted or restored matrix pays the build
     /// (one binary search per row) again on its next PathSim read, so a
@@ -571,6 +668,7 @@ impl MatrixCache {
             shard_mask: shards - 1,
             budget_per_shard: config.byte_budget.map(|b| b / shards),
             ledger: Mutex::default(),
+            memo: RwLock::default(),
             inflight: Mutex::default(),
             tick: AtomicU64::new(0),
             counters: Counters::default(),
@@ -605,6 +703,13 @@ impl MatrixCache {
             diagonal_builds: read(&c.diagonal_builds),
             ..CacheStats::default()
         };
+        for sidecar in self.memo().values() {
+            for kind in [RowKind::PathSim, RowKind::Count] {
+                let rows = sidecar.read_rows(kind);
+                stats.memo_rows += rows.len();
+                stats.memo_bytes += rows.values().map(|list| row_bytes(list)).sum::<usize>();
+            }
+        }
         for shard in self.shards.iter() {
             let shard = shard.read().unwrap_or_else(PoisonError::into_inner);
             stats.len += shard.map.len();
@@ -914,17 +1019,14 @@ impl MatrixCache {
         limit: usize,
         rank: impl FnOnce() -> Vec<(usize, f64)>,
     ) -> Vec<(usize, f64)> {
-        let (rows, row) = match scoring {
-            Scoring::RowSums => {
-                let list = sidecar.row_sums.get_or_init(|| {
-                    self.counters.ranked_builds.fetch_add(1, Ordering::Relaxed);
-                    compact(rank())
-                });
-                return prefix(list, limit);
-            }
-            Scoring::PathSim(row) => (&sidecar.pathsim, row as u32),
-            Scoring::Count(row) => (&sidecar.counts, row as u32),
+        let Some((kind, row)) = scoring.row() else {
+            let list = sidecar.row_sums.get_or_init(|| {
+                self.counters.ranked_builds.fetch_add(1, Ordering::Relaxed);
+                compact(rank())
+            });
+            return prefix(list, limit);
         };
+        let rows = sidecar.rows(kind);
         if let Some(list) = rows
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -940,6 +1042,118 @@ impl MatrixCache {
             slot.insert(list);
         }
         answer
+    }
+
+    /// The row memo, read-locked.
+    fn memo(&self) -> RwLockReadGuard<'_, KeyMap<Arc<Sidecar>>> {
+        self.memo.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Rows the row memo holds.
+    fn memo_len(memo: &KeyMap<Arc<Sidecar>>) -> usize {
+        let rows =
+            |s: &Sidecar| s.read_rows(RowKind::PathSim).len() + s.read_rows(RowKind::Count).len();
+        memo.values().map(|s| rows(s)).sum()
+    }
+
+    /// The first `limit` pairs of the row `scoring` names, if the row memo
+    /// of the factored span `key` holds it: two read locks and a copy,
+    /// counting nothing. `limit` must be at most the depth the row was
+    /// ranked to, as for [`MatrixCache::ranked`].
+    pub(crate) fn memo_row(
+        &self,
+        key: &[StepKey],
+        scoring: Scoring,
+        limit: usize,
+    ) -> Option<Vec<(usize, f64)>> {
+        let (kind, row) = scoring.row()?;
+        let memo = self.memo();
+        let list = memo
+            .get(key)?
+            .read_rows(kind)
+            .get(&row)
+            .map(|list| prefix(list, limit));
+        list
+    }
+
+    /// The row memo's sidecar of the factored span `key`, started empty if
+    /// there is none: where [`MatrixCache::ranked`] stores the span's rows
+    /// as they are read. A memo found holding [`MEMO_ROWS_CAP`] rows is
+    /// reset first, so it outgrows the cap by at most the rows stored
+    /// between two such calls.
+    pub(crate) fn memo_of(&self, key: &[StepKey]) -> Arc<Sidecar> {
+        {
+            let memo = self.memo();
+            if let Some(sidecar) = memo
+                .get(key)
+                .filter(|_| Self::memo_len(&memo) < MEMO_ROWS_CAP)
+            {
+                return Arc::clone(sidecar);
+            }
+        }
+        let mut memo = self.memo.write().unwrap_or_else(PoisonError::into_inner);
+        if Self::memo_len(&memo) >= MEMO_ROWS_CAP {
+            memo.clear();
+        }
+        Arc::clone(memo.entry(key.to_vec()).or_default())
+    }
+
+    /// Every row the row memo holds, for a snapshot: per span and kind, row
+    /// `x`'s pairs as `(x, y, score)` triplets, rows and then ids
+    /// ascending — the order of a CSR matrix. Spans in key order, PathSim
+    /// rows before count rows; a kind with no rows is left out, and so is
+    /// an empty row, which a CSR row cannot tell from an absent one.
+    pub(crate) fn memo_triplets(&self) -> Vec<(PathKey, RowKind, Triplets)> {
+        let memo = self.memo();
+        let mut spans: Vec<_> = memo.iter().collect();
+        spans.sort_by(|a, b| a.0.cmp(b.0));
+        let mut out = Vec::new();
+        for (key, sidecar) in spans {
+            for kind in [RowKind::PathSim, RowKind::Count] {
+                let rows = sidecar.read_rows(kind);
+                let mut ids: Vec<u32> = rows.keys().copied().collect();
+                ids.sort_unstable();
+                let mut triplets = Vec::new();
+                for x in ids {
+                    let mut pairs = rows[&x].to_vec();
+                    pairs.sort_unstable_by_key(|&(y, _)| y);
+                    triplets.extend(pairs.into_iter().map(|(y, score)| (x, y, score)));
+                }
+                if !triplets.is_empty() {
+                    out.push((key.clone(), kind, triplets));
+                }
+            }
+        }
+        out
+    }
+
+    /// Take the rows of `rows` into the row memo of the factored span
+    /// `key` as ranked rows of `kind`: row `x`'s pairs, held sorted by id,
+    /// re-sorted best first — [`hin_similarity::top_k`]'s order, the one
+    /// every stored row is in. A row the memo already holds is kept, and
+    /// rows stop being taken at [`MEMO_ROWS_CAP`]. Returns the rows taken.
+    pub(crate) fn memo_admit(&self, key: &[StepKey], kind: RowKind, rows: &Csr) -> u64 {
+        let sidecar = self.memo_of(key);
+        let mut held = Self::memo_len(&self.memo());
+        let mut stored = sidecar
+            .rows(kind)
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        let mut taken = 0;
+        for x in (0..rows.nrows()).filter(|&x| rows.row_nnz(x) > 0) {
+            if held >= MEMO_ROWS_CAP {
+                break;
+            }
+            if let MapEntry::Vacant(slot) = stored.entry(x as u32) {
+                let (ids, scores) = rows.row(x);
+                let pairs = ids.iter().map(|&y| y as usize).zip(scores.iter().copied());
+                let ranked = hin_similarity::top_k(pairs.collect(), ids.len());
+                slot.insert(compact(ranked));
+                held += 1;
+                taken += 1;
+            }
+        }
+        taken
     }
 
     /// Non-counting lookup used by the planner: is exactly `key` resident,
@@ -982,10 +1196,10 @@ impl MatrixCache {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Some((m, Some(sidecar)));
         }
-        let rev = reversed_key(key);
-        if rev == key {
-            return None; // palindromic key: the reversal is itself
+        if is_palindrome(key) {
+            return None; // the reversal is the key itself
         }
+        let rev = reversed_key(key);
         if let Some((m, _)) = self.resident(&rev, true) {
             let t = Arc::new(m.transpose());
             self.insert(key.to_vec(), Arc::clone(&t));
@@ -1100,6 +1314,19 @@ pub enum Refusal {
     Product {
         /// [`Csr::nbytes`] of that product.
         bytes: usize,
+    },
+    /// A symmetric span `H·Hᵀ`, an even palindrome of four steps or more,
+    /// whose estimate is more than `FACTOR_RATIO` (8) times the bytes of
+    /// its two halves: its rows are read through the halves, and its ranked
+    /// rows kept in the row memo, instead of a square that could cost
+    /// hundreds of times more. Given by the engine whatever the budget,
+    /// unbounded included, to a span the cache would otherwise admit.
+    Factored {
+        /// The span's estimate.
+        est_bytes: usize,
+        /// Its two halves' bytes: a one-step half's relation, a product
+        /// half's resident size, or else its estimate.
+        halves_bytes: usize,
     },
 }
 
@@ -1395,6 +1622,44 @@ mod tests {
             .ledger()
             .heat_once(&[(LEDGER_CAP, true), (LEDGER_CAP, false)], 2));
         assert!(cache.ledger().0.is_empty());
+    }
+
+    #[test]
+    fn the_row_memo_holds_at_most_its_cap() {
+        let cache = MatrixCache::default();
+        let key: PathKey = vec![(0, true), (1, true), (1, false), (0, false)];
+        let n = MEMO_ROWS_CAP + 5;
+        let rows = Csr::from_triplets(n, 2, (0..n as u32).map(|x| (x, x % 2, 1.0)));
+        assert_eq!(
+            cache.memo_admit(&key, RowKind::Count, &rows),
+            MEMO_ROWS_CAP as u64
+        );
+        let stats = cache.stats();
+        assert_eq!(stats.memo_rows, MEMO_ROWS_CAP);
+        assert_eq!(stats.memo_bytes, MEMO_ROWS_CAP * (24 + 16));
+        assert_eq!(
+            cache.memo_row(&key, Scoring::Count(3), 10),
+            Some(vec![(1, 1.0)])
+        );
+        assert_eq!(
+            cache.memo_row(&key, Scoring::PathSim(3), 10),
+            None,
+            "per kind"
+        );
+        // the next span to store a row finds the memo full and resets it
+        let other: PathKey = vec![(2, true), (2, false), (2, true), (2, false)];
+        let sidecar = cache.memo_of(&other);
+        let row = cache.ranked(&sidecar, Scoring::PathSim(0), 1, || {
+            vec![(1, 0.5), (0, 0.25)]
+        });
+        assert_eq!(row, vec![(1, 0.5)]);
+        assert_eq!(cache.stats().memo_rows, 1);
+        assert_eq!(cache.memo_row(&key, Scoring::Count(3), 10), None);
+        assert_eq!(
+            cache.memo_row(&other, Scoring::PathSim(0), 10),
+            Some(vec![(1, 0.5), (0, 0.25)])
+        );
+        assert_eq!(cache.memo_row(&other, Scoring::RowSums, 10), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -16,13 +16,14 @@ use hin_similarity::{
 };
 
 use crate::cache::{
-    canonical_key, key_of, CacheConfig, CacheOutcome, CacheStats, KeyMap, Ledger, MatrixCache,
-    PathKey, Scoring, Sidecar, Split, StepKey,
+    canonical_key, is_palindrome, key_of, CacheConfig, CacheOutcome, CacheStats, KeyMap, Ledger,
+    MatrixCache, PathKey, Refusal, Scoring, Sidecar, Split, StepKey,
 };
 use crate::error::QueryError;
 use crate::parse::{cut, parse, Cut, Verb};
 use crate::plan::{
-    plan_priced, plan_steps, row_links, ExecMode, Factor, Promotion, QueryPlan, Residency, RowRoute,
+    plan_priced, plan_steps, row_links, ExecMode, Factor, Promotion, QueryPlan, Residency,
+    RowRoute, FACTOR_RATIO,
 };
 use crate::resolve::resolve_shape;
 use crate::snapshot::{CacheSnapshot, SnapshotImport};
@@ -33,11 +34,12 @@ use crate::snapshot::{CacheSnapshot, SnapshotImport};
 /// and `pathcount`: these are *ranking* verbs, so an unlimited answer on a
 /// hub anchor would be an unreadable wall of scores.
 ///
-/// It is also how deep a resident span's sidecar ranks a row: a read of a
-/// resident span asking for at most this many results is a prefix of the
-/// list the span's first such read ranked and stored (see
-/// [`Engine::assemble`]).
-const DEFAULT_LIMIT: usize = 10;
+/// It is also how deep a resident span's sidecar, or a factored span's row
+/// memo, ranks a row: a read asking for at most this many results is a
+/// prefix of the list the row's first such read ranked and stored (see
+/// [`Engine::assemble`] and [`Engine::propagate`]), and no snapshot row is
+/// longer.
+pub(crate) const DEFAULT_LIMIT: usize = 10;
 
 /// `neighbors` without an explicit `limit` returns the **entire** reachable
 /// set. This asymmetry with [`DEFAULT_LIMIT`] is deliberate and pinned by
@@ -72,9 +74,18 @@ const SHAPE_CAP: usize = 256;
 /// these bits would only be recomputed on every read.
 const UNKNOWN_NORMALIZER: u64 = u64::MAX;
 
-/// One half-span's memoized normalizers: `f64` bits indexed by node id,
-/// [`UNKNOWN_NORMALIZER`] where not computed yet, filled in place.
-type NormalizerTable = Arc<[AtomicU64]>;
+/// One half-span's memoized normalizers, filled in place.
+type NormalizerTable = Arc<Normalizers>;
+
+/// The normalizers of one half-span: `f64` bits indexed by node id,
+/// [`UNKNOWN_NORMALIZER`] where not computed yet.
+#[derive(Debug)]
+struct Normalizers {
+    slots: Box<[AtomicU64]>,
+    /// Every slot was filled in one pass over the resident half
+    /// ([`fill_normalizers`]); nothing is left to fill.
+    whole: AtomicBool,
+}
 
 /// The execution policy: how the engine trades per-query latency against
 /// cache amortization for anchored queries. There is one execution flow;
@@ -91,8 +102,10 @@ pub struct ExecPolicy {
     /// `0` is "materialize now": every anchored run of a span not resident
     /// crosses, concurrent runs included, and materializes it, counted as a
     /// promotion — on an unbounded cache, every anchored query reads its
-    /// row from the commuting matrix. `u32::MAX` keeps every cold span
-    /// lazy.
+    /// row from the commuting matrix, except over a symmetric span whose
+    /// square would cost more than eight times its halves
+    /// ([`Refusal::Factored`]), which is read through its halves.
+    /// `u32::MAX` keeps every cold span lazy.
     ///
     /// Only spans the cache would keep are counted at all: under a
     /// [`CacheConfig::byte_budget`], a span whose estimated product — or
@@ -132,7 +145,7 @@ pub struct EngineStats {
     pub promotions: u64,
     /// Lazy executions of spans the cache would not keep (the span's
     /// estimate or its measured size exceeds one shard's slice — the
-    /// [`Refusal`](crate::Refusal) `EXPLAIN` shows — so the span never
+    /// [`Refusal`] `EXPLAIN` shows — so the span never
     /// heated and ran by row propagation; each also counts in
     /// `anchored_fast_paths`). Climbing while [`CacheStats::evictions`]
     /// stays flat: the byte budget cannot hold what the traffic heats.
@@ -145,6 +158,10 @@ pub struct EngineStats {
     /// read through them. Not counted in `promotions`: the span itself
     /// stays refused.
     pub factor_promotions: u64,
+    /// Anchored reads of factored spans answered from the row memo
+    /// ([`Promotion::Memoized`]): no planning, no propagation, and no other
+    /// counter of this struct moved.
+    pub memo_hits: u64,
 }
 
 /// The result of one query: scored, named objects of one type.
@@ -219,7 +236,11 @@ impl IdOutput {
 /// into two halves the cache does keep, heats and materializes those
 /// instead, and serves the anchor's row as (row `x` of the left half) ·
 /// (the right half) — how PathSim computes a row of `H·Hᵀ` from its
-/// half-path matrix `H`.
+/// half-path matrix `H`. A symmetric span whose square would cost far more
+/// than its halves is served that way under any budget, unbounded
+/// included ([`Refusal::Factored`]), and the ranked rows its reads ask for
+/// are kept in the cache's row memo, where a square's sidecar would have
+/// kept them: a repeated read copies one, and a snapshot carries them.
 ///
 /// What the engine learns about a span (its heat, a refused product's
 /// size, a refused span's split) is one entry of the cache's span ledger,
@@ -283,6 +304,8 @@ pub struct Engine {
     promotions_refused: AtomicU64,
     /// Product halves materialized for refused spans.
     factor_promotions: AtomicU64,
+    /// Reads answered from the row memo.
+    memo_hits: AtomicU64,
     /// Lazily computed [`crate::snapshot::dataset_fingerprint`] of `hin`.
     /// The network is immutable after build, so one full-adjacency scan
     /// serves every later snapshot/restore — a periodic checkpoint loop
@@ -322,6 +345,7 @@ impl Engine {
             promotions: AtomicU64::new(0),
             promotions_refused: AtomicU64::new(0),
             factor_promotions: AtomicU64::new(0),
+            memo_hits: AtomicU64::new(0),
             fingerprint: std::sync::OnceLock::new(),
         }
     }
@@ -344,9 +368,10 @@ impl Engine {
         &self.cache
     }
 
-    /// Export the commuting-matrix cache's hottest entries, stopping at
-    /// `budget_bytes` of matrix payload (`None` = everything) — the
-    /// engine's side of warm-start and failover hand-off. The snapshot is
+    /// Export the commuting-matrix cache's hottest entries, then the ranked
+    /// rows of the row memo, stopping at `budget_bytes` of payload (`None`
+    /// = everything) — the engine's side of warm-start and failover
+    /// hand-off. The snapshot is
     /// stamped with this dataset's
     /// [`dataset_fingerprint`](crate::snapshot::dataset_fingerprint), so a
     /// later [`Engine::restore`] into different (or rebuilt) data rejects
@@ -356,14 +381,16 @@ impl Engine {
     /// shard read locks the query path takes, one shard at a time.
     pub fn snapshot(&self, budget_bytes: Option<usize>) -> CacheSnapshot {
         self.cache
-            .export_snapshot(budget_bytes, self.dataset_fingerprint())
+            .export_snapshot(budget_bytes, self.dataset_fingerprint(), &self.hin)
     }
 
     /// Restore a snapshot into this engine's cache. Every entry is
     /// validated against this engine's dataset schema and priced through
     /// the ordinary LRU (a snapshot can never blow the cache budget);
     /// outcomes are reported and recorded in
-    /// [`CacheStats::warm_loaded`] / [`CacheStats::warm_rejected`].
+    /// [`CacheStats::warm_loaded`] / [`CacheStats::warm_rejected`]. Ranked
+    /// rows go into the row memo, best first again, so a factored span's
+    /// hot reads are memo hits from the first query on.
     ///
     /// Entries mounted from an image arrive with their structure proved and
     /// their values *pending*: each is verified against its directory's
@@ -399,7 +426,15 @@ impl Engine {
     pub fn plan(&self, query: &str) -> Result<QueryPlan, QueryError> {
         let (shape, from) = self.compile(query)?;
         let mut plan = plan_steps(&self.hin, shape.path.steps(), &self.cache);
-        self.decide(&shape, from.is_some(), &mut plan);
+        // as a run looks: the whole span, then the row memo, then the rest
+        let n = shape.key.len();
+        let missing = n >= 2 && plan.residency.get(0, n - 1).is_none();
+        match missing && self.memo_read(&shape, from).is_some() {
+            true => plan.promotion = Some(Promotion::Memoized),
+            false => {
+                self.decide(&shape, from.is_some(), &mut plan);
+            }
+        }
         Ok(plan)
     }
 
@@ -460,6 +495,9 @@ impl Engine {
     /// a resident span is what promotion leads to. A propagating span
     /// heats toward [`ExecPolicy::promote_after`] unless the cache refuses
     /// it, by the plan's estimate or by a measured size.
+    /// A span the cache would admit is refused all the same when it is
+    /// factored ([`Engine::factored`]): a symmetric square estimated at
+    /// far more than its halves.
     /// A refused span is only ever worth one row: it never heats, and its
     /// row goes through the halves of a split, each product half that is
     /// not resident (as [`Residency::link`] reads it) heating instead. The
@@ -486,7 +524,8 @@ impl Engine {
         let of = self.policy.promote_after;
         let ledger = self.cache.ledger();
         let (span, side) = ledger.get(key);
-        let Err(refusal) = self.cache.admit(plan.est_bytes, span.oversize) else {
+        let verdict = self.cache.admit(plan.est_bytes, span.oversize);
+        let Err(refusal) = verdict.and_then(|()| self.factored(shape, plan)) else {
             let run = span.heat + 1;
             plan.promotion = Some(Promotion::Heating { run, of });
             return None;
@@ -515,6 +554,31 @@ impl Engine {
             halves: halves(at).map(|(factor, _)| factor),
         });
         known.is_none().then_some(split)
+    }
+
+    /// The promotion rule of a symmetric span, for a span the cache would
+    /// admit: an even palindrome `H·Hᵀ` of four steps or more is
+    /// [`Refusal::Factored`] when its estimate is more than
+    /// [`FACTOR_RATIO`] times the bytes of its two halves (each priced by
+    /// [`Residency::bytes`]). PathSim's own formulation keeps `H` and
+    /// computes a row of `H·Hᵀ` when asked; so does this engine, for a
+    /// square that would cost that much more than what it is made of. Odd
+    /// palindromes and every other span are promoted as before.
+    fn factored(&self, shape: &Shape, plan: &QueryPlan) -> Result<(), Refusal> {
+        let (key, steps) = (&shape.key[..], shape.path.steps());
+        let n = key.len();
+        if !symmetric(key) {
+            return Ok(());
+        }
+        let halves = |lo, hi| plan.residency.bytes(&self.hin, steps, lo, hi);
+        let halves_bytes = halves(0, n / 2) + halves(n / 2, n);
+        match plan.est_bytes > FACTOR_RATIO.saturating_mul(halves_bytes) {
+            true => Err(Refusal::Factored {
+                est_bytes: plan.est_bytes,
+                halves_bytes,
+            }),
+            false => Ok(()),
+        }
     }
 
     /// Execute one query. Thread-safe: any number of threads may call this
@@ -582,8 +646,13 @@ impl Engine {
             }
             _ => false,
         };
-        let result = match &prep.route {
-            Route::Planned(plan, _) if lazy => self.propagate(&prep, &plan.residency, &mut trace),
+        let result = match prep.route {
+            Route::Memo(items) => Ok(IdOutput {
+                verb: prep.shape.verb,
+                ty: prep.shape.end,
+                items,
+            }),
+            Route::Planned(ref plan, _) if lazy => self.propagate(&prep, plan, &mut trace),
             _ => self.materialize(&prep, &mut trace),
         };
         trace.exec_ns = nanos(t1.elapsed());
@@ -606,10 +675,13 @@ impl Engine {
     /// missed. The probe is [`MatrixCache::probe`], the lookup
     /// [`Engine::eval`] resolves a span through plus the entry's sidecar,
     /// so a resident span counts the one hit (or symmetry hit) its
-    /// evaluation would have, and a miss counts nothing. The plan's pricing
-    /// pass then looks at every shorter sub-span, once, and not again at
-    /// the span the probe just missed; [`Engine::decide`] decides the plan
-    /// as `EXPLAIN` does.
+    /// evaluation would have, and a miss counts nothing. A miss then asks
+    /// the row memo, and a factored span's read whose ranked row it holds
+    /// copies the row: read locks only, nothing priced or planned, no
+    /// ledger lock, and only [`EngineStats::memo_hits`] moves. The plan's
+    /// pricing pass then looks at every shorter sub-span, once, and not
+    /// again at the span the probe just missed; [`Engine::decide`] decides
+    /// the plan as `EXPLAIN` does.
     fn prepare(&self, shape: Arc<Shape>, from: Option<NodeRef>) -> Prep {
         let steps = shape.path.steps();
         if steps.len() >= 2 {
@@ -618,6 +690,14 @@ impl Engine {
                     shape,
                     from,
                     route: Route::Resident(matrix, sidecar),
+                };
+            }
+            if let Some(items) = self.memo_read(&shape, from) {
+                self.memo_hits.fetch_add(1, Ordering::Relaxed);
+                return Prep {
+                    shape,
+                    from,
+                    route: Route::Memo(items),
                 };
             }
         }
@@ -640,6 +720,7 @@ impl Engine {
         let probe = ExecProbe::default();
         let (matrix, sidecar) = match &prep.route {
             Route::Resident(m, sidecar) => (Mat::Shared(Arc::clone(m)), sidecar.clone()),
+            Route::Memo(_) => unreachable!("a memo hit is answered as it is prepared"),
             Route::Planned(plan, _) => {
                 let steps = prep.shape.path.steps();
                 let root = &plan.root;
@@ -652,12 +733,24 @@ impl Engine {
         answer
     }
 
+    /// The ranked row of this read that a factored span's row memo holds,
+    /// if it holds it ([`MatrixCache::memo_row`]): counting nothing.
+    fn memo_read(&self, shape: &Shape, from: Option<NodeRef>) -> Option<Vec<(usize, f64)>> {
+        let (scoring, k) = memo_scoring(shape, from?)?;
+        self.cache.memo_row(&shape.key, scoring, k)
+    }
+
     /// The anchored fast path: one row of the commuting matrix, computed as
     /// `eₓᵀ·M₁·…·Mₙ` without materializing any product, then scored and
     /// ranked. Scores, candidate sets, ordering and limits are identical to
     /// the full-matrix path whenever the arithmetic is exact
-    /// (integer-valued weights — see the anchored property tests).
-    /// `residency` is the plan's pricing pass, which lays the row out.
+    /// (integer-valued weights — see the anchored property tests). The
+    /// plan's pricing pass lays the row out.
+    ///
+    /// A factored span's read asking for at most [`DEFAULT_LIMIT`] ranks
+    /// its row to that depth and stores it in the span's row memo, as a
+    /// resident square's first read stores it in its sidecar; the next
+    /// read of that row is a memo hit.
     ///
     /// The row and its normalizers run on the thread's one scatter scratch
     /// ([`with_row_scratch`]), so a row pays for its products, not for
@@ -665,12 +758,14 @@ impl Engine {
     fn propagate(
         &self,
         prep: &Prep,
-        residency: &Residency,
+        plan: &QueryPlan,
         trace: &mut QueryTrace,
     ) -> Result<IdOutput, QueryError> {
         self.anchored_fast_paths.fetch_add(1, Ordering::Relaxed);
+        let shape = &*prep.shape;
         let x = prep.from.expect("anchored verbs carry `from`").id as usize;
-        let links = self.propagation_seed(prep.shape.path.steps(), &prep.shape.key, residency);
+        let residency = &plan.residency;
+        let links = self.propagation_seed(shape.path.steps(), &shape.key, residency);
         // The fast path caches nothing; its cache interaction is whether
         // the propagation started from a resident prefix product or had to
         // chain from the anchor's relation row.
@@ -679,15 +774,30 @@ impl Engine {
             Mat::Shared(_) => CacheOutcome::Hit,
             Mat::Borrowed(_) => CacheOutcome::MissCompute,
         };
-        with_row_scratch(|scratch| {
+        let factored = matches!(
+            plan.promotion,
+            Some(Promotion::Refused(Refusal::Factored { .. }))
+        );
+        let memo = factored.then(|| self.cache.memo_of(&shape.key));
+        let k = shape.limit.unwrap_or(default_row_limit(shape.verb));
+        let items = with_row_scratch(|scratch| {
             let row = row_through(&links, x, scratch);
-            self.finish_row(prep, residency, x, row, scratch)
+            self.ranked(memo.as_deref(), row_scoring(shape.verb, x), k, |limit| {
+                self.rank_row(shape, residency, x, &row, scratch, limit)
+            })
+        });
+        Ok(IdOutput {
+            verb: shape.verb,
+            ty: shape.end,
+            items,
         })
     }
 
     /// The commuting matrix of an already-resolved meta-path, computed
     /// through the planner and cache. Exposed for callers that want the
-    /// matrix itself rather than a verb's view of it.
+    /// matrix itself rather than a verb's view of it. A factored span's
+    /// square is computed and cached here like any other: the promotion
+    /// rule governs what anchored reads materialize, not this.
     pub fn commuting_matrix(&self, path: &MetaPath) -> Result<Arc<Csr>, QueryError> {
         path.validate(&self.hin)?;
         Ok(self.commuting_of(path.steps()))
@@ -704,6 +814,7 @@ impl Engine {
             promotions_refused: read(&self.promotions_refused),
             normalizer_memo_hits: read(&self.normalizer_memo_hits),
             factor_promotions: read(&self.factor_promotions),
+            memo_hits: read(&self.memo_hits),
         }
     }
 
@@ -849,19 +960,20 @@ impl Engine {
         links
     }
 
-    /// Score and rank one propagated anchor row — the verb-specific
-    /// back half of the anchored fast path ([`Engine::propagate`]).
-    fn finish_row(
+    /// Score and rank the best `limit` of one propagated anchor row — the
+    /// verb-specific back half of the anchored fast path
+    /// ([`Engine::propagate`]).
+    fn rank_row(
         &self,
-        prep: &Prep,
+        shape: &Shape,
         residency: &Residency,
         x: usize,
-        row: SparseVec,
+        row: &SparseVec,
         scratch: &mut ScatterScratch,
-    ) -> Result<IdOutput, QueryError> {
-        let shape = &*prep.shape;
+        limit: usize,
+    ) -> Vec<(usize, f64)> {
         let steps = shape.path.steps();
-        let items = match shape.verb {
+        match shape.verb {
             Verb::PathSim | Verb::TopK => {
                 // PathSim(x,y) = 2·M[x,y] / (M[x,x] + M[y,y]). The row
                 // gives M[x,·]; each candidate's M[y,y] comes from its
@@ -871,26 +983,28 @@ impl Engine {
                 // M = H·L·Hᵀ with diagonal (u·L)·uᵀ. Either way the
                 // normalizers cost |candidates| half propagations instead
                 // of a full matrix, and none at all when H itself is
-                // resident: u is its row.
+                // resident: u is its row, and one pass over H fills them.
                 let h = steps.len() / 2;
                 let half_links = self.propagation_seed(&steps[..h], &shape.key[..h], residency);
                 let odd = steps.len() % 2 == 1;
                 let mid = odd.then(|| steps[h].matrix(&self.hin));
                 // Diagonals are anchor-independent: read and fill the
                 // half-span's shared memo table in place.
-                let memo = self.normalizer_memo(
+                let normalizers = self.normalizer_memo(
                     &shape.key[..h + odd as usize],
                     odd,
                     self.hin.node_count(shape.end),
                 );
+                if !odd {
+                    fill_normalizers(&normalizers, &half_links);
+                }
                 let mut memo_hits = 0u64;
                 // scored and refused exactly as a resident row is
-                let mut top =
-                    PathSimTopK::new(shape.limit.unwrap_or(DEFAULT_LIMIT), row.nnz(), row.get(x));
+                let mut top = PathSimTopK::new(limit, row.nnz(), row.get(x));
                 for (y, mxy) in row.iter().filter(|&(y, _)| y != x) {
                     // Relaxed: a slot publishes nothing but its own bits,
                     // and racing fills store the same value.
-                    let known = memo[y].load(Ordering::Relaxed);
+                    let known = normalizers.slots[y].load(Ordering::Relaxed);
                     let myy = if known != UNKNOWN_NORMALIZER {
                         memo_hits += 1;
                         f64::from_bits(known)
@@ -900,7 +1014,7 @@ impl Engine {
                             Some(l) => spvm_with(&u, l, scratch).dot(&u),
                             None => u.dot_self(),
                         };
-                        memo[y].store(v.to_bits(), Ordering::Relaxed);
+                        normalizers.slots[y].store(v.to_bits(), Ordering::Relaxed);
                         v
                     };
                     top.push(y, mxy, myy);
@@ -911,21 +1025,14 @@ impl Engine {
             }
             Verb::PathCount | Verb::Neighbors => {
                 let exclude_self = shape.start == shape.end;
-                let k = shape.limit.unwrap_or(default_row_limit(shape.verb));
-                let mut top = TopK::new(k, row.nnz());
+                let mut top = TopK::new(limit, row.nnz());
                 for (y, count) in row.iter().filter(|&(y, _)| !(exclude_self && y == x)) {
                     top.push(y, count);
                 }
                 top.into_sorted()
             }
             Verb::Rank => unreachable!("rank is not anchored; `decide` keeps it Full"),
-        };
-
-        Ok(IdOutput {
-            verb: shape.verb,
-            ty: shape.end,
-            items,
-        })
+        }
     }
 
     /// The shared normalizer table of one half-span `half` of an `odd` or
@@ -943,15 +1050,23 @@ impl Engine {
         {
             return Arc::clone(table);
         }
-        let resident: usize = memo.values().flatten().flatten().map(|t| t.len()).sum();
+        let resident: usize = memo
+            .values()
+            .flatten()
+            .flatten()
+            .map(|t| t.slots.len())
+            .sum();
         if resident + slots > DIAG_CAP {
             // bounded memory: a reset only costs recomputation (queries in
             // flight keep filling the tables they already hold)
             memo.clear();
         }
-        let table: NormalizerTable = (0..slots)
-            .map(|_| AtomicU64::new(UNKNOWN_NORMALIZER))
-            .collect();
+        let table = Arc::new(Normalizers {
+            slots: (0..slots)
+                .map(|_| AtomicU64::new(UNKNOWN_NORMALIZER))
+                .collect(),
+            whole: AtomicBool::new(false),
+        });
         memo.entry(half.to_vec()).or_default()[odd as usize] = Some(Arc::clone(&table));
         table
     }
@@ -1112,15 +1227,16 @@ impl Engine {
     }
 
     /// The best `k` by `scoring`, where `rank_to(n)` ranks the best `n`: a
-    /// prefix of the sidecar's list when there is a sidecar and `k` is at
-    /// most [`DEFAULT_LIMIT`], the depth every stored list is ranked to;
+    /// prefix of the sidecar's list when there is a sidecar (a resident
+    /// entry's, or a factored span's row memo) and `k` is at most
+    /// [`DEFAULT_LIMIT`], the depth every stored list is ranked to;
     /// `rank_to(k)` otherwise.
     fn ranked(
         &self,
         sidecar: Option<&Sidecar>,
         scoring: Scoring,
         k: usize,
-        rank_to: impl Fn(usize) -> Vec<(usize, f64)>,
+        rank_to: impl FnOnce(usize) -> Vec<(usize, f64)>,
     ) -> Vec<(usize, f64)> {
         match sidecar {
             Some(s) if k <= DEFAULT_LIMIT => {
@@ -1236,11 +1352,61 @@ enum Route {
     /// query reads this matrix, with the entry's sidecar when the probe
     /// found the span itself rather than its reversal. Nothing was planned.
     Resident(Arc<Csr>, Option<Arc<Sidecar>>),
+    /// The row memo held the factored span's ranked row: the answer's items,
+    /// copied. Nothing was planned.
+    Memo(Vec<(usize, f64)>),
     /// Planned and decided by [`Engine::decide`], with the split it chose
     /// now: an [`ExecMode::SparseRow`] plan runs through
     /// [`Engine::propagate`] unless [`Engine::apply`] promotes it, and any
     /// other query materializes through the plan tree.
     Planned(QueryPlan, Option<Split>),
+}
+
+/// Is `key` a span the promotion rule may factor: an even palindrome
+/// `H·Hᵀ` of four steps or more, whose halves are products?
+fn symmetric(key: &[StepKey]) -> bool {
+    key.len() >= 4 && key.len().is_multiple_of(2) && is_palindrome(key)
+}
+
+/// The per-row scoring and result count of an anchored read from `from`
+/// that a row memo can answer: `pathsim`/`topk` or `pathcount`/`neighbors`
+/// asking for at most [`DEFAULT_LIMIT`], over a [`symmetric`] span.
+fn memo_scoring(shape: &Shape, from: NodeRef) -> Option<(Scoring, usize)> {
+    if !symmetric(&shape.key) {
+        return None;
+    }
+    let k = shape.limit.unwrap_or(default_row_limit(shape.verb));
+    let anchored = !matches!(shape.verb, Verb::Rank) && k <= DEFAULT_LIMIT;
+    anchored.then(|| (row_scoring(shape.verb, from.id as usize), k))
+}
+
+/// The ranked list of row `x` an anchored verb reads: PathSim for
+/// `pathsim`/`topk`, path counts for `pathcount`/`neighbors`.
+fn row_scoring(verb: Verb, x: usize) -> Scoring {
+    match verb {
+        Verb::PathSim | Verb::TopK => Scoring::PathSim(x),
+        _ => Scoring::Count(x),
+    }
+}
+
+/// Fill every slot of an even half-span's normalizer table in one pass
+/// over `half`, the half's links, when they are one resident product `H`:
+/// the normalizer of `y` is `Σ v²` over row `y` of `H`, summed in stored
+/// order, bit for bit what `row_through(half, y, ..).dot_self()` gives one
+/// candidate at a time. Does nothing once the table is whole, or when the
+/// half is not one product.
+fn fill_normalizers(table: &Normalizers, half: &[Mat<'_>]) {
+    let [Mat::Shared(h)] = half else {
+        return;
+    };
+    if table.whole.load(Ordering::Relaxed) || h.nrows() != table.slots.len() {
+        return;
+    }
+    for (y, slot) in table.slots.iter().enumerate() {
+        let v: f64 = h.row_values(y).iter().map(|v| v * v).sum();
+        slot.store(v.to_bits(), Ordering::Relaxed);
+    }
+    table.whole.store(true, Ordering::Relaxed);
 }
 
 thread_local! {
@@ -3008,6 +3174,238 @@ mod tests {
         let stats = engine.stats();
         assert_eq!((stats.promotions, stats.factor_promotions), (0, 2));
         assert_eq!(stats.cache.misses, 1, "Hᵀ is H's transpose");
+    }
+
+    /// A-P-V-P-A over [`venue_bib`]: its square is nearly dense, its halves
+    /// (author×venue and venue×author) thin.
+    const VENUE_SPAN: &str = "author-paper-venue-paper-author";
+
+    #[test]
+    fn a_symmetric_square_far_larger_than_its_halves_is_never_promoted() {
+        let hin = venue_bib();
+        let q = |a: usize| format!("pathsim {VENUE_SPAN} from a{a}");
+        let key = engine_key(&hin, VENUE_SPAN);
+        // the square made resident by hand is what every answer is held to
+        let reference = Engine::from_arc(Arc::clone(&hin));
+        let path = MetaPath::from_type_names(&hin, &VENUE_SPAN.split('-').collect::<Vec<_>>());
+        reference.commuting_matrix(&path.unwrap()).unwrap();
+        // an unbounded cache that materializes whatever it may
+        let engine = materializing_engine(Arc::clone(&hin));
+        assert_eq!(
+            engine.plan(&q(0)).unwrap().to_string(),
+            "row-propagate[((author→paper·paper→venue)·(venue→paper·paper→author))] \
+             (full est 36203 flops; promotion: refused — est 154.6 KB > 8 × halves 9.7 KB; \
+             row: heating 1/0[author→paper·paper→venue] · heating 1/0[venue→paper·paper→author])"
+        );
+        for round in 0..3 {
+            for a in 0..120 {
+                let (got, trace) = engine.execute_traced(&q(a));
+                assert_eq!(
+                    got.unwrap(),
+                    reference.execute(&q(a)).unwrap(),
+                    "{round} a{a}"
+                );
+                let mode = [TraceMode::SparseRow, TraceMode::Full][(round > 0) as usize];
+                assert_eq!(trace.mode, mode, "round {round}: memo hits report Full");
+                assert!(engine.cache().peek_exact(&key).is_none(), "never resident");
+            }
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.promotions, 0);
+        assert_eq!((stats.promotions_refused, stats.memo_hits), (120, 240));
+        assert_eq!(stats.factor_promotions, 2, "H and its mirror, once each");
+        assert_eq!(stats.cache.len, 2, "the halves are all that is resident");
+        assert_eq!(stats.cache.memo_rows, 120);
+        assert_eq!(
+            engine.plan(&q(0)).unwrap().promotion,
+            Some(Promotion::Memoized)
+        );
+        assert!(engine
+            .plan(&q(0))
+            .unwrap()
+            .to_string()
+            .ends_with("; promotion: memoized row)"));
+
+        // A-P-A is two steps, so it promotes whole, as before
+        let apa = "pathsim author-paper-author from a0";
+        assert_eq!(engine.execute_traced(apa).1.mode, TraceMode::Full);
+        assert_eq!(engine.stats().promotions, 1);
+        assert!(engine
+            .cache()
+            .peek_exact(&engine_key(&hin, "author-paper-author"))
+            .is_some());
+    }
+
+    /// The cache key of a type-name path over `hin`.
+    fn engine_key(hin: &Hin, path: &str) -> PathKey {
+        let path = MetaPath::from_type_names(hin, &path.split('-').collect::<Vec<_>>()).unwrap();
+        key_of(path.steps())
+    }
+
+    #[test]
+    fn the_rule_governs_promotion_only() {
+        let hin = venue_bib();
+        let key = engine_key(&hin, VENUE_SPAN);
+        // `rank` is not anchored: it materializes the square and keeps it
+        let engine = materializing_engine(Arc::clone(&hin));
+        engine
+            .execute(&format!("rank {VENUE_SPAN} limit 3"))
+            .unwrap();
+        assert!(engine.cache().peek_exact(&key).is_some());
+        let q = format!("pathcount {VENUE_SPAN} from a7");
+        assert_eq!(
+            engine.plan(&q).unwrap().promotion,
+            Some(Promotion::Resident)
+        );
+        // and `commuting_matrix` hands the product over and caches it
+        let engine = materializing_engine(Arc::clone(&hin));
+        let path = MetaPath::from_type_names(&hin, &VENUE_SPAN.split('-').collect::<Vec<_>>());
+        let m = engine.commuting_matrix(&path.unwrap()).unwrap();
+        assert_eq!(m.nrows(), 120);
+        assert!(engine.cache().peek_exact(&key).is_some());
+        // a symmetric span of two steps, or one whose square is no larger
+        // than eight times its halves, heats as it always did
+        let small = materializing_engine(skewed_bib());
+        for q in [
+            "pathsim author-paper-author from a0",
+            "pathsim author-paper-venue-paper-author from a0",
+        ] {
+            assert_eq!(
+                small.plan(q).unwrap().promotion,
+                Some(Promotion::Heating { run: 1, of: 0 }),
+                "{q}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_odd_palindrome_heats_as_before() {
+        // user-page-page-user is V·L·Vᵀ: its key is no palindrome (the
+        // middle step is not its own reversal), so the rule passes it by
+        let mut b = HinBuilder::new();
+        let user = b.add_type("user");
+        let page = b.add_type("page");
+        let viewed = b.add_relation("viewed", user, page);
+        let links = b.add_relation("links", page, page);
+        for u in 0..200 {
+            b.link(viewed, &format!("u{u}"), &format!("g{}", u % 3), 1.0)
+                .unwrap();
+        }
+        for g in 0..3 {
+            b.link(links, &format!("g{g}"), &format!("g{}", (g + 1) % 3), 1.0)
+                .unwrap();
+        }
+        let engine = Engine::new(b.build());
+        let plan = engine.plan("pathsim viewed-links-^viewed from u0").unwrap();
+        assert!(
+            plan.est_bytes > 8 * 3000,
+            "a square far larger than its halves: {plan}"
+        );
+        assert_eq!(
+            plan.promotion,
+            Some(Promotion::Heating { run: 1, of: 3 }),
+            "{plan}"
+        );
+        assert!(plan.to_string().contains("promotion: cold 1/3"), "{plan}");
+    }
+
+    #[test]
+    fn a_memoized_read_is_one_probe_and_nothing_else() {
+        use crate::cache::PEEKS;
+        use crate::plan::PLAN_STEPS_CALLS;
+        let hin = venue_bib();
+        let engine = Engine::from_arc(Arc::clone(&hin));
+        let key = engine_key(&hin, VENUE_SPAN);
+        let spans = [&key[..], &key[..2], &key[2..]];
+        let ledger = |e: &Engine| spans.map(|span| e.cache.ledger().get(span).0);
+        let q = format!("topk 4 {VENUE_SPAN} from a3");
+        // the first read propagates and stores the row; `pathsim` asks for
+        // ten of the same scoring, the stored depth
+        let want = engine.execute(&q).unwrap();
+        let pathsim = engine
+            .execute(&format!("pathsim {VENUE_SPAN} from a3"))
+            .unwrap();
+        assert_eq!(want.items[..], pathsim.items[..4]);
+        let before = (engine.stats(), ledger(&engine), PLAN_STEPS_CALLS.get());
+        PEEKS.with(|p| p.borrow_mut().clear());
+        for _ in 0..3 {
+            let (got, trace) = engine.execute_traced(&q);
+            assert_eq!(got.unwrap(), want);
+            assert_eq!(
+                (trace.mode, trace.outcome),
+                (TraceMode::Full, CacheOutcome::Hit)
+            );
+        }
+        let after = (engine.stats(), ledger(&engine), PLAN_STEPS_CALLS.get());
+        assert!(PEEKS.with(|p| p.take()).is_empty(), "nothing priced");
+        assert_eq!(after.2, before.2, "nothing planned");
+        assert_eq!(after.1, before.1, "the ledger is as it was");
+        let memo_hits = before.0.memo_hits + 3;
+        assert_eq!(
+            after.0,
+            EngineStats {
+                memo_hits,
+                ..before.0
+            },
+            "only the memo hit counts"
+        );
+    }
+
+    #[test]
+    fn a_resident_half_fills_its_normalizers_in_one_pass() {
+        let hin = venue_bib();
+        let reference = materializing_engine(Arc::clone(&hin));
+        let path = MetaPath::from_type_names(&hin, &VENUE_SPAN.split('-').collect::<Vec<_>>());
+        reference.commuting_matrix(&path.unwrap()).unwrap();
+        let engine = Engine::with_config(
+            Arc::clone(&hin),
+            CacheConfig::default(),
+            ExecPolicy::promote_after(u32::MAX),
+        );
+        let key = engine_key(&hin, VENUE_SPAN);
+        let table = |e: &Engine| e.diag_cache.lock().unwrap()[&key[..2]][0].clone();
+        let candidates = |a: usize| format!("neighbors {VENUE_SPAN} from a{a}");
+        let ps = |a: usize| format!("pathsim {VENUE_SPAN} from a{a} limit 11");
+        // H is not resident: normalizers come from half propagations
+        assert_eq!(
+            engine.execute(&ps(0)).unwrap(),
+            reference.execute(&ps(0)).unwrap()
+        );
+        assert!(!table(&engine).unwrap().whole.load(Ordering::Relaxed));
+        // H resident: the next row fills every slot in one pass over H, bit
+        // for bit what the half propagations gave
+        let apv = MetaPath::from_type_names(&hin, &["author", "paper", "venue"]).unwrap();
+        engine.commuting_matrix(&apv).unwrap();
+        let propagated: Vec<u64> = table(&engine)
+            .unwrap()
+            .slots
+            .iter()
+            .map(|s| s.load(Ordering::Relaxed))
+            .collect();
+        let hits = engine.stats().normalizer_memo_hits;
+        assert_eq!(
+            engine.execute(&ps(1)).unwrap(),
+            reference.execute(&ps(1)).unwrap()
+        );
+        let filled = table(&engine).unwrap();
+        assert!(filled.whole.load(Ordering::Relaxed));
+        for (y, (slot, was)) in filled.slots.iter().zip(&propagated).enumerate() {
+            let now = slot.load(Ordering::Relaxed);
+            assert_ne!(now, UNKNOWN_NORMALIZER, "author {y}");
+            assert!(*was == UNKNOWN_NORMALIZER || *was == now, "author {y}");
+        }
+        let row = reference.execute(&candidates(1)).unwrap().items.len() as u64;
+        assert_eq!(
+            engine.stats().normalizer_memo_hits - hits,
+            row,
+            "every one from the table"
+        );
+        for a in 2..120 {
+            assert_eq!(
+                engine.execute(&ps(a)).unwrap(),
+                reference.execute(&ps(a)).unwrap()
+            );
+        }
     }
 
     /// Rows on one thread share its scratch, and a row that unwinds takes

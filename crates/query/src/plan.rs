@@ -19,6 +19,13 @@ use hin_similarity::PathStep;
 
 use crate::cache::{key_of, reversed_key, MatrixCache, Refusal, StepKey};
 
+/// How many times its two halves' bytes a symmetric span's square may be
+/// estimated at and still be promoted whole ([`Refusal::Factored`]). A
+/// constant, not a knob: on the benchmark's large network the squares it
+/// refuses are 46 to 342 times their halves, and those it keeps at most
+/// about 3 times.
+pub(crate) const FACTOR_RATIO: usize = 8;
+
 /// How an anchored query will be executed — the second axis of planning,
 /// orthogonal to the multiplication-order tree.
 ///
@@ -58,6 +65,10 @@ pub enum ExecMode {
 pub enum Promotion {
     /// The whole span is in the cache; the query reads its row.
     Resident,
+    /// The span is factored ([`Refusal::Factored`]) and the row memo holds
+    /// the ranked row this query reads: it copies the row's prefix, with
+    /// nothing priced, planned or propagated.
+    Memoized,
     /// The cache would not keep the product, so the span is never
     /// materialized for the cache's sake and is served lazily for ever.
     Refused(Refusal),
@@ -89,6 +100,16 @@ impl std::fmt::Display for Promotion {
             Promotion::Refused(Refusal::Product { bytes }) => {
                 write!(f, "refused — product was {}", human_bytes(bytes))
             }
+            Promotion::Refused(Refusal::Factored {
+                est_bytes,
+                halves_bytes,
+            }) => write!(
+                f,
+                "refused — est {} > {FACTOR_RATIO} × halves {}",
+                human_bytes(est_bytes),
+                human_bytes(halves_bytes)
+            ),
+            Promotion::Memoized => write!(f, "memoized row"),
             Promotion::Heating { run, of } if run < of => write!(f, "cold {run}/{of}"),
             Promotion::Heating { .. } => write!(f, "materializes now"),
         }
@@ -397,6 +418,26 @@ impl Residency {
     /// What the pass found for steps `lo..=hi`, `lo < hi`.
     pub(crate) fn get(&self, lo: usize, hi: usize) -> Option<Held> {
         self.held[lo * self.steps + hi]
+    }
+
+    /// Bytes of the sub-path `lo..hi` (`hi` exclusive) of `steps`, the path
+    /// this pass priced: a one-step sub-path's relation, a resident
+    /// product's size in this orientation, or else the planner's estimate,
+    /// priced against what this pass found resident within it.
+    pub(crate) fn bytes(&self, hin: &Hin, steps: &[PathStep], lo: usize, hi: usize) -> usize {
+        let rows = steps[lo].matrix(hin).nrows();
+        if hi - lo == 1 {
+            return steps[lo].matrix(hin).nbytes();
+        }
+        if let Some(held) = self.get(lo, hi - 1) {
+            return Csr::nbytes_of(rows, held.nnz);
+        }
+        let summaries: Vec<MatSummary> = steps[lo..hi]
+            .iter()
+            .map(|s| MatSummary::from(s.matrix(hin)))
+            .collect();
+        let chain = spmm_chain_order_priced(&summaries, |a, b| Some(self.get(lo + a, lo + b)?.nnz));
+        Csr::nbytes_of(rows, chain.est_nnz.ceil() as usize)
     }
 
     /// The nonzeros of steps `lo..=hi` as a link of an anchored row: the

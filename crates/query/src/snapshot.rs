@@ -6,7 +6,9 @@
 //! starts cold and re-pays every SpMM chain under live traffic. A
 //! [`CacheSnapshot`] is the deliberate state-out/state-in boundary that
 //! fixes this: an ordered export of `(canonical sub-path key, Csr)`
-//! entries, hottest first, that can be
+//! entries, hottest first, then the ranked rows of the row memo — what a
+//! factored span, never resident as a square, keeps of its hot reads — that
+//! can be
 //!
 //! * handed directly to a replacement engine in-process
 //!   ([`crate::Engine::restore`] — the failover hand-off), or
@@ -65,6 +67,8 @@
 //!                         bit 1 = directory entries carry per-entry
 //!                         checksums (both always set; an image with
 //!                         either bit clear is rejected as malformed)
+//!                         bit 2 = ranked-rows entries follow the
+//!                         matrices (set exactly when there are any)
 //!   [16..24)  fingerprint
 //!   [24..32)  count       number of entries
 //!   [32..40)  dir_off     byte offset of the directory (8-aligned)
@@ -74,7 +78,9 @@
 //!                         ([`Fnv64::update_word`]) over [0, heap_off),
 //!                         this word left out
 //! keys         at 64: per entry key_len u32 LE, then key_len ×
-//!              (relation id u64 LE, direction u8); zero-padded to dir_off
+//!              (relation id u64 LE, direction u8); zero-padded to dir_off.
+//!              key_len's bit 30 marks ranked PathSim rows, bit 31 ranked
+//!              count rows; the length is the bits below (≤ 4096)
 //! directory    count × 64-byte entries, 8 × u64 LE:
 //!   [0..48)   nrows, ncols, nnz, indptr_off, indices_off, data_off
 //!             (offsets absolute, 8-aligned; entries tile the heap in
@@ -108,6 +114,16 @@
 //! There is no whole-file checksum: it would make the CPU walk a mapped
 //! image once more than serving it needs.
 //!
+//! **Ranked rows.** A factored span's rows of one scoring are one more
+//! entry, laid out, sealed and checksummed as a matrix is, under the span's
+//! key with its marker: the matrix has the span's dimensions, and row `x`
+//! holds the best pairs (at most ten) a read of `x` ranked, sorted by id —
+//! a row that ranked nothing is left out, since an empty CSR row cannot say
+//! so. A mount refuses a longer row; a restore checks the dimensions
+//! against the schema as it does a span's, hashes the values before it
+//! reads a row, and re-sorts each row best first into the row memo. An
+//! image without rows is byte for byte what it was before rows existed.
+//!
 //! The fingerprint ([`dataset_fingerprint`]) digests the full dataset —
 //! type names, node counts, relation endpoints, and every relation's
 //! adjacency arrays — so a snapshot taken from dataset *A* refuses to
@@ -129,7 +145,8 @@ use hin_linalg::{ArenaBuf, ArenaEntry, Csr};
 
 pub use hin_linalg::codec::CodecError;
 
-use crate::cache::{MatrixCache, PathKey, Sealed, StepKey};
+use crate::cache::{MatrixCache, PathKey, RowKind, Sealed, StepKey};
+use crate::engine::DEFAULT_LIMIT;
 
 /// The snapshot container's magic bytes.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HSNP";
@@ -159,9 +176,32 @@ const FLAG_FINGERPRINT: u64 = 1;
 /// restore can serve payload words that nothing will ever check.
 const FLAG_ENTRY_CHECKSUMS: u64 = 2;
 
+/// Flags bit 2: the image carries ranked-rows entries (see
+/// [`ROWS_PATHSIM`]). Set exactly when it does, so an image without them
+/// is byte for byte what it was before they existed.
+const FLAG_RANKED_ROWS: u64 = 4;
+
 /// Longest admissible key, in steps. Real meta-paths are a handful of
 /// steps; the cap keeps a hostile `key_len` from driving allocation.
 const MAX_KEY_STEPS: u32 = 4096;
+
+/// A `key_len` marker bit: the entry is not a commuting matrix but a
+/// factored span's ranked PathSim rows — row `x` holds `x`'s best pairs
+/// (at most [`DEFAULT_LIMIT`]), sorted by id. The length is in the bits
+/// below the markers; [`MAX_KEY_STEPS`] leaves both markers free.
+const ROWS_PATHSIM: u32 = 1 << 30;
+
+/// A `key_len` marker bit: the entry is a factored span's ranked
+/// path-count rows, laid out as [`ROWS_PATHSIM`]'s.
+const ROWS_COUNT: u32 = 1 << 31;
+
+/// The `key_len` marker of a kind of ranked rows.
+fn marker(kind: RowKind) -> u32 {
+    match kind {
+        RowKind::PathSim => ROWS_PATHSIM,
+        RowKind::Count => ROWS_COUNT,
+    }
+}
 
 /// An ordered export of cache state: `(sub-path key, commuting matrix)`
 /// entries, hottest first by recency tick.
@@ -181,6 +221,10 @@ pub struct CacheSnapshot {
     /// has hashed it, an entry exported from a live cache carries the
     /// state it had there — so an in-process hand-off re-hashes nothing.
     entries: Vec<Sealed>,
+    /// Factored spans' ranked rows, each kind of a span one CSR matrix
+    /// whose row `x` holds `x`'s pairs sorted by id: what the row memo
+    /// held, in key order. Written after the matrices, into the image too.
+    rows: Vec<(RowKind, Sealed)>,
 }
 
 impl std::fmt::Debug for CacheSnapshot {
@@ -217,6 +261,12 @@ pub struct SnapshotImport {
     /// [`hin_linalg::arena::ZERO_COPY`] host reports
     /// `view_backed == loaded`: zero per-matrix heap decodes.
     pub view_backed: u64,
+    /// Ranked rows of factored spans taken into the row memo
+    /// ([`CacheSnapshot::ranked_rows`]). A ranked-rows entry that does not
+    /// fit the schema, or whose values do not match its checksum — they
+    /// are checked here, before any row is read — is counted in
+    /// `rejected` instead, and none of its rows is taken.
+    pub ranked_rows: u64,
 }
 
 /// Content fingerprint of a dataset: type names and node counts, relation
@@ -282,6 +332,22 @@ impl CacheSnapshot {
         self.fingerprint
     }
 
+    /// Ranked rows carried for factored spans, over both scorings: one per
+    /// anchor whose row a read ranked. Not entries: [`CacheSnapshot::len`],
+    /// [`CacheSnapshot::keys`] and [`CacheSnapshot::bytes`] count the
+    /// matrices.
+    pub fn ranked_rows(&self) -> usize {
+        let nonempty = |m: &Csr| (0..m.nrows()).filter(|&x| m.row_nnz(x) > 0).count();
+        self.rows.iter().map(|(_, e)| nonempty(&e.matrix)).sum()
+    }
+
+    /// Every directory entry in image order — the matrices, then the
+    /// ranked rows — with its `key_len` marker.
+    fn directory(&self) -> impl Iterator<Item = (u32, &Sealed)> {
+        let rows = self.rows.iter().map(|(kind, e)| (marker(*kind), e));
+        self.entries.iter().map(|e| (0, e)).chain(rows)
+    }
+
     /// Entries whose matrices are zero-copy views into a shared arena
     /// buffer (every entry of a mounted image on a zero-copy host; 0 for
     /// snapshots exported from a live cache of computed products).
@@ -308,23 +374,23 @@ impl CacheSnapshot {
     /// not know its own checksums yet.
     fn metadata(&self) -> Vec<u8> {
         let mut keys = Vec::new();
-        for e in &self.entries {
-            keys.extend_from_slice(&(e.key.len() as u32).to_le_bytes());
+        for (marker, e) in self.directory() {
+            keys.extend_from_slice(&(e.key.len() as u32 | marker).to_le_bytes());
             for &(rel, fwd) in &e.key {
                 keys.extend_from_slice(&(rel as u64).to_le_bytes());
                 keys.push(fwd as u8);
             }
         }
+        let count = self.entries.len() + self.rows.len();
         let dir_off = (HEADER + keys.len()).next_multiple_of(8);
-        let heap_off = dir_off + self.entries.len() * DIR_ENTRY;
+        let heap_off = dir_off + count * DIR_ENTRY;
 
         let mut meta = vec![0u8; heap_off];
         meta[HEADER..HEADER + keys.len()].copy_from_slice(&keys);
         // heap layout: per entry [indptr | data | indices(padded)]
         let mut at = heap_off;
-        for (e, dir) in self
-            .entries
-            .iter()
+        for ((_, e), dir) in self
+            .directory()
             .zip(meta[dir_off..].chunks_exact_mut(DIR_ENTRY))
         {
             let m = &e.matrix;
@@ -349,10 +415,14 @@ impl CacheSnapshot {
 
         meta[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
         meta[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        let ranked = match self.rows.is_empty() {
+            true => 0,
+            false => FLAG_RANKED_ROWS,
+        };
         for (slot, v) in meta[8..SEAL_AT].chunks_exact_mut(8).zip([
-            FLAG_FINGERPRINT | FLAG_ENTRY_CHECKSUMS,
+            FLAG_FINGERPRINT | FLAG_ENTRY_CHECKSUMS | ranked,
             self.fingerprint,
-            self.entries.len() as u64,
+            count as u64,
             dir_off as u64,
             heap_off as u64,
             at as u64,
@@ -376,7 +446,7 @@ impl CacheSnapshot {
     /// `meta`, then the heap it describes.
     fn stream<W: Write>(&self, meta: &[u8], w: &mut W) -> Result<(), CodecError> {
         w.write_all(meta)?;
-        for e in &self.entries {
+        for (_, e) in self.directory() {
             e.matrix.write_arena_payload(w)?;
         }
         Ok(())
@@ -521,7 +591,7 @@ fn parse(buf: &Arc<ArenaBuf>) -> Result<CacheSnapshot, CodecError> {
     }
 
     let flags = u64_at(8);
-    if flags & !(FLAG_FINGERPRINT | FLAG_ENTRY_CHECKSUMS) != 0 {
+    if flags & !(FLAG_FINGERPRINT | FLAG_ENTRY_CHECKSUMS | FLAG_RANKED_ROWS) != 0 {
         return Err(CodecError::Malformed(format!(
             "flags {flags:#x} set unknown bits"
         )));
@@ -552,13 +622,29 @@ fn parse(buf: &Arc<ArenaBuf>) -> Result<CacheSnapshot, CodecError> {
 
     // Keys live between the superheader and the directory.
     let mut at = HEADER;
-    let mut keys: Vec<PathKey> = Vec::with_capacity(count);
+    let mut keys: Vec<(Option<RowKind>, PathKey)> = Vec::with_capacity(count);
     for _ in 0..count {
         if at + 4 > dir_off {
             return Err(CodecError::Truncated);
         }
-        let key_len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+        let word = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
         at += 4;
+        let kind = match word & (ROWS_PATHSIM | ROWS_COUNT) {
+            0 => None,
+            ROWS_PATHSIM => Some(RowKind::PathSim),
+            ROWS_COUNT => Some(RowKind::Count),
+            both => {
+                return Err(CodecError::Malformed(format!(
+                    "key marker {both:#x} names no kind of entry"
+                )))
+            }
+        };
+        if kind.is_some() && flags & FLAG_RANKED_ROWS == 0 {
+            return Err(CodecError::Malformed(
+                "a ranked-rows entry in an image not flagged to carry one".into(),
+            ));
+        }
+        let key_len = word & !(ROWS_PATHSIM | ROWS_COUNT);
         if key_len == 0 || key_len > MAX_KEY_STEPS {
             return Err(CodecError::Malformed(format!(
                 "snapshot key length {key_len} outside 1..={MAX_KEY_STEPS}"
@@ -586,13 +672,19 @@ fn parse(buf: &Arc<ArenaBuf>) -> Result<CacheSnapshot, CodecError> {
             key.push((rel, fwd));
             at += 9;
         }
-        keys.push(key);
+        keys.push((kind, key));
+    }
+    let carries_rows = keys.iter().any(|(kind, _)| kind.is_some());
+    if flags & FLAG_RANKED_ROWS != 0 && !carries_rows {
+        return Err(CodecError::Malformed(
+            "image flagged to carry ranked rows carries none".into(),
+        ));
     }
 
-    let mut entries = Vec::with_capacity(count);
+    let (mut entries, mut rows) = (Vec::with_capacity(count), Vec::new());
     // where the next entry's arrays must start: entries tile the heap
     let mut cursor = heap_off;
-    for (i, key) in keys.into_iter().enumerate() {
+    for (i, (kind, key)) in keys.into_iter().enumerate() {
         let d = dir_off + i * DIR_ENTRY;
         let entry = ArenaEntry {
             nrows: usize_at(d, "nrows")?,
@@ -635,12 +727,25 @@ fn parse(buf: &Arc<ArenaBuf>) -> Result<CacheSnapshot, CodecError> {
                 computed: structure,
             });
         }
-        entries.push(Sealed {
+        let sealed = Sealed {
             key,
             matrix: Arc::new(matrix),
             checksum: Arc::new(both_halves(structure, u64_at(d + 56)).into()),
             verified: false,
-        });
+        };
+        match kind {
+            None => entries.push(sealed),
+            Some(kind) => {
+                let m = &sealed.matrix;
+                if let Some(x) = (0..m.nrows()).find(|&x| m.row_nnz(x) > DEFAULT_LIMIT) {
+                    return Err(CodecError::Malformed(format!(
+                        "directory entry {i}: ranked row {x} holds {} pairs, over {DEFAULT_LIMIT}",
+                        m.row_nnz(x)
+                    )));
+                }
+                rows.push((kind, sealed));
+            }
+        }
     }
     if cursor != file_len {
         return Err(CodecError::Malformed(format!(
@@ -650,6 +755,7 @@ fn parse(buf: &Arc<ArenaBuf>) -> Result<CacheSnapshot, CodecError> {
     Ok(CacheSnapshot {
         fingerprint: u64_at(16),
         entries,
+        rows,
     })
 }
 
@@ -737,34 +843,57 @@ fn expected_dims(hin: &Hin, key: &[StepKey]) -> Option<(usize, usize)> {
 }
 
 impl MatrixCache {
-    /// Export resident entries hottest-first by recency tick, stopping at
-    /// `budget_bytes` of matrix payload (`None` = everything), stamped with
-    /// `fingerprint`, the [`dataset_fingerprint`] of the network they were
-    /// computed from. Takes the same shard read locks the serving path
-    /// takes, one at a time — a live server can be snapshotted without
-    /// stalling its workers.
+    /// Export resident entries hottest-first by recency tick, then the row
+    /// memo's ranked rows as one matrix per span and kind, sized by `hin`'s
+    /// schema, stopping at `budget_bytes` of payload (`None` =
+    /// everything), stamped with `fingerprint`, the [`dataset_fingerprint`]
+    /// of `hin`. Takes the same shard read locks the serving path takes,
+    /// one at a time — a live server can be snapshotted without stalling
+    /// its workers.
     ///
     /// The walk stops at the first entry that would exceed the budget
     /// (rather than skipping ahead to smaller, colder entries), so the
-    /// exported prefix is exactly the hottest slice of the cache.
+    /// exported prefix is exactly the hottest slice of the cache, and rows
+    /// go only where every matrix went.
     pub(crate) fn export_snapshot(
         &self,
         budget_bytes: Option<usize>,
         fingerprint: u64,
+        hin: &Hin,
     ) -> CacheSnapshot {
         let mut entries = self.entries_by_recency();
+        let mut rows: Vec<(RowKind, Sealed)> = self
+            .memo_triplets()
+            .into_iter()
+            .filter_map(|(key, kind, triplets)| {
+                let (nrows, ncols) = expected_dims(hin, &key)?;
+                let sealed = Sealed {
+                    key,
+                    matrix: Arc::new(Csr::from_triplets(nrows, ncols, triplets)),
+                    checksum: Arc::default(),
+                    verified: true,
+                };
+                Some((kind, sealed))
+            })
+            .collect();
         if let Some(budget) = budget_bytes {
             let mut total = 0usize;
-            let within = entries.iter().take_while(|e| {
+            let mut within = |e: &Sealed| {
                 total += e.matrix.nbytes();
                 total <= budget
-            });
-            let kept = within.count();
+            };
+            let kept = entries.iter().take_while(|e| within(e)).count();
+            let kept_rows = match kept == entries.len() {
+                true => rows.iter().take_while(|(_, e)| within(e)).count(),
+                false => 0,
+            };
             entries.truncate(kept);
+            rows.truncate(kept_rows);
         }
         CacheSnapshot {
             fingerprint,
             entries,
+            rows,
         }
     }
 
@@ -781,7 +910,9 @@ impl MatrixCache {
     ///
     /// Entries are inserted coldest-first so the snapshot's hottest
     /// entries carry the newest recency ticks — a bounded cache keeps the
-    /// hot prefix and sheds the cold tail, matching export order.
+    /// hot prefix and sheds the cold tail, matching export order. Ranked
+    /// rows go into the row memo ([`MatrixCache::memo_admit`]) once their
+    /// values have matched their checksum.
     /// Outcomes land in the
     /// [`warm_loaded`](crate::CacheStats::warm_loaded) /
     /// [`warm_rejected`](crate::CacheStats::warm_rejected) counters and the
@@ -794,15 +925,18 @@ impl MatrixCache {
     ) -> SnapshotImport {
         let mut report = SnapshotImport::default();
         if snapshot.fingerprint != fingerprint {
-            report.rejected = snapshot.len() as u64;
+            report.rejected = (snapshot.len() + snapshot.rows.len()) as u64;
             report.fingerprint_mismatch = true;
             self.note_warm(0, report.rejected, 0);
             return report;
         }
-        for sealed in snapshot.entries.iter().rev() {
-            let fits = expected_dims(hin, &sealed.key).is_some_and(|(rows, cols)| {
+        let fits = |sealed: &Sealed| {
+            expected_dims(hin, &sealed.key).is_some_and(|(rows, cols)| {
                 sealed.matrix.nrows() == rows && sealed.matrix.ncols() == cols
-            });
+            })
+        };
+        for sealed in snapshot.entries.iter().rev() {
+            let fits = fits(sealed);
             // The entry keeps what the snapshot knows about its checksum:
             // one mounted from an image stays pending until this cache has
             // verified it. An entry larger than a shard slice is refused by
@@ -814,6 +948,17 @@ impl MatrixCache {
                 report.rejected += 1;
             }
         }
+        for (kind, sealed) in &snapshot.rows {
+            let intact = sealed.verified
+                || sealed
+                    .checksum
+                    .get()
+                    .is_some_and(|&stored| values_checksum(&sealed.matrix) == values_half(stored));
+            match fits(sealed) && intact {
+                true => report.ranked_rows += self.memo_admit(&sealed.key, *kind, &sealed.matrix),
+                false => report.rejected += 1,
+            }
+        }
         self.note_warm(report.loaded, report.rejected, report.view_backed);
         report
     }
@@ -822,7 +967,7 @@ impl MatrixCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheConfig;
+    use crate::cache::{CacheConfig, Scoring};
     use hin_core::HinBuilder;
 
     /// papers p0{a0,a1}@v0, p1{a1}@v0, p2{a2}@v1 — the metapath fixture.
@@ -863,7 +1008,7 @@ mod tests {
 
     /// `cache`'s whole export, stamped as computed from `hin`.
     fn export(cache: &MatrixCache, hin: &Hin) -> CacheSnapshot {
-        cache.export_snapshot(None, dataset_fingerprint(hin))
+        cache.export_snapshot(None, dataset_fingerprint(hin), hin)
     }
 
     /// Restore `snap` into `cache` as a cache of `hin`.
@@ -960,12 +1105,12 @@ mod tests {
             "hottest entry exported first"
         );
 
-        let budgeted = cache.export_snapshot(Some(per_entry), dataset_fingerprint(&hin));
+        let budgeted = cache.export_snapshot(Some(per_entry), dataset_fingerprint(&hin), &hin);
         assert_eq!(budgeted.len(), 1, "budget admits exactly one entry");
         assert_eq!(budgeted.keys()[0], vec![(0, true)]);
 
         assert!(cache
-            .export_snapshot(Some(0), dataset_fingerprint(&hin))
+            .export_snapshot(Some(0), dataset_fingerprint(&hin), &hin)
             .is_empty());
     }
 
@@ -1166,6 +1311,161 @@ mod tests {
         assert!(heap_off < bytes.len());
     }
 
+    /// [`two_span_snapshot`] plus a factored span's ranked rows of both
+    /// kinds, taken through a row memo: paper→venue→paper (3 × 3), PathSim
+    /// rows for papers 0 and 1, count rows for paper 2.
+    fn snapshot_with_rows(hin: &Hin) -> CacheSnapshot {
+        let cache = MatrixCache::default();
+        cache.put(vec![(0, true)], pa_matrix(hin));
+        cache.put(vec![(1, true)], pv_matrix(hin));
+        let key: PathKey = vec![(1, true), (1, false)];
+        let pathsim = Csr::from_triplets(3, 3, [(0, 1, 1.0), (0, 2, 0.5), (1, 0, 1.0)]);
+        let counts = Csr::from_triplets(3, 3, [(2, 2, 1.0)]);
+        assert_eq!(cache.memo_admit(&key, RowKind::PathSim, &pathsim), 2);
+        assert_eq!(cache.memo_admit(&key, RowKind::Count, &counts), 1);
+        export(&cache, hin)
+    }
+
+    #[test]
+    fn ranked_rows_round_trip_through_every_entry_point() {
+        let hin = bib();
+        let snap = snapshot_with_rows(&hin);
+        assert_eq!((snap.len(), snap.ranked_rows()), (2, 3));
+        let image = snap.to_bytes();
+        assert_eq!(u64::from_le_bytes(image[8..16].try_into().unwrap()), 7);
+        // the matrices' part of the image is what it would be without rows
+        let plain = two_span_snapshot(&hin).to_bytes();
+        assert_eq!(u64::from_le_bytes(plain[8..16].try_into().unwrap()), 3);
+        let dir = scratch_dir("rows");
+        for (entry, result) in every_entry_point(&dir, &image) {
+            let back = result.unwrap_or_else(|e| panic!("{entry}: {e}"));
+            assert_eq!(back.keys(), snap.keys(), "{entry}");
+            assert_eq!(back.ranked_rows(), 3, "{entry}");
+            let cache = MatrixCache::default();
+            let report = import(&cache, &back, &hin);
+            assert_eq!(
+                (report.loaded, report.ranked_rows, report.rejected),
+                (2, 3, 0)
+            );
+            // rows come back best first, whatever order the image held
+            let row = cache.memo_row(&[(1, true), (1, false)], Scoring::PathSim(0), 10);
+            assert_eq!(row, Some(vec![(1, 1.0), (2, 0.5)]), "{entry}");
+            let row = cache.memo_row(&[(1, true), (1, false)], Scoring::Count(2), 1);
+            assert_eq!(row, Some(vec![(2, 1.0)]), "{entry}");
+            assert_eq!(cache.stats().memo_rows, 3);
+            // and out again, byte for byte
+            assert_eq!(export(&cache, &hin).to_bytes(), image, "{entry}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hostile_ranked_rows_entries_are_rejected() {
+        let hin = bib();
+        let image = snapshot_with_rows(&hin).to_bytes();
+        let (dir_off, heap_off) = layout(&image);
+        let dir = scratch_dir("hostile-rows");
+        let refused = |image: &[u8], what: &str| {
+            for (entry, result) in every_entry_point(&dir, image) {
+                assert!(
+                    matches!(
+                        result,
+                        Err(CodecError::Malformed(_) | CodecError::ChecksumMismatch { .. })
+                    ),
+                    "{what} via {entry}: {:?}",
+                    result.map(|s| s.len())
+                );
+            }
+        };
+        // the key words of the four entries: two matrices, then two of rows
+        let mut key_at = vec![HEADER];
+        for _ in 0..3 {
+            let at = *key_at.last().unwrap();
+            let word = u32::from_le_bytes(image[at..at + 4].try_into().unwrap());
+            key_at.push(at + 4 + (word & !(ROWS_PATHSIM | ROWS_COUNT)) as usize * 9);
+        }
+        let word = |image: &[u8], i: usize| {
+            u32::from_le_bytes(image[key_at[i]..key_at[i] + 4].try_into().unwrap())
+        };
+        assert_eq!(word(&image, 2), 2 | ROWS_PATHSIM);
+        assert_eq!(word(&image, 3), 2 | ROWS_COUNT);
+
+        // a marker in an image whose flag bit 2 is clear
+        let mut hostile = image.clone();
+        hostile[8] &= !(FLAG_RANKED_ROWS as u8);
+        reseal(&mut hostile);
+        refused(&hostile, "marker without the flag");
+        // the flag on an image that carries no rows
+        let mut hostile = two_span_snapshot(&hin).to_bytes();
+        hostile[8] |= FLAG_RANKED_ROWS as u8;
+        reseal(&mut hostile);
+        refused(&hostile, "flag without rows");
+        // a marker that names no kind of entry: both bits, or a matrix key
+        // with a stray high bit
+        for (i, marker) in [(2, ROWS_PATHSIM | ROWS_COUNT), (0, 1 << 29)] {
+            let mut hostile = image.clone();
+            let was = word(&hostile, i);
+            hostile[key_at[i]..key_at[i] + 4].copy_from_slice(&(was | marker).to_le_bytes());
+            reseal(&mut hostile);
+            refused(&hostile, &format!("marker {marker:#x} on entry {i}"));
+        }
+        // every byte of a rows entry: its key and directory under the seal,
+        // its row offsets and ids under its structure checksum
+        for i in 2..4 {
+            let (indptr_off, data_off, indices_off, nnz) = heap_regions(&image, i);
+            let padded_end = (indices_off + nnz * 4).next_multiple_of(8);
+            let directory = dir_off + i * DIR_ENTRY..dir_off + (i + 1) * DIR_ENTRY;
+            let key = key_at[i]..key_at[i] + 4 + 2 * 9;
+            let structure = (indptr_off..data_off).chain(indices_off..padded_end);
+            for pos in key.chain(directory).chain(structure) {
+                let mut flipped = image.clone();
+                flipped[pos] ^= 1 << (pos % 8);
+                refused(&flipped, &format!("entry {i} byte {pos} flipped"));
+            }
+            // a flipped value mounts, and restore turns the whole entry away
+            // before any of its rows is read
+            for pos in (data_off..data_off + nnz * 8).step_by(8) {
+                let mut flipped = image.clone();
+                flipped[pos] ^= 0x01;
+                for (entry, result) in every_entry_point(&dir, &flipped) {
+                    let mounted = result.unwrap_or_else(|e| panic!("{entry}: {e}"));
+                    let cache = MatrixCache::default();
+                    let report = import(&cache, &mounted, &hin);
+                    let kept = [2, 1][i - 2];
+                    assert_eq!(report.rejected, 1, "entry {i} byte {pos} via {entry}");
+                    assert_eq!(report.ranked_rows, 3 - kept, "entry {i} via {entry}");
+                    assert_eq!(cache.stats().memo_rows, 3 - kept as usize);
+                }
+            }
+        }
+        assert!(heap_off < image.len());
+
+        // wrong dimensions for the span: mounts (a mount knows no schema),
+        // and restore rejects it
+        let mut snap = snapshot_with_rows(&hin);
+        let wide = Csr::from_triplets(3, 2, [(0, 1, 1.0)]);
+        snap.rows[0].1 = Sealed {
+            matrix: Arc::new(wide),
+            checksum: Arc::default(),
+            ..snap.rows[0].1.clone()
+        };
+        for (entry, result) in every_entry_point(&dir, &snap.to_bytes()) {
+            let mounted = result.unwrap_or_else(|e| panic!("{entry}: {e}"));
+            let report = import(&MatrixCache::default(), &mounted, &hin);
+            assert_eq!((report.rejected, report.ranked_rows), (1, 1), "{entry}");
+        }
+        // a row longer than any ranked row: refused at mount
+        let mut snap = snapshot_with_rows(&hin);
+        let long = Csr::from_triplets(1, 12, (0..=DEFAULT_LIMIT as u32).map(|y| (0, y, 1.0)));
+        snap.rows[1].1 = Sealed {
+            matrix: Arc::new(long),
+            checksum: Arc::default(),
+            ..snap.rows[1].1.clone()
+        };
+        refused(&snap.to_bytes(), "a row of eleven pairs");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn file_round_trip_takes_the_one_read_arena_path() {
         // the name is the floor's; the path is one *map* now
@@ -1266,7 +1566,8 @@ mod tests {
                 loaded: 1,
                 rejected: 3,
                 fingerprint_mismatch: false,
-                view_backed: 0
+                view_backed: 0,
+                ranked_rows: 0
             }
         );
         assert_eq!(cache.stats().warm_loaded, 1);
@@ -1321,7 +1622,7 @@ mod tests {
 
         let cache = MatrixCache::default();
         cache.put(vec![(0, true)], pa_matrix(&hin));
-        let snap = cache.export_snapshot(None, fp);
+        let snap = cache.export_snapshot(None, fp, &hin);
 
         // the fingerprint survives the container round trip
         let mut bytes = Vec::new();
@@ -1337,7 +1638,7 @@ mod tests {
 
         // mismatched fingerprint: wholesale rejection, nothing admitted —
         // even though every entry would pass per-entry dim validation
-        let stale = cache.export_snapshot(None, fp ^ 1);
+        let stale = cache.export_snapshot(None, fp ^ 1, &hin);
         let dst = MatrixCache::default();
         let bad = import(&dst, &stale, &hin);
         assert!(bad.fingerprint_mismatch);
@@ -1408,7 +1709,7 @@ mod tests {
         let cache = MatrixCache::default();
         cache.put(vec![(0, true)], pa_matrix(&hin));
         cache.put(vec![(1, true), (1, false)], pa_matrix(&hin));
-        let snap = cache.export_snapshot(None, fp);
+        let snap = cache.export_snapshot(None, fp, &hin);
         let image = snap.to_bytes();
         let mut digest = Fnv64::new();
         digest.update(&image);

@@ -222,7 +222,9 @@ fn crossing_halves(plan: &QueryPlan) -> usize {
 }
 
 /// An unbounded engine under `promote_after(0)`: every anchored run
-/// materializes its span, so every answer is read off the full product.
+/// materializes its span, so every answer is read off the full product —
+/// unless the promotion rule factors the span (a symmetric square more
+/// than eight times its halves), whose rows are read through the halves.
 fn materializing(hin: &Arc<Hin>) -> Engine {
     Engine::with_config(
         Arc::clone(hin),
@@ -270,6 +272,17 @@ fn explain_is_what_runs(engine: &Engine, reference: &Engine, queries: &[String])
             crossing as u64,
             "{context}"
         );
+        // a memo hit is forecast, and it is the one thing such a run counts
+        let memoized = plan.promotion == Some(Promotion::Memoized);
+        assert_eq!(
+            after.memo_hits - before.memo_hits,
+            u64::from(memoized),
+            "{context}"
+        );
+        if memoized {
+            assert_eq!(after.anchored_fast_paths, before.anchored_fast_paths);
+            assert_eq!(after.cache.misses, before.cache.misses, "{context}");
+        }
 
         // the next EXPLAIN counts one run more, or starts again after a
         // crossing: the product is resident, refused, or evicted already
@@ -688,6 +701,50 @@ fn racing_threads_compute_each_half_once() {
     }
 }
 
+/// `EXPLAIN` is what runs on an unbounded engine where the promotion rule
+/// factors A-P-V-P-A, whose square is far larger than its halves (see
+/// [`explain_is_what_runs`]): a row's first read is refused, heats the
+/// halves and stores the row in the row memo, and every later read of the
+/// row is a memo hit, forecast as one. The answers are those of an engine
+/// whose square was made resident by hand.
+#[test]
+fn explain_is_what_runs_where_the_rule_factors() {
+    let span = "author-paper-venue-paper-author";
+    for grouped in [false, true] {
+        let hin = venue_world(grouped);
+        let reference = Engine::from_arc(Arc::clone(&hin));
+        let path = span.split('-').collect::<Vec<_>>();
+        let path = hin_similarity::MetaPath::from_type_names(&hin, &path).unwrap();
+        reference.commuting_matrix(&path).unwrap();
+        let engine = Engine::from_arc(Arc::clone(&hin));
+        let plan = engine.plan(&format!("pathsim {span} from a0")).unwrap();
+        assert!(
+            matches!(
+                plan.promotion,
+                Some(Promotion::Refused(Refusal::Factored { .. }))
+            ),
+            "grouped {grouped}: {plan}"
+        );
+        let queries: Vec<String> = (0..240)
+            .flat_map(|a| {
+                [
+                    format!("pathsim {span} from a{a}"),
+                    format!("topk 3 {span} from a{a}"),
+                    format!("pathcount {span} from a{a}"),
+                ]
+            })
+            .collect();
+        explain_is_what_runs(&engine, &reference, &queries);
+        explain_is_what_runs(&engine, &reference, &queries);
+        let stats = engine.stats();
+        assert_eq!(stats.promotions, 0, "grouped {grouped}");
+        assert_eq!(stats.promotions_refused, 480, "grouped {grouped}");
+        assert_eq!(stats.memo_hits, 960, "grouped {grouped}");
+        assert_eq!(stats.factor_promotions, 2, "grouped {grouped}");
+        assert_eq!(stats.cache.len, 2, "grouped {grouped}: the halves alone");
+    }
+}
+
 /// 240 authors, three papers each as first author, four venues. Spread:
 /// each paper has a second author far off in the numbering, and an
 /// author's three first-author papers go to three venues, so every author
@@ -744,6 +801,11 @@ fn a_symmetric_row_reads_both_halves_from_their_own_slices() {
             .execute("pathcount venue-paper-author from v0")
             .unwrap();
         let ht = reference.stats().cache.bytes - h;
+        // the promotion rule factors this span, so its square is made
+        // resident by hand: the answers of record are read off it
+        let path = span.split('-').collect::<Vec<_>>();
+        let path = hin_similarity::MetaPath::from_type_names(&hin, &path).unwrap();
+        reference.commuting_matrix(&path).unwrap();
         let cold = Engine::from_arc(Arc::clone(&hin));
         let (est_h, est_ht) = (
             est_bytes(&cold, "author-paper-venue", "a0"),

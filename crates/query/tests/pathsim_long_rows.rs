@@ -4,8 +4,9 @@
 //! DBLP-shaped network gives A-P-V-P-A rows of hundreds of entries, and
 //! every author is asked `pathsim … limit L` and `topk L …` at L ∈ {1, 10,
 //! 100}:
-//! - a resident engine (the span materialized, PathSim read off its row and
-//!   diagonal) answers exactly as the definition does, names and score bits;
+//! - a resident engine (the square made resident with
+//!   `Engine::commuting_matrix`, PathSim read off its row and diagonal)
+//!   answers exactly as the definition does, names and score bits;
 //! - a lazy engine (rows propagated per anchor, normalizers from half-path
 //!   rows) answers exactly as the resident one. Path counts are integers,
 //!   so both are the same division of the same integers, the tolerance the
@@ -74,12 +75,15 @@ fn long_rows_answer_by_definition_resident_and_lazy() {
         "rows in the hundreds, got at most {longest}"
     );
 
-    // the first run materializes the span: every row is a resident read
+    // every row is a resident read: the square is made resident up front,
+    // since A-P-V-P-A is a span the promotion rule factors (its square is
+    // far larger than its halves), so no read would promote it
     let resident = Engine::with_config(
         Arc::clone(&hin),
         CacheConfig::default(),
         ExecPolicy::promote_after(0),
     );
+    resident.commuting_matrix(&path).unwrap();
     // promotion pushed out of reach: every cold multi-step anchored query
     // stays on the lazy path
     let lazy = Engine::with_config(

@@ -358,12 +358,15 @@ impl RouterStats {
                 &ds,
                 s.normalizer_memo_hits,
             );
+            w.counter("hin_memo_hits_total", &ds, s.memo_hits);
             w.counter("hin_slow_queries_total", &ds, s.slow_queries);
             w.gauge("hin_max_batch", &ds, s.max_batch as f64);
             w.gauge("hin_workers", &ds, s.workers as f64);
             w.gauge("hin_queue_depth", &ds, s.queue_depth as f64);
             w.gauge("hin_cache_len", &ds, s.cache_len as f64);
             w.gauge("hin_cache_bytes", &ds, s.cache_bytes as f64);
+            w.gauge("hin_cache_memo_rows", &ds, s.cache_memo_rows as f64);
+            w.gauge("hin_cache_memo_bytes", &ds, s.cache_memo_bytes as f64);
             for &(lane, depth) in &s.lane_depths {
                 let lane = lane.to_string();
                 w.gauge(

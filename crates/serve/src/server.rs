@@ -562,6 +562,13 @@ pub struct ServerStats {
     pub cache_len: usize,
     /// Cache: resident bytes.
     pub cache_bytes: usize,
+    /// Anchored reads of factored spans answered from the row memo, with
+    /// nothing planned or propagated.
+    pub memo_hits: u64,
+    /// Cache: ranked rows the row memo holds for factored spans (a gauge).
+    pub cache_memo_rows: usize,
+    /// Cache: heap bytes of those rows (a gauge), not in `cache_bytes`.
+    pub cache_memo_bytes: usize,
     /// Stage latency (ns): `submit` call to admission decision. Empty when
     /// telemetry is disabled, like every histogram below.
     pub admission_ns: HistSnapshot,
@@ -631,6 +638,9 @@ impl ServerStats {
             normalizer_memo_hits: self.normalizer_memo_hits + other.normalizer_memo_hits,
             cache_len: self.cache_len + other.cache_len,
             cache_bytes: self.cache_bytes + other.cache_bytes,
+            memo_hits: self.memo_hits + other.memo_hits,
+            cache_memo_rows: self.cache_memo_rows + other.cache_memo_rows,
+            cache_memo_bytes: self.cache_memo_bytes + other.cache_memo_bytes,
             admission_ns: self.admission_ns.merge(&other.admission_ns),
             queue_wait_ns: self.queue_wait_ns.merge(&other.queue_wait_ns),
             dispatch_ns: self.dispatch_ns.merge(&other.dispatch_ns),
@@ -1172,6 +1182,9 @@ impl Server {
             normalizer_memo_hits: engine.normalizer_memo_hits,
             cache_len: cache.len,
             cache_bytes: cache.bytes,
+            memo_hits: engine.memo_hits,
+            cache_memo_rows: cache.memo_rows,
+            cache_memo_bytes: cache.memo_bytes,
             ..ServerStats::default()
         };
         if let Some(tel) = &self.shared.telemetry {
@@ -1857,6 +1870,17 @@ pub(crate) mod tests {
             ),
             ("cache_len", s.cache_len as u64, c.len as u64),
             ("cache_bytes", s.cache_bytes as u64, c.bytes as u64),
+            ("memo_hits", s.memo_hits, e.memo_hits),
+            (
+                "cache_memo_rows",
+                s.cache_memo_rows as u64,
+                c.memo_rows as u64,
+            ),
+            (
+                "cache_memo_bytes",
+                s.cache_memo_bytes as u64,
+                c.memo_bytes as u64,
+            ),
             ("worker_wakes", s.worker_wakes, server.shared.queue.wakes()),
         ];
         pairs
@@ -1952,12 +1976,17 @@ pub(crate) mod tests {
         let at_end = assert_copied(&server);
         // one worker never races another for a span, the image was not
         // damaged, its one entry is verified by now, and no computation
-        // bypasses the in-flight table
+        // bypasses the in-flight table; and no span of this three-author
+        // network has a square eight times its halves, so none is factored
+        // and nothing reaches the row memo (`hin_query`'s tests fill it)
         let unreached = [
             "cache_coalesced_waits",
             "cache_restore_corrupt",
             "cache_restore_pending",
             "cache_dup_computes",
+            "memo_hits",
+            "cache_memo_rows",
+            "cache_memo_bytes",
         ];
         for (name, value) in at_end {
             if !unreached.contains(&name) {

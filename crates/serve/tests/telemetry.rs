@@ -46,6 +46,8 @@ fn slow_query_log_captures_plan_and_stage_breakdown() {
     // Under promote_after(0) the first anchored query pays the whole SpMM
     // chain — artificially slow relative to a 200 µs threshold (the cold
     // chain takes ≥ half a millisecond even in release on this dataset).
+    // The span is not symmetric, so it promotes: a symmetric one as large
+    // (A-P-V-P-A) is factored and read through its halves, never whole.
     let server = Server::start(
         world(800),
         ServeConfig {
@@ -59,7 +61,7 @@ fn slow_query_log_captures_plan_and_stage_breakdown() {
             ..ServeConfig::default()
         },
     );
-    let heavy = "pathsim author-paper-venue-paper-author from author_a0_0";
+    let heavy = "pathcount author-paper-venue-paper-term from author_a0_0";
     server.submit(heavy).wait().expect("cold heavy query");
     // warm repeat: same query, now a pure cache hit, far under threshold
     server.submit(heavy).wait().expect("warm repeat");
@@ -265,6 +267,9 @@ fn every_field(side: u64) -> ServerStats {
         waiter_runs: v(33),
         factor_promotions: v(34),
         worker_wakes: v(35),
+        memo_hits: v(36),
+        cache_memo_rows: v(37) as usize,
+        cache_memo_bytes: v(38) as usize,
     }
 }
 
@@ -310,6 +315,9 @@ fn merge_combines_every_field_by_its_own_rule() {
         waiter_runs,
         factor_promotions,
         worker_wakes,
+        memo_hits,
+        cache_memo_rows,
+        cache_memo_bytes,
     );
     assert_eq!(m.max_batch, b.max_batch, "max_batch takes the max");
     assert_eq!(b.merge(&a).max_batch, b.max_batch, "whichever side has it");
@@ -433,6 +441,9 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         waiter_runs: 132,
         factor_promotions: 133,
         worker_wakes: 134,
+        memo_hits: 135,
+        cache_memo_rows: 136,
+        cache_memo_bytes: 137,
         admission_ns: snap(&[1_000]),
         queue_wait_ns: snap(&[2_000, 2_000]),
         dispatch_ns: snap(&[3_000, 3_000, 3_000]),
@@ -491,6 +502,7 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         ("hin_waiter_runs_total", 132),
         ("hin_factor_promotions_total", 133),
         ("hin_worker_wakes_total", 134),
+        ("hin_memo_hits_total", 135),
     ] {
         assert!(
             page.contains(&format!("{name}{{dataset=\"db\"}} {value}\n")),
@@ -504,6 +516,8 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         ("hin_cache_len", 119),
         ("hin_cache_bytes", 120),
         ("hin_cache_restore_pending", 128),
+        ("hin_cache_memo_rows", 136),
+        ("hin_cache_memo_bytes", 137),
     ] {
         assert!(
             page.contains(&format!("{name}{{dataset=\"db\"}} {value}\n")),
