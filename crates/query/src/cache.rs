@@ -351,12 +351,12 @@ pub(crate) struct Sealed {
     /// `entry_checksum(matrix)`, both halves: the structure checksum and
     /// the values checksum. Read from the directory when the matrix came
     /// out of an image — the structure half already proved by the mount,
-    /// the values half still to be — and computed by the first export
-    /// otherwise, for every later one too: the cell is shared with the
-    /// cache's own entry.
+    /// the values half proved by the import ([`MatrixCache::proven`]) — and
+    /// computed by the first export otherwise, for every later one too: the
+    /// cell is shared with the cache's own entry.
     pub(crate) checksum: Arc<OnceLock<EntryChecksum>>,
     /// `false` while the values have yet to be held against a `checksum`
-    /// that came out of an image.
+    /// that came out of an image: `true` for everything a cache holds.
     pub(crate) verified: bool,
 }
 
@@ -370,12 +370,6 @@ struct Entry {
     /// `entry_checksum(value)` — a property of the immutable matrix, so
     /// remembered beside it like the diagonal: see [`Sealed::checksum`].
     checksum: Arc<OnceLock<EntryChecksum>>,
-    /// Do `value`'s values match `checksum`? Set at insert for a product
-    /// computed here or verified elsewhere; empty while a restored entry is
-    /// *pending*. Whoever touches a pending entry first hashes its values,
-    /// once; every other first toucher waits on this cell instead of
-    /// hashing too.
-    intact: OnceLock<bool>,
     /// What the reads of `value` derived from it, born empty with the entry
     /// and dropped with it, so it can never outlive or mismatch `value`.
     sidecar: Arc<Sidecar>,
@@ -551,15 +545,16 @@ struct Counters {
     warm_loaded: AtomicU64,
     warm_rejected: AtomicU64,
     warm_view_backed: AtomicU64,
-    lazy_verified: AtomicU64,
-    lazy_verify_failures: AtomicU64,
+    restore_verified: AtomicU64,
+    restore_corrupt: AtomicU64,
     diagonal_builds: AtomicU64,
     ranked_builds: AtomicU64,
 }
 
 /// What a [`MatrixCache`] has done and holds, read as one value by
 /// [`MatrixCache::stats`]. The counters count from the cache's creation;
-/// the gauges (`len`, `bytes`, `lazy_pending`) describe one moment.
+/// the gauges (`len`, `bytes`, `memo_rows`, `memo_bytes`) describe one
+/// moment.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CacheStats {
     /// Number of stored matrices, across all shards.
@@ -604,26 +599,26 @@ pub struct CacheStats {
     /// priced through the ordinary LRU, so it may still be evicted later.
     pub warm_loaded: u64,
     /// Snapshot entries rejected at import time because their key or
-    /// matrix dimensions did not match the dataset schema, or because the
-    /// matrix is larger than one shard's slice of the budget.
+    /// matrix dimensions did not match the dataset schema, because the
+    /// matrix is larger than one shard's slice of the budget, or because
+    /// their values did not match their checksum (`restore_corrupt`).
     pub warm_rejected: u64,
     /// The subset of `warm_loaded` admitted as zero-copy arena views
     /// ([`Csr::is_view`]) rather than owned heap copies — the snapshot
     /// format's "one map, zero per-matrix decodes" restore guarantee,
     /// observable as a counter.
     pub warm_view_backed: u64,
-    /// Restored entries whose values matched their directory's values
-    /// checksum — each hashed exactly once, by the first lookup to reach it
-    /// or by [`MatrixCache::verify_pending`], then served unchecked.
-    pub lazy_verified: u64,
-    /// Restored entries whose values did **not** match their directory's
-    /// values checksum: each was evicted unread (a lookup that found it
-    /// reported a miss and recomputed). Nonzero means the image was damaged
+    /// Entries of a mounted image — matrices and ranked-rows entries —
+    /// whose values matched their directory's values checksum when a
+    /// restore hashed them, before taking them in. An entry exported from a
+    /// live cache is not hashed again, and not counted.
+    pub restore_verified: u64,
+    /// Entries of a mounted image whose values did **not** match their
+    /// directory's values checksum: each was rejected by the restore
+    /// (counted in `warm_rejected` too) and never served; its span is
+    /// computed when it is next wanted. Nonzero means the image was damaged
     /// after writing — storage rot, torn copy, wire corruption.
-    pub lazy_verify_failures: u64,
-    /// Resident restored entries nobody has verified yet (a gauge). Zero
-    /// once [`MatrixCache::verify_pending`] has returned.
-    pub lazy_pending: usize,
+    pub restore_corrupt: u64,
     /// Ranked rows in the row memo of factored spans (a gauge): one per
     /// anchor read and scoring, at most ten pairs each. Where a symmetric
     /// span's hot reads live instead of its square.
@@ -680,9 +675,8 @@ impl MatrixCache {
         self.budget_per_shard.map(|b| b * self.shards.len())
     }
 
-    /// Every counter, plus the three gauges read in one sweep: each shard's
-    /// read lock is taken once, so `len`, `bytes` and `lazy_pending`
-    /// describe the same moment of that shard.
+    /// Every counter, plus the gauges: each shard's read lock is taken
+    /// once, so `len` and `bytes` describe the same moment of that shard.
     pub fn stats(&self) -> CacheStats {
         let c = &self.counters;
         let read = |a: &AtomicU64| a.load(Ordering::Relaxed);
@@ -698,8 +692,8 @@ impl MatrixCache {
             warm_loaded: read(&c.warm_loaded),
             warm_rejected: read(&c.warm_rejected),
             warm_view_backed: read(&c.warm_view_backed),
-            lazy_verified: read(&c.lazy_verified),
-            lazy_verify_failures: read(&c.lazy_verify_failures),
+            restore_verified: read(&c.restore_verified),
+            restore_corrupt: read(&c.restore_corrupt),
             diagonal_builds: read(&c.diagonal_builds),
             ..CacheStats::default()
         };
@@ -714,11 +708,6 @@ impl MatrixCache {
             let shard = shard.read().unwrap_or_else(PoisonError::into_inner);
             stats.len += shard.map.len();
             stats.bytes += shard.bytes;
-            stats.lazy_pending += shard
-                .map
-                .values()
-                .filter(|e| e.intact.get().is_none())
-                .count();
         }
         stats
     }
@@ -731,8 +720,7 @@ impl MatrixCache {
     }
 
     /// Every resident entry, hottest first by recency tick — the order
-    /// snapshot export uses — with its checksum cell and verified state; one
-    /// found corrupt and about to be evicted is left out. Takes each shard's
+    /// snapshot export uses — with its checksum cell. Takes each shard's
     /// read lock in turn (the same locks the serving path takes), never two
     /// at once.
     pub(crate) fn entries_by_recency(&self) -> Vec<Sealed> {
@@ -744,13 +732,12 @@ impl MatrixCache {
                     .unwrap_or_else(PoisonError::into_inner)
                     .map
                     .iter()
-                    .filter(|(_, e)| e.intact.get() != Some(&false))
                     .map(|(k, e)| {
                         let sealed = Sealed {
                             key: k.clone(),
                             matrix: Arc::clone(&e.value),
                             checksum: Arc::clone(&e.checksum),
-                            verified: e.intact.get().is_some(),
+                            verified: true,
                         };
                         (e.last_used.load(Ordering::Relaxed), sealed)
                     })
@@ -844,73 +831,43 @@ impl MatrixCache {
             .filter(|_| self.shard_index(a) == self.shard_index(b))
     }
 
-    /// Lookup of exactly `key` (no symmetry); with `touch`, a counting one
-    /// that refreshes recency.
-    ///
-    /// This is where a restored entry's values are held against its
-    /// directory's values checksum — its structure was proved at mount, so
-    /// only the `data` array is hashed: whoever reaches a pending entry
-    /// first hashes it, under the shard's read lock, and everyone who
-    /// arrives meanwhile waits for that one verdict. A match is never
-    /// rechecked; a mismatch evicts the entry and reports a miss, so
-    /// corrupt values are recomputed rather than served.
-    fn resident(&self, key: &[StepKey], touch: bool) -> Option<(Arc<Csr>, Arc<Sidecar>)> {
-        let lock = self.shard_of(key);
-        let shard = lock.read().unwrap_or_else(PoisonError::into_inner);
+    /// Counting lookup of exactly `key` (no symmetry), which refreshes
+    /// recency. Everything resident was proved when it went in, so a hit is
+    /// one read lock, the recency stamp and two `Arc` clones.
+    fn resident(&self, key: &[StepKey]) -> Option<(Arc<Csr>, Arc<Sidecar>)> {
+        let shard = self
+            .shard_of(key)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
         let entry = shard.map.get(key)?;
-        let intact = *entry.intact.get_or_init(|| {
-            // pending with no checksum to hold it against: not shown intact
-            let ok = entry
-                .checksum
-                .get()
-                .is_some_and(|&stored| values_checksum(&entry.value) == values_half(stored));
-            self.counters
-                .lazy_verified
-                .fetch_add(ok as u64, Ordering::Relaxed);
-            ok
-        });
-        if !intact {
-            drop(shard);
-            let mut shard = lock.write().unwrap_or_else(PoisonError::into_inner);
-            // Recheck under the write lock: a racing store may have replaced
-            // the corrupt entry with a freshly computed one, which must
-            // survive — and only one witness of the verdict evicts and counts.
-            if shard
-                .map
-                .get(key)
-                .is_some_and(|e| e.intact.get() == Some(&false))
-            {
-                let gone = shard.map.remove(key).expect("key just observed");
-                shard.bytes -= gone.bytes;
-                self.counters
-                    .lazy_verify_failures
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            return None;
-        }
-        if touch {
-            entry.last_used.store(
-                self.tick.fetch_add(1, Ordering::Relaxed) + 1,
-                Ordering::Relaxed,
-            );
-        }
+        entry.last_used.store(
+            self.tick.fetch_add(1, Ordering::Relaxed) + 1,
+            Ordering::Relaxed,
+        );
         Some((Arc::clone(&entry.value), Arc::clone(&entry.sidecar)))
     }
 
-    /// Verify every resident restored entry that is still pending, hottest
-    /// first, through the same once a first lookup goes through: a query
-    /// that reaches an entry first verifies it, and neither hashes what the
-    /// other already has. Each pending entry costs one hash of its `data`
-    /// array against its values checksum; the row offsets and indices were
-    /// proved by the mount and are not read again. When this returns,
-    /// nothing that was resident when it was called is pending — matches
-    /// counted, corrupt entries evicted and counted. Not a use: recency and
-    /// the hit counters stay put. Whoever asked for a restore calls this,
-    /// once the cache is answering, so that no client pays for a hash.
-    pub fn verify_pending(&self) {
-        for pending in self.entries_by_recency().iter().filter(|e| !e.verified) {
-            self.resident(&pending.key, false);
+    /// Do `sealed`'s values match the values checksum its image's directory
+    /// stored? `true` without a hash for an entry that was never in an image
+    /// or was proved before; otherwise its `data` array is hashed — the
+    /// mount proved the row offsets and indices — and the verdict counted
+    /// ([`CacheStats::restore_verified`], [`CacheStats::restore_corrupt`]).
+    /// Asked of every entry before it goes into a shard or the row memo,
+    /// so nothing resident is unproven.
+    pub(crate) fn proven(&self, sealed: &Sealed) -> bool {
+        if sealed.verified {
+            return true;
         }
+        let intact = sealed
+            .checksum
+            .get()
+            .is_some_and(|&stored| values_checksum(&sealed.matrix) == values_half(stored));
+        let counter = match intact {
+            true => &self.counters.restore_verified,
+            false => &self.counters.restore_corrupt,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        intact
     }
 
     /// Store without touching the miss counter; evicts if over budget.
@@ -929,12 +886,14 @@ impl MatrixCache {
     /// is priced through this exact LRU, so a snapshot can never blow the
     /// cache budget. An entry larger than the shard's whole slice is turned
     /// away before it is taken in: it could only evict every neighbour and
-    /// then itself; its size goes into the span ledger. Whatever is
-    /// resident under `key` stays (products are
-    /// deterministic in their key, so it is the same matrix).
+    /// then itself; its size goes into the span ledger. Then an entry out of
+    /// an image is [`proven`](MatrixCache::proven), and turned away if its
+    /// values do not match their checksum. An entry resident under `key` is
+    /// replaced, sidecar and all: the caller holds the new allocation and
+    /// finds its sidecar by [`Arc::ptr_eq`] ([`MatrixCache::sidecar_of`]),
+    /// which the old entry would fail.
     pub(crate) fn insert_sealed(&self, sealed: Sealed) -> bool {
-        let Sealed { key, matrix, .. } = sealed;
-        let bytes = matrix.nbytes();
+        let bytes = sealed.matrix.nbytes();
         if self.budget_per_shard.is_some_and(|slice| bytes > slice) {
             self.counters
                 .inserts_refused
@@ -943,25 +902,24 @@ impl MatrixCache {
                 .refused_bytes
                 .fetch_add(bytes as u64, Ordering::Relaxed);
             self.ledger()
-                .update(&key, |span, _| span.oversize = Some(bytes));
+                .update(&sealed.key, |span, _| span.oversize = Some(bytes));
+            return false;
+        }
+        if !self.proven(&sealed) {
             return false;
         }
         let mut shard = self
-            .shard_of(&key)
+            .shard_of(&sealed.key)
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let entry = Entry {
-            value: matrix,
+            value: sealed.matrix,
             bytes,
             last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed) + 1),
             checksum: sealed.checksum,
-            intact: match sealed.verified {
-                true => true.into(),
-                false => OnceLock::new(),
-            },
             sidecar: Arc::default(),
         };
-        if let Some(old) = shard.map.insert(key, entry) {
+        if let Some(old) = shard.map.insert(sealed.key, entry) {
             shard.bytes -= old.bytes;
         }
         shard.bytes += bytes;
@@ -1182,7 +1140,7 @@ impl MatrixCache {
     /// served nor transposed, so the lookup stores nothing and evicts
     /// nobody.
     pub(crate) fn get_exact(&self, key: &[StepKey]) -> Option<Arc<Csr>> {
-        let (m, _) = self.resident(key, true)?;
+        let (m, _) = self.resident(key)?;
         self.counters.hits.fetch_add(1, Ordering::Relaxed);
         Some(m)
     }
@@ -1192,7 +1150,7 @@ impl MatrixCache {
     /// resident. A symmetry hit stores a new entry and hands back `None`:
     /// ask [`MatrixCache::sidecar_of`] for its sidecar.
     pub(crate) fn probe(&self, key: &[StepKey]) -> Option<(Arc<Csr>, Option<Arc<Sidecar>>)> {
-        if let Some((m, sidecar)) = self.resident(key, true) {
+        if let Some((m, sidecar)) = self.resident(key) {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Some((m, Some(sidecar)));
         }
@@ -1200,7 +1158,7 @@ impl MatrixCache {
             return None; // the reversal is the key itself
         }
         let rev = reversed_key(key);
-        if let Some((m, _)) = self.resident(&rev, true) {
+        if let Some((m, _)) = self.resident(&rev) {
             let t = Arc::new(m.transpose());
             self.insert(key.to_vec(), Arc::clone(&t));
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
@@ -1861,61 +1819,37 @@ mod tests {
     }
 
     #[test]
-    fn a_pending_entry_is_hashed_once_however_many_threads_touch_it() {
-        use std::sync::Barrier;
-
-        // large enough that the first toucher is still hashing when the
-        // others arrive
-        let matrix = banded(3000, 48);
+    fn a_restored_entry_is_proved_before_it_goes_in_and_never_again() {
+        let matrix = banded(300, 8);
         let checksum = entry_checksum(&matrix);
-        for (stored, intact) in [(checksum, true), (checksum ^ 1, false)] {
-            let cache = Arc::new(MatrixCache::default());
-            let key: PathKey = vec![(2, true), (5, false)];
-            assert!(cache.insert_sealed(Sealed {
-                key: key.clone(),
-                matrix: Arc::clone(&matrix),
-                checksum: Arc::new(stored.into()),
-                verified: false,
-            }));
-            assert_eq!(cache.stats().lazy_pending, 1);
-
-            let n_threads = 8;
-            let barrier = Arc::new(Barrier::new(n_threads));
-            let served: Vec<bool> = (0..n_threads)
-                .map(|_| {
-                    let (cache, barrier, key) =
-                        (Arc::clone(&cache), Arc::clone(&barrier), key.clone());
-                    std::thread::spawn(move || {
-                        barrier.wait();
-                        cache.get(&key).is_some()
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("no panics"))
-                .collect();
-
-            // the verdict is reached inside the once, so the count of
-            // matches is the count of hashes
-            assert_eq!(served, vec![intact; n_threads]);
-            assert_eq!(cache.stats().lazy_verified, intact as u64, "one hash");
-            assert_eq!(cache.stats().lazy_verify_failures, !intact as u64);
-            assert_eq!(cache.stats().lazy_pending, 0);
-            assert_eq!(cache.stats().len, intact as usize, "one eviction at most");
-            assert_eq!(
-                cache.stats().hits,
-                if intact { n_threads as u64 } else { 0 }
-            );
-            // the sweep finds nothing left to do
-            cache.verify_pending();
-            assert_eq!(
-                (
-                    cache.stats().lazy_verified,
-                    cache.stats().lazy_verify_failures
-                ),
-                (intact as u64, !intact as u64)
-            );
-        }
+        let sealed = |stored: u128, verified| Sealed {
+            key: vec![(2, true), (5, false)],
+            matrix: Arc::clone(&matrix),
+            checksum: Arc::new(stored.into()),
+            verified,
+        };
+        let counts = |c: &MatrixCache| (c.stats().restore_verified, c.stats().restore_corrupt);
+        let cache = MatrixCache::default();
+        // a mismatch is turned away at the door, a match goes in
+        assert!(!cache.insert_sealed(sealed(checksum ^ 1, false)));
+        assert_eq!((cache.stats().len, counts(&cache)), (0, (0, 1)));
+        assert!(cache.insert_sealed(sealed(checksum, false)));
+        assert_eq!((cache.stats().len, counts(&cache)), (1, (1, 1)));
+        // what a cache holds is proved: it exports as such, serves without
+        // a hash, and an entry proved before is not hashed again
+        let exported = cache.entries_by_recency();
+        assert!(exported.iter().all(|e| e.verified));
+        assert!(cache.get(&exported[0].key).is_some());
+        assert!(cache.proven(&sealed(checksum ^ 1, true)));
+        assert_eq!((cache.stats().hits, counts(&cache)), (1, (1, 1)));
+        // an entry too large for its slice is refused before it is hashed
+        let small = MatrixCache::new(CacheConfig {
+            shards: 1,
+            byte_budget: Some(matrix.nbytes() - 1),
+        });
+        assert!(!small.insert_sealed(sealed(checksum, false)));
+        assert_eq!(counts(&small), (0, 0));
+        assert_eq!(small.stats().inserts_refused, 1);
     }
 
     #[test]

@@ -392,30 +392,16 @@ impl Engine {
     /// rows go into the row memo, best first again, so a factored span's
     /// hot reads are memo hits from the first query on.
     ///
-    /// Entries mounted from an image arrive with their structure proved and
-    /// their values *pending*: each is verified against its directory's
-    /// values checksum by the first query that reaches it — or, ahead of the
-    /// queries, by [`Engine::verify_restored`].
+    /// Entries mounted from an image arrive with their structure proved;
+    /// this hashes each one's values against its directory's values
+    /// checksum before taking it in, so no query ever reads an unproven
+    /// value, and rejects a mismatch ([`CacheStats::restore_corrupt`]).
     ///
     /// Safe to call on a live, serving engine: admissions take the same
     /// shard write locks an ordinary store takes.
     pub fn restore(&self, snapshot: &CacheSnapshot) -> SnapshotImport {
         self.cache
             .import_validated(snapshot, &self.hin, self.dataset_fingerprint())
-    }
-
-    /// Verify every restored entry that is still pending, hottest first, on
-    /// the calling thread ([`MatrixCache::verify_pending`]). Call it after
-    /// [`Engine::restore`] once the engine is reachable by queries: they
-    /// are answered meanwhile (a query that beats the sweep to an entry
-    /// verifies it itself), and when this returns every resident restored
-    /// entry has been checked and every corrupt one evicted and counted —
-    /// so no client pays for a hash. The sweep hashes each entry's values
-    /// only, once: the mount already proved the structure. Skip it only to
-    /// open a cache larger than memory, where touching every value page is
-    /// the cost being avoided.
-    pub fn verify_restored(&self) {
-        self.cache.verify_pending();
     }
 
     /// Parse, resolve and plan `query` without executing it — the engine's
@@ -2400,7 +2386,7 @@ mod tests {
         assert!(engine.restore(&snap).loaded > 0);
         assert_answers_by_definition(&engine, &m, "restored over a live entry");
         assert_eq!(engine.stats().cache.diagonal_builds, 3);
-        // …and from a mapped file, verified by the queries that touch it
+        // …and from a mapped file, proved by the restore
         let dir = std::env::temp_dir().join(format!("hin-diag-sidecar-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.hsnp");

@@ -36,13 +36,11 @@
 //! * **Decoding** is paranoid: corrupt, truncated or foreign containers
 //!   return typed [`CodecError`]s, never panic.
 //! * **Nothing unproven is served.** Mounting proves the metadata and
-//!   every matrix's structure; each matrix's values stay *pending* until
-//!   they have been held against their directory checksum — by the first
-//!   lookup that reaches them, or by [`MatrixCache::verify_pending`], which
-//!   whoever asked for the restore runs on its own thread. A mismatch
-//!   evicts the entry and is counted
-//!   ([`lazy_verify_failures`](crate::CacheStats::lazy_verify_failures));
-//!   the span is recomputed.
+//!   every matrix's structure; the restore proves each entry's values
+//!   against its directory checksum before it takes the entry in, on the
+//!   restoring thread. A mismatch is rejected and counted
+//!   ([`restore_corrupt`](crate::CacheStats::restore_corrupt)), never
+//!   inserted; the span is computed when it is next wanted.
 //!
 //! # Container wire format (version 4 — the sealed-directory arena format)
 //!
@@ -56,8 +54,8 @@
 //! is mapped ([`hin_linalg::ArenaBuf::map_file`]; read into one aligned
 //! buffer where mapping is unavailable) and every matrix is handed out as
 //! a [`Csr`] *view* into it ([`hin_linalg::Csr::from_arena`]), demand-paged
-//! out of the kernel page cache: a dataset larger than RAM opens in
-//! O(metadata + index arrays).
+//! out of the kernel page cache: a mount reads the metadata and the index
+//! arrays, and a restore reads the values once, to prove them.
 //!
 //! ```text
 //! superheader  64 bytes, 8-byte fields LE unless noted:
@@ -108,7 +106,8 @@
 //!   [`CodecError::ChecksumMismatch`] from every entry point, so no view
 //!   escapes a mount structurally unproven.
 //! * The *values checksum* covers an entry's `data` array — most of the
-//!   image. It is verified before the entry is first served.
+//!   image. It is verified by the restore, before the entry goes into a
+//!   cache: a mismatch is rejected there, on every entry point.
 //! * The ≤ 4 *padding* bytes after an odd-`nnz` index array must be zero.
 //!
 //! There is no whole-file checksum: it would make the CPU walk a mapped
@@ -120,9 +119,10 @@
 //! holds the best pairs (at most ten) a read of `x` ranked, sorted by id —
 //! a row that ranked nothing is left out, since an empty CSR row cannot say
 //! so. A mount refuses a longer row; a restore checks the dimensions
-//! against the schema as it does a span's, hashes the values before it
-//! reads a row, and re-sorts each row best first into the row memo. An
-//! image without rows is byte for byte what it was before rows existed.
+//! against the schema and the values against their checksum as it does a
+//! span's, before it reads a row, and re-sorts each row best first into
+//! the row memo. An image without rows is byte for byte what it was before
+//! rows existed.
 //!
 //! The fingerprint ([`dataset_fingerprint`]) digests the full dataset —
 //! type names, node counts, relation endpoints, and every relation's
@@ -217,9 +217,9 @@ pub struct CacheSnapshot {
     fingerprint: u64,
     /// Hottest first. Each entry carries what is known about its payload
     /// checksum and whether the payload has been verified: an entry
-    /// mounted from an image is pending until a cache it was imported into
-    /// has hashed it, an entry exported from a live cache carries the
-    /// state it had there — so an in-process hand-off re-hashes nothing.
+    /// mounted from an image is unproven until a restore hashes it, an
+    /// entry exported from a live cache was proved there — so an
+    /// in-process hand-off re-hashes nothing.
     entries: Vec<Sealed>,
     /// Factored spans' ranked rows, each kind of a span one CSR matrix
     /// whose row `x` holds `x`'s pairs sorted by id: what the row memo
@@ -244,9 +244,11 @@ pub struct SnapshotImport {
     /// still subject to ordinary LRU eviction afterwards).
     pub loaded: u64,
     /// Entries rejected because their key or dimensions did not match the
-    /// destination dataset's schema, or because the matrix is larger than
+    /// destination dataset's schema, because the matrix is larger than
     /// one shard's slice of the destination's byte budget (also counted in
-    /// [`inserts_refused`](crate::CacheStats::inserts_refused)) — or all of
+    /// [`inserts_refused`](crate::CacheStats::inserts_refused)), or because
+    /// their values did not match their checksum (also counted in
+    /// [`restore_corrupt`](crate::CacheStats::restore_corrupt)) — or all of
     /// them, when the snapshot's dataset fingerprint did not match.
     pub rejected: u64,
     /// `true` when the snapshot carried a [`dataset_fingerprint`] that
@@ -469,7 +471,7 @@ impl CacheSnapshot {
     /// of [`CacheSnapshot::to_bytes`]. The image mounts as arena views over
     /// a private aligned copy of `bytes`; as on every entry point the
     /// metadata and every structure are verified here, and each entry's
-    /// values before it is served.
+    /// values by the restore that takes it in.
     pub fn from_bytes(bytes: &[u8]) -> Result<CacheSnapshot, CodecError> {
         parse(&Arc::new(ArenaBuf::from_bytes(bytes)))
     }
@@ -487,9 +489,9 @@ impl CacheSnapshot {
     /// The image is `mmap`ed read-only and every restored matrix is a view
     /// into the kernel page cache, **paged on demand**: open cost is the
     /// metadata block plus one pass over the row-offset and index arrays
-    /// that validates and hashes them together ([`Csr::from_arena`]); value
-    /// pages stay on disk until something reads them, which is what lets a
-    /// dataset larger than RAM open at all. Where mapping is unavailable (a
+    /// that validates and hashes them together ([`Csr::from_arena`]). The
+    /// mount reads no value page; a restore of the snapshot reads each one
+    /// once, to hash it against its checksum. Where mapping is unavailable (a
     /// non-64-bit-unix target, an empty file, any `mmap` error) the file is
     /// read into one aligned heap buffer instead: same typed errors,
     /// bit-identical matrices.
@@ -550,8 +552,8 @@ fn metadata_seal(meta: &[u8]) -> u64 {
 /// the pass that checks every CSR invariant — must equal the directory's
 /// structure checksum. On a [`hin_linalg::arena::ZERO_COPY`] host nothing
 /// here copies matrix payload — every returned matrix aliases `buf` — and
-/// nothing reads a value page. The values checksum is what the mounted
-/// entries are still *pending* on.
+/// nothing reads a value page. The values checksum is left to the restore
+/// that takes the entries in ([`MatrixCache::proven`]).
 fn parse(buf: &Arc<ArenaBuf>) -> Result<CacheSnapshot, CodecError> {
     let bytes = buf.as_bytes();
     if bytes.len() < HEADER {
@@ -762,7 +764,7 @@ fn parse(buf: &Arc<ArenaBuf>) -> Result<CacheSnapshot, CodecError> {
 #[cfg(test)]
 thread_local! {
     /// Value-array hashes ([`values_checksum`]) made on this thread: one
-    /// per [`entry_checksum`], one per verification of a pending entry.
+    /// per [`entry_checksum`], one per mounted entry a restore proves.
     static ENTRY_CHECKSUM_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     /// Structure hashes outside a mount made on this thread: one per
     /// [`entry_checksum`].
@@ -803,10 +805,10 @@ pub(crate) fn entry_checksum(m: &Csr) -> EntryChecksum {
 }
 
 /// [`Fnv64x4`] over a matrix's data bit patterns: the one hash a restored
-/// entry still owes before it is served, its structure having been proved
-/// at mount. Computable from any mounted [`Csr`] (owned or view), which is
-/// what lets a restored entry be held against its directory checksum
-/// wherever it ends up.
+/// entry still owes before a restore takes it in, its structure having
+/// been proved at mount. Computable from any mounted [`Csr`] (owned or
+/// view), which is what lets a restored entry be held against its
+/// directory checksum wherever it ends up.
 pub(crate) fn values_checksum(m: &Csr) -> u64 {
     #[cfg(test)]
     ENTRY_CHECKSUM_CALLS.with(|calls| calls.set(calls.get() + 1));
@@ -908,12 +910,14 @@ impl MatrixCache {
     /// computed from different data, and per-entry dim checks cannot tell
     /// a stale matrix from a fresh one.
     ///
-    /// Entries are inserted coldest-first so the snapshot's hottest
-    /// entries carry the newest recency ticks — a bounded cache keeps the
-    /// hot prefix and sheds the cold tail, matching export order. Ranked
-    /// rows go into the row memo ([`MatrixCache::memo_admit`]) once their
-    /// values have matched their checksum.
-    /// Outcomes land in the
+    /// Every entry that fits the schema and its shard is proved before it
+    /// is taken in ([`MatrixCache::proven`]): one mounted from an image has
+    /// its values hashed against its directory's values checksum, and a
+    /// mismatch is rejected, never inserted. Entries are inserted
+    /// coldest-first so the snapshot's hottest entries carry the newest
+    /// recency ticks — a bounded cache keeps the hot prefix and sheds the
+    /// cold tail, matching export order. Ranked rows go into the row memo
+    /// ([`MatrixCache::memo_admit`]). Outcomes land in the
     /// [`warm_loaded`](crate::CacheStats::warm_loaded) /
     /// [`warm_rejected`](crate::CacheStats::warm_rejected) counters and the
     /// returned report.
@@ -936,12 +940,9 @@ impl MatrixCache {
             })
         };
         for sealed in snapshot.entries.iter().rev() {
-            let fits = fits(sealed);
-            // The entry keeps what the snapshot knows about its checksum:
-            // one mounted from an image stays pending until this cache has
-            // verified it. An entry larger than a shard slice is refused by
-            // the insert itself.
-            if fits && self.insert_sealed(sealed.clone()) {
+            // The insert refuses an entry larger than a shard slice, then
+            // one whose values do not match their checksum.
+            if fits(sealed) && self.insert_sealed(sealed.clone()) {
                 report.loaded += 1;
                 report.view_backed += sealed.matrix.is_view() as u64;
             } else {
@@ -949,12 +950,7 @@ impl MatrixCache {
             }
         }
         for (kind, sealed) in &snapshot.rows {
-            let intact = sealed.verified
-                || sealed
-                    .checksum
-                    .get()
-                    .is_some_and(|&stored| values_checksum(&sealed.matrix) == values_half(stored));
-            match fits(sealed) && intact {
+            match fits(sealed) && self.proven(sealed) {
                 true => report.ranked_rows += self.memo_admit(&sealed.key, *kind, &sealed.matrix),
                 false => report.rejected += 1,
             }
@@ -1017,8 +1013,8 @@ mod tests {
     }
 
     /// Two distinct relations, not a key and its reversal: a reversal pair
-    /// would let `get` serve an evicted corrupt entry back through the clean
-    /// one's symmetry fallback, masking the verification miss.
+    /// would let `get` serve a rejected corrupt entry back through the
+    /// clean one's symmetry fallback, masking the rejection.
     fn two_span_snapshot(hin: &Hin) -> CacheSnapshot {
         let cache = MatrixCache::default();
         cache.put(vec![(0, true)], pa_matrix(hin));
@@ -1056,23 +1052,21 @@ mod tests {
 
     /// What became of a damaged image: a decode error, or — when the
     /// damage sits in payload words, which mounting does not read — exactly
-    /// one entry evicted by verification, with everything still resident
-    /// equal to what `good` carries under the same key. Either way nothing
-    /// corrupt is left to serve.
+    /// one entry rejected by the restore, with everything resident equal
+    /// to what `good` carries under the same key. Either way nothing
+    /// corrupt is ever resident.
     fn assert_never_served(damaged: &[u8], good: &CacheSnapshot, hin: &Hin, what: &str) {
         let Ok(mounted) = CacheSnapshot::from_bytes(damaged) else {
             return;
         };
         let cache = MatrixCache::default();
         let report = import(&cache, &mounted, hin);
-        assert_eq!(report.loaded as usize, good.len(), "{what}");
-        cache.verify_pending();
-        assert_eq!(cache.stats().lazy_pending, 0, "{what}");
         assert_eq!(
-            cache.stats().lazy_verify_failures,
-            1,
-            "{what}: one entry dropped"
+            (report.loaded as usize, report.rejected),
+            (good.len() - 1, 1),
+            "{what}: one entry rejected"
         );
+        assert_eq!(cache.stats().restore_corrupt, 1, "{what}");
         assert_eq!(cache.stats().len, good.len() - 1, "{what}");
         for e in &good.entries {
             if let Some(m) = cache.get(&e.key) {
@@ -1500,7 +1494,7 @@ mod tests {
         snap.write_to_file(&path).expect("write");
 
         // a mapped file and a heap copy of its bytes mount identically,
-        // and both leave every payload pending
+        // and both leave every payload to the restore
         let good = std::fs::read(&path).unwrap();
         let read = CacheSnapshot::from_bytes(&good).expect("from_bytes");
         let mapped = CacheSnapshot::open(&path).expect("open");
@@ -1517,7 +1511,7 @@ mod tests {
         }
 
         // a flipped payload bit mounts — mounting reads no value page —
-        // and is evicted by verification instead of served
+        // and is rejected by the restore instead of served
         let (dir_off, _) = layout(&good);
         let data_off = u64::from_le_bytes(good[dir_off + 40..dir_off + 48].try_into().unwrap());
         let mut flipped = good.clone();
@@ -1526,12 +1520,11 @@ mod tests {
         std::fs::write(&bad_path, &flipped).unwrap();
         let bad = CacheSnapshot::open(&bad_path).expect("structure is intact");
         let cache = MatrixCache::default();
-        assert_eq!(import(&cache, &bad, &hin).loaded, 2);
-        cache.verify_pending();
+        assert_eq!(import(&cache, &bad, &hin).loaded, 1);
         assert_eq!(
             (
-                cache.stats().lazy_verified,
-                cache.stats().lazy_verify_failures
+                cache.stats().restore_verified,
+                cache.stats().restore_corrupt
             ),
             (1, 1)
         );
@@ -1722,7 +1715,7 @@ mod tests {
     }
 
     #[test]
-    fn lazy_mapped_restore_verifies_each_entry_on_first_touch() {
+    fn a_mapped_restore_proves_each_entry_at_import() {
         let hin = bib();
         let image = two_span_snapshot(&hin).to_bytes();
 
@@ -1734,63 +1727,54 @@ mod tests {
         let mut corrupt = image.clone();
         corrupt[data_off + 3] ^= 0x20;
 
-        let dir = scratch_dir("lazyck");
+        let dir = scratch_dir("importck");
         let path = dir.join("corrupt.hsnp");
         std::fs::write(&path, &corrupt).unwrap();
 
         // it mounts (metadata and structure are intact) with every entry
-        // pending on its directory checksum
-        let lazy = CacheSnapshot::open(&path).expect("mounts");
-        assert!(lazy
+        // unproven, its directory checksum beside it
+        let mounted = CacheSnapshot::open(&path).expect("mounts");
+        assert!(mounted
             .entries
             .iter()
             .all(|e| !e.verified && e.checksum.get().is_some()));
         // the flipped byte lives in *directory entry 0*'s payload; the
         // export orders entries hottest-first, so resolve which cache key
         // that is from the parse rather than assuming
-        let corrupt_key = lazy.entries[0].key.clone();
-        let clean_key = lazy.entries[1].key.clone();
+        let corrupt_key = mounted.entries[0].key.clone();
+        let clean_key = mounted.entries[1].key.clone();
         let dst = MatrixCache::default();
-        let report = import(&dst, &lazy, &hin);
-        assert_eq!(report.loaded, 2);
-        assert_eq!(dst.stats().lazy_pending, 2);
+        let hashes = ENTRY_CHECKSUM_CALLS.get();
+        let report = import(&dst, &mounted, &hin);
+        assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes + 2, "one hash each");
+        assert_eq!((report.loaded, report.rejected), (1, 1));
+        assert_eq!(dst.stats().warm_rejected, 1);
+        assert_eq!(
+            (dst.stats().restore_verified, dst.stats().restore_corrupt),
+            (1, 1)
+        );
 
-        // first touch of the corrupted entry: verification fails, the
-        // entry is evicted, and the caller sees a miss (→ recompute)
+        // the corrupt entry never went in: a lookup is a plain miss
+        assert_eq!(dst.peek_exact(&corrupt_key), None);
         assert!(dst.get(&corrupt_key).is_none());
-        assert_eq!(dst.stats().lazy_verify_failures, 1);
-        assert_eq!(dst.stats().len, 1, "the corrupt entry is gone");
+        assert_eq!(dst.stats().len, 1);
 
-        // the clean entry verifies once, then serves without re-hashing
+        // the clean entry serves without hashing again
         let hashes = ENTRY_CHECKSUM_CALLS.get();
         assert!(dst.get(&clean_key).is_some());
-        assert_eq!(dst.stats().lazy_verified, 1);
         assert!(dst.get(&clean_key).is_some());
-        assert_eq!(
-            dst.stats().lazy_verified,
-            1,
-            "verification ran exactly once"
-        );
-        assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes + 1);
-        assert_eq!(dst.stats().lazy_pending, 0);
+        assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes);
+        assert_eq!(dst.stats().restore_verified, 1);
 
-        // an uncorrupted restore verifies everything clean — by the sweep,
-        // which leaves the first touches nothing to hash
+        // an undamaged image proves every entry at import
         let good_path = dir.join("good.hsnp");
         std::fs::write(&good_path, &image).unwrap();
-        let lazy = CacheSnapshot::open(&good_path).unwrap();
+        let mounted = CacheSnapshot::open(&good_path).unwrap();
         let dst = MatrixCache::default();
-        import(&dst, &lazy, &hin);
-        dst.verify_pending();
+        assert_eq!(import(&dst, &mounted, &hin).loaded, 2);
         let stats = dst.stats();
-        assert_eq!((stats.lazy_verified, stats.lazy_pending), (2, 0));
-        let hashes = ENTRY_CHECKSUM_CALLS.get();
-        assert!(dst.get(&[(0, true)]).is_some());
-        assert!(dst.get(&[(1, true)]).is_some());
-        assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes);
-        assert_eq!(dst.stats().lazy_verified, 2);
-        assert_eq!(dst.stats().lazy_verify_failures, 0);
-        assert_eq!(dst.stats().hits, 2, "the sweep is not a use");
+        assert_eq!((stats.restore_verified, stats.restore_corrupt), (2, 0));
+        assert_eq!(stats.hits, 0, "proving is not a use");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1920,18 +1904,20 @@ mod tests {
                 }
                 let mounted = CacheSnapshot::from_bytes(&flipped).unwrap();
                 let engine = crate::Engine::from_arc(Arc::clone(&hin));
-                assert_eq!(engine.restore(&mounted).loaded as usize, snap.len());
-                engine.verify_restored();
-                let cache = engine.cache();
+                let report = engine.restore(&mounted);
                 assert_eq!(
-                    cache.stats().lazy_verify_failures,
-                    1,
+                    (report.loaded as usize + 1, report.rejected),
+                    (snap.len(), 1),
                     "entry {i} byte {pos}"
                 );
-                assert_eq!(cache.stats().lazy_pending, 0);
+                let cache = engine.cache();
+                assert_eq!(cache.stats().restore_corrupt, 1, "entry {i} byte {pos}");
                 let left = export(cache, &hin).keys();
                 assert_eq!(left.len() + 1, snap.len());
-                assert!(!left.contains(&mounted.entries[i].key), "entry {i} evicted");
+                assert!(
+                    !left.contains(&mounted.entries[i].key),
+                    "entry {i} rejected"
+                );
                 for (q, want) in queries.iter().zip(&want) {
                     assert_eq!(engine.execute(q).unwrap(), *want, "{q} [byte {pos}]");
                 }
@@ -1943,16 +1929,16 @@ mod tests {
     }
 
     #[test]
-    fn the_sweep_hashes_each_pending_entry_s_values_once_and_nothing_else() {
+    fn a_restore_hashes_each_mounted_entry_s_values_once_and_nothing_else() {
         let hin = bib();
         let image = two_span_snapshot(&hin).to_bytes();
         let (values, structure) = (ENTRY_CHECKSUM_CALLS.get(), STRUCTURE_HASHES.get());
         let mounted = CacheSnapshot::from_bytes(&image).unwrap();
+        assert_eq!(ENTRY_CHECKSUM_CALLS.get(), values, "a mount reads no value");
         let cache = MatrixCache::default();
         assert_eq!(import(&cache, &mounted, &hin).loaded, 2);
-        cache.verify_pending();
-        assert_eq!(cache.stats().lazy_verified, 2);
-        // one `data` hash per pending entry; the row offsets and indices,
+        assert_eq!(cache.stats().restore_verified, 2);
+        // one `data` hash per mounted entry; the row offsets and indices,
         // proved by the mount, are not hashed again
         assert_eq!(ENTRY_CHECKSUM_CALLS.get(), values + 2);
         assert_eq!(STRUCTURE_HASHES.get(), structure);
@@ -2024,31 +2010,35 @@ mod tests {
 
         // mounted, an entry knows its checksum from the directory: the
         // image exports again byte for byte with nothing hashed, straight
-        // off the snapshot or through a cache and back out
+        // off the snapshot or through a cache and back out; only the
+        // restore in between hashes each entry's values, once
         let hashes = ENTRY_CHECKSUM_CALLS.get();
         let mounted = CacheSnapshot::open(&first).expect("open");
         mounted.write_to_file(&second).unwrap();
+        assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes, "nothing was re-hashed");
         let cache = MatrixCache::default();
         assert_eq!(import(&cache, &mounted, &hin).loaded, 2);
+        assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes + 2, "the restore proves");
         let again = export(&cache, &hin);
         again.write_to_file(&third).unwrap();
-        assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes, "nothing was re-hashed");
+        assert_eq!(
+            ENTRY_CHECKSUM_CALLS.get(),
+            hashes + 2,
+            "the export does not"
+        );
         let image = std::fs::read(&first).unwrap();
         assert_eq!(std::fs::read(&second).unwrap(), image);
         assert_eq!(std::fs::read(&third).unwrap(), image);
 
-        // the in-process hand-off carries verified state both ways: what
-        // the sweep has checked stays checked, what it has not stays pending
-        assert!(again.entries.iter().all(|e| !e.verified));
-        cache.verify_pending();
-        let handed = export(&cache, &hin);
-        assert!(handed.entries.iter().all(|e| e.verified));
+        // what a cache holds was proved, so an in-process hand-off of it
+        // is not hashed again
+        assert!(again.entries.iter().all(|e| e.verified));
         let next = MatrixCache::default();
         let hashes = ENTRY_CHECKSUM_CALLS.get();
-        assert_eq!(import(&next, &handed, &hin).loaded, 2);
-        assert_eq!(next.stats().lazy_pending, 0);
+        assert_eq!(import(&next, &again, &hin).loaded, 2);
         assert!(next.get(&[(0, true)]).is_some());
         assert_eq!(ENTRY_CHECKSUM_CALLS.get(), hashes);
+        assert_eq!(next.stats().restore_verified, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -158,7 +158,8 @@ proptest! {
     /// Engines warm-started from the same checkpoint through the mapped
     /// file and through a heap copy of its bytes answer pathsim, pathcount
     /// and rank bit-identically — materializing every span under
-    /// `promote_after(0)` and on lazy anchored propagation alike, swept or verified by first touch.
+    /// `promote_after(0)` and on lazy anchored propagation alike, every
+    /// mapped entry proved by the restore.
     #[test]
     fn mapped_engine_matches_read_engine(world in worlds()) {
         let hin = world.build();
@@ -173,10 +174,7 @@ proptest! {
         prop_assert_eq!(mapped_snap.bytes(), read_snap.bytes());
         let queries = probe_queries(&world);
 
-        for (policy, sweep) in [
-            (ExecPolicy::promote_after(0), false),
-            (ExecPolicy::promote_after(u32::MAX), true),
-        ] {
+        for policy in [ExecPolicy::promote_after(0), ExecPolicy::promote_after(u32::MAX)] {
             let via_read =
                 Engine::with_config(Arc::clone(&hin), CacheConfig::default(), policy);
             let via_map =
@@ -185,17 +183,14 @@ proptest! {
             let m = via_map.restore(&mapped_snap);
             prop_assert_eq!(m.loaded, r.loaded, "restore admits the same entries");
             prop_assert_eq!(m.rejected, 0);
-            if sweep {
-                via_map.verify_restored();
-                prop_assert_eq!(via_map.cache().stats().lazy_verified, m.loaded);
+            for engine in [&via_read, &via_map] {
+                prop_assert_eq!(engine.cache().stats().restore_verified, m.loaded);
+                prop_assert_eq!(engine.cache().stats().restore_corrupt, 0);
             }
             for q in &queries {
                 let want = via_read.execute(q).expect("heap-backed execution");
                 let got = via_map.execute(q).expect("mapped-backed execution");
-                assert_bit_identical(&got, &want, &format!("{q} [sweep: {sweep}]"))?;
-            }
-            for engine in [&via_read, &via_map] {
-                prop_assert_eq!(engine.cache().stats().lazy_verify_failures, 0);
+                assert_bit_identical(&got, &want, &format!("{q} [{policy:?}]"))?;
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -244,18 +239,16 @@ proptest! {
             let Ok(mapped) = mapped else { continue };
             prop_assert!(pos >= heap_off, "a flipped metadata byte ({}) mounted", pos);
 
-            // it mounted: the flip sits in payload words. The sweep finds
+            // it mounted: the flip sits in payload words. The restore finds
             // it, only it, and the engine answers as if it had never been
             // in the file
             let engine = Engine::with_config(
                 Arc::clone(&hin), CacheConfig::default(), ExecPolicy::promote_after(0));
             let report = engine.restore(&mapped);
-            prop_assert_eq!((report.loaded as usize, report.rejected), (donor.len(), 0));
-            engine.verify_restored();
+            prop_assert_eq!((report.loaded as usize + 1, report.rejected), (donor.len(), 1));
             let cache = engine.cache();
-            prop_assert_eq!(cache.stats().lazy_pending, 0);
-            prop_assert_eq!(cache.stats().lazy_verify_failures, 1, "byte {} bit {}", pos, bit);
-            prop_assert_eq!(cache.stats().lazy_verified + 1, report.loaded);
+            prop_assert_eq!(cache.stats().restore_corrupt, 1, "byte {} bit {}", pos, bit);
+            prop_assert_eq!(cache.stats().restore_verified, report.loaded);
             prop_assert_eq!(cache.stats().len + 1, donor.len(), "the touched entry is gone");
             for (q, want) in queries.iter().zip(&want) {
                 let got = engine.execute(q).expect("execution after a dropped entry");

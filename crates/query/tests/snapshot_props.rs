@@ -191,8 +191,8 @@ proptest! {
     /// No single bit flip, anywhere in the image, is ever served. Either
     /// it is a decode error (the seal, structural validation, the
     /// zero-padding rule — the property doesn't care which), or it sits in
-    /// payload words and the image mounts: then import plus verification
-    /// drops the touched entry, only it, says so, and every answer still
+    /// payload words and the image mounts: then the import rejects the
+    /// touched entry, only it, says so, and every answer still
     /// equals the reference. The name is from when one whole-file hash
     /// rejected both kinds at decode.
     #[test]
@@ -220,11 +220,9 @@ proptest! {
             let engine = Engine::with_config(
                 Arc::clone(&hin), CacheConfig::default(), ExecPolicy::promote_after(0));
             let report = engine.restore(&mounted);
-            prop_assert_eq!((report.loaded as usize, report.rejected), (snap.len(), 0));
-            engine.verify_restored();
+            prop_assert_eq!((report.loaded as usize + 1, report.rejected), (snap.len(), 1));
             let cache = engine.cache();
-            prop_assert_eq!(cache.stats().lazy_pending, 0);
-            prop_assert_eq!(cache.stats().lazy_verify_failures, 1, "byte {} bit {}", pos, bit);
+            prop_assert_eq!(cache.stats().restore_corrupt, 1, "byte {} bit {}", pos, bit);
             prop_assert_eq!(cache.stats().len + 1, snap.len(), "the touched entry is gone");
             for q in &queries {
                 let want = reference.execute(q).expect("reference execution");

@@ -292,13 +292,10 @@ fn serve_conn(shared: &ListenerShared, stream: TcpStream) {
             Ok(Message::Ping { nonce }) => Reply::Ready(Message::Pong { nonce }),
             Ok(Message::Warm { image }) => match CacheSnapshot::from_bytes(&image) {
                 Ok(snapshot) => {
-                    let engine = shared.server.engine();
-                    let report = engine.restore(&snapshot);
-                    // the image crossed a network: by the time the sender
-                    // is told how much arrived, every restored entry has
-                    // been checked against its checksum on this thread, not
-                    // on a worker's under some client's query
-                    engine.verify_restored();
+                    // the image crossed a network: the restore proves every
+                    // entry against its checksum on this thread, and a
+                    // corrupt one counts in `rejected`
+                    let report = shared.server.engine().restore(&snapshot);
                     Reply::Ready(Message::WarmAck {
                         loaded: report.loaded,
                         rejected: report.rejected,
@@ -950,8 +947,9 @@ impl RemoteServerHandle {
 
     /// Stream a snapshot image ([`CacheSnapshot::to_bytes`]) into the
     /// shard's cache over a dedicated connection — warm-starting a remote
-    /// process with no shared filesystem. Returns `(loaded, rejected)`, once
-    /// the shard has verified every entry it loaded. The frame is written
+    /// process with no shared filesystem. Returns `(loaded, rejected)` once
+    /// the shard's restore has proved every entry it loaded; a corrupt one
+    /// is counted in `rejected`. The frame is written
     /// from the borrowed image: no copy of it is made.
     pub fn warm(&self, image: &[u8], timeout: Duration) -> Result<(u64, u64), String> {
         match self.call(|s| write_warm(s, image), timeout)? {

@@ -343,11 +343,6 @@ impl RouterStats {
                 &ds,
                 s.cache_restore_corrupt,
             );
-            w.gauge(
-                "hin_cache_restore_pending",
-                &ds,
-                s.cache_restore_pending as f64,
-            );
             w.counter(
                 "hin_cache_diagonal_builds_total",
                 &ds,
@@ -501,9 +496,9 @@ impl Inner {
     /// evicted or replaced (the fresh server is torn down, nothing
     /// changes). A checkpoint that cannot be mounted degrades to a cold
     /// start — availability beats warmth — and is counted in
-    /// [`RouterStats::failover_restore_errors`]. The failover is counted
-    /// and timed when the replacement is registered and taking traffic; its
-    /// restored entries are verified after that, on this thread.
+    /// [`RouterStats::failover_restore_errors`]. The replacement's restore
+    /// proves every entry on this thread, before it is registered; the
+    /// failover is counted and timed when it is taking traffic.
     fn failover(&self, key: &str, dead: &Arc<RemoteShard>, fo: &FailoverConfig, since: Instant) {
         let snapshot = CacheSnapshot::open(&fo.checkpoint);
         if snapshot.is_err() {
@@ -521,7 +516,6 @@ impl Inner {
         if self.install(key, Shard::Local(Arc::clone(&server)), ours) {
             self.failovers.fetch_add(1, Ordering::Relaxed);
             self.failover_ns.record_duration(since.elapsed());
-            server.engine().verify_restored();
         } // else evicted or replaced while we built: `server` drops here
     }
 }
@@ -595,8 +589,9 @@ impl Router {
     /// with `loaded == 0` (wrong snapshot for this dataset, or a
     /// [`fingerprint mismatch`](hin_query::SnapshotImport::fingerprint_mismatch))
     /// means the server registered but is effectively cold.
-    /// Entries keep their verified state: after an [`Evicted::snapshot`]
-    /// hand-off nothing is hashed again.
+    /// Entries mounted from an image are proved before they go in, and a
+    /// corrupt one is rejected; after an [`Evicted::snapshot`] hand-off
+    /// nothing is hashed again.
     pub fn register_warm(
         &self,
         key: impl Into<String>,
@@ -617,14 +612,13 @@ impl Router {
     /// The file is mounted, not loaded ([`CacheSnapshot::open`]): mapped
     /// where the platform can, metadata proved against its seal, every
     /// matrix's structure validated and proved against its structure
-    /// checksum — and the dataset is registered and answering from there.
-    /// Then, on the caller's thread, every restored entry's values are
-    /// verified against its values checksum, hottest first
-    /// ([`hin_query::Engine::verify_restored`]); a query that gets to an
-    /// entry before the sweep verifies it itself, once. When this returns
-    /// nothing is pending: `cache_restore_verified + cache_restore_corrupt`
-    /// equals the report's `loaded`, each corrupt entry evicted unread. The
-    /// file may be replaced or deleted while the dataset serves from it.
+    /// checksum. The restore then proves every entry's values against its
+    /// values checksum, on the caller's thread, before the dataset is
+    /// registered: each of the report's `loaded` entries is counted in
+    /// `cache_restore_verified`, and each corrupt one in
+    /// `cache_restore_corrupt` and the report's `rejected`, never served.
+    /// The file may be replaced or deleted while the dataset serves from
+    /// it.
     ///
     /// Returns `Ok(None)` when the key was already registered (nothing
     /// started), and the decode error — with nothing registered — when the
@@ -637,15 +631,7 @@ impl Router {
         hin: Arc<Hin>,
         path: impl AsRef<Path>,
     ) -> Result<Option<hin_query::SnapshotImport>, CodecError> {
-        let config = ServeConfig {
-            warm_start: Some(Arc::new(CacheSnapshot::open(path)?)),
-            ..self.inner.serve.clone()
-        };
-        let Some(server) = self.register_server(key.into(), hin, config) else {
-            return Ok(None);
-        };
-        server.engine().verify_restored();
-        Ok(Some(server.warm_import().unwrap_or_default()))
+        Ok(self.register_warm(key, hin, CacheSnapshot::open(path)?))
     }
 
     /// [`Router::register`] with a per-dataset serving configuration
@@ -1375,7 +1361,7 @@ mod tests {
     #[test]
     fn restoring_from_a_file_leaves_nothing_pending_and_drops_what_is_corrupt() {
         let dir = std::env::temp_dir().join(format!(
-            "hin-router-sweep-{}-{:?}",
+            "hin-router-restore-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
@@ -1399,7 +1385,6 @@ mod tests {
             .unwrap();
         let d = router.stats().datasets.remove(0).1;
         assert!(report.loaded >= 2, "{report:?}");
-        assert_eq!(d.cache_restore_pending, 0);
         assert_eq!(
             (d.cache_restore_verified, d.cache_restore_corrupt),
             (report.loaded, 0)
@@ -1422,14 +1407,12 @@ mod tests {
             .expect("metadata and structure are intact")
             .unwrap();
         let d = router.stats().datasets.remove(0).1;
-        assert_eq!(d.cache_restore_pending, 0);
-        assert_eq!(d.cache_restore_corrupt, 1);
-        assert_eq!(d.cache_restore_verified + 1, report.loaded);
-        assert_eq!(d.cache_len as u64 + 1, report.loaded, "evicted unread");
+        assert_eq!((d.cache_restore_corrupt, report.rejected), (1, 1));
+        assert_eq!(d.cache_restore_verified, report.loaded);
+        assert_eq!(d.cache_len as u64, report.loaded, "rejected unread");
         assert_eq!(router.execute_many("d", &queries), want);
         let page = router.stats().render_metrics();
         assert!(page.contains("hin_cache_restore_corrupt_total{dataset=\"d\"} 1\n"));
-        assert!(page.contains("hin_cache_restore_pending{dataset=\"d\"} 0\n"));
 
         // an in-process hand-off carries the verified state along
         let evicted = router.evict("d").unwrap();
@@ -1438,11 +1421,7 @@ mod tests {
             .expect("key free");
         let d = router.stats().datasets.remove(0).1;
         assert!(report.loaded > 0);
-        assert_eq!(
-            (d.cache_restore_pending, d.cache_restore_verified),
-            (0, 0),
-            "nothing to verify, nothing hashed"
-        );
+        assert_eq!(d.cache_restore_verified, 0, "nothing hashed");
         router.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -93,15 +93,12 @@ pub struct ServeConfig {
     /// cold.
     ///
     /// A snapshot mounted from a checkpoint file
-    /// ([`hin_query::CacheSnapshot::open`]) is a set of demand-paged views
-    /// into the mapped file, so warm-start cost is O(metadata) and resident
-    /// memory is bounded by the queried working set — there is no switch
-    /// for this, it is how files are restored. Its entries are served only
-    /// once verified against their checksums: by the first query to touch
-    /// each, unless [`hin_query::Engine::verify_restored`] got there first
-    /// — [`crate::Router::register_warm_from_file`] and failover run it as
-    /// soon as the server is reachable; [`Server::start`] on its own does
-    /// not, which is what lets a checkpoint larger than RAM open at all.
+    /// ([`hin_query::CacheSnapshot::open`]) is a set of views into the
+    /// mapped file: nothing is copied onto the heap — there is no switch
+    /// for this, it is how files are restored. The restore hashes each
+    /// entry's values against its checksum before taking it in, so by the
+    /// time [`Server::start`] returns every restored entry is proved, and a
+    /// corrupt one was rejected ([`ServerStats::cache_restore_corrupt`]).
     pub warm_start: Option<Arc<CacheSnapshot>>,
     /// Observability: per-stage latency histograms and the slow-query log.
     pub telemetry: TelemetryConfig,
@@ -532,26 +529,21 @@ pub struct ServerStats {
     /// Cache: snapshot entries admitted at warm start / restore.
     pub cache_warm_loaded: u64,
     /// Cache: snapshot entries rejected at warm start as not fitting this
-    /// dataset's schema.
+    /// dataset's schema or its cache, or as corrupt.
     pub cache_warm_rejected: u64,
     /// Cache: the subset of `cache_warm_loaded` admitted as zero-copy
     /// arena views (mounted images on a zero-copy host) rather than
     /// per-matrix heap decodes.
     pub cache_warm_view_backed: u64,
     /// Cache: restored entries whose payload matched its checkpoint
-    /// checksum — each hashed once, by the restore's sweep or by the first
-    /// query to reach it.
+    /// checksum — each hashed once, by the restore, before it went in.
     pub cache_restore_verified: u64,
-    /// Cache: restored entries whose payload did **not** match: evicted
-    /// unread, and recomputed under traffic when next wanted. Non-zero
-    /// means a warm start came up missing spans — the checkpoint was
-    /// damaged after it was written.
+    /// Cache: restored entries whose payload did **not** match: rejected
+    /// by the restore (counted in `cache_warm_rejected` too), never served,
+    /// and recomputed under traffic when next wanted. Non-zero means a warm
+    /// start came up missing spans — the checkpoint was damaged after it
+    /// was written.
     pub cache_restore_corrupt: u64,
-    /// Cache: resident restored entries nobody has verified yet (a gauge).
-    /// Zero once [`crate::Router::register_warm_from_file`], a failover or
-    /// a `Warm` has returned; stays up only after a bare
-    /// [`ServeConfig::warm_start`], until queries have touched every span.
-    pub cache_restore_pending: usize,
     /// Cache: diagonal sidecars built for resident matrices PathSim read —
     /// one per resident span per residency, not one per query.
     pub cache_diagonal_builds: u64,
@@ -633,7 +625,6 @@ impl ServerStats {
             cache_warm_view_backed: self.cache_warm_view_backed + other.cache_warm_view_backed,
             cache_restore_verified: self.cache_restore_verified + other.cache_restore_verified,
             cache_restore_corrupt: self.cache_restore_corrupt + other.cache_restore_corrupt,
-            cache_restore_pending: self.cache_restore_pending + other.cache_restore_pending,
             cache_diagonal_builds: self.cache_diagonal_builds + other.cache_diagonal_builds,
             normalizer_memo_hits: self.normalizer_memo_hits + other.normalizer_memo_hits,
             cache_len: self.cache_len + other.cache_len,
@@ -1175,9 +1166,8 @@ impl Server {
             cache_warm_loaded: cache.warm_loaded,
             cache_warm_rejected: cache.warm_rejected,
             cache_warm_view_backed: cache.warm_view_backed,
-            cache_restore_verified: cache.lazy_verified,
-            cache_restore_corrupt: cache.lazy_verify_failures,
-            cache_restore_pending: cache.lazy_pending,
+            cache_restore_verified: cache.restore_verified,
+            cache_restore_corrupt: cache.restore_corrupt,
             cache_diagonal_builds: cache.diagonal_builds,
             normalizer_memo_hits: engine.normalizer_memo_hits,
             cache_len: cache.len,
@@ -1846,17 +1836,12 @@ pub(crate) mod tests {
             (
                 "cache_restore_verified",
                 s.cache_restore_verified,
-                c.lazy_verified,
+                c.restore_verified,
             ),
             (
                 "cache_restore_corrupt",
                 s.cache_restore_corrupt,
-                c.lazy_verify_failures,
-            ),
-            (
-                "cache_restore_pending",
-                s.cache_restore_pending as u64,
-                c.lazy_pending as u64,
+                c.restore_corrupt,
             ),
             (
                 "cache_diagonal_builds",
@@ -1892,14 +1877,14 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// `Server::stats` copies its 22 cache and engine fields out of one
+    /// `Server::stats` copies its 24 cache and engine fields out of one
     /// `Engine::stats()` value by hand, and its worker wakes out of the
     /// queue. Drive what one worker can reach — hits, a symmetry hit,
     /// misses, an eviction and an oversize refusal under a one-slice
     /// budget, a warm restore, lazy runs, a promotion, a refused span's
     /// half materialized and a submit that finds a backlog — and hold each
-    /// copy against its source: once with the restored entry still
-    /// pending, once at the end.
+    /// copy against its source: once right after the restore, once at the
+    /// end.
     #[test]
     fn stats_copy_every_cache_and_engine_field() {
         let hin = bib();
@@ -1913,7 +1898,7 @@ pub(crate) mod tests {
         let budget = bytes_of("rank author-paper-venue");
         assert!(bytes_of("rank author-paper-author") > budget);
         // a warm image of venue×venue (fits) and author×author (rejected),
-        // mounted from bytes: view-backed, and pending until first touched
+        // mounted from bytes: view-backed, and proved by the restore
         let donor = Engine::from_arc(Arc::clone(&hin));
         donor.execute("rank venue-paper-venue").unwrap();
         donor.execute("rank author-paper-author").unwrap();
@@ -1936,8 +1921,9 @@ pub(crate) mod tests {
             },
         );
         let at_start = assert_copied(&server);
+        // the oversize entry is refused before it is hashed
         assert!(
-            at_start.contains(&("cache_restore_pending", 1)),
+            at_start.contains(&("cache_restore_verified", 1)),
             "{at_start:?}"
         );
 
@@ -1947,7 +1933,7 @@ pub(crate) mod tests {
                 .wait()
                 .unwrap_or_else(|e| panic!("{q}: {e}"));
         };
-        run("rank venue-paper-venue"); // verifies the restored entry; a hit
+        run("rank venue-paper-venue"); // the restored entry: a hit
         run("pathsim venue-paper-venue from v0"); // reads it whole: a diagonal
         run("rank author-paper-venue"); // a miss, evicting venue×venue
         run("rank venue-paper-author"); // a symmetry hit on author×venue
@@ -1975,14 +1961,13 @@ pub(crate) mod tests {
 
         let at_end = assert_copied(&server);
         // one worker never races another for a span, the image was not
-        // damaged, its one entry is verified by now, and no computation
+        // damaged, and no computation
         // bypasses the in-flight table; and no span of this three-author
         // network has a square eight times its halves, so none is factored
         // and nothing reaches the row memo (`hin_query`'s tests fill it)
         let unreached = [
             "cache_coalesced_waits",
             "cache_restore_corrupt",
-            "cache_restore_pending",
             "cache_dup_computes",
             "memo_hits",
             "cache_memo_rows",

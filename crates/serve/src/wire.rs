@@ -25,8 +25,9 @@
 //!   image ([`hin_query::CacheSnapshot::to_bytes`]; the frame adds its own
 //!   checksum over it in flight), so a freshly spawned remote shard
 //!   warm-starts entirely over the wire, no shared filesystem needed. The
-//!   ack is sent once every restored entry has been verified against the
-//!   image's own per-entry checksums.
+//!   ack is sent once the restore has proved every entry against the
+//!   image's own per-entry checksums, and counts a corrupt one as
+//!   rejected.
 //!
 //! Decoding is paranoid in the same way the snapshot codec is: corrupt,
 //! truncated, or hostile payloads return a typed [`CodecError`], never

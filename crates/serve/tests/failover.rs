@@ -333,15 +333,176 @@ fn a_checkpoint_unlinked_while_mapped_keeps_serving_and_checkpoints_again() {
         check(&router, &format!("cycle {cycle}, checkpointed again"));
         let d = &router.stats().datasets[0].1;
         assert_eq!(d.cache_misses, 0, "cycle {cycle}: nothing recomputed");
-        assert_eq!(
-            (d.cache_restore_pending, d.cache_restore_corrupt),
-            (0, 0),
-            "cycle {cycle}"
-        );
+        // every matrix, and every ranked-rows entry, was proved
+        assert_eq!(d.cache_restore_corrupt, 0, "cycle {cycle}");
+        assert!(d.cache_restore_verified >= report.loaded, "cycle {cycle}");
     }
     // entry order follows recency, which three workers do not reproduce;
     // what is carried does not change
     assert_eq!(carried(&file), first);
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every way a checkpoint gets into a server proves each entry's values
+/// before the entry goes in: with one payload byte flipped on disk, each
+/// door reports the entry rejected and corrupt by the time it returns, the
+/// damaged span is not resident, and the answers are the undamaged ones.
+#[test]
+fn every_restore_door_proves_at_import() {
+    use std::time::{Duration, Instant};
+
+    use hin_query::{CacheSnapshot, ExecPolicy};
+    use hin_serve::{
+        FailoverConfig, RemoteConfig, RemoteServerHandle, Server, ServerStats, ShardListener,
+        SupervisorConfig,
+    };
+
+    let dir = std::env::temp_dir().join(format!("hin-failover-doors-{}", std::process::id()));
+    let hin = world();
+    // no span here is factored, so the image carries matrices only
+    let queries = [
+        "pathsim author-paper-author from author_a0_0",
+        "pathcount author-paper-venue from author_a1_1",
+        "pathsim venue-paper-venue from venue_a2_0",
+        "rank venue-paper-author limit 10",
+    ];
+    let reference = Engine::from_arc(Arc::clone(&hin));
+    let want: Vec<_> = queries.iter().map(|q| reference.execute(q)).collect();
+    let config = ServeConfig {
+        exec: ExecPolicy::promote_after(0),
+        ..serve_config()
+    };
+    let router = Router::new(RouterConfig {
+        stripes: 2,
+        serve: config.clone(),
+    });
+    assert!(router.register("dblp", Arc::clone(&hin)));
+    assert_eq!(router.execute_many("dblp", &queries), want);
+    let good = router.checkpoint(&dir).expect("checkpoint").remove(0).1;
+    drop(router.evict("dblp").expect("registered"));
+
+    // one payload byte of directory entry 0 flipped
+    let mut image = std::fs::read(&good).expect("read back");
+    let word = |off: usize| u64::from_le_bytes(image[off..off + 8].try_into().unwrap()) as usize;
+    let entry = word(32);
+    assert!(word(entry + 16) > 0, "entry 0 carries values");
+    let data_off = word(entry + 40);
+    image[data_off] ^= 0x04;
+    let bad = dir.join("flipped.hinsnap");
+    std::fs::write(&bad, &image).expect("write the damaged copy");
+    let mounted = CacheSnapshot::open(&bad).expect("metadata and structure are intact");
+    let (total, damaged) = (mounted.len() as u64, mounted.keys()[0].clone());
+    assert!(total >= 2 && mounted.ranked_rows() == 0, "{mounted:?}");
+
+    // what each door must show when it returns
+    let proved = |door: &str, stats: &ServerStats, loaded: u64, rejected: u64| {
+        assert_eq!((loaded, rejected), (total - 1, 1), "{door}");
+        assert_eq!(stats.cache_restore_corrupt, 1, "{door}");
+        assert_eq!(stats.cache_restore_verified, loaded, "{door}");
+        assert_eq!(stats.cache_warm_rejected, 1, "{door}");
+        assert_eq!(stats.cache_len as u64, loaded, "{door}");
+    };
+    let resident = |router: &Router| {
+        let file = router.checkpoint(dir.join("resident")).expect("checkpoint");
+        CacheSnapshot::open(&file[0].1).expect("reopen").keys()
+    };
+    let answers = |door: &str, got: Vec<_>| {
+        for ((q, got), want) in queries.iter().zip(got).zip(&want) {
+            assert_eq!(&got, want, "{door}: {q}");
+        }
+    };
+
+    // `Router::register_warm`, image mounted by the caller
+    let report = router
+        .register_warm("dblp", Arc::clone(&hin), mounted)
+        .expect("key free");
+    let stats = router.stats().datasets.remove(0).1;
+    proved("register_warm", &stats, report.loaded, report.rejected);
+    assert!(!resident(&router).contains(&damaged), "register_warm");
+    answers("register_warm", router.execute_many("dblp", &queries));
+    drop(router.evict("dblp").expect("registered"));
+
+    // `Router::register_warm_from_file`
+    let report = router
+        .register_warm_from_file("dblp", Arc::clone(&hin), &bad)
+        .expect("mounts")
+        .expect("key free");
+    let stats = router.stats().datasets.remove(0).1;
+    proved("from_file", &stats, report.loaded, report.rejected);
+    assert!(!resident(&router).contains(&damaged), "from_file");
+    answers("from_file", router.execute_many("dblp", &queries));
+    drop(router.evict("dblp").expect("registered"));
+
+    // a bare `Server::start` with a warm start
+    let server = Server::start(
+        Arc::clone(&hin),
+        ServeConfig {
+            warm_start: Some(Arc::new(CacheSnapshot::open(&bad).expect("mounts"))),
+            ..config.clone()
+        },
+    );
+    let report = server.warm_import().expect("a warm start was configured");
+    proved(
+        "warm_start",
+        &server.stats(),
+        report.loaded,
+        report.rejected,
+    );
+    let keys = server.engine().snapshot(None).keys();
+    assert!(!keys.contains(&damaged), "warm_start");
+    answers("warm_start", server.execute_many(&queries));
+    server.shutdown();
+
+    // the remote `Warm` message
+    let listener = ShardListener::start(Arc::clone(&hin), config.clone()).expect("bind");
+    let remote = RemoteServerHandle::connect(listener.local_addr(), RemoteConfig::default());
+    let (loaded, rejected) = remote
+        .warm(&image, Duration::from_secs(10))
+        .expect("warm round trip");
+    proved("Warm", &listener.stats(), loaded, rejected);
+    let tickets: Vec<_> = queries.iter().map(|q| remote.submit(*q)).collect();
+    answers("Warm", tickets.into_iter().map(|t| t.wait()).collect());
+    remote.shutdown();
+    listener.shutdown();
+
+    // failover of a dead remote shard onto the damaged checkpoint
+    let listener = ShardListener::start(Arc::clone(&hin), config).expect("bind");
+    assert!(router.register_remote(
+        "dblp",
+        listener.local_addr(),
+        RemoteConfig {
+            retries: 0,
+            connect_timeout: Duration::from_millis(100),
+            request_timeout: Duration::from_millis(500),
+            ..RemoteConfig::default()
+        },
+        SupervisorConfig {
+            interval: Duration::from_millis(20),
+            ping_timeout: Duration::from_millis(200),
+            failure_threshold: 2,
+            failover: Some(FailoverConfig {
+                hin: Arc::clone(&hin),
+                checkpoint: bad.clone(),
+            }),
+        },
+    ));
+    listener.kill();
+    drop(listener.shutdown());
+    let t0 = Instant::now();
+    while router.stats().failovers == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "no failover");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let stats = router.stats().datasets.remove(0).1;
+    proved(
+        "failover",
+        &stats,
+        stats.cache_warm_loaded,
+        stats.cache_warm_rejected,
+    );
+    assert!(!resident(&router).contains(&damaged), "failover");
+    answers("failover", router.execute_many("dblp", &queries));
     router.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -154,7 +154,6 @@ fn merge_edge_semantics() {
         cache_refused_bytes: 9_000,
         cache_restore_verified: 6,
         cache_restore_corrupt: 1,
-        cache_restore_pending: 2,
         ..ServerStats::default()
     };
     let b = ServerStats {
@@ -172,7 +171,6 @@ fn merge_edge_semantics() {
         cache_inserts_refused: 1,
         cache_refused_bytes: 500,
         cache_restore_verified: 3,
-        cache_restore_pending: 1,
         ..ServerStats::default()
     };
     let m = a.merge(&b);
@@ -186,14 +184,7 @@ fn merge_edge_semantics() {
         ),
         (42, 5, 9_500)
     );
-    assert_eq!(
-        (
-            m.cache_restore_verified,
-            m.cache_restore_corrupt,
-            m.cache_restore_pending
-        ),
-        (9, 1, 3)
-    );
+    assert_eq!((m.cache_restore_verified, m.cache_restore_corrupt), (9, 1));
     assert_eq!(m.max_batch, 7, "max_batch takes the max");
     assert_eq!(m.workers, 6, "workers add");
     assert_eq!(m.queue_depth, 4, "gauges add across disjoint servers");
@@ -252,7 +243,6 @@ fn every_field(side: u64) -> ServerStats {
         cache_warm_view_backed: v(24),
         cache_restore_verified: v(25),
         cache_restore_corrupt: v(26),
-        cache_restore_pending: v(27) as usize,
         cache_diagonal_builds: v(28),
         normalizer_memo_hits: v(29),
         cache_len: v(30) as usize,
@@ -306,7 +296,6 @@ fn merge_combines_every_field_by_its_own_rule() {
         cache_warm_view_backed,
         cache_restore_verified,
         cache_restore_corrupt,
-        cache_restore_pending,
         cache_diagonal_builds,
         normalizer_memo_hits,
         cache_len,
@@ -434,7 +423,6 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         cache_refused_bytes: 125,
         cache_restore_verified: 126,
         cache_restore_corrupt: 127,
-        cache_restore_pending: 128,
         shed_expired: 129,
         cache_warm_view_backed: 130,
         normalizer_memo_hits: 131,
@@ -515,7 +503,6 @@ fn metrics_page_round_trips_every_counter_and_histogram() {
         ("hin_queue_depth", 107),
         ("hin_cache_len", 119),
         ("hin_cache_bytes", 120),
-        ("hin_cache_restore_pending", 128),
         ("hin_cache_memo_rows", 136),
         ("hin_cache_memo_bytes", 137),
     ] {
