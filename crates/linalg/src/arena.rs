@@ -31,12 +31,17 @@
 //! (`mmap` returns page-aligned addresses), identical [`ArenaBuf::as_bytes`]
 //! access — so everything downstream of the `Arc<ArenaBuf>` seam
 //! ([`Csr::from_arena`], the snapshot parser) is backing-oblivious. A
-//! mapped arena is read-only and **demand-paged**: no byte of the file is
-//! copied or even faulted in
-//! until a kernel actually dereferences it, which is what lets a restored
-//! snapshot exceed physical RAM — the kernel pages matrix data in and out
-//! as queries touch it. The region is unmapped when the last view into it
-//! drops.
+//! mapped arena is read-only and shares the kernel's page cache: the
+//! file's bytes are never copied into a heap buffer. A snapshot restore
+//! still reads every page — the mount validates the structure arrays and
+//! the restore hashes the values — so mapping does not let an image
+//! outgrow RAM. What it saves is the copy a read makes: on the end-to-end
+//! benchmark's `warm_restart` workload (seed 42, 10 s runs, 6 alternating
+//! pairs on 2 vCPUs), forcing the read fallback instead cost 19 % of
+//! throughput (42.0 k → 33.9 k queries/s, worse in all 6 pairs), 23.6 →
+//! 29.0 µs of CPU per query, 119 → 148 µs p90 latency and 2.80 → 3.65 ms
+//! median recovery, with resident memory unchanged. The region is
+//! unmapped when the last view into it drops.
 //!
 //! # Storage stats
 //!
@@ -79,8 +84,8 @@ pub fn arena_bytes() -> u64 {
 
 /// Live gauge: bytes of file-backed [`ArenaBuf`] mappings currently live
 /// ([`ArenaBuf::map_file`]). This is mapped length — the address-space
-/// reservation — not resident set size: the kernel pages the file in and
-/// out on demand, so actual memory use can be far smaller.
+/// reservation — not heap: the pages are the kernel's page cache of the
+/// file, which a snapshot restore reads in whole.
 pub fn arena_mapped_bytes() -> u64 {
     ARENA_MAPPED_BYTES.load(Ordering::Relaxed)
 }
@@ -179,7 +184,7 @@ impl Drop for MappedRegion {
 enum Backing {
     /// An owned `u64` allocation (always 8-byte aligned), filled by a read.
     Heap(Box<[u64]>),
-    /// A read-only file mapping (page-aligned base), paged on demand.
+    /// A read-only file mapping (page-aligned base).
     #[cfg(all(unix, target_pointer_width = "64"))]
     Mapped(MappedRegion),
 }
@@ -230,12 +235,13 @@ impl ArenaBuf {
         buf
     }
 
-    /// Memory-map `file` read-only as an arena buffer — the
-    /// larger-than-RAM restore path. Nothing is read eagerly: pages fault
-    /// in as views dereference them and the kernel evicts them under
-    /// memory pressure, so the working set, not the file size, bounds
-    /// resident memory. The mapping is released when the buffer (and every
-    /// view holding its `Arc`) drops.
+    /// Memory-map `file` read-only as an arena buffer: views read the
+    /// kernel's page cache of the file, and no byte is copied into a heap
+    /// buffer — the copy [`ArenaBuf::with_len`] + `read_exact` makes, which
+    /// costs a snapshot restore measurably more (see the module doc). It is
+    /// not a way to hold more than RAM: a restore reads every page. The
+    /// mapping is released when the buffer (and every view holding its
+    /// `Arc`) drops.
     ///
     /// Returns `Err` on non-64-bit-unix targets, for empty files (`mmap`
     /// rejects zero-length maps), and whenever the map call itself fails —
@@ -292,8 +298,8 @@ impl ArenaBuf {
         ))
     }
 
-    /// `true` when the buffer is a demand-paged file mapping rather than a
-    /// heap allocation.
+    /// `true` when the buffer is a file mapping rather than a heap
+    /// allocation.
     pub fn is_mapped(&self) -> bool {
         match &self.backing {
             Backing::Heap(_) => false,

@@ -58,17 +58,15 @@
 //!
 //! # Row memo
 //!
-//! A symmetric span `H·Hᵀ` whose square would cost far more than its
-//! halves is never promoted whole, whatever the budget
-//! ([`Refusal::Factored`]): its rows are read through the halves. What a
-//! resident square's sidecar would keep of it — the ranked rows its reads
-//! asked for, the best ten per anchor and scoring — the cache keeps in the
-//! **row memo** instead, one sidecar per such span, so a repeated read
-//! copies a stored row under two read locks. The memo is bounded by a row
-//! count and reset wholesale, like the ledger, and its rows go into a
-//! snapshot ([`CacheSnapshot`](crate::CacheSnapshot)), so a restart keeps
-//! them. [`CacheStats::memo_rows`] and [`CacheStats::memo_bytes`] say what
-//! it holds.
+//! Cache entries hold matrices and nothing else. What reads derive from a
+//! span — its ranked rows, its row sums, its PathSim diagonal — is kept in
+//! the **row memo** under the span's exact key, so a repeated read copies
+//! a stored row and looks at no shard. The network never changes under its
+//! cache, so that outlives evictions and restores of the span's matrix; a
+//! factored span ([`Refusal::Factored`]), whose square is never resident,
+//! keeps its rows there too. The memo is bounded by a row count and reset
+//! wholesale, like the ledger. [`CacheStats::memo_rows`] and
+//! [`CacheStats::memo_bytes`] say what it holds.
 //!
 //! Keys pick their shard through a fixed hash of the `(relation id,
 //! forward)` sequence of their canonical form, so which spans share a
@@ -91,7 +89,7 @@ use std::borrow::Cow;
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 use hin_linalg::codec::Fnv64;
@@ -162,7 +160,7 @@ pub(crate) fn canonical_key(key: &[StepKey]) -> PathKey {
     filed(key).0.into_owned()
 }
 
-/// A ranking in the form a sidecar stores it.
+/// A ranking in the form the row memo stores it.
 fn compact(list: Vec<(usize, f64)>) -> Ranked {
     list.into_iter().map(|(id, s)| (id as u32, s)).collect()
 }
@@ -185,8 +183,9 @@ const LEDGER_CAP: usize = 4096;
 
 /// Ranked rows the row memo holds before it is reset wholesale — a memory
 /// bound, not a policy: a reset only costs re-ranking the rows still read.
-/// At most ten pairs of 16 bytes a row, so about 12 MB.
-const MEMO_ROWS_CAP: usize = 1 << 16;
+/// At most ten pairs of 16 bytes a row, so about 12 MB. A diagonal counts
+/// as the rows its bytes would fill: 8 bytes an entry against a row's 160.
+pub(crate) const MEMO_ROWS_CAP: usize = 1 << 16;
 
 /// Where a refused span's row is split: the first step of its right half,
 /// or `None` when no split has halves the cache admits.
@@ -368,11 +367,8 @@ struct Entry {
     /// can refresh it under the shard's *read* lock.
     last_used: AtomicU64,
     /// `entry_checksum(value)` — a property of the immutable matrix, so
-    /// remembered beside it like the diagonal: see [`Sealed::checksum`].
+    /// remembered beside it: see [`Sealed::checksum`].
     checksum: Arc<OnceLock<EntryChecksum>>,
-    /// What the reads of `value` derived from it, born empty with the entry
-    /// and dropped with it, so it can never outlive or mismatch `value`.
-    sidecar: Arc<Sidecar>,
 }
 
 /// A ranked list: `(id, score)` pairs, best first.
@@ -381,32 +377,22 @@ type Ranked = Box<[(u32, f64)]>;
 /// The rows of one scoring that reads have ranked so far, by anchor row.
 type RankedRows = RwLock<HashMap<u32, Ranked>>;
 
-/// What a resident entry's reads derive from its immutable matrix: the
-/// diagonal PathSim divides by, and the ranked lists the ranking verbs
-/// answer from ([`MatrixCache::ranked`]). Handed out with the matrix by
-/// [`MatrixCache::probe`], or looked up by [`MatrixCache::sidecar_of`];
-/// never written to a snapshot or sent over the wire.
-///
-/// A factored span, whose square is never resident, keeps one too, in the
-/// row memo ([`MatrixCache::memo_of`]): only its PathSim and count rows are
-/// used, ranked from rows propagated through the span's halves. Those rows
-/// are what a snapshot carries of it.
-///
-/// Not priced into the entry's bytes. The diagonal is 8 bytes per row,
-/// smaller than the matrix's own `indptr` array, which is priced. A ranked
-/// list is stored only for a row some read asked for, so the lists hold at
-/// most one per distinct anchor asked, per scoring, plus one of row sums;
-/// each list is at most as long as its first read asked to rank (the
-/// engine ranks ten) at 16 bytes a pair.
+/// What reads derive from one span, kept in the row memo under its key
+/// ([`MatrixCache::memo_of`]): the diagonal PathSim divides by, and the
+/// ranked lists the ranking verbs answer from ([`MatrixCache::ranked`]),
+/// ranked off a whole matrix of the span or, for a factored span, off
+/// rows propagated through its halves. A snapshot carries the PathSim and
+/// count rows of a span whose matrix it does not carry, and never the
+/// diagonal or the row sums.
 #[derive(Default)]
-pub(crate) struct Sidecar {
+pub(crate) struct SpanMemo {
     diagonal: OnceLock<Box<[f64]>>,
     pathsim: RankedRows,
     counts: RankedRows,
     row_sums: OnceLock<Ranked>,
 }
 
-impl Sidecar {
+impl SpanMemo {
     /// The ranked rows of one per-row scoring.
     fn rows(&self, kind: RowKind) -> &RankedRows {
         match kind {
@@ -415,10 +401,45 @@ impl Sidecar {
         }
     }
 
-    /// [`Sidecar::rows`], read-locked.
+    /// [`SpanMemo::rows`], read-locked.
     fn read_rows(&self, kind: RowKind) -> RwLockReadGuard<'_, HashMap<u32, Ranked>> {
         let rows = self.rows(kind).read();
         rows.unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `matrix.diagonal()`, where `matrix` is the span's, as `cache` handed
+    /// it out: built once per memo generation, by whichever caller asks
+    /// first, and concurrent first callers block on that one build (one
+    /// binary search per row), counted in `cache`'s
+    /// [`CacheStats::diagonal_builds`].
+    pub(crate) fn diagonal(&self, cache: &MatrixCache, matrix: &Csr) -> &[f64] {
+        self.diagonal.get_or_init(|| {
+            let built: Box<[f64]> = matrix.diagonal().into();
+            cache.note_memo(built.len().div_ceil(20));
+            cache
+                .counters
+                .diagonal_builds
+                .fetch_add(1, Ordering::Relaxed);
+            built
+        })
+    }
+
+    /// Ranked lists held, and their heap bytes plus the diagonal's.
+    fn held(&self) -> (usize, usize) {
+        let (pathsim, counts) = (
+            self.read_rows(RowKind::PathSim),
+            self.read_rows(RowKind::Count),
+        );
+        let lists = pathsim
+            .values()
+            .chain(counts.values())
+            .chain(self.row_sums.get());
+        let (rows, bytes) = lists.fold((0, 0), |(n, b), list| (n + 1, b + row_bytes(list)));
+        let diagonal = self
+            .diagonal
+            .get()
+            .map_or(0, |d| std::mem::size_of_val(&**d));
+        (rows, bytes + diagonal)
     }
 }
 
@@ -430,9 +451,8 @@ fn row_bytes(list: &[(u32, f64)]) -> usize {
     std::mem::size_of::<(u32, Ranked)>() + std::mem::size_of_val(list)
 }
 
-/// The two per-row scorings a sidecar ranks ([`Scoring::PathSim`] and
-/// [`Scoring::Count`]): the two kinds of ranked rows a factored span's row
-/// memo carries into a snapshot.
+/// The two per-row scorings the row memo ranks ([`Scoring::PathSim`] and
+/// [`Scoring::Count`]): the two kinds of ranked rows a snapshot carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum RowKind {
     /// PathSim rows.
@@ -441,15 +461,15 @@ pub(crate) enum RowKind {
     Count,
 }
 
-/// Which ranked list of a resident matrix a read asks for.
+/// Which ranked list of a span a read asks for.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Scoring {
     /// Row `x`'s candidates by PathSim.
     PathSim(usize),
     /// Row `x`'s candidates by raw path count. Whether `x` itself is a
-    /// candidate is fixed by the span's end types, so by the entry.
+    /// candidate is fixed by the span's end types, so by the span.
     Count(usize),
-    /// The rows by row sum: one list per entry.
+    /// The rows by row sum: one list per span.
     RowSums,
 }
 
@@ -516,11 +536,13 @@ pub struct MatrixCache {
     /// re-heating. Never taken while a shard lock is held; its holder may
     /// take a shard's read lock, to price a split, and no other lock.
     ledger: Mutex<Ledger>,
-    /// The row memo: per factored span, the sidecar its ranked rows are
-    /// kept in ([`MatrixCache::memo_of`]), since no resident square holds
-    /// one. Bounded by [`MEMO_ROWS_CAP`] rows. Never taken with another
-    /// lock of the cache held.
-    memo: RwLock<KeyMap<Arc<Sidecar>>>,
+    /// The row memo: per span, what its reads derived from it
+    /// ([`MatrixCache::memo_of`]). Never taken with another lock of the
+    /// cache held.
+    memo: RwLock<KeyMap<Arc<SpanMemo>>>,
+    /// Rows stored in the memo since it was last reset, counted so that
+    /// the [`MEMO_ROWS_CAP`] check scans nothing.
+    memo_rows: AtomicUsize,
     /// Keys currently being computed by some thread (compute-once,
     /// wait-many). One global mutex, not sharded: it is touched only on
     /// the miss path, held only for a map probe/insert/remove, and never
@@ -561,7 +583,9 @@ pub struct CacheStats {
     pub len: usize,
     /// Resident bytes across all shards ([`Csr::nbytes`] of every entry).
     pub bytes: usize,
-    /// Products served from cache (exact + symmetry).
+    /// Products served from cache (exact + symmetry). A read answered
+    /// from the row memo is not a hit: it looks at no shard and counts
+    /// nothing here (`EngineStats::memo_hits` counts it).
     pub hits: u64,
     /// The subset of `hits` served by transposing a cached reversed
     /// sub-path.
@@ -619,19 +643,20 @@ pub struct CacheStats {
     /// computed when it is next wanted. Nonzero means the image was damaged
     /// after writing — storage rot, torn copy, wire corruption.
     pub restore_corrupt: u64,
-    /// Ranked rows in the row memo of factored spans (a gauge): one per
-    /// anchor read and scoring, at most ten pairs each. Where a symmetric
-    /// span's hot reads live instead of its square.
+    /// Ranked lists in the row memo (a gauge): one per span, anchor read
+    /// and scoring, plus one of row sums per span `rank` read, at most ten
+    /// pairs each. Where every span's hot reads live — a resident span's,
+    /// and a factored span's instead of its square.
     pub memo_rows: usize,
-    /// Heap bytes of those rows (a gauge): 16 bytes a pair plus 24 a row,
+    /// Heap bytes of those lists (16 bytes a pair plus 24 a list) and of
+    /// the memo's diagonals (8 bytes a row of the span's matrix), a gauge
     /// not counting the maps' own slack. Not in `bytes`, which is the
     /// matrices'.
     pub memo_bytes: usize,
-    /// Diagonal sidecars built: one per resident square matrix PathSim has
-    /// read, per residency — an evicted or restored matrix pays the build
-    /// (one binary search per row) again on its next PathSim read, so a
-    /// count that tracks queries rather than resident spans means an
-    /// eviction or restore storm.
+    /// Diagonals built: one per span PathSim has read off a whole matrix,
+    /// per memo generation — the memo keeps a span's diagonal across
+    /// evictions and restores of its matrix, and builds it again (one
+    /// binary search per row) only after the memo was reset at its cap.
     pub diagonal_builds: u64,
 }
 
@@ -664,6 +689,7 @@ impl MatrixCache {
             budget_per_shard: config.byte_budget.map(|b| b / shards),
             ledger: Mutex::default(),
             memo: RwLock::default(),
+            memo_rows: AtomicUsize::new(0),
             inflight: Mutex::default(),
             tick: AtomicU64::new(0),
             counters: Counters::default(),
@@ -697,12 +723,10 @@ impl MatrixCache {
             diagonal_builds: read(&c.diagonal_builds),
             ..CacheStats::default()
         };
-        for sidecar in self.memo().values() {
-            for kind in [RowKind::PathSim, RowKind::Count] {
-                let rows = sidecar.read_rows(kind);
-                stats.memo_rows += rows.len();
-                stats.memo_bytes += rows.values().map(|list| row_bytes(list)).sum::<usize>();
-            }
+        for span in self.memo().values() {
+            let (rows, bytes) = span.held();
+            stats.memo_rows += rows;
+            stats.memo_bytes += bytes;
         }
         for shard in self.shards.iter() {
             let shard = shard.read().unwrap_or_else(PoisonError::into_inner);
@@ -712,8 +736,9 @@ impl MatrixCache {
         stats
     }
 
-    /// Ranked lists stored in sidecars ([`MatrixCache::ranked`]): one per
-    /// residency, scoring and row read, like [`CacheStats::diagonal_builds`].
+    /// Ranked lists stored in the row memo by [`MatrixCache::ranked`]: one
+    /// per span, scoring and row read, per memo generation, like
+    /// [`CacheStats::diagonal_builds`].
     #[cfg(test)]
     pub(crate) fn ranked_builds(&self) -> u64 {
         self.counters.ranked_builds.load(Ordering::Relaxed)
@@ -831,10 +856,12 @@ impl MatrixCache {
             .filter(|_| self.shard_index(a) == self.shard_index(b))
     }
 
-    /// Counting lookup of exactly `key` (no symmetry), which refreshes
-    /// recency. Everything resident was proved when it went in, so a hit is
-    /// one read lock, the recency stamp and two `Arc` clones.
-    fn resident(&self, key: &[StepKey]) -> Option<(Arc<Csr>, Arc<Sidecar>)> {
+    /// Counting lookup of exactly `key`, which refreshes recency: a
+    /// resident reversal is neither served nor transposed, so the lookup
+    /// stores nothing and evicts nobody. Everything resident was proved
+    /// when it went in, so a hit is one read lock, the recency stamp, the
+    /// hit count and one `Arc` clone.
+    pub(crate) fn get_exact(&self, key: &[StepKey]) -> Option<Arc<Csr>> {
         let shard = self
             .shard_of(key)
             .read()
@@ -844,7 +871,8 @@ impl MatrixCache {
             self.tick.fetch_add(1, Ordering::Relaxed) + 1,
             Ordering::Relaxed,
         );
-        Some((Arc::clone(&entry.value), Arc::clone(&entry.sidecar)))
+        self.counters.hits.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(&entry.value))
     }
 
     /// Do `sealed`'s values match the values checksum its image's directory
@@ -889,9 +917,8 @@ impl MatrixCache {
     /// then itself; its size goes into the span ledger. Then an entry out of
     /// an image is [`proven`](MatrixCache::proven), and turned away if its
     /// values do not match their checksum. An entry resident under `key` is
-    /// replaced, sidecar and all: the caller holds the new allocation and
-    /// finds its sidecar by [`Arc::ptr_eq`] ([`MatrixCache::sidecar_of`]),
-    /// which the old entry would fail.
+    /// replaced: a restore over a live cache brings the span's product
+    /// again, and what the row memo keeps of the span holds for both.
     pub(crate) fn insert_sealed(&self, sealed: Sealed) -> bool {
         let bytes = sealed.matrix.nbytes();
         if self.budget_per_shard.is_some_and(|slice| bytes > slice) {
@@ -917,7 +944,6 @@ impl MatrixCache {
             bytes,
             last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed) + 1),
             checksum: sealed.checksum,
-            sidecar: Arc::default(),
         };
         if let Some(old) = shard.map.insert(sealed.key, entry) {
             shard.bytes -= old.bytes;
@@ -934,57 +960,30 @@ impl MatrixCache {
         true
     }
 
-    /// The sidecar of `matrix`, provided `matrix` is the very allocation
-    /// resident under `key` right now — matched by [`Arc::ptr_eq`], never by
-    /// key alone, so a caller holding a matrix that was evicted or replaced
-    /// gets `None` (and reads its own matrix) rather than another matrix's
-    /// diagonal or ranked rows. Does not count as a cache use: the caller's
-    /// lookup of `matrix` already did. A caller whose lookup was
-    /// [`MatrixCache::probe`] already holds the sidecar and need not ask.
-    pub(crate) fn sidecar_of(&self, key: &[StepKey], matrix: &Arc<Csr>) -> Option<Arc<Sidecar>> {
-        let shard = self
-            .shard_of(key)
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        let entry = shard.map.get(key)?;
-        Arc::ptr_eq(&entry.value, matrix).then(|| Arc::clone(&entry.sidecar))
-    }
-
-    /// `matrix.diagonal()`, where `sidecar` is `matrix`'s: built once per
-    /// residency, by whichever caller asks first, and concurrent first
-    /// callers block on that one build (one binary search per row).
-    pub(crate) fn diagonal<'s>(&self, sidecar: &'s Sidecar, matrix: &Csr) -> &'s [f64] {
-        sidecar.diagonal.get_or_init(|| {
-            self.counters
-                .diagonal_builds
-                .fetch_add(1, Ordering::Relaxed);
-            matrix.diagonal().into()
-        })
-    }
-
-    /// The first `limit` pairs of the list `scoring` names, where `sidecar`
-    /// is the sidecar of the matrix `rank` reads. The first read of a list
-    /// calls `rank` and stores what it returns; every later one copies a
-    /// prefix under the read lock. So `limit` must be at most the length
-    /// `rank` ranks to, and a prefix of a longer ranking must be the
-    /// shorter ranking — true of [`hin_similarity::TopK`]'s total order.
-    /// First reads that race each rank, and the first to store wins; the
-    /// lists are equal, so which one does not show.
+    /// The first `limit` pairs of the list `scoring` names, where `memo` is
+    /// the row memo's entry of the span whose rows `rank` ranks. The first
+    /// read of a list calls `rank` and stores what it returns; every later
+    /// one copies a prefix under the read lock. So `limit` must be at most
+    /// the length `rank` ranks to, and a prefix of a longer ranking must be
+    /// the shorter ranking — true of [`hin_similarity::TopK`]'s total
+    /// order. First reads that race each rank, and the first to store wins;
+    /// the lists are equal, so which one does not show.
     pub(crate) fn ranked(
         &self,
-        sidecar: &Sidecar,
+        memo: &SpanMemo,
         scoring: Scoring,
         limit: usize,
         rank: impl FnOnce() -> Vec<(usize, f64)>,
     ) -> Vec<(usize, f64)> {
         let Some((kind, row)) = scoring.row() else {
-            let list = sidecar.row_sums.get_or_init(|| {
+            let list = memo.row_sums.get_or_init(|| {
                 self.counters.ranked_builds.fetch_add(1, Ordering::Relaxed);
+                self.note_memo(1);
                 compact(rank())
             });
             return prefix(list, limit);
         };
-        let rows = sidecar.rows(kind);
+        let rows = memo.rows(kind);
         if let Some(list) = rows
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -997,78 +996,81 @@ impl MatrixCache {
         let mut rows = rows.write().unwrap_or_else(PoisonError::into_inner);
         if let MapEntry::Vacant(slot) = rows.entry(row) {
             self.counters.ranked_builds.fetch_add(1, Ordering::Relaxed);
+            self.note_memo(1);
             slot.insert(list);
         }
         answer
     }
 
     /// The row memo, read-locked.
-    fn memo(&self) -> RwLockReadGuard<'_, KeyMap<Arc<Sidecar>>> {
+    fn memo(&self) -> RwLockReadGuard<'_, KeyMap<Arc<SpanMemo>>> {
         self.memo.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Rows the row memo holds.
-    fn memo_len(memo: &KeyMap<Arc<Sidecar>>) -> usize {
-        let rows =
-            |s: &Sidecar| s.read_rows(RowKind::PathSim).len() + s.read_rows(RowKind::Count).len();
-        memo.values().map(|s| rows(s)).sum()
+    /// Count `rows` more stored in the row memo ([`MatrixCache::memo_rows`]).
+    fn note_memo(&self, rows: usize) {
+        self.memo_rows.fetch_add(rows, Ordering::Relaxed);
     }
 
-    /// The first `limit` pairs of the row `scoring` names, if the row memo
-    /// of the factored span `key` holds it: two read locks and a copy,
-    /// counting nothing. `limit` must be at most the depth the row was
-    /// ranked to, as for [`MatrixCache::ranked`].
+    /// The first `limit` pairs of the list `scoring` names, if the row memo
+    /// holds it for the span `key`: two read locks and a copy (one lock,
+    /// for the row sums), no shard looked at and nothing counted. `limit`
+    /// must be at most the depth the list was ranked to, as for
+    /// [`MatrixCache::ranked`].
     pub(crate) fn memo_row(
         &self,
         key: &[StepKey],
         scoring: Scoring,
         limit: usize,
     ) -> Option<Vec<(usize, f64)>> {
-        let (kind, row) = scoring.row()?;
         let memo = self.memo();
-        let list = memo
-            .get(key)?
-            .read_rows(kind)
-            .get(&row)
-            .map(|list| prefix(list, limit));
+        let span = memo.get(key)?;
+        let list = match scoring.row() {
+            Some((kind, row)) => span
+                .read_rows(kind)
+                .get(&row)
+                .map(|list| prefix(list, limit)),
+            None => span.row_sums.get().map(|list| prefix(list, limit)),
+        };
         list
     }
 
-    /// The row memo's sidecar of the factored span `key`, started empty if
-    /// there is none: where [`MatrixCache::ranked`] stores the span's rows
-    /// as they are read. A memo found holding [`MEMO_ROWS_CAP`] rows is
-    /// reset first, so it outgrows the cap by at most the rows stored
-    /// between two such calls.
-    pub(crate) fn memo_of(&self, key: &[StepKey]) -> Arc<Sidecar> {
-        {
-            let memo = self.memo();
-            if let Some(sidecar) = memo
-                .get(key)
-                .filter(|_| Self::memo_len(&memo) < MEMO_ROWS_CAP)
-            {
-                return Arc::clone(sidecar);
+    /// The row memo's entry of the span `key`, started empty if there is
+    /// none: where [`MatrixCache::ranked`] stores the span's rows as they
+    /// are read. A memo found holding [`MEMO_ROWS_CAP`] rows is reset
+    /// first, so it outgrows the cap by at most the rows stored between two
+    /// such calls.
+    pub(crate) fn memo_of(&self, key: &[StepKey]) -> Arc<SpanMemo> {
+        if self.memo_rows.load(Ordering::Relaxed) < MEMO_ROWS_CAP {
+            if let Some(span) = self.memo().get(key) {
+                return Arc::clone(span);
             }
         }
         let mut memo = self.memo.write().unwrap_or_else(PoisonError::into_inner);
-        if Self::memo_len(&memo) >= MEMO_ROWS_CAP {
+        if self.memo_rows.load(Ordering::Relaxed) >= MEMO_ROWS_CAP {
             memo.clear();
+            self.memo_rows.store(0, Ordering::Relaxed);
         }
         Arc::clone(memo.entry(key.to_vec()).or_default())
     }
 
-    /// Every row the row memo holds, for a snapshot: per span and kind, row
-    /// `x`'s pairs as `(x, y, score)` triplets, rows and then ids
-    /// ascending — the order of a CSR matrix. Spans in key order, PathSim
-    /// rows before count rows; a kind with no rows is left out, and so is
-    /// an empty row, which a CSR row cannot tell from an absent one.
-    pub(crate) fn memo_triplets(&self) -> Vec<(PathKey, RowKind, Triplets)> {
+    /// Every ranked row the row memo holds of a span `carried` leaves out,
+    /// for a snapshot: per span and kind, row `x`'s pairs as `(x, y, score)`
+    /// triplets, rows and then ids ascending — the order of a CSR matrix.
+    /// Spans in key order, PathSim rows before count rows; a kind with no
+    /// rows is left out, and so is an empty row, which a CSR row cannot
+    /// tell from an absent one.
+    pub(crate) fn memo_triplets(
+        &self,
+        carried: impl Fn(&[StepKey]) -> bool,
+    ) -> Vec<(PathKey, RowKind, Triplets)> {
         let memo = self.memo();
-        let mut spans: Vec<_> = memo.iter().collect();
+        let mut spans: Vec<_> = memo.iter().filter(|(key, _)| !carried(key)).collect();
         spans.sort_by(|a, b| a.0.cmp(b.0));
         let mut out = Vec::new();
-        for (key, sidecar) in spans {
+        for (key, span) in spans {
             for kind in [RowKind::PathSim, RowKind::Count] {
-                let rows = sidecar.read_rows(kind);
+                let rows = span.read_rows(kind);
                 let mut ids: Vec<u32> = rows.keys().copied().collect();
                 ids.sort_unstable();
                 let mut triplets = Vec::new();
@@ -1085,21 +1087,20 @@ impl MatrixCache {
         out
     }
 
-    /// Take the rows of `rows` into the row memo of the factored span
-    /// `key` as ranked rows of `kind`: row `x`'s pairs, held sorted by id,
-    /// re-sorted best first — [`hin_similarity::top_k`]'s order, the one
-    /// every stored row is in. A row the memo already holds is kept, and
-    /// rows stop being taken at [`MEMO_ROWS_CAP`]. Returns the rows taken.
+    /// Take the rows of `rows` into the row memo of the span `key` as
+    /// ranked rows of `kind`: row `x`'s pairs, held sorted by id, re-sorted
+    /// best first — [`hin_similarity::top_k`]'s order, the one every stored
+    /// row is in. A row the memo already holds is kept, and rows stop being
+    /// taken at [`MEMO_ROWS_CAP`]. Returns the rows taken.
     pub(crate) fn memo_admit(&self, key: &[StepKey], kind: RowKind, rows: &Csr) -> u64 {
-        let sidecar = self.memo_of(key);
-        let mut held = Self::memo_len(&self.memo());
-        let mut stored = sidecar
+        let span = self.memo_of(key);
+        let mut stored = span
             .rows(kind)
             .write()
             .unwrap_or_else(PoisonError::into_inner);
         let mut taken = 0;
         for x in (0..rows.nrows()).filter(|&x| rows.row_nnz(x) > 0) {
-            if held >= MEMO_ROWS_CAP {
+            if self.memo_rows.load(Ordering::Relaxed) >= MEMO_ROWS_CAP {
                 break;
             }
             if let MapEntry::Vacant(slot) = stored.entry(x as u32) {
@@ -1107,7 +1108,7 @@ impl MatrixCache {
                 let pairs = ids.iter().map(|&y| y as usize).zip(scores.iter().copied());
                 let ranked = hin_similarity::top_k(pairs.collect(), ids.len());
                 slot.insert(compact(ranked));
-                held += 1;
+                self.note_memo(1);
                 taken += 1;
             }
         }
@@ -1129,43 +1130,22 @@ impl MatrixCache {
         shard.map.get(key).map(|e| e.value.nnz())
     }
 
-    /// Counting lookup used by the executor. Serves the reversed entry by
-    /// materializing (and caching) its transpose. Never holds two shard
-    /// locks at once.
+    /// Counting lookup used by the executor, [`MatrixCache::get_exact`]
+    /// that also serves the reversed entry by materializing (and caching)
+    /// its transpose, counted as one hit. Never holds two shard locks at
+    /// once.
     pub(crate) fn get(&self, key: &[StepKey]) -> Option<Arc<Csr>> {
-        self.probe(key).map(|(m, _)| m)
-    }
-
-    /// Counting lookup of exactly `key`: a resident reversal is neither
-    /// served nor transposed, so the lookup stores nothing and evicts
-    /// nobody.
-    pub(crate) fn get_exact(&self, key: &[StepKey]) -> Option<Arc<Csr>> {
-        let (m, _) = self.resident(key)?;
-        self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        Some(m)
-    }
-
-    /// [`MatrixCache::get`] that also hands back the entry's sidecar, taken
-    /// under the same shard lock as the matrix, when `key` itself was
-    /// resident. A symmetry hit stores a new entry and hands back `None`:
-    /// ask [`MatrixCache::sidecar_of`] for its sidecar.
-    pub(crate) fn probe(&self, key: &[StepKey]) -> Option<(Arc<Csr>, Option<Arc<Sidecar>>)> {
-        if let Some((m, sidecar)) = self.resident(key) {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Some((m, Some(sidecar)));
+        if let Some(m) = self.get_exact(key) {
+            return Some(m);
         }
         if is_palindrome(key) {
             return None; // the reversal is the key itself
         }
-        let rev = reversed_key(key);
-        if let Some((m, _)) = self.resident(&rev) {
-            let t = Arc::new(m.transpose());
-            self.insert(key.to_vec(), Arc::clone(&t));
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            self.counters.symmetry_hits.fetch_add(1, Ordering::Relaxed);
-            return Some((t, None));
-        }
-        None
+        let m = self.get_exact(&reversed_key(key))?;
+        let t = Arc::new(m.transpose());
+        self.insert(key.to_vec(), Arc::clone(&t));
+        self.counters.symmetry_hits.fetch_add(1, Ordering::Relaxed);
+        Some(t)
     }
 
     /// Record a computed product (counted as a miss). Production code
@@ -1280,10 +1260,10 @@ pub enum Refusal {
     /// hundreds of times more. Given by the engine whatever the budget,
     /// unbounded included, to a span the cache would otherwise admit.
     Factored {
-        /// The span's estimate.
+        /// The span's estimate from its relations alone.
         est_bytes: usize,
-        /// Its two halves' bytes: a one-step half's relation, a product
-        /// half's resident size, or else its estimate.
+        /// Its two halves' bytes: a one-step half's relation, or else its
+        /// estimate from its relations alone.
         halves_bytes: usize,
     },
 }
@@ -1606,10 +1586,8 @@ mod tests {
         );
         // the next span to store a row finds the memo full and resets it
         let other: PathKey = vec![(2, true), (2, false), (2, true), (2, false)];
-        let sidecar = cache.memo_of(&other);
-        let row = cache.ranked(&sidecar, Scoring::PathSim(0), 1, || {
-            vec![(1, 0.5), (0, 0.25)]
-        });
+        let span = cache.memo_of(&other);
+        let row = cache.ranked(&span, Scoring::PathSim(0), 1, || vec![(1, 0.5), (0, 0.25)]);
         assert_eq!(row, vec![(1, 0.5)]);
         assert_eq!(cache.stats().memo_rows, 1);
         assert_eq!(cache.memo_row(&key, Scoring::Count(3), 10), None);
@@ -1648,14 +1626,14 @@ mod tests {
             assert_eq!(peeks.get(&key), Some(&1), "{} steps", key.len());
             assert_eq!(peeks.get(&rev), Some(&1));
             assert!(peeks.values().all(|&n| n == 1), "{} steps", key.len());
-            assert!(cache.probe(&key).is_none());
+            assert!(cache.get(&key).is_none());
 
             // resident: priced and probed through its mirror
             cache.put(key.clone(), sample());
             let held = Residency::price(&cache, &rev, true).get(0, whole);
             let held = held.expect("resident or its mirror is");
             assert_eq!((held.nnz, held.mirror), (2, !symmetric));
-            let (m, _) = cache.probe(&rev).expect("resident or its mirror is");
+            let m = cache.get(&rev).expect("resident or its mirror is");
             let stats = cache.stats();
             assert_eq!((stats.hits, stats.symmetry_hits), (1, !symmetric as u64));
             let (rows, value) = if symmetric {
@@ -1853,19 +1831,16 @@ mod tests {
     }
 
     #[test]
-    fn a_sidecar_belongs_to_one_resident_allocation() {
-        let cache = MatrixCache::default();
+    fn a_span_memo_ranks_each_list_once_and_outlives_its_matrix() {
+        let cache = MatrixCache::new(CacheConfig {
+            shards: 1,
+            byte_budget: Some(banded(6, 3).nbytes()),
+        });
         let key: PathKey = vec![(0, true), (0, false)];
         let first = banded(6, 3);
         cache.put(key.clone(), Arc::clone(&first));
-        let (m, probed) = cache.probe(&key).expect("resident");
-        let sidecar = probed.expect("an exact hit hands its sidecar over");
-        assert!(Arc::ptr_eq(&m, &first));
-        let looked_up = cache.sidecar_of(&key, &first).expect("same allocation");
-        assert!(Arc::ptr_eq(&sidecar, &looked_up), "one sidecar per entry");
-        // an equal matrix that is not the resident allocation has none
-        let twin = Arc::new((*first).clone());
-        assert!(cache.sidecar_of(&key, &twin).is_none());
+        let span = cache.memo_of(&key);
+        assert!(Arc::ptr_eq(&span, &cache.memo_of(&key)), "one entry a span");
 
         let ranks = std::cell::Cell::new(0);
         let rank = || {
@@ -1873,36 +1848,43 @@ mod tests {
             vec![(4, 3.0), (2, 2.0), (5, 1.0)]
         };
         let row = Scoring::Count(1);
+        assert_eq!(cache.ranked(&span, row, 2, rank), vec![(4, 3.0), (2, 2.0)]);
         assert_eq!(
-            cache.ranked(&sidecar, row, 2, rank),
-            vec![(4, 3.0), (2, 2.0)]
-        );
-        assert_eq!(
-            cache.ranked(&sidecar, row, 9, rank),
+            cache.ranked(&span, row, 9, rank),
             vec![(4, 3.0), (2, 2.0), (5, 1.0)]
         );
-        assert_eq!(cache.ranked(&sidecar, row, 0, rank), vec![]);
+        assert_eq!(cache.ranked(&span, row, 0, rank), vec![]);
         assert_eq!((ranks.get(), cache.ranked_builds()), (1, 1));
-        // the scorings and rows are kept apart
-        cache.ranked(&sidecar, Scoring::PathSim(1), 1, rank);
-        cache.ranked(&sidecar, Scoring::Count(2), 1, rank);
-        cache.ranked(&sidecar, Scoring::RowSums, 1, rank);
-        cache.ranked(&sidecar, Scoring::RowSums, 3, rank);
+        // the scorings and rows are kept apart, and the memo answers each
+        // as a prefix, row sums included, counting nothing
+        cache.ranked(&span, Scoring::PathSim(1), 1, rank);
+        cache.ranked(&span, Scoring::Count(2), 1, rank);
+        cache.ranked(&span, Scoring::RowSums, 1, rank);
+        cache.ranked(&span, Scoring::RowSums, 3, rank);
         assert_eq!((ranks.get(), cache.ranked_builds()), (4, 4));
+        let hits = cache.stats().hits;
+        assert_eq!(
+            cache.memo_row(&key, Scoring::RowSums, 1),
+            Some(vec![(4, 3.0)])
+        );
+        assert_eq!(cache.memo_row(&key, Scoring::PathSim(2), 1), None);
+        assert_eq!(cache.memo_row(&reversed_key(&[(0, true)]), row, 1), None);
+        assert_eq!(cache.stats().hits, hits, "a memo read is not a cache hit");
+        let diagonal = span.diagonal(&cache, &first).to_vec();
+        assert_eq!(diagonal, first.diagonal());
+        span.diagonal(&cache, &first);
+        assert_eq!(cache.stats().diagonal_builds, 1);
+        assert_eq!(
+            (cache.stats().memo_rows, cache.stats().memo_bytes),
+            (4, 4 * 24 + 12 * 16 + 6 * 8)
+        );
 
-        // a replacement under the same key starts a sidecar of its own,
-        // and the old allocation no longer finds one
-        cache.put(key.clone(), twin.clone());
-        assert!(cache.sidecar_of(&key, &first).is_none());
-        let fresh = cache.sidecar_of(&key, &twin).expect("the new entry's");
-        assert!(!Arc::ptr_eq(&fresh, &sidecar));
-        cache.ranked(&fresh, row, 2, rank);
-        assert_eq!(cache.ranked_builds(), 5);
-        // a symmetry hit stores the transpose, whose sidecar is looked up
-        cache.put(vec![(1, true), (2, false)], sample());
-        let (t, handed) = cache.probe(&[(2, true), (1, false)]).expect("transpose");
-        assert!(handed.is_none());
-        assert!(cache.sidecar_of(&[(2, true), (1, false)], &t).is_some());
+        // evicted, its rows and diagonal stay: they are the span's
+        cache.put(vec![(1, true), (1, false)], banded(6, 3));
+        assert!(cache.peek_exact(&key).is_none(), "evicted");
+        assert_eq!(cache.memo_row(&key, row, 2), Some(vec![(4, 3.0), (2, 2.0)]));
+        assert!(Arc::ptr_eq(&span, &cache.memo_of(&key)));
+        assert_eq!(cache.stats().diagonal_builds, 1);
     }
 
     #[test]

@@ -17,13 +17,13 @@ use hin_similarity::{
 
 use crate::cache::{
     canonical_key, is_palindrome, key_of, CacheConfig, CacheOutcome, CacheStats, KeyMap, Ledger,
-    MatrixCache, PathKey, Refusal, Scoring, Sidecar, Split, StepKey,
+    MatrixCache, PathKey, Refusal, Scoring, SpanMemo, Split, StepKey,
 };
 use crate::error::QueryError;
 use crate::parse::{cut, parse, Cut, Verb};
 use crate::plan::{
-    plan_priced, plan_steps, row_links, ExecMode, Factor, Promotion, QueryPlan, Residency,
-    RowRoute, FACTOR_RATIO,
+    plan_priced, plan_steps, relation_bytes, row_links, ExecMode, Factor, Promotion, QueryPlan,
+    Residency, RowRoute, FACTOR_RATIO,
 };
 use crate::resolve::resolve_shape;
 use crate::snapshot::{CacheSnapshot, SnapshotImport};
@@ -34,11 +34,10 @@ use crate::snapshot::{CacheSnapshot, SnapshotImport};
 /// and `pathcount`: these are *ranking* verbs, so an unlimited answer on a
 /// hub anchor would be an unreadable wall of scores.
 ///
-/// It is also how deep a resident span's sidecar, or a factored span's row
-/// memo, ranks a row: a read asking for at most this many results is a
-/// prefix of the list the row's first such read ranked and stored (see
-/// [`Engine::assemble`] and [`Engine::propagate`]), and no snapshot row is
-/// longer.
+/// It is also how deep the row memo ranks a row: a read asking for at most
+/// this many results is a prefix of the list the row's first such read
+/// ranked and stored (see [`Engine::assemble`] and [`Engine::propagate`]),
+/// and no snapshot row is longer.
 pub(crate) const DEFAULT_LIMIT: usize = 10;
 
 /// `neighbors` without an explicit `limit` returns the **entire** reachable
@@ -158,9 +157,10 @@ pub struct EngineStats {
     /// read through them. Not counted in `promotions`: the span itself
     /// stays refused.
     pub factor_promotions: u64,
-    /// Anchored reads of factored spans answered from the row memo
-    /// ([`Promotion::Memoized`]): no planning, no propagation, and no other
-    /// counter of this struct moved.
+    /// Reads of two or more steps asking for at most ten results answered
+    /// from the row memo ([`Promotion::Memoized`]): no cache lookup, no
+    /// planning, no propagation, and no other counter of this struct moved
+    /// — [`CacheStats::hits`] included.
     pub memo_hits: u64,
 }
 
@@ -238,9 +238,13 @@ impl IdOutput {
 /// (the right half) — how PathSim computes a row of `H·Hᵀ` from its
 /// half-path matrix `H`. A symmetric span whose square would cost far more
 /// than its halves is served that way under any budget, unbounded
-/// included ([`Refusal::Factored`]), and the ranked rows its reads ask for
-/// are kept in the cache's row memo, where a square's sidecar would have
-/// kept them: a repeated read copies one, and a snapshot carries them.
+/// included ([`Refusal::Factored`]).
+///
+/// Every ranked read of two or more steps asking for at most ten results
+/// asks the cache's row memo first: the rows ranked off a whole matrix the
+/// cache handed out, and a factored span's rows, are kept there under the
+/// span's key, so a repeated read copies one without looking at the cache
+/// or planning anything, and a snapshot carries a factored span's rows.
 ///
 /// What the engine learns about a span (its heat, a refused product's
 /// size, a refused span's split) is one entry of the cache's span ledger,
@@ -279,9 +283,10 @@ pub struct Engine {
     /// (roughly the whole normalizer cost, the dominant term, on a repeated
     /// query). Bounded by [`DIAG_CAP`] total slots.
     ///
-    /// Deliberately separate from the cache's per-matrix diagonal sidecar:
-    /// `‖u‖²` from a half propagation and `M[y][y]` from the product sum in
-    /// different orders, so the two are bit-equal only in exact arithmetic.
+    /// Deliberately separate from the diagonal the row memo keeps of a
+    /// whole matrix: `‖u‖²` from a half propagation and `M[y][y]` from the
+    /// product sum in different orders, so the two are bit-equal only in
+    /// exact arithmetic.
     /// And outside the span ledger: it is per half-span, bounded in node
     /// slots, and holds values a row reads, not an input to a decision.
     diag_cache: Mutex<KeyMap<[Option<NormalizerTable>; 2]>>,
@@ -368,10 +373,10 @@ impl Engine {
         &self.cache
     }
 
-    /// Export the commuting-matrix cache's hottest entries, then the ranked
-    /// rows of the row memo, stopping at `budget_bytes` of payload (`None`
-    /// = everything) — the engine's side of warm-start and failover
-    /// hand-off. The snapshot is
+    /// Export the commuting-matrix cache's hottest entries, then the row
+    /// memo's ranked rows of the spans whose matrices those are not,
+    /// stopping at `budget_bytes` of payload (`None` = everything) — the
+    /// engine's side of warm-start and failover hand-off. The snapshot is
     /// stamped with this dataset's
     /// [`dataset_fingerprint`](crate::snapshot::dataset_fingerprint), so a
     /// later [`Engine::restore`] into different (or rebuilt) data rejects
@@ -412,10 +417,8 @@ impl Engine {
     pub fn plan(&self, query: &str) -> Result<QueryPlan, QueryError> {
         let (shape, from) = self.compile(query)?;
         let mut plan = plan_steps(&self.hin, shape.path.steps(), &self.cache);
-        // as a run looks: the whole span, then the row memo, then the rest
-        let n = shape.key.len();
-        let missing = n >= 2 && plan.residency.get(0, n - 1).is_none();
-        match missing && self.memo_read(&shape, from).is_some() {
+        // as a run looks: the row memo, then the whole span, then the rest
+        match shape.key.len() >= 2 && self.memo_read(&shape, from).is_some() {
             true => plan.promotion = Some(Promotion::Memoized),
             false => {
                 self.decide(&shape, from.is_some(), &mut plan);
@@ -448,9 +451,11 @@ impl Engine {
                 let parsed = parse(query)?;
                 debug_assert_eq!(parsed.from.as_deref(), cut.anchor.map(|(name, _)| name));
                 let (path, start, end) = resolve_shape(&self.hin, &parsed)?;
+                let key = key_of(path.steps());
                 let shape = Arc::new(Shape {
                     verb: parsed.verb,
-                    key: key_of(path.steps()),
+                    factored: factored(&self.hin, &key, path.steps()),
+                    key,
                     path,
                     start,
                     end,
@@ -482,8 +487,8 @@ impl Engine {
     /// heats toward [`ExecPolicy::promote_after`] unless the cache refuses
     /// it, by the plan's estimate or by a measured size.
     /// A span the cache would admit is refused all the same when it is
-    /// factored ([`Engine::factored`]): a symmetric square estimated at
-    /// far more than its halves.
+    /// factored ([`factored`]): a symmetric square estimated at far more
+    /// than its halves.
     /// A refused span is only ever worth one row: it never heats, and its
     /// row goes through the halves of a split, each product half that is
     /// not resident (as [`Residency::link`] reads it) heating instead. The
@@ -511,7 +516,7 @@ impl Engine {
         let ledger = self.cache.ledger();
         let (span, side) = ledger.get(key);
         let verdict = self.cache.admit(plan.est_bytes, span.oversize);
-        let Err(refusal) = verdict.and_then(|()| self.factored(shape, plan)) else {
+        let Err(refusal) = verdict.and_then(|()| shape.factored.map_or(Ok(()), Err)) else {
             let run = span.heat + 1;
             plan.promotion = Some(Promotion::Heating { run, of });
             return None;
@@ -540,31 +545,6 @@ impl Engine {
             halves: halves(at).map(|(factor, _)| factor),
         });
         known.is_none().then_some(split)
-    }
-
-    /// The promotion rule of a symmetric span, for a span the cache would
-    /// admit: an even palindrome `H·Hᵀ` of four steps or more is
-    /// [`Refusal::Factored`] when its estimate is more than
-    /// [`FACTOR_RATIO`] times the bytes of its two halves (each priced by
-    /// [`Residency::bytes`]). PathSim's own formulation keeps `H` and
-    /// computes a row of `H·Hᵀ` when asked; so does this engine, for a
-    /// square that would cost that much more than what it is made of. Odd
-    /// palindromes and every other span are promoted as before.
-    fn factored(&self, shape: &Shape, plan: &QueryPlan) -> Result<(), Refusal> {
-        let (key, steps) = (&shape.key[..], shape.path.steps());
-        let n = key.len();
-        if !symmetric(key) {
-            return Ok(());
-        }
-        let halves = |lo, hi| plan.residency.bytes(&self.hin, steps, lo, hi);
-        let halves_bytes = halves(0, n / 2) + halves(n / 2, n);
-        match plan.est_bytes > FACTOR_RATIO.saturating_mul(halves_bytes) {
-            true => Err(Refusal::Factored {
-                est_bytes: plan.est_bytes,
-                halves_bytes,
-            }),
-            false => Ok(()),
-        }
     }
 
     /// Execute one query. Thread-safe: any number of threads may call this
@@ -600,15 +580,17 @@ impl Engine {
     /// left as node ids ([`IdOutput`]), to be named by whoever reads it.
     /// What `hin_serve`'s workers drive, once per member of a micro-batch.
     ///
-    /// The query is parsed and resolved, then its whole span is probed
-    /// once, with the same counting lookup evaluation uses, before any
-    /// planning. A resident span is a cache hit and the query reads it: no
-    /// chain planning, no evaluation. Any other query is planned against
-    /// the live cache, exactly as `EXPLAIN` ([`Engine::plan`]) plans it; so
-    /// is a single-step path, which reads its relation in place and is
-    /// never probed. A lazily served anchored query propagates its anchor's
-    /// row, unless promotion materializes it; every other query
-    /// materializes.
+    /// The query is parsed and resolved. A ranked read of two or more steps
+    /// asking for at most ten results then asks the row memo, and one the
+    /// memo holds is answered by copying its list: the cache is not looked
+    /// at. Otherwise the whole span is probed once, with the same counting
+    /// lookup evaluation uses, before any planning. A resident span is a
+    /// cache hit and the query reads it: no chain planning, no evaluation.
+    /// Any other query is planned against the live cache, exactly as
+    /// `EXPLAIN` ([`Engine::plan`]) plans it; so is a single-step path,
+    /// which reads its relation in place and is never probed. A lazily
+    /// served anchored query propagates its anchor's row, unless promotion
+    /// materializes it; every other query materializes.
     pub fn execute_ids_traced(&self, query: &str) -> (Result<IdOutput, QueryError>, QueryTrace) {
         let t0 = Instant::now();
         let prep = self
@@ -632,14 +614,24 @@ impl Engine {
             }
             _ => false,
         };
+        let (shape, from) = (&*prep.shape, prep.from);
         let result = match prep.route {
             Route::Memo(items) => Ok(IdOutput {
-                verb: prep.shape.verb,
-                ty: prep.shape.end,
+                verb: shape.verb,
+                ty: answer_type(shape),
                 items,
             }),
-            Route::Planned(ref plan, _) if lazy => self.propagate(&prep, plan, &mut trace),
-            _ => self.materialize(&prep, &mut trace),
+            Route::Resident(m) => self.assemble(shape, from, &Mat::Shared(m)),
+            Route::Planned(plan, _) if lazy => self.propagate(shape, from, &plan, &mut trace),
+            // evaluated through the plan tree and the deduplicated cache
+            // path; the trace's mode stays `Full`, the default, which is
+            // also what a promoted query reports: the work it actually did
+            Route::Planned(plan, _) => {
+                let (probe, steps) = (ExecProbe::default(), shape.path.steps());
+                let m = Self::eval(&self.hin, steps, &self.cache, &plan.root, Some(&probe));
+                trace.outcome = probe.outcome.get();
+                self.assemble(shape, from, &m)
+            }
         };
         trace.exec_ns = nanos(t1.elapsed());
         (result, trace)
@@ -657,33 +649,32 @@ impl Engine {
         queries.iter().map(|q| self.execute(q.as_ref())).collect()
     }
 
-    /// Probe a resolved query's whole span, and plan it only if that
-    /// missed. The probe is [`MatrixCache::probe`], the lookup
-    /// [`Engine::eval`] resolves a span through plus the entry's sidecar,
-    /// so a resident span counts the one hit (or symmetry hit) its
-    /// evaluation would have, and a miss counts nothing. A miss then asks
-    /// the row memo, and a factored span's read whose ranked row it holds
-    /// copies the row: read locks only, nothing priced or planned, no
-    /// ledger lock, and only [`EngineStats::memo_hits`] moves. The plan's
-    /// pricing pass then looks at every shorter sub-span, once, and not
-    /// again at the span the probe just missed; [`Engine::decide`] decides
-    /// the plan as `EXPLAIN` does.
+    /// Ask the row memo for a resolved query's answer, probe its whole
+    /// span if the memo lacks it, and plan it only if that missed too. A
+    /// read the memo answers copies its ranked list: read locks only, no
+    /// shard looked at, nothing priced or planned, no ledger lock, and only
+    /// [`EngineStats::memo_hits`] moves. The probe is [`MatrixCache::get`],
+    /// the lookup [`Engine::eval`] resolves a span through, so a resident
+    /// span counts the one hit (or symmetry hit) its evaluation would have,
+    /// and a miss counts nothing. The plan's pricing pass then looks at
+    /// every shorter sub-span, once, and not again at the span the probe
+    /// just missed; [`Engine::decide`] decides the plan as `EXPLAIN` does.
     fn prepare(&self, shape: Arc<Shape>, from: Option<NodeRef>) -> Prep {
         let steps = shape.path.steps();
         if steps.len() >= 2 {
-            if let Some((matrix, sidecar)) = self.cache.probe(&shape.key) {
-                return Prep {
-                    shape,
-                    from,
-                    route: Route::Resident(matrix, sidecar),
-                };
-            }
             if let Some(items) = self.memo_read(&shape, from) {
                 self.memo_hits.fetch_add(1, Ordering::Relaxed);
                 return Prep {
                     shape,
                     from,
                     route: Route::Memo(items),
+                };
+            }
+            if let Some(matrix) = self.cache.get(&shape.key) {
+                return Prep {
+                    shape,
+                    from,
+                    route: Route::Resident(matrix),
                 };
             }
         }
@@ -697,33 +688,16 @@ impl Engine {
         }
     }
 
-    /// Answer one query from its commuting matrix: the one its probe found
-    /// resident, or one evaluated through the plan tree and the
-    /// deduplicated cache path. The trace's mode stays [`TraceMode::Full`],
-    /// the default — which is also what a promoted query reports: that is
-    /// the work it actually did.
-    fn materialize(&self, prep: &Prep, trace: &mut QueryTrace) -> Result<IdOutput, QueryError> {
-        let probe = ExecProbe::default();
-        let (matrix, sidecar) = match &prep.route {
-            Route::Resident(m, sidecar) => (Mat::Shared(Arc::clone(m)), sidecar.clone()),
-            Route::Memo(_) => unreachable!("a memo hit is answered as it is prepared"),
-            Route::Planned(plan, _) => {
-                let steps = prep.shape.path.steps();
-                let root = &plan.root;
-                let m = Self::eval(&self.hin, steps, &self.cache, root, Some(&probe));
-                (m, None)
-            }
-        };
-        let answer = self.assemble(&prep.shape, prep.from, &matrix, sidecar);
-        trace.outcome = probe.outcome.get();
-        answer
-    }
-
-    /// The ranked row of this read that a factored span's row memo holds,
-    /// if it holds it ([`MatrixCache::memo_row`]): counting nothing.
+    /// The ranked list of this read that the row memo holds for its span,
+    /// if it holds it ([`MatrixCache::memo_row`]): counting nothing. Only a
+    /// read asking for at most [`DEFAULT_LIMIT`] results can be one.
     fn memo_read(&self, shape: &Shape, from: Option<NodeRef>) -> Option<Vec<(usize, f64)>> {
-        let (scoring, k) = memo_scoring(shape, from?)?;
-        self.cache.memo_row(&shape.key, scoring, k)
+        let k = shape.limit.unwrap_or(default_row_limit(shape.verb));
+        let scoring = match shape.verb {
+            Verb::Rank => Scoring::RowSums,
+            verb => row_scoring(verb, from?.id as usize),
+        };
+        (k <= DEFAULT_LIMIT).then(|| self.cache.memo_row(&shape.key, scoring, k))?
     }
 
     /// The anchored fast path: one row of the commuting matrix, computed as
@@ -734,22 +708,22 @@ impl Engine {
     /// plan's pricing pass lays the row out.
     ///
     /// A factored span's read asking for at most [`DEFAULT_LIMIT`] ranks
-    /// its row to that depth and stores it in the span's row memo, as a
-    /// resident square's first read stores it in its sidecar; the next
-    /// read of that row is a memo hit.
+    /// its row to that depth and stores it in the row memo, as a read of a
+    /// whole matrix does; the next read of that row is a memo hit. A
+    /// heating or otherwise refused span's row stores nothing.
     ///
     /// The row and its normalizers run on the thread's one scatter scratch
     /// ([`with_row_scratch`]), so a row pays for its products, not for
     /// allocating and zeroing a fresh accumulator.
     fn propagate(
         &self,
-        prep: &Prep,
+        shape: &Shape,
+        from: Option<NodeRef>,
         plan: &QueryPlan,
         trace: &mut QueryTrace,
     ) -> Result<IdOutput, QueryError> {
         self.anchored_fast_paths.fetch_add(1, Ordering::Relaxed);
-        let shape = &*prep.shape;
-        let x = prep.from.expect("anchored verbs carry `from`").id as usize;
+        let x = from.expect("anchored verbs carry `from`").id as usize;
         let residency = &plan.residency;
         let links = self.propagation_seed(shape.path.steps(), &shape.key, residency);
         // The fast path caches nothing; its cache interaction is whether
@@ -1113,54 +1087,48 @@ impl Engine {
 
     /// Turn the evaluated commuting matrix into the verb's answer.
     ///
-    /// A matrix the cache holds carries a [`Sidecar`]: the one its probe
-    /// handed over (`sidecar`), or the one [`MatrixCache::sidecar_of`]
-    /// finds for it now. Through it:
+    /// A whole matrix the cache handed out ([`Mat::Shared`], two steps or
+    /// more) is read through its span's entry in the row memo
+    /// ([`MatrixCache::memo_of`]):
     ///
-    /// * PathSim verbs read the diagonal, built once per residency, so
-    ///   ranking a row is one pass over it;
+    /// * PathSim verbs read the span's diagonal, built once per memo
+    ///   generation, so ranking a row is one pass over it;
     /// * a read asking for at most [`DEFAULT_LIMIT`] results — `pathsim`,
-    ///   `topk`, `pathcount`, `rank`, and `neighbors` with a limit — copies
-    ///   the first `k` of a stored best [`DEFAULT_LIMIT`], which the first
-    ///   such read of the row (of the entry, for `rank`) ranked. [`TopK`]
-    ///   orders by score under `total_cmp`, then by id, a total order, so
-    ///   the best `k` are the first `k` of the best ten, bit for bit, ties
-    ///   and NaNs included.
+    ///   `topk`, `pathcount`, `rank`, and `neighbors` with a limit — ranks
+    ///   and stores the best [`DEFAULT_LIMIT`] of its row (of the row sums,
+    ///   for `rank`) and answers their first `k`, which is what the memo
+    ///   answers the next such read with before anything is probed.
+    ///   [`TopK`] orders by score under `total_cmp`, then by id, a total
+    ///   order, so the best `k` are the first `k` of the best ten, bit for
+    ///   bit, ties and NaNs included.
     ///
-    /// A read asking for more ranks the matrix and stores nothing. A matrix
-    /// the cache is not holding (a bare relation, an oversized product the
-    /// cache refused, one evicted since `eval`) has no sidecar: its
-    /// diagonal is searched once per candidate and every read ranks —
-    /// nothing would keep what was derived from it.
+    /// A read asking for more ranks the matrix and stores nothing. A bare
+    /// relation is read without the memo: its diagonal is searched once
+    /// per candidate and every read ranks.
     fn assemble(
         &self,
         shape: &Shape,
         from: Option<NodeRef>,
         matrix: &Mat<'_>,
-        sidecar: Option<Arc<Sidecar>>,
     ) -> Result<IdOutput, QueryError> {
         let m = matrix.as_csr();
         let k = shape.limit.unwrap_or(default_row_limit(shape.verb));
         let pathsim = matches!(shape.verb, Verb::PathSim | Verb::TopK);
-        let sidecar = match (sidecar, matrix) {
-            (Some(sidecar), _) => Some(sidecar),
-            (None, Mat::Shared(shared)) if pathsim || k <= DEFAULT_LIMIT => {
-                self.cache.sidecar_of(&shape.key, shared)
-            }
+        let memo = match matrix {
+            Mat::Shared(_) if pathsim || k <= DEFAULT_LIMIT => Some(self.cache.memo_of(&shape.key)),
             _ => None,
         };
-        let sidecar = sidecar.as_deref();
+        let memo = memo.as_deref();
         let anchor = || from.expect("resolver enforces `from`").id as usize;
 
-        let (ty, items) = match shape.verb {
+        let items = match shape.verb {
             Verb::PathSim | Verb::TopK => {
                 let x = anchor();
-                let rank_to = |k| match sidecar {
-                    Some(s) => top_k_pathsim_with_diagonal(m, self.cache.diagonal(s, m), x, k),
+                let rank_to = |k| match memo {
+                    Some(s) => top_k_pathsim_with_diagonal(m, s.diagonal(&self.cache, m), x, k),
                     None => top_k_pathsim(m, x, k),
                 };
-                let top = self.ranked(sidecar, Scoring::PathSim(x), k, rank_to);
-                (shape.end, top)
+                self.ranked(memo, Scoring::PathSim(x), k, rank_to)
             }
             // Both verbs read the anchor's row of the commuting matrix.
             // `path_count` from `hin_similarity` is not used here: it always
@@ -1181,10 +1149,7 @@ impl Engine {
                     }
                     top.into_sorted()
                 };
-                (
-                    shape.end,
-                    self.ranked(sidecar, Scoring::Count(x), k, rank_to),
-                )
+                self.ranked(memo, Scoring::Count(x), k, rank_to)
             }
             Verb::Rank => {
                 let rank_to = |k| {
@@ -1197,34 +1162,29 @@ impl Engine {
                     }
                     top.into_sorted()
                 };
-                // rank verb scores objects of the *start* type by row sums
-                (
-                    shape.start,
-                    self.ranked(sidecar, Scoring::RowSums, k, rank_to),
-                )
+                self.ranked(memo, Scoring::RowSums, k, rank_to)
             }
         };
 
         Ok(IdOutput {
             verb: shape.verb,
-            ty,
+            ty: answer_type(shape),
             items,
         })
     }
 
     /// The best `k` by `scoring`, where `rank_to(n)` ranks the best `n`: a
-    /// prefix of the sidecar's list when there is a sidecar (a resident
-    /// entry's, or a factored span's row memo) and `k` is at most
-    /// [`DEFAULT_LIMIT`], the depth every stored list is ranked to;
-    /// `rank_to(k)` otherwise.
+    /// prefix of the list stored in the span's row memo entry `memo` when
+    /// there is one and `k` is at most [`DEFAULT_LIMIT`], the depth every
+    /// stored list is ranked to; `rank_to(k)` otherwise.
     fn ranked(
         &self,
-        sidecar: Option<&Sidecar>,
+        memo: Option<&SpanMemo>,
         scoring: Scoring,
         k: usize,
         rank_to: impl FnOnce(usize) -> Vec<(usize, f64)>,
     ) -> Vec<(usize, f64)> {
-        match sidecar {
+        match memo {
             Some(s) if k <= DEFAULT_LIMIT => {
                 self.cache.ranked(s, scoring, k, || rank_to(DEFAULT_LIMIT))
             }
@@ -1233,8 +1193,8 @@ impl Engine {
     }
 }
 
-/// One query, compiled, probed and, unless its whole span was resident,
-/// planned.
+/// One query, compiled, then answered from the row memo, probed, or, unless
+/// its whole span was resident, planned.
 struct Prep {
     shape: Arc<Shape>,
     /// The anchor, for verbs that take `from`.
@@ -1258,6 +1218,9 @@ struct Shape {
     limit: Option<usize>,
     /// [`key_of`] the path's steps.
     key: PathKey,
+    /// [`factored`]'s refusal of the span, if it refuses it: priced once,
+    /// since it depends on the relations alone.
+    factored: Option<Refusal>,
 }
 
 /// A query text with its anchor token cut out, as the shape table is
@@ -1335,11 +1298,10 @@ impl Eq for ShapeKey {}
 /// How a prepared query will run.
 enum Route {
     /// The probe found the whole span resident (and counted the hit): the
-    /// query reads this matrix, with the entry's sidecar when the probe
-    /// found the span itself rather than its reversal. Nothing was planned.
-    Resident(Arc<Csr>, Option<Arc<Sidecar>>),
-    /// The row memo held the factored span's ranked row: the answer's items,
-    /// copied. Nothing was planned.
+    /// query reads this matrix. Nothing was planned.
+    Resident(Arc<Csr>),
+    /// The row memo held the span's ranked list this read asks for: the
+    /// answer's items, copied. Nothing was probed or planned.
     Memo(Vec<(usize, f64)>),
     /// Planned and decided by [`Engine::decide`], with the split it chose
     /// now: an [`ExecMode::SparseRow`] plan runs through
@@ -1348,22 +1310,37 @@ enum Route {
     Planned(QueryPlan, Option<Split>),
 }
 
-/// Is `key` a span the promotion rule may factor: an even palindrome
-/// `H·Hᵀ` of four steps or more, whose halves are products?
-fn symmetric(key: &[StepKey]) -> bool {
-    key.len() >= 4 && key.len().is_multiple_of(2) && is_palindrome(key)
-}
-
-/// The per-row scoring and result count of an anchored read from `from`
-/// that a row memo can answer: `pathsim`/`topk` or `pathcount`/`neighbors`
-/// asking for at most [`DEFAULT_LIMIT`], over a [`symmetric`] span.
-fn memo_scoring(shape: &Shape, from: NodeRef) -> Option<(Scoring, usize)> {
-    if !symmetric(&shape.key) {
+/// The promotion rule of a symmetric span, for a span the cache would
+/// admit: an even palindrome `H·Hᵀ` of four steps or more, whose halves are
+/// products, is [`Refusal::Factored`] when its estimate is more than
+/// [`FACTOR_RATIO`] times the bytes of its two halves. Both sides are priced
+/// from the relations alone ([`relation_bytes`]), never from what is
+/// resident, so the verdict is a property of the span: its halves loading
+/// cannot flip it. PathSim's own formulation keeps `H` and computes a row
+/// of `H·Hᵀ` when asked; so does this engine, for a square that would cost
+/// that much more than what it is made of. Odd palindromes and every other
+/// span are promoted as before.
+fn factored(hin: &Hin, key: &[StepKey], steps: &[PathStep]) -> Option<Refusal> {
+    let symmetric = key.len() >= 4 && key.len().is_multiple_of(2) && is_palindrome(key);
+    if !symmetric {
         return None;
     }
-    let k = shape.limit.unwrap_or(default_row_limit(shape.verb));
-    let anchored = !matches!(shape.verb, Verb::Rank) && k <= DEFAULT_LIMIT;
-    anchored.then(|| (row_scoring(shape.verb, from.id as usize), k))
+    let (left, right) = steps.split_at(key.len() / 2);
+    let est_bytes = relation_bytes(hin, steps);
+    let halves_bytes = relation_bytes(hin, left) + relation_bytes(hin, right);
+    (est_bytes > FACTOR_RATIO.saturating_mul(halves_bytes)).then_some(Refusal::Factored {
+        est_bytes,
+        halves_bytes,
+    })
+}
+
+/// The type of `shape`'s answer: `rank` scores objects of the path's start
+/// type by row sums, every other verb objects of its end type.
+fn answer_type(shape: &Shape) -> TypeId {
+    match shape.verb {
+        Verb::Rank => shape.start,
+        _ => shape.end,
+    }
 }
 
 /// The ranked list of row `x` an anchored verb reads: PathSim for
@@ -1479,9 +1456,10 @@ pub struct QueryTrace {
     /// `Hit` when the propagation was seeded from a resident prefix,
     /// `MissCompute` when it chained from the anchor's relation row.
     pub outcome: CacheOutcome,
-    /// Time spent before execution: parse + resolve + whole-span probe on
-    /// a cache hit, which plans nothing; plus chain planning when the probe
-    /// missed (or was skipped, on a single-step path).
+    /// Time spent before execution: parse + resolve + the row memo and the
+    /// whole-span probe, which on a memo or cache hit plan nothing; plus
+    /// chain planning when both missed (or were skipped, on a single-step
+    /// path).
     pub plan_ns: u64,
     /// Time spent executing (evaluation + assembly).
     pub exec_ns: u64,
@@ -1521,6 +1499,7 @@ impl Mat<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::RowKind;
     use hin_core::HinBuilder;
     use hin_similarity::commuting_matrix;
 
@@ -1596,8 +1575,15 @@ mod tests {
         );
         let cold_hits = engine.stats().cache.hits;
 
+        // the same row again is the row memo's: the cache is not asked
         let second = engine.execute(q).unwrap();
         assert_eq!(first, second);
+        assert_eq!(engine.stats().memo_hits, 1);
+        assert_eq!(engine.stats().cache.hits, cold_hits);
+        // another row of the span reads the resident matrix
+        engine
+            .execute("pathsim author-paper-venue-paper-author from a1")
+            .unwrap();
         assert_eq!(
             engine.stats().cache.misses,
             computed,
@@ -2091,6 +2077,9 @@ mod tests {
         for _ in 0..3 {
             engine.execute(q).unwrap(); // lazy, lazy, promoted
         }
+        // past ten results a read is never the row memo's: it reads the
+        // resident matrix every time
+        let q = "pathsim author-paper-venue-paper-author from a0 limit 50";
         let want = engine.execute(q).unwrap();
         // EXPLAIN keeps the full planner, and its text
         let plans = PLAN_STEPS_CALLS.get();
@@ -2132,7 +2121,8 @@ mod tests {
         assert_eq!(engine.stats().promotions, 1);
 
         // a span resident only as its reversal: the probe is the one
-        // symmetry hit evaluation would have counted, then plain hits
+        // symmetry hit evaluation would have counted, and the row it ranks
+        // is the row memo's from then on
         let engine = materializing_engine(Arc::clone(&hin));
         engine
             .execute("pathcount author-paper-venue from a0")
@@ -2149,9 +2139,10 @@ mod tests {
             (
                 engine.stats().cache.hits,
                 engine.stats().cache.symmetry_hits,
-                engine.stats().cache.misses
+                engine.stats().cache.misses,
+                engine.stats().memo_hits
             ),
-            (2, 1, 1)
+            (1, 1, 1, 1)
         );
         assert_eq!(PLAN_STEPS_CALLS.get(), plans);
     }
@@ -2311,7 +2302,7 @@ mod tests {
     }
 
     /// `(query, anchor, k)` over the A-P-V-P-A span of [`skewed_bib`].
-    const SIDECAR_QUERIES: [(&str, &str, usize); 3] = [
+    const SPAN_QUERIES: [(&str, &str, usize); 3] = [
         (
             "pathsim author-paper-venue-paper-author from a0",
             "a0",
@@ -2325,10 +2316,10 @@ mod tests {
         ),
     ];
 
-    /// Every [`SIDECAR_QUERIES`] answer of `engine` equals the definition
+    /// Every [`SPAN_QUERIES`] answer of `engine` equals the definition
     /// over `m`, names and score bits.
     fn assert_answers_by_definition(engine: &Engine, m: &Csr, stage: &str) {
-        for (q, anchor, k) in SIDECAR_QUERIES {
+        for (q, anchor, k) in SPAN_QUERIES {
             let got = engine.execute(q).unwrap().items;
             let want = pathsim_by_definition(engine.hin(), m, anchor, k);
             assert_eq!(got.len(), want.len(), "{stage}: {q}");
@@ -2340,7 +2331,7 @@ mod tests {
     }
 
     #[test]
-    fn pathsim_answers_are_identical_across_the_diagonal_sidecars_life() {
+    fn pathsim_answers_are_identical_across_the_span_memos_life() {
         let hin = skewed_bib();
         let apvpa =
             MetaPath::from_type_names(&hin, &["author", "paper", "venue", "paper", "author"])
@@ -2357,22 +2348,22 @@ mod tests {
             },
             ExecPolicy::promote_after(0),
         );
-        // the first read materializes the span and builds its sidecar, the
-        // later ones find it: three queries, one build
+        // the first read materializes the span and builds its diagonal in
+        // the row memo, the later ones find it: three queries, one build
         assert_answers_by_definition(&engine, &m, "first reads");
         assert_eq!(engine.stats().cache.diagonal_builds, 1);
-        assert_answers_by_definition(&engine, &m, "sidecar resident");
+        assert_answers_by_definition(&engine, &m, "memoized");
         assert_eq!(engine.stats().cache.diagonal_builds, 1);
 
-        // eviction drops the sidecar with its entry; the recomputed span
-        // builds a fresh one
+        // eviction takes the matrix, not what the memo keeps of the span:
+        // the recomputed span is read with the diagonal already built
         let snap = engine.snapshot(None);
         turn_the_lru_over(&engine, &key);
         assert_answers_by_definition(&engine, &m, "after eviction + recompute");
-        assert_eq!(engine.stats().cache.diagonal_builds, 2);
+        assert_eq!(engine.stats().cache.diagonal_builds, 1);
 
-        // a restore replaces the entry, so the diagonal is rebuilt from the
-        // restored matrix — from a heap snapshot…
+        // a restore brings the matrix back, and a fresh engine builds the
+        // diagonal from the restored matrix — from a heap snapshot…
         let from_heap = materializing_engine(Arc::clone(&hin));
         assert!(from_heap.restore(&snap).loaded > 0);
         assert_answers_by_definition(&from_heap, &m, "restored from heap");
@@ -2382,12 +2373,12 @@ mod tests {
             "served from the snapshot"
         );
         assert_eq!(from_heap.stats().cache.diagonal_builds, 1);
-        // …into a live engine that already holds a sidecar for the key…
+        // …into a live engine, whose memo the restore leaves as it was…
         assert!(engine.restore(&snap).loaded > 0);
         assert_answers_by_definition(&engine, &m, "restored over a live entry");
-        assert_eq!(engine.stats().cache.diagonal_builds, 3);
+        assert_eq!(engine.stats().cache.diagonal_builds, 1);
         // …and from a mapped file, proved by the restore
-        let dir = std::env::temp_dir().join(format!("hin-diag-sidecar-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("hin-span-memo-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.hsnp");
         snap.write_to_file(&path).expect("write");
@@ -2400,22 +2391,21 @@ mod tests {
         drop((from_file, mapped));
         std::fs::remove_dir_all(&dir).unwrap();
 
-        // a *different* matrix under the same key gets its own diagonal: a
-        // stale one (keyed, say, by path rather than by entry) would score
-        // against the old self-counts
-        let other = Csr::from_triplets(
-            m.nrows(),
-            m.ncols(),
-            m.iter()
-                .map(|(r, c, v)| (r, c, if r == c { 3.0 * v + 1.0 } else { v })),
-        );
-        engine.cache().insert(key.clone(), Arc::new(other.clone()));
-        assert_answers_by_definition(&engine, &other, "entry replaced under the same key");
-        assert_eq!(engine.stats().cache.diagonal_builds, 4);
+        // a memo filled to its cap is reset by the next span that looks for
+        // its entry: the diagonal is built again, once, and the answers
+        // stay the definition's
+        let cap = crate::cache::MEMO_ROWS_CAP;
+        let rows = Csr::from_triplets(cap, 1, (0..cap as u32).map(|x| (x, 0, 1.0)));
+        let other = [(7, true), (7, false)];
+        let filled = engine.cache().memo_admit(&other, RowKind::Count, &rows);
+        assert!(filled > 0 && engine.stats().cache.memo_rows >= cap - 3);
+        assert_answers_by_definition(&engine, &m, "after a reset");
+        assert_eq!(engine.stats().cache.diagonal_builds, 2);
+        assert!(engine.stats().cache.memo_rows < 10);
     }
 
     #[test]
-    fn ranked_rows_are_stored_once_per_residency_and_read_as_prefixes() {
+    fn ranked_rows_are_stored_once_per_span_and_read_as_prefixes() {
         let hin = skewed_bib();
         let apvpa =
             MetaPath::from_type_names(&hin, &["author", "paper", "venue", "paper", "author"])
@@ -2465,21 +2455,26 @@ mod tests {
         read(&format!("rank {span} limit 100"));
         assert_eq!(builds(), 4);
 
-        // an evicted entry's sidecar goes with it: the recomputed span
-        // starts empty
+        // the rows are the span's, not its matrix's: an eviction leaves
+        // them, and a stored row is read without recomputing the span
         let snap = engine.snapshot(None);
         turn_the_lru_over(&engine, &key);
+        let misses = engine.stats().cache.misses;
         read(&format!("pathsim {span} from a0 limit 3"));
         read(&format!("pathsim {span} from a0"));
+        assert_eq!((builds(), engine.stats().cache.misses), (4, misses));
+        // a row not stored yet recomputes the span and stores one
+        read(&format!("pathsim {span} from a3"));
         assert_eq!(builds(), 5);
-        // and so does a replaced one: a restore over the live entry
+        assert!(engine.stats().cache.misses > misses);
+        // and a restore over the live entry leaves them too
         assert!(engine.restore(&snap).loaded > 0);
         read(&format!("pathsim {span} from a0"));
         read(&format!("rank {span}"));
-        assert_eq!(builds(), 7);
+        assert_eq!(builds(), 5);
         let diagonals = engine.stats().cache.diagonal_builds;
         read(&format!("pathsim {span} from a0 limit 2"));
-        assert_eq!(builds(), 7);
+        assert_eq!(builds(), 5);
         assert_eq!(
             engine.stats().cache.diagonal_builds,
             diagonals,
@@ -2557,15 +2552,27 @@ mod tests {
             .to_string()
             .contains("promotion: materializes now"));
         assert_eq!(engine.execute(q).unwrap(), want);
-        assert_eq!(verdict(), Some(Promotion::Resident));
+        // the promoted read stored its row; another anchor reads the matrix
+        let other = "pathsim author-paper-venue-paper-author from a1";
+        assert_eq!(verdict(), Some(Promotion::Memoized));
+        assert_eq!(
+            engine.plan(other).unwrap().promotion,
+            Some(Promotion::Resident)
+        );
         assert_eq!(engine.stats().promotions, 1);
         assert_eq!(engine.stats().anchored_fast_paths, 2);
         let misses_after_promotion = engine.stats().cache.misses;
         assert!(misses_after_promotion > 0, "promotion ran the SpMM chain");
 
-        // from here on: plain cache hits, no recomputation, no more lazy runs
+        // from here on: memo and cache hits, no recomputation, no more lazy
+        // runs
         let hits = engine.stats().cache.hits;
         assert_eq!(engine.execute(q).unwrap(), want);
+        assert_eq!(engine.stats().memo_hits, 1);
+        assert_eq!(
+            engine.execute(other).unwrap(),
+            reference.execute(other).unwrap()
+        );
         assert_eq!(engine.stats().cache.misses, misses_after_promotion);
         assert!(engine.stats().cache.hits > hits);
         assert_eq!(engine.stats().anchored_fast_paths, 2);
@@ -2839,11 +2846,11 @@ mod tests {
     }
 
     #[test]
-    fn a_promotion_the_insert_refuses_ranks_its_row_without_a_sidecar() {
-        // the one production path to `top_k_pathsim` on a product the cache
-        // does not keep: the estimate of P-A-P (≈ 50 KB) fits the 64 KB
-        // slice, so the first run promotes, and the product (≈ 480 KB, the
-        // hub's 200 papers pairwise) is refused at the door
+    fn a_promotion_the_insert_refuses_stores_its_row_in_the_memo() {
+        // a product the cache does not keep, read whole once: the estimate
+        // of P-A-P (≈ 50 KB) fits the 64 KB slice, so the first run
+        // promotes, and the product (≈ 480 KB, the hub's 200 papers
+        // pairwise) is refused at the door
         let hin = hub_bib();
         let engine = Engine::with_config(
             Arc::clone(&hin),
@@ -2887,20 +2894,23 @@ mod tests {
         assert_eq!(got.unwrap().items, by_definition(0));
         let stats = engine.stats();
         assert_eq!((stats.promotions, stats.cache.inserts_refused), (1, 1));
-        assert_eq!(stats.cache.diagonal_builds, 0, "no sidecar, no diagonal");
-        assert_eq!(
-            engine.cache().ranked_builds(),
-            0,
-            "no sidecar, no stored row"
-        );
-        // measured oversize now: later runs are refused and propagate
-        for p in [0, 1, 250] {
+        // what the read derived is the span's, kept in the row memo
+        assert_eq!(stats.cache.diagonal_builds, 1);
+        assert_eq!(engine.cache().ranked_builds(), 1);
+        // measured oversize now: the stored row is a memo hit, and later
+        // runs of other rows are refused and propagate, storing nothing
+        let (got, trace) = engine.execute_traced(&q(0));
+        assert_eq!(trace.mode, TraceMode::Full);
+        assert_eq!(got.unwrap().items, by_definition(0));
+        assert_eq!(engine.stats().memo_hits, 1);
+        for p in [1, 250] {
             let (got, trace) = engine.execute_traced(&q(p));
             assert_eq!(trace.mode, TraceMode::SparseRow);
             assert_eq!(got.unwrap().items, by_definition(p), "p{p}");
         }
         assert_eq!(engine.stats().promotions, 1);
         assert_eq!(engine.stats().cache.inserts_refused, 1);
+        assert_eq!(engine.cache().ranked_builds(), 1);
     }
 
     #[test]
@@ -3334,6 +3344,51 @@ mod tests {
                 ..before.0
             },
             "only the memo hit counts"
+        );
+    }
+
+    #[test]
+    fn a_memoized_read_of_a_resident_span_is_one_probe_and_nothing_else() {
+        use crate::cache::PEEKS;
+        use crate::plan::PLAN_STEPS_CALLS;
+        let engine = materializing_engine(skewed_bib());
+        let queries = [
+            "pathsim author-paper-author from a3",
+            "topk 2 author-paper-author from a3",
+            "pathcount author-paper-venue from a1 limit 4",
+            "neighbors author-paper-venue from a1 limit 10",
+            "rank author-paper-venue limit 3",
+        ];
+        // first reads make the spans resident and store their rows
+        let want: Vec<_> = queries.iter().map(|q| engine.execute(q).unwrap()).collect();
+        for q in queries {
+            assert_eq!(
+                engine.plan(q).unwrap().promotion,
+                Some(Promotion::Memoized),
+                "{q}"
+            );
+        }
+        let before = (engine.stats(), PLAN_STEPS_CALLS.get());
+        PEEKS.with(|p| p.borrow_mut().clear());
+        for (q, want) in queries.iter().zip(&want) {
+            let (got, trace) = engine.execute_traced(q);
+            assert_eq!(&got.unwrap(), want, "{q}");
+            assert_eq!(
+                (trace.mode, trace.outcome),
+                (TraceMode::Full, CacheOutcome::Hit)
+            );
+        }
+        let after = (engine.stats(), PLAN_STEPS_CALLS.get());
+        assert!(PEEKS.with(|p| p.take()).is_empty(), "nothing priced");
+        assert_eq!(after.1, before.1, "nothing planned");
+        let memo_hits = before.0.memo_hits + queries.len() as u64;
+        assert_eq!(
+            after.0,
+            EngineStats {
+                memo_hits,
+                ..before.0
+            },
+            "only the memo hit counts: no shard was looked at"
         );
     }
 

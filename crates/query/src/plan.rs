@@ -65,9 +65,11 @@ pub enum ExecMode {
 pub enum Promotion {
     /// The whole span is in the cache; the query reads its row.
     Resident,
-    /// The span is factored ([`Refusal::Factored`]) and the row memo holds
-    /// the ranked row this query reads: it copies the row's prefix, with
-    /// nothing priced, planned or propagated.
+    /// The row memo holds the ranked list this read asks for — a row, or
+    /// the row sums for `rank` — whether the span is resident, factored
+    /// ([`Refusal::Factored`]) or evicted since: it copies the list's
+    /// prefix, with no cache lookup and nothing priced, planned or
+    /// propagated.
     Memoized,
     /// The cache would not keep the product, so the span is never
     /// materialized for the cache's sake and is served lazily for ever.
@@ -204,8 +206,9 @@ pub struct QueryPlan {
     /// engine promotes the span.
     pub est_bytes: usize,
     /// The promotion verdict, for anchored queries the engine could serve
-    /// lazily (`None` otherwise — there is nothing to promote).
-    /// [`plan_steps`] alone leaves it `None`.
+    /// lazily, and [`Promotion::Memoized`] for any read the row memo
+    /// answers, `rank` included (`None` otherwise — there is nothing to
+    /// promote). [`plan_steps`] alone leaves it `None`.
     pub promotion: Option<Promotion>,
     /// For a span whose promotion the cache refused: the halves its row is
     /// served through (`None` when no split has halves the cache admits,
@@ -316,6 +319,24 @@ pub(crate) fn plan_priced(hin: &Hin, steps: &[PathStep], residency: Residency) -
     }
 }
 
+/// [`Csr::nbytes`] of the product of `steps` as their relations alone
+/// price it, whatever the cache holds: a one-step path's relation as
+/// stored, else the planner's estimate with no resident leaf. What the
+/// factoring rule ([`Refusal::Factored`]) prices a span and its halves by,
+/// so that a span's verdict stays put while its halves load.
+pub(crate) fn relation_bytes(hin: &Hin, steps: &[PathStep]) -> usize {
+    let first = steps[0].matrix(hin);
+    if steps.len() == 1 {
+        return first.nbytes();
+    }
+    let summaries: Vec<MatSummary> = steps
+        .iter()
+        .map(|s| MatSummary::from(s.matrix(hin)))
+        .collect();
+    let chain = spmm_chain_order_priced(&summaries, |_, _| None);
+    Csr::nbytes_of(first.nrows(), chain.est_nnz.ceil() as usize)
+}
+
 /// The pricing pass: for every sub-span `(lo, hi)` of two or more steps of
 /// a path, what a non-counting look at the cache
 /// ([`MatrixCache::peek_exact`]) found — its nonzeros, and whether it is
@@ -418,26 +439,6 @@ impl Residency {
     /// What the pass found for steps `lo..=hi`, `lo < hi`.
     pub(crate) fn get(&self, lo: usize, hi: usize) -> Option<Held> {
         self.held[lo * self.steps + hi]
-    }
-
-    /// Bytes of the sub-path `lo..hi` (`hi` exclusive) of `steps`, the path
-    /// this pass priced: a one-step sub-path's relation, a resident
-    /// product's size in this orientation, or else the planner's estimate,
-    /// priced against what this pass found resident within it.
-    pub(crate) fn bytes(&self, hin: &Hin, steps: &[PathStep], lo: usize, hi: usize) -> usize {
-        let rows = steps[lo].matrix(hin).nrows();
-        if hi - lo == 1 {
-            return steps[lo].matrix(hin).nbytes();
-        }
-        if let Some(held) = self.get(lo, hi - 1) {
-            return Csr::nbytes_of(rows, held.nnz);
-        }
-        let summaries: Vec<MatSummary> = steps[lo..hi]
-            .iter()
-            .map(|s| MatSummary::from(s.matrix(hin)))
-            .collect();
-        let chain = spmm_chain_order_priced(&summaries, |a, b| Some(self.get(lo + a, lo + b)?.nnz));
-        Csr::nbytes_of(rows, chain.est_nnz.ceil() as usize)
     }
 
     /// The nonzeros of steps `lo..=hi` as a link of an anchored row: the

@@ -53,9 +53,9 @@
 //! entry headers in front of a single 8-byte-aligned data heap. The file
 //! is mapped ([`hin_linalg::ArenaBuf::map_file`]; read into one aligned
 //! buffer where mapping is unavailable) and every matrix is handed out as
-//! a [`Csr`] *view* into it ([`hin_linalg::Csr::from_arena`]), demand-paged
-//! out of the kernel page cache: a mount reads the metadata and the index
-//! arrays, and a restore reads the values once, to prove them.
+//! a [`Csr`] *view* into it ([`hin_linalg::Csr::from_arena`]), read out of
+//! the kernel page cache: a mount reads the metadata and the index arrays,
+//! and a restore reads the values once, to prove them.
 //!
 //! ```text
 //! superheader  64 bytes, 8-byte fields LE unless noted:
@@ -487,11 +487,14 @@ impl CacheSnapshot {
     /// Mount a snapshot file — the one way a file becomes a snapshot.
     ///
     /// The image is `mmap`ed read-only and every restored matrix is a view
-    /// into the kernel page cache, **paged on demand**: open cost is the
-    /// metadata block plus one pass over the row-offset and index arrays
-    /// that validates and hashes them together ([`Csr::from_arena`]). The
-    /// mount reads no value page; a restore of the snapshot reads each one
-    /// once, to hash it against its checksum. Where mapping is unavailable (a
+    /// into the kernel page cache: open cost is the metadata block plus
+    /// one pass over the row-offset and index arrays that validates and
+    /// hashes them together ([`Csr::from_arena`]). The mount reads no value
+    /// page; a restore of the snapshot reads each one once, to hash it
+    /// against its checksum, so a restored image is read whole. Mapping
+    /// saves the copy into a heap buffer that reading the file makes,
+    /// which on the end-to-end `warm_restart` workload is worth about a
+    /// fifth of its throughput. Where mapping is unavailable (a
     /// non-64-bit-unix target, an empty file, any `mmap` error) the file is
     /// read into one aligned heap buffer instead: same typed errors,
     /// bit-identical matrices.
@@ -846,10 +849,11 @@ fn expected_dims(hin: &Hin, key: &[StepKey]) -> Option<(usize, usize)> {
 
 impl MatrixCache {
     /// Export resident entries hottest-first by recency tick, then the row
-    /// memo's ranked rows as one matrix per span and kind, sized by `hin`'s
-    /// schema, stopping at `budget_bytes` of payload (`None` =
-    /// everything), stamped with `fingerprint`, the [`dataset_fingerprint`]
-    /// of `hin`. Takes the same shard read locks the serving path takes,
+    /// memo's ranked rows of every span whose matrix is not among them — a
+    /// factored span's, which no matrix could give back — as one matrix per
+    /// span and kind sized by `hin`'s schema, stopping at `budget_bytes` of
+    /// payload (`None` = everything), stamped with `fingerprint`, the
+    /// [`dataset_fingerprint`] of `hin`. Takes the same shard read locks the serving path takes,
     /// one at a time — a live server can be snapshotted without stalling
     /// its workers.
     ///
@@ -864,8 +868,9 @@ impl MatrixCache {
         hin: &Hin,
     ) -> CacheSnapshot {
         let mut entries = self.entries_by_recency();
+        let carried = |key: &[StepKey]| entries.iter().any(|e| e.key == key);
         let mut rows: Vec<(RowKind, Sealed)> = self
-            .memo_triplets()
+            .memo_triplets(carried)
             .into_iter()
             .filter_map(|(key, kind, triplets)| {
                 let (nrows, ncols) = expected_dims(hin, &key)?;

@@ -1,5 +1,5 @@
-//! The cache's diagonal sidecar under contention: built once per resident
-//! matrix, not once per query or per thread.
+//! A span's diagonal in the row memo under contention: built once per
+//! span, not once per query or per thread.
 //!
 //! CI runs this file in release mode, like the other `hin-query` stress
 //! suites. It is a file of its own so its eight busy threads never share a

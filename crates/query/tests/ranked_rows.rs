@@ -1,7 +1,7 @@
-//! The ranked rows a resident span's sidecar keeps. A read of a resident
-//! span asking for at most ten results copies a prefix of the best ten,
-//! which the first such read of the row (of the entry, for `rank`) ranked
-//! and stored. That is only right if the stored list is exactly what the
+//! The ranked rows the row memo keeps of a resident span. A read asking
+//! for at most ten results copies a prefix of the best ten, which the
+//! first such read of the row (of the span, for `rank`) ranked off the
+//! span's matrix and stored. That is only right if the stored list is exactly what the
 //! read would have ranked itself, whatever was asked before it, so:
 //!
 //! - seeded DBLP-shaped networks, random sequences of all five verbs over
@@ -247,7 +247,7 @@ impl World {
 }
 
 /// An engine whose anchored queries materialize their span on the first
-/// run, so that reads are reads of resident spans and their sidecars.
+/// run, so that reads are reads of resident spans and their memoized rows.
 fn materializing(hin: &Arc<Hin>, config: CacheConfig) -> Engine {
     Engine::with_config(Arc::clone(hin), config, ExecPolicy::promote_after(0))
 }
@@ -284,15 +284,15 @@ fn ranked_reads_answer_as_a_fresh_engine_and_the_record_do() {
             assert_eq!(shown(&fresh), world.record(q), "fresh: {text}");
         }
 
-        // unbounded: every span resident, every row's sidecar warm after
-        // its first ranked read; and the default policy, lazy first
+        // unbounded: every span resident, every row memoized after its
+        // first ranked read; and the default policy, lazy first
         let unbounded = materializing(hin, CacheConfig::default());
         check(&world, &unbounded, &seq, "unbounded");
         let lazy_first = Engine::from_arc(Arc::clone(hin));
         check(&world, &lazy_first, &seq, "lazy, then promoted");
 
         // one shard too small for the working set: spans evict between
-        // reads and come back with empty sidecars
+        // reads, and their memoized rows stay
         let largest = world.matrices.values().map(Csr::nbytes).max().unwrap();
         let tiny = materializing(
             hin,
@@ -307,7 +307,8 @@ fn ranked_reads_answer_as_a_fresh_engine_and_the_record_do() {
             "the budget turned the LRU over"
         );
 
-        // restored: the matrices come back, their sidecars do not
+        // restored: the matrices come back, the rows of resident spans do
+        // not
         let snap = unbounded.snapshot(None);
         let dir = std::env::temp_dir().join(format!(
             "hin-ranked-rows-{seed}-{}-{:?}",
@@ -324,8 +325,8 @@ fn ranked_reads_answer_as_a_fresh_engine_and_the_record_do() {
             assert!(cold.restore(image).loaded > 0);
             check(&world, &cold, &seq, &format!("{how} into a cold engine"));
             assert_eq!(cold.stats().cache.misses, 0, "{how}: served from the image");
-            // over a live engine whose sidecars are warm: every restored
-            // entry replaces one, and starts again
+            // over a live engine whose memo is warm: every restored entry
+            // replaces one, and the memo stays
             assert!(unbounded.restore(image).loaded > 0);
             check(
                 &world,

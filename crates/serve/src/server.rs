@@ -95,10 +95,12 @@ pub struct ServeConfig {
     /// A snapshot mounted from a checkpoint file
     /// ([`hin_query::CacheSnapshot::open`]) is a set of views into the
     /// mapped file: nothing is copied onto the heap — there is no switch
-    /// for this, it is how files are restored. The restore hashes each
-    /// entry's values against its checksum before taking it in, so by the
-    /// time [`Server::start`] returns every restored entry is proved, and a
-    /// corrupt one was rejected ([`ServerStats::cache_restore_corrupt`]).
+    /// for this, it is how files are restored, because the copy a read
+    /// makes is measurably slower. The restore hashes each entry's values
+    /// against its checksum before taking it in, reading every page of the
+    /// image, so by the time [`Server::start`] returns every restored entry
+    /// is proved, and a corrupt one was rejected
+    /// ([`ServerStats::cache_restore_corrupt`]).
     pub warm_start: Option<Arc<CacheSnapshot>>,
     /// Observability: per-stage latency histograms and the slow-query log.
     pub telemetry: TelemetryConfig,
@@ -184,8 +186,8 @@ pub struct SlowQuery {
     pub queue_wait_ns: u64,
     /// Taken off the queue to execution start (the deadline sweep).
     pub dispatch_ns: u64,
-    /// Parse + resolve + whole-span probe, plus chain planning when the
-    /// probe missed ([`QueryTrace::plan_ns`]).
+    /// Parse + resolve + row memo and whole-span probe, plus chain
+    /// planning when both missed ([`QueryTrace::plan_ns`]).
     pub plan_ns: u64,
     /// Plan execution.
     pub exec_ns: u64,
@@ -544,8 +546,9 @@ pub struct ServerStats {
     /// start came up missing spans — the checkpoint was damaged after it
     /// was written.
     pub cache_restore_corrupt: u64,
-    /// Cache: diagonal sidecars built for resident matrices PathSim read —
-    /// one per resident span per residency, not one per query.
+    /// Cache: diagonals built for spans PathSim read off a whole matrix,
+    /// kept in the row memo — one per span per memo generation, not one per
+    /// query or per residency.
     pub cache_diagonal_builds: u64,
     /// PathSim normalizer diagonals served from the engine's per-half-span
     /// memo instead of recomputed half propagations.
@@ -554,12 +557,13 @@ pub struct ServerStats {
     pub cache_len: usize,
     /// Cache: resident bytes.
     pub cache_bytes: usize,
-    /// Anchored reads of factored spans answered from the row memo, with
-    /// nothing planned or propagated.
+    /// Ranked reads answered from the row memo, with nothing looked up in
+    /// the cache, planned or propagated; not counted in `cache_hits`.
     pub memo_hits: u64,
-    /// Cache: ranked rows the row memo holds for factored spans (a gauge).
+    /// Cache: ranked rows the row memo holds (a gauge).
     pub cache_memo_rows: usize,
-    /// Cache: heap bytes of those rows (a gauge), not in `cache_bytes`.
+    /// Cache: heap bytes of those rows and of the memo's diagonals (a
+    /// gauge), not in `cache_bytes`.
     pub cache_memo_bytes: usize,
     /// Stage latency (ns): `submit` call to admission decision. Empty when
     /// telemetry is disabled, like every histogram below.
@@ -572,8 +576,8 @@ pub struct ServerStats {
     /// deadline sweep, on the thread that runs it; one sample per served
     /// request.
     pub dispatch_ns: HistSnapshot,
-    /// Stage latency (ns): parse + resolve + whole-span probe, plus chain
-    /// planning when the probe missed ([`QueryTrace::plan_ns`]).
+    /// Stage latency (ns): parse + resolve + row memo and whole-span probe,
+    /// plus chain planning when both missed ([`QueryTrace::plan_ns`]).
     pub plan_ns: HistSnapshot,
     /// Execute-stage latency (ns) split `[mode][cache outcome]`, label
     /// order [`EXEC_MODES`] × [`EXEC_OUTCOMES`] — e.g.
@@ -1951,6 +1955,7 @@ pub(crate) mod tests {
             // the venue→paper relation: the half heats, then materializes
             run("pathcount author-paper-venue-paper from a0");
         }
+        run("rank venue-paper-venue"); // its row sums again: a memo hit
         assert_eq!(server.stats().worker_wakes, 0, "each ran on its waiter");
         // the second submit finds the first queued and wakes the worker;
         // parse errors, so the cache reads stay as they were
@@ -1961,17 +1966,11 @@ pub(crate) mod tests {
 
         let at_end = assert_copied(&server);
         // one worker never races another for a span, the image was not
-        // damaged, and no computation
-        // bypasses the in-flight table; and no span of this three-author
-        // network has a square eight times its halves, so none is factored
-        // and nothing reaches the row memo (`hin_query`'s tests fill it)
+        // damaged, and no computation bypasses the in-flight table
         let unreached = [
             "cache_coalesced_waits",
             "cache_restore_corrupt",
             "cache_dup_computes",
-            "memo_hits",
-            "cache_memo_rows",
-            "cache_memo_bytes",
         ];
         for (name, value) in at_end {
             if !unreached.contains(&name) {

@@ -110,17 +110,19 @@ fn repeated_and_overlapping_queries_are_served_from_cache() {
     assert!(cold_misses > 0);
     let cold_hits = engine.stats().cache.hits;
 
-    // exact repeat: zero new products
+    // exact repeat: the row memo's, zero new products, no cache lookup
     let second = engine.execute(q).unwrap();
     assert_eq!(first, second);
     assert_eq!(engine.stats().cache.misses, cold_misses);
-    assert!(engine.stats().cache.hits > cold_hits);
+    assert_eq!(engine.stats().cache.hits, cold_hits);
+    assert_eq!(engine.stats().memo_hits, 1);
 
     // same path, different anchor: the commuting matrix is shared
     engine
         .execute("pathsim author-paper-venue-paper-author from author_a1_3")
         .unwrap();
     assert_eq!(engine.stats().cache.misses, cold_misses);
+    assert!(engine.stats().cache.hits > cold_hits);
 
     // reversed half-path: whatever the plan shape, every needed product is
     // already in the cache (exactly or as a transpose)
