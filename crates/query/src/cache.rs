@@ -63,10 +63,12 @@
 //! the **row memo** under the span's exact key, so a repeated read copies
 //! a stored row and looks at no shard. The network never changes under its
 //! cache, so that outlives evictions and restores of the span's matrix; a
-//! factored span ([`Refusal::Factored`]), whose square is never resident,
-//! keeps its rows there too. The memo is bounded by a row count and reset
-//! wholesale, like the ledger. [`CacheStats::memo_rows`] and
-//! [`CacheStats::memo_bytes`] say what it holds.
+//! refused span, whose square is never resident — factored
+//! ([`Refusal::Factored`]) or too large for its slice — keeps the rows
+//! propagated for it there too, so each is propagated once. The memo is
+//! bounded by a row count and reset wholesale, like the ledger.
+//! [`CacheStats::memo_rows`] and [`CacheStats::memo_bytes`] say what it
+//! holds.
 //!
 //! Keys pick their shard through a fixed hash of the `(relation id,
 //! forward)` sequence of their canonical form, so which spans share a
@@ -162,13 +164,21 @@ pub(crate) fn canonical_key(key: &[StepKey]) -> PathKey {
 
 /// A ranking in the form the row memo stores it.
 fn compact(list: Vec<(usize, f64)>) -> Ranked {
-    list.into_iter().map(|(id, s)| (id as u32, s)).collect()
+    list.into_iter()
+        .map(|(id, score)| Pair {
+            id: id as u32,
+            score,
+        })
+        .collect()
 }
 
 /// The first `limit` pairs of a stored ranking, in the engine's form.
-fn prefix(list: &[(u32, f64)], limit: usize) -> Vec<(usize, f64)> {
+fn prefix(list: &[Pair], limit: usize) -> Vec<(usize, f64)> {
     let n = limit.min(list.len());
-    list[..n].iter().map(|&(id, s)| (id as usize, s)).collect()
+    list[..n]
+        .iter()
+        .map(|&Pair { id, score }| (id as usize, score))
+        .collect()
 }
 
 #[cfg(test)]
@@ -183,8 +193,8 @@ const LEDGER_CAP: usize = 4096;
 
 /// Ranked rows the row memo holds before it is reset wholesale — a memory
 /// bound, not a policy: a reset only costs re-ranking the rows still read.
-/// At most ten pairs of 16 bytes a row, so about 12 MB. A diagonal counts
-/// as the rows its bytes would fill: 8 bytes an entry against a row's 160.
+/// At most ten pairs of 12 bytes a row, so about 9 MB. A diagonal counts
+/// as the rows its bytes would fill: 8 bytes an entry against a row's 120.
 pub(crate) const MEMO_ROWS_CAP: usize = 1 << 16;
 
 /// Where a refused span's row is split: the first step of its right half,
@@ -296,11 +306,12 @@ pub struct CacheConfig {
     /// total budget — its insert is refused without evicting anything
     /// ([`CacheStats::inserts_refused`]), and the engine does not promote
     /// a span whose estimated or previously measured size exceeds the
-    /// slice: such a span is served by lazy row propagation for ever
+    /// slice: each row of such a span is propagated lazily
     /// (`EngineStats::promotions_refused`) — through two halves the cache
     /// does keep, when it has a split with such halves
     /// (`EngineStats::factor_promotions`), and link by link through its
-    /// relations otherwise. Refusals that climb while
+    /// relations otherwise — and, read at most ten deep, ranked into the
+    /// row memo, which answers its repeats. Refusals that climb while
     /// evictions stay flat mean the budget cannot hold what the traffic
     /// heats; evictions that climb mean the working set rotates. Size the
     /// budget so the largest commuting matrix worth keeping fits in one
@@ -371,8 +382,17 @@ struct Entry {
     checksum: Arc<OnceLock<EntryChecksum>>,
 }
 
+/// One pair of a stored ranking. Packed to 12 bytes, where a `(u32, f64)`
+/// pads to 16; its fields are only ever read by value, never borrowed.
+#[derive(Clone, Copy)]
+#[repr(C, packed(4))]
+struct Pair {
+    id: u32,
+    score: f64,
+}
+
 /// A ranked list: `(id, score)` pairs, best first.
-type Ranked = Box<[(u32, f64)]>;
+type Ranked = Box<[Pair]>;
 
 /// The rows of one scoring that reads have ranked so far, by anchor row.
 type RankedRows = RwLock<HashMap<u32, Ranked>>;
@@ -380,10 +400,10 @@ type RankedRows = RwLock<HashMap<u32, Ranked>>;
 /// What reads derive from one span, kept in the row memo under its key
 /// ([`MatrixCache::memo_of`]): the diagonal PathSim divides by, and the
 /// ranked lists the ranking verbs answer from ([`MatrixCache::ranked`]),
-/// ranked off a whole matrix of the span or, for a factored span, off
-/// rows propagated through its halves. A snapshot carries the PathSim and
-/// count rows of a span whose matrix it does not carry, and never the
-/// diagonal or the row sums.
+/// ranked off a whole matrix of the span or, for a refused span, off rows
+/// propagated through its halves or its relations. A snapshot carries the
+/// PathSim and count rows of a span whose matrix it does not carry, and
+/// never the diagonal or the row sums.
 #[derive(Default)]
 pub(crate) struct SpanMemo {
     diagonal: OnceLock<Box<[f64]>>,
@@ -415,7 +435,7 @@ impl SpanMemo {
     pub(crate) fn diagonal(&self, cache: &MatrixCache, matrix: &Csr) -> &[f64] {
         self.diagonal.get_or_init(|| {
             let built: Box<[f64]> = matrix.diagonal().into();
-            cache.note_memo(built.len().div_ceil(20));
+            cache.note_memo(built.len().div_ceil(15));
             cache
                 .counters
                 .diagonal_builds
@@ -447,7 +467,7 @@ impl SpanMemo {
 type Triplets = Vec<(u32, u32, f64)>;
 
 /// Heap bytes of one stored ranked row: its map slot and its pairs.
-fn row_bytes(list: &[(u32, f64)]) -> usize {
+fn row_bytes(list: &[Pair]) -> usize {
     std::mem::size_of::<(u32, Ranked)>() + std::mem::size_of_val(list)
 }
 
@@ -646,9 +666,9 @@ pub struct CacheStats {
     /// Ranked lists in the row memo (a gauge): one per span, anchor read
     /// and scoring, plus one of row sums per span `rank` read, at most ten
     /// pairs each. Where every span's hot reads live — a resident span's,
-    /// and a factored span's instead of its square.
+    /// and a refused span's instead of its square.
     pub memo_rows: usize,
-    /// Heap bytes of those lists (16 bytes a pair plus 24 a list) and of
+    /// Heap bytes of those lists (12 bytes a pair plus 24 a list) and of
     /// the memo's diagonals (8 bytes a row of the span's matrix), a gauge
     /// not counting the maps' own slack. Not in `bytes`, which is the
     /// matrices'.
@@ -1076,8 +1096,8 @@ impl MatrixCache {
                 let mut triplets = Vec::new();
                 for x in ids {
                     let mut pairs = rows[&x].to_vec();
-                    pairs.sort_unstable_by_key(|&(y, _)| y);
-                    triplets.extend(pairs.into_iter().map(|(y, score)| (x, y, score)));
+                    pairs.sort_unstable_by_key(|&Pair { id, .. }| id);
+                    triplets.extend(pairs.into_iter().map(|Pair { id, score }| (x, id, score)));
                 }
                 if !triplets.is_empty() {
                     out.push((key.clone(), kind, triplets));
@@ -1574,7 +1594,7 @@ mod tests {
         );
         let stats = cache.stats();
         assert_eq!(stats.memo_rows, MEMO_ROWS_CAP);
-        assert_eq!(stats.memo_bytes, MEMO_ROWS_CAP * (24 + 16));
+        assert_eq!(stats.memo_bytes, MEMO_ROWS_CAP * (24 + 12));
         assert_eq!(
             cache.memo_row(&key, Scoring::Count(3), 10),
             Some(vec![(1, 1.0)])
@@ -1876,7 +1896,7 @@ mod tests {
         assert_eq!(cache.stats().diagonal_builds, 1);
         assert_eq!(
             (cache.stats().memo_rows, cache.stats().memo_bytes),
-            (4, 4 * 24 + 12 * 16 + 6 * 8)
+            (4, 4 * 24 + 12 * 12 + 6 * 8)
         );
 
         // evicted, its rows and diagonal stay: they are the span's

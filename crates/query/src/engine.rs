@@ -137,7 +137,7 @@ pub struct EngineStats {
     /// The commuting-matrix cache's counters and gauges.
     pub cache: CacheStats,
     /// Queries answered by the anchored sparse-row fast path (no matrix
-    /// materialized, nothing cached).
+    /// materialized or cached).
     pub anchored_fast_paths: u64,
     /// Spans promoted from lazy propagation to full materialization after
     /// crossing [`ExecPolicy::promote_after`] lazy executions.
@@ -146,8 +146,10 @@ pub struct EngineStats {
     /// estimate or its measured size exceeds one shard's slice — the
     /// [`Refusal`] `EXPLAIN` shows — so the span never
     /// heated and ran by row propagation; each also counts in
-    /// `anchored_fast_paths`). Climbing while [`CacheStats::evictions`]
-    /// stays flat: the byte budget cannot hold what the traffic heats.
+    /// `anchored_fast_paths`). A repeat of a read such a run stored in the
+    /// row memo counts in `memo_hits` instead. Climbing while
+    /// [`CacheStats::evictions`] stays flat: the byte budget cannot hold
+    /// what the traffic heats.
     pub promotions_refused: u64,
     /// PathSim normalizer diagonals `M[y][y]` served from the per-half-span
     /// memo instead of recomputed half propagations.
@@ -242,9 +244,10 @@ impl IdOutput {
 ///
 /// Every ranked read of two or more steps asking for at most ten results
 /// asks the cache's row memo first: the rows ranked off a whole matrix the
-/// cache handed out, and a factored span's rows, are kept there under the
-/// span's key, so a repeated read copies one without looking at the cache
-/// or planning anything, and a snapshot carries a factored span's rows.
+/// cache handed out, and a refused span's propagated rows, are kept there
+/// under the span's key, so a repeated read copies one without looking at
+/// the cache or planning anything, and a snapshot carries a refused span's
+/// rows.
 ///
 /// What the engine learns about a span (its heat, a refused product's
 /// size, a refused span's split) is one entry of the cache's span ledger,
@@ -394,7 +397,7 @@ impl Engine {
     /// the ordinary LRU (a snapshot can never blow the cache budget);
     /// outcomes are reported and recorded in
     /// [`CacheStats::warm_loaded`] / [`CacheStats::warm_rejected`]. Ranked
-    /// rows go into the row memo, best first again, so a factored span's
+    /// rows go into the row memo, best first again, so a refused span's
     /// hot reads are memo hits from the first query on.
     ///
     /// Entries mounted from an image arrive with their structure proved;
@@ -707,10 +710,13 @@ impl Engine {
     /// (integer-valued weights — see the anchored property tests). The
     /// plan's pricing pass lays the row out.
     ///
-    /// A factored span's read asking for at most [`DEFAULT_LIMIT`] ranks
+    /// A refused span's read asking for at most [`DEFAULT_LIMIT`] ranks
     /// its row to that depth and stores it in the row memo, as a read of a
-    /// whole matrix does; the next read of that row is a memo hit. A
-    /// heating or otherwise refused span's row stores nothing.
+    /// whole matrix does, whether the span was factored or refused for its
+    /// size: the next read of that row is a memo hit, so a row is
+    /// propagated once, and heats the span's halves once. A heating span's
+    /// row stores nothing, so that its repeats keep heating it toward
+    /// promotion.
     ///
     /// The row and its normalizers run on the thread's one scatter scratch
     /// ([`with_row_scratch`]), so a row pays for its products, not for
@@ -726,19 +732,16 @@ impl Engine {
         let x = from.expect("anchored verbs carry `from`").id as usize;
         let residency = &plan.residency;
         let links = self.propagation_seed(shape.path.steps(), &shape.key, residency);
-        // The fast path caches nothing; its cache interaction is whether
-        // the propagation started from a resident prefix product or had to
-        // chain from the anchor's relation row.
+        // The fast path puts no matrix in the cache; its cache interaction
+        // is whether the propagation started from a resident prefix product
+        // or had to chain from the anchor's relation row.
         trace.mode = TraceMode::SparseRow;
         trace.outcome = match links[0] {
             Mat::Shared(_) => CacheOutcome::Hit,
             Mat::Borrowed(_) => CacheOutcome::MissCompute,
         };
-        let factored = matches!(
-            plan.promotion,
-            Some(Promotion::Refused(Refusal::Factored { .. }))
-        );
-        let memo = factored.then(|| self.cache.memo_of(&shape.key));
+        let refused = matches!(plan.promotion, Some(Promotion::Refused(_)));
+        let memo = refused.then(|| self.cache.memo_of(&shape.key));
         let k = shape.limit.unwrap_or(default_row_limit(shape.verb));
         let items = with_row_scratch(|scratch| {
             let row = row_through(&links, x, scratch);
@@ -2606,14 +2609,18 @@ mod tests {
             plan.to_string().contains("promotion: refused — est 1."),
             "{plan}"
         );
-        let want = reference.execute(q).unwrap();
+        // past ten results a read is never the row memo's, so every one of
+        // these runs is decided, refused and propagated
+        let deep = format!("{q} limit 11");
+        let want = reference.execute(&deep).unwrap();
         for _ in 0..30 {
-            assert_eq!(engine.execute(q).unwrap(), want);
+            assert_eq!(engine.execute(&deep).unwrap(), want);
         }
         let before = engine.stats();
         assert_eq!(before.promotions, 0);
         assert_eq!(before.promotions_refused, 30);
         assert_eq!(before.anchored_fast_paths, 30, "refused runs are lazy runs");
+        assert_eq!(before.memo_hits, 0);
         // the span is never materialized; its halves A-P-V and V-P-A mirror
         // each other and sit in different shards, so each gets a slice:
         // A-P-V is computed once, V-P-A arrives as its transpose, and the
@@ -2628,9 +2635,16 @@ mod tests {
         assert_eq!(heat_of(&engine, q), 0, "never counted");
         let half = "pathcount author-paper-venue from a0";
         assert_eq!(heat_of(&engine, half), 0, "both halves crossed");
-        assert_eq!(engine.execute(q).unwrap(), want);
+        // a read of ten is refused once, stores its row, and its repeats
+        // are memo hits that decide nothing
+        let want = reference.execute(q).unwrap();
+        for _ in 0..3 {
+            assert_eq!(engine.execute(q).unwrap(), want);
+        }
         let after = engine.stats();
         assert_eq!(after.promotions_refused - before.promotions_refused, 1);
+        assert_eq!(after.anchored_fast_paths - before.anchored_fast_paths, 1);
+        assert_eq!(after.memo_hits, 2);
         assert_eq!(after.promotions, 0);
     }
 
@@ -2717,21 +2731,28 @@ mod tests {
         );
 
         // the mirror span is the transpose of the same product
-        let mirror = "pathcount reviewed_by-^written_by from p7";
+        let mirror = |p: usize| format!("pathcount reviewed_by-^written_by from p{p}");
         assert!(matches!(
-            engine.plan(mirror).unwrap().promotion,
+            engine.plan(&mirror(7)).unwrap().promotion,
             Some(Promotion::Refused(crate::cache::Refusal::Product { .. }))
         ));
-        for _ in 0..5 {
+        for p in 10..15 {
             assert_eq!(
-                engine.execute(mirror).unwrap(),
-                reference.execute(mirror).unwrap()
+                engine.execute(&mirror(p)).unwrap(),
+                reference.execute(&mirror(p)).unwrap()
             );
         }
         assert_eq!(engine.stats().promotions, 1);
         assert_eq!(engine.stats().promotions_refused, 12);
         assert_eq!(engine.stats().cache.misses, misses + 1);
         assert_eq!(heat_of(&engine, &span(0)), 0);
+        // each refused read stored its row: a repeat is a memo hit
+        assert_eq!(
+            engine.execute(&mirror(10)).unwrap(),
+            reference.execute(&mirror(10)).unwrap()
+        );
+        assert_eq!(engine.stats().promotions_refused, 12);
+        assert_eq!(engine.stats().memo_hits, 1);
     }
 
     #[test]
@@ -2898,7 +2919,8 @@ mod tests {
         assert_eq!(stats.cache.diagonal_builds, 1);
         assert_eq!(engine.cache().ranked_builds(), 1);
         // measured oversize now: the stored row is a memo hit, and later
-        // runs of other rows are refused and propagate, storing nothing
+        // runs of other rows are refused and propagate, storing each row
+        // once for its repeats
         let (got, trace) = engine.execute_traced(&q(0));
         assert_eq!(trace.mode, TraceMode::Full);
         assert_eq!(got.unwrap().items, by_definition(0));
@@ -2910,7 +2932,13 @@ mod tests {
         }
         assert_eq!(engine.stats().promotions, 1);
         assert_eq!(engine.stats().cache.inserts_refused, 1);
-        assert_eq!(engine.cache().ranked_builds(), 1);
+        assert_eq!(engine.cache().ranked_builds(), 3);
+        let (got, trace) = engine.execute_traced(&q(250));
+        assert_eq!(got.unwrap().items, by_definition(250));
+        assert_eq!(trace.mode, TraceMode::Full, "{trace:?}");
+        assert_eq!(engine.stats().memo_hits, 2);
+        assert_eq!(engine.stats().promotions_refused, 2);
+        assert_eq!(engine.cache().ranked_builds(), 3);
     }
 
     #[test]

@@ -66,13 +66,15 @@ pub enum Promotion {
     /// The whole span is in the cache; the query reads its row.
     Resident,
     /// The row memo holds the ranked list this read asks for — a row, or
-    /// the row sums for `rank` — whether the span is resident, factored
-    /// ([`Refusal::Factored`]) or evicted since: it copies the list's
+    /// the row sums for `rank` — whether the span is resident, refused
+    /// ([`Promotion::Refused`]) or evicted since: it copies the list's
     /// prefix, with no cache lookup and nothing priced, planned or
     /// propagated.
     Memoized,
     /// The cache would not keep the product, so the span is never
-    /// materialized for the cache's sake and is served lazily for ever.
+    /// materialized for the cache's sake and is served lazily for ever:
+    /// each row is propagated once, and a read of at most ten results
+    /// stores it in the row memo for its repeats.
     Refused(Refusal),
     /// The cache would keep the product: this query would be lazy
     /// execution `run` of the `of` that promote the span

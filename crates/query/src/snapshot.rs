@@ -7,7 +7,7 @@
 //! [`CacheSnapshot`] is the deliberate state-out/state-in boundary that
 //! fixes this: an ordered export of `(canonical sub-path key, Csr)`
 //! entries, hottest first, then the ranked rows of the row memo — what a
-//! factored span, never resident as a square, keeps of its hot reads — that
+//! refused span, never resident as a square, keeps of its hot reads — that
 //! can be
 //!
 //! * handed directly to a replacement engine in-process
@@ -113,7 +113,7 @@
 //! There is no whole-file checksum: it would make the CPU walk a mapped
 //! image once more than serving it needs.
 //!
-//! **Ranked rows.** A factored span's rows of one scoring are one more
+//! **Ranked rows.** A refused span's rows of one scoring are one more
 //! entry, laid out, sealed and checksummed as a matrix is, under the span's
 //! key with its marker: the matrix has the span's dimensions, and row `x`
 //! holds the best pairs (at most ten) a read of `x` ranked, sorted by id —
@@ -186,12 +186,12 @@ const FLAG_RANKED_ROWS: u64 = 4;
 const MAX_KEY_STEPS: u32 = 4096;
 
 /// A `key_len` marker bit: the entry is not a commuting matrix but a
-/// factored span's ranked PathSim rows — row `x` holds `x`'s best pairs
+/// refused span's ranked PathSim rows — row `x` holds `x`'s best pairs
 /// (at most [`DEFAULT_LIMIT`]), sorted by id. The length is in the bits
 /// below the markers; [`MAX_KEY_STEPS`] leaves both markers free.
 const ROWS_PATHSIM: u32 = 1 << 30;
 
-/// A `key_len` marker bit: the entry is a factored span's ranked
+/// A `key_len` marker bit: the entry is a refused span's ranked
 /// path-count rows, laid out as [`ROWS_PATHSIM`]'s.
 const ROWS_COUNT: u32 = 1 << 31;
 
@@ -263,7 +263,7 @@ pub struct SnapshotImport {
     /// [`hin_linalg::arena::ZERO_COPY`] host reports
     /// `view_backed == loaded`: zero per-matrix heap decodes.
     pub view_backed: u64,
-    /// Ranked rows of factored spans taken into the row memo
+    /// Ranked rows of refused spans taken into the row memo
     /// ([`CacheSnapshot::ranked_rows`]). A ranked-rows entry that does not
     /// fit the schema, or whose values do not match its checksum — they
     /// are checked here, before any row is read — is counted in
@@ -334,7 +334,7 @@ impl CacheSnapshot {
         self.fingerprint
     }
 
-    /// Ranked rows carried for factored spans, over both scorings: one per
+    /// Ranked rows carried for refused spans, over both scorings: one per
     /// anchor whose row a read ranked. Not entries: [`CacheSnapshot::len`],
     /// [`CacheSnapshot::keys`] and [`CacheSnapshot::bytes`] count the
     /// matrices.
@@ -850,7 +850,7 @@ fn expected_dims(hin: &Hin, key: &[StepKey]) -> Option<(usize, usize)> {
 impl MatrixCache {
     /// Export resident entries hottest-first by recency tick, then the row
     /// memo's ranked rows of every span whose matrix is not among them — a
-    /// factored span's, which no matrix could give back — as one matrix per
+    /// refused span's, which no matrix could give back — as one matrix per
     /// span and kind sized by `hin`'s schema, stopping at `budget_bytes` of
     /// payload (`None` = everything), stamped with `fingerprint`, the
     /// [`dataset_fingerprint`] of `hin`. Takes the same shard read locks the serving path takes,

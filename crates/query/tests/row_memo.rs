@@ -286,3 +286,103 @@ fn racing_first_reads_and_an_export_agree_with_the_square() {
         alone.snapshot(None).to_bytes().len()
     );
 }
+
+#[test]
+fn a_span_refused_by_its_slice_propagates_each_row_once() {
+    let hin = world();
+    let reference = square(&hin, SPAN);
+    let queries = queries(&hin);
+    let q = &queries[0];
+    // one shard whose slice is a byte short of the span's estimate: the
+    // span is refused for its size before the factoring rule is asked,
+    // and its halves fit the slice together
+    let est = Engine::from_arc(Arc::clone(&hin))
+        .plan(q)
+        .unwrap()
+        .est_bytes;
+    let bounded = || {
+        Engine::with_cache_config(
+            Arc::clone(&hin),
+            CacheConfig {
+                shards: 1,
+                byte_budget: Some(est - 1),
+            },
+        )
+    };
+    let engine = bounded();
+    let plan = engine.plan(q).unwrap();
+    assert!(
+        matches!(
+            plan.promotion,
+            Some(Promotion::Refused(Refusal::Estimate { .. }))
+        ),
+        "{plan}"
+    );
+    // past ten results a read is never the row memo's, so this EXPLAIN
+    // shows the route, and the halves' heat, whichever rows were read
+    let route = || {
+        let plan = engine.plan(&format!("{q} limit 11")).unwrap().to_string();
+        plan.split("; row: ").nth(1).unwrap().to_string()
+    };
+    let cold = route();
+    assert!(cold.starts_with("heating 1/3["), "{cold}");
+
+    // the first read propagates its row and stores it
+    let want = reference.execute(q).unwrap();
+    assert_bit_identical(&engine.execute(q).unwrap(), &want, "first read");
+    let first = engine.stats();
+    assert_eq!(
+        (first.promotions_refused, first.anchored_fast_paths),
+        (1, 1)
+    );
+    assert_eq!(first.memo_hits, 0);
+    assert_eq!(first.cache.memo_rows, 1);
+    let heated = route();
+    assert!(heated.starts_with("heating 2/3["), "{heated}");
+
+    // each repeat is a memo hit: nothing decided, propagated or heated
+    let explain = engine.plan(q).unwrap();
+    assert_eq!(explain.promotion, Some(Promotion::Memoized));
+    assert!(
+        explain.to_string().contains("promotion: memoized row"),
+        "{explain}"
+    );
+    for n in 1..=3 {
+        let (got, trace) = engine.execute_traced(q);
+        assert_bit_identical(&got.unwrap(), &want, &format!("repeat {n}"));
+        assert_eq!(trace.mode, TraceMode::Full, "repeat {n}");
+        let stats = engine.stats();
+        assert_eq!(stats.memo_hits, n);
+        assert_eq!(stats.promotions_refused, first.promotions_refused);
+        assert_eq!(stats.anchored_fast_paths, first.anchored_fast_paths);
+        assert_eq!(stats.cache.memo_rows, 1);
+    }
+    assert_eq!(route(), heated, "a memo hit heats nothing");
+
+    // every read answers as the square does; the first pass propagates
+    // each row once, and the second is all memo hits
+    check_all(&engine, &reference, &queries, "bounded");
+    let once = engine.stats();
+    assert_eq!(once.promotions, 0, "{once:?}");
+    check_all(&engine, &reference, &queries, "bounded, again");
+    let twice = engine.stats();
+    assert_eq!(twice.memo_hits - once.memo_hits, queries.len() as u64);
+    assert_eq!(twice.anchored_fast_paths, once.anchored_fast_paths);
+    assert_eq!(twice.promotions_refused, once.promotions_refused);
+
+    // the image carries the refused span's rows: a fresh bounded engine
+    // answers its first read from the memo
+    let image = CacheSnapshot::from_bytes(&engine.snapshot(None).to_bytes()).unwrap();
+    assert!(image.ranked_rows() > 0);
+    let fresh = bounded();
+    assert_eq!(
+        fresh.restore(&image).ranked_rows as usize,
+        image.ranked_rows()
+    );
+    let (got, trace) = fresh.execute_traced(q);
+    assert_bit_identical(&got.unwrap(), &want, "restored");
+    assert_eq!(trace.mode, TraceMode::Full);
+    let stats = fresh.stats();
+    assert_eq!((stats.memo_hits, stats.anchored_fast_paths), (1, 0));
+    assert_eq!(stats.promotions_refused, 0);
+}

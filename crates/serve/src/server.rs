@@ -514,9 +514,10 @@ pub struct ServerStats {
     /// crossing [`ExecPolicy::promote_after`] lazy executions.
     pub promotions: u64,
     /// Lazy executions of spans the cache would not keep, so they were never
-    /// counted toward promotion. Climbing with `cache_evictions` flat: the
-    /// byte budget cannot hold what the traffic heats; `cache_evictions`
-    /// climbing instead: the working set rotates.
+    /// counted toward promotion; a repeat of a read one stored in the row
+    /// memo counts in `memo_hits` instead. Climbing with `cache_evictions`
+    /// flat: the byte budget cannot hold what the traffic heats;
+    /// `cache_evictions` climbing instead: the working set rotates.
     pub promotions_refused: u64,
     /// Product halves of refused spans materialized after heating, so the
     /// spans' rows are read through them instead of chained through their
@@ -1942,18 +1943,22 @@ pub(crate) mod tests {
         run("rank author-paper-venue"); // a miss, evicting venue×venue
         run("rank venue-paper-author"); // a symmetry hit on author×venue
         run("rank author-paper-author"); // a miss, refused at the door
-        for _ in 0..3 {
-            // lazy, never promoted: the span is known not to fit
-            run("pathsim author-paper-author from a0");
-        }
+
+        // lazy, never promoted: the span is known not to fit. The first
+        // run stores its row; past ten results a read is never the row
+        // memo's, so the deeper one propagates again and finds a1's
+        // normalizer memoized
+        run("pathsim author-paper-author from a0");
+        run("pathsim author-paper-author from a0 limit 11");
         for _ in 0..2 {
             // lazy, then promoted on the second run
             run("pathcount venue-paper-venue from v1");
         }
-        for _ in 0..2 {
+        for a in 0..2 {
             // a span that does not fit, served through author×venue and
-            // the venue→paper relation: the half heats, then materializes
-            run("pathcount author-paper-venue-paper from a0");
+            // the venue→paper relation: the half heats, then materializes.
+            // A refused row is stored, so each run reads a fresh anchor
+            run(&format!("pathcount author-paper-venue-paper from a{a}"));
         }
         run("rank venue-paper-venue"); // its row sums again: a memo hit
         assert_eq!(server.stats().worker_wakes, 0, "each ran on its waiter");
